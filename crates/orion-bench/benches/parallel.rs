@@ -1,7 +1,7 @@
 //! Sequential vs. rayon limb-parallel comparison for the RNS hot paths
-//! (per-limb NTT batches, fused `add_mul` accumulation, key-switch digit
-//! decomposition), with a machine-readable JSON summary for the perf
-//! trajectory written to `target/parallel_bench.json`.
+//! (per-limb NTT batches, key-switch digit decomposition), with a
+//! machine-readable JSON summary for the perf trajectory written to
+//! `target/parallel_bench.json`.
 //!
 //! Run with `cargo bench --bench parallel`.
 
@@ -10,7 +10,6 @@ use orion_ckks::hoist::decompose_digits;
 use orion_ckks::params::{CkksParams, Context};
 use orion_ckks::poly::{Form, RnsPoly};
 use orion_math::generate_ntt_primes;
-use orion_math::modular::{add_mod, mul_mod};
 use orion_math::ntt::NttTable;
 use orion_math::parallel::ntt_forward_batch;
 use rand::rngs::StdRng;
@@ -67,39 +66,6 @@ fn bench_ntt_batch(c: &mut Criterion) {
     g.finish();
 }
 
-fn bench_rns_add_mul(c: &mut Criterion) {
-    let ctx = Context::new(CkksParams::medium());
-    let mut rng = StdRng::seed_from_u64(11);
-    let level = ctx.max_level();
-    let a = RnsPoly::sample_uniform(&ctx, level, Form::Eval, true, &mut rng);
-    let b = RnsPoly::sample_uniform(&ctx, level, Form::Eval, true, &mut rng);
-    let zero = RnsPoly::zero(&ctx, level, Form::Eval, true);
-    let mut g = c.benchmark_group("rns_add_mul");
-    g.sample_size(15);
-    g.bench_function("sequential", |bch| {
-        bch.iter(|| {
-            // the pre-refactor loop: one limb at a time on one core
-            let mut dst = zero.clone();
-            for j in 0..dst.limbs.len() {
-                let q = ctx.moduli[j];
-                let (d, (x, y)) = (&mut dst.limbs[j], (&a.limbs[j], &b.limbs[j]));
-                for ((d, &u), &v) in d.iter_mut().zip(x).zip(y) {
-                    *d = add_mod(*d, mul_mod(u, v, q), q);
-                }
-            }
-            dst
-        })
-    });
-    g.bench_function("parallel", |bch| {
-        bch.iter(|| {
-            let mut dst = zero.clone();
-            dst.add_mul_assign(&a, &b, &ctx);
-            dst
-        })
-    });
-    g.finish();
-}
-
 fn bench_digit_decomposition(c: &mut Criterion) {
     let ctx = Context::new(CkksParams::medium());
     let mut rng = StdRng::seed_from_u64(13);
@@ -136,11 +102,12 @@ fn write_summary(c: &Criterion) {
         })
         .collect();
     let mut speedups = Vec::new();
-    for base in ["ntt_batch", "rns_add_mul"] {
-        if let Some(s) = speedup(base) {
-            println!("speedup {base}: {s:.2}x over sequential");
-            speedups.push((base.to_string(), Value::Num((s * 100.0).round() / 100.0)));
-        }
+    if let Some(s) = speedup("ntt_batch") {
+        println!("speedup ntt_batch: {s:.2}x over sequential");
+        speedups.push((
+            "ntt_batch".to_string(),
+            Value::Num((s * 100.0).round() / 100.0),
+        ));
     }
     let summary = Value::Obj(vec![
         ("degree".into(), Value::Num(DEGREE as f64)),
@@ -165,7 +132,6 @@ fn write_summary(c: &Criterion) {
 fn main() {
     let mut c = Criterion::default();
     bench_ntt_batch(&mut c);
-    bench_rns_add_mul(&mut c);
     bench_digit_decomposition(&mut c);
     write_summary(&c);
 }

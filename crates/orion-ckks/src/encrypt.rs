@@ -76,59 +76,99 @@ impl Encryptor {
         }
     }
 
-    /// Encrypts `pt` at the plaintext's level.
-    pub fn encrypt<R: Rng>(&self, pt: &Plaintext, rng: &mut R) -> Ciphertext {
-        let ctx = self.ctx().clone();
-        let level = pt.level();
+    /// Draws the randomness of one encryption at `level`. This is the only
+    /// part of an encryption that reads the RNG, so a caller sharing one
+    /// RNG behind a lock holds the lock across this call only.
+    pub fn sample<R: Rng>(&self, level: usize, rng: &mut R) -> EncryptionNoise {
+        let ctx = self.ctx();
         match self {
-            Self::Public { pk, .. } => {
-                let mut v = RnsPoly::sample_ternary(&ctx, level, false, rng);
-                v.to_eval(&ctx);
-                let mut e0 = RnsPoly::sample_gaussian(&ctx, level, false, rng);
-                e0.to_eval(&ctx);
-                let mut e1 = RnsPoly::sample_gaussian(&ctx, level, false, rng);
-                e1.to_eval(&ctx);
+            Self::Public { .. } => EncryptionNoise::Public {
+                v: RnsPoly::sample_ternary(ctx, level, false, rng),
+                e0: RnsPoly::sample_gaussian(ctx, level, false, rng),
+                e1: RnsPoly::sample_gaussian(ctx, level, false, rng),
+            },
+            Self::Secret { .. } => EncryptionNoise::Secret {
+                a: RnsPoly::sample_uniform(ctx, level, Form::Eval, false, rng),
+                e: RnsPoly::sample_gaussian(ctx, level, false, rng),
+            },
+        }
+    }
+
+    /// Transforms `noise` and assembles the ciphertext of `pt` from it.
+    /// Deterministic: every limb-parallel NTT of an encryption happens
+    /// here, none of them under a caller's RNG lock.
+    pub fn encrypt_with(&self, pt: &Plaintext, noise: EncryptionNoise) -> Ciphertext {
+        let ctx = self.ctx();
+        let level = pt.level();
+        let mut m = pt.poly.clone();
+        m.to_eval(ctx);
+        m.special = None;
+        match (self, noise) {
+            (
+                Self::Public { pk, .. },
+                EncryptionNoise::Public {
+                    mut v,
+                    mut e0,
+                    mut e1,
+                },
+            ) => {
+                assert_eq!(v.level(), level, "noise sampled at another level");
+                v.to_eval(ctx);
+                e0.to_eval(ctx);
+                e1.to_eval(ctx);
                 let mut pk_b = pk.b.clone();
                 pk_b.drop_to_level(level);
                 let mut pk_a = pk.a.clone();
                 pk_a.drop_to_level(level);
-                let mut c0 = v.mul_pointwise(&pk_b, &ctx);
-                c0.add_assign(&e0, &ctx);
-                let mut m = pt.poly.clone();
-                m.to_eval(&ctx);
-                m.special = None;
-                c0.add_assign(&m, &ctx);
-                let mut c1 = v.mul_pointwise(&pk_a, &ctx);
-                c1.add_assign(&e1, &ctx);
+                let mut c0 = v.mul_pointwise(&pk_b, ctx);
+                c0.add_assign(&e0, ctx);
+                c0.add_assign(&m, ctx);
+                let mut c1 = v.mul_pointwise(&pk_a, ctx);
+                c1.add_assign(&e1, ctx);
                 Ciphertext {
                     c0,
                     c1,
                     scale: pt.scale,
                 }
             }
-            Self::Secret { sk, .. } => {
-                let a = RnsPoly::sample_uniform(&ctx, level, Form::Eval, false, rng);
-                let mut e = RnsPoly::sample_gaussian(&ctx, level, false, rng);
-                e.to_eval(&ctx);
+            (Self::Secret { sk, .. }, EncryptionNoise::Secret { a, mut e }) => {
+                assert_eq!(a.level(), level, "noise sampled at another level");
+                e.to_eval(ctx);
                 let mut s = sk.s.clone();
                 s.special = None;
                 s.drop_to_level(level);
                 // c0 = -a·s + e + m, c1 = a
-                let mut c0 = a.mul_pointwise(&s, &ctx);
-                c0.neg_assign(&ctx);
-                c0.add_assign(&e, &ctx);
-                let mut m = pt.poly.clone();
-                m.to_eval(&ctx);
-                m.special = None;
-                c0.add_assign(&m, &ctx);
+                let mut c0 = a.mul_pointwise(&s, ctx);
+                c0.neg_assign(ctx);
+                c0.add_assign(&e, ctx);
+                c0.add_assign(&m, ctx);
                 Ciphertext {
                     c0,
                     c1: a,
                     scale: pt.scale,
                 }
             }
+            _ => panic!("noise sampled by the other kind of encryptor"),
         }
     }
+
+    /// Encrypts `pt` at the plaintext's level.
+    pub fn encrypt<R: Rng>(&self, pt: &Plaintext, rng: &mut R) -> Ciphertext {
+        self.encrypt_with(pt, self.sample(pt.level(), rng))
+    }
+}
+
+/// The randomness of one encryption, as [`Encryptor::sample`] draws it
+/// (error and mask polynomials still in coefficient form).
+pub enum EncryptionNoise {
+    /// Public-key encryption: ternary mask `v` and the two error terms.
+    Public {
+        v: RnsPoly,
+        e0: RnsPoly,
+        e1: RnsPoly,
+    },
+    /// Secret-key encryption: uniform `a` and the error term.
+    Secret { a: RnsPoly, e: RnsPoly },
 }
 
 /// Decrypts ciphertexts with the secret key.
@@ -227,5 +267,34 @@ mod tests {
         let hi = e_pub.encrypt(&enc.encode(&[1.0], ctx.scale(), 3, false), &mut rng);
         let lo = e_pub.encrypt(&enc.encode(&[1.0], ctx.scale(), 1, false), &mut rng);
         assert!(hi.size_bytes() > lo.size_bytes());
+    }
+
+    /// FNV-1a over every limb word of `(c0, c1)`.
+    fn fingerprint(ct: &Ciphertext) -> u64 {
+        let words = ct.c0.limbs.iter().chain(&ct.c1.limbs).flatten();
+        words.fold(0xcbf2_9ce4_8422_2325, |h, &w| {
+            (h ^ w).wrapping_mul(0x0000_0100_0000_01b3)
+        })
+    }
+
+    #[test]
+    fn ciphertexts_per_seed_are_pinned() {
+        // Recorded before `encrypt` was split into `sample` +
+        // `encrypt_with`: the split must draw the same values in the same
+        // order. Two encryptions per encryptor from one RNG, so the second
+        // of each pair also pins how much of the stream the first consumed.
+        let (ctx, enc, e_pub, e_sec, _) = setup();
+        let pt = enc.encode(&[0.25, -1.5, 3.0], ctx.scale(), 2, false);
+        let mut rng = StdRng::seed_from_u64(16);
+        let got = [&e_pub, &e_pub, &e_sec, &e_sec].map(|e| fingerprint(&e.encrypt(&pt, &mut rng)));
+        assert_eq!(
+            got,
+            [
+                16795971889581436139,
+                2779591450510069833,
+                5684272639126794510,
+                11276307734516484355
+            ]
+        );
     }
 }

@@ -11,6 +11,9 @@ use crate::encrypt::{Ciphertext, Plaintext};
 use crate::eval::Evaluator;
 use crate::params::Context;
 use crate::poly::{Form, RnsPoly};
+use orion_math::parallel::{for_each_mut, pointwise_parallel};
+use orion_math::simd;
+use orion_telemetry::{time_class, OpClass};
 
 /// Decomposes `c` (evaluation form, no special limb) into per-limb digits
 /// extended to the full basis `{q_0…q_ℓ, p}`, NTT'd and ready for
@@ -60,6 +63,10 @@ pub struct HoistedDigits {
     digits: Vec<RnsPoly>,
     /// Original `c0` (evaluation form).
     c0: RnsPoly,
+    /// `P·c0` (base basis): what every non-zero rotation seeds the `b` part
+    /// of its key-switch with, so `σ(c0)` rides through the extended basis
+    /// and comes back out of the ModDown exactly (see [`Self::key_switch_ext`]).
+    c0_p: RnsPoly,
     /// Original `c1` (needed for the rotation-by-zero fast path).
     c1: RnsPoly,
     /// Ciphertext scale.
@@ -69,9 +76,12 @@ pub struct HoistedDigits {
 impl HoistedDigits {
     /// Precomputes the decomposition of `ct` (the "hoisted" part).
     pub fn new(ctx: &Context, ct: &Ciphertext) -> Self {
+        let mut c0_p = ct.c0.clone();
+        c0_p.mul_scalar_assign(ctx.special as i128, ctx);
         Self {
             digits: decompose_digits(ctx, &ct.c1),
             c0: ct.c0.clone(),
+            c0_p,
             c1: ct.c1.clone(),
             scale: ct.scale,
         }
@@ -87,18 +97,16 @@ impl HoistedDigits {
         self.scale
     }
 
-    /// Rotates by `k` using the precomputed digits (one automorphism
-    /// permutation + key inner product + ModDown; no per-rotation NTTs
-    /// except inside ModDown).
-    pub fn rotate(&self, eval: &Evaluator, k: isize) -> Ciphertext {
+    /// The rotation by `k ≠ 0` in the extended basis `Q·P`, ModDown
+    /// deferred: `(ks_b + P·σ(c0), ks_a)` where `(ks_b, ks_a)` is the
+    /// key-switch inner product of the permuted digits.
+    ///
+    /// `P·σ(c0)` is 0 in the special limb, so ModDown subtracts the same
+    /// lift as without it and then multiplies by `P⁻¹ mod q_j`:
+    /// `ModDown(x + P·y) = ModDown(x) + y` limb for limb. Consumers
+    /// therefore never handle `σ(c0)` in the base basis.
+    fn key_switch_ext(&self, eval: &Evaluator, k: isize) -> (RnsPoly, RnsPoly) {
         let ctx = eval.context();
-        if k == 0 {
-            return Ciphertext {
-                c0: self.c0.clone(),
-                c1: self.c1.clone(),
-                scale: self.scale,
-            };
-        }
         let g = ctx.galois_element(k);
         let perm = ctx.galois_permutation(g);
         // Typed key lookup: a miss panics here with the MissingRotationKey
@@ -113,17 +121,47 @@ impl HoistedDigits {
             .iter()
             .map(|d| d.automorphism_eval(&perm))
             .collect();
-        let (mut acc_b, mut acc_a) = key.inner_product(ctx, &pds);
+        let mut ks_b = self.c0_p.automorphism_eval(&perm);
+        ks_b.special = Some(orion_math::arena::take_u64(ctx.degree()));
+        let mut ks_a = RnsPoly::zero(ctx, self.level(), Form::Eval, true);
+        key.accumulate_inner_product(ctx, &pds, &mut ks_b, &mut ks_a);
         for pd in pds {
             pd.recycle();
         }
-        acc_b.mod_down_special_assign(ctx);
-        acc_a.mod_down_special_assign(ctx);
-        let mut c0 = self.c0.automorphism_eval(&perm);
-        c0.add_assign(&acc_b, ctx);
+        (ks_b, ks_a)
+    }
+
+    /// Rotates by `k` using the precomputed digits (one automorphism
+    /// permutation + key inner product + ModDown; no per-rotation NTTs
+    /// except inside ModDown).
+    pub fn rotate(&self, eval: &Evaluator, k: isize) -> Ciphertext {
+        let ctx = eval.context();
+        let (c0, c1) = if k == 0 {
+            (self.c0.clone(), self.c1.clone())
+        } else {
+            let (mut b, mut a) = self.key_switch_ext(eval, k);
+            b.mod_down_special_assign(ctx);
+            a.mod_down_special_assign(ctx);
+            (b, a)
+        };
         Ciphertext {
             c0,
-            c1: acc_a,
+            c1,
+            scale: self.scale,
+        }
+    }
+
+    /// Computes the rotation's key-switch inner product once, leaving the
+    /// result in the extended basis for reuse across many diagonals.
+    pub fn rotate_ext(&self, eval: &Evaluator, k: isize) -> RotatedExt {
+        let (b, a) = if k == 0 {
+            (self.c0.clone(), self.c1.clone())
+        } else {
+            self.key_switch_ext(eval, k)
+        };
+        RotatedExt {
+            b,
+            a,
             scale: self.scale,
         }
     }
@@ -133,12 +171,11 @@ impl HoistedDigits {
 /// shareable unit of double-hoisting: computed once per distinct rotation
 /// step, then multiplied by many plaintext diagonals.
 pub struct RotatedExt {
-    /// `(ks_b, ks_a)` in the extended basis, or `None` for rotation by 0.
-    ext: Option<(RnsPoly, RnsPoly)>,
-    /// `σ(c0)` (base basis).
-    c0: RnsPoly,
-    /// Original `c1` (only for rotation by 0).
-    c1: Option<RnsPoly>,
+    /// Rotation by 0: `c0` itself, base basis. Otherwise the `b` part of
+    /// `HoistedDigits::key_switch_ext`, extended basis.
+    b: RnsPoly,
+    /// Rotation by 0: `c1` itself. Otherwise the `a` part, extended basis.
+    a: RnsPoly,
     /// Source ciphertext scale.
     scale: f64,
 }
@@ -150,88 +187,179 @@ impl RotatedExt {
     /// consumer holding the ciphertext itself can build this directly).
     pub fn identity(ct: &Ciphertext) -> Self {
         RotatedExt {
-            ext: None,
-            c0: ct.c0.clone(),
-            c1: Some(ct.c1.clone()),
+            b: ct.c0.clone(),
+            a: ct.c1.clone(),
             scale: ct.scale,
         }
     }
 }
 
-impl HoistedDigits {
-    /// Computes the rotation's key-switch inner product once, leaving the
-    /// result in the extended basis for reuse across many diagonals.
-    pub fn rotate_ext(&self, eval: &Evaluator, k: isize) -> RotatedExt {
-        let ctx = eval.context();
-        if k == 0 {
-            return RotatedExt {
-                ext: None,
-                c0: self.c0.clone(),
-                c1: Some(self.c1.clone()),
-                scale: self.scale,
-            };
-        }
-        let g = ctx.galois_element(k);
-        let perm = ctx.galois_permutation(g);
-        // Typed key lookup: a miss panics here with the MissingRotationKey
-        // message — statically unreachable on verified plans (the
-        // orion_nn::verify key-coverage pass checks every hoisted rotation).
-        let key = eval
-            .keys()
-            .try_rotation(g)
-            .unwrap_or_else(|e| panic!("{e}"));
-        let pds: Vec<RnsPoly> = self
-            .digits
+/// One limb of a [`WidePoly`].
+struct WideLimb {
+    /// Low and high words of the per-coefficient 128-bit lanes.
+    lo: Vec<u64>,
+    hi: Vec<u64>,
+    /// The limb's modulus.
+    q: u64,
+    /// Products currently summed in each lane (a folded lane counts one).
+    terms: u64,
+}
+
+/// `Σ_k x_k ⊙ y_k` over one RNS basis, held as unreduced 128-bit lanes:
+/// each term costs one widening multiply and an add-with-carry per
+/// coefficient, and the Barrett reduction runs once per coefficient in
+/// [`WidePoly::into_poly`] instead of once per term.
+struct WidePoly {
+    /// Chain limbs `0..=level`, then the special limb if extended.
+    limbs: Vec<WideLimb>,
+    n_chain: usize,
+}
+
+impl WidePoly {
+    fn zero(ctx: &Context, level: usize, with_special: bool) -> Self {
+        let n = ctx.degree();
+        let moduli = ctx.moduli[..=level]
             .iter()
-            .map(|d| d.automorphism_eval(&perm))
-            .collect();
-        let (ks_b, ks_a) = key.inner_product(ctx, &pds);
-        for pd in pds {
-            pd.recycle();
+            .chain(with_special.then_some(&ctx.special));
+        Self {
+            limbs: moduli
+                .map(|&q| WideLimb {
+                    lo: orion_math::arena::take_u64(n),
+                    hi: orion_math::arena::take_u64(n),
+                    q,
+                    terms: 0,
+                })
+                .collect(),
+            n_chain: level + 1,
         }
-        RotatedExt {
-            ext: Some((ks_b, ks_a)),
-            c0: self.c0.automorphism_eval(&perm),
-            c1: None,
-            scale: self.scale,
+    }
+
+    /// `self += x ⊙ y` in one sequential pass over each limb. `y` may sit
+    /// at a higher level or carry a special limb `self` lacks; the extra
+    /// limbs are not read.
+    fn mac(&mut self, x: &RnsPoly, y: &RnsPoly) {
+        assert_eq!(x.form, Form::Eval);
+        assert_eq!(y.form, Form::Eval);
+        assert_eq!(x.limbs.len(), self.n_chain, "level mismatch");
+        assert!(y.limbs.len() >= self.n_chain, "level mismatch");
+        let n_chain = self.n_chain;
+        let k = simd::kernels();
+        let par = pointwise_parallel(x.limbs[0].len(), self.limbs.len());
+        time_class(OpClass::Pointwise, || {
+            for_each_mut(&mut self.limbs, par, |j, w| {
+                let (a, b) = if j < n_chain {
+                    (&x.limbs[j], &y.limbs[j])
+                } else {
+                    (
+                        x.special.as_ref().expect("extended operand"),
+                        y.special.as_ref().expect("extended plaintext"),
+                    )
+                };
+                if w.terms == simd::wide_fold_bound(w.q) {
+                    (k.fold_wide)(&mut w.lo, &mut w.hi, w.q);
+                    w.terms = 1;
+                }
+                (k.mac_wide)(&mut w.lo, &mut w.hi, a, b);
+                w.terms += 1;
+            });
+        });
+    }
+
+    /// The single Barrett reduction per coefficient: folds every lane and
+    /// hands the low words over as the limbs of an ordinary polynomial.
+    fn into_poly(mut self) -> RnsPoly {
+        let k = simd::kernels();
+        let par = pointwise_parallel(self.limbs[0].lo.len(), self.limbs.len());
+        time_class(OpClass::Pointwise, || {
+            for_each_mut(&mut self.limbs, par, |_, w| {
+                (k.fold_wide)(&mut w.lo, &mut w.hi, w.q);
+            });
+        });
+        let mut limbs: Vec<Vec<u64>> = self
+            .limbs
+            .into_iter()
+            .map(|w| {
+                orion_math::arena::recycle_u64(w.hi);
+                w.lo
+            })
+            .collect();
+        let special = (limbs.len() > self.n_chain).then(|| limbs.pop().expect("special limb"));
+        RnsPoly {
+            limbs,
+            special,
+            form: Form::Eval,
         }
     }
 }
+
+/// The `(b, a)` lanes of one basis.
+type WidePair = (WidePoly, WidePoly);
 
 /// Lazy-ModDown accumulator: sums `pt_k ⊙ HRot_k(ct)` terms while keeping
 /// the key-switch parts in the extended basis; a single ModDown happens in
 /// [`ExtAccumulator::finalize`]. This is the double-hoisting inner loop of
 /// the BSGS matvec (paper §3.3, Equation 1).
+///
+/// Terms are summed as unreduced 128-bit lanes ([`WidePoly`]); both the
+/// modular reduction and the ModDown are deferred to `finalize`.
 pub struct ExtAccumulator {
-    acc_b_ext: RnsPoly,
-    acc_a_ext: RnsPoly,
-    acc_b_base: RnsPoly,
-    acc_a_base: RnsPoly,
-    any_ext: bool,
+    level: usize,
+    /// Extended-basis lanes: every non-zero-rotation term (its `σ(c0)`
+    /// rides in the `b` part as `P·σ(c0)`). Allocated by the first one.
+    ext: Option<WidePair>,
+    /// Base-basis lanes: rotation-by-0 terms only. Allocated by the first.
+    base: Option<WidePair>,
     scale: Option<f64>,
 }
 
 impl ExtAccumulator {
     /// Creates an empty accumulator at `level`.
     pub fn new(ctx: &Context, level: usize) -> Self {
+        assert!(level <= ctx.max_level(), "level above the chain");
         Self {
-            acc_b_ext: RnsPoly::zero(ctx, level, Form::Eval, true),
-            acc_a_ext: RnsPoly::zero(ctx, level, Form::Eval, true),
-            acc_b_base: RnsPoly::zero(ctx, level, Form::Eval, false),
-            acc_a_base: RnsPoly::zero(ctx, level, Form::Eval, false),
-            any_ext: false,
+            level,
+            ext: None,
+            base: None,
             scale: None,
         }
     }
 
-    fn bump_scale(&mut self, s: f64) {
+    /// Adds `pt ⊙ (b, a)`, into the extended lanes when the pair carries a
+    /// special limb and into the base lanes otherwise.
+    fn accumulate(
+        &mut self,
+        ctx: &Context,
+        b: &RnsPoly,
+        a: &RnsPoly,
+        term_scale: f64,
+        pt: &Plaintext,
+    ) {
         match self.scale {
-            None => self.scale = Some(s),
+            None => self.scale = Some(term_scale),
             Some(prev) => assert!(
-                crate::eval::scales_close(prev, s),
+                crate::eval::scales_close(prev, term_scale),
                 "accumulator terms must share one scale"
             ),
         }
+        let extended = b.has_special();
+        assert!(
+            !extended || pt.poly.has_special(),
+            "double-hoisting needs extended-basis plaintexts"
+        );
+        let level = self.level;
+        let lanes = if extended {
+            &mut self.ext
+        } else {
+            &mut self.base
+        };
+        let (acc_b, acc_a) = lanes.get_or_insert_with(|| {
+            (
+                WidePoly::zero(ctx, level, extended),
+                WidePoly::zero(ctx, level, extended),
+            )
+        });
+        acc_b.mac(b, &pt.poly);
+        acc_a.mac(a, &pt.poly);
     }
 
     /// Accumulates `pt ⊙ HRot_k(hoisted)`.
@@ -247,108 +375,50 @@ impl ExtAccumulator {
         pt: &Plaintext,
     ) {
         let ctx = eval.context();
-        self.bump_scale(h.scale * pt.scale);
+        let term_scale = h.scale * pt.scale;
         if k == 0 {
-            // Base-basis accumulation borrows the plaintext limbs directly
-            // (its special limb, if any, is simply not read).
-            self.acc_b_base
-                .add_mul_assign_parts(&h.c0, &pt.poly.limbs, None, ctx);
-            self.acc_a_base
-                .add_mul_assign_parts(&h.c1, &pt.poly.limbs, None, ctx);
+            self.accumulate(ctx, &h.c0, &h.c1, term_scale, pt);
             return;
         }
-        assert!(
-            pt.poly.has_special(),
-            "double-hoisting needs extended-basis plaintexts"
-        );
-        let g = ctx.galois_element(k);
-        let perm = ctx.galois_permutation(g);
-        // Typed key lookup: a miss panics here with the MissingRotationKey
-        // message — statically unreachable on verified plans (the
-        // orion_nn::verify key-coverage pass checks every hoisted rotation).
-        let key = eval
-            .keys()
-            .try_rotation(g)
-            .unwrap_or_else(|e| panic!("{e}"));
-        let pds: Vec<RnsPoly> = h
-            .digits
-            .iter()
-            .map(|d| d.automorphism_eval(&perm))
-            .collect();
-        let (ks_b, ks_a) = key.inner_product(ctx, &pds);
-        for pd in pds {
-            pd.recycle();
-        }
-        // pt ⊙ key-switch parts stay extended; pt ⊙ σ(c0) is base-basis.
-        self.acc_b_ext.add_mul_assign(&ks_b, &pt.poly, ctx);
-        self.acc_a_ext.add_mul_assign(&ks_a, &pt.poly, ctx);
+        let (ks_b, ks_a) = h.key_switch_ext(eval, k);
+        self.accumulate(ctx, &ks_b, &ks_a, term_scale, pt);
         ks_b.recycle();
         ks_a.recycle();
-        let sc0 = h.c0.automorphism_eval(&perm);
-        self.acc_b_base
-            .add_mul_assign_parts(&sc0, &pt.poly.limbs, None, ctx);
-        sc0.recycle();
-        self.any_ext = true;
-        let _ = &self.any_ext;
     }
 
     /// Accumulates `pt ⊙ rot` where `rot` is a precomputed [`RotatedExt`]
     /// (the key-switch inner product is shared across all diagonals using
     /// the same rotation step — Bossuat et al. Algorithm 6).
     pub fn add_pmult_rotated(&mut self, eval: &Evaluator, rot: &RotatedExt, pt: &Plaintext) {
-        let ctx = eval.context();
-        match &rot.ext {
-            None => {
-                // rotation by zero: plain base-basis accumulation
-                let c1 = rot.c1.as_ref().expect("zero rotation keeps c1");
-                self.bump_scale_public(rot.scale * pt.scale);
-                self.acc_b_base
-                    .add_mul_assign_parts(&rot.c0, &pt.poly.limbs, None, ctx);
-                self.acc_a_base
-                    .add_mul_assign_parts(c1, &pt.poly.limbs, None, ctx);
-            }
-            Some((ks_b, ks_a)) => {
-                assert!(
-                    pt.poly.has_special(),
-                    "double-hoisting needs extended-basis plaintexts"
-                );
-                self.bump_scale_public(rot.scale * pt.scale);
-                self.acc_b_ext.add_mul_assign(ks_b, &pt.poly, ctx);
-                self.acc_a_ext.add_mul_assign(ks_a, &pt.poly, ctx);
-                self.acc_b_base
-                    .add_mul_assign_parts(&rot.c0, &pt.poly.limbs, None, ctx);
-                self.any_ext = true;
-            }
-        }
+        self.accumulate(eval.context(), &rot.b, &rot.a, rot.scale * pt.scale, pt);
     }
 
-    fn bump_scale_public(&mut self, term_scale: f64) {
-        match self.scale {
-            None => self.scale = Some(term_scale),
-            Some(prev) => assert!(
-                crate::eval::scales_close(prev, term_scale),
-                "accumulator terms must share one scale"
-            ),
-        }
-    }
-
-    /// Performs the deferred ModDown and returns the accumulated
-    /// ciphertext.
-    pub fn finalize(mut self, eval: &Evaluator) -> Ciphertext {
+    /// Reduces the lanes, performs the deferred ModDown and returns the
+    /// accumulated ciphertext. A basis that received no term is skipped
+    /// (its fold, and for the extended one both ModDowns, would produce
+    /// zeros).
+    pub fn finalize(self, eval: &Evaluator) -> Ciphertext {
         let ctx = eval.context();
-        self.acc_b_ext.mod_down_special_assign(ctx);
-        self.acc_a_ext.mod_down_special_assign(ctx);
-        let mut c0 = self.acc_b_base;
-        c0.add_assign(&self.acc_b_ext, ctx);
-        self.acc_b_ext.recycle();
-        let mut c1 = self.acc_a_base;
-        c1.add_assign(&self.acc_a_ext, ctx);
-        self.acc_a_ext.recycle();
-        Ciphertext {
-            c0,
-            c1,
-            scale: self.scale.expect("empty accumulator"),
-        }
+        let scale = self.scale.expect("empty accumulator");
+        let ext = self.ext.map(|(b, a)| {
+            let (mut b, mut a) = (b.into_poly(), a.into_poly());
+            b.mod_down_special_assign(ctx);
+            a.mod_down_special_assign(ctx);
+            (b, a)
+        });
+        let base = self.base.map(|(b, a)| (b.into_poly(), a.into_poly()));
+        let (c0, c1) = match (base, ext) {
+            (Some((mut c0, mut c1)), Some((b, a))) => {
+                c0.add_assign(&b, ctx);
+                c1.add_assign(&a, ctx);
+                b.recycle();
+                a.recycle();
+                (c0, c1)
+            }
+            (Some(pair), None) | (None, Some(pair)) => pair,
+            (None, None) => unreachable!("a scale is set only by a term"),
+        };
+        Ciphertext { c0, c1, scale }
     }
 }
 
@@ -373,7 +443,11 @@ mod tests {
     }
 
     fn setup(rotations: &[isize]) -> H {
-        let ctx = Context::new(CkksParams::tiny());
+        setup_with(CkksParams::tiny(), rotations)
+    }
+
+    fn setup_with(params: CkksParams, rotations: &[isize]) -> H {
+        let ctx = Context::new(params);
         let mut kg = KeyGenerator::new(ctx.clone(), StdRng::seed_from_u64(31));
         let pk = Arc::new(kg.gen_public_key());
         let keys = Arc::new(kg.gen_eval_keys(rotations));
@@ -468,5 +542,189 @@ mod tests {
         let p2 = h.enc.encode(&[1.0], h.ctx.scale() * 4.0, level, true);
         acc.add_rotated_pmult(&h.eval, &hd, 1, &p1);
         acc.add_rotated_pmult(&h.eval, &hd, 1, &p2);
+    }
+
+    #[test]
+    #[should_panic(expected = "share one scale")]
+    fn shared_rotation_accumulator_rejects_mixed_scales() {
+        let mut h = setup(&[1]);
+        let level = 1;
+        let ct = h.encryptor.encrypt(
+            &h.enc.encode(&[1.0], h.ctx.scale(), level, false),
+            &mut h.rng,
+        );
+        let rot = HoistedDigits::new(&h.ctx, &ct).rotate_ext(&h.eval, 1);
+        let mut acc = ExtAccumulator::new(&h.ctx, level);
+        let p1 = h.enc.encode(&[1.0], h.ctx.scale(), level, true);
+        let p2 = h.enc.encode(&[1.0], h.ctx.scale() * 4.0, level, true);
+        acc.add_pmult_rotated(&h.eval, &rot, &p1);
+        acc.add_pmult_rotated(&h.eval, &rot, &p2);
+    }
+
+    /// A full-range plaintext: uniform residues in every limb, so products
+    /// reach `(q−1)²`-sized values and the lane carries are exercised.
+    fn uniform_pt(h: &mut H, level: usize) -> Plaintext {
+        Plaintext {
+            poly: RnsPoly::sample_uniform(&h.ctx, level, Form::Eval, true, &mut h.rng),
+            scale: 1.0,
+        }
+    }
+
+    fn fresh_ct(h: &mut H, level: usize) -> Ciphertext {
+        let n = h.ctx.slots();
+        let a: Vec<f64> = (0..n).map(|i| ((i * 7) % 13) as f64 * 0.1 - 0.6).collect();
+        h.encryptor
+            .encrypt(&h.enc.encode(&a, h.ctx.scale(), level, false), &mut h.rng)
+    }
+
+    /// `acc += x ⊙ y`, one strict `mul_mod`/`add_mod` per coefficient, over
+    /// the limbs `acc` has.
+    fn strict_mac(ctx: &Context, acc: &mut RnsPoly, x: &RnsPoly, y: &RnsPoly) {
+        use orion_math::modular::{add_mod, mul_mod};
+        let mac = |dst: &mut [u64], a: &[u64], b: &[u64], q: u64| {
+            for ((d, &a), &b) in dst.iter_mut().zip(a).zip(b) {
+                *d = add_mod(*d, mul_mod(a, b, q), q);
+            }
+        };
+        for (j, dst) in acc.limbs.iter_mut().enumerate() {
+            mac(dst, &x.limbs[j], &y.limbs[j], ctx.moduli[j]);
+        }
+        if let Some(dst) = acc.special.as_mut() {
+            let (a, b) = (x.special.as_ref().unwrap(), y.special.as_ref().unwrap());
+            mac(dst, a, b, ctx.special);
+        }
+    }
+
+    /// The key-switch inner product of rotation `k` alone, without the
+    /// `P·σ(c0)` seed, and the permutation it used.
+    fn bare_key_switch(h: &H, hd: &HoistedDigits, k: isize) -> (RnsPoly, RnsPoly, Vec<usize>) {
+        let g = h.ctx.galois_element(k);
+        let perm = h.ctx.galois_permutation(g);
+        let pds: Vec<RnsPoly> = hd
+            .digits
+            .iter()
+            .map(|d| d.automorphism_eval(&perm))
+            .collect();
+        let (ks_b, ks_a) = h.eval.keys().rotation(g).inner_product(&h.ctx, &pds);
+        (ks_b, ks_a, perm.to_vec())
+    }
+
+    /// The accumulation as it was before the wide lanes, strictly: every
+    /// term reduced as it is added, key-switch parts in the extended basis,
+    /// every `pt ⊙ σ(c0)` in the base basis, then ModDown and add.
+    fn strict_reference(h: &H, hd: &HoistedDigits, terms: &[(isize, Plaintext)]) -> Ciphertext {
+        let ctx = &h.ctx;
+        let level = hd.level();
+        let mut b_ext = RnsPoly::zero(ctx, level, Form::Eval, true);
+        let mut a_ext = RnsPoly::zero(ctx, level, Form::Eval, true);
+        let mut b_base = RnsPoly::zero(ctx, level, Form::Eval, false);
+        let mut a_base = RnsPoly::zero(ctx, level, Form::Eval, false);
+        for (k, pt) in terms {
+            if *k == 0 {
+                strict_mac(ctx, &mut b_base, &hd.c0, &pt.poly);
+                strict_mac(ctx, &mut a_base, &hd.c1, &pt.poly);
+            } else {
+                let (ks_b, ks_a, perm) = bare_key_switch(h, hd, *k);
+                strict_mac(ctx, &mut b_ext, &ks_b, &pt.poly);
+                strict_mac(ctx, &mut a_ext, &ks_a, &pt.poly);
+                strict_mac(ctx, &mut b_base, &hd.c0.automorphism_eval(&perm), &pt.poly);
+            }
+        }
+        b_ext.mod_down_special_assign(ctx);
+        a_ext.mod_down_special_assign(ctx);
+        b_base.add_assign(&b_ext, ctx);
+        a_base.add_assign(&a_ext, ctx);
+        Ciphertext {
+            c0: b_base,
+            c1: a_base,
+            scale: hd.scale,
+        }
+    }
+
+    /// Accumulates `terms` through both entry points — per-term key-switch,
+    /// and one shared `RotatedExt` per distinct rotation — and checks both
+    /// against the strict reference, limb for limb.
+    fn assert_matches_reference(h: &H, ct: &Ciphertext, terms: &[(isize, Plaintext)]) {
+        let level = ct.level();
+        let hd = HoistedDigits::new(&h.ctx, ct);
+        let mut per_term = ExtAccumulator::new(&h.ctx, level);
+        let mut shared = ExtAccumulator::new(&h.ctx, level);
+        let mut rotations: std::collections::HashMap<isize, RotatedExt> = Default::default();
+        for (k, pt) in terms {
+            per_term.add_rotated_pmult(&h.eval, &hd, *k, pt);
+            let rot = rotations.entry(*k).or_insert_with(|| {
+                if *k == 0 {
+                    RotatedExt::identity(ct)
+                } else {
+                    hd.rotate_ext(&h.eval, *k)
+                }
+            });
+            shared.add_pmult_rotated(&h.eval, rot, pt);
+        }
+        let per_term = per_term.finalize(&h.eval);
+        let shared = shared.finalize(&h.eval);
+        let want = strict_reference(h, &hd, terms);
+        for (name, got) in [
+            ("add_rotated_pmult", &per_term),
+            ("add_pmult_rotated", &shared),
+        ] {
+            assert!(got.c0 == want.c0, "{name}: c0 differs at level {level}");
+            assert!(got.c1 == want.c1, "{name}: c1 differs at level {level}");
+            assert_eq!(got.scale, want.scale);
+        }
+    }
+
+    #[test]
+    fn wide_accumulation_is_bit_exact_at_every_level() {
+        let mut h = setup(&[1, 2]);
+        for level in 0..=h.ctx.max_level() {
+            let ct = fresh_ct(&mut h, level);
+            // Mixed, identity-only and extended-only groups.
+            for ks in [&[0isize, 1, 2, 1, 0, 2, 1][..], &[0, 0, 0], &[1, 2, 1]] {
+                let terms: Vec<(isize, Plaintext)> =
+                    ks.iter().map(|&k| (k, uniform_pt(&mut h, level))).collect();
+                assert_matches_reference(&h, &ct, &terms);
+            }
+        }
+    }
+
+    #[test]
+    fn rotate_equals_permuted_c0_plus_moddown() {
+        let mut h = setup(&[1, 2]);
+        for level in 0..=h.ctx.max_level() {
+            let ct = fresh_ct(&mut h, level);
+            let hd = HoistedDigits::new(&h.ctx, &ct);
+            for k in [1isize, 2] {
+                let (mut ks_b, mut ks_a, perm) = bare_key_switch(&h, &hd, k);
+                ks_b.mod_down_special_assign(&h.ctx);
+                ks_a.mod_down_special_assign(&h.ctx);
+                let mut c0 = ct.c0.automorphism_eval(&perm);
+                c0.add_assign(&ks_b, &h.ctx);
+                let got = hd.rotate(&h.eval, k);
+                assert!(got.c0 == c0 && got.c1 == ks_a, "k={k} level {level}");
+            }
+        }
+    }
+
+    #[test]
+    fn accumulator_folds_before_the_lanes_overflow() {
+        // 61-bit q0 and special prime: their lanes may sum only a handful
+        // of products between folds, so a few dozen terms cross the bound
+        // several times (the 30-bit limbs never fold).
+        let params = CkksParams {
+            q0_bits: 61,
+            special_bits: 61,
+            max_level: 2,
+            ..CkksParams::tiny()
+        };
+        let mut h = setup_with(params, &[1]);
+        let bound = simd::wide_fold_bound(h.ctx.special.max(h.ctx.moduli[0]));
+        assert!((4..=8).contains(&bound), "bound {bound}");
+        let level = 2;
+        let ct = fresh_ct(&mut h, level);
+        let terms: Vec<(isize, Plaintext)> = (0..3 * bound + 2)
+            .map(|t| ((t % 3 != 0) as isize, uniform_pt(&mut h, level)))
+            .collect();
+        assert_matches_reference(&h, &ct, &terms);
     }
 }

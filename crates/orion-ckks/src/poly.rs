@@ -301,60 +301,6 @@ impl RnsPoly {
         })
     }
 
-    /// Fused `self += a ⊙ b` where `b` is given as borrowed limb slices —
-    /// the key-switch inner loop, which multiplies a digit by a full-basis
-    /// key part truncated to the digit's level. Borrowing the key's limbs
-    /// directly avoids cloning `level+2` limb vectors per digit.
-    pub fn add_mul_assign_parts(
-        &mut self,
-        a: &Self,
-        b_limbs: &[Vec<u64>],
-        b_special: Option<&Vec<u64>>,
-        ctx: &Context,
-    ) {
-        assert_eq!(self.form, Form::Eval);
-        assert_eq!(a.form, Form::Eval);
-        assert_eq!(self.limbs.len(), a.limbs.len());
-        assert!(b_limbs.len() >= self.limbs.len());
-        let n_chain = self.limbs.len();
-        let has_special = self.has_special() && a.has_special() && b_special.is_some();
-        let k = simd::kernels();
-        time_class(OpClass::Pointwise, || {
-            self.for_each_limb_mut(ctx, |q, dst, j| {
-                let (x, y) = if j < n_chain {
-                    (&a.limbs[j], &b_limbs[j])
-                } else if has_special {
-                    (a.special.as_ref().unwrap(), b_special.unwrap())
-                } else {
-                    return;
-                };
-                (k.add_mul)(dst, x, y, q);
-            });
-        });
-    }
-
-    /// Fused `self += a ⊙ b` (all evaluation form).
-    pub fn add_mul_assign(&mut self, a: &Self, b: &Self, ctx: &Context) {
-        assert_eq!(self.form, Form::Eval);
-        a.check_compat(b);
-        assert_eq!(self.limbs.len(), a.limbs.len());
-        let n_chain = self.limbs.len();
-        let has_special = self.has_special() && a.has_special() && b.has_special();
-        let k = simd::kernels();
-        time_class(OpClass::Pointwise, || {
-            self.for_each_limb_mut(ctx, |q, dst, j| {
-                let (x, y) = if j < n_chain {
-                    (&a.limbs[j], &b.limbs[j])
-                } else if has_special {
-                    (a.special.as_ref().unwrap(), b.special.as_ref().unwrap())
-                } else {
-                    return;
-                };
-                (k.add_mul)(dst, x, y, q);
-            });
-        });
-    }
-
     /// Multiplies every limb by a per-limb scalar (`scalars[j]` mod `q_j`,
     /// last entry for the special limb if present). The per-limb residue is
     /// fixed, so each limb runs on a vectorized Shoup multiply (one

@@ -23,12 +23,22 @@
 //! | `ntt_fwd_lazy`      | `[0, q)`           | `[0, q)` (internal stages `[0, 4q)`) |
 //! | `ntt_inv_lazy`      | `[0, q)`           | `[0, q)` (internal stages `[0, 2q)`) |
 //! | `ks_accum`          | digits `[0, q)`    | `[0, q)` (accumulator held `[0, 2q)`, transiently `[0, 4q)`) |
+//! | `mac_wide`          | operands `[0, q)`  | 128-bit lanes, unreduced; caller keeps them `< q·2⁶⁴` |
+//! | `fold_wide`         | lanes `< q·2⁶⁴`    | `[0, q)` in `lo`, `hi` zeroed |
 //! | everything else     | `[0, q)`           | `[0, q)`     |
 //!
 //! The fused key-switch accumulator is safe at any digit count: each lazy
 //! Shoup product lands in `[0, 2q)`, the running sum is conditionally
 //! reduced back under `2q` after every digit, so the transient peak is
 //! `< 4q < 2⁶⁴` regardless of how many gadget digits are folded in.
+//!
+//! The wide lanes are safe at any term count as long as the caller folds
+//! in time ([`wide_fold_bound`]): a lane summing `T` products of residues
+//! holds at most `T·(q−1)²`, a folded residue (`≤ q−1`) counts as one
+//! product, and `T ≤ ⌊(2⁶⁴−2)/q⌋` gives `T·(q−1)² < (2⁶⁴−2)·q < q·2⁶⁴`,
+//! which is exactly what `Barrett::reduce_u128` needs (and keeps `hi`
+//! below `q < 2⁶²`, so the carry into it cannot overflow). Moduli are
+//! `< 2⁶²`, so the bound is at least 4.
 
 use crate::modular::{mul_mod_shoup, mul_mod_shoup_lazy, Barrett};
 use std::sync::OnceLock;
@@ -80,6 +90,23 @@ pub struct Kernels {
     /// gadget digits, one full reduction per element at the end.
     /// `(dst, digits, keys, key_shoups, q)`; `dst` must be in `[0, q)`.
     pub ks_accum: KsAccumFn,
+    /// Lazy 128-bit multiply-accumulate: `(hi[i]·2⁶⁴ + lo[i]) += a[i]·b[i]`
+    /// with no reduction. `(lo, hi, a, b)`; at most [`wide_fold_bound`]
+    /// products may be summed between two folds.
+    pub mac_wide: MacWideFn,
+    /// Folds the lanes in place: `lo[i] = (hi[i]·2⁶⁴ + lo[i]) mod q`,
+    /// `hi[i] = 0`. `(lo, hi, q)`; lanes must be `< q·2⁶⁴`.
+    pub fold_wide: fn(&mut [u64], &mut [u64], u64),
+}
+
+/// Signature of the lazy 128-bit multiply-accumulate: `(lo, hi, a, b)`.
+pub type MacWideFn = fn(&mut [u64], &mut [u64], &[u64], &[u64]);
+
+/// How many products of residues mod `q` (a folded lane counts as one) a
+/// `mac_wide` lane may sum before `fold_wide` must run — see the
+/// lazy-form invariants in the module docs.
+pub fn wide_fold_bound(q: u64) -> u64 {
+    (u64::MAX - 1) / q
 }
 
 /// Signature of the fused key-switch accumulation kernel:
@@ -160,6 +187,8 @@ static SCALAR: Kernels = Kernels {
     mod_reduce: scalar_impl::mod_reduce,
     centered_reduce: scalar_impl::centered_reduce,
     ks_accum: scalar_impl::ks_accum,
+    mac_wide: scalar_impl::mac_wide,
+    fold_wide: scalar_impl::fold_wide,
 };
 
 /// Reduces a lazy value in `[0, 4q)` to `[0, q)`.
@@ -344,6 +373,26 @@ mod scalar_impl {
         }
     }
 
+    pub(super) fn mac_wide(lo: &mut [u64], hi: &mut [u64], a: &[u64], b: &[u64]) {
+        debug_assert!(lo.len() == hi.len() && lo.len() == a.len() && a.len() == b.len());
+        for (((l, h), &x), &y) in lo.iter_mut().zip(hi.iter_mut()).zip(a).zip(b) {
+            let p = x as u128 * y as u128;
+            let (s, carry) = l.overflowing_add(p as u64);
+            *l = s;
+            *h += (p >> 64) as u64 + carry as u64;
+        }
+    }
+
+    pub(super) fn fold_wide(lo: &mut [u64], hi: &mut [u64], q: u64) {
+        debug_assert_eq!(lo.len(), hi.len());
+        let br = Barrett::new(q);
+        for (l, h) in lo.iter_mut().zip(hi.iter_mut()) {
+            debug_assert!(*h < q, "wide lane exceeds q·2⁶⁴: fold bound missed");
+            *l = br.reduce_u128((*h as u128) << 64 | *l as u128);
+            *h = 0;
+        }
+    }
+
     /// Lazy forward butterfly over a split block: `u ∈ [0,4q) → [0,2q)`,
     /// lazy product of `v`, outputs `< 4q`.
     #[inline(always)]
@@ -497,6 +546,10 @@ mod avx2_impl {
         mod_reduce: super::scalar_impl::mod_reduce,
         centered_reduce: super::scalar_impl::centered_reduce,
         ks_accum,
+        // AVX2 has no 64×64→128 multiply: the scalar `mul`/`add`/`adc`
+        // body is the fast path on both dispatch classes.
+        mac_wide: super::scalar_impl::mac_wide,
+        fold_wide: super::scalar_impl::fold_wide,
     };
 
     /// Sign-bit constant for unsigned 64-bit comparison via signed compare.

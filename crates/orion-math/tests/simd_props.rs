@@ -23,6 +23,71 @@ fn fill(rng: &mut impl rand::Rng, len: usize, bound: u64) -> Vec<u64> {
     (0..len).map(|_| rng.gen_range(0..bound)).collect()
 }
 
+/// Sums `terms` through `mac_wide`, folding whenever a lane has reached
+/// `wide_fold_bound(q)` products (a folded lane counts as one) and once at
+/// the end — the discipline the hoisting accumulator follows.
+fn wide_sum(k: &simd::Kernels, terms: &[(Vec<u64>, Vec<u64>)], q: u64) -> Vec<u64> {
+    let len = terms[0].0.len();
+    let (mut lo, mut hi) = (vec![0u64; len], vec![0u64; len]);
+    let mut summed = 0u64;
+    for (a, b) in terms {
+        if summed == simd::wide_fold_bound(q) {
+            (k.fold_wide)(&mut lo, &mut hi, q);
+            summed = 1;
+        }
+        (k.mac_wide)(&mut lo, &mut hi, a, b);
+        summed += 1;
+    }
+    (k.fold_wide)(&mut lo, &mut hi, q);
+    assert!(
+        hi.iter().all(|&h| h == 0),
+        "{}: fold leaves hi clear",
+        k.name
+    );
+    lo
+}
+
+/// The same sum as one strict `add_mul` per term.
+fn strict_sum(terms: &[(Vec<u64>, Vec<u64>)], q: u64) -> Vec<u64> {
+    let mut acc = vec![0u64; terms[0].0.len()];
+    for (a, b) in terms {
+        for ((d, &x), &y) in acc.iter_mut().zip(a).zip(b) {
+            *d = add_mod(*d, mul_mod(x, y, q), q);
+        }
+    }
+    acc
+}
+
+/// Term counts straddling the fold bound, on the largest operands there
+/// are (every residue `q − 1`, so every product carries into `hi` and the
+/// lanes sit as close to `q·2⁶⁴` as the bound allows) and on random ones,
+/// for the largest prime below 2⁶² (bound 4) and a 61-bit NTT prime.
+#[test]
+fn wide_lanes_survive_the_fold_bound_on_extreme_operands() {
+    use rand::{rngs::StdRng, SeedableRng};
+    let below_2_62 = (0..)
+        .map(|d| (1u64 << 62) - 1 - 2 * d)
+        .find(|&c| orion_math::modular::is_prime(c))
+        .unwrap();
+    let mut rng = StdRng::seed_from_u64(0x71de);
+    for q in [below_2_62, generate_ntt_primes(16, 61, 1, &[])[0]] {
+        let bound = simd::wide_fold_bound(q);
+        assert!((4..=8).contains(&bound), "bound {bound} for q {q}");
+        for t in [bound - 1, bound, bound + 1, 3 * bound] {
+            let extreme = vec![(vec![q - 1; 37], vec![q - 1; 37]); t as usize];
+            let random: Vec<_> = (0..t)
+                .map(|_| (fill(&mut rng, 37, q), fill(&mut rng, 37, q)))
+                .collect();
+            for terms in [&extreme, &random] {
+                let want = strict_sum(terms, q);
+                for k in simd::variants() {
+                    assert_eq!(wide_sum(k, terms, q), want, "{} q {q} T {t}", k.name);
+                }
+            }
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
@@ -110,6 +175,28 @@ proptest! {
             for i in 0..len {
                 prop_assert_eq!(v[i], raw[i] % q, "{} modred[{}]", k.name, i);
             }
+        }
+    }
+
+    /// Lazy 128-bit accumulation followed by one fold equals one strict
+    /// `add_mul` per term, for primes from 30 bits (the bound is never
+    /// reached) to 61 bits (a few dozen terms cross it several times).
+    #[test]
+    fn wide_mac_fold_matches_strict_add_mul(
+        len in 1usize..70,
+        terms in 1usize..40,
+        bits_off in 0u32..32,
+        seed in 0u64..1_000_000,
+    ) {
+        use rand::{rngs::StdRng, SeedableRng};
+        let q = random_prime(16, bits_off, seed);
+        let mut rng = StdRng::seed_from_u64(seed ^ 0x71de);
+        let terms: Vec<_> = (0..terms)
+            .map(|_| (fill(&mut rng, len, q), fill(&mut rng, len, q)))
+            .collect();
+        let want = strict_sum(&terms, q);
+        for k in simd::variants() {
+            prop_assert_eq!(&wide_sum(k, &terms, q), &want, "{} wide", k.name);
         }
     }
 

@@ -164,9 +164,7 @@ impl EvalBackend for CkksBackend<'_> {
             return ct;
         }
         let s = self.session;
-        let pt = s.enc.encode(vals, s.ctx.scale(), level, false);
-        let mut rng = s.rng.lock();
-        s.encryptor.encrypt(&pt, &mut *rng)
+        s.encrypt(&s.enc.encode(vals, s.ctx.scale(), level, false))
     }
 
     fn decrypt(&self, ct: &Ciphertext) -> Vec<f64> {

@@ -16,7 +16,7 @@ use crate::opt::{OptConfig, OptStats};
 use crate::sched::SchedMode;
 use orion_ckks::bootstrap::BootstrapOracle;
 use orion_ckks::encoder::Encoder;
-use orion_ckks::encrypt::{Ciphertext, Decryptor, Encryptor};
+use orion_ckks::encrypt::{Ciphertext, Decryptor, Encryptor, Plaintext};
 use orion_ckks::eval::Evaluator;
 use orion_ckks::keys::KeyGenerator;
 use orion_ckks::params::{CkksParams, Context};
@@ -79,6 +79,15 @@ impl FheSession {
         Arc::new(prepare_program(compiled, self))
     }
 
+    /// Encrypts `pt` with the session RNG. The lock covers the sampling
+    /// only: the limb-parallel NTTs that follow make this thread help with
+    /// queued pool work, which may be another encryption under this very
+    /// session — holding the (non-reentrant) lock there would deadlock.
+    pub(crate) fn encrypt(&self, pt: &Plaintext) -> Ciphertext {
+        let noise = self.encryptor.sample(pt.level(), &mut *self.rng.lock());
+        self.encryptor.encrypt_with(pt, noise)
+    }
+
     /// Packs and encrypts `input` exactly as the interpreter's `Input`
     /// step does — the client-side half of the serving path, where
     /// requests arrive already encrypted and the server only ever touches
@@ -87,11 +96,11 @@ impl FheSession {
         crate::backend::input_slot_chunks(c, self.ctx.slots(), input)
             .into_iter()
             .map(|chunk| {
-                let pt = self
-                    .enc
-                    .encode(&chunk, self.ctx.scale(), c.opts.l_eff, false);
-                let mut rng = self.rng.lock();
-                self.encryptor.encrypt(&pt, &mut *rng)
+                self.encrypt(
+                    &self
+                        .enc
+                        .encode(&chunk, self.ctx.scale(), c.opts.l_eff, false),
+                )
             })
             .collect()
     }
@@ -175,11 +184,7 @@ fn record_activation_consts(c: &Compiled, s: &FheSession, prog: &mut PreparedPro
             Some(prev) if !booted => prev.clone(),
             // every other predecessor (or a bootstrap) hands the stage a
             // wire at exactly scale Δ — the slot values are irrelevant
-            _ => {
-                let pt = s.enc.encode(&vec![0.0; s.ctx.slots()], delta, lv, false);
-                let mut rng = s.rng.lock();
-                s.encryptor.encrypt(&pt, &mut *rng)
-            }
+            _ => s.encrypt(&s.enc.encode(&vec![0.0; s.ctx.slots()], delta, lv, false)),
         };
         if ct.level() > lv {
             s.eval.drop_to_level(&mut ct, lv);

@@ -20,6 +20,7 @@ use orion_ckks::encrypt::{Ciphertext, Plaintext};
 use orion_ckks::eval::Evaluator;
 use orion_ckks::hoist::{ExtAccumulator, HoistedDigits, RotatedExt};
 use rayon::prelude::*;
+use std::borrow::Cow;
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 
 /// Rotates a cleartext slot vector "up" by `k` (CKKS `HRot` semantics).
@@ -29,6 +30,51 @@ fn rot_plain(v: &[f64], k: usize) -> Vec<f64> {
     let mut out = Vec::with_capacity(n);
     out.extend_from_slice(&v[k..]);
     out.extend_from_slice(&v[..k]);
+    out
+}
+
+/// `out += rot(v, k)` on cleartext slots.
+fn add_rotated(out: &mut [f64], v: &[f64], k: usize) {
+    for (t, o) in out.iter_mut().enumerate() {
+        *o += v[(t + k) % v.len()];
+    }
+}
+
+/// One output block of a plan on cleartext slots — the body every plain
+/// executor shares: BSGS over the block's diagonals with `rotated(j_blk, i)`
+/// supplying the baby-step rotations, then the giant-step rotations, the
+/// sum, and the row fold's rotate-and-sum steps.
+fn plain_block<'a>(
+    plan: &LinearPlan,
+    source: &dyn DiagSource,
+    i_out: usize,
+    rotated: impl Fn(u32, usize) -> Cow<'a, [f64]>,
+) -> Vec<f64> {
+    let (slots, n1) = (plan.slots, plan.n1);
+    let mut groups: BTreeMap<usize, Vec<f64>> = BTreeMap::new();
+    for (&(i_blk, j_blk), diags) in &plan.blocks {
+        if i_blk as usize != i_out {
+            continue;
+        }
+        let vals = source.block_diags(plan, i_blk, j_blk);
+        for &k in diags {
+            let Some(d) = vals.get(&k) else { continue };
+            let (i, j) = ((k as usize) % n1, (k as usize) / n1);
+            let rotated = rotated(j_blk, i);
+            let acc = groups.entry(j).or_insert_with(|| vec![0.0; slots]);
+            for ((a, &dv), &xv) in acc.iter_mut().zip(d).zip(rotated.iter()) {
+                *a += dv * xv;
+            }
+        }
+    }
+    let mut out = vec![0.0; slots];
+    for (j, acc) in groups {
+        add_rotated(&mut out, &acc, (j * n1) % slots);
+    }
+    for s in plan.fold_steps() {
+        let partial = out.clone();
+        add_rotated(&mut out, &partial, s);
+    }
     out
 }
 
@@ -43,39 +89,7 @@ pub fn exec_plain_parallel(
     source: &(dyn DiagSource + Sync),
     inputs: &[Vec<f64>],
 ) -> Vec<Vec<f64>> {
-    assert_eq!(inputs.len(), plan.in_blocks);
-    let slots = plan.slots;
-    let n1 = plan.n1;
-    let mut out = vec![vec![0.0; slots]; plan.out_blocks];
-    out.par_iter_mut()
-        .enumerate()
-        .for_each(|(i_out, out_block)| {
-            let mut groups: BTreeMap<usize, Vec<f64>> = BTreeMap::new();
-            for (&(i_blk, j_blk), diags) in &plan.blocks {
-                if i_blk as usize != i_out {
-                    continue;
-                }
-                let vals = source.block_diags(plan, i_blk, j_blk);
-                let input = &inputs[j_blk as usize];
-                for &k in diags {
-                    let Some(d) = vals.get(&k) else { continue };
-                    let i = (k as usize) % n1;
-                    let j = (k as usize) / n1;
-                    let rotated = rot_plain(input, i);
-                    let acc = groups.entry(j).or_insert_with(|| vec![0.0; slots]);
-                    for ((a, &dv), &xv) in acc.iter_mut().zip(d).zip(&rotated) {
-                        *a += dv * xv;
-                    }
-                }
-            }
-            for (j, acc) in groups {
-                let part = rot_plain(&acc, (j * n1) % slots);
-                for (o, p) in out_block.iter_mut().zip(&part) {
-                    *o += p;
-                }
-            }
-        });
-    out
+    exec_plain_parallel_shared(plan, source, inputs, &HashMap::new())
 }
 
 /// Executes a plan on cleartext slot blocks.
@@ -85,32 +99,13 @@ pub fn exec_plain(
     inputs: &[Vec<f64>],
 ) -> Vec<Vec<f64>> {
     assert_eq!(inputs.len(), plan.in_blocks);
-    let slots = plan.slots;
-    let n1 = plan.n1;
-    // giant-step group accumulators: (out block, giant j) → slots
-    let mut groups: BTreeMap<(u32, usize), Vec<f64>> = BTreeMap::new();
-    for (&(i_blk, j_blk), diags) in &plan.blocks {
-        let vals = source.block_diags(plan, i_blk, j_blk);
-        let input = &inputs[j_blk as usize];
-        for &k in diags {
-            let Some(d) = vals.get(&k) else { continue };
-            let i = (k as usize) % n1;
-            let j = (k as usize) / n1;
-            let rotated = rot_plain(input, i);
-            let acc = groups.entry((i_blk, j)).or_insert_with(|| vec![0.0; slots]);
-            for ((a, &dv), &xv) in acc.iter_mut().zip(d).zip(&rotated) {
-                *a += dv * xv;
-            }
-        }
-    }
-    let mut out = vec![vec![0.0; slots]; plan.out_blocks];
-    for ((i_blk, j), acc) in groups {
-        let part = rot_plain(&acc, (j * n1) % slots);
-        for (o, p) in out[i_blk as usize].iter_mut().zip(&part) {
-            *o += p;
-        }
-    }
-    out
+    (0..plan.out_blocks)
+        .map(|i_out| {
+            plain_block(plan, source, i_out, |j_blk, i| {
+                Cow::Owned(rot_plain(&inputs[j_blk as usize], i))
+            })
+        })
+        .collect()
 }
 
 /// Handles bundling the CKKS evaluator and encoder for FHE execution.
@@ -119,6 +114,80 @@ pub struct FheLinearContext<'a> {
     pub eval: &'a Evaluator,
     /// The encoder.
     pub enc: &'a Encoder,
+}
+
+/// Applies giant step `j`'s rotation `rot_{j·n1}` to its group's result.
+fn giant_rotate(
+    ctx: &FheLinearContext<'_>,
+    plan: &LinearPlan,
+    j: usize,
+    part: Ciphertext,
+) -> Ciphertext {
+    match (j * plan.n1) % plan.slots {
+        0 => part,
+        g => ctx.eval.rotate(&part, g as isize),
+    }
+}
+
+/// Where an executor's tail takes its plaintexts from: encoded per call
+/// (with the layer's bias blocks, if any) or the setup-time cache.
+enum TailPlaintexts<'a> {
+    Encoded(Option<&'a [Vec<f64>]>),
+    Cached(&'a PreparedLayer),
+}
+
+/// The tail every FHE executor shares. Sums the giant-rotated group
+/// results per output block in the order given, runs the row fold's
+/// rotate-and-sum steps, rescales, and adds the bias with period `R`, so
+/// the output block is exactly `R`-periodic. The fold precedes the rescale
+/// so that its key-switch errors are divided by `q_ℓ` with the rest.
+fn finish_fhe(
+    ctx: &FheLinearContext<'_>,
+    plan: &LinearPlan,
+    inputs: &[Ciphertext],
+    parts: impl IntoIterator<Item = (u32, Ciphertext)>,
+    plaintexts: TailPlaintexts<'_>,
+) -> Vec<Ciphertext> {
+    let level = inputs[0].level();
+    let mut out: Vec<Option<Ciphertext>> = vec![None; plan.out_blocks];
+    for (i_blk, part) in parts {
+        let slot_ref = &mut out[i_blk as usize];
+        *slot_ref = Some(match slot_ref.take() {
+            None => part,
+            Some(prev) => ctx.eval.add(&prev, &part),
+        });
+    }
+    out.into_iter()
+        .enumerate()
+        .map(|(i_blk, o)| {
+            // an output block no diagonal touches: encrypt-free zero via
+            // multiplying an input by the zero plaintext
+            let mut ct = o.unwrap_or_else(|| match &plaintexts {
+                TailPlaintexts::Encoded(_) => {
+                    let zero = ctx
+                        .enc
+                        .encode_at_prime_scale_ws(&vec![0.0; plan.slots], level);
+                    ctx.eval.mul_plain(&inputs[0], &zero)
+                }
+                TailPlaintexts::Cached(p) => ctx.eval.mul_plain(&inputs[0], &p.zero),
+            });
+            for s in plan.fold_steps() {
+                ct = ctx.eval.add(&ct, &ctx.eval.rotate(&ct, s as isize));
+            }
+            ctx.eval.rescale_assign(&mut ct);
+            match &plaintexts {
+                TailPlaintexts::Encoded(Some(b)) => {
+                    let bias = plan.periodic(&b[i_blk]);
+                    let pt = ctx.enc.encode(&bias, ct.scale, ct.level(), false);
+                    ctx.eval.add_plain(&ct, &pt)
+                }
+                TailPlaintexts::Cached(PreparedLayer { bias: Some(b), .. }) => {
+                    ctx.eval.add_plain(&ct, &b[i_blk])
+                }
+                _ => ct,
+            }
+        })
+        .collect()
 }
 
 /// Executes a plan homomorphically **without** hoisting or lazy ModDown —
@@ -134,7 +203,6 @@ pub fn exec_fhe_unhoisted(
 ) -> Vec<Ciphertext> {
     assert_eq!(inputs.len(), plan.in_blocks);
     let level = inputs[0].level();
-    let slots = ctx.eval.context().slots();
     let n1 = plan.n1;
     // Rotated inputs computed with full key-switches, cached per (J, i).
     let mut rotated: std::collections::HashMap<(u32, usize), Ciphertext> =
@@ -160,27 +228,10 @@ pub fn exec_fhe_unhoisted(
                 .or_insert(term);
         }
     }
-    let mut out: Vec<Option<Ciphertext>> = vec![None; plan.out_blocks];
-    for ((i_blk, j), part) in groups {
-        let g = (j * n1) % slots;
-        let part = if g != 0 {
-            ctx.eval.rotate(&part, g as isize)
-        } else {
-            part
-        };
-        let slot_ref = &mut out[i_blk as usize];
-        *slot_ref = Some(match slot_ref.take() {
-            None => part,
-            Some(prev) => ctx.eval.add(&prev, &part),
-        });
-    }
-    out.into_iter()
-        .map(|o| {
-            let mut ct = o.expect("unhoisted path expects every block populated");
-            ctx.eval.rescale_assign(&mut ct);
-            ct
-        })
-        .collect()
+    let parts = groups
+        .into_iter()
+        .map(|((i_blk, j), part)| (i_blk, giant_rotate(ctx, plan, j, part)));
+    finish_fhe(ctx, plan, inputs, parts, TailPlaintexts::Encoded(None))
 }
 
 /// Executes a plan homomorphically. Inputs must share one level and scale
@@ -230,37 +281,11 @@ pub fn exec_fhe(
             acc.add_pmult_rotated(ctx.eval, rot, &pt);
         }
     }
-    // Finalize groups, giant-rotate, sum per output block, rescale.
-    let mut out: Vec<Option<Ciphertext>> = vec![None; plan.out_blocks];
-    for ((i_blk, j), acc) in groups {
-        let mut part = acc.finalize(ctx.eval);
-        let g = (j * n1) % slots;
-        if g != 0 {
-            part = ctx.eval.rotate(&part, g as isize);
-        }
-        let slot_ref = &mut out[i_blk as usize];
-        *slot_ref = Some(match slot_ref.take() {
-            None => part,
-            Some(prev) => ctx.eval.add(&prev, &part),
-        });
-    }
-    out.into_iter()
-        .enumerate()
-        .map(|(i_blk, o)| {
-            let mut ct = o.unwrap_or_else(|| {
-                // an output block no diagonal touches: encrypt-free zero via
-                // multiplying an input by the zero plaintext
-                let zero = ctx.enc.encode_at_prime_scale_ws(&vec![0.0; slots], level);
-                ctx.eval.mul_plain(&inputs[0], &zero)
-            });
-            ctx.eval.rescale_assign(&mut ct);
-            if let Some(b) = bias {
-                let pt = ctx.enc.encode(&b[i_blk], ct.scale, ct.level(), false);
-                ct = ctx.eval.add_plain(&ct, &pt);
-            }
-            ct
-        })
-        .collect()
+    // Finalize groups and giant-rotate; the shared tail does the rest.
+    let parts = groups
+        .into_iter()
+        .map(|((i_blk, j), acc)| (i_blk, giant_rotate(ctx, plan, j, acc.finalize(ctx.eval))));
+    finish_fhe(ctx, plan, inputs, parts, TailPlaintexts::Encoded(bias))
 }
 
 /// Baby-step rotations of one wire's ciphertexts, computed once and shared
@@ -369,34 +394,10 @@ pub fn exec_fhe_shared(
             acc.add_pmult_rotated(ctx.eval, rot, &pt);
         }
     }
-    let mut out: Vec<Option<Ciphertext>> = vec![None; plan.out_blocks];
-    for ((i_blk, j), acc) in groups {
-        let mut part = acc.finalize(ctx.eval);
-        let g = (j * n1) % slots;
-        if g != 0 {
-            part = ctx.eval.rotate(&part, g as isize);
-        }
-        let slot_ref = &mut out[i_blk as usize];
-        *slot_ref = Some(match slot_ref.take() {
-            None => part,
-            Some(prev) => ctx.eval.add(&prev, &part),
-        });
-    }
-    out.into_iter()
-        .enumerate()
-        .map(|(i_blk, o)| {
-            let mut ct = o.unwrap_or_else(|| {
-                let zero = ctx.enc.encode_at_prime_scale_ws(&vec![0.0; slots], level);
-                ctx.eval.mul_plain(&inputs[0], &zero)
-            });
-            ctx.eval.rescale_assign(&mut ct);
-            if let Some(b) = bias {
-                let pt = ctx.enc.encode(&b[i_blk], ct.scale, ct.level(), false);
-                ct = ctx.eval.add_plain(&ct, &pt);
-            }
-            ct
-        })
-        .collect()
+    let parts = groups
+        .into_iter()
+        .map(|((i_blk, j), acc)| (i_blk, giant_rotate(ctx, plan, j, acc.finalize(ctx.eval))));
+    finish_fhe(ctx, plan, inputs, parts, TailPlaintexts::Encoded(bias))
 }
 
 /// [`exec_fhe_prepared`] reading its non-zero baby-step rotations from a
@@ -446,7 +447,7 @@ pub fn exec_fhe_prepared_shared(
         .map(|j_blk| (j_blk, RotatedExt::identity(&inputs[j_blk as usize])))
         .collect();
     let group_vec: Vec<((u32, usize), GroupTerms<'_>)> = groups.into_iter().collect();
-    let parts: Vec<((u32, usize), Ciphertext)> = group_vec
+    let parts: Vec<(u32, Ciphertext)> = group_vec
         .par_iter()
         .map(|((i_blk, j), terms)| {
             let mut acc = ExtAccumulator::new(ctx.eval.context(), level);
@@ -458,33 +459,10 @@ pub fn exec_fhe_prepared_shared(
                 };
                 acc.add_pmult_rotated(ctx.eval, rot, pt);
             }
-            let mut part = acc.finalize(ctx.eval);
-            let g = (j * n1) % slots;
-            if g != 0 {
-                part = ctx.eval.rotate(&part, g as isize);
-            }
-            ((*i_blk, *j), part)
+            (*i_blk, giant_rotate(ctx, plan, *j, acc.finalize(ctx.eval)))
         })
         .collect();
-    let mut out: Vec<Option<Ciphertext>> = vec![None; plan.out_blocks];
-    for ((i_blk, _), part) in parts {
-        let slot_ref = &mut out[i_blk as usize];
-        *slot_ref = Some(match slot_ref.take() {
-            None => part,
-            Some(prev) => ctx.eval.add(&prev, &part),
-        });
-    }
-    out.into_iter()
-        .enumerate()
-        .map(|(i_blk, o)| {
-            let mut ct = o.unwrap_or_else(|| ctx.eval.mul_plain(&inputs[0], &prepared.zero));
-            ctx.eval.rescale_assign(&mut ct);
-            if let Some(bias) = &prepared.bias {
-                ct = ctx.eval.add_plain(&ct, &bias[i_blk]);
-            }
-            ct
-        })
-        .collect()
+    finish_fhe(ctx, plan, inputs, parts, TailPlaintexts::Cached(prepared))
 }
 
 /// Cleartext counterpart of [`SharedRotations`]: pre-rotated slot vectors
@@ -500,7 +478,8 @@ pub fn shared_rot_plain(
 }
 
 /// [`exec_plain_parallel`] reading non-zero baby-step rotations from a
-/// shared pre-rotated map (see [`shared_rot_plain`]).
+/// shared pre-rotated map (see [`shared_rot_plain`]); a rotation the map
+/// lacks is computed locally.
 pub fn exec_plain_parallel_shared(
     plan: &LinearPlan,
     source: &(dyn DiagSource + Sync),
@@ -508,43 +487,18 @@ pub fn exec_plain_parallel_shared(
     shared: &HashMap<(u32, usize), Vec<f64>>,
 ) -> Vec<Vec<f64>> {
     assert_eq!(inputs.len(), plan.in_blocks);
-    let slots = plan.slots;
-    let n1 = plan.n1;
-    let mut out = vec![vec![0.0; slots]; plan.out_blocks];
+    let mut out = vec![Vec::new(); plan.out_blocks];
     out.par_iter_mut()
         .enumerate()
         .for_each(|(i_out, out_block)| {
-            let mut groups: BTreeMap<usize, Vec<f64>> = BTreeMap::new();
-            for (&(i_blk, j_blk), diags) in &plan.blocks {
-                if i_blk as usize != i_out {
-                    continue;
-                }
-                let vals = source.block_diags(plan, i_blk, j_blk);
+            *out_block = plain_block(plan, source, i_out, |j_blk, i| {
                 let input = &inputs[j_blk as usize];
-                for &k in diags {
-                    let Some(d) = vals.get(&k) else { continue };
-                    let i = (k as usize) % n1;
-                    let j = (k as usize) / n1;
-                    let rotated: std::borrow::Cow<'_, [f64]> = if i == 0 {
-                        std::borrow::Cow::Borrowed(input)
-                    } else {
-                        match shared.get(&(j_blk, i)) {
-                            Some(r) => std::borrow::Cow::Borrowed(r),
-                            None => std::borrow::Cow::Owned(rot_plain(input, i)),
-                        }
-                    };
-                    let acc = groups.entry(j).or_insert_with(|| vec![0.0; slots]);
-                    for ((a, &dv), &xv) in acc.iter_mut().zip(d.iter()).zip(rotated.iter()) {
-                        *a += dv * xv;
-                    }
+                match shared.get(&(j_blk, i)) {
+                    _ if i == 0 => Cow::Borrowed(&input[..]),
+                    Some(r) => Cow::Borrowed(&r[..]),
+                    None => Cow::Owned(rot_plain(input, i)),
                 }
-            }
-            for (j, acc) in groups {
-                let part = rot_plain(&acc, (j * n1) % slots);
-                for (o, p) in out_block.iter_mut().zip(&part) {
-                    *o += p;
-                }
-            }
+            });
         });
     out
 }
@@ -626,53 +580,31 @@ pub fn exec_fhe_prepared(
     // giant rotation, in parallel. Modular adds are exact, so per-group
     // order (plan order, preserved above) fixes the result bit-for-bit.
     let group_vec: Vec<((u32, usize), GroupTerms<'_>)> = groups.into_iter().collect();
-    let parts: Vec<((u32, usize), Ciphertext)> = group_vec
+    let parts: Vec<(u32, Ciphertext)> = group_vec
         .par_iter()
         .map(|((i_blk, j), terms)| {
             let mut acc = ExtAccumulator::new(ctx.eval.context(), level);
             for (rk, pt) in terms {
                 acc.add_pmult_rotated(ctx.eval, &rotations[rk], pt);
             }
-            let mut part = acc.finalize(ctx.eval);
-            let g = (j * n1) % slots;
-            if g != 0 {
-                part = ctx.eval.rotate(&part, g as isize);
-            }
-            ((*i_blk, *j), part)
+            (*i_blk, giant_rotate(ctx, plan, *j, acc.finalize(ctx.eval)))
         })
         .collect();
-    // Deterministic per-output-block sum, rescale, cached bias.
-    let mut out: Vec<Option<Ciphertext>> = vec![None; plan.out_blocks];
-    for ((i_blk, _), part) in parts {
-        let slot_ref = &mut out[i_blk as usize];
-        *slot_ref = Some(match slot_ref.take() {
-            None => part,
-            Some(prev) => ctx.eval.add(&prev, &part),
-        });
-    }
-    out.into_iter()
-        .enumerate()
-        .map(|(i_blk, o)| {
-            let mut ct = o.unwrap_or_else(|| ctx.eval.mul_plain(&inputs[0], &prepared.zero));
-            ctx.eval.rescale_assign(&mut ct);
-            if let Some(bias) = &prepared.bias {
-                ct = ctx.eval.add_plain(&ct, &bias[i_blk]);
-            }
-            ct
-        })
-        .collect()
+    // Deterministic per-output-block sum, fold, rescale, cached bias.
+    finish_fhe(ctx, plan, inputs, parts, TailPlaintexts::Cached(prepared))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::layout::TensorLayout;
-    use crate::plan::{conv_plan, dense_plan, ConvSpec};
+    use crate::plan::{conv_plan, dense_plan, ConvSpec, DenseShape};
     use crate::values::{BiasValues, ConvDiagSource, DenseDiagSource};
     use orion_ckks::keys::KeyGenerator;
     use orion_ckks::params::{CkksParams, Context};
     use orion_ckks::{Decryptor, Encryptor};
     use orion_tensor::{conv2d, linear, Conv2dParams, Tensor};
+    use proptest::prelude::*;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
@@ -954,6 +886,59 @@ mod tests {
         }
     }
 
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        /// The hybrid embedding computes the layer under **every**
+        /// admissible row fold: `exec_plain` equals the reference on the
+        /// layout slots, and each full output block — bias added the way
+        /// every backend adds it — is the `R`-periodic extension of its
+        /// first `R` slots (zero in rows `n_out..R`).
+        #[test]
+        fn dense_matches_reference_under_every_fold(
+            n_out in 1usize..40,
+            c in 1usize..7,
+            h in 1usize..5,
+            w in 1usize..5,
+            log_t in 0u32..3,
+            log_slots in 3u32..8,
+            seed in 0u64..1000,
+        ) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let in_l = TensorLayout { c, h, w, t: 1 << log_t };
+            let slots = 1usize << log_slots;
+            let n_feat = c * h * w;
+            let weights = random_tensor(&[n_out, n_feat], &mut rng);
+            let bias: Vec<f64> = (0..n_out).map(|_| rng.gen_range(-1.0..1.0)).collect();
+            let input: Vec<f64> = (0..n_feat).map(|_| rng.gen_range(-1.0..1.0)).collect();
+            let expect = linear(&input, &weights, &bias);
+            let src = DenseDiagSource::new(weights, &in_l);
+            let bias_blocks = BiasValues::dense(n_out, &bias, slots);
+            let shape = DenseShape::new(&in_l, n_out, slots);
+            let mut blocks = vec![vec![0.0; slots]; in_l.num_ciphertexts(slots)];
+            for (i, &v) in in_l.pack(&input).iter().enumerate() {
+                blocks[i / slots][i % slots] = v;
+            }
+            for fold in shape.folds() {
+                let plan = shape.plan(fold);
+                let out = exec_plain(&plan, &src, &blocks);
+                prop_assert_eq!(out.len(), bias_blocks.len());
+                for (b, (block, bias)) in out.iter().zip(&bias_blocks).enumerate() {
+                    let bias = plan.periodic(bias);
+                    for t in 0..slots {
+                        let row = b * slots + t % fold;
+                        let want = if row < n_out { expect[row] } else { 0.0 };
+                        let got = block[t] + bias[t];
+                        prop_assert!(
+                            (got - want).abs() < 1e-9,
+                            "fold {} n1 {} block {} slot {}: {} vs {}", fold, plan.n1, b, t, got, want
+                        );
+                    }
+                }
+            }
+        }
+    }
+
     /// The headline single-shot claim, on real FHE: a stride-2 convolution
     /// consumes exactly ONE level and matches the reference.
     #[test]
@@ -1095,11 +1080,17 @@ mod tests {
             eval: &eval,
             enc: &enc,
         };
-        let out = exec_fhe(&fhe_ctx, &plan, &src, None, &[ct]);
+        let bias: Vec<f64> = (0..n_out).map(|_| rng.gen_range(-2.0..2.0)).collect();
+        let bias_blocks = BiasValues::dense(n_out, &bias, slots);
+        let out = exec_fhe(&fhe_ctx, &plan, &src, Some(&bias_blocks), &[ct]);
         let got = enc.decode(&dec.decrypt(&out[0]));
-        let expect = linear(&input, &w, &[]);
-        for (i, e) in expect.iter().enumerate() {
-            assert!((got[i] - e).abs() < 5e-2, "row {i}: {} vs {e}", got[i]);
+        let expect = linear(&input, &w, &bias);
+        // 256 → 10 at S = 512 folds: the whole block is R-periodic, bias
+        // included, with zeros in rows n_out..R.
+        assert!(plan.fold < slots);
+        for (t, g) in got.iter().enumerate() {
+            let e = expect.get(t % plan.fold).copied().unwrap_or(0.0);
+            assert!((g - e).abs() < 5e-2, "slot {t}: {g} vs {e}");
         }
     }
 }

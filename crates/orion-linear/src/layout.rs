@@ -9,6 +9,13 @@
 //! no mask-and-collect, which is what makes strided convolutions depth-1.
 
 /// Describes how a `(C, H, W)` tensor is packed into ciphertext slots.
+///
+/// A layout *names* the slots that hold tensor elements ([`Self::slot_of`]);
+/// what the other slots hold is unspecified — zero after a convolution,
+/// `R`-periodic copies of the outputs after a row-folded dense layer
+/// (`plan::dense_plan`). Consumers read named slots only: a linear layer's
+/// diagonals are zero at every column its input layout does not name, and
+/// `unpack` gathers named slots.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct TensorLayout {
     /// Logical channels.

@@ -16,6 +16,9 @@
 //!   split `n1 × n2` minimizing rotations (the slot-index difference
 //!   between an output row and its input column is constant along a row
 //!   segment, so plans for ImageNet-scale layers build in milliseconds);
+//!   dense layers use the hybrid (row-folded) diagonal embedding — `R`
+//!   diagonals plus `log₂(S/R)` rotate-and-sum steps, `R` chosen with the
+//!   split;
 //! * [`values`] — materializes diagonal plaintext vectors block-by-block
 //!   (only needed by the real-FHE and plan-validation paths);
 //! * [`exec`] — executors: `exec_plain` (cleartext slots through the exact

@@ -54,7 +54,8 @@ pub struct PlanCounts {
     pub hoists: usize,
     /// Hoisted baby-step rotations.
     pub baby_rots: usize,
-    /// Full giant-step rotations.
+    /// Full rotations (`HRot`): one per non-zero giant step of every output
+    /// block, plus the row fold's `log₂(S/R)` rotate-and-sum steps.
     pub giant_rots: usize,
     /// Plaintext multiplications (one per non-zero block diagonal).
     pub pmults: usize,
@@ -72,9 +73,9 @@ impl PlanCounts {
 
     /// Key-switch digit decompositions the executor performs: one hoist
     /// per rotating input block, plus one *fresh* decomposition inside
-    /// every giant-step rotation (a giant rotation is a full `HRot` — its
-    /// key-switch cannot reuse the input's hoisted digits). This is the
-    /// quantity the hoisting-aware split chooser drives down.
+    /// every giant-step or fold rotation (a full `HRot` — its key-switch
+    /// cannot reuse the input's hoisted digits). This is the quantity the
+    /// hoisting-aware split chooser drives down.
     pub fn decompositions(&self) -> usize {
         self.hoists + self.giant_rots
     }
@@ -91,6 +92,12 @@ pub struct LinearPlan {
     pub out_blocks: usize,
     /// Baby-step size of the BSGS split.
     pub n1: usize,
+    /// Row fold `R` (divides `slots`). `R = slots` is the plain diagonal
+    /// embedding; a dense layer with `R < slots` embeds its rows with
+    /// period `R` (see [`dense_plan`]), so the BSGS leaves partial sums
+    /// that [`LinearPlan::fold_steps`] rotate-and-sum into an `R`-periodic
+    /// output block.
+    pub fold: usize,
     /// `(out_block, in_block) → sorted non-zero diagonal indices`.
     pub blocks: BTreeMap<(u32, u32), Vec<u32>>,
     /// Operation counts under the chosen split.
@@ -130,10 +137,26 @@ impl LinearPlan {
         rots
     }
 
+    /// The fold's rotate-and-sum steps `S/2, S/4, …, R`, in execution
+    /// order: after `ct += HRot(ct, s)` for each, slot `t` holds the sum of
+    /// the `S/R` partial sums at `t + m·R`. Empty when `R = S`.
+    pub fn fold_steps(&self) -> impl Iterator<Item = usize> {
+        let fold = self.fold;
+        std::iter::successors(Some(self.slots / 2), |s| Some(s / 2)).take_while(move |&s| s >= fold)
+    }
+
+    /// Extends the first `R` slots of an output-block vector with period
+    /// `R` — the shape of every folded output block, so the bias must have
+    /// it too or the copies would hold "output without bias". The identity
+    /// when `R = S`.
+    pub fn periodic(&self, block: &[f64]) -> Vec<f64> {
+        (0..self.slots).map(|t| block[t % self.fold]).collect()
+    }
+
     /// Every rotation step the executor will perform (for rotation-key
-    /// generation): baby steps `i` and giant steps `j·n1`.
+    /// generation): baby steps `i`, giant steps `j·n1` and the fold steps.
     pub fn rotation_steps(&self) -> Vec<isize> {
-        let mut steps = BTreeSet::new();
+        let mut steps: BTreeSet<isize> = self.fold_steps().map(|s| s as isize).collect();
         for diags in self.blocks.values() {
             for &k in diags {
                 let i = (k as usize) % self.n1;
@@ -193,12 +216,18 @@ impl PlanBuilder {
     /// already-decomposed digits). `W_KEY` charges each distinct rotation
     /// step for its rotation key (generation time and resident memory), so
     /// dense layers with hundreds of diagonals keep a classic two-level
-    /// BSGS instead of hoisting every diagonal into its own key.
+    /// BSGS instead of hoisting every diagonal into its own key. A PMult
+    /// is `W_PMULT_NUM / W_PMULT_DEN` = 0.4 units: `ckks.mul_plain_ms`
+    /// 0.058 against `ckks.hoisted_rotate_ms` 0.30 (= `W_BABY`) in the
+    /// `lola_linear` ledger. It is constant across `n1` and separates
+    /// candidates that differ in the row fold.
     const W_BABY: usize = 2;
     const W_GIANT: usize = 18;
     const W_MODDOWN: usize = 3;
     const W_HOIST: usize = 10;
     const W_KEY: usize = 2;
+    const W_PMULT_NUM: usize = 2;
+    const W_PMULT_DEN: usize = 5;
 
     /// Finishes the plan: chooses the power-of-two `n1` minimizing a
     /// key-switch-aware cost (not raw rotation count — giant-step
@@ -215,7 +244,7 @@ impl PlanBuilder {
         let mut n1 = 1usize;
         while n1 <= slots {
             let counts = Self::counts_for(&blocks, slots, n1, in_blocks, out_blocks);
-            let cost = Self::weighted_cost(&blocks, n1, &counts);
+            let cost = Self::weighted_cost(&counts, Self::distinct_steps(&blocks, n1));
             if best.as_ref().map(|(c, _, _)| cost < *c).unwrap_or(true) {
                 best = Some((cost, counts, n1));
             }
@@ -227,6 +256,7 @@ impl PlanBuilder {
             in_blocks,
             out_blocks,
             n1,
+            fold: slots,
             blocks,
             counts,
         }
@@ -250,16 +280,17 @@ impl PlanBuilder {
         steps.len()
     }
 
-    fn weighted_cost(
-        blocks: &BTreeMap<(u32, u32), Vec<u32>>,
-        n1: usize,
-        counts: &PlanCounts,
-    ) -> usize {
+    /// The one cost every `(fold, n1)` candidate is ranked by; `keys` is
+    /// the number of distinct rotation steps, fold steps included (as they
+    /// are in `counts.giant_rots`: a fold step is a full `HRot` with a key
+    /// of its own).
+    fn weighted_cost(counts: &PlanCounts, keys: usize) -> usize {
         counts.hoists * Self::W_HOIST
             + counts.baby_rots * Self::W_BABY
             + counts.giant_rots * Self::W_GIANT
             + counts.moddowns * Self::W_MODDOWN
-            + Self::distinct_steps(blocks, n1) * Self::W_KEY
+            + keys * Self::W_KEY
+            + counts.pmults * Self::W_PMULT_NUM / Self::W_PMULT_DEN
     }
 
     fn counts_for(
@@ -394,42 +425,189 @@ pub fn conv_plan(in_l: &TensorLayout, spec: &ConvSpec, slots: usize) -> (LinearP
     (plan, out_l)
 }
 
-/// Builds the plan of a dense fully-connected layer reading a (possibly
-/// multiplexed) input layout. Diagonal sets are computed analytically — a
-/// dense matrix touches a contiguous cyclic band of diagonals per block.
-pub fn dense_plan(in_l: &TensorLayout, n_out: usize, slots: usize) -> (LinearPlan, TensorLayout) {
-    let cols = in_l.total_slots();
-    let out_l = TensorLayout::raster(n_out, 1, 1);
-    let in_blocks = cols.div_ceil(slots);
-    let out_blocks = n_out.div_ceil(slots);
-    let mut b = PlanBuilder::default();
-    for i_blk in 0..out_blocks {
-        let rb = slots.min(n_out - i_blk * slots);
-        for j_blk in 0..in_blocks {
-            let cb = slots.min(cols - j_blk * slots);
-            let set = b.blocks.entry((i_blk as u32, j_blk as u32)).or_default();
-            if rb + cb > slots {
-                for k in 0..slots {
-                    set.insert(k as u32);
-                }
-            } else {
-                // k = (c0 - r0) mod slots for r0 < rb, c0 < cb.
-                for k in 0..cb {
-                    set.insert(k as u32);
-                }
-                for k in (slots - rb + 1)..slots {
-                    set.insert(k as u32);
-                }
-            }
+/// The diagonals `{(c − r) mod R : r < rb, c < cb}` one `rb × cb` block
+/// touches under row fold `R`: a cyclic interval of residues mod `R`.
+#[derive(Clone, Copy)]
+struct Band {
+    fold: usize,
+    start: usize,
+    len: usize,
+}
+
+impl Band {
+    fn new(rb: usize, cb: usize, fold: usize) -> Self {
+        Band {
+            fold,
+            start: (fold + 1 - rb) % fold,
+            len: fold.min(cb + rb - 1),
         }
     }
-    let plan = b.finish(slots, in_blocks, out_blocks);
-    (plan, out_l)
+
+    /// The diagonal indices, sorted.
+    fn diags(&self) -> Vec<u32> {
+        let end = self.start + self.len;
+        let wrapped = end.saturating_sub(self.fold);
+        (0..wrapped)
+            .chain(self.start..end.min(self.fold))
+            .map(|k| k as u32)
+            .collect()
+    }
+
+    /// Distinct non-zero baby steps `k mod n1` (`n1` divides `fold`).
+    fn babies(&self, n1: usize) -> usize {
+        let first = self.start % n1;
+        let len = self.len.min(n1);
+        len - usize::from(first == 0 || first + len > n1)
+    }
+
+    /// Distinct giant steps `k / n1`, and whether step 0 is one of them.
+    fn giants(&self, n1: usize) -> (usize, bool) {
+        let end = self.start + self.len;
+        let groups = ((end - 1) / n1 - self.start / n1 + 1).min(self.fold / n1);
+        (groups, self.start < n1 || end > self.fold)
+    }
+}
+
+/// A dense layer's block shape: all the chooser needs, because every
+/// block's diagonals are a [`Band`], so a `(fold, n1)` candidate is counted
+/// in closed form and only the winner's diagonal lists are ever built.
+pub(crate) struct DenseShape {
+    slots: usize,
+    n_out: usize,
+    cols: usize,
+}
+
+impl DenseShape {
+    pub(crate) fn new(in_l: &TensorLayout, n_out: usize, slots: usize) -> Self {
+        assert!(
+            slots.is_power_of_two(),
+            "a dense layer's slot count is a CKKS ring's N/2, a power of two"
+        );
+        DenseShape {
+            slots,
+            n_out,
+            cols: in_l.total_slots(),
+        }
+    }
+
+    fn in_blocks(&self) -> usize {
+        self.cols.div_ceil(self.slots)
+    }
+
+    fn out_blocks(&self) -> usize {
+        self.n_out.div_ceil(self.slots)
+    }
+
+    /// The band of block `(i, j)`; block 0 is the tallest row block and the
+    /// widest column block.
+    fn band(&self, i: usize, j: usize, fold: usize) -> Band {
+        let rb = self.slots.min(self.n_out - i * self.slots);
+        let cb = self.slots.min(self.cols - j * self.slots);
+        Band::new(rb, cb, fold)
+    }
+
+    /// The admissible folds, `S` first: `S`, and every `S/2ᵐ ≥ n_out`.
+    pub(crate) fn folds(&self) -> impl Iterator<Item = usize> + '_ {
+        std::iter::successors(Some(self.slots), |r| Some(r / 2))
+            .take_while(|&r| r >= self.n_out.min(self.slots))
+    }
+
+    /// Counts and key count of a candidate. Bands in one block row share
+    /// their start, so their union is the longest — the one against the
+    /// widest column block; a block column's union is the band against
+    /// the tallest row block, which is the only one or a full band.
+    fn counts(&self, fold: usize, n1: usize) -> (PlanCounts, usize) {
+        let fold_steps = (self.slots / fold).trailing_zeros() as usize;
+        let mut c = PlanCounts {
+            giant_rots: fold_steps,
+            rescales: self.out_blocks(),
+            ..PlanCounts::default()
+        };
+        for i in 0..self.out_blocks() {
+            let (groups, zero) = self.band(i, 0, fold).giants(n1);
+            c.moddowns += groups;
+            c.giant_rots += groups - usize::from(zero);
+            c.pmults += (0..self.in_blocks())
+                .map(|j| self.band(i, j, fold).len)
+                .sum::<usize>();
+        }
+        for j in 0..self.in_blocks() {
+            let babies = self.band(0, j, fold).babies(n1);
+            c.baby_rots += babies;
+            c.hoists += usize::from(babies != 0);
+        }
+        let widest = self.band(0, 0, fold);
+        let (groups, zero) = widest.giants(n1);
+        let keys = widest.babies(n1) + groups - usize::from(zero) + fold_steps;
+        (c, keys)
+    }
+
+    /// The cheapest split of one fold: `(cost, n1, counts)`, ties to the
+    /// smaller `n1`.
+    fn best_split(&self, fold: usize) -> (usize, usize, PlanCounts) {
+        std::iter::successors(Some(1usize), |n1| Some(n1 * 2))
+            .take_while(|&n1| n1 <= fold)
+            .map(|n1| {
+                let (counts, keys) = self.counts(fold, n1);
+                (PlanBuilder::weighted_cost(&counts, keys), n1, counts)
+            })
+            .min_by_key(|&(cost, ..)| cost)
+            .expect("fold >= 1")
+    }
+
+    /// The plan under `fold` (one of [`Self::folds`]) with its cheapest
+    /// split — what [`dense_plan`] returns for the fold it picks.
+    pub(crate) fn plan(&self, fold: usize) -> LinearPlan {
+        let (_, n1, counts) = self.best_split(fold);
+        let mut blocks = BTreeMap::new();
+        for i in 0..self.out_blocks() {
+            for j in 0..self.in_blocks() {
+                blocks.insert((i as u32, j as u32), self.band(i, j, fold).diags());
+            }
+        }
+        LinearPlan {
+            slots: self.slots,
+            in_blocks: self.in_blocks(),
+            out_blocks: self.out_blocks(),
+            n1,
+            fold,
+            blocks,
+            counts,
+        }
+    }
+}
+
+/// Builds the plan of a dense fully-connected layer reading a (possibly
+/// multiplexed) input layout, with the hybrid (row-folded) diagonal
+/// embedding: for a row fold `R` (a power of two, `n_out ≤ R ≤ S`) the
+/// layer's diagonals are `k ∈ 0..R` with
+/// `d_k[t] = W[t mod R][col((t + k) mod S)]` over all `S` slots, the BSGS
+/// runs over those, and `log₂(S/R)` rotate-and-sum steps
+/// ([`LinearPlan::fold_steps`]) finish the product — `R` PMults instead of
+/// `rows + cols − 1`. `R` and `n1` are chosen together under the one cost
+/// of [`PlanBuilder::finish`]; `R = S` (no fold, the zero-padded square
+/// block's `cols + rows − 1` diagonals) wins wherever the fold's full
+/// rotations cost more than the PMults they save, and is the only choice
+/// when `n_out > S`.
+///
+/// **Output contract:** the output block is exactly `R`-periodic — slot
+/// `t` holds output `t mod R` (bias included), zero for `t mod R ≥ n_out`.
+/// The returned layout names slots `0..n_out`; consumers read layout slots
+/// only, which every linear layer does (its diagonals are zero at columns
+/// the input layout does not name).
+pub fn dense_plan(in_l: &TensorLayout, n_out: usize, slots: usize) -> (LinearPlan, TensorLayout) {
+    let shape = DenseShape::new(in_l, n_out, slots);
+    let fold = shape
+        .folds()
+        .min_by_key(|&fold| shape.best_split(fold).0)
+        .expect("S is always admissible");
+    (shape.plan(fold), TensorLayout::raster(n_out, 1, 1))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn siso_same() -> (TensorLayout, ConvSpec) {
         (
@@ -478,6 +656,126 @@ mod tests {
             "decompositions = {}",
             plan.counts.decompositions()
         );
+    }
+
+    fn counts(hoists: usize, baby: usize, giant: usize, pmults: usize, md: usize) -> PlanCounts {
+        PlanCounts {
+            hoists,
+            baby_rots: baby,
+            giant_rots: giant,
+            pmults,
+            moddowns: md,
+            rescales: 1,
+        }
+    }
+
+    #[test]
+    fn dense_keeps_the_unfolded_plan_where_folding_does_not_pay() {
+        // ResNet's 64 → 10 head at S = 2¹⁵: folding to R = 16 would trade
+        // 57 PMults for 11 full rotations. The plan is the zero-padded
+        // square block's, field for field.
+        let slots = 1usize << 15;
+        let (plan, out_l) = dense_plan(&TensorLayout::raster(64, 1, 1), 10, slots);
+        assert_eq!(out_l, TensorLayout::raster(10, 1, 1));
+        assert_eq!((plan.fold, plan.n1), (slots, 16));
+        assert_eq!((plan.in_blocks, plan.out_blocks), (1, 1));
+        assert_eq!(plan.counts, counts(1, 15, 4, 73, 5));
+        let band: Vec<u32> = (0..64).chain(slots as u32 - 9..slots as u32).collect();
+        assert_eq!(plan.blocks, BTreeMap::from([((0, 0), band)]));
+        assert_eq!(plan.fold_steps().count(), 0);
+        assert_eq!(plan.rotation_steps().len(), 15 + 4);
+    }
+
+    #[test]
+    fn lola_dense_layers_fold() {
+        // The benchmark's setting (`CkksParams::small()`, S = 2048). fc1
+        // reads conv1's multiplexed output (5 × 14 × 14 at gap 2: 1568
+        // slots): 128 diagonals and 4 fold steps instead of 1667 diagonals.
+        let fc1_in = TensorLayout {
+            c: 5,
+            h: 14,
+            w: 14,
+            t: 2,
+        };
+        let (fc1, fc1_out) = dense_plan(&fc1_in, 100, 2048);
+        assert_eq!((fc1.fold, fc1.n1), (128, 32));
+        assert_eq!(fc1.counts, counts(1, 31, 3 + 4, 128, 4));
+        assert_eq!(fc1.blocks[&(0, 0)], (0..128).collect::<Vec<u32>>());
+        assert_eq!(
+            fc1.fold_steps().collect::<Vec<_>>(),
+            vec![1024, 512, 256, 128]
+        );
+        assert_eq!(fc1.rotation_steps().len(), 31 + 3 + 4);
+        let (fc2, _) = dense_plan(&fc1_out, 10, 2048);
+        assert_eq!((fc2.fold, fc2.n1), (16, 8));
+        assert_eq!(fc2.counts, counts(1, 7, 1 + 7, 16, 2));
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        /// The closed forms the chooser ranks candidates by equal a walk of
+        /// the materialised diagonal lists, for every admissible fold and
+        /// every split — multiplexed gaps, several input and output blocks
+        /// and bands that do not fill their fold included.
+        #[test]
+        fn dense_closed_form_counts_match_a_walk(
+            n_out in 1usize..80,
+            c in 1usize..8,
+            h in 1usize..6,
+            w in 1usize..6,
+            log_t in 0u32..3,
+            log_slots in 3u32..8,
+        ) {
+            let in_l = TensorLayout { c, h, w, t: 1 << log_t };
+            let slots = 1usize << log_slots;
+            let shape = DenseShape::new(&in_l, n_out, slots);
+            let folds: Vec<usize> = shape.folds().collect();
+            prop_assert_eq!(folds[0], slots);
+            prop_assert!(folds.iter().all(|&r| r >= n_out.min(slots) && r.is_power_of_two()));
+            for fold in folds {
+                let plan = shape.plan(fold);
+                let fold_steps = plan.fold_steps().count();
+                prop_assert_eq!(slots >> fold_steps, fold);
+                let mut n1 = 1;
+                while n1 <= fold {
+                    let (closed, keys) = shape.counts(fold, n1);
+                    let mut walked = PlanBuilder::counts_for(
+                        &plan.blocks, slots, n1, plan.in_blocks, plan.out_blocks,
+                    );
+                    walked.giant_rots += fold_steps;
+                    prop_assert_eq!(closed, walked, "fold {} n1 {}", fold, n1);
+                    let walked_keys = PlanBuilder::distinct_steps(&plan.blocks, n1) + fold_steps;
+                    prop_assert_eq!(keys, walked_keys, "fold {} n1 {}", fold, n1);
+                    n1 *= 2;
+                }
+                prop_assert_eq!(plan.counts, shape.counts(fold, plan.n1).0);
+                if fold == slots {
+                    // the unfolded candidate is the parent's plan: its band
+                    // formula, and the split the walking chooser picks
+                    for (&(i, j), diags) in &plan.blocks {
+                        let rb = slots.min(n_out - i as usize * slots);
+                        let cb = slots.min(in_l.total_slots() - j as usize * slots);
+                        let band: Vec<u32> = if rb + cb > slots {
+                            (0..slots as u32).collect()
+                        } else {
+                            (0..cb as u32).chain((slots - rb + 1) as u32..slots as u32).collect()
+                        };
+                        prop_assert_eq!(diags, &band, "block ({}, {})", i, j);
+                    }
+                    let builder = PlanBuilder {
+                        blocks: plan
+                            .blocks
+                            .iter()
+                            .map(|(k, v)| (*k, v.iter().copied().collect()))
+                            .collect(),
+                    };
+                    let walked = builder.finish(slots, plan.in_blocks, plan.out_blocks);
+                    prop_assert_eq!((walked.n1, walked.counts), (plan.n1, plan.counts));
+                }
+                prop_assert_eq!(plan.rotation_steps().len(), shape.counts(fold, plan.n1).1);
+            }
+        }
     }
 
     #[test]

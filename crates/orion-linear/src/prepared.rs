@@ -53,7 +53,8 @@ pub struct PreparedLayer {
     /// scale, special limb, evaluation form — ready for
     /// `ExtAccumulator::add_pmult_rotated`).
     pub diags: HashMap<(u32, u32), HashMap<u32, Plaintext>>,
-    /// Per-output-block bias plaintexts at scale Δ, `level − 1`.
+    /// Per-output-block bias plaintexts at scale Δ, `level − 1`, periodic
+    /// with the plan's row fold.
     pub bias: Option<Vec<Plaintext>>,
     /// The zero plaintext for output blocks no diagonal touches.
     pub zero: Plaintext,
@@ -98,7 +99,7 @@ impl PreparedLayer {
         let bias = bias.map(|blocks| {
             blocks
                 .iter()
-                .map(|b| enc.encode(b, delta, level - 1, false))
+                .map(|b| enc.encode(&plan.periodic(b), delta, level - 1, false))
                 .collect()
         });
         let zero = enc.encode_at_prime_scale_ws(&vec![0.0; plan.slots], level);

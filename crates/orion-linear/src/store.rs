@@ -1,5 +1,5 @@
-//! Disk storage for plans and encoded diagonals (paper §6 "Handling large
-//! data structures").
+//! Disk storage for matrix diagonals, raw and encoded (paper §6 "Handling
+//! large data structures").
 //!
 //! "Large datasets and networks require hundreds of gigabytes of rotation
 //! keys and matrix diagonals. Orion provides support to store these large
@@ -8,15 +8,10 @@
 //! small self-describing binary format (`bytes`-based) with one section
 //! per ciphertext-block so blocks can be loaded lazily during inference.
 
-use crate::plan::{LinearPlan, PlanCounts};
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 use orion_ckks::encrypt::Plaintext;
 use orion_ckks::poly::{Form, RnsPoly};
-use std::collections::BTreeMap;
-use std::io::{Read, Write};
-use std::path::Path;
 
-const MAGIC: &[u8; 8] = b"ORIONPL1";
 const PREP_MAGIC: &[u8; 8] = b"ORIONPP1";
 
 /// A typed store failure: either the filesystem failed or a file's content
@@ -63,101 +58,6 @@ impl From<std::io::Error> for StoreError {
     fn from(e: std::io::Error) -> Self {
         StoreError::Io(e)
     }
-}
-
-/// Serializes a plan to bytes.
-pub fn plan_to_bytes(plan: &LinearPlan) -> Bytes {
-    let mut b = BytesMut::new();
-    b.put_slice(MAGIC);
-    b.put_u64_le(plan.slots as u64);
-    b.put_u32_le(plan.in_blocks as u32);
-    b.put_u32_le(plan.out_blocks as u32);
-    b.put_u32_le(plan.n1 as u32);
-    let c = &plan.counts;
-    for v in [
-        c.hoists,
-        c.baby_rots,
-        c.giant_rots,
-        c.pmults,
-        c.moddowns,
-        c.rescales,
-    ] {
-        b.put_u64_le(v as u64);
-    }
-    b.put_u32_le(plan.blocks.len() as u32);
-    for (&(i, j), diags) in &plan.blocks {
-        b.put_u32_le(i);
-        b.put_u32_le(j);
-        b.put_u32_le(diags.len() as u32);
-        for &k in diags {
-            b.put_u32_le(k);
-        }
-    }
-    b.freeze()
-}
-
-/// Deserializes a plan; returns `None` on malformed input.
-pub fn plan_from_bytes(mut data: Bytes) -> Option<LinearPlan> {
-    if data.remaining() < 8 || &data.copy_to_bytes(8)[..] != MAGIC {
-        return None;
-    }
-    if data.remaining() < 8 + 4 * 3 + 8 * 6 + 4 {
-        return None;
-    }
-    let slots = data.get_u64_le() as usize;
-    let in_blocks = data.get_u32_le() as usize;
-    let out_blocks = data.get_u32_le() as usize;
-    let n1 = data.get_u32_le() as usize;
-    let mut vals = [0usize; 6];
-    for v in vals.iter_mut() {
-        *v = data.get_u64_le() as usize;
-    }
-    let counts = PlanCounts {
-        hoists: vals[0],
-        baby_rots: vals[1],
-        giant_rots: vals[2],
-        pmults: vals[3],
-        moddowns: vals[4],
-        rescales: vals[5],
-    };
-    let n_blocks = data.get_u32_le() as usize;
-    let mut blocks = BTreeMap::new();
-    for _ in 0..n_blocks {
-        if data.remaining() < 12 {
-            return None;
-        }
-        let i = data.get_u32_le();
-        let j = data.get_u32_le();
-        let len = data.get_u32_le() as usize;
-        if data.remaining() < 4 * len {
-            return None;
-        }
-        let diags: Vec<u32> = (0..len).map(|_| data.get_u32_le()).collect();
-        blocks.insert((i, j), diags);
-    }
-    Some(LinearPlan {
-        slots,
-        in_blocks,
-        out_blocks,
-        n1,
-        blocks,
-        counts,
-    })
-}
-
-/// Writes a plan to a file.
-pub fn save_plan(plan: &LinearPlan, path: &Path) -> Result<(), StoreError> {
-    let mut f = std::fs::File::create(path)?;
-    f.write_all(&plan_to_bytes(plan))?;
-    Ok(())
-}
-
-/// Reads a plan from a file.
-pub fn load_plan(path: &Path) -> Result<LinearPlan, StoreError> {
-    let mut f = std::fs::File::open(path)?;
-    let mut buf = Vec::new();
-    f.read_to_end(&mut buf)?;
-    plan_from_bytes(Bytes::from(buf)).ok_or_else(|| StoreError::malformed("plan file"))
 }
 
 /// On-disk cache of diagonal value blocks: each `(out_block, in_block)`
@@ -441,51 +341,6 @@ fn get_plaintext(data: &mut Bytes) -> Option<Plaintext> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::layout::TensorLayout;
-    use crate::plan::{conv_plan, ConvSpec};
-
-    fn sample_plan() -> LinearPlan {
-        let in_l = TensorLayout::raster(2, 8, 8);
-        let spec = ConvSpec {
-            co: 4,
-            ci: 2,
-            kh: 3,
-            kw: 3,
-            stride: 2,
-            padding: 1,
-            dilation: 1,
-            groups: 1,
-        };
-        conv_plan(&in_l, &spec, 128).0
-    }
-
-    #[test]
-    fn plan_bytes_roundtrip() {
-        let plan = sample_plan();
-        let restored = plan_from_bytes(plan_to_bytes(&plan)).unwrap();
-        assert_eq!(restored.slots, plan.slots);
-        assert_eq!(restored.n1, plan.n1);
-        assert_eq!(restored.blocks, plan.blocks);
-        assert_eq!(restored.counts, plan.counts);
-    }
-
-    #[test]
-    fn plan_file_roundtrip() {
-        let plan = sample_plan();
-        let dir = std::env::temp_dir().join("orion_store_test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("conv1.plan");
-        save_plan(&plan, &path).unwrap();
-        let restored = load_plan(&path).unwrap();
-        assert_eq!(restored.blocks, plan.blocks);
-        std::fs::remove_file(path).ok();
-    }
-
-    #[test]
-    fn malformed_bytes_rejected() {
-        assert!(plan_from_bytes(Bytes::from_static(b"garbage")).is_none());
-        assert!(plan_from_bytes(Bytes::from_static(b"ORIONPL1short")).is_none());
-    }
 
     #[test]
     fn prepared_block_and_meta_roundtrip() {

@@ -114,6 +114,10 @@ impl DenseDiagSource {
 }
 
 impl DiagSource for DenseDiagSource {
+    /// The hybrid embedding's one formula: under row fold `R`,
+    /// `d_k[t] = W[t mod R][col((t + k) mod S)]` over all `S` slots (zero
+    /// where the row is past `n_out` or the column names no feature). With
+    /// `R = S` this is the plain diagonal of the zero-padded square block.
     fn block_diags(&self, plan: &LinearPlan, i_blk: u32, j_blk: u32) -> HashMap<u32, Vec<f64>> {
         let slots = plan.slots;
         let n1 = plan.n1;
@@ -122,24 +126,23 @@ impl DiagSource for DenseDiagSource {
         let Some(diags) = plan.blocks.get(&(i_blk, j_blk)) else {
             return out;
         };
+        let row0 = i_blk as usize * slots;
+        let rows = plan.fold.min(self.n_out.saturating_sub(row0));
         for &k in diags {
             let j = (k as usize) / n1;
             let pre_rot = (j * n1) % slots;
             let mut vec = vec![0.0; slots];
             let mut any = false;
-            for r0 in 0..slots {
-                let row = i_blk as usize * slots + r0;
-                if row >= self.n_out {
-                    break;
-                }
-                let col = j_blk as usize * slots + (r0 + k as usize) % slots;
-                if col >= self.col_to_feature.len() {
-                    continue;
-                }
-                if let Some(feat) = self.col_to_feature[col] {
-                    let w = self.weights.data()[row * n_feat + feat];
+            for copy in (0..slots).step_by(plan.fold) {
+                for r in 0..rows {
+                    let t = copy + r;
+                    let col = j_blk as usize * slots + (t + k as usize) % slots;
+                    let Some(&Some(feat)) = self.col_to_feature.get(col) else {
+                        continue;
+                    };
+                    let w = self.weights.data()[(row0 + r) * n_feat + feat];
                     if w != 0.0 {
-                        vec[(r0 + pre_rot) % slots] = w;
+                        vec[(t + pre_rot) % slots] = w;
                         any = true;
                     }
                 }

@@ -2,7 +2,7 @@
 //! setup-time encodings and parallel group scheduling, but the modular
 //! arithmetic is exact — so on the *same* input ciphertext it must be
 //! **bit-for-bit** identical to `exec_fhe`, on a convolution and on a
-//! dense layer, including the spill-to-disk round trip.
+//! (row-folded) dense layer, including the spill-to-disk round trip.
 
 use orion_ckks::encoder::Encoder;
 use orion_ckks::encrypt::{Ciphertext, Decryptor, Encryptor};
@@ -163,5 +163,31 @@ fn prepared_dense_is_bit_exact() {
     let mut h = setup(&plan.rotation_steps(), 602);
     let input: Vec<f64> = (0..256).map(|_| rng.gen_range(-1.0..1.0)).collect();
     let packed = in_l.pack(&input);
-    run_both(&mut h, &plan, &src, Some(&bias_blocks), &packed, 1, "dense");
+    // 256 → 10 at S = 512 folds (R = 16): the shared tail's rotate-and-sum
+    // steps and the R-periodic bias ride both paths.
+    assert!(plan.fold < slots, "the dense case must cover a folded plan");
+    let prepared = run_both(&mut h, &plan, &src, Some(&bias_blocks), &packed, 1, "dense");
+
+    let dir = std::env::temp_dir().join("orion_prepared_exec_dense_test");
+    let store = DiagStore::open(&dir).unwrap();
+    prepared.spill(&store, "dense").unwrap();
+    let reloaded = PreparedLayer::load(&store, "dense").unwrap();
+    let mut chunk = packed.clone();
+    chunk.resize(slots, 0.0);
+    let pt = h.enc.encode(&chunk, h.ctx.scale(), 1, false);
+    let ct = h.encryptor.encrypt(&pt, &mut h.rng);
+    let fctx = FheLinearContext {
+        eval: &h.eval,
+        enc: &h.enc,
+    };
+    let on_the_fly = exec_fhe(
+        &fctx,
+        &plan,
+        &src,
+        Some(&bias_blocks),
+        std::slice::from_ref(&ct),
+    );
+    let from_disk = exec_fhe_prepared(&fctx, &plan, &reloaded, std::slice::from_ref(&ct));
+    assert_bit_exact(&on_the_fly, &from_disk, "dense reloaded");
+    std::fs::remove_dir_all(dir).ok();
 }

@@ -1,9 +1,9 @@
 //! [`PlainBackend`]: the cleartext rotation-algebra oracle.
 //!
 //! Linear layers run through the *exact* executor rotation algebra
-//! (`orion_linear::exec_plain_parallel`: hoisted baby steps, pre-rotated
-//! diagonals, giant-step group rotations — fanned out on the shared rayon
-//! pool) instead of the reference convolution, making this engine the
+//! (`orion_linear::exec_plain_parallel_shared`: hoisted baby steps,
+//! pre-rotated diagonals, giant-step group rotations, row fold — fanned out
+//! on the shared rayon pool) instead of the reference convolution, making this engine the
 //! correctness oracle for the packing math end-to-end. Activations are
 //! evaluated with the same fitted polynomials as the other engines;
 //! level bookkeeping mirrors the placement policy so the [`Counting`]
@@ -13,7 +13,7 @@
 
 use crate::backend::{run_program, Counting, EvalBackend, LinearRef};
 use crate::compile::Compiled;
-use orion_linear::exec::{exec_plain_parallel, exec_plain_parallel_shared, shared_rot_plain};
+use orion_linear::exec::{exec_plain_parallel_shared, shared_rot_plain};
 use orion_linear::values::{BiasValues, ConvDiagSource, DenseDiagSource};
 use orion_poly::cheb::ChebPoly;
 use orion_sim::OpCounter;
@@ -188,59 +188,7 @@ impl EvalBackend for PlainBackend {
         inputs: &[PlainCiphertext],
         level: usize,
     ) -> Vec<PlainCiphertext> {
-        let slots = self.slots;
-        let blocks: Vec<Vec<f64>> = inputs.iter().map(|ct| ct.slots.clone()).collect();
-        let (out_blocks, bias_blocks) = match layer {
-            LinearRef::Conv {
-                plan,
-                spec,
-                weight,
-                bias,
-                in_l,
-                out_l,
-                ..
-            } => {
-                let src = ConvDiagSource {
-                    in_l: **in_l,
-                    out_l: **out_l,
-                    spec: **spec,
-                    weights: weight,
-                };
-                (
-                    exec_plain_parallel(plan, &src, &blocks),
-                    BiasValues::conv(out_l, bias, slots),
-                )
-            }
-            LinearRef::Dense {
-                plan,
-                weight,
-                bias,
-                in_l,
-                n_out,
-                ..
-            } => {
-                let src = DenseDiagSource::new((*weight).clone(), in_l);
-                (
-                    exec_plain_parallel(plan, &src, &blocks),
-                    BiasValues::dense(*n_out, bias, slots),
-                )
-            }
-        };
-        out_blocks
-            .into_iter()
-            .enumerate()
-            .map(|(b, mut block)| {
-                if let Some(bias) = bias_blocks.get(b) {
-                    for (x, &v) in block.iter_mut().zip(bias) {
-                        *x += v;
-                    }
-                }
-                PlainCiphertext {
-                    slots: block,
-                    level: level - 1,
-                }
-            })
-            .collect()
+        self.linear_layer_shared(layer, inputs, level, &Self::SharedRot::new())
     }
 
     fn hoist_rotations(
@@ -303,7 +251,8 @@ impl EvalBackend for PlainBackend {
             .enumerate()
             .map(|(b, mut block)| {
                 if let Some(bias) = bias_blocks.get(b) {
-                    for (x, &v) in block.iter_mut().zip(bias) {
+                    // a folded dense output block is R-periodic, bias too
+                    for (x, v) in block.iter_mut().zip(layer.plan().periodic(bias)) {
                         *x += v;
                     }
                 }

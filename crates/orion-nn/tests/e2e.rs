@@ -4,7 +4,7 @@
 
 use orion_ckks::precision::precision_bits;
 use orion_ckks::CkksParams;
-use orion_nn::compile::{compile, CompileOptions};
+use orion_nn::compile::{compile, CompileOptions, Step};
 use orion_nn::fhe_exec::{run_fhe, FheSession};
 use orion_nn::fit::{fit, fixed_ranges};
 use orion_nn::network::Network;
@@ -150,6 +150,69 @@ fn fhe_conv_silu_network_end_to_end() {
     let reference = net.forward_poly(&input, &compiled.acts);
     let prec = run.precision_vs(&reference);
     assert!(prec > 8.0, "FHE conv net too imprecise: {prec} bits");
+}
+
+#[test]
+fn fhe_folded_dense_feeds_a_range_fitted_activation() {
+    // dense (row-folded) → SiLU → dense on real CKKS, with a bias far
+    // larger than the SiLU's fitted range: inputs sit within 1 % of 1 and
+    // each bias cancels its row's weight sum (hundreds), leaving outputs
+    // of a few units. The fold leaves S/R copies of the output block and
+    // the SiLU evaluates its Chebyshev polynomial on every slot. A copy
+    // holding "y without bias" would sit dozens of range-widths outside
+    // the fitted interval, where T₁₅ outgrows the modulus and the wrapped
+    // coefficients corrupt every slot; with the bias replicated at period
+    // R every copy equals a real output and stays in range.
+    let params = CkksParams {
+        max_level: 8,
+        boot_levels: 2,
+        ..CkksParams::tiny()
+    };
+    let mut rng = StdRng::seed_from_u64(108);
+    let near_one = |rng: &mut StdRng| {
+        Tensor::from_vec(
+            &[1, 8, 8],
+            (0..64).map(|_| rng.gen_range(0.99..1.01)).collect(),
+        )
+    };
+    let w1 = Tensor::from_vec(
+        &[16, 64],
+        (0..16 * 64).map(|_| rng.gen_range(-50.0..50.0)).collect(),
+    );
+    let b1: Vec<f64> = w1
+        .data()
+        .chunks(64)
+        .map(|row| -row.iter().sum::<f64>())
+        .collect();
+    let smallest_bias = b1.iter().fold(f64::INFINITY, |m, b| m.min(b.abs()));
+    let mut net = Network::new(1, 8, 8);
+    let x = net.input();
+    let f = net.flatten("flat", x);
+    let l1 = net.linear_with("fc1", f, w1, b1);
+    let a = net.silu("act", l1, 15);
+    let l2 = net.linear("fc2", a, 4, &mut rng);
+    net.output(l2);
+
+    let samples: Vec<Tensor> = (0..4).map(|_| near_one(&mut rng)).collect();
+    let fitres = fit(&net, &samples);
+    let range = fitres.ranges[&a];
+    assert!(
+        smallest_bias > range,
+        "every bias must exceed the fitted range: {smallest_bias} vs {range}"
+    );
+    let opts = CompileOptions::from_params(&params);
+    let compiled = compile(&net, &fitres, &opts);
+    let folded = compiled
+        .prog
+        .iter()
+        .any(|node| matches!(&node.step, Step::Dense { plan, .. } if plan.fold < plan.slots));
+    assert!(folded, "fc1 (64 → 16 at S = 512) must fold");
+    let session = FheSession::new(params, &compiled, 109);
+    let input = near_one(&mut rng);
+    let run = run_fhe(&compiled, &session, &input);
+    let reference = net.forward_poly(&input, &compiled.acts);
+    let prec = run.precision_vs(&reference);
+    assert!(prec > 8.0, "folded dense → SiLU too imprecise: {prec} bits");
 }
 
 #[test]

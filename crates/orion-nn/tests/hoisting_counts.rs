@@ -2,12 +2,16 @@
 //! decompositions per linear layer, and the `Counting` decorator must see
 //! the drop: conv layers (sparse diagonal structure) hoist *every*
 //! rotation, so an executed conv network performs zero full `HRot`s and
-//! exactly one `Hoist` per rotating input block.
+//! exactly one `Hoist` per rotating input block. Dense layers embed with
+//! the hybrid (row-folded) diagonal method; the fold's rotate-and-sum steps
+//! are full `HRot`s and must show up in the executed tally.
 
+use orion_ckks::CkksParams;
 use orion_nn::backend::{run_program, Counting};
-use orion_nn::backends::TraceBackend;
+use orion_nn::backends::{CkksBackend, TraceBackend};
 use orion_nn::compile::{compile, CompileOptions, Step};
-use orion_nn::fit::fixed_ranges;
+use orion_nn::fhe_exec::FheSession;
+use orion_nn::fit::{fit, fixed_ranges};
 use orion_nn::network::Network;
 use orion_sim::counter::OpKind;
 use orion_sim::CostModel;
@@ -172,4 +176,73 @@ fn dense_layer_decompositions_stay_below_giant_step_count() {
             );
         }
     }
+}
+
+#[test]
+fn lola_on_the_real_engine_counts_its_fold_rotations() {
+    // The repo benchmark's setting: zoo `lola` at `CkksParams::small()`
+    // (N = 2¹², S = 2048). Both dense layers fold — fc1 (100 × 980 over the
+    // 1568-slot multiplexed conv output) to R = 128, fc2 (10 × 100) to
+    // R = 16 — and the tally of an inference on the real CKKS engine is the
+    // plans' counts, fold rotations included.
+    let params = CkksParams::small();
+    let mut rng = StdRng::seed_from_u64(0x101a);
+    let mut net = Network::new(1, 28, 28);
+    let x = net.input();
+    let c1 = net.conv2d("conv1", x, 5, 5, 2, 2, 1, &mut rng);
+    let a1 = net.square("act1", c1);
+    let f = net.flatten("flat", a1);
+    let l1 = net.linear("fc1", f, 100, &mut rng);
+    let a2 = net.square("act2", l1);
+    let l2 = net.linear("fc2", a2, 10, &mut rng);
+    net.output(l2);
+    let image = |rng: &mut StdRng| {
+        Tensor::from_vec(
+            &[1, 28, 28],
+            (0..784).map(|_| rng.gen_range(0.0..1.0)).collect(),
+        )
+    };
+    let samples: Vec<Tensor> = (0..2).map(|_| image(&mut rng)).collect();
+    let c = compile(
+        &net,
+        &fit(&net, &samples),
+        &CompileOptions::from_params(&params),
+    );
+
+    let (mut hrot, mut hoisted, mut pmult, mut fold_rots) = (0, 0, 0, 0);
+    let mut folds = Vec::new();
+    for node in c.prog.iter() {
+        if let Step::Conv { plan, .. } | Step::Dense { plan, .. } = &node.step {
+            hrot += plan.counts.giant_rots as u64;
+            hoisted += plan.counts.baby_rots as u64;
+            pmult += plan.counts.pmults as u64;
+            fold_rots += plan.fold_steps().count() as u64;
+            if matches!(node.step, Step::Dense { .. }) {
+                folds.push((plan.fold, plan.n1));
+            }
+        }
+    }
+    assert_eq!(folds, vec![(128, 32), (16, 8)]);
+    assert_eq!(fold_rots, 4 + 7);
+    assert_eq!((hrot, hoisted, pmult), (15, 98, 205));
+    assert_eq!(c.rotation_steps().len(), 90, "one key per distinct step");
+
+    let session = FheSession::new(params, &c, 0x101b);
+    let backend = Counting::new(
+        CkksBackend::new(&session),
+        c.opts.cost.clone(),
+        c.opts.l_eff,
+    );
+    let input = image(&mut rng);
+    let run = run_program(&c, &backend, &input);
+    let ctr = backend.counter();
+    assert_eq!(ctr.count(OpKind::HRot), hrot);
+    assert_eq!(ctr.count(OpKind::HRotHoisted), hoisted);
+    assert_eq!(ctr.count(OpKind::PMult), pmult);
+    let reference = net.forward_poly(&input, &c.acts);
+    let bits = orion_ckks::precision::precision_bits(run.output.data(), reference.data());
+    assert!(
+        bits > 10.0,
+        "folded lola too imprecise on CKKS: {bits} bits"
+    );
 }

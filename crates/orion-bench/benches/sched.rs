@@ -1,10 +1,6 @@
-//! Wire-level scheduler: sequential vs wave-synchronized vs event-driven
-//! dataflow execution of the same compiled programs on real CKKS, with a
-//! machine-readable summary written to `target/sched_bench.json`. The
-//! `*_event_vs_waves` fields document PR 5's claim: retiring the
-//! per-frontier barrier must not slow the parallel walk down
-//! (bootstrap-heavy plans should speed up — a straggling bootstrap no
-//! longer stalls every other ready chain).
+//! Wire-level scheduler: sequential vs event-driven dataflow execution of
+//! the same compiled programs on real CKKS, with a machine-readable summary
+//! written to `target/sched_bench.json`.
 //!
 //! Two programs are measured, both served from a prepared + memory-capped
 //! paged weight source (the serving hot path) — see
@@ -21,9 +17,8 @@ use orion_nn::sched::SchedMode;
 use orion_sim::{OpCounter, OpKind};
 use serde::Value;
 
-const MODES: [(&str, SchedMode); 3] = [
+const MODES: [(&str, SchedMode); 2] = [
     ("sequential", SchedMode::Sequential),
-    ("parallel_waves", SchedMode::ParallelWaves),
     ("parallel", SchedMode::Parallel),
 ];
 
@@ -55,24 +50,12 @@ fn main() {
     let round2 = |x: f64| (x * 100.0).round() / 100.0;
     for group in ["serve_e2e", "nonlinear"] {
         let seq = median(&format!("{group}/sequential"));
-        let waves = median(&format!("{group}/parallel_waves"));
         let par = median(&format!("{group}/parallel"));
         let speedup = seq / par;
-        // the PR 5 claim: retiring the wave barrier must not cost latency
-        // (> 1.0 means the event-driven walk is faster than the waves)
-        let event_vs_waves = waves / par;
-        println!(
-            "{group}: seq {seq:.0} ns, waves {waves:.0} ns, event {par:.0} ns, \
-             {speedup:.2}x vs seq, {event_vs_waves:.2}x vs waves"
-        );
+        println!("{group}: seq {seq:.0} ns, event {par:.0} ns, {speedup:.2}x vs seq");
         fields.push((format!("{group}_sequential_ns"), Value::Num(seq)));
-        fields.push((format!("{group}_parallel_waves_ns"), Value::Num(waves)));
         fields.push((format!("{group}_parallel_ns"), Value::Num(par)));
         fields.push((format!("{group}_speedup"), Value::Num(round2(speedup))));
-        fields.push((
-            format!("{group}_event_vs_waves"),
-            Value::Num(round2(event_vs_waves)),
-        ));
     }
     // Plan-optimizer ratios: unoptimized / optimized op tallies of the
     // residual-fork models (≥ 1.0 by construction; strictly > 1.0 for

@@ -1,6 +1,7 @@
 //! Shared helpers for the table/figure harnesses.
 //!
-//! Each paper artifact has a dedicated binary (see DESIGN.md §4):
+//! Each paper artifact has a dedicated binary (see README, "Reproducing
+//! paper artifacts"):
 //!
 //! | artifact | binary |
 //! |---|---|

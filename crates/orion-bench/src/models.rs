@@ -7,7 +7,7 @@ use criterion::Criterion;
 use orion_ckks::CkksParams;
 use orion_linear::paged::{LayerSource, PagedProgram};
 use orion_linear::store::DiagStore;
-use orion_nn::backend::{run_program_mode, run_program_opt, Counting};
+use orion_nn::backend::{run_program_mode, run_program_opt};
 use orion_nn::backends::{CkksBackend, PlainBackend};
 use orion_nn::compile::{compile, CompileOptions, Compiled};
 use orion_nn::fhe_exec::FheSession;
@@ -292,19 +292,18 @@ pub fn opt_comparison(net: &Network, shape: (usize, usize, usize)) -> OptCompari
         &[ch, h, w],
         (0..ch * h * w).map(|_| rng.gen_range(-0.5..0.5)).collect(),
     );
-    let noopt = Counting::new(PlainBackend::new(&c), opts.cost.clone(), opts.l_eff);
-    run_program_mode(&c, &noopt, &input, SchedMode::Sequential);
-    let opt = Counting::new(PlainBackend::new(&c), opts.cost.clone(), opts.l_eff);
-    let (_, stats) = run_program_opt(
+    let backend = PlainBackend::new(&c);
+    let noopt = run_program_mode(&c, &backend, &input, SchedMode::Sequential);
+    let (opt, stats) = run_program_opt(
         &c,
-        &opt,
+        &backend,
         &input,
         SchedMode::Sequential,
         OptConfig::default(),
     );
     OptComparison {
-        noopt: noopt.counter(),
-        opt: opt.counter(),
+        noopt: noopt.counter,
+        opt: opt.counter,
         stats,
         boot_count: c.placement.boot_count,
     }

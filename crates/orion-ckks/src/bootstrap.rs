@@ -1,4 +1,4 @@
-//! The bootstrap substitute (see DESIGN.md §2).
+//! The bootstrap substitute (see README, "Substitutions").
 //!
 //! The paper's backend (Lattigo) implements full CKKS bootstrapping —
 //! ModRaise, CoeffToSlot, EvalMod, SlotToCoeff — consuming `L_boot ≈ 13–15`

@@ -20,7 +20,8 @@ use orion_telemetry::{time_class, OpClass};
 /// key-switch inner products.
 ///
 /// Because each digit is a *single-limb* value (`< q_i`), basis extension
-/// is exact integer reduction — no approximate CRT is needed (DESIGN.md).
+/// is exact integer reduction — no approximate CRT is needed (README,
+/// "Kernel layer").
 pub fn decompose_digits(ctx: &Context, c: &RnsPoly) -> Vec<RnsPoly> {
     assert_eq!(c.form, Form::Eval);
     assert!(!c.has_special());

@@ -1,7 +1,7 @@
 //! Key material: secret, public, relinearization, and rotation keys.
 //!
 //! Key-switching keys use per-limb digit decomposition with one special
-//! prime `p` (DESIGN.md §5): the key for re-keying `s' → s` has one part
+//! prime `p` (README, "Kernel layer"): the key for re-keying `s' → s` has one part
 //! per chain limb `i`, each a pair over the extended basis `{q_0…q_L, p}`
 //! encrypting `p·D_i·s'` where `D_i ≡ δ_ij (mod q_j)`.
 

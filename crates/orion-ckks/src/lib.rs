@@ -18,7 +18,8 @@
 //! * [`hoist`] — hoisted rotations (shared digit decomposition) and the
 //!   lazy-ModDown accumulator that implements double-hoisting (paper §3.3),
 //! * [`bootstrap`] — the bootstrap substitute: a key-holding oracle that
-//!   resets levels with bootstrap-faithful precision loss (see DESIGN.md),
+//!   resets levels with bootstrap-faithful precision loss (see README,
+//!   "Substitutions"),
 //! * [`precision`] — output-precision measurement (paper §7, "Prec. (b)").
 //!
 //! # Security note

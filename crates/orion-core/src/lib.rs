@@ -32,7 +32,7 @@ use std::sync::Arc;
 pub use orion_linear::paged::{LayerSource, PageStats, PagedProgram};
 pub use orion_linear::prepared::{PreparedLayer, PreparedProgram as Prepared};
 pub use orion_linear::store::{DiagStore, StoreError};
-pub use orion_nn::backend::{run_program, run_program_mode, Counting, EvalBackend};
+pub use orion_nn::backend::{run_program, run_program_mode, EvalBackend};
 pub use orion_nn::backends::{CkksBackend, PlainBackend, TraceBackend};
 pub use orion_nn::compile::Step;
 pub use orion_nn::fhe_exec::FheSession as Session;
@@ -109,7 +109,10 @@ impl Orion {
     /// rayon pool (each inference builds its own engine; results are in
     /// input order).
     pub fn run_batch(&self, compiled: &Compiled, inputs: &[Tensor]) -> Vec<TraceRun> {
-        trace_inference_batch(compiled, inputs)
+        inputs
+            .par_iter()
+            .map(|input| run_trace(compiled, input))
+            .collect()
     }
 
     /// One-time setup of the serving path: encodes every linear layer's
@@ -117,7 +120,7 @@ impl Orion {
     /// placement-assigned levels (the paper's offline weight artifacts,
     /// §6). The returned cache is `Arc`-shared — hand clones of it to any
     /// number of concurrent [`fhe_inference_prepared`] /
-    /// [`fhe_inference_batch`] calls.
+    /// [`fhe_inference_batch_prepared`] calls.
     pub fn prepare_fhe(&self, compiled: &Compiled, session: &FheSession) -> Arc<PreparedProgram> {
         // Pre-flight: with the session's concrete parameters in hand the
         // noise-budget pass joins the structural ones; a program that
@@ -161,15 +164,6 @@ pub fn plain_inference(compiled: &Compiled, input: &Tensor) -> PlainRun {
     run_plain(compiled, input)
 }
 
-/// Trace inference over a batch of inputs, parallel across the shared
-/// rayon pool. Results are in input order.
-pub fn trace_inference_batch(compiled: &Compiled, inputs: &[Tensor]) -> Vec<TraceRun> {
-    inputs
-        .par_iter()
-        .map(|input| run_trace(compiled, input))
-        .collect()
-}
-
 /// Runs a compiled program under real CKKS serving from a prepared cache
 /// (zero per-inference weight encodes; see [`Orion::prepare_fhe`]).
 pub fn fhe_inference_prepared(
@@ -182,24 +176,12 @@ pub fn fhe_inference_prepared(
 }
 
 /// Real-CKKS inference over a batch of inputs sharing one session's key
-/// material, parallel across the shared rayon pool (the evaluator is
-/// read-only during execution, the session RNG is internally synchronized,
-/// and the bootstrap oracle is a deterministic per-ciphertext function —
-/// each inference additionally runs as a wire-level parallel dataflow
-/// plan). The weight cache is built **once** and shared
-/// by every inference in the batch, so the per-request encode cost is
-/// amortized to zero. Results are in input order.
-pub fn fhe_inference_batch(
-    compiled: &Compiled,
-    session: &FheSession,
-    inputs: &[Tensor],
-) -> Vec<FheRun> {
-    let prepared = session.prepare(compiled);
-    fhe_inference_batch_prepared(compiled, session, &prepared, inputs)
-}
-
-/// Batch inference against an already-built prepared cache (the serving
-/// hot path: setup cost fully off the request path).
+/// material and one already-built prepared cache (the serving hot path:
+/// setup cost fully off the request path), parallel across the shared
+/// rayon pool — the evaluator is read-only during execution, the session
+/// RNG is internally synchronized, and the bootstrap oracle is a
+/// deterministic per-ciphertext function; each inference additionally runs
+/// as a wire-level parallel dataflow plan. Results are in input order.
 pub fn fhe_inference_batch_prepared(
     compiled: &Compiled,
     session: &FheSession,

@@ -5,12 +5,17 @@
 //! giant-step group rotations) — it is the correctness oracle for the
 //! packing math, compared against reference convolutions in tests.
 //!
-//! [`exec_fhe`] is the real thing: double-hoisted BSGS over CKKS
-//! ciphertexts (paper Equation (1)). Baby-step rotations share one digit
-//! decomposition per input ciphertext; giant-step groups accumulate in the
-//! extended basis with one deferred ModDown each. Weights are encoded at
-//! prime scale so each linear layer consumes exactly one level and returns
-//! the ciphertext scale to precisely Δ.
+//! [`exec_bsgs`] is the real thing, and the only copy of it: double-hoisted
+//! BSGS over CKKS ciphertexts (paper Equation (1)). Baby-step rotations
+//! share one digit decomposition per rotating input ciphertext
+//! ([`SharedRotations`], private to the call or shared across the layers
+//! reading one wire); giant-step groups accumulate in the extended basis
+//! with one deferred ModDown each. Weights come encoded at prime scale in a
+//! [`PreparedLayer`], so each linear layer consumes exactly one level and
+//! returns the ciphertext scale to precisely Δ. [`exec_fhe_prepared`] is the
+//! call with a setup-time cache and a private hoist, [`exec_fhe`] the call
+//! that encodes the layer first; [`exec_fhe_unhoisted`] is the independent
+//! reference the tests hold the body to.
 
 use crate::plan::LinearPlan;
 use crate::prepared::PreparedLayer;
@@ -40,8 +45,8 @@ fn add_rotated(out: &mut [f64], v: &[f64], k: usize) {
     }
 }
 
-/// One output block of a plan on cleartext slots — the body every plain
-/// executor shares: BSGS over the block's diagonals with `rotated(j_blk, i)`
+/// One output block of a plan on cleartext slots — the body both plain
+/// executors share: BSGS over the block's diagonals with `rotated(j_blk, i)`
 /// supplying the baby-step rotations, then the giant-step rotations, the
 /// sum, and the row fold's rotate-and-sum steps.
 fn plain_block<'a>(
@@ -78,20 +83,6 @@ fn plain_block<'a>(
     out
 }
 
-/// Executes a plan on cleartext slot blocks with output ciphertexts fanned
-/// out over the shared rayon pool (paper §4.3: "each block performs
-/// independent work and is well-suited for parallel execution across
-/// multiple threads"). Unlike the earlier scope-per-call implementation,
-/// no threads are spawned here — block jobs are scheduled onto the same
-/// bounded pool the limb-parallel RNS engine uses.
-pub fn exec_plain_parallel(
-    plan: &LinearPlan,
-    source: &(dyn DiagSource + Sync),
-    inputs: &[Vec<f64>],
-) -> Vec<Vec<f64>> {
-    exec_plain_parallel_shared(plan, source, inputs, &HashMap::new())
-}
-
 /// Executes a plan on cleartext slot blocks.
 pub fn exec_plain(
     plan: &LinearPlan,
@@ -106,6 +97,46 @@ pub fn exec_plain(
             })
         })
         .collect()
+}
+
+/// Cleartext counterpart of [`SharedRotations`]: pre-rotated slot vectors
+/// per `(input block, amount)`, shared across every plain consumer of the
+/// wire. `rot_plain` is deterministic, so sharing is trivially exact.
+pub fn shared_rot_plain(
+    inputs: &[Vec<f64>],
+    rots: &[(u32, usize)],
+) -> HashMap<(u32, usize), Vec<f64>> {
+    rots.iter()
+        .map(|&(j_blk, i)| ((j_blk, i), rot_plain(&inputs[j_blk as usize], i)))
+        .collect()
+}
+
+/// [`exec_plain`] with output ciphertexts fanned out over the shared rayon
+/// pool (paper §4.3: "each block performs independent work and is
+/// well-suited for parallel execution across multiple threads"), reading
+/// non-zero baby-step rotations from a shared pre-rotated map (see
+/// [`shared_rot_plain`]); a rotation the map lacks is computed locally.
+pub fn exec_plain_parallel_shared(
+    plan: &LinearPlan,
+    source: &(dyn DiagSource + Sync),
+    inputs: &[Vec<f64>],
+    shared: &HashMap<(u32, usize), Vec<f64>>,
+) -> Vec<Vec<f64>> {
+    assert_eq!(inputs.len(), plan.in_blocks);
+    let mut out = vec![Vec::new(); plan.out_blocks];
+    out.par_iter_mut()
+        .enumerate()
+        .for_each(|(i_out, out_block)| {
+            *out_block = plain_block(plan, source, i_out, |j_blk, i| {
+                let input = &inputs[j_blk as usize];
+                match shared.get(&(j_blk, i)) {
+                    _ if i == 0 => Cow::Borrowed(&input[..]),
+                    Some(r) => Cow::Borrowed(&r[..]),
+                    None => Cow::Owned(rot_plain(input, i)),
+                }
+            });
+        });
+    out
 }
 
 /// Handles bundling the CKKS evaluator and encoder for FHE execution.
@@ -129,26 +160,20 @@ fn giant_rotate(
     }
 }
 
-/// Where an executor's tail takes its plaintexts from: encoded per call
-/// (with the layer's bias blocks, if any) or the setup-time cache.
-enum TailPlaintexts<'a> {
-    Encoded(Option<&'a [Vec<f64>]>),
-    Cached(&'a PreparedLayer),
-}
-
-/// The tail every FHE executor shares. Sums the giant-rotated group
-/// results per output block in the order given, runs the row fold's
-/// rotate-and-sum steps, rescales, and adds the bias with period `R`, so
-/// the output block is exactly `R`-periodic. The fold precedes the rescale
-/// so that its key-switch errors are divided by `q_ℓ` with the rest.
+/// The tail both FHE executors share. Sums the giant-rotated group results
+/// per output block in the order given, runs the row fold's rotate-and-sum
+/// steps, rescales, and adds the bias with period `R`, so the output block
+/// is exactly `R`-periodic. The fold precedes the rescale so that its
+/// key-switch errors are divided by `q_ℓ` with the rest. The zero plaintext
+/// (for an output block no diagonal touches) and the bias come from
+/// `prepared`; the unhoisted reference has neither and encodes the zero.
 fn finish_fhe(
     ctx: &FheLinearContext<'_>,
     plan: &LinearPlan,
     inputs: &[Ciphertext],
     parts: impl IntoIterator<Item = (u32, Ciphertext)>,
-    plaintexts: TailPlaintexts<'_>,
+    prepared: Option<&PreparedLayer>,
 ) -> Vec<Ciphertext> {
-    let level = inputs[0].level();
     let mut out: Vec<Option<Ciphertext>> = vec![None; plan.out_blocks];
     for (i_blk, part) in parts {
         let slot_ref = &mut out[i_blk as usize];
@@ -162,29 +187,22 @@ fn finish_fhe(
         .map(|(i_blk, o)| {
             // an output block no diagonal touches: encrypt-free zero via
             // multiplying an input by the zero plaintext
-            let mut ct = o.unwrap_or_else(|| match &plaintexts {
-                TailPlaintexts::Encoded(_) => {
+            let mut ct = o.unwrap_or_else(|| match prepared {
+                Some(p) => ctx.eval.mul_plain(&inputs[0], &p.zero),
+                None => {
                     let zero = ctx
                         .enc
-                        .encode_at_prime_scale_ws(&vec![0.0; plan.slots], level);
+                        .encode_at_prime_scale_ws(&vec![0.0; plan.slots], inputs[0].level());
                     ctx.eval.mul_plain(&inputs[0], &zero)
                 }
-                TailPlaintexts::Cached(p) => ctx.eval.mul_plain(&inputs[0], &p.zero),
             });
             for s in plan.fold_steps() {
                 ct = ctx.eval.add(&ct, &ctx.eval.rotate(&ct, s as isize));
             }
             ctx.eval.rescale_assign(&mut ct);
-            match &plaintexts {
-                TailPlaintexts::Encoded(Some(b)) => {
-                    let bias = plan.periodic(&b[i_blk]);
-                    let pt = ctx.enc.encode(&bias, ct.scale, ct.level(), false);
-                    ctx.eval.add_plain(&ct, &pt)
-                }
-                TailPlaintexts::Cached(PreparedLayer { bias: Some(b), .. }) => {
-                    ctx.eval.add_plain(&ct, &b[i_blk])
-                }
-                _ => ct,
+            match prepared.and_then(|p| p.bias.as_ref()) {
+                Some(bias) => ctx.eval.add_plain(&ct, &bias[i_blk]),
+                None => ct,
             }
         })
         .collect()
@@ -194,7 +212,8 @@ fn finish_fhe(
 /// every baby-step rotation pays a full key-switch and diagonals are
 /// encoded on the fly. This is the ablation baseline for the paper's
 /// Table 4 mechanism ("our convolutional runtime is 11.2× faster …
-/// all ciphertext rotations in Orion are performed with double-hoisting").
+/// all ciphertext rotations in Orion are performed with double-hoisting"),
+/// and the one ciphertext implementation independent of [`exec_bsgs`].
 pub fn exec_fhe_unhoisted(
     ctx: &FheLinearContext<'_>,
     plan: &LinearPlan,
@@ -205,8 +224,7 @@ pub fn exec_fhe_unhoisted(
     let level = inputs[0].level();
     let n1 = plan.n1;
     // Rotated inputs computed with full key-switches, cached per (J, i).
-    let mut rotated: std::collections::HashMap<(u32, usize), Ciphertext> =
-        std::collections::HashMap::new();
+    let mut rotated: HashMap<(u32, usize), Ciphertext> = HashMap::new();
     let mut groups: BTreeMap<(u32, usize), Ciphertext> = BTreeMap::new();
     for (&(i_blk, j_blk), diags) in &plan.blocks {
         let vals = source.block_diags(plan, i_blk, j_blk);
@@ -231,80 +249,36 @@ pub fn exec_fhe_unhoisted(
     let parts = groups
         .into_iter()
         .map(|((i_blk, j), part)| (i_blk, giant_rotate(ctx, plan, j, part)));
-    finish_fhe(ctx, plan, inputs, parts, TailPlaintexts::Encoded(None))
+    finish_fhe(ctx, plan, inputs, parts, None)
 }
 
-/// Executes a plan homomorphically. Inputs must share one level and scale
-/// Δ; outputs are one level lower at exactly scale Δ (single-shot: even
-/// strided convolutions consume one level — paper §4).
-pub fn exec_fhe(
-    ctx: &FheLinearContext<'_>,
-    plan: &LinearPlan,
-    source: &dyn DiagSource,
-    bias: Option<&[Vec<f64>]>,
-    inputs: &[Ciphertext],
-) -> Vec<Ciphertext> {
-    assert_eq!(inputs.len(), plan.in_blocks);
-    let level = inputs[0].level();
-    let slots = plan.slots;
-    assert_eq!(
-        slots,
-        ctx.eval.context().slots(),
-        "plan/context slot mismatch"
-    );
-    let n1 = plan.n1;
-    // Hoist every input ciphertext once (shared digit decomposition), and
-    // compute each distinct baby-step rotation's key-switch inner product
-    // once in the extended basis, shared across every diagonal that uses
-    // that rotation (Bossuat et al. Algorithm 6).
-    let hoisted: Vec<HoistedDigits> = inputs
-        .iter()
-        .map(|ct| HoistedDigits::new(ctx.eval.context(), ct))
-        .collect();
-    let mut rotations: std::collections::HashMap<(u32, usize), RotatedExt> =
-        std::collections::HashMap::new();
-    // Giant-step groups with lazy ModDown.
-    let mut groups: BTreeMap<(u32, usize), ExtAccumulator> = BTreeMap::new();
-    for (&(i_blk, j_blk), diags) in &plan.blocks {
-        let vals = source.block_diags(plan, i_blk, j_blk);
-        for &k in diags {
-            let Some(d) = vals.get(&k) else { continue };
-            let i = (k as usize) % n1;
-            let j = (k as usize) / n1;
-            let pt = ctx.enc.encode_at_prime_scale_ws(d, level);
-            let rot = rotations
-                .entry((j_blk, i))
-                .or_insert_with(|| hoisted[j_blk as usize].rotate_ext(ctx.eval, i as isize));
-            let acc = groups
-                .entry((i_blk, j))
-                .or_insert_with(|| ExtAccumulator::new(ctx.eval.context(), level));
-            acc.add_pmult_rotated(ctx.eval, rot, &pt);
-        }
-    }
-    // Finalize groups and giant-rotate; the shared tail does the rest.
-    let parts = groups
-        .into_iter()
-        .map(|((i_blk, j), acc)| (i_blk, giant_rotate(ctx, plan, j, acc.finalize(ctx.eval))));
-    finish_fhe(ctx, plan, inputs, parts, TailPlaintexts::Encoded(bias))
-}
-
-/// Baby-step rotations of one wire's ciphertexts, computed once and shared
-/// by every linear consumer of the wire (cross-wire rotation CSE). Each
-/// entry is the double-hoisted key-switch inner product
-/// [`HoistedDigits::rotate_ext`] would produce — a deterministic pure
-/// function of the (dropped) ciphertext and the rotation amount, so a
-/// consumer reading the shared entry computes bit-identical results to one
-/// that hoisted privately.
+/// Baby-step rotations of one wire's ciphertexts, computed once: for one
+/// layer (the private hoist of [`exec_bsgs`]) or for every linear consumer
+/// of the wire (cross-wire rotation CSE). Each entry is the double-hoisted
+/// key-switch inner product [`HoistedDigits::rotate_ext`] produces — a
+/// deterministic pure function of the (dropped) ciphertext and the rotation
+/// amount, so a consumer reading a shared entry computes bit-identical
+/// results to one that hoisted privately.
 pub struct SharedRotations {
+    /// The digit decompositions behind `rotations`, kept until the table
+    /// drops for an allocator reason, not an algebraic one: freed at the
+    /// end of `build` — before the giant-step stage allocates — they leave
+    /// glibc trimming and re-faulting the heap top every layer
+    /// (`lola_linear` 79 → 90 ms an inference, sys share 2 → 12 %; gone
+    /// with `MALLOC_TRIM_THRESHOLD_` raised, or with the digits freed once
+    /// the layer is done, as here).
+    hoisted: HashMap<u32, HoistedDigits>,
     rotations: HashMap<(u32, usize), RotatedExt>,
 }
 
 impl SharedRotations {
     /// Hoists each input block named in `rots` once and computes every
     /// listed `(input block, amount)` rotation in the extended basis, in
-    /// parallel on the shared pool. Amounts must be non-zero (rotation by
-    /// 0 never touches the key-switch — consumers build those locally from
-    /// the ciphertexts they already hold).
+    /// parallel on the shared pool (Bossuat et al. Algorithm 6). Amounts
+    /// must be non-zero (rotation by 0 never touches the key-switch —
+    /// consumers build those locally from the ciphertexts they already
+    /// hold), so a block whose every diagonal sits on a giant step is never
+    /// decomposed.
     pub fn build(ctx: &FheLinearContext<'_>, inputs: &[Ciphertext], rots: &[(u32, usize)]) -> Self {
         let blocks: Vec<u32> = rots
             .iter()
@@ -328,7 +302,7 @@ impl SharedRotations {
                 ((j_blk, i), hoisted[&j_blk].rotate_ext(ctx.eval, i as isize))
             })
             .collect();
-        Self { rotations }
+        Self { hoisted, rotations }
     }
 
     /// The shared inner product for `(input block, amount)`.
@@ -347,70 +321,40 @@ impl SharedRotations {
     pub fn is_empty(&self) -> bool {
         self.rotations.is_empty()
     }
-}
 
-/// [`exec_fhe`] reading its non-zero baby-step rotations from a
-/// [`SharedRotations`] instead of hoisting privately — the consumer side
-/// of cross-wire rotation CSE. Bit-identical to [`exec_fhe`]: the shared
-/// entries are the same pure-function values, and the accumulation order
-/// (plan order) is unchanged.
-pub fn exec_fhe_shared(
-    ctx: &FheLinearContext<'_>,
-    plan: &LinearPlan,
-    source: &dyn DiagSource,
-    bias: Option<&[Vec<f64>]>,
-    inputs: &[Ciphertext],
-    shared: &SharedRotations,
-) -> Vec<Ciphertext> {
-    assert_eq!(inputs.len(), plan.in_blocks);
-    let level = inputs[0].level();
-    let slots = plan.slots;
-    assert_eq!(
-        slots,
-        ctx.eval.context().slots(),
-        "plan/context slot mismatch"
-    );
-    let n1 = plan.n1;
-    // Rotation-by-0 views built locally (no key-switch involved).
-    let mut identities: HashMap<u32, RotatedExt> = HashMap::new();
-    let mut groups: BTreeMap<(u32, usize), ExtAccumulator> = BTreeMap::new();
-    for (&(i_blk, j_blk), diags) in &plan.blocks {
-        let vals = source.block_diags(plan, i_blk, j_blk);
-        for &k in diags {
-            let Some(d) = vals.get(&k) else { continue };
-            let i = (k as usize) % n1;
-            let j = (k as usize) / n1;
-            let pt = ctx.enc.encode_at_prime_scale_ws(d, level);
-            let rot = if i == 0 {
-                identities
-                    .entry(j_blk)
-                    .or_insert_with(|| RotatedExt::identity(&inputs[j_blk as usize]))
-            } else {
-                shared.get(j_blk, i)
-            };
-            let acc = groups
-                .entry((i_blk, j))
-                .or_insert_with(|| ExtAccumulator::new(ctx.eval.context(), level));
-            acc.add_pmult_rotated(ctx.eval, rot, &pt);
-        }
+    /// Input blocks [`SharedRotations::build`] digit-decomposed.
+    pub fn hoisted_blocks(&self) -> usize {
+        self.hoisted.len()
     }
-    let parts = groups
-        .into_iter()
-        .map(|((i_blk, j), acc)| (i_blk, giant_rotate(ctx, plan, j, acc.finalize(ctx.eval))));
-    finish_fhe(ctx, plan, inputs, parts, TailPlaintexts::Encoded(bias))
 }
 
-/// [`exec_fhe_prepared`] reading its non-zero baby-step rotations from a
-/// [`SharedRotations`]: stage 1 (the per-consumer rotation fan-out)
-/// disappears entirely — only the rotation-by-0 views remain local — and
-/// the giant-step groups run as before. Bit-identical to the private-hoist
-/// path for the same reason as [`exec_fhe_shared`].
-pub fn exec_fhe_prepared_shared(
+/// One giant-step group's work list: `((input block, baby step), cached
+/// plaintext)` per diagonal, in plan order.
+type GroupTerms<'p> = Vec<((u32, usize), &'p Plaintext)>;
+
+/// Executes a plan homomorphically — THE double-hoisted BSGS body. Inputs
+/// must share the prepared level and scale Δ; outputs are one level lower
+/// at exactly scale Δ (single-shot: even strided convolutions consume one
+/// level — paper §4). Every plaintext comes from `prepared`; the non-zero
+/// baby-step rotations come from `shared` when the plan optimizer hoisted
+/// them once for all consumers of the wire, and from a private
+/// [`SharedRotations::build`] over [`LinearPlan::baby_rotations`] otherwise
+/// — the same pure-function values either way, so the result is
+/// bit-identical. The two expensive stages fan out on the shared rayon
+/// pool:
+///
+/// 1. the distinct baby-step `rotate_ext` key-switch inner products
+///    (inside [`SharedRotations::build`]), and
+/// 2. the per-giant-step [`ExtAccumulator`] groups (independent per
+///    `(output block, giant step)`), each finishing with its own deferred
+///    ModDown and giant rotation. Modular adds are exact, so per-group
+///    order (plan order) fixes the result bit-for-bit.
+pub fn exec_bsgs(
     ctx: &FheLinearContext<'_>,
     plan: &LinearPlan,
     prepared: &PreparedLayer,
     inputs: &[Ciphertext],
-    shared: &SharedRotations,
+    shared: Option<&SharedRotations>,
 ) -> Vec<Ciphertext> {
     assert_eq!(inputs.len(), plan.in_blocks);
     let level = inputs[0].level();
@@ -418,12 +362,20 @@ pub fn exec_fhe_prepared_shared(
         level, prepared.level,
         "inputs must arrive at the prepared level"
     );
-    let slots = plan.slots;
     assert_eq!(
-        slots,
+        plan.slots,
         ctx.eval.context().slots(),
         "plan/context slot mismatch"
     );
+    let private;
+    let rotations = match shared {
+        Some(s) => s,
+        None => {
+            let rots: Vec<(u32, usize)> = plan.baby_rotations().into_iter().collect();
+            private = SharedRotations::build(ctx, inputs, &rots);
+            &private
+        }
+    };
     let n1 = plan.n1;
     let mut zero_blocks: BTreeSet<u32> = BTreeSet::new();
     let mut groups: BTreeMap<(u32, usize), GroupTerms<'_>> = BTreeMap::new();
@@ -455,150 +407,45 @@ pub fn exec_fhe_prepared_shared(
                 let rot = if i == 0 {
                     &identities[&j_blk]
                 } else {
-                    shared.get(j_blk, i)
+                    rotations.get(j_blk, i)
                 };
                 acc.add_pmult_rotated(ctx.eval, rot, pt);
             }
             (*i_blk, giant_rotate(ctx, plan, *j, acc.finalize(ctx.eval)))
         })
         .collect();
-    finish_fhe(ctx, plan, inputs, parts, TailPlaintexts::Cached(prepared))
+    finish_fhe(ctx, plan, inputs, parts, Some(prepared))
 }
 
-/// Cleartext counterpart of [`SharedRotations`]: pre-rotated slot vectors
-/// per `(input block, amount)`, shared across every plain consumer of the
-/// wire. `rot_plain` is deterministic, so sharing is trivially exact.
-pub fn shared_rot_plain(
-    inputs: &[Vec<f64>],
-    rots: &[(u32, usize)],
-) -> HashMap<(u32, usize), Vec<f64>> {
-    rots.iter()
-        .map(|&(j_blk, i)| ((j_blk, i), rot_plain(&inputs[j_blk as usize], i)))
-        .collect()
-}
-
-/// [`exec_plain_parallel`] reading non-zero baby-step rotations from a
-/// shared pre-rotated map (see [`shared_rot_plain`]); a rotation the map
-/// lacks is computed locally.
-pub fn exec_plain_parallel_shared(
+/// [`exec_bsgs`] with the weights encoded per call (the on-the-fly path):
+/// the whole layer is encoded at the inputs' level, used once and dropped.
+pub fn exec_fhe(
+    ctx: &FheLinearContext<'_>,
     plan: &LinearPlan,
     source: &(dyn DiagSource + Sync),
-    inputs: &[Vec<f64>],
-    shared: &HashMap<(u32, usize), Vec<f64>>,
-) -> Vec<Vec<f64>> {
-    assert_eq!(inputs.len(), plan.in_blocks);
-    let mut out = vec![Vec::new(); plan.out_blocks];
-    out.par_iter_mut()
-        .enumerate()
-        .for_each(|(i_out, out_block)| {
-            *out_block = plain_block(plan, source, i_out, |j_blk, i| {
-                let input = &inputs[j_blk as usize];
-                match shared.get(&(j_blk, i)) {
-                    _ if i == 0 => Cow::Borrowed(&input[..]),
-                    Some(r) => Cow::Borrowed(&r[..]),
-                    None => Cow::Owned(rot_plain(input, i)),
-                }
-            });
-        });
-    out
+    bias: Option<&[Vec<f64>]>,
+    inputs: &[Ciphertext],
+) -> Vec<Ciphertext> {
+    let prepared = PreparedLayer::build(ctx.enc, plan, source, bias, inputs[0].level());
+    exec_bsgs(ctx, plan, &prepared, inputs, None)
 }
 
-/// One giant-step group's work list: `((input block, baby step), cached
-/// plaintext)` per diagonal, in plan order.
-type GroupTerms<'p> = Vec<((u32, usize), &'p Plaintext)>;
-
-/// Executes a plan homomorphically from a [`PreparedLayer`]: identical
-/// math to [`exec_fhe`] (modular arithmetic is exact, so the result is
-/// bit-for-bit the same) but with **zero plaintext encodes** — every
-/// diagonal, bias block, and the zero plaintext come from the setup-time
-/// cache — and with the two expensive per-request stages fanned out on the
-/// shared rayon pool:
-///
-/// 1. the distinct baby-step `rotate_ext` key-switch inner products
-///    (independent per `(input block, baby step)`), and
-/// 2. the per-giant-step [`ExtAccumulator`] groups (independent per
-///    `(output block, giant step)`), each finishing with its own deferred
-///    ModDown and giant rotation.
-///
-/// This lands the ROADMAP "per-wire (intra-inference) parallel scheduling"
-/// item for linear layers — the dominant cost of a served inference.
+/// [`exec_bsgs`] from a setup-time [`PreparedLayer`] with a private hoist:
+/// **zero plaintext encodes** per request — the serving path.
 pub fn exec_fhe_prepared(
     ctx: &FheLinearContext<'_>,
     plan: &LinearPlan,
     prepared: &PreparedLayer,
     inputs: &[Ciphertext],
 ) -> Vec<Ciphertext> {
-    assert_eq!(inputs.len(), plan.in_blocks);
-    let level = inputs[0].level();
-    assert_eq!(
-        level, prepared.level,
-        "inputs must arrive at the prepared level"
-    );
-    let slots = plan.slots;
-    assert_eq!(
-        slots,
-        ctx.eval.context().slots(),
-        "plan/context slot mismatch"
-    );
-    let n1 = plan.n1;
-    // One digit decomposition per input ciphertext (internally
-    // limb-parallel already).
-    let hoisted: Vec<HoistedDigits> = inputs
-        .iter()
-        .map(|ct| HoistedDigits::new(ctx.eval.context(), ct))
-        .collect();
-    // Gather the work lists: distinct baby-step rotations and the terms of
-    // every giant-step group, in the same deterministic plan order the
-    // on-the-fly executor uses.
-    let mut rot_set: BTreeSet<(u32, usize)> = BTreeSet::new();
-    let mut groups: BTreeMap<(u32, usize), GroupTerms<'_>> = BTreeMap::new();
-    for (&(i_blk, j_blk), diags) in &plan.blocks {
-        let Some(block) = prepared.diags.get(&(i_blk, j_blk)) else {
-            continue;
-        };
-        for &k in diags {
-            let Some(pt) = block.get(&k) else { continue };
-            let i = (k as usize) % n1;
-            let j = (k as usize) / n1;
-            rot_set.insert((j_blk, i));
-            groups.entry((i_blk, j)).or_default().push(((j_blk, i), pt));
-        }
-    }
-    // Stage 1: every distinct baby-step key-switch inner product, in
-    // parallel (shared across all diagonals that use the rotation).
-    let rot_keys: Vec<(u32, usize)> = rot_set.into_iter().collect();
-    let rotations: HashMap<(u32, usize), RotatedExt> = rot_keys
-        .par_iter()
-        .map(|&(j_blk, i)| {
-            (
-                (j_blk, i),
-                hoisted[j_blk as usize].rotate_ext(ctx.eval, i as isize),
-            )
-        })
-        .collect();
-    // Stage 2: accumulate each giant-step group and its deferred ModDown +
-    // giant rotation, in parallel. Modular adds are exact, so per-group
-    // order (plan order, preserved above) fixes the result bit-for-bit.
-    let group_vec: Vec<((u32, usize), GroupTerms<'_>)> = groups.into_iter().collect();
-    let parts: Vec<(u32, Ciphertext)> = group_vec
-        .par_iter()
-        .map(|((i_blk, j), terms)| {
-            let mut acc = ExtAccumulator::new(ctx.eval.context(), level);
-            for (rk, pt) in terms {
-                acc.add_pmult_rotated(ctx.eval, &rotations[rk], pt);
-            }
-            (*i_blk, giant_rotate(ctx, plan, *j, acc.finalize(ctx.eval)))
-        })
-        .collect();
-    // Deterministic per-output-block sum, fold, rescale, cached bias.
-    finish_fhe(ctx, plan, inputs, parts, TailPlaintexts::Cached(prepared))
+    exec_bsgs(ctx, plan, prepared, inputs, None)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::layout::TensorLayout;
-    use crate::plan::{conv_plan, dense_plan, ConvSpec, DenseShape};
+    use crate::plan::{conv_plan, dense_plan, ConvSpec, DenseShape, PlanBuilder};
     use crate::values::{BiasValues, ConvDiagSource, DenseDiagSource};
     use orion_ckks::keys::KeyGenerator;
     use orion_ckks::params::{CkksParams, Context};
@@ -1005,12 +852,81 @@ mod tests {
         }
     }
 
+    /// Keys for `steps`, an encryptor and a decryptor on `ctx`.
+    fn fhe_setup(
+        ctx: &std::sync::Arc<Context>,
+        steps: &[isize],
+        seed: u64,
+    ) -> (Encoder, Encryptor, Decryptor, Evaluator) {
+        let mut kg = KeyGenerator::new(ctx.clone(), StdRng::seed_from_u64(seed));
+        let pk = std::sync::Arc::new(kg.gen_public_key());
+        let keys = std::sync::Arc::new(kg.gen_eval_keys(steps));
+        let sk = kg.secret_key();
+        (
+            Encoder::new(ctx.clone()),
+            Encryptor::with_public_key(ctx.clone(), pk),
+            Decryptor::new(ctx.clone(), sk),
+            Evaluator::new(ctx.clone(), keys),
+        )
+    }
+
+    /// `packed` split into ciphertext blocks and encrypted at `level`.
+    fn encrypt_blocks(
+        ctx: &Context,
+        enc: &Encoder,
+        encryptor: &Encryptor,
+        packed: &[f64],
+        blocks: usize,
+        level: usize,
+        rng: &mut StdRng,
+    ) -> Vec<Ciphertext> {
+        let slots = ctx.slots();
+        (0..blocks)
+            .map(|b| {
+                let lo = (b * slots).min(packed.len());
+                let hi = ((b + 1) * slots).min(packed.len());
+                encryptor.encrypt(&enc.encode(&packed[lo..hi], ctx.scale(), level, false), rng)
+            })
+            .collect()
+    }
+
+    /// The ablation path — the one ciphertext implementation independent
+    /// of `exec_bsgs` — must compute the same function on every slot of
+    /// every output block, at the same level and scale.
+    fn check_unhoisted_matches_hoisted(
+        plan: &LinearPlan,
+        src: &(dyn DiagSource + Sync),
+        packed: &[f64],
+        seed: u64,
+    ) {
+        let ctx = Context::new(CkksParams::tiny());
+        let mut rng = StdRng::seed_from_u64(seed);
+        let (enc, encryptor, dec, eval) = fhe_setup(&ctx, &plan.rotation_steps(), seed + 1);
+        let cts = encrypt_blocks(&ctx, &enc, &encryptor, packed, plan.in_blocks, 2, &mut rng);
+        let fhe_ctx = FheLinearContext {
+            eval: &eval,
+            enc: &enc,
+        };
+        let hoisted = exec_fhe(&fhe_ctx, plan, src, None, &cts);
+        let unhoisted = exec_fhe_unhoisted(&fhe_ctx, plan, src, &cts);
+        assert_eq!(hoisted.len(), plan.out_blocks);
+        assert_eq!(unhoisted.len(), plan.out_blocks);
+        for (blk, (h, u)) in hoisted.iter().zip(&unhoisted).enumerate() {
+            assert_eq!(h.level(), u.level(), "block {blk}: level");
+            assert_eq!(h.scale, u.scale, "block {blk}: scale");
+            let a = enc.decode(&dec.decrypt(h));
+            let b = enc.decode(&dec.decrypt(u));
+            for (i, (x, y)) in a.iter().zip(&b).enumerate() {
+                assert!((x - y).abs() < 2e-2, "block {blk} slot {i}: {x} vs {y}");
+            }
+        }
+    }
+
     #[test]
     fn fhe_unhoisted_matches_hoisted() {
-        // The ablation path must compute the same function.
-        let ctx = Context::new(CkksParams::tiny());
-        let slots = ctx.slots();
+        let slots = Context::new(CkksParams::tiny()).slots();
         let mut rng = StdRng::seed_from_u64(21);
+        // single-block 3×3 conv
         let in_l = TensorLayout::raster(2, 8, 8);
         let spec = ConvSpec {
             co: 2,
@@ -1025,34 +941,115 @@ mod tests {
         let input = random_tensor(&[2, 8, 8], &mut rng);
         let weights = random_tensor(&[2, 2, 3, 3], &mut rng);
         let (plan, out_l) = conv_plan(&in_l, &spec, slots);
-        let mut kg = KeyGenerator::new(ctx.clone(), StdRng::seed_from_u64(22));
-        let pk = std::sync::Arc::new(kg.gen_public_key());
-        let keys = std::sync::Arc::new(kg.gen_eval_keys(&plan.rotation_steps()));
-        let sk = kg.secret_key();
-        let enc = Encoder::new(ctx.clone());
-        let encryptor = Encryptor::with_public_key(ctx.clone(), pk);
-        let dec = Decryptor::new(ctx.clone(), sk);
-        let eval = Evaluator::new(ctx.clone(), keys);
-        let packed = in_l.pack(input.data());
-        let ct = encryptor.encrypt(&enc.encode(&packed, ctx.scale(), 2, false), &mut rng);
         let src = ConvDiagSource {
             in_l,
             out_l,
             spec,
             weights: &weights,
         };
+        check_unhoisted_matches_hoisted(&plan, &src, &in_l.pack(input.data()), 22);
+
+        // 3×3 conv spanning two input and two output ciphertexts
+        let in_l = TensorLayout::raster(4, 16, 16);
+        let spec = ConvSpec {
+            co: 4,
+            ci: 4,
+            ..spec
+        };
+        let input = random_tensor(&[4, 16, 16], &mut rng);
+        let weights = random_tensor(&[4, 4, 3, 3], &mut rng);
+        let (plan, out_l) = conv_plan(&in_l, &spec, slots);
+        assert!(plan.in_blocks > 1 && plan.out_blocks > 1);
+        let src = ConvDiagSource {
+            in_l,
+            out_l,
+            spec,
+            weights: &weights,
+        };
+        check_unhoisted_matches_hoisted(&plan, &src, &in_l.pack(input.data()), 24);
+
+        // row-folded dense layer: the fold's rotate-and-sum tail included
+        let in_l = TensorLayout::raster(16, 4, 4);
+        let weights = random_tensor(&[10, 256], &mut rng);
+        let input: Vec<f64> = (0..256).map(|_| rng.gen_range(-1.0..1.0)).collect();
+        let (plan, _) = dense_plan(&in_l, 10, slots);
+        assert!(plan.fold < slots, "want a folded plan");
+        let src = DenseDiagSource::new(weights, &in_l);
+        check_unhoisted_matches_hoisted(&plan, &src, &in_l.pack(&input), 26);
+    }
+
+    /// What `SharedRotations::build` executes for a layer's private hoist
+    /// is what the plan counted: one digit decomposition per input block
+    /// with a non-zero baby step, one hoisted rotation per distinct
+    /// `(block, step)`.
+    fn check_private_hoist_matches_counts(plan: &LinearPlan) {
+        let ctx = Context::new(CkksParams::tiny());
+        let rots: Vec<(u32, usize)> = plan.baby_rotations().into_iter().collect();
+        let steps: Vec<isize> = rots.iter().map(|&(_, i)| i as isize).collect();
+        let (enc, encryptor, _, eval) = fhe_setup(&ctx, &steps, 31);
+        let zeros = vec![0.0; plan.in_blocks * plan.slots];
+        let mut rng = StdRng::seed_from_u64(32);
+        let cts = encrypt_blocks(&ctx, &enc, &encryptor, &zeros, plan.in_blocks, 1, &mut rng);
         let fhe_ctx = FheLinearContext {
             eval: &eval,
             enc: &enc,
         };
-        let hoisted = exec_fhe(&fhe_ctx, &plan, &src, None, std::slice::from_ref(&ct));
-        let unhoisted = exec_fhe_unhoisted(&fhe_ctx, &plan, &src, &[ct]);
-        let a = enc.decode(&dec.decrypt(&hoisted[0]));
-        let b = enc.decode(&dec.decrypt(&unhoisted[0]));
-        for i in (0..slots).step_by(37) {
-            assert!((a[i] - b[i]).abs() < 2e-2, "slot {i}: {} vs {}", a[i], b[i]);
+        let table = SharedRotations::build(&fhe_ctx, &cts, &rots);
+        assert_eq!(table.hoisted_blocks(), plan.counts.hoists, "{plan:?}");
+        assert_eq!(table.len(), plan.counts.baby_rots, "{plan:?}");
+        assert_eq!(table.is_empty(), plan.counts.hoists == 0);
+    }
+
+    #[test]
+    fn private_hoist_skips_blocks_without_baby_steps() {
+        let slots = Context::new(CkksParams::tiny()).slots();
+        // input block 0 touches only diagonal 0 (k % n1 == 0 under every
+        // split); block 1 carries the baby steps
+        let mut b = PlanBuilder::default();
+        b.add_segment(slots, 0, 0, 1, slots);
+        b.add_segment(slots, 0, slots as i64 + 1, 1, 8);
+        b.add_segment(slots, 0, slots as i64 + 3, 1, 8);
+        let plan = b.finish(slots, 2, 1);
+        assert_eq!(plan.in_blocks, 2);
+        assert_eq!(plan.counts.hoists, 1, "only block 1 rotates");
+        check_private_hoist_matches_counts(&plan);
+
+        // no non-zero baby step at all: empty table, zero decompositions
+        let mut b = PlanBuilder::default();
+        b.add_segment(slots, 0, 0, 1, slots);
+        let plan = b.finish(slots, 1, 1);
+        assert_eq!((plan.counts.hoists, plan.counts.baby_rots), (0, 0));
+        check_private_hoist_matches_counts(&plan);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(12))]
+
+        #[test]
+        fn private_hoist_matches_plan_counts(
+            c in 1usize..9,
+            log_hw in 2u32..5,
+            co in 1usize..9,
+            k in 0usize..2,
+            stride in 1usize..3,
+            n_out in 1usize..40,
+        ) {
+            let slots = Context::new(CkksParams::tiny()).slots();
+            let hw = 1usize << log_hw;
+            let in_l = TensorLayout::raster(c, hw, hw);
+            let spec = ConvSpec {
+                co,
+                ci: c,
+                kh: 2 * k + 1,
+                kw: 2 * k + 1,
+                stride,
+                padding: k,
+                dilation: 1,
+                groups: 1,
+            };
+            check_private_hoist_matches_counts(&conv_plan(&in_l, &spec, slots).0);
+            check_private_hoist_matches_counts(&dense_plan(&in_l, n_out, slots).0);
         }
-        assert_eq!(hoisted[0].level(), unhoisted[0].level());
     }
 
     #[test]
@@ -1138,7 +1135,7 @@ mod parallel_tests {
             blocks[i / slots][i % slots] = v;
         }
         let seq = exec_plain(&plan, &src, &blocks);
-        let par = exec_plain_parallel(&plan, &src, &blocks);
+        let par = exec_plain_parallel_shared(&plan, &src, &blocks, &HashMap::new());
         assert_eq!(seq.len(), par.len());
         for (a, b) in seq.iter().zip(&par) {
             for (x, y) in a.iter().zip(b) {

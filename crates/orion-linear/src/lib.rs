@@ -22,12 +22,14 @@
 //! * [`values`] — materializes diagonal plaintext vectors block-by-block
 //!   (only needed by the real-FHE and plan-validation paths);
 //! * [`exec`] — executors: `exec_plain` (cleartext slots through the exact
-//!   plan — the packing correctness oracle), `exec_fhe` (real CKKS with
-//!   hoisted baby steps and lazy-ModDown giant groups, weights encoded on
-//!   the fly) and `exec_fhe_prepared` (the serving path: consumes a
-//!   [`prepared`] cache — zero per-inference encodes — and fans the
-//!   baby-step key switches and giant-step groups out on the shared rayon
-//!   pool);
+//!   plan — the packing correctness oracle) and `exec_bsgs`, the one
+//!   real-CKKS body (hoisted baby steps — private, or shared across the
+//!   layers reading a wire — and lazy-ModDown giant groups, fanned out on
+//!   the shared rayon pool, every plaintext from a [`prepared`] layer);
+//!   `exec_fhe_prepared` is that body on the serving path's setup-time
+//!   cache (zero per-inference encodes), `exec_fhe` the same body after
+//!   encoding the layer on the fly, and `exec_fhe_unhoisted` the
+//!   independent reference and ablation baseline;
 //! * [`prepared`] — the setup-time weight-encoding cache
 //!   (`PreparedLayer` / `PreparedProgram`, paper §6: weight diagonals as
 //!   offline artifacts), spillable to disk through [`store`];
@@ -45,9 +47,8 @@ pub mod store;
 pub mod values;
 
 pub use exec::{
-    exec_fhe, exec_fhe_prepared, exec_fhe_prepared_shared, exec_fhe_shared, exec_fhe_unhoisted,
-    exec_plain, exec_plain_parallel, exec_plain_parallel_shared, shared_rot_plain,
-    FheLinearContext, SharedRotations,
+    exec_bsgs, exec_fhe, exec_fhe_prepared, exec_fhe_unhoisted, exec_plain,
+    exec_plain_parallel_shared, shared_rot_plain, FheLinearContext, SharedRotations,
 };
 pub use layout::TensorLayout;
 pub use paged::{LayerSource, PageStats, PagedProgram};

@@ -1,4 +1,4 @@
-//! Synthetic datasets (DESIGN.md §2: no dataset downloads; the paper's
+//! Synthetic datasets (README, "Substitutions": no dataset downloads; the paper's
 //! FHE-vs-cleartext validation metric is preserved).
 
 use orion_tensor::Tensor;

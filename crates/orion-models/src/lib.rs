@@ -6,7 +6,7 @@
 //!   (20/32/44/56/110/1202), ImageNet-style ResNet-18/34/50,
 //!   MobileNet-v1, and YOLO-v1 with a ResNet-34 backbone;
 //! * [`data`] — synthetic calibration / evaluation data (the repo has no
-//!   MNIST/CIFAR/ImageNet downloads; see DESIGN.md §2 — the paper's
+//!   MNIST/CIFAR/ImageNet downloads; see README, "Substitutions" — the paper's
 //!   validation metric, FHE-vs-cleartext precision, is preserved exactly);
 //! * [`train`] — a pure-Rust SGD trainer for the MLP benchmark,
 //!   demonstrating accuracy parity between cleartext and FHE inference on

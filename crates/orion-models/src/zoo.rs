@@ -3,7 +3,7 @@
 //! All builders take an [`Act`] selecting the activation family (the paper
 //! evaluates ReLU \[15,15,27\] vs SiLU-127 on CIFAR-10 and SiLU on the
 //! larger datasets) and an RNG for Kaiming weight initialization — weights
-//! are synthetic (see DESIGN.md §2), but sizes track the paper's
+//! are synthetic (see README, "Substitutions"), but sizes track the paper's
 //! "Params (M)" column.
 
 use orion_nn::network::{Network, NodeId};

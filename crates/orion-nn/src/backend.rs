@@ -1,44 +1,40 @@
 //! The unified execution layer: one dataflow scheduler, pluggable engines.
 //!
-//! A compiled Orion program (`compile::Step` list + placement policy) used
-//! to be interpreted three separate times — once for the cleartext trace
-//! model, once for real CKKS, and once for the plain rotation-algebra
-//! oracle. [`EvalBackend`] abstracts the engine behind associated
-//! `Ciphertext`/`Plaintext` types plus the primitive homomorphic
-//! instruction set (add / pmult / hmult / rotate / rescale / bootstrap)
-//! and the scale-schedule-aware composite steps (linear layer, activation
-//! stages). Engines are **`&self`**: keys, encoders, and evaluators are
-//! read-only at run time, and what little per-run state exists (injected
-//! request ciphertexts, drift counters) lives behind interior mutability —
-//! which is what lets [`run_program`] execute a program as a wire-level
-//! parallel dataflow plan ([`crate::sched`]) instead of a one-step-at-a-
-//! time loop. Three engines implement the trait (see [`crate::backends`]):
+//! A compiled Orion program (`compile::Step` list + placement policy) runs
+//! on an [`EvalBackend`]: an engine behind an associated `Ciphertext` type
+//! and exactly the operations the plan walk ([`crate::sched`]) calls —
+//! encrypt / decrypt, the free level drop, `HAdd`, bootstrap, and the
+//! scale-schedule-aware composite steps (linear layer, shared baby-step
+//! hoist, scale-down, activation stages). Engines are **`&self`**: keys,
+//! encoders, and evaluators are read-only at run time, and what little
+//! per-run state exists (injected request ciphertexts, drift counters)
+//! lives behind interior mutability — which is what lets [`run_program`]
+//! execute a program as a wire-level parallel dataflow plan instead of a
+//! one-step-at-a-time loop. Three engines implement the trait (see
+//! [`crate::backends`]):
 //!
 //! * [`crate::backends::CkksBackend`] — real RNS-CKKS through
 //!   `Evaluator`/`FheSession`,
 //! * [`crate::backends::TraceBackend`] — exact cleartext semantics with
 //!   FHE-legality enforcement (levels, pending rescales),
 //! * [`crate::backends::PlainBackend`] — the cleartext rotation-algebra
-//!   oracle (`orion_linear::exec_plain_parallel`), validating the packing
-//!   math itself.
+//!   oracle (`orion_linear::exec_plain_parallel_shared`), validating the
+//!   packing math itself.
 //!
-//! Op-counting is a *decorator*: [`Counting`] wraps any backend and
-//! tallies every instruction into an [`OpCounter`] with modeled latency,
-//! so the paper's "# Rots" / "# Boots" columns are produced identically
-//! for every engine. Tallies are sharded per scheduled unit and merged in
-//! plan order, so a parallel run's counter — including its accumulated
-//! `f64` model seconds — is bit-identical to the sequential run's. Adding
-//! a GPU, multi-party, or sharded engine is one trait impl — the
+//! Op counts are not measured, they are read off the plan: once bootstrap
+//! placement has fixed every level an inference is a static program, so
+//! the paper's "# Rots" / "# Boots" columns are a fold over the plan's
+//! units ([`crate::sched::count_plan`]) that every [`ProgramRun`] carries —
+//! identical for every engine and every scheduling mode by construction.
+//! Adding a GPU, multi-party, or sharded engine is one trait impl — the
 //! scheduler, the counting, and the placement logic are shared.
 
-use crate::compile::{stage_mult_estimate, Compiled};
+use crate::compile::{Compiled, Step};
 use crate::sched::{run_plan, ExecPlan, SchedMode};
+use orion_linear::values::{BiasValues, ConvDiagSource, DenseDiagSource, DiagSource};
 use orion_linear::{ConvSpec, LinearPlan, TensorLayout};
-use orion_sim::counter::OpKind;
-use orion_sim::{CostModel, OpCounter};
+use orion_sim::OpCounter;
 use orion_tensor::Tensor;
-use parking_lot::Mutex;
-use std::collections::BTreeMap;
 
 /// A borrowed view of one linear layer's parameters (conv or dense),
 /// handed to [`EvalBackend::linear_layer`]. `step` is the program node id,
@@ -79,9 +75,47 @@ pub enum LinearRef<'a> {
     },
 }
 
-impl LinearRef<'_> {
+impl<'a> LinearRef<'a> {
+    /// The view of program step `id`, or `None` when it is not a linear
+    /// layer.
+    pub fn of(id: usize, step: &'a Step) -> Option<Self> {
+        match step {
+            Step::Conv {
+                plan,
+                spec,
+                weight,
+                bias,
+                in_l,
+                out_l,
+            } => Some(LinearRef::Conv {
+                step: id,
+                plan,
+                spec,
+                weight,
+                bias,
+                in_l,
+                out_l,
+            }),
+            Step::Dense {
+                plan,
+                weight,
+                bias,
+                in_l,
+                n_out,
+            } => Some(LinearRef::Dense {
+                step: id,
+                plan,
+                weight,
+                bias,
+                in_l,
+                n_out: *n_out,
+            }),
+            _ => None,
+        }
+    }
+
     /// The layer's packing plan.
-    pub fn plan(&self) -> &LinearPlan {
+    pub fn plan(&self) -> &'a LinearPlan {
         match self {
             LinearRef::Conv { plan, .. } | LinearRef::Dense { plan, .. } => plan,
         }
@@ -93,16 +127,50 @@ impl LinearRef<'_> {
             LinearRef::Conv { step, .. } | LinearRef::Dense { step, .. } => *step,
         }
     }
+
+    /// The layer's diagonal source and its bias blocks (one per output
+    /// ciphertext of `slots` slots) — what every engine running the
+    /// rotation algebra, and the setup-time encoder, feed the plan with.
+    pub fn values(&self, slots: usize) -> (Box<dyn DiagSource + Sync + 'a>, Vec<Vec<f64>>) {
+        match *self {
+            LinearRef::Conv {
+                spec,
+                weight,
+                bias,
+                in_l,
+                out_l,
+                ..
+            } => (
+                Box::new(ConvDiagSource {
+                    in_l: *in_l,
+                    out_l: *out_l,
+                    spec: *spec,
+                    weights: weight,
+                }),
+                BiasValues::conv(out_l, bias, slots),
+            ),
+            LinearRef::Dense {
+                weight,
+                bias,
+                in_l,
+                n_out,
+                ..
+            } => (
+                Box::new(DenseDiagSource::new(weight.clone(), in_l)),
+                BiasValues::dense(n_out, bias, slots),
+            ),
+        }
+    }
 }
 
-/// A homomorphic-evaluation engine a compiled program can run on.
+/// A homomorphic-evaluation engine a compiled program can run on: exactly
+/// the operations the plan walk calls, nothing it does not.
 ///
-/// Primitive methods mirror the CKKS instruction set; composite methods
-/// own the scale schedule of one program step (real CKKS needs exact-Δ
-/// bookkeeping a generic recipe cannot express, and modeled engines need
-/// to model at the step granularity). Levels passed in are the placement
-/// policy's assignments — inputs have already been dropped to the stated
-/// level by the scheduler.
+/// The composite methods own the scale schedule of one program step (real
+/// CKKS needs exact-Δ bookkeeping a generic recipe cannot express, and
+/// modeled engines need to model at the step granularity). Levels passed
+/// in are the placement policy's assignments — inputs have already been
+/// dropped to the stated level by the scheduler.
 ///
 /// All methods take `&self`: the scheduler calls them concurrently from
 /// the shared pool, and every operation must be a pure, deterministic
@@ -113,11 +181,9 @@ pub trait EvalBackend {
     /// scheduler moves values between pool threads and shares them across
     /// concurrent consumer units).
     type Ciphertext: Clone + Send + Sync;
-    /// The engine's plaintext representation.
-    type Plaintext;
     /// The engine's shared baby-step rotation artifact (cross-wire
     /// rotation CSE, see [`crate::opt`]): everything
-    /// [`EvalBackend::linear_layer_shared`] needs to skip its private
+    /// [`EvalBackend::linear_layer`] needs to skip its private
     /// per-consumer rotation fan-out. Engines with no rotation algebra
     /// use `()`.
     type SharedRot: Send + Sync;
@@ -140,21 +206,9 @@ pub trait EvalBackend {
     fn encrypt(&self, vals: &[f64], level: usize) -> Self::Ciphertext;
     /// Decrypts and decodes one ciphertext.
     fn decrypt(&self, ct: &Self::Ciphertext) -> Vec<f64>;
-    /// Encodes slot values at the standard scale Δ and `level`.
-    fn encode(&self, vals: &[f64], level: usize) -> Self::Plaintext;
 
     /// `HAdd`: ciphertext + ciphertext.
     fn add(&self, a: &Self::Ciphertext, b: &Self::Ciphertext) -> Self::Ciphertext;
-    /// `PAdd`: ciphertext + plaintext.
-    fn add_plain(&self, a: &Self::Ciphertext, p: &Self::Plaintext) -> Self::Ciphertext;
-    /// `PMult`: ciphertext × plaintext (unrescaled).
-    fn pmult(&self, a: &Self::Ciphertext, p: &Self::Plaintext) -> Self::Ciphertext;
-    /// `HMult`: ciphertext × ciphertext with relinearization (unrescaled).
-    fn hmult(&self, a: &Self::Ciphertext, b: &Self::Ciphertext) -> Self::Ciphertext;
-    /// `HRot`: rotates slots up by `k`.
-    fn rotate(&self, a: &Self::Ciphertext, k: isize) -> Self::Ciphertext;
-    /// Rescale: divides by the top prime, consuming a level.
-    fn rescale(&self, a: &Self::Ciphertext) -> Self::Ciphertext;
     /// Free drop to a lower level.
     fn drop_to_level(&self, a: &Self::Ciphertext, level: usize) -> Self::Ciphertext;
     /// Bootstrap: refreshes to the engine's effective level. Must be a
@@ -166,7 +220,7 @@ pub trait EvalBackend {
     /// Whether the linear layer at program step `step` encodes
     /// weight/bias plaintexts **per inference** (the on-the-fly path).
     /// Engines serving that step from a prepared cache return `false`, and
-    /// the [`Counting`] decorator then moves the encode cost out of the
+    /// [`crate::sched::count_plan`] then leaves the encode cost out of the
     /// per-inference tally (see `OpCounter::encodes`). Queried per step so
     /// a partially prepared cache is tallied honestly.
     fn linear_encodes_per_inference(&self, step: usize) -> bool {
@@ -177,7 +231,7 @@ pub trait EvalBackend {
     /// Whether the poly stage at program step `step` encodes its constant
     /// plaintexts (Chebyshev coefficients, alignment constants) **per
     /// inference**. Engines replaying a setup-time recording return
-    /// `false`; the [`Counting`] decorator then skips the stage's
+    /// `false`; [`crate::sched::count_plan`] then skips the stage's
     /// per-inference encode tally (`orion_poly::eval::stage_const_count`).
     fn activation_encodes_per_inference(&self, step: usize) -> bool {
         let _ = step;
@@ -193,12 +247,16 @@ pub trait EvalBackend {
     }
 
     /// One packed linear layer over all input ciphertexts at `level`;
-    /// returns the output wire one level lower at exactly scale Δ.
+    /// returns the output wire one level lower at exactly scale Δ. With
+    /// `shared` (the plan optimizer attached the layer to a hoist-once
+    /// unit) the non-zero baby-step rotations are read from it instead of
+    /// being computed privately: bit-identical output either way.
     fn linear_layer(
         &self,
         layer: &LinearRef<'_>,
         inputs: &[Self::Ciphertext],
         level: usize,
+        shared: Option<&Self::SharedRot>,
     ) -> Vec<Self::Ciphertext>;
 
     /// Computes the distinct **non-zero** baby-step rotations `rots`
@@ -213,17 +271,6 @@ pub trait EvalBackend {
         level: usize,
         rots: &[(u32, usize)],
     ) -> Self::SharedRot;
-
-    /// [`EvalBackend::linear_layer`] reading its non-zero baby-step
-    /// rotations from `shared` instead of rotating privately. Same
-    /// contract: bit-identical output, one level consumed, exact scale Δ.
-    fn linear_layer_shared(
-        &self,
-        layer: &LinearRef<'_>,
-        inputs: &[Self::Ciphertext],
-        level: usize,
-        shared: &Self::SharedRot,
-    ) -> Vec<Self::Ciphertext>;
 
     /// Multiplies by `factor ≤ 1` and rescales (activation normalization).
     fn scale_down(&self, ct: &Self::Ciphertext, factor: f64, level: usize) -> Self::Ciphertext;
@@ -282,6 +329,9 @@ pub struct ProgramRun<Ct> {
     /// Ciphertext bootstraps performed (per ciphertext, as the placement
     /// policy's `boot_count` counts them).
     pub bootstraps: u64,
+    /// The run's op tallies with modeled latency — a property of the plan
+    /// that ran ([`crate::sched::count_plan`]), not of the walk.
+    pub counter: OpCounter,
 }
 
 /// Runs a compiled program on `backend` through the dataflow scheduler —
@@ -347,381 +397,4 @@ pub fn input_slot_chunks(c: &Compiled, slots: usize, input: &Tensor) -> Vec<Vec<
             chunk
         })
         .collect()
-}
-
-/// The op-counting decorator: wraps any engine and tallies every
-/// instruction into an [`OpCounter`] with modeled latency, reproducing the
-/// paper's reporting columns uniformly. Composite steps are tallied from
-/// their static structure (plan counts, Chebyshev stage estimates), so the
-/// numbers are identical no matter which engine runs underneath.
-///
-/// Thread safety: tallies go into per-scheduled-unit shards (keyed by the
-/// unit id the scheduler pins to the calling thread) and
-/// [`Counting::counter`] merges them in ascending unit order. Counts are
-/// exact under any interleaving; the deterministic merge order makes the
-/// accumulated `f64` model seconds bit-identical between sequential and
-/// parallel runs as well — no counter drift.
-pub struct Counting<B> {
-    /// The wrapped engine.
-    pub inner: B,
-    shards: Mutex<BTreeMap<usize, OpCounter>>,
-    cost: CostModel,
-    l_eff: usize,
-}
-
-impl<B> Counting<B> {
-    /// Wraps `inner`, tallying with `cost` (bootstraps modeled at `l_eff`).
-    pub fn new(inner: B, cost: CostModel, l_eff: usize) -> Self {
-        Self {
-            inner,
-            shards: Mutex::new(BTreeMap::new()),
-            cost,
-            l_eff,
-        }
-    }
-
-    /// The merged statistics so far (shards merged in plan-unit order —
-    /// deterministic, scheduler-independent).
-    pub fn counter(&self) -> OpCounter {
-        let shards = self.shards.lock();
-        let mut total = OpCounter::new();
-        for c in shards.values() {
-            total.merge(c);
-        }
-        total
-    }
-
-    /// Unwraps into the engine and the final merged counter.
-    pub fn into_parts(self) -> (B, OpCounter) {
-        let mut total = OpCounter::new();
-        for c in self.shards.into_inner().values() {
-            total.merge(c);
-        }
-        (self.inner, total)
-    }
-
-    /// Runs `f` on the calling unit's tally shard.
-    fn shard<R>(&self, f: impl FnOnce(&mut OpCounter) -> R) -> R {
-        let unit = crate::sched::current_unit();
-        let mut shards = self.shards.lock();
-        f(shards.entry(unit).or_default())
-    }
-}
-
-impl<B: EvalBackend> Counting<B> {
-    fn tally(&self, kind: OpKind, n: u64, secs: f64) {
-        self.shard(|c| c.record(kind, n, secs));
-    }
-
-    /// Tallies one linear layer's plan at the evaluation level (the static
-    /// op mix of the double-hoisted BSGS matvec). On-the-fly engines also
-    /// pay one slot-vector encode per diagonal pmult plus one per output
-    /// block (bias); steps served from a prepared cache pay none per
-    /// inference.
-    fn tally_linear(&self, plan: &LinearPlan, step: usize, level: usize) {
-        let encodes = if self.inner.linear_encodes_per_inference(step) {
-            (plan.counts.pmults + plan.out_blocks) as u64
-        } else {
-            0
-        };
-        let c = self.cost.clone();
-        let counts = &plan.counts;
-        self.shard(|ctr| {
-            ctr.record_encodes(encodes);
-            ctr.record(
-                OpKind::Hoist,
-                counts.hoists as u64,
-                counts.hoists as f64 * c.ks_decompose(level),
-            );
-            ctr.record(
-                OpKind::HRotHoisted,
-                counts.baby_rots as u64,
-                counts.baby_rots as f64 * c.hrot_hoisted(level),
-            );
-            ctr.record(
-                OpKind::HRot,
-                counts.giant_rots as u64,
-                counts.giant_rots as f64 * c.hrot(level),
-            );
-            ctr.record(
-                OpKind::PMult,
-                counts.pmults as u64,
-                counts.pmults as f64 * c.pmult(level),
-            );
-            ctr.record(
-                OpKind::ModDown,
-                counts.moddowns as u64,
-                counts.moddowns as f64 * c.ks_moddown(level),
-            );
-            ctr.record(
-                OpKind::Rescale,
-                counts.rescales as u64,
-                counts.rescales as f64 * c.rescale(level),
-            );
-            ctr.linear_seconds += plan.latency(&c, level);
-        });
-    }
-
-    /// Tallies a linear layer whose non-zero baby-step rotations come from
-    /// a shared unit: the layer itself pays **no** hoists and **no** baby
-    /// rotations (they were tallied once at the shared unit), only its
-    /// giant steps, pmults, ModDowns, and rescales. Encodes are unchanged
-    /// — sharing rotations shares no plaintexts.
-    fn tally_linear_shared(&self, plan: &LinearPlan, step: usize, level: usize) {
-        let encodes = if self.inner.linear_encodes_per_inference(step) {
-            (plan.counts.pmults + plan.out_blocks) as u64
-        } else {
-            0
-        };
-        let c = self.cost.clone();
-        let counts = &plan.counts;
-        let remaining = c.linear_layer(
-            level,
-            0,
-            0,
-            counts.giant_rots,
-            counts.pmults,
-            counts.moddowns,
-            counts.rescales,
-        );
-        self.shard(|ctr| {
-            ctr.record_encodes(encodes);
-            ctr.record(
-                OpKind::HRot,
-                counts.giant_rots as u64,
-                counts.giant_rots as f64 * c.hrot(level),
-            );
-            ctr.record(
-                OpKind::PMult,
-                counts.pmults as u64,
-                counts.pmults as f64 * c.pmult(level),
-            );
-            ctr.record(
-                OpKind::ModDown,
-                counts.moddowns as u64,
-                counts.moddowns as f64 * c.ks_moddown(level),
-            );
-            ctr.record(
-                OpKind::Rescale,
-                counts.rescales as u64,
-                counts.rescales as f64 * c.rescale(level),
-            );
-            ctr.linear_seconds += remaining;
-        });
-    }
-}
-
-impl<B: EvalBackend> EvalBackend for Counting<B> {
-    type Ciphertext = B::Ciphertext;
-    type Plaintext = B::Plaintext;
-    type SharedRot = B::SharedRot;
-
-    fn name(&self) -> &'static str {
-        self.inner.name()
-    }
-
-    fn slots(&self) -> usize {
-        self.inner.slots()
-    }
-
-    fn level_of(&self, ct: &Self::Ciphertext) -> usize {
-        self.inner.level_of(ct)
-    }
-
-    fn scale_log2_of(&self, ct: &Self::Ciphertext) -> f64 {
-        self.inner.scale_log2_of(ct)
-    }
-
-    fn encrypt(&self, vals: &[f64], level: usize) -> Self::Ciphertext {
-        self.inner.encrypt(vals, level)
-    }
-
-    fn decrypt(&self, ct: &Self::Ciphertext) -> Vec<f64> {
-        self.inner.decrypt(ct)
-    }
-
-    fn encode(&self, vals: &[f64], level: usize) -> Self::Plaintext {
-        self.shard(|c| c.record_encodes(1));
-        self.inner.encode(vals, level)
-    }
-
-    fn linear_encodes_per_inference(&self, step: usize) -> bool {
-        self.inner.linear_encodes_per_inference(step)
-    }
-
-    fn activation_encodes_per_inference(&self, step: usize) -> bool {
-        self.inner.activation_encodes_per_inference(step)
-    }
-
-    fn prefetch_linear(&self, step: usize) {
-        // advisory — never tallied, so prefetching cannot drift counters
-        self.inner.prefetch_linear(step);
-    }
-
-    fn add(&self, a: &Self::Ciphertext, b: &Self::Ciphertext) -> Self::Ciphertext {
-        let lv = self.inner.level_of(a);
-        self.tally(OpKind::HAdd, 1, self.cost.hadd(lv));
-        self.inner.add(a, b)
-    }
-
-    fn add_plain(&self, a: &Self::Ciphertext, p: &Self::Plaintext) -> Self::Ciphertext {
-        let lv = self.inner.level_of(a);
-        self.tally(OpKind::PAdd, 1, self.cost.hadd(lv));
-        self.inner.add_plain(a, p)
-    }
-
-    fn pmult(&self, a: &Self::Ciphertext, p: &Self::Plaintext) -> Self::Ciphertext {
-        let lv = self.inner.level_of(a);
-        self.tally(OpKind::PMult, 1, self.cost.pmult(lv));
-        self.inner.pmult(a, p)
-    }
-
-    fn hmult(&self, a: &Self::Ciphertext, b: &Self::Ciphertext) -> Self::Ciphertext {
-        let lv = self.inner.level_of(a);
-        self.tally(OpKind::HMult, 1, self.cost.hmult(lv));
-        self.inner.hmult(a, b)
-    }
-
-    fn rotate(&self, a: &Self::Ciphertext, k: isize) -> Self::Ciphertext {
-        let lv = self.inner.level_of(a);
-        self.tally(OpKind::HRot, 1, self.cost.hrot(lv));
-        self.inner.rotate(a, k)
-    }
-
-    fn rescale(&self, a: &Self::Ciphertext) -> Self::Ciphertext {
-        let lv = self.inner.level_of(a);
-        self.tally(OpKind::Rescale, 1, self.cost.rescale(lv));
-        self.inner.rescale(a)
-    }
-
-    fn drop_to_level(&self, a: &Self::Ciphertext, level: usize) -> Self::Ciphertext {
-        self.inner.drop_to_level(a, level)
-    }
-
-    fn bootstrap(&self, a: &Self::Ciphertext) -> Self::Ciphertext {
-        self.tally(OpKind::Bootstrap, 1, self.cost.bootstrap(self.l_eff));
-        self.inner.bootstrap(a)
-    }
-
-    fn linear_layer(
-        &self,
-        layer: &LinearRef<'_>,
-        inputs: &[Self::Ciphertext],
-        level: usize,
-    ) -> Vec<Self::Ciphertext> {
-        self.tally_linear(layer.plan(), layer.step(), level);
-        self.inner.linear_layer(layer, inputs, level)
-    }
-
-    fn hoist_rotations(
-        &self,
-        cts: &[Self::Ciphertext],
-        level: usize,
-        rots: &[(u32, usize)],
-    ) -> Self::SharedRot {
-        // One digit decomposition per distinct input block, one hoisted
-        // rotation per distinct (block, amount) — the exact ops the
-        // consumers no longer pay privately (see `tally_linear_shared`).
-        let blocks: std::collections::BTreeSet<u32> =
-            rots.iter().map(|&(j_blk, _)| j_blk).collect();
-        let c = &self.cost;
-        self.tally(
-            OpKind::Hoist,
-            blocks.len() as u64,
-            blocks.len() as f64 * c.ks_decompose(level),
-        );
-        self.tally(
-            OpKind::HRotHoisted,
-            rots.len() as u64,
-            rots.len() as f64 * c.hrot_hoisted(level),
-        );
-        self.inner.hoist_rotations(cts, level, rots)
-    }
-
-    fn linear_layer_shared(
-        &self,
-        layer: &LinearRef<'_>,
-        inputs: &[Self::Ciphertext],
-        level: usize,
-        shared: &Self::SharedRot,
-    ) -> Vec<Self::Ciphertext> {
-        self.tally_linear_shared(layer.plan(), layer.step(), level);
-        self.inner.linear_layer_shared(layer, inputs, level, shared)
-    }
-
-    fn scale_down(&self, ct: &Self::Ciphertext, factor: f64, level: usize) -> Self::Ciphertext {
-        self.tally(OpKind::PMult, 1, self.cost.pmult(level));
-        self.tally(OpKind::Rescale, 1, self.cost.rescale(level));
-        self.inner.scale_down(ct, factor, level)
-    }
-
-    fn scale_down_to(
-        &self,
-        ct: &Self::Ciphertext,
-        factor: f64,
-        level: usize,
-        out_level: usize,
-    ) -> Self::Ciphertext {
-        // Count-neutral by construction: the fused kernel is tallied
-        // exactly like `scale_down` at the same level (the drop was always
-        // free). Delegates to the inner engine's override so the fused
-        // kernel actually runs.
-        self.tally(OpKind::PMult, 1, self.cost.pmult(level));
-        self.tally(OpKind::Rescale, 1, self.cost.rescale(level));
-        self.inner.scale_down_to(ct, factor, level, out_level)
-    }
-
-    fn bootstrap_to(&self, ct: &Self::Ciphertext, out_level: usize) -> Self::Ciphertext {
-        // Count-neutral: one Bootstrap at l_eff, same as `bootstrap`.
-        self.tally(OpKind::Bootstrap, 1, self.cost.bootstrap(self.l_eff));
-        self.inner.bootstrap_to(ct, out_level)
-    }
-
-    fn poly_stage(
-        &self,
-        ct: &Self::Ciphertext,
-        coeffs: &[f64],
-        normalize: bool,
-        level: usize,
-        step: usize,
-    ) -> Self::Ciphertext {
-        // On-the-fly engines pay one FFT-free constant encode per stage
-        // constant; engines replaying a prepared recording pay none. The
-        // count is a level-only replay of the evaluation recursion, so it
-        // is identical for every engine.
-        if self.inner.activation_encodes_per_inference(step) {
-            let n = orion_poly::eval::stage_const_count(coeffs, normalize, level);
-            self.shard(|c| c.record_encodes(n));
-        }
-        let d = coeffs.len() - 1;
-        let mults = stage_mult_estimate(d);
-        self.tally(
-            OpKind::HMult,
-            mults as u64,
-            mults as f64 * self.cost.hmult(level),
-        );
-        self.tally(OpKind::PMult, d as u64, d as f64 * self.cost.pmult(level));
-        self.tally(
-            OpKind::Rescale,
-            mults as u64,
-            mults as f64 * self.cost.rescale(level),
-        );
-        self.inner.poly_stage(ct, coeffs, normalize, level, step)
-    }
-
-    fn relu_final(
-        &self,
-        u: &Self::Ciphertext,
-        sign: &Self::Ciphertext,
-        magnitude: f64,
-        level: usize,
-    ) -> Self::Ciphertext {
-        self.tally(OpKind::HMult, 1, self.cost.hmult(level));
-        self.inner.relu_final(u, sign, magnitude, level)
-    }
-
-    fn square_activation(&self, ct: &Self::Ciphertext, level: usize) -> Self::Ciphertext {
-        self.tally(OpKind::HMult, 1, self.cost.hmult(level));
-        self.inner.square_activation(ct, level)
-    }
 }

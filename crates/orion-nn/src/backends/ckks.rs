@@ -9,14 +9,10 @@
 use crate::backend::{EvalBackend, LinearRef};
 use crate::fhe_exec::FheSession;
 use orion_ckks::encrypt::Ciphertext;
-use orion_linear::exec::{
-    exec_fhe as linear_exec, exec_fhe_prepared, exec_fhe_prepared_shared, exec_fhe_shared,
-    FheLinearContext, SharedRotations,
-};
+use orion_linear::exec::{exec_bsgs, FheLinearContext, SharedRotations};
 use orion_linear::paged::LayerSource;
-use orion_linear::prepared::PreparedProgram;
+use orion_linear::prepared::{PreparedLayer, PreparedProgram};
 use orion_linear::store::StoreError;
-use orion_linear::values::{BiasValues, ConvDiagSource, DenseDiagSource};
 use orion_poly::eval::{
     evaluate_chebyshev_src, set_level_scale, set_level_scale_src, CachedConsts, ConstSource,
     FreshConsts,
@@ -135,7 +131,6 @@ impl<'s> CkksBackend<'s> {
 
 impl EvalBackend for CkksBackend<'_> {
     type Ciphertext = Ciphertext;
-    type Plaintext = orion_ckks::encrypt::Plaintext;
     type SharedRot = SharedRotations;
 
     fn name(&self) -> &'static str {
@@ -172,35 +167,8 @@ impl EvalBackend for CkksBackend<'_> {
         s.enc.decode(&s.decryptor.decrypt(ct))
     }
 
-    fn encode(&self, vals: &[f64], level: usize) -> Self::Plaintext {
-        let s = self.session;
-        s.enc.encode(vals, s.ctx.scale(), level, false)
-    }
-
     fn add(&self, a: &Ciphertext, b: &Ciphertext) -> Ciphertext {
         self.session.eval.add(a, b)
-    }
-
-    fn add_plain(&self, a: &Ciphertext, p: &Self::Plaintext) -> Ciphertext {
-        self.session.eval.add_plain(a, p)
-    }
-
-    fn pmult(&self, a: &Ciphertext, p: &Self::Plaintext) -> Ciphertext {
-        self.session.eval.mul_plain(a, p)
-    }
-
-    fn hmult(&self, a: &Ciphertext, b: &Ciphertext) -> Ciphertext {
-        self.session.eval.mul_relin(a, b)
-    }
-
-    fn rotate(&self, a: &Ciphertext, k: isize) -> Ciphertext {
-        self.session.eval.rotate(a, k)
-    }
-
-    fn rescale(&self, a: &Ciphertext) -> Ciphertext {
-        let mut c = a.clone();
-        self.session.eval.rescale_assign(&mut c);
-        c
     }
 
     fn drop_to_level(&self, a: &Ciphertext, level: usize) -> Ciphertext {
@@ -241,10 +209,10 @@ impl EvalBackend for CkksBackend<'_> {
         &self,
         layer: &LinearRef<'_>,
         inputs: &[Ciphertext],
-        _level: usize,
+        level: usize,
+        shared: Option<&SharedRotations>,
     ) -> Vec<Ciphertext> {
         let s = self.session;
-        let slots = s.ctx.slots();
         let fctx = FheLinearContext {
             eval: &s.eval,
             enc: &s.enc,
@@ -252,48 +220,26 @@ impl EvalBackend for CkksBackend<'_> {
         // Serving path: consume the setup-time cache when this step has
         // one, faulting it in from disk if the source pages. A failed
         // fault unwinds with a typed payload (see [`PreparedLayerFault`]).
-        if let Some(src) = self.prepared.as_ref() {
-            match src.fetch_layer(layer.step()) {
-                Ok(Some(p)) => return exec_fhe_prepared(&fctx, layer.plan(), &p, inputs),
-                Ok(None) => {}
-                Err(error) => std::panic::panic_any(PreparedLayerFault {
+        let cached = self.prepared.as_ref().and_then(|src| {
+            src.fetch_layer(layer.step()).unwrap_or_else(|error| {
+                std::panic::panic_any(PreparedLayerFault {
                     step: layer.step(),
                     error,
-                }),
-            }
-        }
-        match layer {
-            LinearRef::Conv {
-                plan,
-                spec,
-                weight,
-                bias,
-                in_l,
-                out_l,
-                ..
-            } => {
-                let src = ConvDiagSource {
-                    in_l: **in_l,
-                    out_l: **out_l,
-                    spec: **spec,
-                    weights: weight,
-                };
-                let bias_blocks = BiasValues::conv(out_l, bias, slots);
-                linear_exec(&fctx, plan, &src, Some(&bias_blocks), inputs)
-            }
-            LinearRef::Dense {
-                plan,
-                weight,
-                bias,
-                in_l,
-                n_out,
-                ..
-            } => {
-                let src = DenseDiagSource::new((*weight).clone(), in_l);
-                let bias_blocks = BiasValues::dense(*n_out, bias, slots);
-                linear_exec(&fctx, plan, &src, Some(&bias_blocks), inputs)
-            }
-        }
+                })
+            })
+        });
+        // On the fly: the same layer, encoded now and dropped after use.
+        let prepared = cached.unwrap_or_else(|| {
+            let (src, bias) = layer.values(s.ctx.slots());
+            Arc::new(PreparedLayer::build(
+                &s.enc,
+                layer.plan(),
+                &*src,
+                Some(&bias),
+                level,
+            ))
+        });
+        exec_bsgs(&fctx, layer.plan(), &prepared, inputs, shared)
     }
 
     fn hoist_rotations(
@@ -308,65 +254,6 @@ impl EvalBackend for CkksBackend<'_> {
             enc: &s.enc,
         };
         SharedRotations::build(&fctx, cts, rots)
-    }
-
-    fn linear_layer_shared(
-        &self,
-        layer: &LinearRef<'_>,
-        inputs: &[Ciphertext],
-        _level: usize,
-        shared: &SharedRotations,
-    ) -> Vec<Ciphertext> {
-        let s = self.session;
-        let slots = s.ctx.slots();
-        let fctx = FheLinearContext {
-            eval: &s.eval,
-            enc: &s.enc,
-        };
-        if let Some(src) = self.prepared.as_ref() {
-            match src.fetch_layer(layer.step()) {
-                Ok(Some(p)) => {
-                    return exec_fhe_prepared_shared(&fctx, layer.plan(), &p, inputs, shared)
-                }
-                Ok(None) => {}
-                Err(error) => std::panic::panic_any(PreparedLayerFault {
-                    step: layer.step(),
-                    error,
-                }),
-            }
-        }
-        match layer {
-            LinearRef::Conv {
-                plan,
-                spec,
-                weight,
-                bias,
-                in_l,
-                out_l,
-                ..
-            } => {
-                let src = ConvDiagSource {
-                    in_l: **in_l,
-                    out_l: **out_l,
-                    spec: **spec,
-                    weights: weight,
-                };
-                let bias_blocks = BiasValues::conv(out_l, bias, slots);
-                exec_fhe_shared(&fctx, plan, &src, Some(&bias_blocks), inputs, shared)
-            }
-            LinearRef::Dense {
-                plan,
-                weight,
-                bias,
-                in_l,
-                n_out,
-                ..
-            } => {
-                let src = DenseDiagSource::new((*weight).clone(), in_l);
-                let bias_blocks = BiasValues::dense(*n_out, bias, slots);
-                exec_fhe_shared(&fctx, plan, &src, Some(&bias_blocks), inputs, shared)
-            }
-        }
     }
 
     fn scale_down(&self, ct: &Ciphertext, factor: f64, level: usize) -> Ciphertext {

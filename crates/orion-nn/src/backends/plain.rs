@@ -3,18 +3,14 @@
 //! Linear layers run through the *exact* executor rotation algebra
 //! (`orion_linear::exec_plain_parallel_shared`: hoisted baby steps,
 //! pre-rotated diagonals, giant-step group rotations, row fold — fanned out
-//! on the shared rayon pool) instead of the reference convolution, making this engine the
-//! correctness oracle for the packing math end-to-end. Activations are
-//! evaluated with the same fitted polynomials as the other engines;
-//! level bookkeeping mirrors the placement policy so the [`Counting`]
-//! decorator tallies identically.
-//!
-//! [`Counting`]: crate::backend::Counting
+//! on the shared rayon pool) instead of the reference convolution, making
+//! this engine the correctness oracle for the packing math end-to-end.
+//! Activations are evaluated with the same fitted polynomials as the other
+//! engines; level bookkeeping mirrors the placement policy.
 
-use crate::backend::{run_program, Counting, EvalBackend, LinearRef};
+use crate::backend::{run_program, EvalBackend, LinearRef};
 use crate::compile::Compiled;
 use orion_linear::exec::{exec_plain_parallel_shared, shared_rot_plain};
-use orion_linear::values::{BiasValues, ConvDiagSource, DenseDiagSource};
 use orion_poly::cheb::ChebPoly;
 use orion_sim::OpCounter;
 use orion_tensor::Tensor;
@@ -65,17 +61,8 @@ impl PlainBackend {
     }
 }
 
-/// Cleartext `HRot` semantics: `out[i] = in[(i + k) mod n]`.
-fn rot_slots(v: &[f64], k: isize) -> Vec<f64> {
-    let n = v.len() as isize;
-    (0..v.len())
-        .map(|i| v[((i as isize + k).rem_euclid(n)) as usize])
-        .collect()
-}
-
 impl EvalBackend for PlainBackend {
     type Ciphertext = PlainCiphertext;
-    type Plaintext = Vec<f64>;
     type SharedRot = std::collections::HashMap<(u32, usize), Vec<f64>>;
 
     fn name(&self) -> &'static str {
@@ -100,62 +87,11 @@ impl EvalBackend for PlainBackend {
         ct.slots.clone()
     }
 
-    fn encode(&self, vals: &[f64], _level: usize) -> Vec<f64> {
-        vals.to_vec()
-    }
-
     fn add(&self, a: &PlainCiphertext, b: &PlainCiphertext) -> PlainCiphertext {
         assert_eq!(a.level, b.level, "HAdd level mismatch");
         PlainCiphertext {
             slots: a.slots.iter().zip(&b.slots).map(|(x, y)| x + y).collect(),
             level: a.level,
-        }
-    }
-
-    fn add_plain(&self, a: &PlainCiphertext, p: &Vec<f64>) -> PlainCiphertext {
-        PlainCiphertext {
-            slots: a
-                .slots
-                .iter()
-                .enumerate()
-                .map(|(i, x)| x + p.get(i).copied().unwrap_or(0.0))
-                .collect(),
-            level: a.level,
-        }
-    }
-
-    fn pmult(&self, a: &PlainCiphertext, p: &Vec<f64>) -> PlainCiphertext {
-        PlainCiphertext {
-            slots: a
-                .slots
-                .iter()
-                .enumerate()
-                .map(|(i, x)| x * p.get(i).copied().unwrap_or(0.0))
-                .collect(),
-            level: a.level,
-        }
-    }
-
-    fn hmult(&self, a: &PlainCiphertext, b: &PlainCiphertext) -> PlainCiphertext {
-        assert_eq!(a.level, b.level, "HMult level mismatch");
-        PlainCiphertext {
-            slots: a.slots.iter().zip(&b.slots).map(|(x, y)| x * y).collect(),
-            level: a.level,
-        }
-    }
-
-    fn rotate(&self, a: &PlainCiphertext, k: isize) -> PlainCiphertext {
-        PlainCiphertext {
-            slots: rot_slots(&a.slots, k),
-            level: a.level,
-        }
-    }
-
-    fn rescale(&self, a: &PlainCiphertext) -> PlainCiphertext {
-        assert!(a.level >= 1, "rescale at level 0 — bootstrap required");
-        PlainCiphertext {
-            slots: a.slots.clone(),
-            level: a.level - 1,
         }
     }
 
@@ -187,8 +123,30 @@ impl EvalBackend for PlainBackend {
         layer: &LinearRef<'_>,
         inputs: &[PlainCiphertext],
         level: usize,
+        shared: Option<&Self::SharedRot>,
     ) -> Vec<PlainCiphertext> {
-        self.linear_layer_shared(layer, inputs, level, &Self::SharedRot::new())
+        let plan = layer.plan();
+        let blocks: Vec<Vec<f64>> = inputs.iter().map(|ct| ct.slots.clone()).collect();
+        let (src, bias_blocks) = layer.values(self.slots);
+        let private = Self::SharedRot::new();
+        let out_blocks =
+            exec_plain_parallel_shared(plan, &*src, &blocks, shared.unwrap_or(&private));
+        out_blocks
+            .into_iter()
+            .enumerate()
+            .map(|(b, mut block)| {
+                if let Some(bias) = bias_blocks.get(b) {
+                    // a folded dense output block is R-periodic, bias too
+                    for (x, v) in block.iter_mut().zip(plan.periodic(bias)) {
+                        *x += v;
+                    }
+                }
+                PlainCiphertext {
+                    slots: block,
+                    level: level - 1,
+                }
+            })
+            .collect()
     }
 
     fn hoist_rotations(
@@ -199,69 +157,6 @@ impl EvalBackend for PlainBackend {
     ) -> Self::SharedRot {
         let blocks: Vec<Vec<f64>> = cts.iter().map(|ct| ct.slots.clone()).collect();
         shared_rot_plain(&blocks, rots)
-    }
-
-    fn linear_layer_shared(
-        &self,
-        layer: &LinearRef<'_>,
-        inputs: &[PlainCiphertext],
-        level: usize,
-        shared: &Self::SharedRot,
-    ) -> Vec<PlainCiphertext> {
-        let slots = self.slots;
-        let blocks: Vec<Vec<f64>> = inputs.iter().map(|ct| ct.slots.clone()).collect();
-        let (out_blocks, bias_blocks) = match layer {
-            LinearRef::Conv {
-                plan,
-                spec,
-                weight,
-                bias,
-                in_l,
-                out_l,
-                ..
-            } => {
-                let src = ConvDiagSource {
-                    in_l: **in_l,
-                    out_l: **out_l,
-                    spec: **spec,
-                    weights: weight,
-                };
-                (
-                    exec_plain_parallel_shared(plan, &src, &blocks, shared),
-                    BiasValues::conv(out_l, bias, slots),
-                )
-            }
-            LinearRef::Dense {
-                plan,
-                weight,
-                bias,
-                in_l,
-                n_out,
-                ..
-            } => {
-                let src = DenseDiagSource::new((*weight).clone(), in_l);
-                (
-                    exec_plain_parallel_shared(plan, &src, &blocks, shared),
-                    BiasValues::dense(*n_out, bias, slots),
-                )
-            }
-        };
-        out_blocks
-            .into_iter()
-            .enumerate()
-            .map(|(b, mut block)| {
-                if let Some(bias) = bias_blocks.get(b) {
-                    // a folded dense output block is R-periodic, bias too
-                    for (x, v) in block.iter_mut().zip(layer.plan().periodic(bias)) {
-                        *x += v;
-                    }
-                }
-                PlainCiphertext {
-                    slots: block,
-                    level: level - 1,
-                }
-            })
-            .collect()
     }
 
     fn scale_down(&self, ct: &PlainCiphertext, factor: f64, level: usize) -> PlainCiphertext {
@@ -318,17 +213,16 @@ impl EvalBackend for PlainBackend {
 pub struct PlainRun {
     /// The network output.
     pub output: Tensor,
-    /// Uniform operation statistics (from the [`Counting`] decorator).
+    /// Uniform operation statistics.
     pub counter: OpCounter,
 }
 
 /// Runs a compiled program through the plain rotation-algebra oracle with
 /// uniform op-counting.
 pub fn run_plain(c: &Compiled, input: &Tensor) -> PlainRun {
-    let backend = Counting::new(PlainBackend::new(c), c.opts.cost.clone(), c.opts.l_eff);
-    let run = run_program(c, &backend, input);
+    let run = run_program(c, &PlainBackend::new(c), input);
     PlainRun {
         output: run.output,
-        counter: backend.into_parts().1,
+        counter: run.counter,
     }
 }

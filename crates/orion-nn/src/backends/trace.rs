@@ -5,8 +5,8 @@
 //! underlying [`TraceEngine`] enforces FHE legality — multiplications
 //! must be rescaled, rescales consume levels, level-0 wires must
 //! bootstrap. This is how the paper's ImageNet-scale reporting columns
-//! are regenerated without hours of modular arithmetic; wrap it in
-//! [`crate::backend::Counting`] to collect them.
+//! are regenerated without hours of modular arithmetic
+//! ([`crate::backend::ProgramRun::counter`]).
 
 use crate::backend::{EvalBackend, LinearRef};
 use crate::compile::Compiled;
@@ -77,11 +77,9 @@ pub(crate) fn gather_slots(cts: &[TraceCiphertext], n: usize) -> Vec<f64> {
 
 impl EvalBackend for TraceBackend {
     type Ciphertext = TraceCiphertext;
-    type Plaintext = Vec<f64>;
     // The trace engine computes linear layers by reference convolution on
     // gathered slots — there is no rotation algebra to share, so the
-    // shared-rotation handle is empty and shared consumers just run the
-    // ordinary layer.
+    // shared-rotation handle is empty and ignored.
     type SharedRot = ();
 
     fn name(&self) -> &'static str {
@@ -104,32 +102,8 @@ impl EvalBackend for TraceBackend {
         self.engine.decrypt(ct)
     }
 
-    fn encode(&self, vals: &[f64], _level: usize) -> Vec<f64> {
-        vals.to_vec()
-    }
-
     fn add(&self, a: &TraceCiphertext, b: &TraceCiphertext) -> TraceCiphertext {
         self.engine.hadd(a, b)
-    }
-
-    fn add_plain(&self, a: &TraceCiphertext, p: &Vec<f64>) -> TraceCiphertext {
-        self.engine.padd(a, p)
-    }
-
-    fn pmult(&self, a: &TraceCiphertext, p: &Vec<f64>) -> TraceCiphertext {
-        self.engine.pmult(a, p)
-    }
-
-    fn hmult(&self, a: &TraceCiphertext, b: &TraceCiphertext) -> TraceCiphertext {
-        self.engine.hmult(a, b)
-    }
-
-    fn rotate(&self, a: &TraceCiphertext, k: isize) -> TraceCiphertext {
-        self.engine.rotate(a, k)
-    }
-
-    fn rescale(&self, a: &TraceCiphertext) -> TraceCiphertext {
-        self.engine.rescale(a)
     }
 
     fn drop_to_level(&self, a: &TraceCiphertext, level: usize) -> TraceCiphertext {
@@ -153,6 +127,7 @@ impl EvalBackend for TraceBackend {
         layer: &LinearRef<'_>,
         inputs: &[TraceCiphertext],
         level: usize,
+        _shared: Option<&Self::SharedRot>,
     ) -> Vec<TraceCiphertext> {
         let slots = self.engine.slots;
         match layer {
@@ -191,16 +166,6 @@ impl EvalBackend for TraceBackend {
         _level: usize,
         _rots: &[(u32, usize)],
     ) -> Self::SharedRot {
-    }
-
-    fn linear_layer_shared(
-        &self,
-        layer: &LinearRef<'_>,
-        inputs: &[TraceCiphertext],
-        level: usize,
-        _shared: &Self::SharedRot,
-    ) -> Vec<TraceCiphertext> {
-        self.linear_layer(layer, inputs, level)
     }
 
     fn scale_down(&self, ct: &TraceCiphertext, factor: f64, _level: usize) -> TraceCiphertext {

@@ -9,7 +9,7 @@
 //! level, bootstrap where the policy says, keep every wire at exactly
 //! scale Δ — wire-level units in parallel on the shared pool.
 
-use crate::backend::{run_program, run_program_opt, Counting};
+use crate::backend::{run_program, run_program_opt, LinearRef};
 use crate::backends::CkksBackend;
 use crate::compile::{Compiled, Step};
 use crate::opt::{OptConfig, OptStats};
@@ -23,7 +23,6 @@ use orion_ckks::params::{CkksParams, Context};
 use orion_ckks::precision::precision_bits;
 use orion_linear::paged::LayerSource;
 use orion_linear::prepared::{PreparedActivation, PreparedLayer, PreparedProgram};
-use orion_linear::values::{BiasValues, ConvDiagSource, DenseDiagSource};
 use orion_poly::eval::{evaluate_chebyshev_src, set_level_scale_src, RecordingConsts};
 use orion_sim::OpCounter;
 use orion_tensor::Tensor;
@@ -42,7 +41,7 @@ pub struct FheSession {
     pub eval: Evaluator,
     pub(crate) encryptor: Encryptor,
     pub(crate) decryptor: Decryptor,
-    /// The bootstrap oracle (level reset; see DESIGN.md).
+    /// The bootstrap oracle (level reset; see README, "Substitutions").
     pub oracle: BootstrapOracle,
     pub(crate) rng: parking_lot::Mutex<StdRng>,
 }
@@ -91,7 +90,7 @@ impl FheSession {
     /// Packs and encrypts `input` exactly as the interpreter's `Input`
     /// step does — the client-side half of the serving path, where
     /// requests arrive already encrypted and the server only ever touches
-    /// ciphertexts (run them with [`run_fhe_source_counted`]).
+    /// ciphertexts (run them with [`run_fhe_source_opt`]).
     pub fn encrypt_input(&self, c: &Compiled, input: &Tensor) -> Vec<Ciphertext> {
         crate::backend::input_slot_chunks(c, self.ctx.slots(), input)
             .into_iter()
@@ -118,46 +117,15 @@ pub fn prepare_program(c: &Compiled, s: &FheSession) -> PreparedProgram {
     let slots = s.ctx.slots();
     let mut prog = PreparedProgram::new();
     for (id, node) in c.prog.iter().enumerate() {
-        let Some(level) = c.placement.levels[id] else {
+        let (Some(level), Some(layer)) = (c.placement.levels[id], LinearRef::of(id, &node.step))
+        else {
             continue;
         };
-        match &node.step {
-            Step::Conv {
-                plan,
-                spec,
-                weight,
-                bias,
-                in_l,
-                out_l,
-            } => {
-                let src = ConvDiagSource {
-                    in_l: *in_l,
-                    out_l: *out_l,
-                    spec: *spec,
-                    weights: weight,
-                };
-                let bias_blocks = BiasValues::conv(out_l, bias, slots);
-                prog.insert(
-                    id,
-                    PreparedLayer::build(&s.enc, plan, &src, Some(&bias_blocks), level),
-                );
-            }
-            Step::Dense {
-                plan,
-                weight,
-                bias,
-                in_l,
-                n_out,
-            } => {
-                let src = DenseDiagSource::new(weight.clone(), in_l);
-                let bias_blocks = BiasValues::dense(*n_out, bias, slots);
-                prog.insert(
-                    id,
-                    PreparedLayer::build(&s.enc, plan, &src, Some(&bias_blocks), level),
-                );
-            }
-            _ => {}
-        }
+        let (src, bias_blocks) = layer.values(slots);
+        prog.insert(
+            id,
+            PreparedLayer::build(&s.enc, layer.plan(), &*src, Some(&bias_blocks), level),
+        );
     }
     record_activation_consts(c, s, &mut prog);
     prog
@@ -267,25 +235,14 @@ fn zero_input(c: &Compiled) -> Tensor {
 
 /// The serving hot path: runs a compiled program over **pre-encrypted**
 /// input ciphertexts (see [`FheSession::encrypt_input`]) against any
-/// prepared-layer source — resident or memory-capped paged — with uniform
-/// op-counting. The returned counter's `encodes` field is the complete
-/// per-request encode tally (declared stage/layer encodes plus any
+/// prepared-layer source — resident or memory-capped paged — through the
+/// plan optimizer with the given per-pass toggles, and returns the run, its
+/// op counter and the optimizer's per-pass stats (the serve layer surfaces
+/// them in its metrics endpoint). The counter's `encodes` field is the
+/// complete per-request encode tally (declared stage/layer encodes plus any
 /// prepared-constant cache misses), so a fully prepared model serves with
-/// `encodes == 0`, machine-checked.
-pub fn run_fhe_source_counted(
-    c: &Compiled,
-    s: &FheSession,
-    source: Arc<dyn LayerSource>,
-    input_cts: Vec<Ciphertext>,
-) -> (FheRun, OpCounter) {
-    let (run, counter, _) = run_fhe_source_opt(c, s, source, input_cts, OptConfig::default());
-    (run, counter)
-}
-
-/// [`run_fhe_source_counted`] with explicit plan-optimizer toggles,
-/// additionally returning the optimizer's per-pass stats (the serve layer
-/// surfaces them in its metrics endpoint). The default-config path IS the
-/// serving hot path — every served inference runs the optimized plan.
+/// `encodes == 0`, machine-checked. The default-config path IS the serving
+/// hot path — every served inference runs the optimized plan.
 pub fn run_fhe_source_opt(
     c: &Compiled,
     s: &FheSession,
@@ -296,14 +253,13 @@ pub fn run_fhe_source_opt(
     let t0 = std::time::Instant::now();
     let dummy = zero_input(c);
     let backend = CkksBackend::with_source(s, source).inject_inputs(input_cts);
-    let counting = Counting::new(backend, c.opts.cost.clone(), c.opts.l_eff);
     let mode = if rayon::current_num_threads() > 1 {
         SchedMode::Parallel
     } else {
         SchedMode::Sequential
     };
-    let (run, stats) = run_program_opt(c, &counting, &dummy, mode, cfg);
-    let (backend, mut counter) = counting.into_parts();
+    let (run, stats) = run_program_opt(c, &backend, &dummy, mode, cfg);
+    let mut counter = run.counter;
     counter.record_encodes(backend.act_cache_misses());
     (
         FheRun {
@@ -316,19 +272,16 @@ pub fn run_fhe_source_opt(
     )
 }
 
-/// [`run_fhe_source_counted`] against a fully-resident prepared cache —
-/// the direct (no queue, no paging) reference the serve smoke tests
-/// compare bit-exactly against.
+/// [`run_fhe_source_opt`] with every pass on against a fully-resident
+/// prepared cache — the direct (no queue, no paging) reference the serve
+/// smoke tests compare bit-exactly against.
 pub fn run_fhe_prepared_cts(
     c: &Compiled,
     s: &FheSession,
     prepared: &Arc<PreparedProgram>,
     input_cts: Vec<Ciphertext>,
 ) -> (FheRun, OpCounter) {
-    run_fhe_source_counted(
-        c,
-        s,
-        Arc::clone(prepared) as Arc<dyn LayerSource>,
-        input_cts,
-    )
+    let source = Arc::clone(prepared) as Arc<dyn LayerSource>;
+    let (run, counter, _) = run_fhe_source_opt(c, s, source, input_cts, OptConfig::default());
+    (run, counter)
 }

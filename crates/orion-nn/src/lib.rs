@@ -33,7 +33,7 @@ pub mod trace_exec;
 pub mod verify;
 
 pub use backend::{
-    run_program, run_program_mode, run_program_opt, Counting, EvalBackend, LinearRef, ProgramRun,
+    run_program, run_program_mode, run_program_opt, EvalBackend, LinearRef, ProgramRun,
 };
 pub use backends::{CkksBackend, PlainBackend, TraceBackend};
 pub use compile::{compile, CompileOptions, Compiled};

@@ -16,8 +16,8 @@
 //!    sets, and when the cost model says the union is strictly cheaper
 //!    than the sum of the private hoists, inserts one
 //!    [`UnitWork::SharedRot`] unit that pays each digit decomposition and
-//!    rotation key switch once; every consumer then runs through the
-//!    shared-rotation executor. This extends the double-hoisting idea one
+//!    rotation key switch once; every consumer then reads its rotations
+//!    from the shared table instead of hoisting. This extends the double-hoisting idea one
 //!    level up: hoisted *within* a layer by the BSGS executor, now hoisted
 //!    *across* layers by the plan.
 //! 2. **Rescale/mod-switch chain fusion** ([`OptConfig::level_fusion`]):
@@ -40,10 +40,11 @@
 //! Rewrites never change results: pass 1 computes the identical rotations
 //! once instead of `k` times, pass 2 commutes limb truncation across the
 //! producer/consumer edge, pass 3 only permutes an order the scheduler
-//! already treats as unordered (the DAG). The
-//! [`Counting`](crate::backend::Counting) decorator is the rewrite oracle
-//! the test suite holds the passes to: count-reducing rewrites (CSE) must
-//! show strictly fewer rotations and key-switch decompositions, and
+//! already treats as unordered (the DAG). The op counter of the plan that
+//! ran ([`crate::sched::count_plan`], carried by every
+//! [`ProgramRun`](crate::backend::ProgramRun)) is the rewrite oracle the
+//! test suite holds the passes to: count-reducing rewrites (CSE) must show
+//! strictly fewer rotations and key-switch decompositions, and
 //! count-neutral rewrites (fusion, sinking) must leave every integer op
 //! count identical.
 

@@ -28,18 +28,14 @@
 //!   spawned). There is no inter-wave barrier, so a long bootstrap no
 //!   longer stalls independent activation chains, and a linear layer's
 //!   prefetch twin fires the moment its trigger completes.
-//! * [`SchedMode::ParallelWaves`] is the retired wave-synchronized walk
-//!   (Kahn's algorithm, one `map_indexed` barrier per frontier), kept
-//!   only as the measurement baseline the sched bench compares the
-//!   event-driven walk against.
 //!
 //! Scheduler order cannot change results: every unit is a pure function
 //! of its input ciphertexts (engines are `&self` and deterministic —
 //! including the bootstrap oracle, whose noise is derived from the
-//! ciphertext being refreshed), values land in per-(wire, version, ct)
-//! [`OnceLock`] slots, and the [`Counting`](crate::backend::Counting)
-//! decorator shards its tallies per unit and merges them in unit order, so
-//! parallel and sequential runs are bit-exact **and** counter-identical.
+//! ciphertext being refreshed) and values land in per-(wire, version, ct)
+//! [`OnceLock`] slots, so parallel and sequential runs are bit-exact. The
+//! op counts never see the walk at all: [`count_plan`] folds the plan's
+//! units, in unit order, into the [`OpCounter`] every run carries.
 //!
 //! Wire versions: the classic interpreter bootstraps a wire *in place*,
 //! so a consumer sees the pre- or post-bootstrap value depending on its
@@ -49,10 +45,11 @@
 //! (two bootstrapping consumers of one wire) replay exactly.
 
 use crate::backend::{input_slot_chunks, EvalBackend, LinearRef, ProgramRun};
-use crate::compile::{Compiled, Step};
+use crate::compile::{stage_mult_estimate, Compiled, Step};
+use orion_sim::counter::OpKind;
+use orion_sim::OpCounter;
 use orion_tensor::Tensor;
 use parking_lot::Mutex;
-use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::OnceLock;
 
@@ -65,11 +62,6 @@ pub enum SchedMode {
     /// Event-driven execution on the shared rayon pool: completed units
     /// release their successors directly, with no inter-wave barrier.
     Parallel,
-    /// The wave-synchronized frontier walk (each Kahn wave barriers on
-    /// its slowest unit). Superseded by [`SchedMode::Parallel`]; kept as
-    /// the baseline the sched bench measures the event-driven walk
-    /// against.
-    ParallelWaves,
 }
 
 /// What one scheduled unit computes.
@@ -426,28 +418,115 @@ impl ExecPlan {
     }
 }
 
-thread_local! {
-    /// The unit currently executing on this thread — the shard key the
-    /// `Counting` decorator tallies under, so parallel runs aggregate
-    /// identically to sequential ones (see `Counting::counter`).
-    static CURRENT_UNIT: Cell<usize> = const { Cell::new(usize::MAX) };
-}
-
-/// The unit id executing on this thread (`usize::MAX` outside a plan).
-pub(crate) fn current_unit() -> usize {
-    CURRENT_UNIT.with(|c| c.get())
-}
-
-/// Runs `f` attributed to unit `uid`. Save/restore nesting keeps the
-/// attribution correct when a pool thread *helps* with another unit's
-/// sub-jobs while waiting inside this one.
-fn with_unit<R>(uid: usize, f: impl FnOnce() -> R) -> R {
-    CURRENT_UNIT.with(|c| {
-        let prev = c.replace(uid);
-        let r = f();
-        c.set(prev);
-        r
-    })
+/// The op tallies of one walk of `plan`, with modeled latency — the
+/// paper's "# Rots" / "# Boots" columns. Levels, bootstraps and every
+/// linear layer's BSGS split are fixed at compile time, so the tallies are
+/// a fold over the units: one counter per unit (its ops in execution
+/// order), merged in ascending unit order, which fixes the accumulated
+/// `f64` seconds bit for bit whatever engine or scheduling mode runs the
+/// plan. The engine is asked only which steps it serves from a prepared
+/// cache (those pay no per-inference encodes).
+pub fn count_plan<B: EvalBackend>(plan: &ExecPlan, c: &Compiled, backend: &B) -> OpCounter {
+    let cost = &c.opts.cost;
+    let mut total = OpCounter::new();
+    for unit in &plan.units {
+        let mut ctr = OpCounter::new();
+        let mut tally = |kind: OpKind, n: usize, each: f64| {
+            let secs = n as f64 * each;
+            ctr.record(kind, n as u64, secs);
+            secs
+        };
+        match unit.work {
+            UnitWork::Prefetch { .. } => {}
+            UnitWork::Boot { .. } => {
+                tally(OpKind::Bootstrap, 1, cost.bootstrap(c.opts.l_eff));
+            }
+            // One digit decomposition per distinct input block, one
+            // hoisted rotation per distinct (block, amount) — the exact
+            // ops the consumers no longer pay privately, and linear-layer
+            // time like theirs.
+            UnitWork::SharedRot { spec } => {
+                let sp = &plan.shared[spec];
+                let hoist = tally(OpKind::Hoist, sp.hoists, cost.ks_decompose(sp.level));
+                let rots = tally(
+                    OpKind::HRotHoisted,
+                    sp.rots.len(),
+                    cost.hrot_hoisted(sp.level),
+                );
+                ctr.linear_seconds += hoist + rots;
+            }
+            UnitWork::Step { node } => {
+                let Some(layer) = LinearRef::of(node, &c.prog[node].step) else {
+                    continue; // Input / Output: nothing tallied
+                };
+                let lv = c.placement.levels[node].expect("linear layer unplaced");
+                // The static op mix of the double-hoisted BSGS matvec. A
+                // layer reading a shared unit pays no hoists and no baby
+                // rotations of its own.
+                let counts = layer.plan().counts;
+                let (hoists, baby_rots) = match unit.shared_rots {
+                    Some(_) => (0, 0),
+                    None => {
+                        tally(OpKind::Hoist, counts.hoists, cost.ks_decompose(lv));
+                        tally(OpKind::HRotHoisted, counts.baby_rots, cost.hrot_hoisted(lv));
+                        (counts.hoists, counts.baby_rots)
+                    }
+                };
+                tally(OpKind::HRot, counts.giant_rots, cost.hrot(lv));
+                tally(OpKind::PMult, counts.pmults, cost.pmult(lv));
+                tally(OpKind::ModDown, counts.moddowns, cost.ks_moddown(lv));
+                tally(OpKind::Rescale, counts.rescales, cost.rescale(lv));
+                ctr.linear_seconds += cost.linear_layer(
+                    lv,
+                    hoists,
+                    baby_rots,
+                    counts.giant_rots,
+                    counts.pmults,
+                    counts.moddowns,
+                    counts.rescales,
+                );
+                // On-the-fly engines also pay one slot-vector encode per
+                // diagonal pmult plus one per output block (bias).
+                if backend.linear_encodes_per_inference(node) {
+                    ctr.record_encodes((counts.pmults + layer.plan().out_blocks) as u64);
+                }
+            }
+            UnitWork::StepCt { node, .. } => {
+                let lv = c.placement.levels[node].expect("elementwise step unplaced");
+                match &c.prog[node].step {
+                    // the fused kernel is tallied like the plain one (the
+                    // drop was always free)
+                    Step::ScaleDown { .. } => {
+                        tally(OpKind::PMult, 1, cost.pmult(lv));
+                        tally(OpKind::Rescale, 1, cost.rescale(lv));
+                    }
+                    Step::PolyStage { coeffs, normalize } => {
+                        let d = coeffs.len() - 1;
+                        let mults = stage_mult_estimate(d);
+                        tally(OpKind::HMult, mults, cost.hmult(lv));
+                        tally(OpKind::PMult, d, cost.pmult(lv));
+                        tally(OpKind::Rescale, mults, cost.rescale(lv));
+                        // one FFT-free constant encode per stage constant:
+                        // a level-only replay of the evaluation recursion
+                        if backend.activation_encodes_per_inference(node) {
+                            ctr.record_encodes(orion_poly::eval::stage_const_count(
+                                coeffs, *normalize, lv,
+                            ));
+                        }
+                    }
+                    Step::ReluFinal { .. } | Step::Square => {
+                        tally(OpKind::HMult, 1, cost.hmult(lv));
+                    }
+                    Step::Add => {
+                        tally(OpKind::HAdd, 1, cost.hadd(lv));
+                    }
+                    other => panic!("step {other:?} is not an elementwise unit"),
+                }
+            }
+        }
+        total.merge(&ctr);
+    }
+    total
 }
 
 /// Per-unit nanosecond stamps captured only while the telemetry collector
@@ -558,7 +637,7 @@ impl<B: EvalBackend> RunState<'_, B> {
     fn run_unit(&self, uid: usize) {
         let unit = &self.plan.units[uid];
         let Some(t) = &self.telem else {
-            with_unit(uid, || self.exec_unit(unit));
+            self.exec_unit(unit);
             return;
         };
         // Queue-wait vs exec split: the ready stamp was written by
@@ -590,7 +669,7 @@ impl<B: EvalBackend> RunState<'_, B> {
                 ("queue_us", queue_ns / 1_000),
             ],
         );
-        with_unit(uid, || self.exec_unit(unit));
+        self.exec_unit(unit);
         t.end[uid].store(orion_telemetry::now_ns(), Ordering::Relaxed);
         drop(span);
     }
@@ -652,52 +731,18 @@ impl<B: EvalBackend> RunState<'_, B> {
                 let (cc, hh, ww) = (prev.layout.c, prev.layout.h, prev.layout.w);
                 *self.out.lock() = Some((Tensor::from_vec(&[cc, hh, ww], raster), cts));
             }
-            Step::Conv {
-                plan,
-                spec,
-                weight,
-                bias,
-                in_l,
-                out_l,
-            } => {
+            step => {
+                let layer = LinearRef::of(id, step)
+                    .unwrap_or_else(|| panic!("step {step:?} is not a whole-step unit"));
                 let lv = c.placement.levels[id].expect("linear layer unplaced");
                 let cts = self.take_dropped(self.plan.in_bufs[id][0], lv);
-                let layer = LinearRef::Conv {
-                    step: id,
-                    plan,
-                    spec,
-                    weight,
-                    bias,
-                    in_l,
-                    out_l,
-                };
                 self.store(unit, self.run_linear(unit, &layer, &cts, lv));
             }
-            Step::Dense {
-                plan,
-                weight,
-                bias,
-                in_l,
-                n_out,
-            } => {
-                let lv = c.placement.levels[id].expect("linear layer unplaced");
-                let cts = self.take_dropped(self.plan.in_bufs[id][0], lv);
-                let layer = LinearRef::Dense {
-                    step: id,
-                    plan,
-                    weight,
-                    bias,
-                    in_l,
-                    n_out: *n_out,
-                };
-                self.store(unit, self.run_linear(unit, &layer, &cts, lv));
-            }
-            other => panic!("step {other:?} is not a whole-step unit"),
         }
     }
 
-    /// Runs one linear layer, through the shared-rotation path when the
-    /// optimizer attached a [`SharedRotSpec`] to the unit.
+    /// Runs one linear layer, reading the hoisted rotations of its
+    /// [`SharedRotSpec`] when the optimizer attached one to the unit.
     fn run_linear(
         &self,
         unit: &Unit,
@@ -705,16 +750,13 @@ impl<B: EvalBackend> RunState<'_, B> {
         cts: &[B::Ciphertext],
         lv: usize,
     ) -> Vec<B::Ciphertext> {
+        let shared = unit.shared_rots.map(|spec| {
+            self.shared_vals[spec]
+                .get()
+                .expect("scheduler dependency violation: shared rotations not ready")
+        });
         orion_telemetry::time_class(orion_telemetry::OpClass::LinearLayer, || {
-            match unit.shared_rots {
-                Some(spec) => {
-                    let shared = self.shared_vals[spec]
-                        .get()
-                        .expect("scheduler dependency violation: shared rotations not ready");
-                    self.backend.linear_layer_shared(layer, cts, lv, shared)
-                }
-                None => self.backend.linear_layer(layer, cts, lv),
-            }
+            self.backend.linear_layer(layer, cts, lv, shared)
         })
     }
 
@@ -799,7 +841,6 @@ pub fn run_plan<B: EvalBackend + Sync>(
             }
         }
         SchedMode::Parallel => run_event_driven(&state),
-        SchedMode::ParallelWaves => run_frontier_waves(&state),
     }
     drop(run_span);
     if let (Some(telem), Some(t0)) = (&state.telem, wall_start) {
@@ -810,6 +851,7 @@ pub fn run_plan<B: EvalBackend + Sync>(
         output,
         output_wire,
         bootstraps: plan.bootstraps,
+        counter: count_plan(plan, c, backend),
     }
 }
 
@@ -870,7 +912,6 @@ fn report_run(plan: &ExecPlan, c: &Compiled, telem: &RunTelemetry, mode: SchedMo
         mode: match mode {
             SchedMode::Sequential => "sequential",
             SchedMode::Parallel => "parallel",
-            SchedMode::ParallelWaves => "parallel_waves",
         },
         threads: rayon::current_num_threads(),
         units: n,
@@ -964,48 +1005,6 @@ fn run_chain<'a, B: EvalBackend + Sync>(
     }
 }
 
-/// The retired wave-synchronized walk (Kahn's algorithm with one barrier
-/// per frontier): every wave waits for its slowest unit before the next
-/// wave starts. Kept only as the measurement baseline for
-/// [`SchedMode::ParallelWaves`] — the sched bench compares the
-/// event-driven walk against it.
-fn run_frontier_waves<B: EvalBackend + Sync>(state: &RunState<'_, B>) {
-    let plan = state.plan;
-    let indeg: Vec<AtomicUsize> = plan
-        .units
-        .iter()
-        .map(|u| AtomicUsize::new(u.deps.len()))
-        .collect();
-    let mut frontier: Vec<usize> = plan
-        .units
-        .iter()
-        .enumerate()
-        .filter(|(_, u)| u.deps.is_empty())
-        .map(|(i, _)| i)
-        .collect();
-    let mut done = 0usize;
-    while !frontier.is_empty() {
-        done += frontier.len();
-        if let Some(t) = &state.telem {
-            for &uid in &frontier {
-                t.mark_ready(uid);
-            }
-        }
-        let released: Vec<Vec<usize>> =
-            orion_math::parallel::map_indexed(frontier.len(), frontier.len() > 1, |i| {
-                let uid = frontier[i];
-                state.run_unit(uid);
-                plan.succs[uid]
-                    .iter()
-                    .copied()
-                    .filter(|&s| indeg[s].fetch_sub(1, Ordering::AcqRel) == 1)
-                    .collect()
-            });
-        frontier = released.into_iter().flatten().collect();
-    }
-    assert_eq!(done, plan.units.len(), "scheduler stalled: cyclic plan?");
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1077,7 +1076,7 @@ mod tests {
     }
 
     #[test]
-    fn all_three_walks_agree_bit_for_bit() {
+    fn both_walks_agree_bit_for_bit() {
         use crate::backends::PlainBackend;
         let mut rng = StdRng::seed_from_u64(11);
         let mut net = Network::new(4, 8, 8);
@@ -1091,14 +1090,10 @@ mod tests {
         assert!(c.placement.boot_count > 0, "want bootstrap units");
         let plan = ExecPlan::build(&c);
         let input = Tensor::from_vec(&[4, 8, 8], (0..256).map(|i| (i % 7) as f64 * 0.1).collect());
-        let runs: Vec<_> = [
-            SchedMode::Sequential,
-            SchedMode::Parallel,
-            SchedMode::ParallelWaves,
-        ]
-        .into_iter()
-        .map(|mode| run_plan(&plan, &c, &PlainBackend::new(&c), &input, mode))
-        .collect();
+        let runs: Vec<_> = [SchedMode::Sequential, SchedMode::Parallel]
+            .into_iter()
+            .map(|mode| run_plan(&plan, &c, &PlainBackend::new(&c), &input, mode))
+            .collect();
         for run in &runs[1..] {
             assert_eq!(run.output.data(), runs[0].output.data());
             assert_eq!(run.bootstraps, runs[0].bootstraps);

@@ -1,14 +1,15 @@
 //! Trace-backend execution of compiled programs — a thin wrapper over the
 //! unified dataflow scheduler ([`crate::backend::run_program`]) with the
-//! [`TraceBackend`] engine and the [`Counting`] decorator.
+//! [`TraceBackend`] engine.
 //!
 //! Values are computed exactly (reference semantics + fitted polynomial
-//! activations), levels/bootstraps follow the placement policy, and every
-//! operation is tallied with its modeled latency — regenerating the
-//! paper's reporting columns for networks far too large to run through
-//! 64-bit modular arithmetic in CI (see DESIGN.md §2).
+//! activations), levels/bootstraps follow the placement policy, and the
+//! run carries the plan's op tallies with their modeled latency —
+//! regenerating the paper's reporting columns for networks far too large
+//! to run through 64-bit modular arithmetic in CI (see README,
+//! "Substitutions").
 
-use crate::backend::{run_program, Counting};
+use crate::backend::run_program;
 use crate::backends::TraceBackend;
 use crate::compile::Compiled;
 use orion_ckks::precision::precision_bits;
@@ -32,10 +33,9 @@ impl TraceRun {
 
 /// Runs a compiled program on the trace backend.
 pub fn run_trace(c: &Compiled, input: &Tensor) -> TraceRun {
-    let backend = Counting::new(TraceBackend::new(c), c.opts.cost.clone(), c.opts.l_eff);
-    let run = run_program(c, &backend, input);
+    let run = run_program(c, &TraceBackend::new(c), input);
     TraceRun {
         output: run.output,
-        counter: backend.into_parts().1,
+        counter: run.counter,
     }
 }

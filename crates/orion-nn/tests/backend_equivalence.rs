@@ -1,12 +1,12 @@
 //! Backend equivalence: the SAME compiled program run through the
 //! [`PlainBackend`], [`TraceBackend`], and [`CkksBackend`] engines under
 //! the single generic interpreter must agree on outputs (within each
-//! engine's precision) and produce IDENTICAL op-counter tallies through
-//! the `Counting` decorator — the refactor's core invariant.
+//! engine's precision) and carry IDENTICAL op-counter tallies — the
+//! refactor's core invariant.
 
 use orion_ckks::precision::precision_bits;
 use orion_ckks::CkksParams;
-use orion_nn::backend::{run_program, Counting};
+use orion_nn::backend::run_program;
 use orion_nn::backends::{CkksBackend, PlainBackend, TraceBackend};
 use orion_nn::compile::{compile, CompileOptions};
 use orion_nn::fhe_exec::FheSession;
@@ -70,18 +70,12 @@ fn mlp_agrees_across_all_three_backends() {
         "test should exercise bootstraps"
     );
     let input = random_input(1, 8, 8, &mut rng);
-    let cost = compiled.opts.cost.clone();
-    let l_eff = compiled.opts.l_eff;
+    let plain_run = run_program(&compiled, &PlainBackend::new(&compiled), &input);
 
-    let plain = Counting::new(PlainBackend::new(&compiled), cost.clone(), l_eff);
-    let plain_run = run_program(&compiled, &plain, &input);
-
-    let trace = Counting::new(TraceBackend::new(&compiled), cost.clone(), l_eff);
-    let trace_run = run_program(&compiled, &trace, &input);
+    let trace_run = run_program(&compiled, &TraceBackend::new(&compiled), &input);
 
     let session = FheSession::new(params, &compiled, 42);
-    let ckks = Counting::new(CkksBackend::new(&session), cost, l_eff);
-    let ckks_run = run_program(&compiled, &ckks, &input);
+    let ckks_run = run_program(&compiled, &CkksBackend::new(&session), &input);
 
     // Values: plain (exact rotation algebra) vs trace (reference linear
     // algebra) agree to float precision; CKKS carries encryption noise.
@@ -97,22 +91,25 @@ fn mlp_agrees_across_all_three_backends() {
     );
 
     // Tallies: identical regardless of engine.
-    assert_counters_identical(&plain.counter(), &trace.counter(), "plain vs trace");
-    assert_counters_identical(&ckks.counter(), &trace.counter(), "ckks vs trace");
-    assert!(trace.counter().rotations() > 0, "program should rotate");
+    assert_counters_identical(&plain_run.counter, &trace_run.counter, "plain vs trace");
+    assert_counters_identical(&ckks_run.counter, &trace_run.counter, "ckks vs trace");
+    assert!(trace_run.counter.rotations() > 0, "program should rotate");
     assert!(
-        trace.counter().encodes > 0,
+        trace_run.counter.encodes > 0,
         "on-the-fly engines pay per-inference encodes"
     );
-    assert_eq!(trace.counter().bootstraps(), compiled.placement.boot_count);
+    assert_eq!(
+        trace_run.counter.bootstraps(),
+        compiled.placement.boot_count
+    );
     assert_eq!(plain_run.bootstraps, trace_run.bootstraps);
     assert_eq!(ckks_run.bootstraps, trace_run.bootstraps);
 }
 
 /// A convolutional network with a SiLU activation through the two
 /// cleartext engines (no key material needed): rotation-algebra packing
-/// equals the reference convolution end to end, and the counter decorator
-/// is engine-independent.
+/// equals the reference convolution end to end, and the op counter is
+/// engine-independent.
 #[test]
 fn conv_net_plain_oracle_matches_trace_reference() {
     let mut rng = StdRng::seed_from_u64(4242);
@@ -132,19 +129,19 @@ fn conv_net_plain_oracle_matches_trace_reference() {
     };
     let compiled = compile(&net, &fitres, &opts);
     let input = random_input(2, 8, 8, &mut rng);
-    let cost = compiled.opts.cost.clone();
-
-    let plain = Counting::new(PlainBackend::new(&compiled), cost.clone(), opts.l_eff);
-    let plain_run = run_program(&compiled, &plain, &input);
-    let trace = Counting::new(TraceBackend::new(&compiled), cost, opts.l_eff);
-    let trace_run = run_program(&compiled, &trace, &input);
+    let plain_run = run_program(&compiled, &PlainBackend::new(&compiled), &input);
+    let trace_run = run_program(&compiled, &TraceBackend::new(&compiled), &input);
 
     let prec = precision_bits(plain_run.output.data(), trace_run.output.data());
     assert!(
         prec > 35.0,
         "conv packing oracle diverged from reference: {prec} bits"
     );
-    assert_counters_identical(&plain.counter(), &trace.counter(), "conv plain vs trace");
+    assert_counters_identical(
+        &plain_run.counter,
+        &trace_run.counter,
+        "conv plain vs trace",
+    );
     // Multi-ciphertext wires were actually exercised.
     assert!(
         compiled.prog.iter().any(|p| p.n_cts >= 2),

@@ -1,13 +1,13 @@
 //! The hoisting-aware BSGS chooser must actually cut key-switch digit
-//! decompositions per linear layer, and the `Counting` decorator must see
-//! the drop: conv layers (sparse diagonal structure) hoist *every*
+//! decompositions per linear layer, and the run's op counter must see the
+//! drop: conv layers (sparse diagonal structure) hoist *every*
 //! rotation, so an executed conv network performs zero full `HRot`s and
 //! exactly one `Hoist` per rotating input block. Dense layers embed with
 //! the hybrid (row-folded) diagonal method; the fold's rotate-and-sum steps
 //! are full `HRot`s and must show up in the executed tally.
 
 use orion_ckks::CkksParams;
-use orion_nn::backend::{run_program, Counting};
+use orion_nn::backend::run_program;
 use orion_nn::backends::{CkksBackend, TraceBackend};
 use orion_nn::compile::{compile, CompileOptions, Step};
 use orion_nn::fhe_exec::FheSession;
@@ -72,9 +72,7 @@ fn conv_layers_hoist_every_rotation() {
         &[shape.c, shape.h, shape.w],
         (0..n).map(|_| rng.gen_range(-1.0..1.0)).collect(),
     );
-    let backend = Counting::new(TraceBackend::new(&c), c.opts.cost.clone(), c.opts.l_eff);
-    let _run = run_program(&c, &backend, &input);
-    let ctr = backend.counter();
+    let ctr = run_program(&c, &TraceBackend::new(&c), &input).counter;
     assert_eq!(ctr.count(OpKind::HRot), 0, "full rotations slipped through");
     assert_eq!(ctr.count(OpKind::Hoist), want_hoists);
     assert!(
@@ -228,14 +226,9 @@ fn lola_on_the_real_engine_counts_its_fold_rotations() {
     assert_eq!(c.rotation_steps().len(), 90, "one key per distinct step");
 
     let session = FheSession::new(params, &c, 0x101b);
-    let backend = Counting::new(
-        CkksBackend::new(&session),
-        c.opts.cost.clone(),
-        c.opts.l_eff,
-    );
     let input = image(&mut rng);
-    let run = run_program(&c, &backend, &input);
-    let ctr = backend.counter();
+    let run = run_program(&c, &CkksBackend::new(&session), &input);
+    let ctr = &run.counter;
     assert_eq!(ctr.count(OpKind::HRot), hrot);
     assert_eq!(ctr.count(OpKind::HRotHoisted), hoisted);
     assert_eq!(ctr.count(OpKind::PMult), pmult);

@@ -1,7 +1,7 @@
 //! Plan-optimizer equivalence and strict-improvement suite.
 //!
-//! The optimizer's contract has two halves, and `Counting` is the rewrite
-//! oracle for both:
+//! The optimizer's contract has two halves, and the op counter each run
+//! carries is the rewrite oracle for both:
 //!
 //! * **bit-exactness** — the optimized plan computes the identical output
 //!   (down to raw ciphertext bits on real CKKS) on every engine, in the
@@ -13,7 +13,7 @@
 //!   count unchanged.
 
 use orion_ckks::CkksParams;
-use orion_nn::backend::{run_program_mode, run_program_opt, Counting};
+use orion_nn::backend::{run_program_mode, run_program_opt};
 use orion_nn::backends::{CkksBackend, PlainBackend, TraceBackend};
 use orion_nn::compile::{compile, CompileOptions, Compiled};
 use orion_nn::fhe_exec::FheSession;
@@ -95,18 +95,15 @@ where
     B: orion_nn::EvalBackend + Sync,
     F: Fn() -> B,
 {
-    let cost = c.opts.cost.clone();
-    let noopt = Counting::new(mk(), cost.clone(), c.opts.l_eff);
-    let base = run_program_mode(c, &noopt, input, mode);
-    let opt = Counting::new(mk(), cost, c.opts.l_eff);
-    let (optimized, stats) = run_program_opt(c, &opt, input, mode, cfg);
+    let base = run_program_mode(c, &mk(), input, mode);
+    let (optimized, stats) = run_program_opt(c, &mk(), input, mode, cfg);
     assert_eq!(
         base.output.data(),
         optimized.output.data(),
         "{what}: optimized output diverged"
     );
     assert_eq!(base.bootstraps, optimized.bootstraps, "{what}: bootstraps");
-    (noopt.counter(), opt.counter(), stats)
+    (base.counter, optimized.counter, stats)
 }
 
 /// Rotation CSE on the fork head: every engine stays bit-exact in both
@@ -173,6 +170,53 @@ fn rotation_cse_strictly_reduces_rotations_and_decompositions() {
         assert_eq!(saved.count(OpKind::PMult), 0);
         assert_eq!(saved.count(OpKind::Rescale), 0);
         assert_eq!(saved.count(OpKind::Bootstrap), 0);
+    }
+}
+
+/// Rotation CSE moves hoists out of the consumer layers into a shared
+/// unit, and the shared unit's modeled time is linear-layer time like
+/// theirs: what the rewrite saves in `seconds` it saves in
+/// `linear_seconds`, so Table 4's "other" (`seconds − linear_seconds −
+/// bootstrap_seconds`) does not absorb it.
+#[test]
+fn shared_hoists_are_attributed_to_linear_seconds() {
+    let cse_only = OptConfig {
+        rotation_cse: true,
+        level_fusion: false,
+        boot_sink: false,
+    };
+    for (what, mk_net) in [
+        ("fork", fork_net as fn(&mut StdRng) -> Network),
+        ("fork behind relu", fork_relu_net),
+    ] {
+        let mut rng = StdRng::seed_from_u64(0x0971b);
+        let net = mk_net(&mut rng);
+        let compiled = compile(&net, &fixed_ranges(&net, 4.0), &opts());
+        let input = random_input(4, 8, 8, &mut rng);
+        let (base, opt, stats) = run_pair(
+            &compiled,
+            &input,
+            SchedMode::Sequential,
+            cse_only,
+            what,
+            || PlainBackend::new(&compiled),
+        );
+        assert!(
+            stats.rotation_cse.shared_units >= 1,
+            "{what}: CSE must fire"
+        );
+        let saved = base.seconds - opt.seconds;
+        let saved_linear = base.linear_seconds - opt.linear_seconds;
+        assert!(saved > 0.0, "{what}: sharing must save modeled time");
+        assert!(
+            (saved - saved_linear).abs() <= 1e-12 * saved,
+            "{what}: {saved} s saved overall, {saved_linear} s of it linear"
+        );
+        assert_eq!(
+            base.bootstrap_seconds.to_bits(),
+            opt.bootstrap_seconds.to_bits(),
+            "{what}: bootstrap seconds moved"
+        );
     }
 }
 

@@ -1,12 +1,12 @@
 //! The prepared serving path end to end: `run_fhe_prepared` computes the
-//! same function as `run_fhe` on a real conv + dense network, the
-//! `Counting` decorator machine-checks the zero-per-inference-encodes
-//! claim, and prepared engines stay counter-identical across CKKS and the
-//! modeled backends.
+//! same function as `run_fhe` on a real conv + dense network, the run's
+//! op counter machine-checks the zero-per-inference-encodes claim, and
+//! prepared engines stay counter-identical across CKKS and the modeled
+//! backends.
 
 use orion_ckks::precision::precision_bits;
 use orion_ckks::CkksParams;
-use orion_nn::backend::{run_program, Counting};
+use orion_nn::backend::run_program;
 use orion_nn::backends::{CkksBackend, TraceBackend};
 use orion_nn::compile::{compile, CompileOptions, Step};
 use orion_nn::fhe_exec::{run_fhe, run_fhe_prepared, run_fhe_prepared_cts, FheSession};
@@ -75,31 +75,22 @@ fn prepared_run_matches_on_the_fly_with_zero_encodes() {
 
     // Op tallies: the prepared run records ZERO per-inference encodes,
     // everything else identical to the on-the-fly run.
-    let cost = compiled.opts.cost.clone();
-    let l_eff = compiled.opts.l_eff;
-    let cold = Counting::new(CkksBackend::new(&session), cost.clone(), l_eff);
-    run_program(&compiled, &cold, &input);
-    let warm = Counting::new(
-        CkksBackend::with_prepared(&session, prepared.clone()),
-        cost.clone(),
-        l_eff,
-    );
-    run_program(&compiled, &warm, &input);
-    assert!(cold.counter().encodes > 0, "on-the-fly path must encode");
+    let cold = run_program(&compiled, &CkksBackend::new(&session), &input).counter;
+    let warm = CkksBackend::with_prepared(&session, prepared.clone());
+    let warm = run_program(&compiled, &warm, &input).counter;
+    assert!(cold.encodes > 0, "on-the-fly path must encode");
     assert_eq!(
-        warm.counter().encodes,
-        0,
+        warm.encodes, 0,
         "prepared path must encode NOTHING per inference"
     );
-    assert_eq!(cold.counter().all(), warm.counter().all());
-    assert_eq!(cold.counter().rotations(), warm.counter().rotations());
+    assert_eq!(cold.all(), warm.all());
+    assert_eq!(cold.rotations(), warm.rotations());
 
     // The modeled trace engine mirrors the serving mode, so prepared CKKS
     // and prepared trace stay counter-identical (including encodes).
-    let trace = Counting::new(TraceBackend::prepared(&compiled), cost, l_eff);
-    run_program(&compiled, &trace, &input);
-    assert_eq!(trace.counter().encodes, 0);
-    assert_eq!(trace.counter().all(), warm.counter().all());
+    let trace = run_program(&compiled, &TraceBackend::prepared(&compiled), &input).counter;
+    assert_eq!(trace.encodes, 0);
+    assert_eq!(trace.all(), warm.all());
 }
 
 #[test]
@@ -141,32 +132,25 @@ fn prepared_activation_constants_hit_zero_encodes() {
         &[1, 4, 4],
         (0..16).map(|i| (i as f64) * 0.05 - 0.4).collect(),
     );
-    let cost = compiled.opts.cost.clone();
-    let l_eff = compiled.opts.l_eff;
-    let cold = Counting::new(CkksBackend::new(&session), cost.clone(), l_eff);
+    let cold = CkksBackend::new(&session);
     let cold_run = run_program(&compiled, &cold, &input);
     // the declarative stage tally and the engine-observed fresh encodes
     // must agree — this pins the level-only replay to the real recursion
-    assert_eq!(cold.inner.act_fresh_encodes(), stage_encodes);
-    assert!(cold.counter().encodes >= stage_encodes);
+    assert_eq!(cold.act_fresh_encodes(), stage_encodes);
+    assert!(cold_run.counter.encodes >= stage_encodes);
 
-    let warm = Counting::new(
-        CkksBackend::with_prepared(&session, prepared.clone()),
-        cost.clone(),
-        l_eff,
-    );
+    let warm = CkksBackend::with_prepared(&session, prepared.clone());
     let warm_run = run_program(&compiled, &warm, &input);
-    assert_eq!(warm.counter().encodes, 0, "linear AND activation cached");
-    assert_eq!(warm.inner.act_fresh_encodes(), 0);
-    assert_eq!(warm.inner.act_cache_misses(), 0, "recording must replay");
+    assert_eq!(warm_run.counter.encodes, 0, "linear AND activation cached");
+    assert_eq!(warm.act_fresh_encodes(), 0);
+    assert_eq!(warm.act_cache_misses(), 0, "recording must replay");
 
     // same function, and modeled prepared engines stay counter-identical
     let prec = precision_bits(warm_run.output.data(), cold_run.output.data());
     assert!(prec > 8.0, "prepared activation diverged: {prec} bits");
-    let trace = Counting::new(TraceBackend::prepared(&compiled), cost, l_eff);
-    run_program(&compiled, &trace, &input);
-    assert_eq!(trace.counter().encodes, 0);
-    assert_eq!(trace.counter().all(), warm.counter().all());
+    let trace = run_program(&compiled, &TraceBackend::prepared(&compiled), &input).counter;
+    assert_eq!(trace.encodes, 0);
+    assert_eq!(trace.all(), warm_run.counter.all());
 }
 
 #[test]
@@ -263,27 +247,18 @@ fn partially_prepared_cache_is_tallied_honestly() {
     }
     let partial = std::sync::Arc::new(partial);
 
-    let cost = compiled.opts.cost.clone();
-    let l_eff = compiled.opts.l_eff;
     let input = Tensor::from_vec(
         &[2, 8, 8],
         (0..128).map(|_| rng.gen_range(-1.0..1.0)).collect(),
     );
-    let cold = Counting::new(CkksBackend::new(&session), cost.clone(), l_eff);
-    run_program(&compiled, &cold, &input);
-    let mixed = Counting::new(
-        CkksBackend::with_prepared(&session, partial),
-        cost.clone(),
-        l_eff,
-    );
-    run_program(&compiled, &mixed, &input);
-    let warm = Counting::new(CkksBackend::with_prepared(&session, full), cost, l_eff);
-    run_program(&compiled, &warm, &input);
-    assert_eq!(warm.counter().encodes, 0);
+    let encodes =
+        |backend: CkksBackend<'_>| run_program(&compiled, &backend, &input).counter.encodes;
+    let cold = encodes(CkksBackend::new(&session));
+    let mixed = encodes(CkksBackend::with_prepared(&session, partial));
+    let warm = encodes(CkksBackend::with_prepared(&session, full));
+    assert_eq!(warm, 0);
     assert!(
-        mixed.counter().encodes > 0 && mixed.counter().encodes < cold.counter().encodes,
-        "partial cache must charge only the uncached steps: {} vs cold {}",
-        mixed.counter().encodes,
-        cold.counter().encodes
+        mixed > 0 && mixed < cold,
+        "partial cache must charge only the uncached steps: {mixed} vs cold {cold}"
     );
 }

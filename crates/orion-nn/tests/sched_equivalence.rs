@@ -3,12 +3,12 @@
 //! engine — scheduler order must not change results. This is the
 //! refactor's core invariant: per-(wire, version, ct) value slots make the
 //! data flow explicit, every backend op (including the bootstrap oracle)
-//! is a pure function, and the `Counting` decorator shards tallies per
-//! unit and merges them in plan order, so even the accumulated `f64`
-//! model seconds agree to the last bit.
+//! is a pure function, and the op counter is a fold over the plan's units
+//! in plan order, so even the accumulated `f64` model seconds agree to the
+//! last bit.
 
 use orion_ckks::CkksParams;
-use orion_nn::backend::{run_program_mode, Counting};
+use orion_nn::backend::run_program_mode;
 use orion_nn::backends::{CkksBackend, PlainBackend, TraceBackend};
 use orion_nn::compile::{compile, CompileOptions, Compiled};
 use orion_nn::fhe_exec::FheSession;
@@ -53,7 +53,7 @@ fn assert_counters_bit_identical(a: &OpCounter, b: &OpCounter, what: &str) {
     );
 }
 
-/// Runs `c` in both modes on a fresh `Counting<B>` built by `mk` and
+/// Runs `c` in both modes on a fresh engine built by `mk` and
 /// checks outputs bit-exact + counters bit-identical. Returns the
 /// sequential run's bootstraps.
 fn check_modes<B, F>(c: &Compiled, input: &Tensor, what: &str, mk: F) -> u64
@@ -61,18 +61,15 @@ where
     B: orion_nn::EvalBackend + Sync,
     F: Fn() -> B,
 {
-    let cost = c.opts.cost.clone();
-    let seq = Counting::new(mk(), cost.clone(), c.opts.l_eff);
-    let seq_run = run_program_mode(c, &seq, input, SchedMode::Sequential);
-    let par = Counting::new(mk(), cost, c.opts.l_eff);
-    let par_run = run_program_mode(c, &par, input, SchedMode::Parallel);
+    let seq_run = run_program_mode(c, &mk(), input, SchedMode::Sequential);
+    let par_run = run_program_mode(c, &mk(), input, SchedMode::Parallel);
     assert_eq!(
         seq_run.output.data(),
         par_run.output.data(),
         "{what}: parallel output diverged from sequential"
     );
     assert_eq!(seq_run.bootstraps, par_run.bootstraps, "{what}: bootstraps");
-    assert_counters_bit_identical(&seq.counter(), &par.counter(), what);
+    assert_counters_bit_identical(&seq_run.counter, &par_run.counter, what);
     seq_run.bootstraps
 }
 
@@ -182,18 +179,9 @@ fn ckks_prepared_conv_parallel_matches_sequential() {
     let cts = session.encrypt_input(&compiled, &input);
     let dummy = Tensor::from_vec(&[2, 8, 8], vec![0.0; 128]);
 
-    let cost = compiled.opts.cost.clone();
-    let seq = Counting::new(
-        CkksBackend::with_prepared(&session, prepared.clone()).inject_inputs(cts.clone()),
-        cost.clone(),
-        compiled.opts.l_eff,
-    );
+    let seq = CkksBackend::with_prepared(&session, prepared.clone()).inject_inputs(cts.clone());
     let seq_run = run_program_mode(&compiled, &seq, &dummy, SchedMode::Sequential);
-    let par = Counting::new(
-        CkksBackend::with_prepared(&session, prepared).inject_inputs(cts),
-        cost,
-        compiled.opts.l_eff,
-    );
+    let par = CkksBackend::with_prepared(&session, prepared).inject_inputs(cts);
     let par_run = run_program_mode(&compiled, &par, &dummy, SchedMode::Parallel);
     assert_eq!(seq_run.output.data(), par_run.output.data());
     // raw output ciphertexts, not just decodes, must match bit for bit
@@ -202,6 +190,6 @@ fn ckks_prepared_conv_parallel_matches_sequential() {
         assert_eq!(a.c1, b.c1);
         assert_eq!(a.scale, b.scale);
     }
-    assert_counters_bit_identical(&seq.counter(), &par.counter(), "ckks prepared conv");
-    assert_eq!(seq.counter().encodes, 0, "prepared path must not encode");
+    assert_counters_bit_identical(&seq_run.counter, &par_run.counter, "ckks prepared conv");
+    assert_eq!(seq_run.counter.encodes, 0, "prepared path must not encode");
 }

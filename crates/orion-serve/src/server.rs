@@ -9,7 +9,7 @@
 //!     │ scheduler: flush a model when its queue reaches max_batch
 //!     ▼             or its oldest request waits past max_wait
 //!  batch queue ──► workers (catch_unwind per request)
-//!                     │ run_fhe_source_counted
+//!                     │ run_fhe_source_opt
 //!                     ▼
 //!                  LayerSource: resident PreparedProgram
 //!                               or LRU PagedProgram under a byte budget

@@ -6,8 +6,8 @@
 //! bootstrapped before further depth, and bootstraps return to `L_eff`.
 //!
 //! The engine models *semantics and legality only* — operation counting
-//! and modeled latency live in one place, the `Counting` backend decorator
-//! in `orion-nn` (`orion_nn::backend::Counting`), so the paper's reporting
+//! and modeled latency live in one place, the fold over the execution plan
+//! in `orion-nn` (`orion_nn::sched::count_plan`), so the paper's reporting
 //! columns are produced identically for every execution engine rather
 //! than re-tallied per engine.
 
@@ -189,7 +189,7 @@ impl TraceEngine {
         }
     }
 
-    /// Full `HRot` by `k` (out[i] = in[(i+k) mod slots]).
+    /// Full `HRot` by `k` (`out[i] = in[(i+k) mod slots]`).
     pub fn rotate(&self, a: &TraceCiphertext, k: isize) -> TraceCiphertext {
         if k == 0 {
             return a.clone();

@@ -249,7 +249,7 @@ fn record(kind: &'static str, phase: Phase, mut args: Args) {
     });
 }
 
-/// RAII span guard returned by [`span`]; emits the close event on drop.
+/// RAII span guard returned by [`span()`]; emits the close event on drop.
 #[must_use = "a span guard closes its span when dropped"]
 pub struct SpanGuard {
     kind: Option<&'static str>,

@@ -61,11 +61,11 @@ fn main() {
     // residual-fork models (≥ 1.0 by construction; strictly > 1.0 for
     // rotations and key-switch decompositions — both forks share their
     // branches' rotation sets, the guaranteed CSE win).
-    for (name, (net, shape)) in [
+    for (name, net) in [
         ("resnet_fork", resnet_fork_net()),
         ("boot_deep", boot_deep_fork_net()),
     ] {
-        let cmp = opt_comparison(&net, shape);
+        let cmp = opt_comparison(&net);
         if name == "boot_deep" {
             assert!(cmp.boot_count > 0, "boot_deep model must bootstrap");
         }

@@ -10,7 +10,7 @@
 use orion_bench::{fmt_secs, prepare_model, Table};
 use orion_models::data::synthetic_images;
 use orion_models::Act;
-use orion_nn::trace_exec::run_trace;
+use orion_nn::backends::run_trace;
 
 /// One decoded detection.
 struct DetBox {

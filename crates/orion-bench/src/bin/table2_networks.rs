@@ -13,7 +13,7 @@
 use orion_bench::{fmt_secs, prepare_model, Table};
 use orion_models::data::synthetic_images;
 use orion_models::Act;
-use orion_nn::trace_exec::run_trace;
+use orion_nn::backends::run_trace;
 
 fn main() {
     let large = std::env::args().any(|a| a == "--large");

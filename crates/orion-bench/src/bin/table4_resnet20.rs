@@ -13,8 +13,8 @@ use orion_graph::place_lazy;
 use orion_linear::baseline::lee_et_al_rotations;
 use orion_models::data::synthetic_images;
 use orion_models::Act;
+use orion_nn::backends::run_trace;
 use orion_nn::compile::Step;
-use orion_nn::trace_exec::run_trace;
 use orion_sim::CostModel;
 
 fn main() {

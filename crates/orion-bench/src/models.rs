@@ -7,14 +7,14 @@ use criterion::Criterion;
 use orion_ckks::CkksParams;
 use orion_linear::paged::{LayerSource, PagedProgram};
 use orion_linear::store::DiagStore;
-use orion_nn::backend::{run_program_mode, run_program_opt};
-use orion_nn::backends::{CkksBackend, PlainBackend};
+use orion_nn::backend::run_program_mode;
+use orion_nn::backends::{CkksBackend, ClearBackend};
 use orion_nn::compile::{compile, CompileOptions, Compiled};
 use orion_nn::fhe_exec::FheSession;
 use orion_nn::fit::fixed_ranges;
 use orion_nn::network::Network;
-use orion_nn::opt::{OptConfig, OptStats};
-use orion_nn::sched::SchedMode;
+use orion_nn::opt::{optimize_plan, OptConfig, OptStats};
+use orion_nn::sched::{count_plan, ExecPlan, SchedMode};
 use orion_sim::{CostModel, OpCounter};
 use orion_tensor::Tensor;
 use rand::rngs::StdRng;
@@ -231,7 +231,7 @@ pub fn serve_throughput(clients: usize, requests_per_client: usize) -> f64 {
 /// same-spec 3×3 branch convs merged by an add. Both branches rotate the
 /// same ciphertexts by identical baby-step amounts — the canonical
 /// cross-wire rotation-CSE win.
-pub fn resnet_fork_net() -> (Network, (usize, usize, usize)) {
+pub fn resnet_fork_net() -> Network {
     let mut rng = StdRng::seed_from_u64(0xc1fa);
     let mut net = Network::new(3, 8, 8);
     let x = net.input();
@@ -240,14 +240,14 @@ pub fn resnet_fork_net() -> (Network, (usize, usize, usize)) {
     let b2 = net.conv2d("branch2", stem, 4, 3, 1, 1, 1, &mut rng);
     let sum = net.add("res", b1, b2);
     net.output(sum);
-    (net, (3, 8, 8))
+    net
 }
 
 /// Bootstrap-deep fork: a ReLU before the residual fork and a square after
 /// it push level consumption past L_eff, so the plan carries bootstrap
 /// units (for the sinking pass) and fusable scale-down chains on top of
 /// the CSE-friendly fork.
-pub fn boot_deep_fork_net() -> (Network, (usize, usize, usize)) {
+pub fn boot_deep_fork_net() -> Network {
     let mut rng = StdRng::seed_from_u64(0xb007);
     let mut net = Network::new(2, 8, 8);
     let x = net.input();
@@ -258,7 +258,7 @@ pub fn boot_deep_fork_net() -> (Network, (usize, usize, usize)) {
     let sum = net.add("res", b1, b2);
     let sq = net.square("act1", sum);
     net.output(sq);
-    (net, (2, 8, 8))
+    net
 }
 
 /// Unoptimized vs optimized integer op tallies of one execution.
@@ -274,36 +274,24 @@ pub struct OptComparison {
     pub boot_count: u64,
 }
 
-/// Runs `net` twice through the counting wrapper over the cleartext
-/// engine — once on the plan as built, once through the full optimizer
-/// pipeline. Op tallies are engine-independent (the wrapper counts plan
-/// structure, not ciphertext arithmetic), so the rotation / key-switch
-/// ratios hold verbatim for the CKKS engine.
-pub fn opt_comparison(net: &Network, shape: (usize, usize, usize)) -> OptComparison {
+/// Counts `net`'s execution plan as built and after the full optimizer
+/// pipeline. Op tallies are a fold over the plan
+/// ([`orion_nn::sched::count_plan`]) — no inference runs — so the rotation /
+/// key-switch ratios hold verbatim for every engine.
+pub fn opt_comparison(net: &Network) -> OptComparison {
     let opts = CompileOptions {
         slots: 128,
         l_eff: 10,
         cost: CostModel::for_degree(1 << 9, 4),
     };
     let c = compile(net, &fixed_ranges(net, 4.0), &opts);
-    let mut rng = StdRng::seed_from_u64(0x0b7c);
-    let (ch, h, w) = shape;
-    let input = Tensor::from_vec(
-        &[ch, h, w],
-        (0..ch * h * w).map(|_| rng.gen_range(-0.5..0.5)).collect(),
-    );
-    let backend = PlainBackend::new(&c);
-    let noopt = run_program_mode(&c, &backend, &input, SchedMode::Sequential);
-    let (opt, stats) = run_program_opt(
-        &c,
-        &backend,
-        &input,
-        SchedMode::Sequential,
-        OptConfig::default(),
-    );
+    let backend = ClearBackend::reference(&c);
+    let mut plan = ExecPlan::build(&c);
+    let noopt = count_plan(&plan, &c, &backend);
+    let stats = optimize_plan(&mut plan, &c, OptConfig::default());
     OptComparison {
-        noopt: noopt.counter,
-        opt: opt.counter,
+        noopt,
+        opt: count_plan(&plan, &c, &backend),
         stats,
         boot_count: c.placement.boot_count,
     }

@@ -19,12 +19,12 @@
 
 use orion_ckks::CkksParams;
 use orion_linear::prepared::PreparedProgram;
-use orion_nn::backends::{run_plain, PlainRun};
+use orion_nn::backend::ProgramRun;
+use orion_nn::backends::{run_plain, run_trace, ClearCiphertext};
 use orion_nn::compile::{compile, CompileOptions, Compiled};
 use orion_nn::fhe_exec::{run_fhe, run_fhe_prepared, FheRun, FheSession};
 use orion_nn::fit::fit_robust;
 use orion_nn::network::Network;
-use orion_nn::trace_exec::{run_trace, TraceRun};
 use orion_tensor::Tensor;
 use rayon::prelude::*;
 use std::sync::Arc;
@@ -33,7 +33,7 @@ pub use orion_linear::paged::{LayerSource, PageStats, PagedProgram};
 pub use orion_linear::prepared::{PreparedLayer, PreparedProgram as Prepared};
 pub use orion_linear::store::{DiagStore, StoreError};
 pub use orion_nn::backend::{run_program, run_program_mode, EvalBackend};
-pub use orion_nn::backends::{CkksBackend, PlainBackend, TraceBackend};
+pub use orion_nn::backends::{CkksBackend, ClearBackend};
 pub use orion_nn::compile::Step;
 pub use orion_nn::fhe_exec::FheSession as Session;
 pub use orion_nn::sched::{ExecPlan, SchedMode};
@@ -56,7 +56,7 @@ pub struct Orion {
 
 impl Orion {
     /// Compiler targeting the paper's deployment parameters
-    /// (N = 2¹⁶ model, L_eff = 10) — use with the trace backend.
+    /// (N = 2¹⁶ model, L_eff = 10) — use with [`trace_inference`].
     pub fn paper_scale() -> Self {
         Self {
             opts: CompileOptions::paper(),
@@ -104,11 +104,14 @@ impl Orion {
         compile(net, fitres, &self.opts)
     }
 
-    /// Runs a compiled program over a batch of inputs on the trace
-    /// backend, one inference per input fanned out across the shared
-    /// rayon pool (each inference builds its own engine; results are in
-    /// input order).
-    pub fn run_batch(&self, compiled: &Compiled, inputs: &[Tensor]) -> Vec<TraceRun> {
+    /// [`trace_inference`] over a batch of inputs, one inference per input
+    /// fanned out across the shared rayon pool (each inference builds its
+    /// own engine; results are in input order).
+    pub fn run_batch(
+        &self,
+        compiled: &Compiled,
+        inputs: &[Tensor],
+    ) -> Vec<ProgramRun<ClearCiphertext>> {
         inputs
             .par_iter()
             .map(|input| run_trace(compiled, input))
@@ -143,8 +146,9 @@ fn certify(compiled: &Compiled, cfg: &orion_nn::VerifyConfig<'_>) {
     );
 }
 
-/// Runs a compiled program on the cleartext trace backend.
-pub fn trace_inference(compiled: &Compiled, input: &Tensor) -> TraceRun {
+/// Runs a compiled program on the cleartext engine with reference linear
+/// layers (`ClearBackend::reference`) — the paper-scale path.
+pub fn trace_inference(compiled: &Compiled, input: &Tensor) -> ProgramRun<ClearCiphertext> {
     run_trace(compiled, input)
 }
 
@@ -158,9 +162,9 @@ pub fn fhe_inference(compiled: &Compiled, session: &FheSession, input: &Tensor) 
     run_fhe(compiled, session, input)
 }
 
-/// Runs a compiled program through the cleartext rotation-algebra oracle
-/// (the packing-math correctness backend).
-pub fn plain_inference(compiled: &Compiled, input: &Tensor) -> PlainRun {
+/// Runs a compiled program on the cleartext engine with packed linear
+/// layers (`ClearBackend::packed`) — the packing-math oracle.
+pub fn plain_inference(compiled: &Compiled, input: &Tensor) -> ProgramRun<ClearCiphertext> {
     run_plain(compiled, input)
 }
 

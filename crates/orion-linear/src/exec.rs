@@ -1,9 +1,10 @@
 //! Plan executors.
 //!
 //! [`exec_plain`] runs a plan on cleartext slot vectors using exactly the
-//! executor's rotation algebra (hoisted baby steps, pre-rotated diagonals,
-//! giant-step group rotations) — it is the correctness oracle for the
-//! packing math, compared against reference convolutions in tests.
+//! executor's rotation algebra (baby steps computed once — privately or
+//! shared across the layers reading a wire —, pre-rotated diagonals,
+//! giant-step group rotations, row fold) — it is the correctness oracle
+//! for the packing math, compared against reference convolutions in tests.
 //!
 //! [`exec_bsgs`] is the real thing, and the only copy of it: double-hoisted
 //! BSGS over CKKS ciphertexts (paper Equation (1)). Baby-step rotations
@@ -25,7 +26,6 @@ use orion_ckks::encrypt::{Ciphertext, Plaintext};
 use orion_ckks::eval::Evaluator;
 use orion_ckks::hoist::{ExtAccumulator, HoistedDigits, RotatedExt};
 use rayon::prelude::*;
-use std::borrow::Cow;
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 
 /// Rotates a cleartext slot vector "up" by `k` (CKKS `HRot` semantics).
@@ -45,98 +45,80 @@ fn add_rotated(out: &mut [f64], v: &[f64], k: usize) {
     }
 }
 
-/// One output block of a plan on cleartext slots — the body both plain
-/// executors share: BSGS over the block's diagonals with `rotated(j_blk, i)`
-/// supplying the baby-step rotations, then the giant-step rotations, the
-/// sum, and the row fold's rotate-and-sum steps.
-fn plain_block<'a>(
-    plan: &LinearPlan,
-    source: &dyn DiagSource,
-    i_out: usize,
-    rotated: impl Fn(u32, usize) -> Cow<'a, [f64]>,
-) -> Vec<f64> {
-    let (slots, n1) = (plan.slots, plan.n1);
-    let mut groups: BTreeMap<usize, Vec<f64>> = BTreeMap::new();
-    for (&(i_blk, j_blk), diags) in &plan.blocks {
-        if i_blk as usize != i_out {
-            continue;
-        }
-        let vals = source.block_diags(plan, i_blk, j_blk);
-        for &k in diags {
-            let Some(d) = vals.get(&k) else { continue };
-            let (i, j) = ((k as usize) % n1, (k as usize) / n1);
-            let rotated = rotated(j_blk, i);
-            let acc = groups.entry(j).or_insert_with(|| vec![0.0; slots]);
-            for ((a, &dv), &xv) in acc.iter_mut().zip(d).zip(rotated.iter()) {
-                *a += dv * xv;
-            }
-        }
-    }
-    let mut out = vec![0.0; slots];
-    for (j, acc) in groups {
-        add_rotated(&mut out, &acc, (j * n1) % slots);
-    }
-    for s in plan.fold_steps() {
-        let partial = out.clone();
-        add_rotated(&mut out, &partial, s);
-    }
-    out
-}
-
-/// Executes a plan on cleartext slot blocks.
-pub fn exec_plain(
-    plan: &LinearPlan,
-    source: &dyn DiagSource,
-    inputs: &[Vec<f64>],
-) -> Vec<Vec<f64>> {
-    assert_eq!(inputs.len(), plan.in_blocks);
-    (0..plan.out_blocks)
-        .map(|i_out| {
-            plain_block(plan, source, i_out, |j_blk, i| {
-                Cow::Owned(rot_plain(&inputs[j_blk as usize], i))
-            })
-        })
-        .collect()
-}
-
 /// Cleartext counterpart of [`SharedRotations`]: pre-rotated slot vectors
-/// per `(input block, amount)`, shared across every plain consumer of the
-/// wire. `rot_plain` is deterministic, so sharing is trivially exact.
-pub fn shared_rot_plain(
-    inputs: &[Vec<f64>],
-    rots: &[(u32, usize)],
-) -> HashMap<(u32, usize), Vec<f64>> {
+/// per `(input block, amount)`.
+pub type PlainRotations = HashMap<(u32, usize), Vec<f64>>;
+
+/// The non-zero baby-step rotations `rots` of a wire's cleartext blocks,
+/// computed once: for one layer (the private table of [`exec_plain`]) or
+/// for every plain consumer of the wire. `rot_plain` is deterministic, so
+/// sharing is trivially exact.
+pub fn shared_rot_plain(inputs: &[Vec<f64>], rots: &[(u32, usize)]) -> PlainRotations {
     rots.iter()
         .map(|&(j_blk, i)| ((j_blk, i), rot_plain(&inputs[j_blk as usize], i)))
         .collect()
 }
 
-/// [`exec_plain`] with output ciphertexts fanned out over the shared rayon
-/// pool (paper §4.3: "each block performs independent work and is
-/// well-suited for parallel execution across multiple threads"), reading
-/// non-zero baby-step rotations from a shared pre-rotated map (see
-/// [`shared_rot_plain`]); a rotation the map lacks is computed locally.
-pub fn exec_plain_parallel_shared(
+/// Executes a plan on cleartext slot blocks — [`exec_bsgs`]'s algebra term
+/// for term: BSGS over each output block's diagonals against the baby-step
+/// rotations, then the giant-step rotations, the sum, and the row fold's
+/// rotate-and-sum steps. The non-zero baby-step rotations come from
+/// `shared` when given and from a private [`shared_rot_plain`] over
+/// [`LinearPlan::baby_rotations`] otherwise. Output blocks fan out over the
+/// shared rayon pool (paper §4.3: "each block performs independent work
+/// and is well-suited for parallel execution across multiple threads").
+pub fn exec_plain(
     plan: &LinearPlan,
     source: &(dyn DiagSource + Sync),
     inputs: &[Vec<f64>],
-    shared: &HashMap<(u32, usize), Vec<f64>>,
+    shared: Option<&PlainRotations>,
 ) -> Vec<Vec<f64>> {
     assert_eq!(inputs.len(), plan.in_blocks);
-    let mut out = vec![Vec::new(); plan.out_blocks];
-    out.par_iter_mut()
-        .enumerate()
-        .for_each(|(i_out, out_block)| {
-            *out_block = plain_block(plan, source, i_out, |j_blk, i| {
-                let input = &inputs[j_blk as usize];
-                match shared.get(&(j_blk, i)) {
-                    _ if i == 0 => Cow::Borrowed(&input[..]),
-                    Some(r) => Cow::Borrowed(&r[..]),
-                    None => Cow::Owned(rot_plain(input, i)),
+    let private;
+    let rotations = match shared {
+        Some(s) => s,
+        None => {
+            let rots: Vec<(u32, usize)> = plan.baby_rotations().into_iter().collect();
+            private = shared_rot_plain(inputs, &rots);
+            &private
+        }
+    };
+    let (slots, n1) = (plan.slots, plan.n1);
+    (0..plan.out_blocks)
+        .into_par_iter()
+        .map(|i_out| {
+            let mut groups: BTreeMap<usize, Vec<f64>> = BTreeMap::new();
+            for (&(i_blk, j_blk), diags) in &plan.blocks {
+                if i_blk as usize != i_out {
+                    continue;
                 }
-            });
-        });
-    out
+                let vals = source.block_diags(plan, i_blk, j_blk);
+                for &k in diags {
+                    let Some(d) = vals.get(&k) else { continue };
+                    let (i, j) = ((k as usize) % n1, (k as usize) / n1);
+                    let rotated = match i {
+                        0 => &inputs[j_blk as usize],
+                        _ => rotations
+                            .get(&(j_blk, i))
+                            .expect("linear consumer needs a rotation missing from the table"),
+                    };
+                    let acc = groups.entry(j).or_insert_with(|| vec![0.0; slots]);
+                    for ((a, &dv), &xv) in acc.iter_mut().zip(d).zip(rotated) {
+                        *a += dv * xv;
+                    }
+                }
+            }
+            let mut out = vec![0.0; slots];
+            for (j, acc) in groups {
+                add_rotated(&mut out, &acc, (j * n1) % slots);
+            }
+            for s in plan.fold_steps() {
+                let partial = out.clone();
+                add_rotated(&mut out, &partial, s);
+            }
+            out
+        })
+        .collect()
 }
 
 /// Handles bundling the CKKS evaluator and encoder for FHE execution.
@@ -484,7 +466,7 @@ mod tests {
         for (i, &v) in packed.iter().enumerate() {
             blocks[i / slots][i % slots] = v;
         }
-        let out_blocks = exec_plain(&plan, &src, &blocks);
+        let out_blocks = exec_plain(&plan, &src, &blocks, None);
         let mut out_slots = Vec::new();
         for b in &out_blocks {
             out_slots.extend_from_slice(b);
@@ -678,8 +660,8 @@ mod tests {
         for (i, &v) in packed.iter().enumerate() {
             blocks[i / slots][i % slots] = v;
         }
-        let mid = exec_plain(&p1, &src1, &blocks);
-        let out = exec_plain(&p2, &src2, &mid);
+        let mid = exec_plain(&p1, &src1, &blocks, None);
+        let out = exec_plain(&p2, &src2, &mid, None);
         let mut out_slots = Vec::new();
         for b in &out {
             out_slots.extend_from_slice(b);
@@ -722,7 +704,7 @@ mod tests {
         for (i, &v) in packed.iter().enumerate() {
             blocks[i / slots][i % slots] = v;
         }
-        let out = exec_plain(&plan, &src, &blocks);
+        let out = exec_plain(&plan, &src, &blocks, None);
         let expect = linear(&input, &w, &[]);
         for (i, e) in expect.iter().enumerate() {
             assert!(
@@ -731,6 +713,56 @@ mod tests {
                 out[0][i]
             );
         }
+    }
+
+    /// `exec_plain` reading every baby-step rotation from a shared table
+    /// equals `exec_plain` building its private one, slot for slot.
+    fn check_shared_matches_private(plan: &LinearPlan, src: &(dyn DiagSource + Sync), seed: u64) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let blocks: Vec<Vec<f64>> = (0..plan.in_blocks)
+            .map(|_| (0..plan.slots).map(|_| rng.gen_range(-1.0..1.0)).collect())
+            .collect();
+        let rots: Vec<(u32, usize)> = plan.baby_rotations().into_iter().collect();
+        assert!(!rots.is_empty(), "test needs baby-step rotations");
+        let shared = shared_rot_plain(&blocks, &rots);
+        assert_eq!(
+            exec_plain(plan, src, &blocks, Some(&shared)),
+            exec_plain(plan, src, &blocks, None)
+        );
+    }
+
+    #[test]
+    fn shared_rotations_match_private() {
+        let mut rng = StdRng::seed_from_u64(77);
+        // strided conv spanning 4 input and 2 output ciphertexts
+        let in_l = TensorLayout::raster(8, 8, 8);
+        let spec = ConvSpec {
+            co: 16,
+            ci: 8,
+            kh: 3,
+            kw: 3,
+            stride: 2,
+            padding: 1,
+            dilation: 1,
+            groups: 1,
+        };
+        let (plan, out_l) = conv_plan(&in_l, &spec, 128);
+        assert!(plan.in_blocks > 1 && plan.out_blocks > 1);
+        let weights = random_tensor(&[16, 8, 3, 3], &mut rng);
+        let src = ConvDiagSource {
+            in_l,
+            out_l,
+            spec,
+            weights: &weights,
+        };
+        check_shared_matches_private(&plan, &src, 78);
+
+        // 256 → 10 at S = 512: a row-folded dense plan
+        let in_l = TensorLayout::raster(4, 8, 8);
+        let (plan, _) = dense_plan(&in_l, 10, 512);
+        assert!(plan.fold < plan.slots);
+        let src = DenseDiagSource::new(random_tensor(&[10, 256], &mut rng), &in_l);
+        check_shared_matches_private(&plan, &src, 79);
     }
 
     proptest! {
@@ -768,7 +800,7 @@ mod tests {
             }
             for fold in shape.folds() {
                 let plan = shape.plan(fold);
-                let out = exec_plain(&plan, &src, &blocks);
+                let out = exec_plain(&plan, &src, &blocks, None);
                 prop_assert_eq!(out.len(), bias_blocks.len());
                 for (b, (block, bias)) in out.iter().zip(&bias_blocks).enumerate() {
                     let bias = plan.periodic(bias);
@@ -1088,59 +1120,6 @@ mod tests {
         for (t, g) in got.iter().enumerate() {
             let e = expect.get(t % plan.fold).copied().unwrap_or(0.0);
             assert!((g - e).abs() < 5e-2, "slot {t}: {g} vs {e}");
-        }
-    }
-}
-
-#[cfg(test)]
-mod parallel_tests {
-    use super::*;
-    use crate::layout::TensorLayout;
-    use crate::plan::{conv_plan, ConvSpec};
-    use crate::values::ConvDiagSource;
-    use orion_tensor::Tensor;
-    use rand::rngs::StdRng;
-    use rand::{Rng, SeedableRng};
-
-    #[test]
-    fn parallel_blocks_match_sequential() {
-        let mut rng = StdRng::seed_from_u64(77);
-        let in_l = TensorLayout::raster(8, 8, 8);
-        let spec = ConvSpec {
-            co: 8,
-            ci: 8,
-            kh: 3,
-            kw: 3,
-            stride: 1,
-            padding: 1,
-            dilation: 1,
-            groups: 1,
-        };
-        let slots = 128; // 4 in-blocks, 4 out-blocks
-        let (plan, out_l) = conv_plan(&in_l, &spec, slots);
-        assert!(plan.out_blocks > 1, "test needs multiple output blocks");
-        let weights = Tensor::from_vec(
-            &[8, 8, 3, 3],
-            (0..576).map(|_| rng.gen_range(-1.0..1.0)).collect(),
-        );
-        let src = ConvDiagSource {
-            in_l,
-            out_l,
-            spec,
-            weights: &weights,
-        };
-        let packed = in_l.pack(&(0..512).map(|i| (i % 17) as f64 * 0.1).collect::<Vec<_>>());
-        let mut blocks = vec![vec![0.0; slots]; plan.in_blocks];
-        for (i, &v) in packed.iter().enumerate() {
-            blocks[i / slots][i % slots] = v;
-        }
-        let seq = exec_plain(&plan, &src, &blocks);
-        let par = exec_plain_parallel_shared(&plan, &src, &blocks, &HashMap::new());
-        assert_eq!(seq.len(), par.len());
-        for (a, b) in seq.iter().zip(&par) {
-            for (x, y) in a.iter().zip(b) {
-                assert!((x - y).abs() < 1e-12);
-            }
         }
     }
 }

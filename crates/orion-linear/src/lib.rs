@@ -22,7 +22,8 @@
 //! * [`values`] — materializes diagonal plaintext vectors block-by-block
 //!   (only needed by the real-FHE and plan-validation paths);
 //! * [`exec`] — executors: `exec_plain` (cleartext slots through the exact
-//!   plan — the packing correctness oracle) and `exec_bsgs`, the one
+//!   plan, private or shared baby-step rotations, block-parallel — the
+//!   packing correctness oracle) and `exec_bsgs`, the one
 //!   real-CKKS body (hoisted baby steps — private, or shared across the
 //!   layers reading a wire — and lazy-ModDown giant groups, fanned out on
 //!   the shared rayon pool, every plaintext from a [`prepared`] layer);
@@ -47,8 +48,8 @@ pub mod store;
 pub mod values;
 
 pub use exec::{
-    exec_bsgs, exec_fhe, exec_fhe_prepared, exec_fhe_unhoisted, exec_plain,
-    exec_plain_parallel_shared, shared_rot_plain, FheLinearContext, SharedRotations,
+    exec_bsgs, exec_fhe, exec_fhe_prepared, exec_fhe_unhoisted, exec_plain, shared_rot_plain,
+    FheLinearContext, PlainRotations, SharedRotations,
 };
 pub use layout::TensorLayout;
 pub use paged::{LayerSource, PageStats, PagedProgram};

@@ -5,7 +5,7 @@
 //! matrix, plus the BSGS split that minimizes ciphertext rotations. Plans
 //! are built **without materializing the matrix**: under the multiplexed
 //! layout the slot-index difference between an output row and the input
-//! column it reads is constant along each row segment (DESIGN.md §5), so a
+//! column it reads is constant along each row segment (paper §4), so a
 //! convolution contributes `O(c_o·c_i·k_h·k_w·h_o)` segments regardless of
 //! width — ImageNet-scale plans build in milliseconds.
 

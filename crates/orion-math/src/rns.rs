@@ -49,19 +49,6 @@ impl ModulusChain {
         }
         inv_mod(prod, qi)
     }
-
-    /// `(Q_L / q_i) mod m` for an arbitrary modulus `m` (e.g. the special
-    /// prime): the product of every other limb reduced mod `m`.
-    pub fn hat_mod(&self, i: usize, level: usize, m: u64) -> u64 {
-        let br = Barrett::new(m);
-        let mut prod = 1u64;
-        for (j, &qj) in self.moduli.iter().enumerate().take(level + 1) {
-            if j != i {
-                prod = br.mul_mod(prod, br.reduce_u64(qj));
-            }
-        }
-        prod
-    }
 }
 
 /// Reconstructs the centered value of an RNS residue vector over the first

@@ -10,16 +10,16 @@
 //! per-run state exists (injected request ciphertexts, drift counters)
 //! lives behind interior mutability — which is what lets [`run_program`]
 //! execute a program as a wire-level parallel dataflow plan instead of a
-//! one-step-at-a-time loop. Three engines implement the trait (see
+//! one-step-at-a-time loop. Two engines implement the trait (see
 //! [`crate::backends`]):
 //!
 //! * [`crate::backends::CkksBackend`] — real RNS-CKKS through
 //!   `Evaluator`/`FheSession`,
-//! * [`crate::backends::TraceBackend`] — exact cleartext semantics with
-//!   FHE-legality enforcement (levels, pending rescales),
-//! * [`crate::backends::PlainBackend`] — the cleartext rotation-algebra
-//!   oracle (`orion_linear::exec_plain_parallel_shared`), validating the
-//!   packing math itself.
+//! * [`crate::backends::ClearBackend`] — cleartext `f64` slots with level
+//!   bookkeeping, whose linear layers are either the reference
+//!   convolution (`reference`, the paper-scale path) or the executor's
+//!   rotation algebra (`packed`, `orion_linear::exec_plain`: the oracle
+//!   for the packing math itself).
 //!
 //! Op counts are not measured, they are read off the plan: once bootstrap
 //! placement has fixed every level an inference is a static program, so
@@ -31,6 +31,7 @@
 
 use crate::compile::{Compiled, Step};
 use crate::sched::{run_plan, ExecPlan, SchedMode};
+use orion_ckks::precision::precision_bits;
 use orion_linear::values::{BiasValues, ConvDiagSource, DenseDiagSource, DiagSource};
 use orion_linear::{ConvSpec, LinearPlan, TensorLayout};
 use orion_sim::OpCounter;
@@ -184,12 +185,9 @@ pub trait EvalBackend {
     /// The engine's shared baby-step rotation artifact (cross-wire
     /// rotation CSE, see [`crate::opt`]): everything
     /// [`EvalBackend::linear_layer`] needs to skip its private
-    /// per-consumer rotation fan-out. Engines with no rotation algebra
-    /// use `()`.
+    /// per-consumer rotation fan-out.
     type SharedRot: Send + Sync;
 
-    /// Engine name, for diagnostics.
-    fn name(&self) -> &'static str;
     /// Slots per ciphertext.
     fn slots(&self) -> usize;
     /// Current level of a ciphertext.
@@ -332,6 +330,13 @@ pub struct ProgramRun<Ct> {
     /// The run's op tallies with modeled latency — a property of the plan
     /// that ran ([`crate::sched::count_plan`]), not of the walk.
     pub counter: OpCounter,
+}
+
+impl<Ct> ProgramRun<Ct> {
+    /// Output precision in bits against a reference output.
+    pub fn precision_vs(&self, reference: &Tensor) -> f64 {
+        precision_bits(self.output.data(), reference.data())
+    }
 }
 
 /// Runs a compiled program on `backend` through the dataflow scheduler —

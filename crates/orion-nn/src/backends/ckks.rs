@@ -133,10 +133,6 @@ impl EvalBackend for CkksBackend<'_> {
     type Ciphertext = Ciphertext;
     type SharedRot = SharedRotations;
 
-    fn name(&self) -> &'static str {
-        "ckks"
-    }
-
     fn slots(&self) -> usize {
         self.session.ctx.slots()
     }

@@ -1,0 +1,361 @@
+//! [`ClearBackend`]: the cleartext engine.
+//!
+//! Values are plain `f64` slot vectors carrying the level the placement
+//! policy assigned; activations are the same fitted polynomials every
+//! engine evaluates. The one thing the constructor chooses is how a linear
+//! layer is computed:
+//!
+//! * [`ClearBackend::reference`] — gather the wire's slots, run the
+//!   reference `orion_tensor::{conv2d, linear}`, pack the result. No
+//!   rotation algebra, so it is fast enough for the paper's
+//!   ImageNet-scale reporting columns ([`run_trace`]).
+//! * [`ClearBackend::packed`] — the executor's exact rotation algebra
+//!   (`orion_linear::exec_plain`: baby steps, pre-rotated diagonals,
+//!   giant-step group rotations, row fold), which makes the engine the
+//!   end-to-end oracle for the packing math ([`run_plain`]).
+//!
+//! Whether a program is *legal* FHE (no level underflow, rescales feasible,
+//! scales matched) is certified on the plan by [`crate::verify`]; what the
+//! engine still checks is what a walk can get wrong at run time: `HAdd`
+//! operands at one level, no upward drop, and every depth paid out of a
+//! level that has it.
+
+use crate::backend::{run_program, EvalBackend, LinearRef, ProgramRun};
+use crate::compile::Compiled;
+use orion_linear::exec::{exec_plain, shared_rot_plain, PlainRotations};
+use orion_poly::cheb::ChebPoly;
+use orion_tensor::{conv2d, linear, Conv2dParams, Tensor};
+
+/// A "ciphertext" of the cleartext engine: slot values plus the mirrored
+/// multiplicative level.
+#[derive(Clone, Debug)]
+pub struct ClearCiphertext {
+    /// Slot values.
+    pub slots: Vec<f64>,
+    /// Mirrored multiplicative level ℓ.
+    pub level: usize,
+}
+
+impl ClearCiphertext {
+    /// `f` over the slots, at `level`.
+    fn map(&self, level: usize, f: impl Fn(f64) -> f64) -> Self {
+        Self {
+            slots: self.slots.iter().map(|&x| f(x)).collect(),
+            level,
+        }
+    }
+
+    /// `f` over the slot pairs of `self` and `other`, at `level`.
+    fn zip(&self, other: &Self, level: usize, f: impl Fn(f64, f64) -> f64) -> Self {
+        let pairs = self.slots.iter().zip(&other.slots);
+        Self {
+            slots: pairs.map(|(&x, &y)| f(x, y)).collect(),
+            level,
+        }
+    }
+}
+
+/// How [`ClearBackend`] computes a linear layer.
+enum Linear {
+    Reference,
+    Packed,
+}
+
+/// The cleartext engine (see module docs).
+pub struct ClearBackend {
+    slots: usize,
+    l_eff: usize,
+    linear: Linear,
+    prepared: bool,
+}
+
+impl ClearBackend {
+    /// An engine for `c` whose linear layers are the reference
+    /// convolution / matrix product on gathered slots.
+    pub fn reference(c: &Compiled) -> Self {
+        Self {
+            slots: c.opts.slots,
+            l_eff: c.opts.l_eff,
+            linear: Linear::Reference,
+            prepared: false,
+        }
+    }
+
+    /// An engine for `c` whose linear layers run the executor's rotation
+    /// algebra on the packed slots.
+    pub fn packed(c: &Compiled) -> Self {
+        Self {
+            linear: Linear::Packed,
+            ..Self::reference(c)
+        }
+    }
+
+    /// Models the *prepared* serving mode: weight and activation-constant
+    /// encodes happen at setup, so the per-inference tally records zero
+    /// encodes — mirroring `CkksBackend::with_prepared` so modeled and
+    /// real runs stay counter-identical.
+    pub fn prepared(self) -> Self {
+        Self {
+            prepared: true,
+            ..self
+        }
+    }
+
+    /// Splits a packed slot vector into ciphertext-sized blocks at `level`.
+    fn chunk_blocks(&self, packed: &[f64], level: usize) -> Vec<ClearCiphertext> {
+        packed
+            .chunks(self.slots)
+            .map(|chunk| self.encrypt(chunk, level))
+            .collect()
+    }
+
+    /// Gather → reference `conv2d` / `linear` → pack.
+    fn linear_reference(
+        &self,
+        layer: &LinearRef<'_>,
+        inputs: &[ClearCiphertext],
+        out_level: usize,
+    ) -> Vec<ClearCiphertext> {
+        let (LinearRef::Conv { in_l, .. } | LinearRef::Dense { in_l, .. }) = layer;
+        let raster = in_l.unpack(&gather_slots(inputs, in_l.total_slots()));
+        match layer {
+            LinearRef::Conv {
+                spec,
+                weight,
+                bias,
+                out_l,
+                ..
+            } => {
+                let x = Tensor::from_vec(&[in_l.c, in_l.h, in_l.w], raster);
+                let p = Conv2dParams {
+                    stride: spec.stride,
+                    padding: spec.padding,
+                    dilation: spec.dilation,
+                    groups: spec.groups,
+                };
+                let y = conv2d(&x, weight, bias, p);
+                self.chunk_blocks(&out_l.pack(y.data()), out_level)
+            }
+            LinearRef::Dense { weight, bias, .. } => {
+                self.chunk_blocks(&linear(&raster, weight, bias), out_level)
+            }
+        }
+    }
+
+    /// The executor's rotation algebra on the packed blocks, then the bias.
+    fn linear_packed(
+        &self,
+        layer: &LinearRef<'_>,
+        inputs: &[ClearCiphertext],
+        out_level: usize,
+        shared: Option<&PlainRotations>,
+    ) -> Vec<ClearCiphertext> {
+        let plan = layer.plan();
+        let (src, bias_blocks) = layer.values(self.slots);
+        exec_plain(plan, &*src, &block_slots(inputs), shared)
+            .into_iter()
+            .enumerate()
+            .map(|(b, mut block)| {
+                if let Some(bias) = bias_blocks.get(b) {
+                    // a folded dense output block is R-periodic, bias too
+                    for (x, v) in block.iter_mut().zip(plan.periodic(bias)) {
+                        *x += v;
+                    }
+                }
+                ClearCiphertext {
+                    slots: block,
+                    level: out_level,
+                }
+            })
+            .collect()
+    }
+}
+
+/// The level `depth` below `level`. A step the placement policy put at a
+/// level that cannot pay its depth is a compiler bug; fail loudly in every
+/// profile rather than wrap.
+fn below(level: usize, depth: usize) -> usize {
+    level.checked_sub(depth).unwrap_or_else(|| {
+        panic!("depth {depth} at level {level}: bootstrap required first — placement violated")
+    })
+}
+
+/// Concatenates the first `n` slots across a wire's ciphertexts.
+fn gather_slots(cts: &[ClearCiphertext], n: usize) -> Vec<f64> {
+    let mut out = Vec::with_capacity(n);
+    for ct in cts {
+        out.extend_from_slice(&ct.slots);
+    }
+    out.resize(n, 0.0);
+    out
+}
+
+fn block_slots(cts: &[ClearCiphertext]) -> Vec<Vec<f64>> {
+    cts.iter().map(|ct| ct.slots.clone()).collect()
+}
+
+impl EvalBackend for ClearBackend {
+    type Ciphertext = ClearCiphertext;
+    type SharedRot = PlainRotations;
+
+    fn slots(&self) -> usize {
+        self.slots
+    }
+
+    fn level_of(&self, ct: &ClearCiphertext) -> usize {
+        ct.level
+    }
+
+    fn encrypt(&self, vals: &[f64], level: usize) -> ClearCiphertext {
+        let mut slots = vals.to_vec();
+        slots.resize(self.slots, 0.0);
+        ClearCiphertext { slots, level }
+    }
+
+    fn decrypt(&self, ct: &ClearCiphertext) -> Vec<f64> {
+        ct.slots.clone()
+    }
+
+    fn add(&self, a: &ClearCiphertext, b: &ClearCiphertext) -> ClearCiphertext {
+        assert_eq!(
+            a.level, b.level,
+            "HAdd level mismatch — the compiler must align levels"
+        );
+        a.zip(b, a.level, |x, y| x + y)
+    }
+
+    fn drop_to_level(&self, a: &ClearCiphertext, level: usize) -> ClearCiphertext {
+        assert!(level <= a.level, "cannot drop upward");
+        ClearCiphertext { level, ..a.clone() }
+    }
+
+    fn bootstrap(&self, a: &ClearCiphertext) -> ClearCiphertext {
+        ClearCiphertext {
+            level: self.l_eff,
+            ..a.clone()
+        }
+    }
+
+    fn linear_encodes_per_inference(&self, _step: usize) -> bool {
+        !self.prepared
+    }
+
+    fn activation_encodes_per_inference(&self, _step: usize) -> bool {
+        !self.prepared
+    }
+
+    fn linear_layer(
+        &self,
+        layer: &LinearRef<'_>,
+        inputs: &[ClearCiphertext],
+        level: usize,
+        shared: Option<&PlainRotations>,
+    ) -> Vec<ClearCiphertext> {
+        let out_level = below(level, 1);
+        match self.linear {
+            Linear::Reference => self.linear_reference(layer, inputs, out_level),
+            Linear::Packed => self.linear_packed(layer, inputs, out_level, shared),
+        }
+    }
+
+    fn hoist_rotations(
+        &self,
+        cts: &[ClearCiphertext],
+        _level: usize,
+        rots: &[(u32, usize)],
+    ) -> PlainRotations {
+        match self.linear {
+            // reference layers never rotate: nothing to share
+            Linear::Reference => PlainRotations::new(),
+            Linear::Packed => shared_rot_plain(&block_slots(cts), rots),
+        }
+    }
+
+    fn scale_down(&self, ct: &ClearCiphertext, factor: f64, level: usize) -> ClearCiphertext {
+        ct.map(below(level, 1), |x| x * factor)
+    }
+
+    fn poly_stage(
+        &self,
+        ct: &ClearCiphertext,
+        coeffs: &[f64],
+        normalize: bool,
+        level: usize,
+        _step: usize,
+    ) -> ClearCiphertext {
+        let d = coeffs.len() - 1;
+        let depth = orion_poly::eval::fhe_eval_depth(d) + usize::from(normalize);
+        let p = ChebPoly::new(coeffs.to_vec());
+        ct.map(below(level, depth), |x| p.eval(x))
+    }
+
+    fn relu_final(
+        &self,
+        u: &ClearCiphertext,
+        sign: &ClearCiphertext,
+        magnitude: f64,
+        level: usize,
+    ) -> ClearCiphertext {
+        u.zip(sign, below(level, 2), |x, sg| {
+            magnitude * x * (sg + 1.0) * 0.5
+        })
+    }
+
+    fn square_activation(&self, ct: &ClearCiphertext, level: usize) -> ClearCiphertext {
+        ct.map(below(level, 2), |x| x * x)
+    }
+}
+
+/// Runs a compiled program on the reference-semantics engine — the
+/// paper-scale path (see README, "Substitutions").
+pub fn run_trace(c: &Compiled, input: &Tensor) -> ProgramRun<ClearCiphertext> {
+    run_program(c, &ClearBackend::reference(c), input)
+}
+
+/// Runs a compiled program through the packed rotation-algebra oracle.
+pub fn run_plain(c: &Compiled, input: &Tensor) -> ProgramRun<ClearCiphertext> {
+    run_program(c, &ClearBackend::packed(c), input)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn engine() -> ClearBackend {
+        ClearBackend {
+            slots: 8,
+            l_eff: 4,
+            linear: Linear::Reference,
+            prepared: false,
+        }
+    }
+
+    #[test]
+    fn bootstrap_restores_effective_level() {
+        let e = engine();
+        let b = e.bootstrap(&e.encrypt(&[0.5; 8], 0));
+        assert_eq!(b.level, 4);
+        assert_eq!(b.slots[0], 0.5);
+    }
+
+    #[test]
+    #[should_panic(expected = "bootstrap required")]
+    fn rescale_at_level_zero_is_illegal() {
+        let e = engine();
+        let _ = e.scale_down(&e.encrypt(&[1.0; 8], 0), 0.5, 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "HAdd level mismatch")]
+    fn hadd_level_mismatch_panics() {
+        let e = engine();
+        let _ = e.add(&e.encrypt(&[1.0; 8], 3), &e.encrypt(&[1.0; 8], 2));
+    }
+
+    #[test]
+    #[should_panic(expected = "cannot drop upward")]
+    fn drop_upward_panics() {
+        let e = engine();
+        let _ = e.drop_to_level(&e.encrypt(&[1.0; 8], 2), 3);
+    }
+}

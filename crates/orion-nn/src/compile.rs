@@ -4,7 +4,7 @@
 //! estimation lookup, activation fitting, packing-plan construction for
 //! every linear layer, IR construction with cost-model latencies, and
 //! automatic bootstrap placement. The result runs identically on the
-//! cleartext trace backend and on real CKKS.
+//! cleartext engine and on real CKKS.
 
 use crate::act::{compile_activation, CompiledAct, CompiledActs};
 use crate::fit::FitResult;
@@ -92,7 +92,7 @@ pub struct ProgNode {
 }
 
 /// Compilation options (decoupled from concrete CKKS parameters so the
-/// trace backend can model the paper's N = 2¹⁶ deployment).
+/// cleartext engine can model the paper's N = 2¹⁶ deployment).
 #[derive(Clone, Debug)]
 pub struct CompileOptions {
     /// Slots per ciphertext.

@@ -16,8 +16,7 @@
 //! 5. automatic bootstrap placement over the level digraph
 //!    (`orion_graph::place`), driven by the analytical cost model,
 //! 6. emission of an executable program that runs identically on the
-//!    cleartext trace backend (`run_trace`) and on real CKKS
-//!    (`run_fhe`).
+//!    cleartext engine (`run_trace`) and on real CKKS (`run_fhe`).
 
 pub mod act;
 pub mod backend;
@@ -29,13 +28,12 @@ pub mod layer;
 pub mod network;
 pub mod opt;
 pub mod sched;
-pub mod trace_exec;
 pub mod verify;
 
 pub use backend::{
     run_program, run_program_mode, run_program_opt, EvalBackend, LinearRef, ProgramRun,
 };
-pub use backends::{CkksBackend, PlainBackend, TraceBackend};
+pub use backends::{CkksBackend, ClearBackend};
 pub use compile::{compile, CompileOptions, Compiled};
 pub use fhe_exec::FheSession;
 pub use layer::Layer;

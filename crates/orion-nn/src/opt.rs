@@ -136,12 +136,6 @@ pub struct OptStats {
 }
 
 impl OptStats {
-    /// Estimated peak-live-limb reduction from bootstrap sinking
-    /// (positive = less peak memory).
-    pub fn peak_limbs_delta(&self) -> i64 {
-        self.boot_sink.peak_limbs_before as i64 - self.boot_sink.peak_limbs_after as i64
-    }
-
     /// Key/value rows for manual JSON serialization by reporting layers
     /// (neither `orion-nn` nor the plan optimizer depends on serde).
     pub fn fields(&self) -> Vec<(&'static str, u64)> {
@@ -176,11 +170,6 @@ impl PlanOptimizer {
     /// A driver with explicit toggles and cost model.
     pub fn new(cfg: OptConfig, cost: CostModel) -> Self {
         Self { cfg, cost }
-    }
-
-    /// All passes on, cost model taken from the compiled program.
-    pub fn for_compiled(c: &Compiled) -> Self {
-        Self::new(OptConfig::default(), c.opts.cost.clone())
     }
 
     /// Runs the enabled passes in order (CSE → fusion → sinking) and

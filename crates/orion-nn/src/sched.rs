@@ -394,12 +394,6 @@ impl ExecPlan {
         &self.shared
     }
 
-    /// The buffers program node `id` reads, one per input position (wire
-    /// versions / bootstrap rewrites applied).
-    pub fn input_buffers(&self, id: usize) -> &[Buffer] {
-        &self.in_bufs[id]
-    }
-
     /// Units depending on `uid` (reverse edges).
     pub fn successors(&self, uid: usize) -> &[usize] {
         &self.succs[uid]
@@ -1077,7 +1071,7 @@ mod tests {
 
     #[test]
     fn both_walks_agree_bit_for_bit() {
-        use crate::backends::PlainBackend;
+        use crate::backends::ClearBackend;
         let mut rng = StdRng::seed_from_u64(11);
         let mut net = Network::new(4, 8, 8);
         let x = net.input();
@@ -1092,7 +1086,7 @@ mod tests {
         let input = Tensor::from_vec(&[4, 8, 8], (0..256).map(|i| (i % 7) as f64 * 0.1).collect());
         let runs: Vec<_> = [SchedMode::Sequential, SchedMode::Parallel]
             .into_iter()
-            .map(|mode| run_plan(&plan, &c, &PlainBackend::new(&c), &input, mode))
+            .map(|mode| run_plan(&plan, &c, &ClearBackend::packed(&c), &input, mode))
             .collect();
         for run in &runs[1..] {
             assert_eq!(run.output.data(), runs[0].output.data());
@@ -1102,7 +1096,7 @@ mod tests {
 
     #[test]
     fn event_driven_walk_propagates_unit_panics() {
-        use crate::backends::PlainBackend;
+        use crate::backends::ClearBackend;
         let mut rng = StdRng::seed_from_u64(13);
         let mut net = Network::new(4, 8, 8);
         let x = net.input();
@@ -1115,7 +1109,13 @@ mod tests {
         // executor must rethrow instead of hanging or stalling silently
         let bad = Tensor::from_vec(&[1, 2, 2], vec![0.0; 4]);
         let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            run_plan(&plan, &c, &PlainBackend::new(&c), &bad, SchedMode::Parallel)
+            run_plan(
+                &plan,
+                &c,
+                &ClearBackend::packed(&c),
+                &bad,
+                SchedMode::Parallel,
+            )
         }));
         assert!(r.is_err(), "unit panic must propagate to the caller");
     }

@@ -1,17 +1,19 @@
 //! Backend equivalence: the SAME compiled program run through the
-//! [`PlainBackend`], [`TraceBackend`], and [`CkksBackend`] engines under
-//! the single generic interpreter must agree on outputs (within each
+//! [`ClearBackend`] (reference and packed linear layers) and
+//! [`CkksBackend`] engines under the single generic interpreter must agree on outputs (within each
 //! engine's precision) and carry IDENTICAL op-counter tallies — the
 //! refactor's core invariant.
 
 use orion_ckks::precision::precision_bits;
 use orion_ckks::CkksParams;
-use orion_nn::backend::run_program;
-use orion_nn::backends::{CkksBackend, PlainBackend, TraceBackend};
+use orion_nn::backend::{run_program, EvalBackend};
+use orion_nn::backends::{CkksBackend, ClearBackend};
 use orion_nn::compile::{compile, CompileOptions};
 use orion_nn::fhe_exec::FheSession;
 use orion_nn::fit::{fit, fixed_ranges};
 use orion_nn::network::Network;
+use orion_nn::opt::{optimize_plan, OptConfig};
+use orion_nn::sched::{run_plan, ExecPlan, SchedMode};
 use orion_sim::{CostModel, OpCounter};
 use orion_tensor::Tensor;
 use rand::rngs::StdRng;
@@ -70,9 +72,9 @@ fn mlp_agrees_across_all_three_backends() {
         "test should exercise bootstraps"
     );
     let input = random_input(1, 8, 8, &mut rng);
-    let plain_run = run_program(&compiled, &PlainBackend::new(&compiled), &input);
+    let plain_run = run_program(&compiled, &ClearBackend::packed(&compiled), &input);
 
-    let trace_run = run_program(&compiled, &TraceBackend::new(&compiled), &input);
+    let trace_run = run_program(&compiled, &ClearBackend::reference(&compiled), &input);
 
     let session = FheSession::new(params, &compiled, 42);
     let ckks_run = run_program(&compiled, &CkksBackend::new(&session), &input);
@@ -129,8 +131,8 @@ fn conv_net_plain_oracle_matches_trace_reference() {
     };
     let compiled = compile(&net, &fitres, &opts);
     let input = random_input(2, 8, 8, &mut rng);
-    let plain_run = run_program(&compiled, &PlainBackend::new(&compiled), &input);
-    let trace_run = run_program(&compiled, &TraceBackend::new(&compiled), &input);
+    let plain_run = run_program(&compiled, &ClearBackend::packed(&compiled), &input);
+    let trace_run = run_program(&compiled, &ClearBackend::reference(&compiled), &input);
 
     let prec = precision_bits(plain_run.output.data(), trace_run.output.data());
     assert!(
@@ -147,4 +149,49 @@ fn conv_net_plain_oracle_matches_trace_reference() {
         compiled.prog.iter().any(|p| p.n_cts >= 2),
         "test needs a multi-ct wire"
     );
+}
+
+/// A residual fork on an optimized plan (rotation CSE on): the two linear
+/// semantics still agree, and the shared-rotation unit is real work for
+/// the packed engine and none for the reference one.
+#[test]
+fn optimized_fork_agrees_across_linear_semantics() {
+    let mut rng = StdRng::seed_from_u64(0xc1fa);
+    let mut net = Network::new(3, 8, 8);
+    let x = net.input();
+    let stem = net.conv2d("stem", x, 4, 3, 1, 1, 1, &mut rng);
+    let b1 = net.conv2d("branch1", stem, 4, 3, 1, 1, 1, &mut rng);
+    let b2 = net.conv2d("branch2", stem, 4, 3, 1, 1, 1, &mut rng);
+    let sum = net.add("res", b1, b2);
+    net.output(sum);
+    let opts = CompileOptions {
+        slots: 128,
+        l_eff: 10,
+        cost: CostModel::for_degree(1 << 9, 4),
+    };
+    let compiled = compile(&net, &fixed_ranges(&net, 4.0), &opts);
+    let mut plan = ExecPlan::build(&compiled);
+    let stats = optimize_plan(&mut plan, &compiled, OptConfig::default());
+    assert!(stats.rotation_cse.shared_units > 0, "fork must share");
+
+    let input = random_input(3, 8, 8, &mut rng);
+    let reference = ClearBackend::reference(&compiled);
+    let packed = ClearBackend::packed(&compiled);
+    let mode = SchedMode::Sequential;
+    let ref_run = run_plan(&plan, &compiled, &reference, &input, mode);
+    let packed_run = run_plan(&plan, &compiled, &packed, &input, mode);
+    let prec = precision_bits(packed_run.output.data(), ref_run.output.data());
+    assert!(prec > 40.0, "packed vs reference: only {prec} bits");
+    assert_counters_identical(&packed_run.counter, &ref_run.counter, "packed vs reference");
+
+    let spec = &plan.shared_specs()[0];
+    let wire: Vec<_> = (0..spec.buf.len)
+        .map(|_| packed.encrypt(&[], spec.level))
+        .collect();
+    let table = packed.hoist_rotations(&wire, spec.level, &spec.rots);
+    assert_eq!(table.len(), spec.rots.len());
+    assert!(!table.is_empty());
+    assert!(reference
+        .hoist_rotations(&wire, spec.level, &spec.rots)
+        .is_empty());
 }

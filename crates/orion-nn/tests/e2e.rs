@@ -4,11 +4,11 @@
 
 use orion_ckks::precision::precision_bits;
 use orion_ckks::CkksParams;
+use orion_nn::backends::run_trace;
 use orion_nn::compile::{compile, CompileOptions, Step};
 use orion_nn::fhe_exec::{run_fhe, FheSession};
 use orion_nn::fit::{fit, fixed_ranges};
 use orion_nn::network::Network;
-use orion_nn::trace_exec::run_trace;
 use orion_sim::CostModel;
 use orion_tensor::Tensor;
 use rand::rngs::StdRng;

@@ -8,11 +8,12 @@
 
 use orion_ckks::CkksParams;
 use orion_nn::backend::run_program;
-use orion_nn::backends::{CkksBackend, TraceBackend};
+use orion_nn::backends::{CkksBackend, ClearBackend};
 use orion_nn::compile::{compile, CompileOptions, Step};
 use orion_nn::fhe_exec::FheSession;
 use orion_nn::fit::{fit, fixed_ranges};
 use orion_nn::network::Network;
+use orion_nn::sched::{count_plan, ExecPlan};
 use orion_sim::counter::OpKind;
 use orion_sim::CostModel;
 use orion_tensor::Tensor;
@@ -64,15 +65,9 @@ fn conv_layers_hoist_every_rotation() {
     assert_eq!(conv_layers, 3);
     assert!(want_hoists >= 3, "each conv must hoist its rotating inputs");
 
-    // Dynamic check: the executed tally agrees — zero full rotations,
-    // exactly the planned number of digit decompositions.
-    let shape = c.input_layout;
-    let n = shape.c * shape.h * shape.w;
-    let input = Tensor::from_vec(
-        &[shape.c, shape.h, shape.w],
-        (0..n).map(|_| rng.gen_range(-1.0..1.0)).collect(),
-    );
-    let ctr = run_program(&c, &TraceBackend::new(&c), &input).counter;
+    // The plan's tally agrees — zero full rotations, exactly the planned
+    // number of digit decompositions.
+    let ctr = count_plan(&ExecPlan::build(&c), &c, &ClearBackend::reference(&c));
     assert_eq!(ctr.count(OpKind::HRot), 0, "full rotations slipped through");
     assert_eq!(ctr.count(OpKind::Hoist), want_hoists);
     assert!(

@@ -14,7 +14,7 @@
 
 use orion_ckks::CkksParams;
 use orion_nn::backend::{run_program_mode, run_program_opt};
-use orion_nn::backends::{CkksBackend, PlainBackend, TraceBackend};
+use orion_nn::backends::{CkksBackend, ClearBackend};
 use orion_nn::compile::{compile, CompileOptions, Compiled};
 use orion_nn::fhe_exec::FheSession;
 use orion_nn::fit::fixed_ranges;
@@ -129,7 +129,7 @@ fn rotation_cse_strictly_reduces_rotations_and_decompositions() {
             mode,
             cse_only,
             &format!("plain fork {mode:?}"),
-            || PlainBackend::new(&compiled),
+            || ClearBackend::packed(&compiled),
         );
         assert!(
             stats.rotation_cse.shared_units >= 1,
@@ -199,7 +199,7 @@ fn shared_hoists_are_attributed_to_linear_seconds() {
             SchedMode::Sequential,
             cse_only,
             what,
-            || PlainBackend::new(&compiled),
+            || ClearBackend::packed(&compiled),
         );
         assert!(
             stats.rotation_cse.shared_units >= 1,
@@ -247,7 +247,7 @@ fn fusion_and_sinking_are_count_neutral() {
             mode,
             neutral,
             &format!("plain fork+relu {mode:?}"),
-            || PlainBackend::new(&compiled),
+            || ClearBackend::packed(&compiled),
         );
         assert_eq!(
             counts_of(&base),
@@ -270,7 +270,7 @@ fn fusion_and_sinking_are_count_neutral() {
             mode,
             neutral,
             &format!("trace fork+relu {mode:?}"),
-            || TraceBackend::new(&compiled),
+            || ClearBackend::reference(&compiled),
         );
         assert_eq!(counts_of(&base), counts_of(&opt));
     }
@@ -294,7 +294,7 @@ fn full_pipeline_bit_exact_on_all_three_engines() {
             mode,
             all,
             &format!("plain full {mode:?}"),
-            || PlainBackend::new(&compiled),
+            || ClearBackend::packed(&compiled),
         );
         assert!(stats.rotation_cse.shared_units >= 1);
         assert!(opt.rotations() < base.rotations());
@@ -304,7 +304,7 @@ fn full_pipeline_bit_exact_on_all_three_engines() {
             mode,
             all,
             &format!("trace full {mode:?}"),
-            || TraceBackend::new(&compiled),
+            || ClearBackend::reference(&compiled),
         );
     }
 }

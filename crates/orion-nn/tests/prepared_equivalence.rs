@@ -7,7 +7,7 @@
 use orion_ckks::precision::precision_bits;
 use orion_ckks::CkksParams;
 use orion_nn::backend::run_program;
-use orion_nn::backends::{CkksBackend, TraceBackend};
+use orion_nn::backends::{CkksBackend, ClearBackend};
 use orion_nn::compile::{compile, CompileOptions, Step};
 use orion_nn::fhe_exec::{run_fhe, run_fhe_prepared, run_fhe_prepared_cts, FheSession};
 use orion_nn::fit::fixed_ranges;
@@ -88,7 +88,12 @@ fn prepared_run_matches_on_the_fly_with_zero_encodes() {
 
     // The modeled trace engine mirrors the serving mode, so prepared CKKS
     // and prepared trace stay counter-identical (including encodes).
-    let trace = run_program(&compiled, &TraceBackend::prepared(&compiled), &input).counter;
+    let trace = run_program(
+        &compiled,
+        &ClearBackend::reference(&compiled).prepared(),
+        &input,
+    )
+    .counter;
     assert_eq!(trace.encodes, 0);
     assert_eq!(trace.all(), warm.all());
 }
@@ -148,7 +153,12 @@ fn prepared_activation_constants_hit_zero_encodes() {
     // same function, and modeled prepared engines stay counter-identical
     let prec = precision_bits(warm_run.output.data(), cold_run.output.data());
     assert!(prec > 8.0, "prepared activation diverged: {prec} bits");
-    let trace = run_program(&compiled, &TraceBackend::prepared(&compiled), &input).counter;
+    let trace = run_program(
+        &compiled,
+        &ClearBackend::reference(&compiled).prepared(),
+        &input,
+    )
+    .counter;
     assert_eq!(trace.encodes, 0);
     assert_eq!(trace.all(), warm_run.counter.all());
 }

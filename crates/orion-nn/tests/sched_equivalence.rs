@@ -9,7 +9,7 @@
 
 use orion_ckks::CkksParams;
 use orion_nn::backend::run_program_mode;
-use orion_nn::backends::{CkksBackend, PlainBackend, TraceBackend};
+use orion_nn::backends::{CkksBackend, ClearBackend};
 use orion_nn::compile::{compile, CompileOptions, Compiled};
 use orion_nn::fhe_exec::FheSession;
 use orion_nn::fit::fixed_ranges;
@@ -103,11 +103,11 @@ fn mlp_parallel_matches_sequential_on_all_three_engines() {
     let input = random_input(1, 8, 8, &mut rng);
 
     let boots = check_modes(&compiled, &input, "plain mlp", || {
-        PlainBackend::new(&compiled)
+        ClearBackend::packed(&compiled)
     });
     assert_eq!(boots, compiled.placement.boot_count);
     check_modes(&compiled, &input, "trace mlp", || {
-        TraceBackend::new(&compiled)
+        ClearBackend::reference(&compiled)
     });
 
     let session = FheSession::new(params, &compiled, 99);
@@ -147,10 +147,10 @@ fn conv_relu_residual_parallel_matches_sequential() {
     );
     let input = random_input(4, 8, 8, &mut rng);
     check_modes(&compiled, &input, "plain conv", || {
-        PlainBackend::new(&compiled)
+        ClearBackend::packed(&compiled)
     });
     check_modes(&compiled, &input, "trace conv", || {
-        TraceBackend::new(&compiled)
+        ClearBackend::reference(&compiled)
     });
 }
 

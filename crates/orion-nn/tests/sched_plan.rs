@@ -6,7 +6,7 @@
 //! the trace engine.
 
 use orion_nn::backend::{run_program_mode, run_program_opt};
-use orion_nn::backends::TraceBackend;
+use orion_nn::backends::ClearBackend;
 use orion_nn::compile::{compile, CompileOptions, Step};
 use orion_nn::fit::fixed_ranges;
 use orion_nn::network::Network;
@@ -228,7 +228,7 @@ proptest! {
             &[shape.c, shape.h, shape.w],
             (0..n).map(|_| rng.gen_range(-1.0..1.0)).collect(),
         );
-        let backend = TraceBackend::new(&c);
+        let backend = ClearBackend::reference(&c);
         let seq = run_program_mode(&c, &backend, &input, SchedMode::Sequential);
         let par = run_program_mode(&c, &backend, &input, SchedMode::Parallel);
         prop_assert_eq!(seq.output.data(), par.output.data());

@@ -9,7 +9,7 @@
 //! and drains the event log before and after its run.
 
 use orion_nn::backend::run_program_mode;
-use orion_nn::backends::PlainBackend;
+use orion_nn::backends::ClearBackend;
 use orion_nn::compile::{compile, CompileOptions, Compiled};
 use orion_nn::fit::fixed_ranges;
 use orion_nn::network::Network;
@@ -59,7 +59,7 @@ fn fork_workload() -> (Compiled, Tensor) {
 }
 
 fn run_workload(compiled: &Compiled, input: &Tensor) {
-    let backend = PlainBackend::new(compiled);
+    let backend = ClearBackend::packed(compiled);
     run_program_mode(compiled, &backend, input, SchedMode::Parallel);
 }
 

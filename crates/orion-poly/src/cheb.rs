@@ -208,7 +208,7 @@ mod tests {
     #[test]
     fn eval_depth_formula() {
         // ⌈log₂(d+1)⌉ + 1 (the paper's backend fuses the +1 away; see
-        // DESIGN.md "depth accounting").
+        // README, "Substitutions" — depth accounting).
         assert_eq!(ChebPoly::new(vec![0.0; 16]).eval_depth(), 5); // deg 15
         assert_eq!(ChebPoly::new(vec![0.0; 28]).eval_depth(), 6); // deg 27
         assert_eq!(ChebPoly::new(vec![0.0; 64]).eval_depth(), 7); // deg 63

@@ -13,8 +13,8 @@
 //!
 //! Depth: `⌈log₂(d+1)⌉ + 1` levels for degree `d` (the `+1` pays for the
 //! base-case coefficient products; the paper's backend fuses this level
-//! away with Lattigo's fused constant path — see DESIGN.md, "depth
-//! accounting").
+//! away with Lattigo's fused constant path — see README,
+//! "Substitutions", depth accounting).
 
 use orion_ckks::encoder::Encoder;
 use orion_ckks::encrypt::{Ciphertext, Plaintext};

@@ -9,7 +9,7 @@
 //!
 //! We fit each stage with dense weighted least squares over the current
 //! uncertainty band — a practical stand-in for the exact Remez exchange
-//! (documented in DESIGN.md); the resulting composite reaches the same
+//! (see README, "Substitutions"); the resulting composite reaches the same
 //! depth and comparable (slightly looser) error.
 
 use crate::cheb::ChebPoly;
@@ -130,8 +130,8 @@ mod tests {
     #[test]
     fn paper_relu_composition_depth() {
         // Paper: 13 + 1 with Lattigo's fused-constant evaluation; our
-        // evaluator spends one extra level per stage (see DESIGN.md),
-        // giving (5 + 5 + 6) + 1.
+        // evaluator spends one extra level per stage (README,
+        // "Substitutions" — depth accounting), giving (5 + 5 + 6) + 1.
         let c = CompositeSign::paper_relu();
         assert_eq!(c.depth(), 16, "sign depth");
         assert_eq!(c.relu_depth(), 17, "ReLU depth");

@@ -29,7 +29,7 @@ pub enum ErrorClass {
     Store,
     /// The worker panicked for a non-store reason.
     Panic,
-    /// The request was malformed (wrong ciphertext count).
+    /// The request was malformed (wrong ciphertext count, level or scale).
     BadInput,
 }
 

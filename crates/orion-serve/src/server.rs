@@ -107,6 +107,18 @@ pub enum ServeError {
         /// Ciphertexts the request carried.
         got: usize,
     },
+    /// A request ciphertext is not a fresh encryption at the model's input
+    /// level and scale Δ (dropped, rescaled or mis-encoded client-side) —
+    /// rejected at admission like [`ServeError::BadInput`], and counted in
+    /// the same error class.
+    BadCiphertext {
+        /// Position of the offending ciphertext in the request.
+        index: usize,
+        /// `(level, scale)` the model's input wire starts at.
+        expected: (usize, f64),
+        /// `(level, scale)` the ciphertext carries.
+        got: (usize, f64),
+    },
     /// The server is shutting down (or already gone).
     ShuttingDown,
     /// The model failed static plan certification at registration
@@ -138,6 +150,20 @@ impl std::fmt::Display for ServeError {
                 write!(
                     f,
                     "bad input: model expects {expected} ciphertexts, got {got}"
+                )
+            }
+            ServeError::BadCiphertext {
+                index,
+                expected,
+                got,
+            } => {
+                write!(
+                    f,
+                    "bad input: ciphertext {index} at level {} scale 2^{:.2}, model expects level {} scale 2^{:.2}",
+                    got.0,
+                    got.1.log2(),
+                    expected.0,
+                    expected.1.log2()
                 )
             }
             ServeError::ShuttingDown => write!(f, "server is shutting down"),
@@ -436,20 +462,22 @@ impl Server {
 
     /// Submits one encrypted request for `client`'s model. Returns a
     /// [`Ticket`] immediately; rejects with [`ServeError::QueueFull`] when
-    /// the admission queue is at capacity.
+    /// the admission queue is at capacity, and with
+    /// [`ServeError::BadInput`] / [`ServeError::BadCiphertext`] when the
+    /// request is not what the model's input wire takes.
     pub fn submit(&self, client: ClientId, cts: Vec<Ciphertext>) -> Result<Ticket, ServeError> {
         let inner = &self.inner;
         if inner.shutdown.load(Ordering::Acquire) {
             return Err(ServeError::ShuttingDown);
         }
-        let model = {
+        let (model, scale) = {
             let clients = inner.clients.read();
-            clients
+            let entry = clients
                 .get(client.0)
-                .ok_or(ServeError::UnknownClient(client))?
-                .model
+                .ok_or(ServeError::UnknownClient(client))?;
+            (entry.model, entry.session.ctx.scale())
         };
-        let (metrics, expected_cts) = {
+        let (metrics, expected_cts, level) = {
             let models = inner.models.read();
             let entry = &models[model.0];
             (
@@ -458,6 +486,7 @@ impl Server {
                     .compiled
                     .input_layout
                     .num_ciphertexts(entry.params.slots()),
+                entry.compiled.opts.l_eff,
             )
         };
         if cts.len() != expected_cts {
@@ -465,6 +494,21 @@ impl Server {
             return Err(ServeError::BadInput {
                 expected: expected_cts,
                 got: cts.len(),
+            });
+        }
+        // The input wire starts at (L_eff, Δ): anything else would trip the
+        // engine's injection assert inside a worker (level) or decrypt to
+        // garbage (scale).
+        if let Some((index, ct)) = cts
+            .iter()
+            .enumerate()
+            .find(|(_, ct)| ct.level() != level || ct.scale != scale)
+        {
+            metrics.note_error(ErrorClass::BadInput);
+            return Err(ServeError::BadCiphertext {
+                index,
+                expected: (level, scale),
+                got: (ct.level(), ct.scale),
             });
         }
         let id = inner.req_seq.fetch_add(1, Ordering::Relaxed) + 1;

@@ -293,3 +293,69 @@ fn corrupt_spill_file_fails_one_request_not_the_pool() {
     assert!(metrics.contains("\"errors\": 2"));
     server.shutdown();
 }
+
+#[test]
+fn wrong_level_request_is_rejected_at_admission() {
+    let mut server = Server::new(ServeConfig {
+        max_batch: 1,
+        max_wait: Duration::from_millis(1),
+        workers: 1,
+        queue_capacity: 8,
+    });
+    let (compiled, params, shape) = square_model(0x5e_004);
+    assert_eq!(compiled.placement.boot_count, 0, "bit-exactness below");
+    let l_eff = compiled.opts.l_eff;
+    let model = server
+        .add_model("strict", compiled, params, 0xbee3)
+        .expect("register");
+    let client = server.add_client(model, 0xc13e).expect("client");
+    server.start();
+
+    let mut rng = StdRng::seed_from_u64(0xfee3);
+    let cts = server
+        .encrypt(client, &random_input(&shape, &mut rng))
+        .expect("encrypt");
+    let before = server.infer(client, cts.clone()).expect("healthy serve");
+
+    // Right count, but one level too low: must be refused at admission, not
+    // admitted and turned into a worker panic.
+    let mut dropped = cts.clone();
+    for ct in &mut dropped {
+        ct.c0.drop_to_level(l_eff - 1);
+        ct.c1.drop_to_level(l_eff - 1);
+    }
+    match server.submit(client, dropped) {
+        Err(ServeError::BadCiphertext {
+            index,
+            expected,
+            got,
+        }) => {
+            assert_eq!(index, 0);
+            assert_eq!(expected.0, l_eff);
+            assert_eq!(got.0, l_eff - 1);
+        }
+        other => panic!("expected BadCiphertext, got ok={:?}", other.is_ok()),
+    }
+    // Right level, wrong scale: same.
+    let mut rescaled = cts.clone();
+    rescaled[0].scale *= 2.0;
+    assert!(matches!(
+        server.submit(client, rescaled),
+        Err(ServeError::BadCiphertext { .. })
+    ));
+
+    // The server is untouched: the same request replays bit-exact.
+    let after = server.infer(client, cts).expect("healthy serve");
+    assert_eq!(after.output.data(), before.output.data());
+
+    let metrics = server.metrics();
+    let snap = match metrics.get("models") {
+        Some(Value::Arr(models)) => models[0].clone(),
+        other => panic!("models missing: {other:?}"),
+    };
+    let by_class = snap.get("errors_by_class").expect("errors_by_class");
+    let class = |name: &str| by_class.get(name).and_then(Value::as_f64).unwrap();
+    assert_eq!(class("bad_input"), 2.0);
+    assert_eq!(class("panic"), 0.0);
+    server.shutdown();
+}

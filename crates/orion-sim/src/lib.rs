@@ -1,4 +1,4 @@
-//! Cost model, operation counters, and the cleartext trace backend.
+//! Cost model and operation counters.
 //!
 //! The Orion paper drives its bootstrap-placement objective with "an
 //! analytical model" of operation latencies (§5.2) whose shapes are shown
@@ -7,17 +7,15 @@
 //! bootstrapping super-linear in `L_eff`. [`cost::CostModel`] reproduces
 //! those curves.
 //!
-//! [`trace::TraceEngine`] executes compiled FHE programs on cleartext slot
-//! vectors while enforcing FHE legality (level budgets, scale matching,
-//! bootstrapping) and tallying every operation in a [`counter::OpCounter`].
-//! It is how the ImageNet-scale rows of Table 2 are regenerated without
-//! hours of 64-bit modular arithmetic — the *plans* are identical to the
-//! real backend's (see DESIGN.md §2).
+//! [`counter::OpCounter`] is the tally the paper's reporting columns are
+//! read from ("# Rots", "# Boots", modeled latency). It is filled by a fold
+//! over the execution plan (`orion_nn::sched::count_plan`), not by an
+//! engine, which is how the ImageNet-scale rows of Table 2 are regenerated
+//! without hours of 64-bit modular arithmetic — the *plans* are identical
+//! to the real backend's (see README, "Substitutions").
 
 pub mod cost;
 pub mod counter;
-pub mod trace;
 
 pub use cost::CostModel;
 pub use counter::{OpCounter, OpKind};
-pub use trace::{TraceCiphertext, TraceEngine};

@@ -1,6 +1,7 @@
 //! ResNet-20 on CIFAR-10-sized inputs: the paper's headline benchmark,
-//! compiled at deployment scale and executed on the trace backend
-//! (identical plans/placement to the real backend; see DESIGN.md).
+//! compiled at deployment scale and executed on the cleartext engine
+//! (identical plans/placement to the real backend; see README,
+//! "Substitutions").
 //!
 //! Also demonstrates the ReLU-vs-SiLU latency/accuracy trade-off (§8.2).
 //!

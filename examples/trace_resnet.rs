@@ -12,7 +12,7 @@
 //! ```
 
 use orion::nn::backend::run_program_mode;
-use orion::nn::backends::PlainBackend;
+use orion::nn::backends::ClearBackend;
 use orion::nn::compile::{compile, CompileOptions};
 use orion::nn::fit::fixed_ranges;
 use orion::nn::network::Network;
@@ -60,7 +60,7 @@ fn main() {
     );
 
     telemetry::enable();
-    let backend = PlainBackend::new(&compiled);
+    let backend = ClearBackend::packed(&compiled);
     let run = run_program_mode(&compiled, &backend, &input, SchedMode::Parallel);
     telemetry::disable();
 

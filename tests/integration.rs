@@ -98,8 +98,8 @@ fn silu_cuts_depth_and_bootstraps_vs_relu() {
 }
 
 /// Trace and real-FHE backends execute the same compiled program and
-/// agree on both values and bootstrap counts (DESIGN.md substitution
-/// argument).
+/// agree on both values and bootstrap counts (the substitution argument
+/// of README, "Substitutions").
 #[test]
 fn trace_and_fhe_backends_agree_on_conv_net() {
     let params = CkksParams {

@@ -14,10 +14,10 @@
 //! | Table 5 (placement scalability) | `table5_scaling` |
 //! | Figure 8 (YOLO-v1 detection) | `fig8_yolo` |
 //!
-//! Criterion micro-benches live in `benches/`.
-
-pub mod kernels;
-pub mod models;
+//! The criterion benches in `benches/` cover the paper mechanisms the
+//! repo benchmark (`perf/`) does not measure: packing, placement and the
+//! ablations. Kernel, op, scheduler and optimizer timings are `perf`'s
+//! `math.*`, `ckks.*`, `sched.*` and `nn.opt_*` metrics.
 
 use orion_core::Orion;
 use orion_models::data::synthetic_images;
@@ -91,17 +91,6 @@ impl Table {
             line(row);
         }
     }
-}
-
-/// The workspace-level `target/` directory, from a bench/bin's point of
-/// view. Criterion harnesses run with the *package* directory as CWD, so a
-/// bare `"target"` would scatter JSON summaries under
-/// `crates/orion-bench/target/`; CI and the perf trajectory read them from
-/// the workspace root instead.
-pub fn workspace_target_dir() -> std::path::PathBuf {
-    std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
-        .join("../..")
-        .join("target")
 }
 
 /// Formats seconds human-readably.

@@ -25,7 +25,8 @@
 //! placement has fixed every level an inference is a static program, so
 //! the paper's "# Rots" / "# Boots" columns are a fold over the plan's
 //! units ([`crate::sched::count_plan`]) that every [`ProgramRun`] carries —
-//! identical for every engine and every scheduling mode by construction.
+//! identical for every engine and every scheduling mode by construction,
+//! and what the CKKS engine executes (`tests/poly_counts.rs`).
 //! Adding a GPU, multi-party, or sharded engine is one trait impl — the
 //! scheduler, the counting, and the placement logic are shared.
 
@@ -230,7 +231,7 @@ pub trait EvalBackend {
     /// plaintexts (Chebyshev coefficients, alignment constants) **per
     /// inference**. Engines replaying a setup-time recording return
     /// `false`; [`crate::sched::count_plan`] then skips the stage's
-    /// per-inference encode tally (`orion_poly::eval::stage_const_count`).
+    /// per-inference encode tally (`orion_poly::eval::StageOps::consts`).
     fn activation_encodes_per_inference(&self, step: usize) -> bool {
         let _ = step;
         true

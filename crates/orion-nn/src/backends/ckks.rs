@@ -13,10 +13,7 @@ use orion_linear::exec::{exec_bsgs, FheLinearContext, SharedRotations};
 use orion_linear::paged::LayerSource;
 use orion_linear::prepared::{PreparedLayer, PreparedProgram};
 use orion_linear::store::StoreError;
-use orion_poly::eval::{
-    evaluate_chebyshev_src, set_level_scale, set_level_scale_src, CachedConsts, ConstSource,
-    FreshConsts,
-};
+use orion_poly::eval::{evaluate_chebyshev_src, relu_product, square, CachedConsts, FreshConsts};
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -107,25 +104,6 @@ impl<'s> CkksBackend<'s> {
     /// The underlying session.
     pub fn session(&self) -> &'s FheSession {
         self.session
-    }
-
-    /// The shared evaluation core of `poly_stage`: one Chebyshev stage
-    /// plus the optional exact-Δ normalization, all constants drawn from
-    /// `src`.
-    fn poly_stage_with(
-        &self,
-        src: &dyn ConstSource,
-        ct: &Ciphertext,
-        coeffs: &[f64],
-        normalize: bool,
-    ) -> Ciphertext {
-        let s = self.session;
-        let out = evaluate_chebyshev_src(&s.eval, &s.enc, src, ct, coeffs);
-        if normalize {
-            set_level_scale_src(&s.eval, &s.enc, src, &out, out.level() - 1, s.ctx.scale())
-        } else {
-            out
-        }
     }
 }
 
@@ -288,20 +266,21 @@ impl EvalBackend for CkksBackend<'_> {
         _level: usize,
         step: usize,
     ) -> Ciphertext {
+        let s = self.session;
         let act = self.prepared.as_ref().and_then(|p| p.activation(step));
         match act {
             // Serving path: replay the setup-time constant recording —
             // bit-identical math, zero per-inference encodes.
             Some(act) => {
                 let src = CachedConsts::new(&act.consts);
-                let out = self.poly_stage_with(&src, ct, coeffs, normalize);
+                let out = evaluate_chebyshev_src(&s.eval, &s.enc, &src, ct, coeffs, normalize);
                 self.act_cache_misses
                     .fetch_add(src.misses(), Ordering::Relaxed);
                 out
             }
             None => {
                 let src = FreshConsts::new();
-                let out = self.poly_stage_with(&src, ct, coeffs, normalize);
+                let out = evaluate_chebyshev_src(&s.eval, &s.enc, &src, ct, coeffs, normalize);
                 self.act_fresh_encodes
                     .fetch_add(src.count(), Ordering::Relaxed);
                 out
@@ -314,39 +293,15 @@ impl EvalBackend for CkksBackend<'_> {
         uc: &Ciphertext,
         sc: &Ciphertext,
         magnitude: f64,
-        level: usize,
+        _level: usize,
     ) -> Ciphertext {
+        // recipe constants: deliberately uncached and outside the `encodes` ledger
         let s = self.session;
-        let delta = s.ctx.scale();
-        let lc = level - 1;
-        let q_lc = s.ctx.moduli[lc] as f64;
-        let q_lv = s.ctx.moduli[level] as f64;
-        // (m·u/2) at a scale making the product land on Δ.
-        let x_scale = delta * q_lc / sc.scale;
-        let aux = q_lv * x_scale / uc.scale;
-        let mut half = s.eval.mul_scalar(uc, 0.5 * magnitude, aux);
-        s.eval.rescale_assign(&mut half);
-        half.scale = x_scale;
-        let mut prod = s.eval.mul_relin(&half, sc);
-        s.eval.rescale_assign(&mut prod);
-        prod.scale = delta;
-        // + m·u/2 read at Δ.
-        let mut half_x = set_level_scale(&s.eval, uc, prod.level(), delta * magnitude * 0.5);
-        half_x.scale = delta;
-        s.eval.add(&prod, &half_x)
+        relu_product(&s.eval, &s.enc, &FreshConsts::new(), uc, sc, magnitude)
     }
 
-    fn square_activation(&self, ct: &Ciphertext, level: usize) -> Ciphertext {
+    fn square_activation(&self, ct: &Ciphertext, _level: usize) -> Ciphertext {
         let s = self.session;
-        let delta = s.ctx.scale();
-        let q = s.ctx.moduli[level - 1] as f64;
-        // aligned copy at scale q so the product rescales to Δ
-        let aligned = set_level_scale(&s.eval, ct, level - 1, q);
-        let mut base = ct.clone();
-        s.eval.drop_to_level(&mut base, level - 1);
-        let mut prod = s.eval.mul_relin(&base, &aligned);
-        s.eval.rescale_assign(&mut prod);
-        prod.scale = delta;
-        prod
+        square(&s.eval, &s.enc, &FreshConsts::new(), ct)
     }
 }

@@ -283,10 +283,10 @@ impl EvalBackend for ClearBackend {
         level: usize,
         _step: usize,
     ) -> ClearCiphertext {
-        let d = coeffs.len() - 1;
-        let depth = orion_poly::eval::fhe_eval_depth(d) + usize::from(normalize);
+        // the level the CKKS evaluation exits at, not the reserved depth
+        let exit = orion_poly::eval::stage_ops(coeffs, normalize, level).exit_level;
         let p = ChebPoly::new(coeffs.to_vec());
-        ct.map(below(level, depth), |x| p.eval(x))
+        ct.map(exit, |x| p.eval(x))
     }
 
     fn relu_final(
@@ -336,6 +336,18 @@ mod tests {
         let b = e.bootstrap(&e.encrypt(&[0.5; 8], 0));
         assert_eq!(b.level, 4);
         assert_eq!(b.slots[0], 0.5);
+    }
+
+    #[test]
+    fn poly_stage_exits_where_the_engine_does() {
+        // A degree-9 stage reserves 5 levels but the recursion spends 4;
+        // a coefficient trimmed below 1e-13 does not count toward the degree.
+        let e = engine();
+        let mut coeffs = vec![0.1; 10];
+        coeffs.extend([1e-14; 4]);
+        let out = e.poly_stage(&e.encrypt(&[0.5; 8], 10), &coeffs, false, 10, 0);
+        assert_eq!(orion_poly::eval::fhe_eval_depth(9), 5);
+        assert_eq!(out.level, 10 - 4);
     }
 
     #[test]

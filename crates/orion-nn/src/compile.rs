@@ -239,9 +239,10 @@ impl Compiled {
     }
 }
 
-/// Estimated ciphertext-multiplication count of a degree-`d` Chebyshev
-/// stage (babies + giants + recombination).
-pub fn stage_mult_estimate(d: usize) -> usize {
+/// Placement's edge weight for a degree-`d` Chebyshev stage: a closed-form
+/// estimate of its ciphertext products (the counted ops are
+/// `orion_poly::eval::stage_ops`).
+fn stage_mult_estimate(d: usize) -> usize {
     let logd = usize::BITS as usize - d.max(1).leading_zeros() as usize;
     let m = 1usize << logd.div_ceil(2);
     (m - 1) + logd.saturating_sub(logd.div_ceil(2)) + (d + 1).div_ceil(m)
@@ -619,6 +620,10 @@ fn emit_activation(
     l_eff: usize,
 ) -> usize {
     let lat_fn = |f: &dyn Fn(usize) -> f64| -> Vec<f64> { (0..=l_eff).map(f).collect() };
+    let stage_lat = |d: usize| {
+        let mults = stage_mult_estimate(d);
+        lat_fn(&|l| n_cts as f64 * (mults as f64 * cost.hmult(l) + d as f64 * cost.pmult(l)))
+    };
     let push = |prog: &mut Vec<ProgNode>,
                 graph: &mut Graph,
                 pname: String,
@@ -671,10 +676,6 @@ fn emit_activation(
             );
             let d = coeffs.len() - 1;
             let depth = orion_poly::eval::fhe_eval_depth(d) + 1;
-            let mults = stage_mult_estimate(d);
-            let lat = lat_fn(&|l| {
-                n_cts as f64 * (mults as f64 * cost.hmult(l) + d as f64 * cost.pmult(l))
-            });
             push(
                 prog,
                 graph,
@@ -684,7 +685,7 @@ fn emit_activation(
                     normalize: true,
                 },
                 depth,
-                lat,
+                stage_lat(d),
                 vec![sd],
             )
         }
@@ -705,10 +706,6 @@ fn emit_activation(
             for (i, st) in stages.iter().enumerate() {
                 let d = st.len() - 1;
                 let depth = orion_poly::eval::fhe_eval_depth(d);
-                let mults = stage_mult_estimate(d);
-                let lat = lat_fn(&|l| {
-                    n_cts as f64 * (mults as f64 * cost.hmult(l) + d as f64 * cost.pmult(l))
-                });
                 cur = push(
                     prog,
                     graph,
@@ -718,7 +715,7 @@ fn emit_activation(
                         normalize: false,
                     },
                     depth,
-                    lat,
+                    stage_lat(d),
                     vec![cur],
                 );
             }

@@ -23,7 +23,7 @@ use orion_ckks::params::{CkksParams, Context};
 use orion_ckks::precision::precision_bits;
 use orion_linear::paged::LayerSource;
 use orion_linear::prepared::{PreparedActivation, PreparedLayer, PreparedProgram};
-use orion_poly::eval::{evaluate_chebyshev_src, set_level_scale_src, RecordingConsts};
+use orion_poly::eval::{evaluate_chebyshev_src, RecordingConsts};
 use orion_sim::OpCounter;
 use orion_tensor::Tensor;
 use rand::rngs::StdRng;
@@ -159,12 +159,7 @@ fn record_activation_consts(c: &Compiled, s: &FheSession, prog: &mut PreparedPro
         }
         debug_assert_eq!(ct.level(), lv, "stage input below its placement level");
         let rec = RecordingConsts::new();
-        let out = evaluate_chebyshev_src(&s.eval, &s.enc, &rec, &ct, coeffs);
-        let out = if *normalize {
-            set_level_scale_src(&s.eval, &s.enc, &rec, &out, out.level() - 1, delta)
-        } else {
-            out
-        };
+        let out = evaluate_chebyshev_src(&s.eval, &s.enc, &rec, &ct, coeffs, *normalize);
         prog.insert_act(
             id,
             PreparedActivation {

@@ -518,9 +518,7 @@ pub(crate) fn produced_weight(plan: &ExecPlan, c: &Compiled, uid: usize) -> u64 
             match &c.prog[node].step {
                 Step::ScaleDown { .. } => unit.fused_level.unwrap_or(lv - 1),
                 Step::PolyStage { coeffs, normalize } => {
-                    let depth = orion_poly::eval::fhe_eval_depth(coeffs.len() - 1)
-                        + usize::from(*normalize);
-                    lv.saturating_sub(depth)
+                    orion_poly::eval::stage_ops(coeffs, *normalize, lv).exit_level
                 }
                 Step::ReluFinal { .. } | Step::Square => lv - 2,
                 Step::Add => lv,

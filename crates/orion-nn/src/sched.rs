@@ -35,7 +35,9 @@
 //! ciphertext being refreshed) and values land in per-(wire, version, ct)
 //! [`OnceLock`] slots, so parallel and sequential runs are bit-exact. The
 //! op counts never see the walk at all: [`count_plan`] folds the plan's
-//! units, in unit order, into the [`OpCounter`] every run carries.
+//! units, in unit order, into the [`OpCounter`] every run carries — linear
+//! layers from their BSGS plan, activation steps from the recursion that
+//! evaluates them (`orion_poly::eval::StageOps`): what the engine executes.
 //!
 //! Wire versions: the classic interpreter bootstraps a wire *in place*,
 //! so a consumer sees the pre- or post-bootstrap value depending on its
@@ -45,7 +47,8 @@
 //! (two bootstrapping consumers of one wire) replay exactly.
 
 use crate::backend::{input_slot_chunks, EvalBackend, LinearRef, ProgramRun};
-use crate::compile::{stage_mult_estimate, Compiled, Step};
+use crate::compile::{Compiled, Step};
+use orion_poly::eval::{relu_product_ops, square_ops, stage_ops, StageOps};
 use orion_sim::counter::OpKind;
 use orion_sim::OpCounter;
 use orion_tensor::Tensor;
@@ -487,6 +490,15 @@ pub fn count_plan<B: EvalBackend>(plan: &ExecPlan, c: &Compiled, backend: &B) ->
             }
             UnitWork::StepCt { node, .. } => {
                 let lv = c.placement.levels[node].expect("elementwise step unplaced");
+                // what the step's evaluator issues; pricing every op at the
+                // entry level over-charges the ones below it (ROADMAP item 5)
+                let mut tally_ops = |ops: StageOps| {
+                    tally(OpKind::HMult, ops.hmult as usize, cost.hmult(lv));
+                    tally(OpKind::PMult, ops.pmult as usize, cost.pmult(lv));
+                    tally(OpKind::Rescale, ops.rescale as usize, cost.rescale(lv));
+                    tally(OpKind::HAdd, ops.hadd as usize, cost.hadd(lv));
+                    tally(OpKind::PAdd, ops.padd as usize, cost.hadd(lv));
+                };
                 match &c.prog[node].step {
                     // the fused kernel is tallied like the plain one (the
                     // drop was always free)
@@ -495,22 +507,15 @@ pub fn count_plan<B: EvalBackend>(plan: &ExecPlan, c: &Compiled, backend: &B) ->
                         tally(OpKind::Rescale, 1, cost.rescale(lv));
                     }
                     Step::PolyStage { coeffs, normalize } => {
-                        let d = coeffs.len() - 1;
-                        let mults = stage_mult_estimate(d);
-                        tally(OpKind::HMult, mults, cost.hmult(lv));
-                        tally(OpKind::PMult, d, cost.pmult(lv));
-                        tally(OpKind::Rescale, mults, cost.rescale(lv));
-                        // one FFT-free constant encode per stage constant:
-                        // a level-only replay of the evaluation recursion
+                        let ops = stage_ops(coeffs, *normalize, lv);
+                        tally_ops(ops);
+                        // one FFT-free constant encode per stage constant
                         if backend.activation_encodes_per_inference(node) {
-                            ctr.record_encodes(orion_poly::eval::stage_const_count(
-                                coeffs, *normalize, lv,
-                            ));
+                            ctr.record_encodes(ops.consts);
                         }
                     }
-                    Step::ReluFinal { .. } | Step::Square => {
-                        tally(OpKind::HMult, 1, cost.hmult(lv));
-                    }
+                    Step::ReluFinal { .. } => tally_ops(relu_product_ops(lv)),
+                    Step::Square => tally_ops(square_ops(lv)),
                     Step::Add => {
                         tally(OpKind::HAdd, 1, cost.hadd(lv));
                     }

@@ -1284,7 +1284,9 @@ impl<'a> Checker<'a> {
                 } else {
                     ScaleClass::PolyInternal
                 };
-                (lv - depth, scale, noise)
+                // `depth` is reserved; the wire sits where the stage exits
+                let exit = orion_poly::eval::stage_ops(coeffs, *normalize, lv).exit_level;
+                (exit, scale, noise)
             }
             Step::ReluFinal { magnitude } => {
                 if lv < 2 {

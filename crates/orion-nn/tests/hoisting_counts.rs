@@ -202,13 +202,14 @@ fn lola_on_the_real_engine_counts_its_fold_rotations() {
         &CompileOptions::from_params(&params),
     );
 
-    let (mut hrot, mut hoisted, mut pmult, mut fold_rots) = (0, 0, 0, 0);
+    let (mut hrot, mut hoisted, mut pmult, mut rescale, mut fold_rots) = (0, 0, 0, 0, 0);
     let mut folds = Vec::new();
     for node in c.prog.iter() {
         if let Step::Conv { plan, .. } | Step::Dense { plan, .. } = &node.step {
             hrot += plan.counts.giant_rots as u64;
             hoisted += plan.counts.baby_rots as u64;
             pmult += plan.counts.pmults as u64;
+            rescale += plan.counts.rescales as u64;
             fold_rots += plan.fold_steps().count() as u64;
             if matches!(node.step, Step::Dense { .. }) {
                 folds.push((plan.fold, plan.n1));
@@ -226,7 +227,11 @@ fn lola_on_the_real_engine_counts_its_fold_rotations() {
     let ctr = &run.counter;
     assert_eq!(ctr.count(OpKind::HRot), hrot);
     assert_eq!(ctr.count(OpKind::HRotHoisted), hoisted);
-    assert_eq!(ctr.count(OpKind::PMult), pmult);
+    // each x² pays one alignment product, the ciphertext product, and a
+    // rescale for both
+    assert_eq!(ctr.count(OpKind::PMult), pmult + 2);
+    assert_eq!(ctr.count(OpKind::HMult), 2);
+    assert_eq!(ctr.count(OpKind::Rescale), rescale + 2 * 2);
     let reference = net.forward_poly(&input, &c.acts);
     let bits = orion_ckks::precision::precision_bits(run.output.data(), reference.data());
     assert!(

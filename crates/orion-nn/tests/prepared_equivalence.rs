@@ -119,11 +119,14 @@ fn prepared_activation_constants_hit_zero_encodes() {
         .iter()
         .enumerate()
         .filter_map(|(id, node)| match &node.step {
-            Step::PolyStage { coeffs, normalize } => Some(orion_poly::eval::stage_const_count(
-                coeffs,
-                *normalize,
-                compiled.placement.levels[id].unwrap(),
-            )),
+            Step::PolyStage { coeffs, normalize } => Some(
+                orion_poly::eval::stage_ops(
+                    coeffs,
+                    *normalize,
+                    compiled.placement.levels[id].unwrap(),
+                )
+                .consts,
+            ),
             _ => None,
         })
         .sum();
@@ -140,7 +143,7 @@ fn prepared_activation_constants_hit_zero_encodes() {
     let cold = CkksBackend::new(&session);
     let cold_run = run_program(&compiled, &cold, &input);
     // the declarative stage tally and the engine-observed fresh encodes
-    // must agree — this pins the level-only replay to the real recursion
+    // must agree — the tally and the engine are one recursion
     assert_eq!(cold.act_fresh_encodes(), stage_encodes);
     assert!(cold_run.counter.encodes >= stage_encodes);
 

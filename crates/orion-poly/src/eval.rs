@@ -11,10 +11,19 @@
 //! constants are encoded at exactly the scale that lands the next rescale
 //! on schedule.
 //!
-//! Depth: `⌈log₂(d+1)⌉ + 1` levels for degree `d` (the `+1` pays for the
-//! base-case coefficient products; the paper's backend fuses this level
-//! away with Lattigo's fused constant path — see README,
+//! Depth: at most `⌈log₂(d+1)⌉ + 1` levels for degree `d`
+//! ([`fhe_eval_depth`], the depth placement reserves; the `+1` pays for
+//! the base-case coefficient products; the paper's backend fuses this
+//! level away with Lattigo's fused constant path — see README,
 //! "Substitutions", depth accounting).
+//!
+//! The recursion is written **once**, over a private value domain
+//! (`Domain`) with two instances: CKKS ciphertexts, and bare levels with a
+//! tally. [`evaluate_chebyshev_src`] runs it on the first, [`stage_ops`]
+//! on the second — so a stage's op counts, its constant count and its exit
+//! level are by construction what the engine executes. The two fixed
+//! recipes around the stages ([`relu_product`], [`square`]) sit beside
+//! their constant [`StageOps`].
 
 use orion_ckks::encoder::Encoder;
 use orion_ckks::encrypt::{Ciphertext, Plaintext};
@@ -52,7 +61,7 @@ pub trait ConstSource: Sync {
 }
 
 /// Encodes every constant fresh and counts how many (the on-the-fly path;
-/// the count cross-checks [`stage_const_count`]).
+/// the count cross-checks [`StageOps::consts`]).
 #[derive(Default)]
 pub struct FreshConsts {
     count: AtomicU64,
@@ -154,51 +163,203 @@ impl ConstSource for CachedConsts<'_> {
     }
 }
 
-/// Multiplicative depth consumed by [`evaluate_chebyshev`] for degree `d`.
+/// The depth **reserved** for a degree-`d` stage — what compile and
+/// placement budget before any level exists. It is an upper bound on what
+/// [`evaluate_chebyshev`] consumes, tight for d ∈ {1–7, 12–15, 24–31,
+/// 56–63}; for d ∈ {8–11, 16–23, 32–55} the recursion exits one level
+/// higher. What a stage really consumes at a given entry level is
+/// `entry − stage_ops(..).exit_level`.
 pub fn fhe_eval_depth(d: usize) -> usize {
     assert!(d >= 1);
     let log = usize::BITS as usize - (d.max(1)).leading_zeros() as usize; // ceil(log2(d+1)) for d>=1
     log + 1
 }
 
-/// Per-level target scales for one polynomial evaluation.
-struct Schedule {
+/// The homomorphic operations one activation step issues and the level it
+/// leaves its output at — for a Chebyshev stage, a fold of the very
+/// recursion that evaluates it ([`stage_ops`]).
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct StageOps {
+    /// Ciphertext products (`mul_relin`: one key-switch each).
+    pub hmult: u64,
+    /// Constant-plaintext products.
+    pub pmult: u64,
+    /// Rescales (one per product of either kind).
+    pub rescale: u64,
+    /// Ciphertext additions and subtractions.
+    pub hadd: u64,
+    /// Constant-plaintext additions.
+    pub padd: u64,
+    /// Constant plaintexts consumed (one per `pmult` / `padd`): what an
+    /// on-the-fly engine encodes per inference and a prepared one replays.
+    pub consts: u64,
+    /// The level of the step's output.
+    pub exit_level: usize,
+}
+
+/// What the Paterson–Stockmeyer recursion computes on: ciphertexts
+/// ([`Scheduled`]) or bare levels (the [`StageOps`] tally). Each method is
+/// one engine primitive; what decides *which* primitives run is [`Stage`].
+trait Domain {
+    type V: Clone;
+    fn level(v: &Self::V) -> usize;
+    /// `v` at exactly `level` on the scale schedule: a constant product
+    /// and rescale iff the level drops.
+    fn align(&mut self, v: &Self::V, level: usize) -> Self::V;
+    /// `v` one level down at exactly scale Δ (the output normalization).
+    fn normalize(&mut self, v: &Self::V) -> Self::V;
+    /// `a·b` relinearised and rescaled onto the schedule.
+    fn mul(&mut self, a: &Self::V, b: &Self::V) -> Self::V;
+    /// `c·v` rescaled onto the schedule.
+    fn mul_const(&mut self, v: &Self::V, c: f64) -> Self::V;
+    fn add(&mut self, a: &Self::V, b: &Self::V) -> Self::V;
+    fn sub(&mut self, a: &Self::V, b: &Self::V) -> Self::V;
+    /// `v + c`.
+    fn add_const(&mut self, v: &Self::V, c: f64) -> Self::V;
+}
+
+/// The CKKS handles every constant-consuming primitive needs.
+struct Ckks<'a> {
+    eval: &'a Evaluator,
+    enc: &'a Encoder,
+    src: &'a dyn ConstSource,
+}
+
+impl Ckks<'_> {
+    /// `a·b` relinearised, one level down at exactly `out_scale`.
+    fn mul(&self, a: &Ciphertext, b: &Ciphertext, out_scale: f64) -> Ciphertext {
+        let mut prod = self.eval.mul_relin(a, b);
+        self.eval.rescale_assign(&mut prod);
+        prod.scale = out_scale;
+        prod
+    }
+
+    /// `value · ct` one level down at exactly `out_scale`: the constant is
+    /// encoded at the scale that lands the rescale there.
+    fn mul_const(&self, ct: &Ciphertext, value: f64, out_scale: f64) -> Ciphertext {
+        let q = self.eval.context().moduli[ct.level()] as f64;
+        let pt_scale = q * out_scale / ct.scale;
+        let pt = self.src.constant(self.enc, value, pt_scale, ct.level());
+        let mut out = self.eval.mul_plain(ct, &pt);
+        self.eval.rescale_assign(&mut out);
+        out.scale = out_scale; // snap within float ulps of the true value
+        out
+    }
+
+    /// Brings `ct` to exactly `(level, target)`, spending one of its
+    /// levels on a constant product when the level drops.
+    fn set_level_scale(&self, ct: &Ciphertext, level: usize, target: f64) -> Ciphertext {
+        if ct.level() == level {
+            assert!(
+                (ct.scale / target - 1.0).abs() < 1e-9,
+                "cannot adjust scale without a spare level ({} vs {target} at level {level})",
+                ct.scale
+            );
+            return ct.clone();
+        }
+        assert!(ct.level() > level, "cannot raise a ciphertext's level");
+        let mut c = ct.clone();
+        self.eval.drop_to_level(&mut c, level + 1);
+        self.mul_const(&c, 1.0, target)
+    }
+}
+
+/// The ciphertext domain: every result is snapped onto `s`, the per-level
+/// scale schedule of the module docs.
+struct Scheduled<'a> {
+    ckks: Ckks<'a>,
     s: Vec<f64>,
 }
 
-impl Schedule {
-    fn new(eval: &Evaluator, entry_level: usize, entry_scale: f64) -> Self {
-        let ctx = eval.context();
-        let mut s = vec![0.0; entry_level + 1];
-        s[entry_level] = entry_scale;
-        for l in (1..=entry_level).rev() {
-            s[l - 1] = s[l] * s[l] / ctx.moduli[l] as f64;
-        }
-        Self { s }
+impl Domain for Scheduled<'_> {
+    type V = Ciphertext;
+
+    fn level(v: &Ciphertext) -> usize {
+        v.level()
+    }
+
+    fn align(&mut self, v: &Ciphertext, level: usize) -> Ciphertext {
+        self.ckks.set_level_scale(v, level, self.s[level])
+    }
+
+    fn normalize(&mut self, v: &Ciphertext) -> Ciphertext {
+        let delta = self.ckks.eval.context().scale();
+        self.ckks.set_level_scale(v, v.level() - 1, delta)
+    }
+
+    fn mul(&mut self, a: &Ciphertext, b: &Ciphertext) -> Ciphertext {
+        self.ckks.mul(a, b, self.s[a.level() - 1])
+    }
+
+    fn mul_const(&mut self, v: &Ciphertext, c: f64) -> Ciphertext {
+        self.ckks.mul_const(v, c, self.s[v.level() - 1])
+    }
+
+    fn add(&mut self, a: &Ciphertext, b: &Ciphertext) -> Ciphertext {
+        self.ckks.eval.add(a, b)
+    }
+
+    fn sub(&mut self, a: &Ciphertext, b: &Ciphertext) -> Ciphertext {
+        self.ckks.eval.sub(a, b)
+    }
+
+    fn add_const(&mut self, v: &Ciphertext, c: f64) -> Ciphertext {
+        let k = &self.ckks;
+        k.eval
+            .add_plain(v, &k.src.constant(k.enc, c, v.scale, v.level()))
     }
 }
 
-/// Brings `ct` to exactly `(level, target_scale)`, spending one of its
-/// levels on a scalar multiplication when needed.
-pub fn set_level_scale(eval: &Evaluator, ct: &Ciphertext, level: usize, target: f64) -> Ciphertext {
-    let ctx = eval.context();
-    if ct.level() == level {
-        assert!(
-            (ct.scale / target - 1.0).abs() < 1e-9,
-            "cannot adjust scale without a spare level ({} vs {target} at level {level})",
-            ct.scale
-        );
-        return ct.clone();
+/// The level-only domain: a value is its level, an operation is a tally.
+impl Domain for StageOps {
+    type V = usize;
+
+    fn level(v: &usize) -> usize {
+        *v
     }
-    assert!(ct.level() > level, "cannot raise a ciphertext's level");
-    let mut c = ct.clone();
-    eval.drop_to_level(&mut c, level + 1);
-    let q = ctx.moduli[level + 1] as f64;
-    let aux = q * target / c.scale;
-    let mut out = eval.mul_scalar(&c, 1.0, aux);
-    eval.rescale_assign(&mut out);
-    out.scale = target; // snap within float ulps of the true value
-    out
+
+    fn align(&mut self, v: &usize, level: usize) -> usize {
+        assert!(*v >= level, "cannot raise a ciphertext's level");
+        if *v > level {
+            self.mul_const(&(level + 1), 1.0)
+        } else {
+            level
+        }
+    }
+
+    fn normalize(&mut self, v: &usize) -> usize {
+        self.mul_const(v, 1.0)
+    }
+
+    fn mul(&mut self, a: &usize, b: &usize) -> usize {
+        assert_eq!(a, b, "HMult level mismatch");
+        self.hmult += 1;
+        self.rescale += 1;
+        a.checked_sub(1).expect("cannot rescale at level 0")
+    }
+
+    fn mul_const(&mut self, v: &usize, _c: f64) -> usize {
+        self.consts += 1;
+        self.pmult += 1;
+        self.rescale += 1;
+        v.checked_sub(1).expect("cannot rescale at level 0")
+    }
+
+    fn add(&mut self, a: &usize, b: &usize) -> usize {
+        assert_eq!(a, b, "HAdd level mismatch");
+        self.hadd += 1;
+        *a
+    }
+
+    fn sub(&mut self, a: &usize, b: &usize) -> usize {
+        self.add(a, b)
+    }
+
+    fn add_const(&mut self, v: &usize, _c: f64) -> usize {
+        self.consts += 1;
+        self.padd += 1;
+        *v
+    }
 }
 
 /// Chebyshev division: `p = q·T_n + r` with `deg q, deg r < n`.
@@ -219,45 +380,20 @@ fn cheb_divide(coeffs: &[f64], n: usize) -> (Vec<f64>, Vec<f64>) {
     (q, r)
 }
 
-/// The stage geometry shared by the evaluator and its counting replica:
-/// trimmed coefficient count, baby-step count `m`, and baby depth.
-fn stage_shape(coeffs: &[f64]) -> (usize, usize, usize) {
-    let mut len = coeffs.len();
-    while len > 1 && coeffs[len - 1].abs() < 1e-13 {
-        len -= 1;
-    }
-    let d = len - 1;
-    assert!(
-        d >= 1,
-        "constant polynomials need no homomorphic evaluation"
-    );
-    let logd = usize::BITS as usize - d.leading_zeros() as usize;
-    let m = 1usize << logd.div_ceil(2).max(1);
-    let baby_depth = usize::BITS as usize - (m - 1).max(1).leading_zeros() as usize;
-    (len, m, baby_depth)
-}
-
-struct PolyEvaluator<'a> {
-    eval: &'a Evaluator,
-    enc: &'a Encoder,
-    src: &'a dyn ConstSource,
-    sched: Schedule,
-    /// Memoized Chebyshev basis ciphertexts T_k.
-    basis: HashMap<usize, Ciphertext>,
-    entry_level: usize,
+/// One stage's evaluation state: the recursion, written once over a
+/// [`Domain`].
+struct Stage<'d, D: Domain> {
+    dom: &'d mut D,
+    /// Memoized Chebyshev basis values T_k.
+    basis: HashMap<usize, D::V>,
     baby_m: usize,
-    baby_depth: usize,
+    /// Where the babies are read: the entry level minus the baby depth.
+    base_level: usize,
 }
 
-impl PolyEvaluator<'_> {
-    /// [`set_level_scale`] with the constant plaintext routed through the
-    /// stage's [`ConstSource`] (bit-identical result).
-    fn set_ls(&mut self, ct: &Ciphertext, level: usize, target: f64) -> Ciphertext {
-        set_level_scale_src(self.eval, self.enc, self.src, ct, level, target)
-    }
-
+impl<D: Domain> Stage<'_, D> {
     /// T_k via T_{a+b} = 2·T_a·T_b − T_{|a−b|}, a = ⌈k/2⌉ (depth ⌈log₂ k⌉).
-    fn basis_ct(&mut self, k: usize) -> Ciphertext {
+    fn basis_ct(&mut self, k: usize) -> D::V {
         if let Some(c) = self.basis.get(&k) {
             return c.clone();
         }
@@ -266,68 +402,49 @@ impl PolyEvaluator<'_> {
         let b = k / 2;
         let ta = self.basis_ct(a);
         let tb = self.basis_ct(b);
-        let lc = ta.level().min(tb.level());
-        let ta = self.set_ls(&ta, lc, self.sched.s[lc]);
-        let tb = self.set_ls(&tb, lc, self.sched.s[lc]);
-        let mut prod = self.eval.mul_relin(&ta, &tb);
-        self.eval.rescale_assign(&mut prod);
-        prod.scale = self.sched.s[lc - 1];
-        let two_prod = self.eval.add(&prod, &prod);
+        let lc = D::level(&ta).min(D::level(&tb));
+        let ta = self.dom.align(&ta, lc);
+        let tb = self.dom.align(&tb, lc);
+        let prod = self.dom.mul(&ta, &tb);
+        let two_prod = self.dom.add(&prod, &prod);
         let out = if a == b {
             // T_{2a} = 2·T_a² − 1
-            let neg_one = self
-                .src
-                .constant(self.enc, -1.0, two_prod.scale, two_prod.level());
-            self.eval.add_plain(&two_prod, &neg_one)
+            self.dom.add_const(&two_prod, -1.0)
         } else {
             // T_{a+b} = 2·T_a·T_b − T_{a−b}; a−b = 1 by construction.
             debug_assert_eq!(a - b, 1);
             let t1 = self.basis_ct(1);
-            let t1 = self.set_ls(&t1, two_prod.level(), two_prod.scale);
-            self.eval.sub(&two_prod, &t1)
+            let t1 = self.dom.align(&t1, D::level(&two_prod));
+            self.dom.sub(&two_prod, &t1)
         };
         self.basis.insert(k, out.clone());
         out
     }
 
-    /// Σ_k c_k T_k for a short chunk (degree < baby_m), landing at the base
-    /// level with the scheduled scale.
-    fn base_case(&mut self, coeffs: &[f64]) -> Ciphertext {
-        let lb = self.entry_level - self.baby_depth;
-        let target_level = lb - 1;
-        let target_scale = self.sched.s[target_level];
-        let ctx = self.eval.context();
-        let q = ctx.moduli[lb] as f64;
-        let pt_scale = q * target_scale / self.sched.s[lb];
-        // Start from the constant term.
+    /// Σ_k c_k T_k for a short chunk (degree < baby_m), landing one level
+    /// below the babies on the scheduled scale.
+    fn base_case(&mut self, coeffs: &[f64]) -> D::V {
+        let lb = self.base_level;
+        // Start from the constant term, on a zero accumulator.
         let t1 = self.basis_ct(1);
-        let t1b = self.set_ls(&t1, lb, self.sched.s[lb]);
-        let zero = self.src.constant(self.enc, 0.0, pt_scale, t1b.level());
-        let mut acc = self.eval.mul_plain(&t1b, &zero);
-        self.eval.rescale_assign(&mut acc);
-        acc.scale = target_scale;
+        let t1 = self.dom.align(&t1, lb);
+        let mut acc = self.dom.mul_const(&t1, 0.0);
         if coeffs[0] != 0.0 {
-            let c0 = self
-                .src
-                .constant(self.enc, coeffs[0], target_scale, target_level);
-            acc = self.eval.add_plain(&acc, &c0);
+            acc = self.dom.add_const(&acc, coeffs[0]);
         }
         for (k, &c) in coeffs.iter().enumerate().skip(1) {
             if c.abs() < 1e-13 {
                 continue;
             }
             let tk = self.basis_ct(k);
-            let tk = self.set_ls(&tk, lb, self.sched.s[lb]);
-            let ck = self.src.constant(self.enc, c, pt_scale, tk.level());
-            let mut term = self.eval.mul_plain(&tk, &ck);
-            self.eval.rescale_assign(&mut term);
-            term.scale = target_scale;
-            acc = self.eval.add(&acc, &term);
+            let tk = self.dom.align(&tk, lb);
+            let term = self.dom.mul_const(&tk, c);
+            acc = self.dom.add(&acc, &term);
         }
         acc
     }
 
-    fn rec(&mut self, coeffs: &[f64]) -> Ciphertext {
+    fn rec(&mut self, coeffs: &[f64]) -> D::V {
         if coeffs.len() <= self.baby_m {
             return self.base_case(coeffs);
         }
@@ -340,14 +457,48 @@ impl PolyEvaluator<'_> {
         let cq = self.rec(&q);
         let cr = self.rec(&r);
         let tn = self.basis_ct(n);
-        let lc = cq.level().min(tn.level());
-        let cq = self.set_ls(&cq, lc, self.sched.s[lc]);
-        let tn = self.set_ls(&tn, lc, self.sched.s[lc]);
-        let mut prod = self.eval.mul_relin(&cq, &tn);
-        self.eval.rescale_assign(&mut prod);
-        prod.scale = self.sched.s[lc - 1];
-        let cr = self.set_ls(&cr, prod.level(), prod.scale);
-        self.eval.add(&prod, &cr)
+        let lc = D::level(&cq).min(D::level(&tn));
+        let cq = self.dom.align(&cq, lc);
+        let tn = self.dom.align(&tn, lc);
+        let prod = self.dom.mul(&cq, &tn);
+        let cr = self.dom.align(&cr, D::level(&prod));
+        self.dom.add(&prod, &cr)
+    }
+}
+
+/// `Σ_k coeffs[k]·T_k(x)` plus the optional exact-Δ normalization, over
+/// either domain.
+fn run_stage<D: Domain>(dom: &mut D, x: D::V, coeffs: &[f64], normalize: bool) -> D::V {
+    // trim to the true degree; coefficients below 1e-13 are skipped
+    let mut len = coeffs.len();
+    while len > 1 && coeffs[len - 1].abs() < 1e-13 {
+        len -= 1;
+    }
+    let d = len - 1;
+    assert!(
+        d >= 1,
+        "constant polynomials need no homomorphic evaluation"
+    );
+    let entry_level = D::level(&x);
+    assert!(
+        entry_level >= fhe_eval_depth(d),
+        "level {entry_level} too low for degree-{d} evaluation (need {})",
+        fhe_eval_depth(d)
+    );
+    let logd = usize::BITS as usize - d.leading_zeros() as usize;
+    let baby_m = 1usize << logd.div_ceil(2).max(1);
+    let baby_depth = usize::BITS as usize - (baby_m - 1).max(1).leading_zeros() as usize;
+    let mut stage = Stage {
+        dom,
+        basis: HashMap::from([(1, x)]),
+        baby_m,
+        base_level: entry_level - baby_depth,
+    };
+    let out = stage.rec(&coeffs[..len]);
+    if normalize {
+        stage.dom.normalize(&out)
+    } else {
+        out
     }
 }
 
@@ -361,226 +512,120 @@ pub fn evaluate_chebyshev(
     ct: &Ciphertext,
     coeffs: &[f64],
 ) -> Ciphertext {
-    evaluate_chebyshev_src(eval, enc, &FreshConsts::new(), ct, coeffs)
+    evaluate_chebyshev_src(eval, enc, &FreshConsts::new(), ct, coeffs, false)
 }
 
 /// [`evaluate_chebyshev`] with every constant plaintext routed through
 /// `src` — the prepared serving path passes a [`CachedConsts`] recording so
 /// the stage performs zero per-inference encodes; the result is
-/// bit-identical no matter the source.
+/// bit-identical no matter the source. With `normalize` the output spends
+/// one more level to land on exactly scale Δ.
 pub fn evaluate_chebyshev_src(
     eval: &Evaluator,
     enc: &Encoder,
     src: &dyn ConstSource,
     ct: &Ciphertext,
     coeffs: &[f64],
+    normalize: bool,
 ) -> Ciphertext {
-    let (len, m, baby_depth) = stage_shape(coeffs);
-    let coeffs = &coeffs[..len];
-    let d = len - 1;
-    assert!(
-        ct.level() >= fhe_eval_depth(d),
-        "level {} too low for degree-{d} evaluation (need {})",
-        ct.level(),
-        fhe_eval_depth(d)
-    );
-    let entry = ct.level();
-    let sched = Schedule::new(eval, entry, ct.scale);
-    let mut pe = PolyEvaluator {
-        eval,
-        enc,
-        src,
-        sched,
-        basis: HashMap::from([(1, ct.clone())]),
-        entry_level: entry,
-        baby_m: m,
-        baby_depth,
-    };
-    pe.rec(coeffs)
+    let mut s = vec![0.0; ct.level() + 1];
+    s[ct.level()] = ct.scale;
+    for l in (1..=ct.level()).rev() {
+        s[l - 1] = s[l] * s[l] / eval.context().moduli[l] as f64;
+    }
+    let ckks = Ckks { eval, enc, src };
+    run_stage(&mut Scheduled { ckks, s }, ct.clone(), coeffs, normalize)
 }
 
-/// [`set_level_scale`] with the alignment constant routed through `src`
-/// (bit-identical result; used by the prepared activation path for the
-/// output-normalization constant).
-pub fn set_level_scale_src(
+/// What [`evaluate_chebyshev_src`] issues for `coeffs` entered at
+/// `entry_level`, and where it exits: the same recursion run on levels
+/// alone (scale values never influence which operations run). The plan's
+/// op counts, the per-inference encode tally, the verifier's wire levels
+/// and the cleartext engine all read this.
+pub fn stage_ops(coeffs: &[f64], normalize: bool, entry_level: usize) -> StageOps {
+    let mut ops = StageOps::default();
+    ops.exit_level = run_stage(&mut ops, entry_level, coeffs, normalize);
+    ops
+}
+
+/// The final ReLU product `magnitude · x · (sign + 1)/2`, computed as
+/// `(m·x/2)·sign + m·x/2` with `x` one level above `sign`. The alignment
+/// constant of `x` is chosen so the output scale is exactly Δ (no extra
+/// normalization level).
+pub fn relu_product(
+    eval: &Evaluator,
+    enc: &Encoder,
+    src: &dyn ConstSource,
+    x: &Ciphertext,
+    sign: &Ciphertext,
+    magnitude: f64,
+) -> Ciphertext {
+    let ckks = Ckks { eval, enc, src };
+    let lc = sign.level();
+    assert!(lc >= 1, "no level left for the final ReLU product");
+    assert_eq!(x.level(), lc + 1, "x sits one level above its sign");
+    let delta = eval.context().scale();
+    // (m·x/2) at a scale making the product land on Δ.
+    let x_scale = delta * eval.context().moduli[lc] as f64 / sign.scale;
+    let half = ckks.mul_const(x, 0.5 * magnitude, x_scale);
+    let prod = ckks.mul(&half, sign, delta); // x_scale·sign.scale/q by construction
+
+    // + m·x/2 at (prod.level, Δ): produce raw x·(Δ·m/2) and read it at Δ.
+    let mut half_x = ckks.set_level_scale(x, prod.level(), delta * magnitude * 0.5);
+    half_x.scale = delta;
+    eval.add(&prod, &half_x)
+}
+
+/// What [`relu_product`] issues with `x` at `entry_level`.
+pub fn relu_product_ops(entry_level: usize) -> StageOps {
+    let mut ops = StageOps::default();
+    let half = ops.mul_const(&entry_level, 0.5);
+    let prod = ops.mul(&half, &half);
+    let half_x = ops.align(&entry_level, prod);
+    ops.exit_level = ops.add(&prod, &half_x);
+    ops
+}
+
+/// `ct²` at exactly scale Δ, two levels down: one copy is aligned to
+/// scale `q` a level below so the product rescales onto Δ.
+pub fn square(
     eval: &Evaluator,
     enc: &Encoder,
     src: &dyn ConstSource,
     ct: &Ciphertext,
-    level: usize,
-    target: f64,
 ) -> Ciphertext {
-    let ctx = eval.context();
-    if ct.level() == level {
-        assert!(
-            (ct.scale / target - 1.0).abs() < 1e-9,
-            "cannot adjust scale without a spare level ({} vs {target} at level {level})",
-            ct.scale
-        );
-        return ct.clone();
-    }
-    assert!(ct.level() > level, "cannot raise a ciphertext's level");
-    let mut c = ct.clone();
-    eval.drop_to_level(&mut c, level + 1);
-    let q = ctx.moduli[level + 1] as f64;
-    let aux = q * target / c.scale;
-    let one = src.constant(enc, 1.0, aux, c.level());
-    let mut out = eval.mul_plain(&c, &one);
-    eval.rescale_assign(&mut out);
-    out.scale = target; // snap within float ulps of the true value
-    out
+    let ckks = Ckks { eval, enc, src };
+    let level = ct.level();
+    let q = eval.context().moduli[level - 1] as f64;
+    let aligned = ckks.set_level_scale(ct, level - 1, q);
+    let mut base = ct.clone();
+    eval.drop_to_level(&mut base, level - 1);
+    ckks.mul(&base, &aligned, eval.context().scale())
 }
 
-/// The number of constant plaintexts [`evaluate_chebyshev`] (plus the
-/// optional output normalization) consumes for `coeffs` entered at
-/// `entry_level` — a cheap level-only replay of the recursion, used by the
-/// op-counting decorator to charge on-the-fly engines without running any
-/// crypto. Scale values never influence the count, only levels do.
-pub fn stage_const_count(coeffs: &[f64], normalize: bool, entry_level: usize) -> u64 {
-    let (len, m, baby_depth) = stage_shape(coeffs);
-    let coeffs = &coeffs[..len];
-    let mut replay = CountReplay {
-        basis: HashMap::from([(1usize, entry_level)]),
-        entry_level,
-        baby_m: m,
-        baby_depth,
-        consts: 0,
-    };
-    let exit = replay.rec(coeffs);
-    if normalize {
-        // set_level_scale to (exit − 1, Δ) always spends the alignment
-        // constant because the level strictly drops
-        debug_assert!(exit >= 1);
-        replay.consts += 1;
-    }
-    replay.consts
+/// What [`square`] issues with `ct` at `entry_level`.
+pub fn square_ops(entry_level: usize) -> StageOps {
+    let mut ops = StageOps::default();
+    let aligned = ops.align(&entry_level, entry_level - 1);
+    ops.exit_level = ops.mul(&aligned, &aligned);
+    ops
 }
 
-/// Level-only mirror of [`PolyEvaluator`]: same recursion, same branch
-/// structure, no ciphertexts — it counts [`ConstSource::constant`] calls.
-/// `recorded_counts_match_replay` in the tests pins the two together.
-struct CountReplay {
-    basis: HashMap<usize, usize>,
-    entry_level: usize,
-    baby_m: usize,
-    baby_depth: usize,
-    consts: u64,
-}
-
-impl CountReplay {
-    /// Mirrors `set_level_scale`: one constant when the level drops.
-    fn set_ls(&mut self, ct_level: usize, level: usize) -> usize {
-        if ct_level == level {
-            return level;
-        }
-        assert!(ct_level > level, "cannot raise a ciphertext's level");
-        self.consts += 1;
-        level
-    }
-
-    fn basis_ct(&mut self, k: usize) -> usize {
-        if let Some(&l) = self.basis.get(&k) {
-            return l;
-        }
-        assert!(k >= 2);
-        let a = k.div_ceil(2);
-        let b = k / 2;
-        let la = self.basis_ct(a);
-        let lb = self.basis_ct(b);
-        let lc = la.min(lb);
-        self.set_ls(la, lc);
-        self.set_ls(lb, lc);
-        let l_prod = lc - 1;
-        if a == b {
-            self.consts += 1; // the −1 constant of T_{2a} = 2·T_a² − 1
-        } else {
-            let l1 = self.basis_ct(1);
-            self.set_ls(l1, l_prod);
-        }
-        self.basis.insert(k, l_prod);
-        l_prod
-    }
-
-    fn base_case(&mut self, coeffs: &[f64]) -> usize {
-        let lb = self.entry_level - self.baby_depth;
-        let target_level = lb - 1;
-        let l1 = self.basis_ct(1);
-        self.set_ls(l1, lb);
-        self.consts += 1; // the zero accumulator seed
-        if coeffs[0] != 0.0 {
-            self.consts += 1;
-        }
-        for (k, &c) in coeffs.iter().enumerate().skip(1) {
-            if c.abs() < 1e-13 {
-                continue;
-            }
-            let lk = self.basis_ct(k);
-            self.set_ls(lk, lb);
-            self.consts += 1; // the coefficient plaintext
-        }
-        target_level
-    }
-
-    fn rec(&mut self, coeffs: &[f64]) -> usize {
-        if coeffs.len() <= self.baby_m {
-            return self.base_case(coeffs);
-        }
-        let mut n = self.baby_m;
-        while 2 * n < coeffs.len() {
-            n *= 2;
-        }
-        let (q, r) = cheb_divide(coeffs, n);
-        let lq = self.rec(&q);
-        let lr = self.rec(&r);
-        let ln = self.basis_ct(n);
-        let lc = lq.min(ln);
-        self.set_ls(lq, lc);
-        self.set_ls(ln, lc);
-        let l_prod = lc - 1;
-        self.set_ls(lr, l_prod);
-        l_prod
-    }
-}
-
-/// Homomorphic ReLU: evaluates the composite sign stages, then the final
-/// `x · (sign(x)+1)/2` product. The alignment constant of `x` is chosen so
-/// the output scale is exactly Δ (no extra normalization level).
+/// Homomorphic ReLU: the composite sign stages, then [`relu_product`].
 pub fn relu_fhe(
     eval: &Evaluator,
     enc: &Encoder,
     ct: &Ciphertext,
     sign: &crate::sign::CompositeSign,
 ) -> Ciphertext {
-    let ctx = eval.context();
     let mut s = ct.clone();
     for stage in &sign.stages {
         s = evaluate_chebyshev(eval, enc, &s, &stage.coeffs);
     }
-    // (s + 1)/2 folded into the product: relu = (x/2)·s + x/2.
-    let lc = s.level();
-    assert!(lc >= 1, "no level left for the final ReLU product");
-    assert!(ct.level() > lc, "input consumed too many levels");
-    let q = ctx.moduli[lc] as f64;
-    let delta = ctx.scale();
-    // Choose x/2's scale so the product rescales to exactly Δ.
-    let x_scale = delta * q / s.scale;
-    let half_x_hi = {
-        let mut c = ct.clone();
-        eval.drop_to_level(&mut c, lc + 1);
-        let qa = ctx.moduli[lc + 1] as f64;
-        let aux = qa * x_scale / c.scale;
-        let mut out = eval.mul_scalar(&c, 0.5, aux);
-        eval.rescale_assign(&mut out);
-        out.scale = x_scale; // value is x/2 at scale x_scale
-        out
-    };
-    let mut prod = eval.mul_relin(&half_x_hi, &s);
-    eval.rescale_assign(&mut prod);
-    prod.scale = delta; // x_scale·s.scale/q by construction
-                        // + x/2 at (prod.level, Δ): produce raw x·(Δ/2) and read it at Δ.
-    let mut half_x = set_level_scale(eval, ct, prod.level(), delta * 0.5);
-    half_x.scale = delta;
-    eval.add(&prod, &half_x)
+    assert!(ct.level() > s.level(), "input consumed too many levels");
+    let mut x = ct.clone();
+    eval.drop_to_level(&mut x, s.level() + 1);
+    relu_product(eval, enc, &FreshConsts::new(), &x, &s, 1.0)
 }
 
 #[cfg(test)]
@@ -591,6 +636,7 @@ mod tests {
     use orion_ckks::keys::KeyGenerator;
     use orion_ckks::params::{CkksParams, Context};
     use orion_ckks::{Decryptor, Encryptor};
+    use proptest::prelude::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
     use std::sync::Arc;
@@ -706,35 +752,39 @@ mod tests {
 
     #[test]
     fn recorded_counts_match_replay_and_cache_replays_bit_exact() {
-        // The level-only counting replay, the fresh-encode counter, and a
-        // real recording must all agree — and replaying the recording must
+        // The level-only tally, the fresh-encode counter, and a real
+        // recording must all agree — and replaying the recording must
         // reproduce the ciphertext bit-for-bit with zero cache misses.
         let mut h = setup();
         let vals = test_inputs(h.ctx.slots());
         let level = h.ctx.max_level();
         let delta = h.ctx.scale();
-        for (degree, normalize) in [(3usize, true), (7, false), (15, true), (31, false)] {
+        // degree 9 exits one level above the reserved depth
+        for (degree, normalize) in [
+            (3usize, true),
+            (7, false),
+            (9, false),
+            (15, true),
+            (31, false),
+        ] {
             let f = |x: f64| x / (1.0 + (-3.0 * x).exp());
             let poly = ChebPoly::interpolate(f, degree);
             let ct = h
                 .encryptor
                 .encrypt(&h.enc.encode(&vals, delta, level, false), &mut h.rng);
             let run = |src: &dyn ConstSource| -> Ciphertext {
-                let out = evaluate_chebyshev_src(&h.eval, &h.enc, src, &ct, &poly.coeffs);
-                if normalize {
-                    set_level_scale_src(&h.eval, &h.enc, src, &out, out.level() - 1, delta)
-                } else {
-                    out
-                }
+                evaluate_chebyshev_src(&h.eval, &h.enc, src, &ct, &poly.coeffs, normalize)
             };
             let rec = RecordingConsts::new();
             let out_rec = run(&rec);
             let consts = rec.into_consts();
+            let ops = stage_ops(&poly.coeffs, normalize, level);
             assert_eq!(
                 consts.len() as u64,
-                stage_const_count(&poly.coeffs, normalize, level),
-                "replay diverged from recording at degree {degree}"
+                ops.consts,
+                "tally diverged from recording at degree {degree}"
             );
+            assert_eq!(out_rec.level(), ops.exit_level, "degree {degree}");
             let fresh = FreshConsts::new();
             let out_fresh = run(&fresh);
             assert_eq!(fresh.count(), consts.len() as u64, "degree {degree}");
@@ -749,6 +799,29 @@ mod tests {
         }
     }
 
+    proptest! {
+        #[test]
+        fn consumed_depth_within_reserved(
+            d in 1usize..=63,
+            spare in 0usize..4,
+            normalize in 0usize..2,
+        ) {
+            let normalize = normalize == 1;
+            // all-non-zero coefficients: the trimmed degree is `d`
+            let coeffs: Vec<f64> = (0..=d).map(|k| 1.0 / (k + 1) as f64).collect();
+            let reserved = fhe_eval_depth(d) + usize::from(normalize);
+            let entry = reserved + spare;
+            let ops = stage_ops(&coeffs, normalize, entry);
+            let consumed = entry - ops.exit_level;
+            prop_assert!(consumed <= reserved, "degree {}: {} > {}", d, consumed, reserved);
+            if [7, 15, 27, 31, 63].contains(&d) {
+                prop_assert_eq!(consumed, reserved, "zoo degree {}", d);
+            }
+            prop_assert_eq!(ops.consts, ops.pmult + ops.padd);
+            prop_assert_eq!(ops.rescale, ops.hmult + ops.pmult);
+        }
+    }
+
     #[test]
     fn cache_miss_degrades_to_fresh_encode() {
         let mut h = setup();
@@ -760,12 +833,12 @@ mod tests {
             &mut h.rng,
         );
         let rec = RecordingConsts::new();
-        let expect = evaluate_chebyshev_src(&h.eval, &h.enc, &rec, &ct, &poly.coeffs);
+        let expect = evaluate_chebyshev_src(&h.eval, &h.enc, &rec, &ct, &poly.coeffs, false);
         let mut consts = rec.into_consts();
         // corrupt one entry's spec so the replay must re-encode it
         consts[1].0.value += 1.0;
         let cached = CachedConsts::new(&consts);
-        let out = evaluate_chebyshev_src(&h.eval, &h.enc, &cached, &ct, &poly.coeffs);
+        let out = evaluate_chebyshev_src(&h.eval, &h.enc, &cached, &ct, &poly.coeffs, false);
         assert_eq!(cached.misses(), 1);
         assert_eq!(out.c0, expect.c0, "miss fallback must stay bit-exact");
         assert_eq!(out.c1, expect.c1);
@@ -794,5 +867,80 @@ mod tests {
                 out[i]
             );
         }
+    }
+
+    /// The ReLU tail as `relu_fhe` computed it before it shared
+    /// [`relu_product`] with the engine: scalar multiplies, no constant
+    /// source, `x` above the product level.
+    fn relu_tail_reference(eval: &Evaluator, ct: &Ciphertext, s: &Ciphertext) -> Ciphertext {
+        let ctx = eval.context();
+        let lc = s.level();
+        let delta = ctx.scale();
+        let x_scale = delta * ctx.moduli[lc] as f64 / s.scale;
+        let mut c = ct.clone();
+        eval.drop_to_level(&mut c, lc + 1);
+        let aux = ctx.moduli[lc + 1] as f64 * x_scale / c.scale;
+        let mut half_hi = eval.mul_scalar(&c, 0.5, aux);
+        eval.rescale_assign(&mut half_hi);
+        half_hi.scale = x_scale;
+        let mut prod = eval.mul_relin(&half_hi, s);
+        eval.rescale_assign(&mut prod);
+        prod.scale = delta;
+        let mut half_x = ct.clone();
+        eval.drop_to_level(&mut half_x, lc);
+        let aux = ctx.moduli[lc] as f64 * (delta * 0.5) / half_x.scale;
+        let mut half_x = eval.mul_scalar(&half_x, 1.0, aux);
+        eval.rescale_assign(&mut half_x);
+        half_x.scale = delta;
+        eval.add(&prod, &half_x)
+    }
+
+    #[test]
+    fn shared_relu_product_is_bit_identical_to_the_scalar_tail() {
+        let mut h = setup();
+        let sign = CompositeSign::fit(&[7], 0.15);
+        let vals = test_inputs(h.ctx.slots());
+        let level = h.ctx.max_level();
+        let ct = h.encryptor.encrypt(
+            &h.enc.encode(&vals, h.ctx.scale(), level, false),
+            &mut h.rng,
+        );
+        let s = evaluate_chebyshev(&h.eval, &h.enc, &ct, &sign.stages[0].coeffs);
+        let expect = relu_tail_reference(&h.eval, &ct, &s);
+        let got = relu_fhe(&h.eval, &h.enc, &ct, &sign);
+        assert_eq!(got.c0, expect.c0);
+        assert_eq!(got.c1, expect.c1);
+        assert_eq!(got.scale.to_bits(), expect.scale.to_bits());
+        assert_eq!(got.level(), relu_product_ops(s.level() + 1).exit_level);
+    }
+
+    #[test]
+    fn recipe_tallies_match_what_the_recipes_consume() {
+        // `relu_product_ops` / `square_ops` are written by hand beside the
+        // ciphertext recipes: hold their constant and plaintext-multiply
+        // tallies and exit levels to a counting source on the real engine.
+        let mut h = setup();
+        let vals = test_inputs(h.ctx.slots());
+        let level = h.ctx.max_level();
+        let x = h.encryptor.encrypt(
+            &h.enc.encode(&vals, h.ctx.scale(), level, false),
+            &mut h.rng,
+        );
+        let mut sign = x.clone();
+        h.eval.drop_to_level(&mut sign, level - 1);
+
+        let src = FreshConsts::new();
+        let out = relu_product(&h.eval, &h.enc, &src, &x, &sign, 0.75);
+        let ops = relu_product_ops(level);
+        assert_eq!((src.count(), out.level()), (ops.consts, ops.exit_level));
+        let all = (ops.hmult, ops.pmult, ops.rescale, ops.hadd, ops.padd);
+        assert_eq!(all, (1, ops.consts, 1 + ops.consts, 1, 0));
+
+        let src = FreshConsts::new();
+        let out = square(&h.eval, &h.enc, &src, &x);
+        let ops = square_ops(level);
+        assert_eq!((src.count(), out.level()), (ops.consts, ops.exit_level));
+        let all = (ops.hmult, ops.pmult, ops.rescale, ops.hadd, ops.padd);
+        assert_eq!(all, (1, ops.consts, 1 + ops.consts, 0, 0));
     }
 }

@@ -1,12 +1,12 @@
-//! Disk storage for matrix diagonals, raw and encoded (paper §6 "Handling
-//! large data structures").
+//! Disk storage for encoded matrix diagonals (paper §6 "Handling large data
+//! structures").
 //!
 //! "Large datasets and networks require hundreds of gigabytes of rotation
 //! keys and matrix diagonals. Orion provides support to store these large
 //! data structures to disk … loaded dynamically during inference to
 //! minimize the size of transient data." The paper uses HDF5; we use a
-//! small self-describing binary format (`bytes`-based) with one section
-//! per ciphertext-block so blocks can be loaded lazily during inference.
+//! small self-describing binary format (`bytes`-based) with one file per
+//! ciphertext-block so blocks can be loaded lazily during inference.
 
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 use orion_ckks::encrypt::Plaintext;
@@ -60,9 +60,10 @@ impl From<std::io::Error> for StoreError {
     }
 }
 
-/// On-disk cache of diagonal value blocks: each `(out_block, in_block)`
-/// pair is one section, loadable independently so inference only keeps one
-/// block's plaintext diagonals in memory at a time.
+/// On-disk cache of a prepared layer: one file of *encoded* diagonals
+/// (`k → plaintext`) per `(out_block, in_block)` pair, loadable
+/// independently, plus one metadata file (level, block index, bias and zero
+/// plaintexts) — what the pager (`crate::paged`) spills and faults in.
 pub struct DiagStore {
     dir: std::path::PathBuf,
 }
@@ -73,34 +74,6 @@ impl DiagStore {
         let dir = dir.into();
         std::fs::create_dir_all(&dir)?;
         Ok(Self { dir })
-    }
-
-    fn block_path(&self, layer: &str, i: u32, j: u32) -> std::path::PathBuf {
-        self.dir.join(format!("{layer}.b{i}_{j}.diag"))
-    }
-
-    /// Persists one block's diagonals (`k → slot vector`).
-    pub fn save_block(
-        &self,
-        layer: &str,
-        i: u32,
-        j: u32,
-        diags: &std::collections::HashMap<u32, Vec<f64>>,
-    ) -> Result<(), StoreError> {
-        let mut b = BytesMut::new();
-        b.put_u32_le(diags.len() as u32);
-        let mut keys: Vec<&u32> = diags.keys().collect();
-        keys.sort();
-        for &k in keys {
-            let v = &diags[&k];
-            b.put_u32_le(k);
-            b.put_u64_le(v.len() as u64);
-            for &x in v {
-                b.put_f64_le(x);
-            }
-        }
-        std::fs::write(self.block_path(layer, i, j), &b)?;
-        Ok(())
     }
 
     fn prepared_block_path(&self, layer: &str, i: u32, j: u32) -> std::path::PathBuf {
@@ -233,38 +206,6 @@ impl DiagStore {
         let zero =
             get_plaintext(&mut data).ok_or_else(|| StoreError::malformed("bad zero plaintext"))?;
         Ok((level, blocks, bias, zero))
-    }
-
-    /// Loads one block's diagonals.
-    pub fn load_block(
-        &self,
-        layer: &str,
-        i: u32,
-        j: u32,
-    ) -> Result<std::collections::HashMap<u32, Vec<f64>>, StoreError> {
-        let buf = std::fs::read(self.block_path(layer, i, j))?;
-        let mut data = Bytes::from(buf);
-        if data.remaining() < 4 {
-            return Err(StoreError::malformed("diag block truncated"));
-        }
-        let n = data.get_u32_le() as usize;
-        let mut out = std::collections::HashMap::with_capacity(n.min(1 << 16));
-        for _ in 0..n {
-            if data.remaining() < 4 + 8 {
-                return Err(StoreError::malformed("diag block truncated"));
-            }
-            let k = data.get_u32_le();
-            let len = data.get_u64_le() as usize;
-            let byte_len = len
-                .checked_mul(8)
-                .ok_or_else(|| StoreError::malformed("diag length overflow"))?;
-            if data.remaining() < byte_len {
-                return Err(StoreError::malformed("diag block truncated"));
-            }
-            let v: Vec<f64> = (0..len).map(|_| data.get_f64_le()).collect();
-            out.insert(k, v);
-        }
-        Ok(out)
     }
 }
 
@@ -400,37 +341,6 @@ mod tests {
         // truncated meta
         std::fs::write(store.prepared_meta_path("bad"), b"ORIONPP1").unwrap();
         assert!(store.load_prepared_meta("bad").is_err());
-        std::fs::remove_dir_all(dir).ok();
-    }
-
-    #[test]
-    fn truncated_diag_block_is_typed_error_not_panic() {
-        let dir = std::env::temp_dir().join("orion_diag_malformed_test");
-        let store = DiagStore::open(&dir).unwrap();
-        // count says 2 diagonals, body holds one dangling byte
-        std::fs::write(store.block_path("bad", 0, 0), b"\x02\x00\x00\x00\x07").unwrap();
-        match store.load_block("bad", 0, 0) {
-            Err(StoreError::Malformed { .. }) => {}
-            other => panic!("expected Malformed, got {other:?}"),
-        }
-        // a missing file is an I/O error, distinguishable by type
-        assert!(matches!(
-            store.load_block("nope", 1, 2),
-            Err(StoreError::Io(_))
-        ));
-        std::fs::remove_dir_all(dir).ok();
-    }
-
-    #[test]
-    fn diag_store_roundtrip() {
-        let dir = std::env::temp_dir().join("orion_diag_store_test");
-        let store = DiagStore::open(&dir).unwrap();
-        let mut diags = std::collections::HashMap::new();
-        diags.insert(3u32, vec![1.0, -2.0, 0.5]);
-        diags.insert(17u32, vec![0.0; 8]);
-        store.save_block("conv1", 0, 1, &diags).unwrap();
-        let back = store.load_block("conv1", 0, 1).unwrap();
-        assert_eq!(back, diags);
         std::fs::remove_dir_all(dir).ok();
     }
 }

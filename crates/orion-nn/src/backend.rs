@@ -351,12 +351,7 @@ pub fn run_program<B: EvalBackend + Sync>(
     backend: &B,
     input: &Tensor,
 ) -> ProgramRun<B::Ciphertext> {
-    let mode = if rayon::current_num_threads() > 1 {
-        SchedMode::Parallel
-    } else {
-        SchedMode::Sequential
-    };
-    run_program_mode(c, backend, input, mode)
+    run_program_mode(c, backend, input, SchedMode::for_pool())
 }
 
 /// [`run_program`] with an explicit scheduling mode — the equivalence

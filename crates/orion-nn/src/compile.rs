@@ -13,6 +13,7 @@ use crate::network::Network;
 use orion_graph::{place, Graph, Node, NodeKind, PlacementResult};
 use orion_linear::plan::{conv_plan, dense_plan, ConvSpec, LinearPlan};
 use orion_linear::TensorLayout;
+use orion_poly::eval::{relu_product_ops, square_ops, stage_ops, StageOps};
 use orion_sim::CostModel;
 use orion_tensor::Tensor;
 
@@ -74,6 +75,75 @@ pub enum Step {
     Square,
     /// Residual addition.
     Add,
+}
+
+/// What a step placed at level `lv` reads and issues ([`Step::sig`]).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct StepSig {
+    /// The level each input position is dropped to before the step runs
+    /// (`None`: the step has no such input).
+    pub reads: [Option<usize>; 2],
+    /// The operations one output ciphertext costs and the level it is left
+    /// at. A linear layer's op mix is its `LinearPlan::counts`; only its
+    /// exit level is stated here.
+    pub ops: StageOps,
+}
+
+/// THE level table: what each step kind reserves, reads, issues and leaves
+/// behind once placement has fixed its level. Compile, the plan walk, the
+/// op counter, the verifier and the optimizer all read it through
+/// `ExecPlan::unit_io`; the engines are checked against it on every
+/// ciphertext they produce.
+impl Step {
+    /// The levels the step reserves: what compile hands the placement
+    /// graph, and what the plan walk and the verifier demand of the
+    /// step's placement level. An upper bound on what it consumes (tight
+    /// for every kind but [`Step::PolyStage`], whose recursion exits a level
+    /// early for some degrees).
+    pub fn depth(&self) -> usize {
+        match self {
+            Step::Input | Step::Output | Step::Add => 0,
+            Step::Conv { .. } | Step::Dense { .. } | Step::ScaleDown { .. } => 1,
+            Step::PolyStage { coeffs, normalize } => {
+                orion_poly::eval::fhe_eval_depth(coeffs.len() - 1) + usize::from(*normalize)
+            }
+            Step::ReluFinal { .. } | Step::Square => 2,
+        }
+    }
+
+    /// The step's signature at placement level `lv`. Total in `lv`: below
+    /// [`Step::depth`] the step cannot run (the verifier's finding, the
+    /// walk's assert) and the signature issues nothing and exits at 0
+    /// instead of underflowing. `Input` and `Output` have no level of their
+    /// own — the plan knows what they read and write.
+    pub fn sig(&self, lv: usize) -> StepSig {
+        let reads = match self {
+            Step::Input | Step::Output => [None, None],
+            // the sign wire sits one level below the magnitude wire
+            Step::ReluFinal { .. } => [Some(lv), Some(lv.saturating_sub(1))],
+            Step::Add => [Some(lv), Some(lv)],
+            _ => [Some(lv), None],
+        };
+        let at = |exit_level: usize| StageOps {
+            exit_level,
+            ..StageOps::default()
+        };
+        let ops = match self {
+            _ if lv < self.depth() => at(0),
+            Step::Input | Step::Output => at(lv),
+            Step::Conv { .. } | Step::Dense { .. } => at(lv - 1),
+            Step::ScaleDown { .. } => StageOps {
+                pmult: 1,
+                rescale: 1,
+                ..at(lv - 1)
+            },
+            Step::PolyStage { coeffs, normalize } => stage_ops(coeffs, *normalize, lv),
+            Step::ReluFinal { .. } => relu_product_ops(lv),
+            Step::Square => square_ops(lv),
+            Step::Add => StageOps { hadd: 1, ..at(lv) },
+        };
+        StepSig { reads, ops }
+    }
 }
 
 /// A program node.
@@ -248,6 +318,43 @@ fn stage_mult_estimate(d: usize) -> usize {
     (m - 1) + logd.saturating_sub(logd.div_ceil(2)) + (d + 1).div_ceil(m)
 }
 
+/// A depthwise convolution over `c` channels (stand-alone batch-norm and
+/// the poolings).
+fn depthwise(c: usize, kh: usize, kw: usize, stride: usize, padding: usize) -> ConvSpec {
+    ConvSpec {
+        co: c,
+        ci: c,
+        kh,
+        kw,
+        stride,
+        padding,
+        dilation: 1,
+        groups: c,
+    }
+}
+
+/// Appends `node` to the program and its placement twin — reserving
+/// `node.step.depth()` levels, bootstrapping `boot_cts` ciphertexts — to
+/// the graph; returns the shared id.
+fn emit(
+    prog: &mut Vec<ProgNode>,
+    graph: &mut Graph,
+    node: ProgNode,
+    kind: NodeKind,
+    lat: Vec<f64>,
+    boot_cts: usize,
+) -> usize {
+    let id = prog.len();
+    let gnode = Node::new(node.name.clone(), kind, node.step.depth(), lat, boot_cts);
+    let gid = graph.add_node(gnode);
+    debug_assert_eq!(gid, id);
+    for &i in &node.inputs {
+        graph.add_edge(i, id);
+    }
+    prog.push(node);
+    id
+}
+
 /// Compiles a network. `fitres` must cover every activation (see
 /// `fit::fit` / `fit::fixed_ranges`).
 pub fn compile(net: &Network, fitres: &FitResult, opts: &CompileOptions) -> Compiled {
@@ -265,22 +372,6 @@ pub fn compile(net: &Network, fitres: &FitResult, opts: &CompileOptions) -> Comp
     // net node id → prog node id
     let mut map: Vec<usize> = vec![usize::MAX; net.nodes.len()];
 
-    let push = |prog: &mut Vec<ProgNode>,
-                graph: &mut Graph,
-                node: ProgNode,
-                gnode: Node,
-                inputs: &[usize]|
-     -> usize {
-        let id = prog.len();
-        prog.push(node);
-        let gid = graph.add_node(gnode);
-        debug_assert_eq!(gid, id);
-        for &i in inputs {
-            graph.add_edge(i, id);
-        }
-        id
-    };
-
     let input_layout = {
         let (c, h, w) = net.shape(net.input());
         TensorLayout::raster(c, h, w)
@@ -289,46 +380,66 @@ pub fn compile(net: &Network, fitres: &FitResult, opts: &CompileOptions) -> Comp
     for (nid, node) in net.nodes.iter().enumerate() {
         let pin: Vec<usize> = node.inputs.iter().map(|&i| map[i]).collect();
         let in_layout = pin.first().map(|&p| prog[p].layout);
+        let pnode = |step: Step, layout: TensorLayout| ProgNode {
+            name: node.name.clone(),
+            step,
+            inputs: pin.clone(),
+            layout,
+            n_cts: layout.num_ciphertexts(slots),
+        };
+        // THE linear-layer emitter: a convolution, a stand-alone batch-norm,
+        // both poolings and the dense layer differ only in the step.
+        let emit_linear =
+            |prog: &mut Vec<ProgNode>, graph: &mut Graph, step: Step, out_l: TensorLayout| {
+                let (Step::Conv { plan, in_l, .. } | Step::Dense { plan, in_l, .. }) = &step else {
+                    unreachable!("emit_linear takes a linear step")
+                };
+                let lat = lat_fn(&|l| plan.latency(cost, l));
+                let n_in_cts = in_l.num_ciphertexts(slots);
+                emit(
+                    prog,
+                    graph,
+                    pnode(step, out_l),
+                    NodeKind::Linear,
+                    lat,
+                    n_in_cts,
+                )
+            };
+        let emit_conv = |prog: &mut Vec<ProgNode>,
+                         graph: &mut Graph,
+                         spec: ConvSpec,
+                         weight: Tensor,
+                         bias: Vec<f64>| {
+            let in_l = in_layout.unwrap();
+            let (plan, out_l) = conv_plan(&in_l, &spec, slots);
+            let step = Step::Conv {
+                plan,
+                spec,
+                weight,
+                bias,
+                in_l,
+                out_l,
+            };
+            emit_linear(prog, graph, step, out_l)
+        };
         let id = match &node.layer {
-            Layer::Input => push(
+            Layer::Input => emit(
                 &mut prog,
                 &mut graph,
-                ProgNode {
-                    name: node.name.clone(),
-                    step: Step::Input,
-                    inputs: vec![],
-                    layout: input_layout,
-                    n_cts: input_layout.num_ciphertexts(slots),
-                },
-                Node::new(
-                    node.name.clone(),
-                    NodeKind::Input,
-                    0,
-                    lat_flat(0.0),
-                    input_layout.num_ciphertexts(slots),
-                ),
-                &[],
+                pnode(Step::Input, input_layout),
+                NodeKind::Input,
+                lat_flat(0.0),
+                input_layout.num_ciphertexts(slots),
             ),
             Layer::Output => {
                 let l = in_layout.unwrap();
-                push(
+                emit(
                     &mut prog,
                     &mut graph,
-                    ProgNode {
-                        name: node.name.clone(),
-                        step: Step::Output,
-                        inputs: pin.clone(),
-                        layout: l,
-                        n_cts: l.num_ciphertexts(slots),
-                    },
-                    Node::new(
-                        node.name.clone(),
-                        NodeKind::Output,
-                        0,
-                        lat_flat(0.0),
-                        l.num_ciphertexts(slots),
-                    ),
-                    &pin,
+                    pnode(Step::Output, l),
+                    NodeKind::Output,
+                    lat_flat(0.0),
+                    l.num_ciphertexts(slots),
                 )
             }
             Layer::Conv2d {
@@ -339,10 +450,9 @@ pub fn compile(net: &Network, fitres: &FitResult, opts: &CompileOptions) -> Comp
                 dilation,
                 groups,
             } => {
-                let in_l = in_layout.unwrap();
                 let spec = ConvSpec {
                     co: weight.shape()[0],
-                    ci: in_l.c,
+                    ci: in_layout.unwrap().c,
                     kh: weight.shape()[2],
                     kw: weight.shape()[3],
                     stride: *stride,
@@ -350,29 +460,7 @@ pub fn compile(net: &Network, fitres: &FitResult, opts: &CompileOptions) -> Comp
                     dilation: *dilation,
                     groups: *groups,
                 };
-                let (plan, out_l) = conv_plan(&in_l, &spec, slots);
-                let n_in_cts = in_l.num_ciphertexts(slots);
-                let lat = lat_fn(&|l| plan.latency(cost, l));
-                push(
-                    &mut prog,
-                    &mut graph,
-                    ProgNode {
-                        name: node.name.clone(),
-                        step: Step::Conv {
-                            plan,
-                            spec,
-                            weight: weight.clone(),
-                            bias: bias.clone(),
-                            in_l,
-                            out_l,
-                        },
-                        inputs: pin.clone(),
-                        layout: out_l,
-                        n_cts: out_l.num_ciphertexts(slots),
-                    },
-                    Node::new(node.name.clone(), NodeKind::Linear, 1, lat, n_in_cts),
-                    &pin,
-                )
+                emit_conv(&mut prog, &mut graph, spec, weight.clone(), bias.clone())
             }
             Layer::BatchNorm2d(bn) => {
                 // Fold into the producing convolution when possible.
@@ -394,163 +482,44 @@ pub fn compile(net: &Network, fitres: &FitResult, opts: &CompileOptions) -> Comp
                     continue;
                 }
                 // Standalone BN: a depthwise 1×1 convolution.
-                let in_l = in_layout.unwrap();
-                let c = in_l.c;
+                let c = in_layout.unwrap().c;
                 let weight = Tensor::from_vec(&[c, 1, 1, 1], aff.iter().map(|&(s, _)| s).collect());
                 let bias: Vec<f64> = aff.iter().map(|&(_, b)| b).collect();
-                let spec = ConvSpec {
-                    co: c,
-                    ci: c,
-                    kh: 1,
-                    kw: 1,
-                    stride: 1,
-                    padding: 0,
-                    dilation: 1,
-                    groups: c,
-                };
-                let (plan, out_l) = conv_plan(&in_l, &spec, slots);
-                let lat = lat_fn(&|l| plan.latency(cost, l));
-                push(
+                emit_conv(
                     &mut prog,
                     &mut graph,
-                    ProgNode {
-                        name: node.name.clone(),
-                        step: Step::Conv {
-                            plan,
-                            spec,
-                            weight,
-                            bias,
-                            in_l,
-                            out_l,
-                        },
-                        inputs: pin.clone(),
-                        layout: out_l,
-                        n_cts: out_l.num_ciphertexts(slots),
-                    },
-                    Node::new(
-                        node.name.clone(),
-                        NodeKind::Linear,
-                        1,
-                        lat,
-                        in_l.num_ciphertexts(slots),
-                    ),
-                    &pin,
+                    depthwise(c, 1, 1, 1, 0),
+                    weight,
+                    bias,
                 )
             }
             Layer::AvgPool2d { k, stride, padding } => {
-                let in_l = in_layout.unwrap();
-                let c = in_l.c;
+                let c = in_layout.unwrap().c;
                 let weight =
                     Tensor::from_vec(&[c, 1, *k, *k], vec![1.0 / (k * k) as f64; c * k * k]);
-                let spec = ConvSpec {
-                    co: c,
-                    ci: c,
-                    kh: *k,
-                    kw: *k,
-                    stride: *stride,
-                    padding: *padding,
-                    dilation: 1,
-                    groups: c,
-                };
-                let (plan, out_l) = conv_plan(&in_l, &spec, slots);
-                let lat = lat_fn(&|l| plan.latency(cost, l));
-                push(
-                    &mut prog,
-                    &mut graph,
-                    ProgNode {
-                        name: node.name.clone(),
-                        step: Step::Conv {
-                            plan,
-                            spec,
-                            weight,
-                            bias: vec![0.0; c],
-                            in_l,
-                            out_l,
-                        },
-                        inputs: pin.clone(),
-                        layout: out_l,
-                        n_cts: out_l.num_ciphertexts(slots),
-                    },
-                    Node::new(
-                        node.name.clone(),
-                        NodeKind::Linear,
-                        1,
-                        lat,
-                        in_l.num_ciphertexts(slots),
-                    ),
-                    &pin,
-                )
+                let spec = depthwise(c, *k, *k, *stride, *padding);
+                emit_conv(&mut prog, &mut graph, spec, weight, vec![0.0; c])
             }
             Layer::GlobalAvgPool => {
                 let in_l = in_layout.unwrap();
-                let c = in_l.c;
-                let (kh, kw) = (in_l.h, in_l.w);
+                let (c, kh, kw) = (in_l.c, in_l.h, in_l.w);
                 let weight =
                     Tensor::from_vec(&[c, 1, kh, kw], vec![1.0 / (kh * kw) as f64; c * kh * kw]);
-                let spec = ConvSpec {
-                    co: c,
-                    ci: c,
-                    kh,
-                    kw,
-                    stride: 1,
-                    padding: 0,
-                    dilation: 1,
-                    groups: c,
-                };
-                let (plan, out_l) = conv_plan(&in_l, &spec, slots);
-                let lat = lat_fn(&|l| plan.latency(cost, l));
-                push(
-                    &mut prog,
-                    &mut graph,
-                    ProgNode {
-                        name: node.name.clone(),
-                        step: Step::Conv {
-                            plan,
-                            spec,
-                            weight,
-                            bias: vec![0.0; c],
-                            in_l,
-                            out_l,
-                        },
-                        inputs: pin.clone(),
-                        layout: out_l,
-                        n_cts: out_l.num_ciphertexts(slots),
-                    },
-                    Node::new(
-                        node.name.clone(),
-                        NodeKind::Linear,
-                        1,
-                        lat,
-                        in_l.num_ciphertexts(slots),
-                    ),
-                    &pin,
-                )
+                let spec = depthwise(c, kh, kw, 1, 0);
+                emit_conv(&mut prog, &mut graph, spec, weight, vec![0.0; c])
             }
             Layer::Linear { weight, bias } => {
                 let in_l = in_layout.unwrap();
                 let n_out = weight.shape()[0];
                 let (plan, out_l) = dense_plan(&in_l, n_out, slots);
-                let n_in_cts = in_l.num_ciphertexts(slots);
-                let lat = lat_fn(&|l| plan.latency(cost, l));
-                push(
-                    &mut prog,
-                    &mut graph,
-                    ProgNode {
-                        name: node.name.clone(),
-                        step: Step::Dense {
-                            plan,
-                            weight: weight.clone(),
-                            bias: bias.clone(),
-                            in_l,
-                            n_out,
-                        },
-                        inputs: pin.clone(),
-                        layout: out_l,
-                        n_cts: out_l.num_ciphertexts(slots),
-                    },
-                    Node::new(node.name.clone(), NodeKind::Linear, 1, lat, n_in_cts),
-                    &pin,
-                )
+                let step = Step::Dense {
+                    plan,
+                    weight: weight.clone(),
+                    bias: bias.clone(),
+                    in_l,
+                    n_out,
+                };
+                emit_linear(&mut prog, &mut graph, step, out_l)
             }
             Layer::Flatten => {
                 // Structural: subsequent dense layers read the layout.
@@ -561,18 +530,13 @@ pub fn compile(net: &Network, fitres: &FitResult, opts: &CompileOptions) -> Comp
                 let l = in_layout.unwrap();
                 let n = l.num_ciphertexts(slots);
                 let lat = lat_fn(&|lv| cost.hadd(lv) * n as f64);
-                push(
+                emit(
                     &mut prog,
                     &mut graph,
-                    ProgNode {
-                        name: node.name.clone(),
-                        step: Step::Add,
-                        inputs: pin.clone(),
-                        layout: l,
-                        n_cts: n,
-                    },
-                    Node::new(node.name.clone(), NodeKind::Add, 0, lat, 2 * n),
-                    &pin,
+                    pnode(Step::Add, l),
+                    NodeKind::Add,
+                    lat,
+                    2 * n,
                 )
             }
             act_layer if act_layer.is_activation() => {
@@ -624,114 +588,61 @@ fn emit_activation(
         let mults = stage_mult_estimate(d);
         lat_fn(&|l| n_cts as f64 * (mults as f64 * cost.hmult(l) + d as f64 * cost.pmult(l)))
     };
-    let push = |prog: &mut Vec<ProgNode>,
-                graph: &mut Graph,
-                pname: String,
-                step: Step,
-                depth: usize,
-                lat: Vec<f64>,
-                inputs: Vec<usize>|
-     -> usize {
-        let id = prog.len();
-        prog.push(ProgNode {
-            name: pname.clone(),
+    let scale_lat = || lat_fn(&|l| n_cts as f64 * (cost.pmult(l) + cost.rescale(l)));
+    // a ciphertext product, its alignment constant and their two rescales
+    let product_lat =
+        || lat_fn(&|l| n_cts as f64 * (cost.hmult(l) + cost.pmult(l) + 2.0 * cost.rescale(l)));
+    let mut push = |suffix: &str, step: Step, lat: Vec<f64>, inputs: Vec<usize>| -> usize {
+        let node = ProgNode {
+            name: format!("{name}.{suffix}"),
             step,
-            inputs: inputs.clone(),
+            inputs,
             layout,
             n_cts,
-        });
-        let gid = graph.add_node(Node::new(pname, NodeKind::Activation, depth, lat, n_cts));
-        debug_assert_eq!(gid, id);
-        for i in inputs {
-            graph.add_edge(i, id);
-        }
-        id
+        };
+        emit(prog, graph, node, NodeKind::Activation, lat, n_cts)
     };
     match act {
-        CompiledAct::Square => {
-            let lat =
-                lat_fn(&|l| n_cts as f64 * (cost.hmult(l) + cost.pmult(l) + 2.0 * cost.rescale(l)));
-            push(
-                prog,
-                graph,
-                format!("{name}.sq"),
-                Step::Square,
-                2,
-                lat,
-                vec![input],
-            )
-        }
+        CompiledAct::Square => push("sq", Step::Square, product_lat(), vec![input]),
         CompiledAct::Poly { range, coeffs } => {
-            let sd_lat = lat_fn(&|l| n_cts as f64 * (cost.pmult(l) + cost.rescale(l)));
+            let factor = 1.0 / range;
             let sd = push(
-                prog,
-                graph,
-                format!("{name}.scale"),
-                Step::ScaleDown {
-                    factor: 1.0 / range,
-                },
-                1,
-                sd_lat,
+                "scale",
+                Step::ScaleDown { factor },
+                scale_lat(),
                 vec![input],
             );
-            let d = coeffs.len() - 1;
-            let depth = orion_poly::eval::fhe_eval_depth(d) + 1;
-            push(
-                prog,
-                graph,
-                format!("{name}.poly"),
-                Step::PolyStage {
-                    coeffs: coeffs.clone(),
-                    normalize: true,
-                },
-                depth,
-                stage_lat(d),
-                vec![sd],
-            )
+            let step = Step::PolyStage {
+                coeffs: coeffs.clone(),
+                normalize: true,
+            };
+            push("poly", step, stage_lat(coeffs.len() - 1), vec![sd])
         }
         CompiledAct::Relu { range, stages } => {
-            let sd_lat = lat_fn(&|l| n_cts as f64 * (cost.pmult(l) + cost.rescale(l)));
+            let factor = 1.0 / range;
             let sd = push(
-                prog,
-                graph,
-                format!("{name}.scale"),
-                Step::ScaleDown {
-                    factor: 1.0 / range,
-                },
-                1,
-                sd_lat,
+                "scale",
+                Step::ScaleDown { factor },
+                scale_lat(),
                 vec![input],
             );
             let mut cur = sd;
             for (i, st) in stages.iter().enumerate() {
-                let d = st.len() - 1;
-                let depth = orion_poly::eval::fhe_eval_depth(d);
+                let step = Step::PolyStage {
+                    coeffs: st.clone(),
+                    normalize: false,
+                };
                 cur = push(
-                    prog,
-                    graph,
-                    format!("{name}.sign{i}"),
-                    Step::PolyStage {
-                        coeffs: st.clone(),
-                        normalize: false,
-                    },
-                    depth,
-                    stage_lat(d),
+                    &format!("sign{i}"),
+                    step,
+                    stage_lat(st.len() - 1),
                     vec![cur],
                 );
             }
-            let lat =
-                lat_fn(&|l| n_cts as f64 * (cost.hmult(l) + cost.pmult(l) + 2.0 * cost.rescale(l)));
             // The fork at `sd` (skip wire) and the sign chain join here: a
             // SESE region the placement solver black-boxes (paper §5.2).
-            push(
-                prog,
-                graph,
-                format!("{name}.mul"),
-                Step::ReluFinal { magnitude: *range },
-                2,
-                lat,
-                vec![sd, cur],
-            )
+            let step = Step::ReluFinal { magnitude: *range };
+            push("mul", step, product_lat(), vec![sd, cur])
         }
     }
 }

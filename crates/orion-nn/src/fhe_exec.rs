@@ -9,11 +9,11 @@
 //! level, bootstrap where the policy says, keep every wire at exactly
 //! scale Δ — wire-level units in parallel on the shared pool.
 
-use crate::backend::{run_program, run_program_opt, LinearRef};
+use crate::backend::{run_program, LinearRef};
 use crate::backends::CkksBackend;
 use crate::compile::{Compiled, Step};
-use crate::opt::{OptConfig, OptStats};
-use crate::sched::SchedMode;
+use crate::opt::{optimize_plan, OptConfig};
+use crate::sched::{run_plan, ExecPlan, SchedMode};
 use orion_ckks::bootstrap::BootstrapOracle;
 use orion_ckks::encoder::Encoder;
 use orion_ckks::encrypt::{Ciphertext, Decryptor, Encryptor, Plaintext};
@@ -90,7 +90,7 @@ impl FheSession {
     /// Packs and encrypts `input` exactly as the interpreter's `Input`
     /// step does — the client-side half of the serving path, where
     /// requests arrive already encrypted and the server only ever touches
-    /// ciphertexts (run them with [`run_fhe_source_opt`]).
+    /// ciphertexts (run them with [`run_fhe_plan`]).
     pub fn encrypt_input(&self, c: &Compiled, input: &Tensor) -> Vec<Ciphertext> {
         crate::backend::input_slot_chunks(c, self.ctx.slots(), input)
             .into_iter()
@@ -228,32 +228,25 @@ fn zero_input(c: &Compiled) -> Tensor {
     Tensor::from_vec(&[l.c, l.h, l.w], vec![0.0; l.c * l.h * l.w])
 }
 
-/// The serving hot path: runs a compiled program over **pre-encrypted**
-/// input ciphertexts (see [`FheSession::encrypt_input`]) against any
-/// prepared-layer source — resident or memory-capped paged — through the
-/// plan optimizer with the given per-pass toggles, and returns the run, its
-/// op counter and the optimizer's per-pass stats (the serve layer surfaces
-/// them in its metrics endpoint). The counter's `encodes` field is the
+/// The serving hot path: walks `plan` — the program's execution plan, built,
+/// certified and optimized once per model, not per request — over
+/// **pre-encrypted** input ciphertexts (see [`FheSession::encrypt_input`])
+/// against any prepared-layer source, resident or memory-capped paged, and
+/// returns the run and its op counter. The counter's `encodes` field is the
 /// complete per-request encode tally (declared stage/layer encodes plus any
 /// prepared-constant cache misses), so a fully prepared model serves with
-/// `encodes == 0`, machine-checked. The default-config path IS the serving
-/// hot path — every served inference runs the optimized plan.
-pub fn run_fhe_source_opt(
+/// `encodes == 0`, machine-checked.
+pub fn run_fhe_plan(
     c: &Compiled,
     s: &FheSession,
+    plan: &ExecPlan,
     source: Arc<dyn LayerSource>,
     input_cts: Vec<Ciphertext>,
-    cfg: OptConfig,
-) -> (FheRun, OpCounter, OptStats) {
+) -> (FheRun, OpCounter) {
     let t0 = std::time::Instant::now();
     let dummy = zero_input(c);
     let backend = CkksBackend::with_source(s, source).inject_inputs(input_cts);
-    let mode = if rayon::current_num_threads() > 1 {
-        SchedMode::Parallel
-    } else {
-        SchedMode::Sequential
-    };
-    let (run, stats) = run_program_opt(c, &backend, &dummy, mode, cfg);
+    let run = run_plan(plan, c, &backend, &dummy, SchedMode::for_pool());
     let mut counter = run.counter;
     counter.record_encodes(backend.act_cache_misses());
     (
@@ -263,20 +256,20 @@ pub fn run_fhe_source_opt(
             bootstraps: run.bootstraps,
         },
         counter,
-        stats,
     )
 }
 
-/// [`run_fhe_source_opt`] with every pass on against a fully-resident
-/// prepared cache — the direct (no queue, no paging) reference the serve
-/// smoke tests compare bit-exactly against.
+/// [`run_fhe_plan`] on the freshly built, fully optimized plan against a
+/// fully-resident prepared cache — the direct (no queue, no paging)
+/// reference the serve smoke tests compare bit-exactly against.
 pub fn run_fhe_prepared_cts(
     c: &Compiled,
     s: &FheSession,
     prepared: &Arc<PreparedProgram>,
     input_cts: Vec<Ciphertext>,
 ) -> (FheRun, OpCounter) {
+    let mut plan = ExecPlan::build(c);
+    optimize_plan(&mut plan, c, OptConfig::default());
     let source = Arc::clone(prepared) as Arc<dyn LayerSource>;
-    let (run, counter, _) = run_fhe_source_opt(c, s, source, input_cts, OptConfig::default());
-    (run, counter)
+    run_fhe_plan(c, s, &plan, source, input_cts)
 }

@@ -37,6 +37,10 @@
 //!    peak-live-limb count does not increase — shrinking the window during
 //!    which the refreshed ciphertext coexists with everything else.
 //!
+//! The passes own no level arithmetic: what a unit reads at which level and
+//! where it leaves its output is [`ExecPlan::unit_io`] — the same record
+//! the walk executes and the verifier that gates every pass interprets.
+//!
 //! Rewrites never change results: pass 1 computes the identical rotations
 //! once instead of `k` times, pass 2 commutes limb truncation across the
 //! producer/consumer edge, pass 3 only permutes an order the scheduler
@@ -256,8 +260,9 @@ fn rotation_cse(plan: &mut ExecPlan, c: &Compiled, cost: &CostModel) -> Rotation
         if linear_plan_of(c, node).baby_rotations().is_empty() {
             continue;
         }
-        let lv = c.placement.levels[node].expect("linear layer unplaced");
-        let buf = plan.in_bufs[node][0];
+        let Some((buf, Some(lv))) = plan.io(c, uid).reads[0] else {
+            unreachable!("a linear layer reads its input wire at its level")
+        };
         groups.entry((buf.offset, lv)).or_default().push(uid);
     }
 
@@ -374,107 +379,36 @@ fn rotation_cse(plan: &mut ExecPlan, c: &Compiled, cost: &CostModel) -> Rotation
 // Pass 2: rescale/mod-switch chain fusion
 // ---------------------------------------------------------------------
 
-/// How one unit reads a given value slot.
-enum Read {
-    /// Does not read the slot.
-    No,
-    /// Reads it mod-switched down to a level.
-    At(usize),
-    /// Reads the raw ciphertext (bootstrap input, output wire) — the
-    /// producer must keep its natural level.
-    Raw,
-}
-
-/// The level at which unit `uid` reads value slot `slot` (if at all).
-fn read_of(plan: &ExecPlan, c: &Compiled, uid: usize, slot: usize) -> Read {
-    let u = &plan.units[uid];
-    let contains = |b: &crate::sched::Buffer| slot >= b.offset && slot < b.offset + b.len;
-    match u.work {
-        UnitWork::Prefetch { .. } => Read::No,
-        UnitWork::SharedRot { spec } => {
-            let sp = &plan.shared[spec];
-            if contains(&sp.buf) {
-                Read::At(sp.level)
-            } else {
-                Read::No
-            }
-        }
-        UnitWork::Boot { .. } => {
-            if u.in_slot == slot {
-                Read::Raw
-            } else {
-                Read::No
-            }
-        }
-        UnitWork::Step { node } => match &c.prog[node].step {
-            Step::Output => {
-                if contains(&plan.in_bufs[node][0]) {
-                    Read::Raw
-                } else {
-                    Read::No
-                }
-            }
-            Step::Conv { .. } | Step::Dense { .. } => {
-                if contains(&plan.in_bufs[node][0]) {
-                    Read::At(c.placement.levels[node].expect("linear layer unplaced"))
-                } else {
-                    Read::No
-                }
-            }
-            other => panic!("step {other:?} is not a whole-step unit"),
-        },
-        UnitWork::StepCt { node, ct } => {
-            let lv = c.placement.levels[node].expect("elementwise step unplaced");
-            let mut best = Read::No;
-            for (pos, b) in plan.in_bufs[node].iter().enumerate() {
-                if b.offset + ct != slot {
-                    continue;
-                }
-                // Mirror `exec_step_ct`'s read levels exactly.
-                let l = match &c.prog[node].step {
-                    Step::ReluFinal { .. } if pos == 1 => lv - 1,
-                    Step::ScaleDown { .. }
-                    | Step::PolyStage { .. }
-                    | Step::ReluFinal { .. }
-                    | Step::Square
-                    | Step::Add => lv,
-                    other => panic!("step {other:?} is not an elementwise unit"),
-                };
-                best = match best {
-                    Read::No => Read::At(l),
-                    Read::At(prev) => Read::At(prev.max(l)),
-                    Read::Raw => Read::Raw,
-                };
-            }
-            best
-        }
-    }
-}
-
 fn level_fusion(plan: &mut ExecPlan, c: &Compiled) -> LevelFusionStats {
     let mut stats = LevelFusionStats::default();
     for uid in 0..plan.units.len() {
         let unit = &plan.units[uid];
         // Fusable producers: scale-downs (rescale + mod-switch) and
         // bootstraps (refresh + mod-switch). Both write exactly one slot.
-        let (natural, is_boot) = match unit.work {
-            UnitWork::Boot { .. } => (c.opts.l_eff, true),
+        let is_boot = match unit.work {
+            UnitWork::Boot { .. } => true,
             UnitWork::StepCt { node, .. }
                 if matches!(c.prog[node].step, Step::ScaleDown { .. }) =>
             {
-                let lv = c.placement.levels[node].expect("elementwise step unplaced");
-                (lv - 1, false)
+                false
             }
             _ => continue,
         };
+        let natural = plan.io(c, uid).out_level;
         let slot = unit.out_slot;
+        // The highest level any successor drops the slot to; a raw read
+        // (bootstrap input, output wire) pins the natural level.
         let mut max_read: Option<usize> = None;
         let mut raw = false;
         for &s in &plan.succs[uid] {
-            match read_of(plan, c, s, slot) {
-                Read::No => {}
-                Read::Raw => raw = true,
-                Read::At(l) => max_read = Some(max_read.map_or(l, |m| m.max(l))),
+            for (buf, level) in plan.io(c, s).reads.into_iter().flatten() {
+                if !buf.slots().contains(&slot) {
+                    continue;
+                }
+                match level {
+                    None => raw = true,
+                    Some(l) => max_read = Some(max_read.map_or(l, |m| m.max(l))),
+                }
             }
         }
         let Some(fused) = max_read else { continue };
@@ -497,81 +431,72 @@ fn level_fusion(plan: &mut ExecPlan, c: &Compiled) -> LevelFusionStats {
 // Pass 3: bootstrap sinking
 // ---------------------------------------------------------------------
 
-/// Estimated live weight (limb vectors: 2 polynomials × (level + 1) rows
-/// per ciphertext) of each unit's output.
-pub(crate) fn produced_weight(plan: &ExecPlan, c: &Compiled, uid: usize) -> u64 {
-    let unit = &plan.units[uid];
-    if unit.out_len == 0 {
-        return 0;
-    }
-    let level = match unit.work {
-        UnitWork::Boot { .. } => unit.fused_level.unwrap_or(c.opts.l_eff),
-        UnitWork::Step { node } => match &c.prog[node].step {
-            Step::Input => c.opts.l_eff,
-            Step::Conv { .. } | Step::Dense { .. } => {
-                c.placement.levels[node].expect("linear layer unplaced") - 1
-            }
-            _ => return 0,
-        },
-        UnitWork::StepCt { node, .. } => {
-            let lv = c.placement.levels[node].expect("elementwise step unplaced");
-            match &c.prog[node].step {
-                Step::ScaleDown { .. } => unit.fused_level.unwrap_or(lv - 1),
-                Step::PolyStage { coeffs, normalize } => {
-                    orion_poly::eval::stage_ops(coeffs, *normalize, lv).exit_level
-                }
-                Step::ReluFinal { .. } | Step::Square => lv - 2,
-                Step::Add => lv,
-                _ => return 0,
-            }
-        }
-        UnitWork::Prefetch { .. } | UnitWork::SharedRot { .. } => return 0,
-    };
-    unit.out_len as u64 * 2 * (level as u64 + 1)
+/// What the peak-live-limb estimate needs of a plan: each unit's output
+/// weight and the units that consume it. Shared by the sinking pass and
+/// the verifier's certificate ([`crate::verify`]).
+pub(crate) struct LiveRanges {
+    /// Estimated live weight of each unit's output, in limb vectors: 2
+    /// polynomials × (output level + 1) rows per ciphertext.
+    weights: Vec<u64>,
+    /// Dependents that actually consume the value (deps model reads
+    /// exactly, except Prefetch twins whose deps are advisory).
+    readers: Vec<Vec<usize>>,
 }
 
-/// Peak live limb vectors when the plan's units run in `order` (old unit
-/// ids in execution order): each producer's output is live from its
-/// position to its last non-advisory reader's position.
-pub(crate) fn est_peak_limbs(weights: &[u64], readers: &[Vec<usize>], pos: &[usize]) -> u64 {
-    let n = pos.len();
-    let mut delta = vec![0i64; n + 1];
-    for uid in 0..n {
-        let w = weights[uid];
-        if w == 0 {
-            continue;
+impl LiveRanges {
+    pub(crate) fn of(plan: &ExecPlan, c: &Compiled) -> Self {
+        let n = plan.units.len();
+        let weights = (0..n)
+            .map(|u| plan.units[u].out_len as u64 * 2 * (plan.io(c, u).out_level as u64 + 1))
+            .collect();
+        let readers = (0..n)
+            .map(|u| {
+                plan.succs[u]
+                    .iter()
+                    .copied()
+                    .filter(|&s| !matches!(plan.units[s].work, UnitWork::Prefetch { .. }))
+                    .collect()
+            })
+            .collect();
+        Self { weights, readers }
+    }
+
+    /// Peak live limb vectors when unit `u` runs at position `pos[u]`:
+    /// each producer's output is live from its position to its last
+    /// reader's.
+    pub(crate) fn peak(&self, pos: &[usize]) -> u64 {
+        let n = pos.len();
+        let mut delta = vec![0i64; n + 1];
+        for uid in 0..n {
+            let w = self.weights[uid];
+            if w == 0 {
+                continue;
+            }
+            let start = pos[uid];
+            let end = self.readers[uid]
+                .iter()
+                .map(|&r| pos[r])
+                .max()
+                .unwrap_or(start);
+            delta[start] += w as i64;
+            delta[end + 1] -= w as i64;
         }
-        let start = pos[uid];
-        let end = readers[uid].iter().map(|&r| pos[r]).max().unwrap_or(start);
-        delta[start] += w as i64;
-        delta[end + 1] -= w as i64;
+        let mut live = 0i64;
+        let mut peak = 0i64;
+        for d in delta {
+            live += d;
+            peak = peak.max(live);
+        }
+        peak as u64
     }
-    let mut live = 0i64;
-    let mut peak = 0i64;
-    for d in delta {
-        live += d;
-        peak = peak.max(live);
-    }
-    peak as u64
 }
 
 fn boot_sink(plan: &mut ExecPlan, c: &Compiled) -> BootSinkStats {
     let n = plan.units.len();
-    let weights: Vec<u64> = (0..n).map(|u| produced_weight(plan, c, u)).collect();
-    // Readers = dependents that actually consume the value (deps model
-    // reads exactly, except Prefetch twins whose deps are advisory).
-    let readers: Vec<Vec<usize>> = (0..n)
-        .map(|u| {
-            plan.succs[u]
-                .iter()
-                .copied()
-                .filter(|&s| !matches!(plan.units[s].work, UnitWork::Prefetch { .. }))
-                .collect()
-        })
-        .collect();
+    let live = LiveRanges::of(plan, c);
     let mut order: Vec<usize> = (0..n).collect();
     let mut pos: Vec<usize> = (0..n).collect();
-    let before = est_peak_limbs(&weights, &readers, &pos);
+    let before = live.peak(&pos);
     let mut peak = before;
     let mut moved = 0u64;
     for uid in (0..n).rev() {
@@ -594,7 +519,7 @@ fn boot_sink(plan: &mut ExecPlan, c: &Compiled) -> BootSinkStats {
         for (p, &u) in cand.iter().enumerate() {
             cand_pos[u] = p;
         }
-        let cand_peak = est_peak_limbs(&weights, &readers, &cand_pos);
+        let cand_peak = live.peak(&cand_pos);
         // Sinking delays the heavy refreshed ciphertext and extends only
         // the cheap level-0 input's life; accept when peak memory does not
         // regress.

@@ -39,6 +39,16 @@
 //! layers from their BSGS plan, activation steps from the recursion that
 //! evaluates them (`orion_poly::eval::StageOps`): what the engine executes.
 //!
+//! Levels: what a unit reads, at which level, and the level it leaves its
+//! output at is a compile-time fact, stated once — [`Step::depth`] /
+//! [`Step::sig`] per step kind, lifted to units by [`ExecPlan::unit_io`]
+//! (fused levels, bootstraps, shared hoists, the input and output wires).
+//! The walk drops inputs to the signature's read levels, [`count_plan`]
+//! tallies its ops, the verifier and the optimizer passes interpret it
+//! (`crate::verify`, `crate::opt`) — and no engine is trusted to agree with
+//! it: every ciphertext an engine hands back is asserted to sit at the
+//! signature's exit level before it is stored, in every profile.
+//!
 //! Wire versions: the classic interpreter bootstraps a wire *in place*,
 //! so a consumer sees the pre- or post-bootstrap value depending on its
 //! program position. The plan makes this explicit — each bootstrap event
@@ -48,7 +58,7 @@
 
 use crate::backend::{input_slot_chunks, EvalBackend, LinearRef, ProgramRun};
 use crate::compile::{Compiled, Step};
-use orion_poly::eval::{relu_product_ops, square_ops, stage_ops, StageOps};
+use orion_poly::eval::StageOps;
 use orion_sim::counter::OpKind;
 use orion_sim::OpCounter;
 use orion_tensor::Tensor;
@@ -65,6 +75,18 @@ pub enum SchedMode {
     /// Event-driven execution on the shared rayon pool: completed units
     /// release their successors directly, with no inter-wave barrier.
     Parallel,
+}
+
+impl SchedMode {
+    /// The walk that suits the shared pool: event-driven when it has more
+    /// than one thread, plan order when there is nothing to overlap.
+    pub(crate) fn for_pool() -> Self {
+        if rayon::current_num_threads() > 1 {
+            SchedMode::Parallel
+        } else {
+            SchedMode::Sequential
+        }
+    }
 }
 
 /// What one scheduled unit computes.
@@ -148,6 +170,37 @@ pub struct Buffer {
     pub offset: usize,
     /// Ciphertext count.
     pub len: usize,
+}
+
+impl Buffer {
+    /// The buffer's value slots.
+    pub fn slots(&self) -> std::ops::Range<usize> {
+        self.offset..self.offset + self.len
+    }
+}
+
+/// What one plan unit reads and writes — [`Step::sig`] lifted to units
+/// ([`ExecPlan::unit_io`]). Everything that needs a level asks this: the
+/// walk (what to drop inputs to, what the engine must hand back), the op
+/// counter, the verifier and the optimizer passes.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct UnitIo {
+    /// The level the unit runs at: its step's placement level, a
+    /// `SharedRot`'s hoist level; 0 for units that have none (`Input`,
+    /// `Output`, `Boot`, `Prefetch`).
+    pub level: usize,
+    /// The levels the unit needs of `level` ([`Step::depth`]).
+    pub depth: usize,
+    /// Per input position: the value slots read and the level each is
+    /// dropped to first — `None` reads the ciphertext as it sits (a
+    /// bootstrap's input, the output wire), which pins its producer to its
+    /// natural level.
+    pub reads: [Option<(Buffer, Option<usize>)>; 2],
+    /// The operations one output ciphertext costs (activation steps; a
+    /// linear layer's are its `LinearPlan::counts`).
+    pub ops: StageOps,
+    /// The level of every ciphertext the unit writes.
+    pub out_level: usize,
 }
 
 /// What a [`UnitWork::SharedRot`] unit computes: the union of the hoisted
@@ -413,6 +466,98 @@ impl ExecPlan {
             self.units, self.succs, self.in_bufs, self.n_slots, self.bootstraps, self.shared
         )
     }
+
+    /// What unit `uid` reads and writes under `c`'s placement: the step's
+    /// [`Step::sig`] plus what only the plan knows — the unit's fused
+    /// level, a bootstrap's raw read and `L_eff` exit, a shared hoist's
+    /// buffer, the output wire's raw read, the input's `L_eff`. Computed on
+    /// demand (rewrites and tests mutate plans and placements after
+    /// [`ExecPlan::build`]); `Err` names what the unit refers to that the
+    /// program or plan does not have — the verifier's coverage finding, a
+    /// panic anywhere else.
+    pub fn unit_io(&self, c: &Compiled, uid: usize) -> Result<UnitIo, &'static str> {
+        let unit = &self.units[uid];
+        let mut io = UnitIo {
+            level: 0,
+            depth: 0,
+            reads: [None; 2],
+            ops: StageOps::default(),
+            // where the input arrives and a bootstrap lands; a placed step
+            // overwrites it with its signature's exit
+            out_level: c.opts.l_eff,
+        };
+        match unit.work {
+            UnitWork::Prefetch { .. } => {}
+            UnitWork::SharedRot { spec } => {
+                let sp = self
+                    .shared
+                    .get(spec)
+                    .ok_or("unknown shared-rotation spec")?;
+                io.level = sp.level;
+                io.reads[0] = Some((sp.buf, Some(sp.level)));
+            }
+            UnitWork::Boot { .. } => {
+                let refreshed = Buffer {
+                    offset: unit.in_slot,
+                    len: 1,
+                };
+                io.reads[0] = Some((refreshed, None));
+            }
+            UnitWork::Step { node } | UnitWork::StepCt { node, .. } => {
+                let step = &c.prog.get(node).ok_or("unknown program node")?.step;
+                let bufs = self.in_bufs.get(node).ok_or("step has no input buffers")?;
+                let whole = matches!(
+                    step,
+                    Step::Input | Step::Output | Step::Conv { .. } | Step::Dense { .. }
+                );
+                if whole != matches!(unit.work, UnitWork::Step { .. }) {
+                    return Err("step kind does not fit the unit kind");
+                }
+                match step {
+                    Step::Input => {}
+                    Step::Output => {
+                        let wire = bufs.first().ok_or("output has no input buffer")?;
+                        io.reads[0] = Some((*wire, None));
+                    }
+                    _ => {
+                        let lv = c.placement.levels.get(node).copied().flatten();
+                        let lv = lv.ok_or("step has no placement level")?;
+                        let sig = step.sig(lv);
+                        io.level = lv;
+                        io.depth = step.depth();
+                        io.ops = sig.ops;
+                        io.out_level = sig.ops.exit_level;
+                        for (pos, level) in sig.reads.iter().enumerate() {
+                            let Some(level) = *level else { continue };
+                            let mut b = *bufs.get(pos).ok_or("step lacks an input buffer")?;
+                            // an elementwise unit reads its own ciphertext
+                            // of every input wire
+                            if let UnitWork::StepCt { ct, .. } = unit.work {
+                                if ct >= b.len {
+                                    return Err("input wire has no such ciphertext");
+                                }
+                                b = Buffer {
+                                    offset: b.offset + ct,
+                                    len: 1,
+                                };
+                            }
+                            io.reads[pos] = Some((b, Some(level)));
+                        }
+                    }
+                }
+            }
+        }
+        if let Some(fused) = unit.fused_level {
+            io.out_level = fused;
+        }
+        Ok(io)
+    }
+
+    /// [`ExecPlan::unit_io`] of a plan the verifier has passed.
+    pub(crate) fn io(&self, c: &Compiled, uid: usize) -> UnitIo {
+        self.unit_io(c, uid)
+            .unwrap_or_else(|why| panic!("malformed plan, unit {uid}: {why}"))
+    }
 }
 
 /// The op tallies of one walk of `plan`, with modeled latency — the
@@ -426,7 +571,9 @@ impl ExecPlan {
 pub fn count_plan<B: EvalBackend>(plan: &ExecPlan, c: &Compiled, backend: &B) -> OpCounter {
     let cost = &c.opts.cost;
     let mut total = OpCounter::new();
-    for unit in &plan.units {
+    for (uid, unit) in plan.units.iter().enumerate() {
+        let io = plan.io(c, uid);
+        let lv = io.level;
         let mut ctr = OpCounter::new();
         let mut tally = |kind: OpKind, n: usize, each: f64| {
             let secs = n as f64 * each;
@@ -444,19 +591,14 @@ pub fn count_plan<B: EvalBackend>(plan: &ExecPlan, c: &Compiled, backend: &B) ->
             // time like theirs.
             UnitWork::SharedRot { spec } => {
                 let sp = &plan.shared[spec];
-                let hoist = tally(OpKind::Hoist, sp.hoists, cost.ks_decompose(sp.level));
-                let rots = tally(
-                    OpKind::HRotHoisted,
-                    sp.rots.len(),
-                    cost.hrot_hoisted(sp.level),
-                );
+                let hoist = tally(OpKind::Hoist, sp.hoists, cost.ks_decompose(lv));
+                let rots = tally(OpKind::HRotHoisted, sp.rots.len(), cost.hrot_hoisted(lv));
                 ctr.linear_seconds += hoist + rots;
             }
             UnitWork::Step { node } => {
                 let Some(layer) = LinearRef::of(node, &c.prog[node].step) else {
                     continue; // Input / Output: nothing tallied
                 };
-                let lv = c.placement.levels[node].expect("linear layer unplaced");
                 // The static op mix of the double-hoisted BSGS matvec. A
                 // layer reading a shared unit pays no hoists and no baby
                 // rotations of its own.
@@ -488,38 +630,22 @@ pub fn count_plan<B: EvalBackend>(plan: &ExecPlan, c: &Compiled, backend: &B) ->
                     ctr.record_encodes((counts.pmults + layer.plan().out_blocks) as u64);
                 }
             }
+            // What the step's evaluator issues (a fused scale-down like the
+            // plain one: the drop was always free); pricing every op at
+            // the entry level over-charges the ones below it (ROADMAP
+            // item 5).
             UnitWork::StepCt { node, .. } => {
-                let lv = c.placement.levels[node].expect("elementwise step unplaced");
-                // what the step's evaluator issues; pricing every op at the
-                // entry level over-charges the ones below it (ROADMAP item 5)
-                let mut tally_ops = |ops: StageOps| {
-                    tally(OpKind::HMult, ops.hmult as usize, cost.hmult(lv));
-                    tally(OpKind::PMult, ops.pmult as usize, cost.pmult(lv));
-                    tally(OpKind::Rescale, ops.rescale as usize, cost.rescale(lv));
-                    tally(OpKind::HAdd, ops.hadd as usize, cost.hadd(lv));
-                    tally(OpKind::PAdd, ops.padd as usize, cost.hadd(lv));
-                };
-                match &c.prog[node].step {
-                    // the fused kernel is tallied like the plain one (the
-                    // drop was always free)
-                    Step::ScaleDown { .. } => {
-                        tally(OpKind::PMult, 1, cost.pmult(lv));
-                        tally(OpKind::Rescale, 1, cost.rescale(lv));
-                    }
-                    Step::PolyStage { coeffs, normalize } => {
-                        let ops = stage_ops(coeffs, *normalize, lv);
-                        tally_ops(ops);
-                        // one FFT-free constant encode per stage constant
-                        if backend.activation_encodes_per_inference(node) {
-                            ctr.record_encodes(ops.consts);
-                        }
-                    }
-                    Step::ReluFinal { .. } => tally_ops(relu_product_ops(lv)),
-                    Step::Square => tally_ops(square_ops(lv)),
-                    Step::Add => {
-                        tally(OpKind::HAdd, 1, cost.hadd(lv));
-                    }
-                    other => panic!("step {other:?} is not an elementwise unit"),
+                tally(OpKind::HMult, io.ops.hmult as usize, cost.hmult(lv));
+                tally(OpKind::PMult, io.ops.pmult as usize, cost.pmult(lv));
+                tally(OpKind::Rescale, io.ops.rescale as usize, cost.rescale(lv));
+                tally(OpKind::HAdd, io.ops.hadd as usize, cost.hadd(lv));
+                tally(OpKind::PAdd, io.ops.padd as usize, cost.hadd(lv));
+                // one FFT-free constant encode per Chebyshev-stage constant
+                // (the recipe constants of the other kinds are exempt)
+                if matches!(c.prog[node].step, Step::PolyStage { .. })
+                    && backend.activation_encodes_per_inference(node)
+                {
+                    ctr.record_encodes(io.ops.consts);
                 }
             }
         }
@@ -565,6 +691,16 @@ fn unit_meta(work: &UnitWork) -> (&'static str, u64, u64) {
     }
 }
 
+/// `kind name ctN` of a unit, for reports and assert messages.
+fn unit_label(c: &Compiled, work: &UnitWork) -> String {
+    let (kind, node, ct) = unit_meta(work);
+    let name = match work {
+        UnitWork::SharedRot { .. } => "",
+        _ => c.prog[node as usize].name.as_str(),
+    };
+    format!("{kind} {name} ct{ct}")
+}
+
 struct RunState<'a, B: EvalBackend> {
     plan: &'a ExecPlan,
     c: &'a Compiled,
@@ -587,24 +723,30 @@ impl<B: EvalBackend> RunState<'_, B> {
             .expect("scheduler dependency violation: value not ready")
     }
 
-    /// Clones buffer `b`'s ciphertexts and drops them to `level`,
+    /// Input `pos` of a unit: its slots' ciphertexts, dropped to the read
+    /// level the signature states (cloned as they sit on a raw read),
     /// asserting the placement invariant like the classic interpreter.
-    fn take_dropped(&self, b: Buffer, level: usize) -> Vec<B::Ciphertext> {
-        (b.offset..b.offset + b.len)
-            .map(|s| self.drop_one(self.value(s), level))
+    fn read(&self, io: &UnitIo, pos: usize) -> Vec<B::Ciphertext> {
+        let (buf, level) = io.reads[pos].expect("unit has no such input");
+        let backend = self.backend;
+        buf.slots()
+            .map(|s| {
+                let ct = self.value(s);
+                let Some(level) = level else {
+                    return ct.clone();
+                };
+                assert!(
+                    backend.level_of(ct) >= level,
+                    "wire at level {} but the policy needs {level} — placement violated",
+                    backend.level_of(ct)
+                );
+                backend.drop_to_level(ct, level)
+            })
             .collect()
     }
 
-    fn drop_one(&self, ct: &B::Ciphertext, level: usize) -> B::Ciphertext {
-        assert!(
-            self.backend.level_of(ct) >= level,
-            "wire at level {} but the policy needs {level} — placement violated",
-            self.backend.level_of(ct)
-        );
-        self.backend.drop_to_level(ct, level)
-    }
-
-    fn store(&self, unit: &Unit, cts: Vec<B::Ciphertext>) {
+    fn store(&self, uid: usize, io: &UnitIo, cts: Vec<B::Ciphertext>) {
+        let unit = &self.plan.units[uid];
         // hard assert: a backend returning the wrong ciphertext count
         // must fail HERE, not corrupt a neighboring wire's value slots
         assert_eq!(
@@ -615,6 +757,15 @@ impl<B: EvalBackend> RunState<'_, B> {
             unit.out_len
         );
         for (i, ct) in cts.into_iter().enumerate() {
+            // The engine is checked against the level table, not trusted
+            // to mirror it: what the verifier certified for this slot is
+            // what gets written, in every profile.
+            assert_eq!(
+                self.backend.level_of(&ct),
+                io.out_level,
+                "unit {uid} ({}) wrote ciphertext {i} at the wrong level",
+                unit_label(self.c, &unit.work)
+            );
             // Wire trajectory: the FHE "noise budget" view — every produced
             // ciphertext's level and scale drift, as instant events.
             if self.telem.is_some() {
@@ -623,7 +774,7 @@ impl<B: EvalBackend> RunState<'_, B> {
                     "wire",
                     node = node,
                     ct = i,
-                    level = self.backend.level_of(&ct),
+                    level = io.out_level,
                     scale_mb = (self.backend.scale_log2_of(&ct) * 1e3) as u64
                 );
             }
@@ -634,9 +785,9 @@ impl<B: EvalBackend> RunState<'_, B> {
     }
 
     fn run_unit(&self, uid: usize) {
-        let unit = &self.plan.units[uid];
+        let io = self.plan.io(self.c, uid);
         let Some(t) = &self.telem else {
-            self.exec_unit(unit);
+            self.exec_unit(uid, &io);
             return;
         };
         // Queue-wait vs exec split: the ready stamp was written by
@@ -650,37 +801,38 @@ impl<B: EvalBackend> RunState<'_, B> {
         } else {
             0
         };
-        let (kind, node, ct) = unit_meta(&unit.work);
-        let level = unit.fused_level.or(match unit.work {
-            UnitWork::Step { node } | UnitWork::StepCt { node, .. } => {
-                self.c.placement.levels[node]
-            }
-            UnitWork::Boot { .. } => Some(self.c.opts.l_eff),
-            _ => None,
-        });
+        let (kind, node, ct) = unit_meta(&self.plan.units[uid].work);
         let span = orion_telemetry::span(
             kind,
             &[
                 ("unit", uid as u64),
                 ("node", node),
                 ("ct", ct),
-                ("level", level.unwrap_or(0) as u64),
+                ("level", io.level as u64),
+                ("out_level", io.out_level as u64),
                 ("queue_us", queue_ns / 1_000),
             ],
         );
-        self.exec_unit(unit);
+        self.exec_unit(uid, &io);
         t.end[uid].store(orion_telemetry::now_ns(), Ordering::Relaxed);
         drop(span);
     }
 
-    fn exec_unit(&self, unit: &Unit) {
-        let backend = self.backend;
+    fn exec_unit(&self, uid: usize, io: &UnitIo) {
+        let unit = &self.plan.units[uid];
+        let (backend, c) = (self.backend, self.c);
+        let lv = io.level;
+        assert!(
+            lv >= io.depth,
+            "unit {uid} ({}) needs {} levels, placed at level {lv}",
+            unit_label(c, &unit.work),
+            io.depth
+        );
         match unit.work {
             UnitWork::Prefetch { node } => backend.prefetch_linear(node),
             UnitWork::SharedRot { spec } => {
                 let sp = &self.plan.shared[spec];
-                let cts = self.take_dropped(sp.buf, sp.level);
-                let handle = backend.hoist_rotations(&cts, sp.level, &sp.rots);
+                let handle = backend.hoist_rotations(&self.read(io, 0), lv, &sp.rots);
                 if self.shared_vals[spec].set(handle).is_err() {
                     panic!("scheduler ran a shared-rotation unit twice");
                 }
@@ -690,19 +842,44 @@ impl<B: EvalBackend> RunState<'_, B> {
                 // Fused bootstrap + mod-switch: land directly at the
                 // highest level any consumer reads, so the limbs above it
                 // are never materialized. Bit-identical — the consumers'
-                // `drop_one` would truncate the same limbs anyway.
+                // drop would truncate the same limbs anyway.
                 let out = match unit.fused_level {
                     Some(fl) => backend.bootstrap_to(v, fl),
                     None => backend.bootstrap(v),
                 };
-                self.store(unit, vec![out]);
+                self.store(uid, io, vec![out]);
             }
-            UnitWork::Step { node } => self.exec_step(unit, node),
-            UnitWork::StepCt { node, ct } => self.exec_step_ct(unit, node, ct),
+            UnitWork::Step { node } => self.exec_step(uid, io, node),
+            UnitWork::StepCt { node, .. } => {
+                // an elementwise unit reads one ciphertext per input
+                let x = |pos: usize| self.read(io, pos).pop().expect("one-slot read");
+                let out = match &c.prog[node].step {
+                    // Fused rescale + mod-switch: the scalar multiply
+                    // happens at the full level (identical rounding), then
+                    // the rescale lands directly at the fused level without
+                    // materializing the intermediate limbs.
+                    Step::ScaleDown { factor } => match unit.fused_level {
+                        Some(fl) => backend.scale_down_to(&x(0), *factor, lv, fl),
+                        None => backend.scale_down(&x(0), *factor, lv),
+                    },
+                    Step::PolyStage { coeffs, normalize } => {
+                        orion_telemetry::time_class(orion_telemetry::OpClass::PolyStage, || {
+                            backend.poly_stage(&x(0), coeffs, *normalize, lv, node)
+                        })
+                    }
+                    Step::ReluFinal { magnitude } => {
+                        backend.relu_final(&x(0), &x(1), *magnitude, lv)
+                    }
+                    Step::Square => backend.square_activation(&x(0), lv),
+                    Step::Add => backend.add(&x(0), &x(1)),
+                    other => panic!("step {other:?} is not an elementwise unit"),
+                };
+                self.store(uid, io, vec![out]);
+            }
         }
     }
 
-    fn exec_step(&self, unit: &Unit, id: usize) {
+    fn exec_step(&self, uid: usize, io: &UnitIo, id: usize) {
         let backend = self.backend;
         let c = self.c;
         let slots = c.opts.slots;
@@ -711,15 +888,12 @@ impl<B: EvalBackend> RunState<'_, B> {
             Step::Input => {
                 let cts: Vec<B::Ciphertext> = input_slot_chunks(c, slots, self.input)
                     .into_iter()
-                    .map(|chunk| backend.encrypt(&chunk, c.opts.l_eff))
+                    .map(|chunk| backend.encrypt(&chunk, io.out_level))
                     .collect();
-                self.store(unit, cts);
+                self.store(uid, io, cts);
             }
             Step::Output => {
-                let b = self.plan.in_bufs[id][0];
-                let cts: Vec<B::Ciphertext> = (b.offset..b.offset + b.len)
-                    .map(|s| self.value(s).clone())
-                    .collect();
+                let cts = self.read(io, 0);
                 let prev = &c.prog[node.inputs[0]];
                 let mut slots_vec = Vec::with_capacity(cts.len() * slots);
                 for ct in &cts {
@@ -733,67 +907,21 @@ impl<B: EvalBackend> RunState<'_, B> {
             step => {
                 let layer = LinearRef::of(id, step)
                     .unwrap_or_else(|| panic!("step {step:?} is not a whole-step unit"));
-                let lv = c.placement.levels[id].expect("linear layer unplaced");
-                let cts = self.take_dropped(self.plan.in_bufs[id][0], lv);
-                self.store(unit, self.run_linear(unit, &layer, &cts, lv));
+                let cts = self.read(io, 0);
+                // reads the hoisted rotations of its `SharedRotSpec` when
+                // the optimizer attached one to the unit
+                let shared = self.plan.units[uid].shared_rots.map(|spec| {
+                    self.shared_vals[spec]
+                        .get()
+                        .expect("scheduler dependency violation: shared rotations not ready")
+                });
+                let out =
+                    orion_telemetry::time_class(orion_telemetry::OpClass::LinearLayer, || {
+                        backend.linear_layer(&layer, &cts, io.level, shared)
+                    });
+                self.store(uid, io, out);
             }
         }
-    }
-
-    /// Runs one linear layer, reading the hoisted rotations of its
-    /// [`SharedRotSpec`] when the optimizer attached one to the unit.
-    fn run_linear(
-        &self,
-        unit: &Unit,
-        layer: &LinearRef<'_>,
-        cts: &[B::Ciphertext],
-        lv: usize,
-    ) -> Vec<B::Ciphertext> {
-        let shared = unit.shared_rots.map(|spec| {
-            self.shared_vals[spec]
-                .get()
-                .expect("scheduler dependency violation: shared rotations not ready")
-        });
-        orion_telemetry::time_class(orion_telemetry::OpClass::LinearLayer, || {
-            self.backend.linear_layer(layer, cts, lv, shared)
-        })
-    }
-
-    fn exec_step_ct(&self, unit: &Unit, id: usize, ct: usize) {
-        let backend = self.backend;
-        let c = self.c;
-        let node = &c.prog[id];
-        let lv = c.placement.levels[id].expect("elementwise step unplaced");
-        let in_ct = |pos: usize, level: usize| -> B::Ciphertext {
-            let b = self.plan.in_bufs[id][pos];
-            self.drop_one(self.value(b.offset + ct), level)
-        };
-        let out = match &node.step {
-            // Fused rescale + mod-switch: the scalar multiply happens at
-            // the full level (identical rounding), then the rescale lands
-            // directly at the fused level without materializing the
-            // intermediate limbs.
-            Step::ScaleDown { factor } => match unit.fused_level {
-                Some(fl) => backend.scale_down_to(&in_ct(0, lv), *factor, lv, fl),
-                None => backend.scale_down(&in_ct(0, lv), *factor, lv),
-            },
-            Step::PolyStage { coeffs, normalize } => {
-                orion_telemetry::time_class(orion_telemetry::OpClass::PolyStage, || {
-                    backend.poly_stage(&in_ct(0, lv), coeffs, *normalize, lv, id)
-                })
-            }
-            Step::ReluFinal { magnitude } => {
-                assert!(lv >= 2, "relu final needs 2 levels");
-                backend.relu_final(&in_ct(0, lv), &in_ct(1, lv - 1), *magnitude, lv)
-            }
-            Step::Square => {
-                assert!(lv >= 2, "square needs 2 levels");
-                backend.square_activation(&in_ct(0, lv), lv)
-            }
-            Step::Add => backend.add(&in_ct(0, lv), &in_ct(1, lv)),
-            other => panic!("step {other:?} is not an elementwise unit"),
-        };
-        self.store(unit, vec![out]);
     }
 }
 
@@ -883,14 +1011,6 @@ fn report_run(plan: &ExecPlan, c: &Compiled, telem: &RunTelemetry, mode: SchedMo
         .collect();
     let deps: Vec<&[usize]> = plan.units.iter().map(|u| u.deps.as_slice()).collect();
     let (critical_path_ns, path) = orion_telemetry::critical_path(&dur, &deps);
-    let label = |uid: usize| -> String {
-        let (kind, node, ct) = unit_meta(&plan.units[uid].work);
-        let name = match plan.units[uid].work {
-            UnitWork::SharedRot { .. } => "",
-            _ => c.prog[node as usize].name.as_str(),
-        };
-        format!("{kind} {name} ct{ct}")
-    };
     let mut on_path: Vec<usize> = path;
     on_path.sort_by_key(|&u| std::cmp::Reverse(dur[u]));
     let top: Vec<orion_telemetry::CritUnit> = on_path
@@ -898,7 +1018,7 @@ fn report_run(plan: &ExecPlan, c: &Compiled, telem: &RunTelemetry, mode: SchedMo
         .take(10)
         .map(|&u| orion_telemetry::CritUnit {
             unit: u,
-            label: label(u),
+            label: unit_label(c, &plan.units[u].work),
             dur_ns: dur[u],
             queue_ns: queue[u],
         })
@@ -937,7 +1057,7 @@ fn run_event_driven<B: EvalBackend + Sync>(state: &RunState<'_, B>) {
     // schedule (it is the reference op stream). Prefetch units still run,
     // right before the step they feed, exactly where the queue walk would
     // place them with no concurrency — so paging stats keep their meaning.
-    if rayon::current_num_threads() <= 1 {
+    if SchedMode::for_pool() == SchedMode::Sequential {
         for uid in 0..plan.units.len() {
             state.run_unit(uid);
         }

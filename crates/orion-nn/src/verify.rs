@@ -8,10 +8,12 @@
 //! garbage becomes a typed [`Diagnostic`] *before* the first NTT runs.
 //! Four pass families share one linear sweep:
 //!
-//! 1. **Scale/level typechecking** — mirrors the executor's read/write
-//!    levels exactly (the `drop_to_level` placement assert, rescaling at
-//!    level 0, the `square`/`relu_final` two-level asserts, fused-level
-//!    bounds) and tracks the exact-Δ scale discipline: every non-poly step
+//! 1. **Scale/level typechecking** — interprets each unit's signature
+//!    ([`ExecPlan::unit_io`]: the read levels the walk drops inputs to, the
+//!    depth it asserts, the exit level it holds the engine to — the same
+//!    record, not a mirror of it), so the `drop_to_level` placement assert,
+//!    a step placed below its depth and a fused level out of bounds are
+//!    findings here first; and tracks the exact-Δ scale discipline: every non-poly step
 //!    hands its consumers scale Δ, while Chebyshev sign stages
 //!    (`PolyStage { normalize: false }`) hand a drifted poly-internal
 //!    scale that only `ReluFinal` or a normalizing stage restores. Adding
@@ -48,10 +50,14 @@
 //! # Adding a pass
 //!
 //! New checks slot into [`Checker`]: structural (whole-plan) rules go in
-//! `structural()`, per-unit dataflow rules in `walk()` next to the step
-//! they constrain, with a new [`Rule`] variant naming the check. Keep the
-//! walk allocation-free per unit — the optimizer re-verifies after every
-//! pass on the serving hot path.
+//! `structural()`, per-unit dataflow rules in `walk_unit()`, with a new
+//! [`Rule`] variant naming the check. The walk's feasibility check, reads
+//! and write are generic over the unit's signature — a rule about levels
+//! belongs in `Step::sig` / `ExecPlan::unit_io`, where the walk and the
+//! optimizer see it too; `walk_unit` keeps per step kind only the rule an
+//! infeasible placement breaks, the inputs that must be exact-Δ, and the
+//! noise transfer. Keep the walk allocation-free per unit — the optimizer
+//! re-verifies after every pass.
 
 use crate::compile::{Compiled, Step};
 use crate::sched::{Buffer, ExecPlan, SharedRotSpec, UnitWork};
@@ -728,7 +734,8 @@ impl<'a> Checker<'a> {
                         Some(Step::ScaleDown { .. })
                     ) =>
                 {
-                    let natural = c.placement.levels[node].map(|lv| lv.saturating_sub(1));
+                    let exit = |lv| c.prog[node].step.sig(lv).ops.exit_level;
+                    let natural = c.placement.levels[node].map(exit);
                     if natural.is_none_or(|nat| fl >= nat) {
                         self.error(
                             Rule::FusedLevel,
@@ -979,7 +986,8 @@ impl<'a> Checker<'a> {
         }
     }
 
-    fn write(&mut self, slot: usize, state: SlotState, at: Provenance) {
+    /// Writes `slot`'s abstract state and predicted noise.
+    fn write(&mut self, slot: usize, state: SlotState, noise: Option<(f64, f64)>, at: Provenance) {
         if slot >= self.st.len() {
             self.error(
                 Rule::Coverage,
@@ -996,6 +1004,7 @@ impl<'a> Checker<'a> {
             );
         }
         self.st[slot] = Some(state);
+        self.noise[slot] = noise;
     }
 
     /// Folds the predicted precision at a checkpoint (bootstrap input or
@@ -1019,368 +1028,185 @@ impl<'a> Checker<'a> {
         }
     }
 
-    fn placement_level(&mut self, node: usize, at: Provenance) -> Option<usize> {
-        let lv = self.c.placement.levels.get(node).copied().flatten();
-        if lv.is_none() {
-            self.error(
-                Rule::LevelUnderflow,
-                at.at_node(node),
-                "step has no placement level".to_string(),
-            );
-        }
-        lv
-    }
-
     fn walk(&mut self) {
         for uid in 0..self.plan.units.len() {
             self.walk_unit(uid);
         }
     }
 
+    /// One unit of the dataflow walk: feasibility, reads and the write are
+    /// the unit's signature ([`ExecPlan::unit_io`]) interpreted generically;
+    /// what stays per kind is the rule an infeasible placement breaks,
+    /// which inputs must be exact-Δ, and the noise transfer.
     fn walk_unit(&mut self, uid: usize) {
-        let unit = &self.plan.units[uid];
-        let c = self.c;
-        match unit.work {
-            UnitWork::Prefetch { .. } => {}
-            UnitWork::SharedRot { spec } => {
-                // Spec contents were checked structurally; here the
-                // dataflow: the buffer must exist at the hoist level.
-                if let Some(sp) = self.plan.shared.get(spec) {
-                    let (buf, level) = (sp.buf, sp.level);
-                    for s in buf.offset..buf.offset + buf.len {
-                        self.read(s, Some(level), Provenance::unit(uid));
-                    }
-                }
-            }
-            UnitWork::Boot { wire, ct, .. } => {
-                let at = Provenance::unit(uid).at_node(wire).at_ct(ct);
-                let input = self.read(unit.in_slot, None, at);
-                if self.est.is_some() {
-                    self.check_floor(unit.in_slot, at, "wire enters bootstrap");
-                }
-                let out_level = unit.fused_level.unwrap_or(c.opts.l_eff);
-                // The oracle refreshes the level and preserves the value,
-                // so the scale class survives a mid-activation bootstrap.
-                let scale = input.map_or(ScaleClass::Delta, |s| s.scale);
-                self.write(
-                    unit.out_slot,
-                    SlotState {
-                        level: out_level,
-                        scale,
-                        from_boot: true,
-                    },
-                    at,
-                );
-                if let Some(est) = &self.est {
-                    let fresh = est.fresh();
-                    let mag = self
-                        .noise
-                        .get(unit.in_slot)
-                        .copied()
-                        .flatten()
-                        .map_or(1.0, |(_, m)| m);
-                    self.noise[unit.out_slot] = Some((fresh.sigma, mag));
-                }
-            }
-            UnitWork::Step { node } => self.walk_step(uid, node),
-            UnitWork::StepCt { node, ct } => self.walk_step_ct(uid, node, ct),
-        }
-    }
-
-    fn walk_step(&mut self, uid: usize, node: usize) {
-        let c = self.c;
-        let at = Provenance::unit(uid).at_node(node);
-        let Some(prog) = c.prog.get(node) else {
-            return; // flagged by coverage
+        let (plan, c) = (self.plan, self.c);
+        let unit = &plan.units[uid];
+        let at = match unit.work {
+            UnitWork::Prefetch { .. } | UnitWork::SharedRot { .. } => Provenance::unit(uid),
+            UnitWork::Step { node } => Provenance::unit(uid).at_node(node),
+            UnitWork::StepCt { node, ct } => Provenance::unit(uid).at_node(node).at_ct(ct),
+            UnitWork::Boot { wire, ct, .. } => Provenance::unit(uid).at_node(wire).at_ct(ct),
         };
-        let unit = &self.plan.units[uid];
-        match &prog.step {
-            Step::Input => {
-                for i in 0..unit.out_len {
-                    self.write(
-                        unit.out_slot + i,
-                        SlotState {
-                            level: c.opts.l_eff,
-                            scale: ScaleClass::Delta,
-                            from_boot: false,
-                        },
-                        at,
-                    );
-                }
-                if let Some(est) = &self.est {
-                    let fresh = est.fresh();
-                    for i in 0..unit.out_len {
-                        self.noise[unit.out_slot + i] = Some((fresh.sigma, 1.0));
-                    }
-                }
-            }
-            Step::Output => {
-                let Some(&b) = self.plan.in_bufs.get(node).and_then(|v| v.first()) else {
-                    self.error(Rule::Coverage, at, "output has no input buffer".to_string());
-                    return;
-                };
-                for (i, s) in (b.offset..b.offset + b.len).enumerate() {
-                    self.read(s, None, at);
-                    if self.est.is_some() {
-                        self.check_floor(s, at.at_ct(i), "output wire decrypts");
-                    }
-                }
-            }
-            Step::Conv { plan, weight, .. } | Step::Dense { plan, weight, .. } => {
-                let Some(lv) = self.placement_level(node, at) else {
-                    return;
-                };
-                if lv == 0 {
-                    self.error(
-                        Rule::RescaleInfeasible,
-                        at,
-                        "linear layer placed at level 0 cannot rescale its product".to_string(),
-                    );
-                    return;
-                }
-                let Some(&b) = self.plan.in_bufs.get(node).and_then(|v| v.first()) else {
-                    self.error(Rule::Coverage, at, "linear layer has no input".to_string());
-                    return;
-                };
-                let mut worst: Option<(f64, f64)> = None;
-                for s in b.offset..b.offset + b.len {
-                    let state = self.read(s, Some(lv), at);
-                    self.require_delta(state, at, "linear-layer input");
-                    if let Some((sig, mag)) = self.noise.get(s).copied().flatten() {
-                        worst = Some(worst.map_or((sig, mag), |(ws, wm): (f64, f64)| {
-                            (ws.max(sig), wm.max(mag))
-                        }));
-                    }
-                }
-                for &k in &plan.rotation_steps() {
-                    self.check_rotation(k, at);
-                }
-                let out_noise = match (&self.est, worst) {
-                    (Some(est), Some((sig, mag))) => {
-                        // Worst case per output: every rotation's
-                        // key-switch error lands in the accumulation
-                        // (RSS), then the weight pmult + rescale.
-                        let rots = plan.counts.rotations() as f64;
-                        let ks = est
-                            .key_switch(orion_ckks::NoiseEstimate { sigma: 0.0 }, lv)
-                            .sigma;
-                        let acc = orion_ckks::NoiseEstimate {
-                            sigma: (sig * sig + rots * ks * ks).sqrt(),
-                        };
-                        let w_max = weight
-                            .data()
-                            .iter()
-                            .fold(0.0f64, |m, &w| m.max(w.abs()))
-                            .max(1e-12);
-                        let out = est.pmult_rescale(acc, w_max, lv);
-                        Some((out.sigma, clamp_mag(mag * w_max)))
-                    }
-                    _ => None,
-                };
-                let unit = &self.plan.units[uid];
-                let (out_slot, out_len) = (unit.out_slot, unit.out_len);
-                for i in 0..out_len {
-                    self.write(
-                        out_slot + i,
-                        SlotState {
-                            level: lv - 1,
-                            scale: ScaleClass::Delta,
-                            from_boot: false,
-                        },
-                        at,
-                    );
-                    self.noise[out_slot + i] = out_noise;
-                }
-            }
-            other => {
-                self.error(
-                    Rule::Coverage,
-                    at,
-                    format!("step {other:?} cannot be a whole-step unit"),
-                );
-            }
-        }
-    }
-
-    fn walk_step_ct(&mut self, uid: usize, node: usize, ct: usize) {
-        let c = self.c;
-        let at = Provenance::unit(uid).at_node(node).at_ct(ct);
-        let Some(prog) = c.prog.get(node) else {
-            return; // flagged by coverage
-        };
-        let Some(lv) = self.placement_level(node, at) else {
-            return;
-        };
-        let in_slot = |checker: &mut Self, pos: usize| -> Option<usize> {
-            match checker.plan.in_bufs.get(node).and_then(|v| v.get(pos)) {
-                Some(b) if ct < b.len => Some(b.offset + ct),
-                _ => {
-                    checker.error(
-                        Rule::Coverage,
-                        at,
-                        format!("elementwise step lacks input position {pos} for this ct"),
-                    );
-                    None
-                }
-            }
-        };
-        let unit = &self.plan.units[uid];
-        let (out_slot, fused) = (unit.out_slot, unit.fused_level);
-        let noise_of = |checker: &Self, slot: usize| checker.noise.get(slot).copied().flatten();
-        let (out_level, out_scale, out_noise) = match &prog.step {
-            Step::ScaleDown { factor } => {
-                if lv == 0 {
-                    self.error(
-                        Rule::RescaleInfeasible,
-                        at,
-                        "scale-down placed at level 0 cannot rescale".to_string(),
-                    );
-                    return;
-                }
-                let Some(s) = in_slot(self, 0) else { return };
-                let state = self.read(s, Some(lv), at);
-                self.require_delta(state, at, "scale-down input");
-                let noise = match (&self.est, noise_of(self, s)) {
-                    (Some(est), Some((sig, mag))) => {
-                        let out = est.pmult_rescale(
-                            orion_ckks::NoiseEstimate { sigma: sig },
-                            *factor,
-                            lv,
-                        );
-                        Some((out.sigma, clamp_mag(mag * factor.abs())))
-                    }
-                    _ => None,
-                };
-                (fused.unwrap_or(lv - 1), ScaleClass::Delta, noise)
-            }
-            Step::PolyStage { coeffs, normalize } => {
-                let depth =
-                    orion_poly::eval::fhe_eval_depth(coeffs.len() - 1) + usize::from(*normalize);
-                if lv < depth {
-                    self.error(
-                        Rule::RescaleInfeasible,
-                        at,
-                        format!(
-                            "chebyshev stage needs {depth} levels, placed at level {lv} — \
-                             the rescale chain runs out"
-                        ),
-                    );
-                    return;
-                }
-                let Some(s) = in_slot(self, 0) else { return };
-                self.read(s, Some(lv), at);
-                let noise = match (&self.est, noise_of(self, s)) {
-                    (Some(est), Some((sig, _))) => {
-                        let mut ns = orion_ckks::NoiseEstimate { sigma: sig };
-                        for i in 0..depth {
-                            ns = est.hmult_rescale(ns, ns, 1.0, 1.0, lv - i);
-                        }
-                        Some((ns.sigma, 1.0))
-                    }
-                    _ => None,
-                };
-                let scale = if *normalize {
-                    ScaleClass::Delta
-                } else {
-                    ScaleClass::PolyInternal
-                };
-                // `depth` is reserved; the wire sits where the stage exits
-                let exit = orion_poly::eval::stage_ops(coeffs, *normalize, lv).exit_level;
-                (exit, scale, noise)
-            }
-            Step::ReluFinal { magnitude } => {
-                if lv < 2 {
-                    self.error(
-                        Rule::LevelUnderflow,
-                        at,
-                        format!("relu final needs 2 levels, placed at level {lv}"),
-                    );
-                    return;
-                }
-                let (Some(u), Some(s)) = (in_slot(self, 0), in_slot(self, 1)) else {
-                    return;
-                };
-                let ustate = self.read(u, Some(lv), at);
-                self.require_delta(ustate, at, "relu magnitude input");
-                self.read(s, Some(lv - 1), at);
-                let noise = match (&self.est, noise_of(self, u), noise_of(self, s)) {
-                    (Some(est), Some((us, _)), Some((ss, _))) => {
-                        let prod = est.hmult_rescale(
-                            orion_ckks::NoiseEstimate { sigma: us },
-                            orion_ckks::NoiseEstimate { sigma: ss },
-                            1.0,
-                            1.0,
-                            lv,
-                        );
-                        let out = est.pmult_rescale(prod, *magnitude, lv - 1);
-                        Some((out.sigma, clamp_mag(*magnitude)))
-                    }
-                    _ => None,
-                };
-                (lv - 2, ScaleClass::Delta, noise)
-            }
-            Step::Square => {
-                if lv < 2 {
-                    self.error(
-                        Rule::LevelUnderflow,
-                        at,
-                        format!("square needs 2 levels, placed at level {lv}"),
-                    );
-                    return;
-                }
-                let Some(s) = in_slot(self, 0) else { return };
-                let state = self.read(s, Some(lv), at);
-                self.require_delta(state, at, "square input");
-                let noise = match (&self.est, noise_of(self, s)) {
-                    (Some(est), Some((sig, mag))) => {
-                        let ns = orion_ckks::NoiseEstimate { sigma: sig };
-                        let prod = est.hmult_rescale(ns, ns, mag, mag, lv);
-                        let out = est.pmult_rescale(prod, 1.0, lv - 1);
-                        Some((out.sigma, clamp_mag(mag * mag)))
-                    }
-                    _ => None,
-                };
-                (lv - 2, ScaleClass::Delta, noise)
-            }
-            Step::Add => {
-                let (Some(a), Some(b)) = (in_slot(self, 0), in_slot(self, 1)) else {
-                    return;
-                };
-                let astate = self.read(a, Some(lv), at);
-                let bstate = self.read(b, Some(lv), at);
-                self.require_delta(astate, at, "residual-add input 0");
-                self.require_delta(bstate, at, "residual-add input 1");
-                let noise = match (&self.est, noise_of(self, a), noise_of(self, b)) {
-                    (Some(est), Some((sa, ma)), Some((sb, mb))) => {
-                        let out = est.add(
-                            orion_ckks::NoiseEstimate { sigma: sa },
-                            orion_ckks::NoiseEstimate { sigma: sb },
-                        );
-                        Some((out.sigma, clamp_mag(ma + mb)))
-                    }
-                    _ => None,
-                };
-                (lv, ScaleClass::Delta, noise)
-            }
-            other => {
-                self.error(
-                    Rule::Coverage,
-                    at,
-                    format!("step {other:?} cannot be an elementwise unit"),
-                );
+        let io = match plan.unit_io(c, uid) {
+            Ok(io) => io,
+            Err(why) => {
+                self.error(Rule::Coverage, at, why.to_string());
                 return;
             }
         };
-        self.write(
-            out_slot,
-            SlotState {
-                level: out_level,
+        let step = match unit.work {
+            UnitWork::Step { node } | UnitWork::StepCt { node, .. } => Some(&c.prog[node].step),
+            _ => None,
+        };
+        // Per kind: the rule a placement below the step's depth breaks and
+        // the inputs (by position) that must sit on the exact-Δ scale.
+        let (rule, kind, exact): (Rule, &str, &[&str]) = match step {
+            Some(Step::Conv { .. } | Step::Dense { .. }) => (
+                Rule::RescaleInfeasible,
+                "linear layer",
+                &["linear-layer input"],
+            ),
+            Some(Step::ScaleDown { .. }) => {
+                (Rule::RescaleInfeasible, "scale-down", &["scale-down input"])
+            }
+            Some(Step::PolyStage { .. }) => (Rule::RescaleInfeasible, "chebyshev stage", &[]),
+            Some(Step::ReluFinal { .. }) => (
+                Rule::LevelUnderflow,
+                "relu final",
+                &["relu magnitude input"],
+            ),
+            Some(Step::Square) => (Rule::LevelUnderflow, "square", &["square input"]),
+            Some(Step::Add) => (
+                Rule::LevelUnderflow,
+                "residual add",
+                &["residual-add input 0", "residual-add input 1"],
+            ),
+            _ => (Rule::LevelUnderflow, "unit", &[]),
+        };
+        let lv = io.level;
+        if lv < io.depth {
+            self.error(
+                rule,
+                at,
+                format!(
+                    "{kind} needs {} level(s), placed at level {lv} — the rescale chain runs out",
+                    io.depth
+                ),
+            );
+            return;
+        }
+
+        // Reads. Per input position: the scale class (of the last slot)
+        // and the worst predicted noise over the slots read.
+        let mut scale = [ScaleClass::Delta; 2];
+        let mut noise: [Option<(f64, f64)>; 2] = [None; 2];
+        for (pos, read) in io.reads.iter().enumerate() {
+            let Some((buf, level)) = *read else { continue };
+            for (i, s) in buf.slots().enumerate() {
+                let state = self.read(s, level, at);
+                if let Some(what) = exact.get(pos) {
+                    self.require_delta(state, at, what);
+                }
+                // a raw read leaves the level schedule: a checkpoint
+                if level.is_none() && self.est.is_some() {
+                    let (at, what) = match unit.work {
+                        UnitWork::Boot { .. } => (at, "wire enters bootstrap"),
+                        _ => (at.at_ct(i), "output wire decrypts"),
+                    };
+                    self.check_floor(s, at, what);
+                }
+                if let Some(st) = state {
+                    scale[pos] = st.scale;
+                }
+                if let Some((sig, mag)) = self.noise.get(s).copied().flatten() {
+                    noise[pos] = Some(noise[pos].map_or((sig, mag), |(ws, wm): (f64, f64)| {
+                        (ws.max(sig), wm.max(mag))
+                    }));
+                }
+            }
+        }
+
+        if let Some(Step::Conv { plan, .. } | Step::Dense { plan, .. }) = step {
+            for &k in &plan.rotation_steps() {
+                self.check_rotation(k, at);
+            }
+        }
+
+        // The noise transfer and the scale class handed on.
+        let est = self.est.as_ref();
+        let ne = |sigma: f64| orion_ckks::NoiseEstimate { sigma };
+        let mut out_scale = ScaleClass::Delta;
+        let out_noise = match (&unit.work, step) {
+            (UnitWork::Boot { .. }, _) => {
+                // The oracle refreshes the level and preserves the value,
+                // so the scale class survives a mid-activation bootstrap.
+                out_scale = scale[0];
+                est.map(|est| (est.fresh().sigma, noise[0].map_or(1.0, |(_, m)| m)))
+            }
+            (_, Some(Step::Input)) => est.map(|est| (est.fresh().sigma, 1.0)),
+            (_, Some(Step::Conv { plan, weight, .. } | Step::Dense { plan, weight, .. })) => {
+                est.zip(noise[0]).map(|(est, (sig, mag))| {
+                    // Worst case per output: every rotation's key-switch
+                    // error lands in the accumulation (RSS), then the
+                    // weight pmult + rescale.
+                    let rots = plan.counts.rotations() as f64;
+                    let ks = est.key_switch(ne(0.0), lv).sigma;
+                    let acc = ne((sig * sig + rots * ks * ks).sqrt());
+                    let w_max = weight
+                        .data()
+                        .iter()
+                        .fold(0.0f64, |m, &w| m.max(w.abs()))
+                        .max(1e-12);
+                    let out = est.pmult_rescale(acc, w_max, lv);
+                    (out.sigma, clamp_mag(mag * w_max))
+                })
+            }
+            (_, Some(Step::ScaleDown { factor })) => est.zip(noise[0]).map(|(est, (sig, mag))| {
+                let out = est.pmult_rescale(ne(sig), *factor, lv);
+                (out.sigma, clamp_mag(mag * factor.abs()))
+            }),
+            (_, Some(Step::PolyStage { normalize, .. })) => {
+                if !*normalize {
+                    out_scale = ScaleClass::PolyInternal;
+                }
+                est.zip(noise[0]).map(|(est, (sig, _))| {
+                    let mut ns = ne(sig);
+                    for i in 0..io.depth {
+                        ns = est.hmult_rescale(ns, ns, 1.0, 1.0, lv - i);
+                    }
+                    (ns.sigma, 1.0)
+                })
+            }
+            (_, Some(Step::ReluFinal { magnitude })) => {
+                est.zip(noise[0].zip(noise[1]))
+                    .map(|(est, ((us, _), (ss, _)))| {
+                        let prod = est.hmult_rescale(ne(us), ne(ss), 1.0, 1.0, lv);
+                        let out = est.pmult_rescale(prod, *magnitude, lv - 1);
+                        (out.sigma, clamp_mag(*magnitude))
+                    })
+            }
+            (_, Some(Step::Square)) => est.zip(noise[0]).map(|(est, (sig, mag))| {
+                let prod = est.hmult_rescale(ne(sig), ne(sig), mag, mag, lv);
+                let out = est.pmult_rescale(prod, 1.0, lv - 1);
+                (out.sigma, clamp_mag(mag * mag))
+            }),
+            (_, Some(Step::Add)) => {
+                est.zip(noise[0].zip(noise[1]))
+                    .map(|(est, ((sa, ma), (sb, mb)))| {
+                        (est.add(ne(sa), ne(sb)).sigma, clamp_mag(ma + mb))
+                    })
+            }
+            // Output, Prefetch, SharedRot: nothing written
+            _ => None,
+        };
+        for i in 0..unit.out_len {
+            let state = SlotState {
+                level: io.out_level,
                 scale: out_scale,
-                from_boot: false,
-            },
-            at,
-        );
-        self.noise[out_slot] = out_noise;
+                from_boot: matches!(unit.work, UnitWork::Boot { .. }),
+            };
+            self.write(unit.out_slot + i, state, out_noise, at);
+        }
     }
 
     // -----------------------------------------------------------------
@@ -1391,24 +1217,10 @@ impl<'a> Checker<'a> {
         let mut peak = None;
         let errors = self.diags.iter().any(|d| d.severity == Severity::Error);
         if !errors {
-            // The estimate is only meaningful on a well-formed plan (the
-            // weight function trusts placement levels).
-            let plan = self.plan;
-            let n = plan.units.len();
-            let weights: Vec<u64> = (0..n)
-                .map(|u| crate::opt::produced_weight(plan, self.c, u))
-                .collect();
-            let readers: Vec<Vec<usize>> = (0..n)
-                .map(|u| {
-                    plan.succs[u]
-                        .iter()
-                        .copied()
-                        .filter(|&s| !matches!(plan.units[s].work, UnitWork::Prefetch { .. }))
-                        .collect()
-                })
-                .collect();
-            let pos: Vec<usize> = (0..n).collect();
-            let p = crate::opt::est_peak_limbs(&weights, &readers, &pos);
+            // The estimate is only meaningful on a well-formed plan (it
+            // trusts every unit's signature).
+            let pos: Vec<usize> = (0..self.plan.units.len()).collect();
+            let p = crate::opt::LiveRanges::of(self.plan, self.c).peak(&pos);
             peak = Some(p);
             if let Some(budget) = cfg.max_peak_limbs {
                 if p > budget {

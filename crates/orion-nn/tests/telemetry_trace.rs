@@ -7,8 +7,15 @@
 //!
 //! The collector is process-global, so every test serializes on one lock
 //! and drains the event log before and after its run.
+//!
+//! What a trace cannot promise is *which* threads its units ran on — a
+//! short run may drain on the calling thread before a parked worker wakes.
+//! That property is forced instead of observed: a level-only toy engine
+//! whose stages meet pairwise on a barrier ([`LevelEngine`]), which also
+//! pins that an engine handing back the wrong level is caught where the
+//! ciphertext is written.
 
-use orion_nn::backend::run_program_mode;
+use orion_nn::backend::{run_program_mode, EvalBackend, LinearRef};
 use orion_nn::backends::ClearBackend;
 use orion_nn::compile::{compile, CompileOptions, Compiled};
 use orion_nn::fit::fixed_ranges;
@@ -20,7 +27,8 @@ use orion_tensor::Tensor;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::HashMap;
-use std::sync::Mutex;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Barrier, Mutex};
 
 static TEST_LOCK: Mutex<()> = Mutex::new(());
 
@@ -117,15 +125,118 @@ fn parallel_trace_is_well_formed() {
             .any(|e| e.kind == "wire" && e.phase == Phase::Instant),
         "wire trajectory instants missing"
     );
-    // Unit spans ran on more than one thread (the pool is 4 wide).
-    let unit_tids: std::collections::HashSet<u64> = events
-        .iter()
-        .filter(|e| e.phase == Phase::Begin && e.kind != "run_plan")
-        .map(|e| e.tid)
-        .collect();
+}
+
+/// The level-only engine: a ciphertext is its level and nothing else. With
+/// `meet`, every `poly_stage` call waits on a 2-party barrier, so a walk
+/// over two-ciphertext wires can only finish if sibling units really run
+/// on two threads at once; `forget_rescale` makes `scale_down` hand back
+/// its input level.
+struct LevelEngine<'a> {
+    c: &'a Compiled,
+    meet: Option<Barrier>,
+    meetings: AtomicUsize,
+    forget_rescale: bool,
+}
+
+impl EvalBackend for LevelEngine<'_> {
+    type Ciphertext = usize;
+    type SharedRot = ();
+
+    fn slots(&self) -> usize {
+        self.c.opts.slots
+    }
+    fn level_of(&self, ct: &usize) -> usize {
+        *ct
+    }
+    fn encrypt(&self, _vals: &[f64], level: usize) -> usize {
+        level
+    }
+    fn decrypt(&self, _ct: &usize) -> Vec<f64> {
+        vec![0.0; self.slots()]
+    }
+    fn add(&self, a: &usize, _b: &usize) -> usize {
+        *a
+    }
+    fn drop_to_level(&self, _a: &usize, level: usize) -> usize {
+        level
+    }
+    fn bootstrap(&self, _a: &usize) -> usize {
+        self.c.opts.l_eff
+    }
+    fn linear_layer(
+        &self,
+        l: &LinearRef<'_>,
+        _x: &[usize],
+        level: usize,
+        _s: Option<&()>,
+    ) -> Vec<usize> {
+        vec![level - 1; l.plan().out_blocks]
+    }
+    fn hoist_rotations(&self, _cts: &[usize], _level: usize, _rots: &[(u32, usize)]) {}
+    fn scale_down(&self, _ct: &usize, _factor: f64, level: usize) -> usize {
+        level - usize::from(!self.forget_rescale)
+    }
+    fn poly_stage(
+        &self,
+        _ct: &usize,
+        coeffs: &[f64],
+        normalize: bool,
+        level: usize,
+        _step: usize,
+    ) -> usize {
+        if let Some(meet) = &self.meet {
+            if meet.wait().is_leader() {
+                self.meetings.fetch_add(1, Ordering::Relaxed);
+            }
+        }
+        orion_poly::eval::stage_ops(coeffs, normalize, level).exit_level
+    }
+    fn relu_final(&self, _u: &usize, _sign: &usize, _magnitude: f64, level: usize) -> usize {
+        level - 2
+    }
+    fn square_activation(&self, _ct: &usize, level: usize) -> usize {
+        level - 2
+    }
+}
+
+#[test]
+fn simultaneously_ready_units_run_on_different_threads() {
+    let _g = lock_and_init();
+    // Two-ciphertext wires through three sign stages: each stage's two
+    // per-ciphertext units become ready together, and neither returns
+    // until the other has entered it on a second pool thread.
+    let (compiled, input) = fork_workload();
+    let engine = LevelEngine {
+        c: &compiled,
+        meet: Some(Barrier::new(2)),
+        meetings: AtomicUsize::new(0),
+        forget_rescale: false,
+    };
+    run_program_mode(&compiled, &engine, &input, SchedMode::Parallel);
+    assert_eq!(engine.meetings.load(Ordering::Relaxed), 3);
+}
+
+#[test]
+fn an_engine_writing_the_wrong_level_is_caught_where_it_is_written() {
+    let _g = lock_and_init();
+    let (compiled, input) = fork_workload();
+    let engine = LevelEngine {
+        c: &compiled,
+        meet: None,
+        meetings: AtomicUsize::new(0),
+        forget_rescale: true,
+    };
+    let walk = std::panic::AssertUnwindSafe(|| {
+        run_program_mode(&compiled, &engine, &input, SchedMode::Sequential)
+    });
+    let payload = std::panic::catch_unwind(walk)
+        .err()
+        .expect("the store assert must reject the un-rescaled ciphertext");
+    let msg = payload.downcast_ref::<String>().expect("assert message");
     assert!(
-        unit_tids.len() > 1,
-        "parallel run should span threads, saw {unit_tids:?}"
+        msg.contains("a1.scale") && msg.contains("wrong level"),
+        "the assert names the unit: {msg}"
     );
 }
 

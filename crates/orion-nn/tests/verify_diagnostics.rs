@@ -157,6 +157,73 @@ fn square_placed_below_its_depth_is_a_level_underflow_at_the_square_node() {
 }
 
 // ---------------------------------------------------------------------
+// Seeded defect 3, every kind × every level: the step signature is total
+// and consistent with its depth, and a placement below the depth is the
+// verifier's finding — the kind's feasibility rule, at that node.
+// ---------------------------------------------------------------------
+
+#[test]
+fn every_step_kind_below_its_depth_draws_its_feasibility_rule() {
+    // One net holding every step kind.
+    let mut rng = StdRng::seed_from_u64(17);
+    let mut net = Network::new(2, 8, 8);
+    let x = net.input();
+    let c0 = net.conv2d("c0", x, 2, 3, 1, 1, 1, &mut rng);
+    let relu = net.relu("relu", c0, &[15, 27]);
+    let c1 = net.conv2d("c1", relu, 2, 3, 1, 1, 1, &mut rng);
+    let res = net.add("res", c1, relu);
+    let silu = net.silu("silu", res, 7);
+    let sq = net.square("sq", silu);
+    let flat = net.flatten("flat", sq);
+    let fc = net.linear("fc", flat, 4, &mut rng);
+    net.output(fc);
+    let mut c = compile(&net, &fixed_ranges(&net, 4.0), &small_opts());
+    assert!(!verify_compiled(&c, &VerifyConfig::default()).has_errors());
+
+    // (rule an infeasible placement breaks, consumes exactly its depth)
+    let table = |step: &Step| match step {
+        Step::Conv { .. } | Step::Dense { .. } | Step::ScaleDown { .. } => {
+            (Some(Rule::RescaleInfeasible), true)
+        }
+        Step::PolyStage { .. } => (Some(Rule::RescaleInfeasible), false),
+        Step::ReluFinal { .. } | Step::Square => (Some(Rule::LevelUnderflow), true),
+        Step::Input | Step::Output | Step::Add => (None, true),
+    };
+    let mut kinds = std::collections::HashSet::new();
+    for id in 0..c.prog.len() {
+        let step = c.prog[id].step.clone();
+        kinds.insert(std::mem::discriminant(&step));
+        let (rule, exact) = table(&step);
+        let depth = step.depth();
+        assert_eq!(depth == 0, rule.is_none(), "{step:?}");
+        let placed = c.placement.levels[id];
+        for lv in 0..=c.opts.l_eff {
+            let sig = step.sig(lv); // total: no panic below the depth
+            if lv >= depth {
+                let consumed = lv - sig.ops.exit_level;
+                assert!(consumed <= depth, "{step:?} at {lv}");
+                assert!(!exact || consumed == depth, "{step:?} at {lv}");
+            }
+            c.placement.levels[id] = Some(lv);
+            let report = verify_plan(&ExecPlan::build(&c), &c, &VerifyConfig::default());
+            let found = report
+                .diagnostics
+                .iter()
+                .find(|d| d.at.node == Some(id) && d.message.contains("placed at level"));
+            assert_eq!(
+                found.map(|d| (d.rule, d.severity)),
+                rule.filter(|_| lv < depth).map(|r| (r, Severity::Error)),
+                "{} at level {lv}: {}",
+                c.prog[id].name,
+                report.table()
+            );
+        }
+        c.placement.levels[id] = placed;
+    }
+    assert_eq!(kinds.len(), 9, "the net must hold every step kind");
+}
+
+// ---------------------------------------------------------------------
 // Seeded defect 4: noise-floor breach.
 // ---------------------------------------------------------------------
 

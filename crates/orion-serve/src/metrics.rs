@@ -14,7 +14,6 @@
 use orion_linear::paged::PageStats;
 use orion_nn::opt::OptStats;
 use orion_telemetry::LogHistogram;
-use parking_lot::Mutex;
 use serde::Value;
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -68,10 +67,6 @@ pub struct ModelMetrics {
     /// End-to-end (queue + execution) latency of every completed request,
     /// in nanoseconds.
     latencies: LogHistogram,
-    /// Per-pass plan-optimizer stats from the most recent execution. The
-    /// plan is rebuilt (and re-optimized) per request, but the stats are a
-    /// pure function of the compiled model, so last-write-wins is exact.
-    plan_opt: Mutex<Option<OptStats>>,
 }
 
 impl ModelMetrics {
@@ -96,11 +91,6 @@ impl ModelMetrics {
         self.completed.fetch_add(1, Ordering::Relaxed);
         self.encodes.fetch_add(encodes, Ordering::Relaxed);
         self.latencies.record_secs(total_seconds);
-    }
-
-    /// Record the plan-optimizer stats of an execution.
-    pub fn note_plan_opt(&self, stats: OptStats) {
-        *self.plan_opt.lock() = Some(stats);
     }
 
     /// One request failed, for the given reason.
@@ -133,9 +123,10 @@ impl ModelMetrics {
         self.encodes.load(Ordering::Relaxed)
     }
 
-    /// JSON snapshot of this model's counters, with `page` stats attached
+    /// JSON snapshot of this model's counters, with what the plan
+    /// optimizer did to the model's plan at registration and `page` stats
     /// when the model serves from a memory-capped pager.
-    pub fn snapshot(&self, name: &str, page: Option<PageStats>) -> Value {
+    pub fn snapshot(&self, name: &str, plan_opt: OptStats, page: Option<PageStats>) -> Value {
         let batches = self.batches.load(Ordering::Relaxed);
         let occupancy_sum = self.batch_occupancy_sum.load(Ordering::Relaxed);
         let mut fields = vec![
@@ -175,12 +166,8 @@ impl ModelMetrics {
                 latency_percentiles(&self.latencies),
             ),
         ];
-        if let Some(s) = *self.plan_opt.lock() {
-            fields.push((
-                "plan_optimizer".to_string(),
-                Value::Obj(s.fields().into_iter().map(|(k, v)| num(k, v)).collect()),
-            ));
-        }
+        let plan_opt = plan_opt.fields().into_iter().map(|(k, v)| num(k, v));
+        fields.push(("plan_optimizer".to_string(), Value::Obj(plan_opt.collect())));
         if let Some(p) = page {
             fields.push((
                 "page".to_string(),
@@ -234,7 +221,7 @@ mod tests {
         for i in 1..=n {
             m.note_done(i as f64 * 1e-3, 0);
         }
-        m.snapshot("m", None)
+        m.snapshot("m", OptStats::default(), None)
             .get("latency_ms")
             .and_then(|l| l.get(key))
             .and_then(Value::as_f64)
@@ -288,7 +275,7 @@ mod tests {
         m.note_done(0.010, 0);
         m.note_done(0.020, 0);
         m.note_error(ErrorClass::Panic);
-        let snap = m.snapshot("m", None);
+        let snap = m.snapshot("m", OptStats::default(), None);
         let get = |k: &str| snap.get(k).and_then(Value::as_f64).unwrap();
         assert_eq!(get("submitted"), 5.0);
         assert_eq!(get("completed"), 2.0);
@@ -313,7 +300,7 @@ mod tests {
         m.note_error(ErrorClass::BadInput);
         assert_eq!(m.errors(), 5, "total is the sum over classes");
         assert_eq!(m.errors_of(ErrorClass::Store), 2);
-        let snap = m.snapshot("m", None);
+        let snap = m.snapshot("m", OptStats::default(), None);
         assert_eq!(snap.get("errors").and_then(Value::as_f64), Some(5.0));
         let by = snap.get("errors_by_class").expect("errors_by_class");
         let get = |k: &str| by.get(k).and_then(Value::as_f64).unwrap();

@@ -9,7 +9,7 @@
 //!     │ scheduler: flush a model when its queue reaches max_batch
 //!     ▼             or its oldest request waits past max_wait
 //!  batch queue ──► workers (catch_unwind per request)
-//!                     │ run_fhe_source_opt
+//!                     │ run_fhe_plan (the model's plan, optimized once)
 //!                     ▼
 //!                  LayerSource: resident PreparedProgram
 //!                               or LRU PagedProgram under a byte budget
@@ -29,8 +29,9 @@ use orion_linear::paged::{LayerSource, PageStats, PagedProgram};
 use orion_linear::store::{DiagStore, StoreError};
 use orion_nn::backends::PreparedLayerFault;
 use orion_nn::compile::Compiled;
-use orion_nn::fhe_exec::{run_fhe_source_opt, FheSession};
-use orion_nn::opt::OptConfig;
+use orion_nn::fhe_exec::{run_fhe_plan, FheSession};
+use orion_nn::opt::{optimize_plan, OptConfig, OptStats};
+use orion_nn::sched::ExecPlan;
 use orion_sim::OpCounter;
 use orion_tensor::Tensor;
 use parking_lot::{Mutex, RwLock};
@@ -183,11 +184,14 @@ impl std::fmt::Display for ServeError {
 
 impl std::error::Error for ServeError {}
 
-/// Registration choke point: static plan certification (structural
-/// profile — scale/level typechecking, key coverage, well-formedness; no
-/// Context is built at registration). Warnings are tolerated.
-fn certify_model(name: &str, compiled: &Compiled) -> Result<(), ServeError> {
-    let report = orion_nn::verify_compiled(compiled, &orion_nn::VerifyConfig::default());
+/// Registration choke point: builds the model's execution plan, certifies
+/// it statically (structural profile — scale/level typechecking, key
+/// coverage, well-formedness; no Context is built at registration; warnings
+/// are tolerated) and optimizes it — once: the plan is a property of the
+/// model, every request walks this one.
+fn certified_plan(name: &str, compiled: &Compiled) -> Result<(ExecPlan, OptStats), ServeError> {
+    let mut plan = ExecPlan::build(compiled);
+    let report = orion_nn::verify_plan(&plan, compiled, &orion_nn::VerifyConfig::default());
     if report.has_errors() {
         return Err(ServeError::Unverifiable {
             model: name.to_string(),
@@ -195,7 +199,8 @@ fn certify_model(name: &str, compiled: &Compiled) -> Result<(), ServeError> {
             detail: report.table(),
         });
     }
-    Ok(())
+    let stats = optimize_plan(&mut plan, compiled, OptConfig::default());
+    Ok((plan, stats))
 }
 
 /// A served inference result.
@@ -243,6 +248,10 @@ struct Batch {
 struct ModelEntry {
     name: String,
     compiled: Arc<Compiled>,
+    /// The certified, optimized plan every request of the model walks,
+    /// and what the optimizer did to it.
+    plan: Arc<ExecPlan>,
+    opt_stats: OptStats,
     params: CkksParams,
     source: Arc<dyn LayerSource>,
     /// Same object as `source` when the model pages, kept for stats.
@@ -325,10 +334,10 @@ impl Server {
         params: CkksParams,
         prep_seed: u64,
     ) -> Result<ModelId, ServeError> {
-        certify_model(name, &compiled)?;
+        let plan = certified_plan(name, &compiled)?;
         let prep = FheSession::new(params.clone(), &compiled, prep_seed);
         let prepared = prep.prepare(&compiled);
-        Ok(self.install_model(name, compiled, params, prepared, None))
+        Ok(self.install_model(name, compiled, plan, params, prepared, None))
     }
 
     /// Hosts a compiled model with **memory-capped paged** weights: the
@@ -344,7 +353,7 @@ impl Server {
         store_dir: &Path,
         budget_bytes: usize,
     ) -> Result<ModelId, ServeError> {
-        certify_model(name, &compiled)?;
+        let plan = certified_plan(name, &compiled)?;
         let prep = FheSession::new(params.clone(), &compiled, prep_seed);
         let prepared = prep.prepare(&compiled);
         let store = DiagStore::open(store_dir).map_err(|error| ServeError::Store {
@@ -369,13 +378,14 @@ impl Server {
         // `prepared` (the resident copy) drops here: only the pager's
         // resident set occupies memory from now on.
         let paged = Arc::new(paged);
-        Ok(self.install_model(name, compiled, params, paged.clone(), Some(paged)))
+        Ok(self.install_model(name, compiled, plan, params, paged.clone(), Some(paged)))
     }
 
     fn install_model(
         &self,
         name: &str,
         compiled: Compiled,
+        (plan, opt_stats): (ExecPlan, OptStats),
         params: CkksParams,
         source: Arc<dyn LayerSource>,
         paged: Option<Arc<PagedProgram>>,
@@ -384,6 +394,8 @@ impl Server {
         models.push(ModelEntry {
             name: name.to_string(),
             compiled: Arc::new(compiled),
+            plan: Arc::new(plan),
+            opt_stats,
             params,
             source,
             paged,
@@ -576,8 +588,8 @@ impl Server {
                     models
                         .iter()
                         .map(|m| {
-                            m.metrics
-                                .snapshot(&m.name, m.paged.as_ref().map(|p| p.stats()))
+                            let page = m.paged.as_ref().map(|p| p.stats());
+                            m.metrics.snapshot(&m.name, m.opt_stats, page)
                         })
                         .collect(),
                 ),
@@ -774,11 +786,12 @@ fn run_batch(inner: &Inner, batch: Batch) {
     // before executing: a worker runs seconds of FHE per request, and
     // holding the read guard that long would stall model registration
     // (and, on writer-preferring RwLocks, every reader behind it).
-    let (compiled, source, metrics) = {
+    let (compiled, plan, source, metrics) = {
         let models = inner.models.read();
         let model = &models[batch.model.0];
         (
             model.compiled.clone(),
+            model.plan.clone(),
             model.source.clone(),
             model.metrics.clone(),
         )
@@ -797,8 +810,7 @@ fn run_batch(inner: &Inner, batch: Batch) {
             clients[client.0].session.clone()
         };
         let queue_seconds = enqueued.elapsed().as_secs_f64();
-        let compiled = compiled.clone();
-        let source = source.clone();
+        let (compiled, plan, source) = (compiled.clone(), plan.clone(), source.clone());
         // Tag this worker thread with the request id: the execution span
         // (and every scheduler/kernel span recorded inside the inference)
         // correlates back to the admission span via the "req" argument.
@@ -810,18 +822,17 @@ fn run_batch(inner: &Inner, batch: Batch) {
             batch = occupancy
         );
         let result = catch_unwind(AssertUnwindSafe(move || {
-            run_fhe_source_opt(&compiled, &session, source, cts, OptConfig::default())
+            run_fhe_plan(&compiled, &session, &plan, source, cts)
         }));
         drop(exec_span);
         let resp = match result {
-            Ok((run, counter, opt_stats)) => {
+            Ok((run, counter)) => {
                 orion_telemetry::instant!(
                     "req_done",
                     wall_us = (run.wall_seconds * 1e6) as u64,
                     queue_us = (queue_seconds * 1e6) as u64
                 );
                 metrics.note_done(queue_seconds + run.wall_seconds, counter.encodes);
-                metrics.note_plan_opt(opt_stats);
                 Ok(ServeOutput {
                     output: run.output,
                     counter,

@@ -87,7 +87,7 @@ pub enum Phase {
 }
 
 /// Maximum arguments carried per event (fixed so [`Event`] stays `Copy`).
-pub const MAX_ARGS: usize = 5;
+pub const MAX_ARGS: usize = 6;
 
 /// Fixed-capacity argument list: static keys, `u64` values.
 #[derive(Clone, Copy, Debug, Default)]

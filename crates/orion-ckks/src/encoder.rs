@@ -94,7 +94,9 @@ impl Encoder {
     /// Encodes a scalar constant replicated across all slots.
     ///
     /// Constants are encoded without the FFT (a constant slot vector embeds
-    /// as a constant polynomial), which keeps them exact.
+    /// as a constant polynomial), which keeps them exact. The engine never
+    /// builds one — `Evaluator::{mul_scalar, add_scalar}` apply the same
+    /// integer per limb — this is the reference their tests compare against.
     pub fn encode_constant(
         &self,
         value: f64,

@@ -119,21 +119,35 @@ impl Evaluator {
         }
     }
 
-    /// Multiplies by a scalar constant, encoding it at `aux_scale`
-    /// (typically `q_ℓ` for the errorless path).
+    /// Multiplies by the scalar `v` carried at `aux_scale` (typically `q_ℓ`
+    /// for the errorless path): every residue of both components times the
+    /// integer `round(v·aux_scale)`. Bit-identical to a `PMult` by the
+    /// encoder's constant plaintext for `(v, aux_scale)` — a replicated
+    /// constant is that one integer at every evaluation point.
     pub fn mul_scalar(&self, a: &Ciphertext, v: f64, aux_scale: f64) -> Ciphertext {
-        let n = self.ctx.degree();
-        let mut coeffs = orion_math::arena::scratch_i128(n);
-        coeffs[0] = (v * aux_scale).round() as i128;
-        let mut poly = RnsPoly::from_signed(&self.ctx, &coeffs, a.level(), false);
-        poly.to_eval(&self.ctx);
-        self.mul_plain(
-            a,
-            &Plaintext {
-                poly,
-                scale: aux_scale,
-            },
-        )
+        let k = (v * aux_scale).round() as i128;
+        let mut c0 = a.c0.clone();
+        c0.mul_scalar_assign(k, &self.ctx);
+        let mut c1 = a.c1.clone();
+        c1.mul_scalar_assign(k, &self.ctx);
+        Ciphertext {
+            c0,
+            c1,
+            scale: a.scale * aux_scale,
+        }
+    }
+
+    /// Adds the scalar `v` to every slot: `round(v·a.scale)` joins every
+    /// residue of `c0`. Bit-identical to a `PAdd` of the constant plaintext
+    /// encoded at the ciphertext's own scale and level.
+    pub fn add_scalar(&self, a: &Ciphertext, v: f64) -> Ciphertext {
+        let mut c0 = a.c0.clone();
+        c0.add_scalar_assign((v * a.scale).round() as i128, &self.ctx);
+        Ciphertext {
+            c0,
+            c1: a.c1.clone(),
+            scale: a.scale,
+        }
     }
 
     /// The core key-switch: given `c` (evaluation form, no special limb) and

@@ -6,7 +6,7 @@
 //! evaluation (NTT) representation; see paper §2.4–2.5.
 
 use crate::params::Context;
-use orion_math::modular::{neg_mod, reduce_i128, shoup_precompute};
+use orion_math::modular::{add_mod, neg_mod, reduce_i128, shoup_precompute};
 use orion_math::parallel::{
     map_indexed, ntt_forward_batch, ntt_inverse_batch, ntt_parallel, pointwise_parallel,
 };
@@ -312,6 +312,21 @@ impl RnsPoly {
                 let s = reduce_i128(scalar, q);
                 let s_sh = shoup_precompute(s, q);
                 (k.scalar_mul_assign)(a, s, s_sh, q);
+            });
+        });
+    }
+
+    /// Adds the constant polynomial `scalar` (evaluation form only: a
+    /// constant evaluates to itself at every point, so every entry of every
+    /// limb gains `scalar mod q_j`).
+    pub fn add_scalar_assign(&mut self, scalar: i128, ctx: &Context) {
+        assert_eq!(self.form, Form::Eval);
+        time_class(OpClass::Pointwise, || {
+            self.for_each_limb_mut(ctx, |q, a, _| {
+                let s = reduce_i128(scalar, q);
+                for x in a.iter_mut() {
+                    *x = add_mod(*x, s, q);
+                }
             });
         });
     }

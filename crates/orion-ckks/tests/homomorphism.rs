@@ -159,3 +159,41 @@ proptest! {
         }
     }
 }
+
+/// A replicated constant is one integer at every evaluation point, so the
+/// scalar primitives must reproduce the constant-plaintext path bit for
+/// bit: same residues in `c0` / `c1`, same tracked scale — at every level,
+/// for the constants and scales the poly stages and scale-downs present.
+#[test]
+fn scalar_ops_are_bit_identical_to_constant_plaintexts() {
+    let h = harness();
+    let mut rng = StdRng::seed_from_u64(0x5ca1a4);
+    let delta = h.ctx.scale();
+    let vals = vec_from_seed(&h, 11, 1.0);
+    for level in 0..=h.ctx.max_level() {
+        // off-Δ like a wire inside a Chebyshev scale schedule
+        let ct_scale = delta * 1.000_37;
+        let ct = h
+            .encryptor
+            .encrypt(&h.enc.encode(&vals, ct_scale, level, false), &mut rng);
+        let ql = h.ctx.moduli[level] as f64;
+        for v in [0.0, 1.0, -1.0, 0.5 * 0.75, 1e-9, -3.75] {
+            for s in [delta, ql, ql * delta / ct.scale] {
+                let got = h.eval.mul_scalar(&ct, v, s);
+                let want = h
+                    .eval
+                    .mul_plain(&ct, &h.enc.encode_constant(v, s, level, false));
+                assert_eq!(got.c0, want.c0, "mul c0: level {level} v {v} scale {s}");
+                assert_eq!(got.c1, want.c1, "mul c1: level {level} v {v} scale {s}");
+                assert_eq!(got.scale.to_bits(), want.scale.to_bits());
+            }
+            let got = h.eval.add_scalar(&ct, v);
+            let want = h
+                .eval
+                .add_plain(&ct, &h.enc.encode_constant(v, ct.scale, level, false));
+            assert_eq!(got.c0, want.c0, "add c0: level {level} v {v}");
+            assert_eq!(got.c1, want.c1, "add c1: level {level} v {v}");
+            assert_eq!(got.scale.to_bits(), want.scale.to_bits());
+        }
+    }
+}

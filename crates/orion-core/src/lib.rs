@@ -119,11 +119,10 @@ impl Orion {
     }
 
     /// One-time setup of the serving path: encodes every linear layer's
-    /// weight diagonals, bias blocks, and zero plaintexts at their
-    /// placement-assigned levels (the paper's offline weight artifacts,
-    /// §6). The returned cache is `Arc`-shared — hand clones of it to any
-    /// number of concurrent [`fhe_inference_prepared`] /
-    /// [`fhe_inference_batch_prepared`] calls.
+    /// weight diagonals and bias blocks at their placement-assigned levels
+    /// (the paper's offline weight artifacts, §6). The returned cache is
+    /// `Arc`-shared — hand clones of it to any number of concurrent
+    /// [`fhe_inference_prepared`] / [`fhe_inference_batch_prepared`] calls.
     pub fn prepare_fhe(&self, compiled: &Compiled, session: &FheSession) -> Arc<PreparedProgram> {
         // Pre-flight: with the session's concrete parameters in hand the
         // noise-budget pass joins the structural ones; a program that

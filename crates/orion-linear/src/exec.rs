@@ -146,9 +146,8 @@ fn giant_rotate(
 /// per output block in the order given, runs the row fold's rotate-and-sum
 /// steps, rescales, and adds the bias with period `R`, so the output block
 /// is exactly `R`-periodic. The fold precedes the rescale so that its
-/// key-switch errors are divided by `q_ℓ` with the rest. The zero plaintext
-/// (for an output block no diagonal touches) and the bias come from
-/// `prepared`; the unhoisted reference has neither and encodes the zero.
+/// key-switch errors are divided by `q_ℓ` with the rest. The bias comes
+/// from `prepared`; the unhoisted reference has none.
 fn finish_fhe(
     ctx: &FheLinearContext<'_>,
     plan: &LinearPlan,
@@ -167,16 +166,11 @@ fn finish_fhe(
     out.into_iter()
         .enumerate()
         .map(|(i_blk, o)| {
-            // an output block no diagonal touches: encrypt-free zero via
-            // multiplying an input by the zero plaintext
-            let mut ct = o.unwrap_or_else(|| match prepared {
-                Some(p) => ctx.eval.mul_plain(&inputs[0], &p.zero),
-                None => {
-                    let zero = ctx
-                        .enc
-                        .encode_at_prime_scale_ws(&vec![0.0; plan.slots], inputs[0].level());
-                    ctx.eval.mul_plain(&inputs[0], &zero)
-                }
+            // an output block no diagonal touches: encrypt-free zero, an
+            // input times the scalar 0 carried at the layer's prime scale
+            let mut ct = o.unwrap_or_else(|| {
+                let q = ctx.eval.context().moduli[inputs[0].level()] as f64;
+                ctx.eval.mul_scalar(&inputs[0], 0.0, q)
             });
             for s in plan.fold_steps() {
                 ct = ctx.eval.add(&ct, &ctx.eval.rotate(&ct, s as isize));

@@ -54,6 +54,6 @@ pub use exec::{
 pub use layout::TensorLayout;
 pub use paged::{LayerSource, PageStats, PagedProgram};
 pub use plan::{ConvSpec, LinearPlan, PlanCounts};
-pub use prepared::{PreparedActivation, PreparedLayer, PreparedProgram};
+pub use prepared::{PreparedLayer, PreparedProgram};
 pub use store::{DiagStore, StoreError};
 pub use values::{BiasValues, ConvDiagSource, DenseDiagSource, DiagSource};

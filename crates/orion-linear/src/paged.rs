@@ -27,7 +27,7 @@
 //! a monotonic-stamp map (hit = restamp, O(log n); evict = min stamp), so
 //! hot fetches no longer pay an O(n) scan of the recency list.
 
-use crate::prepared::{PreparedActivation, PreparedLayer, PreparedProgram};
+use crate::prepared::{PreparedLayer, PreparedProgram};
 use crate::store::{DiagStore, StoreError};
 use parking_lot::{Condvar, Mutex};
 use std::collections::{BTreeMap, HashMap, HashSet};
@@ -54,10 +54,6 @@ pub trait LayerSource: Send + Sync {
     fn prefetch(&self, step: usize) {
         let _ = step;
     }
-
-    /// The recorded activation constants for poly-stage `step`, if any
-    /// (small, always resident).
-    fn activation(&self, step: usize) -> Option<Arc<PreparedActivation>>;
 }
 
 impl LayerSource for PreparedProgram {
@@ -67,10 +63,6 @@ impl LayerSource for PreparedProgram {
 
     fn fetch_layer(&self, step: usize) -> Result<Option<Arc<PreparedLayer>>, StoreError> {
         Ok(self.layer_arc(step))
-    }
-
-    fn activation(&self, step: usize) -> Option<Arc<PreparedActivation>> {
-        self.act(step)
     }
 }
 
@@ -144,13 +136,12 @@ struct PagedEntry {
 
 /// A prepared program whose layers live in [`DiagStore`] spill files and
 /// are faulted in on first touch, LRU-evicted under `budget_bytes` (see
-/// module docs). Activation constants stay resident — they are a rounding
-/// error next to the weight diagonals.
+/// module docs). Encoded weights and biases are everything a prepared
+/// program holds, so the budget covers all of it.
 pub struct PagedProgram {
     store: DiagStore,
     budget_bytes: usize,
     entries: HashMap<usize, PagedEntry>,
-    acts: HashMap<usize, Arc<PreparedActivation>>,
     state: Mutex<Resident>,
     /// Signaled whenever an in-flight load finishes (success, error, or
     /// panic — see [`LoadingGuard`]); fetchers of a loading layer sleep
@@ -191,7 +182,6 @@ impl PagedProgram {
             store,
             budget_bytes,
             entries,
-            acts: prepared.acts().clone(),
             state: Mutex::new(Resident::default()),
             load_done: Condvar::new(),
             faults: AtomicU64::new(0),
@@ -365,10 +355,6 @@ impl LayerSource for PagedProgram {
         let mut st = self.state.lock();
         self.admit(&mut st, step, Arc::new(layer), entry.bytes);
         st.prefetched.insert(step);
-    }
-
-    fn activation(&self, step: usize) -> Option<Arc<PreparedActivation>> {
-        self.acts.get(&step).cloned()
     }
 }
 

@@ -6,10 +6,12 @@
 //! FFT-encoding them per request is pure waste. A [`PreparedLayer`] holds
 //! one linear layer's diagonals *already encoded* at its placement-assigned
 //! level (prime scale, extended basis, evaluation form) together with its
-//! bias plaintexts and the zero plaintext used for untouched output blocks;
-//! a [`PreparedProgram`] maps program step ids to shared prepared layers so
-//! a whole compiled network can be served with **zero per-inference
-//! encodes** (machine-checked through `OpCounter::encodes`).
+//! bias plaintexts; a [`PreparedProgram`] maps program step ids to shared
+//! prepared layers so a whole compiled network can be served with **zero
+//! per-inference encodes** (machine-checked through `OpCounter::encodes`).
+//! Slot vectors are the only setup-time artifacts: activation constants
+//! and the zero of an untouched output block are scalars, multiplied in
+//! as one integer per limb, and have nothing to prepare.
 //!
 //! Layers are `Arc`-shared and immutable after build, so any number of
 //! concurrent inferences can consume one cache; [`PreparedLayer::spill`] /
@@ -21,7 +23,6 @@ use crate::store::{DiagStore, StoreError};
 use crate::values::DiagSource;
 use orion_ckks::encoder::Encoder;
 use orion_ckks::encrypt::Plaintext;
-use orion_poly::eval::StageConst;
 use rayon::prelude::*;
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -33,15 +34,6 @@ pub(crate) fn plaintext_bytes(pt: &Plaintext) -> usize {
     let degree = pt.poly.limbs.first().map(Vec::len).unwrap_or(0);
     let limbs = pt.poly.limbs.len() + usize::from(pt.poly.special.is_some());
     limbs * degree * 8
-}
-
-/// One activation stage's setup-time artifacts: the constant plaintexts
-/// the Chebyshev evaluation consumes, recorded in evaluation order (see
-/// `orion_poly::eval::RecordingConsts`). Replaying them makes activations
-/// hit zero per-inference encodes, like the linear layers.
-pub struct PreparedActivation {
-    /// `(spec, plaintext)` per constant, in evaluation order.
-    pub consts: Vec<(StageConst, Plaintext)>,
 }
 
 /// One linear layer's setup-time artifacts: every weight-diagonal
@@ -56,8 +48,6 @@ pub struct PreparedLayer {
     /// Per-output-block bias plaintexts at scale Δ, `level − 1`, periodic
     /// with the plan's row fold.
     pub bias: Option<Vec<Plaintext>>,
-    /// The zero plaintext for output blocks no diagonal touches.
-    pub zero: Plaintext,
 }
 
 impl PreparedLayer {
@@ -102,13 +92,7 @@ impl PreparedLayer {
                 .map(|b| enc.encode(&plan.periodic(b), delta, level - 1, false))
                 .collect()
         });
-        let zero = enc.encode_at_prime_scale_ws(&vec![0.0; plan.slots], level);
-        Self {
-            level,
-            diags,
-            bias,
-            zero,
-        }
+        Self { level, diags, bias }
     }
 
     /// Total encoded diagonal plaintexts held (diagnostics / memory
@@ -132,16 +116,16 @@ impl PreparedLayer {
             .flat_map(|b| b.iter())
             .map(plaintext_bytes)
             .sum();
-        diag_bytes + bias_bytes + plaintext_bytes(&self.zero)
+        diag_bytes + bias_bytes
     }
 
     /// Spills the layer to `store` under `name` (one file per ciphertext
-    /// block pair plus bias/zero/meta sections), so large weight sets can
+    /// block pair plus one bias/meta file), so large weight sets can
     /// be dropped from memory and reloaded per layer during inference.
     pub fn spill(&self, store: &DiagStore, name: &str) -> Result<(), StoreError> {
         let mut blocks: Vec<(u32, u32)> = self.diags.keys().copied().collect();
         blocks.sort_unstable();
-        store.save_prepared_meta(name, self.level, &blocks, self.bias.as_deref(), &self.zero)?;
+        store.save_prepared_meta(name, self.level, &blocks, self.bias.as_deref())?;
         for &(i, j) in &blocks {
             store.save_prepared_block(name, i, j, &self.diags[&(i, j)])?;
         }
@@ -150,27 +134,21 @@ impl PreparedLayer {
 
     /// Loads a layer previously written by [`PreparedLayer::spill`].
     pub fn load(store: &DiagStore, name: &str) -> Result<Self, StoreError> {
-        let (level, blocks, bias, zero) = store.load_prepared_meta(name)?;
+        let (level, blocks, bias) = store.load_prepared_meta(name)?;
         let mut diags = HashMap::with_capacity(blocks.len());
         for (i, j) in blocks {
             diags.insert((i, j), store.load_prepared_block(name, i, j)?);
         }
-        Ok(Self {
-            level,
-            diags,
-            bias,
-            zero,
-        })
+        Ok(Self { level, diags, bias })
     }
 }
 
-/// A compiled program's full cache of prepared layers and activation
-/// constants, keyed by program step id. Immutable and `Arc`-shared after
-/// build: one cache serves any number of concurrent inferences.
+/// A compiled program's full cache of prepared layers, keyed by program
+/// step id. Immutable and `Arc`-shared after build: one cache serves any
+/// number of concurrent inferences.
 #[derive(Default)]
 pub struct PreparedProgram {
     layers: HashMap<usize, Arc<PreparedLayer>>,
-    acts: HashMap<usize, Arc<PreparedActivation>>,
 }
 
 impl PreparedProgram {
@@ -184,11 +162,6 @@ impl PreparedProgram {
         self.layers.insert(step, Arc::new(layer));
     }
 
-    /// Registers the recorded activation constants of poly-stage `step`.
-    pub fn insert_act(&mut self, step: usize, act: PreparedActivation) {
-        self.acts.insert(step, Arc::new(act));
-    }
-
     /// The prepared layer for `step`, if any.
     pub fn layer(&self, step: usize) -> Option<&PreparedLayer> {
         self.layers.get(&step).map(Arc::as_ref)
@@ -197,11 +170,6 @@ impl PreparedProgram {
     /// The prepared layer for `step` as a shared handle.
     pub fn layer_arc(&self, step: usize) -> Option<Arc<PreparedLayer>> {
         self.layers.get(&step).cloned()
-    }
-
-    /// The prepared activation constants for poly-stage `step`, if any.
-    pub fn act(&self, step: usize) -> Option<Arc<PreparedActivation>> {
-        self.acts.get(&step).cloned()
     }
 
     /// Step ids with a prepared layer, ascending.
@@ -216,19 +184,9 @@ impl PreparedProgram {
         self.layers.len()
     }
 
-    /// Number of poly stages with prepared activation constants.
-    pub fn act_count(&self) -> usize {
-        self.acts.len()
-    }
-
-    /// All activation-constant entries, keyed by step id.
-    pub fn acts(&self) -> &HashMap<usize, Arc<PreparedActivation>> {
-        &self.acts
-    }
-
     /// Whether the cache is empty.
     pub fn is_empty(&self) -> bool {
-        self.layers.is_empty() && self.acts.is_empty()
+        self.layers.is_empty()
     }
 
     /// Total encoded diagonal plaintexts across all layers.

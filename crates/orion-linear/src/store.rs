@@ -62,7 +62,7 @@ impl From<std::io::Error> for StoreError {
 
 /// On-disk cache of a prepared layer: one file of *encoded* diagonals
 /// (`k → plaintext`) per `(out_block, in_block)` pair, loadable
-/// independently, plus one metadata file (level, block index, bias and zero
+/// independently, plus one metadata file (level, block index, bias
 /// plaintexts) — what the pager (`crate::paged`) spills and faults in.
 pub struct DiagStore {
     dir: std::path::PathBuf,
@@ -134,15 +134,14 @@ impl DiagStore {
         Ok(out)
     }
 
-    /// Persists a prepared layer's metadata: level, block index, bias and
-    /// zero plaintexts.
+    /// Persists a prepared layer's metadata: level, block index and bias
+    /// plaintexts.
     pub fn save_prepared_meta(
         &self,
         layer: &str,
         level: usize,
         blocks: &[(u32, u32)],
         bias: Option<&[Plaintext]>,
-        zero: &Plaintext,
     ) -> Result<(), StoreError> {
         let mut b = BytesMut::new();
         b.put_slice(PREP_MAGIC);
@@ -161,19 +160,17 @@ impl DiagStore {
                 }
             }
         }
-        put_plaintext(&mut b, zero);
         std::fs::write(self.prepared_meta_path(layer), &b)?;
         Ok(())
     }
 
     /// Loads prepared-layer metadata written by
-    /// [`DiagStore::save_prepared_meta`]: `(level, block pairs, bias,
-    /// zero)`.
+    /// [`DiagStore::save_prepared_meta`]: `(level, block pairs, bias)`.
     #[allow(clippy::type_complexity)]
     pub fn load_prepared_meta(
         &self,
         layer: &str,
-    ) -> Result<(usize, Vec<(u32, u32)>, Option<Vec<Plaintext>>, Plaintext), StoreError> {
+    ) -> Result<(usize, Vec<(u32, u32)>, Option<Vec<Plaintext>>), StoreError> {
         let buf = std::fs::read(self.prepared_meta_path(layer))?;
         let mut data = Bytes::from(buf);
         if data.remaining() < 8 + 8 + 4 || &data.copy_to_bytes(8)[..] != PREP_MAGIC {
@@ -203,9 +200,7 @@ impl DiagStore {
             }
             Some(pts)
         };
-        let zero =
-            get_plaintext(&mut data).ok_or_else(|| StoreError::malformed("bad zero plaintext"))?;
-        Ok((level, blocks, bias, zero))
+        Ok((level, blocks, bias))
     }
 }
 
@@ -309,15 +304,13 @@ mod tests {
         }
 
         let bias = vec![enc.encode(&mk(3), ctx.scale(), 1, false)];
-        let zero = enc.encode_at_prime_scale_ws(&vec![0.0; ctx.slots()], 2);
         store
-            .save_prepared_meta("conv1", 2, &[(0, 1)], Some(&bias), &zero)
+            .save_prepared_meta("conv1", 2, &[(0, 1)], Some(&bias))
             .unwrap();
-        let (level, blocks, bias_back, zero_back) = store.load_prepared_meta("conv1").unwrap();
+        let (level, blocks, bias_back) = store.load_prepared_meta("conv1").unwrap();
         assert_eq!(level, 2);
         assert_eq!(blocks, vec![(0, 1)]);
         assert_eq!(bias_back.unwrap()[0].poly, bias[0].poly);
-        assert_eq!(zero_back.poly, zero.poly);
         std::fs::remove_dir_all(dir).ok();
     }
 

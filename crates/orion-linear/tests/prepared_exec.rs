@@ -191,3 +191,71 @@ fn prepared_dense_is_bit_exact() {
     assert_bit_exact(&on_the_fly, &from_disk, "dense reloaded");
     std::fs::remove_dir_all(dir).ok();
 }
+
+#[test]
+fn untouched_output_block_is_the_zero_plaintext_product() {
+    // Channels 8..16 of a 1×1 conv have all-zero weights, so no diagonal
+    // touches output block 1. The executor makes that block from an input
+    // times the scalar 0 — bit for bit what multiplying by the all-zero
+    // prime-scale plaintext, rescaling and adding the bias gives.
+    let mut rng = StdRng::seed_from_u64(701);
+    let in_l = TensorLayout::raster(2, 8, 8);
+    let spec = ConvSpec {
+        co: 16,
+        ci: 2,
+        kh: 1,
+        kw: 1,
+        stride: 1,
+        padding: 0,
+        dilation: 1,
+        groups: 1,
+    };
+    let slots = Context::new(CkksParams::tiny()).slots();
+    let (plan, out_l) = conv_plan(&in_l, &spec, slots);
+    assert_eq!(plan.out_blocks, 2);
+    let weights = Tensor::from_vec(
+        &[16, 2, 1, 1],
+        (0..32)
+            .map(|i| {
+                if i < 16 {
+                    rng.gen_range(-1.0..1.0)
+                } else {
+                    0.0
+                }
+            })
+            .collect(),
+    );
+    let bias: Vec<f64> = (0..16).map(|_| rng.gen_range(-0.5..0.5)).collect();
+    let src = ConvDiagSource {
+        in_l,
+        out_l,
+        spec,
+        weights: &weights,
+    };
+    let bias_blocks = BiasValues::conv(&out_l, &bias, slots);
+    let mut h = setup(&plan.rotation_steps(), 702);
+    let input: Vec<f64> = (0..in_l.total_slots())
+        .map(|_| rng.gen_range(-1.0..1.0))
+        .collect();
+    let level = 2;
+    let pt = h
+        .enc
+        .encode(&in_l.pack(&input), h.ctx.scale(), level, false);
+    let ct = h.encryptor.encrypt(&pt, &mut h.rng);
+    let fctx = FheLinearContext {
+        eval: &h.eval,
+        enc: &h.enc,
+    };
+    let prepared = PreparedLayer::build(&h.enc, &plan, &src, Some(&bias_blocks), level);
+    assert!(prepared.diags.keys().all(|&(i_blk, _)| i_blk == 0));
+    let out = exec_fhe_prepared(&fctx, &plan, &prepared, std::slice::from_ref(&ct));
+
+    let zero = h.enc.encode_at_prime_scale_ws(&vec![0.0; slots], level);
+    let mut expect = h.eval.mul_plain(&ct, &zero);
+    h.eval.rescale_assign(&mut expect);
+    let bias_pt = h
+        .enc
+        .encode(&bias_blocks[1], h.ctx.scale(), level - 1, false);
+    let expect = h.eval.add_plain(&expect, &bias_pt);
+    assert_bit_exact(&out[1..], std::slice::from_ref(&expect), "zero block");
+}

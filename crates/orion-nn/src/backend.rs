@@ -227,16 +227,6 @@ pub trait EvalBackend {
         true
     }
 
-    /// Whether the poly stage at program step `step` encodes its constant
-    /// plaintexts (Chebyshev coefficients, alignment constants) **per
-    /// inference**. Engines replaying a setup-time recording return
-    /// `false`; [`crate::sched::count_plan`] then skips the stage's
-    /// per-inference encode tally (`orion_poly::eval::StageOps::consts`).
-    fn activation_encodes_per_inference(&self, step: usize) -> bool {
-        let _ = step;
-        true
-    }
-
     /// Advisory: the scheduler announces that the linear layer at `step`
     /// has become ready, so a paging engine can start faulting its
     /// prepared artifacts into residency off the critical path. Default
@@ -296,15 +286,13 @@ pub trait EvalBackend {
         self.drop_to_level(&self.bootstrap(ct), out_level)
     }
     /// One Chebyshev stage; `normalize` re-aligns the output to exact Δ at
-    /// +1 depth. `step` is the program node id, the key engines use to
-    /// find the stage's recorded constants in a prepared cache.
+    /// +1 depth.
     fn poly_stage(
         &self,
         ct: &Self::Ciphertext,
         coeffs: &[f64],
         normalize: bool,
         level: usize,
-        step: usize,
     ) -> Self::Ciphertext;
     /// The final ReLU product `m·u·(s+1)/2` (`u` at `level`, `sign` at
     /// `level − 1`); depth 2.

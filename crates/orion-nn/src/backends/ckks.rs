@@ -13,9 +13,8 @@ use orion_linear::exec::{exec_bsgs, FheLinearContext, SharedRotations};
 use orion_linear::paged::LayerSource;
 use orion_linear::prepared::{PreparedLayer, PreparedProgram};
 use orion_linear::store::StoreError;
-use orion_poly::eval::{evaluate_chebyshev_src, relu_product, square, CachedConsts, FreshConsts};
+use orion_poly::eval::{evaluate_chebyshev, relu_product, square};
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// Panic payload thrown when a paged prepared layer cannot be faulted in
@@ -34,13 +33,13 @@ pub struct PreparedLayerFault {
 /// The real-CKKS engine (see module docs). With a prepared source attached
 /// ([`CkksBackend::with_prepared`] / [`CkksBackend::with_source`]) linear
 /// layers consume setup-time weight encodings through the parallel BSGS
-/// executor — possibly faulted in from disk under a memory cap — and poly
-/// stages replay recorded constant plaintexts instead of re-encoding
-/// anything per inference.
+/// executor — possibly faulted in from disk under a memory cap. Activation
+/// steps multiply and add their constants as scalars and encode nothing
+/// either way.
 ///
 /// All run-time state is interior-mutable (the injected request queue
-/// behind a mutex, drift counters as atomics), so the engine is `Sync` and
-/// the dataflow scheduler can drive it from many pool threads at once.
+/// behind a mutex), so the engine is `Sync` and the dataflow scheduler can
+/// drive it from many pool threads at once.
 pub struct CkksBackend<'s> {
     session: &'s FheSession,
     prepared: Option<Arc<dyn LayerSource>>,
@@ -48,8 +47,6 @@ pub struct CkksBackend<'s> {
     /// encrypted requests); `encrypt` pops them in packing order (the
     /// `Input` step is a single scheduled unit, so pops are ordered).
     injected: Option<parking_lot::Mutex<VecDeque<Ciphertext>>>,
-    act_fresh_encodes: AtomicU64,
-    act_cache_misses: AtomicU64,
 }
 
 impl<'s> CkksBackend<'s> {
@@ -59,14 +56,11 @@ impl<'s> CkksBackend<'s> {
             session,
             prepared: None,
             injected: None,
-            act_fresh_encodes: AtomicU64::new(0),
-            act_cache_misses: AtomicU64::new(0),
         }
     }
 
     /// Wraps a session with a fully-resident prepared cache: linear layers
-    /// and poly stages whose step id is in the cache run with zero
-    /// per-inference encodes.
+    /// whose step id is in the cache run with zero per-inference encodes.
     pub fn with_prepared(session: &'s FheSession, prepared: Arc<PreparedProgram>) -> Self {
         Self::with_source(session, prepared)
     }
@@ -88,17 +82,11 @@ impl<'s> CkksBackend<'s> {
         self
     }
 
-    /// Constant plaintexts encoded fresh inside poly stages (on-the-fly
-    /// activation path).
-    pub fn act_fresh_encodes(&self) -> u64 {
-        self.act_fresh_encodes.load(Ordering::Relaxed)
-    }
-
-    /// Prepared-constant cache misses inside poly stages (0 on a faithful
-    /// replay; nonzero means the recording drifted and the engine fell
-    /// back to fresh encodes).
+    /// Always 0: activation constants are scalars, so there is no constant
+    /// cache to miss. Kept because the `perf/` name pin reads it
+    /// (`poly.const_cache_misses`; ROADMAP item 4(b) re-points the pin).
     pub fn act_cache_misses(&self) -> u64 {
-        self.act_cache_misses.load(Ordering::Relaxed)
+        0
     }
 
     /// The underlying session.
@@ -161,12 +149,6 @@ impl EvalBackend for CkksBackend<'_> {
         self.prepared
             .as_ref()
             .is_none_or(|p| !p.contains_layer(step))
-    }
-
-    fn activation_encodes_per_inference(&self, step: usize) -> bool {
-        self.prepared
-            .as_ref()
-            .is_none_or(|p| p.activation(step).is_none())
     }
 
     fn prefetch_linear(&self, step: usize) {
@@ -264,28 +246,8 @@ impl EvalBackend for CkksBackend<'_> {
         coeffs: &[f64],
         normalize: bool,
         _level: usize,
-        step: usize,
     ) -> Ciphertext {
-        let s = self.session;
-        let act = self.prepared.as_ref().and_then(|p| p.activation(step));
-        match act {
-            // Serving path: replay the setup-time constant recording —
-            // bit-identical math, zero per-inference encodes.
-            Some(act) => {
-                let src = CachedConsts::new(&act.consts);
-                let out = evaluate_chebyshev_src(&s.eval, &s.enc, &src, ct, coeffs, normalize);
-                self.act_cache_misses
-                    .fetch_add(src.misses(), Ordering::Relaxed);
-                out
-            }
-            None => {
-                let src = FreshConsts::new();
-                let out = evaluate_chebyshev_src(&s.eval, &s.enc, &src, ct, coeffs, normalize);
-                self.act_fresh_encodes
-                    .fetch_add(src.count(), Ordering::Relaxed);
-                out
-            }
-        }
+        evaluate_chebyshev(&self.session.eval, ct, coeffs, normalize)
     }
 
     fn relu_final(
@@ -295,13 +257,10 @@ impl EvalBackend for CkksBackend<'_> {
         magnitude: f64,
         _level: usize,
     ) -> Ciphertext {
-        // recipe constants: deliberately uncached and outside the `encodes` ledger
-        let s = self.session;
-        relu_product(&s.eval, &s.enc, &FreshConsts::new(), uc, sc, magnitude)
+        relu_product(&self.session.eval, uc, sc, magnitude)
     }
 
     fn square_activation(&self, ct: &Ciphertext, _level: usize) -> Ciphertext {
-        let s = self.session;
-        square(&s.eval, &s.enc, &FreshConsts::new(), ct)
+        square(&self.session.eval, ct)
     }
 }

@@ -90,10 +90,10 @@ impl ClearBackend {
         }
     }
 
-    /// Models the *prepared* serving mode: weight and activation-constant
-    /// encodes happen at setup, so the per-inference tally records zero
-    /// encodes — mirroring `CkksBackend::with_prepared` so modeled and
-    /// real runs stay counter-identical.
+    /// Models the *prepared* serving mode: weight and bias encodes happen
+    /// at setup, so the per-inference tally records zero encodes —
+    /// mirroring `CkksBackend::with_prepared` so modeled and real runs stay
+    /// counter-identical.
     pub fn prepared(self) -> Self {
         Self {
             prepared: true,
@@ -240,10 +240,6 @@ impl EvalBackend for ClearBackend {
         !self.prepared
     }
 
-    fn activation_encodes_per_inference(&self, _step: usize) -> bool {
-        !self.prepared
-    }
-
     fn linear_layer(
         &self,
         layer: &LinearRef<'_>,
@@ -281,7 +277,6 @@ impl EvalBackend for ClearBackend {
         coeffs: &[f64],
         normalize: bool,
         level: usize,
-        _step: usize,
     ) -> ClearCiphertext {
         // the level the CKKS evaluation exits at, not the reserved depth
         let exit = orion_poly::eval::stage_ops(coeffs, normalize, level).exit_level;
@@ -345,7 +340,7 @@ mod tests {
         let e = engine();
         let mut coeffs = vec![0.1; 10];
         coeffs.extend([1e-14; 4]);
-        let out = e.poly_stage(&e.encrypt(&[0.5; 8], 10), &coeffs, false, 10, 0);
+        let out = e.poly_stage(&e.encrypt(&[0.5; 8], 10), &coeffs, false, 10);
         assert_eq!(orion_poly::eval::fhe_eval_depth(9), 5);
         assert_eq!(out.level, 10 - 4);
     }

@@ -11,7 +11,7 @@
 
 use crate::backend::{run_program, LinearRef};
 use crate::backends::CkksBackend;
-use crate::compile::{Compiled, Step};
+use crate::compile::Compiled;
 use crate::opt::{optimize_plan, OptConfig};
 use crate::sched::{run_plan, ExecPlan, SchedMode};
 use orion_ckks::bootstrap::BootstrapOracle;
@@ -22,13 +22,11 @@ use orion_ckks::keys::KeyGenerator;
 use orion_ckks::params::{CkksParams, Context};
 use orion_ckks::precision::precision_bits;
 use orion_linear::paged::LayerSource;
-use orion_linear::prepared::{PreparedActivation, PreparedLayer, PreparedProgram};
-use orion_poly::eval::{evaluate_chebyshev_src, RecordingConsts};
+use orion_linear::prepared::{PreparedLayer, PreparedProgram};
 use orion_sim::OpCounter;
 use orion_tensor::Tensor;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use std::collections::HashMap;
 use std::sync::Arc;
 
 /// Key material and helpers for running compiled programs on real CKKS.
@@ -73,9 +71,10 @@ impl FheSession {
 
     /// Builds the compiled program's setup-time weight cache (see
     /// [`prepare_program`]), `Arc`-shared so any number of concurrent
-    /// inferences can serve from it.
+    /// inferences can serve from it. Uses the encoder alone: no key and no
+    /// session randomness is touched.
     pub fn prepare(&self, compiled: &Compiled) -> Arc<PreparedProgram> {
-        Arc::new(prepare_program(compiled, self))
+        Arc::new(prepare_program(compiled, &self.enc))
     }
 
     /// Encrypts `pt` with the session RNG. The lock covers the sampling
@@ -106,15 +105,19 @@ impl FheSession {
 }
 
 /// Walks a compiled program once and encodes every linear layer's weight
-/// diagonals, bias blocks, and zero plaintexts at their placement-assigned
-/// levels (paper §6: weight diagonals as offline artifacts), then replays
-/// every poly stage once to record its constant plaintexts (Chebyshev
-/// coefficients and alignment constants) at the exact (level, scale) the
-/// serving path will present — so activations, like linear layers, hit
-/// zero per-inference encodes. The returned cache is keyed by program step
-/// id; serve with [`run_fhe_prepared`].
-pub fn prepare_program(c: &Compiled, s: &FheSession) -> PreparedProgram {
-    let slots = s.ctx.slots();
+/// diagonals and bias blocks at their placement-assigned levels (paper §6:
+/// weight diagonals as offline artifacts). Encoding needs no key, so the
+/// cache is the same for every client of a model. It is keyed by program
+/// step id; serve with [`run_fhe_prepared`].
+pub fn prepare_program(c: &Compiled, enc: &Encoder) -> PreparedProgram {
+    let ctx = enc.context();
+    assert_eq!(
+        ctx.params.effective_level(),
+        c.opts.l_eff,
+        "encoder parameters must match the compiled level budget"
+    );
+    let slots = ctx.slots();
+    assert_eq!(slots, c.opts.slots, "slot-count mismatch");
     let mut prog = PreparedProgram::new();
     for (id, node) in c.prog.iter().enumerate() {
         let (Some(level), Some(layer)) = (c.placement.levels[id], LinearRef::of(id, &node.step))
@@ -124,50 +127,10 @@ pub fn prepare_program(c: &Compiled, s: &FheSession) -> PreparedProgram {
         let (src, bias_blocks) = layer.values(slots);
         prog.insert(
             id,
-            PreparedLayer::build(&s.enc, layer.plan(), &*src, Some(&bias_blocks), level),
+            PreparedLayer::build(enc, layer.plan(), &*src, Some(&bias_blocks), level),
         );
     }
-    record_activation_consts(c, s, &mut prog);
     prog
-}
-
-/// Replays each poly stage once on a throwaway ciphertext at the stage's
-/// serving (level, scale) and records every constant plaintext it
-/// consumes, in evaluation order. The recursion's constant identities
-/// depend only on the entry level and scale — both deterministic under the
-/// exact-Δ invariant (every non-poly step hands its consumer a wire at
-/// precisely scale Δ; chained, non-normalized stages hand over their
-/// schedule exit scale, which the replay reproduces by feeding each
-/// stage's recorded output into the next).
-fn record_activation_consts(c: &Compiled, s: &FheSession, prog: &mut PreparedProgram) {
-    let delta = s.ctx.scale();
-    let mut poly_out: HashMap<usize, Ciphertext> = HashMap::new();
-    for (id, node) in c.prog.iter().enumerate() {
-        let Step::PolyStage { coeffs, normalize } = &node.step else {
-            continue;
-        };
-        let lv = c.placement.levels[id].expect("poly stage unplaced");
-        let booted = c.placement.boots_before[id] > 0;
-        let mut ct = match poly_out.get(&node.inputs[0]) {
-            Some(prev) if !booted => prev.clone(),
-            // every other predecessor (or a bootstrap) hands the stage a
-            // wire at exactly scale Δ — the slot values are irrelevant
-            _ => s.encrypt(&s.enc.encode(&vec![0.0; s.ctx.slots()], delta, lv, false)),
-        };
-        if ct.level() > lv {
-            s.eval.drop_to_level(&mut ct, lv);
-        }
-        debug_assert_eq!(ct.level(), lv, "stage input below its placement level");
-        let rec = RecordingConsts::new();
-        let out = evaluate_chebyshev_src(&s.eval, &s.enc, &rec, &ct, coeffs, *normalize);
-        prog.insert_act(
-            id,
-            PreparedActivation {
-                consts: rec.into_consts(),
-            },
-        );
-        poly_out.insert(id, out);
-    }
 }
 
 /// Result of a real FHE run.
@@ -233,8 +196,8 @@ fn zero_input(c: &Compiled) -> Tensor {
 /// **pre-encrypted** input ciphertexts (see [`FheSession::encrypt_input`])
 /// against any prepared-layer source, resident or memory-capped paged, and
 /// returns the run and its op counter. The counter's `encodes` field is the
-/// complete per-request encode tally (declared stage/layer encodes plus any
-/// prepared-constant cache misses), so a fully prepared model serves with
+/// complete per-request encode tally (the weight and bias encodes of every
+/// layer `source` does not hold), so a fully prepared model serves with
 /// `encodes == 0`, machine-checked.
 pub fn run_fhe_plan(
     c: &Compiled,
@@ -247,15 +210,13 @@ pub fn run_fhe_plan(
     let dummy = zero_input(c);
     let backend = CkksBackend::with_source(s, source).inject_inputs(input_cts);
     let run = run_plan(plan, c, &backend, &dummy, SchedMode::for_pool());
-    let mut counter = run.counter;
-    counter.record_encodes(backend.act_cache_misses());
     (
         FheRun {
             output: run.output,
             wall_seconds: t0.elapsed().as_secs_f64(),
             bootstraps: run.bootstraps,
         },
-        counter,
+        run.counter,
     )
 }
 

@@ -634,19 +634,12 @@ pub fn count_plan<B: EvalBackend>(plan: &ExecPlan, c: &Compiled, backend: &B) ->
             // plain one: the drop was always free); pricing every op at
             // the entry level over-charges the ones below it (ROADMAP
             // item 5).
-            UnitWork::StepCt { node, .. } => {
+            UnitWork::StepCt { .. } => {
                 tally(OpKind::HMult, io.ops.hmult as usize, cost.hmult(lv));
                 tally(OpKind::PMult, io.ops.pmult as usize, cost.pmult(lv));
                 tally(OpKind::Rescale, io.ops.rescale as usize, cost.rescale(lv));
                 tally(OpKind::HAdd, io.ops.hadd as usize, cost.hadd(lv));
                 tally(OpKind::PAdd, io.ops.padd as usize, cost.hadd(lv));
-                // one FFT-free constant encode per Chebyshev-stage constant
-                // (the recipe constants of the other kinds are exempt)
-                if matches!(c.prog[node].step, Step::PolyStage { .. })
-                    && backend.activation_encodes_per_inference(node)
-                {
-                    ctr.record_encodes(io.ops.consts);
-                }
             }
         }
         total.merge(&ctr);
@@ -864,7 +857,7 @@ impl<B: EvalBackend> RunState<'_, B> {
                     },
                     Step::PolyStage { coeffs, normalize } => {
                         orion_telemetry::time_class(orion_telemetry::OpClass::PolyStage, || {
-                            backend.poly_stage(&x(0), coeffs, *normalize, lv, node)
+                            backend.poly_stage(&x(0), coeffs, *normalize, lv)
                         })
                     }
                     Step::ReluFinal { magnitude } => {

@@ -6,7 +6,7 @@
 
 use orion_ckks::precision::precision_bits;
 use orion_ckks::CkksParams;
-use orion_nn::backend::run_program;
+use orion_nn::backend::{run_program, LinearRef};
 use orion_nn::backends::{CkksBackend, ClearBackend};
 use orion_nn::compile::{compile, CompileOptions, Step};
 use orion_nn::fhe_exec::{run_fhe, run_fhe_prepared, run_fhe_prepared_cts, FheSession};
@@ -99,10 +99,11 @@ fn prepared_run_matches_on_the_fly_with_zero_encodes() {
 }
 
 #[test]
-fn prepared_activation_constants_hit_zero_encodes() {
-    // A SiLU net compiles to a real PolyStage; the prepared cache must
-    // cover its Chebyshev constants so the whole inference — linear AND
-    // activation — runs with zero per-inference encodes.
+fn prepared_poly_net_is_bit_identical_and_encodes_only_weights() {
+    // A SiLU net compiles to a real PolyStage. Its constants are scalars,
+    // so the only per-inference encodes anywhere are the on-the-fly
+    // engine's weight diagonals and biases — and on the same request
+    // ciphertexts the prepared and on-the-fly engines agree bit for bit.
     let params = headroom_params(8); // depth 7: dense + scale-down + deg-3 stage(+norm) + dense
     let mut rng = StdRng::seed_from_u64(0x9e_0003);
     let mut net = Network::new(1, 4, 4);
@@ -114,48 +115,56 @@ fn prepared_activation_constants_hit_zero_encodes() {
     net.output(l2);
     let opts = CompileOptions::from_params(&params);
     let compiled = compile(&net, &fixed_ranges(&net, 4.0), &opts);
-    let stage_encodes: u64 = compiled
+    assert!(
+        compiled
+            .prog
+            .iter()
+            .any(|n| matches!(n.step, Step::PolyStage { .. })),
+        "net must compile to a real poly stage"
+    );
+    let weight_encodes: u64 = compiled
         .prog
         .iter()
         .enumerate()
-        .filter_map(|(id, node)| match &node.step {
-            Step::PolyStage { coeffs, normalize } => Some(
-                orion_poly::eval::stage_ops(
-                    coeffs,
-                    *normalize,
-                    compiled.placement.levels[id].unwrap(),
-                )
-                .consts,
-            ),
-            _ => None,
-        })
+        .filter_map(|(id, node)| LinearRef::of(id, &node.step))
+        .map(|layer| (layer.plan().counts.pmults + layer.plan().out_blocks) as u64)
         .sum();
-    assert!(stage_encodes > 0, "net must compile to a real poly stage");
 
-    let session = FheSession::new(params, &compiled, 11);
+    let session = FheSession::new(params.clone(), &compiled, 11);
     let prepared = session.prepare(&compiled);
-    assert!(prepared.act_count() >= 1, "poly stage must be recorded");
-
     let input = Tensor::from_vec(
         &[1, 4, 4],
         (0..16).map(|i| (i as f64) * 0.05 - 0.4).collect(),
     );
-    let cold = CkksBackend::new(&session);
-    let cold_run = run_program(&compiled, &cold, &input);
-    // the declarative stage tally and the engine-observed fresh encodes
-    // must agree — the tally and the engine are one recursion
-    assert_eq!(cold.act_fresh_encodes(), stage_encodes);
-    assert!(cold_run.counter.encodes >= stage_encodes);
+    let cts = session.encrypt_input(&compiled, &input);
+    // `prepare` is encoder-only: a session that prepared first encrypts
+    // exactly what an equally seeded one that never prepared does
+    let unprepared = FheSession::new(params, &compiled, 11);
+    for (a, b) in cts.iter().zip(unprepared.encrypt_input(&compiled, &input)) {
+        assert_eq!((&a.c0, &a.c1), (&b.c0, &b.c1), "prepare advanced the RNG");
+    }
 
-    let warm = CkksBackend::with_prepared(&session, prepared.clone());
-    let warm_run = run_program(&compiled, &warm, &input);
-    assert_eq!(warm_run.counter.encodes, 0, "linear AND activation cached");
-    assert_eq!(warm.act_fresh_encodes(), 0);
-    assert_eq!(warm.act_cache_misses(), 0, "recording must replay");
+    let cold = CkksBackend::new(&session).inject_inputs(cts.clone());
+    let cold = run_program(&compiled, &cold, &input);
+    let warm = CkksBackend::with_prepared(&session, prepared.clone()).inject_inputs(cts);
+    let warm = run_program(&compiled, &warm, &input);
+    assert_eq!(
+        cold.counter.encodes, weight_encodes,
+        "weights and biases only"
+    );
+    assert_eq!(warm.counter.encodes, 0, "a prepared run encodes nothing");
+    assert_eq!(cold.counter.all(), warm.counter.all());
+    assert_eq!(cold.output_wire.len(), warm.output_wire.len());
+    for (a, b) in cold.output_wire.iter().zip(&warm.output_wire) {
+        assert_eq!(
+            a.c0, b.c0,
+            "prepared and on-the-fly wires must be bit-identical"
+        );
+        assert_eq!(a.c1, b.c1);
+        assert_eq!(a.scale.to_bits(), b.scale.to_bits());
+    }
 
-    // same function, and modeled prepared engines stay counter-identical
-    let prec = precision_bits(warm_run.output.data(), cold_run.output.data());
-    assert!(prec > 8.0, "prepared activation diverged: {prec} bits");
+    // modeled prepared engines stay counter-identical
     let trace = run_program(
         &compiled,
         &ClearBackend::reference(&compiled).prepared(),
@@ -163,7 +172,7 @@ fn prepared_activation_constants_hit_zero_encodes() {
     )
     .counter;
     assert_eq!(trace.encodes, 0);
-    assert_eq!(trace.all(), warm_run.counter.all());
+    assert_eq!(trace.all(), warm.counter.all());
 }
 
 #[test]

@@ -177,14 +177,7 @@ impl EvalBackend for LevelEngine<'_> {
     fn scale_down(&self, _ct: &usize, _factor: f64, level: usize) -> usize {
         level - usize::from(!self.forget_rescale)
     }
-    fn poly_stage(
-        &self,
-        _ct: &usize,
-        coeffs: &[f64],
-        normalize: bool,
-        level: usize,
-        _step: usize,
-    ) -> usize {
+    fn poly_stage(&self, _ct: &usize, coeffs: &[f64], normalize: bool, level: usize) -> usize {
         if let Some(meet) = &self.meet {
             if meet.wait().is_leader() {
                 self.meetings.fetch_add(1, Ordering::Relaxed);

@@ -7,9 +7,9 @@
 //! `p = q·T_N + r` via Chebyshev division. The scale schedule follows
 //! Bossuat et al.'s errorless approach, adapted to our per-limb
 //! key-switching: every level has one target scale `S[ℓ]` (`S` at the
-//! entry level is the input scale; `S[ℓ−1] = S[ℓ]²/q_ℓ`), and all plaintext
-//! constants are encoded at exactly the scale that lands the next rescale
-//! on schedule.
+//! entry level is the input scale; `S[ℓ−1] = S[ℓ]²/q_ℓ`), and every
+//! constant is carried at exactly the scale that lands the next rescale on
+//! schedule.
 //!
 //! Depth: at most `⌈log₂(d+1)⌉ + 1` levels for degree `d`
 //! ([`fhe_eval_depth`], the depth placement reserves; the `+1` pays for
@@ -19,149 +19,20 @@
 //!
 //! The recursion is written **once**, over a private value domain
 //! (`Domain`) with two instances: CKKS ciphertexts, and bare levels with a
-//! tally. [`evaluate_chebyshev_src`] runs it on the first, [`stage_ops`]
-//! on the second — so a stage's op counts, its constant count and its exit
-//! level are by construction what the engine executes. The two fixed
-//! recipes around the stages ([`relu_product`], [`square`]) sit beside
-//! their constant [`StageOps`].
+//! tally. [`evaluate_chebyshev`] runs it on the first, [`stage_ops`] on the
+//! second — so a stage's op counts and its exit level are by construction
+//! what the engine executes. The two fixed recipes around the stages
+//! ([`relu_product`], [`square`]) sit beside their constant [`StageOps`].
+//!
+//! Constants are scalars, as in the paper's backend: a Chebyshev
+//! coefficient or an alignment `1.0` multiplies through
+//! [`Evaluator::mul_scalar`] and adds through [`Evaluator::add_scalar`] —
+//! one integer per limb, never an encoded plaintext — so a stage needs
+//! nothing but the evaluator and has no setup-time artifact.
 
-use orion_ckks::encoder::Encoder;
-use orion_ckks::encrypt::{Ciphertext, Plaintext};
+use orion_ckks::encrypt::Ciphertext;
 use orion_ckks::eval::Evaluator;
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::Mutex;
-
-/// The identity of one constant plaintext a Chebyshev stage consumes:
-/// the replicated slot value, the encoding scale, and the level. Constants
-/// are produced in a deterministic order fixed by the recursion, so a
-/// recorded `Vec<(StageConst, Plaintext)>` replays exactly.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct StageConst {
-    /// The replicated slot value.
-    pub value: f64,
-    /// The encoding scale (schedule-derived, bit-reproducible).
-    pub scale: f64,
-    /// The chain level the plaintext lives at.
-    pub level: usize,
-}
-
-/// Where a Chebyshev stage's constant plaintexts come from. The on-the-fly
-/// path encodes them per inference; the prepared serving path replays a
-/// setup-time recording so activations hit zero per-inference encodes
-/// (tallied through `OpCounter::encodes`).
-///
-/// Sources are `Sync` (counters are atomics, recordings sit behind a
-/// mutex): the wire-level parallel scheduler evaluates independent
-/// ciphertexts' stages concurrently, and a source must tolerate being
-/// shared across those units.
-pub trait ConstSource: Sync {
-    /// Returns the plaintext for `value` replicated at (`scale`, `level`).
-    fn constant(&self, enc: &Encoder, value: f64, scale: f64, level: usize) -> Plaintext;
-}
-
-/// Encodes every constant fresh and counts how many (the on-the-fly path;
-/// the count cross-checks [`StageOps::consts`]).
-#[derive(Default)]
-pub struct FreshConsts {
-    count: AtomicU64,
-}
-
-impl FreshConsts {
-    /// A fresh, zero-count source.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Constants encoded so far.
-    pub fn count(&self) -> u64 {
-        self.count.load(Ordering::Relaxed)
-    }
-}
-
-impl ConstSource for FreshConsts {
-    fn constant(&self, enc: &Encoder, value: f64, scale: f64, level: usize) -> Plaintext {
-        self.count.fetch_add(1, Ordering::Relaxed);
-        enc.encode_constant(value, scale, level, false)
-    }
-}
-
-/// Encodes every constant fresh *and* records it, in evaluation order —
-/// the prepare-time pass that builds a stage's cached constants.
-#[derive(Default)]
-pub struct RecordingConsts {
-    out: Mutex<Vec<(StageConst, Plaintext)>>,
-}
-
-impl RecordingConsts {
-    /// An empty recorder.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// The recorded constants, in the order the stage consumed them.
-    pub fn into_consts(self) -> Vec<(StageConst, Plaintext)> {
-        self.out.into_inner().unwrap_or_else(|e| e.into_inner())
-    }
-}
-
-impl ConstSource for RecordingConsts {
-    fn constant(&self, enc: &Encoder, value: f64, scale: f64, level: usize) -> Plaintext {
-        let pt = enc.encode_constant(value, scale, level, false);
-        self.out.lock().unwrap_or_else(|e| e.into_inner()).push((
-            StageConst {
-                value,
-                scale,
-                level,
-            },
-            pt.clone(),
-        ));
-        pt
-    }
-}
-
-/// Serves constants from a setup-time recording in evaluation order. Every
-/// request is checked (bit-exact value/scale, exact level) against the
-/// recording; a mismatch falls back to a fresh encode and is counted as a
-/// miss, so a drifted cache degrades to the on-the-fly path instead of
-/// corrupting the result.
-pub struct CachedConsts<'a> {
-    consts: &'a [(StageConst, Plaintext)],
-    next: AtomicUsize,
-    misses: AtomicU64,
-}
-
-impl<'a> CachedConsts<'a> {
-    /// Serves from `consts` (a [`RecordingConsts`] recording).
-    pub fn new(consts: &'a [(StageConst, Plaintext)]) -> Self {
-        Self {
-            consts,
-            next: AtomicUsize::new(0),
-            misses: AtomicU64::new(0),
-        }
-    }
-
-    /// Cache misses (0 on a faithful replay).
-    pub fn misses(&self) -> u64 {
-        self.misses.load(Ordering::Relaxed)
-    }
-}
-
-impl ConstSource for CachedConsts<'_> {
-    fn constant(&self, enc: &Encoder, value: f64, scale: f64, level: usize) -> Plaintext {
-        let i = self.next.fetch_add(1, Ordering::Relaxed);
-        if let Some((spec, pt)) = self.consts.get(i) {
-            if spec.value.to_bits() == value.to_bits()
-                && spec.scale.to_bits() == scale.to_bits()
-                && spec.level == level
-            {
-                return pt.clone();
-            }
-        }
-        self.misses.fetch_add(1, Ordering::Relaxed);
-        enc.encode_constant(value, scale, level, false)
-    }
-}
 
 /// The depth **reserved** for a degree-`d` stage — what compile and
 /// placement budget before any level exists. It is an upper bound on what
@@ -182,17 +53,14 @@ pub fn fhe_eval_depth(d: usize) -> usize {
 pub struct StageOps {
     /// Ciphertext products (`mul_relin`: one key-switch each).
     pub hmult: u64,
-    /// Constant-plaintext products.
+    /// Constant (scalar) products.
     pub pmult: u64,
     /// Rescales (one per product of either kind).
     pub rescale: u64,
     /// Ciphertext additions and subtractions.
     pub hadd: u64,
-    /// Constant-plaintext additions.
+    /// Constant (scalar) additions.
     pub padd: u64,
-    /// Constant plaintexts consumed (one per `pmult` / `padd`): what an
-    /// on-the-fly engine encodes per inference and a prepared one replays.
-    pub consts: u64,
     /// The level of the step's output.
     pub exit_level: usize,
 }
@@ -218,56 +86,45 @@ trait Domain {
     fn add_const(&mut self, v: &Self::V, c: f64) -> Self::V;
 }
 
-/// The CKKS handles every constant-consuming primitive needs.
-struct Ckks<'a> {
-    eval: &'a Evaluator,
-    enc: &'a Encoder,
-    src: &'a dyn ConstSource,
+/// `a·b` relinearised, one level down at exactly `out_scale`.
+fn mul_to(eval: &Evaluator, a: &Ciphertext, b: &Ciphertext, out_scale: f64) -> Ciphertext {
+    let mut prod = eval.mul_relin(a, b);
+    eval.rescale_assign(&mut prod);
+    prod.scale = out_scale;
+    prod
 }
 
-impl Ckks<'_> {
-    /// `a·b` relinearised, one level down at exactly `out_scale`.
-    fn mul(&self, a: &Ciphertext, b: &Ciphertext, out_scale: f64) -> Ciphertext {
-        let mut prod = self.eval.mul_relin(a, b);
-        self.eval.rescale_assign(&mut prod);
-        prod.scale = out_scale;
-        prod
-    }
+/// `value · ct` one level down at exactly `out_scale`: the scalar is
+/// carried at the scale that lands the rescale there.
+fn mul_const_to(eval: &Evaluator, ct: &Ciphertext, value: f64, out_scale: f64) -> Ciphertext {
+    let q = eval.context().moduli[ct.level()] as f64;
+    let mut out = eval.mul_scalar(ct, value, q * out_scale / ct.scale);
+    eval.rescale_assign(&mut out);
+    out.scale = out_scale; // snap within float ulps of the true value
+    out
+}
 
-    /// `value · ct` one level down at exactly `out_scale`: the constant is
-    /// encoded at the scale that lands the rescale there.
-    fn mul_const(&self, ct: &Ciphertext, value: f64, out_scale: f64) -> Ciphertext {
-        let q = self.eval.context().moduli[ct.level()] as f64;
-        let pt_scale = q * out_scale / ct.scale;
-        let pt = self.src.constant(self.enc, value, pt_scale, ct.level());
-        let mut out = self.eval.mul_plain(ct, &pt);
-        self.eval.rescale_assign(&mut out);
-        out.scale = out_scale; // snap within float ulps of the true value
-        out
+/// Brings `ct` to exactly `(level, target)`, spending one of its levels on
+/// a constant product when the level drops.
+fn set_level_scale(eval: &Evaluator, ct: &Ciphertext, level: usize, target: f64) -> Ciphertext {
+    if ct.level() == level {
+        assert!(
+            (ct.scale / target - 1.0).abs() < 1e-9,
+            "cannot adjust scale without a spare level ({} vs {target} at level {level})",
+            ct.scale
+        );
+        return ct.clone();
     }
-
-    /// Brings `ct` to exactly `(level, target)`, spending one of its
-    /// levels on a constant product when the level drops.
-    fn set_level_scale(&self, ct: &Ciphertext, level: usize, target: f64) -> Ciphertext {
-        if ct.level() == level {
-            assert!(
-                (ct.scale / target - 1.0).abs() < 1e-9,
-                "cannot adjust scale without a spare level ({} vs {target} at level {level})",
-                ct.scale
-            );
-            return ct.clone();
-        }
-        assert!(ct.level() > level, "cannot raise a ciphertext's level");
-        let mut c = ct.clone();
-        self.eval.drop_to_level(&mut c, level + 1);
-        self.mul_const(&c, 1.0, target)
-    }
+    assert!(ct.level() > level, "cannot raise a ciphertext's level");
+    let mut c = ct.clone();
+    eval.drop_to_level(&mut c, level + 1);
+    mul_const_to(eval, &c, 1.0, target)
 }
 
 /// The ciphertext domain: every result is snapped onto `s`, the per-level
 /// scale schedule of the module docs.
 struct Scheduled<'a> {
-    ckks: Ckks<'a>,
+    eval: &'a Evaluator,
     s: Vec<f64>,
 }
 
@@ -279,34 +136,32 @@ impl Domain for Scheduled<'_> {
     }
 
     fn align(&mut self, v: &Ciphertext, level: usize) -> Ciphertext {
-        self.ckks.set_level_scale(v, level, self.s[level])
+        set_level_scale(self.eval, v, level, self.s[level])
     }
 
     fn normalize(&mut self, v: &Ciphertext) -> Ciphertext {
-        let delta = self.ckks.eval.context().scale();
-        self.ckks.set_level_scale(v, v.level() - 1, delta)
+        let delta = self.eval.context().scale();
+        set_level_scale(self.eval, v, v.level() - 1, delta)
     }
 
     fn mul(&mut self, a: &Ciphertext, b: &Ciphertext) -> Ciphertext {
-        self.ckks.mul(a, b, self.s[a.level() - 1])
+        mul_to(self.eval, a, b, self.s[a.level() - 1])
     }
 
     fn mul_const(&mut self, v: &Ciphertext, c: f64) -> Ciphertext {
-        self.ckks.mul_const(v, c, self.s[v.level() - 1])
+        mul_const_to(self.eval, v, c, self.s[v.level() - 1])
     }
 
     fn add(&mut self, a: &Ciphertext, b: &Ciphertext) -> Ciphertext {
-        self.ckks.eval.add(a, b)
+        self.eval.add(a, b)
     }
 
     fn sub(&mut self, a: &Ciphertext, b: &Ciphertext) -> Ciphertext {
-        self.ckks.eval.sub(a, b)
+        self.eval.sub(a, b)
     }
 
     fn add_const(&mut self, v: &Ciphertext, c: f64) -> Ciphertext {
-        let k = &self.ckks;
-        k.eval
-            .add_plain(v, &k.src.constant(k.enc, c, v.scale, v.level()))
+        self.eval.add_scalar(v, c)
     }
 }
 
@@ -339,7 +194,6 @@ impl Domain for StageOps {
     }
 
     fn mul_const(&mut self, v: &usize, _c: f64) -> usize {
-        self.consts += 1;
         self.pmult += 1;
         self.rescale += 1;
         v.checked_sub(1).expect("cannot rescale at level 0")
@@ -356,7 +210,6 @@ impl Domain for StageOps {
     }
 
     fn add_const(&mut self, v: &usize, _c: f64) -> usize {
-        self.consts += 1;
         self.padd += 1;
         *v
     }
@@ -505,25 +358,10 @@ fn run_stage<D: Domain>(dom: &mut D, x: D::V, coeffs: &[f64], normalize: bool) -
 /// Evaluates `Σ_k coeffs[k]·T_k(ct)` homomorphically. The input must hold
 /// values in `[-1, 1]` (Orion's range estimation guarantees this upstream —
 /// paper §6). The output scale is the schedule's value at the exit level
-/// (≈ Δ, exactly consistent for all same-level ciphertexts).
+/// (≈ Δ, exactly consistent for all same-level ciphertexts); with
+/// `normalize` the output spends one more level to land on exactly Δ.
 pub fn evaluate_chebyshev(
     eval: &Evaluator,
-    enc: &Encoder,
-    ct: &Ciphertext,
-    coeffs: &[f64],
-) -> Ciphertext {
-    evaluate_chebyshev_src(eval, enc, &FreshConsts::new(), ct, coeffs, false)
-}
-
-/// [`evaluate_chebyshev`] with every constant plaintext routed through
-/// `src` — the prepared serving path passes a [`CachedConsts`] recording so
-/// the stage performs zero per-inference encodes; the result is
-/// bit-identical no matter the source. With `normalize` the output spends
-/// one more level to land on exactly scale Δ.
-pub fn evaluate_chebyshev_src(
-    eval: &Evaluator,
-    enc: &Encoder,
-    src: &dyn ConstSource,
     ct: &Ciphertext,
     coeffs: &[f64],
     normalize: bool,
@@ -533,15 +371,14 @@ pub fn evaluate_chebyshev_src(
     for l in (1..=ct.level()).rev() {
         s[l - 1] = s[l] * s[l] / eval.context().moduli[l] as f64;
     }
-    let ckks = Ckks { eval, enc, src };
-    run_stage(&mut Scheduled { ckks, s }, ct.clone(), coeffs, normalize)
+    run_stage(&mut Scheduled { eval, s }, ct.clone(), coeffs, normalize)
 }
 
-/// What [`evaluate_chebyshev_src`] issues for `coeffs` entered at
+/// What [`evaluate_chebyshev`] issues for `coeffs` entered at
 /// `entry_level`, and where it exits: the same recursion run on levels
 /// alone (scale values never influence which operations run). The plan's
-/// op counts, the per-inference encode tally, the verifier's wire levels
-/// and the cleartext engine all read this.
+/// op counts, the verifier's wire levels and the cleartext engine all read
+/// this.
 pub fn stage_ops(coeffs: &[f64], normalize: bool, entry_level: usize) -> StageOps {
     let mut ops = StageOps::default();
     ops.exit_level = run_stage(&mut ops, entry_level, coeffs, normalize);
@@ -554,24 +391,21 @@ pub fn stage_ops(coeffs: &[f64], normalize: bool, entry_level: usize) -> StageOp
 /// normalization level).
 pub fn relu_product(
     eval: &Evaluator,
-    enc: &Encoder,
-    src: &dyn ConstSource,
     x: &Ciphertext,
     sign: &Ciphertext,
     magnitude: f64,
 ) -> Ciphertext {
-    let ckks = Ckks { eval, enc, src };
     let lc = sign.level();
     assert!(lc >= 1, "no level left for the final ReLU product");
     assert_eq!(x.level(), lc + 1, "x sits one level above its sign");
     let delta = eval.context().scale();
     // (m·x/2) at a scale making the product land on Δ.
     let x_scale = delta * eval.context().moduli[lc] as f64 / sign.scale;
-    let half = ckks.mul_const(x, 0.5 * magnitude, x_scale);
-    let prod = ckks.mul(&half, sign, delta); // x_scale·sign.scale/q by construction
+    let half = mul_const_to(eval, x, 0.5 * magnitude, x_scale);
+    let prod = mul_to(eval, &half, sign, delta); // x_scale·sign.scale/q by construction
 
     // + m·x/2 at (prod.level, Δ): produce raw x·(Δ·m/2) and read it at Δ.
-    let mut half_x = ckks.set_level_scale(x, prod.level(), delta * magnitude * 0.5);
+    let mut half_x = set_level_scale(eval, x, prod.level(), delta * magnitude * 0.5);
     half_x.scale = delta;
     eval.add(&prod, &half_x)
 }
@@ -588,19 +422,13 @@ pub fn relu_product_ops(entry_level: usize) -> StageOps {
 
 /// `ct²` at exactly scale Δ, two levels down: one copy is aligned to
 /// scale `q` a level below so the product rescales onto Δ.
-pub fn square(
-    eval: &Evaluator,
-    enc: &Encoder,
-    src: &dyn ConstSource,
-    ct: &Ciphertext,
-) -> Ciphertext {
-    let ckks = Ckks { eval, enc, src };
+pub fn square(eval: &Evaluator, ct: &Ciphertext) -> Ciphertext {
     let level = ct.level();
     let q = eval.context().moduli[level - 1] as f64;
-    let aligned = ckks.set_level_scale(ct, level - 1, q);
+    let aligned = set_level_scale(eval, ct, level - 1, q);
     let mut base = ct.clone();
     eval.drop_to_level(&mut base, level - 1);
-    ckks.mul(&base, &aligned, eval.context().scale())
+    mul_to(eval, &base, &aligned, eval.context().scale())
 }
 
 /// What [`square`] issues with `ct` at `entry_level`.
@@ -614,18 +442,17 @@ pub fn square_ops(entry_level: usize) -> StageOps {
 /// Homomorphic ReLU: the composite sign stages, then [`relu_product`].
 pub fn relu_fhe(
     eval: &Evaluator,
-    enc: &Encoder,
     ct: &Ciphertext,
     sign: &crate::sign::CompositeSign,
 ) -> Ciphertext {
     let mut s = ct.clone();
     for stage in &sign.stages {
-        s = evaluate_chebyshev(eval, enc, &s, &stage.coeffs);
+        s = evaluate_chebyshev(eval, &s, &stage.coeffs, false);
     }
     assert!(ct.level() > s.level(), "input consumed too many levels");
     let mut x = ct.clone();
     eval.drop_to_level(&mut x, s.level() + 1);
-    relu_product(eval, enc, &FreshConsts::new(), &x, &s, 1.0)
+    relu_product(eval, &x, &s, 1.0)
 }
 
 #[cfg(test)]
@@ -633,6 +460,7 @@ mod tests {
     use super::*;
     use crate::cheb::ChebPoly;
     use crate::sign::CompositeSign;
+    use orion_ckks::encoder::Encoder;
     use orion_ckks::keys::KeyGenerator;
     use orion_ckks::params::{CkksParams, Context};
     use orion_ckks::{Decryptor, Encryptor};
@@ -691,7 +519,7 @@ mod tests {
             &h.enc.encode(&vals, h.ctx.scale(), level, false),
             &mut h.rng,
         );
-        let out_ct = evaluate_chebyshev(&h.eval, &h.enc, &ct, &poly.coeffs);
+        let out_ct = evaluate_chebyshev(&h.eval, &ct, &poly.coeffs, false);
         let out = h.enc.decode(&h.dec.decrypt(&out_ct));
         for i in (0..vals.len()).step_by(101) {
             let expect = poly.eval(vals[i]);
@@ -714,7 +542,7 @@ mod tests {
             &h.enc.encode(&vals, h.ctx.scale(), level, false),
             &mut h.rng,
         );
-        let out_ct = evaluate_chebyshev(&h.eval, &h.enc, &ct, &poly.coeffs);
+        let out_ct = evaluate_chebyshev(&h.eval, &ct, &poly.coeffs, false);
         assert_eq!(out_ct.level(), level - fhe_eval_depth(15));
         let out = h.enc.decode(&h.dec.decrypt(&out_ct));
         for i in (0..vals.len()).step_by(97) {
@@ -738,7 +566,7 @@ mod tests {
             &h.enc.encode(&vals, h.ctx.scale(), level, false),
             &mut h.rng,
         );
-        let out_ct = evaluate_chebyshev(&h.eval, &h.enc, &ct, &poly.coeffs);
+        let out_ct = evaluate_chebyshev(&h.eval, &ct, &poly.coeffs, false);
         let out = h.enc.decode(&h.dec.decrypt(&out_ct));
         for i in (0..vals.len()).step_by(89) {
             let expect = poly.eval(vals[i]);
@@ -751,50 +579,27 @@ mod tests {
     }
 
     #[test]
-    fn recorded_counts_match_replay_and_cache_replays_bit_exact() {
-        // The level-only tally, the fresh-encode counter, and a real
-        // recording must all agree — and replaying the recording must
-        // reproduce the ciphertext bit-for-bit with zero cache misses.
+    fn stage_exits_where_stage_ops_says() {
+        // The level-only run of the recursion and the ciphertext run are
+        // one body: the level the engine leaves a stage at is the tally's.
         let mut h = setup();
         let vals = test_inputs(h.ctx.slots());
         let level = h.ctx.max_level();
         let delta = h.ctx.scale();
+        let ct = h
+            .encryptor
+            .encrypt(&h.enc.encode(&vals, delta, level, false), &mut h.rng);
         // degree 9 exits one level above the reserved depth
-        for (degree, normalize) in [
-            (3usize, true),
-            (7, false),
-            (9, false),
-            (15, true),
-            (31, false),
-        ] {
+        for degree in [3usize, 7, 9, 15, 31] {
             let f = |x: f64| x / (1.0 + (-3.0 * x).exp());
             let poly = ChebPoly::interpolate(f, degree);
-            let ct = h
-                .encryptor
-                .encrypt(&h.enc.encode(&vals, delta, level, false), &mut h.rng);
-            let run = |src: &dyn ConstSource| -> Ciphertext {
-                evaluate_chebyshev_src(&h.eval, &h.enc, src, &ct, &poly.coeffs, normalize)
-            };
-            let rec = RecordingConsts::new();
-            let out_rec = run(&rec);
-            let consts = rec.into_consts();
-            let ops = stage_ops(&poly.coeffs, normalize, level);
-            assert_eq!(
-                consts.len() as u64,
-                ops.consts,
-                "tally diverged from recording at degree {degree}"
-            );
-            assert_eq!(out_rec.level(), ops.exit_level, "degree {degree}");
-            let fresh = FreshConsts::new();
-            let out_fresh = run(&fresh);
-            assert_eq!(fresh.count(), consts.len() as u64, "degree {degree}");
-            let cached = CachedConsts::new(&consts);
-            let out_cached = run(&cached);
-            assert_eq!(cached.misses(), 0, "degree {degree}: cache must replay");
-            for (a, b) in [(&out_fresh, &out_rec), (&out_cached, &out_rec)] {
-                assert_eq!(a.c0, b.c0, "degree {degree}: sources must be bit-exact");
-                assert_eq!(a.c1, b.c1, "degree {degree}");
-                assert_eq!(a.scale, b.scale, "degree {degree}");
+            for normalize in [false, true] {
+                let out = evaluate_chebyshev(&h.eval, &ct, &poly.coeffs, normalize);
+                let ops = stage_ops(&poly.coeffs, normalize, level);
+                assert_eq!(out.level(), ops.exit_level, "degree {degree}");
+                if normalize {
+                    assert_eq!(out.scale.to_bits(), delta.to_bits(), "degree {degree}");
+                }
             }
         }
     }
@@ -817,31 +622,8 @@ mod tests {
             if [7, 15, 27, 31, 63].contains(&d) {
                 prop_assert_eq!(consumed, reserved, "zoo degree {}", d);
             }
-            prop_assert_eq!(ops.consts, ops.pmult + ops.padd);
             prop_assert_eq!(ops.rescale, ops.hmult + ops.pmult);
         }
-    }
-
-    #[test]
-    fn cache_miss_degrades_to_fresh_encode() {
-        let mut h = setup();
-        let poly = ChebPoly::interpolate(|x| 0.5 * x * x * x - 0.25 * x, 3);
-        let vals = test_inputs(h.ctx.slots());
-        let level = h.ctx.max_level();
-        let ct = h.encryptor.encrypt(
-            &h.enc.encode(&vals, h.ctx.scale(), level, false),
-            &mut h.rng,
-        );
-        let rec = RecordingConsts::new();
-        let expect = evaluate_chebyshev_src(&h.eval, &h.enc, &rec, &ct, &poly.coeffs, false);
-        let mut consts = rec.into_consts();
-        // corrupt one entry's spec so the replay must re-encode it
-        consts[1].0.value += 1.0;
-        let cached = CachedConsts::new(&consts);
-        let out = evaluate_chebyshev_src(&h.eval, &h.enc, &cached, &ct, &poly.coeffs, false);
-        assert_eq!(cached.misses(), 1);
-        assert_eq!(out.c0, expect.c0, "miss fallback must stay bit-exact");
-        assert_eq!(out.c1, expect.c1);
     }
 
     #[test]
@@ -856,7 +638,7 @@ mod tests {
             &h.enc.encode(&vals, h.ctx.scale(), level, false),
             &mut h.rng,
         );
-        let out_ct = relu_fhe(&h.eval, &h.enc, &ct, &sign);
+        let out_ct = relu_fhe(&h.eval, &ct, &sign);
         let out = h.enc.decode(&h.dec.decrypt(&out_ct));
         for i in (0..vals.len()).step_by(61) {
             let expect = sign.relu(vals[i]);
@@ -870,8 +652,8 @@ mod tests {
     }
 
     /// The ReLU tail as `relu_fhe` computed it before it shared
-    /// [`relu_product`] with the engine: scalar multiplies, no constant
-    /// source, `x` above the product level.
+    /// [`relu_product`] with the engine: written out primitive by
+    /// primitive, `x` above the product level.
     fn relu_tail_reference(eval: &Evaluator, ct: &Ciphertext, s: &Ciphertext) -> Ciphertext {
         let ctx = eval.context();
         let lc = s.level();
@@ -905,9 +687,9 @@ mod tests {
             &h.enc.encode(&vals, h.ctx.scale(), level, false),
             &mut h.rng,
         );
-        let s = evaluate_chebyshev(&h.eval, &h.enc, &ct, &sign.stages[0].coeffs);
+        let s = evaluate_chebyshev(&h.eval, &ct, &sign.stages[0].coeffs, false);
         let expect = relu_tail_reference(&h.eval, &ct, &s);
-        let got = relu_fhe(&h.eval, &h.enc, &ct, &sign);
+        let got = relu_fhe(&h.eval, &ct, &sign);
         assert_eq!(got.c0, expect.c0);
         assert_eq!(got.c1, expect.c1);
         assert_eq!(got.scale.to_bits(), expect.scale.to_bits());
@@ -917,8 +699,9 @@ mod tests {
     #[test]
     fn recipe_tallies_match_what_the_recipes_consume() {
         // `relu_product_ops` / `square_ops` are written by hand beside the
-        // ciphertext recipes: hold their constant and plaintext-multiply
-        // tallies and exit levels to a counting source on the real engine.
+        // ciphertext recipes: hold their exit levels to the real engine and
+        // their op mix to one rescale per product (the executed counts are
+        // held end to end by orion-nn's `tests/poly_counts.rs`).
         let mut h = setup();
         let vals = test_inputs(h.ctx.slots());
         let level = h.ctx.max_level();
@@ -929,18 +712,16 @@ mod tests {
         let mut sign = x.clone();
         h.eval.drop_to_level(&mut sign, level - 1);
 
-        let src = FreshConsts::new();
-        let out = relu_product(&h.eval, &h.enc, &src, &x, &sign, 0.75);
+        let out = relu_product(&h.eval, &x, &sign, 0.75);
         let ops = relu_product_ops(level);
-        assert_eq!((src.count(), out.level()), (ops.consts, ops.exit_level));
-        let all = (ops.hmult, ops.pmult, ops.rescale, ops.hadd, ops.padd);
-        assert_eq!(all, (1, ops.consts, 1 + ops.consts, 1, 0));
+        assert_eq!(out.level(), ops.exit_level);
+        assert_eq!((ops.hmult, ops.pmult, ops.hadd, ops.padd), (1, 2, 1, 0));
+        assert_eq!(ops.rescale, ops.hmult + ops.pmult);
 
-        let src = FreshConsts::new();
-        let out = square(&h.eval, &h.enc, &src, &x);
+        let out = square(&h.eval, &x);
         let ops = square_ops(level);
-        assert_eq!((src.count(), out.level()), (ops.consts, ops.exit_level));
-        let all = (ops.hmult, ops.pmult, ops.rescale, ops.hadd, ops.padd);
-        assert_eq!(all, (1, ops.consts, 1 + ops.consts, 0, 0));
+        assert_eq!(out.level(), ops.exit_level);
+        assert_eq!((ops.hmult, ops.pmult, ops.hadd, ops.padd), (1, 1, 0, 0));
+        assert_eq!(ops.rescale, ops.hmult + ops.pmult);
     }
 }

@@ -26,9 +26,9 @@
 //!   tallies as a JSON snapshot ([`Server::metrics_json`]).
 //!
 //! The serving contract, machine-checked by the smoke tests: a fully
-//! prepared model serves every request with **zero per-inference encodes**
-//! (weights *and* activation constants), and a paged model's outputs are
-//! **bit-exact** against the direct resident path.
+//! prepared model serves every request with **zero per-inference encodes**,
+//! and a paged model's outputs are **bit-exact** against the direct
+//! resident path.
 
 pub mod metrics;
 pub mod server;

@@ -23,13 +23,15 @@
 //! the server never touches client plaintexts on the request path.
 
 use crate::metrics::{ErrorClass, ModelMetrics};
+use orion_ckks::encoder::Encoder;
 use orion_ckks::encrypt::Ciphertext;
+use orion_ckks::params::Context;
 use orion_ckks::CkksParams;
 use orion_linear::paged::{LayerSource, PageStats, PagedProgram};
 use orion_linear::store::{DiagStore, StoreError};
 use orion_nn::backends::PreparedLayerFault;
 use orion_nn::compile::Compiled;
-use orion_nn::fhe_exec::{run_fhe_plan, FheSession};
+use orion_nn::fhe_exec::{prepare_program, run_fhe_plan, FheSession};
 use orion_nn::opt::{optimize_plan, OptConfig, OptStats};
 use orion_nn::sched::ExecPlan;
 use orion_sim::OpCounter;
@@ -319,43 +321,46 @@ impl Server {
         }
     }
 
-    /// Hosts a compiled model with **fully resident** prepared weights:
-    /// builds a preparation session from `prep_seed` (its keys only serve
-    /// the setup-time activation replay; the encoded artifacts themselves
-    /// are key-independent and shared by every client of the model).
+    /// Hosts a compiled model with **fully resident** prepared weights.
+    /// Weight encodings need an encoder and nothing else, so registration
+    /// generates no key of any kind — the artifacts are key-independent and
+    /// shared by every client of the model. `prep_seed` is ignored (there
+    /// is no randomness left to seed); the parameter stays because the
+    /// `perf/` name pin passes it (ROADMAP item 4(b)).
     ///
     /// The model is statically verified first ([`orion_nn::verify`]); an
     /// unverifiable program is rejected with [`ServeError::Unverifiable`]
-    /// before any key material or weight encoding is built.
+    /// before any weight encoding is built.
     pub fn add_model(
         &self,
         name: &str,
         compiled: Compiled,
         params: CkksParams,
-        prep_seed: u64,
+        _prep_seed: u64,
     ) -> Result<ModelId, ServeError> {
         let plan = certified_plan(name, &compiled)?;
-        let prep = FheSession::new(params.clone(), &compiled, prep_seed);
-        let prepared = prep.prepare(&compiled);
+        let enc = Encoder::new(Context::new(params.clone()));
+        let prepared = Arc::new(prepare_program(&compiled, &enc));
         Ok(self.install_model(name, compiled, plan, params, prepared, None))
     }
 
     /// Hosts a compiled model with **memory-capped paged** weights: the
     /// prepared layers are spilled into a [`DiagStore`] under `store_dir`
     /// and faulted in on demand, LRU-evicted beyond `budget_bytes` — so
-    /// the model's encoded weight set may exceed RAM.
+    /// the model's encoded weight set may exceed RAM. `prep_seed` is ignored,
+    /// as in [`Server::add_model`].
     pub fn add_model_paged(
         &self,
         name: &str,
         compiled: Compiled,
         params: CkksParams,
-        prep_seed: u64,
+        _prep_seed: u64,
         store_dir: &Path,
         budget_bytes: usize,
     ) -> Result<ModelId, ServeError> {
         let plan = certified_plan(name, &compiled)?;
-        let prep = FheSession::new(params.clone(), &compiled, prep_seed);
-        let prepared = prep.prepare(&compiled);
+        let enc = Encoder::new(Context::new(params.clone()));
+        let prepared = prepare_program(&compiled, &enc);
         let store = DiagStore::open(store_dir).map_err(|error| ServeError::Store {
             step: usize::MAX,
             error,

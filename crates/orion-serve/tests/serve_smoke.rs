@@ -52,7 +52,7 @@ fn square_model(seed: u64) -> (Compiled, CkksParams, [usize; 3]) {
 }
 
 /// Model B: dense → SiLU(deg 3) → dense on 1×4×4 (a real poly stage, so
-/// the zero-encode claim covers cached activation constants too).
+/// the zero-encode claim covers an activation's constants too).
 fn silu_model(seed: u64) -> (Compiled, CkksParams, [usize; 3]) {
     let params = headroom_params(9);
     let mut rng = StdRng::seed_from_u64(seed);

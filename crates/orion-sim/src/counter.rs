@@ -94,11 +94,9 @@ pub struct OpCounter {
     pub bootstrap_seconds: f64,
     /// Per-inference plaintext encodes. The on-the-fly linear path encodes
     /// every weight diagonal and bias block per request (inverse FFT + NTT
-    /// per limb), and every on-the-fly poly stage encodes its Chebyshev
-    /// coefficient / alignment constants (FFT-free but still per-limb NTT
-    /// work); the prepared path pays all of them once at setup, so this
-    /// field is **zero** per inference there. The single-constant scalar
-    /// multiplies of scale-down / relu-final / square steps are exempt.
+    /// per limb); the prepared path pays them once at setup, so this field
+    /// is **zero** per inference there. Nothing else encodes: activation
+    /// and scale-down constants are scalars, not plaintexts.
     pub encodes: u64,
 }
 

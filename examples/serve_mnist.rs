@@ -9,7 +9,7 @@
 use orion_core::serve::{ServeConfig, Server};
 use orion_core::Orion;
 use orion_models::data::synthetic_images;
-use orion_nn::fhe_exec::FheSession;
+use orion_nn::fhe_exec::prepare_program;
 use orion_nn::network::Network;
 use orion_tensor::Tensor;
 use rand::rngs::StdRng;
@@ -42,8 +42,8 @@ fn mlp_square(rng: &mut StdRng) -> (Network, orion_ckks::CkksParams) {
     (net, demo_params(6))
 }
 
-/// The same shape with a degree-3 SiLU (a real Chebyshev poly stage, so
-/// this tenant exercises the cached activation constants).
+/// The same shape with a degree-3 SiLU (a real Chebyshev poly stage on
+/// the serving path).
 fn mlp_silu(rng: &mut StdRng) -> (Network, orion_ckks::CkksParams) {
     let mut net = Network::new(1, 14, 14);
     let x = net.input();
@@ -69,9 +69,10 @@ fn main() {
     // Tenant 0: paged under a cap ~2/3 of its encoded-weight footprint.
     let (net_a, params_a) = mlp_square(&mut rng);
     let compiled_a = Orion::for_params(&params_a).compile(&net_a, &calib);
+    // weight encodings need no key: an encoder on the context is enough
     let footprint = {
-        let prep = FheSession::new(params_a.clone(), &compiled_a, 1);
-        prep.prepare(&compiled_a).approx_bytes()
+        let ctx = orion_ckks::params::Context::new(params_a.clone());
+        prepare_program(&compiled_a, &orion_ckks::Encoder::new(ctx)).approx_bytes()
     };
     let store_dir = std::env::temp_dir().join("orion_serve_mnist_store");
     std::fs::remove_dir_all(&store_dir).ok();

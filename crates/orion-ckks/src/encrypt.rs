@@ -39,6 +39,16 @@ impl Ciphertext {
         self.c0.level()
     }
 
+    /// A copy of `self` at `level` — `clone` then `Evaluator::drop_to_level`
+    /// (a free level drop, no scaling), minus the copy of the dropped limbs.
+    pub fn dropped_to_level(&self, level: usize) -> Self {
+        Self {
+            c0: self.c0.dropped_to_level(level),
+            c1: self.c1.dropped_to_level(level),
+            scale: self.scale,
+        }
+    }
+
     /// Approximate size in bytes (paper §2.1 notes ciphertexts are KBs–MBs).
     pub fn size_bytes(&self) -> usize {
         2 * (self.level() + 1) * self.c0.limbs[0].len() * std::mem::size_of::<u64>()

@@ -230,30 +230,6 @@ impl Evaluator {
         ct.c1.drop_to_level(level);
     }
 
-    /// Rescale fused with a drop to `out_level`: bit-identical to
-    /// [`Evaluator::rescale_assign`] followed by
-    /// [`Evaluator::drop_to_level`], but the limbs between `out_level` and
-    /// `level − 1` are never folded or even NTT'd (see
-    /// [`RnsPoly::rescale_to_level_assign`]). The scale bookkeeping is the
-    /// rescale's: the divisor is still the *top* chain prime.
-    pub fn rescale_to_level_assign(&self, ct: &mut Ciphertext, out_level: usize) {
-        orion_telemetry::time_class(orion_telemetry::OpClass::Rescale, || {
-            let l = ct.level();
-            assert!(l >= 1, "cannot rescale at level 0 — bootstrap required");
-            assert!(out_level < l, "fused rescale must lower the level");
-            let ql = self.ctx.moduli[l] as f64;
-            ct.c0.rescale_to_level_assign(&self.ctx, out_level);
-            ct.c1.rescale_to_level_assign(&self.ctx, out_level);
-            let new_scale = ct.scale / ql;
-            let delta = self.ctx.scale();
-            ct.scale = if (new_scale / delta - 1.0).abs() < 1e-9 {
-                delta
-            } else {
-                new_scale
-            };
-        })
-    }
-
     /// `HRot`: rotates slots "up" by `k` (slot `i` of the output holds slot
     /// `i+k` of the input), via the Galois automorphism and one key-switch.
     ///
@@ -520,6 +496,10 @@ mod tests {
         let mut dropped = ct.clone();
         h.eval.drop_to_level(&mut dropped, 1);
         assert_eq!(dropped.level(), 1);
+        // the by-reference drop is clone + drop, limb for limb
+        let by_ref = ct.dropped_to_level(1);
+        assert_eq!((&by_ref.c0, &by_ref.c1), (&dropped.c0, &dropped.c1));
+        assert_eq!(by_ref.scale.to_bits(), dropped.scale.to_bits());
         let out = h.enc.decode(&h.dec.decrypt(&dropped));
         for i in (0..h.ctx.slots()).step_by(19) {
             assert!((out[i] - a[i]).abs() < 1e-3);

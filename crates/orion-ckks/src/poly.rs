@@ -7,6 +7,7 @@
 
 use crate::params::Context;
 use orion_math::modular::{add_mod, neg_mod, reduce_i128, shoup_precompute};
+use orion_math::ntt::NttTable;
 use orion_math::parallel::{
     map_indexed, ntt_forward_batch, ntt_inverse_batch, ntt_parallel, pointwise_parallel,
 };
@@ -388,91 +389,43 @@ impl RnsPoly {
     pub fn rescale_assign(&mut self, ctx: &Context) {
         assert!(self.level() >= 1, "cannot rescale at level 0");
         assert!(self.special.is_none(), "ModDown the special limb first");
-        assert_eq!(self.form, Form::Eval);
         let l = self.level();
-        let ql = ctx.moduli[l];
-        // Bring the top limb to coefficient form.
-        let mut top = self.limbs.pop().expect("top limb");
-        ctx.ntt[l].inverse_lazy(&mut top);
-        // Every remaining limb centers-and-reduces the shared top limb
-        // directly (no i128 materialization) into a reused per-worker
-        // buffer, then folds it in after one forward NTT. The loop fans
-        // out for large rings.
-        let degree = top.len();
-        let k = simd::kernels();
-        let top_ref = &top;
-        let par = ntt_parallel(degree, l);
-        orion_math::parallel::for_each_mut_scratch(
-            &mut self.limbs,
-            par,
-            || orion_math::arena::scratch_u64_raw(degree),
-            |j, limb, lifted| {
-                let qj = ctx.moduli[j];
-                let inv = ctx.rescale_constant(l, j);
-                (k.centered_reduce)(lifted, top_ref, ql, qj);
-                ctx.ntt[j].forward_lazy(lifted);
-                (k.sub_mul_assign)(limb, lifted, inv, shoup_precompute(inv, qj), qj);
-            },
-        );
-        orion_math::arena::recycle_u64(top);
-    }
-
-    /// Rescale fused with a level drop: divides by the *top* chain modulus
-    /// and keeps only limbs `0..=out_level`. Because the rescale fold is
-    /// per-limb independent (each kept limb only reads the shared centered
-    /// lift of the popped top limb), truncating *before* the fold yields
-    /// bit-identical kept limbs to `rescale_assign()` followed by
-    /// `drop_to_level(out_level)` — the intermediate limbs between
-    /// `out_level` and `level−1` are never NTT'd or folded at all. The
-    /// divisor stays `q_level`, so scale bookkeeping is unchanged.
-    pub fn rescale_to_level_assign(&mut self, ctx: &Context, out_level: usize) {
-        assert!(self.level() >= 1, "cannot rescale at level 0");
-        assert!(
-            out_level < self.level(),
-            "rescale_to_level must lower the level"
-        );
-        assert!(self.special.is_none(), "ModDown the special limb first");
-        assert_eq!(self.form, Form::Eval);
-        let l = self.level();
-        let ql = ctx.moduli[l];
-        let mut top = self.limbs.pop().expect("top limb");
-        ctx.ntt[l].inverse_lazy(&mut top);
-        let degree = top.len();
-        // The fusion: dead limbs go straight back to the arena before the
-        // fold loop ever touches them.
-        for dead in self.limbs.drain(out_level + 1..) {
-            orion_math::arena::recycle_u64(dead);
-        }
-        let k = simd::kernels();
-        let top_ref = &top;
-        let par = ntt_parallel(degree, out_level);
-        orion_math::parallel::for_each_mut_scratch(
-            &mut self.limbs,
-            par,
-            || orion_math::arena::scratch_u64_raw(degree),
-            |j, limb, lifted| {
-                let qj = ctx.moduli[j];
-                let inv = ctx.rescale_constant(l, j);
-                (k.centered_reduce)(lifted, top_ref, ql, qj);
-                ctx.ntt[j].forward_lazy(lifted);
-                (k.sub_mul_assign)(limb, lifted, inv, shoup_precompute(inv, qj), qj);
-            },
-        );
-        orion_math::arena::recycle_u64(top);
+        let top = self.limbs.pop().expect("top limb");
+        self.divide_by_dropped(ctx, top, ctx.moduli[l], &ctx.ntt[l], |j| {
+            ctx.rescale_constant(l, j)
+        });
     }
 
     /// Removes the special limb, dividing the polynomial by `p` with
     /// rounding (the ModDown step after key-switching).
     pub fn mod_down_special_assign(&mut self, ctx: &Context) {
+        let sp = self.special.take().expect("no special limb to remove");
+        self.divide_by_dropped(ctx, sp, ctx.special, &ctx.ntt_special, |j| {
+            ctx.special_constant(j)
+        });
+    }
+
+    /// The one divide-and-drop body: `dropped` is a limb already popped off
+    /// `self` (evaluation form, modulus `q`, NTT table `ntt`) and `inv(j)`
+    /// is `q⁻¹ mod q_j`; every kept limb becomes `(limb − [dropped]) · inv`.
+    fn divide_by_dropped(
+        &mut self,
+        ctx: &Context,
+        mut dropped: Vec<u64>,
+        q: u64,
+        ntt: &NttTable,
+        inv: impl Fn(usize) -> u64 + Sync,
+    ) {
         assert_eq!(self.form, Form::Eval);
-        let p = ctx.special;
-        let mut sp = self.special.take().expect("no special limb to remove");
-        ctx.ntt_special.inverse_lazy(&mut sp);
-        // As in `rescale_assign`: each limb centers-and-reduces the shared
-        // special limb directly, through one reused per-worker buffer.
-        let degree = sp.len();
+        // Bring the dropped limb to coefficient form.
+        ntt.inverse_lazy(&mut dropped);
+        // Every kept limb centers-and-reduces the shared dropped limb
+        // directly (no i128 materialization) into a reused per-worker
+        // buffer, then folds it in after one forward NTT. The loop fans
+        // out for large rings.
+        let degree = dropped.len();
         let k = simd::kernels();
-        let sp_ref = &sp;
+        let dropped_ref = &dropped;
         let par = ntt_parallel(degree, self.limbs.len());
         orion_math::parallel::for_each_mut_scratch(
             &mut self.limbs,
@@ -480,19 +433,30 @@ impl RnsPoly {
             || orion_math::arena::scratch_u64_raw(degree),
             |j, limb, lifted| {
                 let qj = ctx.moduli[j];
-                let inv = ctx.special_constant(j);
-                (k.centered_reduce)(lifted, sp_ref, p, qj);
+                let inv = inv(j);
+                (k.centered_reduce)(lifted, dropped_ref, q, qj);
                 ctx.ntt[j].forward_lazy(lifted);
                 (k.sub_mul_assign)(limb, lifted, inv, shoup_precompute(inv, qj), qj);
             },
         );
-        orion_math::arena::recycle_u64(sp);
+        orion_math::arena::recycle_u64(dropped);
     }
 
     /// Drops limbs above `level` (a free level drop — no scaling).
     pub fn drop_to_level(&mut self, level: usize) {
         assert!(level <= self.level());
         self.limbs.truncate(level + 1);
+    }
+
+    /// A copy of `self` at `level`: `clone` + [`RnsPoly::drop_to_level`]
+    /// without copying the limbs the drop throws away.
+    pub fn dropped_to_level(&self, level: usize) -> Self {
+        assert!(level <= self.level());
+        Self {
+            limbs: self.limbs[..=level].to_vec(),
+            special: self.special.clone(),
+            form: self.form,
+        }
     }
 
     /// Centered coefficient reconstruction of limb contents via 1–2 limb

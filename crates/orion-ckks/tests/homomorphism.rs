@@ -112,30 +112,6 @@ proptest! {
         }
     }
 
-    /// The fused rescale-and-drop kernel is bit-identical to rescale
-    /// followed by a level drop: per-limb rescale folds are independent,
-    /// so truncating before folding changes nothing in the kept limbs.
-    #[test]
-    fn fused_rescale_matches_rescale_then_drop(seed in 0u64..10_000, out_level in 0usize..2) {
-        let h = harness();
-        let mut rng = StdRng::seed_from_u64(seed ^ 6);
-        let a = vec_from_seed(&h, seed + 9, 2.0);
-        let w = vec_from_seed(&h, seed + 10, 1.0);
-        let level = 2;
-        let ct = h.encryptor.encrypt(&h.enc.encode(&a, h.ctx.scale(), level, false), &mut rng);
-        // rescale a PMult product so the top-limb fold is non-trivial
-        let prod = h.eval.mul_plain(&ct, &h.enc.encode_at_prime_scale(&w, level, false));
-        let mut split = prod.clone();
-        h.eval.rescale_assign(&mut split);
-        h.eval.drop_to_level(&mut split, out_level);
-        let mut fused = prod;
-        h.eval.rescale_to_level_assign(&mut fused, out_level);
-        prop_assert_eq!(fused.level(), out_level);
-        prop_assert_eq!(&fused.c0, &split.c0);
-        prop_assert_eq!(&fused.c1, &split.c1);
-        prop_assert_eq!(fused.scale.to_bits(), split.scale.to_bits());
-    }
-
     /// Homomorphic linearity: c1·a + c2·b computed encrypted matches the
     /// cleartext affine combination.
     #[test]

@@ -264,27 +264,6 @@ pub trait EvalBackend {
     /// Multiplies by `factor ≤ 1` and rescales (activation normalization).
     fn scale_down(&self, ct: &Self::Ciphertext, factor: f64, level: usize) -> Self::Ciphertext;
 
-    /// [`EvalBackend::scale_down`] fused with a drop to `out_level`
-    /// (rescale/mod-switch chain fusion). Must be bit-identical to
-    /// `drop_to_level(scale_down(ct, factor, level), out_level)` — the
-    /// default is exactly that; engines with a fused kernel (CKKS) override
-    /// it so the intermediate limbs never materialize.
-    fn scale_down_to(
-        &self,
-        ct: &Self::Ciphertext,
-        factor: f64,
-        level: usize,
-        out_level: usize,
-    ) -> Self::Ciphertext {
-        self.drop_to_level(&self.scale_down(ct, factor, level), out_level)
-    }
-
-    /// [`EvalBackend::bootstrap`] fused with a drop to `out_level` (the
-    /// refreshed ciphertext's consumers all read at or below `out_level`).
-    /// Must be bit-identical to `drop_to_level(bootstrap(ct), out_level)`.
-    fn bootstrap_to(&self, ct: &Self::Ciphertext, out_level: usize) -> Self::Ciphertext {
-        self.drop_to_level(&self.bootstrap(ct), out_level)
-    }
     /// One Chebyshev stage; `normalize` re-aligns the output to exact Δ at
     /// +1 depth.
     fn poly_stage(
@@ -355,10 +334,10 @@ pub fn run_program_mode<B: EvalBackend + Sync>(
 }
 
 /// [`run_program_mode`] through the plan optimizer (`crate::opt`): builds
-/// the plan, rewrites it under the program's cost model with the given
-/// per-pass toggles, and executes the optimized DAG. Returns the run plus
-/// the optimizer's per-pass stats. Bit-identical to the unoptimized run on
-/// every engine — the rewrites only share, fuse or reorder work.
+/// the plan, rewrites it under the program's cost model as `cfg` says,
+/// and executes the optimized DAG. Returns the run plus the optimizer's
+/// stats. Bit-identical to the unoptimized run on every engine — the
+/// rewrite only shares work.
 pub fn run_program_opt<B: EvalBackend + Sync>(
     c: &Compiled,
     backend: &B,
@@ -367,7 +346,7 @@ pub fn run_program_opt<B: EvalBackend + Sync>(
     cfg: crate::opt::OptConfig,
 ) -> (ProgramRun<B::Ciphertext>, crate::opt::OptStats) {
     let mut plan = ExecPlan::build(c);
-    let stats = crate::opt::PlanOptimizer::new(cfg, c.opts.cost.clone()).optimize(&mut plan, c);
+    let stats = crate::opt::optimize_plan(&mut plan, c, cfg);
     (run_plan(&plan, c, backend, input, mode), stats)
 }
 

@@ -134,9 +134,7 @@ impl EvalBackend for CkksBackend<'_> {
     }
 
     fn drop_to_level(&self, a: &Ciphertext, level: usize) -> Ciphertext {
-        let mut c = a.clone();
-        self.session.eval.drop_to_level(&mut c, level);
-        c
+        a.dropped_to_level(level)
     }
 
     fn bootstrap(&self, a: &Ciphertext) -> Ciphertext {
@@ -217,26 +215,6 @@ impl EvalBackend for CkksBackend<'_> {
         let q = s.ctx.moduli[level] as f64;
         let mut m = s.eval.mul_scalar(ct, factor, q);
         s.eval.rescale_assign(&mut m);
-        m
-    }
-
-    fn scale_down_to(
-        &self,
-        ct: &Ciphertext,
-        factor: f64,
-        level: usize,
-        out_level: usize,
-    ) -> Ciphertext {
-        // Fused kernel: scalar-multiply at the *full* level (so the
-        // rescale divisor and rounding stay those of `scale_down`), then
-        // rescale straight down to `out_level` without materializing the
-        // intermediate limb vectors. Bit-identical to
-        // `drop_to_level(scale_down(ct), out_level)` — the kernel folds
-        // the popped limb only into the limbs that survive.
-        let s = self.session;
-        let q = s.ctx.moduli[level] as f64;
-        let mut m = s.eval.mul_scalar(ct, factor, q);
-        s.eval.rescale_to_level_assign(&mut m, out_level);
         m
     }
 

@@ -42,9 +42,9 @@
 //! Levels: what a unit reads, at which level, and the level it leaves its
 //! output at is a compile-time fact, stated once — [`Step::depth`] /
 //! [`Step::sig`] per step kind, lifted to units by [`ExecPlan::unit_io`]
-//! (fused levels, bootstraps, shared hoists, the input and output wires).
+//! (bootstraps, shared hoists, the input and output wires).
 //! The walk drops inputs to the signature's read levels, [`count_plan`]
-//! tallies its ops, the verifier and the optimizer passes interpret it
+//! tallies its ops, the verifier and the optimizer interpret it
 //! (`crate::verify`, `crate::opt`) — and no engine is trusted to agree with
 //! it: every ciphertext an engine hands back is asserted to sit at the
 //! signature's exit level before it is stored, in every profile.
@@ -152,11 +152,6 @@ pub struct Unit {
     pub out_len: usize,
     /// For `Boot` units: the value slot being refreshed.
     pub in_slot: usize,
-    /// Set by the optimizer's level-fusion pass: produce the output
-    /// directly at this level (fused rescale + mod-switch / bootstrap +
-    /// mod-switch kernels) instead of the step's natural level. Always at
-    /// or above every consumer's read level, so results stay bit-exact.
-    pub fused_level: Option<usize>,
     /// Set by the optimizer's rotation-CSE pass on linear `Step` units:
     /// index of the [`SharedRotSpec`] whose hoisted rotations this layer
     /// consumes instead of hoisting privately.
@@ -182,7 +177,7 @@ impl Buffer {
 /// What one plan unit reads and writes — [`Step::sig`] lifted to units
 /// ([`ExecPlan::unit_io`]). Everything that needs a level asks this: the
 /// walk (what to drop inputs to, what the engine must hand back), the op
-/// counter, the verifier and the optimizer passes.
+/// counter, the verifier and the optimizer.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct UnitIo {
     /// The level the unit runs at: its step's placement level, a
@@ -193,8 +188,7 @@ pub struct UnitIo {
     pub depth: usize,
     /// Per input position: the value slots read and the level each is
     /// dropped to first — `None` reads the ciphertext as it sits (a
-    /// bootstrap's input, the output wire), which pins its producer to its
-    /// natural level.
+    /// bootstrap's input, the output wire).
     pub reads: [Option<(Buffer, Option<usize>)>; 2],
     /// The operations one output ciphertext costs (activation steps; a
     /// linear layer's are its `LinearPlan::counts`).
@@ -284,7 +278,6 @@ impl ExecPlan {
                             out_slot: new.offset + ct,
                             out_len: 1,
                             in_slot: old.offset + ct,
-                            fused_level: None,
                             shared_rots: None,
                         });
                         prods.push(uid);
@@ -319,7 +312,6 @@ impl ExecPlan {
                         out_slot: out.offset,
                         out_len: out.len,
                         in_slot: usize::MAX,
-                        fused_level: None,
                         shared_rots: None,
                     });
                     cur_buf[id] = Some(out);
@@ -334,7 +326,6 @@ impl ExecPlan {
                         out_slot: usize::MAX,
                         out_len: 0,
                         in_slot: usize::MAX,
-                        fused_level: None,
                         shared_rots: None,
                     });
                     // nothing consumes the output wire; keep bookkeeping
@@ -365,7 +356,6 @@ impl ExecPlan {
                         out_slot: usize::MAX,
                         out_len: 0,
                         in_slot: usize::MAX,
-                        fused_level: None,
                         shared_rots: None,
                     });
                     let out = alloc(n_out);
@@ -376,7 +366,6 @@ impl ExecPlan {
                         out_slot: out.offset,
                         out_len: out.len,
                         in_slot: usize::MAX,
-                        fused_level: None,
                         shared_rots: None,
                     });
                     cur_buf[id] = Some(out);
@@ -405,7 +394,6 @@ impl ExecPlan {
                             out_slot: out.offset + ct,
                             out_len: 1,
                             in_slot: usize::MAX,
-                            fused_level: None,
                             shared_rots: None,
                         });
                         prods.push(uid);
@@ -468,13 +456,13 @@ impl ExecPlan {
     }
 
     /// What unit `uid` reads and writes under `c`'s placement: the step's
-    /// [`Step::sig`] plus what only the plan knows — the unit's fused
-    /// level, a bootstrap's raw read and `L_eff` exit, a shared hoist's
-    /// buffer, the output wire's raw read, the input's `L_eff`. Computed on
-    /// demand (rewrites and tests mutate plans and placements after
-    /// [`ExecPlan::build`]); `Err` names what the unit refers to that the
-    /// program or plan does not have — the verifier's coverage finding, a
-    /// panic anywhere else.
+    /// [`Step::sig`] plus what only the plan knows — a bootstrap's raw read
+    /// and `L_eff` exit, a shared hoist's buffer, the output wire's raw
+    /// read, the input's `L_eff`; nothing overrides a signature's exit
+    /// level. Computed on demand (rewrites and tests mutate plans and
+    /// placements after [`ExecPlan::build`]); `Err` names what the unit
+    /// refers to that the program or plan does not have — the verifier's
+    /// coverage finding, a panic anywhere else.
     pub fn unit_io(&self, c: &Compiled, uid: usize) -> Result<UnitIo, &'static str> {
         let unit = &self.units[uid];
         let mut io = UnitIo {
@@ -546,9 +534,6 @@ impl ExecPlan {
                     }
                 }
             }
-        }
-        if let Some(fused) = unit.fused_level {
-            io.out_level = fused;
         }
         Ok(io)
     }
@@ -630,10 +615,8 @@ pub fn count_plan<B: EvalBackend>(plan: &ExecPlan, c: &Compiled, backend: &B) ->
                     ctr.record_encodes((counts.pmults + layer.plan().out_blocks) as u64);
                 }
             }
-            // What the step's evaluator issues (a fused scale-down like the
-            // plain one: the drop was always free); pricing every op at
-            // the entry level over-charges the ones below it (ROADMAP
-            // item 5).
+            // What the step's evaluator issues; pricing every op at the
+            // entry level over-charges the ones below it (ROADMAP item 5).
             UnitWork::StepCt { .. } => {
                 tally(OpKind::HMult, io.ops.hmult as usize, cost.hmult(lv));
                 tally(OpKind::PMult, io.ops.pmult as usize, cost.pmult(lv));
@@ -831,15 +814,7 @@ impl<B: EvalBackend> RunState<'_, B> {
                 }
             }
             UnitWork::Boot { .. } => {
-                let v = self.value(unit.in_slot);
-                // Fused bootstrap + mod-switch: land directly at the
-                // highest level any consumer reads, so the limbs above it
-                // are never materialized. Bit-identical — the consumers'
-                // drop would truncate the same limbs anyway.
-                let out = match unit.fused_level {
-                    Some(fl) => backend.bootstrap_to(v, fl),
-                    None => backend.bootstrap(v),
-                };
+                let out = backend.bootstrap(self.value(unit.in_slot));
                 self.store(uid, io, vec![out]);
             }
             UnitWork::Step { node } => self.exec_step(uid, io, node),
@@ -847,14 +822,7 @@ impl<B: EvalBackend> RunState<'_, B> {
                 // an elementwise unit reads one ciphertext per input
                 let x = |pos: usize| self.read(io, pos).pop().expect("one-slot read");
                 let out = match &c.prog[node].step {
-                    // Fused rescale + mod-switch: the scalar multiply
-                    // happens at the full level (identical rounding), then
-                    // the rescale lands directly at the fused level without
-                    // materializing the intermediate limbs.
-                    Step::ScaleDown { factor } => match unit.fused_level {
-                        Some(fl) => backend.scale_down_to(&x(0), *factor, lv, fl),
-                        None => backend.scale_down(&x(0), *factor, lv),
-                    },
+                    Step::ScaleDown { factor } => backend.scale_down(&x(0), *factor, lv),
                     Step::PolyStage { coeffs, normalize } => {
                         orion_telemetry::time_class(orion_telemetry::OpClass::PolyStage, || {
                             backend.poly_stage(&x(0), coeffs, *normalize, lv)

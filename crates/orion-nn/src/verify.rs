@@ -11,9 +11,10 @@
 //! 1. **Scale/level typechecking** — interprets each unit's signature
 //!    ([`ExecPlan::unit_io`]: the read levels the walk drops inputs to, the
 //!    depth it asserts, the exit level it holds the engine to — the same
-//!    record, not a mirror of it), so the `drop_to_level` placement assert,
-//!    a step placed below its depth and a fused level out of bounds are
-//!    findings here first; and tracks the exact-Δ scale discipline: every non-poly step
+//!    record, not a mirror of it), so the `drop_to_level` placement assert
+//!    and a step placed below its depth are findings here first (a
+//!    refreshed wire read above `L_eff` is [`Rule::BootstrapTarget`]); and
+//!    tracks the exact-Δ scale discipline: every non-poly step
 //!    hands its consumers scale Δ, while Chebyshev sign stages
 //!    (`PolyStage { normalize: false }`) hand a drifted poly-internal
 //!    scale that only `ReluFinal` or a normalizing stage restores. Adding
@@ -35,13 +36,12 @@
 //! 4. **Memory / well-formedness** — promotes the sched-plan proptest
 //!    invariants (topological deps, reverse-edge consistency, unit
 //!    coverage per program node, bootstrap replication, `SharedRotSpec`
-//!    validity, fused-level bounds) into production checks, and certifies
-//!    the optimizer's peak-live-limb estimate against
-//!    [`VerifyConfig::max_peak_limbs`].
+//!    validity) into production checks, and reports the peak-live-limb
+//!    estimate of a walk in plan order ([`VerifyReport::peak_limbs`]).
 //!
 //! The verifier runs by default at three choke points: `Orion::compile`
-//! and `prepare_fhe` (orion-core), after **every**
-//! [`PlanOptimizer`](crate::opt::PlanOptimizer) pass (a rewrite that
+//! and `prepare_fhe` (orion-core), after the plan optimizer's rewrite
+//! ([`crate::opt::optimize_plan`]: a rewrite that
 //! introduces an error diagnostic is rolled back, not shipped — see
 //! [`crate::opt::checked_rewrite`]), and at orion-serve model
 //! registration (unverifiable models are rejected with a typed
@@ -57,7 +57,7 @@
 //! optimizer see it too; `walk_unit` keeps per step kind only the rule an
 //! infeasible placement breaks, the inputs that must be exact-Δ, and the
 //! noise transfer. Keep the walk allocation-free per unit — the optimizer
-//! re-verifies after every pass.
+//! re-verifies every plan it rewrites.
 
 use crate::compile::{Compiled, Step};
 use crate::sched::{Buffer, ExecPlan, SharedRotSpec, UnitWork};
@@ -102,11 +102,8 @@ pub enum Rule {
     /// A step would have to rescale at level 0 (the chain is exhausted —
     /// a bootstrap is required earlier).
     RescaleInfeasible,
-    /// A bootstrap unit's (fused) target level is illegal.
+    /// A refreshed wire is read above the bootstrap's target `L_eff`.
     BootstrapTarget,
-    /// A fused level on a unit that cannot carry one, or above the
-    /// producer's natural output level.
-    FusedLevel,
     /// The plan needs a rotation no generated key covers.
     MissingRotationKey,
     /// A `SharedRot` unit or [`SharedRotSpec`] violates the optimizer's
@@ -116,9 +113,6 @@ pub enum Rule {
     /// Predicted precision drops below the configured floor before a
     /// bootstrap or at the output.
     NoiseFloor,
-    /// The certified peak-live-limb estimate exceeds the configured
-    /// budget.
-    MemoryBound,
 }
 
 impl Rule {
@@ -131,11 +125,9 @@ impl Rule {
             Rule::LevelUnderflow => "level-underflow",
             Rule::RescaleInfeasible => "rescale-infeasible",
             Rule::BootstrapTarget => "bootstrap-target",
-            Rule::FusedLevel => "fused-level",
             Rule::MissingRotationKey => "missing-rotation-key",
             Rule::SharedRotMalformed => "shared-rot-malformed",
             Rule::NoiseFloor => "noise-floor",
-            Rule::MemoryBound => "memory-bound",
         }
     }
 
@@ -148,11 +140,9 @@ impl Rule {
             Rule::LevelUnderflow,
             Rule::RescaleInfeasible,
             Rule::BootstrapTarget,
-            Rule::FusedLevel,
             Rule::MissingRotationKey,
             Rule::SharedRotMalformed,
             Rule::NoiseFloor,
-            Rule::MemoryBound,
         ]
     }
 }
@@ -267,8 +257,6 @@ pub struct VerifyConfig<'a> {
     /// Precision floor in bits for the noise pass: a wire predicted below
     /// this entering a bootstrap (or at the output) draws a warning.
     pub noise_floor_bits: f64,
-    /// Optional budget for the certified peak-live-limb estimate.
-    pub max_peak_limbs: Option<u64>,
 }
 
 impl Default for VerifyConfig<'_> {
@@ -277,7 +265,6 @@ impl Default for VerifyConfig<'_> {
             available_rotations: None,
             ctx: None,
             noise_floor_bits: 2.0,
-            max_peak_limbs: None,
         }
     }
 }
@@ -408,7 +395,7 @@ pub fn verify_plan(plan: &ExecPlan, c: &Compiled, cfg: &VerifyConfig<'_>) -> Ver
     let mut checker = Checker::new(plan, c, cfg);
     checker.structural();
     checker.walk();
-    checker.finish(cfg)
+    checker.finish()
 }
 
 /// The abstract scale of a wire (exact-Δ discipline, see module docs).
@@ -709,52 +696,6 @@ impl<'a> Checker<'a> {
                     plan.bootstraps()
                 ),
             );
-        }
-
-        // Fused-level bounds.
-        for (uid, unit) in plan.units.iter().enumerate() {
-            let Some(fl) = unit.fused_level else { continue };
-            match unit.work {
-                UnitWork::Boot { wire, ct, .. } => {
-                    if fl >= c.opts.l_eff {
-                        self.error(
-                            Rule::BootstrapTarget,
-                            Provenance::unit(uid).at_node(wire).at_ct(ct),
-                            format!(
-                                "bootstrap fused to level {fl}, at or above the refresh \
-                                 target L_eff={}",
-                                c.opts.l_eff
-                            ),
-                        );
-                    }
-                }
-                UnitWork::StepCt { node, ct }
-                    if matches!(
-                        c.prog.get(node).map(|p| &p.step),
-                        Some(Step::ScaleDown { .. })
-                    ) =>
-                {
-                    let exit = |lv| c.prog[node].step.sig(lv).ops.exit_level;
-                    let natural = c.placement.levels[node].map(exit);
-                    if natural.is_none_or(|nat| fl >= nat) {
-                        self.error(
-                            Rule::FusedLevel,
-                            Provenance::unit(uid).at_node(node).at_ct(ct),
-                            format!(
-                                "scale-down fused to level {fl}, not below its natural \
-                                 output level {natural:?}"
-                            ),
-                        );
-                    }
-                }
-                _ => {
-                    self.error(
-                        Rule::FusedLevel,
-                        Provenance::unit(uid),
-                        "only scale-down and bootstrap units may carry a fused level".to_string(),
-                    );
-                }
-            }
         }
 
         self.shared_specs();
@@ -1210,38 +1151,47 @@ impl<'a> Checker<'a> {
     }
 
     // -----------------------------------------------------------------
-    // Pass family 4b: certify the peak-live-limb estimate.
+    // Pass family 4b: the peak-live-limb estimate.
     // -----------------------------------------------------------------
 
-    fn finish(mut self, cfg: &VerifyConfig<'_>) -> VerifyReport {
-        let mut peak = None;
+    fn finish(self) -> VerifyReport {
         let errors = self.diags.iter().any(|d| d.severity == Severity::Error);
-        if !errors {
-            // The estimate is only meaningful on a well-formed plan (it
-            // trusts every unit's signature).
-            let pos: Vec<usize> = (0..self.plan.units.len()).collect();
-            let p = crate::opt::LiveRanges::of(self.plan, self.c).peak(&pos);
-            peak = Some(p);
-            if let Some(budget) = cfg.max_peak_limbs {
-                if p > budget {
-                    self.error(
-                        Rule::MemoryBound,
-                        Provenance::default(),
-                        format!(
-                            "estimated peak of {p} live limb vectors exceeds the budget {budget}"
-                        ),
-                    );
-                }
-            }
-        }
         VerifyReport {
             units: self.plan.units.len(),
+            // The estimate is only meaningful on a well-formed plan (it
+            // trusts every unit's signature).
+            peak_limbs: (!errors).then(|| peak_live_limbs(self.plan, self.c)),
             diagnostics: self.diags,
-            peak_limbs: peak,
             min_precision_bits: self.min_prec,
             rotations_checked: self.rotations_checked,
         }
     }
+}
+
+/// Peak live limb vectors of a walk in plan order. A unit's output weighs
+/// 2 polynomials × (exit level + 1) rows per ciphertext and is live from
+/// its unit to its last reader's — the dependents, which model reads
+/// exactly, except Prefetch twins, whose deps are advisory.
+fn peak_live_limbs(plan: &ExecPlan, c: &Compiled) -> u64 {
+    let mut delta = vec![0i64; plan.units.len() + 1];
+    for (uid, unit) in plan.units.iter().enumerate() {
+        let weight = unit.out_len as i64 * 2 * (plan.io(c, uid).out_level as i64 + 1);
+        let last_reader = plan.succs[uid]
+            .iter()
+            .copied()
+            .filter(|&s| !matches!(plan.units[s].work, UnitWork::Prefetch { .. }))
+            .max()
+            .unwrap_or(uid);
+        delta[uid] += weight;
+        delta[last_reader + 1] -= weight;
+    }
+    let mut live = 0i64;
+    let mut peak = 0i64;
+    for d in delta {
+        live += d;
+        peak = peak.max(live);
+    }
+    peak as u64
 }
 
 /// Unused import guard: `Buffer` is part of the module's public story via

@@ -6,11 +6,9 @@
 //! * **bit-exactness** — the optimized plan computes the identical output
 //!   (down to raw ciphertext bits on real CKKS) on every engine, in the
 //!   sequential AND event-driven parallel walks;
-//! * **counter discipline** — the count-reducing pass (rotation CSE) shows
-//!   strictly fewer rotations and key-switch decompositions, with the
-//!   delta exactly matching its reported stats, while the count-neutral
-//!   passes (level fusion, bootstrap sinking) leave every integer op
-//!   count unchanged.
+//! * **counter discipline** — rotation CSE shows strictly fewer rotations
+//!   and key-switch decompositions, with the delta exactly matching its
+//!   reported stats, and every other integer op count unchanged.
 
 use orion_ckks::CkksParams;
 use orion_nn::backend::{run_program_mode, run_program_opt};
@@ -49,9 +47,8 @@ fn fork_net(rng: &mut StdRng) -> Network {
     net
 }
 
-/// The fork head behind a ReLU — bootstrap-deep at these options, so all
-/// three passes (CSE on the fork, fusion on scale-downs + bootstraps,
-/// sinking on the bootstrap units) are exercised together.
+/// The fork head behind a ReLU — bootstrap-deep at these options, so the
+/// shared hoist sits downstream of scale-downs and bootstrap units.
 fn fork_relu_net(rng: &mut StdRng) -> Network {
     let mut net = Network::new(4, 8, 8);
     let x = net.input();
@@ -73,21 +70,13 @@ fn opts() -> CompileOptions {
     }
 }
 
-fn counts_of(a: &OpCounter) -> Vec<(String, u64)> {
-    a.all()
-        .iter()
-        .map(|(k, &v)| (k.name().to_string(), v))
-        .collect()
-}
-
-/// Runs `c` unoptimized and optimized (given toggles) on a fresh backend
-/// from `mk`, in the given mode; asserts bit-exact outputs and returns the
-/// two counters plus the optimizer stats.
+/// Runs `c` unoptimized and optimized on a fresh backend from `mk`, in the
+/// given mode; asserts bit-exact outputs and returns the two counters plus
+/// the optimizer stats.
 fn run_pair<B, F>(
     c: &Compiled,
     input: &Tensor,
     mode: SchedMode,
-    cfg: OptConfig,
     what: &str,
     mk: F,
 ) -> (OpCounter, OpCounter, orion_nn::OptStats)
@@ -96,7 +85,7 @@ where
     F: Fn() -> B,
 {
     let base = run_program_mode(c, &mk(), input, mode);
-    let (optimized, stats) = run_program_opt(c, &mk(), input, mode, cfg);
+    let (optimized, stats) = run_program_opt(c, &mk(), input, mode, OptConfig::default());
     assert_eq!(
         base.output.data(),
         optimized.output.data(),
@@ -116,18 +105,12 @@ fn rotation_cse_strictly_reduces_rotations_and_decompositions() {
     let net = fork_net(&mut rng);
     let compiled = compile(&net, &fixed_ranges(&net, 4.0), &opts());
     let input = random_input(4, 8, 8, &mut rng);
-    let cse_only = OptConfig {
-        rotation_cse: true,
-        level_fusion: false,
-        boot_sink: false,
-    };
 
     for mode in [SchedMode::Sequential, SchedMode::Parallel] {
         let (base, opt, stats) = run_pair(
             &compiled,
             &input,
             mode,
-            cse_only,
             &format!("plain fork {mode:?}"),
             || ClearBackend::packed(&compiled),
         );
@@ -180,11 +163,6 @@ fn rotation_cse_strictly_reduces_rotations_and_decompositions() {
 /// bootstrap_seconds`) does not absorb it.
 #[test]
 fn shared_hoists_are_attributed_to_linear_seconds() {
-    let cse_only = OptConfig {
-        rotation_cse: true,
-        level_fusion: false,
-        boot_sink: false,
-    };
     for (what, mk_net) in [
         ("fork", fork_net as fn(&mut StdRng) -> Network),
         ("fork behind relu", fork_relu_net),
@@ -193,14 +171,9 @@ fn shared_hoists_are_attributed_to_linear_seconds() {
         let net = mk_net(&mut rng);
         let compiled = compile(&net, &fixed_ranges(&net, 4.0), &opts());
         let input = random_input(4, 8, 8, &mut rng);
-        let (base, opt, stats) = run_pair(
-            &compiled,
-            &input,
-            SchedMode::Sequential,
-            cse_only,
-            what,
-            || ClearBackend::packed(&compiled),
-        );
+        let (base, opt, stats) = run_pair(&compiled, &input, SchedMode::Sequential, what, || {
+            ClearBackend::packed(&compiled)
+        });
         assert!(
             stats.rotation_cse.shared_units >= 1,
             "{what}: CSE must fire"
@@ -220,62 +193,6 @@ fn shared_hoists_are_attributed_to_linear_seconds() {
     }
 }
 
-/// Count-neutral passes (fusion + sinking, no CSE): integer op counts must
-/// be IDENTICAL between the optimized and unoptimized runs on both
-/// cleartext engines, in both modes — the rewrites change where limbs are
-/// dropped and when bootstraps run, never how many ops execute.
-#[test]
-fn fusion_and_sinking_are_count_neutral() {
-    let mut rng = StdRng::seed_from_u64(0x09718);
-    let net = fork_relu_net(&mut rng);
-    let compiled = compile(&net, &fixed_ranges(&net, 4.0), &opts());
-    assert!(
-        compiled.placement.boot_count > 0,
-        "test must exercise bootstrap units"
-    );
-    let input = random_input(4, 8, 8, &mut rng);
-    let neutral = OptConfig {
-        rotation_cse: false,
-        level_fusion: true,
-        boot_sink: true,
-    };
-
-    for mode in [SchedMode::Sequential, SchedMode::Parallel] {
-        let (base, opt, stats) = run_pair(
-            &compiled,
-            &input,
-            mode,
-            neutral,
-            &format!("plain fork+relu {mode:?}"),
-            || ClearBackend::packed(&compiled),
-        );
-        assert_eq!(
-            counts_of(&base),
-            counts_of(&opt),
-            "count-neutral passes changed op counts"
-        );
-        assert_eq!(base.encodes, opt.encodes);
-        assert!(
-            stats.level_fusion.fused_scale_downs + stats.level_fusion.fused_bootstraps > 0,
-            "deep consumers must trigger level fusion (stats: {stats:?})"
-        );
-        assert!(
-            stats.boot_sink.peak_limbs_after <= stats.boot_sink.peak_limbs_before,
-            "sinking must never regress peak memory"
-        );
-
-        let (base, opt, _) = run_pair(
-            &compiled,
-            &input,
-            mode,
-            neutral,
-            &format!("trace fork+relu {mode:?}"),
-            || ClearBackend::reference(&compiled),
-        );
-        assert_eq!(counts_of(&base), counts_of(&opt));
-    }
-}
-
 /// The full pipeline on the bootstrap-deep fork net, all three engines,
 /// both modes: bit-exact everywhere, strictly fewer rotations.
 #[test]
@@ -285,14 +202,12 @@ fn full_pipeline_bit_exact_on_all_three_engines() {
     let compiled = compile(&net, &fixed_ranges(&net, 4.0), &opts());
     assert!(compiled.placement.boot_count > 0);
     let input = random_input(4, 8, 8, &mut rng);
-    let all = OptConfig::default();
 
     for mode in [SchedMode::Sequential, SchedMode::Parallel] {
         let (base, opt, stats) = run_pair(
             &compiled,
             &input,
             mode,
-            all,
             &format!("plain full {mode:?}"),
             || ClearBackend::packed(&compiled),
         );
@@ -302,7 +217,6 @@ fn full_pipeline_bit_exact_on_all_three_engines() {
             &compiled,
             &input,
             mode,
-            all,
             &format!("trace full {mode:?}"),
             || ClearBackend::reference(&compiled),
         );
@@ -311,8 +225,7 @@ fn full_pipeline_bit_exact_on_all_three_engines() {
 
 /// Real CKKS, on-the-fly weights: the optimized plan's raw output
 /// ciphertexts must match the unoptimized run bit for bit (c0, c1, scale)
-/// in both scheduling modes — rotation sharing, fused rescale/mod-switch
-/// kernels and bootstrap re-ordering are all exact rewrites.
+/// in both scheduling modes — rotation sharing is an exact rewrite.
 #[test]
 fn ckks_optimized_output_wire_is_bit_identical() {
     let params = CkksParams::tiny();
@@ -356,8 +269,8 @@ fn ckks_optimized_output_wire_is_bit_identical() {
 }
 
 /// Real CKKS through the *prepared* executor (the serving path) on a
-/// bootstrap-deep net: fused bootstrap/rescale kernels + shared rotations
-/// + sinking, still bit-exact against the unoptimized prepared run.
+/// bootstrap-deep net: shared rotations across bootstrap units, still
+/// bit-exact against the unoptimized prepared run.
 #[test]
 fn ckks_prepared_bootstrap_deep_optimized_bit_identical() {
     let params = CkksParams::tiny();

@@ -319,11 +319,11 @@ fn broken_rewrite_is_rejected_and_rolled_back() {
     let c = compile(&net, &fixed_ranges(&net, 4.0), &small_opts());
     let mut plan = ExecPlan::build(&c);
     let before = plan.digest();
-    // Inject a rewrite that puts a fused level on an unfusable unit (the
-    // input step) — exactly the class of optimizer bug the per-pass
+    // Inject a rewrite that makes a unit consume a shared-rotation spec no
+    // unit computes — exactly the class of optimizer bug the
     // re-verification exists to contain.
     let res = checked_rewrite(&mut plan, &c, |p| {
-        p.units[0].fused_level = Some(0);
+        p.units[0].shared_rots = Some(99);
     });
     let report = res.expect_err("broken rewrite must be rejected");
     assert!(report.has_errors());
@@ -331,8 +331,8 @@ fn broken_rewrite_is_rejected_and_rolled_back() {
         report
             .diagnostics
             .iter()
-            .any(|d| d.rule == Rule::FusedLevel),
-        "rejection names the fused-level rule: {}",
+            .any(|d| d.rule == Rule::SharedRotMalformed),
+        "rejection names the shared-rot rule: {}",
         report.table()
     );
     assert_eq!(plan.digest(), before, "rollback must be byte-identical");

@@ -116,9 +116,7 @@ fn set_level_scale(eval: &Evaluator, ct: &Ciphertext, level: usize, target: f64)
         return ct.clone();
     }
     assert!(ct.level() > level, "cannot raise a ciphertext's level");
-    let mut c = ct.clone();
-    eval.drop_to_level(&mut c, level + 1);
-    mul_const_to(eval, &c, 1.0, target)
+    mul_const_to(eval, &ct.dropped_to_level(level + 1), 1.0, target)
 }
 
 /// The ciphertext domain: every result is snapped onto `s`, the per-level
@@ -426,8 +424,7 @@ pub fn square(eval: &Evaluator, ct: &Ciphertext) -> Ciphertext {
     let level = ct.level();
     let q = eval.context().moduli[level - 1] as f64;
     let aligned = set_level_scale(eval, ct, level - 1, q);
-    let mut base = ct.clone();
-    eval.drop_to_level(&mut base, level - 1);
+    let base = ct.dropped_to_level(level - 1);
     mul_to(eval, &base, &aligned, eval.context().scale())
 }
 
@@ -450,8 +447,7 @@ pub fn relu_fhe(
         s = evaluate_chebyshev(eval, &s, &stage.coeffs, false);
     }
     assert!(ct.level() > s.level(), "input consumed too many levels");
-    let mut x = ct.clone();
-    eval.drop_to_level(&mut x, s.level() + 1);
+    let x = ct.dropped_to_level(s.level() + 1);
     relu_product(eval, &x, &s, 1.0)
 }
 

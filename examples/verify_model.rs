@@ -1,7 +1,9 @@
 //! The human entry point to the static plan verifier: compiles a model
 //! from the zoo and prints its certification — a diagnostic table when
-//! anything fires, "certified clean" otherwise. Exits nonzero on any
-//! error-severity diagnostic, so it doubles as a CI gate.
+//! anything fires, "certified clean" otherwise — then does the same for
+//! the plan that is served: the one `optimize_plan` returns, with one line
+//! saying what rotation CSE shared. Exits nonzero on any error-severity
+//! diagnostic or rejected rewrite, so it doubles as a CI gate.
 //!
 //! ```sh
 //! cargo run --release --example verify_model -- resnet20
@@ -19,7 +21,9 @@ use orion::models::data::synthetic_images;
 use orion::models::{build, Act};
 use orion::nn::compile::{compile, CompileOptions};
 use orion::nn::fit::fit_robust;
-use orion::nn::verify::{verify_compiled, VerifyConfig};
+use orion::nn::opt::{optimize_plan, OptConfig};
+use orion::nn::sched::ExecPlan;
+use orion::nn::verify::{verify_plan, VerifyConfig, VerifyReport};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -58,7 +62,10 @@ fn main() {
         Some(ctx) => VerifyConfig::with_ctx(ctx),
         None => VerifyConfig::default(),
     };
-    let report = verify_compiled(&compiled, &cfg);
+    let mut plan = ExecPlan::build(&compiled);
+    let built = verify_plan(&plan, &compiled, &cfg);
+    let stats = optimize_plan(&mut plan, &compiled, OptConfig::default());
+    let served = verify_plan(&plan, &compiled, &cfg);
 
     println!(
         "{model} ({}, {} steps, {} rotations, {} bootstraps) under {preset} parameters:",
@@ -67,6 +74,19 @@ fn main() {
         compiled.planned_rotations(),
         compiled.placement.boot_count,
     );
+    print_report(&built);
+    let cse = stats.rotation_cse;
+    println!(
+        "optimized plan: {} shared units / {} hoists / {} baby rotations eliminated / {} rejected passes",
+        cse.shared_units, cse.hoists_eliminated, cse.baby_rots_eliminated, stats.rejected_passes,
+    );
+    print_report(&served);
+    if built.has_errors() || served.has_errors() || stats.rejected_passes > 0 {
+        std::process::exit(1);
+    }
+}
+
+fn print_report(report: &VerifyReport) {
     if report.is_clean() {
         println!("certified clean — {}", report.summary());
     } else {
@@ -74,8 +94,5 @@ fn main() {
         for (rule, n) in report.counts_by_rule() {
             println!("  {rule}: {n}");
         }
-    }
-    if report.has_errors() {
-        std::process::exit(1);
     }
 }

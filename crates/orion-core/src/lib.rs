@@ -32,7 +32,7 @@ use std::sync::Arc;
 pub use orion_linear::paged::{LayerSource, PageStats, PagedProgram};
 pub use orion_linear::prepared::{PreparedLayer, PreparedProgram as Prepared};
 pub use orion_linear::store::{DiagStore, StoreError};
-pub use orion_nn::backend::{run_program, run_program_mode, EvalBackend};
+pub use orion_nn::backend::{run_program, EvalBackend};
 pub use orion_nn::backends::{CkksBackend, ClearBackend};
 pub use orion_nn::compile::Step;
 pub use orion_nn::fhe_exec::FheSession as Session;

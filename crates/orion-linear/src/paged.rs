@@ -292,7 +292,7 @@ impl LayerSource for PagedProgram {
             if !st.loading.contains(&step) {
                 break;
             }
-            // someone else (a prefetch unit or another fetch) is reading
+            // someone else (a prefetch or another fetch) is reading
             // this layer from disk — sleep until its LoadingGuard signals
             // completion, then re-check (the load may have failed, in
             // which case this fetch retries and surfaces its own error)

@@ -6,12 +6,13 @@
 //! encrypt / decrypt, the free level drop, `HAdd`, bootstrap, and the
 //! scale-schedule-aware composite steps (linear layer, shared baby-step
 //! hoist, scale-down, activation stages). Engines are **`&self`**: keys,
-//! encoders, and evaluators are read-only at run time, and what little
-//! per-run state exists (injected request ciphertexts, drift counters)
-//! lives behind interior mutability — which is what lets [`run_program`]
-//! execute a program as a wire-level parallel dataflow plan instead of a
-//! one-step-at-a-time loop. Two engines implement the trait (see
-//! [`crate::backends`]):
+//! encoders, and evaluators are read-only at run time and engines hold no
+//! per-run state — which is what lets [`run_program`] execute a program as
+//! a wire-level parallel dataflow plan instead of a one-step-at-a-time
+//! loop, and one engine value serve any number of concurrent walks. The
+//! walk itself ([`crate::sched::run_plan`]) is ciphertexts in, ciphertexts
+//! out; `encrypt` / `decrypt` are what [`run_program`] wraps it with. Two
+//! engines implement the trait (see [`crate::backends`]):
 //!
 //! * [`crate::backends::CkksBackend`] — real RNS-CKKS through
 //!   `Evaluator`/`FheSession`,
@@ -176,8 +177,7 @@ impl<'a> LinearRef<'a> {
 ///
 /// All methods take `&self`: the scheduler calls them concurrently from
 /// the shared pool, and every operation must be a pure, deterministic
-/// function of its arguments (engines keep incidental state — injected
-/// ciphertext queues, drift counters — behind atomics or mutexes).
+/// function of its arguments — engines hold no per-run state.
 pub trait EvalBackend {
     /// The engine's ciphertext representation (`Send + Sync`: the
     /// scheduler moves values between pool threads and shares them across
@@ -227,10 +227,10 @@ pub trait EvalBackend {
         true
     }
 
-    /// Advisory: the scheduler announces that the linear layer at `step`
-    /// has become ready, so a paging engine can start faulting its
-    /// prepared artifacts into residency off the critical path. Default
-    /// no-op; must not affect results.
+    /// Advisory: the event-driven walk announces that the input of the
+    /// linear layer at `step` has started being computed, so a paging
+    /// engine can start faulting its prepared artifacts into residency off
+    /// the critical path. Default no-op; must not affect results.
     fn prefetch_linear(&self, step: usize) {
         let _ = step;
     }
@@ -308,61 +308,52 @@ impl<Ct> ProgramRun<Ct> {
 }
 
 /// Runs a compiled program on `backend` through the dataflow scheduler —
-/// THE execution entry point, shared by every engine. Builds the program's
-/// [`ExecPlan`] and walks it in parallel when the shared pool has more
-/// than one thread, sequentially otherwise; both walks follow the
-/// placement policy exactly (drop wires to their assigned level, bootstrap
-/// where the policy says) and produce bit-identical results and counters.
+/// THE tensor-in, tensor-out entry point, shared by every engine: encrypts
+/// the packed input, builds the program's [`ExecPlan`], walks it
+/// ([`run_plan`]: event-driven when the shared pool has more than one
+/// thread, in plan order otherwise — both follow the placement policy
+/// exactly and produce bit-identical results and counters) and decrypts
+/// the output wire.
 pub fn run_program<B: EvalBackend + Sync>(
     c: &Compiled,
     backend: &B,
     input: &Tensor,
 ) -> ProgramRun<B::Ciphertext> {
-    run_program_mode(c, backend, input, SchedMode::for_pool())
-}
-
-/// [`run_program`] with an explicit scheduling mode — the equivalence
-/// suite runs both and asserts bit-exact, counter-identical results.
-pub fn run_program_mode<B: EvalBackend + Sync>(
-    c: &Compiled,
-    backend: &B,
-    input: &Tensor,
-    mode: SchedMode,
-) -> ProgramRun<B::Ciphertext> {
     let plan = ExecPlan::build(c);
-    run_plan(&plan, c, backend, input, mode)
+    let cts = encrypt_input(c, backend, input);
+    let run = run_plan(&plan, c, backend, cts, SchedMode::for_pool());
+    ProgramRun {
+        output: decrypt_output(c, backend, &run.output_wire),
+        output_wire: run.output_wire,
+        bootstraps: run.bootstraps,
+        counter: run.counter,
+    }
 }
 
-/// [`run_program_mode`] through the plan optimizer (`crate::opt`): builds
-/// the plan, rewrites it under the program's cost model as `cfg` says,
-/// and executes the optimized DAG. Returns the run plus the optimizer's
-/// stats. Bit-identical to the unoptimized run on every engine — the
-/// rewrite only shares work.
-pub fn run_program_opt<B: EvalBackend + Sync>(
+/// Packs `input` into ciphertext-sized slot chunks and encrypts each at
+/// `L_eff` — the input wire [`run_plan`] takes. The one packing: the
+/// client-side `FheSession::encrypt_input` is this function on the CKKS
+/// engine (pre-encrypted requests are only checked for count and level).
+pub fn encrypt_input<B: EvalBackend>(
     c: &Compiled,
     backend: &B,
     input: &Tensor,
-    mode: SchedMode,
-    cfg: crate::opt::OptConfig,
-) -> (ProgramRun<B::Ciphertext>, crate::opt::OptStats) {
-    let mut plan = ExecPlan::build(c);
-    let stats = crate::opt::optimize_plan(&mut plan, c, cfg);
-    (run_plan(&plan, c, backend, input, mode), stats)
+) -> Vec<B::Ciphertext> {
+    let slots = backend.slots();
+    let mut packed = c.input_layout.pack(input.data());
+    packed.resize(c.input_layout.num_ciphertexts(slots) * slots, 0.0);
+    packed
+        .chunks(slots)
+        .map(|chunk| backend.encrypt(chunk, c.opts.l_eff))
+        .collect()
 }
 
-/// Packs an input tensor into ciphertext-sized slot chunks exactly as the
-/// `Input` step consumes them. Shared by the scheduler and the
-/// client-side `FheSession::encrypt_input`, so the two packings cannot
-/// drift (pre-encrypted requests are only checked for count and level).
-pub fn input_slot_chunks(c: &Compiled, slots: usize, input: &Tensor) -> Vec<Vec<f64>> {
-    let packed = c.input_layout.pack(input.data());
-    (0..c.input_layout.num_ciphertexts(slots))
-        .map(|b| {
-            let lo = b * slots;
-            let hi = ((b + 1) * slots).min(packed.len());
-            let mut chunk = packed[lo..hi].to_vec();
-            chunk.resize(slots, 0.0);
-            chunk
-        })
-        .collect()
+/// Decrypts the output wire [`run_plan`] returns and unpacks it into the
+/// network's output tensor.
+pub fn decrypt_output<B: EvalBackend>(c: &Compiled, backend: &B, wire: &[B::Ciphertext]) -> Tensor {
+    let out = c.prog.iter().find(|p| matches!(p.step, Step::Output));
+    let layout = &out.expect("program has no output node").layout;
+    let mut slots: Vec<f64> = wire.iter().flat_map(|ct| backend.decrypt(ct)).collect();
+    slots.resize(layout.total_slots(), 0.0);
+    Tensor::from_vec(&[layout.c, layout.h, layout.w], layout.unpack(&slots))
 }

@@ -4,7 +4,8 @@
 //! and executes program steps homomorphically, keeping every wire at
 //! exactly scale Δ: linear layers run the double-hoisted BSGS executor
 //! with weights encoded at prime scale, activation stages follow the
-//! errorless Chebyshev scale schedule.
+//! errorless Chebyshev scale schedule. A request's ciphertexts are
+//! arguments of the walk ([`crate::sched::run_plan`]), never engine state.
 
 use crate::backend::{EvalBackend, LinearRef};
 use crate::fhe_exec::FheSession;
@@ -14,7 +15,6 @@ use orion_linear::paged::LayerSource;
 use orion_linear::prepared::{PreparedLayer, PreparedProgram};
 use orion_linear::store::StoreError;
 use orion_poly::eval::{evaluate_chebyshev, relu_product, square};
-use std::collections::VecDeque;
 use std::sync::Arc;
 
 /// Panic payload thrown when a paged prepared layer cannot be faulted in
@@ -37,16 +37,12 @@ pub struct PreparedLayerFault {
 /// steps multiply and add their constants as scalars and encode nothing
 /// either way.
 ///
-/// All run-time state is interior-mutable (the injected request queue
-/// behind a mutex), so the engine is `Sync` and the dataflow scheduler can
-/// drive it from many pool threads at once.
+/// The engine is a stateless `(session, source)` pair: `Sync`, driven by
+/// the dataflow scheduler from many pool threads at once, and one value
+/// serves any number of concurrent walks.
 pub struct CkksBackend<'s> {
     session: &'s FheSession,
     prepared: Option<Arc<dyn LayerSource>>,
-    /// Pre-encrypted input ciphertexts (the serving path: clients submit
-    /// encrypted requests); `encrypt` pops them in packing order (the
-    /// `Input` step is a single scheduled unit, so pops are ordered).
-    injected: Option<parking_lot::Mutex<VecDeque<Ciphertext>>>,
 }
 
 impl<'s> CkksBackend<'s> {
@@ -55,7 +51,6 @@ impl<'s> CkksBackend<'s> {
         Self {
             session,
             prepared: None,
-            injected: None,
         }
     }
 
@@ -70,16 +65,9 @@ impl<'s> CkksBackend<'s> {
     /// layers in from disk.
     pub fn with_source(session: &'s FheSession, source: Arc<dyn LayerSource>) -> Self {
         Self {
+            session,
             prepared: Some(source),
-            ..Self::new(session)
         }
-    }
-
-    /// Runs on pre-encrypted inputs: `encrypt` hands out `cts` in packing
-    /// order instead of encrypting the (ignored) input tensor values.
-    pub fn inject_inputs(mut self, cts: Vec<Ciphertext>) -> Self {
-        self.injected = Some(parking_lot::Mutex::new(cts.into()));
-        self
     }
 
     /// Always 0: activation constants are scalars, so there is no constant
@@ -112,14 +100,6 @@ impl EvalBackend for CkksBackend<'_> {
     }
 
     fn encrypt(&self, vals: &[f64], level: usize) -> Ciphertext {
-        if let Some(queue) = self.injected.as_ref() {
-            let ct = queue
-                .lock()
-                .pop_front()
-                .expect("not enough injected input ciphertexts for the program's input wire");
-            assert_eq!(ct.level(), level, "injected ciphertext at the wrong level");
-            return ct;
-        }
         let s = self.session;
         s.encrypt(&s.enc.encode(vals, s.ctx.scale(), level, false))
     }
@@ -151,9 +131,9 @@ impl EvalBackend for CkksBackend<'_> {
 
     fn prefetch_linear(&self, step: usize) {
         // Advisory: start faulting the layer into residency (a no-op for
-        // resident sources). Runs as its own scheduled unit on the pool,
-        // so execution never blocks on it; the real `fetch_layer` below
-        // surfaces any store error.
+        // resident sources). The walk spawns it as a task of its own on
+        // the pool, so execution never blocks on it; the real
+        // `fetch_layer` below surfaces any store error.
         if let Some(src) = self.prepared.as_ref() {
             src.prefetch(step);
         }

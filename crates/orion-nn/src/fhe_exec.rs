@@ -4,12 +4,16 @@
 //!
 //! An [`FheSession`] owns the key material (public, relinearization, and
 //! exactly the rotation keys the compiled plans need), the bootstrap
-//! oracle, and the evaluator. [`run_fhe`] executes the program's
-//! dataflow plan following the placement policy: drop to the assigned
-//! level, bootstrap where the policy says, keep every wire at exactly
-//! scale Δ — wire-level units in parallel on the shared pool.
+//! oracle, and the evaluator. Every run is the same three steps: encrypt
+//! the packed input ([`FheSession::encrypt_input`] — the client's half;
+//! the serve path is handed its result), walk the plan over ciphertexts
+//! following the placement policy (drop to the assigned level, bootstrap
+//! where the policy says, keep every wire at exactly scale Δ — wire-level
+//! units in parallel on the shared pool), and decrypt the output wire
+//! ([`FheSession::decrypt_output`]) — besides the bootstrap oracle, the
+//! one place a run touches the secret key.
 
-use crate::backend::{run_program, LinearRef};
+use crate::backend::{decrypt_output, encrypt_input, run_program, LinearRef};
 use crate::backends::CkksBackend;
 use crate::compile::Compiled;
 use crate::opt::{optimize_plan, OptConfig};
@@ -86,21 +90,17 @@ impl FheSession {
         self.encryptor.encrypt_with(pt, noise)
     }
 
-    /// Packs and encrypts `input` exactly as the interpreter's `Input`
-    /// step does — the client-side half of the serving path, where
-    /// requests arrive already encrypted and the server only ever touches
-    /// ciphertexts (run them with [`run_fhe_plan`]).
+    /// Packs and encrypts `input` into the program's input wire — the
+    /// client-side half of the serving path, where requests arrive already
+    /// encrypted and the server only ever touches ciphertexts (run them
+    /// with [`run_fhe_plan`]).
     pub fn encrypt_input(&self, c: &Compiled, input: &Tensor) -> Vec<Ciphertext> {
-        crate::backend::input_slot_chunks(c, self.ctx.slots(), input)
-            .into_iter()
-            .map(|chunk| {
-                self.encrypt(
-                    &self
-                        .enc
-                        .encode(&chunk, self.ctx.scale(), c.opts.l_eff, false),
-                )
-            })
-            .collect()
+        encrypt_input(c, &CkksBackend::new(self), input)
+    }
+
+    /// Decrypts a walk's output wire into the network's output tensor.
+    pub fn decrypt_output(&self, c: &Compiled, wire: &[Ciphertext]) -> Tensor {
+        decrypt_output(c, &CkksBackend::new(self), wire)
     }
 }
 
@@ -184,21 +184,15 @@ pub fn run_fhe_prepared(
     }
 }
 
-/// A zero tensor shaped like the program's input — the placeholder handed
-/// to the interpreter when the real input arrives pre-encrypted.
-fn zero_input(c: &Compiled) -> Tensor {
-    let l = &c.input_layout;
-    Tensor::from_vec(&[l.c, l.h, l.w], vec![0.0; l.c * l.h * l.w])
-}
-
 /// The serving hot path: walks `plan` — the program's execution plan, built,
 /// certified and optimized once per model, not per request — over
 /// **pre-encrypted** input ciphertexts (see [`FheSession::encrypt_input`])
-/// against any prepared-layer source, resident or memory-capped paged, and
-/// returns the run and its op counter. The counter's `encodes` field is the
-/// complete per-request encode tally (the weight and bias encodes of every
-/// layer `source` does not hold), so a fully prepared model serves with
-/// `encodes == 0`, machine-checked.
+/// against any prepared-layer source, resident or memory-capped paged,
+/// decrypts the output wire ([`FheSession::decrypt_output`], inside the
+/// timed region) and returns the run and its op counter. The counter's
+/// `encodes` field is the complete per-request encode tally (the weight and
+/// bias encodes of every layer `source` does not hold), so a fully prepared
+/// model serves with `encodes == 0`, machine-checked.
 pub fn run_fhe_plan(
     c: &Compiled,
     s: &FheSession,
@@ -207,12 +201,11 @@ pub fn run_fhe_plan(
     input_cts: Vec<Ciphertext>,
 ) -> (FheRun, OpCounter) {
     let t0 = std::time::Instant::now();
-    let dummy = zero_input(c);
-    let backend = CkksBackend::with_source(s, source).inject_inputs(input_cts);
-    let run = run_plan(plan, c, &backend, &dummy, SchedMode::for_pool());
+    let backend = CkksBackend::with_source(s, source);
+    let run = run_plan(plan, c, &backend, input_cts, SchedMode::for_pool());
     (
         FheRun {
-            output: run.output,
+            output: s.decrypt_output(c, &run.output_wire),
             wall_seconds: t0.elapsed().as_secs_f64(),
             bootstraps: run.bootstraps,
         },

@@ -30,9 +30,7 @@ pub mod opt;
 pub mod sched;
 pub mod verify;
 
-pub use backend::{
-    run_program, run_program_mode, run_program_opt, EvalBackend, LinearRef, ProgramRun,
-};
+pub use backend::{run_program, EvalBackend, LinearRef, ProgramRun};
 pub use backends::{CkksBackend, ClearBackend};
 pub use compile::{compile, CompileOptions, Compiled};
 pub use fhe_exec::FheSession;

@@ -160,12 +160,10 @@ fn rotation_cse(plan: &mut ExecPlan, c: &Compiled) -> RotationCseStats {
     // identifies the buffer.
     let mut groups: BTreeMap<(usize, usize), Vec<usize>> = BTreeMap::new();
     for (uid, unit) in plan.units.iter().enumerate() {
+        // a whole-step unit is a linear layer
         let UnitWork::Step { node } = unit.work else {
             continue;
         };
-        if !matches!(c.prog[node].step, Step::Conv { .. } | Step::Dense { .. }) {
-            continue;
-        }
         if linear_plan_of(c, node).baby_rotations().is_empty() {
             continue;
         }

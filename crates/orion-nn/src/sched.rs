@@ -4,19 +4,20 @@
 //! The paper's key systems observation is that once bootstrap placement
 //! and levels are fixed at compile time, the per-step dependency structure
 //! of an FHE inference is fully static. [`ExecPlan::build`] exploits that:
-//! it walks a [`Compiled`] program once and emits one [`Unit`] per
-//! (step, wire-ciphertext) — elementwise steps (activation stages,
+//! it walks a [`Compiled`] program once and emits one [`Unit`] per piece of
+//! ciphertext → ciphertext work — elementwise steps (activation stages,
 //! scale-downs, residual adds) split into one unit per ciphertext,
 //! bootstraps become standalone units per refreshed ciphertext, and linear
 //! layers stay whole-step units (their internal BSGS parallelism is the
-//! prepared executor's job). Edges come from the program's
-//! producer/consumer structure and the bootstrap placement; linear steps
-//! additionally get an advisory [`UnitWork::Prefetch`] twin with one-step
-//! lookahead (ready when the layer's inputs *start* being computed) so a
-//! pager can fault the layer's `PreparedLayer` in while execution is
-//! still busy upstream, instead of blocking under the fault lock.
+//! prepared executor's job). `Input` and `Output` are not work: the plan
+//! records the buffer the caller's ciphertexts go in and the buffer the
+//! result is taken from, and reading the input buffer is no dependency.
+//! Edges come from the program's producer/consumer structure and the
+//! bootstrap placement.
 //!
-//! [`run_plan`] executes a plan on any [`EvalBackend`]:
+//! [`run_plan`] is the one walk — ciphertexts in, ciphertexts out — on any
+//! [`EvalBackend`] (whoever owns a tensor encrypts and decrypts it:
+//! `crate::backend::run_program`, `FheSession`):
 //!
 //! * [`SchedMode::Sequential`] runs units in plan order — which is, by
 //!   construction, exactly the op stream of the classic one-step-at-a-time
@@ -26,15 +27,21 @@
 //!   decrements its successors' in-degrees and enqueues the newly-ready
 //!   ones directly (one continues on the same thread, the rest are
 //!   spawned). There is no inter-wave barrier, so a long bootstrap no
-//!   longer stalls independent activation chains, and a linear layer's
-//!   prefetch twin fires the moment its trigger completes.
+//!   longer stalls independent activation chains. Prefetch is an effect of
+//!   the release, not a unit: a unit about to run announces the linear
+//!   layers whose first dependency it is
+//!   ([`EvalBackend::prefetch_linear`], spawned beside it), so a pager
+//!   loads a layer while its input is still being computed. A one-thread
+//!   pool has nothing to overlap: `Parallel` *is* the plan-order loop
+//!   there, and no walk prefetches.
 //!
 //! Scheduler order cannot change results: every unit is a pure function
-//! of its input ciphertexts (engines are `&self` and deterministic —
-//! including the bootstrap oracle, whose noise is derived from the
-//! ciphertext being refreshed) and values land in per-(wire, version, ct)
-//! [`OnceLock`] slots, so parallel and sequential runs are bit-exact. The
-//! op counts never see the walk at all: [`count_plan`] folds the plan's
+//! of its input ciphertexts (engines are `&self`, deterministic and hold
+//! no per-run state — including the bootstrap oracle, whose noise is
+//! derived from the ciphertext being refreshed) and values land in
+//! per-(wire, version, ct) [`OnceLock`] slots, so parallel and sequential
+//! runs are bit-exact and one engine serves any number of concurrent walks.
+//! The op counts never see the walk at all: [`count_plan`] folds the plan's
 //! units, in unit order, into the [`OpCounter`] every run carries — linear
 //! layers from their BSGS plan, activation steps from the recursion that
 //! evaluates them (`orion_poly::eval::StageOps`): what the engine executes.
@@ -42,12 +49,12 @@
 //! Levels: what a unit reads, at which level, and the level it leaves its
 //! output at is a compile-time fact, stated once — [`Step::depth`] /
 //! [`Step::sig`] per step kind, lifted to units by [`ExecPlan::unit_io`]
-//! (bootstraps, shared hoists, the input and output wires).
-//! The walk drops inputs to the signature's read levels, [`count_plan`]
-//! tallies its ops, the verifier and the optimizer interpret it
-//! (`crate::verify`, `crate::opt`) — and no engine is trusted to agree with
-//! it: every ciphertext an engine hands back is asserted to sit at the
-//! signature's exit level before it is stored, in every profile.
+//! (bootstraps, shared hoists). The walk drops inputs to the signature's
+//! read levels, [`count_plan`] tallies its ops, the verifier and the
+//! optimizer interpret it (`crate::verify`, `crate::opt`) — and no engine
+//! is trusted to agree with it: every ciphertext an engine hands back is
+//! asserted to sit at the signature's exit level before it is stored, and
+//! the caller's inputs to arrive at `L_eff`, in every profile.
 //!
 //! Wire versions: the classic interpreter bootstraps a wire *in place*,
 //! so a consumer sees the pre- or post-bootstrap value depending on its
@@ -56,13 +63,11 @@
 //! is wired to the version current at its position. Double bootstraps
 //! (two bootstrapping consumers of one wire) replay exactly.
 
-use crate::backend::{input_slot_chunks, EvalBackend, LinearRef, ProgramRun};
+use crate::backend::{EvalBackend, LinearRef};
 use crate::compile::{Compiled, Step};
 use orion_poly::eval::StageOps;
 use orion_sim::counter::OpKind;
 use orion_sim::OpCounter;
-use orion_tensor::Tensor;
-use parking_lot::Mutex;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::OnceLock;
 
@@ -89,12 +94,13 @@ impl SchedMode {
     }
 }
 
-/// What one scheduled unit computes.
+/// What one scheduled unit computes — always work that reads and/or
+/// writes ciphertexts.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum UnitWork {
-    /// A whole program step (Input, Output, Conv, Dense): one unit
-    /// produces the full output wire (linear layers parallelize
-    /// internally via the BSGS executor).
+    /// A whole linear layer (Conv, Dense): one unit produces the full
+    /// output wire (linear layers parallelize internally via the BSGS
+    /// executor).
     Step {
         /// Program node id.
         node: usize,
@@ -117,14 +123,6 @@ pub enum UnitWork {
         /// Ciphertext index within the wire.
         ct: usize,
     },
-    /// Advisory prefetch of a linear step's prepared layer: becomes
-    /// ready one dependency step AHEAD of the step unit (see
-    /// [`ExecPlan::build`]), nothing depends on it, and the sequential
-    /// walk skips it. Engines without a paged source treat it as a no-op.
-    Prefetch {
-        /// Program node id of the linear step.
-        node: usize,
-    },
     /// Hoist-once unit inserted by the plan optimizer's rotation-CSE pass
     /// (`crate::opt`): digit-decomposes one (wire, version) buffer and
     /// applies the union of the baby-step rotations its consumer linear
@@ -145,8 +143,7 @@ pub struct Unit {
     /// Plan-unit ids this unit waits on (all strictly smaller — plan
     /// order is a topological order).
     pub deps: Vec<usize>,
-    /// First value slot this unit writes (`Prefetch`/`Output`/`SharedRot`
-    /// write none).
+    /// First value slot this unit writes (`SharedRot` writes none).
     pub out_slot: usize,
     /// Number of value slots written.
     pub out_len: usize,
@@ -181,14 +178,13 @@ impl Buffer {
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct UnitIo {
     /// The level the unit runs at: its step's placement level, a
-    /// `SharedRot`'s hoist level; 0 for units that have none (`Input`,
-    /// `Output`, `Boot`, `Prefetch`).
+    /// `SharedRot`'s hoist level; 0 for a `Boot`, which has none.
     pub level: usize,
     /// The levels the unit needs of `level` ([`Step::depth`]).
     pub depth: usize,
     /// Per input position: the value slots read and the level each is
     /// dropped to first — `None` reads the ciphertext as it sits (a
-    /// bootstrap's input, the output wire).
+    /// bootstrap's input).
     pub reads: [Option<(Buffer, Option<usize>)>; 2],
     /// The operations one output ciphertext costs (activation steps; a
     /// linear layer's are its `LinearPlan::counts`).
@@ -227,6 +223,12 @@ pub struct ExecPlan {
     /// Input buffers per program node, per input position — the (wire,
     /// version) each consumer reads, bootstrap rewrites applied.
     pub(crate) in_bufs: Vec<Vec<Buffer>>,
+    /// Where a walk stores the caller's ciphertexts: the `Input` node's
+    /// wire, which no unit writes.
+    pub input: Buffer,
+    /// Where a walk takes its result from: the wire version the `Output`
+    /// node reads.
+    pub output: Buffer,
     /// Total value slots.
     pub(crate) n_slots: usize,
     /// Total bootstrap units (the run's `bootstraps` tally).
@@ -250,12 +252,13 @@ impl ExecPlan {
             n_slots += len;
             b
         };
-        // Current buffer and per-ct producer unit of every wire.
+        // Current buffer and per-ct producer unit of every wire (`None`:
+        // the input wire, which the caller provides).
         let mut cur_buf: Vec<Option<Buffer>> = vec![None; c.prog.len()];
-        let mut cur_prod: Vec<Vec<usize>> = vec![Vec::new(); c.prog.len()];
+        let mut cur_prod: Vec<Vec<Option<usize>>> = vec![Vec::new(); c.prog.len()];
         let mut in_bufs: Vec<Vec<Buffer>> = Vec::with_capacity(c.prog.len());
         let mut bootstraps = 0u64;
-        let mut saw_output = false;
+        let (mut input, mut output) = (None, None);
 
         for (id, node) in c.prog.iter().enumerate() {
             // Bootstrap events: rewrite each input wire to a new version,
@@ -274,13 +277,13 @@ impl ExecPlan {
                                 consumer: id,
                                 ct,
                             },
-                            deps: vec![cur_prod[w][ct]],
+                            deps: cur_prod[w][ct].into_iter().collect(),
                             out_slot: new.offset + ct,
                             out_len: 1,
                             in_slot: old.offset + ct,
                             shared_rots: None,
                         });
-                        prods.push(uid);
+                        prods.push(Some(uid));
                         bootstraps += 1;
                     }
                     cur_buf[w] = Some(new);
@@ -292,72 +295,22 @@ impl ExecPlan {
                 .iter()
                 .map(|&w| cur_buf[w].expect("wire consumed before production"))
                 .collect();
-            let all_dep_units = |inputs: &[usize]| -> Vec<usize> {
-                let mut deps: Vec<usize> = inputs
-                    .iter()
-                    .flat_map(|&w| cur_prod[w].iter().copied())
-                    .collect();
-                deps.sort_unstable();
-                deps.dedup();
-                deps
-            };
             let n_out = node.n_cts.max(1);
             match &node.step {
+                // Not work: where the caller's ciphertexts go, and where
+                // the result is taken from.
                 Step::Input => {
-                    let out = alloc(node.layout.num_ciphertexts(slots));
-                    let uid = units.len();
-                    units.push(Unit {
-                        work: UnitWork::Step { node: id },
-                        deps: Vec::new(),
-                        out_slot: out.offset,
-                        out_len: out.len,
-                        in_slot: usize::MAX,
-                        shared_rots: None,
-                    });
-                    cur_buf[id] = Some(out);
-                    cur_prod[id] = vec![uid; out.len];
+                    let buf = alloc(node.layout.num_ciphertexts(slots));
+                    cur_buf[id] = Some(buf);
+                    cur_prod[id] = vec![None; buf.len];
+                    input = Some(buf);
                 }
-                Step::Output => {
-                    saw_output = true;
-                    let uid = units.len();
-                    units.push(Unit {
-                        work: UnitWork::Step { node: id },
-                        deps: all_dep_units(&node.inputs),
-                        out_slot: usize::MAX,
-                        out_len: 0,
-                        in_slot: usize::MAX,
-                        shared_rots: None,
-                    });
-                    // nothing consumes the output wire; keep bookkeeping
-                    // consistent anyway
-                    cur_buf[id] = ins.first().copied();
-                    cur_prod[id] = vec![uid; ins.first().map_or(0, |b| b.len)];
-                }
+                Step::Output => output = ins.first().copied(),
                 Step::Conv { .. } | Step::Dense { .. } => {
-                    let deps = all_dep_units(&node.inputs);
-                    // Advisory prefetch twin with ONE-STEP LOOKAHEAD: it
-                    // becomes ready when the layer's input wires *start*
-                    // being computed (the dependencies of their
-                    // producers), so a paged load overlaps the input
-                    // computation instead of merely sharing the step's
-                    // own readiness. For a layer fed by the Input step
-                    // this is empty — the prefetch is ready at plan
-                    // start. (The sequential walk skips prefetch units
-                    // entirely; see `run_plan`.)
-                    let mut pre_deps: Vec<usize> = deps
-                        .iter()
-                        .flat_map(|&p| units[p].deps.iter().copied())
-                        .collect();
-                    pre_deps.sort_unstable();
-                    pre_deps.dedup();
-                    units.push(Unit {
-                        work: UnitWork::Prefetch { node: id },
-                        deps: pre_deps,
-                        out_slot: usize::MAX,
-                        out_len: 0,
-                        in_slot: usize::MAX,
-                        shared_rots: None,
-                    });
+                    let producers = node.inputs.iter().flat_map(|&w| &cur_prod[w]);
+                    let mut deps: Vec<usize> = producers.flatten().copied().collect();
+                    deps.sort_unstable();
+                    deps.dedup();
                     let out = alloc(n_out);
                     let uid = units.len();
                     units.push(Unit {
@@ -369,7 +322,7 @@ impl ExecPlan {
                         shared_rots: None,
                     });
                     cur_buf[id] = Some(out);
-                    cur_prod[id] = vec![uid; out.len];
+                    cur_prod[id] = vec![Some(uid); out.len];
                 }
                 Step::ScaleDown { .. }
                 | Step::PolyStage { .. }
@@ -390,13 +343,17 @@ impl ExecPlan {
                         let uid = units.len();
                         units.push(Unit {
                             work: UnitWork::StepCt { node: id, ct },
-                            deps: node.inputs.iter().map(|&w| cur_prod[w][ct]).collect(),
+                            deps: node
+                                .inputs
+                                .iter()
+                                .filter_map(|&w| cur_prod[w][ct])
+                                .collect(),
                             out_slot: out.offset + ct,
                             out_len: 1,
                             in_slot: usize::MAX,
                             shared_rots: None,
                         });
-                        prods.push(uid);
+                        prods.push(Some(uid));
                     }
                     cur_buf[id] = Some(out);
                     cur_prod[id] = prods;
@@ -411,11 +368,12 @@ impl ExecPlan {
                 succs[d].push(uid);
             }
         }
-        assert!(saw_output, "program has no output node");
         Self {
             units,
             succs,
             in_bufs,
+            input: input.expect("program has no input node"),
+            output: output.expect("program has no output node"),
             n_slots,
             bootstraps,
             shared: Vec::new(),
@@ -444,25 +402,31 @@ impl ExecPlan {
     }
 
     /// A canonical textual dump of the plan's full structure — units with
-    /// every field, reverse edges, consumer buffers, slot count and shared
-    /// specs. Two plans are structurally identical iff their digests are
-    /// byte-identical; the optimizer's disabled-pipeline test pins that a
-    /// no-op pass leaves the digest untouched.
+    /// every field, reverse edges, consumer buffers, the input and output
+    /// buffers, slot count and shared specs. Two plans are structurally
+    /// identical iff their digests are byte-identical; the optimizer's
+    /// disabled-pipeline test pins that a no-op pass leaves the digest
+    /// untouched.
     pub fn digest(&self) -> String {
         format!(
-            "units={:?}\nsuccs={:?}\nin_bufs={:?}\nn_slots={}\nbootstraps={}\nshared={:?}\n",
-            self.units, self.succs, self.in_bufs, self.n_slots, self.bootstraps, self.shared
+            "units={:?}\nsuccs={:?}\nin_bufs={:?}\nio={:?}\nn_slots={}\nbootstraps={}\nshared={:?}\n",
+            self.units,
+            self.succs,
+            self.in_bufs,
+            (self.input, self.output),
+            self.n_slots,
+            self.bootstraps,
+            self.shared
         )
     }
 
     /// What unit `uid` reads and writes under `c`'s placement: the step's
     /// [`Step::sig`] plus what only the plan knows — a bootstrap's raw read
-    /// and `L_eff` exit, a shared hoist's buffer, the output wire's raw
-    /// read, the input's `L_eff`; nothing overrides a signature's exit
-    /// level. Computed on demand (rewrites and tests mutate plans and
-    /// placements after [`ExecPlan::build`]); `Err` names what the unit
-    /// refers to that the program or plan does not have — the verifier's
-    /// coverage finding, a panic anywhere else.
+    /// and `L_eff` exit, a shared hoist's buffer; nothing overrides a
+    /// signature's exit level. Computed on demand (rewrites and tests
+    /// mutate plans and placements after [`ExecPlan::build`]); `Err` names
+    /// what the unit refers to that the program or plan does not have — the
+    /// verifier's coverage finding, a panic anywhere else.
     pub fn unit_io(&self, c: &Compiled, uid: usize) -> Result<UnitIo, &'static str> {
         let unit = &self.units[uid];
         let mut io = UnitIo {
@@ -470,12 +434,11 @@ impl ExecPlan {
             depth: 0,
             reads: [None; 2],
             ops: StageOps::default(),
-            // where the input arrives and a bootstrap lands; a placed step
-            // overwrites it with its signature's exit
+            // where a bootstrap lands; a placed step overwrites it with
+            // its signature's exit
             out_level: c.opts.l_eff,
         };
         match unit.work {
-            UnitWork::Prefetch { .. } => {}
             UnitWork::SharedRot { spec } => {
                 let sp = self
                     .shared
@@ -494,44 +457,35 @@ impl ExecPlan {
             UnitWork::Step { node } | UnitWork::StepCt { node, .. } => {
                 let step = &c.prog.get(node).ok_or("unknown program node")?.step;
                 let bufs = self.in_bufs.get(node).ok_or("step has no input buffers")?;
-                let whole = matches!(
-                    step,
-                    Step::Input | Step::Output | Step::Conv { .. } | Step::Dense { .. }
-                );
+                if matches!(step, Step::Input | Step::Output) {
+                    return Err("input and output nodes are not work: they have no unit");
+                }
+                let whole = matches!(step, Step::Conv { .. } | Step::Dense { .. });
                 if whole != matches!(unit.work, UnitWork::Step { .. }) {
                     return Err("step kind does not fit the unit kind");
                 }
-                match step {
-                    Step::Input => {}
-                    Step::Output => {
-                        let wire = bufs.first().ok_or("output has no input buffer")?;
-                        io.reads[0] = Some((*wire, None));
-                    }
-                    _ => {
-                        let lv = c.placement.levels.get(node).copied().flatten();
-                        let lv = lv.ok_or("step has no placement level")?;
-                        let sig = step.sig(lv);
-                        io.level = lv;
-                        io.depth = step.depth();
-                        io.ops = sig.ops;
-                        io.out_level = sig.ops.exit_level;
-                        for (pos, level) in sig.reads.iter().enumerate() {
-                            let Some(level) = *level else { continue };
-                            let mut b = *bufs.get(pos).ok_or("step lacks an input buffer")?;
-                            // an elementwise unit reads its own ciphertext
-                            // of every input wire
-                            if let UnitWork::StepCt { ct, .. } = unit.work {
-                                if ct >= b.len {
-                                    return Err("input wire has no such ciphertext");
-                                }
-                                b = Buffer {
-                                    offset: b.offset + ct,
-                                    len: 1,
-                                };
-                            }
-                            io.reads[pos] = Some((b, Some(level)));
+                let lv = c.placement.levels.get(node).copied().flatten();
+                let lv = lv.ok_or("step has no placement level")?;
+                let sig = step.sig(lv);
+                io.level = lv;
+                io.depth = step.depth();
+                io.ops = sig.ops;
+                io.out_level = sig.ops.exit_level;
+                for (pos, level) in sig.reads.iter().enumerate() {
+                    let Some(level) = *level else { continue };
+                    let mut b = *bufs.get(pos).ok_or("step lacks an input buffer")?;
+                    // an elementwise unit reads its own ciphertext of
+                    // every input wire
+                    if let UnitWork::StepCt { ct, .. } = unit.work {
+                        if ct >= b.len {
+                            return Err("input wire has no such ciphertext");
                         }
+                        b = Buffer {
+                            offset: b.offset + ct,
+                            len: 1,
+                        };
                     }
+                    io.reads[pos] = Some((b, Some(level)));
                 }
             }
         }
@@ -566,7 +520,6 @@ pub fn count_plan<B: EvalBackend>(plan: &ExecPlan, c: &Compiled, backend: &B) ->
             secs
         };
         match unit.work {
-            UnitWork::Prefetch { .. } => {}
             UnitWork::Boot { .. } => {
                 tally(OpKind::Bootstrap, 1, cost.bootstrap(c.opts.l_eff));
             }
@@ -581,9 +534,8 @@ pub fn count_plan<B: EvalBackend>(plan: &ExecPlan, c: &Compiled, backend: &B) ->
                 ctr.linear_seconds += hoist + rots;
             }
             UnitWork::Step { node } => {
-                let Some(layer) = LinearRef::of(node, &c.prog[node].step) else {
-                    continue; // Input / Output: nothing tallied
-                };
+                let layer = LinearRef::of(node, &c.prog[node].step)
+                    .expect("a whole-step unit is a linear layer");
                 // The static op mix of the double-hoisted BSGS matvec. A
                 // layer reading a shared unit pays no hoists and no baby
                 // rotations of its own.
@@ -662,7 +614,6 @@ fn unit_meta(work: &UnitWork) -> (&'static str, u64, u64) {
         UnitWork::Step { node } => ("step", node as u64, 0),
         UnitWork::StepCt { node, ct } => ("step_ct", node as u64, ct as u64),
         UnitWork::Boot { wire, ct, .. } => ("boot", wire as u64, ct as u64),
-        UnitWork::Prefetch { node } => ("prefetch", node as u64, 0),
         UnitWork::SharedRot { spec } => ("shared_rot", spec as u64, 0),
     }
 }
@@ -681,12 +632,10 @@ struct RunState<'a, B: EvalBackend> {
     plan: &'a ExecPlan,
     c: &'a Compiled,
     backend: &'a B,
-    input: &'a Tensor,
     values: Vec<OnceLock<B::Ciphertext>>,
     /// One slot per [`SharedRotSpec`]: the hoisted-rotation handle the
     /// spec's `SharedRot` unit produced, read by its consumer layers.
     shared_vals: Vec<OnceLock<B::SharedRot>>,
-    out: Mutex<Option<(Tensor, Vec<B::Ciphertext>)>>,
     /// `Some` iff the telemetry collector was enabled when the run
     /// started; `None` keeps the disabled walk free of clock reads.
     telem: Option<RunTelemetry>,
@@ -699,18 +648,27 @@ impl<B: EvalBackend> RunState<'_, B> {
             .expect("scheduler dependency violation: value not ready")
     }
 
+    /// Announces unit `uid`, if it is a linear layer, to the engine from a
+    /// task of its own: a pager loads its weights off the critical path.
+    fn prefetch<'a>(&'a self, s: &orion_math::parallel::Scope<'a>, uid: usize)
+    where
+        B: Sync,
+    {
+        if let UnitWork::Step { node } = self.plan.units[uid].work {
+            s.spawn(move |_| self.backend.prefetch_linear(node));
+        }
+    }
+
     /// Input `pos` of a unit: its slots' ciphertexts, dropped to the read
-    /// level the signature states (cloned as they sit on a raw read),
-    /// asserting the placement invariant like the classic interpreter.
+    /// level the signature states, asserting the placement invariant like
+    /// the classic interpreter.
     fn read(&self, io: &UnitIo, pos: usize) -> Vec<B::Ciphertext> {
         let (buf, level) = io.reads[pos].expect("unit has no such input");
+        let level = level.expect("a bootstrap reads its slot directly");
         let backend = self.backend;
         buf.slots()
             .map(|s| {
                 let ct = self.value(s);
-                let Some(level) = level else {
-                    return ct.clone();
-                };
                 assert!(
                     backend.level_of(ct) >= level,
                     "wire at level {} but the policy needs {level} — placement violated",
@@ -805,7 +763,6 @@ impl<B: EvalBackend> RunState<'_, B> {
             io.depth
         );
         match unit.work {
-            UnitWork::Prefetch { node } => backend.prefetch_linear(node),
             UnitWork::SharedRot { spec } => {
                 let sp = &self.plan.shared[spec];
                 let handle = backend.hoist_rotations(&self.read(io, 0), lv, &sp.rots);
@@ -817,7 +774,23 @@ impl<B: EvalBackend> RunState<'_, B> {
                 let out = backend.bootstrap(self.value(unit.in_slot));
                 self.store(uid, io, vec![out]);
             }
-            UnitWork::Step { node } => self.exec_step(uid, io, node),
+            UnitWork::Step { node } => {
+                let layer = LinearRef::of(node, &c.prog[node].step)
+                    .expect("a whole-step unit is a linear layer");
+                let cts = self.read(io, 0);
+                // reads the hoisted rotations of its `SharedRotSpec` when
+                // the optimizer attached one to the unit
+                let shared = unit.shared_rots.map(|spec| {
+                    self.shared_vals[spec]
+                        .get()
+                        .expect("scheduler dependency violation: shared rotations not ready")
+                });
+                let out =
+                    orion_telemetry::time_class(orion_telemetry::OpClass::LinearLayer, || {
+                        backend.linear_layer(&layer, &cts, lv, shared)
+                    });
+                self.store(uid, io, out);
+            }
             UnitWork::StepCt { node, .. } => {
                 // an elementwise unit reads one ciphertext per input
                 let x = |pos: usize| self.read(io, pos).pop().expect("one-slot read");
@@ -839,104 +812,80 @@ impl<B: EvalBackend> RunState<'_, B> {
             }
         }
     }
-
-    fn exec_step(&self, uid: usize, io: &UnitIo, id: usize) {
-        let backend = self.backend;
-        let c = self.c;
-        let slots = c.opts.slots;
-        let node = &c.prog[id];
-        match &node.step {
-            Step::Input => {
-                let cts: Vec<B::Ciphertext> = input_slot_chunks(c, slots, self.input)
-                    .into_iter()
-                    .map(|chunk| backend.encrypt(&chunk, io.out_level))
-                    .collect();
-                self.store(uid, io, cts);
-            }
-            Step::Output => {
-                let cts = self.read(io, 0);
-                let prev = &c.prog[node.inputs[0]];
-                let mut slots_vec = Vec::with_capacity(cts.len() * slots);
-                for ct in &cts {
-                    slots_vec.extend(backend.decrypt(ct));
-                }
-                slots_vec.resize(prev.layout.total_slots(), 0.0);
-                let raster = prev.layout.unpack(&slots_vec);
-                let (cc, hh, ww) = (prev.layout.c, prev.layout.h, prev.layout.w);
-                *self.out.lock() = Some((Tensor::from_vec(&[cc, hh, ww], raster), cts));
-            }
-            step => {
-                let layer = LinearRef::of(id, step)
-                    .unwrap_or_else(|| panic!("step {step:?} is not a whole-step unit"));
-                let cts = self.read(io, 0);
-                // reads the hoisted rotations of its `SharedRotSpec` when
-                // the optimizer attached one to the unit
-                let shared = self.plan.units[uid].shared_rots.map(|spec| {
-                    self.shared_vals[spec]
-                        .get()
-                        .expect("scheduler dependency violation: shared rotations not ready")
-                });
-                let out =
-                    orion_telemetry::time_class(orion_telemetry::OpClass::LinearLayer, || {
-                        backend.linear_layer(&layer, &cts, io.level, shared)
-                    });
-                self.store(uid, io, out);
-            }
-        }
-    }
 }
 
-/// Executes a plan on `backend`. See [`SchedMode`] for the two walks; both
-/// produce bit-identical results and counters.
+/// What a walk hands back.
+pub struct PlanRun<Ct> {
+    /// The output wire, moved out of the plan's output buffer.
+    pub output_wire: Vec<Ct>,
+    /// Ciphertext bootstraps performed.
+    pub bootstraps: u64,
+    /// The plan's op tallies with modeled latency ([`count_plan`]).
+    pub counter: OpCounter,
+}
+
+/// Walks `plan` on `backend` over `inputs` — one ciphertext per slot of
+/// [`ExecPlan::input`], each at `L_eff` — and returns the output wire. See
+/// [`SchedMode`] for the two walks; both produce bit-identical results and
+/// counters.
 pub fn run_plan<B: EvalBackend + Sync>(
     plan: &ExecPlan,
     c: &Compiled,
     backend: &B,
-    input: &Tensor,
+    inputs: Vec<B::Ciphertext>,
     mode: SchedMode,
-) -> ProgramRun<B::Ciphertext> {
+) -> PlanRun<B::Ciphertext> {
     assert_eq!(
         backend.slots(),
         c.opts.slots,
         "backend/program slot-count mismatch"
     );
-    let state = RunState {
+    assert_eq!(
+        inputs.len(),
+        plan.input.len,
+        "input ciphertext count does not match the program's input wire"
+    );
+    let mut state = RunState {
         plan,
         c,
         backend,
-        input,
         values: (0..plan.n_slots).map(|_| OnceLock::new()).collect(),
         shared_vals: (0..plan.shared.len()).map(|_| OnceLock::new()).collect(),
-        out: Mutex::new(None),
         telem: orion_telemetry::enabled().then(|| RunTelemetry::new(plan.units.len())),
     };
+    for (slot, ct) in plan.input.slots().zip(inputs) {
+        assert_eq!(
+            backend.level_of(&ct),
+            c.opts.l_eff,
+            "input ciphertext at the wrong level (the input wire arrives at L_eff)"
+        );
+        state.values[slot] = OnceLock::from(ct);
+    }
     let wall_start = state.telem.as_ref().map(|_| orion_telemetry::now_ns());
     let run_span = state
         .telem
         .as_ref()
         .map(|_| orion_telemetry::span!("run_plan", units = plan.units.len()));
     match mode {
-        SchedMode::Sequential => {
-            // Plan order is a topological order AND the classic
-            // interpreter's op order. Prefetch units are skipped: with no
-            // concurrency there is nothing to overlap a load with, and
-            // running them would merely relabel every blocking fault as a
-            // "prefetch hit" in the pager's stats.
-            for uid in 0..plan.units.len() {
-                if !matches!(plan.units[uid].work, UnitWork::Prefetch { .. }) {
-                    state.run_unit(uid);
-                }
-            }
-        }
-        SchedMode::Parallel => run_event_driven(&state),
+        SchedMode::Parallel if rayon::current_num_threads() > 1 => run_event_driven(&state),
+        // Plan order is a topological order AND the classic interpreter's
+        // op order — also the optimal schedule of a one-thread pool,
+        // whatever `mode` says. No prefetch is issued: with no concurrency
+        // there is nothing to overlap a load with, and announcing a layer
+        // right before it runs would merely relabel every blocking fault
+        // as a "prefetch hit" in the pager's stats.
+        _ => (0..plan.units.len()).for_each(|uid| state.run_unit(uid)),
     }
     drop(run_span);
     if let (Some(telem), Some(t0)) = (&state.telem, wall_start) {
         report_run(plan, c, telem, mode, orion_telemetry::now_ns() - t0);
     }
-    let (output, output_wire) = state.out.into_inner().expect("output unit did not run");
-    ProgramRun {
-        output,
+    let output_wire = plan
+        .output
+        .slots()
+        .map(|slot| state.values[slot].take().expect("output wire not produced"))
+        .collect();
+    PlanRun {
         output_wire,
         bootstraps: plan.bootstraps,
         counter: count_plan(plan, c, backend),
@@ -984,9 +933,6 @@ fn report_run(plan: &ExecPlan, c: &Compiled, telem: &RunTelemetry, mode: SchedMo
             queue_ns: queue[u],
         })
         .collect();
-    orion_telemetry::counter("sched.runs").inc();
-    orion_telemetry::counter("sched.units_executed")
-        .add(dur.iter().filter(|&&d| d > 0).count() as u64);
     orion_telemetry::record_run(orion_telemetry::RunReport {
         req: orion_telemetry::current_request(),
         mode: match mode {
@@ -1013,17 +959,6 @@ fn report_run(plan: &ExecPlan, c: &Compiled, telem: &RunTelemetry, mode: SchedMo
 /// from any unit are rethrown by the scope after in-flight units drain.
 fn run_event_driven<B: EvalBackend + Sync>(state: &RunState<'_, B>) {
     let plan = state.plan;
-    // A one-thread pool has nothing to overlap, and the injector queue
-    // only costs cache locality — plan order IS the optimal single-thread
-    // schedule (it is the reference op stream). Prefetch units still run,
-    // right before the step they feed, exactly where the queue walk would
-    // place them with no concurrency — so paging stats keep their meaning.
-    if SchedMode::for_pool() == SchedMode::Sequential {
-        for uid in 0..plan.units.len() {
-            state.run_unit(uid);
-        }
-        return;
-    }
     let indeg: Vec<AtomicUsize> = plan
         .units
         .iter()
@@ -1036,6 +971,8 @@ fn run_event_driven<B: EvalBackend + Sync>(state: &RunState<'_, B>) {
                 if let Some(t) = &state.telem {
                     t.mark_ready(uid);
                 }
+                // a layer on the input wire: the walk's start releases it
+                state.prefetch(s, uid);
                 let (indeg, completed) = (&indeg, &completed);
                 s.spawn(move |s| run_chain(s, state, indeg, completed, uid));
             }
@@ -1054,7 +991,9 @@ fn run_event_driven<B: EvalBackend + Sync>(state: &RunState<'_, B>) {
 /// Runs `uid`, then releases its successors: the first newly-ready one
 /// continues in this loop (same thread), the rest are spawned onto the
 /// scope. The AcqRel in-degree decrement makes every dependency's value
-/// stores visible to whichever thread releases the successor.
+/// stores visible to whichever thread releases the successor. Before it
+/// runs, `uid` announces the linear layers whose *first* dependency it is:
+/// once per layer per walk, while the layer's input is being computed.
 fn run_chain<'a, B: EvalBackend + Sync>(
     s: &orion_math::parallel::Scope<'a>,
     state: &'a RunState<'a, B>,
@@ -1063,6 +1002,11 @@ fn run_chain<'a, B: EvalBackend + Sync>(
     mut uid: usize,
 ) {
     loop {
+        for &succ in &state.plan.succs[uid] {
+            if state.plan.units[succ].deps[0] == uid {
+                state.prefetch(s, succ);
+            }
+        }
         state.run_unit(uid);
         completed.fetch_add(1, Ordering::Relaxed);
         let mut next = None;
@@ -1092,6 +1036,7 @@ mod tests {
     use crate::fit::fixed_ranges;
     use crate::network::Network;
     use orion_sim::CostModel;
+    use orion_tensor::Tensor;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -1103,9 +1048,11 @@ mod tests {
         }
     }
 
-    #[test]
-    fn plan_is_topologically_ordered_and_covers_every_step() {
-        let mut rng = StdRng::seed_from_u64(7);
+    /// conv → ReLU → conv, closed by a residual add of the input wire whose
+    /// join is made to refresh both its inputs — so the plan bootstraps
+    /// ciphertexts no unit produced.
+    fn residual_refreshing_the_input(seed: u64) -> Compiled {
+        let mut rng = StdRng::seed_from_u64(seed);
         let mut net = Network::new(4, 8, 8);
         let x = net.input();
         let c1 = net.conv2d("c1", x, 4, 3, 1, 1, 1, &mut rng);
@@ -1113,25 +1060,39 @@ mod tests {
         let c2 = net.conv2d("c2", a1, 4, 3, 1, 1, 1, &mut rng);
         let add = net.add("res", c2, x);
         net.output(add);
-        let c = compile(&net, &fixed_ranges(&net, 4.0), &opts());
+        let mut c = compile(&net, &fixed_ranges(&net, 4.0), &opts());
         assert!(c.placement.boot_count > 0, "want a bootstrap-deep plan");
+        let join = c.prog.iter().position(|p| matches!(p.step, Step::Add));
+        c.placement.boots_before[join.unwrap()] = 1;
+        c
+    }
+
+    #[test]
+    fn plan_is_topologically_ordered_and_covers_every_step() {
+        let c = residual_refreshing_the_input(7);
         let plan = ExecPlan::build(&c);
+        let report = crate::verify::verify_plan(&plan, &c, &Default::default());
+        assert!(!report.has_errors(), "{}", report.table());
         // deps strictly precede (plan order is topological)
         for (uid, unit) in plan.units.iter().enumerate() {
             for &d in &unit.deps {
                 assert!(d < uid, "unit {uid} depends on later unit {d}");
             }
         }
-        // every program node appears as a unit
-        for id in 0..c.prog.len() {
-            assert!(
-                plan.units.iter().any(|u| matches!(
+        // every program node that is work appears as a unit; the input
+        // and the output are buffers, not units
+        for (id, p) in c.prog.iter().enumerate() {
+            let covered = plan.units.iter().any(|u| {
+                matches!(
                     u.work,
                     UnitWork::Step { node } | UnitWork::StepCt { node, .. } if node == id
-                )),
-                "node {id} missing from plan"
-            );
+                )
+            });
+            let work = !matches!(p.step, Step::Input | Step::Output);
+            assert_eq!(covered, work, "node {id} ({}) coverage", p.name);
         }
+        assert_eq!(plan.input.len, c.prog[0].n_cts);
+        assert_eq!(plan.output, *plan.in_bufs.last().unwrap().first().unwrap());
         // bootstrap units match the placement's count
         assert_eq!(plan.bootstraps(), {
             let mut n = 0u64;
@@ -1144,65 +1105,89 @@ mod tests {
             }
             n
         });
-        // linear steps have an advisory prefetch twin
-        for (id, node) in c.prog.iter().enumerate() {
-            if matches!(node.step, Step::Conv { .. } | Step::Dense { .. }) {
-                assert!(plan
-                    .units
-                    .iter()
-                    .any(|u| matches!(u.work, UnitWork::Prefetch { node } if node == id)));
-            }
-        }
+        // the caller provides the input wire: reading it is no dependency
+        // (the first conv), refreshing it neither (the residual's bootstrap)
+        assert!(plan.units[0].deps.is_empty());
+        let input_boots = plan.units.iter().filter(|u| {
+            matches!(u.work, UnitWork::Boot { .. }) && plan.input.slots().contains(&u.in_slot)
+        });
+        assert!(
+            input_boots.clone().count() > 0,
+            "want the input wire refreshed"
+        );
+        assert!(input_boots.into_iter().all(|u| u.deps.is_empty()));
     }
 
     #[test]
     fn both_walks_agree_bit_for_bit() {
+        use crate::backend::{decrypt_output, encrypt_input};
         use crate::backends::ClearBackend;
-        let mut rng = StdRng::seed_from_u64(11);
-        let mut net = Network::new(4, 8, 8);
-        let x = net.input();
-        let c1 = net.conv2d("c1", x, 4, 3, 1, 1, 1, &mut rng);
-        let a1 = net.relu("a1", c1, &[15, 15, 27]);
-        let c2 = net.conv2d("c2", a1, 4, 3, 1, 1, 1, &mut rng);
-        let add = net.add("res", c2, x);
-        net.output(add);
-        let c = compile(&net, &fixed_ranges(&net, 4.0), &opts());
-        assert!(c.placement.boot_count > 0, "want bootstrap units");
+        let c = residual_refreshing_the_input(11);
         let plan = ExecPlan::build(&c);
         let input = Tensor::from_vec(&[4, 8, 8], (0..256).map(|i| (i % 7) as f64 * 0.1).collect());
-        let runs: Vec<_> = [SchedMode::Sequential, SchedMode::Parallel]
-            .into_iter()
-            .map(|mode| run_plan(&plan, &c, &ClearBackend::packed(&c), &input, mode))
-            .collect();
-        for run in &runs[1..] {
-            assert_eq!(run.output.data(), runs[0].output.data());
-            assert_eq!(run.bootstraps, runs[0].bootstraps);
-        }
+        let backend = ClearBackend::packed(&c);
+        let cts = encrypt_input(&c, &backend, &input);
+        let [seq, par] = [SchedMode::Sequential, SchedMode::Parallel]
+            .map(|mode| run_plan(&plan, &c, &backend, cts.clone(), mode));
+        assert_eq!(
+            decrypt_output(&c, &backend, &seq.output_wire).data(),
+            decrypt_output(&c, &backend, &par.output_wire).data()
+        );
+        assert_eq!(seq.bootstraps, par.bootstraps);
     }
 
     #[test]
     fn event_driven_walk_propagates_unit_panics() {
+        use crate::backend::encrypt_input;
         use crate::backends::ClearBackend;
         let mut rng = StdRng::seed_from_u64(13);
         let mut net = Network::new(4, 8, 8);
         let x = net.input();
         let c1 = net.conv2d("c1", x, 4, 3, 1, 1, 1, &mut rng);
-        let a1 = net.relu("a1", c1, &[15, 15, 27]);
+        let a1 = net.square("a1", c1);
         net.output(a1);
-        let c = compile(&net, &fixed_ranges(&net, 4.0), &opts());
+        let mut c = compile(&net, &fixed_ranges(&net, 4.0), &opts());
         let plan = ExecPlan::build(&c);
-        // wrong input shape → the Input unit panics inside the pool; the
-        // executor must rethrow instead of hanging or stalling silently
-        let bad = Tensor::from_vec(&[1, 2, 2], vec![0.0; 4]);
+        // a level no wire can have → the square's units panic inside the
+        // pool; the executor must rethrow instead of hanging or stalling
+        // silently
+        let square = c.prog.iter().position(|p| matches!(p.step, Step::Square));
+        c.placement.levels[square.unwrap()] = Some(c.opts.l_eff + 1);
+        let backend = ClearBackend::packed(&c);
+        let cts = encrypt_input(&c, &backend, &Tensor::from_vec(&[4, 8, 8], vec![0.5; 256]));
         let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            run_plan(
-                &plan,
-                &c,
-                &ClearBackend::packed(&c),
-                &bad,
-                SchedMode::Parallel,
-            )
+            run_plan(&plan, &c, &backend, cts, SchedMode::Parallel)
         }));
         assert!(r.is_err(), "unit panic must propagate to the caller");
+    }
+
+    #[test]
+    #[should_panic(expected = "input ciphertext count")]
+    fn a_short_input_wire_is_refused_by_count() {
+        let c = residual_refreshing_the_input(17);
+        let backend = crate::backends::ClearBackend::packed(&c);
+        // the wire is one ciphertext wide
+        run_plan(
+            &ExecPlan::build(&c),
+            &c,
+            &backend,
+            Vec::new(),
+            SchedMode::Sequential,
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "input ciphertext at the wrong level")]
+    fn an_input_below_l_eff_is_refused_by_level() {
+        let c = residual_refreshing_the_input(17);
+        let backend = crate::backends::ClearBackend::packed(&c);
+        let low = vec![backend.encrypt(&[], c.opts.l_eff - 1)];
+        run_plan(
+            &ExecPlan::build(&c),
+            &c,
+            &backend,
+            low,
+            SchedMode::Sequential,
+        );
     }
 }

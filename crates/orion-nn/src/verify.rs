@@ -35,9 +35,16 @@
 //!    parameters.
 //! 4. **Memory / well-formedness** — promotes the sched-plan proptest
 //!    invariants (topological deps, reverse-edge consistency, unit
-//!    coverage per program node, bootstrap replication, `SharedRotSpec`
-//!    validity) into production checks, and reports the peak-live-limb
-//!    estimate of a walk in plan order ([`VerifyReport::peak_limbs`]).
+//!    coverage per program node — one whole-step unit per linear layer,
+//!    one unit per ciphertext of an elementwise step, none for `Input` /
+//!    `Output` — bootstrap replication, `SharedRotSpec` validity) into
+//!    production checks, and reports the peak-live-limb estimate of a walk
+//!    in plan order ([`VerifyReport::peak_limbs`]).
+//!
+//! The sweep mirrors the walk ([`crate::sched::run_plan`], ciphertexts in,
+//! ciphertexts out): the input buffer starts out holding fresh exact-Δ
+//! ciphertexts at `L_eff`; the output buffer is the noise floor's decrypt
+//! checkpoint and stays live to the end.
 //!
 //! The verifier runs by default at three choke points: `Orion::compile`
 //! and `prepare_fhe` (orion-core), after the plan optimizer's rewrite
@@ -60,7 +67,7 @@
 //! re-verifies every plan it rewrites.
 
 use crate::compile::{Compiled, Step};
-use crate::sched::{Buffer, ExecPlan, SharedRotSpec, UnitWork};
+use crate::sched::{ExecPlan, SharedRotSpec, UnitWork};
 use orion_ckks::{Context, NoiseEstimator};
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
@@ -562,15 +569,12 @@ impl<'a> Checker<'a> {
         // Coverage: each program node must be produced by exactly the
         // units `ExecPlan::build` emits for it.
         let mut steps = vec![0usize; c.prog.len()];
-        let mut prefetches = vec![0usize; c.prog.len()];
         let mut step_cts: Vec<BTreeSet<usize>> = vec![BTreeSet::new(); c.prog.len()];
         let mut boots: BTreeMap<(usize, usize), BTreeSet<usize>> = BTreeMap::new();
         let mut boot_units = 0u64;
         for (uid, unit) in plan.units.iter().enumerate() {
             let node = match unit.work {
-                UnitWork::Step { node }
-                | UnitWork::StepCt { node, .. }
-                | UnitWork::Prefetch { node } => node,
+                UnitWork::Step { node } | UnitWork::StepCt { node, .. } => node,
                 UnitWork::Boot { wire, consumer, ct } => {
                     boot_units += 1;
                     if wire >= c.prog.len() || consumer >= c.prog.len() {
@@ -581,12 +585,15 @@ impl<'a> Checker<'a> {
                         );
                         continue;
                     }
-                    if unit.deps.len() != 1 {
+                    // the producer of the refreshed ciphertext — none when
+                    // the caller provides it
+                    let want = usize::from(!plan.input.slots().contains(&unit.in_slot));
+                    if unit.deps.len() != want {
                         self.error(
                             Rule::Coverage,
                             Provenance::unit(uid).at_node(wire).at_ct(ct),
                             format!(
-                                "bootstrap unit has {} dependencies (expected exactly 1)",
+                                "bootstrap unit has {} dependencies (expected exactly {want})",
                                 unit.deps.len()
                             ),
                         );
@@ -606,7 +613,6 @@ impl<'a> Checker<'a> {
             }
             match unit.work {
                 UnitWork::Step { .. } => steps[node] += 1,
-                UnitWork::Prefetch { .. } => prefetches[node] += 1,
                 UnitWork::StepCt { ct, .. } => {
                     if !step_cts[node].insert(ct) {
                         self.error(
@@ -622,21 +628,14 @@ impl<'a> Checker<'a> {
         for (id, p) in c.prog.iter().enumerate() {
             let n_cts = p.n_cts.max(1);
             match &p.step {
-                Step::Input | Step::Output | Step::Conv { .. } | Step::Dense { .. } => {
+                // not work: a unit naming one is `unit_io`'s finding
+                Step::Input | Step::Output => {}
+                Step::Conv { .. } | Step::Dense { .. } => {
                     if steps[id] != 1 {
                         self.error(
                             Rule::Coverage,
                             Provenance::node(id),
                             format!("{} whole-step units (expected 1)", steps[id]),
-                        );
-                    }
-                    let want_pre =
-                        usize::from(matches!(p.step, Step::Conv { .. } | Step::Dense { .. }));
-                    if prefetches[id] != want_pre {
-                        self.error(
-                            Rule::Coverage,
-                            Provenance::node(id),
-                            format!("{} prefetch twins (expected {want_pre})", prefetches[id]),
                         );
                     }
                 }
@@ -970,8 +969,26 @@ impl<'a> Checker<'a> {
     }
 
     fn walk(&mut self) {
-        for uid in 0..self.plan.units.len() {
+        let (plan, c) = (self.plan, self.c);
+        // What the caller hands the walk: fresh ciphertexts at `L_eff`.
+        let fresh = SlotState {
+            level: c.opts.l_eff,
+            scale: ScaleClass::Delta,
+            from_boot: false,
+        };
+        let noise = self.est.as_ref().map(|est| (est.fresh().sigma, 1.0));
+        for slot in plan.input.slots() {
+            self.write(slot, fresh, noise, Provenance::default());
+        }
+        for uid in 0..plan.units.len() {
             self.walk_unit(uid);
+        }
+        // What it hands back: the output wire as it sits, to be decrypted.
+        let out = c.prog.iter().position(|p| matches!(p.step, Step::Output));
+        for (i, slot) in plan.output.slots().enumerate() {
+            let at = out.map_or(Provenance::default(), Provenance::node).at_ct(i);
+            self.read(slot, None, at);
+            self.check_floor(slot, at, "output wire decrypts");
         }
     }
 
@@ -983,7 +1000,7 @@ impl<'a> Checker<'a> {
         let (plan, c) = (self.plan, self.c);
         let unit = &plan.units[uid];
         let at = match unit.work {
-            UnitWork::Prefetch { .. } | UnitWork::SharedRot { .. } => Provenance::unit(uid),
+            UnitWork::SharedRot { .. } => Provenance::unit(uid),
             UnitWork::Step { node } => Provenance::unit(uid).at_node(node),
             UnitWork::StepCt { node, ct } => Provenance::unit(uid).at_node(node).at_ct(ct),
             UnitWork::Boot { wire, ct, .. } => Provenance::unit(uid).at_node(wire).at_ct(ct),
@@ -1043,18 +1060,14 @@ impl<'a> Checker<'a> {
         let mut noise: [Option<(f64, f64)>; 2] = [None; 2];
         for (pos, read) in io.reads.iter().enumerate() {
             let Some((buf, level)) = *read else { continue };
-            for (i, s) in buf.slots().enumerate() {
+            for s in buf.slots() {
                 let state = self.read(s, level, at);
                 if let Some(what) = exact.get(pos) {
                     self.require_delta(state, at, what);
                 }
                 // a raw read leaves the level schedule: a checkpoint
-                if level.is_none() && self.est.is_some() {
-                    let (at, what) = match unit.work {
-                        UnitWork::Boot { .. } => (at, "wire enters bootstrap"),
-                        _ => (at.at_ct(i), "output wire decrypts"),
-                    };
-                    self.check_floor(s, at, what);
+                if level.is_none() {
+                    self.check_floor(s, at, "wire enters bootstrap");
                 }
                 if let Some(st) = state {
                     scale[pos] = st.scale;
@@ -1084,7 +1097,6 @@ impl<'a> Checker<'a> {
                 out_scale = scale[0];
                 est.map(|est| (est.fresh().sigma, noise[0].map_or(1.0, |(_, m)| m)))
             }
-            (_, Some(Step::Input)) => est.map(|est| (est.fresh().sigma, 1.0)),
             (_, Some(Step::Conv { plan, weight, .. } | Step::Dense { plan, weight, .. })) => {
                 est.zip(noise[0]).map(|(est, (sig, mag))| {
                     // Worst case per output: every rotation's key-switch
@@ -1137,7 +1149,7 @@ impl<'a> Checker<'a> {
                         (est.add(ne(sa), ne(sb)).sigma, clamp_mag(ma + mb))
                     })
             }
-            // Output, Prefetch, SharedRot: nothing written
+            // SharedRot: nothing written
             _ => None,
         };
         for i in 0..unit.out_len {
@@ -1168,22 +1180,32 @@ impl<'a> Checker<'a> {
     }
 }
 
-/// Peak live limb vectors of a walk in plan order. A unit's output weighs
-/// 2 polynomials × (exit level + 1) rows per ciphertext and is live from
-/// its unit to its last reader's — the dependents, which model reads
-/// exactly, except Prefetch twins, whose deps are advisory.
+/// Peak live limb vectors of a walk in plan order. A ciphertext weighs
+/// 2 polynomials × (level + 1) rows. A unit's output is live from its unit
+/// to its last reader's — the dependents, which model reads exactly; the
+/// input wire from the start to the last unit whose signature reads it;
+/// the output wire to the end.
 fn peak_live_limbs(plan: &ExecPlan, c: &Compiled) -> u64 {
-    let mut delta = vec![0i64; plan.units.len() + 1];
+    let end = plan.units.len();
+    // (first slot, ciphertexts, level, born at, last reader) per value
+    let mut values = Vec::with_capacity(end + 1);
+    let mut input_reader = 0;
     for (uid, unit) in plan.units.iter().enumerate() {
-        let weight = unit.out_len as i64 * 2 * (plan.io(c, uid).out_level as i64 + 1);
-        let last_reader = plan.succs[uid]
-            .iter()
-            .copied()
-            .filter(|&s| !matches!(plan.units[s].work, UnitWork::Prefetch { .. }))
-            .max()
-            .unwrap_or(uid);
-        delta[uid] += weight;
-        delta[last_reader + 1] -= weight;
+        let io = plan.io(c, uid);
+        if (io.reads.iter().flatten()).any(|(b, _)| plan.input.slots().contains(&b.offset)) {
+            input_reader = uid;
+        }
+        let last = plan.succs[uid].iter().copied().max().unwrap_or(uid);
+        values.push((unit.out_slot, unit.out_len, io.out_level, uid, last));
+    }
+    let input = plan.input;
+    values.push((input.offset, input.len, c.opts.l_eff, 0, input_reader));
+    let mut delta = vec![0i64; end + 1];
+    for (slot, cts, level, born, last) in values {
+        let weight = cts as i64 * 2 * (level as i64 + 1);
+        let held = plan.output.slots().contains(&slot);
+        delta[born] += weight;
+        delta[if held { end } else { last + 1 }] -= weight;
     }
     let mut live = 0i64;
     let mut peak = 0i64;
@@ -1193,11 +1215,6 @@ fn peak_live_limbs(plan: &ExecPlan, c: &Compiled) -> u64 {
     }
     peak as u64
 }
-
-/// Unused import guard: `Buffer` is part of the module's public story via
-/// `SharedRotSpec::buf`; keep the type name resolvable for doc links.
-#[allow(dead_code)]
-fn _doc_types(_: Buffer) {}
 
 #[cfg(test)]
 mod tests {

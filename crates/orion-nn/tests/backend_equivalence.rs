@@ -6,7 +6,7 @@
 
 use orion_ckks::precision::precision_bits;
 use orion_ckks::CkksParams;
-use orion_nn::backend::{run_program, EvalBackend};
+use orion_nn::backend::{decrypt_output, encrypt_input, run_program, EvalBackend};
 use orion_nn::backends::{CkksBackend, ClearBackend};
 use orion_nn::compile::{compile, CompileOptions};
 use orion_nn::fhe_exec::FheSession;
@@ -178,9 +178,13 @@ fn optimized_fork_agrees_across_linear_semantics() {
     let reference = ClearBackend::reference(&compiled);
     let packed = ClearBackend::packed(&compiled);
     let mode = SchedMode::Sequential;
-    let ref_run = run_plan(&plan, &compiled, &reference, &input, mode);
-    let packed_run = run_plan(&plan, &compiled, &packed, &input, mode);
-    let prec = precision_bits(packed_run.output.data(), ref_run.output.data());
+    let cts = encrypt_input(&compiled, &packed, &input);
+    let ref_run = run_plan(&plan, &compiled, &reference, cts.clone(), mode);
+    let packed_run = run_plan(&plan, &compiled, &packed, cts, mode);
+    let prec = precision_bits(
+        decrypt_output(&compiled, &packed, &packed_run.output_wire).data(),
+        decrypt_output(&compiled, &reference, &ref_run.output_wire).data(),
+    );
     assert!(prec > 40.0, "packed vs reference: only {prec} bits");
     assert_counters_identical(&packed_run.counter, &ref_run.counter, "packed vs reference");
 

@@ -11,14 +11,14 @@
 //!   reported stats, and every other integer op count unchanged.
 
 use orion_ckks::CkksParams;
-use orion_nn::backend::{run_program_mode, run_program_opt};
+use orion_nn::backend::{decrypt_output, encrypt_input};
 use orion_nn::backends::{CkksBackend, ClearBackend};
 use orion_nn::compile::{compile, CompileOptions, Compiled};
 use orion_nn::fhe_exec::FheSession;
 use orion_nn::fit::fixed_ranges;
 use orion_nn::network::Network;
-use orion_nn::opt::OptConfig;
-use orion_nn::sched::SchedMode;
+use orion_nn::opt::{optimize_plan, OptConfig};
+use orion_nn::sched::{run_plan, ExecPlan, PlanRun, SchedMode};
 use orion_sim::counter::OpKind;
 use orion_sim::{CostModel, OpCounter};
 use orion_tensor::Tensor;
@@ -70,29 +70,63 @@ fn opts() -> CompileOptions {
     }
 }
 
-/// Runs `c` unoptimized and optimized on a fresh backend from `mk`, in the
-/// given mode; asserts bit-exact outputs and returns the two counters plus
-/// the optimizer stats.
-fn run_pair<B, F>(
+/// Walks `c`'s plan as built and as the optimizer rewrites it over `cts`,
+/// in the given mode; returns the two runs plus the optimizer stats.
+fn walk_pair<B: orion_nn::EvalBackend + Sync>(
+    c: &Compiled,
+    backend: &B,
+    cts: &[B::Ciphertext],
+    mode: SchedMode,
+) -> (
+    PlanRun<B::Ciphertext>,
+    PlanRun<B::Ciphertext>,
+    orion_nn::OptStats,
+) {
+    let mut plan = ExecPlan::build(c);
+    let base = run_plan(&plan, c, backend, cts.to_vec(), mode);
+    let stats = optimize_plan(&mut plan, c, OptConfig::default());
+    let optimized = run_plan(&plan, c, backend, cts.to_vec(), mode);
+    (base, optimized, stats)
+}
+
+/// [`walk_pair`] of `input` on `backend`; asserts bit-exact outputs and
+/// returns the two counters plus the optimizer stats.
+fn run_pair<B: orion_nn::EvalBackend + Sync>(
     c: &Compiled,
     input: &Tensor,
     mode: SchedMode,
     what: &str,
-    mk: F,
-) -> (OpCounter, OpCounter, orion_nn::OptStats)
-where
-    B: orion_nn::EvalBackend + Sync,
-    F: Fn() -> B,
-{
-    let base = run_program_mode(c, &mk(), input, mode);
-    let (optimized, stats) = run_program_opt(c, &mk(), input, mode, OptConfig::default());
+    backend: B,
+) -> (OpCounter, OpCounter, orion_nn::OptStats) {
+    let cts = encrypt_input(c, &backend, input);
+    let (base, optimized, stats) = walk_pair(c, &backend, &cts, mode);
     assert_eq!(
-        base.output.data(),
-        optimized.output.data(),
+        decrypt_output(c, &backend, &base.output_wire).data(),
+        decrypt_output(c, &backend, &optimized.output_wire).data(),
         "{what}: optimized output diverged"
     );
     assert_eq!(base.bootstraps, optimized.bootstraps, "{what}: bootstraps");
     (base.counter, optimized.counter, stats)
+}
+
+/// Raw CKKS output wires, not just their decodes, bit for bit.
+fn assert_wires_bit_identical(
+    session: &FheSession,
+    c: &Compiled,
+    base: &PlanRun<orion_ckks::Ciphertext>,
+    opt: &PlanRun<orion_ckks::Ciphertext>,
+    what: &str,
+) {
+    assert_eq!(
+        session.decrypt_output(c, &base.output_wire).data(),
+        session.decrypt_output(c, &opt.output_wire).data()
+    );
+    assert_eq!(base.output_wire.len(), opt.output_wire.len());
+    for (a, b) in base.output_wire.iter().zip(&opt.output_wire) {
+        assert_eq!(a.c0, b.c0, "{what}: optimized output ciphertext diverged");
+        assert_eq!(a.c1, b.c1);
+        assert_eq!(a.scale.to_bits(), b.scale.to_bits());
+    }
 }
 
 /// Rotation CSE on the fork head: every engine stays bit-exact in both
@@ -112,7 +146,7 @@ fn rotation_cse_strictly_reduces_rotations_and_decompositions() {
             &input,
             mode,
             &format!("plain fork {mode:?}"),
-            || ClearBackend::packed(&compiled),
+            ClearBackend::packed(&compiled),
         );
         assert!(
             stats.rotation_cse.shared_units >= 1,
@@ -171,9 +205,13 @@ fn shared_hoists_are_attributed_to_linear_seconds() {
         let net = mk_net(&mut rng);
         let compiled = compile(&net, &fixed_ranges(&net, 4.0), &opts());
         let input = random_input(4, 8, 8, &mut rng);
-        let (base, opt, stats) = run_pair(&compiled, &input, SchedMode::Sequential, what, || {
-            ClearBackend::packed(&compiled)
-        });
+        let (base, opt, stats) = run_pair(
+            &compiled,
+            &input,
+            SchedMode::Sequential,
+            what,
+            ClearBackend::packed(&compiled),
+        );
         assert!(
             stats.rotation_cse.shared_units >= 1,
             "{what}: CSE must fire"
@@ -209,7 +247,7 @@ fn full_pipeline_bit_exact_on_all_three_engines() {
             &input,
             mode,
             &format!("plain full {mode:?}"),
-            || ClearBackend::packed(&compiled),
+            ClearBackend::packed(&compiled),
         );
         assert!(stats.rotation_cse.shared_units >= 1);
         assert!(opt.rotations() < base.rotations());
@@ -218,7 +256,7 @@ fn full_pipeline_bit_exact_on_all_three_engines() {
             &input,
             mode,
             &format!("trace full {mode:?}"),
-            || ClearBackend::reference(&compiled),
+            ClearBackend::reference(&compiled),
         );
     }
 }
@@ -236,35 +274,15 @@ fn ckks_optimized_output_wire_is_bit_identical() {
     let session = FheSession::new(params, &compiled, 41);
     let input = random_input(4, 8, 8, &mut rng);
     let cts = session.encrypt_input(&compiled, &input);
-    let dummy = Tensor::from_vec(&[4, 8, 8], vec![0.0; 256]);
+    let backend = CkksBackend::new(&session);
 
     for mode in [SchedMode::Sequential, SchedMode::Parallel] {
-        let base = run_program_mode(
-            &compiled,
-            &CkksBackend::new(&session).inject_inputs(cts.clone()),
-            &dummy,
-            mode,
-        );
-        let (opt, stats) = run_program_opt(
-            &compiled,
-            &CkksBackend::new(&session).inject_inputs(cts.clone()),
-            &dummy,
-            mode,
-            OptConfig::default(),
-        );
+        let (base, opt, stats) = walk_pair(&compiled, &backend, &cts, mode);
         assert!(
             stats.rotation_cse.shared_units >= 1,
             "fork must share rotations on CKKS too"
         );
-        assert_eq!(base.output.data(), opt.output.data());
-        for (a, b) in base.output_wire.iter().zip(&opt.output_wire) {
-            assert_eq!(
-                a.c0, b.c0,
-                "optimized output ciphertext diverged ({mode:?})"
-            );
-            assert_eq!(a.c1, b.c1);
-            assert_eq!(a.scale.to_bits(), b.scale.to_bits());
-        }
+        assert_wires_bit_identical(&session, &compiled, &base, &opt, &format!("{mode:?}"));
     }
 }
 
@@ -294,28 +312,12 @@ fn ckks_prepared_bootstrap_deep_optimized_bit_identical() {
     let prepared = session.prepare(&compiled);
     let input = random_input(2, 8, 8, &mut rng);
     let cts = session.encrypt_input(&compiled, &input);
-    let dummy = Tensor::from_vec(&[2, 8, 8], vec![0.0; 128]);
+    let backend = CkksBackend::with_prepared(&session, prepared);
 
     for mode in [SchedMode::Sequential, SchedMode::Parallel] {
-        let base = run_program_mode(
-            &compiled,
-            &CkksBackend::with_prepared(&session, prepared.clone()).inject_inputs(cts.clone()),
-            &dummy,
-            mode,
-        );
-        let (opt, stats) = run_program_opt(
-            &compiled,
-            &CkksBackend::with_prepared(&session, prepared.clone()).inject_inputs(cts.clone()),
-            &dummy,
-            mode,
-            OptConfig::default(),
-        );
+        let (base, opt, stats) = walk_pair(&compiled, &backend, &cts, mode);
         assert!(stats.rotation_cse.shared_units >= 1);
-        assert_eq!(base.output.data(), opt.output.data());
-        for (a, b) in base.output_wire.iter().zip(&opt.output_wire) {
-            assert_eq!(a.c0, b.c0, "prepared optimized output diverged ({mode:?})");
-            assert_eq!(a.c1, b.c1);
-            assert_eq!(a.scale.to_bits(), b.scale.to_bits());
-        }
+        let what = format!("prepared {mode:?}");
+        assert_wires_bit_identical(&session, &compiled, &base, &opt, &what);
     }
 }

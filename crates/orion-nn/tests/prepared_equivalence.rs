@@ -12,6 +12,7 @@ use orion_nn::compile::{compile, CompileOptions, Step};
 use orion_nn::fhe_exec::{run_fhe, run_fhe_prepared, run_fhe_prepared_cts, FheSession};
 use orion_nn::fit::fixed_ranges;
 use orion_nn::network::Network;
+use orion_nn::sched::{run_plan, ExecPlan, SchedMode};
 use orion_tensor::Tensor;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -144,10 +145,12 @@ fn prepared_poly_net_is_bit_identical_and_encodes_only_weights() {
         assert_eq!((&a.c0, &a.c1), (&b.c0, &b.c1), "prepare advanced the RNG");
     }
 
-    let cold = CkksBackend::new(&session).inject_inputs(cts.clone());
-    let cold = run_program(&compiled, &cold, &input);
-    let warm = CkksBackend::with_prepared(&session, prepared.clone()).inject_inputs(cts);
-    let warm = run_program(&compiled, &warm, &input);
+    let plan = ExecPlan::build(&compiled);
+    let mode = SchedMode::Parallel;
+    let cold = CkksBackend::new(&session);
+    let cold = run_plan(&plan, &compiled, &cold, cts.clone(), mode);
+    let warm = CkksBackend::with_prepared(&session, prepared.clone());
+    let warm = run_plan(&plan, &compiled, &warm, cts, mode);
     assert_eq!(
         cold.counter.encodes, weight_encodes,
         "weights and biases only"

@@ -8,17 +8,18 @@
 //! last bit.
 
 use orion_ckks::CkksParams;
-use orion_nn::backend::run_program_mode;
+use orion_nn::backend::{decrypt_output, encrypt_input};
 use orion_nn::backends::{CkksBackend, ClearBackend};
 use orion_nn::compile::{compile, CompileOptions, Compiled};
 use orion_nn::fhe_exec::FheSession;
 use orion_nn::fit::fixed_ranges;
 use orion_nn::network::Network;
-use orion_nn::sched::SchedMode;
+use orion_nn::sched::{run_plan, ExecPlan, SchedMode};
 use orion_sim::{CostModel, OpCounter};
 use orion_tensor::Tensor;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use rayon::prelude::*;
 
 fn random_input(c: usize, h: usize, w: usize, rng: &mut StdRng) -> Tensor {
     let n = c * h * w;
@@ -53,19 +54,19 @@ fn assert_counters_bit_identical(a: &OpCounter, b: &OpCounter, what: &str) {
     );
 }
 
-/// Runs `c` in both modes on a fresh engine built by `mk` and
-/// checks outputs bit-exact + counters bit-identical. Returns the
-/// sequential run's bootstraps.
-fn check_modes<B, F>(c: &Compiled, input: &Tensor, what: &str, mk: F) -> u64
+/// Walks `c`'s plan over `cts` in both modes on `backend` and checks
+/// outputs bit-exact + counters bit-identical. Returns the sequential
+/// run's bootstraps.
+fn check_modes<B>(c: &Compiled, backend: &B, cts: &[B::Ciphertext], what: &str) -> u64
 where
     B: orion_nn::EvalBackend + Sync,
-    F: Fn() -> B,
 {
-    let seq_run = run_program_mode(c, &mk(), input, SchedMode::Sequential);
-    let par_run = run_program_mode(c, &mk(), input, SchedMode::Parallel);
+    let plan = ExecPlan::build(c);
+    let seq_run = run_plan(&plan, c, backend, cts.to_vec(), SchedMode::Sequential);
+    let par_run = run_plan(&plan, c, backend, cts.to_vec(), SchedMode::Parallel);
     assert_eq!(
-        seq_run.output.data(),
-        par_run.output.data(),
+        decrypt_output(c, backend, &seq_run.output_wire).data(),
+        decrypt_output(c, backend, &par_run.output_wire).data(),
         "{what}: parallel output diverged from sequential"
     );
     assert_eq!(seq_run.bootstraps, par_run.bootstraps, "{what}: bootstraps");
@@ -102,20 +103,16 @@ fn mlp_parallel_matches_sequential_on_all_three_engines() {
     );
     let input = random_input(1, 8, 8, &mut rng);
 
-    let boots = check_modes(&compiled, &input, "plain mlp", || {
-        ClearBackend::packed(&compiled)
-    });
+    let packed = ClearBackend::packed(&compiled);
+    let cts = encrypt_input(&compiled, &packed, &input);
+    let boots = check_modes(&compiled, &packed, &cts, "plain mlp");
     assert_eq!(boots, compiled.placement.boot_count);
-    check_modes(&compiled, &input, "trace mlp", || {
-        ClearBackend::reference(&compiled)
-    });
+    let reference = ClearBackend::reference(&compiled);
+    check_modes(&compiled, &reference, &cts, "trace mlp");
 
     let session = FheSession::new(params, &compiled, 99);
     let cts = session.encrypt_input(&compiled, &input);
-    let dummy = Tensor::from_vec(&[1, 8, 8], vec![0.0; 64]);
-    let boots = check_modes(&compiled, &dummy, "ckks mlp", || {
-        CkksBackend::new(&session).inject_inputs(cts.clone())
-    });
+    let boots = check_modes(&compiled, &CkksBackend::new(&session), &cts, "ckks mlp");
     assert_eq!(boots, compiled.placement.boot_count);
 }
 
@@ -146,12 +143,11 @@ fn conv_relu_residual_parallel_matches_sequential() {
         "want multi-ciphertext wires"
     );
     let input = random_input(4, 8, 8, &mut rng);
-    check_modes(&compiled, &input, "plain conv", || {
-        ClearBackend::packed(&compiled)
-    });
-    check_modes(&compiled, &input, "trace conv", || {
-        ClearBackend::reference(&compiled)
-    });
+    let packed = ClearBackend::packed(&compiled);
+    let cts = encrypt_input(&compiled, &packed, &input);
+    check_modes(&compiled, &packed, &cts, "plain conv");
+    let reference = ClearBackend::reference(&compiled);
+    check_modes(&compiled, &reference, &cts, "trace conv");
 }
 
 /// A bootstrap-deep CKKS conv net (square activations keep the depth
@@ -177,19 +173,69 @@ fn ckks_prepared_conv_parallel_matches_sequential() {
     let prepared = session.prepare(&compiled);
     let input = random_input(2, 8, 8, &mut rng);
     let cts = session.encrypt_input(&compiled, &input);
-    let dummy = Tensor::from_vec(&[2, 8, 8], vec![0.0; 128]);
 
-    let seq = CkksBackend::with_prepared(&session, prepared.clone()).inject_inputs(cts.clone());
-    let seq_run = run_program_mode(&compiled, &seq, &dummy, SchedMode::Sequential);
-    let par = CkksBackend::with_prepared(&session, prepared).inject_inputs(cts);
-    let par_run = run_program_mode(&compiled, &par, &dummy, SchedMode::Parallel);
-    assert_eq!(seq_run.output.data(), par_run.output.data());
+    let plan = ExecPlan::build(&compiled);
+    let backend = CkksBackend::with_prepared(&session, prepared);
+    let seq_run = run_plan(
+        &plan,
+        &compiled,
+        &backend,
+        cts.clone(),
+        SchedMode::Sequential,
+    );
+    let par_run = run_plan(&plan, &compiled, &backend, cts, SchedMode::Parallel);
+    assert_eq!(
+        session
+            .decrypt_output(&compiled, &seq_run.output_wire)
+            .data(),
+        session
+            .decrypt_output(&compiled, &par_run.output_wire)
+            .data()
+    );
     // raw output ciphertexts, not just decodes, must match bit for bit
-    for (a, b) in seq_run.output_wire.iter().zip(&par_run.output_wire) {
+    assert_wires_bit_identical(&seq_run.output_wire, &par_run.output_wire);
+    assert_counters_bit_identical(&seq_run.counter, &par_run.counter, "ckks prepared conv");
+    assert_eq!(seq_run.counter.encodes, 0, "prepared path must not encode");
+}
+
+fn assert_wires_bit_identical(a: &[orion_ckks::Ciphertext], b: &[orion_ckks::Ciphertext]) {
+    assert_eq!(a.len(), b.len());
+    for (a, b) in a.iter().zip(b) {
         assert_eq!(a.c0, b.c0, "output ciphertext diverged");
         assert_eq!(a.c1, b.c1);
         assert_eq!(a.scale, b.scale);
     }
-    assert_counters_bit_identical(&seq_run.counter, &par_run.counter, "ckks prepared conv");
-    assert_eq!(seq_run.counter.encodes, 0, "prepared path must not encode");
+}
+
+/// An engine holds no per-run state: ONE `CkksBackend` value walked over
+/// three different encrypted inputs concurrently equals three separate
+/// walks, each on an engine of its own, bit for bit.
+#[test]
+fn one_engine_value_serves_concurrent_walks() {
+    let params = CkksParams::tiny();
+    let mut rng = StdRng::seed_from_u64(0x5c4f0);
+    let net = mlp(&mut rng);
+    let opts = CompileOptions::from_params(&params);
+    let compiled = compile(&net, &fixed_ranges(&net, 2.0), &opts);
+    let session = FheSession::new(params, &compiled, 23);
+    let prepared = session.prepare(&compiled);
+    let plan = ExecPlan::build(&compiled);
+    let requests: Vec<_> = (0..3)
+        .map(|_| session.encrypt_input(&compiled, &random_input(1, 8, 8, &mut rng)))
+        .collect();
+
+    let shared = CkksBackend::with_prepared(&session, prepared.clone());
+    let together: Vec<_> = requests
+        .par_iter()
+        .map(|cts| run_plan(&plan, &compiled, &shared, cts.clone(), SchedMode::Parallel))
+        .collect();
+    for (cts, got) in requests.iter().zip(&together) {
+        let own = CkksBackend::with_prepared(&session, prepared.clone());
+        let alone = run_plan(&plan, &compiled, &own, cts.clone(), SchedMode::Sequential);
+        assert_wires_bit_identical(&alone.output_wire, &got.output_wire);
+        assert_counters_bit_identical(&alone.counter, &got.counter, "concurrent walk");
+    }
+    // three different requests, three different answers
+    assert_ne!(together[0].output_wire[0].c0, together[1].output_wire[0].c0);
+    assert_ne!(together[1].output_wire[0].c0, together[2].output_wire[0].c0);
 }

@@ -3,20 +3,29 @@
 //! order of the step DAG — deps strictly precede their dependents, every
 //! program step is covered by exactly the right units, bootstrap units
 //! match the placement, and the sequential and parallel walks agree on
-//! the trace engine.
+//! the trace engine. Prefetch is not part of the plan: the last test holds
+//! the walk to announcing every linear layer exactly once, from the pool.
 
-use orion_nn::backend::{run_program_mode, run_program_opt};
-use orion_nn::backends::ClearBackend;
+use orion_ckks::CkksParams;
+use orion_linear::paged::{LayerSource, PagedProgram};
+use orion_linear::prepared::PreparedLayer;
+use orion_linear::store::{DiagStore, StoreError};
+use orion_nn::backend::encrypt_input;
+use orion_nn::backends::{CkksBackend, ClearBackend};
 use orion_nn::compile::{compile, CompileOptions, Step};
+use orion_nn::fhe_exec::FheSession;
 use orion_nn::fit::fixed_ranges;
 use orion_nn::network::Network;
 use orion_nn::opt::{optimize_plan, OptConfig, OptStats};
-use orion_nn::sched::{ExecPlan, SchedMode, UnitWork};
+use orion_nn::sched::{run_plan, ExecPlan, SchedMode, UnitWork};
 use orion_sim::CostModel;
 use orion_tensor::Tensor;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::collections::HashMap;
+use std::sync::{Arc, Condvar, Mutex};
+use std::time::Duration;
 
 /// Builds a random small network: a chain of conv/dense blocks with a
 /// random activation after each, optionally closed by a residual add
@@ -57,8 +66,9 @@ fn validate_plan(plan: &ExecPlan, c: &orion_nn::Compiled) {
             );
         }
     }
-    // 2. coverage: each program node appears as exactly one whole-step
-    //    unit or exactly n_cts per-ciphertext units
+    // 2. coverage: each linear layer appears as exactly one whole-step
+    //    unit, each elementwise step as exactly n_cts per-ciphertext units,
+    //    and the input and the output — buffers, not work — as none
     for (id, node) in c.prog.iter().enumerate() {
         let whole = plan
             .units
@@ -71,7 +81,10 @@ fn validate_plan(plan: &ExecPlan, c: &orion_nn::Compiled) {
             .filter(|u| matches!(u.work, UnitWork::StepCt { node, .. } if node == id))
             .count();
         match node.step {
-            Step::Input | Step::Output | Step::Conv { .. } | Step::Dense { .. } => {
+            Step::Input | Step::Output => {
+                assert_eq!((whole, per_ct), (0, 0), "node {id} is not work");
+            }
+            Step::Conv { .. } | Step::Dense { .. } => {
                 assert_eq!((whole, per_ct), (1, 0), "node {id} miscovered");
             }
             _ => {
@@ -96,50 +109,31 @@ fn validate_plan(plan: &ExecPlan, c: &orion_nn::Compiled) {
         .count() as u64;
     assert_eq!(boot_units, want, "bootstrap units vs placement");
     assert_eq!(plan.bootstraps(), want);
-    // 4. every boot unit has exactly one dependency (the version below it)
+    // 4. every boot unit has exactly one dependency (the version below
+    //    it) — none when it refreshes the input wire, which no unit produces
     for unit in &plan.units {
         if matches!(unit.work, UnitWork::Boot { .. }) {
-            assert_eq!(unit.deps.len(), 1, "boot unit with {:?}", unit.deps);
+            let want = usize::from(!plan.input.slots().contains(&unit.in_slot));
+            assert_eq!(unit.deps.len(), want, "boot unit with {:?}", unit.deps);
         }
     }
-    // 5. prefetch twins: one per linear step, ready no later than the
-    //    step itself (its deps are ancestors of the step unit — the
-    //    one-step lookahead), so the advisory load can only start early
-    for (id, node) in c.prog.iter().enumerate() {
-        if matches!(node.step, Step::Conv { .. } | Step::Dense { .. }) {
-            let twins: Vec<&orion_nn::sched::Unit> = plan
-                .units
-                .iter()
-                .filter(|u| matches!(u.work, UnitWork::Prefetch { node } if node == id))
-                .collect();
-            assert_eq!(twins.len(), 1, "node {id} prefetch twins");
-            let step_unit = plan
-                .units
-                .iter()
-                .find(|u| matches!(u.work, UnitWork::Step { node } if node == id))
-                .unwrap();
-            // transitive ancestors of the step unit
-            let mut anc = std::collections::HashSet::new();
-            let mut stack = step_unit.deps.clone();
-            while let Some(u) = stack.pop() {
-                if anc.insert(u) {
-                    stack.extend(plan.units[u].deps.iter().copied());
-                }
-            }
-            for &d in &twins[0].deps {
-                assert!(
-                    anc.contains(&d),
-                    "node {id}: prefetch dep {d} is not an ancestor of the step unit"
-                );
-            }
-        }
+    // 5. units are released by the units producing what they read: a unit
+    //    has no producer iff everything it reads is the input wire (a
+    //    shared hoist is a dependency, not a producer)
+    for (uid, unit) in plan.units.iter().enumerate() {
+        let io = plan.unit_io(c, uid).expect("well-formed unit");
+        let reads_only_input =
+            (io.reads.iter().flatten()).all(|(buf, _)| plan.input.slots().contains(&buf.offset));
+        let mut producers = (unit.deps.iter())
+            .filter(|&&d| !matches!(plan.units[d].work, UnitWork::SharedRot { .. }));
+        assert_eq!(producers.next().is_none(), reads_only_input, "unit {uid}");
     }
 }
 
 /// Extra invariants an *optimized* plan must uphold on top of
 /// `validate_plan` (which it must still pass wholesale — the optimizer
 /// never breaks topology, coverage, bootstrap replication, or the
-/// prefetch-twin lookahead property).
+/// release rule).
 fn validate_optimized(plan: &ExecPlan, c: &orion_nn::Compiled) {
     validate_plan(plan, c);
     // Shared-rotation specs are well-formed: nonzero rotation amounts on
@@ -211,10 +205,14 @@ proptest! {
             (0..n).map(|_| rng.gen_range(-1.0..1.0)).collect(),
         );
         let backend = ClearBackend::reference(&c);
-        let seq = run_program_mode(&c, &backend, &input, SchedMode::Sequential);
-        let par = run_program_mode(&c, &backend, &input, SchedMode::Parallel);
-        prop_assert_eq!(seq.output.data(), par.output.data());
-        prop_assert_eq!(seq.bootstraps, par.bootstraps);
+        let cts = encrypt_input(&c, &backend, &input);
+        let walk = |plan: &ExecPlan, mode| {
+            let run = run_plan(plan, &c, &backend, cts.clone(), mode);
+            let wire: Vec<Vec<f64>> = run.output_wire.into_iter().map(|ct| ct.slots).collect();
+            (wire, run.bootstraps)
+        };
+        let seq = walk(&plan, SchedMode::Sequential);
+        prop_assert_eq!(&seq, &walk(&plan, SchedMode::Parallel));
 
         // The optimizer preserves every plan invariant, and changes a plan
         // only where it removes rotations…
@@ -226,13 +224,8 @@ proptest! {
         }
 
         // …and the optimized plan computes the same bits in both walks.
-        let (oseq, _) = run_program_opt(
-            &c, &backend, &input, SchedMode::Sequential, OptConfig::default());
-        let (opar, _) = run_program_opt(
-            &c, &backend, &input, SchedMode::Parallel, OptConfig::default());
-        prop_assert_eq!(seq.output.data(), oseq.output.data());
-        prop_assert_eq!(seq.output.data(), opar.output.data());
-        prop_assert_eq!(seq.bootstraps, oseq.bootstraps);
+        prop_assert_eq!(&seq, &walk(&oplan, SchedMode::Sequential));
+        prop_assert_eq!(&seq, &walk(&oplan, SchedMode::Parallel));
     }
 
     /// With every pass disabled the optimizer is a byte-identical no-op:
@@ -256,4 +249,101 @@ proptest! {
         prop_assert_eq!(stats, OptStats::default());
         prop_assert_eq!(plan.digest(), before);
     }
+}
+
+/// A paged source that counts the walk's prefetch announcements per layer
+/// and, when `gate` is set, holds a layer's fetch until its announcement
+/// has been served — the order is forced, not assumed from timing.
+struct Announced {
+    pager: PagedProgram,
+    served: Mutex<HashMap<usize, usize>>,
+    wake: Condvar,
+    gate: bool,
+}
+
+impl LayerSource for Announced {
+    fn contains_layer(&self, step: usize) -> bool {
+        self.pager.contains_layer(step)
+    }
+
+    fn fetch_layer(&self, step: usize) -> Result<Option<Arc<PreparedLayer>>, StoreError> {
+        if self.gate {
+            let served = self.served.lock().unwrap();
+            let wait = Duration::from_secs(60);
+            let (_served, late) = (self.wake)
+                .wait_timeout_while(served, wait, |s| !s.contains_key(&step))
+                .unwrap();
+            assert!(!late.timed_out(), "layer {step} ran unannounced");
+        }
+        self.pager.fetch_layer(step)
+    }
+
+    fn prefetch(&self, step: usize) {
+        self.pager.prefetch(step);
+        *self.served.lock().unwrap().entry(step).or_default() += 1;
+        self.wake.notify_all();
+    }
+}
+
+/// Prefetch is an effect of the event-driven release, not a plan unit: on
+/// a pool wider than one thread the walk announces every linear layer to
+/// the engine exactly once — every cold load is a prefetch, every fetch a
+/// prefetch hit — and a walk with nothing to overlap a load with (plan
+/// order, or *either* mode on a one-thread pool) announces none and pays
+/// every load as a blocking fault. CI runs this at the default pool width
+/// and at `RAYON_NUM_THREADS=1`.
+#[test]
+fn prefetch_is_issued_once_per_layer_by_the_event_driven_walk_only() {
+    let params = CkksParams::tiny();
+    let mut rng = StdRng::seed_from_u64(0x9f3);
+    let mut net = Network::new(1, 8, 8);
+    let x = net.input();
+    let f = net.flatten("flat", x);
+    let l1 = net.linear("fc1", f, 16, &mut rng);
+    let a = net.square("act", l1);
+    let l2 = net.linear("fc2", a, 4, &mut rng);
+    net.output(l2);
+    let c = compile(
+        &net,
+        &fixed_ranges(&net, 2.0),
+        &CompileOptions::from_params(&params),
+    );
+    let session = FheSession::new(params, &c, 5);
+    let prepared = session.prepare(&c);
+    let plan = ExecPlan::build(&c);
+    let input = Tensor::from_vec(&[1, 8, 8], (0..64).map(|i| i as f64 / 64.0 - 0.5).collect());
+    let cts = session.encrypt_input(&c, &input);
+    let dir = std::env::temp_dir().join(format!("orion_sched_prefetch_{}", std::process::id()));
+
+    for mode in [SchedMode::Parallel, SchedMode::Sequential] {
+        let announces = mode == SchedMode::Parallel && rayon::current_num_threads() > 1;
+        // a cold pager per walk, with room for every layer
+        let store = DiagStore::open(&dir).unwrap();
+        let source = Arc::new(Announced {
+            pager: PagedProgram::page_out(&prepared, store, "m", usize::MAX).unwrap(),
+            served: Mutex::default(),
+            wake: Condvar::new(),
+            gate: announces,
+        });
+        let backend = CkksBackend::with_source(&session, source.clone());
+        run_plan(&plan, &c, &backend, cts.clone(), mode);
+
+        // (layers announced, announcements, loads by prefetch, the fetches
+        // those served, blocking faults) of the two layers fc1, fc2
+        let (stats, served) = (source.pager.stats(), source.served.lock().unwrap());
+        let announced = (served.len() as u64, served.values().sum::<usize>() as u64);
+        let got = (
+            announced,
+            stats.prefetches,
+            stats.prefetch_hits,
+            stats.faults,
+        );
+        let want = if announces {
+            ((2, 2), 2, 2, 0)
+        } else {
+            ((0, 0), 0, 0, 2)
+        };
+        assert_eq!(got, want, "{mode:?}: {stats:?}");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
 }

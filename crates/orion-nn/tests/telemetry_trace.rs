@@ -15,12 +15,12 @@
 //! pins that an engine handing back the wrong level is caught where the
 //! ciphertext is written.
 
-use orion_nn::backend::{run_program_mode, EvalBackend, LinearRef};
+use orion_nn::backend::{encrypt_input, EvalBackend, LinearRef};
 use orion_nn::backends::ClearBackend;
 use orion_nn::compile::{compile, CompileOptions, Compiled};
 use orion_nn::fit::fixed_ranges;
 use orion_nn::network::Network;
-use orion_nn::sched::SchedMode;
+use orion_nn::sched::{run_plan, ExecPlan, SchedMode};
 use orion_sim::CostModel;
 use orion_telemetry::Phase;
 use orion_tensor::Tensor;
@@ -66,9 +66,15 @@ fn fork_workload() -> (Compiled, Tensor) {
     (compiled, input)
 }
 
+/// Encrypts `input` on `backend` and walks `compiled`'s plan in `mode`.
+fn walk<B: EvalBackend + Sync>(compiled: &Compiled, backend: &B, input: &Tensor, mode: SchedMode) {
+    let cts = encrypt_input(compiled, backend, input);
+    run_plan(&ExecPlan::build(compiled), compiled, backend, cts, mode);
+}
+
 fn run_workload(compiled: &Compiled, input: &Tensor) {
     let backend = ClearBackend::packed(compiled);
-    run_program_mode(compiled, &backend, input, SchedMode::Parallel);
+    walk(compiled, &backend, input, SchedMode::Parallel);
 }
 
 #[test]
@@ -206,7 +212,7 @@ fn simultaneously_ready_units_run_on_different_threads() {
         meetings: AtomicUsize::new(0),
         forget_rescale: false,
     };
-    run_program_mode(&compiled, &engine, &input, SchedMode::Parallel);
+    walk(&compiled, &engine, &input, SchedMode::Parallel);
     assert_eq!(engine.meetings.load(Ordering::Relaxed), 3);
 }
 
@@ -220,12 +226,10 @@ fn an_engine_writing_the_wrong_level_is_caught_where_it_is_written() {
         meetings: AtomicUsize::new(0),
         forget_rescale: true,
     };
-    let walk = std::panic::AssertUnwindSafe(|| {
-        run_program_mode(&compiled, &engine, &input, SchedMode::Sequential)
-    });
-    let payload = std::panic::catch_unwind(walk)
-        .err()
-        .expect("the store assert must reject the un-rescaled ciphertext");
+    let run =
+        std::panic::AssertUnwindSafe(|| walk(&compiled, &engine, &input, SchedMode::Sequential));
+    let payload = std::panic::catch_unwind(run)
+        .expect_err("the store assert must reject the un-rescaled ciphertext");
     let msg = payload.downcast_ref::<String>().expect("assert message");
     assert!(
         msg.contains("a1.scale") && msg.contains("wrong level"),

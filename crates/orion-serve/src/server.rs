@@ -186,12 +186,28 @@ impl std::fmt::Display for ServeError {
 
 impl std::error::Error for ServeError {}
 
-/// Registration choke point: builds the model's execution plan, certifies
-/// it statically (structural profile — scale/level typechecking, key
-/// coverage, well-formedness; no Context is built at registration; warnings
-/// are tolerated) and optimizes it — once: the plan is a property of the
-/// model, every request walks this one.
-fn certified_plan(name: &str, compiled: &Compiled) -> Result<(ExecPlan, OptStats), ServeError> {
+/// Registration choke point: holds `params` to the level budget and slot
+/// count the program was compiled for (`prepare_program` would assert it),
+/// builds the model's execution plan, certifies it statically (structural
+/// profile — scale/level typechecking, key coverage, well-formedness; no
+/// Context is built at registration; warnings are tolerated) and optimizes
+/// it — once: the plan is a property of the model, every request walks it.
+fn certified_plan(
+    name: &str,
+    compiled: &Compiled,
+    params: &CkksParams,
+) -> Result<(ExecPlan, OptStats), ServeError> {
+    let got = (params.effective_level(), params.slots());
+    let want = (compiled.opts.l_eff, compiled.opts.slots);
+    if got != want {
+        return Err(ServeError::Unverifiable {
+            model: name.to_string(),
+            errors: 1,
+            detail: format!(
+                "parameters give (L_eff, slots) = {got:?}, the program was compiled for {want:?}"
+            ),
+        });
+    }
     let mut plan = ExecPlan::build(compiled);
     let report = orion_nn::verify_plan(&plan, compiled, &orion_nn::VerifyConfig::default());
     if report.has_errors() {
@@ -338,7 +354,7 @@ impl Server {
         params: CkksParams,
         _prep_seed: u64,
     ) -> Result<ModelId, ServeError> {
-        let plan = certified_plan(name, &compiled)?;
+        let plan = certified_plan(name, &compiled, &params)?;
         let enc = Encoder::new(Context::new(params.clone()));
         let prepared = Arc::new(prepare_program(&compiled, &enc));
         Ok(self.install_model(name, compiled, plan, params, prepared, None))
@@ -358,7 +374,7 @@ impl Server {
         store_dir: &Path,
         budget_bytes: usize,
     ) -> Result<ModelId, ServeError> {
-        let plan = certified_plan(name, &compiled)?;
+        let plan = certified_plan(name, &compiled, &params)?;
         let enc = Encoder::new(Context::new(params.clone()));
         let prepared = prepare_program(&compiled, &enc);
         let store = DiagStore::open(store_dir).map_err(|error| ServeError::Store {

@@ -185,9 +185,9 @@ fn serve_two_models_two_clients_under_memory_cap() {
 
     // Paging really happened: the cap forced evictions on both models.
     // Loads arrive as blocking faults (always, on a single-threaded pool,
-    // where the sequential walk skips prefetch units) OR as
-    // scheduler-issued lookahead prefetches that converted the fault
-    // into a hit (parallel walk).
+    // where no walk issues a prefetch) OR as the lookahead prefetches the
+    // event-driven walk issues when it releases a layer's producers, which
+    // converted the fault into a hit.
     for (idx, &model) in model_ids.iter().enumerate() {
         let stats = server.page_stats(model).expect("paged model has stats");
         assert!(
@@ -358,4 +358,38 @@ fn wrong_level_request_is_rejected_at_admission() {
     assert_eq!(class("bad_input"), 2.0);
     assert_eq!(class("panic"), 0.0);
     server.shutdown();
+}
+
+/// Parameters that do not give the level budget or slot count the program
+/// was compiled for used to unwind out of registration (the encoder's
+/// `assert_eq!` in `prepare_program`): both paths refuse them with a typed
+/// error, and the server keeps registering.
+#[test]
+fn mis_parameterised_model_is_refused_at_registration() {
+    let server = Server::new(ServeConfig::default());
+    let model = || square_model(0x5e_005).0;
+    let params = square_model(0x5e_005).1;
+    let dir = std::env::temp_dir().join("orion_serve_misparam");
+    let register = |params: CkksParams, paged: bool| match paged {
+        true => server.add_model_paged("m", model(), params, 0, &dir, 1 << 20),
+        false => server.add_model("m", model(), params, 0),
+    };
+    let wider = CkksParams {
+        n: 1 << 11,
+        ..params.clone()
+    };
+    for wrong in [headroom_params(8), wider] {
+        for paged in [false, true] {
+            match register(wrong.clone(), paged) {
+                Err(ServeError::Unverifiable {
+                    errors: 1, detail, ..
+                }) => assert!(detail.contains("compiled for"), "{detail}"),
+                other => panic!("expected Unverifiable, got ok={:?}", other.is_ok()),
+            }
+        }
+    }
+    for paged in [false, true] {
+        register(params.clone(), paged).expect("matching parameters still register");
+    }
+    std::fs::remove_dir_all(&dir).ok();
 }

@@ -1,10 +1,9 @@
 //! # orion-telemetry
 //!
 //! Observability for the Orion stack: a global, default-off span
-//! collector with lock-free per-thread buffers, a metrics registry
-//! (atomic counters/gauges plus a lock-free log-bucketed histogram),
-//! Chrome trace-event / flat-summary exporters, and critical-path
-//! analysis over scheduler runs.
+//! collector with lock-free per-thread buffers, lock-free log-bucketed
+//! histograms per op class, a Chrome trace-event exporter, and
+//! critical-path analysis over scheduler runs.
 //!
 //! Design constraints, in order:
 //!
@@ -22,8 +21,8 @@
 //!
 //! The collector is a process-wide singleton: [`enable`] / [`disable`]
 //! flip it, [`drain`] snapshots-and-clears the merged event log, and
-//! the exporters in [`trace`] turn that log into Perfetto-loadable
-//! Chrome trace JSON or a flat summary.
+//! the exporter in [`trace`] turns that log into Perfetto-loadable
+//! Chrome trace JSON.
 
 use parking_lot::Mutex;
 use std::cell::RefCell;
@@ -332,89 +331,6 @@ pub fn thread_names() -> Vec<(u64, String)> {
         .collect()
 }
 
-// ---------------------------------------------------------------------
-// Metrics registry: named atomic counters and gauges.
-// ---------------------------------------------------------------------
-
-/// Monotonic atomic counter registered under a static name.
-#[derive(Default)]
-pub struct Counter {
-    v: AtomicU64,
-}
-
-impl Counter {
-    /// Add 1.
-    pub fn inc(&self) {
-        self.add(1);
-    }
-
-    /// Add `n`.
-    pub fn add(&self, n: u64) {
-        self.v.fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// Current value.
-    pub fn get(&self) -> u64 {
-        self.v.load(Ordering::Relaxed)
-    }
-}
-
-/// Last-write-wins atomic gauge registered under a static name.
-#[derive(Default)]
-pub struct Gauge {
-    v: AtomicU64,
-}
-
-impl Gauge {
-    /// Set the current value.
-    pub fn set(&self, n: u64) {
-        self.v.store(n, Ordering::Relaxed);
-    }
-
-    /// Current value.
-    pub fn get(&self) -> u64 {
-        self.v.load(Ordering::Relaxed)
-    }
-}
-
-static COUNTERS: LazyLock<Mutex<Vec<(&'static str, &'static Counter)>>> =
-    LazyLock::new(|| Mutex::new(Vec::new()));
-static GAUGES: LazyLock<Mutex<Vec<(&'static str, &'static Gauge)>>> =
-    LazyLock::new(|| Mutex::new(Vec::new()));
-
-/// Look up (or register) the process-wide counter named `name`. The
-/// handle is `'static`; hot call sites should cache it.
-pub fn counter(name: &'static str) -> &'static Counter {
-    let mut reg = COUNTERS.lock();
-    if let Some((_, c)) = reg.iter().find(|(n, _)| *n == name) {
-        return c;
-    }
-    let c: &'static Counter = Box::leak(Box::default());
-    reg.push((name, c));
-    c
-}
-
-/// Look up (or register) the process-wide gauge named `name`.
-pub fn gauge(name: &'static str) -> &'static Gauge {
-    let mut reg = GAUGES.lock();
-    if let Some((_, g)) = reg.iter().find(|(n, _)| *n == name) {
-        return g;
-    }
-    let g: &'static Gauge = Box::leak(Box::default());
-    reg.push((name, g));
-    g
-}
-
-/// All registered counters as `(name, value)`.
-pub fn counters() -> Vec<(&'static str, u64)> {
-    COUNTERS.lock().iter().map(|(n, c)| (*n, c.get())).collect()
-}
-
-/// All registered gauges as `(name, value)`.
-pub fn gauges() -> Vec<(&'static str, u64)> {
-    GAUGES.lock().iter().map(|(n, g)| (*n, g.get())).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -480,20 +396,5 @@ mod tests {
         let ev = drain();
         let begin = ev.iter().find(|e| e.phase == Phase::Begin).unwrap();
         assert_eq!(begin.args.get("req"), Some(42));
-    }
-
-    #[test]
-    fn counters_and_gauges_register_once() {
-        let c = counter("test.counter");
-        c.inc();
-        c.add(4);
-        assert_eq!(counter("test.counter").get(), 5);
-        let g = gauge("test.gauge");
-        g.set(17);
-        assert_eq!(gauge("test.gauge").get(), 17);
-        assert!(counters()
-            .iter()
-            .any(|(n, v)| *n == "test.counter" && *v == 5));
-        assert!(gauges().iter().any(|(n, v)| *n == "test.gauge" && *v == 17));
     }
 }

@@ -1,6 +1,5 @@
-//! Exporters: Chrome trace-event JSON (loadable in Perfetto / `chrome://
-//! tracing`) and a flat text/JSON summary of histograms, counters, and
-//! critical-path reports.
+//! Exporter: Chrome trace-event JSON (loadable in Perfetto / `chrome://
+//! tracing`).
 
 use crate::{thread_names, Event, Phase};
 use serde::Value;
@@ -103,85 +102,6 @@ pub fn chrome_trace_json(events: &[Event]) -> String {
     serde_json::to_string(&chrome_trace(events)).expect("trace serialization cannot fail")
 }
 
-/// Flat JSON summary: op-class histograms (ms), registered counters and
-/// gauges, and the retained critical-path run reports.
-pub fn summary() -> Value {
-    Value::Obj(vec![
-        ("ops_ms".to_string(), crate::hist::op_histograms_value()),
-        (
-            "counters".to_string(),
-            Value::Obj(
-                crate::counters()
-                    .into_iter()
-                    .map(|(n, v)| (n.to_string(), Value::Num(v as f64)))
-                    .collect(),
-            ),
-        ),
-        (
-            "gauges".to_string(),
-            Value::Obj(
-                crate::gauges()
-                    .into_iter()
-                    .map(|(n, v)| (n.to_string(), Value::Num(v as f64)))
-                    .collect(),
-            ),
-        ),
-        (
-            "runs".to_string(),
-            Value::Arr(crate::runs().iter().map(|r| r.to_value()).collect()),
-        ),
-    ])
-}
-
-/// [`summary`] serialized to pretty JSON.
-pub fn summary_json() -> String {
-    serde_json::to_string_pretty(&summary()).expect("summary serialization cannot fail")
-}
-
-/// Human-readable summary: one histogram line per op class, then the
-/// latest run's critical path.
-pub fn summary_text() -> String {
-    use crate::hist::{op_histogram, OpClass};
-    let mut s = String::new();
-    s.push_str("op class        count      p50        p95        max        total\n");
-    for c in OpClass::ALL {
-        let h = op_histogram(c);
-        if h.count() == 0 {
-            continue;
-        }
-        let ms = |v: u64| v as f64 * 1e-6;
-        s.push_str(&format!(
-            "{:<14} {:>7} {:>9.3}ms {:>9.3}ms {:>9.3}ms {:>9.1}ms\n",
-            c.name(),
-            h.count(),
-            ms(h.value_at_quantile(0.50)),
-            ms(h.value_at_quantile(0.95)),
-            ms(h.max()),
-            ms(h.sum()),
-        ));
-    }
-    if let Some(run) = crate::last_run() {
-        s.push_str(&format!(
-            "\nlast run: {} on {} threads — wall {:.3}ms, busy {:.3}ms, critical path {:.3}ms ({} units)\n",
-            run.mode,
-            run.threads,
-            run.wall_ns as f64 * 1e-6,
-            run.busy_ns as f64 * 1e-6,
-            run.critical_path_ns as f64 * 1e-6,
-            run.units,
-        ));
-        for u in &run.top {
-            s.push_str(&format!(
-                "  {:>9.3}ms (+{:>8.3}ms queued)  {}\n",
-                u.dur_ns as f64 * 1e-6,
-                u.queue_ns as f64 * 1e-6,
-                u.label,
-            ));
-        }
-    }
-    s
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -234,14 +154,5 @@ mod tests {
             })
             .collect();
         assert_eq!(phs, vec!["s".to_string(), "f".to_string()]);
-    }
-
-    #[test]
-    fn summary_parses() {
-        let json = summary_json();
-        let doc = serde_json::parse_value(&json).expect("summary must parse");
-        assert!(doc.get("ops_ms").is_some());
-        assert!(doc.get("runs").is_some());
-        let _ = summary_text();
     }
 }

@@ -11,12 +11,12 @@
 //! cargo run --release --example trace_resnet
 //! ```
 
-use orion::nn::backend::run_program_mode;
+use orion::nn::backend::{decrypt_output, encrypt_input};
 use orion::nn::backends::ClearBackend;
 use orion::nn::compile::{compile, CompileOptions};
 use orion::nn::fit::fixed_ranges;
 use orion::nn::network::Network;
-use orion::nn::sched::SchedMode;
+use orion::nn::sched::{run_plan, ExecPlan, SchedMode};
 use orion::sim::CostModel;
 use orion::telemetry;
 use orion::tensor::Tensor;
@@ -59,10 +59,13 @@ fn main() {
         (0..4 * 8 * 8).map(|_| rng.gen_range(-1.0..1.0)).collect(),
     );
 
-    telemetry::enable();
     let backend = ClearBackend::packed(&compiled);
-    let run = run_program_mode(&compiled, &backend, &input, SchedMode::Parallel);
+    let plan = ExecPlan::build(&compiled);
+    let cts = encrypt_input(&compiled, &backend, &input);
+    telemetry::enable();
+    let run = run_plan(&plan, &compiled, &backend, cts, SchedMode::Parallel);
     telemetry::disable();
+    let output = decrypt_output(&compiled, &backend, &run.output_wire);
 
     let events = telemetry::drain();
     let json = telemetry::trace::chrome_trace_json(&events);
@@ -70,7 +73,7 @@ fn main() {
     std::fs::write("target/trace_resnet.json", &json).expect("write trace");
     println!(
         "traced inference: {} output values, {} events",
-        run.output.data().len(),
+        output.data().len(),
         events.len()
     );
     println!("wrote target/trace_resnet.json — load it at https://ui.perfetto.dev");

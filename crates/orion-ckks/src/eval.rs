@@ -178,14 +178,22 @@ impl Evaluator {
 
     /// `HMult` with relinearization. Output scale is the product; the
     /// caller usually rescales next.
+    ///
+    /// Panics with the typed [`crate::keys::RelinKeyLevel`] message if the
+    /// relinearization key was generated below the operands' level;
+    /// statically unreachable on verified plans.
     pub fn mul_relin(&self, a: &Ciphertext, b: &Ciphertext) -> Ciphertext {
         assert_eq!(a.level(), b.level(), "HMult level mismatch");
         let ctx = &self.ctx;
+        let relin = self
+            .keys
+            .try_relin(a.level())
+            .unwrap_or_else(|e| panic!("{e}"));
         let d0 = a.c0.mul_pointwise(&b.c0, ctx);
         let mut d1 = a.c0.mul_pointwise(&b.c1, ctx);
         d1.add_assign(&a.c1.mul_pointwise(&b.c0, ctx), ctx);
         let d2 = a.c1.mul_pointwise(&b.c1, ctx);
-        let (ks_b, ks_a) = self.key_switch(&d2, &self.keys.relin);
+        let (ks_b, ks_a) = self.key_switch(&d2, relin);
         let mut c0 = d0;
         c0.add_assign(&ks_b, ctx);
         let mut c1 = d1;
@@ -233,15 +241,16 @@ impl Evaluator {
     /// `HRot`: rotates slots "up" by `k` (slot `i` of the output holds slot
     /// `i+k` of the input), via the Galois automorphism and one key-switch.
     ///
-    /// Panics if the rotation key was not generated; statically
-    /// unreachable on verified plans (see [`Self::try_rotate`]).
+    /// Panics if the rotation key was not generated, or was generated
+    /// below the ciphertext's level; statically unreachable on verified
+    /// plans (see [`Self::try_rotate`]).
     pub fn rotate(&self, ct: &Ciphertext, k: isize) -> Ciphertext {
         self.try_rotate(ct, k).unwrap_or_else(|e| panic!("{e}"))
     }
 
-    /// [`Self::rotate`] with a typed error on a missing rotation key, for
-    /// callers that handle key coverage themselves instead of relying on
-    /// pre-flight verification.
+    /// [`Self::rotate`] with a typed error on a missing or too-low rotation
+    /// key, for callers that handle key coverage themselves instead of
+    /// relying on pre-flight verification.
     pub fn try_rotate(
         &self,
         ct: &Ciphertext,
@@ -251,7 +260,7 @@ impl Evaluator {
             return Ok(ct.clone());
         }
         let g = self.ctx.galois_element(k);
-        let key = self.keys.try_rotation(g)?;
+        let key = self.keys.try_rotation(g, ct.level())?;
         let perm = self.ctx.galois_permutation(g);
         let sc0 = ct.c0.automorphism_eval(&perm);
         let sc1 = ct.c1.automorphism_eval(&perm);
@@ -273,6 +282,10 @@ impl Evaluator {
             .conj
             .as_ref()
             .expect("conjugation key not generated");
+        assert!(
+            ct.level() <= key.level(),
+            "conjugation key generated below the ciphertext's level"
+        );
         let perm = self.ctx.galois_permutation(g);
         let sc0 = ct.c0.automorphism_eval(&perm);
         let sc1 = ct.c1.automorphism_eval(&perm);

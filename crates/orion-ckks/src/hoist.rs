@@ -9,6 +9,7 @@
 
 use crate::encrypt::{Ciphertext, Plaintext};
 use crate::eval::Evaluator;
+use crate::keys::MissingRotationKey;
 use crate::params::Context;
 use crate::poly::{Form, RnsPoly};
 use orion_math::parallel::{for_each_mut, pointwise_parallel};
@@ -106,17 +107,15 @@ impl HoistedDigits {
     /// lift as without it and then multiplies by `P⁻¹ mod q_j`:
     /// `ModDown(x + P·y) = ModDown(x) + y` limb for limb. Consumers
     /// therefore never handle `σ(c0)` in the base basis.
-    fn key_switch_ext(&self, eval: &Evaluator, k: isize) -> (RnsPoly, RnsPoly) {
+    fn key_switch_ext(
+        &self,
+        eval: &Evaluator,
+        k: isize,
+    ) -> Result<(RnsPoly, RnsPoly), MissingRotationKey> {
         let ctx = eval.context();
         let g = ctx.galois_element(k);
+        let key = eval.keys().try_rotation(g, self.level())?;
         let perm = ctx.galois_permutation(g);
-        // Typed key lookup: a miss panics here with the MissingRotationKey
-        // message — statically unreachable on verified plans (the
-        // orion_nn::verify key-coverage pass checks every hoisted rotation).
-        let key = eval
-            .keys()
-            .try_rotation(g)
-            .unwrap_or_else(|e| panic!("{e}"));
         let pds: Vec<RnsPoly> = self
             .digits
             .iter()
@@ -129,42 +128,62 @@ impl HoistedDigits {
         for pd in pds {
             pd.recycle();
         }
-        (ks_b, ks_a)
+        Ok((ks_b, ks_a))
     }
 
     /// Rotates by `k` using the precomputed digits (one automorphism
     /// permutation + key inner product + ModDown; no per-rotation NTTs
     /// except inside ModDown).
+    ///
+    /// Panics on a missing or too-low rotation key, like
+    /// [`Self::rotate_ext`].
     pub fn rotate(&self, eval: &Evaluator, k: isize) -> Ciphertext {
         let ctx = eval.context();
-        let (c0, c1) = if k == 0 {
-            (self.c0.clone(), self.c1.clone())
-        } else {
-            let (mut b, mut a) = self.key_switch_ext(eval, k);
+        let RotatedExt {
+            mut b,
+            mut a,
+            scale,
+        } = self.rotate_ext(eval, k);
+        if k != 0 {
             b.mod_down_special_assign(ctx);
             a.mod_down_special_assign(ctx);
-            (b, a)
-        };
+        }
         Ciphertext {
-            c0,
-            c1,
-            scale: self.scale,
+            c0: b,
+            c1: a,
+            scale,
         }
     }
 
     /// Computes the rotation's key-switch inner product once, leaving the
     /// result in the extended basis for reuse across many diagonals.
+    ///
+    /// Panics if the rotation key was not generated, or was generated
+    /// below the ciphertext's level; statically unreachable on verified
+    /// plans (the `orion_nn::verify` key-coverage pass checks every
+    /// hoisted rotation and its level) — see [`Self::try_rotate_ext`].
     pub fn rotate_ext(&self, eval: &Evaluator, k: isize) -> RotatedExt {
+        self.try_rotate_ext(eval, k)
+            .unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// [`Self::rotate_ext`] with a typed error on a missing or too-low
+    /// rotation key.
+    pub fn try_rotate_ext(
+        &self,
+        eval: &Evaluator,
+        k: isize,
+    ) -> Result<RotatedExt, MissingRotationKey> {
         let (b, a) = if k == 0 {
             (self.c0.clone(), self.c1.clone())
         } else {
-            self.key_switch_ext(eval, k)
+            self.key_switch_ext(eval, k)?
         };
-        RotatedExt {
+        Ok(RotatedExt {
             b,
             a,
             scale: self.scale,
-        }
+        })
     }
 }
 
@@ -381,10 +400,10 @@ impl ExtAccumulator {
             self.accumulate(ctx, &h.c0, &h.c1, term_scale, pt);
             return;
         }
-        let (ks_b, ks_a) = h.key_switch_ext(eval, k);
-        self.accumulate(ctx, &ks_b, &ks_a, term_scale, pt);
-        ks_b.recycle();
-        ks_a.recycle();
+        let rot = h.rotate_ext(eval, k);
+        self.accumulate(ctx, &rot.b, &rot.a, term_scale, pt);
+        rot.b.recycle();
+        rot.a.recycle();
     }
 
     /// Accumulates `pt ⊙ rot` where `rot` is a precomputed [`RotatedExt`]
@@ -606,7 +625,8 @@ mod tests {
             .iter()
             .map(|d| d.automorphism_eval(&perm))
             .collect();
-        let (ks_b, ks_a) = h.eval.keys().rotation(g).inner_product(&h.ctx, &pds);
+        let key = h.eval.keys().try_rotation(g, hd.level()).unwrap();
+        let (ks_b, ks_a) = key.inner_product(&h.ctx, &pds);
         (ks_b, ks_a, perm.to_vec())
     }
 

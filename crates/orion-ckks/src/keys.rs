@@ -1,9 +1,20 @@
 //! Key material: secret, public, relinearization, and rotation keys.
 //!
 //! Key-switching keys use per-limb digit decomposition with one special
-//! prime `p` (README, "Kernel layer"): the key for re-keying `s' → s` has one part
-//! per chain limb `i`, each a pair over the extended basis `{q_0…q_L, p}`
-//! encrypting `p·D_i·s'` where `D_i ≡ δ_ij (mod q_j)`.
+//! prime `p` (README, "Kernel layer"): the key for re-keying `s' → s` at
+//! level `ℓ` has one part per chain limb `i ≤ ℓ`, each a pair over the
+//! extended basis `{q_0…q_ℓ, p}` encrypting `p·D_i·s'` where
+//! `D_i ≡ δ_ij (mod q_j)`.
+//!
+//! A key-switch of a level-`ℓ'` ciphertext reads parts `0..=ℓ'` and, of
+//! each, limbs `0..=ℓ'` plus the special one — so a key generated at level
+//! `ℓ` serves every level `≤ ℓ` and holds `(ℓ+1)(ℓ+2)` limbs ×2 (`b`, `a`)
+//! ×2 (Shoup twin): quadratic in the level. A program is static once placed,
+//! so the highest level each key is applied at is a compile-time fact
+//! ([`KeyManifest`]); keys are generated at exactly that level, and a
+//! key-switch above it is a typed error ([`MissingRotationKey`],
+//! [`RelinKeyLevel`]) the `orion_nn::verify` coverage pass certifies
+//! unreachable.
 
 use crate::params::Context;
 use crate::poly::{Form, RnsPoly};
@@ -11,7 +22,7 @@ use orion_math::modular::{add_mod, mul_mod, shoup_precompute};
 use orion_math::parallel::pointwise_parallel;
 use orion_math::simd;
 use rand::Rng;
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
 
 /// The secret key: a ternary polynomial, stored in evaluation form over the
@@ -29,10 +40,10 @@ pub struct PublicKey {
     pub a: RnsPoly,
 }
 
-/// A key-switching key for some `s' → s`: one `(b_i, a_i)` pair per chain
-/// limb, each over the extended basis.
+/// A key-switching key for some `s' → s` at level `ℓ`: one `(b_i, a_i)`
+/// pair per chain limb `i ≤ ℓ`, each over the extended basis.
 pub struct KeySwitchKey {
-    /// `parts[i] = (b_i, a_i)` in evaluation form over `{q_0…q_L, p}`.
+    /// `parts[i] = (b_i, a_i)` in evaluation form over `{q_0…q_ℓ, p}`.
     pub parts: Vec<(RnsPoly, RnsPoly)>,
     /// Element-wise Shoup constants for every limb of every part, computed
     /// once at keygen. Key limbs are the *fixed* operand of the key-switch
@@ -42,6 +53,11 @@ pub struct KeySwitchKey {
 }
 
 impl KeySwitchKey {
+    /// The highest ciphertext level this key can switch.
+    pub fn level(&self) -> usize {
+        self.parts.len() - 1
+    }
+
     /// Builds the Shoup tables for freshly generated parts.
     fn with_shoup(ctx: &Context, parts: Vec<(RnsPoly, RnsPoly)>) -> Self {
         let shoup_poly = |p: &RnsPoly| -> RnsPoly {
@@ -72,7 +88,9 @@ impl KeySwitchKey {
     /// *all* gadget digits and fully reducing once per element — the
     /// per-digit reduction sweeps of the unfused loop disappear. The
     /// accumulators must be in evaluation form, `[0, q)`, at the digits'
-    /// level, with special limbs.
+    /// level, with special limbs. The digits' level must not exceed
+    /// [`Self::level`] — callers look keys up through
+    /// [`EvalKeys::try_rotation`] / [`EvalKeys::try_relin`], which check it.
     pub fn accumulate_inner_product(
         &self,
         ctx: &Context,
@@ -81,49 +99,54 @@ impl KeySwitchKey {
         acc_a: &mut RnsPoly,
     ) {
         let d = digits.len();
-        assert!(d <= self.parts.len(), "more digits than key parts");
+        debug_assert!(d <= self.parts.len(), "more digits than key parts");
         assert!(d > 0, "empty digit decomposition");
         let n_chain = acc_b.limbs.len();
         assert_eq!(acc_a.limbs.len(), n_chain);
+        assert!(
+            acc_b.has_special() && acc_a.has_special(),
+            "key-switch accumulators live in the extended basis"
+        );
+        // The kernel's operand tables, built once per call and sliced per
+        // job: `[limb][digit]`, limb `n_chain` being the special one
+        // whatever level an operand sits at.
+        fn table<'p>(
+            polys: impl ExactSizeIterator<Item = &'p RnsPoly> + Clone,
+            n_chain: usize,
+        ) -> Vec<&'p [u64]> {
+            let mut rows = Vec::with_capacity((n_chain + 1) * polys.len());
+            for j in 0..=n_chain {
+                rows.extend(polys.clone().map(|p| match j < n_chain {
+                    true => &p.limbs[j][..],
+                    false => p.special.as_deref().expect("extended-basis operand"),
+                }));
+            }
+            rows
+        }
+        let (parts, shoup) = (&self.parts[..d], &self.parts_shoup[..d]);
+        let ds = table(digits.iter(), n_chain);
+        let key_b = table(parts.iter().map(|(b, _)| b), n_chain);
+        let key_a = table(parts.iter().map(|(_, a)| a), n_chain);
+        let shoup_b = table(shoup.iter().map(|(b, _)| b), n_chain);
+        let shoup_a = table(shoup.iter().map(|(_, a)| a), n_chain);
+        let keys = [(&key_b, &shoup_b), (&key_a, &shoup_a)];
         let k = simd::kernels();
         // One job per (part, limb): 2·(level+2) fused accumulations, each
         // walking all digits. Fans out on the shared pool like the rest of
         // the pointwise layer.
-        let degree = ctx.degree();
-        let par = pointwise_parallel(degree, 2 * (n_chain + 1));
-        let mut jobs: Vec<(u64, usize, bool, &mut Vec<u64>)> = Vec::with_capacity(2 * n_chain + 2);
-        for (which, acc) in [(true, &mut *acc_b), (false, &mut *acc_a)] {
+        let n_limbs = n_chain + 1;
+        let par = pointwise_parallel(ctx.degree(), 2 * n_limbs);
+        let mut jobs: Vec<(u64, &mut Vec<u64>)> = Vec::with_capacity(2 * n_limbs);
+        for acc in [&mut *acc_b, &mut *acc_a] {
             for (j, limb) in acc.limbs.iter_mut().enumerate() {
-                jobs.push((ctx.moduli[j], j, which, limb));
+                jobs.push((ctx.moduli[j], limb));
             }
-            if let Some(s) = acc.special.as_mut() {
-                jobs.push((ctx.special, n_chain, which, s));
-            }
+            jobs.push((ctx.special, acc.special.as_mut().expect("checked above")));
         }
-        orion_math::parallel::for_each_mut(&mut jobs, par, |_, (q, j, is_b, dst)| {
-            let mut ds: Vec<&[u64]> = Vec::with_capacity(d);
-            let mut ks: Vec<&[u64]> = Vec::with_capacity(d);
-            let mut kss: Vec<&[u64]> = Vec::with_capacity(d);
-            for i in 0..d {
-                let (part, part_sh) = if *is_b {
-                    (&self.parts[i].0, &self.parts_shoup[i].0)
-                } else {
-                    (&self.parts[i].1, &self.parts_shoup[i].1)
-                };
-                let (dig, key, key_sh) = if *j < n_chain {
-                    (&digits[i].limbs[*j], &part.limbs[*j], &part_sh.limbs[*j])
-                } else {
-                    (
-                        digits[i].special.as_ref().expect("digit special limb"),
-                        part.special.as_ref().expect("key special limb"),
-                        part_sh.special.as_ref().expect("key shoup special limb"),
-                    )
-                };
-                ds.push(dig);
-                ks.push(key);
-                kss.push(key_sh);
-            }
-            (k.ks_accum)(dst, &ds, &ks, &kss, *q);
+        orion_math::parallel::for_each_mut(&mut jobs, par, |t, (q, dst)| {
+            let (key, key_sh) = keys[t / n_limbs];
+            let row = (t % n_limbs) * d..(t % n_limbs + 1) * d;
+            (k.ks_accum)(dst, &ds[row.clone()], &key[row.clone()], &key_sh[row], *q);
         });
     }
 
@@ -148,47 +171,160 @@ pub struct EvalKeys {
     pub conj: Option<KeySwitchKey>,
 }
 
-/// A rotation was requested whose Galois element has no generated key.
+/// Which evaluation keys a program needs, each with the highest level it
+/// is ever applied at — what [`KeyGenerator::gen_eval_keys_at`] generates
+/// and what the `orion_nn::verify` coverage pass checks a plan against.
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
+pub struct KeyManifest {
+    /// Level of the relinearization key (0 when the program multiplies no
+    /// ciphertexts: [`EvalKeys`] always holds one, the smallest).
+    pub relin: usize,
+    /// Level per rotation step.
+    pub rotations: BTreeMap<isize, usize>,
+}
+
+impl KeyManifest {
+    /// Every listed step, and the relinearization key, at `level`.
+    pub fn uniform(rotations: &[isize], level: usize) -> Self {
+        Self {
+            relin: level,
+            rotations: rotations.iter().map(|&k| (k, level)).collect(),
+        }
+    }
+
+    /// Records that the rotation by `k` is applied at `level`.
+    pub fn use_rotation(&mut self, k: isize, level: usize) {
+        let at = self.rotations.entry(k).or_insert(level);
+        *at = level.max(*at);
+    }
+
+    /// Records a relinearization at `level`.
+    pub fn use_relin(&mut self, level: usize) {
+        self.relin = self.relin.max(level);
+    }
+
+    /// Bytes of key material at ring degree `n`: a level-`ℓ` key is
+    /// `(ℓ+1)` parts × 2 polynomials × `(ℓ+2)` limbs, and its Shoup twin.
+    pub fn key_bytes(&self, n: usize) -> u64 {
+        let levels = std::iter::once(&self.relin).chain(self.rotations.values());
+        levels.map(|&l| Self::bytes_per_key(n, l)).sum()
+    }
+
+    fn bytes_per_key(n: usize, level: usize) -> u64 {
+        4 * 8 * (n * (level + 1) * (level + 2)) as u64
+    }
+
+    /// One report line at ring degree `n`: key count, bytes at the
+    /// manifest's levels, bytes were every key generated at level `flat`
+    /// (the chain's top level is what sizing by the worst case costs), and
+    /// the rotation keys by level.
+    pub fn summary(&self, n: usize, flat: usize) -> String {
+        let keys = 1 + self.rotations.len();
+        let mut by_level: BTreeMap<usize, usize> = BTreeMap::new();
+        for &level in self.rotations.values() {
+            *by_level.entry(level).or_default() += 1;
+        }
+        let by_level: Vec<String> = by_level
+            .iter()
+            .map(|(level, keys)| format!("{keys} @L{level}"))
+            .collect();
+        format!(
+            "evaluation keys: {} keys, {:.1} MB at their plan levels ({:.1} MB all at L{flat}); \
+             rotation {}; relin @L{}",
+            keys,
+            self.key_bytes(n) as f64 / 1e6,
+            (keys as u64 * Self::bytes_per_key(n, flat)) as f64 / 1e6,
+            if by_level.is_empty() {
+                "none".to_string()
+            } else {
+                by_level.join(", ")
+            },
+            self.relin,
+        )
+    }
+}
+
+/// A rotation was requested that no generated key can switch: the Galois
+/// element has no key (`key_level: None`), or its key was generated below
+/// the ciphertext's level.
 ///
 /// Statically unreachable on certified programs: the `orion_nn::verify`
-/// key-coverage pass enumerates every Galois element a plan touches
-/// (BSGS baby/giant steps, optimizer shared-rotation units) and checks it
-/// against keygen before any ciphertext math runs.
+/// key-coverage pass enumerates every rotation a plan applies (BSGS
+/// baby/giant steps, optimizer shared-rotation units) with the level it
+/// applies it at and checks both against keygen before any ciphertext math
+/// runs.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct MissingRotationKey {
     /// The Galois element that was looked up.
     pub galois: usize,
+    /// The level of the ciphertext to be rotated.
+    pub level: usize,
+    /// The level the element's key was generated at, if it has one.
+    pub key_level: Option<usize>,
 }
 
 impl std::fmt::Display for MissingRotationKey {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "missing rotation key for galois element {}", self.galois)
+        let Self { galois, level, .. } = self;
+        match self.key_level {
+            None => write!(f, "missing rotation key for galois element {galois}"),
+            Some(kl) => write!(
+                f,
+                "rotation key for galois element {galois} covers levels ≤ {kl}, applied at level {level}"
+            ),
+        }
     }
 }
 
 impl std::error::Error for MissingRotationKey {}
 
+/// A relinearization was requested above the level the relinearization key
+/// was generated at. Certified unreachable like [`MissingRotationKey`].
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct RelinKeyLevel {
+    /// The level of the product to be relinearized.
+    pub level: usize,
+    /// The level the key was generated at.
+    pub key_level: usize,
+}
+
+impl std::fmt::Display for RelinKeyLevel {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(
+            f,
+            "relinearization key covers levels ≤ {}, applied at level {}",
+            self.key_level, self.level
+        )
+    }
+}
+
+impl std::error::Error for RelinKeyLevel {}
+
 impl EvalKeys {
-    /// Looks up the rotation key for Galois element `g`, with a typed
-    /// error on a miss.
-    pub fn try_rotation(&self, g: usize) -> Result<&KeySwitchKey, MissingRotationKey> {
-        self.rot.get(&g).ok_or(MissingRotationKey { galois: g })
+    /// The rotation key for Galois element `g`, to switch a ciphertext at
+    /// `level`; a typed error when there is none or it sits below `level`.
+    pub fn try_rotation(
+        &self,
+        g: usize,
+        level: usize,
+    ) -> Result<&KeySwitchKey, MissingRotationKey> {
+        match self.rot.get(&g) {
+            Some(key) if level <= key.level() => Ok(key),
+            key => Err(MissingRotationKey {
+                galois: g,
+                level,
+                key_level: key.map(KeySwitchKey::level),
+            }),
+        }
     }
 
-    /// Looks up the rotation key for Galois element `g`.
-    ///
-    /// Panics on a miss. The static verifier's key-coverage pass makes a
-    /// miss unreachable for any certified plan — the `debug_assert`
-    /// documents that contract; fallible callers use [`Self::try_rotation`].
-    pub fn rotation(&self, g: usize) -> &KeySwitchKey {
-        debug_assert!(
-            self.rot.contains_key(&g),
-            "rotation key miss for galois element {g} — the plan was not verified \
-             (orion_nn::verify key-coverage would have rejected it pre-flight)"
-        );
-        match self.try_rotation(g) {
-            Ok(key) => key,
-            Err(e) => panic!("{e}"),
+    /// The relinearization key, to switch a product at `level`.
+    pub fn try_relin(&self, level: usize) -> Result<&KeySwitchKey, RelinKeyLevel> {
+        let key_level = self.relin.level();
+        if level <= key_level {
+            Ok(&self.relin)
+        } else {
+            Err(RelinKeyLevel { level, key_level })
         }
     }
 }
@@ -233,19 +369,21 @@ impl<R: Rng> KeyGenerator<R> {
         PublicKey { b, a }
     }
 
-    /// Generates a key-switching key re-keying `s_from → s` where `s_from`
-    /// is given in evaluation form over the full basis.
-    pub fn gen_ksw_key(&mut self, s_from: &RnsPoly) -> KeySwitchKey {
+    /// Generates a key-switching key re-keying `s_from → s` for
+    /// ciphertexts at levels `≤ level`, where `s_from` is given in
+    /// evaluation form over the full basis: parts `0..=level`, each over
+    /// `{q_0…q_level, p}`.
+    pub fn gen_ksw_key(&mut self, s_from: &RnsPoly, level: usize) -> KeySwitchKey {
         let ctx = &self.ctx;
-        let max = ctx.max_level();
         let p = ctx.special;
-        let parts = (0..=max)
+        let s = self.sk.s.dropped_to_level(level);
+        let parts = (0..=level)
             .map(|i| {
-                let a_i = RnsPoly::sample_uniform(ctx, max, Form::Eval, true, &mut self.rng);
-                let mut e_i = RnsPoly::sample_gaussian(ctx, max, true, &mut self.rng);
+                let a_i = RnsPoly::sample_uniform(ctx, level, Form::Eval, true, &mut self.rng);
+                let mut e_i = RnsPoly::sample_gaussian(ctx, level, true, &mut self.rng);
                 e_i.to_eval(ctx);
                 // b_i = -a_i*s + e_i + p·D_i·s_from
-                let mut b_i = a_i.mul_pointwise(&self.sk.s, ctx);
+                let mut b_i = a_i.mul_pointwise(&s, ctx);
                 b_i.neg_assign(ctx);
                 b_i.add_assign(&e_i, ctx);
                 // p·D_i ≡ p (mod q_i), ≡ 0 (mod q_j, j≠i), ≡ 0 (mod p):
@@ -263,38 +401,41 @@ impl<R: Rng> KeyGenerator<R> {
         KeySwitchKey::with_shoup(ctx, parts)
     }
 
-    /// Generates the relinearization key (`s² → s`).
-    pub fn gen_relin_key(&mut self) -> KeySwitchKey {
+    /// Generates the relinearization key (`s² → s`) at `level`.
+    pub fn gen_relin_key(&mut self, level: usize) -> KeySwitchKey {
         let s2 = self.sk.s.mul_pointwise(&self.sk.s, &self.ctx);
-        self.gen_ksw_key(&s2)
+        self.gen_ksw_key(&s2, level)
     }
 
-    /// Generates the rotation key for a slot rotation by `k`.
-    pub fn gen_rotation_key(&mut self, k: isize) -> (usize, KeySwitchKey) {
+    /// Generates the key for the Galois element `g` at `level`.
+    fn gen_galois_key(&mut self, g: usize, level: usize) -> KeySwitchKey {
+        let perm = self.ctx.galois_permutation(g);
+        let s_g = self.sk.s.automorphism_eval(&perm);
+        self.gen_ksw_key(&s_g, level)
+    }
+
+    /// Generates the rotation key for a slot rotation by `k` at `level`.
+    pub fn gen_rotation_key(&mut self, k: isize, level: usize) -> (usize, KeySwitchKey) {
         let g = self.ctx.galois_element(k);
-        let perm = self.ctx.galois_permutation(g);
-        let s_rot = self.sk.s.automorphism_eval(&perm);
-        (g, self.gen_ksw_key(&s_rot))
+        (g, self.gen_galois_key(g, level))
     }
 
-    /// Generates the conjugation key.
-    pub fn gen_conjugation_key(&mut self) -> KeySwitchKey {
-        let g = self.ctx.galois_element_conj();
-        let perm = self.ctx.galois_permutation(g);
-        let s_conj = self.sk.s.automorphism_eval(&perm);
-        self.gen_ksw_key(&s_conj)
+    /// Generates the conjugation key at `level`.
+    pub fn gen_conjugation_key(&mut self, level: usize) -> KeySwitchKey {
+        self.gen_galois_key(self.ctx.galois_element_conj(), level)
     }
 
-    /// Generates the full evaluation-key set for the given rotation steps.
-    pub fn gen_eval_keys(&mut self, rotations: &[isize]) -> EvalKeys {
-        let relin = self.gen_relin_key();
-        let mut rot = HashMap::new();
-        for &k in rotations {
-            if k == 0 {
+    /// Generates exactly the keys `manifest` lists, each at its level.
+    pub fn gen_eval_keys_at(&mut self, manifest: &KeyManifest) -> EvalKeys {
+        let relin = self.gen_relin_key(manifest.relin);
+        let mut rot: HashMap<usize, KeySwitchKey> = HashMap::new();
+        for (&k, &level) in &manifest.rotations {
+            let g = self.ctx.galois_element(k);
+            // two steps congruent modulo the slot count share one key
+            if k == 0 || rot.get(&g).is_some_and(|key| key.level() >= level) {
                 continue;
             }
-            let (g, key) = self.gen_rotation_key(k);
-            rot.insert(g, key);
+            rot.insert(g, self.gen_galois_key(g, level));
         }
         EvalKeys {
             relin,
@@ -302,11 +443,21 @@ impl<R: Rng> KeyGenerator<R> {
             conj: None,
         }
     }
+
+    /// Generates the relinearization key and a key per rotation step, all
+    /// at the top level — for callers with no plan to size them by.
+    pub fn gen_eval_keys(&mut self, rotations: &[isize]) -> EvalKeys {
+        self.gen_eval_keys_at(&KeyManifest::uniform(rotations, self.ctx.max_level()))
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::encoder::Encoder;
+    use crate::encrypt::{Decryptor, Encryptor};
+    use crate::eval::Evaluator;
+    use crate::hoist::HoistedDigits;
     use crate::params::CkksParams;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
@@ -340,5 +491,123 @@ mod tests {
         assert!(keys.rot.contains_key(&ctx.galois_element(-1)));
         assert!(keys.rot.contains_key(&ctx.galois_element(4)));
         assert_eq!(keys.relin.parts.len(), ctx.max_level() + 1);
+    }
+
+    /// A session whose relinearization key and rotation-by-1 key sit at
+    /// `key_level`.
+    fn level_keyed(key_level: usize) -> (Arc<Context>, Encoder, Encryptor, Decryptor, Evaluator) {
+        let ctx = Context::new(CkksParams::tiny());
+        let mut kg = KeyGenerator::new(ctx.clone(), StdRng::seed_from_u64(9));
+        let pk = Arc::new(kg.gen_public_key());
+        let manifest = KeyManifest::uniform(&[1], key_level);
+        let keys = Arc::new(kg.gen_eval_keys_at(&manifest));
+        assert_eq!(keys.relin.level(), key_level);
+        assert_eq!(
+            manifest.key_bytes(ctx.degree()),
+            2 * 4 * 8 * (ctx.degree() * (key_level + 1) * (key_level + 2)) as u64
+        );
+        (
+            ctx.clone(),
+            Encoder::new(ctx.clone()),
+            Encryptor::with_public_key(ctx.clone(), pk),
+            Decryptor::new(ctx.clone(), kg.secret_key()),
+            Evaluator::new(ctx, keys),
+        )
+    }
+
+    #[test]
+    fn a_level_key_serves_every_level_up_to_its_own_and_no_higher() {
+        let key_level = 2;
+        let (ctx, enc, encryptor, dec, eval) = level_keyed(key_level);
+        let mut rng = StdRng::seed_from_u64(10);
+        let n = ctx.slots();
+        let a: Vec<f64> = (0..n).map(|i| (i % 16) as f64 * 0.125 - 1.0).collect();
+        let fresh = |level: usize, rng: &mut StdRng| {
+            encryptor.encrypt(&enc.encode(&a, ctx.scale(), level, false), rng)
+        };
+        let g = ctx.galois_element(1);
+        for level in 0..=key_level {
+            let ct = fresh(level, &mut rng);
+            // plain and hoisted rotation
+            let hoisted = HoistedDigits::new(&ctx, &ct).rotate(&eval, 1);
+            for rotated in [eval.rotate(&ct, 1), hoisted] {
+                let out = enc.decode(&dec.decrypt(&rotated));
+                for i in (0..n).step_by(37) {
+                    assert!(
+                        (out[i] - a[(i + 1) % n]).abs() < 1e-2,
+                        "level {level} slot {i}"
+                    );
+                }
+            }
+            // relinearization (a product needs a level to rescale into)
+            assert!(eval.keys().try_relin(level).is_ok());
+            if level >= 1 {
+                let mut sq = eval.mul_relin(&ct, &ct);
+                eval.rescale_assign(&mut sq);
+                let out = enc.decode(&dec.decrypt(&sq));
+                for i in (0..n).step_by(37) {
+                    assert!(
+                        (out[i] - a[i] * a[i]).abs() < 1e-2,
+                        "level {level} slot {i}"
+                    );
+                }
+            }
+        }
+        // One level up, both lookups are typed errors — at every call site.
+        let above = fresh(key_level + 1, &mut rng);
+        let miss = MissingRotationKey {
+            galois: g,
+            level: key_level + 1,
+            key_level: Some(key_level),
+        };
+        assert_eq!(eval.try_rotate(&above, 1).err(), Some(miss));
+        let hoisted = HoistedDigits::new(&ctx, &above);
+        assert_eq!(hoisted.try_rotate_ext(&eval, 1).err(), Some(miss));
+        assert_eq!(
+            eval.keys().try_relin(key_level + 1).err(),
+            Some(RelinKeyLevel {
+                level: key_level + 1,
+                key_level
+            })
+        );
+        // A step with no key at all says so.
+        let absent = eval.try_rotate(&fresh(0, &mut rng), 2).err();
+        assert_eq!(absent.map(|e| (e.level, e.key_level)), Some((0, None)));
+    }
+
+    #[test]
+    fn a_truncated_top_level_key_switches_bit_identically() {
+        // What a key-switch at level ≤ ℓ reads of a top-level key is its
+        // first ℓ+1 parts × (ℓ+1 chain limbs + special): cutting the rest
+        // away — what keygen at level ℓ no longer generates — changes no
+        // output bit.
+        let ctx = Context::new(CkksParams::tiny());
+        let mut kg = KeyGenerator::new(ctx.clone(), StdRng::seed_from_u64(11));
+        let (_, full) = kg.gen_rotation_key(1, ctx.max_level());
+        let mut rng = StdRng::seed_from_u64(12);
+        for key_level in 0..=ctx.max_level() {
+            let cut = |parts: &[(RnsPoly, RnsPoly)]| -> Vec<(RnsPoly, RnsPoly)> {
+                let poly = |p: &RnsPoly| p.dropped_to_level(key_level);
+                parts[..=key_level]
+                    .iter()
+                    .map(|(b, a)| (poly(b), poly(a)))
+                    .collect()
+            };
+            let truncated = KeySwitchKey {
+                parts: cut(&full.parts),
+                parts_shoup: cut(&full.parts_shoup),
+            };
+            assert_eq!(truncated.level(), key_level);
+            for level in 0..=key_level {
+                let c = RnsPoly::sample_uniform(&ctx, level, Form::Eval, false, &mut rng);
+                let digits = crate::hoist::decompose_digits(&ctx, &c);
+                let want = full.inner_product(&ctx, &digits);
+                let got = truncated.inner_product(&ctx, &digits);
+                assert!(
+                    got == want,
+                    "key level {key_level}, ciphertext level {level}"
+                );
+            }
+        }
     }
 }

@@ -45,6 +45,8 @@ pub use encoder::Encoder;
 pub use encrypt::{Ciphertext, Decryptor, Encryptor, Plaintext};
 pub use eval::Evaluator;
 pub use hoist::HoistedDigits;
-pub use keys::{EvalKeys, KeyGenerator, MissingRotationKey, PublicKey, SecretKey};
+pub use keys::{
+    EvalKeys, KeyGenerator, KeyManifest, MissingRotationKey, PublicKey, RelinKeyLevel, SecretKey,
+};
 pub use noise::{NoiseEstimate, NoiseEstimator};
 pub use params::{CkksParams, Context};

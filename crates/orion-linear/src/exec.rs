@@ -123,7 +123,8 @@ pub fn exec_plain(
 
 /// Handles bundling the CKKS evaluator and encoder for FHE execution.
 pub struct FheLinearContext<'a> {
-    /// The evaluator (must hold rotation keys for `plan.rotation_steps()`).
+    /// The evaluator (must hold rotation keys for `plan.rotation_steps()`,
+    /// generated at or above the level of the layer's input).
     pub eval: &'a Evaluator,
     /// The encoder.
     pub enc: &'a Encoder,

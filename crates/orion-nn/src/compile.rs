@@ -10,6 +10,8 @@ use crate::act::{compile_activation, CompiledAct, CompiledActs};
 use crate::fit::FitResult;
 use crate::layer::Layer;
 use crate::network::Network;
+use crate::sched::ExecPlan;
+use orion_ckks::KeyManifest;
 use orion_graph::{place, Graph, Node, NodeKind, PlacementResult};
 use orion_linear::plan::{conv_plan, dense_plan, ConvSpec, LinearPlan};
 use orion_linear::TensorLayout;
@@ -234,6 +236,17 @@ impl Compiled {
         set.into_iter().collect()
     }
 
+    /// The evaluation keys the program needs, each at the highest level
+    /// its plan applies it at and nothing above — what `FheSession::new`
+    /// generates. Its key set is [`Compiled::rotation_steps`] plus the
+    /// relinearization key; the levels are the fold of
+    /// [`ExecPlan::key_manifest`] over the built plan (rotation CSE shares
+    /// a rotation at its consumers' read level, so the optimized plan has
+    /// the same manifest).
+    pub fn key_manifest(&self) -> KeyManifest {
+        ExecPlan::build(self).key_manifest(self)
+    }
+
     /// Sum of activation depths (Table 2's "Act. Depth").
     pub fn activation_depth(&self) -> usize {
         self.graph.activation_depth()
@@ -258,6 +271,9 @@ impl Compiled {
             "{}",
             crate::verify::verify_compiled(self, &crate::verify::VerifyConfig::default()).summary()
         );
+        // ring degree 2·slots; the flat figure is a cap of every key at L_eff
+        let keys = self.key_manifest();
+        let _ = writeln!(s, "{}", keys.summary(2 * self.opts.slots, self.opts.l_eff));
         for (id, p) in self.prog.iter().enumerate() {
             let lvl = self.placement.levels[id]
                 .map(|l| format!("@L{l}"))

@@ -3,8 +3,9 @@
 //! [`CkksBackend`] engine.
 //!
 //! An [`FheSession`] owns the key material (public, relinearization, and
-//! exactly the rotation keys the compiled plans need), the bootstrap
-//! oracle, and the evaluator. Every run is the same three steps: encrypt
+//! exactly the rotation keys the compiled plans need, each generated at
+//! exactly the highest level the plan applies it at —
+//! [`Compiled::key_manifest`]), the bootstrap oracle, and the evaluator. Every run is the same three steps: encrypt
 //! the packed input ([`FheSession::encrypt_input`] — the client's half;
 //! the serve path is handed its result), walk the plan over ciphertexts
 //! following the placement policy (drop to the assigned level, bootstrap
@@ -49,7 +50,10 @@ pub struct FheSession {
 }
 
 impl FheSession {
-    /// Generates all key material for `compiled` under `params`.
+    /// Generates all key material for `compiled` under `params`: the
+    /// evaluation keys of its [`Compiled::key_manifest`], each at its
+    /// manifest level — a key-switch the plan never performs has no key,
+    /// and none reaches above the level the plan applies it at.
     pub fn new(params: CkksParams, compiled: &Compiled, seed: u64) -> Self {
         assert_eq!(
             params.effective_level(),
@@ -60,7 +64,7 @@ impl FheSession {
         let ctx = Context::new(params);
         let mut kg = KeyGenerator::new(ctx.clone(), StdRng::seed_from_u64(seed));
         let pk = Arc::new(kg.gen_public_key());
-        let keys = Arc::new(kg.gen_eval_keys(&compiled.rotation_steps()));
+        let keys = Arc::new(kg.gen_eval_keys_at(&compiled.key_manifest()));
         let sk = kg.secret_key();
         Self {
             enc: Encoder::new(ctx.clone()),

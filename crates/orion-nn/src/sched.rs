@@ -65,6 +65,7 @@
 
 use crate::backend::{EvalBackend, LinearRef};
 use crate::compile::{Compiled, Step};
+use orion_ckks::KeyManifest;
 use orion_poly::eval::StageOps;
 use orion_sim::counter::OpKind;
 use orion_sim::OpCounter;
@@ -191,6 +192,15 @@ pub struct UnitIo {
     pub ops: StageOps,
     /// The level of every ciphertext the unit writes.
     pub out_level: usize,
+}
+
+/// An evaluation key a unit applies ([`ExecPlan::for_each_key_use`]).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum KeyUse {
+    /// The rotation key for this slot step.
+    Rotation(isize),
+    /// The relinearization key.
+    Relin,
 }
 
 /// What a [`UnitWork::SharedRot`] unit computes: the union of the hoisted
@@ -490,6 +500,80 @@ impl ExecPlan {
             }
         }
         Ok(io)
+    }
+
+    /// Calls `f(key, level)` for every evaluation key unit `uid` applies,
+    /// with the level of the ciphertext it applies it to, given the unit's
+    /// `io`: a linear layer every step of its BSGS plan and a shared hoist
+    /// its rotations, at the level the input is read at (a layer fed by a
+    /// shared hoist still lists the baby steps it no longer performs — at
+    /// the level the hoist performs them); an activation unit that
+    /// multiplies ciphertexts the relinearization key, at the level it
+    /// enters the stage (every product of a stage sits at or below it).
+    /// Key generation ([`ExecPlan::key_manifest`]) and the verifier's
+    /// coverage pass both read this, so what is generated is what is
+    /// certified.
+    pub fn for_each_key_use(
+        &self,
+        c: &Compiled,
+        uid: usize,
+        io: &UnitIo,
+        mut f: impl FnMut(KeyUse, usize),
+    ) {
+        let read = io.reads[0].and_then(|(_, level)| level);
+        match self.units[uid].work {
+            UnitWork::Step { node } => {
+                let (Some(layer), Some(lv)) = (LinearRef::of(node, &c.prog[node].step), read)
+                else {
+                    return;
+                };
+                for k in layer.plan().rotation_steps() {
+                    f(KeyUse::Rotation(k), lv);
+                }
+            }
+            UnitWork::SharedRot { spec } => {
+                let (Some(sp), Some(lv)) = (self.shared.get(spec), read) else {
+                    return;
+                };
+                for &(_, amount) in &sp.rots {
+                    f(KeyUse::Rotation(amount as isize), lv);
+                }
+            }
+            UnitWork::StepCt { .. } if io.ops.hmult > 0 => f(KeyUse::Relin, io.level),
+            UnitWork::StepCt { .. } | UnitWork::Boot { .. } => {}
+        }
+    }
+
+    /// The evaluation keys a walk of this plan applies, each with the
+    /// highest level it is applied at: the fold of
+    /// [`ExecPlan::for_each_key_use`] over the units, rotation steps
+    /// reduced modulo the slot count (congruent steps share a key). A unit
+    /// the plan cannot describe applies nothing — it is the verifier's
+    /// coverage finding and the walk's panic.
+    ///
+    /// One key is listed above its use: the relinearization key sits at
+    /// the manifest's top level, not at the highest product's. Any
+    /// ciphertext a unit of the plan computes on can then be squared on
+    /// the session's own keys — what the benchmark's pinned CKKS probe
+    /// does at the program's median placement level, which on a
+    /// `linear@4 → x²@3 → linear@1` program is level 4 — for the price of
+    /// the levels between the two in a single key.
+    pub fn key_manifest(&self, c: &Compiled) -> KeyManifest {
+        let slots = c.opts.slots as isize;
+        let mut manifest = KeyManifest::default();
+        for uid in 0..self.units.len() {
+            let Ok(io) = self.unit_io(c, uid) else {
+                continue;
+            };
+            self.for_each_key_use(c, uid, &io, |key, level| match key {
+                KeyUse::Rotation(k) if k.rem_euclid(slots) == 0 => {}
+                KeyUse::Rotation(k) => manifest.use_rotation(k.rem_euclid(slots), level),
+                KeyUse::Relin => manifest.use_relin(level),
+            });
+        }
+        let top = manifest.rotations.values().copied().max();
+        manifest.use_relin(top.unwrap_or(0));
+        manifest
     }
 
     /// [`ExecPlan::unit_io`] of a plan the verifier has passed.

@@ -20,13 +20,16 @@
 //!    scale that only `ReluFinal` or a normalizing stage restores. Adding
 //!    a poly-internal wire to a Δ wire is the static image of the
 //!    runtime's `assert_scales_match` failure.
-//! 2. **Rotation-key coverage** — every rotation the plan touches (BSGS
-//!    baby + giant steps per linear layer, optimizer [`SharedRotSpec`]
-//!    unions) is checked against the rotation steps keys exist for. Two
-//!    amounts share a key iff they are congruent modulo the slot count
-//!    (`galois_element(k) = 5^(k mod N/2) mod 2N` with `N/2` slots), so
-//!    coverage is a residue-set check — the static version of the
-//!    `EvalKeys::rotation` key miss.
+//! 2. **Evaluation-key coverage** — every key a unit applies
+//!    ([`ExecPlan::for_each_key_use`]: BSGS baby + giant + fold steps per
+//!    linear layer, optimizer [`SharedRotSpec`] unions, the
+//!    relinearization key of every activation unit that multiplies
+//!    ciphertexts) is checked against the key manifest: a key must exist
+//!    *and* have been generated at or above the level the unit applies it
+//!    at. Two amounts share a key iff they are congruent modulo the slot
+//!    count (`galois_element(k) = 5^(k mod N/2) mod 2N` with `N/2` slots),
+//!    so coverage is a lookup by residue — the static version of the
+//!    `EvalKeys::try_rotation` / `try_relin` miss.
 //! 3. **Noise-budget certification** — drives the existing
 //!    [`orion_ckks::NoiseEstimator`] as an abstract domain over (σ,
 //!    magnitude) pairs, warning wherever predicted precision drops below
@@ -67,8 +70,8 @@
 //! re-verifies every plan it rewrites.
 
 use crate::compile::{Compiled, Step};
-use crate::sched::{ExecPlan, SharedRotSpec, UnitWork};
-use orion_ckks::{Context, NoiseEstimator};
+use crate::sched::{ExecPlan, KeyUse, SharedRotSpec, UnitWork};
+use orion_ckks::{Context, KeyManifest, NoiseEstimator};
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 
@@ -111,8 +114,12 @@ pub enum Rule {
     RescaleInfeasible,
     /// A refreshed wire is read above the bootstrap's target `L_eff`.
     BootstrapTarget,
-    /// The plan needs a rotation no generated key covers.
+    /// The plan applies a rotation no generated key covers: the step has
+    /// no key, or its key was generated below the level it is applied at.
     MissingRotationKey,
+    /// The plan relinearizes above the level the relinearization key was
+    /// generated at.
+    RelinKeyLevel,
     /// A `SharedRot` unit or [`SharedRotSpec`] violates the optimizer's
     /// contract (dangling spec, empty/zero rotations, bad block indices,
     /// wrong hoist count, orphaned or under-shared consumers).
@@ -133,6 +140,7 @@ impl Rule {
             Rule::RescaleInfeasible => "rescale-infeasible",
             Rule::BootstrapTarget => "bootstrap-target",
             Rule::MissingRotationKey => "missing-rotation-key",
+            Rule::RelinKeyLevel => "relin-key-level",
             Rule::SharedRotMalformed => "shared-rot-malformed",
             Rule::NoiseFloor => "noise-floor",
         }
@@ -148,6 +156,7 @@ impl Rule {
             Rule::RescaleInfeasible,
             Rule::BootstrapTarget,
             Rule::MissingRotationKey,
+            Rule::RelinKeyLevel,
             Rule::SharedRotMalformed,
             Rule::NoiseFloor,
         ]
@@ -249,15 +258,15 @@ impl fmt::Display for Diagnostic {
 
 /// Verifier configuration. `Default` is the structural profile every
 /// choke point can afford: scale/level typechecking, key coverage against
-/// the compiled key set, and memory/well-formedness — no concrete CKKS
-/// context required.
+/// the compiled key manifest, and memory/well-formedness — no concrete
+/// CKKS context required.
 #[derive(Clone, Copy, Debug)]
 pub struct VerifyConfig<'a> {
-    /// Rotation steps keys will exist for. `None` checks against the
-    /// compiled program's own key-generation set
-    /// (`Compiled::rotation_steps`), which is what `FheSession::new`
-    /// generates.
-    pub available_rotations: Option<&'a [isize]>,
+    /// The evaluation keys that will exist, each with the level it is
+    /// generated at. `None` checks against the compiled program's own
+    /// manifest (`Compiled::key_manifest`), which is what
+    /// `FheSession::new` generates.
+    pub available_rotations: Option<&'a KeyManifest>,
     /// CKKS context for the noise-budget pass; `None` skips it (levels and
     /// scales are parameter-free, noise is not).
     pub ctx: Option<&'a Context>,
@@ -430,8 +439,8 @@ struct SlotState {
 struct Checker<'a> {
     plan: &'a ExecPlan,
     c: &'a Compiled,
-    /// Rotation residues (mod slots) keys exist for.
-    avail: BTreeSet<usize>,
+    /// The keys that exist, rotation steps reduced modulo the slot count.
+    avail: KeyManifest,
     est: Option<NoiseEstimator<'a>>,
     floor: f64,
     st: Vec<Option<SlotState>>,
@@ -449,20 +458,20 @@ fn clamp_mag(m: f64) -> f64 {
 
 impl<'a> Checker<'a> {
     fn new(plan: &'a ExecPlan, c: &'a Compiled, cfg: &VerifyConfig<'a>) -> Self {
-        let slots = c.opts.slots;
-        let steps_own;
-        let steps: &[isize] = match cfg.available_rotations {
-            Some(s) => s,
-            None => {
-                steps_own = c.rotation_steps();
-                &steps_own
+        let slots = c.opts.slots as isize;
+        let avail = match cfg.available_rotations {
+            Some(given) => {
+                let mut avail = KeyManifest {
+                    relin: given.relin,
+                    ..KeyManifest::default()
+                };
+                for (&k, &level) in &given.rotations {
+                    avail.use_rotation(k.rem_euclid(slots), level);
+                }
+                avail
             }
+            None => c.key_manifest(),
         };
-        let avail = steps
-            .iter()
-            .map(|&k| k.rem_euclid(slots as isize) as usize)
-            .filter(|&r| r != 0)
-            .collect();
         let mut est = None;
         let mut diags = Vec::new();
         if let Some(ctx) = cfg.ctx {
@@ -838,7 +847,6 @@ impl<'a> Checker<'a> {
                     ),
                 );
             }
-            self.check_rotation(amt as isize, at);
         }
         if blocks.len() != sp.hoists {
             self.error(
@@ -854,25 +862,43 @@ impl<'a> Checker<'a> {
     }
 
     // -----------------------------------------------------------------
-    // Pass family 2: rotation-key coverage.
+    // Pass family 2: evaluation-key coverage.
     // -----------------------------------------------------------------
 
-    /// Checks that a rotation by `k` slots is covered by a generated key.
-    fn check_rotation(&mut self, k: isize, at: Provenance) {
+    /// Checks that a rotation by `k` slots of a level-`lv` ciphertext is
+    /// covered by a generated key.
+    fn check_rotation(&mut self, k: isize, lv: usize, at: Provenance) {
         self.rotations_checked += 1;
         let slots = self.c.opts.slots;
-        let r = k.rem_euclid(slots as isize) as usize;
-        if r == 0 || self.avail.contains(&r) {
+        let r = k.rem_euclid(slots as isize);
+        let key_level = self.avail.rotations.get(&r).copied();
+        if r == 0 || key_level.is_some_and(|kl| lv <= kl) {
             return;
         }
-        // The Galois element the runtime would look up (and panic on):
+        // The Galois element the runtime would look up (and fail on):
         // 5^(k mod N/2) mod 2N with N = 2·slots.
         let g = orion_math::modular::pow_mod(5, r as u64, 4 * slots as u64);
+        let why = match key_level {
+            None => "has no generated key".to_string(),
+            Some(kl) => format!("is applied at level {lv}, its key covers levels ≤ {kl}"),
+        };
         self.error(
             Rule::MissingRotationKey,
             at,
-            format!("rotation by {k} (galois element {g}) has no generated key"),
+            format!("rotation by {k} (galois element {g}) {why}"),
         );
+    }
+
+    /// Checks that a relinearization at level `lv` is within the key's.
+    fn check_relin(&mut self, lv: usize, at: Provenance) {
+        let kl = self.avail.relin;
+        if lv > kl {
+            self.error(
+                Rule::RelinKeyLevel,
+                at,
+                format!("relinearizes at level {lv}, the key covers levels ≤ {kl}"),
+            );
+        }
     }
 
     // -----------------------------------------------------------------
@@ -1080,11 +1106,10 @@ impl<'a> Checker<'a> {
             }
         }
 
-        if let Some(Step::Conv { plan, .. } | Step::Dense { plan, .. }) = step {
-            for &k in &plan.rotation_steps() {
-                self.check_rotation(k, at);
-            }
-        }
+        plan.for_each_key_use(c, uid, &io, |key, lv| match key {
+            KeyUse::Rotation(k) => self.check_rotation(k, lv, at),
+            KeyUse::Relin => self.check_relin(lv, at),
+        });
 
         // The noise transfer and the scale class handed on.
         let est = self.est.as_ref();

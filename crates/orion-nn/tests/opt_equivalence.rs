@@ -85,6 +85,9 @@ fn walk_pair<B: orion_nn::EvalBackend + Sync>(
     let mut plan = ExecPlan::build(c);
     let base = run_plan(&plan, c, backend, cts.to_vec(), mode);
     let stats = optimize_plan(&mut plan, c, OptConfig::default());
+    // rotation CSE shares a rotation at its consumers' read level, so the
+    // keys generated for the built plan are the keys the optimized one needs
+    assert_eq!(plan.key_manifest(c), c.key_manifest(), "key manifest");
     let optimized = run_plan(&plan, c, backend, cts.to_vec(), mode);
     (base, optimized, stats)
 }

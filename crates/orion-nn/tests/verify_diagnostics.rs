@@ -5,7 +5,7 @@
 //! broken-rewrite-injection test pinning the optimizer's verify-and-
 //! rollback safety net.
 
-use orion_ckks::{CkksParams, Context};
+use orion_ckks::{CkksParams, Context, KeyManifest};
 use orion_nn::compile::{compile, CompileOptions, Step};
 use orion_nn::fit::fixed_ranges;
 use orion_nn::network::Network;
@@ -73,7 +73,7 @@ fn missing_rotation_key_is_flagged_at_the_linear_node() {
     let report = verify_compiled(
         &c,
         &VerifyConfig {
-            available_rotations: Some(&[]),
+            available_rotations: Some(&KeyManifest::default()),
             ..VerifyConfig::default()
         },
     );
@@ -93,6 +93,75 @@ fn missing_rotation_key_is_flagged_at_the_linear_node() {
     assert!(
         !verify_compiled(&c, &VerifyConfig::default()).has_errors(),
         "self-keyed program must be covered"
+    );
+}
+
+// ---------------------------------------------------------------------
+// Seeded defect 1b: a key generated one level below where the plan
+// applies it — a rotation step's, then the relinearization key's.
+// ---------------------------------------------------------------------
+
+#[test]
+fn a_key_one_level_too_low_is_flagged_at_the_unit_that_applies_it() {
+    let net = conv_net(3, 1, 0, false); // conv → square
+    let c = compile(&net, &fixed_ranges(&net, 4.0), &small_opts());
+    let plan = ExecPlan::build(&c);
+    let conv = node_of(&c, |s| matches!(s, Step::Conv { .. }));
+    let square = node_of(&c, |s| matches!(s, Step::Square));
+    let unit_of = |node: usize| {
+        plan.units
+            .iter()
+            .position(|u| {
+                matches!(u.work, UnitWork::Step { node: n } | UnitWork::StepCt { node: n, .. } if n == node)
+            })
+            .expect("node has a unit")
+    };
+    let generated = c.key_manifest();
+    let with = |manifest: &_| {
+        verify_plan(
+            &plan,
+            &c,
+            &VerifyConfig {
+                available_rotations: Some(manifest),
+                ..VerifyConfig::default()
+            },
+        )
+    };
+    assert!(with(&generated).is_clean(), "the generated manifest covers");
+
+    // One rotation step of the conv, one level short.
+    let (&step, &level) = generated.rotations.iter().next().expect("conv rotates");
+    assert_eq!(Some(level), c.placement.levels[conv]);
+    let mut low = generated.clone();
+    low.rotations.insert(step, level - 1);
+    let report = with(&low);
+    assert_eq!(report.error_count(), 1, "{}", report.table());
+    let hit = &report.diagnostics[0];
+    assert_eq!(hit.rule, Rule::MissingRotationKey);
+    assert_eq!(
+        (hit.at.unit, hit.at.node),
+        (Some(unit_of(conv)), Some(conv))
+    );
+    assert!(
+        hit.message.contains(&format!("rotation by {step} "))
+            && hit.message.contains(&format!("applied at level {level}"))
+            && hit.message.contains(&format!("levels ≤ {}", level - 1)),
+        "{}",
+        hit.message
+    );
+
+    // The relinearization key, one level short of the square.
+    let product_level = c.placement.levels[square].expect("square is placed");
+    assert!(product_level <= generated.relin);
+    let mut low = generated.clone();
+    low.relin = product_level - 1;
+    let report = with(&low);
+    assert_eq!(report.error_count(), 1, "{}", report.table());
+    let hit = &report.diagnostics[0];
+    assert_eq!(hit.rule, Rule::RelinKeyLevel);
+    assert_eq!(
+        (hit.at.unit, hit.at.node, hit.at.ct),
+        (Some(unit_of(square)), Some(square), Some(0))
     );
 }
 

@@ -13,8 +13,10 @@
 //! The first argument is a zoo model name (`mlp`, `lenet5`, `resnet20`,
 //! …; default `resnet20`). The second selects parameters: `paper`
 //! (default — N = 2¹⁶ planning scale, structural passes only) or
-//! `tiny`/`medium` (concrete CKKS parameters; the noise-budget pass joins
-//! in under the matching `Context`).
+//! `tiny`/`small`/`medium` (concrete CKKS parameters; the noise-budget pass
+//! joins in under the matching `Context`, and one more line states the key
+//! manifest `FheSession::new` would generate — keys, bytes at their plan
+//! levels against bytes at the chain's top level, keys by level).
 
 use orion::ckks::{CkksParams, Context};
 use orion::models::data::synthetic_images;
@@ -37,21 +39,20 @@ fn main() {
     let (c, h, w) = info.input;
     let calib = synthetic_images(c, h, w, 2, 0x5eed);
 
-    let (opts, ctx) = match preset {
-        "paper" => (CompileOptions::paper(), None),
-        "tiny" => {
-            let p = CkksParams::tiny();
-            (CompileOptions::from_params(&p), Some(Context::new(p)))
-        }
-        "medium" => {
-            let p = CkksParams::medium();
-            (CompileOptions::from_params(&p), Some(Context::new(p)))
-        }
+    let params = match preset {
+        "paper" => None,
+        "tiny" => Some(CkksParams::tiny()),
+        "small" => Some(CkksParams::small()),
+        "medium" => Some(CkksParams::medium()),
         other => {
-            eprintln!("unknown parameter preset {other:?} (expected paper|tiny|medium)");
+            eprintln!("unknown parameter preset {other:?} (expected paper|tiny|small|medium)");
             std::process::exit(2);
         }
     };
+    let opts = params
+        .as_ref()
+        .map_or_else(CompileOptions::paper, CompileOptions::from_params);
+    let ctx = params.map(Context::new);
 
     // Compile directly (not through `Orion::compile`, which would panic on
     // an unverifiable program — this tool's job is to *show* the table).
@@ -81,6 +82,10 @@ fn main() {
         cse.shared_units, cse.hoists_eliminated, cse.baby_rots_eliminated, stats.rejected_passes,
     );
     print_report(&served);
+    if let Some(ctx) = &ctx {
+        let keys = compiled.key_manifest();
+        println!("{}", keys.summary(ctx.degree(), ctx.max_level()));
+    }
     if built.has_errors() || served.has_errors() || stats.rejected_passes > 0 {
         std::process::exit(1);
     }

@@ -37,31 +37,6 @@ pub enum CompiledAct {
 }
 
 impl CompiledAct {
-    /// Multiplicative depth of each program step this activation expands
-    /// to (scale-down, stages…, final), used by the IR builder.
-    pub fn step_depths(&self) -> Vec<usize> {
-        match self {
-            CompiledAct::Poly { coeffs, .. } => {
-                // scale-down, then evaluation + output normalization
-                vec![1, ChebPoly::new(coeffs.clone()).eval_depth() + 1]
-            }
-            CompiledAct::Relu { stages, .. } => {
-                let mut d = vec![1];
-                for s in stages {
-                    d.push(ChebPoly::new(s.clone()).eval_depth());
-                }
-                d.push(1); // final x·sign(x) product
-                d
-            }
-            CompiledAct::Square => vec![2],
-        }
-    }
-
-    /// Total multiplicative depth.
-    pub fn total_depth(&self) -> usize {
-        self.step_depths().iter().sum()
-    }
-
     /// Cleartext evaluation (the ideal FHE semantics, no noise).
     pub fn eval(&self, x: f64) -> f64 {
         match self {
@@ -158,22 +133,6 @@ mod tests {
                 act.eval(x)
             );
         }
-    }
-
-    #[test]
-    fn depths_follow_structure() {
-        let relu = compile_activation(
-            &Layer::ReLU {
-                degrees: vec![15, 15, 27],
-            },
-            1.0,
-        );
-        assert_eq!(relu.step_depths(), vec![1, 5, 5, 6, 1]);
-        assert_eq!(relu.total_depth(), 18);
-        let silu = compile_activation(&Layer::SiLU { degree: 127 }, 1.0);
-        assert_eq!(silu.step_depths(), vec![1, 9]);
-        let sq = compile_activation(&Layer::Square, 1.0);
-        assert_eq!(sq.total_depth(), 2);
     }
 
     #[test]

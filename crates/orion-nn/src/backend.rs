@@ -264,15 +264,8 @@ pub trait EvalBackend {
     /// Multiplies by `factor ≤ 1` and rescales (activation normalization).
     fn scale_down(&self, ct: &Self::Ciphertext, factor: f64, level: usize) -> Self::Ciphertext;
 
-    /// One Chebyshev stage; `normalize` re-aligns the output to exact Δ at
-    /// +1 depth.
-    fn poly_stage(
-        &self,
-        ct: &Self::Ciphertext,
-        coeffs: &[f64],
-        normalize: bool,
-        level: usize,
-    ) -> Self::Ciphertext;
+    /// One Chebyshev stage; the output sits on exactly Δ.
+    fn poly_stage(&self, ct: &Self::Ciphertext, coeffs: &[f64], level: usize) -> Self::Ciphertext;
     /// The final ReLU product `m·u·(s+1)/2` (`u` at `level`, `sign` at
     /// `level − 1`); depth 2.
     fn relu_final(

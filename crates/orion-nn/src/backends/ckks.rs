@@ -198,14 +198,8 @@ impl EvalBackend for CkksBackend<'_> {
         m
     }
 
-    fn poly_stage(
-        &self,
-        ct: &Ciphertext,
-        coeffs: &[f64],
-        normalize: bool,
-        _level: usize,
-    ) -> Ciphertext {
-        evaluate_chebyshev(&self.session.eval, ct, coeffs, normalize)
+    fn poly_stage(&self, ct: &Ciphertext, coeffs: &[f64], _level: usize) -> Ciphertext {
+        evaluate_chebyshev(&self.session.eval, ct, coeffs)
     }
 
     fn relu_final(

@@ -271,15 +271,9 @@ impl EvalBackend for ClearBackend {
         ct.map(below(level, 1), |x| x * factor)
     }
 
-    fn poly_stage(
-        &self,
-        ct: &ClearCiphertext,
-        coeffs: &[f64],
-        normalize: bool,
-        level: usize,
-    ) -> ClearCiphertext {
-        // the level the CKKS evaluation exits at, not the reserved depth
-        let exit = orion_poly::eval::stage_ops(coeffs, normalize, level).exit_level;
+    fn poly_stage(&self, ct: &ClearCiphertext, coeffs: &[f64], level: usize) -> ClearCiphertext {
+        // the level the CKKS evaluation exits at
+        let exit = orion_poly::eval::stage_ops(coeffs, level).exit_level;
         let p = ChebPoly::new(coeffs.to_vec());
         ct.map(exit, |x| p.eval(x))
     }
@@ -335,14 +329,17 @@ mod tests {
 
     #[test]
     fn poly_stage_exits_where_the_engine_does() {
-        // A degree-9 stage reserves 5 levels but the recursion spends 4;
-        // a coefficient trimmed below 1e-13 does not count toward the degree.
+        // A degree-9 stage reserves and spends 4 levels; coefficients
+        // trimmed below 1e-13 do not count toward the degree (the padded
+        // length, read as degree 17, would reserve 5).
         let e = engine();
         let mut coeffs = vec![0.1; 10];
-        coeffs.extend([1e-14; 4]);
-        let out = e.poly_stage(&e.encrypt(&[0.5; 8], 10), &coeffs, false, 10);
-        assert_eq!(orion_poly::eval::fhe_eval_depth(9), 5);
+        coeffs.extend([1e-14; 8]);
+        let out = e.poly_stage(&e.encrypt(&[0.5; 8], 10), &coeffs, 10);
+        assert_eq!(orion_poly::eval::fhe_eval_depth(9), 4);
         assert_eq!(out.level, 10 - 4);
+        let step = crate::compile::Step::PolyStage { coeffs };
+        assert_eq!(step.depth(), 4, "reserved == consumed");
     }
 
     #[test]

@@ -15,7 +15,9 @@ use orion_ckks::KeyManifest;
 use orion_graph::{place, Graph, Node, NodeKind, PlacementResult};
 use orion_linear::plan::{conv_plan, dense_plan, ConvSpec, LinearPlan};
 use orion_linear::TensorLayout;
-use orion_poly::eval::{relu_product_ops, square_ops, stage_ops, StageOps};
+use orion_poly::eval::{
+    fhe_eval_depth, relu_product_ops, square_ops, stage_ops, trimmed_degree, StageOps,
+};
 use orion_sim::CostModel;
 use orion_tensor::Tensor;
 
@@ -59,13 +61,10 @@ pub enum Step {
         /// The multiplier (≤ 1).
         factor: f64,
     },
-    /// One Chebyshev stage on the normalized wire; `normalize` restores
-    /// the exact-Δ scale at +1 depth (last stage of SiLU-type activations).
+    /// One Chebyshev stage on the range-scaled wire; exits on exactly Δ.
     PolyStage {
         /// Chebyshev coefficients.
         coeffs: Vec<f64>,
-        /// Whether to re-normalize the output scale to Δ.
-        normalize: bool,
     },
     /// The final ReLU product `m·u·(s+1)/2`; inputs are
     /// `[normalized wire u, sign wire s]`. Depth 2.
@@ -99,16 +98,13 @@ pub struct StepSig {
 impl Step {
     /// The levels the step reserves: what compile hands the placement
     /// graph, and what the plan walk and the verifier demand of the
-    /// step's placement level. An upper bound on what it consumes (tight
-    /// for every kind but [`Step::PolyStage`], whose recursion exits a level
-    /// early for some degrees).
+    /// step's placement level. Reserved **equals** consumed for every kind:
+    /// `lv − sig(lv).ops.exit_level == depth()` wherever `lv ≥ depth()`.
     pub fn depth(&self) -> usize {
         match self {
             Step::Input | Step::Output | Step::Add => 0,
             Step::Conv { .. } | Step::Dense { .. } | Step::ScaleDown { .. } => 1,
-            Step::PolyStage { coeffs, normalize } => {
-                orion_poly::eval::fhe_eval_depth(coeffs.len() - 1) + usize::from(*normalize)
-            }
+            Step::PolyStage { coeffs } => fhe_eval_depth(trimmed_degree(coeffs)),
             Step::ReluFinal { .. } | Step::Square => 2,
         }
     }
@@ -139,7 +135,7 @@ impl Step {
                 rescale: 1,
                 ..at(lv - 1)
             },
-            Step::PolyStage { coeffs, normalize } => stage_ops(coeffs, *normalize, lv),
+            Step::PolyStage { coeffs } => stage_ops(coeffs, lv),
             Step::ReluFinal { .. } => relu_product_ops(lv),
             Step::Square => square_ops(lv),
             Step::Add => StageOps { hadd: 1, ..at(lv) },
@@ -303,11 +299,7 @@ impl Compiled {
                     plan.counts.pmults
                 ),
                 Step::ScaleDown { factor } => format!("scale-down x{factor:.4}"),
-                Step::PolyStage { coeffs, normalize } => format!(
-                    "chebyshev deg {}{}",
-                    coeffs.len() - 1,
-                    if *normalize { " +normalize" } else { "" }
-                ),
+                Step::PolyStage { coeffs } => format!("chebyshev deg {}", coeffs.len() - 1),
                 Step::ReluFinal { magnitude } => format!("relu final x{magnitude:.3}"),
                 Step::Square => "square".to_string(),
                 Step::Add => "residual add".to_string(),
@@ -323,15 +315,6 @@ impl Compiled {
     pub fn to_dot(&self) -> String {
         orion_graph::to_dot(&self.graph, Some(&self.placement))
     }
-}
-
-/// Placement's edge weight for a degree-`d` Chebyshev stage: a closed-form
-/// estimate of its ciphertext products (the counted ops are
-/// `orion_poly::eval::stage_ops`).
-fn stage_mult_estimate(d: usize) -> usize {
-    let logd = usize::BITS as usize - d.max(1).leading_zeros() as usize;
-    let m = 1usize << logd.div_ceil(2);
-    (m - 1) + logd.saturating_sub(logd.div_ceil(2)) + (d + 1).div_ceil(m)
 }
 
 /// A depthwise convolution over `c` channels (stand-alone batch-norm and
@@ -600,9 +583,16 @@ fn emit_activation(
     l_eff: usize,
 ) -> usize {
     let lat_fn = |f: &dyn Fn(usize) -> f64| -> Vec<f64> { (0..=l_eff).map(f).collect() };
-    let stage_lat = |d: usize| {
-        let mults = stage_mult_estimate(d);
-        lat_fn(&|l| n_cts as f64 * (mults as f64 * cost.hmult(l) + d as f64 * cost.pmult(l)))
+    // a stage is priced from its own tally (the op mix does not depend on
+    // the entry level), each op at the stage's placement level
+    let stage_lat = |coeffs: &[f64]| {
+        let ops = stage_ops(coeffs, fhe_eval_depth(trimmed_degree(coeffs)));
+        lat_fn(&|l| {
+            n_cts as f64
+                * (ops.hmult as f64 * cost.hmult(l)
+                    + ops.pmult as f64 * cost.pmult(l)
+                    + ops.rescale as f64 * cost.rescale(l))
+        })
     };
     let scale_lat = || lat_fn(&|l| n_cts as f64 * (cost.pmult(l) + cost.rescale(l)));
     // a ciphertext product, its alignment constant and their two rescales
@@ -630,9 +620,8 @@ fn emit_activation(
             );
             let step = Step::PolyStage {
                 coeffs: coeffs.clone(),
-                normalize: true,
             };
-            push("poly", step, stage_lat(coeffs.len() - 1), vec![sd])
+            push("poly", step, stage_lat(coeffs), vec![sd])
         }
         CompiledAct::Relu { range, stages } => {
             let factor = 1.0 / range;
@@ -644,16 +633,8 @@ fn emit_activation(
             );
             let mut cur = sd;
             for (i, st) in stages.iter().enumerate() {
-                let step = Step::PolyStage {
-                    coeffs: st.clone(),
-                    normalize: false,
-                };
-                cur = push(
-                    &format!("sign{i}"),
-                    step,
-                    stage_lat(st.len() - 1),
-                    vec![cur],
-                );
+                let step = Step::PolyStage { coeffs: st.clone() };
+                cur = push(&format!("sign{i}"), step, stage_lat(st), vec![cur]);
             }
             // The fork at `sd` (skip wire) and the sign chain join here: a
             // SESE region the placement solver black-boxes (paper §5.2).
@@ -718,7 +699,7 @@ mod tests {
         // the final mult has two inputs (fork at scale-down)
         let mul = c.prog.iter().find(|p| p.name == "relu.mul").unwrap();
         assert_eq!(mul.inputs.len(), 2);
-        // total depth: conv 1 + scale 1 + stages 5+5+6 + final 2 = 20 > 10
+        // total depth: conv 1 + scale 1 + stages 4+4+5 + final 2 = 17 > 10
         // → bootstraps required
         assert!(c.placement.boot_count >= 1);
     }

@@ -551,13 +551,14 @@ impl ExecPlan {
     /// the plan cannot describe applies nothing — it is the verifier's
     /// coverage finding and the walk's panic.
     ///
-    /// One key is listed above its use: the relinearization key sits at
-    /// the manifest's top level, not at the highest product's. Any
-    /// ciphertext a unit of the plan computes on can then be squared on
-    /// the session's own keys — what the benchmark's pinned CKKS probe
-    /// does at the program's median placement level, which on a
-    /// `linear@4 → x²@3 → linear@1` program is level 4 — for the price of
-    /// the levels between the two in a single key.
+    /// One key can be listed above its use: the relinearization key sits
+    /// at the higher of the highest product's level and the top rotation
+    /// level (a Chebyshev stage may run above every linear layer; a square
+    /// usually runs below one). Any ciphertext a unit of the plan computes
+    /// on can then be squared on the session's own keys — what the
+    /// benchmark's pinned CKKS probe does at the program's median placement
+    /// level, which on a `linear@4 → x²@3 → linear@1` program is level 4 —
+    /// for the price of the levels between the two in a single key.
     pub fn key_manifest(&self, c: &Compiled) -> KeyManifest {
         let slots = c.opts.slots as isize;
         let mut manifest = KeyManifest::default();
@@ -880,9 +881,9 @@ impl<B: EvalBackend> RunState<'_, B> {
                 let x = |pos: usize| self.read(io, pos).pop().expect("one-slot read");
                 let out = match &c.prog[node].step {
                     Step::ScaleDown { factor } => backend.scale_down(&x(0), *factor, lv),
-                    Step::PolyStage { coeffs, normalize } => {
+                    Step::PolyStage { coeffs } => {
                         orion_telemetry::time_class(orion_telemetry::OpClass::PolyStage, || {
-                            backend.poly_stage(&x(0), coeffs, *normalize, lv)
+                            backend.poly_stage(&x(0), coeffs, lv)
                         })
                     }
                     Step::ReluFinal { magnitude } => {

@@ -2,24 +2,21 @@
 //! program and its execution plan.
 //!
 //! [`verify_plan`] abstractly interprets an [`ExecPlan`] without executing
-//! any ciphertext math: a per-value-slot abstract state (level, scale
-//! class, predicted noise) is pushed through every unit in plan order, and
+//! any ciphertext math: a per-value-slot abstract state (level, predicted
+//! noise) is pushed through every unit in plan order, and
 //! anything that would make the runtime assert, panic, or silently decrypt
 //! garbage becomes a typed [`Diagnostic`] *before* the first NTT runs.
 //! Four pass families share one linear sweep:
 //!
-//! 1. **Scale/level typechecking** — interprets each unit's signature
+//! 1. **Level typechecking** — interprets each unit's signature
 //!    ([`ExecPlan::unit_io`]: the read levels the walk drops inputs to, the
 //!    depth it asserts, the exit level it holds the engine to — the same
 //!    record, not a mirror of it), so the `drop_to_level` placement assert
 //!    and a step placed below its depth are findings here first (a
-//!    refreshed wire read above `L_eff` is [`Rule::BootstrapTarget`]); and
-//!    tracks the exact-Δ scale discipline: every non-poly step
-//!    hands its consumers scale Δ, while Chebyshev sign stages
-//!    (`PolyStage { normalize: false }`) hand a drifted poly-internal
-//!    scale that only `ReluFinal` or a normalizing stage restores. Adding
-//!    a poly-internal wire to a Δ wire is the static image of the
-//!    runtime's `assert_scales_match` failure.
+//!    refreshed wire read above `L_eff` is [`Rule::BootstrapTarget`]).
+//!    Scales need no tracking: every step, Chebyshev stages included,
+//!    hands its consumers exactly Δ, so the runtime's
+//!    `assert_scales_match` cannot fire on a plan whose levels check.
 //! 2. **Evaluation-key coverage** — every key a unit applies
 //!    ([`ExecPlan::for_each_key_use`]: BSGS baby + giant + fold steps per
 //!    linear layer, optimizer [`SharedRotSpec`] unions, the
@@ -65,8 +62,7 @@
 //! and write are generic over the unit's signature — a rule about levels
 //! belongs in `Step::sig` / `ExecPlan::unit_io`, where the walk and the
 //! optimizer see it too; `walk_unit` keeps per step kind only the rule an
-//! infeasible placement breaks, the inputs that must be exact-Δ, and the
-//! noise transfer. Keep the walk allocation-free per unit — the optimizer
+//! infeasible placement breaks and the noise transfer. Keep the walk allocation-free per unit — the optimizer
 //! re-verifies every plan it rewrites.
 
 use crate::compile::{Compiled, Step};
@@ -103,9 +99,6 @@ pub enum Rule {
     /// A program node is not covered by exactly the units `ExecPlan::build`
     /// emits for it (or a unit reads an unproduced / out-of-range slot).
     Coverage,
-    /// An add (or a step requiring exact-Δ inputs) would combine wires
-    /// whose scales differ — the runtime `assert_scales_match` image.
-    ScaleMismatch,
     /// A wire is read above its producer's level, or a step is placed
     /// below the depth its runtime asserts demand.
     LevelUnderflow,
@@ -135,7 +128,6 @@ impl Rule {
         match self {
             Rule::Topology => "topology",
             Rule::Coverage => "coverage",
-            Rule::ScaleMismatch => "scale-mismatch",
             Rule::LevelUnderflow => "level-underflow",
             Rule::RescaleInfeasible => "rescale-infeasible",
             Rule::BootstrapTarget => "bootstrap-target",
@@ -151,7 +143,6 @@ impl Rule {
         &[
             Rule::Topology,
             Rule::Coverage,
-            Rule::ScaleMismatch,
             Rule::LevelUnderflow,
             Rule::RescaleInfeasible,
             Rule::BootstrapTarget,
@@ -257,7 +248,7 @@ impl fmt::Display for Diagnostic {
 }
 
 /// Verifier configuration. `Default` is the structural profile every
-/// choke point can afford: scale/level typechecking, key coverage against
+/// choke point can afford: level typechecking, key coverage against
 /// the compiled key manifest, and memory/well-formedness — no concrete
 /// CKKS context required.
 #[derive(Clone, Copy, Debug)]
@@ -414,23 +405,10 @@ pub fn verify_plan(plan: &ExecPlan, c: &Compiled, cfg: &VerifyConfig<'_>) -> Ver
     checker.finish()
 }
 
-/// The abstract scale of a wire (exact-Δ discipline, see module docs).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum ScaleClass {
-    /// Exactly Δ — what every non-poly step produces and what adds,
-    /// linear layers, scale-downs and squares require.
-    Delta,
-    /// A Chebyshev sign-stage output: drifted off Δ by the stage's
-    /// rescale chain; only consumable by another poly stage or the
-    /// relu-final product that restores Δ.
-    PolyInternal,
-}
-
 /// Per-value-slot abstract state.
 #[derive(Clone, Copy, Debug)]
 struct SlotState {
     level: usize,
-    scale: ScaleClass,
     /// Producer was a bootstrap unit (refines underflow diagnostics into
     /// bootstrap-target violations).
     from_boot: bool,
@@ -905,15 +883,15 @@ impl<'a> Checker<'a> {
     // Pass families 1 + 3: the per-unit dataflow walk.
     // -----------------------------------------------------------------
 
-    /// Reads `slot` at `level` (`None` = raw read), returning the state.
-    fn read(&mut self, slot: usize, level: Option<usize>, at: Provenance) -> Option<SlotState> {
+    /// Reads `slot` at `level` (`None` = raw read).
+    fn read(&mut self, slot: usize, level: Option<usize>, at: Provenance) {
         let Some(state) = self.st.get(slot).copied().flatten() else {
             self.error(
                 Rule::Coverage,
                 at,
                 format!("reads value slot {slot}, which no earlier unit produces"),
             );
-            return None;
+            return;
         };
         if let Some(need) = level {
             if state.level < need {
@@ -928,24 +906,6 @@ impl<'a> Checker<'a> {
                     format!(
                         "wire at level {} but the policy needs {need} — placement violated",
                         state.level
-                    ),
-                );
-            }
-        }
-        Some(state)
-    }
-
-    /// Requires an exact-Δ wire (adds, linear layers, scale-downs,
-    /// squares and the relu magnitude input).
-    fn require_delta(&mut self, state: Option<SlotState>, at: Provenance, what: &str) {
-        if let Some(s) = state {
-            if s.scale != ScaleClass::Delta {
-                self.error(
-                    Rule::ScaleMismatch,
-                    at,
-                    format!(
-                        "{what} is a poly-internal wire off the exact-Δ scale — the runtime \
-                         scale assert would fire"
                     ),
                 );
             }
@@ -999,7 +959,6 @@ impl<'a> Checker<'a> {
         // What the caller hands the walk: fresh ciphertexts at `L_eff`.
         let fresh = SlotState {
             level: c.opts.l_eff,
-            scale: ScaleClass::Delta,
             from_boot: false,
         };
         let noise = self.est.as_ref().map(|est| (est.fresh().sigma, 1.0));
@@ -1020,8 +979,8 @@ impl<'a> Checker<'a> {
 
     /// One unit of the dataflow walk: feasibility, reads and the write are
     /// the unit's signature ([`ExecPlan::unit_io`]) interpreted generically;
-    /// what stays per kind is the rule an infeasible placement breaks,
-    /// which inputs must be exact-Δ, and the noise transfer.
+    /// what stays per kind is the rule an infeasible placement breaks and
+    /// the noise transfer.
     fn walk_unit(&mut self, uid: usize) {
         let (plan, c) = (self.plan, self.c);
         let unit = &plan.units[uid];
@@ -1042,30 +1001,17 @@ impl<'a> Checker<'a> {
             UnitWork::Step { node } | UnitWork::StepCt { node, .. } => Some(&c.prog[node].step),
             _ => None,
         };
-        // Per kind: the rule a placement below the step's depth breaks and
-        // the inputs (by position) that must sit on the exact-Δ scale.
-        let (rule, kind, exact): (Rule, &str, &[&str]) = match step {
-            Some(Step::Conv { .. } | Step::Dense { .. }) => (
-                Rule::RescaleInfeasible,
-                "linear layer",
-                &["linear-layer input"],
-            ),
-            Some(Step::ScaleDown { .. }) => {
-                (Rule::RescaleInfeasible, "scale-down", &["scale-down input"])
+        // Per kind: the rule a placement below the step's depth breaks.
+        let (rule, kind) = match step {
+            Some(Step::Conv { .. } | Step::Dense { .. }) => {
+                (Rule::RescaleInfeasible, "linear layer")
             }
-            Some(Step::PolyStage { .. }) => (Rule::RescaleInfeasible, "chebyshev stage", &[]),
-            Some(Step::ReluFinal { .. }) => (
-                Rule::LevelUnderflow,
-                "relu final",
-                &["relu magnitude input"],
-            ),
-            Some(Step::Square) => (Rule::LevelUnderflow, "square", &["square input"]),
-            Some(Step::Add) => (
-                Rule::LevelUnderflow,
-                "residual add",
-                &["residual-add input 0", "residual-add input 1"],
-            ),
-            _ => (Rule::LevelUnderflow, "unit", &[]),
+            Some(Step::ScaleDown { .. }) => (Rule::RescaleInfeasible, "scale-down"),
+            Some(Step::PolyStage { .. }) => (Rule::RescaleInfeasible, "chebyshev stage"),
+            Some(Step::ReluFinal { .. }) => (Rule::LevelUnderflow, "relu final"),
+            Some(Step::Square) => (Rule::LevelUnderflow, "square"),
+            Some(Step::Add) => (Rule::LevelUnderflow, "residual add"),
+            _ => (Rule::LevelUnderflow, "unit"),
         };
         let lv = io.level;
         if lv < io.depth {
@@ -1080,23 +1026,16 @@ impl<'a> Checker<'a> {
             return;
         }
 
-        // Reads. Per input position: the scale class (of the last slot)
-        // and the worst predicted noise over the slots read.
-        let mut scale = [ScaleClass::Delta; 2];
+        // Reads. Per input position: the worst predicted noise over the
+        // slots read.
         let mut noise: [Option<(f64, f64)>; 2] = [None; 2];
         for (pos, read) in io.reads.iter().enumerate() {
             let Some((buf, level)) = *read else { continue };
             for s in buf.slots() {
-                let state = self.read(s, level, at);
-                if let Some(what) = exact.get(pos) {
-                    self.require_delta(state, at, what);
-                }
+                self.read(s, level, at);
                 // a raw read leaves the level schedule: a checkpoint
                 if level.is_none() {
                     self.check_floor(s, at, "wire enters bootstrap");
-                }
-                if let Some(st) = state {
-                    scale[pos] = st.scale;
                 }
                 if let Some((sig, mag)) = self.noise.get(s).copied().flatten() {
                     noise[pos] = Some(noise[pos].map_or((sig, mag), |(ws, wm): (f64, f64)| {
@@ -1111,15 +1050,11 @@ impl<'a> Checker<'a> {
             KeyUse::Relin => self.check_relin(lv, at),
         });
 
-        // The noise transfer and the scale class handed on.
+        // The noise transfer.
         let est = self.est.as_ref();
         let ne = |sigma: f64| orion_ckks::NoiseEstimate { sigma };
-        let mut out_scale = ScaleClass::Delta;
         let out_noise = match (&unit.work, step) {
             (UnitWork::Boot { .. }, _) => {
-                // The oracle refreshes the level and preserves the value,
-                // so the scale class survives a mid-activation bootstrap.
-                out_scale = scale[0];
                 est.map(|est| (est.fresh().sigma, noise[0].map_or(1.0, |(_, m)| m)))
             }
             (_, Some(Step::Conv { plan, weight, .. } | Step::Dense { plan, weight, .. })) => {
@@ -1143,18 +1078,13 @@ impl<'a> Checker<'a> {
                 let out = est.pmult_rescale(ne(sig), *factor, lv);
                 (out.sigma, clamp_mag(mag * factor.abs()))
             }),
-            (_, Some(Step::PolyStage { normalize, .. })) => {
-                if !*normalize {
-                    out_scale = ScaleClass::PolyInternal;
+            (_, Some(Step::PolyStage { .. })) => est.zip(noise[0]).map(|(est, (sig, _))| {
+                let mut ns = ne(sig);
+                for i in 0..io.depth {
+                    ns = est.hmult_rescale(ns, ns, 1.0, 1.0, lv - i);
                 }
-                est.zip(noise[0]).map(|(est, (sig, _))| {
-                    let mut ns = ne(sig);
-                    for i in 0..io.depth {
-                        ns = est.hmult_rescale(ns, ns, 1.0, 1.0, lv - i);
-                    }
-                    (ns.sigma, 1.0)
-                })
-            }
+                (ns.sigma, 1.0)
+            }),
             (_, Some(Step::ReluFinal { magnitude })) => {
                 est.zip(noise[0].zip(noise[1]))
                     .map(|(est, ((us, _), (ss, _)))| {
@@ -1180,7 +1110,6 @@ impl<'a> Checker<'a> {
         for i in 0..unit.out_len {
             let state = SlotState {
                 level: io.out_level,
-                scale: out_scale,
                 from_boot: matches!(unit.work, UnitWork::Boot { .. }),
             };
             self.write(unit.out_slot + i, state, out_noise, at);

@@ -3,8 +3,9 @@
 //! generates exactly it — every key at its manifest level, to the byte —
 //! and the levels and byte counts of the `lola_linear` / `resblock_act`
 //! programs are the ones the ledger reports. `serve_mixed`'s conv model
-//! is the shape where the relinearization key's top-level listing matters:
-//! its products sit one level below its layers.
+//! is the shape where the relinearization key's listing at the top rotation
+//! level matters: its products sit one level below its layers;
+//! `resblock_act` is the opposite shape, a product above every layer.
 
 use orion_ckks::{CkksParams, KeyManifest};
 use orion_nn::compile::{compile, CompileOptions, Compiled, Step};
@@ -76,7 +77,7 @@ fn compile_under(net: &Network, params: &CkksParams) -> Compiled {
 /// linear layer or a shared hoist performs at the level it reads its input
 /// at; the relinearization key at the entry level of every activation unit
 /// that multiplies ciphertexts — returned beside the manifest, which lists
-/// that one key at its top level.
+/// that one key no lower than its top rotation level.
 fn fold_unit_io(plan: &ExecPlan, c: &Compiled) -> (KeyManifest, usize) {
     let mut manifest = KeyManifest::default();
     for (uid, unit) in plan.units.iter().enumerate() {
@@ -139,8 +140,8 @@ fn check(net: &Network, params: CkksParams) -> (BTreeMap<usize, usize>, usize, u
     let steps: Vec<isize> = manifest.rotations.keys().copied().collect();
     assert_eq!(steps, c.rotation_steps());
     let top = manifest.rotations.values().copied().max().unwrap_or(0);
-    assert!(product_level <= manifest.relin && manifest.relin == top);
-    assert!(top <= c.opts.l_eff);
+    assert_eq!(manifest.relin, top.max(product_level));
+    assert!(manifest.relin <= c.opts.l_eff);
 
     // The session holds exactly the manifest, each key at its level.
     let n = params.n;
@@ -186,10 +187,12 @@ fn resblock_keys_sit_at_their_plan_levels() {
         ..CkksParams::medium()
     };
     let (by_level, product_level, bytes) = check(&net, params);
-    assert_eq!(by_level, BTreeMap::from([(7, 5), (8, 10)]));
-    assert_eq!(product_level, 7);
-    assert_eq!(bytes, 4 * 2048 * 8 * (11 * 90 + 5 * 72));
-    assert_eq!(bytes, 88_473_600, "the ledger's ckks.eval_key_mb = 88.5");
+    // the stem's ten steps at 7, the five only the block convs add at 1;
+    // the last sign stage runs at 8, above every linear layer
+    assert_eq!(by_level, BTreeMap::from([(1, 5), (7, 10)]));
+    assert_eq!(product_level, 8);
+    assert_eq!(bytes, 4 * 2048 * 8 * (90 + 10 * 72 + 5 * 6));
+    assert_eq!(bytes, 55_050_240, "the ledger's ckks.eval_key_mb = 55.05");
 }
 
 #[test]

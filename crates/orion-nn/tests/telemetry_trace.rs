@@ -183,13 +183,13 @@ impl EvalBackend for LevelEngine<'_> {
     fn scale_down(&self, _ct: &usize, _factor: f64, level: usize) -> usize {
         level - usize::from(!self.forget_rescale)
     }
-    fn poly_stage(&self, _ct: &usize, coeffs: &[f64], normalize: bool, level: usize) -> usize {
+    fn poly_stage(&self, _ct: &usize, coeffs: &[f64], level: usize) -> usize {
         if let Some(meet) = &self.meet {
             if meet.wait().is_leader() {
                 self.meetings.fetch_add(1, Ordering::Relaxed);
             }
         }
-        orion_poly::eval::stage_ops(coeffs, normalize, level).exit_level
+        orion_poly::eval::stage_ops(coeffs, level).exit_level
     }
     fn relu_final(&self, _u: &usize, _sign: &usize, _magnitude: f64, level: usize) -> usize {
         level - 2

@@ -166,39 +166,6 @@ fn a_key_one_level_too_low_is_flagged_at_the_unit_that_applies_it() {
 }
 
 // ---------------------------------------------------------------------
-// Seeded defect 2: scale mismatch (poly-internal wire into an add).
-// ---------------------------------------------------------------------
-
-#[test]
-fn add_of_poly_internal_wire_is_a_scale_mismatch_at_the_add_node() {
-    let net = conv_net(5, 2, 2, true); // relu activations + residual add
-    let mut c = compile(&net, &fixed_ranges(&net, 4.0), &small_opts());
-    let add = node_of(&c, |s| matches!(s, Step::Add));
-    let sign = node_of(&c, |s| {
-        matches!(
-            s,
-            Step::PolyStage {
-                normalize: false,
-                ..
-            }
-        )
-    });
-    // Rewire one residual input to a raw sign-stage output: its scale is
-    // poly-internal (drifted off Δ), so the runtime's scale assert would
-    // fire inside the homomorphic add.
-    c.prog[add].inputs[1] = sign;
-    let plan = ExecPlan::build(&c);
-    let report = verify_plan(&plan, &c, &VerifyConfig::default());
-    let hit = report
-        .diagnostics
-        .iter()
-        .find(|d| d.rule == Rule::ScaleMismatch)
-        .expect("scale-mismatch diagnostic");
-    assert_eq!(hit.severity, Severity::Error);
-    assert_eq!(hit.at.node, Some(add), "provenance must name the add node");
-}
-
-// ---------------------------------------------------------------------
 // Seeded defect 3: level underflow (square placed below its depth).
 // ---------------------------------------------------------------------
 

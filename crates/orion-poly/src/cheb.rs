@@ -20,12 +20,10 @@ impl ChebPoly {
         self.coeffs.len().saturating_sub(1)
     }
 
-    /// Multiplicative depth of our Paterson–Stockmeyer evaluation:
-    /// `⌈log₂(degree+1)⌉ + 1` (the `+1` pays for the base-case coefficient
-    /// products; see `eval::fhe_eval_depth`).
+    /// Multiplicative depth of its homomorphic evaluation
+    /// ([`crate::eval::fhe_eval_depth`] of the trimmed degree).
     pub fn eval_depth(&self) -> usize {
-        let d = self.degree().max(1);
-        (usize::BITS - d.leading_zeros()) as usize + 1
+        crate::eval::fhe_eval_depth(crate::eval::trimmed_degree(&self.coeffs))
     }
 
     /// Interpolates `f` at `degree+1` Chebyshev nodes of `[-1, 1]`.
@@ -207,11 +205,10 @@ mod tests {
 
     #[test]
     fn eval_depth_formula() {
-        // ⌈log₂(d+1)⌉ + 1 (the paper's backend fuses the +1 away; see
-        // README, "Substitutions" — depth accounting).
-        assert_eq!(ChebPoly::new(vec![0.0; 16]).eval_depth(), 5); // deg 15
-        assert_eq!(ChebPoly::new(vec![0.0; 28]).eval_depth(), 6); // deg 27
-        assert_eq!(ChebPoly::new(vec![0.0; 64]).eval_depth(), 7); // deg 63
-        assert_eq!(ChebPoly::new(vec![0.0; 128]).eval_depth(), 8); // deg 127
+        // ⌈log₂(d+1)⌉, the paper's
+        assert_eq!(ChebPoly::new(vec![1.0; 16]).eval_depth(), 4); // deg 15
+        assert_eq!(ChebPoly::new(vec![1.0; 28]).eval_depth(), 5); // deg 27
+        assert_eq!(ChebPoly::new(vec![1.0; 64]).eval_depth(), 6); // deg 63
+        assert_eq!(ChebPoly::new(vec![1.0; 128]).eval_depth(), 7); // deg 127
     }
 }

@@ -129,12 +129,10 @@ mod tests {
 
     #[test]
     fn paper_relu_composition_depth() {
-        // Paper: 13 + 1 with Lattigo's fused-constant evaluation; our
-        // evaluator spends one extra level per stage (README,
-        // "Substitutions" — depth accounting), giving (5 + 5 + 6) + 1.
+        // paper: 13 + 1
         let c = CompositeSign::paper_relu();
-        assert_eq!(c.depth(), 16, "sign depth");
-        assert_eq!(c.relu_depth(), 17, "ReLU depth");
+        assert_eq!(c.depth(), 4 + 4 + 5, "sign depth");
+        assert_eq!(c.relu_depth(), 14, "ReLU depth");
     }
 
     #[test]
@@ -161,7 +159,7 @@ mod tests {
     fn two_stage_composition_also_works() {
         let c = CompositeSign::fit(&[15, 31], 0.05);
         assert!(c.max_sign_error(1000) < 0.1);
-        assert_eq!(c.depth(), 5 + 6);
+        assert_eq!(c.depth(), 4 + 5);
     }
 
     #[test]

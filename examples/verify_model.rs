@@ -8,6 +8,7 @@
 //! ```sh
 //! cargo run --release --example verify_model -- resnet20
 //! cargo run --release --example verify_model -- mlp medium
+//! cargo run --release --example verify_model -- resnet20 paper relu
 //! ```
 //!
 //! The first argument is a zoo model name (`mlp`, `lenet5`, `resnet20`,
@@ -16,7 +17,9 @@
 //! `tiny`/`small`/`medium` (concrete CKKS parameters; the noise-budget pass
 //! joins in under the matching `Context`, and one more line states the key
 //! manifest `FheSession::new` would generate — keys, bytes at their plan
-//! levels against bytes at the chain's top level, keys by level).
+//! levels against bytes at the chain's top level, keys by level). The
+//! third picks the activation of models that take one: `silu` (default,
+//! degree 63) or `relu` (composite sign [15, 15, 27] + the final product).
 
 use orion::ckks::{CkksParams, Context};
 use orion::models::data::synthetic_images;
@@ -33,9 +36,17 @@ fn main() {
     let args: Vec<String> = std::env::args().collect();
     let model = args.get(1).map(String::as_str).unwrap_or("resnet20");
     let preset = args.get(2).map(String::as_str).unwrap_or("paper");
+    let act = match args.get(3).map(String::as_str).unwrap_or("silu") {
+        "silu" => Act::SiluDeg(63),
+        "relu" => Act::Relu,
+        other => {
+            eprintln!("unknown activation {other:?} (expected relu|silu)");
+            std::process::exit(2);
+        }
+    };
 
     let mut rng = StdRng::seed_from_u64(0x7e11);
-    let (net, info) = build(model, Act::SiluDeg(63), &mut rng);
+    let (net, info) = build(model, act, &mut rng);
     let (c, h, w) = info.input;
     let calib = synthetic_images(c, h, w, 2, 0x5eed);
 

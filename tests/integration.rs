@@ -97,6 +97,36 @@ fn silu_cuts_depth_and_bootstraps_vs_relu() {
     assert!(silu.placement.boot_count < relu.placement.boot_count);
 }
 
+/// ReLU ResNet-`name` compiled at `CompileOptions::paper()`: its bootstraps.
+fn relu_resnet_bootstraps(name: &str) -> u64 {
+    let mut rng = StdRng::seed_from_u64(7);
+    let (mut net, _) = build(name, Act::Relu, &mut rng);
+    let calib = synthetic_images(3, 32, 32, 2, 8);
+    calibrate_batch_norm(&mut net, &calib);
+    Orion::paper_scale()
+        .compile(&net, &calib)
+        .placement
+        .boot_count
+}
+
+/// Paper Table 5, "# bootstraps": a Chebyshev stage costs `⌈log₂(d+1)⌉`
+/// levels (ReLU [15, 15, 27] is 13 + 1), so at `L_eff = 10` the placement
+/// lands on the paper's counts.
+#[test]
+fn relu_resnets_place_the_papers_table5_bootstraps() {
+    assert_eq!(relu_resnet_bootstraps("resnet20"), 37);
+    assert_eq!(relu_resnet_bootstraps("resnet32"), 61);
+}
+
+/// The rest of the row (seconds of compile each in the test profile).
+#[test]
+#[ignore]
+fn deeper_relu_resnets_place_the_papers_table5_bootstraps() {
+    assert_eq!(relu_resnet_bootstraps("resnet44"), 85);
+    assert_eq!(relu_resnet_bootstraps("resnet56"), 109);
+    assert_eq!(relu_resnet_bootstraps("resnet110"), 217);
+}
+
 /// Trace and real-FHE backends execute the same compiled program and
 /// agree on both values and bootstrap counts (the substitution argument
 /// of README, "Substitutions").

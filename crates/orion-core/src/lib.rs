@@ -39,7 +39,7 @@ pub use orion_nn::fhe_exec::FheSession as Session;
 pub use orion_nn::sched::{ExecPlan, SchedMode};
 
 /// The multi-tenant serving layer: session registry, admission queue +
-/// dynamic batcher, memory-capped paged weights, serving metrics. See
+/// worker pool, memory-capped paged weights, serving metrics. See
 /// `orion-serve`'s crate docs; re-exported here so `orion_core` remains
 /// the single public entry point.
 pub mod serve {

@@ -54,6 +54,12 @@ pub trait LayerSource: Send + Sync {
     fn prefetch(&self, step: usize) {
         let _ = step;
     }
+
+    /// Paging counters, for a source that pages. Default: `None`
+    /// (resident sources).
+    fn page_stats(&self) -> Option<PageStats> {
+        None
+    }
 }
 
 impl LayerSource for PreparedProgram {
@@ -355,6 +361,10 @@ impl LayerSource for PagedProgram {
         let mut st = self.state.lock();
         self.admit(&mut st, step, Arc::new(layer), entry.bytes);
         st.prefetched.insert(step);
+    }
+
+    fn page_stats(&self) -> Option<PageStats> {
+        Some(self.stats())
     }
 }
 

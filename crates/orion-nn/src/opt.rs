@@ -23,7 +23,7 @@
 //! There is deliberately no pass that reorders units or retargets levels
 //! for memory: the walk holds every value until the run returns, so plan
 //! order frees nothing and such a rewrite has no run to show up in
-//! (README "The plan optimizer" has the measurements, ROADMAP item 5 the
+//! (README "The plan optimizer" has the measurements, ROADMAP item 3 the
 //! change that would give one a number).
 //!
 //! The pass owns no level arithmetic: what a unit reads at which level is

@@ -653,7 +653,7 @@ pub fn count_plan<B: EvalBackend>(plan: &ExecPlan, c: &Compiled, backend: &B) ->
                 }
             }
             // What the step's evaluator issues; pricing every op at the
-            // entry level over-charges the ones below it (ROADMAP item 5).
+            // entry level over-charges the ones below it (ROADMAP item 7).
             UnitWork::StepCt { .. } => {
                 tally(OpKind::HMult, io.ops.hmult as usize, cost.hmult(lv));
                 tally(OpKind::PMult, io.ops.pmult as usize, cost.pmult(lv));

@@ -1,8 +1,7 @@
 //! Serving metrics: per-model counters the operator watches to know the
-//! queue is healthy — depth, batch occupancy, a typed error taxonomy,
-//! latency percentiles, per-request encode tallies, and the pager's
-//! fault/eviction counters — exported as one JSON snapshot
-//! (`Server::metrics_json`).
+//! queue is healthy — depth, a typed error taxonomy, latency percentiles,
+//! per-request encode tallies, and the pager's fault/eviction counters —
+//! exported as one JSON snapshot (`Server::metrics_json`).
 //!
 //! Latencies are recorded into a lock-free log-bucketed histogram
 //! ([`orion_telemetry::LogHistogram`]): O(1) memory and record cost no
@@ -59,8 +58,6 @@ pub struct ModelMetrics {
     submitted: AtomicU64,
     completed: AtomicU64,
     errors: [AtomicU64; 4],
-    batches: AtomicU64,
-    batch_occupancy_sum: AtomicU64,
     queue_depth: AtomicU64,
     peak_queue_depth: AtomicU64,
     encodes: AtomicU64,
@@ -77,13 +74,9 @@ impl ModelMetrics {
         self.peak_queue_depth.fetch_max(depth, Ordering::Relaxed);
     }
 
-    /// A batch of `occupancy` requests left the queue for a worker.
-    pub fn note_batch(&self, occupancy: usize) {
-        self.batches.fetch_add(1, Ordering::Relaxed);
-        self.batch_occupancy_sum
-            .fetch_add(occupancy as u64, Ordering::Relaxed);
-        self.queue_depth
-            .fetch_sub(occupancy as u64, Ordering::Relaxed);
+    /// One request left the queue for a worker.
+    pub fn note_dequeue(&self) {
+        self.queue_depth.fetch_sub(1, Ordering::Relaxed);
     }
 
     /// One request finished successfully.
@@ -98,7 +91,7 @@ impl ModelMetrics {
         self.errors[class as usize].fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Current queue depth (requests admitted but not yet batched out).
+    /// Current queue depth (requests admitted but not yet taken by a worker).
     pub fn queue_depth(&self) -> u64 {
         self.queue_depth.load(Ordering::Relaxed)
     }
@@ -127,8 +120,6 @@ impl ModelMetrics {
     /// optimizer did to the model's plan at registration and `page` stats
     /// when the model serves from a memory-capped pager.
     pub fn snapshot(&self, name: &str, plan_opt: OptStats, page: Option<PageStats>) -> Value {
-        let batches = self.batches.load(Ordering::Relaxed);
-        let occupancy_sum = self.batch_occupancy_sum.load(Ordering::Relaxed);
         let mut fields = vec![
             ("model".to_string(), Value::Str(name.to_string())),
             num("submitted", self.submitted.load(Ordering::Relaxed)),
@@ -147,15 +138,6 @@ impl ModelMetrics {
             num(
                 "peak_queue_depth",
                 self.peak_queue_depth.load(Ordering::Relaxed),
-            ),
-            num("batches", batches),
-            (
-                "batch_occupancy_avg".to_string(),
-                Value::Num(if batches == 0 {
-                    0.0
-                } else {
-                    occupancy_sum as f64 / batches as f64
-                }),
             ),
             num(
                 "encodes_per_inference_total",
@@ -263,14 +245,15 @@ mod tests {
     }
 
     #[test]
-    fn depth_and_occupancy_track_queue_flow() {
+    fn depth_tracks_queue_flow() {
         let m = ModelMetrics::default();
         for _ in 0..5 {
             m.note_submit();
         }
         assert_eq!(m.queue_depth(), 5);
-        m.note_batch(3);
-        m.note_batch(2);
+        for _ in 0..5 {
+            m.note_dequeue();
+        }
         assert_eq!(m.queue_depth(), 0);
         m.note_done(0.010, 0);
         m.note_done(0.020, 0);
@@ -281,7 +264,6 @@ mod tests {
         assert_eq!(get("completed"), 2.0);
         assert_eq!(get("errors"), 1.0);
         assert_eq!(get("peak_queue_depth"), 5.0);
-        assert_eq!(get("batch_occupancy_avg"), 2.5);
         let p50 = snap
             .get("latency_ms")
             .and_then(|l| l.get("p50"))

@@ -1,18 +1,18 @@
-//! The server: session registry → admission queue → dynamic batcher →
-//! worker pool, over prepared (optionally memory-capped paged) weights.
+//! The server: session registry → admission queue → worker pool, over
+//! prepared (optionally memory-capped paged) weights.
 //!
 //! ```text
 //!  clients (own keys, encrypt locally)
 //!     │ submit(ClientId, Vec<Ciphertext>)
 //!     ▼
 //!  bounded admission queue (per-model FIFOs)
-//!     │ scheduler: flush a model when its queue reaches max_batch
-//!     ▼             or its oldest request waits past max_wait
-//!  batch queue ──► workers (catch_unwind per request)
-//!                     │ run_fhe_plan (the model's plan, optimized once)
-//!                     ▼
-//!                  LayerSource: resident PreparedProgram
-//!                               or LRU PagedProgram under a byte budget
+//!     │ an idle worker pops the front request of the next non-empty
+//!     ▼ model, round-robin — one request per worker, no timer
+//!  workers (catch_unwind per request)
+//!     │ run_fhe_plan (the model's plan, optimized once)
+//!     ▼
+//!  LayerSource: resident PreparedProgram
+//!               or LRU PagedProgram under a byte budget
 //! ```
 //!
 //! Tenancy model: a *model* is a compiled program plus one shared
@@ -36,13 +36,13 @@ use orion_nn::opt::{optimize_plan, OptConfig, OptStats};
 use orion_nn::sched::ExecPlan;
 use orion_sim::OpCounter;
 use orion_tensor::Tensor;
-use parking_lot::{Mutex, RwLock};
+use parking_lot::{Condvar, Mutex, RwLock};
 use serde::Value;
 use std::collections::{HashMap, VecDeque};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::Path;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{mpsc, Arc, Condvar};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{mpsc, Arc};
 use std::time::{Duration, Instant};
 
 /// A hosted model's handle.
@@ -53,16 +53,18 @@ pub struct ModelId(pub usize);
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub struct ClientId(pub usize);
 
-/// Admission and batching policy.
+/// Admission policy and pool size.
 #[derive(Clone, Debug)]
 pub struct ServeConfig {
-    /// Maximum requests per dispatched batch.
+    /// Ignored: requests are not batched, a worker takes one at a time. The
+    /// field stays because the `perf/` name pin builds this struct with a
+    /// four-field literal (ROADMAP item 6(b)).
     pub max_batch: usize,
-    /// How long the batcher holds a partial batch open waiting for
-    /// more same-model requests.
+    /// Ignored, and kept, like [`ServeConfig::max_batch`]: no request waits
+    /// on a timer.
     pub max_wait: Duration,
-    /// Worker threads executing batches (each inference additionally
-    /// parallelizes internally on the shared rayon pool).
+    /// Worker threads, each running one request at a time (an inference
+    /// additionally parallelizes internally on the shared rayon pool).
     pub workers: usize,
     /// Admission-queue capacity across all models; submissions beyond it
     /// are rejected with [`ServeError::QueueFull`] (backpressure).
@@ -232,8 +234,6 @@ pub struct ServeOutput {
     pub wall_seconds: f64,
     /// Seconds spent in the admission queue before execution started.
     pub queue_seconds: f64,
-    /// Occupancy of the batch that carried this request.
-    pub batch_size: usize,
 }
 
 /// The receiving end of one submitted request.
@@ -249,18 +249,16 @@ impl Ticket {
 }
 
 struct Request {
-    /// Server-wide request sequence number, correlating the admission,
-    /// batching, and execution telemetry spans of one request.
+    /// Server-wide request sequence number, correlating the admission and
+    /// execution telemetry spans of one request.
     id: u64,
-    client: ClientId,
+    /// What the request runs on, looked up once at admission: a worker runs
+    /// seconds of FHE per request and touches neither registry lock.
+    model: Arc<ModelEntry>,
+    session: Arc<FheSession>,
     enqueued: Instant,
     cts: Vec<Ciphertext>,
     tx: mpsc::Sender<Result<ServeOutput, ServeError>>,
-}
-
-struct Batch {
-    model: ModelId,
-    reqs: Vec<Request>,
 }
 
 struct ModelEntry {
@@ -268,15 +266,11 @@ struct ModelEntry {
     compiled: Arc<Compiled>,
     /// The certified, optimized plan every request of the model walks,
     /// and what the optimizer did to it.
-    plan: Arc<ExecPlan>,
+    plan: ExecPlan,
     opt_stats: OptStats,
     params: CkksParams,
     source: Arc<dyn LayerSource>,
-    /// Same object as `source` when the model pages, kept for stats.
-    paged: Option<Arc<PagedProgram>>,
-    /// `Arc` so writers can update counters without holding the registry
-    /// lock (workers run seconds of FHE per request).
-    metrics: Arc<ModelMetrics>,
+    metrics: ModelMetrics,
 }
 
 struct ClientEntry {
@@ -288,18 +282,39 @@ struct ClientEntry {
 struct Admission {
     per_model: HashMap<usize, VecDeque<Request>>,
     total: usize,
+    /// Round-robin cursor: the next pop starts looking at this model id.
+    cursor: usize,
+    /// Set by `shutdown`, under the queue lock — so a worker about to wait
+    /// cannot miss it and `submit` cannot admit behind the drain.
+    closed: bool,
+}
+
+impl Admission {
+    /// The front request of the next non-empty model at cyclic distance
+    /// from the cursor (so the rotation is fair even with sparse model
+    /// ids), and that model's id. Strict oldest-first would hand every
+    /// worker to a hot tenant whose queue always holds the oldest request,
+    /// starving light tenants behind it.
+    fn pop(&mut self) -> Option<(usize, Request)> {
+        let cursor = self.cursor;
+        let (&model, fifo) = self
+            .per_model
+            .iter_mut()
+            .filter(|(_, fifo)| !fifo.is_empty())
+            .min_by_key(|(&m, _)| m.wrapping_sub(cursor))?;
+        let req = fifo.pop_front().expect("filtered on non-empty");
+        self.cursor = model.wrapping_add(1);
+        self.total -= 1;
+        Some((model, req))
+    }
 }
 
 struct Inner {
     cfg: ServeConfig,
-    models: RwLock<Vec<ModelEntry>>,
+    models: RwLock<Vec<Arc<ModelEntry>>>,
     clients: RwLock<Vec<ClientEntry>>,
     queue: Mutex<Admission>,
     queue_cv: Condvar,
-    batches: Mutex<VecDeque<Batch>>,
-    batch_cv: Condvar,
-    shutdown: AtomicBool,
-    scheduler_done: AtomicBool,
     /// Monotone registration counter namespacing paged spill files, so
     /// same-named models sharing a store directory cannot clobber (and
     /// then silently serve) each other's weights.
@@ -309,7 +324,7 @@ struct Inner {
 }
 
 /// The multi-tenant inference server (see module docs). Register models
-/// and clients, [`Server::start`] the scheduler + workers, then submit
+/// and clients, [`Server::start`] the workers, then submit
 /// encrypted requests from any thread.
 pub struct Server {
     inner: Arc<Inner>,
@@ -326,10 +341,6 @@ impl Server {
                 clients: RwLock::new(Vec::new()),
                 queue: Mutex::new(Admission::default()),
                 queue_cv: Condvar::new(),
-                batches: Mutex::new(VecDeque::new()),
-                batch_cv: Condvar::new(),
-                shutdown: AtomicBool::new(false),
-                scheduler_done: AtomicBool::new(false),
                 model_seq: std::sync::atomic::AtomicUsize::new(0),
                 req_seq: AtomicU64::new(0),
             }),
@@ -342,7 +353,7 @@ impl Server {
     /// generates no key of any kind — the artifacts are key-independent and
     /// shared by every client of the model. `prep_seed` is ignored (there
     /// is no randomness left to seed); the parameter stays because the
-    /// `perf/` name pin passes it (ROADMAP item 4(b)).
+    /// `perf/` name pin passes it (ROADMAP item 6(b)).
     ///
     /// The model is statically verified first ([`orion_nn::verify`]); an
     /// unverifiable program is rejected with [`ServeError::Unverifiable`]
@@ -357,7 +368,7 @@ impl Server {
         let plan = certified_plan(name, &compiled, &params)?;
         let enc = Encoder::new(Context::new(params.clone()));
         let prepared = Arc::new(prepare_program(&compiled, &enc));
-        Ok(self.install_model(name, compiled, plan, params, prepared, None))
+        Ok(self.install_model(name, compiled, plan, params, prepared))
     }
 
     /// Hosts a compiled model with **memory-capped paged** weights: the
@@ -398,8 +409,7 @@ impl Server {
             })?;
         // `prepared` (the resident copy) drops here: only the pager's
         // resident set occupies memory from now on.
-        let paged = Arc::new(paged);
-        Ok(self.install_model(name, compiled, plan, params, paged.clone(), Some(paged)))
+        Ok(self.install_model(name, compiled, plan, params, Arc::new(paged)))
     }
 
     fn install_model(
@@ -409,19 +419,17 @@ impl Server {
         (plan, opt_stats): (ExecPlan, OptStats),
         params: CkksParams,
         source: Arc<dyn LayerSource>,
-        paged: Option<Arc<PagedProgram>>,
     ) -> ModelId {
         let mut models = self.inner.models.write();
-        models.push(ModelEntry {
+        models.push(Arc::new(ModelEntry {
             name: name.to_string(),
             compiled: Arc::new(compiled),
-            plan: Arc::new(plan),
+            plan,
             opt_stats,
             params,
             source,
-            paged,
-            metrics: Arc::new(ModelMetrics::default()),
-        });
+            metrics: ModelMetrics::default(),
+        }));
         ModelId(models.len() - 1)
     }
 
@@ -468,21 +476,13 @@ impl Server {
     /// Paging counters for a model (`None` when it serves resident).
     pub fn page_stats(&self, model: ModelId) -> Option<PageStats> {
         let models = self.inner.models.read();
-        models.get(model.0)?.paged.as_ref().map(|p| p.stats())
+        models.get(model.0)?.source.page_stats()
     }
 
-    /// Spawns the scheduler and worker threads. Idempotent-ish: call once.
+    /// Spawns the worker threads. Call once.
     pub fn start(&mut self) {
         assert!(self.threads.is_empty(), "server already started");
-        let workers = self.inner.cfg.workers.max(1);
-        let inner = self.inner.clone();
-        self.threads.push(
-            std::thread::Builder::new()
-                .name("orion-serve-scheduler".into())
-                .spawn(move || scheduler_loop(&inner))
-                .expect("spawn scheduler"),
-        );
-        for w in 0..workers {
+        for w in 0..self.inner.cfg.workers.max(1) {
             let inner = self.inner.clone();
             self.threads.push(
                 std::thread::Builder::new()
@@ -500,28 +500,20 @@ impl Server {
     /// request is not what the model's input wire takes.
     pub fn submit(&self, client: ClientId, cts: Vec<Ciphertext>) -> Result<Ticket, ServeError> {
         let inner = &self.inner;
-        if inner.shutdown.load(Ordering::Acquire) {
-            return Err(ServeError::ShuttingDown);
-        }
-        let (model, scale) = {
+        let (model_id, session) = {
             let clients = inner.clients.read();
             let entry = clients
                 .get(client.0)
                 .ok_or(ServeError::UnknownClient(client))?;
-            (entry.model, entry.session.ctx.scale())
+            (entry.model.0, entry.session.clone())
         };
-        let (metrics, expected_cts, level) = {
-            let models = inner.models.read();
-            let entry = &models[model.0];
-            (
-                entry.metrics.clone(),
-                entry
-                    .compiled
-                    .input_layout
-                    .num_ciphertexts(entry.params.slots()),
-                entry.compiled.opts.l_eff,
-            )
-        };
+        let model = inner.models.read()[model_id].clone();
+        let metrics = &model.metrics;
+        let expected_cts = model
+            .compiled
+            .input_layout
+            .num_ciphertexts(model.params.slots());
+        let (level, scale) = (model.compiled.opts.l_eff, session.ctx.scale());
         if cts.len() != expected_cts {
             metrics.note_error(ErrorClass::BadInput);
             return Err(ServeError::BadInput {
@@ -545,13 +537,10 @@ impl Server {
             });
         }
         let id = inner.req_seq.fetch_add(1, Ordering::Relaxed) + 1;
-        let n_cts = cts.len();
         let (tx, rx) = mpsc::channel();
         {
             let mut q = inner.queue.lock();
-            // re-check under the lock: a request admitted after the
-            // scheduler drains and exits would never be scheduled
-            if inner.shutdown.load(Ordering::Acquire) {
+            if q.closed {
                 return Err(ServeError::ShuttingDown);
             }
             if q.total >= inner.cfg.queue_capacity {
@@ -560,31 +549,34 @@ impl Server {
                     capacity: inner.cfg.queue_capacity,
                 });
             }
-            q.per_model.entry(model.0).or_default().push_back(Request {
+            // depth is bumped before the queue lock drops, so a worker can
+            // never note_dequeue this request first and underflow the gauge
+            metrics.note_submit();
+            if orion_telemetry::enabled() {
+                // A short-lived admission span: its Begin event carries the
+                // request id, anchoring the flow arrow that connects
+                // admission to the worker's execution span in the exported
+                // trace. Recorded before a worker can pop the request, so
+                // the arrow always points forward in time.
+                orion_telemetry::set_request(Some(id));
+                drop(orion_telemetry::span!(
+                    "req_admit",
+                    model = model_id,
+                    cts = cts.len()
+                ));
+                orion_telemetry::set_request(None);
+            }
+            q.per_model.entry(model_id).or_default().push_back(Request {
                 id,
-                client,
+                model,
+                session,
                 enqueued: Instant::now(),
                 cts,
                 tx,
             });
             q.total += 1;
-            // depth is bumped before the queue lock drops, so the scheduler
-            // can never note_batch this request first and underflow the gauge
-            metrics.note_submit();
         }
-        if orion_telemetry::enabled() {
-            // A short-lived admission span: its Begin event carries the
-            // request id, anchoring the flow arrow that connects admission
-            // to the worker's execution span in the exported trace.
-            orion_telemetry::set_request(Some(id));
-            drop(orion_telemetry::span!(
-                "req_admit",
-                model = model.0,
-                cts = n_cts
-            ));
-            orion_telemetry::set_request(None);
-        }
-        inner.queue_cv.notify_all();
+        inner.queue_cv.notify_one();
         Ok(Ticket { rx })
     }
 
@@ -609,8 +601,8 @@ impl Server {
                     models
                         .iter()
                         .map(|m| {
-                            let page = m.paged.as_ref().map(|p| p.stats());
-                            m.metrics.snapshot(&m.name, m.opt_stats, page)
+                            m.metrics
+                                .snapshot(&m.name, m.opt_stats, m.source.page_stats())
                         })
                         .collect(),
                 ),
@@ -645,17 +637,24 @@ impl Server {
         serde_json::to_string_pretty(&self.metrics()).expect("metrics serialize")
     }
 
-    /// Stops accepting requests, drains the queue, and joins all threads.
-    /// Already-admitted requests complete; `wait()` on anything submitted
-    /// afterwards reports [`ServeError::ShuttingDown`].
+    /// Stops accepting requests and joins the workers, which drain the
+    /// queue first: already-admitted requests complete. A request no worker
+    /// is left to run (the server was never started) resolves with
+    /// [`ServeError::ShuttingDown`], as does `wait()` on anything submitted
+    /// afterwards.
     pub fn shutdown(&mut self) {
-        if self.inner.shutdown.swap(true, Ordering::AcqRel) {
+        let was_closed = std::mem::replace(&mut self.inner.queue.lock().closed, true);
+        if was_closed {
             return;
         }
         self.inner.queue_cv.notify_all();
-        self.inner.batch_cv.notify_all();
         for t in self.threads.drain(..) {
             let _ = t.join();
+        }
+        let mut queue = self.inner.queue.lock();
+        while let Some((_, req)) = queue.pop() {
+            req.model.metrics.note_dequeue();
+            let _ = req.tx.send(Err(ServeError::ShuttingDown));
         }
     }
 }
@@ -666,217 +665,75 @@ impl Drop for Server {
     }
 }
 
-/// Which model the batcher should flush next, round-robin across the
-/// per-model FIFOs. A model *qualifies* when its queue reached
-/// `max_batch`, its oldest request waited past `max_wait`, or the server
-/// is draining. Among qualifying models the one closest after `cursor`
-/// (cyclically, by model id) wins — strict oldest-front-first would hand
-/// every slot to a hot tenant whose queue always holds the oldest
-/// request, starving light tenants behind it. Returns the winning model
-/// and, when nothing qualifies yet, the sleep until the nearest deadline.
-fn pick_flush<R>(
-    per_model: &HashMap<usize, VecDeque<R>>,
-    enqueued_at: impl Fn(&R) -> Instant,
-    cursor: usize,
-    now: Instant,
-    max_batch: usize,
-    max_wait: Duration,
-    draining: bool,
-) -> (Option<usize>, Option<Duration>) {
-    let mut flush: Option<usize> = None;
-    let mut nearest: Option<Duration> = None;
-    // cyclic distance from the cursor, so the rotation is fair even with
-    // sparse/unbounded model ids
-    let key = |m: usize| m.wrapping_sub(cursor);
-    for (&m, q) in per_model.iter() {
-        let Some(front) = q.front() else { continue };
-        let waited = now.saturating_duration_since(enqueued_at(front));
-        if draining || q.len() >= max_batch || waited >= max_wait {
-            if flush.is_none_or(|best| key(m) < key(best)) {
-                flush = Some(m);
-            }
-        } else {
-            let remain = max_wait - waited;
-            nearest = Some(nearest.map_or(remain, |d| d.min(remain)));
-        }
-    }
-    (flush, nearest)
-}
-
-/// The batcher: flushes a model's FIFO when it reaches `max_batch` or its
-/// oldest request has waited `max_wait`, rotating fairly across tenants
-/// (see [`pick_flush`]); otherwise sleeps until the nearest deadline or a
-/// new submission.
-fn scheduler_loop(inner: &Inner) {
-    let max_batch = inner.cfg.max_batch.max(1);
-    let max_wait = inner.cfg.max_wait;
-    // Round-robin cursor: the next flush starts looking just past the
-    // last flushed model.
-    let mut cursor = 0usize;
-    let mut guard = inner.queue.lock();
-    loop {
-        let draining = inner.shutdown.load(Ordering::Acquire);
-        let now = Instant::now();
-        let (flush, nearest) = pick_flush(
-            &guard.per_model,
-            |r: &Request| r.enqueued,
-            cursor,
-            now,
-            max_batch,
-            max_wait,
-            draining,
-        );
-        if let Some(m) = flush {
-            cursor = m.wrapping_add(1);
-            let q = guard.per_model.get_mut(&m).expect("flushable model");
-            let n = q.len().min(max_batch);
-            let reqs: Vec<Request> = q.drain(..n).collect();
-            guard.total -= n;
-            drop(guard);
-            if orion_telemetry::enabled() {
-                for r in &reqs {
-                    orion_telemetry::set_request(Some(r.id));
-                    orion_telemetry::instant!("req_batch", model = m, occupancy = reqs.len());
-                }
-                orion_telemetry::set_request(None);
-            }
-            inner.models.read()[m].metrics.note_batch(reqs.len());
-            {
-                let mut batches = inner.batches.lock();
-                batches.push_back(Batch {
-                    model: ModelId(m),
-                    reqs,
-                });
-            }
-            inner.batch_cv.notify_one();
-            guard = inner.queue.lock();
-            continue;
-        }
-        if draining {
-            // queue fully drained into batches
-            break;
-        }
-        guard = match nearest {
-            Some(d) => {
-                inner
-                    .queue_cv
-                    .wait_timeout(guard, d)
-                    .unwrap_or_else(|e| e.into_inner())
-                    .0
-            }
-            None => inner
-                .queue_cv
-                .wait(guard)
-                .unwrap_or_else(|e| e.into_inner()),
-        };
-    }
-    drop(guard);
-    inner.scheduler_done.store(true, Ordering::Release);
-    inner.batch_cv.notify_all();
-}
-
+/// One request per worker at a time, released by the queue alone: a worker
+/// sleeps only while the queue is empty, and exits once it is both closed
+/// and drained.
 fn worker_loop(inner: &Inner) {
+    let mut queue = inner.queue.lock();
     loop {
-        let batch = {
-            let mut guard = inner.batches.lock();
-            loop {
-                if let Some(b) = guard.pop_front() {
-                    break b;
-                }
-                if inner.scheduler_done.load(Ordering::Acquire) {
-                    return;
-                }
-                guard = inner
-                    .batch_cv
-                    .wait(guard)
-                    .unwrap_or_else(|e| e.into_inner());
-            }
-        };
-        run_batch(inner, batch);
+        if let Some((model_id, req)) = queue.pop() {
+            drop(queue);
+            run_request(model_id, req);
+            queue = inner.queue.lock();
+        } else if queue.closed {
+            return;
+        } else {
+            inner.queue_cv.wait(&mut queue);
+        }
     }
 }
 
-/// Executes a batch's requests in admission order. One shared fault of a
-/// paged layer serves every request in the batch — the amortization
-/// batching buys under a memory cap. Each request is isolated with
-/// `catch_unwind`, so a store fault (or any panic) fails that request
-/// alone and the worker keeps serving.
-fn run_batch(inner: &Inner, batch: Batch) {
-    let occupancy = batch.reqs.len();
-    // Clone the model's shared handles and release the registry lock
-    // before executing: a worker runs seconds of FHE per request, and
-    // holding the read guard that long would stall model registration
-    // (and, on writer-preferring RwLocks, every reader behind it).
-    let (compiled, plan, source, metrics) = {
-        let models = inner.models.read();
-        let model = &models[batch.model.0];
-        (
-            model.compiled.clone(),
-            model.plan.clone(),
-            model.source.clone(),
-            model.metrics.clone(),
-        )
+/// Executes one request, isolated with `catch_unwind`: a store fault (or
+/// any panic) fails that request alone and the worker keeps serving.
+fn run_request(model_id: usize, req: Request) {
+    let model = &req.model;
+    model.metrics.note_dequeue();
+    let queue_seconds = req.enqueued.elapsed().as_secs_f64();
+    // Tag this worker thread with the request id: the execution span
+    // (and every scheduler/kernel span recorded inside the inference)
+    // correlates back to the admission span via the "req" argument.
+    orion_telemetry::set_request(Some(req.id));
+    let exec_span = orion_telemetry::span!(
+        "req_exec",
+        model = model_id,
+        queue_us = (queue_seconds * 1e6) as u64
+    );
+    let result = catch_unwind(AssertUnwindSafe(|| {
+        let source = model.source.clone();
+        run_fhe_plan(&model.compiled, &req.session, &model.plan, source, req.cts)
+    }));
+    drop(exec_span);
+    let resp = match result {
+        Ok((run, counter)) => {
+            orion_telemetry::instant!(
+                "req_done",
+                wall_us = (run.wall_seconds * 1e6) as u64,
+                queue_us = (queue_seconds * 1e6) as u64
+            );
+            model
+                .metrics
+                .note_done(queue_seconds + run.wall_seconds, counter.encodes);
+            Ok(ServeOutput {
+                output: run.output,
+                counter,
+                wall_seconds: run.wall_seconds,
+                queue_seconds,
+            })
+        }
+        Err(payload) => {
+            let err = fault_to_error(payload);
+            let class = match &err {
+                ServeError::Store { .. } => ErrorClass::Store,
+                _ => ErrorClass::Panic,
+            };
+            orion_telemetry::instant!("req_error", class = class as u64);
+            model.metrics.note_error(class);
+            Err(err)
+        }
     };
-    let model_id = batch.model.0 as u64;
-    for req in batch.reqs {
-        let Request {
-            id,
-            client,
-            enqueued,
-            cts,
-            tx,
-        } = req;
-        let session = {
-            let clients = inner.clients.read();
-            clients[client.0].session.clone()
-        };
-        let queue_seconds = enqueued.elapsed().as_secs_f64();
-        let (compiled, plan, source) = (compiled.clone(), plan.clone(), source.clone());
-        // Tag this worker thread with the request id: the execution span
-        // (and every scheduler/kernel span recorded inside the inference)
-        // correlates back to the admission span via the "req" argument.
-        orion_telemetry::set_request(Some(id));
-        let exec_span = orion_telemetry::span!(
-            "req_exec",
-            model = model_id,
-            queue_us = (queue_seconds * 1e6) as u64,
-            batch = occupancy
-        );
-        let result = catch_unwind(AssertUnwindSafe(move || {
-            run_fhe_plan(&compiled, &session, &plan, source, cts)
-        }));
-        drop(exec_span);
-        let resp = match result {
-            Ok((run, counter)) => {
-                orion_telemetry::instant!(
-                    "req_done",
-                    wall_us = (run.wall_seconds * 1e6) as u64,
-                    queue_us = (queue_seconds * 1e6) as u64
-                );
-                metrics.note_done(queue_seconds + run.wall_seconds, counter.encodes);
-                Ok(ServeOutput {
-                    output: run.output,
-                    counter,
-                    wall_seconds: run.wall_seconds,
-                    queue_seconds,
-                    batch_size: occupancy,
-                })
-            }
-            Err(payload) => {
-                let err = fault_to_error(payload);
-                let class = match &err {
-                    ServeError::Store { .. } => ErrorClass::Store,
-                    _ => ErrorClass::Panic,
-                };
-                orion_telemetry::instant!("req_error", class = class as u64);
-                metrics.note_error(class);
-                Err(err)
-            }
-        };
-        orion_telemetry::set_request(None);
-        // a dropped ticket is fine — the client stopped listening
-        let _ = tx.send(resp);
-    }
+    orion_telemetry::set_request(None);
+    // a dropped ticket is fine — the client stopped listening
+    let _ = req.tx.send(resp);
 }
 
 fn fault_to_error(payload: Box<dyn std::any::Any + Send>) -> ServeError {
@@ -899,96 +756,76 @@ fn fault_to_error(payload: Box<dyn std::any::Any + Send>) -> ServeError {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use orion_nn::compile::{compile, CompileOptions};
+    use orion_nn::fit::fixed_ranges;
+    use orion_nn::network::Network;
+    use rand::rngs::StdRng;
+    use rand::SeedableRng;
 
-    /// Drives [`pick_flush`] the way the scheduler does: drain up to
-    /// `max_batch` from the winner, advance the cursor, repeat. Requests
-    /// are bare timestamps.
-    fn drain_order(queues: &mut HashMap<usize, VecDeque<Instant>>, max_batch: usize) -> Vec<usize> {
-        let now = Instant::now();
-        let mut cursor = 0usize;
-        let mut order = Vec::new();
-        loop {
-            let (flush, _) = pick_flush(
-                queues,
-                |&t: &Instant| t,
-                cursor,
-                now,
-                max_batch,
-                Duration::ZERO, // everything has waited long enough
-                false,
-            );
-            let Some(m) = flush else { break };
-            cursor = m.wrapping_add(1);
-            let q = queues.get_mut(&m).unwrap();
-            let n = q.len().min(max_batch);
-            q.drain(..n);
-            order.push(m);
+    /// Admits one request of model `m` per entry of `arrivals`, in that
+    /// order, to a server that is never started (one-layer models, one
+    /// client each), then pops the queue dry the way a worker does and
+    /// returns the model of every request in pop order.
+    fn pop_order(arrivals: &[usize]) -> Vec<usize> {
+        let params = CkksParams {
+            n: 1 << 10,
+            log_scale: 30,
+            q0_bits: 45,
+            max_level: 3,
+            special_bits: 45,
+            sigma: 3.2,
+            boot_levels: 1,
+        };
+        let server = Server::new(ServeConfig::default());
+        let requests: Vec<(ClientId, Vec<Ciphertext>)> = (0..=*arrivals.iter().max().unwrap())
+            .map(|m| {
+                let mut net = Network::new(1, 2, 2);
+                let x = net.input();
+                let f = net.flatten("flat", x);
+                let l = net.linear("fc", f, 2, &mut StdRng::seed_from_u64(m as u64));
+                net.output(l);
+                let opts = CompileOptions::from_params(&params);
+                let compiled = compile(&net, &fixed_ranges(&net, 4.0), &opts);
+                let model = server.add_model("m", compiled, params.clone(), 0).unwrap();
+                assert_eq!(model, ModelId(m));
+                let client = server.add_client(model, m as u64).unwrap();
+                let input = Tensor::from_vec(&[1, 2, 2], vec![0.25; 4]);
+                (client, server.encrypt(client, &input).unwrap())
+            })
+            .collect();
+        for &m in arrivals {
+            let (client, cts) = &requests[m];
+            server.submit(*client, cts.clone()).expect("admitted");
         }
+        let mut queue = server.inner.queue.lock();
+        let order: Vec<usize> = std::iter::from_fn(|| queue.pop()).map(|(m, _)| m).collect();
+        assert_eq!(queue.total, 0);
         order
     }
 
     #[test]
     fn round_robin_interleaves_a_hot_tenant_with_a_light_one() {
         // Model 0 is hot (12 queued, all OLDER than model 1's); model 1
-        // has 2. Oldest-front-first would serve every model-0 batch before
-        // model 1 sees a single slot; round-robin alternates.
-        let base = Instant::now() - Duration::from_secs(60);
-        let mut queues: HashMap<usize, VecDeque<Instant>> = HashMap::new();
-        queues.insert(
-            0,
-            (0..12).map(|i| base + Duration::from_millis(i)).collect(),
+        // has 2. Oldest-first would serve all of model 0 before model 1
+        // sees a single worker; round-robin alternates while both wait.
+        let mut arrivals = vec![0; 12];
+        arrivals.extend([1, 1]);
+        let order = pop_order(&arrivals);
+        assert_eq!(order.len(), 14);
+        assert_eq!(
+            &order[..4],
+            &[0, 1, 0, 1],
+            "light tenant starved: pop order {order:?}"
         );
-        queues.insert(
-            1,
-            (0..2)
-                .map(|i| base + Duration::from_secs(1) + Duration::from_millis(i))
-                .collect(),
-        );
-        let order = drain_order(&mut queues, 4);
-        // 12/4 = 3 batches of model 0, 2/4 → 1 batch of model 1
-        assert_eq!(order.len(), 4);
-        let first_light = order.iter().position(|&m| m == 1).unwrap();
-        assert!(
-            first_light <= 1,
-            "light tenant starved: drain order {order:?}"
-        );
-        assert_eq!(order.iter().filter(|&&m| m == 0).count(), 3);
+        assert!(order[4..].iter().all(|&m| m == 0));
     }
 
     #[test]
     fn round_robin_cycles_through_many_tenants() {
-        let base = Instant::now() - Duration::from_secs(60);
-        let mut queues: HashMap<usize, VecDeque<Instant>> = HashMap::new();
-        for m in 0..4usize {
-            // later models carry OLDER requests: oldest-first would
-            // always pick model 3 first
-            queues.insert(
-                m,
-                (0..2)
-                    .map(|i| base - Duration::from_secs(m as u64) + Duration::from_millis(i))
-                    .collect(),
-            );
-        }
-        let order = drain_order(&mut queues, 1);
-        // each model drains one request per full rotation
-        assert_eq!(order.len(), 8);
-        assert_eq!(&order[..4], &[0, 1, 2, 3], "rotation broken: {order:?}");
-        assert_eq!(&order[4..], &[0, 1, 2, 3]);
-    }
-
-    #[test]
-    fn unqualified_models_report_the_nearest_deadline() {
-        let now = Instant::now();
-        let mut queues: HashMap<usize, VecDeque<Instant>> = HashMap::new();
-        queues.insert(0, [now - Duration::from_millis(3)].into());
-        queues.insert(1, [now - Duration::from_millis(7)].into());
-        let max_wait = Duration::from_millis(10);
-        let (flush, nearest) = pick_flush(&queues, |&t| t, 0, now, 8, max_wait, false);
-        assert_eq!(flush, None);
-        let d = nearest.expect("a deadline must be reported");
-        assert_eq!(d, Duration::from_millis(3), "nearest deadline wins");
-        // draining flushes regardless of deadlines
-        let (flush, _) = pick_flush(&queues, |&t| t, 0, now, 8, max_wait, true);
-        assert_eq!(flush, Some(0));
+        // later models carry OLDER requests: oldest-first would always
+        // pick model 3 first
+        let order = pop_order(&[3, 3, 2, 2, 1, 1, 0, 0]);
+        // each model gives up one request per full rotation
+        assert_eq!(order, [0, 1, 2, 3, 0, 1, 2, 3], "rotation broken");
     }
 }

@@ -1,6 +1,6 @@
 //! The serving acceptance test: two models hosted side by side, two
 //! concurrent clients per model, all requests flowing through the
-//! admission queue and dynamic batcher, weights served from LRU pagers
+//! admission queue onto two workers, weights served from LRU pagers
 //! whose byte budgets are **smaller than the encoded-weight footprint** —
 //! and every response bit-exact against the direct (no queue, no paging)
 //! prepared path with zero per-inference encodes, linear *and* activation.
@@ -71,6 +71,14 @@ fn silu_model(seed: u64) -> (Compiled, CkksParams, [usize; 3]) {
     (compiled, params, [1, 4, 4])
 }
 
+fn one_worker() -> ServeConfig {
+    ServeConfig {
+        workers: 1,
+        queue_capacity: 8,
+        ..ServeConfig::default()
+    }
+}
+
 fn random_input(shape: &[usize; 3], rng: &mut StdRng) -> Tensor {
     let n = shape.iter().product();
     Tensor::from_vec(
@@ -82,10 +90,9 @@ fn random_input(shape: &[usize; 3], rng: &mut StdRng) -> Tensor {
 #[test]
 fn serve_two_models_two_clients_under_memory_cap() {
     let mut server = Server::new(ServeConfig {
-        max_batch: 3,
-        max_wait: Duration::from_millis(20),
         workers: 2,
         queue_capacity: 64,
+        ..ServeConfig::default()
     });
 
     let mut model_ids = Vec::new();
@@ -148,7 +155,7 @@ fn serve_two_models_two_clients_under_memory_cap() {
                 let session = server.session(client).expect("session");
                 let compiled = server.compiled(client).expect("compiled");
                 // Encrypt everything up front and submit before waiting, so
-                // the batcher sees genuine concurrency per model.
+                // the queue sees genuine concurrency per model.
                 let inputs: Vec<Tensor> = (0..REQUESTS_PER_CLIENT)
                     .map(|_| random_input(&shape, &mut rng))
                     .collect();
@@ -167,7 +174,6 @@ fn serve_two_models_two_clients_under_memory_cap() {
                         "client {tid}: a prepared model must serve with zero \
                          per-inference encodes (linear and activation)"
                     );
-                    assert!(served.batch_size >= 1);
                     // Bit-exact against the direct resident prepared path on
                     // the same encrypted request.
                     let (direct, direct_counter) =
@@ -175,7 +181,7 @@ fn serve_two_models_two_clients_under_memory_cap() {
                     assert_eq!(
                         served.output.data(),
                         direct.output.data(),
-                        "client {tid}: paged+batched serving must be bit-exact"
+                        "client {tid}: paged serving must be bit-exact"
                     );
                     assert_eq!(served.counter.all(), direct_counter.all());
                 }
@@ -242,12 +248,7 @@ fn serve_two_models_two_clients_under_memory_cap() {
 
 #[test]
 fn corrupt_spill_file_fails_one_request_not_the_pool() {
-    let mut server = Server::new(ServeConfig {
-        max_batch: 1,
-        max_wait: Duration::from_millis(1),
-        workers: 1,
-        queue_capacity: 8,
-    });
+    let mut server = Server::new(one_worker());
     let (compiled, params, shape) = square_model(0x5e_003);
     let dir = std::env::temp_dir().join("orion_serve_corrupt");
     std::fs::remove_dir_all(&dir).ok();
@@ -296,12 +297,7 @@ fn corrupt_spill_file_fails_one_request_not_the_pool() {
 
 #[test]
 fn wrong_level_request_is_rejected_at_admission() {
-    let mut server = Server::new(ServeConfig {
-        max_batch: 1,
-        max_wait: Duration::from_millis(1),
-        workers: 1,
-        queue_capacity: 8,
-    });
+    let mut server = Server::new(one_worker());
     let (compiled, params, shape) = square_model(0x5e_004);
     assert_eq!(compiled.placement.boot_count, 0, "bit-exactness below");
     let l_eff = compiled.opts.l_eff;
@@ -392,4 +388,95 @@ fn mis_parameterised_model_is_refused_at_registration() {
         register(params.clone(), paged).expect("matching parameters still register");
     }
     std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A resident `square_model` with one client and one encrypted request.
+fn one_client_server(
+    cfg: ServeConfig,
+    seed: u64,
+) -> (Server, ClientId, Vec<orion_ckks::encrypt::Ciphertext>) {
+    let server = Server::new(cfg);
+    let (compiled, params, shape) = square_model(seed);
+    let model = server
+        .add_model("m", compiled, params, 0)
+        .expect("register");
+    let client = server.add_client(model, seed).expect("client");
+    let mut rng = StdRng::seed_from_u64(seed);
+    let cts = server
+        .encrypt(client, &random_input(&shape, &mut rng))
+        .expect("encrypt");
+    (server, client, cts)
+}
+
+/// Nothing but the queue releases a request: on an idle server a worker is
+/// asleep on the queue's condvar and starts the request when it is admitted,
+/// not when a timer expires. The fastest of a few lone requests shows it
+/// whatever else the host is running.
+#[test]
+fn an_idle_server_starts_a_request_at_once() {
+    let (mut server, client, cts) = one_client_server(one_worker(), 0x5e_006);
+    server.start();
+    let fastest = (0..8)
+        .map(|_| {
+            server
+                .infer(client, cts.clone())
+                .expect("serve")
+                .queue_seconds
+        })
+        .fold(f64::INFINITY, f64::min);
+    assert!(
+        fastest < 1e-3,
+        "a lone request waited {:.2} ms for an idle worker",
+        fastest * 1e3
+    );
+    server.shutdown();
+}
+
+/// Parallelism is inference-level: two requests of ONE model admitted back
+/// to back run on two workers, so the later one starts while the earlier is
+/// still executing instead of queueing behind it.
+#[test]
+fn two_requests_of_one_model_run_on_two_workers() {
+    let cfg = ServeConfig {
+        workers: 2,
+        ..ServeConfig::default()
+    };
+    let (mut server, client, cts) = one_client_server(cfg, 0x5e_007);
+    server.start();
+    let earlier = server.submit(client, cts.clone()).expect("submit");
+    let later = server.submit(client, cts).expect("submit");
+    let (earlier, later) = (earlier.wait().expect("serve"), later.wait().expect("serve"));
+    assert!(
+        later.queue_seconds < earlier.wall_seconds,
+        "the second request queued {:.2} ms behind a {:.2} ms inference",
+        later.queue_seconds * 1e3,
+        earlier.wall_seconds * 1e3
+    );
+    server.shutdown();
+}
+
+/// No waiter is stranded: a request admitted to a server whose workers
+/// never ran resolves when the server shuts down, not when it is dropped.
+#[test]
+fn a_ticket_of_a_server_that_never_started_resolves_on_shutdown() {
+    let (mut server, client, cts) = one_client_server(one_worker(), 0x5e_008);
+    let ticket = server.submit(client, cts.clone()).expect("admitted");
+    let (tx, rx) = std::sync::mpsc::channel();
+    let waiter = std::thread::spawn(move || tx.send(ticket.wait().map(|_| ())));
+    server.shutdown();
+    match rx.recv_timeout(Duration::from_secs(5)) {
+        Ok(Err(ServeError::ShuttingDown)) => {}
+        other => panic!("expected ShuttingDown, got {other:?}"),
+    }
+    waiter.join().expect("waiter").expect("sent");
+    assert!(matches!(
+        server.submit(client, cts),
+        Err(ServeError::ShuttingDown)
+    ));
+    let snap = server.metrics();
+    let depth = match snap.get("models") {
+        Some(Value::Arr(models)) => models[0].get("queue_depth").and_then(Value::as_f64),
+        other => panic!("models missing: {other:?}"),
+    };
+    assert_eq!(depth, Some(0.0), "the drained request left the depth gauge");
 }

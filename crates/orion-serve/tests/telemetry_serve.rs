@@ -1,4 +1,4 @@
-//! End-to-end serving telemetry: with the collector enabled, a batch of
+//! End-to-end serving telemetry: with the collector enabled, a burst of
 //! requests produces a Perfetto-loadable Chrome trace (written to
 //! `target/trace_serve_smoke.json` — CI validates it structurally), the
 //! request lifecycle spans correlate admission → execution by request id,
@@ -16,7 +16,6 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::Value;
 use std::sync::Mutex;
-use std::time::Duration;
 
 static TEST_LOCK: Mutex<()> = Mutex::new(());
 
@@ -69,10 +68,9 @@ fn traced_serving_exports_spans_histograms_and_critical_path() {
     orion_telemetry::path::clear_runs();
 
     let mut server = Server::new(ServeConfig {
-        max_batch: 2,
-        max_wait: Duration::from_millis(5),
         workers: 2,
         queue_capacity: 16,
+        ..ServeConfig::default()
     });
     let (compiled, params, shape) = square_model(0x7e1e_5e01);
     let model = server

@@ -1,8 +1,8 @@
 //! Multi-tenant serving end to end: two MNIST-shaped MLPs hosted side by
 //! side, three clients with their own keys submitting encrypted requests
-//! concurrently, batches flowing through the admission queue onto the
-//! worker pool — one model paged under a memory cap smaller than its
-//! encoded-weight footprint, the other fully resident.
+//! concurrently through the admission queue onto the worker pool — one
+//! model paged under a memory cap smaller than its encoded-weight
+//! footprint, the other fully resident.
 //!
 //! Run with `cargo run --release --example serve_mnist`.
 
@@ -14,7 +14,6 @@ use orion_nn::network::Network;
 use orion_tensor::Tensor;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use std::time::Duration;
 
 /// Insecure demo parameters (N = 2¹¹) with enough level headroom that both
 /// nets run bootstrap-free, keeping served requests fully deterministic.
@@ -60,10 +59,9 @@ fn main() {
     let calib = synthetic_images(1, 14, 14, 4, 1);
 
     let mut server = Server::new(ServeConfig {
-        max_batch: 4,
-        max_wait: Duration::from_millis(5),
         workers: 2,
         queue_capacity: 64,
+        ..ServeConfig::default()
     });
 
     // Tenant 0: paged under a cap ~2/3 of its encoded-weight footprint.
@@ -120,10 +118,9 @@ fn main() {
                     let class = argmax(&out.output);
                     println!(
                         "client {tid} req {i}: class {class}, queue {:.1} ms, \
-                         exec {:.1} ms, batch x{}, encodes {}",
+                         exec {:.1} ms, encodes {}",
                         out.queue_seconds * 1e3,
                         out.wall_seconds * 1e3,
-                        out.batch_size,
                         out.counter.encodes,
                     );
                 }

@@ -10,7 +10,6 @@
 //! width — ImageNet-scale plans build in milliseconds.
 
 use crate::layout::TensorLayout;
-use orion_sim::CostModel;
 use std::collections::{BTreeMap, BTreeSet};
 
 /// Convolution hyper-parameters for planning (mirrors
@@ -47,7 +46,8 @@ impl ConvSpec {
     }
 }
 
-/// Operation counts of a plan (feed [`CostModel::linear_layer`]).
+/// Operation counts of a plan: the op list of the layer's plan unit, priced
+/// per kind by the compiler's cost model.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct PlanCounts {
     /// Digit decompositions (one per input ciphertext that rotates).
@@ -105,19 +105,6 @@ pub struct LinearPlan {
 }
 
 impl LinearPlan {
-    /// Modeled latency at evaluation level `level`.
-    pub fn latency(&self, cost: &CostModel, level: usize) -> f64 {
-        cost.linear_layer(
-            level,
-            self.counts.hoists,
-            self.counts.baby_rots,
-            self.counts.giant_rots,
-            self.counts.pmults,
-            self.counts.moddowns,
-            self.counts.rescales,
-        )
-    }
-
     /// The distinct **non-zero** baby-step rotations the executor performs,
     /// as `(input block, rotation amount)` pairs. The amount is an absolute
     /// slot rotation (`k mod n1`), so the sets of two plans over the same
@@ -910,13 +897,5 @@ mod tests {
         for &s in &steps {
             assert!(s > 0 && (s as usize) < 64);
         }
-    }
-
-    #[test]
-    fn plan_latency_increases_with_level() {
-        let (l, spec) = siso_same();
-        let (plan, _) = conv_plan(&l, &spec, 64);
-        let cost = CostModel::paper();
-        assert!(plan.latency(&cost, 8) > plan.latency(&cost, 2));
     }
 }

@@ -18,7 +18,7 @@ use orion_linear::TensorLayout;
 use orion_poly::eval::{
     fhe_eval_depth, relu_product_ops, square_ops, stage_ops, trimmed_degree, StageOps,
 };
-use orion_sim::CostModel;
+use orion_sim::{CostModel, OpCounter, OpKind};
 use orion_tensor::Tensor;
 
 /// One executable program step.
@@ -79,27 +79,31 @@ pub enum Step {
 }
 
 /// What a step placed at level `lv` reads and issues ([`Step::sig`]).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct StepSig {
     /// The level each input position is dropped to before the step runs
     /// (`None`: the step has no such input).
     pub reads: [Option<usize>; 2],
-    /// The operations one output ciphertext costs and the level it is left
-    /// at. A linear layer's op mix is its `LinearPlan::counts`; only its
-    /// exit level is stated here.
-    pub ops: StageOps,
+    /// The complete op list of one plan unit of the step, as `(kind,
+    /// count)`: a linear layer's `LinearPlan::counts`, one output
+    /// ciphertext's [`StageOps`] for an elementwise step. Its price is
+    /// `OpCounter::priced` — there is no other.
+    pub ops: Vec<(OpKind, u64)>,
+    /// The level the step leaves its output at.
+    pub exit_level: usize,
 }
 
-/// THE level table: what each step kind reserves, reads, issues and leaves
-/// behind once placement has fixed its level. Compile, the plan walk, the
-/// op counter, the verifier and the optimizer all read it through
+/// THE level and op table: what each step kind reserves, reads, issues and
+/// leaves behind once placement has fixed its level. Placement prices a
+/// node from it before a plan exists ([`ProgNode::seconds_at`]); the plan
+/// walk, the op counter, the verifier and the optimizer all read it through
 /// `ExecPlan::unit_io`; the engines are checked against it on every
 /// ciphertext they produce.
 impl Step {
     /// The levels the step reserves: what compile hands the placement
     /// graph, and what the plan walk and the verifier demand of the
     /// step's placement level. Reserved **equals** consumed for every kind:
-    /// `lv − sig(lv).ops.exit_level == depth()` wherever `lv ≥ depth()`.
+    /// `lv − sig(lv).exit_level == depth()` wherever `lv ≥ depth()`.
     pub fn depth(&self) -> usize {
         match self {
             Step::Input | Step::Output | Step::Add => 0,
@@ -122,25 +126,44 @@ impl Step {
             Step::Add => [Some(lv), Some(lv)],
             _ => [Some(lv), None],
         };
-        let at = |exit_level: usize| StageOps {
+        let n = |count: usize| count as u64;
+        // an elementwise step: what its evaluator issues per ciphertext
+        let stage = |s: StageOps| {
+            let ops = vec![
+                (OpKind::HMult, s.hmult),
+                (OpKind::PMult, s.pmult),
+                (OpKind::Rescale, s.rescale),
+                (OpKind::HAdd, s.hadd),
+                (OpKind::PAdd, s.padd),
+            ];
+            (ops, s.exit_level)
+        };
+        let (ops, exit_level) = match self {
+            _ if lv < self.depth() => (Vec::new(), 0),
+            Step::Input | Step::Output => (Vec::new(), lv),
+            // the static op mix of the double-hoisted BSGS matvec
+            Step::Conv { plan, .. } | Step::Dense { plan, .. } => {
+                let ops = vec![
+                    (OpKind::Hoist, n(plan.counts.hoists)),
+                    (OpKind::HRotHoisted, n(plan.counts.baby_rots)),
+                    (OpKind::HRot, n(plan.counts.giant_rots)),
+                    (OpKind::PMult, n(plan.counts.pmults)),
+                    (OpKind::ModDown, n(plan.counts.moddowns)),
+                    (OpKind::Rescale, n(plan.counts.rescales)),
+                ];
+                (ops, lv - 1)
+            }
+            Step::ScaleDown { .. } => (vec![(OpKind::PMult, 1), (OpKind::Rescale, 1)], lv - 1),
+            Step::PolyStage { coeffs } => stage(stage_ops(coeffs, lv)),
+            Step::ReluFinal { .. } => stage(relu_product_ops(lv)),
+            Step::Square => stage(square_ops(lv)),
+            Step::Add => (vec![(OpKind::HAdd, 1)], lv),
+        };
+        StepSig {
+            reads,
+            ops,
             exit_level,
-            ..StageOps::default()
-        };
-        let ops = match self {
-            _ if lv < self.depth() => at(0),
-            Step::Input | Step::Output => at(lv),
-            Step::Conv { .. } | Step::Dense { .. } => at(lv - 1),
-            Step::ScaleDown { .. } => StageOps {
-                pmult: 1,
-                rescale: 1,
-                ..at(lv - 1)
-            },
-            Step::PolyStage { coeffs } => stage_ops(coeffs, lv),
-            Step::ReluFinal { .. } => relu_product_ops(lv),
-            Step::Square => square_ops(lv),
-            Step::Add => StageOps { hadd: 1, ..at(lv) },
-        };
-        StepSig { reads, ops }
+        }
     }
 }
 
@@ -157,6 +180,21 @@ pub struct ProgNode {
     pub layout: TensorLayout,
     /// Output ciphertext count.
     pub n_cts: usize,
+}
+
+impl ProgNode {
+    /// Modeled seconds of the whole node placed at level `lv`: its plan
+    /// units' op lists ([`Step::sig`]) at `cost`'s one price — a linear
+    /// layer is one unit, an elementwise step one per output ciphertext.
+    /// What placement minimises, what `count_plan` sums over the built plan
+    /// and what [`Compiled::report`] prints.
+    pub fn seconds_at(&self, cost: &CostModel, lv: usize) -> f64 {
+        let units = match self.step {
+            Step::Conv { .. } | Step::Dense { .. } => 1,
+            _ => self.n_cts,
+        };
+        units as f64 * OpCounter::priced(&self.step.sig(lv).ops, cost, lv).seconds
+    }
 }
 
 /// Compilation options (decoupled from concrete CKKS parameters so the
@@ -255,12 +293,13 @@ impl Compiled {
         let mut s = String::new();
         let _ = writeln!(
             s,
-            "compiled program: {} steps, {} planned rotations, {} bootstraps ({} sites), act depth {}",
+            "compiled program: {} steps, {} planned rotations, {} bootstraps ({} sites), act depth {}, modeled {:.6} s",
             self.prog.len(),
             self.planned_rotations(),
             self.placement.boot_count,
             self.placement.boot_sites,
-            self.activation_depth()
+            self.activation_depth(),
+            self.placement.total_latency
         );
         let _ = writeln!(
             s,
@@ -271,8 +310,10 @@ impl Compiled {
         let keys = self.key_manifest();
         let _ = writeln!(s, "{}", keys.summary(2 * self.opts.slots, self.opts.l_eff));
         for (id, p) in self.prog.iter().enumerate() {
+            // the step's modeled seconds at its placement level: the
+            // *predicted* column of the attribution table
             let lvl = self.placement.levels[id]
-                .map(|l| format!("@L{l}"))
+                .map(|l| format!("@L{l} {:.6} s", p.seconds_at(&self.opts.cost, l)))
                 .unwrap_or_default();
             let boot = if self.placement.boots_before[id] > 0 {
                 format!("  [bootstrap x{}]", self.placement.boots_before[id])
@@ -306,7 +347,7 @@ impl Compiled {
                 Step::Input => "input".to_string(),
                 Step::Output => "output".to_string(),
             };
-            let _ = writeln!(s, "  {:>3} {:<16}{lvl:<5}{boot}  {detail}", id, p.name);
+            let _ = writeln!(s, "  {:>3} {:<16}{lvl:<20}{boot}  {detail}", id, p.name);
         }
         s
     }
@@ -333,18 +374,24 @@ fn depthwise(c: usize, kh: usize, kw: usize, stride: usize, padding: usize) -> C
 }
 
 /// Appends `node` to the program and its placement twin — reserving
-/// `node.step.depth()` levels, bootstrapping `boot_cts` ciphertexts — to
+/// `node.step.depth()` levels, bootstrapping `boot_cts` ciphertexts, its
+/// latency per level unpriced until [`compile`] has the whole program — to
 /// the graph; returns the shared id.
 fn emit(
     prog: &mut Vec<ProgNode>,
     graph: &mut Graph,
     node: ProgNode,
     kind: NodeKind,
-    lat: Vec<f64>,
     boot_cts: usize,
 ) -> usize {
     let id = prog.len();
-    let gnode = Node::new(node.name.clone(), kind, node.step.depth(), lat, boot_cts);
+    let gnode = Node::new(
+        node.name.clone(),
+        kind,
+        node.step.depth(),
+        Vec::new(),
+        boot_cts,
+    );
     let gid = graph.add_node(gnode);
     debug_assert_eq!(gid, id);
     for &i in &node.inputs {
@@ -362,8 +409,6 @@ pub fn compile(net: &Network, fitres: &FitResult, opts: &CompileOptions) -> Comp
     let slots = opts.slots;
     let l_eff = opts.l_eff;
     let cost = &opts.cost;
-    let lat_flat = |v: f64| -> Vec<f64> { vec![v; l_eff + 1] };
-    let lat_fn = |f: &dyn Fn(usize) -> f64| -> Vec<f64> { (0..=l_eff).map(f).collect() };
 
     let mut prog: Vec<ProgNode> = Vec::new();
     let mut graph = Graph::new();
@@ -390,19 +435,11 @@ pub fn compile(net: &Network, fitres: &FitResult, opts: &CompileOptions) -> Comp
         // both poolings and the dense layer differ only in the step.
         let emit_linear =
             |prog: &mut Vec<ProgNode>, graph: &mut Graph, step: Step, out_l: TensorLayout| {
-                let (Step::Conv { plan, in_l, .. } | Step::Dense { plan, in_l, .. }) = &step else {
+                let (Step::Conv { in_l, .. } | Step::Dense { in_l, .. }) = &step else {
                     unreachable!("emit_linear takes a linear step")
                 };
-                let lat = lat_fn(&|l| plan.latency(cost, l));
                 let n_in_cts = in_l.num_ciphertexts(slots);
-                emit(
-                    prog,
-                    graph,
-                    pnode(step, out_l),
-                    NodeKind::Linear,
-                    lat,
-                    n_in_cts,
-                )
+                emit(prog, graph, pnode(step, out_l), NodeKind::Linear, n_in_cts)
             };
         let emit_conv = |prog: &mut Vec<ProgNode>,
                          graph: &mut Graph,
@@ -427,7 +464,6 @@ pub fn compile(net: &Network, fitres: &FitResult, opts: &CompileOptions) -> Comp
                 &mut graph,
                 pnode(Step::Input, input_layout),
                 NodeKind::Input,
-                lat_flat(0.0),
                 input_layout.num_ciphertexts(slots),
             ),
             Layer::Output => {
@@ -437,7 +473,6 @@ pub fn compile(net: &Network, fitres: &FitResult, opts: &CompileOptions) -> Comp
                     &mut graph,
                     pnode(Step::Output, l),
                     NodeKind::Output,
-                    lat_flat(0.0),
                     l.num_ciphertexts(slots),
                 )
             }
@@ -528,13 +563,11 @@ pub fn compile(net: &Network, fitres: &FitResult, opts: &CompileOptions) -> Comp
             Layer::Add => {
                 let l = in_layout.unwrap();
                 let n = l.num_ciphertexts(slots);
-                let lat = lat_fn(&|lv| cost.hadd(lv) * n as f64);
                 emit(
                     &mut prog,
                     &mut graph,
                     pnode(Step::Add, l),
                     NodeKind::Add,
-                    lat,
                     2 * n,
                 )
             }
@@ -543,9 +576,8 @@ pub fn compile(net: &Network, fitres: &FitResult, opts: &CompileOptions) -> Comp
                 let n = l.num_ciphertexts(slots);
                 let range = fitres.ranges.get(&nid).copied().unwrap_or(1.0);
                 let compiled = compile_activation(act_layer, range);
-                let out = emit_activation(
-                    &mut prog, &mut graph, &node.name, &compiled, pin[0], l, n, cost, l_eff,
-                );
+                let out =
+                    emit_activation(&mut prog, &mut graph, &node.name, &compiled, pin[0], l, n);
                 acts.map.insert(nid, compiled);
                 map[nid] = out;
                 continue;
@@ -555,8 +587,13 @@ pub fn compile(net: &Network, fitres: &FitResult, opts: &CompileOptions) -> Comp
         map[nid] = id;
     }
 
+    // THE pricing: a node's latency at each level it could be placed at is
+    // its own op list at the cost model's one price per op.
+    for (node, gnode) in prog.iter().zip(&mut graph.nodes) {
+        gnode.latency = (0..=l_eff).map(|l| node.seconds_at(cost, l)).collect();
+    }
     let compile_seconds = t0.elapsed().as_secs_f64();
-    let boot_latency = cost.bootstrap(l_eff);
+    let boot_latency = cost.op(OpKind::Bootstrap, l_eff);
     let placement = place(&graph, l_eff, boot_latency);
     Compiled {
         prog,
@@ -570,7 +607,6 @@ pub fn compile(net: &Network, fitres: &FitResult, opts: &CompileOptions) -> Comp
 }
 
 /// Expands one activation into program nodes; returns the final node id.
-#[allow(clippy::too_many_arguments)]
 fn emit_activation(
     prog: &mut Vec<ProgNode>,
     graph: &mut Graph,
@@ -579,26 +615,8 @@ fn emit_activation(
     input: usize,
     layout: TensorLayout,
     n_cts: usize,
-    cost: &CostModel,
-    l_eff: usize,
 ) -> usize {
-    let lat_fn = |f: &dyn Fn(usize) -> f64| -> Vec<f64> { (0..=l_eff).map(f).collect() };
-    // a stage is priced from its own tally (the op mix does not depend on
-    // the entry level), each op at the stage's placement level
-    let stage_lat = |coeffs: &[f64]| {
-        let ops = stage_ops(coeffs, fhe_eval_depth(trimmed_degree(coeffs)));
-        lat_fn(&|l| {
-            n_cts as f64
-                * (ops.hmult as f64 * cost.hmult(l)
-                    + ops.pmult as f64 * cost.pmult(l)
-                    + ops.rescale as f64 * cost.rescale(l))
-        })
-    };
-    let scale_lat = || lat_fn(&|l| n_cts as f64 * (cost.pmult(l) + cost.rescale(l)));
-    // a ciphertext product, its alignment constant and their two rescales
-    let product_lat =
-        || lat_fn(&|l| n_cts as f64 * (cost.hmult(l) + cost.pmult(l) + 2.0 * cost.rescale(l)));
-    let mut push = |suffix: &str, step: Step, lat: Vec<f64>, inputs: Vec<usize>| -> usize {
+    let mut push = |suffix: &str, step: Step, inputs: Vec<usize>| -> usize {
         let node = ProgNode {
             name: format!("{name}.{suffix}"),
             step,
@@ -606,40 +624,30 @@ fn emit_activation(
             layout,
             n_cts,
         };
-        emit(prog, graph, node, NodeKind::Activation, lat, n_cts)
+        emit(prog, graph, node, NodeKind::Activation, n_cts)
     };
     match act {
-        CompiledAct::Square => push("sq", Step::Square, product_lat(), vec![input]),
+        CompiledAct::Square => push("sq", Step::Square, vec![input]),
         CompiledAct::Poly { range, coeffs } => {
             let factor = 1.0 / range;
-            let sd = push(
-                "scale",
-                Step::ScaleDown { factor },
-                scale_lat(),
-                vec![input],
-            );
+            let sd = push("scale", Step::ScaleDown { factor }, vec![input]);
             let step = Step::PolyStage {
                 coeffs: coeffs.clone(),
             };
-            push("poly", step, stage_lat(coeffs), vec![sd])
+            push("poly", step, vec![sd])
         }
         CompiledAct::Relu { range, stages } => {
             let factor = 1.0 / range;
-            let sd = push(
-                "scale",
-                Step::ScaleDown { factor },
-                scale_lat(),
-                vec![input],
-            );
+            let sd = push("scale", Step::ScaleDown { factor }, vec![input]);
             let mut cur = sd;
             for (i, st) in stages.iter().enumerate() {
                 let step = Step::PolyStage { coeffs: st.clone() };
-                cur = push(&format!("sign{i}"), step, stage_lat(st), vec![cur]);
+                cur = push(&format!("sign{i}"), step, vec![cur]);
             }
             // The fork at `sd` (skip wire) and the sign chain join here: a
             // SESE region the placement solver black-boxes (paper §5.2).
             let step = Step::ReluFinal { magnitude: *range };
-            push("mul", step, product_lat(), vec![sd, cur])
+            push("mul", step, vec![sd, cur])
         }
     }
 }

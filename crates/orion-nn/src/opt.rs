@@ -1,6 +1,5 @@
-//! Cost-driven plan optimizer: rewrites an [`ExecPlan`] under the explicit
-//! latency model *before* execution, so every engine (real CKKS, the
-//! cleartext reference) runs the same optimized DAG.
+//! Plan optimizer: rewrites an [`ExecPlan`] *before* execution, so every
+//! engine (real CKKS, the cleartext reference) runs the same optimized DAG.
 //!
 //! The cost asymmetry it exploits is the paper's: a key switch (digit
 //! decomposition + inner product + ModDown) is an order of magnitude
@@ -11,8 +10,9 @@
 //! layers consuming the *same* (wire, version) buffer at the *same*
 //! placement level each hoist and key-switch their own baby-step
 //! rotations, even when the rotation sets overlap. The pass unions the
-//! sets, and when the cost model says the union is strictly cheaper than
-//! the sum of the private hoists, inserts one [`UnitWork::SharedRot`] unit
+//! sets, and when the union holds strictly fewer digit decompositions or
+//! rotations than the private hoists together, inserts one
+//! [`UnitWork::SharedRot`] unit
 //! that pays each digit decomposition and rotation key switch once; every
 //! consumer then reads its rotations from the shared table instead of
 //! hoisting. This extends the double-hoisting idea one level up: hoisted
@@ -102,8 +102,8 @@ impl OptStats {
     }
 }
 
-/// Optimizes `plan` under the program's own cost model and returns the
-/// stats; with the pass disabled the plan is untouched.
+/// Optimizes `plan` and returns the stats; with the pass disabled the plan
+/// is untouched.
 ///
 /// The rewrite runs behind the [`checked_rewrite`] safety net: the
 /// rewritten plan is statically re-verified, and one that draws an error
@@ -154,7 +154,6 @@ fn linear_plan_of(c: &Compiled, id: usize) -> &orion_linear::LinearPlan {
 // ---------------------------------------------------------------------
 
 fn rotation_cse(plan: &mut ExecPlan, c: &Compiled) -> RotationCseStats {
-    let cost = &c.opts.cost;
     // Group linear Step units by the (buffer, read level) they consume.
     // Buffer offsets are unique per (wire, version), so the offset alone
     // identifies the buffer.
@@ -187,36 +186,32 @@ fn rotation_cse(plan: &mut ExecPlan, c: &Compiled) -> RotationCseStats {
             continue;
         }
         let mut union: BTreeSet<(u32, usize)> = BTreeSet::new();
-        let mut private_cost = 0.0;
-        let mut private_hoists = 0u64;
-        let mut private_rots = 0u64;
+        let mut private_hoists = 0usize;
+        let mut private_rots = 0usize;
         for &uid in &members {
             let UnitWork::Step { node } = plan.units[uid].work else {
                 unreachable!()
             };
             let rots = linear_plan_of(c, node).baby_rotations();
             let blocks: BTreeSet<u32> = rots.iter().map(|&(b, _)| b).collect();
-            private_cost += blocks.len() as f64 * cost.ks_decompose(lv)
-                + rots.len() as f64 * cost.hrot_hoisted(lv);
-            private_hoists += blocks.len() as u64;
-            private_rots += rots.len() as u64;
+            private_hoists += blocks.len();
+            private_rots += rots.len();
             union.extend(rots);
         }
         let union_blocks: BTreeSet<u32> = union.iter().map(|&(b, _)| b).collect();
-        let shared_cost = union_blocks.len() as f64 * cost.ks_decompose(lv)
-            + union.len() as f64 * cost.hrot_hoisted(lv);
-        // Only rewrite when the model says sharing strictly wins (the
-        // rotation sets overlap); disjoint sets would merely serialize
+        // Only rewrite when sharing strictly wins — the union drops a
+        // digit decomposition or a rotation, both priced at this one level
+        // and neither free; disjoint sets would merely serialize
         // independent hoists behind one unit.
-        if shared_cost >= private_cost {
+        if union_blocks.len() == private_hoists && union.len() == private_rots {
             continue;
         }
         let UnitWork::Step { node } = plan.units[members[0]].work else {
             unreachable!()
         };
         stats.shared_units += 1;
-        stats.hoists_eliminated += private_hoists - union_blocks.len() as u64;
-        stats.baby_rots_eliminated += private_rots - union.len() as u64;
+        stats.hoists_eliminated += (private_hoists - union_blocks.len()) as u64;
+        stats.baby_rots_eliminated += (private_rots - union.len()) as u64;
         insertions.push(Insertion {
             at: *members.iter().min().expect("nonempty group"),
             spec: SharedRotSpec {

@@ -66,9 +66,7 @@
 use crate::backend::{EvalBackend, LinearRef};
 use crate::compile::{Compiled, Step};
 use orion_ckks::KeyManifest;
-use orion_poly::eval::StageOps;
-use orion_sim::counter::OpKind;
-use orion_sim::OpCounter;
+use orion_sim::{OpCounter, OpKind};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::OnceLock;
 
@@ -172,14 +170,15 @@ impl Buffer {
     }
 }
 
-/// What one plan unit reads and writes — [`Step::sig`] lifted to units
-/// ([`ExecPlan::unit_io`]). Everything that needs a level asks this: the
-/// walk (what to drop inputs to, what the engine must hand back), the op
-/// counter, the verifier and the optimizer.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+/// What one plan unit reads, issues and writes — [`Step::sig`] lifted to
+/// units ([`ExecPlan::unit_io`]). Everything that needs a level or an op
+/// count asks this: the walk (what to drop inputs to, what the engine must
+/// hand back), the op counter, the verifier and the optimizer.
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct UnitIo {
-    /// The level the unit runs at: its step's placement level, a
-    /// `SharedRot`'s hoist level; 0 for a `Boot`, which has none.
+    /// The level the unit runs — and its ops are priced — at: its step's
+    /// placement level, a `SharedRot`'s hoist level, the `L_eff` a `Boot`
+    /// refreshes to.
     pub level: usize,
     /// The levels the unit needs of `level` ([`Step::depth`]).
     pub depth: usize,
@@ -187,11 +186,25 @@ pub struct UnitIo {
     /// dropped to first — `None` reads the ciphertext as it sits (a
     /// bootstrap's input).
     pub reads: [Option<(Buffer, Option<usize>)>; 2],
-    /// The operations one output ciphertext costs (activation steps; a
-    /// linear layer's are its `LinearPlan::counts`).
-    pub ops: StageOps,
+    /// The unit's complete op list as `(kind, count)`: its step's
+    /// ([`Step::sig`] — less the hoists and baby rotations a linear layer
+    /// reads from a `SharedRot`), a `Boot`'s one bootstrap, a `SharedRot`'s
+    /// hoists and hoisted rotations. [`count_plan`] prices it; nothing
+    /// re-derives ops from [`UnitWork`].
+    pub ops: Vec<(OpKind, u64)>,
     /// The level of every ciphertext the unit writes.
     pub out_level: usize,
+}
+
+impl UnitIo {
+    /// How many ops of `kind` the unit issues.
+    pub fn count(&self, kind: OpKind) -> u64 {
+        self.ops
+            .iter()
+            .filter(|op| op.0 == kind)
+            .map(|op| op.1)
+            .sum()
+    }
 }
 
 /// An evaluation key a unit applies ([`ExecPlan::for_each_key_use`]).
@@ -443,7 +456,7 @@ impl ExecPlan {
             level: 0,
             depth: 0,
             reads: [None; 2],
-            ops: StageOps::default(),
+            ops: Vec::new(),
             // where a bootstrap lands; a placed step overwrites it with
             // its signature's exit
             out_level: c.opts.l_eff,
@@ -456,13 +469,22 @@ impl ExecPlan {
                     .ok_or("unknown shared-rotation spec")?;
                 io.level = sp.level;
                 io.reads[0] = Some((sp.buf, Some(sp.level)));
+                // One digit decomposition per distinct input block, one
+                // hoisted rotation per distinct (block, amount) — the exact
+                // ops the consumers no longer pay privately.
+                io.ops = vec![
+                    (OpKind::Hoist, sp.hoists as u64),
+                    (OpKind::HRotHoisted, sp.rots.len() as u64),
+                ];
             }
             UnitWork::Boot { .. } => {
                 let refreshed = Buffer {
                     offset: unit.in_slot,
                     len: 1,
                 };
+                io.level = c.opts.l_eff;
                 io.reads[0] = Some((refreshed, None));
+                io.ops = vec![(OpKind::Bootstrap, 1)];
             }
             UnitWork::Step { node } | UnitWork::StepCt { node, .. } => {
                 let step = &c.prog.get(node).ok_or("unknown program node")?.step;
@@ -480,7 +502,13 @@ impl ExecPlan {
                 io.level = lv;
                 io.depth = step.depth();
                 io.ops = sig.ops;
-                io.out_level = sig.ops.exit_level;
+                // A layer reading a shared unit pays no hoists and no baby
+                // rotations of its own.
+                if unit.shared_rots.is_some() {
+                    io.ops
+                        .retain(|(kind, _)| !matches!(kind, OpKind::Hoist | OpKind::HRotHoisted));
+                }
+                io.out_level = sig.exit_level;
                 for (pos, level) in sig.reads.iter().enumerate() {
                     let Some(level) = *level else { continue };
                     let mut b = *bufs.get(pos).ok_or("step lacks an input buffer")?;
@@ -539,7 +567,7 @@ impl ExecPlan {
                     f(KeyUse::Rotation(amount as isize), lv);
                 }
             }
-            UnitWork::StepCt { .. } if io.ops.hmult > 0 => f(KeyUse::Relin, io.level),
+            UnitWork::StepCt { .. } if io.count(OpKind::HMult) > 0 => f(KeyUse::Relin, io.level),
             UnitWork::StepCt { .. } | UnitWork::Boot { .. } => {}
         }
     }
@@ -593,74 +621,25 @@ impl ExecPlan {
 /// plan. The engine is asked only which steps it serves from a prepared
 /// cache (those pay no per-inference encodes).
 pub fn count_plan<B: EvalBackend>(plan: &ExecPlan, c: &Compiled, backend: &B) -> OpCounter {
-    let cost = &c.opts.cost;
     let mut total = OpCounter::new();
     for (uid, unit) in plan.units.iter().enumerate() {
         let io = plan.io(c, uid);
-        let lv = io.level;
-        let mut ctr = OpCounter::new();
-        let mut tally = |kind: OpKind, n: usize, each: f64| {
-            let secs = n as f64 * each;
-            ctr.record(kind, n as u64, secs);
-            secs
-        };
+        let mut ctr = OpCounter::priced(&io.ops, &c.opts.cost, io.level);
         match unit.work {
-            UnitWork::Boot { .. } => {
-                tally(OpKind::Bootstrap, 1, cost.bootstrap(c.opts.l_eff));
-            }
-            // One digit decomposition per distinct input block, one
-            // hoisted rotation per distinct (block, amount) — the exact
-            // ops the consumers no longer pay privately, and linear-layer
-            // time like theirs.
-            UnitWork::SharedRot { spec } => {
-                let sp = &plan.shared[spec];
-                let hoist = tally(OpKind::Hoist, sp.hoists, cost.ks_decompose(lv));
-                let rots = tally(OpKind::HRotHoisted, sp.rots.len(), cost.hrot_hoisted(lv));
-                ctr.linear_seconds += hoist + rots;
-            }
             UnitWork::Step { node } => {
-                let layer = LinearRef::of(node, &c.prog[node].step)
-                    .expect("a whole-step unit is a linear layer");
-                // The static op mix of the double-hoisted BSGS matvec. A
-                // layer reading a shared unit pays no hoists and no baby
-                // rotations of its own.
-                let counts = layer.plan().counts;
-                let (hoists, baby_rots) = match unit.shared_rots {
-                    Some(_) => (0, 0),
-                    None => {
-                        tally(OpKind::Hoist, counts.hoists, cost.ks_decompose(lv));
-                        tally(OpKind::HRotHoisted, counts.baby_rots, cost.hrot_hoisted(lv));
-                        (counts.hoists, counts.baby_rots)
-                    }
-                };
-                tally(OpKind::HRot, counts.giant_rots, cost.hrot(lv));
-                tally(OpKind::PMult, counts.pmults, cost.pmult(lv));
-                tally(OpKind::ModDown, counts.moddowns, cost.ks_moddown(lv));
-                tally(OpKind::Rescale, counts.rescales, cost.rescale(lv));
-                ctr.linear_seconds += cost.linear_layer(
-                    lv,
-                    hoists,
-                    baby_rots,
-                    counts.giant_rots,
-                    counts.pmults,
-                    counts.moddowns,
-                    counts.rescales,
-                );
+                ctr.linear_seconds = ctr.seconds;
                 // On-the-fly engines also pay one slot-vector encode per
                 // diagonal pmult plus one per output block (bias).
                 if backend.linear_encodes_per_inference(node) {
-                    ctr.record_encodes((counts.pmults + layer.plan().out_blocks) as u64);
+                    let layer = LinearRef::of(node, &c.prog[node].step)
+                        .expect("a whole-step unit is a linear layer")
+                        .plan();
+                    ctr.record_encodes((layer.counts.pmults + layer.out_blocks) as u64);
                 }
             }
-            // What the step's evaluator issues; pricing every op at the
-            // entry level over-charges the ones below it (ROADMAP item 7).
-            UnitWork::StepCt { .. } => {
-                tally(OpKind::HMult, io.ops.hmult as usize, cost.hmult(lv));
-                tally(OpKind::PMult, io.ops.pmult as usize, cost.pmult(lv));
-                tally(OpKind::Rescale, io.ops.rescale as usize, cost.rescale(lv));
-                tally(OpKind::HAdd, io.ops.hadd as usize, cost.hadd(lv));
-                tally(OpKind::PAdd, io.ops.padd as usize, cost.hadd(lv));
-            }
+            // linear-layer time like its consumers'
+            UnitWork::SharedRot { .. } => ctr.linear_seconds = ctr.seconds,
+            UnitWork::StepCt { .. } | UnitWork::Boot { .. } => {}
         }
         total.merge(&ctr);
     }

@@ -15,6 +15,7 @@ use orion_nn::network::Network;
 use orion_nn::opt::{optimize_plan, OptConfig};
 use orion_nn::sched::{ExecPlan, UnitWork};
 use orion_nn::verify::{verify_plan, VerifyConfig};
+use orion_sim::OpKind;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::collections::BTreeMap;
@@ -99,7 +100,7 @@ fn fold_unit_io(plan: &ExecPlan, c: &Compiled) -> (KeyManifest, usize) {
                     manifest.use_rotation(amount as isize, read.expect("hoist level"));
                 }
             }
-            UnitWork::StepCt { .. } if io.ops.hmult > 0 => manifest.use_relin(io.level),
+            UnitWork::StepCt { .. } if io.count(OpKind::HMult) > 0 => manifest.use_relin(io.level),
             _ => {}
         }
     }

@@ -236,7 +236,7 @@ fn every_step_kind_below_its_depth_draws_its_feasibility_rule() {
         for lv in 0..=c.opts.l_eff {
             let sig = step.sig(lv); // total: no panic below the depth
             if lv >= depth {
-                let consumed = lv - sig.ops.exit_level;
+                let consumed = lv - sig.exit_level;
                 assert!(consumed <= depth, "{step:?} at {lv}");
                 assert!(!exact || consumed == depth, "{step:?} at {lv}");
             }

@@ -13,6 +13,8 @@
 //!   decomposition does `(ℓ+1)(ℓ+2)` NTTs),
 //! * bootstrap: super-linear in `L_eff` (dnum growth; Figure 1c).
 
+use crate::counter::OpKind;
+
 /// Analytical cost model for one CKKS parameter set.
 #[derive(Clone, Debug)]
 pub struct CostModel {
@@ -92,7 +94,8 @@ impl CostModel {
     }
 
     /// A hoisted rotation, given the decomposition is already paid for:
-    /// inner product + deferred share of the ModDown.
+    /// the inner product alone — the deferred ModDown is its own
+    /// `OpKind::ModDown`, priced by [`CostModel::ks_moddown`].
     pub fn hrot_hoisted(&self, level: usize) -> f64 {
         self.ks_inner(level)
     }
@@ -110,27 +113,24 @@ impl CostModel {
         self.boot_unit * depth * depth * scale
     }
 
-    /// Latency of a linear layer evaluated at level ℓ, from its plan's
-    /// operation counts: `baby` hoisted rotations sharing `hoists` digit
-    /// decompositions, `giant` full rotations, `pmults` plaintext products,
-    /// `moddowns` deferred ModDowns, and one rescale.
-    #[allow(clippy::too_many_arguments)]
-    pub fn linear_layer(
-        &self,
-        level: usize,
-        hoists: usize,
-        baby: usize,
-        giant: usize,
-        pmults: usize,
-        moddowns: usize,
-        rescales: usize,
-    ) -> f64 {
-        hoists as f64 * self.ks_decompose(level)
-            + baby as f64 * self.hrot_hoisted(level)
-            + giant as f64 * self.hrot(level)
-            + pmults as f64 * self.pmult(level)
-            + moddowns as f64 * self.ks_moddown(level)
-            + rescales as f64 * self.rescale(level)
+    /// THE price of one operation: modeled seconds of one `kind` on a
+    /// ciphertext at `level` (a `Bootstrap`'s level is the `L_eff` it
+    /// refreshes to). Placement's objective, the op counter and every
+    /// report are `Σ count × op(kind, level)` over a plan unit's op list
+    /// ([`crate::OpCounter::priced`]); the per-op methods above are the
+    /// curves it reads (Figure 1).
+    pub fn op(&self, kind: OpKind, level: usize) -> f64 {
+        match kind {
+            OpKind::HAdd | OpKind::PAdd => self.hadd(level),
+            OpKind::PMult => self.pmult(level),
+            OpKind::HMult => self.hmult(level),
+            OpKind::HRot => self.hrot(level),
+            OpKind::HRotHoisted => self.hrot_hoisted(level),
+            OpKind::Hoist => self.ks_decompose(level),
+            OpKind::ModDown => self.ks_moddown(level),
+            OpKind::Rescale => self.rescale(level),
+            OpKind::Bootstrap => self.bootstrap(level),
+        }
     }
 }
 
@@ -172,6 +172,20 @@ mod tests {
     fn hoisted_rotation_is_much_cheaper() {
         let m = CostModel::paper();
         assert!(m.hrot(8) > 5.0 * m.hrot_hoisted(8));
+    }
+
+    #[test]
+    fn op_is_total_positive_and_monotone_in_level() {
+        let m = CostModel::paper();
+        for kind in OpKind::ALL {
+            for level in 0..=20 {
+                assert!(m.op(kind, level) > 0.0, "{kind:?} at {level}");
+                // a bootstrap's level is its target, not its operand's
+                if kind != OpKind::Bootstrap && level > 0 {
+                    assert!(m.op(kind, level) >= m.op(kind, level - 1), "{kind:?}");
+                }
+            }
+        }
     }
 
     #[test]

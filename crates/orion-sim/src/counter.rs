@@ -1,6 +1,7 @@
 //! Operation counters: the statistics behind the paper's "# Rots" and
 //! "# Boots" columns (Tables 2–4).
 
+use crate::cost::CostModel;
 use serde::{Deserialize, Serialize, Value};
 use std::collections::BTreeMap;
 
@@ -104,6 +105,19 @@ impl OpCounter {
     /// A fresh counter.
     pub fn new() -> Self {
         Self::default()
+    }
+
+    /// The tally of one op list — `(kind, count)` pairs, a plan unit's
+    /// `unit_io(..).ops` — evaluated at `level`, every op at its one price
+    /// [`CostModel::op`]. What a node costs placement, what `count_plan`
+    /// merges per unit and what a report prints are all this function, so
+    /// modeled and counted seconds cannot disagree.
+    pub fn priced(ops: &[(OpKind, u64)], cost: &CostModel, level: usize) -> Self {
+        let mut ctr = Self::new();
+        for &(kind, n) in ops {
+            ctr.record(kind, n, n as f64 * cost.op(kind, level));
+        }
+        ctr
     }
 
     /// Records `n` occurrences of `kind` with total latency `secs`.

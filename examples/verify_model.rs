@@ -2,8 +2,11 @@
 //! from the zoo and prints its certification — a diagnostic table when
 //! anything fires, "certified clean" otherwise — then does the same for
 //! the plan that is served: the one `optimize_plan` returns, with one line
-//! saying what rotation CSE shared. Exits nonzero on any error-severity
-//! diagnostic or rejected rewrite, so it doubles as a CI gate.
+//! saying what rotation CSE shared. The last line holds the latency
+//! placement minimised against the built plan's counted seconds — one fold
+//! of one op list at one price, so they are equal. Exits nonzero on any
+//! error-severity diagnostic, rejected rewrite or `modeled != counted`, so
+//! it doubles as a CI gate.
 //!
 //! ```sh
 //! cargo run --release --example verify_model -- resnet20
@@ -24,10 +27,11 @@
 use orion::ckks::{CkksParams, Context};
 use orion::models::data::synthetic_images;
 use orion::models::{build, Act};
+use orion::nn::backends::ClearBackend;
 use orion::nn::compile::{compile, CompileOptions};
 use orion::nn::fit::fit_robust;
 use orion::nn::opt::{optimize_plan, OptConfig};
-use orion::nn::sched::ExecPlan;
+use orion::nn::sched::{count_plan, ExecPlan};
 use orion::nn::verify::{verify_plan, VerifyConfig, VerifyReport};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -76,6 +80,8 @@ fn main() {
     };
     let mut plan = ExecPlan::build(&compiled);
     let built = verify_plan(&plan, &compiled, &cfg);
+    let modeled = compiled.placement.total_latency;
+    let counted = count_plan(&plan, &compiled, &ClearBackend::reference(&compiled)).seconds;
     let stats = optimize_plan(&mut plan, &compiled, OptConfig::default());
     let served = verify_plan(&plan, &compiled, &cfg);
 
@@ -97,7 +103,10 @@ fn main() {
         let keys = compiled.key_manifest();
         println!("{}", keys.summary(ctx.degree(), ctx.max_level()));
     }
-    if built.has_errors() || served.has_errors() || stats.rejected_passes > 0 {
+    let agree = (modeled - counted).abs() <= 1e-9 * counted;
+    let rel = if agree { "==" } else { "!=" };
+    println!("modeled {modeled:.6} s {rel} counted {counted:.6} s");
+    if built.has_errors() || served.has_errors() || stats.rejected_passes > 0 || !agree {
         std::process::exit(1);
     }
 }

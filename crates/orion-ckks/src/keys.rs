@@ -8,17 +8,21 @@
 //!
 //! A key-switch of a level-`ℓ'` ciphertext reads parts `0..=ℓ'` and, of
 //! each, limbs `0..=ℓ'` plus the special one — so a key generated at level
-//! `ℓ` serves every level `≤ ℓ` and holds `(ℓ+1)(ℓ+2)` limbs ×2 (`b`, `a`)
-//! ×2 (Shoup twin): quadratic in the level. A program is static once placed,
-//! so the highest level each key is applied at is a compile-time fact
-//! ([`KeyManifest`]); keys are generated at exactly that level, and a
-//! key-switch above it is a typed error ([`MissingRotationKey`],
-//! [`RelinKeyLevel`]) the `orion_nn::verify` coverage pass certifies
-//! unreachable.
+//! `ℓ` serves every level `≤ ℓ` and holds `(ℓ+1)(ℓ+2)` limbs ×2 (`b`, `a`):
+//! quadratic in the level. Every key limb is stored in Montgomery form,
+//! `x·2⁶⁴ mod q_j`, which is what the key-switch kernel `ks_accum` reads:
+//! a 128-bit register sum of `digit × key` products and one Montgomery
+//! reduction per coefficient, with no second table beside the key.
+//!
+//! A program is static once placed, so the highest level each key is
+//! applied at is a compile-time fact ([`KeyManifest`]); keys are generated
+//! at exactly that level, and a key-switch above it is a typed error
+//! ([`MissingRotationKey`], [`RelinKeyLevel`]) the `orion_nn::verify`
+//! coverage pass certifies unreachable.
 
 use crate::params::Context;
 use crate::poly::{Form, RnsPoly};
-use orion_math::modular::{add_mod, mul_mod, shoup_precompute};
+use orion_math::modular::{add_mod, mul_mod};
 use orion_math::parallel::pointwise_parallel;
 use orion_math::simd;
 use rand::Rng;
@@ -43,12 +47,13 @@ pub struct PublicKey {
 /// A key-switching key for some `s' → s` at level `ℓ`: one `(b_i, a_i)`
 /// pair per chain limb `i ≤ ℓ`, each over the extended basis.
 pub struct KeySwitchKey {
-    /// `parts[i] = (b_i, a_i)` in evaluation form over `{q_0…q_ℓ, p}`.
+    /// `parts[i] = (b_i, a_i)` in evaluation form over `{q_0…q_ℓ, p}`, every
+    /// limb in Montgomery form (`x·2⁶⁴ mod q_j`, special limb included;
+    /// [`simd::montgomery_radix`] says how to read it back).
     pub parts: Vec<(RnsPoly, RnsPoly)>,
-    /// Element-wise Shoup constants for every limb of every part, computed
-    /// once at keygen. Key limbs are the *fixed* operand of the key-switch
-    /// inner product, so the fused accumulation kernel can run on lazy
-    /// Shoup products instead of 128-bit divisions.
+    /// Ignored, and always empty: the key-switch kernel reads no table
+    /// beside the key. The field stays because the `perf/` name pin counts
+    /// key bytes through it (ROADMAP item 6(b)).
     pub parts_shoup: Vec<(RnsPoly, RnsPoly)>,
 }
 
@@ -58,38 +63,14 @@ impl KeySwitchKey {
         self.parts.len() - 1
     }
 
-    /// Builds the Shoup tables for freshly generated parts.
-    fn with_shoup(ctx: &Context, parts: Vec<(RnsPoly, RnsPoly)>) -> Self {
-        let shoup_poly = |p: &RnsPoly| -> RnsPoly {
-            let precompute = |limb: &Vec<u64>, q: u64| -> Vec<u64> {
-                limb.iter().map(|&x| shoup_precompute(x, q)).collect()
-            };
-            RnsPoly {
-                limbs: p
-                    .limbs
-                    .iter()
-                    .enumerate()
-                    .map(|(j, limb)| precompute(limb, ctx.moduli[j]))
-                    .collect(),
-                special: p.special.as_ref().map(|s| precompute(s, ctx.special)),
-                form: Form::Eval,
-            }
-        };
-        let parts_shoup = parts
-            .iter()
-            .map(|(b, a)| (shoup_poly(b), shoup_poly(a)))
-            .collect();
-        Self { parts, parts_shoup }
-    }
-
     /// Fused key-switch inner product: accumulates `Σ_i digits[i] ⊙
-    /// parts[i]` into `(acc_b, acc_a)` over every limb (special included),
-    /// keeping the per-element accumulator in lazy `[0, 2q)` form across
-    /// *all* gadget digits and fully reducing once per element — the
-    /// per-digit reduction sweeps of the unfused loop disappear. The
-    /// accumulators must be in evaluation form, `[0, q)`, at the digits'
-    /// level, with special limbs. The digits' level must not exceed
-    /// [`Self::level`] — callers look keys up through
+    /// parts[i]` (the parts taken out of Montgomery form) into `(acc_b,
+    /// acc_a)` over every limb (special included), summing *all* gadget
+    /// digits of a coefficient in a 128-bit register and reducing once per
+    /// coefficient — the per-digit reduction sweeps of the unfused loop
+    /// disappear. The accumulators must be in evaluation form, `[0, q)`,
+    /// at the digits' level, with special limbs. The digits' level must
+    /// not exceed [`Self::level`] — callers look keys up through
     /// [`EvalKeys::try_rotation`] / [`EvalKeys::try_relin`], which check it.
     pub fn accumulate_inner_product(
         &self,
@@ -123,13 +104,12 @@ impl KeySwitchKey {
             }
             rows
         }
-        let (parts, shoup) = (&self.parts[..d], &self.parts_shoup[..d]);
+        let parts = &self.parts[..d];
         let ds = table(digits.iter(), n_chain);
-        let key_b = table(parts.iter().map(|(b, _)| b), n_chain);
-        let key_a = table(parts.iter().map(|(_, a)| a), n_chain);
-        let shoup_b = table(shoup.iter().map(|(b, _)| b), n_chain);
-        let shoup_a = table(shoup.iter().map(|(_, a)| a), n_chain);
-        let keys = [(&key_b, &shoup_b), (&key_a, &shoup_a)];
+        let keys = [
+            table(parts.iter().map(|(b, _)| b), n_chain),
+            table(parts.iter().map(|(_, a)| a), n_chain),
+        ];
         let k = simd::kernels();
         // One job per (part, limb): 2·(level+2) fused accumulations, each
         // walking all digits. Fans out on the shared pool like the rest of
@@ -144,9 +124,8 @@ impl KeySwitchKey {
             jobs.push((ctx.special, acc.special.as_mut().expect("checked above")));
         }
         orion_math::parallel::for_each_mut(&mut jobs, par, |t, (q, dst)| {
-            let (key, key_sh) = keys[t / n_limbs];
             let row = (t % n_limbs) * d..(t % n_limbs + 1) * d;
-            (k.ks_accum)(dst, &ds[row.clone()], &key[row.clone()], &key_sh[row], *q);
+            (k.ks_accum)(dst, &ds[row.clone()], &keys[t / n_limbs][row], &[], *q);
         });
     }
 
@@ -204,14 +183,14 @@ impl KeyManifest {
     }
 
     /// Bytes of key material at ring degree `n`: a level-`ℓ` key is
-    /// `(ℓ+1)` parts × 2 polynomials × `(ℓ+2)` limbs, and its Shoup twin.
+    /// `(ℓ+1)` parts × 2 polynomials × `(ℓ+2)` limbs.
     pub fn key_bytes(&self, n: usize) -> u64 {
         let levels = std::iter::once(&self.relin).chain(self.rotations.values());
         levels.map(|&l| Self::bytes_per_key(n, l)).sum()
     }
 
     fn bytes_per_key(n: usize, level: usize) -> u64 {
-        4 * 8 * (n * (level + 1) * (level + 2)) as u64
+        2 * 8 * (n * (level + 1) * (level + 2)) as u64
     }
 
     /// One report line at ring degree `n`: key count, bytes at the
@@ -379,7 +358,7 @@ impl<R: Rng> KeyGenerator<R> {
         let s = self.sk.s.dropped_to_level(level);
         let parts = (0..=level)
             .map(|i| {
-                let a_i = RnsPoly::sample_uniform(ctx, level, Form::Eval, true, &mut self.rng);
+                let mut a_i = RnsPoly::sample_uniform(ctx, level, Form::Eval, true, &mut self.rng);
                 let mut e_i = RnsPoly::sample_gaussian(ctx, level, true, &mut self.rng);
                 e_i.to_eval(ctx);
                 // b_i = -a_i*s + e_i + p·D_i·s_from
@@ -395,10 +374,15 @@ impl<R: Rng> KeyGenerator<R> {
                 for (x, &sv) in dst.iter_mut().zip(src) {
                     *x = add_mod(*x, mul_mod(p_mod, sv, qi), qi);
                 }
+                b_i.to_montgomery_assign(ctx);
+                a_i.to_montgomery_assign(ctx);
                 (b_i, a_i)
             })
             .collect();
-        KeySwitchKey::with_shoup(ctx, parts)
+        KeySwitchKey {
+            parts,
+            parts_shoup: Vec::new(),
+        }
     }
 
     /// Generates the relinearization key (`s² → s`) at `level`.
@@ -459,6 +443,7 @@ mod tests {
     use crate::eval::Evaluator;
     use crate::hoist::HoistedDigits;
     use crate::params::CkksParams;
+    use orion_math::modular::inv_mod;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -491,6 +476,58 @@ mod tests {
         assert!(keys.rot.contains_key(&ctx.galois_element(-1)));
         assert!(keys.rot.contains_key(&ctx.galois_element(4)));
         assert_eq!(keys.relin.parts.len(), ctx.max_level() + 1);
+        let mut all = std::iter::once(&keys.relin).chain(keys.rot.values());
+        assert!(all.all(|k| k.parts_shoup.is_empty()));
+    }
+
+    #[test]
+    fn the_inner_product_is_the_strict_one_over_keys_out_of_montgomery_form() {
+        let wide = CkksParams {
+            q0_bits: 61,
+            special_bits: 61,
+            ..CkksParams::tiny()
+        };
+        for params in [CkksParams::tiny(), wide] {
+            let ctx = Context::new(params);
+            let mut kg = KeyGenerator::new(ctx.clone(), StdRng::seed_from_u64(13));
+            let (_, key) = kg.gen_rotation_key(1, ctx.max_level());
+            assert!(key.parts_shoup.is_empty());
+            let mut rng = StdRng::seed_from_u64(14);
+            for level in 0..=ctx.max_level() {
+                let c = RnsPoly::sample_uniform(&ctx, level, Form::Eval, false, &mut rng);
+                let digits = crate::hoist::decompose_digits(&ctx, &c);
+                let (got_b, got_a) = key.inner_product(&ctx, &digits);
+                // limb j of any operand: chain limbs to `level`, then special
+                fn limb(p: &RnsPoly, j: usize, level: usize) -> &[u64] {
+                    match j <= level {
+                        true => &p.limbs[j],
+                        false => p.special.as_deref().expect("extended basis"),
+                    }
+                }
+                for j in 0..=level + 1 {
+                    let q = if j <= level {
+                        ctx.moduli[j]
+                    } else {
+                        ctx.special
+                    };
+                    let r_inv = inv_mod(simd::montgomery_radix(q), q);
+                    let (mut want_b, mut want_a) = (vec![0; ctx.degree()], vec![0; ctx.degree()]);
+                    for (digit, (b, a)) in digits.iter().zip(&key.parts) {
+                        for (want, part) in [(&mut want_b, b), (&mut want_a, a)] {
+                            let terms = limb(digit, j, level).iter().zip(limb(part, j, level));
+                            for (w, (&d, &k)) in want.iter_mut().zip(terms) {
+                                *w = add_mod(*w, mul_mod(d, mul_mod(k, r_inv, q), q), q);
+                            }
+                        }
+                    }
+                    let got = (limb(&got_b, j, level), limb(&got_a, j, level));
+                    assert!(
+                        got == (&want_b, &want_a),
+                        "q = {q}, level {level}, limb {j}"
+                    );
+                }
+            }
+        }
     }
 
     /// A session whose relinearization key and rotation-by-1 key sit at
@@ -504,7 +541,7 @@ mod tests {
         assert_eq!(keys.relin.level(), key_level);
         assert_eq!(
             manifest.key_bytes(ctx.degree()),
-            2 * 4 * 8 * (ctx.degree() * (key_level + 1) * (key_level + 2)) as u64
+            2 * 2 * 8 * (ctx.degree() * (key_level + 1) * (key_level + 2)) as u64
         );
         (
             ctx.clone(),
@@ -595,7 +632,7 @@ mod tests {
             };
             let truncated = KeySwitchKey {
                 parts: cut(&full.parts),
-                parts_shoup: cut(&full.parts_shoup),
+                parts_shoup: Vec::new(),
             };
             assert_eq!(truncated.level(), key_level);
             for level in 0..=key_level {

@@ -317,6 +317,14 @@ impl RnsPoly {
         });
     }
 
+    /// Puts every limb (special included) into Montgomery form,
+    /// `x·2⁶⁴ mod q_j` — the form key-switching keys are stored in.
+    pub fn to_montgomery_assign(&mut self, ctx: &Context) {
+        time_class(OpClass::Pointwise, || {
+            self.for_each_limb_mut(ctx, |q, a, _| simd::to_montgomery(a, q));
+        });
+    }
+
     /// Adds the constant polynomial `scalar` (evaluation form only: a
     /// constant evaluates to itself at every point, so every entry of every
     /// limb gains `scalar mod q_j`).

@@ -1,4 +1,8 @@
-//! Quick per-kernel SIMD-vs-scalar timing table (dev aid, not a gate).
+//! Quick per-kernel SIMD-vs-scalar timing table (dev aid, not a gate),
+//! then the key-switch inner product `ks_accum` in ns per
+//! digit·coefficient at 2, 5 and 8 digits — on one key set reused (hot in
+//! cache) and cycling through 64 MiB of key sets (larger than L2, as a
+//! session's rotation keys are).
 //!
 //! Run with `cargo run --release -p orion-math --example simd_timing`.
 
@@ -41,7 +45,6 @@ fn main() {
         })
         .collect();
     let other: Vec<u64> = data.iter().map(|&v| (v * 7 + 13) % q).collect();
-    let shoup: Vec<u64> = other.iter().map(|&v| shoup_precompute(v, q)).collect();
     let s = data[17];
     let s_sh = shoup_precompute(s, q);
     let mut buf = data.clone();
@@ -82,18 +85,62 @@ fn main() {
             (k.centered_reduce)(&mut out, &data, q, q - 2 * n as u64);
             black_box(out[0]);
         });
-        let digit_refs: Vec<&[u64]> = (0..3).map(|_| data.as_slice()).collect();
-        let key_refs: Vec<&[u64]> = (0..3).map(|_| other.as_slice()).collect();
-        let shoup_refs: Vec<&[u64]> = (0..3).map(|_| shoup.as_slice()).collect();
-        let ks = time_ns(|| {
-            buf.copy_from_slice(&data);
-            (k.ks_accum)(&mut buf, &digit_refs, &key_refs, &shoup_refs, q);
-            black_box(buf[0]);
-        });
         println!(
             "{:>7}: fwd {fwd:9.0}  inv {inv:9.0}  mul {mul:8.0}  mac {mac:8.0}  add {add:8.0}  \
-             smul {smul:8.0}  mred {mred:8.0}  cred {cred:8.0}  ks3 {ks:8.0}  (ns)",
+             smul {smul:8.0}  mred {mred:8.0}  cred {cred:8.0}  (ns)",
             k.name
+        );
+    }
+    ks_accum_table();
+}
+
+/// `ks_accum` at the limb shape of `CkksParams::small()` (N = 2¹², a
+/// 50-bit prime), per digit·coefficient. Both dispatch classes share one
+/// body, so it is timed once.
+fn ks_accum_table() {
+    const COLD_BYTES: usize = 64 << 20;
+    let ks_accum = simd::kernels().ks_accum;
+    let n = 4096;
+    let q = generate_ntt_primes(n, 50, 1, &[])[0];
+    let mut x = 7u64;
+    let mut limb = || -> Vec<u64> {
+        (0..n)
+            .map(|_| {
+                x = x
+                    .wrapping_mul(6364136223846793005)
+                    .wrapping_add(1442695040888963407);
+                x % q
+            })
+            .collect()
+    };
+    println!(
+        "ks_accum, ns per digit·coefficient (n={n}, 50-bit q; \
+         hot = one key set, cold = {} MiB of key sets)",
+        COLD_BYTES >> 20
+    );
+    for digits in [2usize, 5, 8] {
+        let ds: Vec<Vec<u64>> = (0..digits).map(|_| limb()).collect();
+        let sets = COLD_BYTES / (digits * n * 8);
+        let keys: Vec<Vec<u64>> = (0..sets * digits).map(|_| limb()).collect();
+        let d_refs: Vec<&[u64]> = ds.iter().map(|v| v.as_slice()).collect();
+        let k_refs: Vec<&[u64]> = keys.iter().map(|v| v.as_slice()).collect();
+        let mut acc = limb();
+        let per = (digits * n) as f64;
+        let hot = time_ns(|| {
+            ks_accum(&mut acc, &d_refs, &k_refs[..digits], &[], q);
+            black_box(acc[0]);
+        });
+        let mut set = 0;
+        let cold = time_ns(|| {
+            set = (set + 1) % sets;
+            let key = &k_refs[set * digits..(set + 1) * digits];
+            ks_accum(&mut acc, &d_refs, key, &[], q);
+            black_box(acc[0]);
+        });
+        println!(
+            "{digits} digits  hot {:6.3}  cold {:6.3}",
+            hot / per,
+            cold / per
         );
     }
 }

@@ -22,15 +22,10 @@
 //! |---------------------|--------------------|--------------|
 //! | `ntt_fwd_lazy`      | `[0, q)`           | `[0, q)` (internal stages `[0, 4q)`) |
 //! | `ntt_inv_lazy`      | `[0, q)`           | `[0, q)` (internal stages `[0, 2q)`) |
-//! | `ks_accum`          | digits `[0, q)`    | `[0, q)` (accumulator held `[0, 2q)`, transiently `[0, 4q)`) |
+//! | `ks_accum`          | digits, Montgomery-form keys `[0, q)` | `[0, q)` (128-bit register sums `< q·2⁶⁴` per digit chunk, one REDC each) |
 //! | `mac_wide`          | operands `[0, q)`  | 128-bit lanes, unreduced; caller keeps them `< q·2⁶⁴` |
 //! | `fold_wide`         | lanes `< q·2⁶⁴`    | `[0, q)` in `lo`, `hi` zeroed |
 //! | everything else     | `[0, q)`           | `[0, q)`     |
-//!
-//! The fused key-switch accumulator is safe at any digit count: each lazy
-//! Shoup product lands in `[0, 2q)`, the running sum is conditionally
-//! reduced back under `2q` after every digit, so the transient peak is
-//! `< 4q < 2⁶⁴` regardless of how many gadget digits are folded in.
 //!
 //! The wide lanes are safe at any term count as long as the caller folds
 //! in time ([`wide_fold_bound`]): a lane summing `T` products of residues
@@ -39,6 +34,13 @@
 //! which is exactly what `Barrett::reduce_u128` needs (and keeps `hi`
 //! below `q < 2⁶²`, so the carry into it cannot overflow). Moduli are
 //! `< 2⁶²`, so the bound is at least 4.
+//!
+//! The fused key-switch accumulator is safe at any digit count by the same
+//! bound: it sums at most [`wide_fold_bound`] digits per coefficient in a
+//! `u128` register and hands the sum (`< q·2⁶⁴`) to one Montgomery REDC,
+//! which needs exactly that. Its keys are stored times `2⁶⁴ mod q`
+//! ([`montgomery_radix`], applied by [`to_montgomery`]), so the
+//! REDC's `2⁻⁶⁴` cancels and the result is the canonical `Σ d·k mod q`.
 
 use crate::modular::{mul_mod_shoup, mul_mod_shoup_lazy, Barrett};
 use std::sync::OnceLock;
@@ -85,10 +87,12 @@ pub struct Kernels {
     /// step of rescale/ModDown, without materializing an `i128` lift.
     /// `(dst, src, src_q, dst_q)`.
     pub centered_reduce: fn(&mut [u64], &[u64], u64, u64),
-    /// Fused key-switch inner product: `dst[i] = (dst[i] + Σ_d
-    /// digits[d][i]·keys[d][i]) mod q`, accumulator kept lazy across all
-    /// gadget digits, one full reduction per element at the end.
-    /// `(dst, digits, keys, key_shoups, q)`; `dst` must be in `[0, q)`.
+    /// Fused key-switch inner product over Montgomery-form keys
+    /// (`k̃ = k·2⁶⁴ mod q`, [`to_montgomery`]): `dst[i] = (dst[i] + Σ_d
+    /// digits[d][i]·k[d][i]) mod q`, the sum held in a 128-bit register
+    /// and reduced once per [`wide_fold_bound`] digits by a Montgomery
+    /// REDC. `(dst, digits, keys, key_shoups, q)`; `dst`, digits and keys
+    /// must be in `[0, q)`; `key_shoups` is not read.
     pub ks_accum: KsAccumFn,
     /// Lazy 128-bit multiply-accumulate: `(hi[i]·2⁶⁴ + lo[i]) += a[i]·b[i]`
     /// with no reduction. `(lo, hi, a, b)`; at most [`wide_fold_bound`]
@@ -110,7 +114,9 @@ pub fn wide_fold_bound(q: u64) -> u64 {
 }
 
 /// Signature of the fused key-switch accumulation kernel:
-/// `(dst, digits, keys, key_shoups, q)`.
+/// `(dst, digits, keys, key_shoups, q)`. `key_shoups` is unread and may be
+/// empty; the argument stays because the `perf/` name pin calls the kernel
+/// with five arguments (ROADMAP item 6(b)).
 pub type KsAccumFn = fn(&mut [u64], &[&[u64]], &[&[u64]], &[&[u64]], u64);
 
 /// The portable scalar table (4-wide unrolled loops; NEON-friendly shapes
@@ -201,6 +207,48 @@ fn reduce4(mut x: u64, q: u64, two_q: u64) -> u64 {
         x -= q;
     }
     x
+}
+
+/// `q⁻¹ mod 2⁶⁴` for odd `q`, by Newton iteration (each step doubles the
+/// correct low bits; `q·q ≡ 1 mod 8` seeds three).
+fn inv_mod_2_64(q: u64) -> u64 {
+    debug_assert!(q & 1 == 1);
+    let mut inv = q;
+    for _ in 0..5 {
+        inv = inv.wrapping_mul(2u64.wrapping_sub(q.wrapping_mul(inv)));
+    }
+    inv
+}
+
+/// `2⁶⁴ mod q`: the Montgomery radix. A key limb `x` is stored as
+/// `x·montgomery_radix(q) mod q` ([`to_montgomery`]), the form
+/// [`Kernels::ks_accum`] reads; multiplying by its inverse mod `q` reads
+/// the plain residue back.
+pub fn montgomery_radix(q: u64) -> u64 {
+    ((1u128 << 64) % q as u128) as u64
+}
+
+/// Puts a limb of residues mod `q` into Montgomery form in place:
+/// `a[i] = a[i]·2⁶⁴ mod q`, one Shoup scalar multiply per coefficient.
+pub fn to_montgomery(a: &mut [u64], q: u64) {
+    let r = montgomery_radix(q);
+    (kernels().scalar_mul_assign)(a, r, crate::modular::shoup_precompute(r, q), q);
+}
+
+/// Montgomery reduction: `x·2⁻⁶⁴ mod q` in `[0, q)` for `x < q·2⁶⁴`, in
+/// two multiplies. With `m = x·q⁻¹ mod 2⁶⁴`, `m·q` agrees with `x` in the
+/// low word, so `(x − m·q)/2⁶⁴` is the difference of the high words; both
+/// terms are below `q·2⁶⁴`, so it lies in `(−q, q)`: one conditional add.
+#[inline(always)]
+fn redc(x: u128, q: u64, q_inv: u64) -> u64 {
+    let m = (x as u64).wrapping_mul(q_inv);
+    let mq_hi = ((m as u128 * q as u128) >> 64) as u64;
+    let (t, borrow) = ((x >> 64) as u64).overflowing_sub(mq_hi);
+    if borrow {
+        t.wrapping_add(q)
+    } else {
+        t
+    }
 }
 
 mod scalar_impl {
@@ -330,46 +378,55 @@ mod scalar_impl {
         dst: &mut [u64],
         digits: &[&[u64]],
         keys: &[&[u64]],
-        key_shoups: &[&[u64]],
+        _key_shoups: &[&[u64]],
         q: u64,
     ) {
-        debug_assert_eq!(digits.len(), keys.len());
-        debug_assert_eq!(digits.len(), key_shoups.len());
-        let two_q = 2 * q;
-        // Accumulator invariant: acc < 2q on digit entry; each lazy product
-        // adds < 2q (transient < 4q < 2⁶⁴), one conditional subtract
-        // restores the invariant. Walking digit-by-digit (instead of
-        // element-by-element) performs the identical per-element operation
-        // sequence — same adds, same conditional subtracts — through clean
-        // iterator zips instead of bounds-checked indexing.
-        for i in 0..digits.len() {
-            let (d, k, ks) = (digits[i], keys[i], key_shoups[i]);
-            debug_assert!(d.len() == dst.len() && k.len() == dst.len() && ks.len() == dst.len());
-            let mut accs = dst.chunks_exact_mut(4);
-            let mut dc = d.chunks_exact(4);
-            let mut kc = k.chunks_exact(4);
-            let mut ksc = ks.chunks_exact(4);
-            for (((a4, d4), k4), ks4) in (&mut accs).zip(&mut dc).zip(&mut kc).zip(&mut ksc) {
-                for t in 0..4 {
-                    let acc = a4[t] + mul_mod_shoup_lazy(d4[t], k4[t], ks4[t], q);
-                    a4[t] = if acc >= two_q { acc - two_q } else { acc };
-                }
+        assert_eq!(digits.len(), keys.len());
+        let n = dst.len();
+        for s in digits.iter().chain(keys) {
+            assert_eq!(s.len(), n);
+        }
+        let q_inv = inv_mod_2_64(q);
+        // A chunk of at most `wide_fold_bound(q)` products of residues
+        // sums below q·2⁶⁴: what one REDC accepts.
+        let bound = wide_fold_bound(q) as usize;
+        let tail = n / 4 * 4;
+        for (ds, ks) in digits.chunks(bound).zip(keys.chunks(bound)) {
+            let mut blocks = dst.chunks_exact_mut(4);
+            for (b, d4) in (&mut blocks).enumerate() {
+                ks_block::<4>(d4, 4 * b, ds, ks, q, q_inv);
             }
-            for (((a, &dv), &kv), &ksv) in accs
-                .into_remainder()
-                .iter_mut()
-                .zip(dc.remainder())
-                .zip(kc.remainder())
-                .zip(ksc.remainder())
-            {
-                let acc = *a + mul_mod_shoup_lazy(dv, kv, ksv, q);
-                *a = if acc >= two_q { acc - two_q } else { acc };
+            for (t, x) in blocks.into_remainder().iter_mut().enumerate() {
+                ks_block::<1>(std::slice::from_mut(x), tail + t, ds, ks, q, q_inv);
             }
         }
-        for acc in dst.iter_mut() {
-            if *acc >= q {
-                *acc -= q;
+    }
+
+    /// One `W`-coefficient block of [`ks_accum`] over one digit chunk: the
+    /// sums live in `u128` registers, one REDC per coefficient maps
+    /// `Σ d·k·2⁶⁴` back to `Σ d·k`, added into `dst` mod `q`.
+    #[inline(always)]
+    fn ks_block<const W: usize>(
+        dst: &mut [u64],
+        at: usize,
+        ds: &[&[u64]],
+        ks: &[&[u64]],
+        q: u64,
+        q_inv: u64,
+    ) {
+        let dst = &mut dst[..W];
+        let mut acc = [0u128; W];
+        for (d, k) in ds.iter().zip(ks) {
+            let (d, k) = (&d[at..at + W], &k[at..at + W]);
+            for t in 0..W {
+                debug_assert!(d[t] < q && k[t] < q, "ks_accum operands must be < q");
+                acc[t] += d[t] as u128 * k[t] as u128;
             }
+        }
+        for t in 0..W {
+            let r = redc(acc[t], q, q_inv);
+            let s = dst[t] + r;
+            dst[t] = if s >= q { s - q } else { s };
         }
     }
 
@@ -537,17 +594,19 @@ mod avx2_impl {
         // hand-written schoolbook 64×64 emulation (7 32-bit multiplies per
         // lane) measures slower than what LLVM emits for them. Handwritten
         // AVX2 stays where the compiler cannot vectorize — the butterfly
-        // shuffle structure, the read-modify-write MAC, and the lazy
-        // key-switch accumulation.
+        // shuffle structure and the read-modify-write MAC.
         mul_pointwise: super::scalar_impl::mul_pointwise,
         add_mul,
         scalar_mul_assign,
         sub_mul_assign,
         mod_reduce: super::scalar_impl::mod_reduce,
         centered_reduce: super::scalar_impl::centered_reduce,
-        ks_accum,
         // AVX2 has no 64×64→128 multiply: the scalar `mul`/`add`/`adc`
-        // body is the fast path on both dispatch classes.
+        // bodies are the fast path on both dispatch classes — for the
+        // key-switch inner product too, whose register-resident 128-bit
+        // sums read 16 B per digit·coefficient where a lazy Shoup lane
+        // needs the key's Shoup twin as well (24 B).
+        ks_accum: super::scalar_impl::ks_accum,
         mac_wide: super::scalar_impl::mac_wide,
         fold_wide: super::scalar_impl::fold_wide,
     };
@@ -748,7 +807,6 @@ mod avx2_impl {
     wrap_avx2!(add_mul => add_mul_avx2(dst: &mut [u64], a: &[u64], b: &[u64], q: u64));
     wrap_avx2!(scalar_mul_assign => scalar_mul_assign_avx2(a: &mut [u64], s: u64, s_sh: u64, q: u64));
     wrap_avx2!(sub_mul_assign => sub_mul_assign_avx2(a: &mut [u64], b: &[u64], s: u64, s_sh: u64, q: u64));
-    wrap_avx2!(ks_accum => ks_accum_avx2(dst: &mut [u64], digits: &[&[u64]], keys: &[&[u64]], key_shoups: &[&[u64]], q: u64));
     wrap_avx2!(ntt_fwd_lazy => ntt_fwd_lazy_avx2(a: &mut [u64], psi: &[u64], psi_sh: &[u64], q: u64));
     wrap_avx2!(ntt_inv_lazy => ntt_inv_lazy_avx2(a: &mut [u64], ipsi: &[u64], ipsi_sh: &[u64], sc: InvScale, q: u64));
 
@@ -886,65 +944,6 @@ mod avx2_impl {
             for (x, &y) in ac.into_remainder().iter_mut().zip(bc.remainder()) {
                 let d = if *x >= y { *x - y } else { *x + q - y };
                 *x = mul_mod_shoup(d, s, s_sh, q);
-            }
-        }
-    }
-
-    #[target_feature(enable = "avx2")]
-    unsafe fn ks_accum_avx2(
-        dst: &mut [u64],
-        digits: &[&[u64]],
-        keys: &[&[u64]],
-        key_shoups: &[&[u64]],
-        q: u64,
-    ) {
-        debug_assert_eq!(digits.len(), keys.len());
-        debug_assert_eq!(digits.len(), key_shoups.len());
-        let n = dst.len();
-        let two_q = 2 * q;
-        // SAFETY: AVX2 verified by dispatch; all slice accesses below are
-        // bounds-checked at the block level (`j + 4 <= n` in the vector
-        // loop; per-digit slices are asserted to the same length).
-        unsafe {
-            for d in digits {
-                assert_eq!(d.len(), n);
-            }
-            for k in keys {
-                assert_eq!(k.len(), n);
-            }
-            for s in key_shoups {
-                assert_eq!(s.len(), n);
-            }
-            let qv = _mm256_set1_epi64x(q as i64);
-            let two_qv = _mm256_set1_epi64x(two_q as i64);
-            let sign = sign_bit();
-            let mut j = 0;
-            while j + 4 <= n {
-                let mut acc = _mm256_loadu_si256(dst.as_ptr().add(j) as *const __m256i);
-                // Accumulator stays < 2q: each lazy product adds < 2q
-                // (transient < 4q < 2⁶⁴), one csub(2q) per digit.
-                for i in 0..digits.len() {
-                    let dv = _mm256_loadu_si256(digits[i].as_ptr().add(j) as *const __m256i);
-                    let kv = _mm256_loadu_si256(keys[i].as_ptr().add(j) as *const __m256i);
-                    let ksv = _mm256_loadu_si256(key_shoups[i].as_ptr().add(j) as *const __m256i);
-                    let p = mul_shoup_lazy(dv, kv, ksv, qv);
-                    acc = csub(_mm256_add_epi64(acc, p), two_qv, sign);
-                }
-                acc = csub(acc, qv, sign);
-                _mm256_storeu_si256(dst.as_mut_ptr().add(j) as *mut __m256i, acc);
-                j += 4;
-            }
-            while j < n {
-                let mut acc = dst[j];
-                for i in 0..digits.len() {
-                    let p = mul_mod_shoup_lazy(digits[i][j], keys[i][j], key_shoups[i][j], q);
-                    acc += p;
-                    if acc >= two_q {
-                        acc -= two_q;
-                    }
-                }
-                dst[j] = if acc >= q { acc - q } else { acc };
-                j += 1;
             }
         }
     }
@@ -1363,24 +1362,34 @@ mod tests {
 
     #[test]
     fn ks_accum_matches_strict_inner_product() {
+        // Keys go in Montgomery form (`k·2⁶⁴ mod q`); the result is the
+        // strict `Σ d·k mod q`. At 61 bits a REDC takes 8 digits, so 17
+        // and 19 run three chunks.
+        assert_eq!(wide_fold_bound(Q), 8);
         for k in variants() {
-            for (len, digits) in [(1usize, 1usize), (5, 2), (64, 3), (67, 7)] {
+            for (len, digits) in [
+                (1usize, 1usize),
+                (5, 2),
+                (64, 3),
+                (67, 7),
+                (9, 17),
+                (66, 19),
+            ] {
                 let ds: Vec<Vec<u64>> = (0..digits)
                     .map(|i| rng_seq(10 + i as u64, len, Q))
                     .collect();
                 let ks: Vec<Vec<u64>> = (0..digits)
                     .map(|i| rng_seq(20 + i as u64, len, Q))
                     .collect();
-                let kss: Vec<Vec<u64>> = ks
-                    .iter()
-                    .map(|kv| kv.iter().map(|&x| shoup_precompute(x, Q)).collect())
-                    .collect();
+                let mut mont = ks.clone();
+                for kv in &mut mont {
+                    to_montgomery(kv, Q);
+                }
                 let mut dst = rng_seq(30, len, Q);
                 let d0 = dst.clone();
                 let dref: Vec<&[u64]> = ds.iter().map(|v| v.as_slice()).collect();
-                let kref: Vec<&[u64]> = ks.iter().map(|v| v.as_slice()).collect();
-                let ksref: Vec<&[u64]> = kss.iter().map(|v| v.as_slice()).collect();
-                (k.ks_accum)(&mut dst, &dref, &kref, &ksref, Q);
+                let kref: Vec<&[u64]> = mont.iter().map(|v| v.as_slice()).collect();
+                (k.ks_accum)(&mut dst, &dref, &kref, &[], Q);
                 for j in 0..len {
                     let mut expect = d0[j];
                     for i in 0..digits {
@@ -1389,6 +1398,23 @@ mod tests {
                     assert_eq!(dst[j], expect, "{} len={len} digits={digits}", k.name);
                 }
             }
+        }
+    }
+
+    #[test]
+    fn redc_inverts_the_montgomery_radix() {
+        for q in [Q, 0x0fff_ffff_ff00_0001u64, 1_000_003] {
+            let inv = inv_mod_2_64(q);
+            assert_eq!(q.wrapping_mul(inv), 1, "q·q⁻¹ ≡ 1");
+            let r = montgomery_radix(q);
+            for x in [0u64, 1, q / 2, q - 1] {
+                assert_eq!(redc(x as u128 * r as u128, q, inv), x);
+            }
+            // the largest input a REDC accepts: y = x·2⁻⁶⁴ iff y·2⁶⁴ ≡ x
+            let top = ((q as u128) << 64) - 1;
+            let y = redc(top, q, inv);
+            assert!(y < q);
+            assert_eq!(mul_mod(y, r, q) as u128, top % q as u128);
         }
     }
 

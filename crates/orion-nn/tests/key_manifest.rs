@@ -116,7 +116,7 @@ fn measured_key_bytes(session: &FheSession) -> u64 {
     let keys = session.eval.keys();
     std::iter::once(&keys.relin)
         .chain(keys.rot.values())
-        .flat_map(|k| k.parts.iter().chain(&k.parts_shoup))
+        .flat_map(|k| &k.parts)
         .flat_map(|(b, a)| [b, a])
         .map(|p| ((p.limbs.len() + usize::from(p.has_special())) * n * 8) as u64)
         .sum()
@@ -157,7 +157,7 @@ fn check(net: &Network, params: CkksParams) -> (BTreeMap<usize, usize>, usize, u
     let bytes = manifest.key_bytes(n);
     let by_formula: u64 = std::iter::once(manifest.relin)
         .chain(manifest.rotations.values().copied())
-        .map(|l| (4 * n * 8 * (l + 1) * (l + 2)) as u64)
+        .map(|l| (2 * n * 8 * (l + 1) * (l + 2)) as u64)
         .sum();
     assert_eq!(bytes, by_formula);
     assert_eq!(bytes, measured_key_bytes(&session));
@@ -176,8 +176,8 @@ fn lola_keys_sit_at_their_plan_levels() {
     assert_eq!(by_level, BTreeMap::from([(1, 30), (4, 60)]));
     assert_eq!(product_level, 3);
     // 60 keys of 5·6 and 30 of 2·3 limb pairs, the relin key with the 60
-    assert_eq!(bytes, 4 * 4096 * 8 * (61 * 30 + 30 * 6));
-    assert_eq!(bytes, 263_454_720, "the ledger's ckks.eval_key_mb = 263.5");
+    assert_eq!(bytes, 2 * 4096 * 8 * (61 * 30 + 30 * 6));
+    assert_eq!(bytes, 131_727_360, "the ledger's ckks.eval_key_mb = 131.7");
 }
 
 #[test]
@@ -192,8 +192,8 @@ fn resblock_keys_sit_at_their_plan_levels() {
     // the last sign stage runs at 8, above every linear layer
     assert_eq!(by_level, BTreeMap::from([(1, 5), (7, 10)]));
     assert_eq!(product_level, 8);
-    assert_eq!(bytes, 4 * 2048 * 8 * (90 + 10 * 72 + 5 * 6));
-    assert_eq!(bytes, 55_050_240, "the ledger's ckks.eval_key_mb = 55.05");
+    assert_eq!(bytes, 2 * 2048 * 8 * (90 + 10 * 72 + 5 * 6));
+    assert_eq!(bytes, 27_525_120, "the ledger's ckks.eval_key_mb = 27.53");
 }
 
 #[test]

@@ -36,7 +36,7 @@ pub use orion_nn::backend::{run_program, EvalBackend};
 pub use orion_nn::backends::{CkksBackend, ClearBackend};
 pub use orion_nn::compile::Step;
 pub use orion_nn::fhe_exec::FheSession as Session;
-pub use orion_nn::sched::{ExecPlan, SchedMode};
+pub use orion_nn::sched::ExecPlan;
 
 /// The multi-tenant serving layer: session registry, admission queue +
 /// worker pool, memory-capped paged weights, serving metrics. See

@@ -39,7 +39,8 @@ pub struct Node {
     /// `latency[ℓ]` = modeled seconds to evaluate this node at level ℓ,
     /// for ℓ in `0..=l_eff`. Entries below `depth` are never used.
     pub latency: Vec<f64>,
-    /// Ciphertexts on the node's input wire (bootstrap multiplier).
+    /// Ciphertexts on the node's input wires (bootstrap multiplier: a
+    /// bootstrap before the node refreshes each of them).
     pub n_cts: usize,
 }
 

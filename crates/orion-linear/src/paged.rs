@@ -46,10 +46,11 @@ pub trait LayerSource: Send + Sync {
     /// The prepared layer for `step`, faulting it in if the source pages.
     fn fetch_layer(&self, step: usize) -> Result<Option<Arc<PreparedLayer>>, StoreError>;
 
-    /// Advisory: the scheduler announces that `step`'s layer is about to
-    /// be needed, so a paging source can fault it into residency off the
-    /// execution path (the call runs as its own pool task). Must not
-    /// affect results; errors are swallowed here and surfaced by the real
+    /// Advisory: the plan walk announces `step`'s layer while the layer's
+    /// input is still being computed — as the first unit the layer waits
+    /// on starts — so a paging source can fault it into residency off the
+    /// execution path (the call runs as its own pool task; a walk on a
+    /// one-thread pool announces nothing). Must not affect results; errors are swallowed here and surfaced by the real
     /// [`LayerSource::fetch_layer`]. Default: no-op (resident sources).
     fn prefetch(&self, step: usize) {
         let _ = step;

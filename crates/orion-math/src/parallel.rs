@@ -108,12 +108,13 @@ pub use rayon::Scope;
 /// helping with queued work, not spin-sleeping) until every task spawned
 /// on the scope has completed.
 ///
-/// This is the pool's *event-driven* primitive, complementing the
-/// fork-join shape of [`map_indexed`]: spawned tasks may borrow from the
-/// caller's frame and may spawn further tasks onto the same scope, so a
-/// completing task can enqueue its newly-ready successors directly — no
-/// barrier between "waves" of work. A panic in any task is rethrown at
-/// scope exit, after all spawned tasks have drained.
+/// It complements the fork-join shape of [`map_indexed`]: `op` keeps
+/// running on the calling thread while the tasks it spawns — which may
+/// borrow from the caller's frame, and may spawn further tasks onto the
+/// same scope — run beside it on the pool. The plan walk runs inside one
+/// and spawns a pager's prefetch of each upcoming linear layer onto it. A
+/// panic in `op` or any task is rethrown at scope exit, after all spawned
+/// tasks have drained.
 pub fn scope<'scope, OP, R>(op: OP) -> R
 where
     OP: FnOnce(&Scope<'scope>) -> R + Send,
@@ -236,7 +237,7 @@ mod tests {
                 let hits = &hits;
                 s.spawn(move |s| {
                     hits.fetch_add(1, Ordering::Relaxed);
-                    // a task enqueues a successor, event-driven style
+                    // a task enqueues a successor
                     s.spawn(move |_| {
                         hits.fetch_add(1, Ordering::Relaxed);
                     });

@@ -8,8 +8,8 @@
 //! hoist, scale-down, activation stages). Engines are **`&self`**: keys,
 //! encoders, and evaluators are read-only at run time and engines hold no
 //! per-run state — which is what lets [`run_program`] execute a program as
-//! a wire-level parallel dataflow plan instead of a one-step-at-a-time
-//! loop, and one engine value serve any number of concurrent walks. The
+//! a wire-level dataflow plan, and one engine value serve any number of
+//! concurrent walks. The
 //! walk itself ([`crate::sched::run_plan`]) is ciphertexts in, ciphertexts
 //! out; `encrypt` / `decrypt` are what [`run_program`] wraps it with. Two
 //! engines implement the trait (see [`crate::backends`]):
@@ -26,13 +26,13 @@
 //! placement has fixed every level an inference is a static program, so
 //! the paper's "# Rots" / "# Boots" columns are a fold over the plan's
 //! units ([`crate::sched::count_plan`]) that every [`ProgramRun`] carries —
-//! identical for every engine and every scheduling mode by construction,
-//! and what the CKKS engine executes (`tests/poly_counts.rs`).
+//! identical for every engine and every thread a walk runs on by
+//! construction, and what the CKKS engine executes (`tests/poly_counts.rs`).
 //! Adding a GPU, multi-party, or sharded engine is one trait impl — the
 //! scheduler, the counting, and the placement logic are shared.
 
 use crate::compile::{Compiled, Step};
-use crate::sched::{run_plan, ExecPlan, SchedMode};
+use crate::sched::{run_plan, ExecPlan};
 use orion_ckks::precision::precision_bits;
 use orion_linear::values::{BiasValues, ConvDiagSource, DenseDiagSource, DiagSource};
 use orion_linear::{ConvSpec, LinearPlan, TensorLayout};
@@ -175,13 +175,13 @@ impl<'a> LinearRef<'a> {
 /// in are the placement policy's assignments — inputs have already been
 /// dropped to the stated level by the scheduler.
 ///
-/// All methods take `&self`: the scheduler calls them concurrently from
-/// the shared pool, and every operation must be a pure, deterministic
+/// All methods take `&self`: concurrent walks (serve workers, batch
+/// inference) call them from several threads at once, beside the walks'
+/// prefetch tasks, and every operation must be a pure, deterministic
 /// function of its arguments — engines hold no per-run state.
 pub trait EvalBackend {
-    /// The engine's ciphertext representation (`Send + Sync`: the
-    /// scheduler moves values between pool threads and shares them across
-    /// concurrent consumer units).
+    /// The engine's ciphertext representation (`Send + Sync`: walks run on
+    /// pool threads and hand their outputs back across threads).
     type Ciphertext: Clone + Send + Sync;
     /// The engine's shared baby-step rotation artifact (cross-wire
     /// rotation CSE, see [`crate::opt`]): everything
@@ -211,9 +211,9 @@ pub trait EvalBackend {
     /// Free drop to a lower level.
     fn drop_to_level(&self, a: &Self::Ciphertext, level: usize) -> Self::Ciphertext;
     /// Bootstrap: refreshes to the engine's effective level. Must be a
-    /// deterministic function of the input ciphertext — the scheduler
-    /// bootstraps independent ciphertexts concurrently, and scheduler
-    /// order must not change results.
+    /// deterministic function of the input ciphertext — concurrent walks
+    /// bootstrap independent ciphertexts at once, and which walk runs first
+    /// must not change results.
     fn bootstrap(&self, a: &Self::Ciphertext) -> Self::Ciphertext;
 
     /// Whether the linear layer at program step `step` encodes
@@ -227,10 +227,12 @@ pub trait EvalBackend {
         true
     }
 
-    /// Advisory: the event-driven walk announces that the input of the
-    /// linear layer at `step` has started being computed, so a paging
-    /// engine can start faulting its prepared artifacts into residency off
-    /// the critical path. Default no-op; must not affect results.
+    /// Advisory: the walk announces, from a pool task of its own, that the
+    /// unit the linear layer at `step` depends on first is about to run, so
+    /// a paging engine can start faulting the layer's prepared artifacts
+    /// into residency off the critical path. Issued only on a pool wider
+    /// than one thread, and never for a layer with no dependency. Default
+    /// no-op; must not affect results.
     fn prefetch_linear(&self, step: usize) {
         let _ = step;
     }
@@ -300,13 +302,11 @@ impl<Ct> ProgramRun<Ct> {
     }
 }
 
-/// Runs a compiled program on `backend` through the dataflow scheduler —
-/// THE tensor-in, tensor-out entry point, shared by every engine: encrypts
-/// the packed input, builds the program's [`ExecPlan`], walks it
-/// ([`run_plan`]: event-driven when the shared pool has more than one
-/// thread, in plan order otherwise — both follow the placement policy
-/// exactly and produce bit-identical results and counters) and decrypts
-/// the output wire.
+/// Runs a compiled program on `backend` through the plan walk — THE
+/// tensor-in, tensor-out entry point, shared by every engine: encrypts the
+/// packed input, builds the program's [`ExecPlan`], walks it in plan order
+/// ([`run_plan`], following the placement policy exactly) and decrypts the
+/// output wire.
 pub fn run_program<B: EvalBackend + Sync>(
     c: &Compiled,
     backend: &B,
@@ -314,7 +314,7 @@ pub fn run_program<B: EvalBackend + Sync>(
 ) -> ProgramRun<B::Ciphertext> {
     let plan = ExecPlan::build(c);
     let cts = encrypt_input(c, backend, input);
-    let run = run_plan(&plan, c, backend, cts, SchedMode::for_pool());
+    let run = run_plan(&plan, c, backend, cts);
     ProgramRun {
         output: decrypt_output(c, backend, &run.output_wire),
         output_wire: run.output_wire,

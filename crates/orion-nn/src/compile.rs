@@ -374,17 +374,17 @@ fn depthwise(c: usize, kh: usize, kw: usize, stride: usize, padding: usize) -> C
 }
 
 /// Appends `node` to the program and its placement twin — reserving
-/// `node.step.depth()` levels, bootstrapping `boot_cts` ciphertexts, its
-/// latency per level unpriced until [`compile`] has the whole program — to
-/// the graph; returns the shared id.
-fn emit(
-    prog: &mut Vec<ProgNode>,
-    graph: &mut Graph,
-    node: ProgNode,
-    kind: NodeKind,
-    boot_cts: usize,
-) -> usize {
+/// `node.step.depth()` levels, its latency per level unpriced until
+/// [`compile`] has the whole program — to the graph; returns the shared id.
+/// A bootstrap before the node refreshes every ciphertext of every input
+/// wire (`ExecPlan::build`), so that is the count placement prices it at;
+/// the input node, which reads no wire, counts its own.
+fn emit(prog: &mut Vec<ProgNode>, graph: &mut Graph, node: ProgNode, kind: NodeKind) -> usize {
     let id = prog.len();
+    let boot_cts = match node.inputs.as_slice() {
+        [] => node.n_cts,
+        wires => wires.iter().map(|&w| prog[w].n_cts).sum(),
+    };
     let gnode = Node::new(
         node.name.clone(),
         kind,
@@ -435,11 +435,7 @@ pub fn compile(net: &Network, fitres: &FitResult, opts: &CompileOptions) -> Comp
         // both poolings and the dense layer differ only in the step.
         let emit_linear =
             |prog: &mut Vec<ProgNode>, graph: &mut Graph, step: Step, out_l: TensorLayout| {
-                let (Step::Conv { in_l, .. } | Step::Dense { in_l, .. }) = &step else {
-                    unreachable!("emit_linear takes a linear step")
-                };
-                let n_in_cts = in_l.num_ciphertexts(slots);
-                emit(prog, graph, pnode(step, out_l), NodeKind::Linear, n_in_cts)
+                emit(prog, graph, pnode(step, out_l), NodeKind::Linear)
             };
         let emit_conv = |prog: &mut Vec<ProgNode>,
                          graph: &mut Graph,
@@ -464,7 +460,6 @@ pub fn compile(net: &Network, fitres: &FitResult, opts: &CompileOptions) -> Comp
                 &mut graph,
                 pnode(Step::Input, input_layout),
                 NodeKind::Input,
-                input_layout.num_ciphertexts(slots),
             ),
             Layer::Output => {
                 let l = in_layout.unwrap();
@@ -473,7 +468,6 @@ pub fn compile(net: &Network, fitres: &FitResult, opts: &CompileOptions) -> Comp
                     &mut graph,
                     pnode(Step::Output, l),
                     NodeKind::Output,
-                    l.num_ciphertexts(slots),
                 )
             }
             Layer::Conv2d {
@@ -562,14 +556,7 @@ pub fn compile(net: &Network, fitres: &FitResult, opts: &CompileOptions) -> Comp
             }
             Layer::Add => {
                 let l = in_layout.unwrap();
-                let n = l.num_ciphertexts(slots);
-                emit(
-                    &mut prog,
-                    &mut graph,
-                    pnode(Step::Add, l),
-                    NodeKind::Add,
-                    2 * n,
-                )
+                emit(&mut prog, &mut graph, pnode(Step::Add, l), NodeKind::Add)
             }
             act_layer if act_layer.is_activation() => {
                 let l = in_layout.unwrap();
@@ -624,7 +611,7 @@ fn emit_activation(
             layout,
             n_cts,
         };
-        emit(prog, graph, node, NodeKind::Activation, n_cts)
+        emit(prog, graph, node, NodeKind::Activation)
     };
     match act {
         CompiledAct::Square => push("sq", Step::Square, vec![input]),

@@ -9,8 +9,9 @@
 //! the packed input ([`FheSession::encrypt_input`] — the client's half;
 //! the serve path is handed its result), walk the plan over ciphertexts
 //! following the placement policy (drop to the assigned level, bootstrap
-//! where the policy says, keep every wire at exactly scale Δ — wire-level
-//! units in parallel on the shared pool), and decrypt the output wire
+//! where the policy says, keep every wire at exactly scale Δ — one unit at
+//! a time in plan order, each fanning its limbs and BSGS groups out on the
+//! shared pool), and decrypt the output wire
 //! ([`FheSession::decrypt_output`]) — besides the bootstrap oracle, the
 //! one place a run touches the secret key.
 
@@ -18,7 +19,7 @@ use crate::backend::{decrypt_output, encrypt_input, run_program, LinearRef};
 use crate::backends::CkksBackend;
 use crate::compile::Compiled;
 use crate::opt::{optimize_plan, OptConfig};
-use crate::sched::{run_plan, ExecPlan, SchedMode};
+use crate::sched::{run_plan, ExecPlan};
 use orion_ckks::bootstrap::BootstrapOracle;
 use orion_ckks::encoder::Encoder;
 use orion_ckks::encrypt::{Ciphertext, Decryptor, Encryptor, Plaintext};
@@ -206,7 +207,7 @@ pub fn run_fhe_plan(
 ) -> (FheRun, OpCounter) {
     let t0 = std::time::Instant::now();
     let backend = CkksBackend::with_source(s, source);
-    let run = run_plan(plan, c, &backend, input_cts, SchedMode::for_pool());
+    let run = run_plan(plan, c, &backend, input_cts);
     (
         FheRun {
             output: s.decrypt_output(c, &run.output_wire),

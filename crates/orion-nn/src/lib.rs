@@ -37,7 +37,7 @@ pub use fhe_exec::FheSession;
 pub use layer::Layer;
 pub use network::{Network, NodeId};
 pub use opt::{checked_rewrite, optimize_plan, OptConfig, OptStats};
-pub use sched::{ExecPlan, SchedMode};
+pub use sched::ExecPlan;
 pub use verify::{
     verify_compiled, verify_plan, Diagnostic, Provenance, Rule, Severity, VerifyConfig,
     VerifyReport,

@@ -1,5 +1,5 @@
 //! Dataflow execution plans: the compiled step list turned into an
-//! explicit DAG of wire-level work units, executed by a generic scheduler.
+//! explicit DAG of wire-level work units, walked in plan order.
 //!
 //! The paper's key systems observation is that once bootstrap placement
 //! and levels are fixed at compile time, the per-step dependency structure
@@ -17,33 +17,31 @@
 //!
 //! [`run_plan`] is the one walk — ciphertexts in, ciphertexts out — on any
 //! [`EvalBackend`] (whoever owns a tensor encrypts and decrypts it:
-//! `crate::backend::run_program`, `FheSession`):
+//! `crate::backend::run_program`, `FheSession`). It runs the units in plan
+//! order on the calling thread: plan order is a topological order and, by
+//! construction, exactly the op stream of the classic one-step-at-a-time
+//! interpreter, and it is the order the verifier certifies. Parallelism
+//! lives inside a unit (limb-parallel NTTs, the BSGS executor's baby-step
+//! and giant-group fan-out) and across walks (serve workers, batch
+//! inference), not between units.
 //!
-//! * [`SchedMode::Sequential`] runs units in plan order — which is, by
-//!   construction, exactly the op stream of the classic one-step-at-a-time
-//!   interpreter, so it *is* the sequential reference.
-//! * [`SchedMode::Parallel`] is **event-driven**: every initially-ready
-//!   unit is spawned onto the shared rayon pool, and a completing unit
-//!   decrements its successors' in-degrees and enqueues the newly-ready
-//!   ones directly (one continues on the same thread, the rest are
-//!   spawned). There is no inter-wave barrier, so a long bootstrap no
-//!   longer stalls independent activation chains. Prefetch is an effect of
-//!   the release, not a unit: a unit about to run announces the linear
-//!   layers whose first dependency it is
-//!   ([`EvalBackend::prefetch_linear`], spawned beside it), so a pager
-//!   loads a layer while its input is still being computed. A one-thread
-//!   pool has nothing to overlap: `Parallel` *is* the plan-order loop
-//!   there, and no walk prefetches.
+//! Prefetch is an effect of the walk, not a unit. On a pool wider than one
+//! thread the walk runs inside an [`orion_math::parallel::scope`], and a
+//! unit about to run first announces the linear layers whose *first*
+//! dependency it is ([`EvalBackend::prefetch_linear`], spawned onto the
+//! pool), so a pager loads a layer while its input is still being
+//! computed. A layer with no dependency runs before anything could overlap
+//! its load and is not announced; on a one-thread pool nothing is.
 //!
-//! Scheduler order cannot change results: every unit is a pure function
-//! of its input ciphertexts (engines are `&self`, deterministic and hold
-//! no per-run state — including the bootstrap oracle, whose noise is
-//! derived from the ciphertext being refreshed) and values land in
-//! per-(wire, version, ct) [`OnceLock`] slots, so parallel and sequential
-//! runs are bit-exact and one engine serves any number of concurrent walks.
-//! The op counts never see the walk at all: [`count_plan`] folds the plan's
-//! units, in unit order, into the [`OpCounter`] every run carries — linear
-//! layers from their BSGS plan, activation steps from the recursion that
+//! The thread a walk runs on cannot change its results: every unit is a
+//! pure function of its input ciphertexts (engines are `&self`,
+//! deterministic and hold no per-run state — including the bootstrap
+//! oracle, whose noise is derived from the ciphertext being refreshed) and
+//! values land in per-(wire, version, ct) slots the walk owns, so one
+//! engine serves any number of concurrent walks bit for bit. The op counts
+//! never see the walk at all: [`count_plan`] folds the plan's units, in
+//! unit order, into the [`OpCounter`] every run carries — linear layers
+//! from their BSGS plan, activation steps from the recursion that
 //! evaluates them (`orion_poly::eval::StageOps`): what the engine executes.
 //!
 //! Levels: what a unit reads, at which level, and the level it leaves its
@@ -66,32 +64,8 @@
 use crate::backend::{EvalBackend, LinearRef};
 use crate::compile::{Compiled, Step};
 use orion_ckks::KeyManifest;
+use orion_math::parallel::Scope;
 use orion_sim::{OpCounter, OpKind};
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::OnceLock;
-
-/// How [`run_plan`] walks the unit DAG.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum SchedMode {
-    /// Units in plan order on the calling thread — the sequential
-    /// reference (identical op stream to the classic interpreter).
-    Sequential,
-    /// Event-driven execution on the shared rayon pool: completed units
-    /// release their successors directly, with no inter-wave barrier.
-    Parallel,
-}
-
-impl SchedMode {
-    /// The walk that suits the shared pool: event-driven when it has more
-    /// than one thread, plan order when there is nothing to overlap.
-    pub(crate) fn for_pool() -> Self {
-        if rayon::current_num_threads() > 1 {
-            SchedMode::Parallel
-        } else {
-            SchedMode::Sequential
-        }
-    }
-}
 
 /// What one scheduled unit computes — always work that reads and/or
 /// writes ciphertexts.
@@ -617,8 +591,7 @@ impl ExecPlan {
 /// linear layer's BSGS split are fixed at compile time, so the tallies are
 /// a fold over the units: one counter per unit (its ops in execution
 /// order), merged in ascending unit order, which fixes the accumulated
-/// `f64` seconds bit for bit whatever engine or scheduling mode runs the
-/// plan. The engine is asked only which steps it serves from a prepared
+/// `f64` seconds bit for bit whatever engine runs the plan. The engine is asked only which steps it serves from a prepared
 /// cache (those pay no per-inference encodes).
 pub fn count_plan<B: EvalBackend>(plan: &ExecPlan, c: &Compiled, backend: &B) -> OpCounter {
     let mut total = OpCounter::new();
@@ -646,32 +619,6 @@ pub fn count_plan<B: EvalBackend>(plan: &ExecPlan, c: &Compiled, backend: &B) ->
     total
 }
 
-/// Per-unit nanosecond stamps captured only while the telemetry collector
-/// is enabled: when the unit became ready (all deps done), when it started
-/// executing, and when it finished. The ready→start gap is the scheduler
-/// queue wait; start→end is execution and weights the critical-path DP.
-struct RunTelemetry {
-    ready: Vec<AtomicU64>,
-    start: Vec<AtomicU64>,
-    end: Vec<AtomicU64>,
-}
-
-impl RunTelemetry {
-    fn new(n: usize) -> Self {
-        Self {
-            ready: (0..n).map(|_| AtomicU64::new(0)).collect(),
-            start: (0..n).map(|_| AtomicU64::new(0)).collect(),
-            end: (0..n).map(|_| AtomicU64::new(0)).collect(),
-        }
-    }
-
-    /// Stamp `uid` ready-now (a completing unit released it, or it was
-    /// ready at walk start).
-    fn mark_ready(&self, uid: usize) {
-        self.ready[uid].store(orion_telemetry::now_ns(), Ordering::Relaxed);
-    }
-}
-
 /// Static span kind plus (node-or-wire, ct) identifiers for a unit.
 fn unit_meta(work: &UnitWork) -> (&'static str, u64, u64) {
     match *work {
@@ -696,31 +643,46 @@ struct RunState<'a, B: EvalBackend> {
     plan: &'a ExecPlan,
     c: &'a Compiled,
     backend: &'a B,
-    values: Vec<OnceLock<B::Ciphertext>>,
+    /// One slot per value, written once — by the caller's input or by the
+    /// unit producing it — and read by its consumers.
+    values: Vec<Option<B::Ciphertext>>,
     /// One slot per [`SharedRotSpec`]: the hoisted-rotation handle the
     /// spec's `SharedRot` unit produced, read by its consumer layers.
-    shared_vals: Vec<OnceLock<B::SharedRot>>,
-    /// `Some` iff the telemetry collector was enabled when the run
-    /// started; `None` keeps the disabled walk free of clock reads.
-    telem: Option<RunTelemetry>,
+    shared_vals: Vec<Option<B::SharedRot>>,
+    /// Per-unit execution nanoseconds, `Some` iff the telemetry collector
+    /// was enabled when the run started; `None` keeps the disabled walk
+    /// free of clock reads.
+    exec_ns: Option<Vec<u64>>,
 }
 
-impl<B: EvalBackend> RunState<'_, B> {
-    fn value(&self, slot: usize) -> &B::Ciphertext {
-        self.values[slot]
-            .get()
-            .expect("scheduler dependency violation: value not ready")
+impl<'a, B: EvalBackend + Sync> RunState<'a, B> {
+    /// Runs every unit in plan order. With `announce`, a unit first spawns
+    /// onto it the prefetch of each linear layer whose first dependency it
+    /// is — once per layer, while the layer's input is being computed.
+    fn walk<'s>(&mut self, announce: Option<&Scope<'s>>)
+    where
+        'a: 's,
+    {
+        let (plan, backend) = (self.plan, self.backend);
+        for uid in 0..plan.units.len() {
+            if let Some(s) = announce {
+                for &succ in &plan.succs[uid] {
+                    let unit = &plan.units[succ];
+                    if let UnitWork::Step { node } = unit.work {
+                        if unit.deps[0] == uid {
+                            s.spawn(move |_| backend.prefetch_linear(node));
+                        }
+                    }
+                }
+            }
+            self.run_unit(uid);
+        }
     }
 
-    /// Announces unit `uid`, if it is a linear layer, to the engine from a
-    /// task of its own: a pager loads its weights off the critical path.
-    fn prefetch<'a>(&'a self, s: &orion_math::parallel::Scope<'a>, uid: usize)
-    where
-        B: Sync,
-    {
-        if let UnitWork::Step { node } = self.plan.units[uid].work {
-            s.spawn(move |_| self.backend.prefetch_linear(node));
-        }
+    fn value(&self, slot: usize) -> &B::Ciphertext {
+        self.values[slot]
+            .as_ref()
+            .expect("scheduler dependency violation: value not ready")
     }
 
     /// Input `pos` of a unit: its slots' ciphertexts, dropped to the read
@@ -743,7 +705,7 @@ impl<B: EvalBackend> RunState<'_, B> {
             .collect()
     }
 
-    fn store(&self, uid: usize, io: &UnitIo, cts: Vec<B::Ciphertext>) {
+    fn store(&mut self, uid: usize, io: &UnitIo, cts: Vec<B::Ciphertext>) {
         let unit = &self.plan.units[uid];
         // hard assert: a backend returning the wrong ciphertext count
         // must fail HERE, not corrupt a neighboring wire's value slots
@@ -766,7 +728,7 @@ impl<B: EvalBackend> RunState<'_, B> {
             );
             // Wire trajectory: the FHE "noise budget" view — every produced
             // ciphertext's level and scale drift, as instant events.
-            if self.telem.is_some() {
+            if self.exec_ns.is_some() {
                 let (_, node, _) = unit_meta(&unit.work);
                 orion_telemetry::instant!(
                     "wire",
@@ -776,29 +738,17 @@ impl<B: EvalBackend> RunState<'_, B> {
                     scale_mb = (self.backend.scale_log2_of(&ct) * 1e3) as u64
                 );
             }
-            if self.values[unit.out_slot + i].set(ct).is_err() {
-                panic!("scheduler wrote a value slot twice");
-            }
+            let old = self.values[unit.out_slot + i].replace(ct);
+            assert!(old.is_none(), "scheduler wrote a value slot twice");
         }
     }
 
-    fn run_unit(&self, uid: usize) {
+    fn run_unit(&mut self, uid: usize) {
         let io = self.plan.io(self.c, uid);
-        let Some(t) = &self.telem else {
-            self.exec_unit(uid, &io);
-            return;
-        };
-        // Queue-wait vs exec split: the ready stamp was written by
-        // whichever completion released this unit (0 when it was ready at
-        // walk start or the walk is sequential).
+        if self.exec_ns.is_none() {
+            return self.exec_unit(uid, &io);
+        }
         let start = orion_telemetry::now_ns();
-        t.start[uid].store(start, Ordering::Relaxed);
-        let ready = t.ready[uid].load(Ordering::Relaxed);
-        let queue_ns = if ready > 0 {
-            start.saturating_sub(ready)
-        } else {
-            0
-        };
         let (kind, node, ct) = unit_meta(&self.plan.units[uid].work);
         let span = orion_telemetry::span(
             kind,
@@ -808,16 +758,19 @@ impl<B: EvalBackend> RunState<'_, B> {
                 ("ct", ct),
                 ("level", io.level as u64),
                 ("out_level", io.out_level as u64),
-                ("queue_us", queue_ns / 1_000),
             ],
         );
         self.exec_unit(uid, &io);
-        t.end[uid].store(orion_telemetry::now_ns(), Ordering::Relaxed);
+        let end = orion_telemetry::now_ns();
         drop(span);
+        if let Some(exec_ns) = &mut self.exec_ns {
+            exec_ns[uid] = end.saturating_sub(start);
+        }
     }
 
-    fn exec_unit(&self, uid: usize, io: &UnitIo) {
-        let unit = &self.plan.units[uid];
+    fn exec_unit(&mut self, uid: usize, io: &UnitIo) {
+        let plan = self.plan;
+        let unit = &plan.units[uid];
         let (backend, c) = (self.backend, self.c);
         let lv = io.level;
         assert!(
@@ -828,11 +781,10 @@ impl<B: EvalBackend> RunState<'_, B> {
         );
         match unit.work {
             UnitWork::SharedRot { spec } => {
-                let sp = &self.plan.shared[spec];
+                let sp = &plan.shared[spec];
                 let handle = backend.hoist_rotations(&self.read(io, 0), lv, &sp.rots);
-                if self.shared_vals[spec].set(handle).is_err() {
-                    panic!("scheduler ran a shared-rotation unit twice");
-                }
+                let old = self.shared_vals[spec].replace(handle);
+                assert!(old.is_none(), "scheduler ran a shared-rotation unit twice");
             }
             UnitWork::Boot { .. } => {
                 let out = backend.bootstrap(self.value(unit.in_slot));
@@ -846,7 +798,7 @@ impl<B: EvalBackend> RunState<'_, B> {
                 // the optimizer attached one to the unit
                 let shared = unit.shared_rots.map(|spec| {
                     self.shared_vals[spec]
-                        .get()
+                        .as_ref()
                         .expect("scheduler dependency violation: shared rotations not ready")
                 });
                 let out =
@@ -889,15 +841,15 @@ pub struct PlanRun<Ct> {
 }
 
 /// Walks `plan` on `backend` over `inputs` — one ciphertext per slot of
-/// [`ExecPlan::input`], each at `L_eff` — and returns the output wire. See
-/// [`SchedMode`] for the two walks; both produce bit-identical results and
-/// counters.
+/// [`ExecPlan::input`], each at `L_eff` — in plan order on the calling
+/// thread, and returns the output wire. On a pool wider than one thread
+/// the walk announces upcoming linear layers for prefetch (module docs); a
+/// unit's panic is rethrown once those announcements have drained.
 pub fn run_plan<B: EvalBackend + Sync>(
     plan: &ExecPlan,
     c: &Compiled,
     backend: &B,
     inputs: Vec<B::Ciphertext>,
-    mode: SchedMode,
 ) -> PlanRun<B::Ciphertext> {
     assert_eq!(
         backend.slots(),
@@ -913,9 +865,9 @@ pub fn run_plan<B: EvalBackend + Sync>(
         plan,
         c,
         backend,
-        values: (0..plan.n_slots).map(|_| OnceLock::new()).collect(),
-        shared_vals: (0..plan.shared.len()).map(|_| OnceLock::new()).collect(),
-        telem: orion_telemetry::enabled().then(|| RunTelemetry::new(plan.units.len())),
+        values: vec![None; plan.n_slots],
+        shared_vals: (0..plan.shared.len()).map(|_| None).collect(),
+        exec_ns: orion_telemetry::enabled().then(|| vec![0; plan.units.len()]),
     };
     for (slot, ct) in plan.input.slots().zip(inputs) {
         assert_eq!(
@@ -923,26 +875,21 @@ pub fn run_plan<B: EvalBackend + Sync>(
             c.opts.l_eff,
             "input ciphertext at the wrong level (the input wire arrives at L_eff)"
         );
-        state.values[slot] = OnceLock::from(ct);
+        state.values[slot] = Some(ct);
     }
-    let wall_start = state.telem.as_ref().map(|_| orion_telemetry::now_ns());
+    let wall_start = state.exec_ns.as_ref().map(|_| orion_telemetry::now_ns());
     let run_span = state
-        .telem
+        .exec_ns
         .as_ref()
         .map(|_| orion_telemetry::span!("run_plan", units = plan.units.len()));
-    match mode {
-        SchedMode::Parallel if rayon::current_num_threads() > 1 => run_event_driven(&state),
-        // Plan order is a topological order AND the classic interpreter's
-        // op order — also the optimal schedule of a one-thread pool,
-        // whatever `mode` says. No prefetch is issued: with no concurrency
-        // there is nothing to overlap a load with, and announcing a layer
-        // right before it runs would merely relabel every blocking fault
-        // as a "prefetch hit" in the pager's stats.
-        _ => (0..plan.units.len()).for_each(|uid| state.run_unit(uid)),
+    if rayon::current_num_threads() > 1 {
+        orion_math::parallel::scope(|s| state.walk(Some(s)));
+    } else {
+        state.walk(None);
     }
     drop(run_span);
-    if let (Some(telem), Some(t0)) = (&state.telem, wall_start) {
-        report_run(plan, c, telem, mode, orion_telemetry::now_ns() - t0);
+    if let (Some(exec_ns), Some(t0)) = (&state.exec_ns, wall_start) {
+        report_run(plan, c, exec_ns, orion_telemetry::now_ns() - t0);
     }
     let output_wire = plan
         .output
@@ -957,35 +904,12 @@ pub fn run_plan<B: EvalBackend + Sync>(
 }
 
 /// Builds and records the telemetry [`orion_telemetry::RunReport`] of a
-/// finished walk: Σ exec / Σ queue times, the duration-weighted critical
-/// path through the unit DAG, and the heaviest units on it.
-fn report_run(plan: &ExecPlan, c: &Compiled, telem: &RunTelemetry, mode: SchedMode, wall_ns: u64) {
-    let n = plan.units.len();
-    let dur: Vec<u64> = (0..n)
-        .map(|i| {
-            let (s, e) = (
-                telem.start[i].load(Ordering::Relaxed),
-                telem.end[i].load(Ordering::Relaxed),
-            );
-            e.saturating_sub(s)
-        })
-        .collect();
-    let queue: Vec<u64> = (0..n)
-        .map(|i| {
-            let (r, s) = (
-                telem.ready[i].load(Ordering::Relaxed),
-                telem.start[i].load(Ordering::Relaxed),
-            );
-            if r > 0 && s > 0 {
-                s.saturating_sub(r)
-            } else {
-                0
-            }
-        })
-        .collect();
+/// finished walk from its per-unit execution times: their sum, the
+/// duration-weighted critical path through the unit DAG, and the heaviest
+/// units on it.
+fn report_run(plan: &ExecPlan, c: &Compiled, dur: &[u64], wall_ns: u64) {
     let deps: Vec<&[usize]> = plan.units.iter().map(|u| u.deps.as_slice()).collect();
-    let (critical_path_ns, path) = orion_telemetry::critical_path(&dur, &deps);
-    let mut on_path: Vec<usize> = path;
+    let (critical_path_ns, mut on_path) = orion_telemetry::critical_path(dur, &deps);
     on_path.sort_by_key(|&u| std::cmp::Reverse(dur[u]));
     let top: Vec<orion_telemetry::CritUnit> = on_path
         .iter()
@@ -994,103 +918,18 @@ fn report_run(plan: &ExecPlan, c: &Compiled, telem: &RunTelemetry, mode: SchedMo
             unit: u,
             label: unit_label(c, &plan.units[u].work),
             dur_ns: dur[u],
-            queue_ns: queue[u],
         })
         .collect();
     orion_telemetry::record_run(orion_telemetry::RunReport {
         req: orion_telemetry::current_request(),
-        mode: match mode {
-            SchedMode::Sequential => "sequential",
-            SchedMode::Parallel => "parallel",
-        },
         threads: rayon::current_num_threads(),
-        units: n,
+        units: plan.units.len(),
         wall_ns,
         busy_ns: dur.iter().sum(),
-        queue_ns: queue.iter().sum(),
+        queue_ns: 0,
         critical_path_ns,
         top,
     });
-}
-
-/// Event-driven execution: every initially-ready unit is spawned onto the
-/// shared pool, and a completing unit decrements its successors'
-/// in-degrees and releases the newly-ready ones itself — one continues on
-/// the completing thread (locality: a bootstrap's consumer usually wants
-/// the ciphertext still hot in cache), the rest are spawned. No barrier
-/// anywhere: a straggling unit delays only its own transitive successors.
-/// Thread interleaving cannot affect results (see module docs); panics
-/// from any unit are rethrown by the scope after in-flight units drain.
-fn run_event_driven<B: EvalBackend + Sync>(state: &RunState<'_, B>) {
-    let plan = state.plan;
-    let indeg: Vec<AtomicUsize> = plan
-        .units
-        .iter()
-        .map(|u| AtomicUsize::new(u.deps.len()))
-        .collect();
-    let completed = AtomicUsize::new(0);
-    orion_math::parallel::scope(|s| {
-        for (uid, unit) in plan.units.iter().enumerate() {
-            if unit.deps.is_empty() {
-                if let Some(t) = &state.telem {
-                    t.mark_ready(uid);
-                }
-                // a layer on the input wire: the walk's start releases it
-                state.prefetch(s, uid);
-                let (indeg, completed) = (&indeg, &completed);
-                s.spawn(move |s| run_chain(s, state, indeg, completed, uid));
-            }
-        }
-    });
-    // A panic would have propagated out of the scope above, so a shortfall
-    // here can only mean the plan had a cycle (impossible by construction)
-    // or lost a wakeup.
-    assert_eq!(
-        completed.load(Ordering::Relaxed),
-        plan.units.len(),
-        "scheduler stalled: not every unit completed"
-    );
-}
-
-/// Runs `uid`, then releases its successors: the first newly-ready one
-/// continues in this loop (same thread), the rest are spawned onto the
-/// scope. The AcqRel in-degree decrement makes every dependency's value
-/// stores visible to whichever thread releases the successor. Before it
-/// runs, `uid` announces the linear layers whose *first* dependency it is:
-/// once per layer per walk, while the layer's input is being computed.
-fn run_chain<'a, B: EvalBackend + Sync>(
-    s: &orion_math::parallel::Scope<'a>,
-    state: &'a RunState<'a, B>,
-    indeg: &'a [AtomicUsize],
-    completed: &'a AtomicUsize,
-    mut uid: usize,
-) {
-    loop {
-        for &succ in &state.plan.succs[uid] {
-            if state.plan.units[succ].deps[0] == uid {
-                state.prefetch(s, succ);
-            }
-        }
-        state.run_unit(uid);
-        completed.fetch_add(1, Ordering::Relaxed);
-        let mut next = None;
-        for &succ in &state.plan.succs[uid] {
-            if indeg[succ].fetch_sub(1, Ordering::AcqRel) == 1 {
-                if let Some(t) = &state.telem {
-                    t.mark_ready(succ);
-                }
-                if next.is_none() {
-                    next = Some(succ);
-                } else {
-                    s.spawn(move |s| run_chain(s, state, indeg, completed, succ));
-                }
-            }
-        }
-        match next {
-            Some(n) => uid = n,
-            None => return,
-        }
-    }
 }
 
 #[cfg(test)]
@@ -1183,25 +1022,7 @@ mod tests {
     }
 
     #[test]
-    fn both_walks_agree_bit_for_bit() {
-        use crate::backend::{decrypt_output, encrypt_input};
-        use crate::backends::ClearBackend;
-        let c = residual_refreshing_the_input(11);
-        let plan = ExecPlan::build(&c);
-        let input = Tensor::from_vec(&[4, 8, 8], (0..256).map(|i| (i % 7) as f64 * 0.1).collect());
-        let backend = ClearBackend::packed(&c);
-        let cts = encrypt_input(&c, &backend, &input);
-        let [seq, par] = [SchedMode::Sequential, SchedMode::Parallel]
-            .map(|mode| run_plan(&plan, &c, &backend, cts.clone(), mode));
-        assert_eq!(
-            decrypt_output(&c, &backend, &seq.output_wire).data(),
-            decrypt_output(&c, &backend, &par.output_wire).data()
-        );
-        assert_eq!(seq.bootstraps, par.bootstraps);
-    }
-
-    #[test]
-    fn event_driven_walk_propagates_unit_panics() {
+    fn a_unit_panic_propagates_out_of_the_walk() {
         use crate::backend::encrypt_input;
         use crate::backends::ClearBackend;
         let mut rng = StdRng::seed_from_u64(13);
@@ -1209,18 +1030,19 @@ mod tests {
         let x = net.input();
         let c1 = net.conv2d("c1", x, 4, 3, 1, 1, 1, &mut rng);
         let a1 = net.square("a1", c1);
-        net.output(a1);
+        let c2 = net.conv2d("c2", a1, 4, 3, 1, 1, 1, &mut rng);
+        net.output(c2);
         let mut c = compile(&net, &fixed_ranges(&net, 4.0), &opts());
         let plan = ExecPlan::build(&c);
-        // a level no wire can have → the square's units panic inside the
-        // pool; the executor must rethrow instead of hanging or stalling
-        // silently
+        // a level no wire can have → the square's first unit panics right
+        // after announcing c2 (on a wide pool the walk runs inside its
+        // prefetch scope); the walk must rethrow instead of hanging
         let square = c.prog.iter().position(|p| matches!(p.step, Step::Square));
         c.placement.levels[square.unwrap()] = Some(c.opts.l_eff + 1);
         let backend = ClearBackend::packed(&c);
         let cts = encrypt_input(&c, &backend, &Tensor::from_vec(&[4, 8, 8], vec![0.5; 256]));
         let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            run_plan(&plan, &c, &backend, cts, SchedMode::Parallel)
+            run_plan(&plan, &c, &backend, cts)
         }));
         assert!(r.is_err(), "unit panic must propagate to the caller");
     }
@@ -1231,13 +1053,7 @@ mod tests {
         let c = residual_refreshing_the_input(17);
         let backend = crate::backends::ClearBackend::packed(&c);
         // the wire is one ciphertext wide
-        run_plan(
-            &ExecPlan::build(&c),
-            &c,
-            &backend,
-            Vec::new(),
-            SchedMode::Sequential,
-        );
+        run_plan(&ExecPlan::build(&c), &c, &backend, Vec::new());
     }
 
     #[test]
@@ -1246,12 +1062,6 @@ mod tests {
         let c = residual_refreshing_the_input(17);
         let backend = crate::backends::ClearBackend::packed(&c);
         let low = vec![backend.encrypt(&[], c.opts.l_eff - 1)];
-        run_plan(
-            &ExecPlan::build(&c),
-            &c,
-            &backend,
-            low,
-            SchedMode::Sequential,
-        );
+        run_plan(&ExecPlan::build(&c), &c, &backend, low);
     }
 }

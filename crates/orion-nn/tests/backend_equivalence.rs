@@ -13,7 +13,7 @@ use orion_nn::fhe_exec::FheSession;
 use orion_nn::fit::{fit, fixed_ranges};
 use orion_nn::network::Network;
 use orion_nn::opt::{optimize_plan, OptConfig};
-use orion_nn::sched::{run_plan, ExecPlan, SchedMode};
+use orion_nn::sched::{run_plan, ExecPlan};
 use orion_sim::{CostModel, OpCounter};
 use orion_tensor::Tensor;
 use rand::rngs::StdRng;
@@ -177,10 +177,9 @@ fn optimized_fork_agrees_across_linear_semantics() {
     let input = random_input(3, 8, 8, &mut rng);
     let reference = ClearBackend::reference(&compiled);
     let packed = ClearBackend::packed(&compiled);
-    let mode = SchedMode::Sequential;
     let cts = encrypt_input(&compiled, &packed, &input);
-    let ref_run = run_plan(&plan, &compiled, &reference, cts.clone(), mode);
-    let packed_run = run_plan(&plan, &compiled, &packed, cts, mode);
+    let ref_run = run_plan(&plan, &compiled, &reference, cts.clone());
+    let packed_run = run_plan(&plan, &compiled, &packed, cts);
     let prec = precision_bits(
         decrypt_output(&compiled, &packed, &packed_run.output_wire).data(),
         decrypt_output(&compiled, &reference, &ref_run.output_wire).data(),

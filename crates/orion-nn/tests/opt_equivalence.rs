@@ -4,8 +4,7 @@
 //! carries is the rewrite oracle for both:
 //!
 //! * **bit-exactness** — the optimized plan computes the identical output
-//!   (down to raw ciphertext bits on real CKKS) on every engine, in the
-//!   sequential AND event-driven parallel walks;
+//!   (down to raw ciphertext bits on real CKKS) on every engine;
 //! * **counter discipline** — rotation CSE shows strictly fewer rotations
 //!   and key-switch decompositions, with the delta exactly matching its
 //!   reported stats, and every other integer op count unchanged.
@@ -18,7 +17,7 @@ use orion_nn::fhe_exec::FheSession;
 use orion_nn::fit::fixed_ranges;
 use orion_nn::network::Network;
 use orion_nn::opt::{optimize_plan, OptConfig};
-use orion_nn::sched::{run_plan, ExecPlan, PlanRun, SchedMode};
+use orion_nn::sched::{run_plan, ExecPlan, PlanRun};
 use orion_sim::counter::OpKind;
 use orion_sim::{CostModel, OpCounter};
 use orion_tensor::Tensor;
@@ -70,25 +69,24 @@ fn opts() -> CompileOptions {
     }
 }
 
-/// Walks `c`'s plan as built and as the optimizer rewrites it over `cts`,
-/// in the given mode; returns the two runs plus the optimizer stats.
+/// Walks `c`'s plan as built and as the optimizer rewrites it over `cts`;
+/// returns the two runs plus the optimizer stats.
 fn walk_pair<B: orion_nn::EvalBackend + Sync>(
     c: &Compiled,
     backend: &B,
     cts: &[B::Ciphertext],
-    mode: SchedMode,
 ) -> (
     PlanRun<B::Ciphertext>,
     PlanRun<B::Ciphertext>,
     orion_nn::OptStats,
 ) {
     let mut plan = ExecPlan::build(c);
-    let base = run_plan(&plan, c, backend, cts.to_vec(), mode);
+    let base = run_plan(&plan, c, backend, cts.to_vec());
     let stats = optimize_plan(&mut plan, c, OptConfig::default());
     // rotation CSE shares a rotation at its consumers' read level, so the
     // keys generated for the built plan are the keys the optimized one needs
     assert_eq!(plan.key_manifest(c), c.key_manifest(), "key manifest");
-    let optimized = run_plan(&plan, c, backend, cts.to_vec(), mode);
+    let optimized = run_plan(&plan, c, backend, cts.to_vec());
     (base, optimized, stats)
 }
 
@@ -97,12 +95,11 @@ fn walk_pair<B: orion_nn::EvalBackend + Sync>(
 fn run_pair<B: orion_nn::EvalBackend + Sync>(
     c: &Compiled,
     input: &Tensor,
-    mode: SchedMode,
     what: &str,
     backend: B,
 ) -> (OpCounter, OpCounter, orion_nn::OptStats) {
     let cts = encrypt_input(c, &backend, input);
-    let (base, optimized, stats) = walk_pair(c, &backend, &cts, mode);
+    let (base, optimized, stats) = walk_pair(c, &backend, &cts);
     assert_eq!(
         decrypt_output(c, &backend, &base.output_wire).data(),
         decrypt_output(c, &backend, &optimized.output_wire).data(),
@@ -132,8 +129,8 @@ fn assert_wires_bit_identical(
     }
 }
 
-/// Rotation CSE on the fork head: every engine stays bit-exact in both
-/// scheduling modes, and the plain-oracle counters show strictly fewer
+/// Rotation CSE on the fork head: the plan stays bit-exact, and the
+/// plain-oracle counters show strictly fewer
 /// rotations and strictly fewer key-switch decompositions, with the deltas
 /// exactly equal to the pass's reported stats.
 #[test]
@@ -143,54 +140,51 @@ fn rotation_cse_strictly_reduces_rotations_and_decompositions() {
     let compiled = compile(&net, &fixed_ranges(&net, 4.0), &opts());
     let input = random_input(4, 8, 8, &mut rng);
 
-    for mode in [SchedMode::Sequential, SchedMode::Parallel] {
-        let (base, opt, stats) = run_pair(
-            &compiled,
-            &input,
-            mode,
-            &format!("plain fork {mode:?}"),
-            ClearBackend::packed(&compiled),
-        );
-        assert!(
-            stats.rotation_cse.shared_units >= 1,
-            "same-spec fork must trigger CSE (stats: {stats:?})"
-        );
-        assert!(
-            stats.rotation_cse.baby_rots_eliminated > 0,
-            "identical rotation sets must overlap"
-        );
-        // Strictly fewer rotations…
-        assert!(
-            opt.rotations() < base.rotations(),
-            "rotations: {} !< {}",
-            opt.rotations(),
-            base.rotations()
-        );
-        // …and strictly fewer key-switch decompositions (hoisted digit
-        // decompositions + full giant-step key switches).
-        let decomp = |c: &OpCounter| c.count(OpKind::Hoist) + c.count(OpKind::HRot);
-        assert!(
-            decomp(&opt) < decomp(&base),
-            "decompositions: {} !< {}",
-            decomp(&opt),
-            decomp(&base)
-        );
-        // The eliminated ops are exactly what the pass reported.
-        let saved = base.diff(&opt);
-        assert_eq!(
-            saved.count(OpKind::Hoist),
-            stats.rotation_cse.hoists_eliminated
-        );
-        assert_eq!(
-            saved.count(OpKind::HRotHoisted),
-            stats.rotation_cse.baby_rots_eliminated
-        );
-        // Nothing else moved.
-        assert_eq!(saved.count(OpKind::HRot), 0);
-        assert_eq!(saved.count(OpKind::PMult), 0);
-        assert_eq!(saved.count(OpKind::Rescale), 0);
-        assert_eq!(saved.count(OpKind::Bootstrap), 0);
-    }
+    let (base, opt, stats) = run_pair(
+        &compiled,
+        &input,
+        "plain fork",
+        ClearBackend::packed(&compiled),
+    );
+    assert!(
+        stats.rotation_cse.shared_units >= 1,
+        "same-spec fork must trigger CSE (stats: {stats:?})"
+    );
+    assert!(
+        stats.rotation_cse.baby_rots_eliminated > 0,
+        "identical rotation sets must overlap"
+    );
+    // Strictly fewer rotations…
+    assert!(
+        opt.rotations() < base.rotations(),
+        "rotations: {} !< {}",
+        opt.rotations(),
+        base.rotations()
+    );
+    // …and strictly fewer key-switch decompositions (hoisted digit
+    // decompositions + full giant-step key switches).
+    let decomp = |c: &OpCounter| c.count(OpKind::Hoist) + c.count(OpKind::HRot);
+    assert!(
+        decomp(&opt) < decomp(&base),
+        "decompositions: {} !< {}",
+        decomp(&opt),
+        decomp(&base)
+    );
+    // The eliminated ops are exactly what the pass reported.
+    let saved = base.diff(&opt);
+    assert_eq!(
+        saved.count(OpKind::Hoist),
+        stats.rotation_cse.hoists_eliminated
+    );
+    assert_eq!(
+        saved.count(OpKind::HRotHoisted),
+        stats.rotation_cse.baby_rots_eliminated
+    );
+    // Nothing else moved.
+    assert_eq!(saved.count(OpKind::HRot), 0);
+    assert_eq!(saved.count(OpKind::PMult), 0);
+    assert_eq!(saved.count(OpKind::Rescale), 0);
+    assert_eq!(saved.count(OpKind::Bootstrap), 0);
 }
 
 /// Rotation CSE moves hoists out of the consumer layers into a shared
@@ -208,13 +202,7 @@ fn shared_hoists_are_attributed_to_linear_seconds() {
         let net = mk_net(&mut rng);
         let compiled = compile(&net, &fixed_ranges(&net, 4.0), &opts());
         let input = random_input(4, 8, 8, &mut rng);
-        let (base, opt, stats) = run_pair(
-            &compiled,
-            &input,
-            SchedMode::Sequential,
-            what,
-            ClearBackend::packed(&compiled),
-        );
+        let (base, opt, stats) = run_pair(&compiled, &input, what, ClearBackend::packed(&compiled));
         assert!(
             stats.rotation_cse.shared_units >= 1,
             "{what}: CSE must fire"
@@ -234,8 +222,8 @@ fn shared_hoists_are_attributed_to_linear_seconds() {
     }
 }
 
-/// The full pipeline on the bootstrap-deep fork net, all three engines,
-/// both modes: bit-exact everywhere, strictly fewer rotations.
+/// The full pipeline on the bootstrap-deep fork net, all three engines:
+/// bit-exact everywhere, strictly fewer rotations.
 #[test]
 fn full_pipeline_bit_exact_on_all_three_engines() {
     let mut rng = StdRng::seed_from_u64(0x09719);
@@ -244,29 +232,25 @@ fn full_pipeline_bit_exact_on_all_three_engines() {
     assert!(compiled.placement.boot_count > 0);
     let input = random_input(4, 8, 8, &mut rng);
 
-    for mode in [SchedMode::Sequential, SchedMode::Parallel] {
-        let (base, opt, stats) = run_pair(
-            &compiled,
-            &input,
-            mode,
-            &format!("plain full {mode:?}"),
-            ClearBackend::packed(&compiled),
-        );
-        assert!(stats.rotation_cse.shared_units >= 1);
-        assert!(opt.rotations() < base.rotations());
-        run_pair(
-            &compiled,
-            &input,
-            mode,
-            &format!("trace full {mode:?}"),
-            ClearBackend::reference(&compiled),
-        );
-    }
+    let (base, opt, stats) = run_pair(
+        &compiled,
+        &input,
+        "plain full",
+        ClearBackend::packed(&compiled),
+    );
+    assert!(stats.rotation_cse.shared_units >= 1);
+    assert!(opt.rotations() < base.rotations());
+    run_pair(
+        &compiled,
+        &input,
+        "trace full",
+        ClearBackend::reference(&compiled),
+    );
 }
 
 /// Real CKKS, on-the-fly weights: the optimized plan's raw output
-/// ciphertexts must match the unoptimized run bit for bit (c0, c1, scale)
-/// in both scheduling modes — rotation sharing is an exact rewrite.
+/// ciphertexts must match the unoptimized run bit for bit (c0, c1, scale) —
+/// rotation sharing is an exact rewrite.
 #[test]
 fn ckks_optimized_output_wire_is_bit_identical() {
     let params = CkksParams::tiny();
@@ -279,14 +263,12 @@ fn ckks_optimized_output_wire_is_bit_identical() {
     let cts = session.encrypt_input(&compiled, &input);
     let backend = CkksBackend::new(&session);
 
-    for mode in [SchedMode::Sequential, SchedMode::Parallel] {
-        let (base, opt, stats) = walk_pair(&compiled, &backend, &cts, mode);
-        assert!(
-            stats.rotation_cse.shared_units >= 1,
-            "fork must share rotations on CKKS too"
-        );
-        assert_wires_bit_identical(&session, &compiled, &base, &opt, &format!("{mode:?}"));
-    }
+    let (base, opt, stats) = walk_pair(&compiled, &backend, &cts);
+    assert!(
+        stats.rotation_cse.shared_units >= 1,
+        "fork must share rotations on CKKS too"
+    );
+    assert_wires_bit_identical(&session, &compiled, &base, &opt, "on the fly");
 }
 
 /// Real CKKS through the *prepared* executor (the serving path) on a
@@ -317,10 +299,7 @@ fn ckks_prepared_bootstrap_deep_optimized_bit_identical() {
     let cts = session.encrypt_input(&compiled, &input);
     let backend = CkksBackend::with_prepared(&session, prepared);
 
-    for mode in [SchedMode::Sequential, SchedMode::Parallel] {
-        let (base, opt, stats) = walk_pair(&compiled, &backend, &cts, mode);
-        assert!(stats.rotation_cse.shared_units >= 1);
-        let what = format!("prepared {mode:?}");
-        assert_wires_bit_identical(&session, &compiled, &base, &opt, &what);
-    }
+    let (base, opt, stats) = walk_pair(&compiled, &backend, &cts);
+    assert!(stats.rotation_cse.shared_units >= 1);
+    assert_wires_bit_identical(&session, &compiled, &base, &opt, "prepared");
 }

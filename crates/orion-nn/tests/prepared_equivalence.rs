@@ -12,7 +12,7 @@ use orion_nn::compile::{compile, CompileOptions, Step};
 use orion_nn::fhe_exec::{run_fhe, run_fhe_prepared, run_fhe_prepared_cts, FheSession};
 use orion_nn::fit::fixed_ranges;
 use orion_nn::network::Network;
-use orion_nn::sched::{run_plan, ExecPlan, SchedMode};
+use orion_nn::sched::{run_plan, ExecPlan};
 use orion_tensor::Tensor;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -146,11 +146,10 @@ fn prepared_poly_net_is_bit_identical_and_encodes_only_weights() {
     }
 
     let plan = ExecPlan::build(&compiled);
-    let mode = SchedMode::Parallel;
     let cold = CkksBackend::new(&session);
-    let cold = run_plan(&plan, &compiled, &cold, cts.clone(), mode);
+    let cold = run_plan(&plan, &compiled, &cold, cts.clone());
     let warm = CkksBackend::with_prepared(&session, prepared.clone());
-    let warm = run_plan(&plan, &compiled, &warm, cts, mode);
+    let warm = run_plan(&plan, &compiled, &warm, cts);
     assert_eq!(
         cold.counter.encodes, weight_encodes,
         "weights and biases only"

@@ -1,11 +1,11 @@
-//! Scheduler equivalence: the dataflow plan executed in parallel must be
-//! **bit-exact** and **counter-identical** to the sequential walk on every
-//! engine — scheduler order must not change results. This is the
-//! refactor's core invariant: per-(wire, version, ct) value slots make the
+//! Walk equivalence: walks running in parallel on the shared pool — as
+//! serve workers and batch inference run them — must be **bit-exact** and
+//! **counter-identical** to a walk alone on the calling thread, on every
+//! engine. Per-(wire, version, ct) value slots owned by each walk make the
 //! data flow explicit, every backend op (including the bootstrap oracle)
-//! is a pure function, and the op counter is a fold over the plan's units
-//! in plan order, so even the accumulated `f64` model seconds agree to the
-//! last bit.
+//! is a pure function of its inputs, and the op counter is a fold over the
+//! plan's units in plan order, so even the accumulated `f64` model seconds
+//! agree to the last bit.
 
 use orion_ckks::CkksParams;
 use orion_nn::backend::{decrypt_output, encrypt_input};
@@ -14,7 +14,7 @@ use orion_nn::compile::{compile, CompileOptions, Compiled};
 use orion_nn::fhe_exec::FheSession;
 use orion_nn::fit::fixed_ranges;
 use orion_nn::network::Network;
-use orion_nn::sched::{run_plan, ExecPlan, SchedMode};
+use orion_nn::sched::{run_plan, ExecPlan, PlanRun};
 use orion_sim::{CostModel, OpCounter};
 use orion_tensor::Tensor;
 use rand::rngs::StdRng;
@@ -54,23 +54,39 @@ fn assert_counters_bit_identical(a: &OpCounter, b: &OpCounter, what: &str) {
     );
 }
 
-/// Walks `c`'s plan over `cts` in both modes on `backend` and checks
-/// outputs bit-exact + counters bit-identical. Returns the sequential
-/// run's bootstraps.
-fn check_modes<B>(c: &Compiled, backend: &B, cts: &[B::Ciphertext], what: &str) -> u64
+/// Walks `plan` over `cts` on `backend` alone, then twice at once on two
+/// threads; returns the lone walk and the two parallel ones.
+fn walk_alone_and_in_parallel<B>(
+    plan: &ExecPlan,
+    c: &Compiled,
+    backend: &B,
+    cts: &[B::Ciphertext],
+) -> (PlanRun<B::Ciphertext>, [PlanRun<B::Ciphertext>; 2])
 where
     B: orion_nn::EvalBackend + Sync,
 {
-    let plan = ExecPlan::build(c);
-    let seq_run = run_plan(&plan, c, backend, cts.to_vec(), SchedMode::Sequential);
-    let par_run = run_plan(&plan, c, backend, cts.to_vec(), SchedMode::Parallel);
-    assert_eq!(
-        decrypt_output(c, backend, &seq_run.output_wire).data(),
-        decrypt_output(c, backend, &par_run.output_wire).data(),
-        "{what}: parallel output diverged from sequential"
-    );
-    assert_eq!(seq_run.bootstraps, par_run.bootstraps, "{what}: bootstraps");
-    assert_counters_bit_identical(&seq_run.counter, &par_run.counter, what);
+    let walk = || run_plan(plan, c, backend, cts.to_vec());
+    let alone = walk();
+    let (a, b) = rayon::join(walk, walk);
+    (alone, [a, b])
+}
+
+/// Checks the walks of [`walk_alone_and_in_parallel`] for bit-exact
+/// outputs and bit-identical counters. Returns the lone walk's bootstraps.
+fn check_walks<B>(c: &Compiled, backend: &B, cts: &[B::Ciphertext], what: &str) -> u64
+where
+    B: orion_nn::EvalBackend + Sync,
+{
+    let (seq_run, par_runs) = walk_alone_and_in_parallel(&ExecPlan::build(c), c, backend, cts);
+    for par_run in &par_runs {
+        assert_eq!(
+            decrypt_output(c, backend, &seq_run.output_wire).data(),
+            decrypt_output(c, backend, &par_run.output_wire).data(),
+            "{what}: parallel output diverged from the lone walk"
+        );
+        assert_eq!(seq_run.bootstraps, par_run.bootstraps, "{what}: bootstraps");
+        assert_counters_bit_identical(&seq_run.counter, &par_run.counter, what);
+    }
     seq_run.bootstraps
 }
 
@@ -86,10 +102,11 @@ fn mlp(rng: &mut StdRng) -> Network {
 }
 
 /// The MLP at tiny real-CKKS parameters is bootstrap-deep; all three
-/// engines must agree with themselves across scheduling modes, bit for
-/// bit. CKKS runs on pre-encrypted inputs so both modes see identical
-/// request ciphertexts (the bootstrap oracle derives its noise from the
-/// ciphertext being refreshed, so bootstraps replay deterministically).
+/// engines must agree with themselves whether a walk runs alone or beside
+/// another, bit for bit. CKKS runs on pre-encrypted inputs so every walk
+/// sees identical request ciphertexts (the bootstrap oracle derives its
+/// noise from the ciphertext being refreshed, so bootstraps replay
+/// deterministically).
 #[test]
 fn mlp_parallel_matches_sequential_on_all_three_engines() {
     let params = CkksParams::tiny();
@@ -105,14 +122,14 @@ fn mlp_parallel_matches_sequential_on_all_three_engines() {
 
     let packed = ClearBackend::packed(&compiled);
     let cts = encrypt_input(&compiled, &packed, &input);
-    let boots = check_modes(&compiled, &packed, &cts, "plain mlp");
+    let boots = check_walks(&compiled, &packed, &cts, "plain mlp");
     assert_eq!(boots, compiled.placement.boot_count);
     let reference = ClearBackend::reference(&compiled);
-    check_modes(&compiled, &reference, &cts, "trace mlp");
+    check_walks(&compiled, &reference, &cts, "trace mlp");
 
     let session = FheSession::new(params, &compiled, 99);
     let cts = session.encrypt_input(&compiled, &input);
-    let boots = check_modes(&compiled, &CkksBackend::new(&session), &cts, "ckks mlp");
+    let boots = check_walks(&compiled, &CkksBackend::new(&session), &cts, "ckks mlp");
     assert_eq!(boots, compiled.placement.boot_count);
 }
 
@@ -145,16 +162,16 @@ fn conv_relu_residual_parallel_matches_sequential() {
     let input = random_input(4, 8, 8, &mut rng);
     let packed = ClearBackend::packed(&compiled);
     let cts = encrypt_input(&compiled, &packed, &input);
-    check_modes(&compiled, &packed, &cts, "plain conv");
+    check_walks(&compiled, &packed, &cts, "plain conv");
     let reference = ClearBackend::reference(&compiled);
-    check_modes(&compiled, &reference, &cts, "trace conv");
+    check_walks(&compiled, &reference, &cts, "trace conv");
 }
 
 /// A bootstrap-deep CKKS conv net (square activations keep the depth
 /// affordable at tiny parameters): the real-crypto engine, prepared mode,
 /// pre-encrypted inputs — the serving hot path — must replay bit-exactly
-/// under the parallel scheduler, with zero per-inference encodes in both
-/// modes.
+/// when two walks run at once, with zero per-inference encodes in every
+/// walk.
 #[test]
 fn ckks_prepared_conv_parallel_matches_sequential() {
     let params = CkksParams::tiny();
@@ -176,25 +193,20 @@ fn ckks_prepared_conv_parallel_matches_sequential() {
 
     let plan = ExecPlan::build(&compiled);
     let backend = CkksBackend::with_prepared(&session, prepared);
-    let seq_run = run_plan(
-        &plan,
-        &compiled,
-        &backend,
-        cts.clone(),
-        SchedMode::Sequential,
-    );
-    let par_run = run_plan(&plan, &compiled, &backend, cts, SchedMode::Parallel);
-    assert_eq!(
-        session
-            .decrypt_output(&compiled, &seq_run.output_wire)
-            .data(),
-        session
-            .decrypt_output(&compiled, &par_run.output_wire)
-            .data()
-    );
-    // raw output ciphertexts, not just decodes, must match bit for bit
-    assert_wires_bit_identical(&seq_run.output_wire, &par_run.output_wire);
-    assert_counters_bit_identical(&seq_run.counter, &par_run.counter, "ckks prepared conv");
+    let (seq_run, par_runs) = walk_alone_and_in_parallel(&plan, &compiled, &backend, &cts);
+    for par_run in &par_runs {
+        assert_eq!(
+            session
+                .decrypt_output(&compiled, &seq_run.output_wire)
+                .data(),
+            session
+                .decrypt_output(&compiled, &par_run.output_wire)
+                .data()
+        );
+        // raw output ciphertexts, not just decodes, must match bit for bit
+        assert_wires_bit_identical(&seq_run.output_wire, &par_run.output_wire);
+        assert_counters_bit_identical(&seq_run.counter, &par_run.counter, "ckks prepared conv");
+    }
     assert_eq!(seq_run.counter.encodes, 0, "prepared path must not encode");
 }
 
@@ -227,11 +239,11 @@ fn one_engine_value_serves_concurrent_walks() {
     let shared = CkksBackend::with_prepared(&session, prepared.clone());
     let together: Vec<_> = requests
         .par_iter()
-        .map(|cts| run_plan(&plan, &compiled, &shared, cts.clone(), SchedMode::Parallel))
+        .map(|cts| run_plan(&plan, &compiled, &shared, cts.clone()))
         .collect();
     for (cts, got) in requests.iter().zip(&together) {
         let own = CkksBackend::with_prepared(&session, prepared.clone());
-        let alone = run_plan(&plan, &compiled, &own, cts.clone(), SchedMode::Sequential);
+        let alone = run_plan(&plan, &compiled, &own, cts.clone());
         assert_wires_bit_identical(&alone.output_wire, &got.output_wire);
         assert_counters_bit_identical(&alone.counter, &got.counter, "concurrent walk");
     }

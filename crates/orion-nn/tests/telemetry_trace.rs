@@ -1,26 +1,24 @@
-//! Tracing under the parallel scheduler: the global collector records a
-//! well-formed merged trace (spans nest per thread, no orphan closes,
-//! monotone per-thread timestamps), the per-run critical-path report is
-//! internally consistent, the Chrome export parses, and — the deal the
-//! always-linked collector makes with the hot path — a *disabled*
-//! collector costs under 3% of a scheduler micro-workload.
+//! Tracing walks on a wide pool: the global collector records a
+//! well-formed merged trace of two concurrent walks (spans nest per
+//! thread, no orphan closes, monotone per-thread timestamps), the per-run
+//! critical-path report is internally consistent, the Chrome export
+//! parses, and — the deal the always-linked collector makes with the hot
+//! path — a *disabled* collector costs under 3% of a walk micro-workload.
 //!
 //! The collector is process-global, so every test serializes on one lock
 //! and drains the event log before and after its run.
 //!
-//! What a trace cannot promise is *which* threads its units ran on — a
-//! short run may drain on the calling thread before a parked worker wakes.
-//! That property is forced instead of observed: a level-only toy engine
-//! whose stages meet pairwise on a barrier ([`LevelEngine`]), which also
-//! pins that an engine handing back the wrong level is caught where the
-//! ciphertext is written.
+//! That concurrent walks on one engine value really overlap is forced
+//! instead of observed: a level-only toy engine whose stages meet pairwise
+//! on a barrier ([`LevelEngine`]), which also pins that an engine handing
+//! back the wrong level is caught where the ciphertext is written.
 
 use orion_nn::backend::{encrypt_input, EvalBackend, LinearRef};
 use orion_nn::backends::ClearBackend;
 use orion_nn::compile::{compile, CompileOptions, Compiled};
 use orion_nn::fit::fixed_ranges;
 use orion_nn::network::Network;
-use orion_nn::sched::{run_plan, ExecPlan, SchedMode};
+use orion_nn::sched::{run_plan, ExecPlan};
 use orion_sim::CostModel;
 use orion_telemetry::Phase;
 use orion_tensor::Tensor;
@@ -41,8 +39,8 @@ fn lock_and_init() -> std::sync::MutexGuard<'static, ()> {
     TEST_LOCK.lock().unwrap_or_else(|e| e.into_inner())
 }
 
-/// A conv/ReLU/residual net: multi-ciphertext wires and a forked region,
-/// so the parallel walk genuinely overlaps units across threads.
+/// A conv/ReLU/residual net: multi-ciphertext wires, a forked region and
+/// announced linear layers.
 fn fork_workload() -> (Compiled, Tensor) {
     let mut rng = StdRng::seed_from_u64(0x7e1e);
     let mut net = Network::new(4, 8, 8);
@@ -66,15 +64,20 @@ fn fork_workload() -> (Compiled, Tensor) {
     (compiled, input)
 }
 
-/// Encrypts `input` on `backend` and walks `compiled`'s plan in `mode`.
-fn walk<B: EvalBackend + Sync>(compiled: &Compiled, backend: &B, input: &Tensor, mode: SchedMode) {
+/// Encrypts `input` on `backend` and walks `compiled`'s plan.
+fn walk<B: EvalBackend + Sync>(compiled: &Compiled, backend: &B, input: &Tensor) {
     let cts = encrypt_input(compiled, backend, input);
-    run_plan(&ExecPlan::build(compiled), compiled, backend, cts, mode);
+    run_plan(&ExecPlan::build(compiled), compiled, backend, cts);
+}
+
+/// Two walks of `input` on one engine value, at once on two threads.
+fn walk_twice_at_once<B: EvalBackend + Sync>(compiled: &Compiled, backend: &B, input: &Tensor) {
+    let walk = || walk(compiled, backend, input);
+    rayon::join(walk, walk);
 }
 
 fn run_workload(compiled: &Compiled, input: &Tensor) {
-    let backend = ClearBackend::packed(compiled);
-    walk(compiled, &backend, input, SchedMode::Parallel);
+    walk(compiled, &ClearBackend::packed(compiled), input);
 }
 
 #[test]
@@ -83,7 +86,7 @@ fn parallel_trace_is_well_formed() {
     let (compiled, input) = fork_workload();
     orion_telemetry::drain();
     orion_telemetry::enable();
-    run_workload(&compiled, &input);
+    walk_twice_at_once(&compiled, &ClearBackend::packed(&compiled), &input);
     orion_telemetry::disable();
     let events = orion_telemetry::drain();
     assert!(!events.is_empty(), "an enabled run must record events");
@@ -134,10 +137,9 @@ fn parallel_trace_is_well_formed() {
 }
 
 /// The level-only engine: a ciphertext is its level and nothing else. With
-/// `meet`, every `poly_stage` call waits on a 2-party barrier, so a walk
-/// over two-ciphertext wires can only finish if sibling units really run
-/// on two threads at once; `forget_rescale` makes `scale_down` hand back
-/// its input level.
+/// `meet`, every `poly_stage` call waits on a 2-party barrier, so two walks
+/// on one engine value can only finish if they really run on two threads
+/// at once; `forget_rescale` makes `scale_down` hand back its input level.
 struct LevelEngine<'a> {
     c: &'a Compiled,
     meet: Option<Barrier>,
@@ -200,11 +202,11 @@ impl EvalBackend for LevelEngine<'_> {
 }
 
 #[test]
-fn simultaneously_ready_units_run_on_different_threads() {
+fn concurrent_walks_on_one_engine_run_on_different_threads() {
     let _g = lock_and_init();
-    // Two-ciphertext wires through three sign stages: each stage's two
-    // per-ciphertext units become ready together, and neither returns
-    // until the other has entered it on a second pool thread.
+    // Two-ciphertext wires through three sign stages: six stage units per
+    // walk, and none returns until the other walk has entered its twin on
+    // a second thread — nothing in a walk serializes it against another.
     let (compiled, input) = fork_workload();
     let engine = LevelEngine {
         c: &compiled,
@@ -212,8 +214,8 @@ fn simultaneously_ready_units_run_on_different_threads() {
         meetings: AtomicUsize::new(0),
         forget_rescale: false,
     };
-    walk(&compiled, &engine, &input, SchedMode::Parallel);
-    assert_eq!(engine.meetings.load(Ordering::Relaxed), 3);
+    walk_twice_at_once(&compiled, &engine, &input);
+    assert_eq!(engine.meetings.load(Ordering::Relaxed), 6);
 }
 
 #[test]
@@ -226,8 +228,7 @@ fn an_engine_writing_the_wrong_level_is_caught_where_it_is_written() {
         meetings: AtomicUsize::new(0),
         forget_rescale: true,
     };
-    let run =
-        std::panic::AssertUnwindSafe(|| walk(&compiled, &engine, &input, SchedMode::Sequential));
+    let run = std::panic::AssertUnwindSafe(|| walk(&compiled, &engine, &input));
     let payload = std::panic::catch_unwind(run)
         .expect_err("the store assert must reject the un-rescaled ciphertext");
     let msg = payload.downcast_ref::<String>().expect("assert message");
@@ -249,8 +250,8 @@ fn run_report_is_internally_consistent() {
     orion_telemetry::drain();
 
     let report = orion_telemetry::last_run().expect("enabled run records a report");
-    assert_eq!(report.mode, "parallel");
     assert!(report.threads > 1, "pinned pool width must be parallel");
+    assert_eq!(report.queue_ns, 0, "a walk has no ready queue");
     assert!(report.units > 0);
     assert!(!report.top.is_empty(), "critical path must be non-empty");
     assert!(
@@ -260,11 +261,12 @@ fn run_report_is_internally_consistent() {
         report.wall_ns
     );
     assert!(
-        report.busy_ns <= report.wall_ns * report.threads as u64,
-        "busy time cannot exceed wall × threads ({} > {} × {})",
+        report.critical_path_ns <= report.busy_ns && report.busy_ns <= report.wall_ns,
+        "a chain of units cannot outlast them all, nor units run one at a time \
+         outlast the walk ({} / {} / {})",
+        report.critical_path_ns,
         report.busy_ns,
-        report.wall_ns,
-        report.threads
+        report.wall_ns
     );
     for u in &report.top {
         assert!(u.unit < report.units);

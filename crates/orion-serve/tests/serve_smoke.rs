@@ -192,8 +192,8 @@ fn serve_two_models_two_clients_under_memory_cap() {
     // Paging really happened: the cap forced evictions on both models.
     // Loads arrive as blocking faults (always, on a single-threaded pool,
     // where no walk issues a prefetch) OR as the lookahead prefetches the
-    // event-driven walk issues when it releases a layer's producers, which
-    // converted the fault into a hit.
+    // walk issues as a layer's first producer starts, which converted the
+    // fault into a hit.
     for (idx, &model) in model_ids.iter().enumerate() {
         let stats = server.page_stats(model).expect("paged model has stats");
         assert!(

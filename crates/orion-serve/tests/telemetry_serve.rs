@@ -19,8 +19,9 @@ use std::sync::Mutex;
 
 static TEST_LOCK: Mutex<()> = Mutex::new(());
 
-/// Pin the shared rayon pool wide before its first use so the scheduler
-/// takes the parallel walk even on a single-core runner.
+/// Pin the shared rayon pool wide before its first use so runs report a
+/// parallel pool (and walk inside their prefetch scope) even on a
+/// single-core runner.
 fn lock_and_init() -> std::sync::MutexGuard<'static, ()> {
     static ONCE: std::sync::Once = std::sync::Once::new();
     ONCE.call_once(|| std::env::set_var("RAYON_NUM_THREADS", "4"));

@@ -19,8 +19,6 @@ pub struct CritUnit {
     pub label: String,
     /// Measured execution time.
     pub dur_ns: u64,
-    /// Ready-to-start wait (scheduler queue time).
-    pub queue_ns: u64,
 }
 
 /// Timing summary of one `run_plan` execution.
@@ -28,18 +26,18 @@ pub struct CritUnit {
 pub struct RunReport {
     /// Request id the run served, when executed by the serve layer.
     pub req: Option<u64>,
-    /// Scheduler mode name (`"sequential"`, `"parallel"`, ...).
-    pub mode: &'static str,
     /// Pool width (`rayon::current_num_threads()`) during the run.
     pub threads: usize,
     /// Units in the executed plan.
     pub units: usize,
     /// Wall-clock time of the whole walk.
     pub wall_ns: u64,
-    /// Σ per-unit execution time. For a well-formed parallel run this is
-    /// ≤ `wall_ns * threads`.
+    /// Σ per-unit execution time (≤ `wall_ns`: the walk runs its units
+    /// one after another).
     pub busy_ns: u64,
-    /// Σ per-unit ready→start wait.
+    /// Inert, always 0: a walk runs each unit as soon as the one before it
+    /// finishes, so no unit waits in a ready queue. Kept only because the
+    /// benchmark's pinned program surface reads it.
     pub queue_ns: u64,
     /// Longest dependency-ordered execution chain (the lower bound on
     /// wall time at infinite parallelism).
@@ -53,12 +51,10 @@ impl RunReport {
     pub fn to_value(&self) -> Value {
         let ms = |ns: u64| Value::Num(ns as f64 * 1e-6);
         let mut fields = vec![
-            ("mode".to_string(), Value::Str(self.mode.to_string())),
             ("threads".to_string(), Value::Num(self.threads as f64)),
             ("units".to_string(), Value::Num(self.units as f64)),
             ("wall_ms".to_string(), ms(self.wall_ns)),
             ("busy_ms".to_string(), ms(self.busy_ns)),
-            ("queue_ms".to_string(), ms(self.queue_ns)),
             ("critical_path_ms".to_string(), ms(self.critical_path_ns)),
             (
                 "parallelism".to_string(),
@@ -78,7 +74,6 @@ impl RunReport {
                                 ("unit".to_string(), Value::Num(u.unit as f64)),
                                 ("label".to_string(), Value::Str(u.label.clone())),
                                 ("dur_ms".to_string(), ms(u.dur_ns)),
-                                ("queue_ms".to_string(), ms(u.queue_ns)),
                             ])
                         })
                         .collect(),
@@ -201,7 +196,6 @@ mod tests {
         for i in 0..(MAX_RUNS + 5) {
             record_run(RunReport {
                 req: Some(i as u64),
-                mode: "sequential",
                 threads: 1,
                 units: 1,
                 wall_ns: 1,

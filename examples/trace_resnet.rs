@@ -1,5 +1,5 @@
 //! Trace one ResNet-style forked inference with the telemetry collector
-//! enabled: every scheduler unit becomes a span, wire level/scale
+//! enabled: every plan unit becomes a span, wire level/scale
 //! trajectories become instants, and the run's critical path is computed
 //! from the measured per-unit durations.
 //!
@@ -16,7 +16,7 @@ use orion::nn::backends::ClearBackend;
 use orion::nn::compile::{compile, CompileOptions};
 use orion::nn::fit::fixed_ranges;
 use orion::nn::network::Network;
-use orion::nn::sched::{run_plan, ExecPlan, SchedMode};
+use orion::nn::sched::{run_plan, ExecPlan};
 use orion::sim::CostModel;
 use orion::telemetry;
 use orion::tensor::Tensor;
@@ -24,8 +24,8 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 fn main() {
-    // Widen the shared pool before its first use so the parallel walk has
-    // real threads even on a small runner.
+    // Widen the shared pool before its first use so the walk runs inside
+    // its prefetch scope even on a small runner.
     if std::env::var_os("RAYON_NUM_THREADS").is_none() {
         std::env::set_var("RAYON_NUM_THREADS", "4");
     }
@@ -63,7 +63,7 @@ fn main() {
     let plan = ExecPlan::build(&compiled);
     let cts = encrypt_input(&compiled, &backend, &input);
     telemetry::enable();
-    let run = run_plan(&plan, &compiled, &backend, cts, SchedMode::Parallel);
+    let run = run_plan(&plan, &compiled, &backend, cts);
     telemetry::disable();
     let output = decrypt_output(&compiled, &backend, &run.output_wire);
 
@@ -80,30 +80,25 @@ fn main() {
 
     let report = telemetry::last_run().expect("an enabled run records a report");
     println!(
-        "\nrun: mode={} threads={} units={} wall={:.2} ms busy={:.2} ms (parallelism {:.2}x)",
-        report.mode,
+        "\nrun: threads={} units={} wall={:.2} ms busy={:.2} ms ({:.0}% of wall)",
         report.threads,
         report.units,
         report.wall_ns as f64 / 1e6,
         report.busy_ns as f64 / 1e6,
-        report.busy_ns as f64 / report.wall_ns.max(1) as f64,
+        100.0 * report.busy_ns as f64 / report.wall_ns.max(1) as f64,
     );
     println!(
         "critical path: {:.2} ms ({:.0}% of wall)\n",
         report.critical_path_ns as f64 / 1e6,
         100.0 * report.critical_path_ns as f64 / report.wall_ns.max(1) as f64,
     );
-    println!(
-        "{:<6} {:<24} {:>10} {:>10}",
-        "unit", "label", "exec ms", "queue ms"
-    );
+    println!("{:<6} {:<24} {:>10}", "unit", "label", "exec ms");
     for u in report.top.iter().take(10) {
         println!(
-            "{:<6} {:<24} {:>10.3} {:>10.3}",
+            "{:<6} {:<24} {:>10.3}",
             u.unit,
             u.label,
-            u.dur_ns as f64 / 1e6,
-            u.queue_ns as f64 / 1e6,
+            u.dur_ns as f64 / 1e6
         );
     }
 }

@@ -2,16 +2,19 @@
 //! counter's modeled seconds are folds of the same per-unit op list at the
 //! same price (`CostModel::op`), so the latency placement minimised is the
 //! latency the built plan is counted at — and re-pricing the activation
-//! nodes from their own op lists moved no placement.
+//! nodes from their own op lists moved no placement. A bootstrap is priced
+//! at the ciphertexts it refreshes too: every input wire of its node.
 
 use orion::ckks::CkksParams;
 use orion::core::Orion;
 use orion::models::data::synthetic_images;
 use orion::models::{build, Act};
 use orion::nn::backends::ClearBackend;
-use orion::nn::fit::calibrate_batch_norm;
-use orion::nn::sched::{count_plan, ExecPlan};
+use orion::nn::compile::{compile, CompileOptions};
+use orion::nn::fit::{calibrate_batch_norm, fixed_ranges};
+use orion::nn::sched::{count_plan, ExecPlan, UnitWork};
 use orion::nn::{Compiled, Network};
+use orion::sim::CostModel;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -110,4 +113,52 @@ fn relu_resnet20_is_counted_at_the_latency_placement_minimised() {
         &relu_resnet20(),
         0x2090_1062_c6d8_5167,
     );
+}
+
+/// conv → ReLU → conv closed by a residual add, on two-ciphertext wires:
+/// the ReLU's final product and the add each join two wires.
+fn residual_relu() -> Compiled {
+    let mut rng = StdRng::seed_from_u64(7);
+    let mut net = Network::new(4, 8, 8);
+    let x = net.input();
+    let c1 = net.conv2d("c1", x, 4, 3, 1, 1, 1, &mut rng);
+    let r = net.relu("r1", c1, &[15, 15, 27]);
+    let c2 = net.conv2d("c2", r, 4, 3, 1, 1, 1, &mut rng);
+    let sum = net.add("res", c2, x);
+    net.output(sum);
+    let opts = CompileOptions {
+        slots: 128,
+        l_eff: 10,
+        cost: CostModel::for_degree(1 << 9, 4),
+    };
+    compile(&net, &fixed_ranges(&net, 4.0), &opts)
+}
+
+/// With a bootstrap placed before every node, the plan refreshes exactly
+/// the ciphertexts placement priced each node's bootstrap at — at a join
+/// (`ReluFinal`, `Add`) that is both input wires, not one.
+fn check_boots_priced_per_wire(name: &str, mut c: Compiled) {
+    c.placement.boots_before.iter_mut().for_each(|b| *b = 1);
+    let plan = ExecPlan::build(&c);
+    for (id, node) in c
+        .prog
+        .iter()
+        .enumerate()
+        .filter(|(_, n)| !n.inputs.is_empty())
+    {
+        let refreshed = (plan.units.iter())
+            .filter(|u| matches!(u.work, UnitWork::Boot { consumer, .. } if consumer == id))
+            .count();
+        assert_eq!(
+            c.graph.nodes[id].n_cts, refreshed,
+            "{name}: {} priced at {} bootstraps, refreshes {refreshed}",
+            node.name, c.graph.nodes[id].n_cts
+        );
+    }
+}
+
+#[test]
+fn join_bootstraps_are_priced_per_wire() {
+    check_boots_priced_per_wire("resblock_act", resblock());
+    check_boots_priced_per_wire("residual relu", residual_relu());
 }

@@ -8,7 +8,7 @@
 //! in L_eff.
 
 use orion_bench::Table;
-use orion_sim::CostModel;
+use orion_nn::sim::CostModel;
 
 fn model_tables() {
     let m = CostModel::paper();

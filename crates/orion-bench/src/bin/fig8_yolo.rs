@@ -10,7 +10,7 @@
 use orion_bench::{fmt_secs, prepare_model, Table};
 use orion_models::data::synthetic_images;
 use orion_models::Act;
-use orion_nn::backends::run_trace;
+use orion_nn::{run_program, ClearBackend};
 
 /// One decoded detection.
 struct DetBox {
@@ -107,7 +107,7 @@ fn main() {
     // ranges (the paper fits over the full training set).
     let input = &calib[0];
     let _ = synthetic_images(3, 4, 4, 1, 4343);
-    let run = run_trace(&compiled, input);
+    let run = run_program(&compiled, &ClearBackend::reference(&compiled), input);
     println!(
         "  modeled single-threaded FHE latency: {}  (paper: 17.5 h)",
         fmt_secs(run.counter.seconds)

@@ -13,7 +13,7 @@
 use orion_bench::{fmt_secs, prepare_model, Table};
 use orion_models::data::synthetic_images;
 use orion_models::Act;
-use orion_nn::backends::run_trace;
+use orion_nn::{run_program, ClearBackend};
 
 fn main() {
     let large = std::env::args().any(|a| a == "--large");
@@ -64,7 +64,7 @@ fn main() {
             (s.0, s.1, s.2)
         };
         let input = &synthetic_images(c, h, w, 1, 77)[0];
-        let run = run_trace(&compiled, input);
+        let run = run_program(&compiled, &ClearBackend::reference(&compiled), input);
         let exact = net.forward_exact(input);
         let prec = run.precision_vs(&exact);
         let dataset = match name {
@@ -104,8 +104,8 @@ fn main() {
 /// at N = 2¹³/2¹⁴ without bootstrapping; our reduced-depth parameters
 /// bootstrap through the oracle instead).
 fn real_fhe_mnist() {
+    use orion::core::{CkksBackend, Orion, Session};
     use orion_ckks::CkksParams;
-    use orion_core::{fhe_inference, fhe_session, Orion};
     use orion_nn::fit::fit_robust;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
@@ -120,15 +120,17 @@ fn real_fhe_mnist() {
         let fitres = fit_robust(&net, &calib, 2);
         let orion = Orion::for_params(&params);
         let compiled = orion.compile_with_ranges(&net, &fitres);
-        let session = fhe_session(params, &compiled, 7);
+        let session = Session::new(params, &compiled, 7);
         let input = &synthetic_images(1, 28, 28, 1, 8)[0];
-        let run = fhe_inference(&compiled, &session, input);
+        let t0 = std::time::Instant::now();
+        let run = run_program(&compiled, &CkksBackend::new(&session), input);
+        let wall = t0.elapsed().as_secs_f64();
         let exact = net.forward_exact(input);
         t.row(vec![
             name.into(),
-            run.bootstraps.to_string(),
+            run.counter.bootstraps().to_string(),
             format!("{:.1}", run.precision_vs(&exact)),
-            fmt_secs(run.wall_seconds),
+            fmt_secs(wall),
         ]);
     }
     t.print();

@@ -13,9 +13,9 @@ use orion_graph::place_lazy;
 use orion_linear::baseline::lee_et_al_rotations;
 use orion_models::data::synthetic_images;
 use orion_models::Act;
-use orion_nn::backends::run_trace;
 use orion_nn::compile::Step;
-use orion_sim::CostModel;
+use orion_nn::sim::CostModel;
+use orion_nn::{run_program, ClearBackend};
 
 fn main() {
     let (net, compiled, _) = prepare_model("resnet20", Act::Relu, 4, 99);
@@ -24,7 +24,7 @@ fn main() {
 
     // Orion side: run the trace to get measured counters.
     let input = &synthetic_images(3, 32, 32, 1, 123)[0];
-    let run = run_trace(&compiled, input);
+    let run = run_program(&compiled, &ClearBackend::reference(&compiled), input);
     let _ = net;
 
     // Baseline rotations + conv latency: no BSGS (one rotation per

@@ -19,7 +19,7 @@
 //! ablations. Kernel, op, scheduler and optimizer timings are `perf`'s
 //! `math.*`, `ckks.*`, `sched.*` and `nn.opt_*` metrics.
 
-use orion_core::Orion;
+use orion::core::Orion;
 use orion_models::data::synthetic_images;
 use orion_nn::compile::Compiled;
 use orion_nn::fit::calibrate_batch_norm;

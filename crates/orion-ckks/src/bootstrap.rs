@@ -12,9 +12,9 @@
 //! [`BootstrapOracle`] preserves all three: it holds the secret key (as a
 //! client-side oracle), decrypts, injects bootstrap-magnitude noise,
 //! re-encrypts at `L_eff`, and tallies the op in its counter. Latency is
-//! supplied by `orion-sim`'s cost model, which the placement algorithm uses
-//! exactly as the paper does (§5.2 "we estimate the latencies … with an
-//! analytical model").
+//! supplied by the cost model (`orion_nn::sim`), which the placement
+//! algorithm uses exactly as the paper does (§5.2 "we estimate the
+//! latencies … with an analytical model").
 
 use crate::encoder::Encoder;
 use crate::encrypt::{Ciphertext, Decryptor, Encryptor};

@@ -53,7 +53,7 @@ pub struct KeySwitchKey {
     pub parts: Vec<(RnsPoly, RnsPoly)>,
     /// Ignored, and always empty: the key-switch kernel reads no table
     /// beside the key. The field stays because the `perf/` name pin counts
-    /// key bytes through it (ROADMAP item 6(b)).
+    /// key bytes through it (ROADMAP item 7(b)).
     pub parts_shoup: Vec<(RnsPoly, RnsPoly)>,
 }
 

@@ -116,7 +116,7 @@ pub fn wide_fold_bound(q: u64) -> u64 {
 /// Signature of the fused key-switch accumulation kernel:
 /// `(dst, digits, keys, key_shoups, q)`. `key_shoups` is unread and may be
 /// empty; the argument stays because the `perf/` name pin calls the kernel
-/// with five arguments (ROADMAP item 6(b)).
+/// with five arguments (ROADMAP item 7(b)).
 pub type KsAccumFn = fn(&mut [u64], &[&[u64]], &[&[u64]], &[&[u64]], u64);
 
 /// The portable scalar table (4-wide unrolled loops; NEON-friendly shapes

@@ -33,10 +33,10 @@
 
 use crate::compile::{Compiled, Step};
 use crate::sched::{run_plan, ExecPlan};
+use crate::sim::OpCounter;
 use orion_ckks::precision::precision_bits;
 use orion_linear::values::{BiasValues, ConvDiagSource, DenseDiagSource, DiagSource};
 use orion_linear::{ConvSpec, LinearPlan, TensorLayout};
-use orion_sim::OpCounter;
 use orion_tensor::Tensor;
 
 /// A borrowed view of one linear layer's parameters (conv or dense),
@@ -287,11 +287,10 @@ pub struct ProgramRun<Ct> {
     pub output: Tensor,
     /// The raw output wire (still "encrypted" in the engine's terms).
     pub output_wire: Vec<Ct>,
-    /// Ciphertext bootstraps performed (per ciphertext, as the placement
-    /// policy's `boot_count` counts them).
-    pub bootstraps: u64,
     /// The run's op tallies with modeled latency — a property of the plan
-    /// that ran ([`crate::sched::count_plan`]), not of the walk.
+    /// that ran ([`crate::sched::count_plan`]), not of the walk. Its
+    /// `bootstraps()` counts per ciphertext, as the placement policy's
+    /// `boot_count` does.
     pub counter: OpCounter,
 }
 
@@ -306,7 +305,11 @@ impl<Ct> ProgramRun<Ct> {
 /// tensor-in, tensor-out entry point, shared by every engine: encrypts the
 /// packed input, builds the program's [`ExecPlan`], walks it in plan order
 /// ([`run_plan`], following the placement policy exactly) and decrypts the
-/// output wire.
+/// output wire. The backend's constructor names the engine and where its
+/// weights come from: `CkksBackend::new` (encoded per inference),
+/// `CkksBackend::with_prepared` / `with_source` (a prepared cache or a
+/// pager), `ClearBackend::reference` (the paper-scale path) or
+/// `ClearBackend::packed` (the packing-math oracle).
 pub fn run_program<B: EvalBackend + Sync>(
     c: &Compiled,
     backend: &B,
@@ -318,7 +321,6 @@ pub fn run_program<B: EvalBackend + Sync>(
     ProgramRun {
         output: decrypt_output(c, backend, &run.output_wire),
         output_wire: run.output_wire,
-        bootstraps: run.bootstraps,
         counter: run.counter,
     }
 }

@@ -72,7 +72,7 @@ impl<'s> CkksBackend<'s> {
 
     /// Always 0: activation constants are scalars, so there is no constant
     /// cache to miss. Kept because the `perf/` name pin reads it
-    /// (`poly.const_cache_misses`; ROADMAP item 6(b) re-points the pin).
+    /// (`poly.const_cache_misses`; ROADMAP item 7(b) re-points the pin).
     pub fn act_cache_misses(&self) -> u64 {
         0
     }

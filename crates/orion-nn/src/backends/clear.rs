@@ -8,11 +8,13 @@
 //! * [`ClearBackend::reference`] — gather the wire's slots, run the
 //!   reference `orion_tensor::{conv2d, linear}`, pack the result. No
 //!   rotation algebra, so it is fast enough for the paper's
-//!   ImageNet-scale reporting columns ([`run_trace`]).
+//!   ImageNet-scale reporting columns (see README, "Substitutions").
 //! * [`ClearBackend::packed`] — the executor's exact rotation algebra
 //!   (`orion_linear::exec_plain`: baby steps, pre-rotated diagonals,
 //!   giant-step group rotations, row fold), which makes the engine the
-//!   end-to-end oracle for the packing math ([`run_plain`]).
+//!   end-to-end oracle for the packing math.
+//!
+//! Either runs a program through [`crate::backend::run_program`].
 //!
 //! Whether a program is *legal* FHE (no level underflow, rescales feasible,
 //! scales matched) is certified on the plan by [`crate::verify`]; what the
@@ -20,7 +22,7 @@
 //! operands at one level, no upward drop, and every depth paid out of a
 //! level that has it.
 
-use crate::backend::{run_program, EvalBackend, LinearRef, ProgramRun};
+use crate::backend::{EvalBackend, LinearRef};
 use crate::compile::Compiled;
 use orion_linear::exec::{exec_plain, shared_rot_plain, PlainRotations};
 use orion_poly::cheb::ChebPoly;
@@ -293,17 +295,6 @@ impl EvalBackend for ClearBackend {
     fn square_activation(&self, ct: &ClearCiphertext, level: usize) -> ClearCiphertext {
         ct.map(below(level, 2), |x| x * x)
     }
-}
-
-/// Runs a compiled program on the reference-semantics engine — the
-/// paper-scale path (see README, "Substitutions").
-pub fn run_trace(c: &Compiled, input: &Tensor) -> ProgramRun<ClearCiphertext> {
-    run_program(c, &ClearBackend::reference(c), input)
-}
-
-/// Runs a compiled program through the packed rotation-algebra oracle.
-pub fn run_plain(c: &Compiled, input: &Tensor) -> ProgramRun<ClearCiphertext> {
-    run_program(c, &ClearBackend::packed(c), input)
 }
 
 #[cfg(test)]

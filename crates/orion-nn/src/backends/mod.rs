@@ -15,4 +15,4 @@ pub mod ckks;
 pub mod clear;
 
 pub use ckks::{CkksBackend, PreparedLayerFault};
-pub use clear::{run_plain, run_trace, ClearBackend, ClearCiphertext};
+pub use clear::{ClearBackend, ClearCiphertext};

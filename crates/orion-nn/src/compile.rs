@@ -11,6 +11,7 @@ use crate::fit::FitResult;
 use crate::layer::Layer;
 use crate::network::Network;
 use crate::sched::ExecPlan;
+use crate::sim::{CostModel, OpCounter, OpKind};
 use orion_ckks::KeyManifest;
 use orion_graph::{place, Graph, Node, NodeKind, PlacementResult};
 use orion_linear::plan::{conv_plan, dense_plan, ConvSpec, LinearPlan};
@@ -18,7 +19,6 @@ use orion_linear::TensorLayout;
 use orion_poly::eval::{
     fhe_eval_depth, relu_product_ops, square_ops, stage_ops, trimmed_degree, StageOps,
 };
-use orion_sim::{CostModel, OpCounter, OpKind};
 use orion_tensor::Tensor;
 
 /// One executable program step.

@@ -1,6 +1,8 @@
-//! Real-CKKS execution of compiled programs — a thin wrapper over the
-//! unified dataflow scheduler ([`crate::backend::run_program`]) with the
-//! [`CkksBackend`] engine.
+//! Real-CKKS key material and the serving path. A tensor-in run is
+//! [`crate::backend::run_program`] on a [`CkksBackend`] built from the
+//! session — `CkksBackend::new` (weights encoded per inference) or
+//! `CkksBackend::with_prepared` (the cache [`FheSession::prepare`] builds);
+//! a served request is [`run_fhe_plan`], ciphertexts in.
 //!
 //! An [`FheSession`] owns the key material (public, relinearization, and
 //! exactly the rotation keys the compiled plans need, each generated at
@@ -15,21 +17,20 @@
 //! ([`FheSession::decrypt_output`]) — besides the bootstrap oracle, the
 //! one place a run touches the secret key.
 
-use crate::backend::{decrypt_output, encrypt_input, run_program, LinearRef};
+use crate::backend::{decrypt_output, encrypt_input, LinearRef};
 use crate::backends::CkksBackend;
 use crate::compile::Compiled;
 use crate::opt::{optimize_plan, OptConfig};
 use crate::sched::{run_plan, ExecPlan};
+use crate::sim::OpCounter;
 use orion_ckks::bootstrap::BootstrapOracle;
 use orion_ckks::encoder::Encoder;
 use orion_ckks::encrypt::{Ciphertext, Decryptor, Encryptor, Plaintext};
 use orion_ckks::eval::Evaluator;
 use orion_ckks::keys::KeyGenerator;
 use orion_ckks::params::{CkksParams, Context};
-use orion_ckks::precision::precision_bits;
 use orion_linear::paged::LayerSource;
 use orion_linear::prepared::{PreparedLayer, PreparedProgram};
-use orion_sim::OpCounter;
 use orion_tensor::Tensor;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -113,7 +114,7 @@ impl FheSession {
 /// diagonals and bias blocks at their placement-assigned levels (paper §6:
 /// weight diagonals as offline artifacts). Encoding needs no key, so the
 /// cache is the same for every client of a model. It is keyed by program
-/// step id; serve with [`run_fhe_prepared`].
+/// step id; serve with [`CkksBackend::with_prepared`].
 pub fn prepare_program(c: &Compiled, enc: &Encoder) -> PreparedProgram {
     let ctx = enc.context();
     assert_eq!(
@@ -138,55 +139,12 @@ pub fn prepare_program(c: &Compiled, enc: &Encoder) -> PreparedProgram {
     prog
 }
 
-/// Result of a real FHE run.
+/// Result of a served request.
 pub struct FheRun {
     /// The decrypted network output.
     pub output: Tensor,
-    /// Wall-clock seconds of the encrypted inference.
+    /// Wall-clock seconds of the walk and the output decryption.
     pub wall_seconds: f64,
-    /// Bootstraps performed.
-    pub bootstraps: u64,
-}
-
-impl FheRun {
-    /// Output precision in bits against a reference output (paper §7).
-    pub fn precision_vs(&self, reference: &Tensor) -> f64 {
-        precision_bits(self.output.data(), reference.data())
-    }
-}
-
-/// Runs a compiled program on real CKKS.
-pub fn run_fhe(c: &Compiled, s: &FheSession, input: &Tensor) -> FheRun {
-    let t0 = std::time::Instant::now();
-    let backend = CkksBackend::new(s);
-    let run = run_program(c, &backend, input);
-    FheRun {
-        output: run.output,
-        wall_seconds: t0.elapsed().as_secs_f64(),
-        // counted per run by the interpreter — the session-global oracle
-        // counter would interleave across concurrent batch inferences
-        bootstraps: run.bootstraps,
-    }
-}
-
-/// Runs a compiled program on real CKKS serving linear layers from a
-/// prepared cache: zero per-inference weight encodes, parallel BSGS
-/// baby-step/giant-group scheduling. The cache is read-only — clone the
-/// `Arc` to share it across concurrent inferences.
-pub fn run_fhe_prepared(
-    c: &Compiled,
-    s: &FheSession,
-    prepared: &Arc<PreparedProgram>,
-    input: &Tensor,
-) -> FheRun {
-    let t0 = std::time::Instant::now();
-    let backend = CkksBackend::with_prepared(s, Arc::clone(prepared));
-    let run = run_program(c, &backend, input);
-    FheRun {
-        output: run.output,
-        wall_seconds: t0.elapsed().as_secs_f64(),
-        bootstraps: run.bootstraps,
-    }
 }
 
 /// The serving hot path: walks `plan` — the program's execution plan, built,
@@ -212,7 +170,6 @@ pub fn run_fhe_plan(
         FheRun {
             output: s.decrypt_output(c, &run.output_wire),
             wall_seconds: t0.elapsed().as_secs_f64(),
-            bootstraps: run.bootstraps,
         },
         run.counter,
     )
@@ -220,7 +177,8 @@ pub fn run_fhe_plan(
 
 /// [`run_fhe_plan`] on the freshly built, fully optimized plan against a
 /// fully-resident prepared cache — the direct (no queue, no paging)
-/// reference the serve smoke tests compare bit-exactly against.
+/// reference the serve smoke tests compare bit-exactly against. Kept
+/// because the `perf/` name pin calls it (ROADMAP item 7(b)).
 pub fn run_fhe_prepared_cts(
     c: &Compiled,
     s: &FheSession,

@@ -14,9 +14,13 @@
 //! 4. packing: one single-shot multiplexed [`orion_linear::LinearPlan`]
 //!    per linear layer,
 //! 5. automatic bootstrap placement over the level digraph
-//!    (`orion_graph::place`), driven by the analytical cost model,
-//! 6. emission of an executable program that runs identically on the
-//!    cleartext engine (`run_trace`) and on real CKKS (`run_fhe`).
+//!    (`orion_graph::place`), driven by the analytical cost model
+//!    ([`sim::CostModel`]),
+//! 6. emission of an executable program that [`run_program`] runs
+//!    identically on every engine — the cleartext one
+//!    ([`ClearBackend::reference`] / [`ClearBackend::packed`]) and real
+//!    CKKS ([`CkksBackend::new`] / [`CkksBackend::with_prepared`]) — with
+//!    the plan's op tallies ([`sim::OpCounter`]) alongside the output.
 
 pub mod act;
 pub mod backend;
@@ -28,6 +32,7 @@ pub mod layer;
 pub mod network;
 pub mod opt;
 pub mod sched;
+pub mod sim;
 pub mod verify;
 
 pub use backend::{run_program, EvalBackend, LinearRef, ProgramRun};

@@ -63,9 +63,9 @@
 
 use crate::backend::{EvalBackend, LinearRef};
 use crate::compile::{Compiled, Step};
+use crate::sim::{OpCounter, OpKind};
 use orion_ckks::KeyManifest;
 use orion_math::parallel::Scope;
-use orion_sim::{OpCounter, OpKind};
 
 /// What one scheduled unit computes — always work that reads and/or
 /// writes ciphertexts.
@@ -228,7 +228,7 @@ pub struct ExecPlan {
     pub output: Buffer,
     /// Total value slots.
     pub(crate) n_slots: usize,
-    /// Total bootstrap units (the run's `bootstraps` tally).
+    /// Total bootstrap units (what the verifier checks placement against).
     bootstraps: u64,
     /// Hoist-once rotation specs installed by the optimizer (empty on an
     /// unoptimized plan); indexed by `UnitWork::SharedRot::spec`.
@@ -377,7 +377,7 @@ impl ExecPlan {
         }
     }
 
-    /// Bootstrap units in the plan (== the interpreter's bootstrap count).
+    /// Bootstrap units in the plan (== `count_plan(..).bootstraps()`).
     pub fn bootstraps(&self) -> u64 {
         self.bootstraps
     }
@@ -834,8 +834,6 @@ impl<'a, B: EvalBackend + Sync> RunState<'a, B> {
 pub struct PlanRun<Ct> {
     /// The output wire, moved out of the plan's output buffer.
     pub output_wire: Vec<Ct>,
-    /// Ciphertext bootstraps performed.
-    pub bootstraps: u64,
     /// The plan's op tallies with modeled latency ([`count_plan`]).
     pub counter: OpCounter,
 }
@@ -898,7 +896,6 @@ pub fn run_plan<B: EvalBackend + Sync>(
         .collect();
     PlanRun {
         output_wire,
-        bootstraps: plan.bootstraps,
         counter: count_plan(plan, c, backend),
     }
 }
@@ -938,7 +935,7 @@ mod tests {
     use crate::compile::{compile, CompileOptions};
     use crate::fit::fixed_ranges;
     use crate::network::Network;
-    use orion_sim::CostModel;
+    use crate::sim::CostModel;
     use orion_tensor::Tensor;
     use rand::rngs::StdRng;
     use rand::SeedableRng;

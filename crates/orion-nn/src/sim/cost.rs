@@ -13,7 +13,7 @@
 //!   decomposition does `(ℓ+1)(ℓ+2)` NTTs),
 //! * bootstrap: super-linear in `L_eff` (dnum growth; Figure 1c).
 
-use crate::counter::OpKind;
+use super::counter::OpKind;
 
 /// Analytical cost model for one CKKS parameter set.
 #[derive(Clone, Debug)]
@@ -117,7 +117,7 @@ impl CostModel {
     /// ciphertext at `level` (a `Bootstrap`'s level is the `L_eff` it
     /// refreshes to). Placement's objective, the op counter and every
     /// report are `Σ count × op(kind, level)` over a plan unit's op list
-    /// ([`crate::OpCounter::priced`]); the per-op methods above are the
+    /// ([`super::OpCounter::priced`]); the per-op methods above are the
     /// curves it reads (Figure 1).
     pub fn op(&self, kind: OpKind, level: usize) -> f64 {
         match kind {

@@ -1,8 +1,7 @@
 //! Operation counters: the statistics behind the paper's "# Rots" and
 //! "# Boots" columns (Tables 2–4).
 
-use crate::cost::CostModel;
-use serde::{Deserialize, Serialize, Value};
+use super::cost::CostModel;
 use std::collections::BTreeMap;
 
 /// Kinds of homomorphic operations tallied during execution.
@@ -44,42 +43,6 @@ impl OpKind {
         OpKind::Rescale,
         OpKind::Bootstrap,
     ];
-
-    /// Stable serialization name.
-    pub fn name(&self) -> &'static str {
-        match self {
-            OpKind::HAdd => "HAdd",
-            OpKind::PAdd => "PAdd",
-            OpKind::PMult => "PMult",
-            OpKind::HMult => "HMult",
-            OpKind::HRot => "HRot",
-            OpKind::HRotHoisted => "HRotHoisted",
-            OpKind::Hoist => "Hoist",
-            OpKind::ModDown => "ModDown",
-            OpKind::Rescale => "Rescale",
-            OpKind::Bootstrap => "Bootstrap",
-        }
-    }
-
-    /// Inverse of [`OpKind::name`].
-    pub fn from_name(name: &str) -> Option<Self> {
-        OpKind::ALL.iter().copied().find(|k| k.name() == name)
-    }
-}
-
-impl Serialize for OpKind {
-    fn to_value(&self) -> Value {
-        Value::Str(self.name().to_string())
-    }
-}
-
-impl Deserialize for OpKind {
-    fn from_value(v: &Value) -> Result<Self, String> {
-        let s = v
-            .as_str()
-            .ok_or_else(|| format!("expected op-kind string, got {v:?}"))?;
-        Self::from_name(s).ok_or_else(|| format!("unknown op kind {s:?}"))
-    }
 }
 
 /// Tallies operations and accumulates modeled latency.
@@ -190,60 +153,6 @@ impl OpCounter {
     }
 }
 
-impl Serialize for OpCounter {
-    fn to_value(&self) -> Value {
-        let counts = self
-            .counts
-            .iter()
-            .map(|(k, &n)| (k.name().to_string(), Value::Num(n as f64)))
-            .collect();
-        Value::Obj(vec![
-            ("counts".to_string(), Value::Obj(counts)),
-            ("seconds".to_string(), Value::Num(self.seconds)),
-            (
-                "linear_seconds".to_string(),
-                Value::Num(self.linear_seconds),
-            ),
-            (
-                "bootstrap_seconds".to_string(),
-                Value::Num(self.bootstrap_seconds),
-            ),
-            ("encodes".to_string(), Value::Num(self.encodes as f64)),
-        ])
-    }
-}
-
-impl Deserialize for OpCounter {
-    fn from_value(v: &Value) -> Result<Self, String> {
-        let counts_obj = match v.get("counts") {
-            Some(Value::Obj(fields)) => fields,
-            other => return Err(format!("expected counts object, got {other:?}")),
-        };
-        let mut counts = BTreeMap::new();
-        for (name, n) in counts_obj {
-            let kind =
-                OpKind::from_name(name).ok_or_else(|| format!("unknown op kind {name:?}"))?;
-            let n = n
-                .as_f64()
-                .ok_or_else(|| format!("count {name:?} is not a number"))?;
-            counts.insert(kind, n as u64);
-        }
-        let field = |key: &str| -> Result<f64, String> {
-            v.get(key)
-                .and_then(Value::as_f64)
-                .ok_or_else(|| format!("missing numeric field {key:?}"))
-        };
-        Ok(Self {
-            counts,
-            seconds: field("seconds")?,
-            linear_seconds: field("linear_seconds")?,
-            bootstrap_seconds: field("bootstrap_seconds")?,
-            // absent in pre-prepared-path logs
-            encodes: v.get("encodes").and_then(Value::as_f64).unwrap_or(0.0) as u64,
-        })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -293,41 +202,5 @@ mod tests {
         assert_eq!(d.count(OpKind::Hoist), 0);
         assert_eq!(d.encodes, 4);
         assert!((d.seconds - 0.2).abs() < 1e-12);
-    }
-}
-
-/// Serializes a counter to pretty JSON (for experiment logs; the struct
-/// also implements `serde::Serialize` for custom sinks).
-pub fn to_json(counter: &OpCounter) -> String {
-    serde_json::to_string_pretty(counter).expect("counter is always serializable")
-}
-
-#[cfg(test)]
-mod json_tests {
-    use super::*;
-
-    #[test]
-    fn json_roundtrip() {
-        let mut c = OpCounter::new();
-        c.record(OpKind::HRot, 7, 1.5);
-        c.record(OpKind::Bootstrap, 2, 20.0);
-        c.record_encodes(9);
-        let json = to_json(&c);
-        assert!(json.contains("HRot"));
-        let back: OpCounter = serde_json::from_str(&json).unwrap();
-        assert_eq!(back.rotations(), 7);
-        assert_eq!(back.bootstraps(), 2);
-        assert_eq!(back.encodes, 9);
-        assert!((back.seconds - c.seconds).abs() < 1e-12);
-    }
-
-    #[test]
-    fn json_without_encodes_field_still_parses() {
-        // pre-prepared-path logs lack the field; it defaults to zero
-        let json = r#"{"counts": {"HRot": 1}, "seconds": 0.1,
-                       "linear_seconds": 0.0, "bootstrap_seconds": 0.0}"#;
-        let back: OpCounter = serde_json::from_str(json).unwrap();
-        assert_eq!(back.encodes, 0);
-        assert_eq!(back.rotations(), 1);
     }
 }

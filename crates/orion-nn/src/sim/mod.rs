@@ -9,7 +9,7 @@
 //!
 //! [`counter::OpCounter`] is the tally the paper's reporting columns are
 //! read from ("# Rots", "# Boots", modeled latency). It is filled by a fold
-//! over the execution plan (`orion_nn::sched::count_plan`), not by an
+//! over the execution plan ([`crate::sched::count_plan`]), not by an
 //! engine, which is how the ImageNet-scale rows of Table 2 are regenerated
 //! without hours of 64-bit modular arithmetic — the *plans* are identical
 //! to the real backend's (see README, "Substitutions").

@@ -47,7 +47,7 @@
 //! checkpoint and stays live to the end.
 //!
 //! The verifier runs by default at three choke points: `Orion::compile`
-//! and `prepare_fhe` (orion-core), after the plan optimizer's rewrite
+//! and `prepare_fhe` (the facade's `orion::core`), after the plan optimizer's rewrite
 //! ([`crate::opt::optimize_plan`]: a rewrite that
 //! introduces an error diagnostic is rolled back, not shipped — see
 //! [`crate::opt::checked_rewrite`]), and at orion-serve model

@@ -4,12 +4,13 @@
 
 use orion_ckks::precision::precision_bits;
 use orion_ckks::CkksParams;
-use orion_nn::backends::run_trace;
+use orion_nn::backends::{CkksBackend, ClearBackend};
 use orion_nn::compile::{compile, CompileOptions, Step};
-use orion_nn::fhe_exec::{run_fhe, FheSession};
+use orion_nn::fhe_exec::FheSession;
 use orion_nn::fit::{fit, fixed_ranges};
 use orion_nn::network::Network;
-use orion_sim::CostModel;
+use orion_nn::sim::CostModel;
+use orion_nn::{run_program, ExecPlan};
 use orion_tensor::Tensor;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -45,7 +46,7 @@ fn trace_run_matches_polynomial_reference() {
     let compiled = compile(&net, &fitres, &opts);
 
     let input = random_input(3, 8, 8, &mut rng);
-    let run = run_trace(&compiled, &input);
+    let run = run_program(&compiled, &ClearBackend::reference(&compiled), &input);
     // The trace backend computes the fitted-polynomial semantics exactly.
     let reference = net.forward_poly(&input, &compiled.acts);
     let prec = precision_bits(run.output.data(), reference.data());
@@ -85,7 +86,7 @@ fn trace_run_places_bootstraps_on_deep_networks() {
     let compiled = compile(&net, &fitres, &opts);
     assert!(compiled.placement.boot_count > 0);
     let input = random_input(2, 8, 8, &mut rng);
-    let run = run_trace(&compiled, &input);
+    let run = run_program(&compiled, &ClearBackend::reference(&compiled), &input);
     assert_eq!(run.counter.bootstraps(), compiled.placement.boot_count);
     let reference = net.forward_poly(&input, &compiled.acts);
     let prec = precision_bits(run.output.data(), reference.data());
@@ -114,8 +115,12 @@ fn fhe_mlp_with_square_activation_end_to_end() {
 
     let session = FheSession::new(params, &compiled, 103);
     let input = random_input(1, 8, 8, &mut rng);
-    let run = run_fhe(&compiled, &session, &input);
-    assert_eq!(run.bootstraps, compiled.placement.boot_count);
+    let run = run_program(&compiled, &CkksBackend::new(&session), &input);
+    assert_eq!(run.counter.bootstraps(), compiled.placement.boot_count);
+    assert_eq!(
+        run.counter.bootstraps(),
+        ExecPlan::build(&compiled).bootstraps()
+    );
 
     let reference = net.forward_poly(&input, &compiled.acts);
     let prec = run.precision_vs(&reference);
@@ -146,7 +151,7 @@ fn fhe_conv_silu_network_end_to_end() {
     let compiled = compile(&net, &fitres, &opts);
     let session = FheSession::new(params, &compiled, 105);
     let input = random_input(1, 8, 8, &mut rng);
-    let run = run_fhe(&compiled, &session, &input);
+    let run = run_program(&compiled, &CkksBackend::new(&session), &input);
     let reference = net.forward_poly(&input, &compiled.acts);
     let prec = run.precision_vs(&reference);
     assert!(prec > 8.0, "FHE conv net too imprecise: {prec} bits");
@@ -209,7 +214,7 @@ fn fhe_folded_dense_feeds_a_range_fitted_activation() {
     assert!(folded, "fc1 (64 → 16 at S = 512) must fold");
     let session = FheSession::new(params, &compiled, 109);
     let input = near_one(&mut rng);
-    let run = run_fhe(&compiled, &session, &input);
+    let run = run_program(&compiled, &CkksBackend::new(&session), &input);
     let reference = net.forward_poly(&input, &compiled.acts);
     let prec = run.precision_vs(&reference);
     assert!(prec > 8.0, "folded dense → SiLU too imprecise: {prec} bits");
@@ -237,7 +242,7 @@ fn fhe_relu_network_end_to_end() {
     let compiled = compile(&net, &fitres, &opts);
     let session = FheSession::new(params, &compiled, 107);
     let input = random_input(2, 4, 4, &mut rng);
-    let run = run_fhe(&compiled, &session, &input);
+    let run = run_program(&compiled, &CkksBackend::new(&session), &input);
     let reference = net.forward_poly(&input, &compiled.acts);
     let prec = run.precision_vs(&reference);
     assert!(prec > 5.0, "FHE ReLU net too imprecise: {prec} bits");
@@ -258,12 +263,12 @@ fn trace_and_fhe_agree() {
     let opts = CompileOptions::from_params(&params);
     let compiled = compile(&net, &fitres, &opts);
     let input = random_input(1, 4, 4, &mut rng);
-    let trace = run_trace(&compiled, &input);
+    let trace = run_program(&compiled, &ClearBackend::reference(&compiled), &input);
     let session = FheSession::new(params, &compiled, 109);
-    let fhe = run_fhe(&compiled, &session, &input);
+    let fhe = run_program(&compiled, &CkksBackend::new(&session), &input);
     let prec = precision_bits(fhe.output.data(), trace.output.data());
     assert!(prec > 8.0, "trace and FHE disagree: {prec} bits");
-    assert_eq!(trace.counter.bootstraps(), fhe.bootstraps);
+    assert_eq!(trace.counter.bootstraps(), fhe.counter.bootstraps());
 }
 
 #[test]
@@ -296,7 +301,7 @@ fn fhe_multi_ciphertext_wire() {
     );
     let session = FheSession::new(params, &compiled, 201);
     let input = random_input(4, 16, 16, &mut rng);
-    let run = run_fhe(&compiled, &session, &input);
+    let run = run_program(&compiled, &CkksBackend::new(&session), &input);
     let reference = net.forward_poly(&input, &compiled.acts);
     let prec = run.precision_vs(&reference);
     assert!(prec > 8.0, "multi-ct FHE diverged: {prec} bits");

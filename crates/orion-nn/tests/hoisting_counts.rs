@@ -14,8 +14,8 @@ use orion_nn::fhe_exec::FheSession;
 use orion_nn::fit::{fit, fixed_ranges};
 use orion_nn::network::Network;
 use orion_nn::sched::{count_plan, ExecPlan};
-use orion_sim::counter::OpKind;
-use orion_sim::CostModel;
+use orion_nn::sim::counter::OpKind;
+use orion_nn::sim::CostModel;
 use orion_tensor::Tensor;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};

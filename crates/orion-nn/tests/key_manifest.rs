@@ -14,8 +14,8 @@ use orion_nn::fit::fixed_ranges;
 use orion_nn::network::Network;
 use orion_nn::opt::{optimize_plan, OptConfig};
 use orion_nn::sched::{ExecPlan, UnitWork};
+use orion_nn::sim::OpKind;
 use orion_nn::verify::{verify_plan, VerifyConfig};
-use orion_sim::OpKind;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::collections::BTreeMap;

@@ -18,8 +18,8 @@ use orion_nn::fit::fixed_ranges;
 use orion_nn::network::Network;
 use orion_nn::opt::{optimize_plan, OptConfig};
 use orion_nn::sched::{run_plan, ExecPlan, PlanRun};
-use orion_sim::counter::OpKind;
-use orion_sim::{CostModel, OpCounter};
+use orion_nn::sim::counter::OpKind;
+use orion_nn::sim::{CostModel, OpCounter};
 use orion_tensor::Tensor;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -105,7 +105,11 @@ fn run_pair<B: orion_nn::EvalBackend + Sync>(
         decrypt_output(c, &backend, &optimized.output_wire).data(),
         "{what}: optimized output diverged"
     );
-    assert_eq!(base.bootstraps, optimized.bootstraps, "{what}: bootstraps");
+    assert_eq!(
+        base.counter.bootstraps(),
+        optimized.counter.bootstraps(),
+        "{what}: bootstraps"
+    );
     (base.counter, optimized.counter, stats)
 }
 

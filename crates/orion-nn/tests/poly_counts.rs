@@ -14,7 +14,7 @@ use orion_nn::compile::{compile, CompileOptions};
 use orion_nn::fhe_exec::FheSession;
 use orion_nn::fit::fit;
 use orion_nn::network::Network;
-use orion_sim::counter::OpKind;
+use orion_nn::sim::counter::OpKind;
 use orion_telemetry::{op_histogram, OpClass};
 use orion_tensor::Tensor;
 use rand::rngs::StdRng;

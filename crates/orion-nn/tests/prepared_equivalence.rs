@@ -1,5 +1,6 @@
-//! The prepared serving path end to end: `run_fhe_prepared` computes the
-//! same function as `run_fhe` on a real conv + dense network, the run's
+//! The prepared serving path end to end: `run_program` on
+//! `CkksBackend::with_prepared` computes the same function as on
+//! `CkksBackend::new` on a real conv + dense network, the run's
 //! op counter machine-checks the zero-per-inference-encodes claim, and
 //! prepared engines stay counter-identical across CKKS and the modeled
 //! backends.
@@ -9,7 +10,7 @@ use orion_ckks::CkksParams;
 use orion_nn::backend::{run_program, LinearRef};
 use orion_nn::backends::{CkksBackend, ClearBackend};
 use orion_nn::compile::{compile, CompileOptions, Step};
-use orion_nn::fhe_exec::{run_fhe, run_fhe_prepared, run_fhe_prepared_cts, FheSession};
+use orion_nn::fhe_exec::{run_fhe_prepared_cts, FheSession};
 use orion_nn::fit::fixed_ranges;
 use orion_nn::network::Network;
 use orion_nn::sched::{run_plan, ExecPlan};
@@ -68,17 +69,15 @@ fn prepared_run_matches_on_the_fly_with_zero_encodes() {
     // Both paths compute the same function (fresh encryption randomness
     // per run, so compare decrypted values, not ciphertext bits — the
     // bit-exact executor check lives in orion-linear's prepared_exec).
-    let on_the_fly = run_fhe(&compiled, &session, &input);
-    let served = run_fhe_prepared(&compiled, &session, &prepared, &input);
+    let on_the_fly = run_program(&compiled, &CkksBackend::new(&session), &input);
+    let served = CkksBackend::with_prepared(&session, prepared.clone());
+    let served = run_program(&compiled, &served, &input);
     let prec = precision_bits(served.output.data(), on_the_fly.output.data());
     assert!(prec > 8.0, "prepared diverged from on-the-fly: {prec} bits");
-    assert_eq!(served.bootstraps, on_the_fly.bootstraps);
 
     // Op tallies: the prepared run records ZERO per-inference encodes,
-    // everything else identical to the on-the-fly run.
-    let cold = run_program(&compiled, &CkksBackend::new(&session), &input).counter;
-    let warm = CkksBackend::with_prepared(&session, prepared.clone());
-    let warm = run_program(&compiled, &warm, &input).counter;
+    // everything else (bootstraps included) identical to the on-the-fly run.
+    let (cold, warm) = (on_the_fly.counter, served.counter);
     assert!(cold.encodes > 0, "on-the-fly path must encode");
     assert_eq!(
         warm.encodes, 0,
@@ -214,7 +213,8 @@ fn preencrypted_requests_replay_bit_exact() {
     assert_eq!(a_counter.encodes, 0);
     assert_eq!(b_counter.encodes, 0);
     // and the decrypted result matches a plaintext-input prepared run
-    let direct = run_fhe_prepared(&compiled, &session, &prepared, &input);
+    let direct = CkksBackend::with_prepared(&session, prepared);
+    let direct = run_program(&compiled, &direct, &input);
     let prec = precision_bits(a_run.output.data(), direct.output.data());
     assert!(prec > 8.0, "pre-encrypted diverged: {prec} bits");
 }

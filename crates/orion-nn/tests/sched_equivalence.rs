@@ -15,7 +15,7 @@ use orion_nn::fhe_exec::FheSession;
 use orion_nn::fit::fixed_ranges;
 use orion_nn::network::Network;
 use orion_nn::sched::{run_plan, ExecPlan, PlanRun};
-use orion_sim::{CostModel, OpCounter};
+use orion_nn::sim::{CostModel, OpCounter};
 use orion_tensor::Tensor;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -77,17 +77,19 @@ fn check_walks<B>(c: &Compiled, backend: &B, cts: &[B::Ciphertext], what: &str) 
 where
     B: orion_nn::EvalBackend + Sync,
 {
-    let (seq_run, par_runs) = walk_alone_and_in_parallel(&ExecPlan::build(c), c, backend, cts);
+    let plan = ExecPlan::build(c);
+    let (seq_run, par_runs) = walk_alone_and_in_parallel(&plan, c, backend, cts);
     for par_run in &par_runs {
         assert_eq!(
             decrypt_output(c, backend, &seq_run.output_wire).data(),
             decrypt_output(c, backend, &par_run.output_wire).data(),
             "{what}: parallel output diverged from the lone walk"
         );
-        assert_eq!(seq_run.bootstraps, par_run.bootstraps, "{what}: bootstraps");
         assert_counters_bit_identical(&seq_run.counter, &par_run.counter, what);
     }
-    seq_run.bootstraps
+    let boots = seq_run.counter.bootstraps();
+    assert_eq!(boots, plan.bootstraps(), "{what}: bootstraps");
+    boots
 }
 
 fn mlp(rng: &mut StdRng) -> Network {

@@ -18,7 +18,7 @@ use orion_nn::fit::fixed_ranges;
 use orion_nn::network::Network;
 use orion_nn::opt::{optimize_plan, OptConfig, OptStats};
 use orion_nn::sched::{run_plan, ExecPlan, UnitWork};
-use orion_sim::CostModel;
+use orion_nn::sim::CostModel;
 use orion_tensor::Tensor;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -209,7 +209,7 @@ proptest! {
         let walk = |plan: &ExecPlan| {
             let run = run_plan(plan, &c, &backend, cts.clone());
             let wire: Vec<Vec<f64>> = run.output_wire.into_iter().map(|ct| ct.slots).collect();
-            (wire, run.bootstraps)
+            (wire, run.counter.bootstraps())
         };
         let built = walk(&plan);
 

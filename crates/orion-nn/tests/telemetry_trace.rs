@@ -19,7 +19,7 @@ use orion_nn::compile::{compile, CompileOptions, Compiled};
 use orion_nn::fit::fixed_ranges;
 use orion_nn::network::Network;
 use orion_nn::sched::{run_plan, ExecPlan};
-use orion_sim::CostModel;
+use orion_nn::sim::CostModel;
 use orion_telemetry::Phase;
 use orion_tensor::Tensor;
 use rand::rngs::StdRng;

@@ -11,8 +11,8 @@ use orion_nn::fit::fixed_ranges;
 use orion_nn::network::Network;
 use orion_nn::opt::{checked_rewrite, optimize_plan, OptConfig};
 use orion_nn::sched::{ExecPlan, UnitWork};
+use orion_nn::sim::CostModel;
 use orion_nn::verify::{verify_compiled, verify_plan, Rule, Severity, VerifyConfig};
-use orion_sim::CostModel;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;

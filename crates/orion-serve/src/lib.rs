@@ -1,8 +1,9 @@
 //! `orion-serve`: a multi-tenant FHE inference server over prepared
 //! inference plans.
 //!
-//! The compiler (orion-core) produces fast single-request primitives —
-//! `PreparedProgram` and `run_fhe_prepared` — but a production deployment
+//! The compiler produces fast single-request primitives — a
+//! `PreparedProgram` and `run_program` on `CkksBackend::with_prepared` (or
+//! `run_fhe_plan` over pre-encrypted requests) — but a production deployment
 //! needs a layer above them: many clients with their own keys, several
 //! models hosted side by side, admission control under load, and weight
 //! sets larger than RAM. This crate is that layer:

@@ -34,7 +34,7 @@ use orion_nn::compile::Compiled;
 use orion_nn::fhe_exec::{prepare_program, run_fhe_plan, FheSession};
 use orion_nn::opt::{optimize_plan, OptConfig, OptStats};
 use orion_nn::sched::ExecPlan;
-use orion_sim::OpCounter;
+use orion_nn::sim::OpCounter;
 use orion_tensor::Tensor;
 use parking_lot::{Condvar, Mutex, RwLock};
 use serde::Value;
@@ -58,7 +58,7 @@ pub struct ClientId(pub usize);
 pub struct ServeConfig {
     /// Ignored: requests are not batched, a worker takes one at a time. The
     /// field stays because the `perf/` name pin builds this struct with a
-    /// four-field literal (ROADMAP item 6(b)).
+    /// four-field literal (ROADMAP item 7(b)).
     pub max_batch: usize,
     /// Ignored, and kept, like [`ServeConfig::max_batch`]: no request waits
     /// on a timer.
@@ -353,7 +353,7 @@ impl Server {
     /// generates no key of any kind — the artifacts are key-independent and
     /// shared by every client of the model. `prep_seed` is ignored (there
     /// is no randomness left to seed); the parameter stays because the
-    /// `perf/` name pin passes it (ROADMAP item 6(b)).
+    /// `perf/` name pin passes it (ROADMAP item 7(b)).
     ///
     /// The model is statically verified first ([`orion_nn::verify`]); an
     /// unverifiable program is rejected with [`ServeError::Unverifiable`]

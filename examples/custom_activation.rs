@@ -8,7 +8,7 @@
 //! ```
 
 use orion::ckks::CkksParams;
-use orion::core::{fhe_inference, fhe_session, Orion};
+use orion::core::{run_program, CkksBackend, Orion, Session};
 use orion::models::data::synthetic_images;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -44,9 +44,11 @@ fn main() {
         compiled.activation_depth()
     );
 
-    let session = fhe_session(params, &compiled, 11);
+    let session = Session::new(params, &compiled, 11);
     let input = &synthetic_images(1, 8, 8, 1, 12)[0];
-    let run = fhe_inference(&compiled, &session, input);
+    let t0 = std::time::Instant::now();
+    let run = run_program(&compiled, &CkksBackend::new(&session), input);
+    let wall = t0.elapsed().as_secs_f64();
     let exact = net.forward_exact(input);
     println!(
         "encrypted output:  {:?}",
@@ -67,8 +69,8 @@ fn main() {
     println!(
         "precision: {:.1} bits, {} bootstraps, {:.2}s wall",
         run.precision_vs(&exact),
-        run.bootstraps,
-        run.wall_seconds
+        run.counter.bootstraps(),
+        wall
     );
     assert!(run.precision_vs(&exact) > 5.0);
 }

@@ -9,7 +9,7 @@
 //! ```
 
 use orion::ckks::CkksParams;
-use orion::core::{fhe_inference, fhe_inference_prepared, fhe_session, Orion};
+use orion::core::{run_program, CkksBackend, Orion, Session};
 use orion::models::data::synthetic_digits;
 use orion::models::train::{accuracy_of_outputs, train_mlp, TrainConfig};
 
@@ -56,7 +56,7 @@ fn main() {
         compiled.placement.boot_count,
         compiled.activation_depth()
     );
-    let session = fhe_session(params, &compiled, 7);
+    let session = Session::new(params, &compiled, 7);
 
     // 4. Prepare once (the serving split: weight diagonals become offline
     //    artifacts), then serve the whole test set from the shared cache
@@ -73,13 +73,17 @@ fn main() {
     // 5. Encrypted inference over the test set (first one also measured
     //    cold for comparison).
     println!("running {} encrypted inferences…", test.images.len());
-    let cold = fhe_inference(&compiled, &session, &test.images[0]);
+    let t0 = std::time::Instant::now();
+    run_program(&compiled, &CkksBackend::new(&session), &test.images[0]);
+    let cold_secs = t0.elapsed().as_secs_f64();
+    let served = CkksBackend::with_prepared(&session, prepared);
     let mut outputs = Vec::new();
     let mut total_secs = 0.0;
     let mut precisions = Vec::new();
     for img in &test.images {
-        let run = fhe_inference_prepared(&compiled, &session, &prepared, img);
-        total_secs += run.wall_seconds;
+        let t0 = std::time::Instant::now();
+        let run = run_program(&compiled, &served, img);
+        total_secs += t0.elapsed().as_secs_f64();
         precisions.push(run.precision_vs(&net.forward_exact(img)));
         outputs.push(run.output);
     }
@@ -94,7 +98,7 @@ fn main() {
     println!(
         "  served latency:          {:.2} s/inference (on-the-fly: {:.2} s)",
         total_secs / test.images.len() as f64,
-        cold.wall_seconds
+        cold_secs
     );
     println!("\nFHE and cleartext classification agree — the paper's validation result.");
     assert!(fhe_acc * test.images.len() as f64 >= clear_correct as f64 - 1.0);

@@ -9,7 +9,7 @@
 //! cargo run --release --example resnet_cifar
 //! ```
 
-use orion::core::{trace_inference, Orion};
+use orion::core::{run_program, ClearBackend, Orion};
 use orion::models::data::synthetic_images;
 use orion::models::{build, Act};
 use orion::nn::fit::calibrate_batch_norm;
@@ -24,7 +24,7 @@ fn run(act: Act, label: &str) {
     let orion = Orion::paper_scale();
     let compiled = orion.compile(&net, &calib);
     let input = &synthetic_images(3, 32, 32, 1, 13)[0];
-    let run = trace_inference(&compiled, input);
+    let run = run_program(&compiled, &ClearBackend::reference(&compiled), input);
     let exact = net.forward_exact(input);
     println!("\nResNet-20 / {label}:");
     println!(

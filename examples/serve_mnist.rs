@@ -6,8 +6,8 @@
 //!
 //! Run with `cargo run --release --example serve_mnist`.
 
-use orion_core::serve::{ServeConfig, Server};
-use orion_core::Orion;
+use orion::core::serve::{ServeConfig, Server};
+use orion::core::Orion;
 use orion_models::data::synthetic_images;
 use orion_nn::fhe_exec::prepare_program;
 use orion_nn::network::Network;

@@ -3,8 +3,9 @@
 //! A Rust reproduction of *"Orion: A Fully Homomorphic Encryption Framework
 //! for Deep Learning"* (Ebel, Garimella, Reagen — ASPLOS 2025).
 //!
-//! This facade crate re-exports the whole workspace; see the README for a
-//! tour and `examples/` for runnable programs.
+//! This facade crate holds the top-level API ([`core`]: compile, run,
+//! serve) and re-exports the whole workspace; see the README for a tour
+//! and `examples/` for runnable programs.
 //!
 //! ```no_run
 //! use orion::nn::Network;
@@ -24,20 +25,57 @@
 //! println!("{}", compiled.report());
 //! ```
 
+pub mod core;
+
 pub use orion_ckks as ckks;
-pub use orion_core as core;
 pub use orion_graph as graph;
 pub use orion_linear as linear;
 pub use orion_math as math;
 pub use orion_models as models;
 pub use orion_nn as nn;
+/// `orion_nn::sim` under its own name, kept because the `perf/` name pin
+/// reads it here (ROADMAP item 7(b)).
+pub use orion_nn::sim;
 pub use orion_poly as poly;
-pub use orion_sim as sim;
 pub use orion_telemetry as telemetry;
 pub use orion_tensor as tensor;
 
-/// Commonly used items, importable with `use orion::prelude::*`.
-pub mod prelude {
-    pub use orion_ckks::{CkksParams, Context};
-    pub use orion_tensor::Tensor;
+#[cfg(test)]
+mod tests {
+    use crate::core::{trace_inference, Orion};
+    use orion_models::data::synthetic_images;
+    use orion_models::{build, Act};
+    use rand::rngs::StdRng;
+    use rand::SeedableRng;
+
+    #[test]
+    fn compiles_resnet20_at_paper_scale() {
+        let mut rng = StdRng::seed_from_u64(21);
+        let (net, _) = build("resnet20", Act::SiluDeg(63), &mut rng);
+        let calib = synthetic_images(3, 32, 32, 2, 22);
+        let orion = Orion::paper_scale();
+        let compiled = orion.compile(&net, &calib);
+        // ResNet-20 fits in one ciphertext per wire at 2^15 slots and needs
+        // bootstraps (depth far exceeds L_eff = 10).
+        assert!(compiled.placement.boot_count > 0);
+        assert!(compiled.planned_rotations() > 100);
+        // placement is fast (paper: 1.94 s for ResNet-20)
+        assert!(compiled.placement.placement_seconds < 30.0);
+    }
+
+    #[test]
+    fn trace_inference_of_resnet20_is_accurate() {
+        let mut rng = StdRng::seed_from_u64(23);
+        let (mut net, _) = build("resnet20", Act::SiluDeg(63), &mut rng);
+        let calib = synthetic_images(3, 32, 32, 16, 24);
+        orion_nn::fit::calibrate_batch_norm(&mut net, &calib);
+        let orion = Orion::paper_scale();
+        let compiled = orion.compile(&net, &calib);
+        let input = &synthetic_images(3, 32, 32, 1, 2525)[0];
+        let run = trace_inference(&compiled, input);
+        let reference = net.forward_poly(input, &compiled.acts);
+        let prec = run.precision_vs(&reference);
+        assert!(prec > 30.0, "trace ResNet-20 diverged: {prec} bits");
+        assert_eq!(run.counter.bootstraps(), compiled.placement.boot_count);
+    }
 }

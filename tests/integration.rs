@@ -2,7 +2,7 @@
 //! crate, plus paper-claim checks that span subsystems.
 
 use orion::ckks::CkksParams;
-use orion::core::{fhe_inference, fhe_session, trace_inference, Orion};
+use orion::core::{run_program, CkksBackend, ClearBackend, Orion, Session};
 use orion::models::data::{synthetic_digits, synthetic_images};
 use orion::models::train::{train_mlp, TrainConfig};
 use orion::models::{build, Act};
@@ -27,10 +27,11 @@ fn trained_mlp_fhe_accuracy_matches_cleartext() {
     let params = CkksParams::tiny();
     let orion = Orion::for_params(&params);
     let compiled = orion.compile(&net, &data.images[..6]);
-    let session = fhe_session(params, &compiled, 22);
+    let session = Session::new(params, &compiled, 22);
+    let backend = CkksBackend::new(&session);
     let mut agree = 0;
     for img in data.images.iter().take(6) {
-        let run = fhe_inference(&compiled, &session, img);
+        let run = run_program(&compiled, &backend, img);
         if run.output.argmax() == net.forward_exact(img).argmax() {
             agree += 1;
         }
@@ -149,12 +150,12 @@ fn trace_and_fhe_backends_agree_on_conv_net() {
     let orion = Orion::for_params(&params);
     let compiled = orion.compile(&net, &calib);
     let input = &synthetic_images(1, 8, 8, 1, 63)[0];
-    let trace = trace_inference(&compiled, input);
-    let session = fhe_session(params, &compiled, 64);
-    let fhe = fhe_inference(&compiled, &session, input);
+    let trace = run_program(&compiled, &ClearBackend::reference(&compiled), input);
+    let session = Session::new(params, &compiled, 64);
+    let fhe = run_program(&compiled, &CkksBackend::new(&session), input);
     let prec = orion::ckks::precision::precision_bits(fhe.output.data(), trace.output.data());
     assert!(prec > 6.0, "backends disagree: {prec} bits");
-    assert_eq!(trace.counter.bootstraps(), fhe.bootstraps);
+    assert_eq!(trace.counter.bootstraps(), fhe.counter.bootstraps());
 }
 
 /// The compiler rejects networks without fitted activation ranges.

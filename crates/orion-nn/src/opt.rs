@@ -23,7 +23,7 @@
 //! There is deliberately no pass that reorders units or retargets levels
 //! for memory: the walk holds every value until the run returns, so plan
 //! order frees nothing and such a rewrite has no run to show up in
-//! (README "The plan optimizer" has the measurements, ROADMAP item 3 the
+//! (README "The plan optimizer" has the measurements, ROADMAP item 1 the
 //! change that would give one a number).
 //!
 //! The pass owns no level arithmetic: what a unit reads at which level is
@@ -173,8 +173,8 @@ fn rotation_cse(plan: &mut ExecPlan, c: &Compiled) -> RotationCseStats {
     }
 
     struct Insertion {
-        /// Old unit id the shared unit is inserted before (the group's
-        /// first member — every producer dep precedes it).
+        /// Unit id the shared unit is inserted before (the group's first
+        /// member — every producer of the buffer precedes it).
         at: usize,
         spec: SharedRotSpec,
         members: Vec<usize>,
@@ -228,62 +228,29 @@ fn rotation_cse(plan: &mut ExecPlan, c: &Compiled) -> RotationCseStats {
     }
     insertions.sort_by_key(|i| i.at);
 
-    // Rebuild the unit list with the shared units spliced in. Deps stay in
-    // old ids until the whole list exists, then everything is remapped.
+    // Mark the consumers, then splice the shared units in, last first: an
+    // insert shifts only the units after it, and no unit holds a unit id.
     let spec_base = plan.shared.len();
-    let old_n = plan.units.len();
-    let mut map = vec![usize::MAX; old_n];
-    let mut shared_uid = vec![usize::MAX; insertions.len()];
-    let mut new_units: Vec<Unit> = Vec::with_capacity(old_n + insertions.len());
-    let mut next_ins = 0usize;
-    for (old, unit) in plan.units.iter().enumerate() {
-        while next_ins < insertions.len() && insertions[next_ins].at == old {
-            let ins = &insertions[next_ins];
-            shared_uid[next_ins] = new_units.len();
-            new_units.push(Unit {
-                work: UnitWork::SharedRot {
-                    spec: spec_base + next_ins,
-                },
-                // Same producers the member layers wait on (old ids —
-                // remapped below like everyone else's).
-                deps: plan.units[ins.members[0]].deps.clone(),
-                out_slot: usize::MAX,
-                out_len: 0,
-                in_slot: usize::MAX,
-                shared_rots: None,
-            });
-            next_ins += 1;
-        }
-        map[old] = new_units.len();
-        new_units.push(unit.clone());
-    }
-    for u in &mut new_units {
-        for d in &mut u.deps {
-            *d = map[*d];
-        }
-    }
     for (i, ins) in insertions.iter().enumerate() {
         for &m in &ins.members {
-            let u = &mut new_units[map[m]];
-            u.shared_rots = Some(spec_base + i);
-            u.deps.push(shared_uid[i]);
-            u.deps.sort_unstable();
+            plan.units[m].shared_rots = Some(spec_base + i);
         }
-        plan.shared.push(ins.spec.clone());
     }
-    plan.units = new_units;
-    rebuild_succs(plan);
+    for (i, ins) in insertions.iter().enumerate().rev() {
+        let work = UnitWork::SharedRot {
+            spec: spec_base + i,
+        };
+        plan.units.insert(
+            ins.at,
+            Unit {
+                work,
+                out_slot: usize::MAX,
+                out_len: 0,
+                shared_rots: None,
+            },
+        );
+    }
+    plan.shared
+        .extend(insertions.into_iter().map(|ins| ins.spec));
     stats
-}
-
-/// Rebuilds the reverse-edge table after a structural rewrite.
-fn rebuild_succs(plan: &mut ExecPlan) {
-    let mut succs: Vec<Vec<usize>> = vec![Vec::new(); plan.units.len()];
-    for (uid, unit) in plan.units.iter().enumerate() {
-        for &d in &unit.deps {
-            assert!(d < uid, "optimizer broke topological order");
-            succs[d].push(uid);
-        }
-    }
-    plan.succs = succs;
 }

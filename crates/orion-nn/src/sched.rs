@@ -12,8 +12,10 @@
 //! prepared executor's job). `Input` and `Output` are not work: the plan
 //! records the buffer the caller's ciphertexts go in and the buffer the
 //! result is taken from, and reading the input buffer is no dependency.
-//! Edges come from the program's producer/consumer structure and the
-//! bootstrap placement.
+//! The plan stores no edges: a unit's dependencies are the units that
+//! wrote the slots its signature reads ([`ExecPlan::deps`], derived in one
+//! plan-order pass over [`ExecPlan::unit_io`]) — what it reads *is* its
+//! edges.
 //!
 //! [`run_plan`] is the one walk — ciphertexts in, ciphertexts out — on any
 //! [`EvalBackend`] (whoever owns a tensor encrypts and decrypts it:
@@ -28,10 +30,11 @@
 //! Prefetch is an effect of the walk, not a unit. On a pool wider than one
 //! thread the walk runs inside an [`orion_math::parallel::scope`], and a
 //! unit about to run first announces the linear layers whose *first*
-//! dependency it is ([`EvalBackend::prefetch_linear`], spawned onto the
-//! pool), so a pager loads a layer while its input is still being
-//! computed. A layer with no dependency runs before anything could overlap
-//! its load and is not announced; on a one-thread pool nothing is.
+//! dependency ([`ExecPlan::deps`]) it is ([`EvalBackend::prefetch_linear`],
+//! spawned onto the pool), so a pager loads a layer while its input is
+//! still being computed. A layer with no dependency runs before anything
+//! could overlap its load and is not announced; on a one-thread pool
+//! nothing is.
 //!
 //! The thread a walk runs on cannot change its results: every unit is a
 //! pure function of its input ciphertexts (engines are `&self`,
@@ -95,6 +98,8 @@ pub enum UnitWork {
         consumer: usize,
         /// Ciphertext index within the wire.
         ct: usize,
+        /// The value slot being refreshed.
+        in_slot: usize,
     },
     /// Hoist-once unit inserted by the plan optimizer's rotation-CSE pass
     /// (`crate::opt`): digit-decomposes one (wire, version) buffer and
@@ -108,20 +113,16 @@ pub enum UnitWork {
     },
 }
 
-/// One schedulable node of the dataflow plan.
+/// One schedulable node of the dataflow plan. It holds no unit id: its
+/// dependencies are derived from what it reads ([`ExecPlan::deps`]).
 #[derive(Clone, Debug)]
 pub struct Unit {
     /// The work.
     pub work: UnitWork,
-    /// Plan-unit ids this unit waits on (all strictly smaller — plan
-    /// order is a topological order).
-    pub deps: Vec<usize>,
     /// First value slot this unit writes (`SharedRot` writes none).
     pub out_slot: usize,
     /// Number of value slots written.
     pub out_len: usize,
-    /// For `Boot` units: the value slot being refreshed.
-    pub in_slot: usize,
     /// Set by the optimizer's rotation-CSE pass on linear `Step` units:
     /// index of the [`SharedRotSpec`] whose hoisted rotations this layer
     /// consumes instead of hoisting privately.
@@ -213,10 +214,9 @@ pub struct SharedRotSpec {
 /// when the verifier rejects the rewritten result (`opt::checked_rewrite`).
 #[derive(Clone)]
 pub struct ExecPlan {
-    /// Units in a topological order (deps always precede).
+    /// Units in a topological order (every slot a unit reads is written
+    /// before it runs).
     pub units: Vec<Unit>,
-    /// Reverse edges: `succs[u]` = units depending on `u`.
-    pub(crate) succs: Vec<Vec<usize>>,
     /// Input buffers per program node, per input position — the (wire,
     /// version) each consumer reads, bootstrap rewrites applied.
     pub(crate) in_bufs: Vec<Vec<Buffer>>,
@@ -228,8 +228,6 @@ pub struct ExecPlan {
     pub output: Buffer,
     /// Total value slots.
     pub(crate) n_slots: usize,
-    /// Total bootstrap units (what the verifier checks placement against).
-    bootstraps: u64,
     /// Hoist-once rotation specs installed by the optimizer (empty on an
     /// unoptimized plan); indexed by `UnitWork::SharedRot::spec`.
     pub(crate) shared: Vec<SharedRotSpec>,
@@ -249,12 +247,9 @@ impl ExecPlan {
             n_slots += len;
             b
         };
-        // Current buffer and per-ct producer unit of every wire (`None`:
-        // the input wire, which the caller provides).
+        // Current buffer of every wire.
         let mut cur_buf: Vec<Option<Buffer>> = vec![None; c.prog.len()];
-        let mut cur_prod: Vec<Vec<Option<usize>>> = vec![Vec::new(); c.prog.len()];
         let mut in_bufs: Vec<Vec<Buffer>> = Vec::with_capacity(c.prog.len());
-        let mut bootstraps = 0u64;
         let (mut input, mut output) = (None, None);
 
         for (id, node) in c.prog.iter().enumerate() {
@@ -265,26 +260,20 @@ impl ExecPlan {
                 for &w in &node.inputs {
                     let old = cur_buf[w].expect("bootstrapping an unproduced wire");
                     let new = alloc(old.len);
-                    let mut prods = Vec::with_capacity(old.len);
                     for ct in 0..old.len {
-                        let uid = units.len();
                         units.push(Unit {
                             work: UnitWork::Boot {
                                 wire: w,
                                 consumer: id,
                                 ct,
+                                in_slot: old.offset + ct,
                             },
-                            deps: cur_prod[w][ct].into_iter().collect(),
                             out_slot: new.offset + ct,
                             out_len: 1,
-                            in_slot: old.offset + ct,
                             shared_rots: None,
                         });
-                        prods.push(Some(uid));
-                        bootstraps += 1;
                     }
                     cur_buf[w] = Some(new);
-                    cur_prod[w] = prods;
                 }
             }
             let ins: Vec<Buffer> = node
@@ -299,35 +288,26 @@ impl ExecPlan {
                 Step::Input => {
                     let buf = alloc(node.layout.num_ciphertexts(slots));
                     cur_buf[id] = Some(buf);
-                    cur_prod[id] = vec![None; buf.len];
                     input = Some(buf);
                 }
                 Step::Output => output = ins.first().copied(),
                 Step::Conv { .. } | Step::Dense { .. } => {
-                    let producers = node.inputs.iter().flat_map(|&w| &cur_prod[w]);
-                    let mut deps: Vec<usize> = producers.flatten().copied().collect();
-                    deps.sort_unstable();
-                    deps.dedup();
                     let out = alloc(n_out);
-                    let uid = units.len();
                     units.push(Unit {
                         work: UnitWork::Step { node: id },
-                        deps,
                         out_slot: out.offset,
                         out_len: out.len,
-                        in_slot: usize::MAX,
                         shared_rots: None,
                     });
                     cur_buf[id] = Some(out);
-                    cur_prod[id] = vec![Some(uid); out.len];
                 }
                 Step::ScaleDown { .. }
                 | Step::PolyStage { .. }
                 | Step::Square
                 | Step::Add
                 | Step::ReluFinal { .. } => {
-                    // Elementwise: output ct j depends only on input ct j
-                    // of every input wire.
+                    // Elementwise: output ct j reads only input ct j of
+                    // every input wire.
                     for b in &ins {
                         assert_eq!(
                             b.len, n_out,
@@ -335,51 +315,64 @@ impl ExecPlan {
                         );
                     }
                     let out = alloc(n_out);
-                    let mut prods = Vec::with_capacity(n_out);
                     for ct in 0..n_out {
-                        let uid = units.len();
                         units.push(Unit {
                             work: UnitWork::StepCt { node: id, ct },
-                            deps: node
-                                .inputs
-                                .iter()
-                                .filter_map(|&w| cur_prod[w][ct])
-                                .collect(),
                             out_slot: out.offset + ct,
                             out_len: 1,
-                            in_slot: usize::MAX,
                             shared_rots: None,
                         });
-                        prods.push(Some(uid));
                     }
                     cur_buf[id] = Some(out);
-                    cur_prod[id] = prods;
                 }
             }
             in_bufs.push(ins);
         }
 
-        let mut succs: Vec<Vec<usize>> = vec![Vec::new(); units.len()];
-        for (uid, unit) in units.iter().enumerate() {
-            for &d in &unit.deps {
-                succs[d].push(uid);
-            }
-        }
         Self {
             units,
-            succs,
             in_bufs,
             input: input.expect("program has no input node"),
             output: output.expect("program has no output node"),
             n_slots,
-            bootstraps,
             shared: Vec::new(),
         }
     }
 
     /// Bootstrap units in the plan (== `count_plan(..).bootstraps()`).
     pub fn bootstraps(&self) -> u64 {
-        self.bootstraps
+        let is_boot = |u: &&Unit| matches!(u.work, UnitWork::Boot { .. });
+        self.units.iter().filter(is_boot).count() as u64
+    }
+
+    /// Every unit's dependencies, derived from what it reads: the units
+    /// that wrote the slots of its [`UnitIo::reads`] (in read order, without
+    /// consecutive repeats) and, for a layer fed by a shared hoist, that
+    /// `SharedRot` unit. Reading the input wire is no dependency. One
+    /// plan-order pass over [`ExecPlan::unit_io`] with a slot → producer
+    /// table, so a dependency always precedes its unit; panics on a unit
+    /// the plan cannot describe (the verifier's coverage finding).
+    pub fn deps(&self, c: &Compiled) -> Vec<Vec<usize>> {
+        let mut producer: Vec<Option<usize>> = vec![None; self.n_slots];
+        let mut hoist: Vec<Option<usize>> = vec![None; self.shared.len()];
+        let mut all = Vec::with_capacity(self.units.len());
+        for (uid, unit) in self.units.iter().enumerate() {
+            let io = self.io(c, uid);
+            let read = io.reads.iter().flatten().flat_map(|(buf, _)| buf.slots());
+            let shared = unit.shared_rots.and_then(|spec| hoist[spec]);
+            let mut deps: Vec<usize> = Vec::new();
+            for d in read.filter_map(|s| producer[s]).chain(shared) {
+                if deps.last() != Some(&d) {
+                    deps.push(d);
+                }
+            }
+            all.push(deps);
+            match unit.work {
+                UnitWork::SharedRot { spec } => hoist[spec] = Some(uid),
+                _ => producer[unit.out_slot..unit.out_slot + unit.out_len].fill(Some(uid)),
+            }
+        }
+        all
     }
 
     /// Total value slots the plan writes.
@@ -393,26 +386,18 @@ impl ExecPlan {
         &self.shared
     }
 
-    /// Units depending on `uid` (reverse edges).
-    pub fn successors(&self, uid: usize) -> &[usize] {
-        &self.succs[uid]
-    }
-
     /// A canonical textual dump of the plan's full structure — units with
-    /// every field, reverse edges, consumer buffers, the input and output
-    /// buffers, slot count and shared specs. Two plans are structurally
-    /// identical iff their digests are byte-identical; the optimizer's
-    /// disabled-pipeline test pins that a no-op pass leaves the digest
-    /// untouched.
+    /// every field, consumer buffers, the input and output buffers, slot
+    /// count and shared specs. Two plans are structurally identical iff
+    /// their digests are byte-identical; the optimizer's disabled-pipeline
+    /// test pins that a no-op pass leaves the digest untouched.
     pub fn digest(&self) -> String {
         format!(
-            "units={:?}\nsuccs={:?}\nin_bufs={:?}\nio={:?}\nn_slots={}\nbootstraps={}\nshared={:?}\n",
+            "units={:?}\nin_bufs={:?}\nio={:?}\nn_slots={}\nshared={:?}\n",
             self.units,
-            self.succs,
             self.in_bufs,
             (self.input, self.output),
             self.n_slots,
-            self.bootstraps,
             self.shared
         )
     }
@@ -451,9 +436,9 @@ impl ExecPlan {
                     (OpKind::HRotHoisted, sp.rots.len() as u64),
                 ];
             }
-            UnitWork::Boot { .. } => {
+            UnitWork::Boot { in_slot, .. } => {
                 let refreshed = Buffer {
-                    offset: unit.in_slot,
+                    offset: in_slot,
                     len: 1,
                 };
                 io.level = c.opts.l_eff;
@@ -664,15 +649,21 @@ impl<'a, B: EvalBackend + Sync> RunState<'a, B> {
         'a: 's,
     {
         let (plan, backend) = (self.plan, self.backend);
-        for uid in 0..plan.units.len() {
+        // per unit: the layers whose first dependency it is
+        let mut layers: Vec<Vec<usize>> = vec![Vec::new(); plan.units.len()];
+        if announce.is_some() {
+            for (uid, deps) in plan.deps(self.c).iter().enumerate() {
+                if let (UnitWork::Step { node }, Some(&first)) =
+                    (&plan.units[uid].work, deps.first())
+                {
+                    layers[first].push(*node);
+                }
+            }
+        }
+        for (uid, layers) in layers.iter().enumerate() {
             if let Some(s) = announce {
-                for &succ in &plan.succs[uid] {
-                    let unit = &plan.units[succ];
-                    if let UnitWork::Step { node } = unit.work {
-                        if unit.deps[0] == uid {
-                            s.spawn(move |_| backend.prefetch_linear(node));
-                        }
-                    }
+                for &node in layers {
+                    s.spawn(move |_| backend.prefetch_linear(node));
                 }
             }
             self.run_unit(uid);
@@ -786,8 +777,8 @@ impl<'a, B: EvalBackend + Sync> RunState<'a, B> {
                 let old = self.shared_vals[spec].replace(handle);
                 assert!(old.is_none(), "scheduler ran a shared-rotation unit twice");
             }
-            UnitWork::Boot { .. } => {
-                let out = backend.bootstrap(self.value(unit.in_slot));
+            UnitWork::Boot { in_slot, .. } => {
+                let out = backend.bootstrap(self.value(in_slot));
                 self.store(uid, io, vec![out]);
             }
             UnitWork::Step { node } => {
@@ -905,7 +896,8 @@ pub fn run_plan<B: EvalBackend + Sync>(
 /// duration-weighted critical path through the unit DAG, and the heaviest
 /// units on it.
 fn report_run(plan: &ExecPlan, c: &Compiled, dur: &[u64], wall_ns: u64) {
-    let deps: Vec<&[usize]> = plan.units.iter().map(|u| u.deps.as_slice()).collect();
+    let deps = plan.deps(c);
+    let deps: Vec<&[usize]> = deps.iter().map(Vec::as_slice).collect();
     let (critical_path_ns, mut on_path) = orion_telemetry::critical_path(dur, &deps);
     on_path.sort_by_key(|&u| std::cmp::Reverse(dur[u]));
     let top: Vec<orion_telemetry::CritUnit> = on_path
@@ -974,8 +966,9 @@ mod tests {
         let report = crate::verify::verify_plan(&plan, &c, &Default::default());
         assert!(!report.has_errors(), "{}", report.table());
         // deps strictly precede (plan order is topological)
-        for (uid, unit) in plan.units.iter().enumerate() {
-            for &d in &unit.deps {
+        let deps = plan.deps(&c);
+        for (uid, deps) in deps.iter().enumerate() {
+            for &d in deps {
                 assert!(d < uid, "unit {uid} depends on later unit {d}");
             }
         }
@@ -1007,15 +1000,15 @@ mod tests {
         });
         // the caller provides the input wire: reading it is no dependency
         // (the first conv), refreshing it neither (the residual's bootstrap)
-        assert!(plan.units[0].deps.is_empty());
-        let input_boots = plan.units.iter().filter(|u| {
-            matches!(u.work, UnitWork::Boot { .. }) && plan.input.slots().contains(&u.in_slot)
-        });
-        assert!(
-            input_boots.clone().count() > 0,
-            "want the input wire refreshed"
-        );
-        assert!(input_boots.into_iter().all(|u| u.deps.is_empty()));
+        assert!(deps[0].is_empty());
+        let input_boots: Vec<usize> = (0..plan.units.len())
+            .filter(|&u| {
+                matches!(plan.units[u].work, UnitWork::Boot { in_slot, .. }
+                    if plan.input.slots().contains(&in_slot))
+            })
+            .collect();
+        assert!(!input_boots.is_empty(), "want the input wire refreshed");
+        assert!(input_boots.iter().all(|&u| deps[u].is_empty()));
     }
 
     #[test]

@@ -34,12 +34,13 @@
 //!    output. Runs only when [`VerifyConfig::ctx`] provides concrete CKKS
 //!    parameters.
 //! 4. **Memory / well-formedness** — promotes the sched-plan proptest
-//!    invariants (topological deps, reverse-edge consistency, unit
-//!    coverage per program node — one whole-step unit per linear layer,
-//!    one unit per ciphertext of an elementwise step, none for `Input` /
-//!    `Output` — bootstrap replication, `SharedRotSpec` validity) into
-//!    production checks, and reports the peak-live-limb estimate of a walk
-//!    in plan order ([`VerifyReport::peak_limbs`]).
+//!    invariants (unit coverage per program node — one whole-step unit per
+//!    linear layer, one unit per ciphertext of an elementwise step, none
+//!    for `Input` / `Output` — bootstrap replication, `SharedRotSpec`
+//!    validity) into production checks, and reports the peak-live-limb
+//!    estimate of a walk in plan order ([`VerifyReport::peak_limbs`]).
+//!    The plan stores no edges to check: a unit reading a slot that no
+//!    earlier unit wrote is the walk's [`Rule::Coverage`] finding.
 //!
 //! The sweep mirrors the walk ([`crate::sched::run_plan`], ciphertexts in,
 //! ciphertexts out): the input buffer starts out holding fresh exact-Δ
@@ -66,7 +67,7 @@
 //! re-verifies every plan it rewrites.
 
 use crate::compile::{Compiled, Step};
-use crate::sched::{ExecPlan, KeyUse, SharedRotSpec, UnitWork};
+use crate::sched::{Buffer, ExecPlan, KeyUse, SharedRotSpec, UnitWork};
 use orion_ckks::{Context, KeyManifest, NoiseEstimator};
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
@@ -93,11 +94,9 @@ impl fmt::Display for Severity {
 /// Which check fired.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum Rule {
-    /// A dependency edge violates plan order, or the reverse-edge table is
-    /// inconsistent with the deps.
-    Topology,
     /// A program node is not covered by exactly the units `ExecPlan::build`
-    /// emits for it (or a unit reads an unproduced / out-of-range slot).
+    /// emits for it (or a unit reads a slot no earlier unit wrote, or an
+    /// out-of-range one).
     Coverage,
     /// A wire is read above its producer's level, or a step is placed
     /// below the depth its runtime asserts demand.
@@ -126,7 +125,6 @@ impl Rule {
     /// Stable kebab-case name (used in tables and CI summaries).
     pub fn name(&self) -> &'static str {
         match self {
-            Rule::Topology => "topology",
             Rule::Coverage => "coverage",
             Rule::LevelUnderflow => "level-underflow",
             Rule::RescaleInfeasible => "rescale-infeasible",
@@ -141,7 +139,6 @@ impl Rule {
     /// All rules, in report order.
     pub fn all() -> &'static [Rule] {
         &[
-            Rule::Topology,
             Rule::Coverage,
             Rule::LevelUnderflow,
             Rule::RescaleInfeasible,
@@ -505,65 +502,18 @@ impl<'a> Checker<'a> {
     fn structural(&mut self) {
         let plan = self.plan;
         let c = self.c;
-        let n = plan.units.len();
-
-        // Topological deps + reverse-edge consistency.
-        for (uid, unit) in plan.units.iter().enumerate() {
-            for &d in &unit.deps {
-                if d >= uid {
-                    self.error(
-                        Rule::Topology,
-                        Provenance::unit(uid),
-                        format!("dependency {d} does not precede the unit in plan order"),
-                    );
-                }
-            }
-        }
-        if plan.succs.len() != n {
-            self.error(
-                Rule::Topology,
-                Provenance::default(),
-                format!(
-                    "reverse-edge table covers {} units, plan has {n}",
-                    plan.succs.len()
-                ),
-            );
-        } else {
-            let mut expect: Vec<Vec<usize>> = vec![Vec::new(); n];
-            for (uid, unit) in plan.units.iter().enumerate() {
-                for &d in &unit.deps {
-                    if d < uid {
-                        expect[d].push(uid);
-                    }
-                }
-            }
-            for uid in 0..n {
-                let mut got = plan.succs[uid].clone();
-                got.sort_unstable();
-                expect[uid].sort_unstable();
-                expect[uid].dedup();
-                got.dedup();
-                if got != expect[uid] {
-                    self.error(
-                        Rule::Topology,
-                        Provenance::unit(uid),
-                        "reverse-edge table disagrees with the dependency lists".to_string(),
-                    );
-                }
-            }
-        }
 
         // Coverage: each program node must be produced by exactly the
         // units `ExecPlan::build` emits for it.
         let mut steps = vec![0usize; c.prog.len()];
         let mut step_cts: Vec<BTreeSet<usize>> = vec![BTreeSet::new(); c.prog.len()];
         let mut boots: BTreeMap<(usize, usize), BTreeSet<usize>> = BTreeMap::new();
-        let mut boot_units = 0u64;
         for (uid, unit) in plan.units.iter().enumerate() {
             let node = match unit.work {
                 UnitWork::Step { node } | UnitWork::StepCt { node, .. } => node,
-                UnitWork::Boot { wire, consumer, ct } => {
-                    boot_units += 1;
+                UnitWork::Boot {
+                    wire, consumer, ct, ..
+                } => {
                     if wire >= c.prog.len() || consumer >= c.prog.len() {
                         self.error(
                             Rule::Coverage,
@@ -571,19 +521,6 @@ impl<'a> Checker<'a> {
                             "bootstrap unit references an unknown program node".to_string(),
                         );
                         continue;
-                    }
-                    // the producer of the refreshed ciphertext — none when
-                    // the caller provides it
-                    let want = usize::from(!plan.input.slots().contains(&unit.in_slot));
-                    if unit.deps.len() != want {
-                        self.error(
-                            Rule::Coverage,
-                            Provenance::unit(uid).at_node(wire).at_ct(ct),
-                            format!(
-                                "bootstrap unit has {} dependencies (expected exactly {want})",
-                                unit.deps.len()
-                            ),
-                        );
                     }
                     boots.entry((consumer, wire)).or_default().insert(ct);
                     continue;
@@ -672,14 +609,14 @@ impl<'a> Checker<'a> {
             .flat_map(|(_, p)| p.inputs.iter())
             .map(|&w| c.prog[w].n_cts.max(1) as u64)
             .sum();
-        if boot_units != expected_boots || boot_units != plan.bootstraps() {
+        let boot_units = plan.bootstraps();
+        if boot_units != expected_boots {
             self.error(
                 Rule::Coverage,
                 Provenance::default(),
                 format!(
                     "plan carries {boot_units} bootstrap units, placement demands \
-                     {expected_boots} (tally {})",
-                    plan.bootstraps()
+                     {expected_boots}"
                 ),
             );
         }
@@ -743,7 +680,7 @@ impl<'a> Checker<'a> {
                 continue;
             }
             let own = owner[spec].expect("owner checked above");
-            if !unit.deps.contains(&own) {
+            if own > uid {
                 self.error(
                     Rule::SharedRotMalformed,
                     Provenance::unit(uid),
@@ -1135,29 +1072,31 @@ impl<'a> Checker<'a> {
 }
 
 /// Peak live limb vectors of a walk in plan order. A ciphertext weighs
-/// 2 polynomials × (level + 1) rows. A unit's output is live from its unit
-/// to its last reader's — the dependents, which model reads exactly; the
-/// input wire from the start to the last unit whose signature reads it;
-/// the output wire to the end.
+/// 2 polynomials × (level + 1) rows. A value — a unit's output, or the
+/// input wire from the start — is live from its birth to the last unit
+/// whose signature reads one of its slots; the output wire to the end.
 fn peak_live_limbs(plan: &ExecPlan, c: &Compiled) -> u64 {
     let end = plan.units.len();
-    // (first slot, ciphertexts, level, born at, last reader) per value
-    let mut values = Vec::with_capacity(end + 1);
-    let mut input_reader = 0;
+    // per slot: the last unit reading it
+    let mut last_read = vec![0usize; plan.value_slots()];
+    // (slots, level, born at) per value
+    let mut values = vec![(plan.input, c.opts.l_eff, 0)];
     for (uid, unit) in plan.units.iter().enumerate() {
         let io = plan.io(c, uid);
-        if (io.reads.iter().flatten()).any(|(b, _)| plan.input.slots().contains(&b.offset)) {
-            input_reader = uid;
+        for (buf, _) in io.reads.iter().flatten() {
+            last_read[buf.slots()].fill(uid);
         }
-        let last = plan.succs[uid].iter().copied().max().unwrap_or(uid);
-        values.push((unit.out_slot, unit.out_len, io.out_level, uid, last));
+        let out = Buffer {
+            offset: unit.out_slot,
+            len: unit.out_len,
+        };
+        values.push((out, io.out_level, uid));
     }
-    let input = plan.input;
-    values.push((input.offset, input.len, c.opts.l_eff, 0, input_reader));
     let mut delta = vec![0i64; end + 1];
-    for (slot, cts, level, born, last) in values {
-        let weight = cts as i64 * 2 * (level as i64 + 1);
-        let held = plan.output.slots().contains(&slot);
+    for (buf, level, born) in values {
+        let weight = buf.len as i64 * 2 * (level as i64 + 1);
+        let held = plan.output.slots().contains(&buf.offset);
+        let last = buf.slots().map(|s| last_read[s]).fold(born, usize::max);
         delta[born] += weight;
         delta[if held { end } else { last + 1 }] -= weight;
     }

@@ -1,6 +1,7 @@
 //! Property tests for the dataflow plan builder: every `ExecPlan`
 //! generated from a random compiled network must be a valid topological
-//! order of the step DAG — deps strictly precede their dependents, every
+//! order of the step DAG — every slot is written before it is read, so the
+//! producers `ExecPlan::deps` derives from the reads precede them, every
 //! program step is covered by exactly the right units, bootstrap units
 //! match the placement, and the optimized plan walks to the built plan's
 //! bits on the trace engine. Prefetch is not part of the plan: the last
@@ -56,9 +57,25 @@ fn random_net(seed: u64, blocks: usize, act_kind: usize, residual: bool) -> Netw
 }
 
 fn validate_plan(plan: &ExecPlan, c: &orion_nn::Compiled) {
-    // 1. topological: every dependency strictly precedes its dependent
+    let deps = plan.deps(c);
+    // 1. topological: every slot a unit reads is the input wire's or
+    //    written by an earlier unit, and every producer derived from the
+    //    reads strictly precedes its reader
+    let mut written = vec![false; plan.value_slots()];
+    written[plan.input.slots()].fill(true);
     for (uid, unit) in plan.units.iter().enumerate() {
-        for &d in &unit.deps {
+        let io = plan.unit_io(c, uid).expect("well-formed unit");
+        for (buf, _) in io.reads.iter().flatten() {
+            assert!(
+                written[buf.slots()].iter().all(|&w| w),
+                "unit {uid} ({:?}) reads {buf:?} before it is written",
+                unit.work
+            );
+        }
+        if !matches!(unit.work, UnitWork::SharedRot { .. }) {
+            written[unit.out_slot..unit.out_slot + unit.out_len].fill(true);
+        }
+        for &d in &deps[uid] {
             assert!(
                 d < uid,
                 "unit {uid} ({:?}) depends on later/equal unit {d}",
@@ -109,23 +126,23 @@ fn validate_plan(plan: &ExecPlan, c: &orion_nn::Compiled) {
         .count() as u64;
     assert_eq!(boot_units, want, "bootstrap units vs placement");
     assert_eq!(plan.bootstraps(), want);
-    // 4. every boot unit has exactly one dependency (the version below
-    //    it) — none when it refreshes the input wire, which no unit produces
-    for unit in &plan.units {
-        if matches!(unit.work, UnitWork::Boot { .. }) {
-            let want = usize::from(!plan.input.slots().contains(&unit.in_slot));
-            assert_eq!(unit.deps.len(), want, "boot unit with {:?}", unit.deps);
+    // 4. every boot unit has exactly one producer (the version below it) —
+    //    none when it refreshes the input wire, which no unit produces
+    for (uid, unit) in plan.units.iter().enumerate() {
+        if let UnitWork::Boot { in_slot, .. } = unit.work {
+            let want = usize::from(!plan.input.slots().contains(&in_slot));
+            assert_eq!(deps[uid].len(), want, "boot unit with {:?}", deps[uid]);
         }
     }
     // 5. units are released by the units producing what they read: a unit
     //    has no producer iff everything it reads is the input wire (a
     //    shared hoist is a dependency, not a producer)
-    for (uid, unit) in plan.units.iter().enumerate() {
+    for (uid, deps) in deps.iter().enumerate() {
         let io = plan.unit_io(c, uid).expect("well-formed unit");
         let reads_only_input =
             (io.reads.iter().flatten()).all(|(buf, _)| plan.input.slots().contains(&buf.offset));
-        let mut producers = (unit.deps.iter())
-            .filter(|&&d| !matches!(plan.units[d].work, UnitWork::SharedRot { .. }));
+        let mut producers =
+            (deps.iter()).filter(|&&d| !matches!(plan.units[d].work, UnitWork::SharedRot { .. }));
         assert_eq!(producers.next().is_none(), reads_only_input, "unit {uid}");
     }
 }
@@ -147,15 +164,14 @@ fn validate_optimized(plan: &ExecPlan, c: &orion_nn::Compiled) {
             assert!((b as usize) < sp.buf.len, "spec block out of range");
         }
     }
+    let deps = plan.deps(c);
     for (uid, unit) in plan.units.iter().enumerate() {
         // Each SharedRot unit's spec index is valid and at least two
-        // linear consumers point back at it through a dependency edge.
+        // linear consumers point back at it through a derived dependency.
         if let UnitWork::SharedRot { spec } = unit.work {
             assert!(spec < plan.shared_specs().len(), "dangling spec index");
-            let consumers = plan
-                .units
-                .iter()
-                .filter(|u| u.shared_rots == Some(spec) && u.deps.contains(&uid))
+            let consumers = (plan.units.iter().zip(&deps))
+                .filter(|(u, deps)| u.shared_rots == Some(spec) && deps.contains(&uid))
                 .count();
             assert!(
                 consumers >= 2,

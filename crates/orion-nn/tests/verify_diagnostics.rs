@@ -344,6 +344,62 @@ fn dangling_shared_rot_spec_is_flagged_at_the_consumer_unit() {
     );
 }
 
+#[test]
+fn a_shared_rot_consumer_ahead_of_its_shared_unit_is_flagged_at_the_consumer() {
+    // Two same-spec convs of the input wire: rotation CSE must fire.
+    let mut rng = StdRng::seed_from_u64(5);
+    let mut net = Network::new(4, 8, 8);
+    let x = net.input();
+    let a = net.conv2d("c2a", x, 4, 3, 1, 1, 1, &mut rng);
+    let b = net.conv2d("c2b", x, 4, 3, 1, 1, 1, &mut rng);
+    let add = net.add("res", a, b);
+    net.output(add);
+    let c = compile(&net, &fixed_ranges(&net, 4.0), &small_opts());
+    let mut plan = ExecPlan::build(&c);
+    let stats = optimize_plan(&mut plan, &c, OptConfig::default());
+    assert_eq!(stats.rotation_cse.shared_units, 1);
+    // The shared unit sits right before its first consumer; swap them.
+    let shared = plan
+        .units
+        .iter()
+        .position(|u| matches!(u.work, UnitWork::SharedRot { .. }))
+        .expect("a shared unit");
+    assert!(plan.units[shared + 1].shared_rots.is_some());
+    plan.units.swap(shared, shared + 1);
+    let report = verify_plan(&plan, &c, &VerifyConfig::default());
+    assert_eq!(report.error_count(), 1, "{}", report.table());
+    let hit = &report.diagnostics[0];
+    assert_eq!(hit.rule, Rule::SharedRotMalformed);
+    assert_eq!(hit.at.unit, Some(shared), "provenance names the consumer");
+    assert!(hit.message.contains("not ordered after"), "{}", hit.message);
+}
+
+// ---------------------------------------------------------------------
+// Seeded defect 6: a unit moved ahead of the unit producing what it reads.
+// The plan stores no edges; the read of an unwritten slot is the finding.
+// ---------------------------------------------------------------------
+
+#[test]
+fn a_read_before_its_producer_runs_is_a_coverage_error_at_the_reader() {
+    let net = conv_net(3, 1, 0, false); // conv → square
+    let c = compile(&net, &fixed_ranges(&net, 4.0), &small_opts());
+    let square = node_of(&c, |s| matches!(s, Step::Square));
+    let mut plan = ExecPlan::build(&c);
+    assert!(verify_plan(&plan, &c, &VerifyConfig::default()).is_clean());
+    // unit 0 is the conv, unit 1 the square's first ciphertext
+    assert!(matches!(plan.units[0].work, UnitWork::Step { .. }));
+    plan.units.swap(0, 1);
+    let report = verify_plan(&plan, &c, &VerifyConfig::default());
+    assert_eq!(report.error_count(), 1, "{}", report.table());
+    let hit = &report.diagnostics[0];
+    assert_eq!(hit.rule, Rule::Coverage);
+    assert_eq!(
+        (hit.at.unit, hit.at.node, hit.at.ct),
+        (Some(0), Some(square), Some(0))
+    );
+    assert!(hit.message.contains("no earlier unit"), "{}", hit.message);
+}
+
 // ---------------------------------------------------------------------
 // The optimizer safety net: a deliberately broken rewrite is rejected
 // and rolled back byte-identically.

@@ -133,18 +133,6 @@ impl Encoder {
         let scale = self.ctx.moduli[level] as f64;
         self.encode(values, scale, level, true)
     }
-
-    /// Batch form of [`Encoder::encode_at_prime_scale_ws`]: encodes many
-    /// weight diagonals at once, fanned out across the shared rayon pool.
-    /// This is the setup-time entry point of the prepared-inference path —
-    /// each encode (inverse FFT + per-limb NTT) is independent, so a whole
-    /// layer's diagonals encode in one parallel sweep.
-    pub fn encode_prime_scale_ws_batch(&self, values: &[Vec<f64>], level: usize) -> Vec<Plaintext> {
-        let par = orion_math::parallel::batch_parallel(values.len());
-        orion_math::parallel::map_indexed(values.len(), par, |i| {
-            self.encode_at_prime_scale_ws(&values[i], level)
-        })
-    }
 }
 
 #[cfg(test)]
@@ -211,21 +199,5 @@ mod tests {
         let enc = setup();
         let pt = enc.encode_at_prime_scale(&[1.0], 2, false);
         assert_eq!(pt.scale, enc.context().moduli[2] as f64);
-    }
-
-    #[test]
-    fn batch_prime_scale_encoding_matches_single() {
-        let enc = setup();
-        let slots = enc.context().slots();
-        let diags: Vec<Vec<f64>> = (0..6)
-            .map(|d| (0..slots).map(|i| ((i + d) % 7) as f64 * 0.1).collect())
-            .collect();
-        let batch = enc.encode_prime_scale_ws_batch(&diags, 2);
-        assert_eq!(batch.len(), diags.len());
-        for (d, pt) in diags.iter().zip(&batch) {
-            let single = enc.encode_at_prime_scale_ws(d, 2);
-            assert_eq!(pt.poly, single.poly, "batch encode must be bit-exact");
-            assert_eq!(pt.scale, single.scale);
-        }
     }
 }

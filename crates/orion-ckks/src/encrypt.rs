@@ -105,8 +105,8 @@ impl Encryptor {
     }
 
     /// Transforms `noise` and assembles the ciphertext of `pt` from it.
-    /// Deterministic: every limb-parallel NTT of an encryption happens
-    /// here, none of them under a caller's RNG lock.
+    /// Deterministic: every NTT of an encryption happens here, none of
+    /// them under a caller's RNG lock.
     pub fn encrypt_with(&self, pt: &Plaintext, noise: EncryptionNoise) -> Ciphertext {
         let ctx = self.ctx();
         let level = pt.level();

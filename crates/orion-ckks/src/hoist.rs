@@ -12,7 +12,6 @@ use crate::eval::Evaluator;
 use crate::keys::MissingRotationKey;
 use crate::params::Context;
 use crate::poly::{Form, RnsPoly};
-use orion_math::parallel::{for_each_mut, pointwise_parallel};
 use orion_math::simd;
 use orion_telemetry::{time_class, OpClass};
 
@@ -28,12 +27,10 @@ pub fn decompose_digits(ctx: &Context, c: &RnsPoly) -> Vec<RnsPoly> {
     assert!(!c.has_special());
     let level = c.level();
     let p = ctx.special;
-    // Each digit's basis extension performs `level + 2` NTTs and digits are
-    // independent, so this is the key-switch hot loop the shared rayon pool
-    // attacks first.
-    let par = orion_math::parallel::ntt_parallel(ctx.degree(), level + 1);
+    // Each digit's basis extension performs `level + 2` NTTs: this is the
+    // key-switch hot loop.
     let n = ctx.degree();
-    orion_math::parallel::map_indexed(level + 1, par, |i| {
+    let extended_digit = |i: usize| {
         // Bring limb i to coefficient form (arena scratch, lazy NTT).
         let mut digit = orion_math::arena::scratch_u64_raw(n);
         digit.copy_from_slice(&c.limbs[i]);
@@ -55,7 +52,8 @@ pub fn decompose_digits(ctx: &Context, c: &RnsPoly) -> Vec<RnsPoly> {
             special: Some(sp),
             form: Form::Eval,
         }
-    })
+    };
+    (0..=level).map(extended_digit).collect()
 }
 
 /// A ciphertext with its key-switch digit decomposition precomputed, ready
@@ -264,9 +262,8 @@ impl WidePoly {
         assert!(y.limbs.len() >= self.n_chain, "level mismatch");
         let n_chain = self.n_chain;
         let k = simd::kernels();
-        let par = pointwise_parallel(x.limbs[0].len(), self.limbs.len());
         time_class(OpClass::Pointwise, || {
-            for_each_mut(&mut self.limbs, par, |j, w| {
+            for (j, w) in self.limbs.iter_mut().enumerate() {
                 let (a, b) = if j < n_chain {
                     (&x.limbs[j], &y.limbs[j])
                 } else {
@@ -281,7 +278,7 @@ impl WidePoly {
                 }
                 (k.mac_wide)(&mut w.lo, &mut w.hi, a, b);
                 w.terms += 1;
-            });
+            }
         });
     }
 
@@ -289,11 +286,10 @@ impl WidePoly {
     /// hands the low words over as the limbs of an ordinary polynomial.
     fn into_poly(mut self) -> RnsPoly {
         let k = simd::kernels();
-        let par = pointwise_parallel(self.limbs[0].lo.len(), self.limbs.len());
         time_class(OpClass::Pointwise, || {
-            for_each_mut(&mut self.limbs, par, |_, w| {
+            for w in &mut self.limbs {
                 (k.fold_wide)(&mut w.lo, &mut w.hi, w.q);
-            });
+            }
         });
         let mut limbs: Vec<Vec<u64>> = self
             .limbs

@@ -23,7 +23,6 @@
 use crate::params::Context;
 use crate::poly::{Form, RnsPoly};
 use orion_math::modular::{add_mod, mul_mod};
-use orion_math::parallel::pointwise_parallel;
 use orion_math::simd;
 use rand::Rng;
 use std::collections::{BTreeMap, HashMap};
@@ -111,22 +110,13 @@ impl KeySwitchKey {
             table(parts.iter().map(|(_, a)| a), n_chain),
         ];
         let k = simd::kernels();
-        // One job per (part, limb): 2·(level+2) fused accumulations, each
-        // walking all digits. Fans out on the shared pool like the rest of
-        // the pointwise layer.
-        let n_limbs = n_chain + 1;
-        let par = pointwise_parallel(ctx.degree(), 2 * n_limbs);
-        let mut jobs: Vec<(u64, &mut Vec<u64>)> = Vec::with_capacity(2 * n_limbs);
-        for acc in [&mut *acc_b, &mut *acc_a] {
-            for (j, limb) in acc.limbs.iter_mut().enumerate() {
-                jobs.push((ctx.moduli[j], limb));
-            }
-            jobs.push((ctx.special, acc.special.as_mut().expect("checked above")));
+        // One fused accumulation per (part, limb), each walking all digits.
+        for (acc, key) in [acc_b, acc_a].into_iter().zip(&keys) {
+            acc.for_each_limb_mut(ctx, |q, dst, j| {
+                let row = j * d..(j + 1) * d;
+                (k.ks_accum)(dst, &ds[row.clone()], &key[row], &[], q);
+            });
         }
-        orion_math::parallel::for_each_mut(&mut jobs, par, |t, (q, dst)| {
-            let row = (t % n_limbs) * d..(t % n_limbs + 1) * d;
-            (k.ks_accum)(dst, &ds[row.clone()], &keys[t / n_limbs][row], &[], *q);
-        });
     }
 
     /// Fused inner product into fresh zero accumulators: returns `(b, a)`

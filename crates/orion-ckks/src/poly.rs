@@ -8,9 +8,6 @@
 use crate::params::Context;
 use orion_math::modular::{add_mod, neg_mod, reduce_i128, shoup_precompute};
 use orion_math::ntt::NttTable;
-use orion_math::parallel::{
-    map_indexed, ntt_forward_batch, ntt_inverse_batch, ntt_parallel, pointwise_parallel,
-};
 use orion_math::simd;
 use orion_telemetry::{time_class, OpClass};
 use rand::Rng;
@@ -158,31 +155,27 @@ impl RnsPoly {
         Self::from_signed(ctx, &signed, level, with_special)
     }
 
-    /// Collects one `(table, limb)` NTT job per limb (special included).
+    /// One `(table, limb)` NTT job per limb (special included).
     fn ntt_jobs<'a>(
         &'a mut self,
         ctx: &'a Context,
-    ) -> Vec<(&'a orion_math::NttTable, &'a mut [u64])> {
-        let mut pairs: Vec<(&orion_math::NttTable, &mut [u64])> = self
-            .limbs
-            .iter_mut()
-            .enumerate()
-            .map(|(j, limb)| (&ctx.ntt[j], &mut limb[..]))
-            .collect();
-        if let Some(s) = &mut self.special {
-            pairs.push((&ctx.ntt_special, &mut s[..]));
-        }
-        pairs
+    ) -> impl Iterator<Item = (&'a NttTable, &'a mut Vec<u64>)> {
+        let special = self.special.as_mut().map(|s| (&ctx.ntt_special, s));
+        ctx.ntt.iter().zip(&mut self.limbs).chain(special)
     }
 
-    /// Converts all limbs to evaluation form (no-op if already there).
-    /// Limbs transform independently, so the batch fans out on the shared
-    /// rayon pool for large rings.
+    /// Converts all limbs to evaluation form (no-op if already there),
+    /// with the lazy-reduction butterflies (bit-identical to the strict
+    /// path).
     pub fn to_eval(&mut self, ctx: &Context) {
         if self.form == Form::Eval {
             return;
         }
-        ntt_forward_batch(self.ntt_jobs(ctx));
+        time_class(OpClass::NttFwd, || {
+            for (t, a) in self.ntt_jobs(ctx) {
+                t.forward_lazy(a);
+            }
+        });
         self.form = Form::Eval;
     }
 
@@ -191,7 +184,11 @@ impl RnsPoly {
         if self.form == Form::Coeff {
             return;
         }
-        ntt_inverse_batch(self.ntt_jobs(ctx));
+        time_class(OpClass::NttInv, || {
+            for (t, a) in self.ntt_jobs(ctx) {
+                t.inverse_lazy(a);
+            }
+        });
         self.form = Form::Coeff;
     }
 
@@ -205,30 +202,20 @@ impl RnsPoly {
         );
     }
 
-    /// Whether this polynomial's pointwise limb loops should fan out.
-    fn pointwise_par(&self) -> bool {
-        let degree = self.limbs.first().map(Vec::len).unwrap_or(0);
-        pointwise_parallel(degree, self.limbs.len() + usize::from(self.has_special()))
-    }
-
-    /// Runs `op(modulus, dst_limb, j)` over every limb (special included,
-    /// with `j = limbs.len()`), fanning out on the shared pool for large
-    /// polynomials.
-    fn for_each_limb_mut(&mut self, ctx: &Context, op: impl Fn(u64, &mut [u64], usize) + Sync) {
-        let par = self.pointwise_par();
+    /// Runs `op(modulus, dst_limb, j)` over every chain limb, then the
+    /// special one (with `j = limbs.len()`).
+    pub(crate) fn for_each_limb_mut(
+        &mut self,
+        ctx: &Context,
+        mut op: impl FnMut(u64, &mut [u64], usize),
+    ) {
         let n_chain = self.limbs.len();
-        let mut jobs: Vec<(u64, &mut Vec<u64>)> = self
-            .limbs
-            .iter_mut()
-            .enumerate()
-            .map(|(j, limb)| (ctx.moduli[j], limb))
-            .collect();
-        if let Some(s) = &mut self.special {
-            jobs.push((ctx.special, s));
+        for (j, limb) in self.limbs.iter_mut().enumerate() {
+            op(ctx.moduli[j], limb, j);
         }
-        orion_math::parallel::for_each_mut(&mut jobs, par, |j, (q, limb)| {
-            op(*q, limb, j.min(n_chain))
-        });
+        if let Some(s) = &mut self.special {
+            op(ctx.special, s, n_chain);
+        }
     }
 
     /// `self += other` (limbwise).
@@ -279,7 +266,6 @@ impl RnsPoly {
     pub fn mul_pointwise(&self, other: &Self, ctx: &Context) -> Self {
         assert_eq!(self.form, Form::Eval);
         self.check_compat(other);
-        let par = self.pointwise_par();
         let k = simd::kernels();
         time_class(OpClass::Pointwise, || {
             let product = |a: &[u64], b: &[u64], q: u64| -> Vec<u64> {
@@ -287,9 +273,13 @@ impl RnsPoly {
                 (k.mul_pointwise)(&mut out, a, b, q);
                 out
             };
-            let limbs = map_indexed(self.limbs.len(), par, |j| {
-                product(&self.limbs[j], &other.limbs[j], ctx.moduli[j])
-            });
+            let limbs = self
+                .limbs
+                .iter()
+                .zip(&other.limbs)
+                .zip(&ctx.moduli)
+                .map(|((a, b), &q)| product(a, b, q))
+                .collect();
             let special = match (&self.special, &other.special) {
                 (Some(a), Some(b)) => Some(product(a, b, ctx.special)),
                 _ => None,
@@ -382,11 +372,8 @@ impl RnsPoly {
             }
             out
         };
-        let limbs = map_indexed(self.limbs.len(), self.pointwise_par(), |j| {
-            apply(&self.limbs[j])
-        });
         Self {
-            limbs,
+            limbs: self.limbs.iter().map(apply).collect(),
             special: self.special.as_ref().map(apply),
             form: Form::Eval,
         }
@@ -422,31 +409,23 @@ impl RnsPoly {
         mut dropped: Vec<u64>,
         q: u64,
         ntt: &NttTable,
-        inv: impl Fn(usize) -> u64 + Sync,
+        inv: impl Fn(usize) -> u64,
     ) {
         assert_eq!(self.form, Form::Eval);
         // Bring the dropped limb to coefficient form.
         ntt.inverse_lazy(&mut dropped);
         // Every kept limb centers-and-reduces the shared dropped limb
-        // directly (no i128 materialization) into a reused per-worker
-        // buffer, then folds it in after one forward NTT. The loop fans
-        // out for large rings.
-        let degree = dropped.len();
+        // directly (no i128 materialization) into one reused buffer, then
+        // folds it in after one forward NTT.
         let k = simd::kernels();
-        let dropped_ref = &dropped;
-        let par = ntt_parallel(degree, self.limbs.len());
-        orion_math::parallel::for_each_mut_scratch(
-            &mut self.limbs,
-            par,
-            || orion_math::arena::scratch_u64_raw(degree),
-            |j, limb, lifted| {
-                let qj = ctx.moduli[j];
-                let inv = inv(j);
-                (k.centered_reduce)(lifted, dropped_ref, q, qj);
-                ctx.ntt[j].forward_lazy(lifted);
-                (k.sub_mul_assign)(limb, lifted, inv, shoup_precompute(inv, qj), qj);
-            },
-        );
+        let mut lifted = orion_math::arena::scratch_u64_raw(dropped.len());
+        for (j, limb) in self.limbs.iter_mut().enumerate() {
+            let qj = ctx.moduli[j];
+            let inv = inv(j);
+            (k.centered_reduce)(&mut lifted, &dropped, q, qj);
+            ctx.ntt[j].forward_lazy(&mut lifted);
+            (k.sub_mul_assign)(limb, &lifted, inv, shoup_precompute(inv, qj), qj);
+        }
         orion_math::arena::recycle_u64(dropped);
     }
 

@@ -69,7 +69,7 @@ impl PreparedLayer {
             .par_iter()
             .map(|&(i, j)| ((i, j), source.block_diags(plan, i, j)))
             .collect();
-        // Flatten in plan order (deterministic), batch-encode, regroup.
+        // Flatten in plan order (deterministic), encode, regroup.
         let mut meta: Vec<((u32, u32), u32)> = Vec::new();
         let mut flat: Vec<Vec<f64>> = Vec::new();
         for ((i, j), mut vals) in extracted {
@@ -80,7 +80,10 @@ impl PreparedLayer {
                 }
             }
         }
-        let encoded = enc.encode_prime_scale_ws_batch(&flat, level);
+        let encoded: Vec<Plaintext> = flat
+            .par_iter()
+            .map(|d| enc.encode_at_prime_scale_ws(d, level))
+            .collect();
         let mut diags: HashMap<(u32, u32), HashMap<u32, Plaintext>> = HashMap::new();
         for ((blk, k), pt) in meta.into_iter().zip(encoded) {
             diags.entry(blk).or_default().insert(k, pt);
@@ -210,10 +213,8 @@ mod tests {
     use orion_ckks::params::{CkksParams, Context};
     use orion_tensor::Tensor;
 
-    #[test]
-    fn build_covers_every_plan_diagonal() {
-        let ctx = Context::new(CkksParams::tiny());
-        let enc = Encoder::new(ctx.clone());
+    /// A 2→4-channel 3×3 conv on an 8×8 image with all-nonzero weights.
+    fn conv_fixture<'w>(ctx: &Context, weights: &'w Tensor) -> (LinearPlan, ConvDiagSource<'w>) {
         let in_l = TensorLayout::raster(2, 8, 8);
         let spec = ConvSpec {
             co: 4,
@@ -226,13 +227,25 @@ mod tests {
             groups: 1,
         };
         let (plan, out_l) = conv_plan(&in_l, &spec, ctx.slots());
-        let weights = Tensor::from_vec(&[4, 2, 3, 3], (1..=72).map(|x| x as f64 * 0.05).collect());
         let src = ConvDiagSource {
             in_l,
             out_l,
             spec,
-            weights: &weights,
+            weights,
         };
+        (plan, src)
+    }
+
+    fn conv_weights() -> Tensor {
+        Tensor::from_vec(&[4, 2, 3, 3], (1..=72).map(|x| x as f64 * 0.05).collect())
+    }
+
+    #[test]
+    fn build_covers_every_plan_diagonal() {
+        let ctx = Context::new(CkksParams::tiny());
+        let enc = Encoder::new(ctx.clone());
+        let weights = conv_weights();
+        let (plan, src) = conv_fixture(&ctx, &weights);
         let prepared = PreparedLayer::build(&enc, &plan, &src, None, 2);
         // all-nonzero weights: every plan diagonal must be cached
         let plan_diags: usize = plan.blocks.values().map(|d| d.len()).sum();
@@ -242,6 +255,26 @@ mod tests {
             for (k, pt) in m {
                 assert!(pt.poly.has_special(), "block ({i},{j}) diag {k} not ws");
                 assert_eq!(pt.scale, ctx.moduli[2] as f64);
+            }
+        }
+    }
+
+    #[test]
+    fn pool_encoded_layer_matches_per_diagonal_encodes() {
+        // Whatever the pool width, the build's fan-out must hand back the
+        // plaintexts one `encode_at_prime_scale_ws` per diagonal encodes.
+        let ctx = Context::new(CkksParams::tiny());
+        let enc = Encoder::new(ctx.clone());
+        let weights = conv_weights();
+        let (plan, src) = conv_fixture(&ctx, &weights);
+        let prepared = PreparedLayer::build(&enc, &plan, &src, None, 2);
+        for (&(i, j), ks) in &plan.blocks {
+            let diags = src.block_diags(&plan, i, j);
+            for k in ks {
+                let single = enc.encode_at_prime_scale_ws(&diags[k], 2);
+                let pt = &prepared.diags[&(i, j)][k];
+                assert_eq!(pt.poly, single.poly, "block ({i},{j}) diag {k}");
+                assert_eq!(pt.scale.to_bits(), single.scale.to_bits());
             }
         }
     }

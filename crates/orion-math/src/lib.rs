@@ -11,11 +11,13 @@
 //!   canonical-embedding encoder,
 //! * [`rns`] — Residue Number System helpers (CRT reconstruction for tests,
 //!   modulus-chain bookkeeping),
-//! * [`parallel`] — the shared limb-parallel engine: gated rayon fan-out
-//!   for per-limb NTT batches and pointwise RNS loops.
+//! * [`simd`] — the kernel dispatch table every hot limb loop runs on,
+//! * [`arena`] — thread-local recycling of limb buffers.
 //!
-//! Everything here is deterministic; NTT tables are precomputed once per
-//! `(N, q)` pair and shared.
+//! Everything here is deterministic and sequential: a limb loop runs on
+//! the thread that calls it (parallelism lives a level up, in the linear
+//! layers' block fan-out). NTT tables are precomputed once per `(N, q)`
+//! pair and shared.
 //!
 //! The crate contains the workspace's only `unsafe` code (the SIMD kernel
 //! layer in [`simd`]): every unsafe operation must sit in an explicit
@@ -28,7 +30,6 @@ pub mod arena;
 pub mod fft;
 pub mod modular;
 pub mod ntt;
-pub mod parallel;
 pub mod primes;
 pub mod rns;
 pub mod simd;

@@ -3,7 +3,7 @@
 //! Every hot inner loop in Orion — NTT butterflies, Shoup pointwise
 //! multiplies, and the key-switch digit accumulation — funnels through the
 //! [`Kernels`] table of function pointers. The table is chosen **once per
-//! process** (the same pattern as the rayon-pool thread-count env read):
+//! process** (the same pattern as the thread pool's width env read):
 //!
 //! * `ORION_SIMD` unset → auto-detect: AVX2 on x86-64 CPUs that have it,
 //!   the portable 4-wide unrolled scalar path everywhere else.
@@ -149,7 +149,7 @@ pub fn variants() -> Vec<&'static Kernels> {
 
 /// The process-wide kernel table, chosen once from `ORION_SIMD` + CPU
 /// detection and cached (fn-pointer table behind a `OnceLock`, mirroring
-/// the rayon-pool env read).
+/// the thread pool's width env read).
 pub fn kernels() -> &'static Kernels {
     static CHOSEN: OnceLock<&'static Kernels> = OnceLock::new();
     CHOSEN.get_or_init(|| {

@@ -1,16 +1,16 @@
-//! Concurrency stress for the limb arena: many tasks on the shared rayon
-//! pool borrowing and returning buffers at once. Verifies the arena's
-//! invariants under contention — exact lengths, zeroing of non-raw takes,
-//! and no two live buffers sharing storage.
+//! Concurrency stress for the limb arena: many threads borrowing and
+//! returning buffers at once. Verifies the arena's invariants under
+//! contention — exact lengths, zeroing of non-raw takes, and no two live
+//! buffers sharing storage.
 
-use orion_math::{arena, parallel};
+use orion_math::arena;
 
 #[test]
 fn concurrent_take_recycle_holds_invariants() {
     let tags: Vec<u64> = (0..64).map(|i| 0x1000 + i).collect();
-    parallel::scope(|s| {
+    std::thread::scope(|s| {
         for &tag in &tags {
-            s.spawn(move |_| {
+            s.spawn(move || {
                 for round in 0..50u32 {
                     // Two live u64 buffers of the same length must be
                     // distinct storage (the freelist pops, never shares).

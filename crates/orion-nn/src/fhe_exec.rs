@@ -88,9 +88,10 @@ impl FheSession {
     }
 
     /// Encrypts `pt` with the session RNG. The lock covers the sampling
-    /// only: the limb-parallel NTTs that follow make this thread help with
-    /// queued pool work, which may be another encryption under this very
-    /// session — holding the (non-reentrant) lock there would deadlock.
+    /// only, so the NTTs that follow run outside it and encryptions under
+    /// one session overlap. The lock is not reentrant; nothing under it
+    /// waits on the pool, so a pool task cannot run a second encryption
+    /// on a thread that already holds it.
     pub(crate) fn encrypt(&self, pt: &Plaintext) -> Ciphertext {
         let noise = self.encryptor.sample(pt.level(), &mut *self.rng.lock());
         self.encryptor.encrypt_with(pt, noise)

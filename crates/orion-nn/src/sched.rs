@@ -23,12 +23,13 @@
 //! order on the calling thread: plan order is a topological order and, by
 //! construction, exactly the op stream of the classic one-step-at-a-time
 //! interpreter, and it is the order the verifier certifies. Parallelism
-//! lives inside a unit (limb-parallel NTTs, the BSGS executor's baby-step
-//! and giant-group fan-out) and across walks (serve workers, batch
+//! lives inside a linear unit (the BSGS executor's baby-step and
+//! giant-group fan-out, block by block — an RNS op's limbs run on the
+//! thread that issues it) and across walks (serve workers, batch
 //! inference), not between units.
 //!
 //! Prefetch is an effect of the walk, not a unit. On a pool wider than one
-//! thread the walk runs inside an [`orion_math::parallel::scope`], and a
+//! thread the walk runs inside a [`rayon::scope`], and a
 //! unit about to run first announces the linear layers whose *first*
 //! dependency ([`ExecPlan::deps`]) it is ([`EvalBackend::prefetch_linear`],
 //! spawned onto the pool), so a pager loads a layer while its input is
@@ -68,7 +69,7 @@ use crate::backend::{EvalBackend, LinearRef};
 use crate::compile::{Compiled, Step};
 use crate::sim::{OpCounter, OpKind};
 use orion_ckks::KeyManifest;
-use orion_math::parallel::Scope;
+use rayon::Scope;
 
 /// What one scheduled unit computes — always work that reads and/or
 /// writes ciphertexts.
@@ -872,7 +873,7 @@ pub fn run_plan<B: EvalBackend + Sync>(
         .as_ref()
         .map(|_| orion_telemetry::span!("run_plan", units = plan.units.len()));
     if rayon::current_num_threads() > 1 {
-        orion_math::parallel::scope(|s| state.walk(Some(s)));
+        rayon::scope(|s| state.walk(Some(s)));
     } else {
         state.walk(None);
     }

@@ -1,10 +1,12 @@
 //! Encrypting under one session from inside the shared pool terminates.
 //!
-//! The session RNG sits behind a non-reentrant mutex. At N ≥ 2¹² the NTTs
-//! of an encryption fan out on the pool, and the thread waiting for them
-//! helps with queued work — which, in a batch of inferences, is another
-//! encryption under the same session. If the RNG lock were still held
-//! there, that thread would lock it twice and sleep for ever.
+//! The session RNG sits behind a non-reentrant mutex. An encryption runs
+//! its NTTs on its own thread and waits on the pool for nothing, so no
+//! thread can pick up a queued encryption while it is inside another. This
+//! test is the guard that it stays so: if an encryption ever waited on the
+//! pool again, the waiting thread would help with queued work — in a batch
+//! of inferences, another encryption under the same session — and, were
+//! the RNG lock still held there, lock it twice and sleep for ever.
 //!
 //! This file is its own test binary with a single test, so the test fixes
 //! the pool width itself before anything has touched the pool.
@@ -53,7 +55,7 @@ fn pool_tasks_encrypting_under_one_session_terminate() {
     let params = CkksParams::small();
     assert!(
         params.n >= 1 << 12,
-        "the NTT batches must clear the pool gate"
+        "the guard needs a ring large enough that a pool fan-out inside an encryption would engage"
     );
     let mut rng = StdRng::seed_from_u64(0x10c);
     let mut net = Network::new(1, 4, 4);
@@ -84,12 +86,10 @@ fn pool_tasks_encrypting_under_one_session_terminate() {
         rayon::scope(|s| {
             // Park the pool's one worker until every encryption is done:
             // the scope thread then runs all of them itself, in an order
-            // the FIFO queue fixes. The first encryption's encode waits
-            // for its NTTs by starting the second; the second finishes and
-            // queues a third; the first then samples, fans its own NTTs
-            // out behind the third, and helps by starting the third —
-            // an encryption inside an encryption, on one thread. Had the
-            // first still held the RNG lock there, this would never end.
+            // the FIFO queue fixes, each queued by one that has finished.
+            // An encryption that waited on the pool would, on this one
+            // thread, start the next encryption inside itself; had it
+            // held the RNG lock there, this would never end.
             let (parked, worker_parked) = mpsc::channel();
             s.spawn(move |_| {
                 parked.send(()).ok();

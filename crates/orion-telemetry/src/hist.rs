@@ -168,9 +168,9 @@ impl LogHistogram {
 /// Operation classes timed by the kernel and scheduler layers.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum OpClass {
-    /// Forward NTT limb batch (`orion_math::parallel`).
+    /// Forward NTT of every limb of a polynomial (`RnsPoly::to_eval`).
     NttFwd,
-    /// Inverse NTT limb batch.
+    /// Inverse NTT of every limb of a polynomial (`RnsPoly::to_coeff`).
     NttInv,
     /// Key-switch core (covers relinearization, rotation, conjugation).
     KeySwitch,

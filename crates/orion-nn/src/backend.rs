@@ -38,6 +38,7 @@ use orion_ckks::precision::precision_bits;
 use orion_linear::values::{BiasValues, ConvDiagSource, DenseDiagSource, DiagSource};
 use orion_linear::{ConvSpec, LinearPlan, TensorLayout};
 use orion_tensor::Tensor;
+use std::borrow::Cow;
 
 /// A borrowed view of one linear layer's parameters (conv or dense),
 /// handed to [`EvalBackend::linear_layer`]. `step` is the program node id,
@@ -208,8 +209,11 @@ pub trait EvalBackend {
 
     /// `HAdd`: ciphertext + ciphertext.
     fn add(&self, a: &Self::Ciphertext, b: &Self::Ciphertext) -> Self::Ciphertext;
-    /// Free drop to a lower level.
-    fn drop_to_level(&self, a: &Self::Ciphertext, level: usize) -> Self::Ciphertext;
+    /// Free drop to a lower level. The walk hands the ciphertext over owned
+    /// when this is the last read of its value slot — the engine may then
+    /// drop the limbs in place instead of copying the ones it keeps — and
+    /// borrowed otherwise; the result is the same either way.
+    fn drop_to_level(&self, a: Cow<'_, Self::Ciphertext>, level: usize) -> Self::Ciphertext;
     /// Bootstrap: refreshes to the engine's effective level. Must be a
     /// deterministic function of the input ciphertext — concurrent walks
     /// bootstrap independent ciphertexts at once, and which walk runs first
@@ -292,6 +296,9 @@ pub struct ProgramRun<Ct> {
     /// `bootstraps()` counts per ciphertext, as the placement policy's
     /// `boot_count` does.
     pub counter: OpCounter,
+    /// The most limb vectors the walk held at once
+    /// ([`crate::sched::PlanRun::peak_live_limbs`]).
+    pub peak_live_limbs: u64,
 }
 
 impl<Ct> ProgramRun<Ct> {
@@ -322,6 +329,7 @@ pub fn run_program<B: EvalBackend + Sync>(
         output: decrypt_output(c, backend, &run.output_wire),
         output_wire: run.output_wire,
         counter: run.counter,
+        peak_live_limbs: run.peak_live_limbs,
     }
 }
 

@@ -15,6 +15,7 @@ use orion_linear::paged::LayerSource;
 use orion_linear::prepared::{PreparedLayer, PreparedProgram};
 use orion_linear::store::StoreError;
 use orion_poly::eval::{evaluate_chebyshev, relu_product, square};
+use std::borrow::Cow;
 use std::sync::Arc;
 
 /// Panic payload thrown when a paged prepared layer cannot be faulted in
@@ -113,8 +114,15 @@ impl EvalBackend for CkksBackend<'_> {
         self.session.eval.add(a, b)
     }
 
-    fn drop_to_level(&self, a: &Ciphertext, level: usize) -> Ciphertext {
-        a.dropped_to_level(level)
+    fn drop_to_level(&self, a: Cow<'_, Ciphertext>, level: usize) -> Ciphertext {
+        match a {
+            // the slot's last read: its dropped limbs are freed, not copied
+            Cow::Owned(mut ct) => {
+                self.session.eval.drop_to_level(&mut ct, level);
+                ct
+            }
+            Cow::Borrowed(ct) => ct.dropped_to_level(level),
+        }
     }
 
     fn bootstrap(&self, a: &Ciphertext) -> Ciphertext {

@@ -27,6 +27,7 @@ use crate::compile::Compiled;
 use orion_linear::exec::{exec_plain, shared_rot_plain, PlainRotations};
 use orion_poly::cheb::ChebPoly;
 use orion_tensor::{conv2d, linear, Conv2dParams, Tensor};
+use std::borrow::Cow;
 
 /// A "ciphertext" of the cleartext engine: slot values plus the mirrored
 /// multiplicative level.
@@ -226,9 +227,12 @@ impl EvalBackend for ClearBackend {
         a.zip(b, a.level, |x, y| x + y)
     }
 
-    fn drop_to_level(&self, a: &ClearCiphertext, level: usize) -> ClearCiphertext {
+    fn drop_to_level(&self, a: Cow<'_, ClearCiphertext>, level: usize) -> ClearCiphertext {
         assert!(level <= a.level, "cannot drop upward");
-        ClearCiphertext { level, ..a.clone() }
+        ClearCiphertext {
+            level,
+            ..a.into_owned()
+        }
     }
 
     fn bootstrap(&self, a: &ClearCiphertext) -> ClearCiphertext {
@@ -351,6 +355,6 @@ mod tests {
     #[should_panic(expected = "cannot drop upward")]
     fn drop_upward_panics() {
         let e = engine();
-        let _ = e.drop_to_level(&e.encrypt(&[1.0; 8], 2), 3);
+        let _ = e.drop_to_level(Cow::Owned(e.encrypt(&[1.0; 8], 2)), 3);
     }
 }

@@ -20,11 +20,12 @@
 //! the plan. A plan with no two linear layers on one wire comes back
 //! byte-identical.
 //!
-//! There is deliberately no pass that reorders units or retargets levels
-//! for memory: the walk holds every value until the run returns, so plan
-//! order frees nothing and such a rewrite has no run to show up in
-//! (README "The plan optimizer" has the measurements, ROADMAP item 1 the
-//! change that would give one a number).
+//! There is no pass that reorders units or retargets levels for memory.
+//! The walk drops each value after its last reader, so plan order decides
+//! what a run holds and the verifier's peak is what a run measures: such a
+//! rewrite can now be proposed with a number (README "The plan optimizer"
+//! has the measurements that retired the last two, ROADMAP item 1(d) the
+//! method).
 //!
 //! The pass owns no level arithmetic: what a unit reads at which level is
 //! [`ExecPlan::unit_io`] — the same record the walk executes and the

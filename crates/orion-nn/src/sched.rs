@@ -28,6 +28,17 @@
 //! thread that issues it) and across walks (serve workers, batch
 //! inference), not between units.
 //!
+//! The walk holds only what it will read again. What every unit reads is
+//! static, so each value slot's last reader is known before the walk
+//! starts ([`ExecPlan::last_reads`]): that unit takes the ciphertext out of
+//! its slot and drops its levels in place instead of copying them, a value
+//! nothing reads is released as soon as it is stored, and a `SharedRot`
+//! table is freed after its last consumer layer; only the output wire is
+//! held to the end. The walk counts the limb vectors it holds and returns
+//! their high-water mark ([`PlanRun::peak_live_limbs`]) — equal on every
+//! plan to the peak the verifier certifies (`crate::verify`), which reads
+//! the same last readers.
+//!
 //! Prefetch is an effect of the walk, not a unit. On a pool wider than one
 //! thread the walk runs inside a [`rayon::scope`], and a
 //! unit about to run first announces the linear layers whose *first*
@@ -70,6 +81,7 @@ use crate::compile::{Compiled, Step};
 use crate::sim::{OpCounter, OpKind};
 use orion_ckks::KeyManifest;
 use rayon::Scope;
+use std::borrow::Cow;
 
 /// What one scheduled unit computes — always work that reads and/or
 /// writes ciphertexts.
@@ -376,6 +388,24 @@ impl ExecPlan {
         all
     }
 
+    /// Every value slot's last reader: the last unit whose
+    /// [`UnitIo::reads`] name the slot, in one plan-order pass — `None` for
+    /// the output buffer's slots (a walk hands them back) and for slots
+    /// nothing reads. A walk releases a slot once its last reader has run
+    /// and the verifier's peak-live-limb certificate stops counting it
+    /// there: one liveness, read by both. Panics on a unit the plan cannot
+    /// describe (the verifier's coverage finding).
+    pub fn last_reads(&self, c: &Compiled) -> Vec<Option<usize>> {
+        let mut last = vec![None; self.n_slots];
+        for uid in 0..self.units.len() {
+            for (buf, _) in self.io(c, uid).reads.iter().flatten() {
+                last[buf.slots()].fill(Some(uid));
+            }
+        }
+        last[self.output.slots()].fill(None);
+        last
+    }
+
     /// Total value slots the plan writes.
     pub fn value_slots(&self) -> usize {
         self.n_slots
@@ -572,6 +602,13 @@ impl ExecPlan {
     }
 }
 
+/// Limb vectors one ciphertext at `level` holds: two polynomials of
+/// `level + 1` rows — the unit of the walk's measured peak and of the
+/// verifier's certificate.
+pub(crate) fn ct_limbs(level: usize) -> u64 {
+    2 * (level as u64 + 1)
+}
+
 /// The op tallies of one walk of `plan`, with modeled latency — the
 /// paper's "# Rots" / "# Boots" columns. Levels, bootstraps and every
 /// linear layer's BSGS split are fixed at compile time, so the tallies are
@@ -625,16 +662,33 @@ fn unit_label(c: &Compiled, work: &UnitWork) -> String {
     format!("{kind} {name} ct{ct}")
 }
 
+const NOT_READY: &str = "scheduler dependency violation: value not ready or already released";
+
 struct RunState<'a, B: EvalBackend> {
     plan: &'a ExecPlan,
     c: &'a Compiled,
     backend: &'a B,
     /// One slot per value, written once — by the caller's input or by the
-    /// unit producing it — and read by its consumers.
+    /// unit producing it — read by its consumers and emptied once the last
+    /// of them has run ([`ExecPlan::last_reads`]); the output wire's slots
+    /// are held until the walk returns.
     values: Vec<Option<B::Ciphertext>>,
+    /// Per value slot: the unit that reads it last.
+    last_read: Vec<Option<usize>>,
     /// One slot per [`SharedRotSpec`]: the hoisted-rotation handle the
-    /// spec's `SharedRot` unit produced, read by its consumer layers.
+    /// spec's `SharedRot` unit produced, read by its consumer layers and
+    /// freed after the last of them.
     shared_vals: Vec<Option<B::SharedRot>>,
+    /// Per spec: the last consumer layer.
+    last_shared: Vec<Option<usize>>,
+    /// Limb vectors held ([`ct_limbs`] per stored ciphertext), the inputs
+    /// moved into the running unit included.
+    live_limbs: u64,
+    /// The running unit's moved inputs' share of `live_limbs`, released
+    /// once its outputs are stored.
+    moved_limbs: u64,
+    /// High-water mark of `live_limbs`, sampled after each unit's store.
+    peak_limbs: u64,
     /// Per-unit execution nanoseconds, `Some` iff the telemetry collector
     /// was enabled when the run started; `None` keeps the disabled walk
     /// free of clock reads.
@@ -672,25 +726,34 @@ impl<'a, B: EvalBackend + Sync> RunState<'a, B> {
     }
 
     fn value(&self, slot: usize) -> &B::Ciphertext {
-        self.values[slot]
-            .as_ref()
-            .expect("scheduler dependency violation: value not ready")
+        self.values[slot].as_ref().expect(NOT_READY)
     }
 
-    /// Input `pos` of a unit: its slots' ciphertexts, dropped to the read
-    /// level the signature states, asserting the placement invariant like
-    /// the classic interpreter.
-    fn read(&self, io: &UnitIo, pos: usize) -> Vec<B::Ciphertext> {
+    /// Input `pos` of unit `uid`: its slots' ciphertexts, dropped to the
+    /// read level the signature states, asserting the placement invariant
+    /// like the classic interpreter. A slot the unit reads last — and at no
+    /// later input position — is moved into the drop; any other is
+    /// borrowed.
+    fn read(&mut self, uid: usize, io: &UnitIo, pos: usize) -> Vec<B::Ciphertext> {
         let (buf, level) = io.reads[pos].expect("unit has no such input");
         let level = level.expect("a bootstrap reads its slot directly");
         let backend = self.backend;
+        let read_again = |s: usize| {
+            (io.reads[pos + 1..].iter().flatten()).any(|(later, _)| later.slots().contains(&s))
+        };
         buf.slots()
             .map(|s| {
-                let ct = self.value(s);
+                let ct = if self.last_read[s] == Some(uid) && !read_again(s) {
+                    let ct = self.values[s].take().expect(NOT_READY);
+                    self.moved_limbs += ct_limbs(backend.level_of(&ct));
+                    Cow::Owned(ct)
+                } else {
+                    Cow::Borrowed(self.value(s))
+                };
                 assert!(
-                    backend.level_of(ct) >= level,
+                    backend.level_of(&ct) >= level,
                     "wire at level {} but the policy needs {level} — placement violated",
-                    backend.level_of(ct)
+                    backend.level_of(&ct)
                 );
                 backend.drop_to_level(ct, level)
             })
@@ -730,15 +793,42 @@ impl<'a, B: EvalBackend + Sync> RunState<'a, B> {
                     scale_mb = (self.backend.scale_log2_of(&ct) * 1e3) as u64
                 );
             }
+            self.live_limbs += ct_limbs(io.out_level);
             let old = self.values[unit.out_slot + i].replace(ct);
             assert!(old.is_none(), "scheduler wrote a value slot twice");
+        }
+    }
+
+    /// After unit `uid` has stored its outputs: samples the live-limb peak,
+    /// then releases what no later unit reads — the inputs it moved, the
+    /// other slots it read last, its outputs nothing reads (the output
+    /// wire's excepted) and the shared rotations it consumed last.
+    fn release(&mut self, uid: usize, io: &UnitIo) {
+        self.peak_limbs = self.peak_limbs.max(self.live_limbs);
+        self.live_limbs -= std::mem::take(&mut self.moved_limbs);
+        let (plan, backend) = (self.plan, self.backend);
+        let unit = &plan.units[uid];
+        let last_read = &self.last_read;
+        let read = io.reads.iter().flatten().flat_map(|(buf, _)| buf.slots());
+        let unread = (unit.out_slot..unit.out_slot + unit.out_len)
+            .filter(|&s| last_read[s].is_none() && !plan.output.slots().contains(&s));
+        for s in read.filter(|&s| last_read[s] == Some(uid)).chain(unread) {
+            if let Some(ct) = self.values[s].take() {
+                self.live_limbs -= ct_limbs(backend.level_of(&ct));
+            }
+        }
+        if let Some(spec) = unit.shared_rots {
+            if self.last_shared[spec] == Some(uid) {
+                self.shared_vals[spec] = None;
+            }
         }
     }
 
     fn run_unit(&mut self, uid: usize) {
         let io = self.plan.io(self.c, uid);
         if self.exec_ns.is_none() {
-            return self.exec_unit(uid, &io);
+            self.exec_unit(uid, &io);
+            return self.release(uid, &io);
         }
         let start = orion_telemetry::now_ns();
         let (kind, node, ct) = unit_meta(&self.plan.units[uid].work);
@@ -758,6 +848,7 @@ impl<'a, B: EvalBackend + Sync> RunState<'a, B> {
         if let Some(exec_ns) = &mut self.exec_ns {
             exec_ns[uid] = end.saturating_sub(start);
         }
+        self.release(uid, &io);
     }
 
     fn exec_unit(&mut self, uid: usize, io: &UnitIo) {
@@ -774,7 +865,7 @@ impl<'a, B: EvalBackend + Sync> RunState<'a, B> {
         match unit.work {
             UnitWork::SharedRot { spec } => {
                 let sp = &plan.shared[spec];
-                let handle = backend.hoist_rotations(&self.read(io, 0), lv, &sp.rots);
+                let handle = backend.hoist_rotations(&self.read(uid, io, 0), lv, &sp.rots);
                 let old = self.shared_vals[spec].replace(handle);
                 assert!(old.is_none(), "scheduler ran a shared-rotation unit twice");
             }
@@ -785,7 +876,7 @@ impl<'a, B: EvalBackend + Sync> RunState<'a, B> {
             UnitWork::Step { node } => {
                 let layer = LinearRef::of(node, &c.prog[node].step)
                     .expect("a whole-step unit is a linear layer");
-                let cts = self.read(io, 0);
+                let cts = self.read(uid, io, 0);
                 // reads the hoisted rotations of its `SharedRotSpec` when
                 // the optimizer attached one to the unit
                 let shared = unit.shared_rots.map(|spec| {
@@ -801,7 +892,7 @@ impl<'a, B: EvalBackend + Sync> RunState<'a, B> {
             }
             UnitWork::StepCt { node, .. } => {
                 // an elementwise unit reads one ciphertext per input
-                let x = |pos: usize| self.read(io, pos).pop().expect("one-slot read");
+                let mut x = |pos: usize| self.read(uid, io, pos).pop().expect("one-slot read");
                 let out = match &c.prog[node].step {
                     Step::ScaleDown { factor } => backend.scale_down(&x(0), *factor, lv),
                     Step::PolyStage { coeffs } => {
@@ -828,13 +919,20 @@ pub struct PlanRun<Ct> {
     pub output_wire: Vec<Ct>,
     /// The plan's op tallies with modeled latency ([`count_plan`]).
     pub counter: OpCounter,
+    /// The most limb vectors the walk held at once: `2·(level + 1)` per
+    /// ciphertext at the level it was stored at, sampled after each unit
+    /// has stored its outputs (with the inputs it moved still counted).
+    /// Equal on every plan to the verifier's certificate,
+    /// [`VerifyReport::peak_limbs`](crate::verify::VerifyReport::peak_limbs).
+    pub peak_live_limbs: u64,
 }
 
 /// Walks `plan` on `backend` over `inputs` — one ciphertext per slot of
 /// [`ExecPlan::input`], each at `L_eff` — in plan order on the calling
-/// thread, and returns the output wire. On a pool wider than one thread
-/// the walk announces upcoming linear layers for prefetch (module docs); a
-/// unit's panic is rethrown once those announcements have drained.
+/// thread, and returns the output wire. Every other value is released once
+/// its last reader has run (module docs). On a pool wider than one thread
+/// the walk announces upcoming linear layers for prefetch; a unit's panic
+/// is rethrown once those announcements have drained.
 pub fn run_plan<B: EvalBackend + Sync>(
     plan: &ExecPlan,
     c: &Compiled,
@@ -851,12 +949,23 @@ pub fn run_plan<B: EvalBackend + Sync>(
         plan.input.len,
         "input ciphertext count does not match the program's input wire"
     );
+    let mut last_shared = vec![None; plan.shared.len()];
+    for (uid, unit) in plan.units.iter().enumerate() {
+        if let Some(spec) = unit.shared_rots {
+            last_shared[spec] = Some(uid);
+        }
+    }
     let mut state = RunState {
         plan,
         c,
         backend,
         values: vec![None; plan.n_slots],
+        last_read: plan.last_reads(c),
         shared_vals: (0..plan.shared.len()).map(|_| None).collect(),
+        last_shared,
+        live_limbs: 0,
+        moved_limbs: 0,
+        peak_limbs: 0,
         exec_ns: orion_telemetry::enabled().then(|| vec![0; plan.units.len()]),
     };
     for (slot, ct) in plan.input.slots().zip(inputs) {
@@ -865,7 +974,11 @@ pub fn run_plan<B: EvalBackend + Sync>(
             c.opts.l_eff,
             "input ciphertext at the wrong level (the input wire arrives at L_eff)"
         );
-        state.values[slot] = Some(ct);
+        // an input ciphertext nothing reads is released as it arrives
+        if state.last_read[slot].is_some() || plan.output.slots().contains(&slot) {
+            state.live_limbs += ct_limbs(c.opts.l_eff);
+            state.values[slot] = Some(ct);
+        }
     }
     let wall_start = state.exec_ns.as_ref().map(|_| orion_telemetry::now_ns());
     let run_span = state
@@ -879,7 +992,13 @@ pub fn run_plan<B: EvalBackend + Sync>(
     }
     drop(run_span);
     if let (Some(exec_ns), Some(t0)) = (&state.exec_ns, wall_start) {
-        report_run(plan, c, exec_ns, orion_telemetry::now_ns() - t0);
+        report_run(
+            plan,
+            c,
+            exec_ns,
+            orion_telemetry::now_ns() - t0,
+            state.peak_limbs,
+        );
     }
     let output_wire = plan
         .output
@@ -889,14 +1008,15 @@ pub fn run_plan<B: EvalBackend + Sync>(
     PlanRun {
         output_wire,
         counter: count_plan(plan, c, backend),
+        peak_live_limbs: state.peak_limbs,
     }
 }
 
 /// Builds and records the telemetry [`orion_telemetry::RunReport`] of a
 /// finished walk from its per-unit execution times: their sum, the
 /// duration-weighted critical path through the unit DAG, and the heaviest
-/// units on it.
-fn report_run(plan: &ExecPlan, c: &Compiled, dur: &[u64], wall_ns: u64) {
+/// units on it — plus the walk's measured peak live limbs.
+fn report_run(plan: &ExecPlan, c: &Compiled, dur: &[u64], wall_ns: u64, peak_live_limbs: u64) {
     let deps = plan.deps(c);
     let deps: Vec<&[usize]> = deps.iter().map(Vec::as_slice).collect();
     let (critical_path_ns, mut on_path) = orion_telemetry::critical_path(dur, &deps);
@@ -918,6 +1038,7 @@ fn report_run(plan: &ExecPlan, c: &Compiled, dur: &[u64], wall_ns: u64) {
         busy_ns: dur.iter().sum(),
         queue_ns: 0,
         critical_path_ns,
+        peak_live_limbs,
         top,
     });
 }

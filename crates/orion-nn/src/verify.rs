@@ -37,8 +37,11 @@
 //!    invariants (unit coverage per program node — one whole-step unit per
 //!    linear layer, one unit per ciphertext of an elementwise step, none
 //!    for `Input` / `Output` — bootstrap replication, `SharedRotSpec`
-//!    validity) into production checks, and reports the peak-live-limb
-//!    estimate of a walk in plan order ([`VerifyReport::peak_limbs`]).
+//!    validity) into production checks, and certifies the peak live limbs
+//!    of a walk in plan order ([`VerifyReport::peak_limbs`]): each
+//!    ciphertext counts from its write to its last reader
+//!    ([`ExecPlan::last_reads`]), where the walk releases it, so a run
+//!    measures exactly this number.
 //!    The plan stores no edges to check: a unit reading a slot that no
 //!    earlier unit wrote is the walk's [`Rule::Coverage`] finding.
 //!
@@ -67,7 +70,7 @@
 //! re-verifies every plan it rewrites.
 
 use crate::compile::{Compiled, Step};
-use crate::sched::{Buffer, ExecPlan, KeyUse, SharedRotSpec, UnitWork};
+use crate::sched::{ct_limbs, ExecPlan, KeyUse, SharedRotSpec, UnitWork};
 use orion_ckks::{Context, KeyManifest, NoiseEstimator};
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
@@ -290,8 +293,9 @@ pub struct VerifyReport {
     pub diagnostics: Vec<Diagnostic>,
     /// Plan units examined.
     pub units: usize,
-    /// Certified peak-live-limb estimate (only on structurally clean
-    /// plans — the estimate is meaningless otherwise).
+    /// Certified peak live limb vectors of a walk in plan order — what the
+    /// walk measures (`PlanRun::peak_live_limbs`). Only on structurally
+    /// clean plans: the certificate trusts every unit's signature.
     pub peak_limbs: Option<u64>,
     /// Worst predicted precision at any bootstrap input or output slot
     /// (noise pass only).
@@ -1054,59 +1058,68 @@ impl<'a> Checker<'a> {
     }
 
     // -----------------------------------------------------------------
-    // Pass family 4b: the peak-live-limb estimate.
+    // Pass family 4b: the peak-live-limb certificate.
     // -----------------------------------------------------------------
+
+    /// The most limb vectors a walk in plan order holds at once — what
+    /// [`crate::sched::run_plan`] measures
+    /// ([`PlanRun::peak_live_limbs`](crate::sched::PlanRun::peak_live_limbs)),
+    /// because both release a value slot where [`ExecPlan::last_reads`]
+    /// says. A ciphertext weighs `2·(level + 1)` at the level it is
+    /// written at, from its write — the input wire's before the first
+    /// unit — until its last reader has run; one nothing reads only at the
+    /// unit that writes it (an input one not at all), the output wire to
+    /// the end. The peak is taken after each unit's writes. The levels are
+    /// the slot states this checker's walk wrote; `last_reads` is the one
+    /// extra pass over the units.
+    fn peak_live_limbs(&self) -> u64 {
+        let (plan, c) = (self.plan, self.c);
+        let last = plan.last_reads(c);
+        let held = |s: usize| plan.output.slots().contains(&s);
+        let limbs = |s: usize| {
+            let state = self.st[s].expect("a clean plan writes every slot");
+            ct_limbs(state.level)
+        };
+        // per unit: the limb vectors released once it has run
+        let mut freed = vec![0u64; plan.units.len()];
+        let mut live = 0;
+        for s in plan.input.slots() {
+            match last[s] {
+                Some(reader) => freed[reader] += limbs(s),
+                None if !held(s) => continue,
+                None => {}
+            }
+            live += limbs(s);
+        }
+        let mut peak = 0;
+        for (uid, unit) in plan.units.iter().enumerate() {
+            for s in unit.out_slot..unit.out_slot + unit.out_len {
+                live += limbs(s);
+                match last[s] {
+                    Some(reader) => freed[reader] += limbs(s),
+                    None if !held(s) => freed[uid] += limbs(s),
+                    None => {}
+                }
+            }
+            peak = peak.max(live);
+            live -= freed[uid];
+        }
+        peak
+    }
 
     fn finish(self) -> VerifyReport {
         let errors = self.diags.iter().any(|d| d.severity == Severity::Error);
+        // The certificate is only meaningful on a well-formed plan (it
+        // trusts every unit's signature).
+        let peak_limbs = (!errors).then(|| self.peak_live_limbs());
         VerifyReport {
             units: self.plan.units.len(),
-            // The estimate is only meaningful on a well-formed plan (it
-            // trusts every unit's signature).
-            peak_limbs: (!errors).then(|| peak_live_limbs(self.plan, self.c)),
+            peak_limbs,
             diagnostics: self.diags,
             min_precision_bits: self.min_prec,
             rotations_checked: self.rotations_checked,
         }
     }
-}
-
-/// Peak live limb vectors of a walk in plan order. A ciphertext weighs
-/// 2 polynomials × (level + 1) rows. A value — a unit's output, or the
-/// input wire from the start — is live from its birth to the last unit
-/// whose signature reads one of its slots; the output wire to the end.
-fn peak_live_limbs(plan: &ExecPlan, c: &Compiled) -> u64 {
-    let end = plan.units.len();
-    // per slot: the last unit reading it
-    let mut last_read = vec![0usize; plan.value_slots()];
-    // (slots, level, born at) per value
-    let mut values = vec![(plan.input, c.opts.l_eff, 0)];
-    for (uid, unit) in plan.units.iter().enumerate() {
-        let io = plan.io(c, uid);
-        for (buf, _) in io.reads.iter().flatten() {
-            last_read[buf.slots()].fill(uid);
-        }
-        let out = Buffer {
-            offset: unit.out_slot,
-            len: unit.out_len,
-        };
-        values.push((out, io.out_level, uid));
-    }
-    let mut delta = vec![0i64; end + 1];
-    for (buf, level, born) in values {
-        let weight = buf.len as i64 * 2 * (level as i64 + 1);
-        let held = plan.output.slots().contains(&buf.offset);
-        let last = buf.slots().map(|s| last_read[s]).fold(born, usize::max);
-        delta[born] += weight;
-        delta[if held { end } else { last + 1 }] -= weight;
-    }
-    let mut live = 0i64;
-    let mut peak = 0i64;
-    for d in delta {
-        live += d;
-        peak = peak.max(live);
-    }
-    peak as u64
 }
 
 #[cfg(test)]

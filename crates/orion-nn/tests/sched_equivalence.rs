@@ -5,7 +5,9 @@
 //! data flow explicit, every backend op (including the bootstrap oracle)
 //! is a pure function of its inputs, and the op counter is a fold over the
 //! plan's units in plan order, so even the accumulated `f64` model seconds
-//! agree to the last bit.
+//! agree to the last bit. Every walk also frees each value after its last
+//! reader, and the most limb vectors it holds at once is the peak the
+//! verifier certifies for its plan — on both engines, to the limb.
 
 use orion_ckks::CkksParams;
 use orion_nn::backend::{decrypt_output, encrypt_input};
@@ -14,8 +16,10 @@ use orion_nn::compile::{compile, CompileOptions, Compiled};
 use orion_nn::fhe_exec::FheSession;
 use orion_nn::fit::fixed_ranges;
 use orion_nn::network::Network;
+use orion_nn::opt::{optimize_plan, OptConfig};
 use orion_nn::sched::{run_plan, ExecPlan, PlanRun};
 use orion_nn::sim::{CostModel, OpCounter};
+use orion_nn::verify::{verify_plan, VerifyConfig};
 use orion_tensor::Tensor;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -54,6 +58,17 @@ fn assert_counters_bit_identical(a: &OpCounter, b: &OpCounter, what: &str) {
     );
 }
 
+/// The walk's measured peak live limbs are the verifier's certificate of
+/// its plan — equal, not merely bounded.
+fn assert_peak_certified<Ct>(run: &PlanRun<Ct>, plan: &ExecPlan, c: &Compiled, what: &str) {
+    let certified = verify_plan(plan, c, &VerifyConfig::default()).peak_limbs;
+    assert_eq!(
+        Some(run.peak_live_limbs),
+        certified,
+        "{what}: measured vs certified peak live limbs"
+    );
+}
+
 /// Walks `plan` over `cts` on `backend` alone, then twice at once on two
 /// threads; returns the lone walk and the two parallel ones.
 fn walk_alone_and_in_parallel<B>(
@@ -79,7 +94,9 @@ where
 {
     let plan = ExecPlan::build(c);
     let (seq_run, par_runs) = walk_alone_and_in_parallel(&plan, c, backend, cts);
+    assert_peak_certified(&seq_run, &plan, c, what);
     for par_run in &par_runs {
+        assert_peak_certified(par_run, &plan, c, what);
         assert_eq!(
             decrypt_output(c, backend, &seq_run.output_wire).data(),
             decrypt_output(c, backend, &par_run.output_wire).data(),
@@ -252,4 +269,106 @@ fn one_engine_value_serves_concurrent_walks() {
     // three different requests, three different answers
     assert_ne!(together[0].output_wire[0].c0, together[1].output_wire[0].c0);
     assert_ne!(together[1].output_wire[0].c0, together[2].output_wire[0].c0);
+}
+
+/// Walks `net`'s plan — optimized with `optimize` — once on the real
+/// engine and holds its measured peak live limbs to the certificate.
+fn ckks_peak_is_certified(net: &Network, params: CkksParams, optimize: bool, what: &str) {
+    let c = compile(
+        net,
+        &fixed_ranges(net, 4.0),
+        &CompileOptions::from_params(&params),
+    );
+    let session = FheSession::new(params, &c, 0x9ea4);
+    let mut plan = ExecPlan::build(&c);
+    if optimize {
+        let stats = optimize_plan(&mut plan, &c, OptConfig::default());
+        assert!(stats.rotation_cse.shared_units >= 1, "{what}: want CSE");
+    }
+    let shape = c.input_layout;
+    let input = random_input(
+        shape.c,
+        shape.h,
+        shape.w,
+        &mut StdRng::seed_from_u64(0x9ea5),
+    );
+    let cts = session.encrypt_input(&c, &input);
+    let run = run_plan(&plan, &c, &CkksBackend::new(&session), cts);
+    assert_peak_certified(&run, &plan, &c, what);
+}
+
+/// The real engine moves each slot's last read and frees it after: the
+/// peak it holds is the certificate on the benchmark's residual-block net
+/// (two blocks of 1×1 conv → ReLU{15,15,27} → 1×1 conv → add → SiLU-15, on
+/// the medium chain at N = 2¹¹), the bootstrap-deep MLP at `tiny`, and a
+/// fork whose two convs read one wire — the optimized plan shares their
+/// hoist, and the shared table is freed after its last consumer.
+#[test]
+fn ckks_walks_hold_the_certified_peak() {
+    let mut rng = StdRng::seed_from_u64(0x5c4f1);
+    let mut net = Network::new(4, 8, 8);
+    let x = net.input();
+    let stem = net.conv2d("stem", x, 8, 1, 1, 0, 1, &mut rng);
+    let mut cur = net.silu("stem_act", stem, 15);
+    for b in 0..2 {
+        let c1 = net.conv2d(&format!("b{b}_conv1"), cur, 8, 1, 1, 0, 1, &mut rng);
+        let r = net.relu(&format!("b{b}_relu"), c1, &[15, 15, 27]);
+        let c2 = net.conv2d(&format!("b{b}_conv2"), r, 8, 1, 1, 0, 1, &mut rng);
+        let sum = net.add(&format!("b{b}_add"), c2, cur);
+        cur = net.silu(&format!("b{b}_act"), sum, 15);
+    }
+    net.output(cur);
+    let medium_n11 = CkksParams {
+        n: 1 << 11,
+        ..CkksParams::medium()
+    };
+    ckks_peak_is_certified(&net, medium_n11, false, "resblock");
+
+    ckks_peak_is_certified(&mlp(&mut rng), CkksParams::tiny(), false, "mlp");
+
+    let mut net = Network::new(4, 8, 8);
+    let x = net.input();
+    let a = net.conv2d("c2a", x, 4, 3, 1, 1, 1, &mut rng);
+    let b = net.conv2d("c2b", x, 4, 3, 1, 1, 1, &mut rng);
+    let add = net.add("res", a, b);
+    net.output(add);
+    ckks_peak_is_certified(&net, CkksParams::tiny(), true, "fork");
+}
+
+/// A unit reading one slot at both inputs (`x + x`) borrows it for the
+/// first read and moves it for the second: the walk neither panics on the
+/// slot the second read emptied nor changes a bit — the cleartext engine
+/// computes the network's own `x + x` — and holds the certified peak on
+/// both engines.
+#[test]
+fn a_unit_reading_one_slot_twice_borrows_then_moves() {
+    let mut rng = StdRng::seed_from_u64(0x5c4f2);
+    let mut net = Network::new(2, 8, 8);
+    let x = net.input();
+    let a = net.conv2d("c1", x, 2, 3, 1, 1, 1, &mut rng);
+    let dbl = net.add("dbl", a, a);
+    net.output(dbl);
+    let params = CkksParams::tiny();
+    let c = compile(
+        &net,
+        &fixed_ranges(&net, 4.0),
+        &CompileOptions::from_params(&params),
+    );
+    let plan = ExecPlan::build(&c);
+    let input = random_input(2, 8, 8, &mut rng);
+
+    let clear = ClearBackend::reference(&c);
+    let run = run_plan(&plan, &c, &clear, encrypt_input(&c, &clear, &input));
+    let bits = |t: &Tensor| t.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+    assert_eq!(
+        bits(&decrypt_output(&c, &clear, &run.output_wire)),
+        bits(&net.forward_poly(&input, &c.acts)),
+        "x + x on the cleartext engine"
+    );
+    assert_peak_certified(&run, &plan, &c, "clear dbl");
+
+    let session = FheSession::new(params, &c, 0xdb1);
+    let cts = session.encrypt_input(&c, &input);
+    let run = run_plan(&plan, &c, &CkksBackend::new(&session), cts);
+    assert_peak_certified(&run, &plan, &c, "ckks dbl");
 }

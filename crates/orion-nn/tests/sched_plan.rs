@@ -4,8 +4,10 @@
 //! producers `ExecPlan::deps` derives from the reads precede them, every
 //! program step is covered by exactly the right units, bootstrap units
 //! match the placement, and the optimized plan walks to the built plan's
-//! bits on the trace engine. Prefetch is not part of the plan: the last
-//! test holds the walk to announcing exactly the layers its rule names.
+//! bits on the trace engine — each walk holding at its peak exactly the
+//! live limbs the verifier certifies. Prefetch is not part of the plan:
+//! the last test holds the walk to announcing exactly the layers its rule
+//! names.
 
 use orion_ckks::CkksParams;
 use orion_linear::paged::{LayerSource, PagedProgram};
@@ -20,6 +22,7 @@ use orion_nn::network::Network;
 use orion_nn::opt::{optimize_plan, OptConfig, OptStats};
 use orion_nn::sched::{run_plan, ExecPlan, UnitWork};
 use orion_nn::sim::CostModel;
+use orion_nn::verify::{verify_plan, VerifyConfig};
 use orion_tensor::Tensor;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -195,7 +198,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     /// Random nets compile to valid plans, and their optimized plans walk
-    /// to the same bits on the trace engine.
+    /// to the same bits on the trace engine; both walks measure the peak
+    /// live limbs the verifier certifies for their plan.
     #[test]
     fn random_programs_build_valid_plans(
         seed in 0u64..1000,
@@ -224,6 +228,8 @@ proptest! {
         let cts = encrypt_input(&c, &backend, &input);
         let walk = |plan: &ExecPlan| {
             let run = run_plan(plan, &c, &backend, cts.clone());
+            let certified = verify_plan(plan, &c, &VerifyConfig::default()).peak_limbs;
+            assert_eq!(Some(run.peak_live_limbs), certified, "measured vs certified peak");
             let wire: Vec<Vec<f64>> = run.output_wire.into_iter().map(|ct| ct.slots).collect();
             (wire, run.counter.bootstraps())
         };

@@ -20,10 +20,12 @@ use orion_nn::fit::fixed_ranges;
 use orion_nn::network::Network;
 use orion_nn::sched::{run_plan, ExecPlan};
 use orion_nn::sim::CostModel;
+use orion_nn::verify::{verify_plan, VerifyConfig};
 use orion_telemetry::Phase;
 use orion_tensor::Tensor;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::borrow::Cow;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Barrier, Mutex};
@@ -166,7 +168,7 @@ impl EvalBackend for LevelEngine<'_> {
     fn add(&self, a: &usize, _b: &usize) -> usize {
         *a
     }
-    fn drop_to_level(&self, _a: &usize, level: usize) -> usize {
+    fn drop_to_level(&self, _a: Cow<'_, usize>, level: usize) -> usize {
         level
     }
     fn bootstrap(&self, _a: &usize) -> usize {
@@ -268,6 +270,12 @@ fn run_report_is_internally_consistent() {
         report.busy_ns,
         report.wall_ns
     );
+    let certified = verify_plan(
+        &ExecPlan::build(&compiled),
+        &compiled,
+        &VerifyConfig::default(),
+    );
+    assert_eq!(Some(report.peak_live_limbs), certified.peak_limbs);
     for u in &report.top {
         assert!(u.unit < report.units);
         assert!(!u.label.is_empty());

@@ -176,6 +176,10 @@ fn traced_serving_exports_spans_histograms_and_critical_path() {
         assert!(threads > 1.0, "parallel pool expected");
         assert!(get_num(run, "busy_ms") <= get_num(run, "wall_ms") * threads);
         assert!(get_num(run, "critical_path_ms") <= get_num(run, "wall_ms"));
+        assert!(
+            get_num(run, "peak_live_limbs") > 0.0,
+            "measured peak missing"
+        );
         match run.get("critical_path_top") {
             Some(Value::Arr(top)) => assert!(!top.is_empty(), "critical path empty"),
             other => panic!("critical_path_top missing: {other:?}"),

@@ -42,6 +42,9 @@ pub struct RunReport {
     /// Longest dependency-ordered execution chain (the lower bound on
     /// wall time at infinite parallelism).
     pub critical_path_ns: u64,
+    /// The most limb vectors (`2·(level + 1)` per ciphertext) the walk
+    /// held at once — the measured side of the verifier's certified peak.
+    pub peak_live_limbs: u64,
     /// Heaviest units on the critical path, descending by duration.
     pub top: Vec<CritUnit>,
 }
@@ -56,6 +59,10 @@ impl RunReport {
             ("wall_ms".to_string(), ms(self.wall_ns)),
             ("busy_ms".to_string(), ms(self.busy_ns)),
             ("critical_path_ms".to_string(), ms(self.critical_path_ns)),
+            (
+                "peak_live_limbs".to_string(),
+                Value::Num(self.peak_live_limbs as f64),
+            ),
             (
                 "parallelism".to_string(),
                 Value::Num(if self.wall_ns == 0 {
@@ -202,6 +209,7 @@ mod tests {
                 busy_ns: 1,
                 queue_ns: 0,
                 critical_path_ns: 1,
+                peak_live_limbs: 0,
                 top: Vec::new(),
             });
         }

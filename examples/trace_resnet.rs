@@ -1,7 +1,9 @@
 //! Trace one ResNet-style forked inference with the telemetry collector
 //! enabled: every plan unit becomes a span, wire level/scale
 //! trajectories become instants, and the run's critical path is computed
-//! from the measured per-unit durations.
+//! from the measured per-unit durations. The run report also carries the
+//! most live limb vectors the walk held, printed against the verifier's
+//! certified peak.
 //!
 //! Writes `target/trace_resnet.json` — open it at <https://ui.perfetto.dev>
 //! (or `chrome://tracing`) to see the per-thread span tracks — and prints
@@ -17,6 +19,7 @@ use orion::nn::compile::{compile, CompileOptions};
 use orion::nn::fit::fixed_ranges;
 use orion::nn::network::Network;
 use orion::nn::sched::{run_plan, ExecPlan};
+use orion::nn::verify::{verify_plan, VerifyConfig};
 use orion::sim::CostModel;
 use orion::telemetry;
 use orion::tensor::Tensor;
@@ -86,6 +89,17 @@ fn main() {
         report.wall_ns as f64 / 1e6,
         report.busy_ns as f64 / 1e6,
         100.0 * report.busy_ns as f64 / report.wall_ns.max(1) as f64,
+    );
+    let certified = verify_plan(&plan, &compiled, &VerifyConfig::default()).peak_limbs;
+    let certified = certified.expect("the traced plan certifies clean");
+    let rel = if report.peak_live_limbs == certified {
+        "=="
+    } else {
+        "!="
+    };
+    println!(
+        "measured peak {} {rel} certified {certified} live limbs",
+        report.peak_live_limbs
     );
     println!(
         "critical path: {:.2} ms ({:.0}% of wall)\n",

@@ -2,11 +2,15 @@
 //! from the zoo and prints its certification — a diagnostic table when
 //! anything fires, "certified clean" otherwise — then does the same for
 //! the plan that is served: the one `optimize_plan` returns, with one line
-//! saying what rotation CSE shared. The last line holds the latency
-//! placement minimised against the built plan's counted seconds — one fold
-//! of one op list at one price, so they are equal. Exits nonzero on any
-//! error-severity diagnostic, rejected rewrite or `modeled != counted`, so
-//! it doubles as a CI gate.
+//! saying what rotation CSE shared. It then walks the served plan once on
+//! the cleartext reference engine and prints the most live limb vectors the
+//! walk held against the peak the verifier certified — the walk frees what
+//! the certificate stops counting, so they are equal. The last line holds
+//! the latency placement minimised against the built plan's counted
+//! seconds — one fold of one op list at one price, so they are equal too.
+//! Exits nonzero on any error-severity diagnostic, rejected rewrite,
+//! `measured != certified` or `modeled != counted`, so it doubles as a CI
+//! gate.
 //!
 //! ```sh
 //! cargo run --release --example verify_model -- resnet20
@@ -27,11 +31,12 @@
 use orion::ckks::{CkksParams, Context};
 use orion::models::data::synthetic_images;
 use orion::models::{build, Act};
+use orion::nn::backend::encrypt_input;
 use orion::nn::backends::ClearBackend;
 use orion::nn::compile::{compile, CompileOptions};
 use orion::nn::fit::fit_robust;
 use orion::nn::opt::{optimize_plan, OptConfig};
-use orion::nn::sched::{count_plan, ExecPlan};
+use orion::nn::sched::{count_plan, run_plan, ExecPlan};
 use orion::nn::verify::{verify_plan, VerifyConfig, VerifyReport};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -84,6 +89,18 @@ fn main() {
     let counted = count_plan(&plan, &compiled, &ClearBackend::reference(&compiled)).seconds;
     let stats = optimize_plan(&mut plan, &compiled, OptConfig::default());
     let served = verify_plan(&plan, &compiled, &cfg);
+    // (measured, certified) peak live limbs of the served plan
+    let peaks = (!served.has_errors()).then(|| {
+        let backend = ClearBackend::reference(&compiled);
+        let cts = encrypt_input(&compiled, &backend, &calib[0]);
+        let measured = run_plan(&plan, &compiled, &backend, cts).peak_live_limbs;
+        (
+            measured,
+            served
+                .peak_limbs
+                .expect("a plan without errors is certified"),
+        )
+    });
 
     println!(
         "{model} ({}, {} steps, {} rotations, {} bootstraps) under {preset} parameters:",
@@ -103,10 +120,15 @@ fn main() {
         let keys = compiled.key_manifest();
         println!("{}", keys.summary(ctx.degree(), ctx.max_level()));
     }
+    if let Some((measured, certified)) = peaks {
+        let rel = if measured == certified { "==" } else { "!=" };
+        println!("measured peak {measured} {rel} certified {certified} live limbs");
+    }
+    let held = peaks.is_none_or(|(measured, certified)| measured == certified);
     let agree = (modeled - counted).abs() <= 1e-9 * counted;
     let rel = if agree { "==" } else { "!=" };
     println!("modeled {modeled:.6} s {rel} counted {counted:.6} s");
-    if built.has_errors() || served.has_errors() || stats.rejected_passes > 0 || !agree {
+    if built.has_errors() || served.has_errors() || stats.rejected_passes > 0 || !held || !agree {
         std::process::exit(1);
     }
 }

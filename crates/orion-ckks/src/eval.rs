@@ -273,31 +273,6 @@ impl Evaluator {
             scale: ct.scale,
         })
     }
-
-    /// Complex conjugation of all slots (requires the conjugation key).
-    pub fn conjugate(&self, ct: &Ciphertext) -> Ciphertext {
-        let g = self.ctx.galois_element_conj();
-        let key = self
-            .keys
-            .conj
-            .as_ref()
-            .expect("conjugation key not generated");
-        assert!(
-            ct.level() <= key.level(),
-            "conjugation key generated below the ciphertext's level"
-        );
-        let perm = self.ctx.galois_permutation(g);
-        let sc0 = ct.c0.automorphism_eval(&perm);
-        let sc1 = ct.c1.automorphism_eval(&perm);
-        let (ks_b, ks_a) = self.key_switch(&sc1, key);
-        let mut c0 = sc0;
-        c0.add_assign(&ks_b, &self.ctx);
-        Ciphertext {
-            c0,
-            c1: ks_a,
-            scale: ct.scale,
-        }
-    }
 }
 
 #[cfg(test)]

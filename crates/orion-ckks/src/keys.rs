@@ -130,13 +130,14 @@ impl KeySwitchKey {
     }
 }
 
-/// Evaluation keys: relinearization + rotation (+ conjugation) keys.
+/// Evaluation keys: relinearization + rotation keys.
 pub struct EvalKeys {
     /// Key for `s² → s` (used by `HMult`).
     pub relin: KeySwitchKey,
     /// Rotation keys, indexed by Galois element.
     pub rot: HashMap<usize, KeySwitchKey>,
-    /// Conjugation key (Galois element `2N−1`), if generated.
+    /// Always `None`: nothing conjugates slots. Kept because the benchmark
+    /// harness's API pin reads it.
     pub conj: Option<KeySwitchKey>,
 }
 
@@ -392,11 +393,6 @@ impl<R: Rng> KeyGenerator<R> {
     pub fn gen_rotation_key(&mut self, k: isize, level: usize) -> (usize, KeySwitchKey) {
         let g = self.ctx.galois_element(k);
         (g, self.gen_galois_key(g, level))
-    }
-
-    /// Generates the conjugation key at `level`.
-    pub fn gen_conjugation_key(&mut self, level: usize) -> KeySwitchKey {
-        self.gen_galois_key(self.ctx.galois_element_conj(), level)
     }
 
     /// Generates exactly the keys `manifest` lists, each at its level.

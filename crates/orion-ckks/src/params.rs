@@ -225,11 +225,6 @@ impl Context {
         orion_math::modular::pow_mod(5, k, m as u64) as usize
     }
 
-    /// The Galois element for complex conjugation: `2N − 1`.
-    pub fn galois_element_conj(&self) -> usize {
-        2 * self.params.n - 1
-    }
-
     /// Evaluation-domain permutation for Galois element `g`: applying the
     /// automorphism `a(X) → a(X^g)` in the evaluation representation sends
     /// `new[i] = old[perm[i]]`.

@@ -7,7 +7,7 @@
 //!
 //! 1. every residual connection forms a single-entry single-exit (SESE)
 //!    region bounded by a fork node and its immediate post-dominator
-//!    ([`sese`]);
+//!    ([`sese::immediate_post_dominators`]);
 //! 2. regions are collapsed innermost-first into pseudo-nodes carrying an
 //!    `(ℓ_in, ℓ_out)` cost matrix obtained by solving a *joint* shortest
 //!    path over their branches ([`placement`], paper Figure 6d);

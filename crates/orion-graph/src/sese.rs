@@ -1,11 +1,12 @@
-//! Single-entry single-exit (SESE) region discovery.
+//! Single-entry single-exit (SESE) region boundaries.
 //!
 //! Every residual connection in a network without overlapping skips (the
 //! paper excludes DenseNets, §5.1) forms a SESE region bounded by a *fork*
 //! node (out-degree > 1) and its *join* — the fork's immediate
-//! post-dominator. We compute post-dominators by iterative dataflow over
-//! the reverse graph (the graphs are layer-level, a few thousand nodes at
-//! most, so the simple `O(V²)` scheme is instant).
+//! post-dominator, which is how placement finds the regions it collapses.
+//! We compute post-dominators by iterative dataflow over the reverse graph
+//! (the graphs are layer-level, a few thousand nodes at most, so the
+//! simple `O(V²)` scheme is instant).
 
 use crate::ir::{Graph, NodeId};
 
@@ -76,27 +77,6 @@ pub fn immediate_post_dominators(g: &Graph) -> Vec<Option<NodeId>> {
         .collect()
 }
 
-/// A SESE region: fork node, join node, and the branch entry points.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct Region {
-    /// The fork (out-degree > 1).
-    pub fork: NodeId,
-    /// The join (the fork's immediate post-dominator).
-    pub join: NodeId,
-}
-
-/// Lists all SESE regions (one per fork node).
-pub fn regions(g: &Graph) -> Vec<Region> {
-    let ipdom = immediate_post_dominators(g);
-    (0..g.len())
-        .filter(|&v| g.succs(v).len() > 1)
-        .map(|fork| Region {
-            fork,
-            join: ipdom[fork].expect("fork with no post-dominator"),
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -133,10 +113,10 @@ mod tests {
     #[test]
     fn fork_join_detected() {
         let g = residual_graph();
-        let rs = regions(&g);
-        assert_eq!(rs.len(), 1);
-        assert_eq!(rs[0].fork, 2);
-        assert_eq!(rs[0].join, 4);
+        // the one fork's join is its immediate post-dominator
+        let forks: Vec<NodeId> = (0..g.len()).filter(|&v| g.succs(v).len() > 1).collect();
+        assert_eq!(forks, vec![2]);
+        assert_eq!(immediate_post_dominators(&g)[2], Some(4));
     }
 
     #[test]
@@ -164,10 +144,10 @@ mod tests {
         }
         g.add_edge(ids[1], ids[6]); // f1 -> j1
         g.add_edge(ids[2], ids[4]); // f2 -> j2
-        let mut rs = regions(&g);
-        rs.sort_by_key(|r| r.fork);
-        assert_eq!(rs.len(), 2);
-        assert_eq!((rs[0].fork, rs[0].join), (ids[1], ids[6]));
-        assert_eq!((rs[1].fork, rs[1].join), (ids[2], ids[4]));
+        let forks: Vec<NodeId> = (0..g.len()).filter(|&v| g.succs(v).len() > 1).collect();
+        assert_eq!(forks, vec![ids[1], ids[2]]);
+        let ipdom = immediate_post_dominators(&g);
+        assert_eq!(ipdom[ids[1]], Some(ids[6]));
+        assert_eq!(ipdom[ids[2]], Some(ids[4]));
     }
 }

@@ -155,67 +155,14 @@ pub fn calibrate_batch_norm(net: &mut Network, samples: &[Tensor]) {
             }
         }
         // Evaluate this node for every sample using (possibly updated)
-        // parameters, via a sub-network forward on cached inputs.
-        let node = net.nodes[id].clone();
+        // parameters, on the cached inputs.
         let outs: Vec<Tensor> = (0..samples.len())
-            .map(|s| eval_single(net, &node, &vals, s))
+            .map(|s| {
+                let ins: Vec<&Tensor> = net.nodes[id].inputs.iter().map(|&i| &vals[i][s]).collect();
+                net.eval_node(id, &ins, None)
+            })
             .collect();
         vals[id] = outs;
-    }
-}
-
-fn eval_single(
-    _net: &Network,
-    node: &crate::network::ModuleNode,
-    vals: &[Vec<Tensor>],
-    sample: usize,
-) -> Tensor {
-    use orion_tensor::{avg_pool2d, batch_norm2d, conv2d, linear, Conv2dParams};
-    let x = &vals[node.inputs[0]][sample];
-    match &node.layer {
-        Layer::Input => x.clone(),
-        Layer::Conv2d {
-            weight,
-            bias,
-            stride,
-            padding,
-            dilation,
-            groups,
-        } => {
-            let p = Conv2dParams {
-                stride: *stride,
-                padding: *padding,
-                dilation: *dilation,
-                groups: *groups,
-            };
-            conv2d(x, weight, bias, p)
-        }
-        Layer::BatchNorm2d(bn) => batch_norm2d(x, &bn.gamma, &bn.beta, &bn.mean, &bn.var, bn.eps),
-        Layer::Linear { weight, bias } => {
-            let out = linear(x.data(), weight, bias);
-            let n = out.len();
-            Tensor::from_vec(&[n, 1, 1], out)
-        }
-        Layer::AvgPool2d { k, stride, padding } => avg_pool2d(x, *k, *stride, *padding),
-        Layer::GlobalAvgPool => {
-            let (c, h, w) = (x.shape()[0], x.shape()[1], x.shape()[2]);
-            let mut out = Tensor::zeros(&[c, 1, 1]);
-            for ch in 0..c {
-                let s: f64 = (0..h * w).map(|i| x.data()[ch * h * w + i]).sum();
-                out.data_mut()[ch] = s / (h * w) as f64;
-            }
-            out
-        }
-        Layer::ReLU { .. } => x.map(|v| v.max(0.0)),
-        Layer::SiLU { .. } => x.map(|v| v / (1.0 + (-v).exp())),
-        Layer::Activation { table, .. } => x.map(*table),
-        Layer::Square => x.map(|v| v * v),
-        Layer::Flatten => {
-            let n = x.len();
-            x.clone().reshape(&[n, 1, 1])
-        }
-        Layer::Add => x.add(&vals[node.inputs[1]][sample]),
-        Layer::Output => x.clone(),
     }
 }
 

@@ -329,114 +329,111 @@ impl Network {
     /// Reference cleartext forward pass with **exact** activations
     /// (the "PyTorch" output).
     pub fn forward_exact(&self, input: &Tensor) -> Tensor {
-        self.forward_impl(input, true, None)
+        self.forward_impl(input, None)
     }
 
     /// Forward pass using the *fitted polynomial* activations (the ideal
     /// noise-free FHE output); `ranges[id]` holds each activation's fitted
     /// input range.
     pub fn forward_poly(&self, input: &Tensor, acts: &crate::act::CompiledActs) -> Tensor {
-        self.forward_impl(input, false, Some(acts))
+        self.forward_impl(input, Some(acts))
     }
 
     /// Reference forward pass returning every node's output (used by range
     /// estimation).
     pub fn forward_all_exact(&self, input: &Tensor) -> Vec<Tensor> {
-        let vals = self.forward_nodes(input, true, None);
-        vals.into_iter()
-            .map(|v| v.expect("all nodes evaluated"))
-            .collect()
+        self.forward_nodes(input, None)
     }
 
     /// Polynomial-activation forward pass returning every node's output
     /// (used by the poly-aware range-estimation refinement).
     pub fn forward_all_poly(&self, input: &Tensor, acts: &crate::act::CompiledActs) -> Vec<Tensor> {
-        let vals = self.forward_nodes(input, false, Some(acts));
-        vals.into_iter()
-            .map(|v| v.expect("all nodes evaluated"))
-            .collect()
+        self.forward_nodes(input, Some(acts))
     }
 
-    fn forward_impl(
-        &self,
-        input: &Tensor,
-        exact: bool,
-        acts: Option<&crate::act::CompiledActs>,
-    ) -> Tensor {
-        let mut vals = self.forward_nodes(input, exact, acts);
-        vals[self.output_node()].take().unwrap()
+    fn forward_impl(&self, input: &Tensor, acts: Option<&crate::act::CompiledActs>) -> Tensor {
+        let mut vals = self.forward_nodes(input, acts);
+        vals.swap_remove(self.output_node())
     }
 
     fn forward_nodes(
         &self,
         input: &Tensor,
-        exact: bool,
         acts: Option<&crate::act::CompiledActs>,
-    ) -> Vec<Option<Tensor>> {
-        let mut vals: Vec<Option<Tensor>> = vec![None; self.nodes.len()];
-        vals[0] = Some(input.clone());
+    ) -> Vec<Tensor> {
+        let mut vals: Vec<Tensor> = Vec::with_capacity(self.nodes.len());
+        vals.push(input.clone());
         for (id, node) in self.nodes.iter().enumerate().skip(1) {
-            let x = vals[node.inputs[0]]
-                .as_ref()
-                .expect("topological order violated")
-                .clone();
-            let out = match &node.layer {
-                Layer::Input => unreachable!(),
-                Layer::Conv2d {
-                    weight,
-                    bias,
-                    stride,
-                    padding,
-                    dilation,
-                    groups,
-                } => {
-                    let p = Conv2dParams {
-                        stride: *stride,
-                        padding: *padding,
-                        dilation: *dilation,
-                        groups: *groups,
-                    };
-                    conv2d(&x, weight, bias, p)
-                }
-                Layer::BatchNorm2d(bn) => {
-                    batch_norm2d(&x, &bn.gamma, &bn.beta, &bn.mean, &bn.var, bn.eps)
-                }
-                Layer::Linear { weight, bias } => {
-                    let out = linear(x.data(), weight, bias);
-                    let n = out.len();
-                    Tensor::from_vec(&[n, 1, 1], out)
-                }
-                Layer::AvgPool2d { k, stride, padding } => avg_pool2d(&x, *k, *stride, *padding),
-                Layer::GlobalAvgPool => {
-                    let (c, h, w) = (x.shape()[0], x.shape()[1], x.shape()[2]);
-                    let mut out = Tensor::zeros(&[c, 1, 1]);
-                    for ch in 0..c {
-                        let s: f64 = (0..h * w).map(|i| x.data()[ch * h * w + i]).sum();
-                        out.data_mut()[ch] = s / (h * w) as f64;
-                    }
-                    out
-                }
-                Layer::ReLU { .. } if exact => x.map(|v| v.max(0.0)),
-                Layer::SiLU { .. } if exact => x.map(|v| v / (1.0 + (-v).exp())),
-                Layer::Activation { table, .. } if exact => x.map(*table),
-                Layer::Square => x.map(|v| v * v),
-                Layer::ReLU { .. } | Layer::SiLU { .. } | Layer::Activation { .. } => {
-                    let acts = acts.expect("polynomial forward needs compiled activations");
-                    acts.apply(id, &x)
-                }
-                Layer::Flatten => {
-                    let n = x.len();
-                    x.reshape(&[n, 1, 1])
-                }
-                Layer::Add => {
-                    let y = vals[node.inputs[1]].as_ref().unwrap();
-                    x.add(y)
-                }
-                Layer::Output => x,
-            };
-            vals[id] = Some(out);
+            let ins: Vec<&Tensor> = node.inputs.iter().map(|&i| &vals[i]).collect();
+            let out = self.eval_node(id, &ins, acts);
+            vals.push(out);
         }
         vals
+    }
+
+    /// Evaluates node `id` on its input values `ins` (in `inputs` order):
+    /// activations exactly when `acts` is `None`, else through their fitted
+    /// polynomials. The one cleartext per-node body — the forward passes
+    /// and batch-norm calibration (`crate::fit`) both call it.
+    pub(crate) fn eval_node(
+        &self,
+        id: NodeId,
+        ins: &[&Tensor],
+        acts: Option<&crate::act::CompiledActs>,
+    ) -> Tensor {
+        let x = ins[0];
+        match &self.nodes[id].layer {
+            Layer::Input => unreachable!("the input node is not evaluated"),
+            Layer::Conv2d {
+                weight,
+                bias,
+                stride,
+                padding,
+                dilation,
+                groups,
+            } => {
+                let p = Conv2dParams {
+                    stride: *stride,
+                    padding: *padding,
+                    dilation: *dilation,
+                    groups: *groups,
+                };
+                conv2d(x, weight, bias, p)
+            }
+            Layer::BatchNorm2d(bn) => {
+                batch_norm2d(x, &bn.gamma, &bn.beta, &bn.mean, &bn.var, bn.eps)
+            }
+            Layer::Linear { weight, bias } => {
+                let out = linear(x.data(), weight, bias);
+                let n = out.len();
+                Tensor::from_vec(&[n, 1, 1], out)
+            }
+            Layer::AvgPool2d { k, stride, padding } => avg_pool2d(x, *k, *stride, *padding),
+            Layer::GlobalAvgPool => {
+                let (c, h, w) = (x.shape()[0], x.shape()[1], x.shape()[2]);
+                let mut out = Tensor::zeros(&[c, 1, 1]);
+                for ch in 0..c {
+                    let s: f64 = (0..h * w).map(|i| x.data()[ch * h * w + i]).sum();
+                    out.data_mut()[ch] = s / (h * w) as f64;
+                }
+                out
+            }
+            Layer::Square => x.map(|v| v * v),
+            Layer::ReLU { .. } | Layer::SiLU { .. } | Layer::Activation { .. }
+                if acts.is_some() =>
+            {
+                acts.expect("checked above").apply(id, x)
+            }
+            Layer::ReLU { .. } => x.map(|v| v.max(0.0)),
+            Layer::SiLU { .. } => x.map(|v| v / (1.0 + (-v).exp())),
+            Layer::Activation { table, .. } => x.map(*table),
+            Layer::Flatten => {
+                let n = x.len();
+                x.clone().reshape(&[n, 1, 1])
+            }
+            Layer::Add => x.add(ins[1]),
+            Layer::Output => x.clone(),
+        }
     }
 }
 

@@ -15,7 +15,12 @@
 //! [`UnitWork::SharedRot`] unit
 //! that pays each digit decomposition and rotation key switch once; every
 //! consumer then reads its rotations from the shared table instead of
-//! hoisting. This extends the double-hoisting idea one level up: hoisted
+//! hoisting. The rewrite records only that: it marks the consumers with
+//! the unit's label ([`Unit::shared_rots`]) and splices the unit in before
+//! the first of them. What the unit hoists — and the union the pass
+//! weighs — is derived from the marked consumers
+//! ([`ExecPlan::shared_hoist`]), so the plan holds no second copy of it to
+//! drift. This extends the double-hoisting idea one level up: hoisted
 //! *within* a layer by the BSGS executor, now hoisted *across* layers by
 //! the plan. A plan with no two linear layers on one wire comes back
 //! byte-identical.
@@ -39,7 +44,7 @@
 //! decompositions where it fires, every other count identical.
 
 use crate::compile::{Compiled, Step};
-use crate::sched::{ExecPlan, SharedRotSpec, Unit, UnitWork};
+use crate::sched::{ExecPlan, Unit, UnitWork};
 use std::collections::{BTreeMap, BTreeSet};
 
 /// The toggle of [`optimize_plan`]. `Default` enables the pass;
@@ -173,20 +178,20 @@ fn rotation_cse(plan: &mut ExecPlan, c: &Compiled) -> RotationCseStats {
         groups.entry((buf.offset, lv)).or_default().push(uid);
     }
 
-    struct Insertion {
-        /// Unit id the shared unit is inserted before (the group's first
-        /// member — every producer of the buffer precedes it).
-        at: usize,
-        spec: SharedRotSpec,
-        members: Vec<usize>,
-    }
     let mut stats = RotationCseStats::default();
-    let mut insertions: Vec<Insertion> = Vec::new();
-    for ((_, lv), members) in groups {
-        if members.len() < 2 {
-            continue;
+    // (the unit a shared unit goes before, its label): the group's first
+    // member, which every producer of the buffer precedes
+    let mut insertions: Vec<(usize, usize)> = Vec::new();
+    for members in groups.into_values().filter(|members| members.len() >= 2) {
+        // Mark the members with a fresh label and weigh the hoist they
+        // derive; a losing group is unmarked.
+        let spec = insertions.len();
+        for &m in &members {
+            plan.units[m].shared_rots = Some(spec);
         }
-        let mut union: BTreeSet<(u32, usize)> = BTreeSet::new();
+        let hoist = plan
+            .shared_hoist(c, spec)
+            .expect("a group reads one buffer at one level");
         let mut private_hoists = 0usize;
         let mut private_rots = 0usize;
         for &uid in &members {
@@ -197,61 +202,37 @@ fn rotation_cse(plan: &mut ExecPlan, c: &Compiled) -> RotationCseStats {
             let blocks: BTreeSet<u32> = rots.iter().map(|&(b, _)| b).collect();
             private_hoists += blocks.len();
             private_rots += rots.len();
-            union.extend(rots);
         }
-        let union_blocks: BTreeSet<u32> = union.iter().map(|&(b, _)| b).collect();
         // Only rewrite when sharing strictly wins — the union drops a
         // digit decomposition or a rotation, both priced at this one level
         // and neither free; disjoint sets would merely serialize
         // independent hoists behind one unit.
-        if union_blocks.len() == private_hoists && union.len() == private_rots {
+        if hoist.hoists == private_hoists && hoist.rots.len() == private_rots {
+            for &m in &members {
+                plan.units[m].shared_rots = None;
+            }
             continue;
         }
-        let UnitWork::Step { node } = plan.units[members[0]].work else {
-            unreachable!()
-        };
         stats.shared_units += 1;
-        stats.hoists_eliminated += (private_hoists - union_blocks.len()) as u64;
-        stats.baby_rots_eliminated += (private_rots - union.len()) as u64;
-        insertions.push(Insertion {
-            at: *members.iter().min().expect("nonempty group"),
-            spec: SharedRotSpec {
-                buf: plan.in_bufs[node][0],
-                level: lv,
-                rots: union.into_iter().collect(),
-                hoists: union_blocks.len(),
-            },
-            members,
-        });
+        stats.hoists_eliminated += (private_hoists - hoist.hoists) as u64;
+        stats.baby_rots_eliminated += (private_rots - hoist.rots.len()) as u64;
+        // members are in plan order
+        insertions.push((members[0], spec));
     }
-    if insertions.is_empty() {
-        return stats;
-    }
-    insertions.sort_by_key(|i| i.at);
 
-    // Mark the consumers, then splice the shared units in, last first: an
-    // insert shifts only the units after it, and no unit holds a unit id.
-    let spec_base = plan.shared.len();
-    for (i, ins) in insertions.iter().enumerate() {
-        for &m in &ins.members {
-            plan.units[m].shared_rots = Some(spec_base + i);
-        }
-    }
-    for (i, ins) in insertions.iter().enumerate().rev() {
-        let work = UnitWork::SharedRot {
-            spec: spec_base + i,
-        };
+    // Splice the shared units in, last first: an insert shifts only the
+    // units after it, and no unit holds a unit id.
+    insertions.sort_unstable();
+    for &(at, spec) in insertions.iter().rev() {
         plan.units.insert(
-            ins.at,
+            at,
             Unit {
-                work,
+                work: UnitWork::SharedRot { spec },
                 out_slot: usize::MAX,
                 out_len: 0,
                 shared_rots: None,
             },
         );
     }
-    plan.shared
-        .extend(insertions.into_iter().map(|ins| ins.spec));
     stats
 }

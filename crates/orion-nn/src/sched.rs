@@ -15,7 +15,10 @@
 //! The plan stores no edges: a unit's dependencies are the units that
 //! wrote the slots its signature reads ([`ExecPlan::deps`], derived in one
 //! plan-order pass over [`ExecPlan::unit_io`]) — what it reads *is* its
-//! edges.
+//! edges. Nor does it store a shared hoist: a `SharedRot` unit is a label
+//! its consumer layers name, and what it hoists — their common input
+//! buffer and level, the union of their baby-step rotations — is derived
+//! from them ([`ExecPlan::shared_hoist`]).
 //!
 //! [`run_plan`] is the one walk — ciphertexts in, ciphertexts out — on any
 //! [`EvalBackend`] (whoever owns a tensor encrypts and decrypts it:
@@ -82,6 +85,7 @@ use crate::sim::{OpCounter, OpKind};
 use orion_ckks::KeyManifest;
 use rayon::Scope;
 use std::borrow::Cow;
+use std::collections::{BTreeMap, BTreeSet};
 
 /// What one scheduled unit computes — always work that reads and/or
 /// writes ciphertexts.
@@ -118,10 +122,11 @@ pub enum UnitWork {
     /// (`crate::opt`): digit-decomposes one (wire, version) buffer and
     /// applies the union of the baby-step rotations its consumer linear
     /// layers need, so each rotation's key switch is paid once instead of
-    /// once per consumer. Consumers carry `Unit::shared_rots` pointing at
-    /// the same spec.
+    /// once per consumer. The unit stores none of that: its consumers carry
+    /// [`Unit::shared_rots`]` == Some(spec)`, and the hoist is derived from
+    /// them ([`ExecPlan::shared_hoist`]).
     SharedRot {
-        /// Index into [`ExecPlan::shared_specs`].
+        /// The label its consumers name.
         spec: usize,
     },
 }
@@ -137,8 +142,10 @@ pub struct Unit {
     /// Number of value slots written.
     pub out_len: usize,
     /// Set by the optimizer's rotation-CSE pass on linear `Step` units:
-    /// index of the [`SharedRotSpec`] whose hoisted rotations this layer
-    /// consumes instead of hoisting privately.
+    /// the label of the [`UnitWork::SharedRot`] unit whose hoisted
+    /// rotations this layer consumes instead of hoisting privately — the
+    /// layer is one of the members [`ExecPlan::shared_hoist`] derives that
+    /// hoist from.
     pub shared_rots: Option<usize>,
 }
 
@@ -204,18 +211,18 @@ pub enum KeyUse {
     Relin,
 }
 
-/// What a [`UnitWork::SharedRot`] unit computes: the union of the hoisted
-/// baby-step rotations of every linear layer sharing buffer `buf` at
-/// read level `level`.
-#[derive(Clone, Debug)]
-pub struct SharedRotSpec {
-    /// The (wire, version) buffer being rotated.
+/// What a [`UnitWork::SharedRot`] unit computes, derived from its consumer
+/// layers ([`ExecPlan::shared_hoist`]): the union of their hoisted
+/// baby-step rotations of buffer `buf` at read level `level`.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct SharedHoist {
+    /// The (wire, version) buffer every consumer reads first.
     pub buf: Buffer,
     /// The consumers' common placement level (the buffer is mod-switched
     /// down to it before hoisting, exactly as each consumer would).
     pub level: usize,
     /// Distinct `(input block, rotation amount)` pairs, union over the
-    /// consumers; amounts are nonzero absolute slot rotations.
+    /// consumers' `LinearPlan::baby_rotations`, in ascending order.
     pub rots: Vec<(u32, usize)>,
     /// Distinct input blocks in `rots` — digit decompositions this unit
     /// performs (each consumer would have performed its own).
@@ -241,9 +248,6 @@ pub struct ExecPlan {
     pub output: Buffer,
     /// Total value slots.
     pub(crate) n_slots: usize,
-    /// Hoist-once rotation specs installed by the optimizer (empty on an
-    /// unoptimized plan); indexed by `UnitWork::SharedRot::spec`.
-    pub(crate) shared: Vec<SharedRotSpec>,
 }
 
 impl ExecPlan {
@@ -348,7 +352,6 @@ impl ExecPlan {
             input: input.expect("program has no input node"),
             output: output.expect("program has no output node"),
             n_slots,
-            shared: Vec::new(),
         }
     }
 
@@ -367,12 +370,12 @@ impl ExecPlan {
     /// the plan cannot describe (the verifier's coverage finding).
     pub fn deps(&self, c: &Compiled) -> Vec<Vec<usize>> {
         let mut producer: Vec<Option<usize>> = vec![None; self.n_slots];
-        let mut hoist: Vec<Option<usize>> = vec![None; self.shared.len()];
+        let mut hoist: BTreeMap<usize, usize> = BTreeMap::new();
         let mut all = Vec::with_capacity(self.units.len());
         for (uid, unit) in self.units.iter().enumerate() {
             let io = self.io(c, uid);
             let read = io.reads.iter().flatten().flat_map(|(buf, _)| buf.slots());
-            let shared = unit.shared_rots.and_then(|spec| hoist[spec]);
+            let shared = unit.shared_rots.and_then(|spec| hoist.get(&spec).copied());
             let mut deps: Vec<usize> = Vec::new();
             for d in read.filter_map(|s| producer[s]).chain(shared) {
                 if deps.last() != Some(&d) {
@@ -381,7 +384,9 @@ impl ExecPlan {
             }
             all.push(deps);
             match unit.work {
-                UnitWork::SharedRot { spec } => hoist[spec] = Some(uid),
+                UnitWork::SharedRot { spec } => {
+                    hoist.insert(spec, uid);
+                }
                 _ => producer[unit.out_slot..unit.out_slot + unit.out_len].fill(Some(uid)),
             }
         }
@@ -411,31 +416,68 @@ impl ExecPlan {
         self.n_slots
     }
 
-    /// Hoisted-rotation specs installed by the optimizer's rotation-CSE
-    /// pass (empty on an unoptimized plan).
-    pub fn shared_specs(&self) -> &[SharedRotSpec] {
-        &self.shared
+    /// The hoist of the `SharedRot` unit labelled `spec`, derived from the
+    /// linear layers that name it ([`Unit::shared_rots`]): their common
+    /// first input buffer and placement level, and the union of their
+    /// baby-step rotations with its distinct blocks. `Err` when fewer than
+    /// two layers name it or they read different buffers or levels — the
+    /// verifier's shared-hoist finding, a panic anywhere else.
+    pub fn shared_hoist(&self, c: &Compiled, spec: usize) -> Result<SharedHoist, &'static str> {
+        let mut read: Option<(Buffer, usize)> = None;
+        let mut rots = BTreeSet::new();
+        let mut members = 0;
+        for unit in self.units.iter().filter(|u| u.shared_rots == Some(spec)) {
+            let UnitWork::Step { node } = unit.work else {
+                continue;
+            };
+            let Some(layer) = c.prog.get(node).and_then(|p| LinearRef::of(node, &p.step)) else {
+                continue;
+            };
+            let buf = self.in_bufs.get(node).and_then(|bufs| bufs.first());
+            let buf = *buf.ok_or("a shared hoist's consumer has no input buffer")?;
+            let level = c.placement.levels.get(node).copied().flatten();
+            let level = level.ok_or("a shared hoist's consumer has no placement level")?;
+            if *read.get_or_insert((buf, level)) != (buf, level) {
+                return Err("the consumers of a shared hoist read different buffers or levels");
+            }
+            rots.extend(layer.plan().baby_rotations());
+            members += 1;
+        }
+        let (buf, level) = read
+            .filter(|_| members >= 2)
+            .ok_or("a shared hoist needs at least two consumer layers")?;
+        let hoists = rots
+            .iter()
+            .map(|&(block, _)| block)
+            .collect::<BTreeSet<_>>()
+            .len();
+        Ok(SharedHoist {
+            buf,
+            level,
+            rots: rots.into_iter().collect(),
+            hoists,
+        })
     }
 
     /// A canonical textual dump of the plan's full structure — units with
-    /// every field, consumer buffers, the input and output buffers, slot
-    /// count and shared specs. Two plans are structurally identical iff
-    /// their digests are byte-identical; the optimizer's disabled-pipeline
-    /// test pins that a no-op pass leaves the digest untouched.
+    /// every field, consumer buffers, the input and output buffers and the
+    /// slot count. Two plans are structurally identical iff their digests
+    /// are byte-identical; the optimizer's disabled-pipeline test pins that
+    /// a no-op pass leaves the digest untouched.
     pub fn digest(&self) -> String {
         format!(
-            "units={:?}\nin_bufs={:?}\nio={:?}\nn_slots={}\nshared={:?}\n",
+            "units={:?}\nin_bufs={:?}\nio={:?}\nn_slots={}\n",
             self.units,
             self.in_bufs,
             (self.input, self.output),
             self.n_slots,
-            self.shared
         )
     }
 
     /// What unit `uid` reads and writes under `c`'s placement: the step's
     /// [`Step::sig`] plus what only the plan knows — a bootstrap's raw read
-    /// and `L_eff` exit, a shared hoist's buffer; nothing overrides a
+    /// and `L_eff` exit, a shared hoist's buffer and level
+    /// ([`ExecPlan::shared_hoist`]); nothing overrides a
     /// signature's exit level. Computed on demand (rewrites and tests
     /// mutate plans and placements after [`ExecPlan::build`]); `Err` names
     /// what the unit refers to that the program or plan does not have — the
@@ -453,21 +495,21 @@ impl ExecPlan {
         };
         match unit.work {
             UnitWork::SharedRot { spec } => {
-                let sp = self
-                    .shared
-                    .get(spec)
-                    .ok_or("unknown shared-rotation spec")?;
-                io.level = sp.level;
-                io.reads[0] = Some((sp.buf, Some(sp.level)));
+                let hoist = self.shared_hoist(c, spec)?;
+                io.level = hoist.level;
+                io.reads[0] = Some((hoist.buf, Some(hoist.level)));
                 // One digit decomposition per distinct input block, one
                 // hoisted rotation per distinct (block, amount) — the exact
                 // ops the consumers no longer pay privately.
                 io.ops = vec![
-                    (OpKind::Hoist, sp.hoists as u64),
-                    (OpKind::HRotHoisted, sp.rots.len() as u64),
+                    (OpKind::Hoist, hoist.hoists as u64),
+                    (OpKind::HRotHoisted, hoist.rots.len() as u64),
                 ];
             }
-            UnitWork::Boot { in_slot, .. } => {
+            UnitWork::Boot { wire, in_slot, .. } => {
+                if wire >= c.prog.len() {
+                    return Err("bootstrap refreshes a wire outside the program");
+                }
                 let refreshed = Buffer {
                     offset: in_slot,
                     len: 1,
@@ -550,10 +592,10 @@ impl ExecPlan {
                 }
             }
             UnitWork::SharedRot { spec } => {
-                let (Some(sp), Some(lv)) = (self.shared.get(spec), read) else {
+                let (Ok(hoist), Some(lv)) = (self.shared_hoist(c, spec), read) else {
                     return;
                 };
-                for &(_, amount) in &sp.rots {
+                for &(_, amount) in &hoist.rots {
                     f(KeyUse::Rotation(amount as isize), lv);
                 }
             }
@@ -614,8 +656,9 @@ pub(crate) fn ct_limbs(level: usize) -> u64 {
 /// linear layer's BSGS split are fixed at compile time, so the tallies are
 /// a fold over the units: one counter per unit (its ops in execution
 /// order), merged in ascending unit order, which fixes the accumulated
-/// `f64` seconds bit for bit whatever engine runs the plan. The engine is asked only which steps it serves from a prepared
-/// cache (those pay no per-inference encodes).
+/// `f64` seconds bit for bit whatever engine runs the plan. The engine is
+/// asked only which steps it serves from a prepared cache (those pay no
+/// per-inference encodes).
 pub fn count_plan<B: EvalBackend>(plan: &ExecPlan, c: &Compiled, backend: &B) -> OpCounter {
     let mut total = OpCounter::new();
     for (uid, unit) in plan.units.iter().enumerate() {
@@ -675,12 +718,12 @@ struct RunState<'a, B: EvalBackend> {
     values: Vec<Option<B::Ciphertext>>,
     /// Per value slot: the unit that reads it last.
     last_read: Vec<Option<usize>>,
-    /// One slot per [`SharedRotSpec`]: the hoisted-rotation handle the
-    /// spec's `SharedRot` unit produced, read by its consumer layers and
-    /// freed after the last of them.
-    shared_vals: Vec<Option<B::SharedRot>>,
-    /// Per spec: the last consumer layer.
-    last_shared: Vec<Option<usize>>,
+    /// Per shared-hoist label: the hoisted-rotation handle its `SharedRot`
+    /// unit produced, read by its consumer layers and freed after the last
+    /// of them.
+    shared_vals: BTreeMap<usize, B::SharedRot>,
+    /// Per label: the last consumer layer.
+    last_shared: BTreeMap<usize, usize>,
     /// Limb vectors held ([`ct_limbs`] per stored ciphertext), the inputs
     /// moved into the running unit included.
     live_limbs: u64,
@@ -818,8 +861,8 @@ impl<'a, B: EvalBackend + Sync> RunState<'a, B> {
             }
         }
         if let Some(spec) = unit.shared_rots {
-            if self.last_shared[spec] == Some(uid) {
-                self.shared_vals[spec] = None;
+            if self.last_shared.get(&spec) == Some(&uid) {
+                self.shared_vals.remove(&spec);
             }
         }
     }
@@ -864,9 +907,11 @@ impl<'a, B: EvalBackend + Sync> RunState<'a, B> {
         );
         match unit.work {
             UnitWork::SharedRot { spec } => {
-                let sp = &plan.shared[spec];
-                let handle = backend.hoist_rotations(&self.read(uid, io, 0), lv, &sp.rots);
-                let old = self.shared_vals[spec].replace(handle);
+                let hoist = plan
+                    .shared_hoist(c, spec)
+                    .expect("unit_io derived this hoist");
+                let handle = backend.hoist_rotations(&self.read(uid, io, 0), lv, &hoist.rots);
+                let old = self.shared_vals.insert(spec, handle);
                 assert!(old.is_none(), "scheduler ran a shared-rotation unit twice");
             }
             UnitWork::Boot { in_slot, .. } => {
@@ -877,11 +922,11 @@ impl<'a, B: EvalBackend + Sync> RunState<'a, B> {
                 let layer = LinearRef::of(node, &c.prog[node].step)
                     .expect("a whole-step unit is a linear layer");
                 let cts = self.read(uid, io, 0);
-                // reads the hoisted rotations of its `SharedRotSpec` when
-                // the optimizer attached one to the unit
+                // reads the hoisted rotations of its `SharedRot` unit when
+                // the optimizer made the layer one of its consumers
                 let shared = unit.shared_rots.map(|spec| {
-                    self.shared_vals[spec]
-                        .as_ref()
+                    self.shared_vals
+                        .get(&spec)
                         .expect("scheduler dependency violation: shared rotations not ready")
                 });
                 let out =
@@ -949,19 +994,17 @@ pub fn run_plan<B: EvalBackend + Sync>(
         plan.input.len,
         "input ciphertext count does not match the program's input wire"
     );
-    let mut last_shared = vec![None; plan.shared.len()];
-    for (uid, unit) in plan.units.iter().enumerate() {
-        if let Some(spec) = unit.shared_rots {
-            last_shared[spec] = Some(uid);
-        }
-    }
+    // per shared-hoist label, its last consumer (a later entry wins)
+    let last_shared = (plan.units.iter().enumerate())
+        .filter_map(|(uid, unit)| unit.shared_rots.map(|spec| (spec, uid)))
+        .collect();
     let mut state = RunState {
         plan,
         c,
         backend,
         values: vec![None; plan.n_slots],
         last_read: plan.last_reads(c),
-        shared_vals: (0..plan.shared.len()).map(|_| None).collect(),
+        shared_vals: BTreeMap::new(),
         last_shared,
         live_limbs: 0,
         moved_limbs: 0,

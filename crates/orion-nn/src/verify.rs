@@ -19,7 +19,7 @@
 //!    `assert_scales_match` cannot fire on a plan whose levels check.
 //! 2. **Evaluation-key coverage** — every key a unit applies
 //!    ([`ExecPlan::for_each_key_use`]: BSGS baby + giant + fold steps per
-//!    linear layer, optimizer [`SharedRotSpec`] unions, the
+//!    linear layer, the rotation union of each shared hoist, the
 //!    relinearization key of every activation unit that multiplies
 //!    ciphertexts) is checked against the key manifest: a key must exist
 //!    *and* have been generated at or above the level the unit applies it
@@ -33,17 +33,21 @@
 //!    [`VerifyConfig::noise_floor_bits`] entering a bootstrap or at the
 //!    output. Runs only when [`VerifyConfig::ctx`] provides concrete CKKS
 //!    parameters.
-//! 4. **Memory / well-formedness** — promotes the sched-plan proptest
-//!    invariants (unit coverage per program node — one whole-step unit per
-//!    linear layer, one unit per ciphertext of an elementwise step, none
-//!    for `Input` / `Output` — bootstrap replication, `SharedRotSpec`
-//!    validity) into production checks, and certifies the peak live limbs
-//!    of a walk in plan order ([`VerifyReport::peak_limbs`]): each
-//!    ciphertext counts from its write to its last reader
-//!    ([`ExecPlan::last_reads`]), where the walk releases it, so a run
-//!    measures exactly this number.
-//!    The plan stores no edges to check: a unit reading a slot that no
-//!    earlier unit wrote is the walk's [`Rule::Coverage`] finding.
+//! 4. **Well-formedness and memory** — checks what a walk reads, and
+//!    certifies the peak live limbs of a walk in plan order
+//!    ([`VerifyReport::peak_limbs`]): each ciphertext counts from its
+//!    write to its last reader ([`ExecPlan::last_reads`]), where the walk
+//!    releases it, so a run measures exactly this number. The plan stores
+//!    no edges and no unit census to check: a unit reading a slot that no
+//!    earlier unit wrote, a slot written twice and a unit naming what the
+//!    program does not have are [`Rule::Coverage`] findings of the sweep —
+//!    so a dropped or duplicated unit or bootstrap is found where the walk
+//!    would fail. How many units `ExecPlan::build` emits per node is the
+//!    constructor's property, held by the `sched_plan` proptest. A shared
+//!    hoist stores nothing either: what it computes is derived from its
+//!    consumer layers ([`ExecPlan::shared_hoist`]), and the sweep checks
+//!    that one unit computes it before any of them reads it
+//!    ([`Rule::SharedRotMalformed`]).
 //!
 //! The sweep mirrors the walk ([`crate::sched::run_plan`], ciphertexts in,
 //! ciphertexts out): the input buffer starts out holding fresh exact-Δ
@@ -60,9 +64,10 @@
 //!
 //! # Adding a pass
 //!
-//! New checks slot into [`Checker`]: structural (whole-plan) rules go in
-//! `structural()`, per-unit dataflow rules in `walk_unit()`, with a new
-//! [`Rule`] variant naming the check. The walk's feasibility check, reads
+//! New checks slot into [`Checker`]'s one sweep: a per-unit rule goes in
+//! `walk_unit()`, with a new [`Rule`] variant naming the check — a rule
+//! about what the plan's constructor emits belongs in its proptest
+//! (`sched_plan`), not here. The walk's feasibility check, reads
 //! and write are generic over the unit's signature — a rule about levels
 //! belongs in `Step::sig` / `ExecPlan::unit_io`, where the walk and the
 //! optimizer see it too; `walk_unit` keeps per step kind only the rule an
@@ -70,9 +75,9 @@
 //! re-verifies every plan it rewrites.
 
 use crate::compile::{Compiled, Step};
-use crate::sched::{ct_limbs, ExecPlan, KeyUse, SharedRotSpec, UnitWork};
+use crate::sched::{ct_limbs, ExecPlan, KeyUse, UnitWork};
 use orion_ckks::{Context, KeyManifest, NoiseEstimator};
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 use std::fmt;
 
 /// How bad a diagnostic is.
@@ -97,9 +102,11 @@ impl fmt::Display for Severity {
 /// Which check fired.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum Rule {
-    /// A program node is not covered by exactly the units `ExecPlan::build`
-    /// emits for it (or a unit reads a slot no earlier unit wrote, or an
-    /// out-of-range one).
+    /// A unit reads a value slot no earlier unit wrote (a dropped or
+    /// reordered producer, or an out-of-range slot), writes one twice (a
+    /// duplicated unit), or names what the program or plan does not have
+    /// (an unknown node or wire, the wrong unit kind for a step) — or the
+    /// output wire is never written.
     Coverage,
     /// A wire is read above its producer's level, or a step is placed
     /// below the depth its runtime asserts demand.
@@ -115,9 +122,11 @@ pub enum Rule {
     /// The plan relinearizes above the level the relinearization key was
     /// generated at.
     RelinKeyLevel,
-    /// A `SharedRot` unit or [`SharedRotSpec`] violates the optimizer's
-    /// contract (dangling spec, empty/zero rotations, bad block indices,
-    /// wrong hoist count, orphaned or under-shared consumers).
+    /// A shared hoist breaks the optimizer's contract: a consumer reads a
+    /// hoist no earlier unit computes, or is not a linear layer; two units
+    /// compute one hoist; or the hoist cannot be derived from its consumers
+    /// ([`ExecPlan::shared_hoist`]: fewer than two, or reading different
+    /// buffers or levels).
     SharedRotMalformed,
     /// Predicted precision drops below the configured floor before a
     /// bootstrap or at the output.
@@ -401,7 +410,6 @@ pub fn verify_compiled(c: &Compiled, cfg: &VerifyConfig<'_>) -> VerifyReport {
 /// Verifies an execution plan (optimized or not) against its program.
 pub fn verify_plan(plan: &ExecPlan, c: &Compiled, cfg: &VerifyConfig<'_>) -> VerifyReport {
     let mut checker = Checker::new(plan, c, cfg);
-    checker.structural();
     checker.walk();
     checker.finish()
 }
@@ -428,6 +436,8 @@ struct Checker<'a> {
     diags: Vec<Diagnostic>,
     min_prec: Option<f64>,
     rotations_checked: usize,
+    /// Labels of the shared hoists computed so far.
+    hoisted: BTreeSet<usize>,
 }
 
 /// Magnitude bounds fold through multiplications; keep them finite.
@@ -482,6 +492,7 @@ impl<'a> Checker<'a> {
             diags,
             min_prec: None,
             rotations_checked: 0,
+            hoisted: BTreeSet::new(),
         }
     }
 
@@ -496,288 +507,6 @@ impl<'a> Checker<'a> {
 
     fn error(&mut self, rule: Rule, at: Provenance, message: String) {
         self.push(rule, Severity::Error, at, message);
-    }
-
-    // -----------------------------------------------------------------
-    // Pass family 4a: structural well-formedness (promoted sched-plan
-    // proptest invariants).
-    // -----------------------------------------------------------------
-
-    fn structural(&mut self) {
-        let plan = self.plan;
-        let c = self.c;
-
-        // Coverage: each program node must be produced by exactly the
-        // units `ExecPlan::build` emits for it.
-        let mut steps = vec![0usize; c.prog.len()];
-        let mut step_cts: Vec<BTreeSet<usize>> = vec![BTreeSet::new(); c.prog.len()];
-        let mut boots: BTreeMap<(usize, usize), BTreeSet<usize>> = BTreeMap::new();
-        for (uid, unit) in plan.units.iter().enumerate() {
-            let node = match unit.work {
-                UnitWork::Step { node } | UnitWork::StepCt { node, .. } => node,
-                UnitWork::Boot {
-                    wire, consumer, ct, ..
-                } => {
-                    if wire >= c.prog.len() || consumer >= c.prog.len() {
-                        self.error(
-                            Rule::Coverage,
-                            Provenance::unit(uid),
-                            "bootstrap unit references an unknown program node".to_string(),
-                        );
-                        continue;
-                    }
-                    boots.entry((consumer, wire)).or_default().insert(ct);
-                    continue;
-                }
-                UnitWork::SharedRot { .. } => continue,
-            };
-            if node >= c.prog.len() {
-                self.error(
-                    Rule::Coverage,
-                    Provenance::unit(uid),
-                    format!("unit references unknown program node {node}"),
-                );
-                continue;
-            }
-            match unit.work {
-                UnitWork::Step { .. } => steps[node] += 1,
-                UnitWork::StepCt { ct, .. } => {
-                    if !step_cts[node].insert(ct) {
-                        self.error(
-                            Rule::Coverage,
-                            Provenance::unit(uid).at_node(node).at_ct(ct),
-                            "ciphertext produced by two units".to_string(),
-                        );
-                    }
-                }
-                _ => unreachable!(),
-            }
-        }
-        for (id, p) in c.prog.iter().enumerate() {
-            let n_cts = p.n_cts.max(1);
-            match &p.step {
-                // not work: a unit naming one is `unit_io`'s finding
-                Step::Input | Step::Output => {}
-                Step::Conv { .. } | Step::Dense { .. } => {
-                    if steps[id] != 1 {
-                        self.error(
-                            Rule::Coverage,
-                            Provenance::node(id),
-                            format!("{} whole-step units (expected 1)", steps[id]),
-                        );
-                    }
-                }
-                _ => {
-                    if step_cts[id].len() != n_cts
-                        || step_cts[id].last().is_some_and(|&m| m >= n_cts)
-                    {
-                        self.error(
-                            Rule::Coverage,
-                            Provenance::node(id),
-                            format!(
-                                "per-ct units cover {} of {} ciphertexts",
-                                step_cts[id].len(),
-                                n_cts
-                            ),
-                        );
-                    }
-                }
-            }
-        }
-        // Bootstrap replication must match the placement exactly.
-        for ((consumer, wire), cts) in &boots {
-            let expected = if c.placement.boots_before[*consumer] > 0
-                && c.prog[*consumer].inputs.contains(wire)
-            {
-                c.prog[*wire].n_cts.max(1)
-            } else {
-                0
-            };
-            if cts.len() != expected || cts.last().is_some_and(|&m| m >= expected) {
-                self.error(
-                    Rule::Coverage,
-                    Provenance::node(*wire),
-                    format!(
-                        "{} bootstrap units refresh wire {wire} before node {consumer} \
-                         (placement expects {expected})",
-                        cts.len()
-                    ),
-                );
-            }
-        }
-        let expected_boots: u64 = c
-            .prog
-            .iter()
-            .enumerate()
-            .filter(|(id, _)| c.placement.boots_before[*id] > 0)
-            .flat_map(|(_, p)| p.inputs.iter())
-            .map(|&w| c.prog[w].n_cts.max(1) as u64)
-            .sum();
-        let boot_units = plan.bootstraps();
-        if boot_units != expected_boots {
-            self.error(
-                Rule::Coverage,
-                Provenance::default(),
-                format!(
-                    "plan carries {boot_units} bootstrap units, placement demands \
-                     {expected_boots}"
-                ),
-            );
-        }
-
-        self.shared_specs();
-    }
-
-    /// `SharedRot` units, their specs, and their consumers (optimizer
-    /// rewrite contract).
-    fn shared_specs(&mut self) {
-        let plan = self.plan;
-        let c = self.c;
-        let n_specs = plan.shared.len();
-        let mut owner: Vec<Option<usize>> = vec![None; n_specs];
-        for (uid, unit) in plan.units.iter().enumerate() {
-            let UnitWork::SharedRot { spec } = unit.work else {
-                continue;
-            };
-            if spec >= n_specs {
-                self.error(
-                    Rule::SharedRotMalformed,
-                    Provenance::unit(uid),
-                    format!("references shared-rotation spec {spec}, plan has {n_specs}"),
-                );
-                continue;
-            }
-            if let Some(prev) = owner[spec] {
-                self.error(
-                    Rule::SharedRotMalformed,
-                    Provenance::unit(uid),
-                    format!("spec {spec} already computed by unit {prev}"),
-                );
-            } else {
-                owner[spec] = Some(uid);
-            }
-            self.check_spec(uid, spec, &plan.shared[spec]);
-        }
-        // Consumers: linear step units only, each wired to the owner.
-        let mut consumers: Vec<Vec<usize>> = vec![Vec::new(); n_specs];
-        for (uid, unit) in plan.units.iter().enumerate() {
-            let Some(spec) = unit.shared_rots else {
-                continue;
-            };
-            if spec >= n_specs || owner[spec].is_none() {
-                self.error(
-                    Rule::SharedRotMalformed,
-                    Provenance::unit(uid),
-                    format!("consumes shared-rotation spec {spec}, which no unit computes"),
-                );
-                continue;
-            }
-            let ok_kind = matches!(unit.work, UnitWork::Step { node }
-                if matches!(c.prog.get(node).map(|p| &p.step),
-                    Some(Step::Conv { .. } | Step::Dense { .. })));
-            if !ok_kind {
-                self.error(
-                    Rule::SharedRotMalformed,
-                    Provenance::unit(uid),
-                    "only linear whole-step units may consume shared rotations".to_string(),
-                );
-                continue;
-            }
-            let own = owner[spec].expect("owner checked above");
-            if own > uid {
-                self.error(
-                    Rule::SharedRotMalformed,
-                    Provenance::unit(uid),
-                    format!("consumer is not ordered after its shared-rotation unit {own}"),
-                );
-            }
-            let UnitWork::Step { node } = unit.work else {
-                unreachable!()
-            };
-            let sp = &plan.shared[spec];
-            if c.placement.levels[node] != Some(sp.level) {
-                self.error(
-                    Rule::SharedRotMalformed,
-                    Provenance::unit(uid).at_node(node),
-                    format!(
-                        "consumer placed at level {:?}, spec hoists at level {}",
-                        c.placement.levels[node], sp.level
-                    ),
-                );
-            }
-            if plan.in_bufs[node].first() != Some(&sp.buf) {
-                self.error(
-                    Rule::SharedRotMalformed,
-                    Provenance::unit(uid).at_node(node),
-                    "consumer reads a different buffer than the spec hoists".to_string(),
-                );
-            }
-            consumers[spec].push(uid);
-        }
-        for (spec, cons) in consumers.iter().enumerate() {
-            if let Some(own) = owner[spec] {
-                if cons.len() < 2 {
-                    self.error(
-                        Rule::SharedRotMalformed,
-                        Provenance::unit(own),
-                        format!(
-                            "spec {spec} has {} consumer(s); sharing needs at least 2",
-                            cons.len()
-                        ),
-                    );
-                }
-            }
-        }
-    }
-
-    fn check_spec(&mut self, uid: usize, spec_id: usize, sp: &SharedRotSpec) {
-        let at = Provenance::unit(uid);
-        if sp.rots.is_empty() {
-            self.error(
-                Rule::SharedRotMalformed,
-                at,
-                format!("spec {spec_id} hoists no rotations"),
-            );
-        }
-        if sp.buf.offset + sp.buf.len > self.plan.value_slots() {
-            self.error(
-                Rule::SharedRotMalformed,
-                at,
-                format!("spec {spec_id} buffer exceeds the plan's value slots"),
-            );
-        }
-        let mut blocks = BTreeSet::new();
-        for &(blk, amt) in &sp.rots {
-            blocks.insert(blk);
-            if amt == 0 {
-                self.error(
-                    Rule::SharedRotMalformed,
-                    at,
-                    format!("spec {spec_id} hoists a rotation by 0"),
-                );
-            }
-            if blk as usize >= sp.buf.len {
-                self.error(
-                    Rule::SharedRotMalformed,
-                    at,
-                    format!(
-                        "spec {spec_id} rotates input block {blk} of a {}-ciphertext buffer",
-                        sp.buf.len
-                    ),
-                );
-            }
-        }
-        if blocks.len() != sp.hoists {
-            self.error(
-                Rule::SharedRotMalformed,
-                at,
-                format!(
-                    "spec {spec_id} declares {} hoists but rotates {} distinct blocks",
-                    sp.hoists,
-                    blocks.len()
-                ),
-            );
-        }
     }
 
     // -----------------------------------------------------------------
@@ -931,10 +660,26 @@ impl<'a> Checker<'a> {
             UnitWork::StepCt { node, ct } => Provenance::unit(uid).at_node(node).at_ct(ct),
             UnitWork::Boot { wire, ct, .. } => Provenance::unit(uid).at_node(wire).at_ct(ct),
         };
+        self.check_shared_hoist(uid, at);
         let io = match plan.unit_io(c, uid) {
             Ok(io) => io,
             Err(why) => {
-                self.error(Rule::Coverage, at, why.to_string());
+                // a `SharedRot` unit fails only where its hoist cannot be
+                // derived from its consumers
+                let rule = match unit.work {
+                    UnitWork::SharedRot { .. } => Rule::SharedRotMalformed,
+                    _ => Rule::Coverage,
+                };
+                self.error(rule, at, why.to_string());
+                // its outputs count as written, so that its readers do not
+                // repeat the finding
+                let written = SlotState {
+                    level: c.opts.l_eff,
+                    from_boot: false,
+                };
+                for slot in unit.out_slot..unit.out_slot + unit.out_len {
+                    self.write(slot, written, None, at);
+                }
                 return;
             }
         };
@@ -1057,8 +802,36 @@ impl<'a> Checker<'a> {
         }
     }
 
+    /// What a walk relies on of the shared hoists: each is computed by one
+    /// unit, and read only by linear layers that run after it. What a hoist
+    /// is — its consumers' common buffer and level, at least two of them —
+    /// is [`ExecPlan::shared_hoist`]'s `Err`, found at the `SharedRot` unit.
+    fn check_shared_hoist(&mut self, uid: usize, at: Provenance) {
+        let unit = &self.plan.units[uid];
+        if let UnitWork::SharedRot { spec } = unit.work {
+            if !self.hoisted.insert(spec) {
+                let why = format!("shared hoist {spec} is already computed by an earlier unit");
+                self.error(Rule::SharedRotMalformed, at, why);
+            }
+        }
+        let Some(spec) = unit.shared_rots else {
+            return;
+        };
+        let linear = matches!(unit.work, UnitWork::Step { node }
+            if matches!(self.c.prog.get(node).map(|p| &p.step),
+                Some(Step::Conv { .. } | Step::Dense { .. })));
+        let why = if !linear {
+            "only linear whole-step units may consume shared rotations".to_string()
+        } else if !self.hoisted.contains(&spec) {
+            format!("consumer is not ordered after a unit computing shared hoist {spec}")
+        } else {
+            return;
+        };
+        self.error(Rule::SharedRotMalformed, at, why);
+    }
+
     // -----------------------------------------------------------------
-    // Pass family 4b: the peak-live-limb certificate.
+    // Pass family 4: the peak-live-limb certificate.
     // -----------------------------------------------------------------
 
     /// The most limb vectors a walk in plan order holds at once — what

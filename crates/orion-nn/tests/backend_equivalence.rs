@@ -189,14 +189,16 @@ fn optimized_fork_agrees_across_linear_semantics() {
     assert!(prec > 40.0, "packed vs reference: only {prec} bits");
     assert_counters_identical(&packed_run.counter, &ref_run.counter, "packed vs reference");
 
-    let spec = &plan.shared_specs()[0];
-    let wire: Vec<_> = (0..spec.buf.len)
-        .map(|_| packed.encrypt(&[], spec.level))
+    let hoist = plan
+        .shared_hoist(&compiled, 0)
+        .expect("the fork's shared hoist");
+    let wire: Vec<_> = (0..hoist.buf.len)
+        .map(|_| packed.encrypt(&[], hoist.level))
         .collect();
-    let table = packed.hoist_rotations(&wire, spec.level, &spec.rots);
-    assert_eq!(table.len(), spec.rots.len());
+    let table = packed.hoist_rotations(&wire, hoist.level, &hoist.rots);
+    assert_eq!(table.len(), hoist.rots.len());
     assert!(!table.is_empty());
     assert!(reference
-        .hoist_rotations(&wire, spec.level, &spec.rots)
+        .hoist_rotations(&wire, hoist.level, &hoist.rots)
         .is_empty());
 }

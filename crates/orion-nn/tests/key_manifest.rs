@@ -96,7 +96,8 @@ fn fold_unit_io(plan: &ExecPlan, c: &Compiled) -> (KeyManifest, usize) {
                 }
             }
             UnitWork::SharedRot { spec } => {
-                for &(_, amount) in &plan.shared_specs()[spec].rots {
+                let hoist = plan.shared_hoist(c, spec).expect("well-formed plan");
+                for &(_, amount) in &hoist.rots {
                     manifest.use_rotation(amount as isize, read.expect("hoist level"));
                 }
             }

@@ -33,8 +33,9 @@ use std::time::Duration;
 
 /// Builds a random small network: a chain of conv/dense blocks with a
 /// random activation after each, optionally closed by a residual add
-/// around the middle.
-fn random_net(seed: u64, blocks: usize, act_kind: usize, residual: bool) -> Network {
+/// around the middle, and optionally with a twin conv on the first block's
+/// input wire (added to the first conv) — whose hoist rotation CSE shares.
+fn random_net(seed: u64, blocks: usize, act_kind: usize, residual: bool, fork: bool) -> Network {
     let mut rng = StdRng::seed_from_u64(seed);
     let ch = 2 + (seed as usize % 3); // 2..=4 channels
     let mut net = Network::new(ch, 8, 8);
@@ -42,7 +43,13 @@ fn random_net(seed: u64, blocks: usize, act_kind: usize, residual: bool) -> Netw
     let mut cur = x;
     let mut res_anchor = None;
     for b in 0..blocks {
-        let conv = net.conv2d(&format!("c{b}"), cur, ch, 3, 1, 1, 1, &mut rng);
+        // the twin is 1×1 and comes first: its rotations are not the 3×3
+        // conv's, and a hoist must cover both
+        let twin = (fork && b == 0).then(|| net.conv2d("twin", cur, ch, 1, 1, 0, 1, &mut rng));
+        let mut conv = net.conv2d(&format!("c{b}"), cur, ch, 3, 1, 1, 1, &mut rng);
+        if let Some(twin) = twin {
+            conv = net.add("fork", twin, conv);
+        }
         cur = match act_kind % 3 {
             0 => net.square(&format!("a{b}"), conv),
             1 => net.silu(&format!("a{b}"), conv, 7),
@@ -156,23 +163,27 @@ fn validate_plan(plan: &ExecPlan, c: &orion_nn::Compiled) {
 /// release rule).
 fn validate_optimized(plan: &ExecPlan, c: &orion_nn::Compiled) {
     validate_plan(plan, c);
-    // Shared-rotation specs are well-formed: nonzero rotation amounts on
-    // in-range blocks, hoist count = distinct blocks.
-    for sp in plan.shared_specs() {
-        assert!(!sp.rots.is_empty(), "empty shared-rotation spec");
-        let blocks: std::collections::BTreeSet<u32> = sp.rots.iter().map(|&(b, _)| b).collect();
-        assert_eq!(sp.hoists, blocks.len(), "spec hoists vs distinct blocks");
-        for &(b, i) in &sp.rots {
-            assert_ne!(i, 0, "identity rotation in a shared spec");
-            assert!((b as usize) < sp.buf.len, "spec block out of range");
-        }
-    }
     let deps = plan.deps(c);
     for (uid, unit) in plan.units.iter().enumerate() {
-        // Each SharedRot unit's spec index is valid and at least two
-        // linear consumers point back at it through a derived dependency.
+        // Each SharedRot unit hoists the union of its members' baby-step
+        // rotations, and at least two linear consumers point back at it
+        // through a derived dependency.
         if let UnitWork::SharedRot { spec } = unit.work {
-            assert!(spec < plan.shared_specs().len(), "dangling spec index");
+            let hoist = plan.shared_hoist(c, spec).expect("derivable hoist");
+            let mut union = std::collections::BTreeSet::new();
+            for member in plan.units.iter().filter(|u| u.shared_rots == Some(spec)) {
+                let UnitWork::Step { node } = member.work else {
+                    panic!("non-step unit marked shared");
+                };
+                let (Step::Conv { plan: layer, .. } | Step::Dense { plan: layer, .. }) =
+                    &c.prog[node].step
+                else {
+                    panic!("non-linear node {node} marked shared");
+                };
+                union.extend(layer.baby_rotations());
+            }
+            assert!(!hoist.rots.is_empty(), "shared unit {uid} hoists nothing");
+            assert_eq!(hoist.rots, union.into_iter().collect::<Vec<_>>());
             let consumers = (plan.units.iter().zip(&deps))
                 .filter(|(u, deps)| u.shared_rots == Some(spec) && deps.contains(&uid))
                 .count();
@@ -206,8 +217,9 @@ proptest! {
         blocks in 1usize..4,
         act_kind in 0usize..3,
         residual in prop::sample::select(vec![false, true]),
+        fork in prop::sample::select(vec![false, true]),
     ) {
-        let net = random_net(seed, blocks, act_kind, residual);
+        let net = random_net(seed, blocks, act_kind, residual, fork);
         let opts = CompileOptions {
             slots: 128,
             l_eff: 10,
@@ -240,6 +252,7 @@ proptest! {
         let mut oplan = ExecPlan::build(&c);
         let stats = optimize_plan(&mut oplan, &c, OptConfig::default());
         validate_optimized(&oplan, &c);
+        prop_assert_eq!(stats.rotation_cse.shared_units > 0, fork);
         if stats.rotation_cse.shared_units == 0 {
             prop_assert_eq!(oplan.digest(), plan.digest());
         }
@@ -256,7 +269,7 @@ proptest! {
         blocks in 1usize..4,
         act_kind in 0usize..3,
     ) {
-        let net = random_net(seed, blocks, act_kind, false);
+        let net = random_net(seed, blocks, act_kind, false, false);
         let opts = CompileOptions {
             slots: 128,
             l_eff: 10,

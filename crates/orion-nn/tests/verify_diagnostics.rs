@@ -401,6 +401,168 @@ fn a_read_before_its_producer_runs_is_a_coverage_error_at_the_reader() {
 }
 
 // ---------------------------------------------------------------------
+// Seeded defect 7: a unit or a bootstrap dropped, duplicated or pointed
+// outside the program. The plan carries no census of its units; each
+// defect is found where a walk would fail — the read of a slot nothing
+// wrote, a slot written twice, a unit `unit_io` cannot describe.
+// ---------------------------------------------------------------------
+
+/// The one error-severity diagnostic of `plan`, as (rule, unit, node, ct).
+fn one_error(
+    plan: &ExecPlan,
+    c: &orion_nn::Compiled,
+) -> (Rule, Option<usize>, Option<usize>, Option<usize>) {
+    let report = verify_plan(plan, c, &VerifyConfig::default());
+    assert_eq!(report.error_count(), 1, "{}", report.table());
+    let hit = &report.diagnostics[0];
+    assert_eq!(hit.severity, Severity::Error);
+    (hit.rule, hit.at.unit, hit.at.node, hit.at.ct)
+}
+
+/// The units whose signature reads `slot`.
+fn readers(plan: &ExecPlan, c: &orion_nn::Compiled, slot: usize) -> Vec<usize> {
+    (0..plan.units.len())
+        .filter(|&uid| {
+            let io = plan.unit_io(c, uid).expect("well-formed unit");
+            io.reads
+                .iter()
+                .flatten()
+                .any(|(buf, _)| buf.slots().contains(&slot))
+        })
+        .collect()
+}
+
+#[test]
+fn a_dropped_or_duplicated_elementwise_unit_is_a_coverage_error() {
+    let net = conv_net(3, 2, 0, false); // conv → square → conv → square
+    let c = compile(&net, &fixed_ranges(&net, 4.0), &small_opts());
+    let plan = ExecPlan::build(&c);
+    assert!(verify_plan(&plan, &c, &VerifyConfig::default()).is_clean());
+    let square = node_of(&c, |s| matches!(s, Step::Square));
+    let sq = plan
+        .units
+        .iter()
+        .position(|u| matches!(u.work, UnitWork::StepCt { node, .. } if node == square))
+        .expect("the first square's unit");
+    let readers = readers(&plan, &c, plan.units[sq].out_slot);
+    assert_eq!(readers.len(), 1, "the second conv reads the square");
+    let reader = readers[0];
+    let UnitWork::Step { node: conv } = plan.units[reader].work else {
+        panic!("the square's reader is a conv");
+    };
+
+    // dropped: its reader reads a slot nothing wrote (and moves up one)
+    let mut dropped = plan.clone();
+    dropped.units.remove(sq);
+    assert_eq!(
+        one_error(&dropped, &c),
+        (Rule::Coverage, Some(reader - 1), Some(conv), None)
+    );
+
+    // duplicated: the copy writes the slot a second time
+    let mut doubled = plan.clone();
+    doubled.units.insert(sq + 1, plan.units[sq].clone());
+    assert_eq!(
+        one_error(&doubled, &c),
+        (Rule::Coverage, Some(sq + 1), Some(square), Some(0))
+    );
+}
+
+#[test]
+fn a_dropped_duplicated_or_foreign_bootstrap_is_a_coverage_error() {
+    let net = conv_net(5, 2, 2, false); // conv → ReLU, twice: bootstrap-deep
+    let c = compile(&net, &fixed_ranges(&net, 4.0), &small_opts());
+    let plan = ExecPlan::build(&c);
+    assert!(verify_plan(&plan, &c, &VerifyConfig::default()).is_clean());
+    // a bootstrap unit whose refreshed ciphertext has one reader
+    let (boot, reader) = (0..plan.units.len())
+        .filter(|&u| matches!(plan.units[u].work, UnitWork::Boot { .. }))
+        .find_map(|u| match readers(&plan, &c, plan.units[u].out_slot)[..] {
+            [r] => Some((u, r)),
+            _ => None,
+        })
+        .expect("a bootstrap read once");
+    let UnitWork::Boot { wire, ct, .. } = plan.units[boot].work else {
+        unreachable!()
+    };
+    let at_reader = |uid: usize| {
+        let (node, ct) = match plan.units[reader].work {
+            UnitWork::Step { node } => (node, None),
+            UnitWork::StepCt { node, ct } => (node, Some(ct)),
+            _ => panic!("a bootstrap's reader is a step"),
+        };
+        (Rule::Coverage, Some(uid), Some(node), ct)
+    };
+
+    // dropped: its reader reads a slot nothing wrote
+    let mut dropped = plan.clone();
+    dropped.units.remove(boot);
+    assert_eq!(one_error(&dropped, &c), at_reader(reader - 1));
+
+    // duplicated: the copy writes the refreshed slot a second time
+    let mut doubled = plan.clone();
+    doubled.units.insert(boot + 1, plan.units[boot].clone());
+    assert_eq!(
+        one_error(&doubled, &c),
+        (Rule::Coverage, Some(boot + 1), Some(wire), Some(ct))
+    );
+
+    // a wire outside the program: `unit_io` cannot describe the unit, and
+    // its reader does not repeat the finding
+    let mut foreign = plan.clone();
+    let outside = c.prog.len() + 3;
+    if let UnitWork::Boot { wire, .. } = &mut foreign.units[boot].work {
+        *wire = outside;
+    }
+    assert_eq!(
+        one_error(&foreign, &c),
+        (Rule::Coverage, Some(boot), Some(outside), Some(ct))
+    );
+}
+
+// ---------------------------------------------------------------------
+// Seeded defect 8: the members of one shared hoist placed at different
+// levels — the hoist cannot be derived from them.
+// ---------------------------------------------------------------------
+
+#[test]
+fn shared_hoist_members_at_different_levels_are_flagged_at_the_shared_unit() {
+    let mut rng = StdRng::seed_from_u64(5);
+    let mut net = Network::new(4, 8, 8);
+    let x = net.input();
+    let a = net.conv2d("c2a", x, 4, 3, 1, 1, 1, &mut rng);
+    let b = net.conv2d("c2b", x, 4, 3, 1, 1, 1, &mut rng);
+    let add = net.add("res", a, b);
+    net.output(add);
+    let mut c = compile(&net, &fixed_ranges(&net, 4.0), &small_opts());
+    let mut plan = ExecPlan::build(&c);
+    let stats = optimize_plan(&mut plan, &c, OptConfig::default());
+    assert_eq!(stats.rotation_cse.shared_units, 1);
+    let shared = plan
+        .units
+        .iter()
+        .position(|u| matches!(u.work, UnitWork::SharedRot { .. }))
+        .expect("a shared unit");
+    // One member a level higher — a placement every unit can run (the
+    // input arrives at `L_eff`, the join reads no higher than before), but
+    // no one level to hoist at.
+    let cb = c.prog.iter().position(|p| p.name == "c2b").unwrap();
+    let level = c.placement.levels[cb].expect("placed");
+    assert!(level < c.opts.l_eff);
+    c.placement.levels[cb] = Some(level + 1);
+    let report = verify_plan(&plan, &c, &VerifyConfig::default());
+    assert_eq!(report.error_count(), 1, "{}", report.table());
+    let hit = &report.diagnostics[0];
+    assert_eq!(hit.rule, Rule::SharedRotMalformed);
+    assert_eq!((hit.at.unit, hit.at.node), (Some(shared), None));
+    assert!(
+        hit.message.contains("different buffers or levels"),
+        "{}",
+        hit.message
+    );
+}
+
+// ---------------------------------------------------------------------
 // The optimizer safety net: a deliberately broken rewrite is rejected
 // and rolled back byte-identically.
 // ---------------------------------------------------------------------

@@ -69,7 +69,7 @@ fn bench_exec_plain(c: &mut Criterion) {
     };
     let input: Vec<Vec<f64>> = vec![(0..slots).map(|i| (i % 13) as f64 * 0.1).collect()];
     c.bench_function("exec_plain_conv_8ch_16x16", |b| {
-        b.iter(|| exec_plain(&plan, &src, &input, None))
+        b.iter(|| exec_plain(&plan, &src, &input))
     });
 }
 

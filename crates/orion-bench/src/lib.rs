@@ -16,8 +16,8 @@
 //!
 //! The criterion benches in `benches/` cover the paper mechanisms the
 //! repo benchmark (`perf/`) does not measure: packing, placement and the
-//! ablations. Kernel, op, scheduler and optimizer timings are `perf`'s
-//! `math.*`, `ckks.*`, `sched.*` and `nn.opt_*` metrics.
+//! ablations. Kernel, op and scheduler timings are `perf`'s `math.*`,
+//! `ckks.*` and `sched.*` metrics.
 
 use orion::core::Orion;
 use orion_models::data::synthetic_images;

@@ -220,8 +220,7 @@ impl KeyManifest {
 ///
 /// Statically unreachable on certified programs: the `orion_nn::verify`
 /// key-coverage pass enumerates every rotation a plan applies (BSGS
-/// baby/giant steps, optimizer shared-rotation units) with the level it
-/// applies it at and checks both against keygen before any ciphertext math
+/// baby/giant/fold steps) with the level it applies it at and checks both against keygen before any ciphertext math
 /// runs.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct MissingRotationKey {

@@ -1,22 +1,21 @@
 //! Plan executors.
 //!
 //! [`exec_plain`] runs a plan on cleartext slot vectors using exactly the
-//! executor's rotation algebra (baby steps computed once — privately or
-//! shared across the layers reading a wire —, pre-rotated diagonals,
-//! giant-step group rotations, row fold) — it is the correctness oracle
-//! for the packing math, compared against reference convolutions in tests.
+//! executor's rotation algebra (baby steps computed once per call,
+//! pre-rotated diagonals, giant-step group rotations, row fold) — it is
+//! the correctness oracle for the packing math, compared against
+//! reference convolutions in tests.
 //!
 //! [`exec_bsgs`] is the real thing, and the only copy of it: double-hoisted
 //! BSGS over CKKS ciphertexts (paper Equation (1)). Baby-step rotations
-//! share one digit decomposition per rotating input ciphertext
-//! ([`SharedRotations`], private to the call or shared across the layers
-//! reading one wire); giant-step groups accumulate in the extended basis
-//! with one deferred ModDown each. Weights come encoded at prime scale in a
+//! share one digit decomposition per rotating input ciphertext of the
+//! call; giant-step groups accumulate in the extended basis with one
+//! deferred ModDown each. Weights come encoded at prime scale in a
 //! [`PreparedLayer`], so each linear layer consumes exactly one level and
 //! returns the ciphertext scale to precisely Δ. [`exec_fhe_prepared`] is the
-//! call with a setup-time cache and a private hoist, [`exec_fhe`] the call
-//! that encodes the layer first; [`exec_fhe_unhoisted`] is the independent
-//! reference the tests hold the body to.
+//! call with a setup-time cache, [`exec_fhe`] the call that encodes the
+//! layer first; [`exec_fhe_unhoisted`] is the independent reference the
+//! tests hold the body to.
 
 use crate::plan::LinearPlan;
 use crate::prepared::PreparedLayer;
@@ -45,44 +44,24 @@ fn add_rotated(out: &mut [f64], v: &[f64], k: usize) {
     }
 }
 
-/// Cleartext counterpart of [`SharedRotations`]: pre-rotated slot vectors
-/// per `(input block, amount)`.
-pub type PlainRotations = HashMap<(u32, usize), Vec<f64>>;
-
-/// The non-zero baby-step rotations `rots` of a wire's cleartext blocks,
-/// computed once: for one layer (the private table of [`exec_plain`]) or
-/// for every plain consumer of the wire. `rot_plain` is deterministic, so
-/// sharing is trivially exact.
-pub fn shared_rot_plain(inputs: &[Vec<f64>], rots: &[(u32, usize)]) -> PlainRotations {
-    rots.iter()
-        .map(|&(j_blk, i)| ((j_blk, i), rot_plain(&inputs[j_blk as usize], i)))
-        .collect()
-}
-
 /// Executes a plan on cleartext slot blocks — [`exec_bsgs`]'s algebra term
 /// for term: BSGS over each output block's diagonals against the baby-step
 /// rotations, then the giant-step rotations, the sum, and the row fold's
-/// rotate-and-sum steps. The non-zero baby-step rotations come from
-/// `shared` when given and from a private [`shared_rot_plain`] over
-/// [`LinearPlan::baby_rotations`] otherwise. Output blocks fan out over the
+/// rotate-and-sum steps. The non-zero baby-step rotations
+/// ([`LinearPlan::baby_rotations`]) are computed once per call, before any
+/// output block reads them. Output blocks fan out over the
 /// shared rayon pool (paper §4.3: "each block performs independent work
 /// and is well-suited for parallel execution across multiple threads").
 pub fn exec_plain(
     plan: &LinearPlan,
     source: &(dyn DiagSource + Sync),
     inputs: &[Vec<f64>],
-    shared: Option<&PlainRotations>,
 ) -> Vec<Vec<f64>> {
     assert_eq!(inputs.len(), plan.in_blocks);
-    let private;
-    let rotations = match shared {
-        Some(s) => s,
-        None => {
-            let rots: Vec<(u32, usize)> = plan.baby_rotations().into_iter().collect();
-            private = shared_rot_plain(inputs, &rots);
-            &private
-        }
-    };
+    // pre-rotated slot vectors per (input block, amount)
+    let rotations: HashMap<(u32, usize), Vec<f64>> = (plan.baby_rotations().into_iter())
+        .map(|(j_blk, i)| ((j_blk, i), rot_plain(&inputs[j_blk as usize], i)))
+        .collect();
     let (slots, n1) = (plan.slots, plan.n1);
     (0..plan.out_blocks)
         .into_par_iter()
@@ -229,34 +208,33 @@ pub fn exec_fhe_unhoisted(
     finish_fhe(ctx, plan, inputs, parts, None)
 }
 
-/// Baby-step rotations of one wire's ciphertexts, computed once: for one
-/// layer (the private hoist of [`exec_bsgs`]) or for every linear consumer
-/// of the wire (cross-wire rotation CSE). Each entry is the double-hoisted
-/// key-switch inner product [`HoistedDigits::rotate_ext`] produces — a
-/// deterministic pure function of the (dropped) ciphertext and the rotation
-/// amount, so a consumer reading a shared entry computes bit-identical
-/// results to one that hoisted privately.
-pub struct SharedRotations {
+/// The non-zero baby-step rotations of one [`exec_bsgs`] call's input
+/// ciphertexts, computed once for the whole layer. Each entry is the
+/// double-hoisted key-switch inner product [`HoistedDigits::rotate_ext`]
+/// produces — a deterministic pure function of the ciphertext and the
+/// rotation amount.
+struct BabyRotations {
     /// The digit decompositions behind `rotations`, kept until the table
     /// drops for an allocator reason, not an algebraic one: freed at the
     /// end of `build` — before the giant-step stage allocates — they leave
     /// glibc trimming and re-faulting the heap top every layer
     /// (`lola_linear` 79 → 90 ms an inference, sys share 2 → 12 %; gone
     /// with `MALLOC_TRIM_THRESHOLD_` raised, or with the digits freed once
-    /// the layer is done, as here).
+    /// the layer is done, as here). Held, never read outside the tests.
+    #[allow(dead_code)]
     hoisted: HashMap<u32, HoistedDigits>,
     rotations: HashMap<(u32, usize), RotatedExt>,
 }
 
-impl SharedRotations {
+impl BabyRotations {
     /// Hoists each input block named in `rots` once and computes every
     /// listed `(input block, amount)` rotation in the extended basis, in
     /// parallel on the shared pool (Bossuat et al. Algorithm 6). Amounts
-    /// must be non-zero (rotation by 0 never touches the key-switch —
-    /// consumers build those locally from the ciphertexts they already
-    /// hold), so a block whose every diagonal sits on a giant step is never
+    /// must be non-zero (rotation by 0 never touches the key-switch — the
+    /// layer builds those locally from the ciphertexts it already holds),
+    /// so a block whose every diagonal sits on a giant step is never
     /// decomposed.
-    pub fn build(ctx: &FheLinearContext<'_>, inputs: &[Ciphertext], rots: &[(u32, usize)]) -> Self {
+    fn build(ctx: &FheLinearContext<'_>, inputs: &[Ciphertext], rots: &[(u32, usize)]) -> Self {
         let blocks: Vec<u32> = rots
             .iter()
             .map(|&(j_blk, _)| j_blk)
@@ -275,33 +253,18 @@ impl SharedRotations {
         let rotations: HashMap<(u32, usize), RotatedExt> = rots
             .par_iter()
             .map(|&(j_blk, i)| {
-                assert_ne!(i, 0, "shared rotations are non-zero by construction");
+                assert_ne!(i, 0, "baby-step rotations are non-zero by construction");
                 ((j_blk, i), hoisted[&j_blk].rotate_ext(ctx.eval, i as isize))
             })
             .collect();
         Self { hoisted, rotations }
     }
 
-    /// The shared inner product for `(input block, amount)`.
-    pub fn get(&self, j_blk: u32, i: usize) -> &RotatedExt {
+    /// The inner product for `(input block, amount)`.
+    fn get(&self, j_blk: u32, i: usize) -> &RotatedExt {
         self.rotations
             .get(&(j_blk, i))
-            .expect("linear consumer needs a rotation missing from the shared unit")
-    }
-
-    /// Number of shared rotations.
-    pub fn len(&self) -> usize {
-        self.rotations.len()
-    }
-
-    /// Whether the set is empty.
-    pub fn is_empty(&self) -> bool {
-        self.rotations.is_empty()
-    }
-
-    /// Input blocks [`SharedRotations::build`] digit-decomposed.
-    pub fn hoisted_blocks(&self) -> usize {
-        self.hoisted.len()
+            .expect("a diagonal needs a rotation missing from the layer's baby steps")
     }
 }
 
@@ -313,15 +276,11 @@ type GroupTerms<'p> = Vec<((u32, usize), &'p Plaintext)>;
 /// must share the prepared level and scale Δ; outputs are one level lower
 /// at exactly scale Δ (single-shot: even strided convolutions consume one
 /// level — paper §4). Every plaintext comes from `prepared`; the non-zero
-/// baby-step rotations come from `shared` when the plan optimizer hoisted
-/// them once for all consumers of the wire, and from a private
-/// [`SharedRotations::build`] over [`LinearPlan::baby_rotations`] otherwise
-/// — the same pure-function values either way, so the result is
-/// bit-identical. The two expensive stages fan out on the shared rayon
-/// pool:
+/// baby-step rotations ([`LinearPlan::baby_rotations`]) are hoisted once
+/// per rotating input block. The two expensive stages fan out on the
+/// shared rayon pool:
 ///
-/// 1. the distinct baby-step `rotate_ext` key-switch inner products
-///    (inside [`SharedRotations::build`]), and
+/// 1. the distinct baby-step `rotate_ext` key-switch inner products, and
 /// 2. the per-giant-step [`ExtAccumulator`] groups (independent per
 ///    `(output block, giant step)`), each finishing with its own deferred
 ///    ModDown and giant rotation. Modular adds are exact, so per-group
@@ -331,7 +290,6 @@ pub fn exec_bsgs(
     plan: &LinearPlan,
     prepared: &PreparedLayer,
     inputs: &[Ciphertext],
-    shared: Option<&SharedRotations>,
 ) -> Vec<Ciphertext> {
     assert_eq!(inputs.len(), plan.in_blocks);
     let level = inputs[0].level();
@@ -344,15 +302,8 @@ pub fn exec_bsgs(
         ctx.eval.context().slots(),
         "plan/context slot mismatch"
     );
-    let private;
-    let rotations = match shared {
-        Some(s) => s,
-        None => {
-            let rots: Vec<(u32, usize)> = plan.baby_rotations().into_iter().collect();
-            private = SharedRotations::build(ctx, inputs, &rots);
-            &private
-        }
-    };
+    let rots: Vec<(u32, usize)> = plan.baby_rotations().into_iter().collect();
+    let rotations = BabyRotations::build(ctx, inputs, &rots);
     let n1 = plan.n1;
     let mut zero_blocks: BTreeSet<u32> = BTreeSet::new();
     let mut groups: BTreeMap<(u32, usize), GroupTerms<'_>> = BTreeMap::new();
@@ -404,18 +355,18 @@ pub fn exec_fhe(
     inputs: &[Ciphertext],
 ) -> Vec<Ciphertext> {
     let prepared = PreparedLayer::build(ctx.enc, plan, source, bias, inputs[0].level());
-    exec_bsgs(ctx, plan, &prepared, inputs, None)
+    exec_bsgs(ctx, plan, &prepared, inputs)
 }
 
-/// [`exec_bsgs`] from a setup-time [`PreparedLayer`] with a private hoist:
-/// **zero plaintext encodes** per request — the serving path.
+/// [`exec_bsgs`] from a setup-time [`PreparedLayer`]: **zero plaintext
+/// encodes** per request — the serving path.
 pub fn exec_fhe_prepared(
     ctx: &FheLinearContext<'_>,
     plan: &LinearPlan,
     prepared: &PreparedLayer,
     inputs: &[Ciphertext],
 ) -> Vec<Ciphertext> {
-    exec_bsgs(ctx, plan, prepared, inputs, None)
+    exec_bsgs(ctx, plan, prepared, inputs)
 }
 
 #[cfg(test)]
@@ -461,7 +412,7 @@ mod tests {
         for (i, &v) in packed.iter().enumerate() {
             blocks[i / slots][i % slots] = v;
         }
-        let out_blocks = exec_plain(&plan, &src, &blocks, None);
+        let out_blocks = exec_plain(&plan, &src, &blocks);
         let mut out_slots = Vec::new();
         for b in &out_blocks {
             out_slots.extend_from_slice(b);
@@ -655,8 +606,8 @@ mod tests {
         for (i, &v) in packed.iter().enumerate() {
             blocks[i / slots][i % slots] = v;
         }
-        let mid = exec_plain(&p1, &src1, &blocks, None);
-        let out = exec_plain(&p2, &src2, &mid, None);
+        let mid = exec_plain(&p1, &src1, &blocks);
+        let out = exec_plain(&p2, &src2, &mid);
         let mut out_slots = Vec::new();
         for b in &out {
             out_slots.extend_from_slice(b);
@@ -699,7 +650,7 @@ mod tests {
         for (i, &v) in packed.iter().enumerate() {
             blocks[i / slots][i % slots] = v;
         }
-        let out = exec_plain(&plan, &src, &blocks, None);
+        let out = exec_plain(&plan, &src, &blocks);
         let expect = linear(&input, &w, &[]);
         for (i, e) in expect.iter().enumerate() {
             assert!(
@@ -708,56 +659,6 @@ mod tests {
                 out[0][i]
             );
         }
-    }
-
-    /// `exec_plain` reading every baby-step rotation from a shared table
-    /// equals `exec_plain` building its private one, slot for slot.
-    fn check_shared_matches_private(plan: &LinearPlan, src: &(dyn DiagSource + Sync), seed: u64) {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let blocks: Vec<Vec<f64>> = (0..plan.in_blocks)
-            .map(|_| (0..plan.slots).map(|_| rng.gen_range(-1.0..1.0)).collect())
-            .collect();
-        let rots: Vec<(u32, usize)> = plan.baby_rotations().into_iter().collect();
-        assert!(!rots.is_empty(), "test needs baby-step rotations");
-        let shared = shared_rot_plain(&blocks, &rots);
-        assert_eq!(
-            exec_plain(plan, src, &blocks, Some(&shared)),
-            exec_plain(plan, src, &blocks, None)
-        );
-    }
-
-    #[test]
-    fn shared_rotations_match_private() {
-        let mut rng = StdRng::seed_from_u64(77);
-        // strided conv spanning 4 input and 2 output ciphertexts
-        let in_l = TensorLayout::raster(8, 8, 8);
-        let spec = ConvSpec {
-            co: 16,
-            ci: 8,
-            kh: 3,
-            kw: 3,
-            stride: 2,
-            padding: 1,
-            dilation: 1,
-            groups: 1,
-        };
-        let (plan, out_l) = conv_plan(&in_l, &spec, 128);
-        assert!(plan.in_blocks > 1 && plan.out_blocks > 1);
-        let weights = random_tensor(&[16, 8, 3, 3], &mut rng);
-        let src = ConvDiagSource {
-            in_l,
-            out_l,
-            spec,
-            weights: &weights,
-        };
-        check_shared_matches_private(&plan, &src, 78);
-
-        // 256 → 10 at S = 512: a row-folded dense plan
-        let in_l = TensorLayout::raster(4, 8, 8);
-        let (plan, _) = dense_plan(&in_l, 10, 512);
-        assert!(plan.fold < plan.slots);
-        let src = DenseDiagSource::new(random_tensor(&[10, 256], &mut rng), &in_l);
-        check_shared_matches_private(&plan, &src, 79);
     }
 
     proptest! {
@@ -795,7 +696,7 @@ mod tests {
             }
             for fold in shape.folds() {
                 let plan = shape.plan(fold);
-                let out = exec_plain(&plan, &src, &blocks, None);
+                let out = exec_plain(&plan, &src, &blocks);
                 prop_assert_eq!(out.len(), bias_blocks.len());
                 for (b, (block, bias)) in out.iter().zip(&bias_blocks).enumerate() {
                     let bias = plan.periodic(bias);
@@ -1005,7 +906,7 @@ mod tests {
         check_unhoisted_matches_hoisted(&plan, &src, &in_l.pack(&input), 26);
     }
 
-    /// What `SharedRotations::build` executes for a layer's private hoist
+    /// What `BabyRotations::build` executes for a layer's hoist
     /// is what the plan counted: one digit decomposition per input block
     /// with a non-zero baby step, one hoisted rotation per distinct
     /// `(block, step)`.
@@ -1021,10 +922,10 @@ mod tests {
             eval: &eval,
             enc: &enc,
         };
-        let table = SharedRotations::build(&fhe_ctx, &cts, &rots);
-        assert_eq!(table.hoisted_blocks(), plan.counts.hoists, "{plan:?}");
-        assert_eq!(table.len(), plan.counts.baby_rots, "{plan:?}");
-        assert_eq!(table.is_empty(), plan.counts.hoists == 0);
+        let table = BabyRotations::build(&fhe_ctx, &cts, &rots);
+        assert_eq!(table.hoisted.len(), plan.counts.hoists, "{plan:?}");
+        assert_eq!(table.rotations.len(), plan.counts.baby_rots, "{plan:?}");
+        assert_eq!(table.rotations.is_empty(), plan.counts.hoists == 0);
     }
 
     #[test]

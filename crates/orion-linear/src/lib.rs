@@ -22,11 +22,10 @@
 //! * [`values`] — materializes diagonal plaintext vectors block-by-block
 //!   (only needed by the real-FHE and plan-validation paths);
 //! * [`exec`] — executors: `exec_plain` (cleartext slots through the exact
-//!   plan, private or shared baby-step rotations, block-parallel — the
-//!   packing correctness oracle) and `exec_bsgs`, the one
-//!   real-CKKS body (hoisted baby steps — private, or shared across the
-//!   layers reading a wire — and lazy-ModDown giant groups, fanned out on
-//!   the shared rayon pool, every plaintext from a [`prepared`] layer);
+//!   plan, block-parallel — the packing correctness oracle) and
+//!   `exec_bsgs`, the one real-CKKS body (baby steps hoisted once per
+//!   rotating input block and lazy-ModDown giant groups, fanned out on the
+//!   shared rayon pool, every plaintext from a [`prepared`] layer);
 //!   `exec_fhe_prepared` is that body on the serving path's setup-time
 //!   cache (zero per-inference encodes), `exec_fhe` the same body after
 //!   encoding the layer on the fly, and `exec_fhe_unhoisted` the
@@ -48,8 +47,7 @@ pub mod store;
 pub mod values;
 
 pub use exec::{
-    exec_bsgs, exec_fhe, exec_fhe_prepared, exec_fhe_unhoisted, exec_plain, shared_rot_plain,
-    FheLinearContext, PlainRotations, SharedRotations,
+    exec_bsgs, exec_fhe, exec_fhe_prepared, exec_fhe_unhoisted, exec_plain, FheLinearContext,
 };
 pub use layout::TensorLayout;
 pub use paged::{LayerSource, PageStats, PagedProgram};

@@ -107,10 +107,8 @@ pub struct LinearPlan {
 impl LinearPlan {
     /// The distinct **non-zero** baby-step rotations the executor performs,
     /// as `(input block, rotation amount)` pairs. The amount is an absolute
-    /// slot rotation (`k mod n1`), so the sets of two plans over the same
-    /// input wire are directly comparable even when their BSGS splits
-    /// differ — the basis of cross-wire rotation CSE: consumers sharing a
-    /// pair can share one hoisted key-switch inner product.
+    /// slot rotation (`k mod n1`); the executor hoists each input block
+    /// that appears here once and computes each pair once.
     pub fn baby_rotations(&self) -> BTreeSet<(u32, usize)> {
         let mut rots = BTreeSet::new();
         for (&(_, j_blk), diags) in &self.blocks {
@@ -230,7 +228,7 @@ impl PlanBuilder {
         let mut best: Option<(usize, PlanCounts, usize)> = None; // (cost, counts, n1)
         let mut n1 = 1usize;
         while n1 <= slots {
-            let counts = Self::counts_for(&blocks, slots, n1, in_blocks, out_blocks);
+            let counts = Self::counts_for(&blocks, n1, out_blocks);
             let cost = Self::weighted_cost(&counts, Self::distinct_steps(&blocks, n1));
             if best.as_ref().map(|(c, _, _)| cost < *c).unwrap_or(true) {
                 best = Some((cost, counts, n1));
@@ -282,9 +280,7 @@ impl PlanBuilder {
 
     fn counts_for(
         blocks: &BTreeMap<(u32, u32), Vec<u32>>,
-        _slots: usize,
         n1: usize,
-        _in_blocks: usize,
         out_blocks: usize,
     ) -> PlanCounts {
         use std::collections::HashMap;
@@ -727,9 +723,7 @@ mod tests {
                 let mut n1 = 1;
                 while n1 <= fold {
                     let (closed, keys) = shape.counts(fold, n1);
-                    let mut walked = PlanBuilder::counts_for(
-                        &plan.blocks, slots, n1, plan.in_blocks, plan.out_blocks,
-                    );
+                    let mut walked = PlanBuilder::counts_for(&plan.blocks, n1, plan.out_blocks);
                     walked.giant_rots += fold_steps;
                     prop_assert_eq!(closed, walked, "fold {} n1 {}", fold, n1);
                     let walked_keys = PlanBuilder::distinct_steps(&plan.blocks, n1) + fold_steps;
@@ -804,7 +798,7 @@ mod tests {
             let mut rotmin: Option<PlanCounts> = None;
             let mut n1 = 1usize;
             while n1 <= slots {
-                let c = PlanBuilder::counts_for(&blocks, slots, n1, 1, 1);
+                let c = PlanBuilder::counts_for(&blocks, n1, 1);
                 if rotmin
                     .map(|r| c.rotations() < r.rotations())
                     .unwrap_or(true)

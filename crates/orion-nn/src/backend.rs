@@ -1,15 +1,14 @@
-//! The unified execution layer: one dataflow scheduler, pluggable engines.
+//! The unified execution layer: one plan walk, pluggable engines.
 //!
 //! A compiled Orion program (`compile::Step` list + placement policy) runs
 //! on an [`EvalBackend`]: an engine behind an associated `Ciphertext` type
 //! and exactly the operations the plan walk ([`crate::sched`]) calls —
 //! encrypt / decrypt, the free level drop, `HAdd`, bootstrap, and the
-//! scale-schedule-aware composite steps (linear layer, shared baby-step
-//! hoist, scale-down, activation stages). Engines are **`&self`**: keys,
+//! scale-schedule-aware composite steps (linear layer, scale-down,
+//! activation stages). Engines are **`&self`**: keys,
 //! encoders, and evaluators are read-only at run time and engines hold no
-//! per-run state — which is what lets [`run_program`] execute a program as
-//! a wire-level dataflow plan, and one engine value serve any number of
-//! concurrent walks. The
+//! per-run state — which is what lets one engine value serve any number
+//! of concurrent walks. The
 //! walk itself ([`crate::sched::run_plan`]) is ciphertexts in, ciphertexts
 //! out; `encrypt` / `decrypt` are what [`run_program`] wraps it with. Two
 //! engines implement the trait (see [`crate::backends`]):
@@ -29,7 +28,7 @@
 //! identical for every engine and every thread a walk runs on by
 //! construction, and what the CKKS engine executes (`tests/poly_counts.rs`).
 //! Adding a GPU, multi-party, or sharded engine is one trait impl — the
-//! scheduler, the counting, and the placement logic are shared.
+//! walk, the counting, and the placement logic are shared.
 
 use crate::compile::{Compiled, Step};
 use crate::sched::{run_plan, ExecPlan};
@@ -174,7 +173,7 @@ impl<'a> LinearRef<'a> {
 /// CKKS needs exact-Δ bookkeeping a generic recipe cannot express, and
 /// modeled engines need to model at the step granularity). Levels passed
 /// in are the placement policy's assignments — inputs have already been
-/// dropped to the stated level by the scheduler.
+/// dropped to the stated level by the walk.
 ///
 /// All methods take `&self`: concurrent walks (serve workers, batch
 /// inference) call them from several threads at once, beside the walks'
@@ -184,11 +183,6 @@ pub trait EvalBackend {
     /// The engine's ciphertext representation (`Send + Sync`: walks run on
     /// pool threads and hand their outputs back across threads).
     type Ciphertext: Clone + Send + Sync;
-    /// The engine's shared baby-step rotation artifact (cross-wire
-    /// rotation CSE, see [`crate::opt`]): everything
-    /// [`EvalBackend::linear_layer`] needs to skip its private
-    /// per-consumer rotation fan-out.
-    type SharedRot: Send + Sync;
 
     /// Slots per ciphertext.
     fn slots(&self) -> usize;
@@ -242,30 +236,13 @@ pub trait EvalBackend {
     }
 
     /// One packed linear layer over all input ciphertexts at `level`;
-    /// returns the output wire one level lower at exactly scale Δ. With
-    /// `shared` (the plan optimizer attached the layer to a hoist-once
-    /// unit) the non-zero baby-step rotations are read from it instead of
-    /// being computed privately: bit-identical output either way.
+    /// returns the output wire one level lower at exactly scale Δ.
     fn linear_layer(
         &self,
         layer: &LinearRef<'_>,
         inputs: &[Self::Ciphertext],
         level: usize,
-        shared: Option<&Self::SharedRot>,
     ) -> Vec<Self::Ciphertext>;
-
-    /// Computes the distinct **non-zero** baby-step rotations `rots`
-    /// (`(input block, amount)` pairs) of a wire's ciphertexts — already
-    /// dropped to `level` — once, for every linear consumer the plan
-    /// optimizer wired to the shared unit. Must be a deterministic pure
-    /// function of the inputs: consumers reading the artifact must compute
-    /// bit-identical results to consumers rotating privately.
-    fn hoist_rotations(
-        &self,
-        cts: &[Self::Ciphertext],
-        level: usize,
-        rots: &[(u32, usize)],
-    ) -> Self::SharedRot;
 
     /// Multiplies by `factor ≤ 1` and rescales (activation normalization).
     fn scale_down(&self, ct: &Self::Ciphertext, factor: f64, level: usize) -> Self::Ciphertext;

@@ -10,7 +10,7 @@
 use crate::backend::{EvalBackend, LinearRef};
 use crate::fhe_exec::FheSession;
 use orion_ckks::encrypt::Ciphertext;
-use orion_linear::exec::{exec_bsgs, FheLinearContext, SharedRotations};
+use orion_linear::exec::{exec_bsgs, FheLinearContext};
 use orion_linear::paged::LayerSource;
 use orion_linear::prepared::{PreparedLayer, PreparedProgram};
 use orion_linear::store::StoreError;
@@ -38,9 +38,9 @@ pub struct PreparedLayerFault {
 /// steps multiply and add their constants as scalars and encode nothing
 /// either way.
 ///
-/// The engine is a stateless `(session, source)` pair: `Sync`, driven by
-/// the dataflow scheduler from many pool threads at once, and one value
-/// serves any number of concurrent walks.
+/// The engine is a stateless `(session, source)` pair and `Sync`: a walk
+/// runs on its calling thread, and one value serves any number of
+/// concurrent walks, one per thread.
 pub struct CkksBackend<'s> {
     session: &'s FheSession,
     prepared: Option<Arc<dyn LayerSource>>,
@@ -86,7 +86,6 @@ impl<'s> CkksBackend<'s> {
 
 impl EvalBackend for CkksBackend<'_> {
     type Ciphertext = Ciphertext;
-    type SharedRot = SharedRotations;
 
     fn slots(&self) -> usize {
         self.session.ctx.slots()
@@ -152,7 +151,6 @@ impl EvalBackend for CkksBackend<'_> {
         layer: &LinearRef<'_>,
         inputs: &[Ciphertext],
         level: usize,
-        shared: Option<&SharedRotations>,
     ) -> Vec<Ciphertext> {
         let s = self.session;
         let fctx = FheLinearContext {
@@ -181,21 +179,7 @@ impl EvalBackend for CkksBackend<'_> {
                 level,
             ))
         });
-        exec_bsgs(&fctx, layer.plan(), &prepared, inputs, shared)
-    }
-
-    fn hoist_rotations(
-        &self,
-        cts: &[Ciphertext],
-        _level: usize,
-        rots: &[(u32, usize)],
-    ) -> SharedRotations {
-        let s = self.session;
-        let fctx = FheLinearContext {
-            eval: &s.eval,
-            enc: &s.enc,
-        };
-        SharedRotations::build(&fctx, cts, rots)
+        exec_bsgs(&fctx, layer.plan(), &prepared, inputs)
     }
 
     fn scale_down(&self, ct: &Ciphertext, factor: f64, level: usize) -> Ciphertext {

@@ -24,7 +24,7 @@
 
 use crate::backend::{EvalBackend, LinearRef};
 use crate::compile::Compiled;
-use orion_linear::exec::{exec_plain, shared_rot_plain, PlainRotations};
+use orion_linear::exec::exec_plain;
 use orion_poly::cheb::ChebPoly;
 use orion_tensor::{conv2d, linear, Conv2dParams, Tensor};
 use std::borrow::Cow;
@@ -151,11 +151,10 @@ impl ClearBackend {
         layer: &LinearRef<'_>,
         inputs: &[ClearCiphertext],
         out_level: usize,
-        shared: Option<&PlainRotations>,
     ) -> Vec<ClearCiphertext> {
         let plan = layer.plan();
         let (src, bias_blocks) = layer.values(self.slots);
-        exec_plain(plan, &*src, &block_slots(inputs), shared)
+        exec_plain(plan, &*src, &block_slots(inputs))
             .into_iter()
             .enumerate()
             .map(|(b, mut block)| {
@@ -199,7 +198,6 @@ fn block_slots(cts: &[ClearCiphertext]) -> Vec<Vec<f64>> {
 
 impl EvalBackend for ClearBackend {
     type Ciphertext = ClearCiphertext;
-    type SharedRot = PlainRotations;
 
     fn slots(&self) -> usize {
         self.slots
@@ -251,25 +249,11 @@ impl EvalBackend for ClearBackend {
         layer: &LinearRef<'_>,
         inputs: &[ClearCiphertext],
         level: usize,
-        shared: Option<&PlainRotations>,
     ) -> Vec<ClearCiphertext> {
         let out_level = below(level, 1);
         match self.linear {
             Linear::Reference => self.linear_reference(layer, inputs, out_level),
-            Linear::Packed => self.linear_packed(layer, inputs, out_level, shared),
-        }
-    }
-
-    fn hoist_rotations(
-        &self,
-        cts: &[ClearCiphertext],
-        _level: usize,
-        rots: &[(u32, usize)],
-    ) -> PlainRotations {
-        match self.linear {
-            // reference layers never rotate: nothing to share
-            Linear::Reference => PlainRotations::new(),
-            Linear::Packed => shared_rot_plain(&block_slots(cts), rots),
+            Linear::Packed => self.linear_packed(layer, inputs, out_level),
         }
     }
 

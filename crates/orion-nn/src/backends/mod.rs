@@ -6,7 +6,7 @@
 //! | [`ClearBackend::reference`] | `f64` slots + level | reference conv/linear | paper-scale modeling |
 //! | [`ClearBackend::packed`] | `f64` slots + level | exact rotation algebra (`exec_plain`) | packing-math oracle |
 //!
-//! Both are `&self` engines driven by the single dataflow scheduler
+//! Both are `&self` engines driven by the one plan walk
 //! ([`crate::backend::run_program`] over [`crate::sched`]); their op counts
 //! are identical because they are a fold over the plan
 //! ([`crate::sched::count_plan`]), not something an engine does.

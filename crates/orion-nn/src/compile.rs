@@ -96,7 +96,7 @@ pub struct StepSig {
 /// THE level and op table: what each step kind reserves, reads, issues and
 /// leaves behind once placement has fixed its level. Placement prices a
 /// node from it before a plan exists ([`ProgNode::seconds_at`]); the plan
-/// walk, the op counter, the verifier and the optimizer all read it through
+/// walk, the op counter and the verifier all read it through
 /// `ExecPlan::unit_io`; the engines are checked against it on every
 /// ciphertext they produce.
 impl Step {
@@ -274,9 +274,8 @@ impl Compiled {
     /// its plan applies it at and nothing above — what `FheSession::new`
     /// generates. Its key set is [`Compiled::rotation_steps`] plus the
     /// relinearization key; the levels are the fold of
-    /// [`ExecPlan::key_manifest`] over the built plan (rotation CSE shares
-    /// a rotation at its consumers' read level, so the optimized plan has
-    /// the same manifest).
+    /// [`ExecPlan::key_manifest`] over the built plan — the plan every
+    /// engine walks.
     pub fn key_manifest(&self) -> KeyManifest {
         ExecPlan::build(self).key_manifest(self)
     }

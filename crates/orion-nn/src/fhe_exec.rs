@@ -12,15 +12,15 @@
 //! the serve path is handed its result), walk the plan over ciphertexts
 //! following the placement policy (drop to the assigned level, bootstrap
 //! where the policy says, keep every wire at exactly scale Δ — one unit at
-//! a time in plan order, each fanning its limbs and BSGS groups out on the
-//! shared pool), and decrypt the output wire
+//! a time in plan order on the calling thread, an RNS op's limbs there
+//! too, only a linear layer's BSGS blocks fanned out on the shared pool),
+//! and decrypt the output wire
 //! ([`FheSession::decrypt_output`]) — besides the bootstrap oracle, the
 //! one place a run touches the secret key.
 
 use crate::backend::{decrypt_output, encrypt_input, LinearRef};
 use crate::backends::CkksBackend;
 use crate::compile::Compiled;
-use crate::opt::{optimize_plan, OptConfig};
 use crate::sched::{run_plan, ExecPlan};
 use crate::sim::OpCounter;
 use orion_ckks::bootstrap::BootstrapOracle;
@@ -148,8 +148,8 @@ pub struct FheRun {
     pub wall_seconds: f64,
 }
 
-/// The serving hot path: walks `plan` — the program's execution plan, built,
-/// certified and optimized once per model, not per request — over
+/// The serving hot path: walks `plan` — the program's execution plan, built
+/// and certified once per model, not per request — over
 /// **pre-encrypted** input ciphertexts (see [`FheSession::encrypt_input`])
 /// against any prepared-layer source, resident or memory-capped paged,
 /// decrypts the output wire ([`FheSession::decrypt_output`], inside the
@@ -176,7 +176,7 @@ pub fn run_fhe_plan(
     )
 }
 
-/// [`run_fhe_plan`] on the freshly built, fully optimized plan against a
+/// [`run_fhe_plan`] on the freshly built plan against a
 /// fully-resident prepared cache — the direct (no queue, no paging)
 /// reference the serve smoke tests compare bit-exactly against. Kept
 /// because the `perf/` name pin calls it (ROADMAP item 7(b)).
@@ -186,8 +186,7 @@ pub fn run_fhe_prepared_cts(
     prepared: &Arc<PreparedProgram>,
     input_cts: Vec<Ciphertext>,
 ) -> (FheRun, OpCounter) {
-    let mut plan = ExecPlan::build(c);
-    optimize_plan(&mut plan, c, OptConfig::default());
+    let plan = ExecPlan::build(c);
     let source = Arc::clone(prepared) as Arc<dyn LayerSource>;
     run_fhe_plan(c, s, &plan, source, input_cts)
 }

@@ -41,7 +41,7 @@ pub use compile::{compile, CompileOptions, Compiled};
 pub use fhe_exec::FheSession;
 pub use layer::Layer;
 pub use network::{Network, NodeId};
-pub use opt::{checked_rewrite, optimize_plan, OptConfig, OptStats};
+pub use opt::{optimize_plan, OptConfig, OptStats};
 pub use sched::ExecPlan;
 pub use verify::{
     verify_compiled, verify_plan, Diagnostic, Provenance, Rule, Severity, VerifyConfig,

@@ -15,10 +15,9 @@
 //! The plan stores no edges: a unit's dependencies are the units that
 //! wrote the slots its signature reads ([`ExecPlan::deps`], derived in one
 //! plan-order pass over [`ExecPlan::unit_io`]) — what it reads *is* its
-//! edges. Nor does it store a shared hoist: a `SharedRot` unit is a label
-//! its consumer layers name, and what it hoists — their common input
-//! buffer and level, the union of their baby-step rotations — is derived
-//! from them ([`ExecPlan::shared_hoist`]).
+//! edges. A built plan is the plan every engine walks: there is no
+//! rewrite between the two, so a linear layer's baby-step rotations are
+//! hoisted once per input block inside the layer, never across layers.
 //!
 //! [`run_plan`] is the one walk — ciphertexts in, ciphertexts out — on any
 //! [`EvalBackend`] (whoever owns a tensor encrypts and decrypts it:
@@ -34,13 +33,12 @@
 //! The walk holds only what it will read again. What every unit reads is
 //! static, so each value slot's last reader is known before the walk
 //! starts ([`ExecPlan::last_reads`]): that unit takes the ciphertext out of
-//! its slot and drops its levels in place instead of copying them, a value
-//! nothing reads is released as soon as it is stored, and a `SharedRot`
-//! table is freed after its last consumer layer; only the output wire is
-//! held to the end. The walk counts the limb vectors it holds and returns
-//! their high-water mark ([`PlanRun::peak_live_limbs`]) — equal on every
-//! plan to the peak the verifier certifies (`crate::verify`), which reads
-//! the same last readers.
+//! its slot and drops its levels in place instead of copying them, and a
+//! value nothing reads is released as soon as it is stored; only the
+//! output wire is held to the end. The walk counts the limb vectors it
+//! holds and returns their high-water mark ([`PlanRun::peak_live_limbs`])
+//! — equal on every plan to the peak the verifier certifies
+//! (`crate::verify`), which reads the same last readers.
 //!
 //! Prefetch is an effect of the walk, not a unit. On a pool wider than one
 //! thread the walk runs inside a [`rayon::scope`], and a
@@ -65,12 +63,12 @@
 //! Levels: what a unit reads, at which level, and the level it leaves its
 //! output at is a compile-time fact, stated once — [`Step::depth`] /
 //! [`Step::sig`] per step kind, lifted to units by [`ExecPlan::unit_io`]
-//! (bootstraps, shared hoists). The walk drops inputs to the signature's
-//! read levels, [`count_plan`] tallies its ops, the verifier and the
-//! optimizer interpret it (`crate::verify`, `crate::opt`) — and no engine
-//! is trusted to agree with it: every ciphertext an engine hands back is
-//! asserted to sit at the signature's exit level before it is stored, and
-//! the caller's inputs to arrive at `L_eff`, in every profile.
+//! (bootstraps). The walk drops inputs to the signature's read levels,
+//! [`count_plan`] tallies its ops, the verifier interprets it
+//! (`crate::verify`) — and no engine is trusted to agree with it: every
+//! ciphertext an engine hands back is asserted to sit at the signature's
+//! exit level before it is stored, and the caller's inputs to arrive at
+//! `L_eff`, in every profile.
 //!
 //! Wire versions: the classic interpreter bootstraps a wire *in place*,
 //! so a consumer sees the pre- or post-bootstrap value depending on its
@@ -85,7 +83,6 @@ use crate::sim::{OpCounter, OpKind};
 use orion_ckks::KeyManifest;
 use rayon::Scope;
 use std::borrow::Cow;
-use std::collections::{BTreeMap, BTreeSet};
 
 /// What one scheduled unit computes — always work that reads and/or
 /// writes ciphertexts.
@@ -118,17 +115,6 @@ pub enum UnitWork {
         /// The value slot being refreshed.
         in_slot: usize,
     },
-    /// Hoist-once unit inserted by the plan optimizer's rotation-CSE pass
-    /// (`crate::opt`): digit-decomposes one (wire, version) buffer and
-    /// applies the union of the baby-step rotations its consumer linear
-    /// layers need, so each rotation's key switch is paid once instead of
-    /// once per consumer. The unit stores none of that: its consumers carry
-    /// [`Unit::shared_rots`]` == Some(spec)`, and the hoist is derived from
-    /// them ([`ExecPlan::shared_hoist`]).
-    SharedRot {
-        /// The label its consumers name.
-        spec: usize,
-    },
 }
 
 /// One schedulable node of the dataflow plan. It holds no unit id: its
@@ -137,16 +123,10 @@ pub enum UnitWork {
 pub struct Unit {
     /// The work.
     pub work: UnitWork,
-    /// First value slot this unit writes (`SharedRot` writes none).
+    /// First value slot this unit writes.
     pub out_slot: usize,
     /// Number of value slots written.
     pub out_len: usize,
-    /// Set by the optimizer's rotation-CSE pass on linear `Step` units:
-    /// the label of the [`UnitWork::SharedRot`] unit whose hoisted
-    /// rotations this layer consumes instead of hoisting privately — the
-    /// layer is one of the members [`ExecPlan::shared_hoist`] derives that
-    /// hoist from.
-    pub shared_rots: Option<usize>,
 }
 
 /// A value buffer: one (wire, version)'s ciphertexts.
@@ -168,12 +148,11 @@ impl Buffer {
 /// What one plan unit reads, issues and writes — [`Step::sig`] lifted to
 /// units ([`ExecPlan::unit_io`]). Everything that needs a level or an op
 /// count asks this: the walk (what to drop inputs to, what the engine must
-/// hand back), the op counter, the verifier and the optimizer.
+/// hand back), the op counter and the verifier.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct UnitIo {
     /// The level the unit runs — and its ops are priced — at: its step's
-    /// placement level, a `SharedRot`'s hoist level, the `L_eff` a `Boot`
-    /// refreshes to.
+    /// placement level, the `L_eff` a `Boot` refreshes to.
     pub level: usize,
     /// The levels the unit needs of `level` ([`Step::depth`]).
     pub depth: usize,
@@ -182,10 +161,8 @@ pub struct UnitIo {
     /// bootstrap's input).
     pub reads: [Option<(Buffer, Option<usize>)>; 2],
     /// The unit's complete op list as `(kind, count)`: its step's
-    /// ([`Step::sig`] — less the hoists and baby rotations a linear layer
-    /// reads from a `SharedRot`), a `Boot`'s one bootstrap, a `SharedRot`'s
-    /// hoists and hoisted rotations. [`count_plan`] prices it; nothing
-    /// re-derives ops from [`UnitWork`].
+    /// ([`Step::sig`]) or a `Boot`'s one bootstrap. [`count_plan`] prices
+    /// it; nothing re-derives ops from [`UnitWork`].
     pub ops: Vec<(OpKind, u64)>,
     /// The level of every ciphertext the unit writes.
     pub out_level: usize,
@@ -211,27 +188,7 @@ pub enum KeyUse {
     Relin,
 }
 
-/// What a [`UnitWork::SharedRot`] unit computes, derived from its consumer
-/// layers ([`ExecPlan::shared_hoist`]): the union of their hoisted
-/// baby-step rotations of buffer `buf` at read level `level`.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct SharedHoist {
-    /// The (wire, version) buffer every consumer reads first.
-    pub buf: Buffer,
-    /// The consumers' common placement level (the buffer is mod-switched
-    /// down to it before hoisting, exactly as each consumer would).
-    pub level: usize,
-    /// Distinct `(input block, rotation amount)` pairs, union over the
-    /// consumers' `LinearPlan::baby_rotations`, in ascending order.
-    pub rots: Vec<(u32, usize)>,
-    /// Distinct input blocks in `rots` — digit decompositions this unit
-    /// performs (each consumer would have performed its own).
-    pub hoists: usize,
-}
-
 /// The dataflow execution plan of one compiled program (see module docs).
-/// `Clone` exists so optimizer rewrites can snapshot a plan and roll back
-/// when the verifier rejects the rewritten result (`opt::checked_rewrite`).
 #[derive(Clone)]
 pub struct ExecPlan {
     /// Units in a topological order (every slot a unit reads is written
@@ -287,7 +244,6 @@ impl ExecPlan {
                             },
                             out_slot: new.offset + ct,
                             out_len: 1,
-                            shared_rots: None,
                         });
                     }
                     cur_buf[w] = Some(new);
@@ -314,7 +270,6 @@ impl ExecPlan {
                         work: UnitWork::Step { node: id },
                         out_slot: out.offset,
                         out_len: out.len,
-                        shared_rots: None,
                     });
                     cur_buf[id] = Some(out);
                 }
@@ -337,7 +292,6 @@ impl ExecPlan {
                             work: UnitWork::StepCt { node: id, ct },
                             out_slot: out.offset + ct,
                             out_len: 1,
-                            shared_rots: None,
                         });
                     }
                     cur_buf[id] = Some(out);
@@ -363,32 +317,24 @@ impl ExecPlan {
 
     /// Every unit's dependencies, derived from what it reads: the units
     /// that wrote the slots of its [`UnitIo::reads`] (in read order, without
-    /// consecutive repeats) and, for a layer fed by a shared hoist, that
-    /// `SharedRot` unit. Reading the input wire is no dependency. One
+    /// consecutive repeats). Reading the input wire is no dependency. One
     /// plan-order pass over [`ExecPlan::unit_io`] with a slot → producer
     /// table, so a dependency always precedes its unit; panics on a unit
     /// the plan cannot describe (the verifier's coverage finding).
     pub fn deps(&self, c: &Compiled) -> Vec<Vec<usize>> {
         let mut producer: Vec<Option<usize>> = vec![None; self.n_slots];
-        let mut hoist: BTreeMap<usize, usize> = BTreeMap::new();
         let mut all = Vec::with_capacity(self.units.len());
         for (uid, unit) in self.units.iter().enumerate() {
             let io = self.io(c, uid);
             let read = io.reads.iter().flatten().flat_map(|(buf, _)| buf.slots());
-            let shared = unit.shared_rots.and_then(|spec| hoist.get(&spec).copied());
             let mut deps: Vec<usize> = Vec::new();
-            for d in read.filter_map(|s| producer[s]).chain(shared) {
+            for d in read.filter_map(|s| producer[s]) {
                 if deps.last() != Some(&d) {
                     deps.push(d);
                 }
             }
             all.push(deps);
-            match unit.work {
-                UnitWork::SharedRot { spec } => {
-                    hoist.insert(spec, uid);
-                }
-                _ => producer[unit.out_slot..unit.out_slot + unit.out_len].fill(Some(uid)),
-            }
+            producer[unit.out_slot..unit.out_slot + unit.out_len].fill(Some(uid));
         }
         all
     }
@@ -416,70 +362,11 @@ impl ExecPlan {
         self.n_slots
     }
 
-    /// The hoist of the `SharedRot` unit labelled `spec`, derived from the
-    /// linear layers that name it ([`Unit::shared_rots`]): their common
-    /// first input buffer and placement level, and the union of their
-    /// baby-step rotations with its distinct blocks. `Err` when fewer than
-    /// two layers name it or they read different buffers or levels — the
-    /// verifier's shared-hoist finding, a panic anywhere else.
-    pub fn shared_hoist(&self, c: &Compiled, spec: usize) -> Result<SharedHoist, &'static str> {
-        let mut read: Option<(Buffer, usize)> = None;
-        let mut rots = BTreeSet::new();
-        let mut members = 0;
-        for unit in self.units.iter().filter(|u| u.shared_rots == Some(spec)) {
-            let UnitWork::Step { node } = unit.work else {
-                continue;
-            };
-            let Some(layer) = c.prog.get(node).and_then(|p| LinearRef::of(node, &p.step)) else {
-                continue;
-            };
-            let buf = self.in_bufs.get(node).and_then(|bufs| bufs.first());
-            let buf = *buf.ok_or("a shared hoist's consumer has no input buffer")?;
-            let level = c.placement.levels.get(node).copied().flatten();
-            let level = level.ok_or("a shared hoist's consumer has no placement level")?;
-            if *read.get_or_insert((buf, level)) != (buf, level) {
-                return Err("the consumers of a shared hoist read different buffers or levels");
-            }
-            rots.extend(layer.plan().baby_rotations());
-            members += 1;
-        }
-        let (buf, level) = read
-            .filter(|_| members >= 2)
-            .ok_or("a shared hoist needs at least two consumer layers")?;
-        let hoists = rots
-            .iter()
-            .map(|&(block, _)| block)
-            .collect::<BTreeSet<_>>()
-            .len();
-        Ok(SharedHoist {
-            buf,
-            level,
-            rots: rots.into_iter().collect(),
-            hoists,
-        })
-    }
-
-    /// A canonical textual dump of the plan's full structure — units with
-    /// every field, consumer buffers, the input and output buffers and the
-    /// slot count. Two plans are structurally identical iff their digests
-    /// are byte-identical; the optimizer's disabled-pipeline test pins that
-    /// a no-op pass leaves the digest untouched.
-    pub fn digest(&self) -> String {
-        format!(
-            "units={:?}\nin_bufs={:?}\nio={:?}\nn_slots={}\n",
-            self.units,
-            self.in_bufs,
-            (self.input, self.output),
-            self.n_slots,
-        )
-    }
-
     /// What unit `uid` reads and writes under `c`'s placement: the step's
     /// [`Step::sig`] plus what only the plan knows — a bootstrap's raw read
-    /// and `L_eff` exit, a shared hoist's buffer and level
-    /// ([`ExecPlan::shared_hoist`]); nothing overrides a
-    /// signature's exit level. Computed on demand (rewrites and tests
-    /// mutate plans and placements after [`ExecPlan::build`]); `Err` names
+    /// and `L_eff` exit; nothing overrides a signature's exit level.
+    /// Computed on demand (tests mutate plans and placements after
+    /// [`ExecPlan::build`]); `Err` names
     /// what the unit refers to that the program or plan does not have — the
     /// verifier's coverage finding, a panic anywhere else.
     pub fn unit_io(&self, c: &Compiled, uid: usize) -> Result<UnitIo, &'static str> {
@@ -494,18 +381,6 @@ impl ExecPlan {
             out_level: c.opts.l_eff,
         };
         match unit.work {
-            UnitWork::SharedRot { spec } => {
-                let hoist = self.shared_hoist(c, spec)?;
-                io.level = hoist.level;
-                io.reads[0] = Some((hoist.buf, Some(hoist.level)));
-                // One digit decomposition per distinct input block, one
-                // hoisted rotation per distinct (block, amount) — the exact
-                // ops the consumers no longer pay privately.
-                io.ops = vec![
-                    (OpKind::Hoist, hoist.hoists as u64),
-                    (OpKind::HRotHoisted, hoist.rots.len() as u64),
-                ];
-            }
             UnitWork::Boot { wire, in_slot, .. } => {
                 if wire >= c.prog.len() {
                     return Err("bootstrap refreshes a wire outside the program");
@@ -534,12 +409,6 @@ impl ExecPlan {
                 io.level = lv;
                 io.depth = step.depth();
                 io.ops = sig.ops;
-                // A layer reading a shared unit pays no hoists and no baby
-                // rotations of its own.
-                if unit.shared_rots.is_some() {
-                    io.ops
-                        .retain(|(kind, _)| !matches!(kind, OpKind::Hoist | OpKind::HRotHoisted));
-                }
                 io.out_level = sig.exit_level;
                 for (pos, level) in sig.reads.iter().enumerate() {
                     let Some(level) = *level else { continue };
@@ -564,10 +433,8 @@ impl ExecPlan {
 
     /// Calls `f(key, level)` for every evaluation key unit `uid` applies,
     /// with the level of the ciphertext it applies it to, given the unit's
-    /// `io`: a linear layer every step of its BSGS plan and a shared hoist
-    /// its rotations, at the level the input is read at (a layer fed by a
-    /// shared hoist still lists the baby steps it no longer performs — at
-    /// the level the hoist performs them); an activation unit that
+    /// `io`: a linear layer every step of its BSGS plan, at the level the
+    /// input is read at; an activation unit that
     /// multiplies ciphertexts the relinearization key, at the level it
     /// enters the stage (every product of a stage sits at or below it).
     /// Key generation ([`ExecPlan::key_manifest`]) and the verifier's
@@ -589,14 +456,6 @@ impl ExecPlan {
                 };
                 for k in layer.plan().rotation_steps() {
                     f(KeyUse::Rotation(k), lv);
-                }
-            }
-            UnitWork::SharedRot { spec } => {
-                let (Ok(hoist), Some(lv)) = (self.shared_hoist(c, spec), read) else {
-                    return;
-                };
-                for &(_, amount) in &hoist.rots {
-                    f(KeyUse::Rotation(amount as isize), lv);
                 }
             }
             UnitWork::StepCt { .. } if io.count(OpKind::HMult) > 0 => f(KeyUse::Relin, io.level),
@@ -676,8 +535,6 @@ pub fn count_plan<B: EvalBackend>(plan: &ExecPlan, c: &Compiled, backend: &B) ->
                     ctr.record_encodes((layer.counts.pmults + layer.out_blocks) as u64);
                 }
             }
-            // linear-layer time like its consumers'
-            UnitWork::SharedRot { .. } => ctr.linear_seconds = ctr.seconds,
             UnitWork::StepCt { .. } | UnitWork::Boot { .. } => {}
         }
         total.merge(&ctr);
@@ -691,18 +548,13 @@ fn unit_meta(work: &UnitWork) -> (&'static str, u64, u64) {
         UnitWork::Step { node } => ("step", node as u64, 0),
         UnitWork::StepCt { node, ct } => ("step_ct", node as u64, ct as u64),
         UnitWork::Boot { wire, ct, .. } => ("boot", wire as u64, ct as u64),
-        UnitWork::SharedRot { spec } => ("shared_rot", spec as u64, 0),
     }
 }
 
 /// `kind name ctN` of a unit, for reports and assert messages.
 fn unit_label(c: &Compiled, work: &UnitWork) -> String {
     let (kind, node, ct) = unit_meta(work);
-    let name = match work {
-        UnitWork::SharedRot { .. } => "",
-        _ => c.prog[node as usize].name.as_str(),
-    };
-    format!("{kind} {name} ct{ct}")
+    format!("{kind} {} ct{ct}", c.prog[node as usize].name)
 }
 
 const NOT_READY: &str = "scheduler dependency violation: value not ready or already released";
@@ -718,12 +570,6 @@ struct RunState<'a, B: EvalBackend> {
     values: Vec<Option<B::Ciphertext>>,
     /// Per value slot: the unit that reads it last.
     last_read: Vec<Option<usize>>,
-    /// Per shared-hoist label: the hoisted-rotation handle its `SharedRot`
-    /// unit produced, read by its consumer layers and freed after the last
-    /// of them.
-    shared_vals: BTreeMap<usize, B::SharedRot>,
-    /// Per label: the last consumer layer.
-    last_shared: BTreeMap<usize, usize>,
     /// Limb vectors held ([`ct_limbs`] per stored ciphertext), the inputs
     /// moved into the running unit included.
     live_limbs: u64,
@@ -844,8 +690,8 @@ impl<'a, B: EvalBackend + Sync> RunState<'a, B> {
 
     /// After unit `uid` has stored its outputs: samples the live-limb peak,
     /// then releases what no later unit reads — the inputs it moved, the
-    /// other slots it read last, its outputs nothing reads (the output
-    /// wire's excepted) and the shared rotations it consumed last.
+    /// other slots it read last and its outputs nothing reads (the output
+    /// wire's excepted).
     fn release(&mut self, uid: usize, io: &UnitIo) {
         self.peak_limbs = self.peak_limbs.max(self.live_limbs);
         self.live_limbs -= std::mem::take(&mut self.moved_limbs);
@@ -858,11 +704,6 @@ impl<'a, B: EvalBackend + Sync> RunState<'a, B> {
         for s in read.filter(|&s| last_read[s] == Some(uid)).chain(unread) {
             if let Some(ct) = self.values[s].take() {
                 self.live_limbs -= ct_limbs(backend.level_of(&ct));
-            }
-        }
-        if let Some(spec) = unit.shared_rots {
-            if self.last_shared.get(&spec) == Some(&uid) {
-                self.shared_vals.remove(&spec);
             }
         }
     }
@@ -906,14 +747,6 @@ impl<'a, B: EvalBackend + Sync> RunState<'a, B> {
             io.depth
         );
         match unit.work {
-            UnitWork::SharedRot { spec } => {
-                let hoist = plan
-                    .shared_hoist(c, spec)
-                    .expect("unit_io derived this hoist");
-                let handle = backend.hoist_rotations(&self.read(uid, io, 0), lv, &hoist.rots);
-                let old = self.shared_vals.insert(spec, handle);
-                assert!(old.is_none(), "scheduler ran a shared-rotation unit twice");
-            }
             UnitWork::Boot { in_slot, .. } => {
                 let out = backend.bootstrap(self.value(in_slot));
                 self.store(uid, io, vec![out]);
@@ -922,16 +755,9 @@ impl<'a, B: EvalBackend + Sync> RunState<'a, B> {
                 let layer = LinearRef::of(node, &c.prog[node].step)
                     .expect("a whole-step unit is a linear layer");
                 let cts = self.read(uid, io, 0);
-                // reads the hoisted rotations of its `SharedRot` unit when
-                // the optimizer made the layer one of its consumers
-                let shared = unit.shared_rots.map(|spec| {
-                    self.shared_vals
-                        .get(&spec)
-                        .expect("scheduler dependency violation: shared rotations not ready")
-                });
                 let out =
                     orion_telemetry::time_class(orion_telemetry::OpClass::LinearLayer, || {
-                        backend.linear_layer(&layer, &cts, lv, shared)
+                        backend.linear_layer(&layer, &cts, lv)
                     });
                 self.store(uid, io, out);
             }
@@ -994,18 +820,12 @@ pub fn run_plan<B: EvalBackend + Sync>(
         plan.input.len,
         "input ciphertext count does not match the program's input wire"
     );
-    // per shared-hoist label, its last consumer (a later entry wins)
-    let last_shared = (plan.units.iter().enumerate())
-        .filter_map(|(uid, unit)| unit.shared_rots.map(|spec| (spec, uid)))
-        .collect();
     let mut state = RunState {
         plan,
         c,
         backend,
         values: vec![None; plan.n_slots],
         last_read: plan.last_reads(c),
-        shared_vals: BTreeMap::new(),
-        last_shared,
         live_limbs: 0,
         moved_limbs: 0,
         peak_limbs: 0,

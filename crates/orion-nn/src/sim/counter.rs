@@ -132,9 +132,9 @@ impl OpCounter {
 
     /// Per-kind difference `self − baseline`, saturating at zero, with the
     /// latency/encode fields subtracted the same way. Call on the larger
-    /// counter — e.g. `unoptimized.diff(&optimized)` yields the operations
-    /// a rewrite eliminated — so assertions and reports read as deltas
-    /// instead of hand-rolled per-kind subtraction.
+    /// counter — e.g. an on-the-fly run's tallies against a prepared run's
+    /// yield the encodes the cache saved — so assertions and reports read
+    /// as deltas instead of hand-rolled per-kind subtraction.
     pub fn diff(&self, baseline: &OpCounter) -> OpCounter {
         let mut counts = BTreeMap::new();
         for &k in OpKind::ALL.iter() {

@@ -19,8 +19,7 @@
 //!    `assert_scales_match` cannot fire on a plan whose levels check.
 //! 2. **Evaluation-key coverage** — every key a unit applies
 //!    ([`ExecPlan::for_each_key_use`]: BSGS baby + giant + fold steps per
-//!    linear layer, the rotation union of each shared hoist, the
-//!    relinearization key of every activation unit that multiplies
+//!    linear layer, the relinearization key of every activation unit that multiplies
 //!    ciphertexts) is checked against the key manifest: a key must exist
 //!    *and* have been generated at or above the level the unit applies it
 //!    at. Two amounts share a key iff they are congruent modulo the slot
@@ -43,24 +42,18 @@
 //!    program does not have are [`Rule::Coverage`] findings of the sweep —
 //!    so a dropped or duplicated unit or bootstrap is found where the walk
 //!    would fail. How many units `ExecPlan::build` emits per node is the
-//!    constructor's property, held by the `sched_plan` proptest. A shared
-//!    hoist stores nothing either: what it computes is derived from its
-//!    consumer layers ([`ExecPlan::shared_hoist`]), and the sweep checks
-//!    that one unit computes it before any of them reads it
-//!    ([`Rule::SharedRotMalformed`]).
+//!    constructor's property, held by the `sched_plan` proptest.
 //!
 //! The sweep mirrors the walk ([`crate::sched::run_plan`], ciphertexts in,
 //! ciphertexts out): the input buffer starts out holding fresh exact-Δ
 //! ciphertexts at `L_eff`; the output buffer is the noise floor's decrypt
 //! checkpoint and stays live to the end.
 //!
-//! The verifier runs by default at three choke points: `Orion::compile`
-//! and `prepare_fhe` (the facade's `orion::core`), after the plan optimizer's rewrite
-//! ([`crate::opt::optimize_plan`]: a rewrite that
-//! introduces an error diagnostic is rolled back, not shipped — see
-//! [`crate::opt::checked_rewrite`]), and at orion-serve model
-//! registration (unverifiable models are rejected with a typed
-//! `ServeError`).
+//! The verifier runs by default at `Orion::compile` and `prepare_fhe` (the
+//! facade's `orion::core`) and at orion-serve model registration
+//! (unverifiable models are rejected with a typed `ServeError`). There is
+//! no plan rewrite to re-verify: the plan it certifies is the plan a walk
+//! runs.
 //!
 //! # Adding a pass
 //!
@@ -69,15 +62,14 @@
 //! about what the plan's constructor emits belongs in its proptest
 //! (`sched_plan`), not here. The walk's feasibility check, reads
 //! and write are generic over the unit's signature — a rule about levels
-//! belongs in `Step::sig` / `ExecPlan::unit_io`, where the walk and the
-//! optimizer see it too; `walk_unit` keeps per step kind only the rule an
-//! infeasible placement breaks and the noise transfer. Keep the walk allocation-free per unit — the optimizer
-//! re-verifies every plan it rewrites.
+//! belongs in `Step::sig` / `ExecPlan::unit_io`, where the walk sees it
+//! too; `walk_unit` keeps per step kind only the rule an infeasible
+//! placement breaks and the noise transfer. Keep the walk allocation-free
+//! per unit — serve registration verifies every model it admits.
 
 use crate::compile::{Compiled, Step};
 use crate::sched::{ct_limbs, ExecPlan, KeyUse, UnitWork};
 use orion_ckks::{Context, KeyManifest, NoiseEstimator};
-use std::collections::BTreeSet;
 use std::fmt;
 
 /// How bad a diagnostic is.
@@ -122,12 +114,6 @@ pub enum Rule {
     /// The plan relinearizes above the level the relinearization key was
     /// generated at.
     RelinKeyLevel,
-    /// A shared hoist breaks the optimizer's contract: a consumer reads a
-    /// hoist no earlier unit computes, or is not a linear layer; two units
-    /// compute one hoist; or the hoist cannot be derived from its consumers
-    /// ([`ExecPlan::shared_hoist`]: fewer than two, or reading different
-    /// buffers or levels).
-    SharedRotMalformed,
     /// Predicted precision drops below the configured floor before a
     /// bootstrap or at the output.
     NoiseFloor,
@@ -143,7 +129,6 @@ impl Rule {
             Rule::BootstrapTarget => "bootstrap-target",
             Rule::MissingRotationKey => "missing-rotation-key",
             Rule::RelinKeyLevel => "relin-key-level",
-            Rule::SharedRotMalformed => "shared-rot-malformed",
             Rule::NoiseFloor => "noise-floor",
         }
     }
@@ -157,7 +142,6 @@ impl Rule {
             Rule::BootstrapTarget,
             Rule::MissingRotationKey,
             Rule::RelinKeyLevel,
-            Rule::SharedRotMalformed,
             Rule::NoiseFloor,
         ]
     }
@@ -400,14 +384,14 @@ impl VerifyReport {
     }
 }
 
-/// Verifies a compiled program by building (and checking) its unoptimized
-/// execution plan.
+/// Verifies a compiled program by building (and checking) its execution
+/// plan.
 pub fn verify_compiled(c: &Compiled, cfg: &VerifyConfig<'_>) -> VerifyReport {
     let plan = ExecPlan::build(c);
     verify_plan(&plan, c, cfg)
 }
 
-/// Verifies an execution plan (optimized or not) against its program.
+/// Verifies an execution plan against its program.
 pub fn verify_plan(plan: &ExecPlan, c: &Compiled, cfg: &VerifyConfig<'_>) -> VerifyReport {
     let mut checker = Checker::new(plan, c, cfg);
     checker.walk();
@@ -436,8 +420,6 @@ struct Checker<'a> {
     diags: Vec<Diagnostic>,
     min_prec: Option<f64>,
     rotations_checked: usize,
-    /// Labels of the shared hoists computed so far.
-    hoisted: BTreeSet<usize>,
 }
 
 /// Magnitude bounds fold through multiplications; keep them finite.
@@ -492,7 +474,6 @@ impl<'a> Checker<'a> {
             diags,
             min_prec: None,
             rotations_checked: 0,
-            hoisted: BTreeSet::new(),
         }
     }
 
@@ -655,22 +636,14 @@ impl<'a> Checker<'a> {
         let (plan, c) = (self.plan, self.c);
         let unit = &plan.units[uid];
         let at = match unit.work {
-            UnitWork::SharedRot { .. } => Provenance::unit(uid),
             UnitWork::Step { node } => Provenance::unit(uid).at_node(node),
             UnitWork::StepCt { node, ct } => Provenance::unit(uid).at_node(node).at_ct(ct),
             UnitWork::Boot { wire, ct, .. } => Provenance::unit(uid).at_node(wire).at_ct(ct),
         };
-        self.check_shared_hoist(uid, at);
         let io = match plan.unit_io(c, uid) {
             Ok(io) => io,
             Err(why) => {
-                // a `SharedRot` unit fails only where its hoist cannot be
-                // derived from its consumers
-                let rule = match unit.work {
-                    UnitWork::SharedRot { .. } => Rule::SharedRotMalformed,
-                    _ => Rule::Coverage,
-                };
-                self.error(rule, at, why.to_string());
+                self.error(Rule::Coverage, at, why.to_string());
                 // its outputs count as written, so that its readers do not
                 // repeat the finding
                 let written = SlotState {
@@ -685,7 +658,7 @@ impl<'a> Checker<'a> {
         };
         let step = match unit.work {
             UnitWork::Step { node } | UnitWork::StepCt { node, .. } => Some(&c.prog[node].step),
-            _ => None,
+            UnitWork::Boot { .. } => None,
         };
         // Per kind: the rule a placement below the step's depth breaks.
         let (rule, kind) = match step {
@@ -790,7 +763,6 @@ impl<'a> Checker<'a> {
                         (est.add(ne(sa), ne(sb)).sigma, clamp_mag(ma + mb))
                     })
             }
-            // SharedRot: nothing written
             _ => None,
         };
         for i in 0..unit.out_len {
@@ -800,34 +772,6 @@ impl<'a> Checker<'a> {
             };
             self.write(unit.out_slot + i, state, out_noise, at);
         }
-    }
-
-    /// What a walk relies on of the shared hoists: each is computed by one
-    /// unit, and read only by linear layers that run after it. What a hoist
-    /// is — its consumers' common buffer and level, at least two of them —
-    /// is [`ExecPlan::shared_hoist`]'s `Err`, found at the `SharedRot` unit.
-    fn check_shared_hoist(&mut self, uid: usize, at: Provenance) {
-        let unit = &self.plan.units[uid];
-        if let UnitWork::SharedRot { spec } = unit.work {
-            if !self.hoisted.insert(spec) {
-                let why = format!("shared hoist {spec} is already computed by an earlier unit");
-                self.error(Rule::SharedRotMalformed, at, why);
-            }
-        }
-        let Some(spec) = unit.shared_rots else {
-            return;
-        };
-        let linear = matches!(unit.work, UnitWork::Step { node }
-            if matches!(self.c.prog.get(node).map(|p| &p.step),
-                Some(Step::Conv { .. } | Step::Dense { .. })));
-        let why = if !linear {
-            "only linear whole-step units may consume shared rotations".to_string()
-        } else if !self.hoisted.contains(&spec) {
-            format!("consumer is not ordered after a unit computing shared hoist {spec}")
-        } else {
-            return;
-        };
-        self.error(Rule::SharedRotMalformed, at, why);
     }
 
     // -----------------------------------------------------------------

@@ -3,9 +3,9 @@
 //! order of the step DAG — every slot is written before it is read, so the
 //! producers `ExecPlan::deps` derives from the reads precede them, every
 //! program step is covered by exactly the right units, bootstrap units
-//! match the placement, and the optimized plan walks to the built plan's
-//! bits on the trace engine — each walk holding at its peak exactly the
-//! live limbs the verifier certifies. Prefetch is not part of the plan:
+//! match the placement, every linear layer hoists its own rotations — also
+//! where two layers read one wire — and a walk on the trace engine holds
+//! at its peak exactly the live limbs the verifier certifies. Prefetch is not part of the plan:
 //! the last test holds the walk to announcing exactly the layers its rule
 //! names.
 
@@ -19,9 +19,8 @@ use orion_nn::compile::{compile, CompileOptions, Step};
 use orion_nn::fhe_exec::FheSession;
 use orion_nn::fit::fixed_ranges;
 use orion_nn::network::Network;
-use orion_nn::opt::{optimize_plan, OptConfig, OptStats};
 use orion_nn::sched::{run_plan, ExecPlan, UnitWork};
-use orion_nn::sim::CostModel;
+use orion_nn::sim::{CostModel, OpKind};
 use orion_nn::verify::{verify_plan, VerifyConfig};
 use orion_tensor::Tensor;
 use proptest::prelude::*;
@@ -34,7 +33,7 @@ use std::time::Duration;
 /// Builds a random small network: a chain of conv/dense blocks with a
 /// random activation after each, optionally closed by a residual add
 /// around the middle, and optionally with a twin conv on the first block's
-/// input wire (added to the first conv) — whose hoist rotation CSE shares.
+/// input wire (added to the first conv), so two layers read one wire.
 fn random_net(seed: u64, blocks: usize, act_kind: usize, residual: bool, fork: bool) -> Network {
     let mut rng = StdRng::seed_from_u64(seed);
     let ch = 2 + (seed as usize % 3); // 2..=4 channels
@@ -44,7 +43,7 @@ fn random_net(seed: u64, blocks: usize, act_kind: usize, residual: bool, fork: b
     let mut res_anchor = None;
     for b in 0..blocks {
         // the twin is 1×1 and comes first: its rotations are not the 3×3
-        // conv's, and a hoist must cover both
+        // conv's
         let twin = (fork && b == 0).then(|| net.conv2d("twin", cur, ch, 1, 1, 0, 1, &mut rng));
         let mut conv = net.conv2d(&format!("c{b}"), cur, ch, 3, 1, 1, 1, &mut rng);
         if let Some(twin) = twin {
@@ -82,9 +81,7 @@ fn validate_plan(plan: &ExecPlan, c: &orion_nn::Compiled) {
                 unit.work
             );
         }
-        if !matches!(unit.work, UnitWork::SharedRot { .. }) {
-            written[unit.out_slot..unit.out_slot + unit.out_len].fill(true);
-        }
+        written[unit.out_slot..unit.out_slot + unit.out_len].fill(true);
         for &d in &deps[uid] {
             assert!(
                 d < uid,
@@ -145,62 +142,30 @@ fn validate_plan(plan: &ExecPlan, c: &orion_nn::Compiled) {
         }
     }
     // 5. units are released by the units producing what they read: a unit
-    //    has no producer iff everything it reads is the input wire (a
-    //    shared hoist is a dependency, not a producer)
+    //    has no producer iff everything it reads is the input wire
     for (uid, deps) in deps.iter().enumerate() {
         let io = plan.unit_io(c, uid).expect("well-formed unit");
         let reads_only_input =
             (io.reads.iter().flatten()).all(|(buf, _)| plan.input.slots().contains(&buf.offset));
-        let mut producers =
-            (deps.iter()).filter(|&&d| !matches!(plan.units[d].work, UnitWork::SharedRot { .. }));
-        assert_eq!(producers.next().is_none(), reads_only_input, "unit {uid}");
+        assert_eq!(deps.is_empty(), reads_only_input, "unit {uid}");
     }
-}
-
-/// Extra invariants an *optimized* plan must uphold on top of
-/// `validate_plan` (which it must still pass wholesale — the optimizer
-/// never breaks topology, coverage, bootstrap replication, or the
-/// release rule).
-fn validate_optimized(plan: &ExecPlan, c: &orion_nn::Compiled) {
-    validate_plan(plan, c);
-    let deps = plan.deps(c);
+    // 6. every unit is a layer, an elementwise ciphertext or a bootstrap,
+    //    and each linear layer pays its own digit decompositions — two
+    //    layers reading one wire hoist it twice
     for (uid, unit) in plan.units.iter().enumerate() {
-        // Each SharedRot unit hoists the union of its members' baby-step
-        // rotations, and at least two linear consumers point back at it
-        // through a derived dependency.
-        if let UnitWork::SharedRot { spec } = unit.work {
-            let hoist = plan.shared_hoist(c, spec).expect("derivable hoist");
-            let mut union = std::collections::BTreeSet::new();
-            for member in plan.units.iter().filter(|u| u.shared_rots == Some(spec)) {
-                let UnitWork::Step { node } = member.work else {
-                    panic!("non-step unit marked shared");
-                };
+        let io = plan.unit_io(c, uid).expect("well-formed unit");
+        match unit.work {
+            UnitWork::Step { node } => {
                 let (Step::Conv { plan: layer, .. } | Step::Dense { plan: layer, .. }) =
                     &c.prog[node].step
                 else {
-                    panic!("non-linear node {node} marked shared");
+                    panic!("whole-step unit {uid} is no linear layer");
                 };
-                union.extend(layer.baby_rotations());
+                assert_eq!(io.count(OpKind::Hoist), layer.counts.hoists as u64);
             }
-            assert!(!hoist.rots.is_empty(), "shared unit {uid} hoists nothing");
-            assert_eq!(hoist.rots, union.into_iter().collect::<Vec<_>>());
-            let consumers = (plan.units.iter().zip(&deps))
-                .filter(|(u, deps)| u.shared_rots == Some(spec) && deps.contains(&uid))
-                .count();
-            assert!(
-                consumers >= 2,
-                "shared unit {uid} has {consumers} consumers — sharing needs ≥ 2"
-            );
-        }
-        // Consumers marked shared are linear step units.
-        if unit.shared_rots.is_some() {
-            let UnitWork::Step { node } = unit.work else {
-                panic!("non-step unit {uid} marked shared");
-            };
-            assert!(
-                matches!(c.prog[node].step, Step::Conv { .. } | Step::Dense { .. }),
-                "non-linear node {node} marked shared"
-            );
+            UnitWork::StepCt { .. } | UnitWork::Boot { .. } => {
+                assert_eq!(io.count(OpKind::Hoist), 0, "unit {uid} hoists");
+            }
         }
     }
 }
@@ -208,9 +173,8 @@ fn validate_optimized(plan: &ExecPlan, c: &orion_nn::Compiled) {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// Random nets compile to valid plans, and their optimized plans walk
-    /// to the same bits on the trace engine; both walks measure the peak
-    /// live limbs the verifier certifies for their plan.
+    /// Random nets compile to valid plans, and a walk on the trace engine
+    /// measures the peak live limbs the verifier certifies for the plan.
     #[test]
     fn random_programs_build_valid_plans(
         seed in 0u64..1000,
@@ -238,49 +202,10 @@ proptest! {
         );
         let backend = ClearBackend::reference(&c);
         let cts = encrypt_input(&c, &backend, &input);
-        let walk = |plan: &ExecPlan| {
-            let run = run_plan(plan, &c, &backend, cts.clone());
-            let certified = verify_plan(plan, &c, &VerifyConfig::default()).peak_limbs;
-            assert_eq!(Some(run.peak_live_limbs), certified, "measured vs certified peak");
-            let wire: Vec<Vec<f64>> = run.output_wire.into_iter().map(|ct| ct.slots).collect();
-            (wire, run.counter.bootstraps())
-        };
-        let built = walk(&plan);
-
-        // The optimizer preserves every plan invariant, and changes a plan
-        // only where it removes rotations…
-        let mut oplan = ExecPlan::build(&c);
-        let stats = optimize_plan(&mut oplan, &c, OptConfig::default());
-        validate_optimized(&oplan, &c);
-        prop_assert_eq!(stats.rotation_cse.shared_units > 0, fork);
-        if stats.rotation_cse.shared_units == 0 {
-            prop_assert_eq!(oplan.digest(), plan.digest());
-        }
-
-        // …and the optimized plan computes the same bits.
-        prop_assert_eq!(&built, &walk(&oplan));
-    }
-
-    /// With every pass disabled the optimizer is a byte-identical no-op:
-    /// the plan digest is unchanged and all stats stay zero.
-    #[test]
-    fn disabled_pipeline_is_byte_identical_noop(
-        seed in 0u64..1000,
-        blocks in 1usize..4,
-        act_kind in 0usize..3,
-    ) {
-        let net = random_net(seed, blocks, act_kind, false, false);
-        let opts = CompileOptions {
-            slots: 128,
-            l_eff: 10,
-            cost: CostModel::for_degree(1 << 9, 4),
-        };
-        let c = compile(&net, &fixed_ranges(&net, 4.0), &opts);
-        let mut plan = ExecPlan::build(&c);
-        let before = plan.digest();
-        let stats = optimize_plan(&mut plan, &c, OptConfig::disabled());
-        prop_assert_eq!(stats, OptStats::default());
-        prop_assert_eq!(plan.digest(), before);
+        let run = run_plan(&plan, &c, &backend, cts);
+        let certified = verify_plan(&plan, &c, &VerifyConfig::default()).peak_limbs;
+        prop_assert_eq!(Some(run.peak_live_limbs), certified, "measured vs certified peak");
+        prop_assert_eq!(run.counter.bootstraps(), plan.bootstraps());
     }
 }
 

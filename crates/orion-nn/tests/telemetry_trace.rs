@@ -151,7 +151,6 @@ struct LevelEngine<'a> {
 
 impl EvalBackend for LevelEngine<'_> {
     type Ciphertext = usize;
-    type SharedRot = ();
 
     fn slots(&self) -> usize {
         self.c.opts.slots
@@ -174,16 +173,9 @@ impl EvalBackend for LevelEngine<'_> {
     fn bootstrap(&self, _a: &usize) -> usize {
         self.c.opts.l_eff
     }
-    fn linear_layer(
-        &self,
-        l: &LinearRef<'_>,
-        _x: &[usize],
-        level: usize,
-        _s: Option<&()>,
-    ) -> Vec<usize> {
+    fn linear_layer(&self, l: &LinearRef<'_>, _x: &[usize], level: usize) -> Vec<usize> {
         vec![level - 1; l.plan().out_blocks]
     }
-    fn hoist_rotations(&self, _cts: &[usize], _level: usize, _rots: &[(u32, usize)]) {}
     fn scale_down(&self, _ct: &usize, _factor: f64, level: usize) -> usize {
         level - usize::from(!self.forget_rescale)
     }

@@ -1,15 +1,12 @@
 //! Negative tests for the static plan verifier: one hand-seeded defect
 //! per rule family, each asserting the exact diagnostic rule *and*
 //! provenance — plus a property test that randomly compiled valid models
-//! certify clean (before and after the optimizer pipeline), and the
-//! broken-rewrite-injection test pinning the optimizer's verify-and-
-//! rollback safety net.
+//! certify clean.
 
 use orion_ckks::{CkksParams, Context, KeyManifest};
 use orion_nn::compile::{compile, CompileOptions, Step};
 use orion_nn::fit::fixed_ranges;
 use orion_nn::network::Network;
-use orion_nn::opt::{checked_rewrite, optimize_plan, OptConfig};
 use orion_nn::sched::{ExecPlan, UnitWork};
 use orion_nn::sim::CostModel;
 use orion_nn::verify::{verify_compiled, verify_plan, Rule, Severity, VerifyConfig};
@@ -311,70 +308,6 @@ fn unreachable_noise_floor_draws_a_warning_not_an_error() {
 }
 
 // ---------------------------------------------------------------------
-// Seeded defect 5: malformed SharedRot wiring.
-// ---------------------------------------------------------------------
-
-#[test]
-fn dangling_shared_rot_spec_is_flagged_at_the_consumer_unit() {
-    let net = conv_net(11, 1, 0, false);
-    let c = compile(&net, &fixed_ranges(&net, 4.0), &small_opts());
-    let mut plan = ExecPlan::build(&c);
-    let uid = plan
-        .units
-        .iter()
-        .position(|u| {
-            matches!(u.work, UnitWork::Step { node }
-                if matches!(c.prog[node].step, Step::Conv { .. } | Step::Dense { .. }))
-        })
-        .expect("linear step unit");
-    // Mark a linear unit as consuming shared-rotation spec 42, which no
-    // SharedRot unit computes — the optimizer contract is broken.
-    plan.units[uid].shared_rots = Some(42);
-    let report = verify_plan(&plan, &c, &VerifyConfig::default());
-    let hit = report
-        .diagnostics
-        .iter()
-        .find(|d| d.rule == Rule::SharedRotMalformed)
-        .expect("shared-rot-malformed diagnostic");
-    assert_eq!(hit.severity, Severity::Error);
-    assert_eq!(
-        hit.at.unit,
-        Some(uid),
-        "provenance must name the consumer unit"
-    );
-}
-
-#[test]
-fn a_shared_rot_consumer_ahead_of_its_shared_unit_is_flagged_at_the_consumer() {
-    // Two same-spec convs of the input wire: rotation CSE must fire.
-    let mut rng = StdRng::seed_from_u64(5);
-    let mut net = Network::new(4, 8, 8);
-    let x = net.input();
-    let a = net.conv2d("c2a", x, 4, 3, 1, 1, 1, &mut rng);
-    let b = net.conv2d("c2b", x, 4, 3, 1, 1, 1, &mut rng);
-    let add = net.add("res", a, b);
-    net.output(add);
-    let c = compile(&net, &fixed_ranges(&net, 4.0), &small_opts());
-    let mut plan = ExecPlan::build(&c);
-    let stats = optimize_plan(&mut plan, &c, OptConfig::default());
-    assert_eq!(stats.rotation_cse.shared_units, 1);
-    // The shared unit sits right before its first consumer; swap them.
-    let shared = plan
-        .units
-        .iter()
-        .position(|u| matches!(u.work, UnitWork::SharedRot { .. }))
-        .expect("a shared unit");
-    assert!(plan.units[shared + 1].shared_rots.is_some());
-    plan.units.swap(shared, shared + 1);
-    let report = verify_plan(&plan, &c, &VerifyConfig::default());
-    assert_eq!(report.error_count(), 1, "{}", report.table());
-    let hit = &report.diagnostics[0];
-    assert_eq!(hit.rule, Rule::SharedRotMalformed);
-    assert_eq!(hit.at.unit, Some(shared), "provenance names the consumer");
-    assert!(hit.message.contains("not ordered after"), "{}", hit.message);
-}
-
-// ---------------------------------------------------------------------
 // Seeded defect 6: a unit moved ahead of the unit producing what it reads.
 // The plan stores no edges; the read of an unwritten slot is the finding.
 // ---------------------------------------------------------------------
@@ -521,84 +454,7 @@ fn a_dropped_duplicated_or_foreign_bootstrap_is_a_coverage_error() {
 }
 
 // ---------------------------------------------------------------------
-// Seeded defect 8: the members of one shared hoist placed at different
-// levels — the hoist cannot be derived from them.
-// ---------------------------------------------------------------------
-
-#[test]
-fn shared_hoist_members_at_different_levels_are_flagged_at_the_shared_unit() {
-    let mut rng = StdRng::seed_from_u64(5);
-    let mut net = Network::new(4, 8, 8);
-    let x = net.input();
-    let a = net.conv2d("c2a", x, 4, 3, 1, 1, 1, &mut rng);
-    let b = net.conv2d("c2b", x, 4, 3, 1, 1, 1, &mut rng);
-    let add = net.add("res", a, b);
-    net.output(add);
-    let mut c = compile(&net, &fixed_ranges(&net, 4.0), &small_opts());
-    let mut plan = ExecPlan::build(&c);
-    let stats = optimize_plan(&mut plan, &c, OptConfig::default());
-    assert_eq!(stats.rotation_cse.shared_units, 1);
-    let shared = plan
-        .units
-        .iter()
-        .position(|u| matches!(u.work, UnitWork::SharedRot { .. }))
-        .expect("a shared unit");
-    // One member a level higher — a placement every unit can run (the
-    // input arrives at `L_eff`, the join reads no higher than before), but
-    // no one level to hoist at.
-    let cb = c.prog.iter().position(|p| p.name == "c2b").unwrap();
-    let level = c.placement.levels[cb].expect("placed");
-    assert!(level < c.opts.l_eff);
-    c.placement.levels[cb] = Some(level + 1);
-    let report = verify_plan(&plan, &c, &VerifyConfig::default());
-    assert_eq!(report.error_count(), 1, "{}", report.table());
-    let hit = &report.diagnostics[0];
-    assert_eq!(hit.rule, Rule::SharedRotMalformed);
-    assert_eq!((hit.at.unit, hit.at.node), (Some(shared), None));
-    assert!(
-        hit.message.contains("different buffers or levels"),
-        "{}",
-        hit.message
-    );
-}
-
-// ---------------------------------------------------------------------
-// The optimizer safety net: a deliberately broken rewrite is rejected
-// and rolled back byte-identically.
-// ---------------------------------------------------------------------
-
-#[test]
-fn broken_rewrite_is_rejected_and_rolled_back() {
-    let net = conv_net(13, 2, 0, false);
-    let c = compile(&net, &fixed_ranges(&net, 4.0), &small_opts());
-    let mut plan = ExecPlan::build(&c);
-    let before = plan.digest();
-    // Inject a rewrite that makes a unit consume a shared-rotation spec no
-    // unit computes — exactly the class of optimizer bug the
-    // re-verification exists to contain.
-    let res = checked_rewrite(&mut plan, &c, |p| {
-        p.units[0].shared_rots = Some(99);
-    });
-    let report = res.expect_err("broken rewrite must be rejected");
-    assert!(report.has_errors());
-    assert!(
-        report
-            .diagnostics
-            .iter()
-            .any(|d| d.rule == Rule::SharedRotMalformed),
-        "rejection names the shared-rot rule: {}",
-        report.table()
-    );
-    assert_eq!(plan.digest(), before, "rollback must be byte-identical");
-
-    // A sound rewrite (no-op) passes through the same gate.
-    checked_rewrite(&mut plan, &c, |_| {}).expect("no-op rewrite verifies");
-    assert_eq!(plan.digest(), before);
-}
-
-// ---------------------------------------------------------------------
-// Property: every randomly compiled valid model certifies clean, before
-// and after the full optimizer pipeline, and no pass is ever rejected.
+// Property: every randomly compiled valid model certifies clean.
 // ---------------------------------------------------------------------
 
 proptest! {
@@ -614,13 +470,7 @@ proptest! {
         let net = conv_net(seed, blocks, act_kind, residual);
         let c = compile(&net, &fixed_ranges(&net, 4.0), &small_opts());
         let report = verify_compiled(&c, &VerifyConfig::default());
-        prop_assert!(report.is_clean(), "unoptimized: {}", report.table());
+        prop_assert!(report.is_clean(), "{}", report.table());
         prop_assert!(report.peak_limbs.is_some(), "clean plans get certified peaks");
-
-        let mut plan = ExecPlan::build(&c);
-        let stats = optimize_plan(&mut plan, &c, OptConfig::default());
-        prop_assert_eq!(stats.rejected_passes, 0, "no sound pass is rejected");
-        let after = verify_plan(&plan, &c, &VerifyConfig::default());
-        prop_assert!(after.is_clean(), "optimized: {}", after.table());
     }
 }

@@ -11,7 +11,6 @@
 //! above; min/max stay exact).
 
 use orion_linear::paged::PageStats;
-use orion_nn::opt::OptStats;
 use orion_telemetry::LogHistogram;
 use serde::Value;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -116,10 +115,9 @@ impl ModelMetrics {
         self.encodes.load(Ordering::Relaxed)
     }
 
-    /// JSON snapshot of this model's counters, with what the plan
-    /// optimizer did to the model's plan at registration and `page` stats
-    /// when the model serves from a memory-capped pager.
-    pub fn snapshot(&self, name: &str, plan_opt: OptStats, page: Option<PageStats>) -> Value {
+    /// JSON snapshot of this model's counters, with `page` stats when the
+    /// model serves from a memory-capped pager.
+    pub fn snapshot(&self, name: &str, page: Option<PageStats>) -> Value {
         let mut fields = vec![
             ("model".to_string(), Value::Str(name.to_string())),
             num("submitted", self.submitted.load(Ordering::Relaxed)),
@@ -148,8 +146,6 @@ impl ModelMetrics {
                 latency_percentiles(&self.latencies),
             ),
         ];
-        let plan_opt = plan_opt.fields().into_iter().map(|(k, v)| num(k, v));
-        fields.push(("plan_optimizer".to_string(), Value::Obj(plan_opt.collect())));
         if let Some(p) = page {
             fields.push((
                 "page".to_string(),
@@ -203,7 +199,7 @@ mod tests {
         for i in 1..=n {
             m.note_done(i as f64 * 1e-3, 0);
         }
-        m.snapshot("m", OptStats::default(), None)
+        m.snapshot("m", None)
             .get("latency_ms")
             .and_then(|l| l.get(key))
             .and_then(Value::as_f64)
@@ -258,7 +254,7 @@ mod tests {
         m.note_done(0.010, 0);
         m.note_done(0.020, 0);
         m.note_error(ErrorClass::Panic);
-        let snap = m.snapshot("m", OptStats::default(), None);
+        let snap = m.snapshot("m", None);
         let get = |k: &str| snap.get(k).and_then(Value::as_f64).unwrap();
         assert_eq!(get("submitted"), 5.0);
         assert_eq!(get("completed"), 2.0);
@@ -282,7 +278,7 @@ mod tests {
         m.note_error(ErrorClass::BadInput);
         assert_eq!(m.errors(), 5, "total is the sum over classes");
         assert_eq!(m.errors_of(ErrorClass::Store), 2);
-        let snap = m.snapshot("m", OptStats::default(), None);
+        let snap = m.snapshot("m", None);
         assert_eq!(snap.get("errors").and_then(Value::as_f64), Some(5.0));
         let by = snap.get("errors_by_class").expect("errors_by_class");
         let get = |k: &str| by.get(k).and_then(Value::as_f64).unwrap();

@@ -9,7 +9,7 @@
 //!     │ an idle worker pops the front request of the next non-empty
 //!     ▼ model, round-robin — one request per worker, no timer
 //!  workers (catch_unwind per request)
-//!     │ run_fhe_plan (the model's plan, optimized once)
+//!     │ run_fhe_plan (the model's plan, built and certified once)
 //!     ▼
 //!  LayerSource: resident PreparedProgram
 //!               or LRU PagedProgram under a byte budget
@@ -32,7 +32,6 @@ use orion_linear::store::{DiagStore, StoreError};
 use orion_nn::backends::PreparedLayerFault;
 use orion_nn::compile::Compiled;
 use orion_nn::fhe_exec::{prepare_program, run_fhe_plan, FheSession};
-use orion_nn::opt::{optimize_plan, OptConfig, OptStats};
 use orion_nn::sched::ExecPlan;
 use orion_nn::sim::OpCounter;
 use orion_tensor::Tensor;
@@ -192,13 +191,13 @@ impl std::error::Error for ServeError {}
 /// count the program was compiled for (`prepare_program` would assert it),
 /// builds the model's execution plan, certifies it statically (structural
 /// profile — scale/level typechecking, key coverage, well-formedness; no
-/// Context is built at registration; warnings are tolerated) and optimizes
-/// it — once: the plan is a property of the model, every request walks it.
+/// Context is built at registration; warnings are tolerated) — once: the
+/// plan is a property of the model, every request walks it.
 fn certified_plan(
     name: &str,
     compiled: &Compiled,
     params: &CkksParams,
-) -> Result<(ExecPlan, OptStats), ServeError> {
+) -> Result<ExecPlan, ServeError> {
     let got = (params.effective_level(), params.slots());
     let want = (compiled.opts.l_eff, compiled.opts.slots);
     if got != want {
@@ -210,7 +209,7 @@ fn certified_plan(
             ),
         });
     }
-    let mut plan = ExecPlan::build(compiled);
+    let plan = ExecPlan::build(compiled);
     let report = orion_nn::verify_plan(&plan, compiled, &orion_nn::VerifyConfig::default());
     if report.has_errors() {
         return Err(ServeError::Unverifiable {
@@ -219,8 +218,7 @@ fn certified_plan(
             detail: report.table(),
         });
     }
-    let stats = optimize_plan(&mut plan, compiled, OptConfig::default());
-    Ok((plan, stats))
+    Ok(plan)
 }
 
 /// A served inference result.
@@ -264,10 +262,8 @@ struct Request {
 struct ModelEntry {
     name: String,
     compiled: Arc<Compiled>,
-    /// The certified, optimized plan every request of the model walks,
-    /// and what the optimizer did to it.
+    /// The certified plan every request of the model walks.
     plan: ExecPlan,
-    opt_stats: OptStats,
     params: CkksParams,
     source: Arc<dyn LayerSource>,
     metrics: ModelMetrics,
@@ -416,7 +412,7 @@ impl Server {
         &self,
         name: &str,
         compiled: Compiled,
-        (plan, opt_stats): (ExecPlan, OptStats),
+        plan: ExecPlan,
         params: CkksParams,
         source: Arc<dyn LayerSource>,
     ) -> ModelId {
@@ -425,7 +421,6 @@ impl Server {
             name: name.to_string(),
             compiled: Arc::new(compiled),
             plan,
-            opt_stats,
             params,
             source,
             metrics: ModelMetrics::default(),
@@ -600,10 +595,7 @@ impl Server {
                 Value::Arr(
                     models
                         .iter()
-                        .map(|m| {
-                            m.metrics
-                                .snapshot(&m.name, m.opt_stats, m.source.page_stats())
-                        })
+                        .map(|m| m.metrics.snapshot(&m.name, m.source.page_stats()))
                         .collect(),
                 ),
             ),

@@ -1,7 +1,8 @@
 //! The unified execution layer: one plan walk, pluggable engines.
 //!
-//! A compiled Orion program (`compile::Step` list + placement policy) runs
-//! on an [`EvalBackend`]: an engine behind an associated `Ciphertext` type
+//! A compiled Orion program (`compile::Step` list + placement policy, and
+//! the execution plan built from them once, `Compiled::plan`) runs on an
+//! [`EvalBackend`]: an engine behind an associated `Ciphertext` type
 //! and exactly the operations the plan walk ([`crate::sched`]) calls —
 //! encrypt / decrypt, the free level drop, `HAdd`, bootstrap, and the
 //! scale-schedule-aware composite steps (linear layer, scale-down,
@@ -10,7 +11,8 @@
 //! per-run state — which is what lets one engine value serve any number
 //! of concurrent walks. The
 //! walk itself ([`crate::sched::run_plan`]) is ciphertexts in, ciphertexts
-//! out; `encrypt` / `decrypt` are what [`run_program`] wraps it with. Two
+//! out over the program's own plan; `encrypt` / `decrypt` are what
+//! [`run_program`] wraps it with. Two
 //! engines implement the trait (see [`crate::backends`]):
 //!
 //! * [`crate::backends::CkksBackend`] — real RNS-CKKS through
@@ -31,7 +33,7 @@
 //! walk, the counting, and the placement logic are shared.
 
 use crate::compile::{Compiled, Step};
-use crate::sched::{run_plan, ExecPlan};
+use crate::sched::run_plan;
 use crate::sim::OpCounter;
 use orion_ckks::precision::precision_bits;
 use orion_linear::values::{BiasValues, ConvDiagSource, DenseDiagSource, DiagSource};
@@ -287,9 +289,9 @@ impl<Ct> ProgramRun<Ct> {
 
 /// Runs a compiled program on `backend` through the plan walk — THE
 /// tensor-in, tensor-out entry point, shared by every engine: encrypts the
-/// packed input, builds the program's [`ExecPlan`], walks it in plan order
-/// ([`run_plan`], following the placement policy exactly) and decrypts the
-/// output wire. The backend's constructor names the engine and where its
+/// packed input, walks the program's plan ([`Compiled::plan`]) in plan
+/// order ([`run_plan`], following the placement policy exactly) and
+/// decrypts the output wire. The backend's constructor names the engine and where its
 /// weights come from: `CkksBackend::new` (encoded per inference),
 /// `CkksBackend::with_prepared` / `with_source` (a prepared cache or a
 /// pager), `ClearBackend::reference` (the paper-scale path) or
@@ -299,9 +301,8 @@ pub fn run_program<B: EvalBackend + Sync>(
     backend: &B,
     input: &Tensor,
 ) -> ProgramRun<B::Ciphertext> {
-    let plan = ExecPlan::build(c);
     let cts = encrypt_input(c, backend, input);
-    let run = run_plan(&plan, c, backend, cts);
+    let run = run_plan(c, backend, cts);
     ProgramRun {
         output: decrypt_output(c, backend, &run.output_wire),
         output_wire: run.output_wire,

@@ -3,14 +3,15 @@
 //! Compilation (paper §6) performs, in order: batch-norm folding, range
 //! estimation lookup, activation fitting, packing-plan construction for
 //! every linear layer, IR construction with cost-model latencies, and
-//! automatic bootstrap placement. The result runs identically on the
-//! cleartext engine and on real CKKS.
+//! automatic bootstrap placement. The result carries its execution plan
+//! ([`Compiled::plan`], built once placement has fixed every level) and
+//! runs identically on the cleartext engine and on real CKKS.
 
 use crate::act::{compile_activation, CompiledAct, CompiledActs};
 use crate::fit::FitResult;
 use crate::layer::Layer;
 use crate::network::Network;
-use crate::sched::ExecPlan;
+use crate::sched::{ExecPlan, KeyUse};
 use crate::sim::{CostModel, OpCounter, OpKind};
 use orion_ckks::KeyManifest;
 use orion_graph::{place, Graph, Node, NodeKind, PlacementResult};
@@ -97,7 +98,7 @@ pub struct StepSig {
 /// leaves behind once placement has fixed its level. Placement prices a
 /// node from it before a plan exists ([`ProgNode::seconds_at`]); the plan
 /// walk, the op counter and the verifier all read it through
-/// `ExecPlan::unit_io`; the engines are checked against it on every
+/// `Compiled::unit_io`; the engines are checked against it on every
 /// ciphertext they produce.
 impl Step {
     /// The levels the step reserves: what compile hands the placement
@@ -229,7 +230,9 @@ impl CompileOptions {
     }
 }
 
-/// A compiled network.
+/// A compiled network and its execution plan. A test that mutates a plan
+/// or a placement mutates a clone.
+#[derive(Clone)]
 pub struct Compiled {
     /// The executable program.
     pub prog: Vec<ProgNode>,
@@ -245,6 +248,10 @@ pub struct Compiled {
     pub compile_seconds: f64,
     /// Input layout.
     pub input_layout: TensorLayout,
+    /// The execution plan every engine walks, every count folds and the
+    /// verifier certifies — built once by [`compile`] from `prog` and
+    /// `placement`, never rewritten.
+    pub plan: ExecPlan,
 }
 
 impl Compiled {
@@ -272,12 +279,37 @@ impl Compiled {
 
     /// The evaluation keys the program needs, each at the highest level
     /// its plan applies it at and nothing above — what `FheSession::new`
-    /// generates. Its key set is [`Compiled::rotation_steps`] plus the
-    /// relinearization key; the levels are the fold of
-    /// [`ExecPlan::key_manifest`] over the built plan — the plan every
-    /// engine walks.
+    /// generates: the fold of [`Compiled::for_each_key_use`] over the
+    /// plan's units, rotation steps reduced modulo the slot count
+    /// (congruent steps share a key). Its key set is
+    /// [`Compiled::rotation_steps`] plus the relinearization key. A unit the
+    /// plan cannot describe applies nothing — it is the verifier's coverage
+    /// finding and the walk's panic.
+    ///
+    /// One key can be listed above its use: the relinearization key sits
+    /// at the higher of the highest product's level and the top rotation
+    /// level (a Chebyshev stage may run above every linear layer; a square
+    /// usually runs below one). Any ciphertext a unit of the plan computes
+    /// on can then be squared on the session's own keys — what the
+    /// benchmark's pinned CKKS probe does at the program's median placement
+    /// level, which on a `linear@4 → x²@3 → linear@1` program is level 4 —
+    /// for the price of the levels between the two in a single key.
     pub fn key_manifest(&self) -> KeyManifest {
-        ExecPlan::build(self).key_manifest(self)
+        let slots = self.opts.slots as isize;
+        let mut manifest = KeyManifest::default();
+        for uid in 0..self.plan.units.len() {
+            let Ok(io) = self.unit_io(uid) else {
+                continue;
+            };
+            self.for_each_key_use(uid, &io, |key, level| match key {
+                KeyUse::Rotation(k) if k.rem_euclid(slots) == 0 => {}
+                KeyUse::Rotation(k) => manifest.use_rotation(k.rem_euclid(slots), level),
+                KeyUse::Relin => manifest.use_relin(level),
+            });
+        }
+        let top = manifest.rotations.values().copied().max();
+        manifest.use_relin(top.unwrap_or(0));
+        manifest
     }
 
     /// Sum of activation depths (Table 2's "Act. Depth").
@@ -581,7 +613,7 @@ pub fn compile(net: &Network, fitres: &FitResult, opts: &CompileOptions) -> Comp
     let compile_seconds = t0.elapsed().as_secs_f64();
     let boot_latency = cost.op(OpKind::Bootstrap, l_eff);
     let placement = place(&graph, l_eff, boot_latency);
-    Compiled {
+    let mut c = Compiled {
         prog,
         graph,
         placement,
@@ -589,7 +621,10 @@ pub fn compile(net: &Network, fitres: &FitResult, opts: &CompileOptions) -> Comp
         acts,
         compile_seconds,
         input_layout,
-    }
+        plan: ExecPlan::default(),
+    };
+    c.plan = ExecPlan::build(&c);
+    c
 }
 
 /// Expands one activation into program nodes; returns the final node id.

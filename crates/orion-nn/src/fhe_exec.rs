@@ -2,7 +2,8 @@
 //! [`crate::backend::run_program`] on a [`CkksBackend`] built from the
 //! session — `CkksBackend::new` (weights encoded per inference) or
 //! `CkksBackend::with_prepared` (the cache [`FheSession::prepare`] builds);
-//! a served request is [`run_fhe_plan`], ciphertexts in.
+//! a served request is [`run_fhe_plan`], ciphertexts in. Both walk the plan
+//! the program carries ([`Compiled::plan`]): nothing here builds one.
 //!
 //! An [`FheSession`] owns the key material (public, relinearization, and
 //! exactly the rotation keys the compiled plans need, each generated at
@@ -21,7 +22,7 @@
 use crate::backend::{decrypt_output, encrypt_input, LinearRef};
 use crate::backends::CkksBackend;
 use crate::compile::Compiled;
-use crate::sched::{run_plan, ExecPlan};
+use crate::sched::run_plan;
 use crate::sim::OpCounter;
 use orion_ckks::bootstrap::BootstrapOracle;
 use orion_ckks::encoder::Encoder;
@@ -148,8 +149,8 @@ pub struct FheRun {
     pub wall_seconds: f64,
 }
 
-/// The serving hot path: walks `plan` — the program's execution plan, built
-/// and certified once per model, not per request — over
+/// The serving hot path: walks `c`'s plan — built once by `compile`,
+/// certified once per model at registration, not per request — over
 /// **pre-encrypted** input ciphertexts (see [`FheSession::encrypt_input`])
 /// against any prepared-layer source, resident or memory-capped paged,
 /// decrypts the output wire ([`FheSession::decrypt_output`], inside the
@@ -160,13 +161,12 @@ pub struct FheRun {
 pub fn run_fhe_plan(
     c: &Compiled,
     s: &FheSession,
-    plan: &ExecPlan,
     source: Arc<dyn LayerSource>,
     input_cts: Vec<Ciphertext>,
 ) -> (FheRun, OpCounter) {
     let t0 = std::time::Instant::now();
     let backend = CkksBackend::with_source(s, source);
-    let run = run_plan(plan, c, &backend, input_cts);
+    let run = run_plan(c, &backend, input_cts);
     (
         FheRun {
             output: s.decrypt_output(c, &run.output_wire),
@@ -176,8 +176,7 @@ pub fn run_fhe_plan(
     )
 }
 
-/// [`run_fhe_plan`] on the freshly built plan against a
-/// fully-resident prepared cache — the direct (no queue, no paging)
+/// [`run_fhe_plan`] against a fully-resident prepared cache — the direct (no queue, no paging)
 /// reference the serve smoke tests compare bit-exactly against. Kept
 /// because the `perf/` name pin calls it (ROADMAP item 7(b)).
 pub fn run_fhe_prepared_cts(
@@ -186,7 +185,6 @@ pub fn run_fhe_prepared_cts(
     prepared: &Arc<PreparedProgram>,
     input_cts: Vec<Ciphertext>,
 ) -> (FheRun, OpCounter) {
-    let plan = ExecPlan::build(c);
     let source = Arc::clone(prepared) as Arc<dyn LayerSource>;
-    run_fhe_plan(c, s, &plan, source, input_cts)
+    run_fhe_plan(c, s, source, input_cts)
 }

@@ -44,6 +44,5 @@ pub use network::{Network, NodeId};
 pub use opt::{optimize_plan, OptConfig, OptStats};
 pub use sched::ExecPlan;
 pub use verify::{
-    verify_compiled, verify_plan, Diagnostic, Provenance, Rule, Severity, VerifyConfig,
-    VerifyReport,
+    verify_compiled, Diagnostic, Provenance, Rule, Severity, VerifyConfig, VerifyReport,
 };

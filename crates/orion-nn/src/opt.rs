@@ -1,7 +1,7 @@
 //! The plan optimizer's pinned names, inert.
 //!
-//! There is no plan rewrite: a built [`ExecPlan`] is the plan every engine
-//! walks. The last pass, cross-wire rotation CSE (one digit decomposition
+//! There is no plan rewrite: the [`ExecPlan`] a compiled program carries
+//! ([`Compiled::plan`]) is the plan every engine walks. The last pass, cross-wire rotation CSE (one digit decomposition
 //! shared by the linear layers reading one wire), was removed because it
 //! paid on no benchmarked plan — README "Why there is no plan rewrite"
 //! has the census. Each linear layer still hoists its own baby-step

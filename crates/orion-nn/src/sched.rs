@@ -4,20 +4,24 @@
 //! The paper's key systems observation is that once bootstrap placement
 //! and levels are fixed at compile time, the per-step dependency structure
 //! of an FHE inference is fully static. [`ExecPlan::build`] exploits that:
-//! it walks a [`Compiled`] program once and emits one [`Unit`] per piece of
-//! ciphertext → ciphertext work — elementwise steps (activation stages,
-//! scale-downs, residual adds) split into one unit per ciphertext,
-//! bootstraps become standalone units per refreshed ciphertext, and linear
-//! layers stay whole-step units (their internal BSGS parallelism is the
-//! prepared executor's job). `Input` and `Output` are not work: the plan
-//! records the buffer the caller's ciphertexts go in and the buffer the
-//! result is taken from, and reading the input buffer is no dependency.
-//! The plan stores no edges: a unit's dependencies are the units that
-//! wrote the slots its signature reads ([`ExecPlan::deps`], derived in one
-//! plan-order pass over [`ExecPlan::unit_io`]) — what it reads *is* its
-//! edges. A built plan is the plan every engine walks: there is no
-//! rewrite between the two, so a linear layer's baby-step rotations are
-//! hoisted once per input block inside the layer, never across layers.
+//! `compile` calls it once, after placement, and the program carries the
+//! result as [`Compiled::plan`]. It walks the step list once and emits one
+//! [`Unit`] per piece of ciphertext → ciphertext work — elementwise steps
+//! (activation stages, scale-downs, residual adds) split into one unit per
+//! ciphertext, bootstraps become standalone units per refreshed
+//! ciphertext, and linear layers stay whole-step units (their internal
+//! BSGS parallelism is the prepared executor's job). `Input` and `Output`
+//! are not work: the plan records the buffer the caller's ciphertexts go in
+//! and the buffer the result is taken from, and reading the input buffer is
+//! no dependency. The plan stores no edges: a unit's dependencies are the
+//! units that wrote the slots its signature reads ([`Compiled::deps`],
+//! derived in one plan-order pass over [`Compiled::unit_io`]) — what it
+//! reads *is* its edges. Everything that reads both the plan and the
+//! program is a method of [`Compiled`], so no walk, count or check takes a
+//! plan beside the program it came from. The carried plan is the plan
+//! every engine walks: there is no rewrite between the two, so a linear
+//! layer's baby-step rotations are hoisted once per input block inside the
+//! layer, never across layers.
 //!
 //! [`run_plan`] is the one walk — ciphertexts in, ciphertexts out — on any
 //! [`EvalBackend`] (whoever owns a tensor encrypts and decrypts it:
@@ -32,7 +36,7 @@
 //!
 //! The walk holds only what it will read again. What every unit reads is
 //! static, so each value slot's last reader is known before the walk
-//! starts ([`ExecPlan::last_reads`]): that unit takes the ciphertext out of
+//! starts ([`Compiled::last_reads`]): that unit takes the ciphertext out of
 //! its slot and drops its levels in place instead of copying them, and a
 //! value nothing reads is released as soon as it is stored; only the
 //! output wire is held to the end. The walk counts the limb vectors it
@@ -43,7 +47,7 @@
 //! Prefetch is an effect of the walk, not a unit. On a pool wider than one
 //! thread the walk runs inside a [`rayon::scope`], and a
 //! unit about to run first announces the linear layers whose *first*
-//! dependency ([`ExecPlan::deps`]) it is ([`EvalBackend::prefetch_linear`],
+//! dependency ([`Compiled::deps`]) it is ([`EvalBackend::prefetch_linear`],
 //! spawned onto the pool), so a pager loads a layer while its input is
 //! still being computed. A layer with no dependency runs before anything
 //! could overlap its load and is not announced; on a one-thread pool
@@ -62,7 +66,7 @@
 //!
 //! Levels: what a unit reads, at which level, and the level it leaves its
 //! output at is a compile-time fact, stated once — [`Step::depth`] /
-//! [`Step::sig`] per step kind, lifted to units by [`ExecPlan::unit_io`]
+//! [`Step::sig`] per step kind, lifted to units by [`Compiled::unit_io`]
 //! (bootstraps). The walk drops inputs to the signature's read levels,
 //! [`count_plan`] tallies its ops, the verifier interprets it
 //! (`crate::verify`) — and no engine is trusted to agree with it: every
@@ -80,7 +84,6 @@
 use crate::backend::{EvalBackend, LinearRef};
 use crate::compile::{Compiled, Step};
 use crate::sim::{OpCounter, OpKind};
-use orion_ckks::KeyManifest;
 use rayon::Scope;
 use std::borrow::Cow;
 
@@ -118,7 +121,7 @@ pub enum UnitWork {
 }
 
 /// One schedulable node of the dataflow plan. It holds no unit id: its
-/// dependencies are derived from what it reads ([`ExecPlan::deps`]).
+/// dependencies are derived from what it reads ([`Compiled::deps`]).
 #[derive(Clone, Debug)]
 pub struct Unit {
     /// The work.
@@ -130,7 +133,7 @@ pub struct Unit {
 }
 
 /// A value buffer: one (wire, version)'s ciphertexts.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct Buffer {
     /// First slot index.
     pub offset: usize,
@@ -146,7 +149,7 @@ impl Buffer {
 }
 
 /// What one plan unit reads, issues and writes — [`Step::sig`] lifted to
-/// units ([`ExecPlan::unit_io`]). Everything that needs a level or an op
+/// units ([`Compiled::unit_io`]). Everything that needs a level or an op
 /// count asks this: the walk (what to drop inputs to, what the engine must
 /// hand back), the op counter and the verifier.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -179,7 +182,7 @@ impl UnitIo {
     }
 }
 
-/// An evaluation key a unit applies ([`ExecPlan::for_each_key_use`]).
+/// An evaluation key a unit applies ([`Compiled::for_each_key_use`]).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum KeyUse {
     /// The rotation key for this slot step.
@@ -188,8 +191,10 @@ pub enum KeyUse {
     Relin,
 }
 
-/// The dataflow execution plan of one compiled program (see module docs).
-#[derive(Clone)]
+/// The dataflow execution plan of one compiled program (see module docs),
+/// carried by it as [`Compiled::plan`]. `Default` is the empty plan
+/// `compile` holds while it builds the real one.
+#[derive(Clone, Default)]
 pub struct ExecPlan {
     /// Units in a topological order (every slot a unit reads is written
     /// before it runs).
@@ -208,7 +213,9 @@ pub struct ExecPlan {
 }
 
 impl ExecPlan {
-    /// Compiles the step list + placement into the unit DAG.
+    /// Compiles the step list + placement into the unit DAG — what
+    /// [`crate::compile::compile`] stores as [`Compiled::plan`], once
+    /// placement has fixed every level.
     pub fn build(c: &Compiled) -> Self {
         let slots = c.opts.slots;
         let mut units: Vec<Unit> = Vec::new();
@@ -309,68 +316,25 @@ impl ExecPlan {
         }
     }
 
-    /// Bootstrap units in the plan (== `count_plan(..).bootstraps()`).
-    pub fn bootstraps(&self) -> u64 {
-        let is_boot = |u: &&Unit| matches!(u.work, UnitWork::Boot { .. });
-        self.units.iter().filter(is_boot).count() as u64
-    }
-
-    /// Every unit's dependencies, derived from what it reads: the units
-    /// that wrote the slots of its [`UnitIo::reads`] (in read order, without
-    /// consecutive repeats). Reading the input wire is no dependency. One
-    /// plan-order pass over [`ExecPlan::unit_io`] with a slot → producer
-    /// table, so a dependency always precedes its unit; panics on a unit
-    /// the plan cannot describe (the verifier's coverage finding).
-    pub fn deps(&self, c: &Compiled) -> Vec<Vec<usize>> {
-        let mut producer: Vec<Option<usize>> = vec![None; self.n_slots];
-        let mut all = Vec::with_capacity(self.units.len());
-        for (uid, unit) in self.units.iter().enumerate() {
-            let io = self.io(c, uid);
-            let read = io.reads.iter().flatten().flat_map(|(buf, _)| buf.slots());
-            let mut deps: Vec<usize> = Vec::new();
-            for d in read.filter_map(|s| producer[s]) {
-                if deps.last() != Some(&d) {
-                    deps.push(d);
-                }
-            }
-            all.push(deps);
-            producer[unit.out_slot..unit.out_slot + unit.out_len].fill(Some(uid));
-        }
-        all
-    }
-
-    /// Every value slot's last reader: the last unit whose
-    /// [`UnitIo::reads`] name the slot, in one plan-order pass — `None` for
-    /// the output buffer's slots (a walk hands them back) and for slots
-    /// nothing reads. A walk releases a slot once its last reader has run
-    /// and the verifier's peak-live-limb certificate stops counting it
-    /// there: one liveness, read by both. Panics on a unit the plan cannot
-    /// describe (the verifier's coverage finding).
-    pub fn last_reads(&self, c: &Compiled) -> Vec<Option<usize>> {
-        let mut last = vec![None; self.n_slots];
-        for uid in 0..self.units.len() {
-            for (buf, _) in self.io(c, uid).reads.iter().flatten() {
-                last[buf.slots()].fill(Some(uid));
-            }
-        }
-        last[self.output.slots()].fill(None);
-        last
-    }
-
     /// Total value slots the plan writes.
     pub fn value_slots(&self) -> usize {
         self.n_slots
     }
+}
 
-    /// What unit `uid` reads and writes under `c`'s placement: the step's
-    /// [`Step::sig`] plus what only the plan knows — a bootstrap's raw read
-    /// and `L_eff` exit; nothing overrides a signature's exit level.
-    /// Computed on demand (tests mutate plans and placements after
-    /// [`ExecPlan::build`]); `Err` names
-    /// what the unit refers to that the program or plan does not have — the
-    /// verifier's coverage finding, a panic anywhere else.
-    pub fn unit_io(&self, c: &Compiled, uid: usize) -> Result<UnitIo, &'static str> {
-        let unit = &self.units[uid];
+/// What reads both the plan and the program it came from: a unit's
+/// signature, its dependencies, each slot's last reader and the keys a
+/// unit applies — all derived from [`Compiled::plan`], never stored.
+impl Compiled {
+    /// What unit `uid` of [`Compiled::plan`] reads and writes under the
+    /// program's placement: the step's [`Step::sig`] plus what only the
+    /// plan knows — a bootstrap's raw read and `L_eff` exit; nothing
+    /// overrides a signature's exit level. Computed on demand, so a test
+    /// that mutates a clone's plan or placement reads the mutation; `Err`
+    /// names what the unit refers to that the program or plan does not have
+    /// — the verifier's coverage finding, a panic anywhere else.
+    pub fn unit_io(&self, uid: usize) -> Result<UnitIo, &'static str> {
+        let unit = &self.plan.units[uid];
         let mut io = UnitIo {
             level: 0,
             depth: 0,
@@ -378,24 +342,25 @@ impl ExecPlan {
             ops: Vec::new(),
             // where a bootstrap lands; a placed step overwrites it with
             // its signature's exit
-            out_level: c.opts.l_eff,
+            out_level: self.opts.l_eff,
         };
         match unit.work {
             UnitWork::Boot { wire, in_slot, .. } => {
-                if wire >= c.prog.len() {
+                if wire >= self.prog.len() {
                     return Err("bootstrap refreshes a wire outside the program");
                 }
                 let refreshed = Buffer {
                     offset: in_slot,
                     len: 1,
                 };
-                io.level = c.opts.l_eff;
+                io.level = self.opts.l_eff;
                 io.reads[0] = Some((refreshed, None));
                 io.ops = vec![(OpKind::Bootstrap, 1)];
             }
             UnitWork::Step { node } | UnitWork::StepCt { node, .. } => {
-                let step = &c.prog.get(node).ok_or("unknown program node")?.step;
-                let bufs = self.in_bufs.get(node).ok_or("step has no input buffers")?;
+                let step = &self.prog.get(node).ok_or("unknown program node")?.step;
+                let bufs = self.plan.in_bufs.get(node);
+                let bufs = bufs.ok_or("step has no input buffers")?;
                 if matches!(step, Step::Input | Step::Output) {
                     return Err("input and output nodes are not work: they have no unit");
                 }
@@ -403,7 +368,7 @@ impl ExecPlan {
                 if whole != matches!(unit.work, UnitWork::Step { .. }) {
                     return Err("step kind does not fit the unit kind");
                 }
-                let lv = c.placement.levels.get(node).copied().flatten();
+                let lv = self.placement.levels.get(node).copied().flatten();
                 let lv = lv.ok_or("step has no placement level")?;
                 let sig = step.sig(lv);
                 io.level = lv;
@@ -431,27 +396,70 @@ impl ExecPlan {
         Ok(io)
     }
 
+    /// [`Compiled::unit_io`] of a plan the verifier has passed.
+    pub(crate) fn io(&self, uid: usize) -> UnitIo {
+        self.unit_io(uid)
+            .unwrap_or_else(|why| panic!("malformed plan, unit {uid}: {why}"))
+    }
+
+    /// Every unit's dependencies, derived from what it reads: the units
+    /// that wrote the slots of its [`UnitIo::reads`] (in read order, without
+    /// consecutive repeats). Reading the input wire is no dependency. One
+    /// plan-order pass over [`Compiled::unit_io`] with a slot → producer
+    /// table, so a dependency always precedes its unit; panics on a unit
+    /// the plan cannot describe (the verifier's coverage finding).
+    pub fn deps(&self) -> Vec<Vec<usize>> {
+        let plan = &self.plan;
+        let mut producer: Vec<Option<usize>> = vec![None; plan.n_slots];
+        let mut all = Vec::with_capacity(plan.units.len());
+        for (uid, unit) in plan.units.iter().enumerate() {
+            let io = self.io(uid);
+            let read = io.reads.iter().flatten().flat_map(|(buf, _)| buf.slots());
+            let mut deps: Vec<usize> = Vec::new();
+            for d in read.filter_map(|s| producer[s]) {
+                if deps.last() != Some(&d) {
+                    deps.push(d);
+                }
+            }
+            all.push(deps);
+            producer[unit.out_slot..unit.out_slot + unit.out_len].fill(Some(uid));
+        }
+        all
+    }
+
+    /// Every value slot's last reader: the last unit whose
+    /// [`UnitIo::reads`] name the slot, in one plan-order pass — `None` for
+    /// the output buffer's slots (a walk hands them back) and for slots
+    /// nothing reads. A walk releases a slot once its last reader has run
+    /// and the verifier's peak-live-limb certificate stops counting it
+    /// there: one liveness, read by both. Panics on a unit the plan cannot
+    /// describe (the verifier's coverage finding).
+    pub fn last_reads(&self) -> Vec<Option<usize>> {
+        let mut last = vec![None; self.plan.n_slots];
+        for uid in 0..self.plan.units.len() {
+            for (buf, _) in self.io(uid).reads.iter().flatten() {
+                last[buf.slots()].fill(Some(uid));
+            }
+        }
+        last[self.plan.output.slots()].fill(None);
+        last
+    }
+
     /// Calls `f(key, level)` for every evaluation key unit `uid` applies,
     /// with the level of the ciphertext it applies it to, given the unit's
     /// `io`: a linear layer every step of its BSGS plan, at the level the
     /// input is read at; an activation unit that
     /// multiplies ciphertexts the relinearization key, at the level it
     /// enters the stage (every product of a stage sits at or below it).
-    /// Key generation ([`ExecPlan::key_manifest`]) and the verifier's
+    /// Key generation ([`Compiled::key_manifest`]) and the verifier's
     /// coverage pass both read this, so what is generated is what is
     /// certified.
-    pub fn for_each_key_use(
-        &self,
-        c: &Compiled,
-        uid: usize,
-        io: &UnitIo,
-        mut f: impl FnMut(KeyUse, usize),
-    ) {
+    pub fn for_each_key_use(&self, uid: usize, io: &UnitIo, mut f: impl FnMut(KeyUse, usize)) {
         let read = io.reads[0].and_then(|(_, level)| level);
-        match self.units[uid].work {
+        match self.plan.units[uid].work {
             UnitWork::Step { node } => {
-                let (Some(layer), Some(lv)) = (LinearRef::of(node, &c.prog[node].step), read)
-                else {
+                let step = &self.prog[node].step;
+                let (Some(layer), Some(lv)) = (LinearRef::of(node, step), read) else {
                     return;
                 };
                 for k in layer.plan().rotation_steps() {
@@ -462,45 +470,6 @@ impl ExecPlan {
             UnitWork::StepCt { .. } | UnitWork::Boot { .. } => {}
         }
     }
-
-    /// The evaluation keys a walk of this plan applies, each with the
-    /// highest level it is applied at: the fold of
-    /// [`ExecPlan::for_each_key_use`] over the units, rotation steps
-    /// reduced modulo the slot count (congruent steps share a key). A unit
-    /// the plan cannot describe applies nothing — it is the verifier's
-    /// coverage finding and the walk's panic.
-    ///
-    /// One key can be listed above its use: the relinearization key sits
-    /// at the higher of the highest product's level and the top rotation
-    /// level (a Chebyshev stage may run above every linear layer; a square
-    /// usually runs below one). Any ciphertext a unit of the plan computes
-    /// on can then be squared on the session's own keys — what the
-    /// benchmark's pinned CKKS probe does at the program's median placement
-    /// level, which on a `linear@4 → x²@3 → linear@1` program is level 4 —
-    /// for the price of the levels between the two in a single key.
-    pub fn key_manifest(&self, c: &Compiled) -> KeyManifest {
-        let slots = c.opts.slots as isize;
-        let mut manifest = KeyManifest::default();
-        for uid in 0..self.units.len() {
-            let Ok(io) = self.unit_io(c, uid) else {
-                continue;
-            };
-            self.for_each_key_use(c, uid, &io, |key, level| match key {
-                KeyUse::Rotation(k) if k.rem_euclid(slots) == 0 => {}
-                KeyUse::Rotation(k) => manifest.use_rotation(k.rem_euclid(slots), level),
-                KeyUse::Relin => manifest.use_relin(level),
-            });
-        }
-        let top = manifest.rotations.values().copied().max();
-        manifest.use_relin(top.unwrap_or(0));
-        manifest
-    }
-
-    /// [`ExecPlan::unit_io`] of a plan the verifier has passed.
-    pub(crate) fn io(&self, c: &Compiled, uid: usize) -> UnitIo {
-        self.unit_io(c, uid)
-            .unwrap_or_else(|why| panic!("malformed plan, unit {uid}: {why}"))
-    }
 }
 
 /// Limb vectors one ciphertext at `level` holds: two polynomials of
@@ -510,7 +479,7 @@ pub(crate) fn ct_limbs(level: usize) -> u64 {
     2 * (level as u64 + 1)
 }
 
-/// The op tallies of one walk of `plan`, with modeled latency — the
+/// The op tallies of one walk of `c`'s plan, with modeled latency — the
 /// paper's "# Rots" / "# Boots" columns. Levels, bootstraps and every
 /// linear layer's BSGS split are fixed at compile time, so the tallies are
 /// a fold over the units: one counter per unit (its ops in execution
@@ -518,10 +487,10 @@ pub(crate) fn ct_limbs(level: usize) -> u64 {
 /// `f64` seconds bit for bit whatever engine runs the plan. The engine is
 /// asked only which steps it serves from a prepared cache (those pay no
 /// per-inference encodes).
-pub fn count_plan<B: EvalBackend>(plan: &ExecPlan, c: &Compiled, backend: &B) -> OpCounter {
+pub fn count_plan<B: EvalBackend>(c: &Compiled, backend: &B) -> OpCounter {
     let mut total = OpCounter::new();
-    for (uid, unit) in plan.units.iter().enumerate() {
-        let io = plan.io(c, uid);
+    for (uid, unit) in c.plan.units.iter().enumerate() {
+        let io = c.io(uid);
         let mut ctr = OpCounter::priced(&io.ops, &c.opts.cost, io.level);
         match unit.work {
             UnitWork::Step { node } => {
@@ -560,12 +529,11 @@ fn unit_label(c: &Compiled, work: &UnitWork) -> String {
 const NOT_READY: &str = "scheduler dependency violation: value not ready or already released";
 
 struct RunState<'a, B: EvalBackend> {
-    plan: &'a ExecPlan,
     c: &'a Compiled,
     backend: &'a B,
     /// One slot per value, written once — by the caller's input or by the
     /// unit producing it — read by its consumers and emptied once the last
-    /// of them has run ([`ExecPlan::last_reads`]); the output wire's slots
+    /// of them has run ([`Compiled::last_reads`]); the output wire's slots
     /// are held until the walk returns.
     values: Vec<Option<B::Ciphertext>>,
     /// Per value slot: the unit that reads it last.
@@ -592,13 +560,13 @@ impl<'a, B: EvalBackend + Sync> RunState<'a, B> {
     where
         'a: 's,
     {
-        let (plan, backend) = (self.plan, self.backend);
+        let (c, backend) = (self.c, self.backend);
         // per unit: the layers whose first dependency it is
-        let mut layers: Vec<Vec<usize>> = vec![Vec::new(); plan.units.len()];
+        let mut layers: Vec<Vec<usize>> = vec![Vec::new(); c.plan.units.len()];
         if announce.is_some() {
-            for (uid, deps) in plan.deps(self.c).iter().enumerate() {
+            for (uid, deps) in c.deps().iter().enumerate() {
                 if let (UnitWork::Step { node }, Some(&first)) =
-                    (&plan.units[uid].work, deps.first())
+                    (&c.plan.units[uid].work, deps.first())
                 {
                     layers[first].push(*node);
                 }
@@ -650,7 +618,7 @@ impl<'a, B: EvalBackend + Sync> RunState<'a, B> {
     }
 
     fn store(&mut self, uid: usize, io: &UnitIo, cts: Vec<B::Ciphertext>) {
-        let unit = &self.plan.units[uid];
+        let unit = &self.c.plan.units[uid];
         // hard assert: a backend returning the wrong ciphertext count
         // must fail HERE, not corrupt a neighboring wire's value slots
         assert_eq!(
@@ -695,7 +663,7 @@ impl<'a, B: EvalBackend + Sync> RunState<'a, B> {
     fn release(&mut self, uid: usize, io: &UnitIo) {
         self.peak_limbs = self.peak_limbs.max(self.live_limbs);
         self.live_limbs -= std::mem::take(&mut self.moved_limbs);
-        let (plan, backend) = (self.plan, self.backend);
+        let (plan, backend) = (&self.c.plan, self.backend);
         let unit = &plan.units[uid];
         let last_read = &self.last_read;
         let read = io.reads.iter().flatten().flat_map(|(buf, _)| buf.slots());
@@ -709,13 +677,13 @@ impl<'a, B: EvalBackend + Sync> RunState<'a, B> {
     }
 
     fn run_unit(&mut self, uid: usize) {
-        let io = self.plan.io(self.c, uid);
+        let io = self.c.io(uid);
         if self.exec_ns.is_none() {
             self.exec_unit(uid, &io);
             return self.release(uid, &io);
         }
         let start = orion_telemetry::now_ns();
-        let (kind, node, ct) = unit_meta(&self.plan.units[uid].work);
+        let (kind, node, ct) = unit_meta(&self.c.plan.units[uid].work);
         let span = orion_telemetry::span(
             kind,
             &[
@@ -736,9 +704,8 @@ impl<'a, B: EvalBackend + Sync> RunState<'a, B> {
     }
 
     fn exec_unit(&mut self, uid: usize, io: &UnitIo) {
-        let plan = self.plan;
-        let unit = &plan.units[uid];
         let (backend, c) = (self.backend, self.c);
+        let unit = &c.plan.units[uid];
         let lv = io.level;
         assert!(
             lv >= io.depth,
@@ -798,18 +765,18 @@ pub struct PlanRun<Ct> {
     pub peak_live_limbs: u64,
 }
 
-/// Walks `plan` on `backend` over `inputs` — one ciphertext per slot of
-/// [`ExecPlan::input`], each at `L_eff` — in plan order on the calling
+/// Walks `c`'s plan on `backend` over `inputs` — one ciphertext per slot
+/// of [`ExecPlan::input`], each at `L_eff` — in plan order on the calling
 /// thread, and returns the output wire. Every other value is released once
 /// its last reader has run (module docs). On a pool wider than one thread
 /// the walk announces upcoming linear layers for prefetch; a unit's panic
 /// is rethrown once those announcements have drained.
 pub fn run_plan<B: EvalBackend + Sync>(
-    plan: &ExecPlan,
     c: &Compiled,
     backend: &B,
     inputs: Vec<B::Ciphertext>,
 ) -> PlanRun<B::Ciphertext> {
+    let plan = &c.plan;
     assert_eq!(
         backend.slots(),
         c.opts.slots,
@@ -821,11 +788,10 @@ pub fn run_plan<B: EvalBackend + Sync>(
         "input ciphertext count does not match the program's input wire"
     );
     let mut state = RunState {
-        plan,
         c,
         backend,
         values: vec![None; plan.n_slots],
-        last_read: plan.last_reads(c),
+        last_read: c.last_reads(),
         live_limbs: 0,
         moved_limbs: 0,
         peak_limbs: 0,
@@ -855,13 +821,7 @@ pub fn run_plan<B: EvalBackend + Sync>(
     }
     drop(run_span);
     if let (Some(exec_ns), Some(t0)) = (&state.exec_ns, wall_start) {
-        report_run(
-            plan,
-            c,
-            exec_ns,
-            orion_telemetry::now_ns() - t0,
-            state.peak_limbs,
-        );
+        report_run(c, exec_ns, orion_telemetry::now_ns() - t0, state.peak_limbs);
     }
     let output_wire = plan
         .output
@@ -870,7 +830,7 @@ pub fn run_plan<B: EvalBackend + Sync>(
         .collect();
     PlanRun {
         output_wire,
-        counter: count_plan(plan, c, backend),
+        counter: count_plan(c, backend),
         peak_live_limbs: state.peak_limbs,
     }
 }
@@ -879,8 +839,9 @@ pub fn run_plan<B: EvalBackend + Sync>(
 /// finished walk from its per-unit execution times: their sum, the
 /// duration-weighted critical path through the unit DAG, and the heaviest
 /// units on it — plus the walk's measured peak live limbs.
-fn report_run(plan: &ExecPlan, c: &Compiled, dur: &[u64], wall_ns: u64, peak_live_limbs: u64) {
-    let deps = plan.deps(c);
+fn report_run(c: &Compiled, dur: &[u64], wall_ns: u64, peak_live_limbs: u64) {
+    let plan = &c.plan;
+    let deps = c.deps();
     let deps: Vec<&[usize]> = deps.iter().map(Vec::as_slice).collect();
     let (critical_path_ns, mut on_path) = orion_telemetry::critical_path(dur, &deps);
     on_path.sort_by_key(|&u| std::cmp::Reverse(dur[u]));
@@ -926,8 +887,8 @@ mod tests {
     }
 
     /// conv → ReLU → conv, closed by a residual add of the input wire whose
-    /// join is made to refresh both its inputs — so the plan bootstraps
-    /// ciphertexts no unit produced.
+    /// join is made to refresh both its inputs — so the plan, rebuilt for
+    /// the changed placement, bootstraps ciphertexts no unit produced.
     fn residual_refreshing_the_input(seed: u64) -> Compiled {
         let mut rng = StdRng::seed_from_u64(seed);
         let mut net = Network::new(4, 8, 8);
@@ -941,17 +902,18 @@ mod tests {
         assert!(c.placement.boot_count > 0, "want a bootstrap-deep plan");
         let join = c.prog.iter().position(|p| matches!(p.step, Step::Add));
         c.placement.boots_before[join.unwrap()] = 1;
+        c.plan = ExecPlan::build(&c);
         c
     }
 
     #[test]
     fn plan_is_topologically_ordered_and_covers_every_step() {
         let c = residual_refreshing_the_input(7);
-        let plan = ExecPlan::build(&c);
-        let report = crate::verify::verify_plan(&plan, &c, &Default::default());
+        let plan = &c.plan;
+        let report = crate::verify::verify_compiled(&c, &Default::default());
         assert!(!report.has_errors(), "{}", report.table());
         // deps strictly precede (plan order is topological)
-        let deps = plan.deps(&c);
+        let deps = c.deps();
         for (uid, deps) in deps.iter().enumerate() {
             for &d in deps {
                 assert!(d < uid, "unit {uid} depends on later unit {d}");
@@ -972,7 +934,8 @@ mod tests {
         assert_eq!(plan.input.len, c.prog[0].n_cts);
         assert_eq!(plan.output, *plan.in_bufs.last().unwrap().first().unwrap());
         // bootstrap units match the placement's count
-        assert_eq!(plan.bootstraps(), {
+        let is_boot = |u: &&Unit| matches!(u.work, UnitWork::Boot { .. });
+        assert_eq!(plan.units.iter().filter(is_boot).count() as u64, {
             let mut n = 0u64;
             for (id, node) in c.prog.iter().enumerate() {
                 if c.placement.boots_before[id] > 0 {
@@ -1008,7 +971,6 @@ mod tests {
         let c2 = net.conv2d("c2", a1, 4, 3, 1, 1, 1, &mut rng);
         net.output(c2);
         let mut c = compile(&net, &fixed_ranges(&net, 4.0), &opts());
-        let plan = ExecPlan::build(&c);
         // a level no wire can have → the square's first unit panics right
         // after announcing c2 (on a wide pool the walk runs inside its
         // prefetch scope); the walk must rethrow instead of hanging
@@ -1016,9 +978,8 @@ mod tests {
         c.placement.levels[square.unwrap()] = Some(c.opts.l_eff + 1);
         let backend = ClearBackend::packed(&c);
         let cts = encrypt_input(&c, &backend, &Tensor::from_vec(&[4, 8, 8], vec![0.5; 256]));
-        let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            run_plan(&plan, &c, &backend, cts)
-        }));
+        let r =
+            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| run_plan(&c, &backend, cts)));
         assert!(r.is_err(), "unit panic must propagate to the caller");
     }
 
@@ -1028,7 +989,7 @@ mod tests {
         let c = residual_refreshing_the_input(17);
         let backend = crate::backends::ClearBackend::packed(&c);
         // the wire is one ciphertext wide
-        run_plan(&ExecPlan::build(&c), &c, &backend, Vec::new());
+        run_plan(&c, &backend, Vec::new());
     }
 
     #[test]
@@ -1037,6 +998,6 @@ mod tests {
         let c = residual_refreshing_the_input(17);
         let backend = crate::backends::ClearBackend::packed(&c);
         let low = vec![backend.encrypt(&[], c.opts.l_eff - 1)];
-        run_plan(&ExecPlan::build(&c), &c, &backend, low);
+        run_plan(&c, &backend, low);
     }
 }

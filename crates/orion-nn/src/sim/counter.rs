@@ -129,28 +129,6 @@ impl OpCounter {
     pub fn all(&self) -> &BTreeMap<OpKind, u64> {
         &self.counts
     }
-
-    /// Per-kind difference `self − baseline`, saturating at zero, with the
-    /// latency/encode fields subtracted the same way. Call on the larger
-    /// counter — e.g. an on-the-fly run's tallies against a prepared run's
-    /// yield the encodes the cache saved — so assertions and reports read
-    /// as deltas instead of hand-rolled per-kind subtraction.
-    pub fn diff(&self, baseline: &OpCounter) -> OpCounter {
-        let mut counts = BTreeMap::new();
-        for &k in OpKind::ALL.iter() {
-            let d = self.count(k).saturating_sub(baseline.count(k));
-            if d > 0 {
-                counts.insert(k, d);
-            }
-        }
-        OpCounter {
-            counts,
-            seconds: self.seconds - baseline.seconds,
-            linear_seconds: self.linear_seconds - baseline.linear_seconds,
-            bootstrap_seconds: self.bootstrap_seconds - baseline.bootstrap_seconds,
-            encodes: self.encodes.saturating_sub(baseline.encodes),
-        }
-    }
 }
 
 #[cfg(test)]
@@ -183,24 +161,5 @@ mod tests {
         assert_eq!(a.rotations(), 1);
         assert_eq!(a.encodes, 5);
         assert!((a.seconds - 0.35).abs() < 1e-12);
-    }
-
-    #[test]
-    fn diff_reports_saturating_deltas() {
-        let mut unopt = OpCounter::new();
-        unopt.record(OpKind::HRot, 5, 0.5);
-        unopt.record(OpKind::Rescale, 3, 0.3);
-        unopt.record_encodes(4);
-        let mut opt = OpCounter::new();
-        opt.record(OpKind::HRot, 2, 0.2);
-        opt.record(OpKind::Rescale, 3, 0.3);
-        // a kind present only in the optimized run must not underflow
-        opt.record(OpKind::Hoist, 1, 0.1);
-        let d = unopt.diff(&opt);
-        assert_eq!(d.count(OpKind::HRot), 3);
-        assert_eq!(d.count(OpKind::Rescale), 0);
-        assert_eq!(d.count(OpKind::Hoist), 0);
-        assert_eq!(d.encodes, 4);
-        assert!((d.seconds - 0.2).abs() < 1e-12);
     }
 }

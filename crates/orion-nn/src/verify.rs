@@ -1,15 +1,16 @@
 //! Static plan certification: pre-flight diagnostics over a compiled
-//! program and its execution plan.
+//! program and the execution plan it carries.
 //!
-//! [`verify_plan`] abstractly interprets an [`ExecPlan`] without executing
-//! any ciphertext math: a per-value-slot abstract state (level, predicted
+//! [`verify_compiled`] abstractly interprets [`Compiled::plan`] — the plan
+//! every engine walks, so what is certified is what runs — without
+//! executing any ciphertext math: a per-value-slot abstract state (level, predicted
 //! noise) is pushed through every unit in plan order, and
 //! anything that would make the runtime assert, panic, or silently decrypt
 //! garbage becomes a typed [`Diagnostic`] *before* the first NTT runs.
 //! Four pass families share one linear sweep:
 //!
 //! 1. **Level typechecking** — interprets each unit's signature
-//!    ([`ExecPlan::unit_io`]: the read levels the walk drops inputs to, the
+//!    ([`Compiled::unit_io`]: the read levels the walk drops inputs to, the
 //!    depth it asserts, the exit level it holds the engine to — the same
 //!    record, not a mirror of it), so the `drop_to_level` placement assert
 //!    and a step placed below its depth are findings here first (a
@@ -18,7 +19,7 @@
 //!    hands its consumers exactly Δ, so the runtime's
 //!    `assert_scales_match` cannot fire on a plan whose levels check.
 //! 2. **Evaluation-key coverage** — every key a unit applies
-//!    ([`ExecPlan::for_each_key_use`]: BSGS baby + giant + fold steps per
+//!    ([`Compiled::for_each_key_use`]: BSGS baby + giant + fold steps per
 //!    linear layer, the relinearization key of every activation unit that multiplies
 //!    ciphertexts) is checked against the key manifest: a key must exist
 //!    *and* have been generated at or above the level the unit applies it
@@ -35,14 +36,15 @@
 //! 4. **Well-formedness and memory** — checks what a walk reads, and
 //!    certifies the peak live limbs of a walk in plan order
 //!    ([`VerifyReport::peak_limbs`]): each ciphertext counts from its
-//!    write to its last reader ([`ExecPlan::last_reads`]), where the walk
+//!    write to its last reader ([`Compiled::last_reads`]), where the walk
 //!    releases it, so a run measures exactly this number. The plan stores
 //!    no edges and no unit census to check: a unit reading a slot that no
 //!    earlier unit wrote, a slot written twice and a unit naming what the
 //!    program does not have are [`Rule::Coverage`] findings of the sweep —
 //!    so a dropped or duplicated unit or bootstrap is found where the walk
 //!    would fail. How many units `ExecPlan::build` emits per node is the
-//!    constructor's property, held by the `sched_plan` proptest.
+//!    constructor's property, held by the `sched_plan` proptest; a test
+//!    that seeds a defect mutates the plan of a clone of the program.
 //!
 //! The sweep mirrors the walk ([`crate::sched::run_plan`], ciphertexts in,
 //! ciphertexts out): the input buffer starts out holding fresh exact-Δ
@@ -52,8 +54,8 @@
 //! The verifier runs by default at `Orion::compile` and `prepare_fhe` (the
 //! facade's `orion::core`) and at orion-serve model registration
 //! (unverifiable models are rejected with a typed `ServeError`). There is
-//! no plan rewrite to re-verify: the plan it certifies is the plan a walk
-//! runs.
+//! no plan rewrite to re-verify and no second plan to pair with the
+//! program: the plan it certifies is the plan a walk runs.
 //!
 //! # Adding a pass
 //!
@@ -62,13 +64,13 @@
 //! about what the plan's constructor emits belongs in its proptest
 //! (`sched_plan`), not here. The walk's feasibility check, reads
 //! and write are generic over the unit's signature — a rule about levels
-//! belongs in `Step::sig` / `ExecPlan::unit_io`, where the walk sees it
+//! belongs in `Step::sig` / `Compiled::unit_io`, where the walk sees it
 //! too; `walk_unit` keeps per step kind only the rule an infeasible
 //! placement breaks and the noise transfer. Keep the walk allocation-free
 //! per unit — serve registration verifies every model it admits.
 
 use crate::compile::{Compiled, Step};
-use crate::sched::{ct_limbs, ExecPlan, KeyUse, UnitWork};
+use crate::sched::{ct_limbs, KeyUse, UnitWork};
 use orion_ckks::{Context, KeyManifest, NoiseEstimator};
 use std::fmt;
 
@@ -384,16 +386,10 @@ impl VerifyReport {
     }
 }
 
-/// Verifies a compiled program by building (and checking) its execution
-/// plan.
+/// Verifies a compiled program: certifies the plan it carries
+/// ([`Compiled::plan`]) against its step list and placement.
 pub fn verify_compiled(c: &Compiled, cfg: &VerifyConfig<'_>) -> VerifyReport {
-    let plan = ExecPlan::build(c);
-    verify_plan(&plan, c, cfg)
-}
-
-/// Verifies an execution plan against its program.
-pub fn verify_plan(plan: &ExecPlan, c: &Compiled, cfg: &VerifyConfig<'_>) -> VerifyReport {
-    let mut checker = Checker::new(plan, c, cfg);
+    let mut checker = Checker::new(c, cfg);
     checker.walk();
     checker.finish()
 }
@@ -408,7 +404,6 @@ struct SlotState {
 }
 
 struct Checker<'a> {
-    plan: &'a ExecPlan,
     c: &'a Compiled,
     /// The keys that exist, rotation steps reduced modulo the slot count.
     avail: KeyManifest,
@@ -428,7 +423,7 @@ fn clamp_mag(m: f64) -> f64 {
 }
 
 impl<'a> Checker<'a> {
-    fn new(plan: &'a ExecPlan, c: &'a Compiled, cfg: &VerifyConfig<'a>) -> Self {
+    fn new(c: &'a Compiled, cfg: &VerifyConfig<'a>) -> Self {
         let slots = c.opts.slots as isize;
         let avail = match cfg.available_rotations {
             Some(given) => {
@@ -464,13 +459,12 @@ impl<'a> Checker<'a> {
             }
         }
         Self {
-            plan,
             c,
             avail,
             est,
             floor: cfg.noise_floor_bits,
-            st: vec![None; plan.value_slots()],
-            noise: vec![None; plan.value_slots()],
+            st: vec![None; c.plan.value_slots()],
+            noise: vec![None; c.plan.value_slots()],
             diags,
             min_prec: None,
             rotations_checked: 0,
@@ -606,7 +600,7 @@ impl<'a> Checker<'a> {
     }
 
     fn walk(&mut self) {
-        let (plan, c) = (self.plan, self.c);
+        let (c, plan) = (self.c, &self.c.plan);
         // What the caller hands the walk: fresh ciphertexts at `L_eff`.
         let fresh = SlotState {
             level: c.opts.l_eff,
@@ -629,18 +623,18 @@ impl<'a> Checker<'a> {
     }
 
     /// One unit of the dataflow walk: feasibility, reads and the write are
-    /// the unit's signature ([`ExecPlan::unit_io`]) interpreted generically;
+    /// the unit's signature ([`Compiled::unit_io`]) interpreted generically;
     /// what stays per kind is the rule an infeasible placement breaks and
     /// the noise transfer.
     fn walk_unit(&mut self, uid: usize) {
-        let (plan, c) = (self.plan, self.c);
-        let unit = &plan.units[uid];
+        let c = self.c;
+        let unit = &c.plan.units[uid];
         let at = match unit.work {
             UnitWork::Step { node } => Provenance::unit(uid).at_node(node),
             UnitWork::StepCt { node, ct } => Provenance::unit(uid).at_node(node).at_ct(ct),
             UnitWork::Boot { wire, ct, .. } => Provenance::unit(uid).at_node(wire).at_ct(ct),
         };
-        let io = match plan.unit_io(c, uid) {
+        let io = match c.unit_io(uid) {
             Ok(io) => io,
             Err(why) => {
                 self.error(Rule::Coverage, at, why.to_string());
@@ -704,7 +698,7 @@ impl<'a> Checker<'a> {
             }
         }
 
-        plan.for_each_key_use(c, uid, &io, |key, lv| match key {
+        c.for_each_key_use(uid, &io, |key, lv| match key {
             KeyUse::Rotation(k) => self.check_rotation(k, lv, at),
             KeyUse::Relin => self.check_relin(lv, at),
         });
@@ -781,7 +775,7 @@ impl<'a> Checker<'a> {
     /// The most limb vectors a walk in plan order holds at once — what
     /// [`crate::sched::run_plan`] measures
     /// ([`PlanRun::peak_live_limbs`](crate::sched::PlanRun::peak_live_limbs)),
-    /// because both release a value slot where [`ExecPlan::last_reads`]
+    /// because both release a value slot where [`Compiled::last_reads`]
     /// says. A ciphertext weighs `2·(level + 1)` at the level it is
     /// written at, from its write — the input wire's before the first
     /// unit — until its last reader has run; one nothing reads only at the
@@ -790,8 +784,8 @@ impl<'a> Checker<'a> {
     /// the slot states this checker's walk wrote; `last_reads` is the one
     /// extra pass over the units.
     fn peak_live_limbs(&self) -> u64 {
-        let (plan, c) = (self.plan, self.c);
-        let last = plan.last_reads(c);
+        let (c, plan) = (self.c, &self.c.plan);
+        let last = c.last_reads();
         let held = |s: usize| plan.output.slots().contains(&s);
         let limbs = |s: usize| {
             let state = self.st[s].expect("a clean plan writes every slot");
@@ -830,7 +824,7 @@ impl<'a> Checker<'a> {
         // trusts every unit's signature).
         let peak_limbs = (!errors).then(|| self.peak_live_limbs());
         VerifyReport {
-            units: self.plan.units.len(),
+            units: self.c.plan.units.len(),
             peak_limbs,
             diagnostics: self.diags,
             min_precision_bits: self.min_prec,

@@ -12,7 +12,7 @@ use orion_nn::compile::{compile, CompileOptions, Compiled, Step};
 use orion_nn::fhe_exec::FheSession;
 use orion_nn::fit::{fit, fixed_ranges};
 use orion_nn::network::Network;
-use orion_nn::sched::{run_plan, ExecPlan, PlanRun};
+use orion_nn::sched::{run_plan, PlanRun, UnitWork};
 use orion_nn::sim::{CostModel, OpCounter, OpKind};
 use orion_tensor::Tensor;
 use rand::rngs::StdRng;
@@ -103,10 +103,10 @@ fn mlp_agrees_across_all_three_backends() {
         trace_run.counter.bootstraps(),
         compiled.placement.boot_count
     );
-    assert_eq!(
-        trace_run.counter.bootstraps(),
-        ExecPlan::build(&compiled).bootstraps()
-    );
+    let plan_boots = (compiled.plan.units.iter())
+        .filter(|u| matches!(u.work, UnitWork::Boot { .. }))
+        .count();
+    assert_eq!(trace_run.counter.bootstraps(), plan_boots as u64);
 }
 
 /// A convolutional network with a SiLU activation through the two
@@ -268,11 +268,10 @@ fn fork_is_bit_identical_on_both_ckks_engines(
     assert_eq!(bootstraps, deep, "{what}: bootstraps");
     let session = FheSession::new(params, &compiled, 41);
     let input = random_input(4, 8, 8, &mut StdRng::seed_from_u64(0x0971c));
-    let plan = ExecPlan::build(&compiled);
     let cts = session.encrypt_input(&compiled, &input);
-    let fly = run_plan(&plan, &compiled, &CkksBackend::new(&session), cts.clone());
+    let fly = run_plan(&compiled, &CkksBackend::new(&session), cts.clone());
     let prepared = CkksBackend::with_prepared(&session, session.prepare(&compiled));
-    let prep = run_plan(&plan, &compiled, &prepared, cts);
+    let prep = run_plan(&compiled, &prepared, cts);
     let packed = run_program(&compiled, &ClearBackend::packed(&compiled), &input);
 
     assert_wires_bit_identical(&fly, &prep, what);

@@ -13,7 +13,7 @@ use orion_nn::compile::{compile, CompileOptions, Step};
 use orion_nn::fhe_exec::FheSession;
 use orion_nn::fit::{fit, fixed_ranges};
 use orion_nn::network::Network;
-use orion_nn::sched::{count_plan, ExecPlan};
+use orion_nn::sched::count_plan;
 use orion_nn::sim::counter::OpKind;
 use orion_nn::sim::CostModel;
 use orion_tensor::Tensor;
@@ -67,7 +67,7 @@ fn conv_layers_hoist_every_rotation() {
 
     // The plan's tally agrees — zero full rotations, exactly the planned
     // number of digit decompositions.
-    let ctr = count_plan(&ExecPlan::build(&c), &c, &ClearBackend::reference(&c));
+    let ctr = count_plan(&c, &ClearBackend::reference(&c));
     assert_eq!(ctr.count(OpKind::HRot), 0, "full rotations slipped through");
     assert_eq!(ctr.count(OpKind::Hoist), want_hoists);
     assert!(

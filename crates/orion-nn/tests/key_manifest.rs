@@ -12,9 +12,9 @@ use orion_nn::compile::{compile, CompileOptions, Compiled, Step};
 use orion_nn::fhe_exec::FheSession;
 use orion_nn::fit::fixed_ranges;
 use orion_nn::network::Network;
-use orion_nn::sched::{ExecPlan, UnitWork};
+use orion_nn::sched::UnitWork;
 use orion_nn::sim::OpKind;
-use orion_nn::verify::{verify_plan, VerifyConfig};
+use orion_nn::verify::{verify_compiled, VerifyConfig};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::collections::BTreeMap;
@@ -74,14 +74,14 @@ fn compile_under(net: &Network, params: &CkksParams) -> Compiled {
 }
 
 /// The manifest, restated from the per-unit record alone: every rotation a
-/// linear layer or a shared hoist performs at the level it reads its input
+/// linear layer performs at the level it reads its input
 /// at; the relinearization key at the entry level of every activation unit
 /// that multiplies ciphertexts — returned beside the manifest, which lists
 /// that one key no lower than its top rotation level.
-fn fold_unit_io(plan: &ExecPlan, c: &Compiled) -> (KeyManifest, usize) {
+fn fold_unit_io(c: &Compiled) -> (KeyManifest, usize) {
     let mut manifest = KeyManifest::default();
-    for (uid, unit) in plan.units.iter().enumerate() {
-        let io = plan.unit_io(c, uid).expect("well-formed plan");
+    for (uid, unit) in c.plan.units.iter().enumerate() {
+        let io = c.unit_io(uid).expect("well-formed plan");
         let read = io.reads[0].and_then(|(_, level)| level);
         match unit.work {
             UnitWork::Step { node } => {
@@ -123,10 +123,9 @@ fn check(net: &Network, params: CkksParams) -> (BTreeMap<usize, usize>, usize, u
     let manifest = c.key_manifest();
 
     // The manifest is read off the plan that is served.
-    let plan = ExecPlan::build(&c);
-    let (restated, product_level) = fold_unit_io(&plan, &c);
+    let (restated, product_level) = fold_unit_io(&c);
     assert_eq!(manifest, restated, "the served plan, restated");
-    assert!(verify_plan(&plan, &c, &VerifyConfig::default()).is_clean());
+    assert!(verify_compiled(&c, &VerifyConfig::default()).is_clean());
 
     // Its key set is `rotation_steps`, and no level exceeds `L_eff`.
     let steps: Vec<isize> = manifest.rotations.keys().copied().collect();

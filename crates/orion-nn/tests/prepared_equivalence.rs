@@ -13,7 +13,7 @@ use orion_nn::compile::{compile, CompileOptions, Step};
 use orion_nn::fhe_exec::{run_fhe_prepared_cts, FheSession};
 use orion_nn::fit::fixed_ranges;
 use orion_nn::network::Network;
-use orion_nn::sched::{run_plan, ExecPlan};
+use orion_nn::sched::run_plan;
 use orion_tensor::Tensor;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -143,12 +143,10 @@ fn prepared_poly_net_is_bit_identical_and_encodes_only_weights() {
     for (a, b) in cts.iter().zip(unprepared.encrypt_input(&compiled, &input)) {
         assert_eq!((&a.c0, &a.c1), (&b.c0, &b.c1), "prepare advanced the RNG");
     }
-
-    let plan = ExecPlan::build(&compiled);
     let cold = CkksBackend::new(&session);
-    let cold = run_plan(&plan, &compiled, &cold, cts.clone());
+    let cold = run_plan(&compiled, &cold, cts.clone());
     let warm = CkksBackend::with_prepared(&session, prepared.clone());
-    let warm = run_plan(&plan, &compiled, &warm, cts);
+    let warm = run_plan(&compiled, &warm, cts);
     assert_eq!(
         cold.counter.encodes, weight_encodes,
         "weights and biases only"

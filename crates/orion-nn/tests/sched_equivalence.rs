@@ -16,9 +16,9 @@ use orion_nn::compile::{compile, CompileOptions, Compiled};
 use orion_nn::fhe_exec::FheSession;
 use orion_nn::fit::fixed_ranges;
 use orion_nn::network::Network;
-use orion_nn::sched::{run_plan, ExecPlan, PlanRun};
+use orion_nn::sched::{run_plan, PlanRun, UnitWork};
 use orion_nn::sim::{CostModel, OpCounter};
-use orion_nn::verify::{verify_plan, VerifyConfig};
+use orion_nn::verify::{verify_compiled, VerifyConfig};
 use orion_tensor::Tensor;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -59,8 +59,8 @@ fn assert_counters_bit_identical(a: &OpCounter, b: &OpCounter, what: &str) {
 
 /// The walk's measured peak live limbs are the verifier's certificate of
 /// its plan — equal, not merely bounded.
-fn assert_peak_certified<Ct>(run: &PlanRun<Ct>, plan: &ExecPlan, c: &Compiled, what: &str) {
-    let certified = verify_plan(plan, c, &VerifyConfig::default()).peak_limbs;
+fn assert_peak_certified<Ct>(run: &PlanRun<Ct>, c: &Compiled, what: &str) {
+    let certified = verify_compiled(c, &VerifyConfig::default()).peak_limbs;
     assert_eq!(
         Some(run.peak_live_limbs),
         certified,
@@ -68,10 +68,9 @@ fn assert_peak_certified<Ct>(run: &PlanRun<Ct>, plan: &ExecPlan, c: &Compiled, w
     );
 }
 
-/// Walks `plan` over `cts` on `backend` alone, then twice at once on two
-/// threads; returns the lone walk and the two parallel ones.
+/// Walks `c`'s plan over `cts` on `backend` alone, then twice at once on
+/// two threads; returns the lone walk and the two parallel ones.
 fn walk_alone_and_in_parallel<B>(
-    plan: &ExecPlan,
     c: &Compiled,
     backend: &B,
     cts: &[B::Ciphertext],
@@ -79,7 +78,7 @@ fn walk_alone_and_in_parallel<B>(
 where
     B: orion_nn::EvalBackend + Sync,
 {
-    let walk = || run_plan(plan, c, backend, cts.to_vec());
+    let walk = || run_plan(c, backend, cts.to_vec());
     let alone = walk();
     let (a, b) = rayon::join(walk, walk);
     (alone, [a, b])
@@ -91,11 +90,10 @@ fn check_walks<B>(c: &Compiled, backend: &B, cts: &[B::Ciphertext], what: &str) 
 where
     B: orion_nn::EvalBackend + Sync,
 {
-    let plan = ExecPlan::build(c);
-    let (seq_run, par_runs) = walk_alone_and_in_parallel(&plan, c, backend, cts);
-    assert_peak_certified(&seq_run, &plan, c, what);
+    let (seq_run, par_runs) = walk_alone_and_in_parallel(c, backend, cts);
+    assert_peak_certified(&seq_run, c, what);
     for par_run in &par_runs {
-        assert_peak_certified(par_run, &plan, c, what);
+        assert_peak_certified(par_run, c, what);
         assert_eq!(
             decrypt_output(c, backend, &seq_run.output_wire).data(),
             decrypt_output(c, backend, &par_run.output_wire).data(),
@@ -104,7 +102,9 @@ where
         assert_counters_bit_identical(&seq_run.counter, &par_run.counter, what);
     }
     let boots = seq_run.counter.bootstraps();
-    assert_eq!(boots, plan.bootstraps(), "{what}: bootstraps");
+    let is_boot = |u: &&orion_nn::sched::Unit| matches!(u.work, UnitWork::Boot { .. });
+    let plan_boots = c.plan.units.iter().filter(is_boot).count() as u64;
+    assert_eq!(boots, plan_boots, "{what}: bootstraps");
     boots
 }
 
@@ -208,10 +208,8 @@ fn ckks_prepared_conv_parallel_matches_sequential() {
     let prepared = session.prepare(&compiled);
     let input = random_input(2, 8, 8, &mut rng);
     let cts = session.encrypt_input(&compiled, &input);
-
-    let plan = ExecPlan::build(&compiled);
     let backend = CkksBackend::with_prepared(&session, prepared);
-    let (seq_run, par_runs) = walk_alone_and_in_parallel(&plan, &compiled, &backend, &cts);
+    let (seq_run, par_runs) = walk_alone_and_in_parallel(&compiled, &backend, &cts);
     for par_run in &par_runs {
         assert_eq!(
             session
@@ -249,7 +247,6 @@ fn one_engine_value_serves_concurrent_walks() {
     let compiled = compile(&net, &fixed_ranges(&net, 2.0), &opts);
     let session = FheSession::new(params, &compiled, 23);
     let prepared = session.prepare(&compiled);
-    let plan = ExecPlan::build(&compiled);
     let requests: Vec<_> = (0..3)
         .map(|_| session.encrypt_input(&compiled, &random_input(1, 8, 8, &mut rng)))
         .collect();
@@ -257,11 +254,11 @@ fn one_engine_value_serves_concurrent_walks() {
     let shared = CkksBackend::with_prepared(&session, prepared.clone());
     let together: Vec<_> = requests
         .par_iter()
-        .map(|cts| run_plan(&plan, &compiled, &shared, cts.clone()))
+        .map(|cts| run_plan(&compiled, &shared, cts.clone()))
         .collect();
     for (cts, got) in requests.iter().zip(&together) {
         let own = CkksBackend::with_prepared(&session, prepared.clone());
-        let alone = run_plan(&plan, &compiled, &own, cts.clone());
+        let alone = run_plan(&compiled, &own, cts.clone());
         assert_wires_bit_identical(&alone.output_wire, &got.output_wire);
         assert_counters_bit_identical(&alone.counter, &got.counter, "concurrent walk");
     }
@@ -279,7 +276,6 @@ fn ckks_peak_is_certified(net: &Network, params: CkksParams, what: &str) {
         &CompileOptions::from_params(&params),
     );
     let session = FheSession::new(params, &c, 0x9ea4);
-    let plan = ExecPlan::build(&c);
     let shape = c.input_layout;
     let input = random_input(
         shape.c,
@@ -288,8 +284,8 @@ fn ckks_peak_is_certified(net: &Network, params: CkksParams, what: &str) {
         &mut StdRng::seed_from_u64(0x9ea5),
     );
     let cts = session.encrypt_input(&c, &input);
-    let run = run_plan(&plan, &c, &CkksBackend::new(&session), cts);
-    assert_peak_certified(&run, &plan, &c, what);
+    let run = run_plan(&c, &CkksBackend::new(&session), cts);
+    assert_peak_certified(&run, &c, what);
 }
 
 /// The real engine moves each slot's last read and frees it after: the
@@ -349,21 +345,20 @@ fn a_unit_reading_one_slot_twice_borrows_then_moves() {
         &fixed_ranges(&net, 4.0),
         &CompileOptions::from_params(&params),
     );
-    let plan = ExecPlan::build(&c);
     let input = random_input(2, 8, 8, &mut rng);
 
     let clear = ClearBackend::reference(&c);
-    let run = run_plan(&plan, &c, &clear, encrypt_input(&c, &clear, &input));
+    let run = run_plan(&c, &clear, encrypt_input(&c, &clear, &input));
     let bits = |t: &Tensor| t.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
     assert_eq!(
         bits(&decrypt_output(&c, &clear, &run.output_wire)),
         bits(&net.forward_poly(&input, &c.acts)),
         "x + x on the cleartext engine"
     );
-    assert_peak_certified(&run, &plan, &c, "clear dbl");
+    assert_peak_certified(&run, &c, "clear dbl");
 
     let session = FheSession::new(params, &c, 0xdb1);
     let cts = session.encrypt_input(&c, &input);
-    let run = run_plan(&plan, &c, &CkksBackend::new(&session), cts);
-    assert_peak_certified(&run, &plan, &c, "ckks dbl");
+    let run = run_plan(&c, &CkksBackend::new(&session), cts);
+    assert_peak_certified(&run, &c, "ckks dbl");
 }

@@ -1,7 +1,7 @@
 //! Property tests for the dataflow plan builder: every `ExecPlan`
 //! generated from a random compiled network must be a valid topological
 //! order of the step DAG — every slot is written before it is read, so the
-//! producers `ExecPlan::deps` derives from the reads precede them, every
+//! producers `Compiled::deps` derives from the reads precede them, every
 //! program step is covered by exactly the right units, bootstrap units
 //! match the placement, every linear layer hoists its own rotations — also
 //! where two layers read one wire — and a walk on the trace engine holds
@@ -19,9 +19,9 @@ use orion_nn::compile::{compile, CompileOptions, Step};
 use orion_nn::fhe_exec::FheSession;
 use orion_nn::fit::fixed_ranges;
 use orion_nn::network::Network;
-use orion_nn::sched::{run_plan, ExecPlan, UnitWork};
+use orion_nn::sched::{run_plan, UnitWork};
 use orion_nn::sim::{CostModel, OpKind};
-use orion_nn::verify::{verify_plan, VerifyConfig};
+use orion_nn::verify::{verify_compiled, VerifyConfig};
 use orion_tensor::Tensor;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -65,15 +65,15 @@ fn random_net(seed: u64, blocks: usize, act_kind: usize, residual: bool, fork: b
     net
 }
 
-fn validate_plan(plan: &ExecPlan, c: &orion_nn::Compiled) {
-    let deps = plan.deps(c);
+fn validate_plan(c: &orion_nn::Compiled) {
+    let (plan, deps) = (&c.plan, c.deps());
     // 1. topological: every slot a unit reads is the input wire's or
     //    written by an earlier unit, and every producer derived from the
     //    reads strictly precedes its reader
     let mut written = vec![false; plan.value_slots()];
     written[plan.input.slots()].fill(true);
     for (uid, unit) in plan.units.iter().enumerate() {
-        let io = plan.unit_io(c, uid).expect("well-formed unit");
+        let io = c.unit_io(uid).expect("well-formed unit");
         for (buf, _) in io.reads.iter().flatten() {
             assert!(
                 written[buf.slots()].iter().all(|&w| w),
@@ -132,7 +132,6 @@ fn validate_plan(plan: &ExecPlan, c: &orion_nn::Compiled) {
         .filter(|u| matches!(u.work, UnitWork::Boot { .. }))
         .count() as u64;
     assert_eq!(boot_units, want, "bootstrap units vs placement");
-    assert_eq!(plan.bootstraps(), want);
     // 4. every boot unit has exactly one producer (the version below it) —
     //    none when it refreshes the input wire, which no unit produces
     for (uid, unit) in plan.units.iter().enumerate() {
@@ -144,7 +143,7 @@ fn validate_plan(plan: &ExecPlan, c: &orion_nn::Compiled) {
     // 5. units are released by the units producing what they read: a unit
     //    has no producer iff everything it reads is the input wire
     for (uid, deps) in deps.iter().enumerate() {
-        let io = plan.unit_io(c, uid).expect("well-formed unit");
+        let io = c.unit_io(uid).expect("well-formed unit");
         let reads_only_input =
             (io.reads.iter().flatten()).all(|(buf, _)| plan.input.slots().contains(&buf.offset));
         assert_eq!(deps.is_empty(), reads_only_input, "unit {uid}");
@@ -153,7 +152,7 @@ fn validate_plan(plan: &ExecPlan, c: &orion_nn::Compiled) {
     //    and each linear layer pays its own digit decompositions — two
     //    layers reading one wire hoist it twice
     for (uid, unit) in plan.units.iter().enumerate() {
-        let io = plan.unit_io(c, uid).expect("well-formed unit");
+        let io = c.unit_io(uid).expect("well-formed unit");
         match unit.work {
             UnitWork::Step { node } => {
                 let (Step::Conv { plan: layer, .. } | Step::Dense { plan: layer, .. }) =
@@ -190,8 +189,7 @@ proptest! {
             cost: CostModel::for_degree(1 << 9, 4),
         };
         let c = compile(&net, &fixed_ranges(&net, 4.0), &opts);
-        let plan = ExecPlan::build(&c);
-        validate_plan(&plan, &c);
+        validate_plan(&c);
 
         let mut rng = StdRng::seed_from_u64(seed ^ 0xdead);
         let shape = c.input_layout;
@@ -202,10 +200,13 @@ proptest! {
         );
         let backend = ClearBackend::reference(&c);
         let cts = encrypt_input(&c, &backend, &input);
-        let run = run_plan(&plan, &c, &backend, cts);
-        let certified = verify_plan(&plan, &c, &VerifyConfig::default()).peak_limbs;
+        let run = run_plan(&c, &backend, cts);
+        let certified = verify_compiled(&c, &VerifyConfig::default()).peak_limbs;
         prop_assert_eq!(Some(run.peak_live_limbs), certified, "measured vs certified peak");
-        prop_assert_eq!(run.counter.bootstraps(), plan.bootstraps());
+        let boot_units = (c.plan.units.iter())
+            .filter(|u| matches!(u.work, UnitWork::Boot { .. }))
+            .count();
+        prop_assert_eq!(run.counter.bootstraps(), boot_units as u64);
     }
 }
 
@@ -270,7 +271,6 @@ fn prefetch_is_announced_by_a_layers_first_dependency_on_a_wide_pool_only() {
     );
     let session = FheSession::new(params, &c, 5);
     let prepared = session.prepare(&c);
-    let plan = ExecPlan::build(&c);
     let input = Tensor::from_vec(&[1, 8, 8], (0..64).map(|i| i as f64 / 64.0 - 0.5).collect());
     let cts = session.encrypt_input(&c, &input);
     let dir = std::env::temp_dir().join(format!("orion_sched_prefetch_{}", std::process::id()));
@@ -288,7 +288,7 @@ fn prefetch_is_announced_by_a_layers_first_dependency_on_a_wide_pool_only() {
         gate: announced_layer,
     });
     let backend = CkksBackend::with_source(&session, source.clone());
-    run_plan(&plan, &c, &backend, cts);
+    run_plan(&c, &backend, cts);
 
     // (layers announced, announcements, loads by prefetch, the fetches
     // those served, blocking faults) of the two layers fc1, fc2

@@ -18,9 +18,9 @@ use orion_nn::backends::ClearBackend;
 use orion_nn::compile::{compile, CompileOptions, Compiled};
 use orion_nn::fit::fixed_ranges;
 use orion_nn::network::Network;
-use orion_nn::sched::{run_plan, ExecPlan};
+use orion_nn::sched::run_plan;
 use orion_nn::sim::CostModel;
-use orion_nn::verify::{verify_plan, VerifyConfig};
+use orion_nn::verify::{verify_compiled, VerifyConfig};
 use orion_telemetry::Phase;
 use orion_tensor::Tensor;
 use rand::rngs::StdRng;
@@ -69,7 +69,7 @@ fn fork_workload() -> (Compiled, Tensor) {
 /// Encrypts `input` on `backend` and walks `compiled`'s plan.
 fn walk<B: EvalBackend + Sync>(compiled: &Compiled, backend: &B, input: &Tensor) {
     let cts = encrypt_input(compiled, backend, input);
-    run_plan(&ExecPlan::build(compiled), compiled, backend, cts);
+    run_plan(compiled, backend, cts);
 }
 
 /// Two walks of `input` on one engine value, at once on two threads.
@@ -262,11 +262,7 @@ fn run_report_is_internally_consistent() {
         report.busy_ns,
         report.wall_ns
     );
-    let certified = verify_plan(
-        &ExecPlan::build(&compiled),
-        &compiled,
-        &VerifyConfig::default(),
-    );
+    let certified = verify_compiled(&compiled, &VerifyConfig::default());
     assert_eq!(Some(report.peak_live_limbs), certified.peak_limbs);
     for u in &report.top {
         assert!(u.unit < report.units);

@@ -7,9 +7,9 @@ use orion_ckks::{CkksParams, Context, KeyManifest};
 use orion_nn::compile::{compile, CompileOptions, Step};
 use orion_nn::fit::fixed_ranges;
 use orion_nn::network::Network;
-use orion_nn::sched::{ExecPlan, UnitWork};
+use orion_nn::sched::UnitWork;
 use orion_nn::sim::CostModel;
-use orion_nn::verify::{verify_compiled, verify_plan, Rule, Severity, VerifyConfig};
+use orion_nn::verify::{verify_compiled, Rule, Severity, VerifyConfig};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -102,7 +102,7 @@ fn missing_rotation_key_is_flagged_at_the_linear_node() {
 fn a_key_one_level_too_low_is_flagged_at_the_unit_that_applies_it() {
     let net = conv_net(3, 1, 0, false); // conv → square
     let c = compile(&net, &fixed_ranges(&net, 4.0), &small_opts());
-    let plan = ExecPlan::build(&c);
+    let plan = &c.plan;
     let conv = node_of(&c, |s| matches!(s, Step::Conv { .. }));
     let square = node_of(&c, |s| matches!(s, Step::Square));
     let unit_of = |node: usize| {
@@ -115,8 +115,7 @@ fn a_key_one_level_too_low_is_flagged_at_the_unit_that_applies_it() {
     };
     let generated = c.key_manifest();
     let with = |manifest: &_| {
-        verify_plan(
-            &plan,
+        verify_compiled(
             &c,
             &VerifyConfig {
                 available_rotations: Some(manifest),
@@ -174,8 +173,7 @@ fn square_placed_below_its_depth_is_a_level_underflow_at_the_square_node() {
     // A square consumes two levels; placement at level 1 would hit the
     // executor's `lv >= 2` assert mid-inference.
     c.placement.levels[square] = Some(1);
-    let plan = ExecPlan::build(&c);
-    let report = verify_plan(&plan, &c, &VerifyConfig::default());
+    let report = verify_compiled(&c, &VerifyConfig::default());
     let hit = report
         .diagnostics
         .iter()
@@ -238,7 +236,7 @@ fn every_step_kind_below_its_depth_draws_its_feasibility_rule() {
                 assert!(!exact || consumed == depth, "{step:?} at {lv}");
             }
             c.placement.levels[id] = Some(lv);
-            let report = verify_plan(&ExecPlan::build(&c), &c, &VerifyConfig::default());
+            let report = verify_compiled(&c, &VerifyConfig::default());
             let found = report
                 .diagnostics
                 .iter()
@@ -272,8 +270,7 @@ fn unreachable_noise_floor_draws_a_warning_not_an_error() {
     let ctx = Context::new(params);
     // A 1000-bit floor is unsatisfiable by construction: every checkpoint
     // (bootstrap input / output wire) must breach it.
-    let report = verify_plan(
-        &ExecPlan::build(&c),
+    let report = verify_compiled(
         &c,
         &VerifyConfig {
             ctx: Some(&ctx),
@@ -297,7 +294,7 @@ fn unreachable_noise_floor_draws_a_warning_not_an_error() {
     );
     assert!(!report.has_errors(), "warnings alone are not errors");
     // The same program under the default (2-bit) floor is quiet.
-    let relaxed = verify_plan(&ExecPlan::build(&c), &c, &VerifyConfig::with_ctx(&ctx));
+    let relaxed = verify_compiled(&c, &VerifyConfig::with_ctx(&ctx));
     assert!(
         relaxed
             .diagnostics
@@ -310,6 +307,7 @@ fn unreachable_noise_floor_draws_a_warning_not_an_error() {
 // ---------------------------------------------------------------------
 // Seeded defect 6: a unit moved ahead of the unit producing what it reads.
 // The plan stores no edges; the read of an unwritten slot is the finding.
+// Every seeded plan defect is made in a clone of the compiled program.
 // ---------------------------------------------------------------------
 
 #[test]
@@ -317,12 +315,12 @@ fn a_read_before_its_producer_runs_is_a_coverage_error_at_the_reader() {
     let net = conv_net(3, 1, 0, false); // conv → square
     let c = compile(&net, &fixed_ranges(&net, 4.0), &small_opts());
     let square = node_of(&c, |s| matches!(s, Step::Square));
-    let mut plan = ExecPlan::build(&c);
-    assert!(verify_plan(&plan, &c, &VerifyConfig::default()).is_clean());
+    assert!(verify_compiled(&c, &VerifyConfig::default()).is_clean());
     // unit 0 is the conv, unit 1 the square's first ciphertext
-    assert!(matches!(plan.units[0].work, UnitWork::Step { .. }));
-    plan.units.swap(0, 1);
-    let report = verify_plan(&plan, &c, &VerifyConfig::default());
+    let mut swapped = c.clone();
+    assert!(matches!(swapped.plan.units[0].work, UnitWork::Step { .. }));
+    swapped.plan.units.swap(0, 1);
+    let report = verify_compiled(&swapped, &VerifyConfig::default());
     assert_eq!(report.error_count(), 1, "{}", report.table());
     let hit = &report.diagnostics[0];
     assert_eq!(hit.rule, Rule::Coverage);
@@ -340,12 +338,10 @@ fn a_read_before_its_producer_runs_is_a_coverage_error_at_the_reader() {
 // wrote, a slot written twice, a unit `unit_io` cannot describe.
 // ---------------------------------------------------------------------
 
-/// The one error-severity diagnostic of `plan`, as (rule, unit, node, ct).
-fn one_error(
-    plan: &ExecPlan,
-    c: &orion_nn::Compiled,
-) -> (Rule, Option<usize>, Option<usize>, Option<usize>) {
-    let report = verify_plan(plan, c, &VerifyConfig::default());
+/// The one error-severity diagnostic of `c`'s plan, as (rule, unit, node,
+/// ct).
+fn one_error(c: &orion_nn::Compiled) -> (Rule, Option<usize>, Option<usize>, Option<usize>) {
+    let report = verify_compiled(c, &VerifyConfig::default());
     assert_eq!(report.error_count(), 1, "{}", report.table());
     let hit = &report.diagnostics[0];
     assert_eq!(hit.severity, Severity::Error);
@@ -353,10 +349,10 @@ fn one_error(
 }
 
 /// The units whose signature reads `slot`.
-fn readers(plan: &ExecPlan, c: &orion_nn::Compiled, slot: usize) -> Vec<usize> {
-    (0..plan.units.len())
+fn readers(c: &orion_nn::Compiled, slot: usize) -> Vec<usize> {
+    (0..c.plan.units.len())
         .filter(|&uid| {
-            let io = plan.unit_io(c, uid).expect("well-formed unit");
+            let io = c.unit_io(uid).expect("well-formed unit");
             io.reads
                 .iter()
                 .flatten()
@@ -369,15 +365,15 @@ fn readers(plan: &ExecPlan, c: &orion_nn::Compiled, slot: usize) -> Vec<usize> {
 fn a_dropped_or_duplicated_elementwise_unit_is_a_coverage_error() {
     let net = conv_net(3, 2, 0, false); // conv → square → conv → square
     let c = compile(&net, &fixed_ranges(&net, 4.0), &small_opts());
-    let plan = ExecPlan::build(&c);
-    assert!(verify_plan(&plan, &c, &VerifyConfig::default()).is_clean());
+    let plan = &c.plan;
+    assert!(verify_compiled(&c, &VerifyConfig::default()).is_clean());
     let square = node_of(&c, |s| matches!(s, Step::Square));
     let sq = plan
         .units
         .iter()
         .position(|u| matches!(u.work, UnitWork::StepCt { node, .. } if node == square))
         .expect("the first square's unit");
-    let readers = readers(&plan, &c, plan.units[sq].out_slot);
+    let readers = readers(&c, plan.units[sq].out_slot);
     assert_eq!(readers.len(), 1, "the second conv reads the square");
     let reader = readers[0];
     let UnitWork::Step { node: conv } = plan.units[reader].work else {
@@ -385,18 +381,18 @@ fn a_dropped_or_duplicated_elementwise_unit_is_a_coverage_error() {
     };
 
     // dropped: its reader reads a slot nothing wrote (and moves up one)
-    let mut dropped = plan.clone();
-    dropped.units.remove(sq);
+    let mut dropped = c.clone();
+    dropped.plan.units.remove(sq);
     assert_eq!(
-        one_error(&dropped, &c),
+        one_error(&dropped),
         (Rule::Coverage, Some(reader - 1), Some(conv), None)
     );
 
     // duplicated: the copy writes the slot a second time
-    let mut doubled = plan.clone();
-    doubled.units.insert(sq + 1, plan.units[sq].clone());
+    let mut doubled = c.clone();
+    doubled.plan.units.insert(sq + 1, plan.units[sq].clone());
     assert_eq!(
-        one_error(&doubled, &c),
+        one_error(&doubled),
         (Rule::Coverage, Some(sq + 1), Some(square), Some(0))
     );
 }
@@ -405,12 +401,12 @@ fn a_dropped_or_duplicated_elementwise_unit_is_a_coverage_error() {
 fn a_dropped_duplicated_or_foreign_bootstrap_is_a_coverage_error() {
     let net = conv_net(5, 2, 2, false); // conv → ReLU, twice: bootstrap-deep
     let c = compile(&net, &fixed_ranges(&net, 4.0), &small_opts());
-    let plan = ExecPlan::build(&c);
-    assert!(verify_plan(&plan, &c, &VerifyConfig::default()).is_clean());
+    let plan = &c.plan;
+    assert!(verify_compiled(&c, &VerifyConfig::default()).is_clean());
     // a bootstrap unit whose refreshed ciphertext has one reader
     let (boot, reader) = (0..plan.units.len())
         .filter(|&u| matches!(plan.units[u].work, UnitWork::Boot { .. }))
-        .find_map(|u| match readers(&plan, &c, plan.units[u].out_slot)[..] {
+        .find_map(|u| match readers(&c, plan.units[u].out_slot)[..] {
             [r] => Some((u, r)),
             _ => None,
         })
@@ -428,27 +424,30 @@ fn a_dropped_duplicated_or_foreign_bootstrap_is_a_coverage_error() {
     };
 
     // dropped: its reader reads a slot nothing wrote
-    let mut dropped = plan.clone();
-    dropped.units.remove(boot);
-    assert_eq!(one_error(&dropped, &c), at_reader(reader - 1));
+    let mut dropped = c.clone();
+    dropped.plan.units.remove(boot);
+    assert_eq!(one_error(&dropped), at_reader(reader - 1));
 
     // duplicated: the copy writes the refreshed slot a second time
-    let mut doubled = plan.clone();
-    doubled.units.insert(boot + 1, plan.units[boot].clone());
+    let mut doubled = c.clone();
+    doubled
+        .plan
+        .units
+        .insert(boot + 1, plan.units[boot].clone());
     assert_eq!(
-        one_error(&doubled, &c),
+        one_error(&doubled),
         (Rule::Coverage, Some(boot + 1), Some(wire), Some(ct))
     );
 
     // a wire outside the program: `unit_io` cannot describe the unit, and
     // its reader does not repeat the finding
-    let mut foreign = plan.clone();
+    let mut foreign = c.clone();
     let outside = c.prog.len() + 3;
-    if let UnitWork::Boot { wire, .. } = &mut foreign.units[boot].work {
+    if let UnitWork::Boot { wire, .. } = &mut foreign.plan.units[boot].work {
         *wire = outside;
     }
     assert_eq!(
-        one_error(&foreign, &c),
+        one_error(&foreign),
         (Rule::Coverage, Some(boot), Some(outside), Some(ct))
     );
 }

@@ -28,7 +28,8 @@
 //! tally. [`evaluate_chebyshev`] runs it on the first, [`stage_ops`] on the
 //! second — so a stage's op counts and its exit level are by construction
 //! what the engine executes. The two fixed recipes around the stages
-//! ([`relu_product`], [`square`]) sit beside their constant [`StageOps`].
+//! ([`relu_product`], [`square`]) are written once over the same domain,
+//! and [`relu_product_ops`] / [`square_ops`] are their folds.
 //!
 //! Constants are scalars, as in the paper's backend: a Chebyshev
 //! coefficient multiplies through [`Evaluator::mul_scalar`] and adds
@@ -117,36 +118,6 @@ fn rescale_to(eval: &Evaluator, mut ct: Ciphertext, out_scale: f64) -> Ciphertex
     eval.rescale_assign(&mut ct);
     ct.scale = out_scale;
     ct
-}
-
-/// `a·b` relinearised, one level down at exactly `out_scale`.
-fn mul_to(eval: &Evaluator, a: &Ciphertext, b: &Ciphertext, out_scale: f64) -> Ciphertext {
-    rescale_to(eval, eval.mul_relin(a, b), out_scale)
-}
-
-/// `value · ct` one level down at exactly `out_scale`.
-fn mul_const_to(eval: &Evaluator, ct: &Ciphertext, value: f64, out_scale: f64) -> Ciphertext {
-    let q = eval.context().moduli[ct.level()] as f64;
-    rescale_to(
-        eval,
-        mul_const_raw(eval, ct, value, q * out_scale),
-        out_scale,
-    )
-}
-
-/// Brings `ct` to exactly `(level, target)`, spending one of its levels on
-/// a constant product when the level drops.
-fn set_level_scale(eval: &Evaluator, ct: &Ciphertext, level: usize, target: f64) -> Ciphertext {
-    if ct.level() == level {
-        assert!(
-            (ct.scale / target - 1.0).abs() < 1e-9,
-            "cannot adjust scale without a spare level ({} vs {target} at level {level})",
-            ct.scale
-        );
-        return ct.clone();
-    }
-    assert!(ct.level() > level, "cannot raise a ciphertext's level");
-    mul_const_to(eval, &ct.dropped_to_level(level + 1), 1.0, target)
 }
 
 /// The ciphertext domain.
@@ -435,64 +406,79 @@ pub fn stage_ops(coeffs: &[f64], entry_level: usize) -> StageOps {
     ops
 }
 
-/// The final ReLU product `magnitude · x · (sign + 1)/2`, computed as
-/// `(m·x/2)·sign + m·x/2` with `x` one level above `sign`. The alignment
-/// constant of `x` is chosen so the output scale is exactly Δ (no extra
-/// level).
+/// The final ReLU product `magnitude · x · (sign + 1)/2` at exactly
+/// `delta`, computed as `(m·x/2)·sign + m·x/2` with `x` one level above
+/// `sign`, over either domain. The alignment constant of `x` is chosen so
+/// the output scale is exactly `delta` (no extra level).
+fn relu_product_in<D: Domain>(
+    dom: &mut D,
+    x: &D::V,
+    sign: &D::V,
+    magnitude: f64,
+    delta: f64,
+) -> D::V {
+    let lc = D::level(sign);
+    assert!(lc >= 1, "no level left for the final ReLU product");
+    assert_eq!(D::level(x), lc + 1, "x sits one level above its sign");
+    // (m·x/2) at a scale making the product land on Δ.
+    let x_scale = delta * dom.modulus(lc) / D::scale(sign);
+    let half = dom.mul_const_raw(x, 0.5 * magnitude, dom.modulus(lc + 1) * x_scale);
+    let half = dom.rescale(half, x_scale);
+    let prod = dom.mul_raw(&half, sign);
+    let prod = dom.rescale(prod, delta); // x_scale·sign.scale/q by construction
+
+    // + m·x/2 at (lc − 1, Δ): produce raw x·(Δ·m/2) and read it at Δ.
+    let x_lc = dom.drop(x, lc);
+    let half_x = dom.mul_const_raw(&x_lc, 1.0, dom.modulus(lc) * (delta * magnitude * 0.5));
+    let half_x = dom.rescale(half_x, delta);
+    dom.add(&prod, &half_x)
+}
+
+/// The final ReLU product `magnitude · x · (sign + 1)/2` at exactly scale
+/// Δ, two levels below `x` (see `relu_product_in`).
 pub fn relu_product(
     eval: &Evaluator,
     x: &Ciphertext,
     sign: &Ciphertext,
     magnitude: f64,
 ) -> Ciphertext {
-    let lc = sign.level();
-    assert!(lc >= 1, "no level left for the final ReLU product");
-    assert_eq!(x.level(), lc + 1, "x sits one level above its sign");
     let delta = eval.context().scale();
-    // (m·x/2) at a scale making the product land on Δ.
-    let x_scale = delta * eval.context().moduli[lc] as f64 / sign.scale;
-    let half = mul_const_to(eval, x, 0.5 * magnitude, x_scale);
-    let prod = mul_to(eval, &half, sign, delta); // x_scale·sign.scale/q by construction
-
-    // + m·x/2 at (prod.level, Δ): produce raw x·(Δ·m/2) and read it at Δ.
-    let mut half_x = set_level_scale(eval, x, prod.level(), delta * magnitude * 0.5);
-    half_x.scale = delta;
-    eval.add(&prod, &half_x)
+    relu_product_in(&mut Cts(eval), x, sign, magnitude, delta)
 }
 
-/// What [`relu_product`] issues with `x` at `entry_level`.
+/// What [`relu_product`] issues with `x` at `entry_level` (its sign one
+/// level below), and where it exits: the same recipe run on levels.
 pub fn relu_product_ops(entry_level: usize) -> StageOps {
-    // m·x/2 at both levels, the product, a rescale each, the sum
-    StageOps {
-        hmult: 1,
-        pmult: 2,
-        rescale: 3,
-        hadd: 1,
-        exit_level: entry_level - 2,
-        ..StageOps::default()
-    }
+    let mut ops = StageOps::default();
+    ops.exit_level = relu_product_in(&mut ops, &entry_level, &(entry_level - 1), 1.0, 1.0);
+    ops
 }
 
-/// `ct²` at exactly scale Δ, two levels down: one copy is aligned to
-/// scale `q` a level below so the product rescales onto Δ.
+/// `ct²` at exactly `delta`, two levels down, over either domain: one copy
+/// is aligned to scale `q` a level below so the product rescales onto
+/// `delta`.
+fn square_in<D: Domain>(dom: &mut D, ct: &D::V, delta: f64) -> D::V {
+    let level = D::level(ct);
+    let q = dom.modulus(level - 1);
+    let aligned = dom.mul_const_raw(ct, 1.0, dom.modulus(level) * q);
+    let aligned = dom.rescale(aligned, q);
+    let base = dom.drop(ct, level - 1);
+    let prod = dom.mul_raw(&base, &aligned);
+    dom.rescale(prod, delta)
+}
+
+/// `ct²` at exactly scale Δ, two levels down (see `square_in`).
 pub fn square(eval: &Evaluator, ct: &Ciphertext) -> Ciphertext {
-    let level = ct.level();
-    let q = eval.context().moduli[level - 1] as f64;
-    let aligned = set_level_scale(eval, ct, level - 1, q);
-    let base = ct.dropped_to_level(level - 1);
-    mul_to(eval, &base, &aligned, eval.context().scale())
+    let delta = eval.context().scale();
+    square_in(&mut Cts(eval), ct, delta)
 }
 
-/// What [`square`] issues with `ct` at `entry_level`.
+/// What [`square`] issues with `ct` at `entry_level`, and where it exits:
+/// the same recipe run on levels.
 pub fn square_ops(entry_level: usize) -> StageOps {
-    // the aligned copy, the product, a rescale each
-    StageOps {
-        hmult: 1,
-        pmult: 1,
-        rescale: 2,
-        exit_level: entry_level - 2,
-        ..StageOps::default()
-    }
+    let mut ops = StageOps::default();
+    ops.exit_level = square_in(&mut ops, &entry_level, 1.0);
+    ops
 }
 
 /// Homomorphic ReLU: the composite sign stages, then [`relu_product`].
@@ -799,10 +785,10 @@ mod tests {
 
     #[test]
     fn recipe_tallies_match_what_the_recipes_consume() {
-        // `relu_product_ops` / `square_ops` are written by hand beside the
-        // ciphertext recipes: hold their exit levels to the real engine and
-        // their op mix to one rescale per product (the executed counts are
-        // held end to end by orion-nn's `tests/poly_counts.rs`).
+        // `relu_product_ops` / `square_ops` fold the recipes the engine
+        // runs: hold their exit levels to the real engine and their op mix
+        // to one rescale per product (the executed counts are held end to
+        // end by orion-nn's `tests/poly_counts.rs`).
         let mut h = setup();
         let vals = test_inputs(h.ctx.slots());
         let level = h.ctx.max_level();

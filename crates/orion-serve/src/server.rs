@@ -9,11 +9,16 @@
 //!     │ an idle worker pops the front request of the next non-empty
 //!     ▼ model, round-robin — one request per worker, no timer
 //!  workers (catch_unwind per request)
-//!     │ run_fhe_plan (the model's plan, built and certified once)
+//!     │ run_fhe_plan (the plan the model carries, certified once)
 //!     ▼
 //!  LayerSource: resident PreparedProgram
 //!               or LRU PagedProgram under a byte budget
 //! ```
+//!
+//! Registration certifies the plan the compiled program carries
+//! (`Compiled::plan`, built once by `compile`) and every request walks that
+//! same plan: the server stores no plan of its own, and admission checks a
+//! request against the plan's input wire — the width the walk asserts.
 //!
 //! Tenancy model: a *model* is a compiled program plus one shared
 //! prepared-weight source (weight encodings are key-independent, so every
@@ -32,7 +37,6 @@ use orion_linear::store::{DiagStore, StoreError};
 use orion_nn::backends::PreparedLayerFault;
 use orion_nn::compile::Compiled;
 use orion_nn::fhe_exec::{prepare_program, run_fhe_plan, FheSession};
-use orion_nn::sched::ExecPlan;
 use orion_nn::sim::OpCounter;
 use orion_tensor::Tensor;
 use parking_lot::{Condvar, Mutex, RwLock};
@@ -103,10 +107,10 @@ pub enum ServeError {
     },
     /// The inference panicked for a reason other than a store fault.
     WorkerPanic(String),
-    /// The request's ciphertext count does not match the model's input
-    /// layout — rejected at admission, before any FHE work.
+    /// The request's ciphertext count does not match the width of the
+    /// model's input wire — rejected at admission, before any FHE work.
     BadInput {
-        /// Ciphertexts the model's input layout packs into.
+        /// Ciphertexts the model's input wire holds.
         expected: usize,
         /// Ciphertexts the request carried.
         got: usize,
@@ -188,16 +192,12 @@ impl std::fmt::Display for ServeError {
 impl std::error::Error for ServeError {}
 
 /// Registration choke point: holds `params` to the level budget and slot
-/// count the program was compiled for (`prepare_program` would assert it),
-/// builds the model's execution plan, certifies it statically (structural
+/// count the program was compiled for (`prepare_program` would assert it)
+/// and certifies the plan the program carries statically (structural
 /// profile — scale/level typechecking, key coverage, well-formedness; no
-/// Context is built at registration; warnings are tolerated) — once: the
-/// plan is a property of the model, every request walks it.
-fn certified_plan(
-    name: &str,
-    compiled: &Compiled,
-    params: &CkksParams,
-) -> Result<ExecPlan, ServeError> {
+/// Context is built at registration; warnings are tolerated) — once: every
+/// request walks that plan.
+fn certify(name: &str, compiled: &Compiled, params: &CkksParams) -> Result<(), ServeError> {
     let got = (params.effective_level(), params.slots());
     let want = (compiled.opts.l_eff, compiled.opts.slots);
     if got != want {
@@ -209,8 +209,7 @@ fn certified_plan(
             ),
         });
     }
-    let plan = ExecPlan::build(compiled);
-    let report = orion_nn::verify_plan(&plan, compiled, &orion_nn::VerifyConfig::default());
+    let report = orion_nn::verify_compiled(compiled, &orion_nn::VerifyConfig::default());
     if report.has_errors() {
         return Err(ServeError::Unverifiable {
             model: name.to_string(),
@@ -218,7 +217,7 @@ fn certified_plan(
             detail: report.table(),
         });
     }
-    Ok(plan)
+    Ok(())
 }
 
 /// A served inference result.
@@ -261,9 +260,8 @@ struct Request {
 
 struct ModelEntry {
     name: String,
+    /// The program and the certified plan every request walks.
     compiled: Arc<Compiled>,
-    /// The certified plan every request of the model walks.
-    plan: ExecPlan,
     params: CkksParams,
     source: Arc<dyn LayerSource>,
     metrics: ModelMetrics,
@@ -361,10 +359,10 @@ impl Server {
         params: CkksParams,
         _prep_seed: u64,
     ) -> Result<ModelId, ServeError> {
-        let plan = certified_plan(name, &compiled, &params)?;
+        certify(name, &compiled, &params)?;
         let enc = Encoder::new(Context::new(params.clone()));
         let prepared = Arc::new(prepare_program(&compiled, &enc));
-        Ok(self.install_model(name, compiled, plan, params, prepared))
+        Ok(self.install_model(name, compiled, params, prepared))
     }
 
     /// Hosts a compiled model with **memory-capped paged** weights: the
@@ -381,7 +379,7 @@ impl Server {
         store_dir: &Path,
         budget_bytes: usize,
     ) -> Result<ModelId, ServeError> {
-        let plan = certified_plan(name, &compiled, &params)?;
+        certify(name, &compiled, &params)?;
         let enc = Encoder::new(Context::new(params.clone()));
         let prepared = prepare_program(&compiled, &enc);
         let store = DiagStore::open(store_dir).map_err(|error| ServeError::Store {
@@ -405,14 +403,13 @@ impl Server {
             })?;
         // `prepared` (the resident copy) drops here: only the pager's
         // resident set occupies memory from now on.
-        Ok(self.install_model(name, compiled, plan, params, Arc::new(paged)))
+        Ok(self.install_model(name, compiled, params, Arc::new(paged)))
     }
 
     fn install_model(
         &self,
         name: &str,
         compiled: Compiled,
-        plan: ExecPlan,
         params: CkksParams,
         source: Arc<dyn LayerSource>,
     ) -> ModelId {
@@ -420,7 +417,6 @@ impl Server {
         models.push(Arc::new(ModelEntry {
             name: name.to_string(),
             compiled: Arc::new(compiled),
-            plan,
             params,
             source,
             metrics: ModelMetrics::default(),
@@ -504,10 +500,8 @@ impl Server {
         };
         let model = inner.models.read()[model_id].clone();
         let metrics = &model.metrics;
-        let expected_cts = model
-            .compiled
-            .input_layout
-            .num_ciphertexts(model.params.slots());
+        // the width `run_plan` asserts: the plan's input wire
+        let expected_cts = model.compiled.plan.input.len;
         let (level, scale) = (model.compiled.opts.l_eff, session.ctx.scale());
         if cts.len() != expected_cts {
             metrics.note_error(ErrorClass::BadInput);
@@ -692,7 +686,7 @@ fn run_request(model_id: usize, req: Request) {
     );
     let result = catch_unwind(AssertUnwindSafe(|| {
         let source = model.source.clone();
-        run_fhe_plan(&model.compiled, &req.session, &model.plan, source, req.cts)
+        run_fhe_plan(&model.compiled, &req.session, source, req.cts)
     }));
     drop(exec_span);
     let resp = match result {

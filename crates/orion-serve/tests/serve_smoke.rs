@@ -10,6 +10,8 @@ use orion_nn::compile::{compile, CompileOptions, Compiled};
 use orion_nn::fhe_exec::{run_fhe_prepared_cts, FheSession};
 use orion_nn::fit::fixed_ranges;
 use orion_nn::network::Network;
+use orion_nn::sched::UnitWork;
+use orion_nn::verify::{verify_compiled, Rule, VerifyConfig};
 use orion_serve::{ClientId, ServeConfig, ServeError, Server};
 use orion_tensor::Tensor;
 use rand::rngs::StdRng;
@@ -387,6 +389,49 @@ fn mis_parameterised_model_is_refused_at_registration() {
     for paged in [false, true] {
         register(params.clone(), paged).expect("matching parameters still register");
     }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Registration certifies the plan the compiled program carries — the plan
+/// every request walks — not one it rebuilds: a clone whose plan runs the
+/// square before the layer that feeds it draws a coverage error from the
+/// verifier and a typed refusal from both registration paths.
+#[test]
+fn a_model_whose_carried_plan_is_out_of_order_is_refused_at_registration() {
+    let (compiled, params, _) = square_model(0x5e_006);
+    // unit 0 is fc1, unit 1 the square's first ciphertext, which reads it
+    let mut swapped = compiled.clone();
+    assert!(matches!(swapped.plan.units[0].work, UnitWork::Step { .. }));
+    assert!(matches!(
+        swapped.plan.units[1].work,
+        UnitWork::StepCt { .. }
+    ));
+    swapped.plan.units.swap(0, 1);
+    let report = verify_compiled(&swapped, &VerifyConfig::default());
+    assert!(
+        report.diagnostics.iter().any(|d| d.rule == Rule::Coverage),
+        "{}",
+        report.table()
+    );
+
+    let server = Server::new(ServeConfig::default());
+    let dir = std::env::temp_dir().join("orion_serve_swapped_plan");
+    for paged in [false, true] {
+        let refused = match paged {
+            true => server.add_model_paged("m", swapped.clone(), params.clone(), 0, &dir, 1 << 20),
+            false => server.add_model("m", swapped.clone(), params.clone(), 0),
+        };
+        match refused {
+            Err(ServeError::Unverifiable { errors, detail, .. }) => {
+                assert_eq!(errors, report.error_count());
+                assert!(detail.contains(Rule::Coverage.name()), "{detail}");
+            }
+            other => panic!("expected Unverifiable, got ok={:?}", other.is_ok()),
+        }
+    }
+    server
+        .add_model("m", compiled, params, 0)
+        .expect("the plan compile built registers");
     std::fs::remove_dir_all(&dir).ok();
 }
 

@@ -18,8 +18,8 @@ use orion::nn::backends::ClearBackend;
 use orion::nn::compile::{compile, CompileOptions};
 use orion::nn::fit::fixed_ranges;
 use orion::nn::network::Network;
-use orion::nn::sched::{run_plan, ExecPlan};
-use orion::nn::verify::{verify_plan, VerifyConfig};
+use orion::nn::sched::run_plan;
+use orion::nn::verify::{verify_compiled, VerifyConfig};
 use orion::sim::CostModel;
 use orion::telemetry;
 use orion::tensor::Tensor;
@@ -63,10 +63,9 @@ fn main() {
     );
 
     let backend = ClearBackend::packed(&compiled);
-    let plan = ExecPlan::build(&compiled);
     let cts = encrypt_input(&compiled, &backend, &input);
     telemetry::enable();
-    let run = run_plan(&plan, &compiled, &backend, cts);
+    let run = run_plan(&compiled, &backend, cts);
     telemetry::disable();
     let output = decrypt_output(&compiled, &backend, &run.output_wire);
 
@@ -90,7 +89,7 @@ fn main() {
         report.busy_ns as f64 / 1e6,
         100.0 * report.busy_ns as f64 / report.wall_ns.max(1) as f64,
     );
-    let certified = verify_plan(&plan, &compiled, &VerifyConfig::default()).peak_limbs;
+    let certified = verify_compiled(&compiled, &VerifyConfig::default()).peak_limbs;
     let certified = certified.expect("the traced plan certifies clean");
     let rel = if report.peak_live_limbs == certified {
         "=="

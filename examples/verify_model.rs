@@ -1,8 +1,9 @@
 //! The human entry point to the static plan verifier: compiles a model
 //! from the zoo and prints its certification — a diagnostic table when
 //! anything fires, "certified clean" otherwise. The plan it certifies is
-//! the plan that is served: there is no rewrite between build and walk. It
-//! then walks the plan once on the cleartext reference engine and prints
+//! the one the compiled program carries (`compiled.plan`) — the plan that
+//! is served: there is no rewrite between compile and walk. It then walks
+//! the plan once on the cleartext reference engine and prints
 //! the most live limb vectors the walk held against the peak the verifier
 //! certified — the walk frees what the certificate stops counting, so they
 //! are equal. The last line holds the latency placement minimised against
@@ -34,8 +35,8 @@ use orion::nn::backend::encrypt_input;
 use orion::nn::backends::ClearBackend;
 use orion::nn::compile::{compile, CompileOptions};
 use orion::nn::fit::fit_robust;
-use orion::nn::sched::{count_plan, run_plan, ExecPlan};
-use orion::nn::verify::{verify_plan, VerifyConfig, VerifyReport};
+use orion::nn::sched::{count_plan, run_plan};
+use orion::nn::verify::{verify_compiled, VerifyConfig, VerifyReport};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -81,15 +82,16 @@ fn main() {
         Some(ctx) => VerifyConfig::with_ctx(ctx),
         None => VerifyConfig::default(),
     };
-    let plan = ExecPlan::build(&compiled);
-    let report = verify_plan(&plan, &compiled, &cfg);
+    // `compiled.plan` is the plan certified here, counted here, walked
+    // here — and served
+    let report = verify_compiled(&compiled, &cfg);
     let modeled = compiled.placement.total_latency;
-    let counted = count_plan(&plan, &compiled, &ClearBackend::reference(&compiled)).seconds;
+    let counted = count_plan(&compiled, &ClearBackend::reference(&compiled)).seconds;
     // (measured, certified) peak live limbs of the plan
     let peaks = (!report.has_errors()).then(|| {
         let backend = ClearBackend::reference(&compiled);
         let cts = encrypt_input(&compiled, &backend, &calib[0]);
-        let measured = run_plan(&plan, &compiled, &backend, cts).peak_live_limbs;
+        let measured = run_plan(&compiled, &backend, cts).peak_live_limbs;
         (
             measured,
             report

@@ -85,7 +85,7 @@ fn check(name: &str, c: &Compiled, digest: u64) {
         placement_digest(c)
     );
     let modeled = c.placement.total_latency;
-    let counted = count_plan(&ExecPlan::build(c), c, &ClearBackend::reference(c)).seconds;
+    let counted = count_plan(c, &ClearBackend::reference(c)).seconds;
     assert!(
         (modeled - counted).abs() <= 1e-9 * counted,
         "{name}: modeled {modeled:.6} s, counted {counted:.6} s"
@@ -139,7 +139,8 @@ fn residual_relu() -> Compiled {
 /// (`ReluFinal`, `Add`) that is both input wires, not one.
 fn check_boots_priced_per_wire(name: &str, mut c: Compiled) {
     c.placement.boots_before.iter_mut().for_each(|b| *b = 1);
-    let plan = ExecPlan::build(&c);
+    c.plan = ExecPlan::build(&c);
+    let plan = &c.plan;
     for (id, node) in c
         .prog
         .iter()

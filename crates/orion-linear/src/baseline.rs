@@ -17,23 +17,9 @@ impl LinearPlan {
     /// Rotation count if evaluated with a fixed `n1` (e.g. `1` for the
     /// plain diagonal method).
     pub fn rotations_with_n1(&self, n1: usize) -> usize {
-        use std::collections::{BTreeSet, HashMap};
-        let mut babies: HashMap<u32, BTreeSet<usize>> = HashMap::new();
-        let mut giants: HashMap<u32, BTreeSet<usize>> = HashMap::new();
-        for (&(i_blk, j_blk), diags) in &self.blocks {
-            for &k in diags {
-                let i = (k as usize) % n1;
-                let j = (k as usize) / n1;
-                if i != 0 {
-                    babies.entry(j_blk).or_default().insert(i);
-                }
-                if j != 0 {
-                    giants.entry(i_blk).or_default().insert(j);
-                }
-            }
-        }
-        babies.values().map(|s| s.len()).sum::<usize>()
-            + giants.values().map(|s| s.len()).sum::<usize>()
+        PlanBuilder::counts_for(&self.blocks, self.slots, n1, self.out_blocks)
+            .0
+            .rotations()
     }
 }
 
@@ -94,7 +80,11 @@ pub fn naive_toeplitz(in_l: &TensorLayout, spec: &ConvSpec, slots: usize) -> Nai
     let out_l = TensorLayout::raster(spec.co, ho, wo);
     let ci_per_g = spec.ci / spec.groups;
     let co_per_g = spec.co / spec.groups;
-    let mut b = PlanBuilder::default();
+    let mut b = PlanBuilder::new(
+        slots,
+        in_l.num_ciphertexts(slots),
+        out_l.num_ciphertexts(slots),
+    );
     for g in 0..spec.groups {
         for oc in 0..co_per_g {
             let co = g * co_per_g + oc;
@@ -117,7 +107,7 @@ pub fn naive_toeplitz(in_l: &TensorLayout, spec: &ConvSpec, slots: usize) -> Nai
                                 }
                                 let col = in_l.slot_of(ci, iy as usize, ix as usize);
                                 let delta = col as i64 - row as i64;
-                                b.add_segment(slots, row, delta, 1, 1);
+                                b.add_segment(row, delta, 1, 1);
                             }
                         }
                     }
@@ -125,11 +115,7 @@ pub fn naive_toeplitz(in_l: &TensorLayout, spec: &ConvSpec, slots: usize) -> Nai
             }
         }
     }
-    let plan = b.finish(
-        slots,
-        in_l.num_ciphertexts(slots),
-        out_l.num_ciphertexts(slots),
-    );
+    let plan = b.finish();
     let diagonals: usize = plan.blocks.values().map(|d| d.len()).sum();
     NaiveToeplitz {
         diagonals,

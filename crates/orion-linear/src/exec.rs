@@ -933,19 +933,19 @@ mod tests {
         let slots = Context::new(CkksParams::tiny()).slots();
         // input block 0 touches only diagonal 0 (k % n1 == 0 under every
         // split); block 1 carries the baby steps
-        let mut b = PlanBuilder::default();
-        b.add_segment(slots, 0, 0, 1, slots);
-        b.add_segment(slots, 0, slots as i64 + 1, 1, 8);
-        b.add_segment(slots, 0, slots as i64 + 3, 1, 8);
-        let plan = b.finish(slots, 2, 1);
+        let mut b = PlanBuilder::new(slots, 2, 1);
+        b.add_segment(0, 0, 1, slots);
+        b.add_segment(0, slots as i64 + 1, 1, 8);
+        b.add_segment(0, slots as i64 + 3, 1, 8);
+        let plan = b.finish();
         assert_eq!(plan.in_blocks, 2);
         assert_eq!(plan.counts.hoists, 1, "only block 1 rotates");
         check_private_hoist_matches_counts(&plan);
 
         // no non-zero baby step at all: empty table, zero decompositions
-        let mut b = PlanBuilder::default();
-        b.add_segment(slots, 0, 0, 1, slots);
-        let plan = b.finish(slots, 1, 1);
+        let mut b = PlanBuilder::new(slots, 1, 1);
+        b.add_segment(0, 0, 1, slots);
+        let plan = b.finish();
         assert_eq!((plan.counts.hoists, plan.counts.baby_rots), (0, 0));
         check_private_hoist_matches_counts(&plan);
     }

@@ -10,7 +10,7 @@ use orion::core::Orion;
 use orion::models::data::synthetic_images;
 use orion::models::{build, Act};
 use orion::nn::backends::ClearBackend;
-use orion::nn::compile::{compile, CompileOptions};
+use orion::nn::compile::{compile, CompileOptions, Step};
 use orion::nn::fit::{calibrate_batch_norm, fixed_ranges};
 use orion::nn::sched::{count_plan, ExecPlan, UnitWork};
 use orion::nn::{Compiled, Network};
@@ -59,6 +59,15 @@ fn relu_resnet20() -> Compiled {
     Orion::paper_scale().compile(&net, &calib)
 }
 
+/// FNV-1a over a stream of words.
+fn fnv(words: impl IntoIterator<Item = u64>) -> u64 {
+    (words.into_iter())
+        .flat_map(u64::to_le_bytes)
+        .fold(0xcbf2_9ce4_8422_2325, |h, b| {
+            (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3)
+        })
+}
+
 /// FNV-1a over `(placement.levels, placement.boots_before)`.
 fn placement_digest(c: &Compiled) -> u64 {
     let levels = c
@@ -67,20 +76,49 @@ fn placement_digest(c: &Compiled) -> u64 {
         .iter()
         .map(|l| l.map_or(u64::MAX, |l| l as u64));
     let boots = c.placement.boots_before.iter().copied();
-    levels
-        .chain(boots)
-        .flat_map(u64::to_le_bytes)
-        .fold(0xcbf2_9ce4_8422_2325, |h, b| {
-            (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3)
-        })
+    fnv(levels.chain(boots))
+}
+
+/// FNV-1a over every linear layer's `(n1, fold, counts, blocks)`, in
+/// program order: each block pair with its sorted diagonal list.
+fn plan_digest(c: &Compiled) -> u64 {
+    let mut words = Vec::new();
+    for node in &c.prog {
+        if let Step::Conv { plan, .. } | Step::Dense { plan, .. } = &node.step {
+            let k = plan.counts;
+            let fields = [
+                plan.n1,
+                plan.fold,
+                k.hoists,
+                k.baby_rots,
+                k.giant_rots,
+                k.pmults,
+                k.moddowns,
+                k.rescales,
+            ];
+            words.extend(fields.map(|x| x as u64));
+            for (&(i, j), diags) in &plan.blocks {
+                words.extend([i as u64, j as u64, diags.len() as u64]);
+                words.extend(diags.iter().map(|&d| d as u64));
+            }
+        }
+    }
+    fnv(words)
 }
 
 /// Modeled (what placement minimised) == counted (the fold of the built
-/// plan), and the placement is the one the digest was taken from.
-fn check(name: &str, c: &Compiled, digest: u64) {
+/// plan), and the placement and linear-layer plans are the ones the
+/// digests were taken from.
+fn check(name: &str, c: &Compiled, placement: u64, plans: u64) {
+    assert_eq!(
+        plan_digest(c),
+        plans,
+        "{name}: a linear-layer plan moved ({:#018x})",
+        plan_digest(c)
+    );
     assert_eq!(
         placement_digest(c),
-        digest,
+        placement,
         "{name}: placement moved ({:#018x})",
         placement_digest(c)
     );
@@ -92,18 +130,31 @@ fn check(name: &str, c: &Compiled, digest: u64) {
     );
 }
 
-// The digests were taken at the parent of the commit that made placement's
-// price a fold of the op list: pricing `ReluFinal` from `relu_product_ops`
-// and a stage's additions moved no level and no bootstrap.
+// The placement digests were taken at the parent of the commit that made
+// placement's price a fold of the op list: pricing `ReluFinal` from
+// `relu_product_ops` and a stage's additions moved no level and no
+// bootstrap. The plan digests were taken at the parent of the commit that
+// made convolution planning walk kernel taps into per-block-pair bitsets:
+// the new planner builds the same diagonals and picks the same split.
 
 #[test]
 fn lola_is_counted_at_the_latency_placement_minimised() {
-    check("lola@small", &lola_small(), 0x1ec1_0b70_615f_b8bc);
+    check(
+        "lola@small",
+        &lola_small(),
+        0x1ec1_0b70_615f_b8bc,
+        0x4586_b16f_43e9_a2ee,
+    );
 }
 
 #[test]
 fn resblock_is_counted_at_the_latency_placement_minimised() {
-    check("resblock_act", &resblock(), 0x435c_0084_dc7b_fe3c);
+    check(
+        "resblock_act",
+        &resblock(),
+        0x435c_0084_dc7b_fe3c,
+        0xabf7_e42f_c4e2_ad78,
+    );
 }
 
 #[test]
@@ -112,6 +163,7 @@ fn relu_resnet20_is_counted_at_the_latency_placement_minimised() {
         "relu resnet20@paper",
         &relu_resnet20(),
         0x2090_1062_c6d8_5167,
+        0xab33_1a29_2e52_9cc1,
     );
 }
 

@@ -373,7 +373,7 @@ pub fn exec_fhe_prepared(
 mod tests {
     use super::*;
     use crate::layout::TensorLayout;
-    use crate::plan::{conv_plan, dense_plan, ConvSpec, DenseShape, PlanBuilder};
+    use crate::plan::{conv_plan, dense_candidates, dense_plan, ConvSpec, PlanBuilder};
     use crate::values::{BiasValues, ConvDiagSource, DenseDiagSource};
     use orion_ckks::keys::KeyGenerator;
     use orion_ckks::params::{CkksParams, Context};
@@ -689,13 +689,12 @@ mod tests {
             let expect = linear(&input, &weights, &bias);
             let src = DenseDiagSource::new(weights, &in_l);
             let bias_blocks = BiasValues::dense(n_out, &bias, slots);
-            let shape = DenseShape::new(&in_l, n_out, slots);
             let mut blocks = vec![vec![0.0; slots]; in_l.num_ciphertexts(slots)];
             for (i, &v) in in_l.pack(&input).iter().enumerate() {
                 blocks[i / slots][i % slots] = v;
             }
-            for fold in shape.folds() {
-                let plan = shape.plan(fold);
+            for (_, plan) in dense_candidates(&in_l, n_out, slots) {
+                let fold = plan.fold;
                 let out = exec_plain(&plan, &src, &blocks);
                 prop_assert_eq!(out.len(), bias_blocks.len());
                 for (b, (block, bias)) in out.iter().zip(&bias_blocks).enumerate() {

@@ -7,7 +7,7 @@
 //! apply Equation (1) of the paper directly.
 
 use crate::layout::TensorLayout;
-use crate::plan::{for_each_conv_segment, ConvSpec, LinearPlan};
+use crate::plan::{for_each_block_run, for_each_conv_segment, ConvSpec, LinearPlan};
 use orion_tensor::Tensor;
 use std::collections::HashMap;
 
@@ -43,7 +43,7 @@ impl DiagSource for ConvDiagSource<'_> {
             &self.in_l,
             &self.out_l,
             &self.spec,
-            |co, ci, ky, kx, row0, delta, count| {
+            |co, ci, ky, kx, row, delta, count| {
                 let w =
                     self.weights.data()[((co * ci_per_g + (ci % ci_per_g)) * kh + ky) * kw + kx];
                 if w == 0.0 {
@@ -51,28 +51,16 @@ impl DiagSource for ConvDiagSource<'_> {
                     // weight-independent); write nothing.
                     return;
                 }
-                let mut row = row0;
-                let mut remaining = count;
-                while remaining > 0 {
-                    let col = (row as i64 + delta) as usize;
-                    let r0 = row % slots;
-                    let c0 = col % slots;
-                    let sr = (slots - 1 - r0) / step + 1;
-                    let sc = (slots - 1 - c0) / step + 1;
-                    let take = remaining.min(sr).min(sc);
-                    if (row / slots) as u32 == i_blk && (col / slots) as u32 == j_blk {
-                        let k = ((c0 + slots - r0) % slots) as u32;
-                        let j = (k as usize) / n1;
-                        let pre_rot = (j * n1) % slots;
-                        let vec = out.entry(k).or_insert_with(|| vec![0.0; slots]);
-                        for m in 0..take {
-                            let r = r0 + m * step;
-                            vec[(r + pre_rot) % slots] += w;
-                        }
+                for_each_block_run(slots, row, delta, step, count, |i, j, k, r0, take| {
+                    if (i as u32, j as u32) != (i_blk, j_blk) {
+                        return;
                     }
-                    row += take * step;
-                    remaining -= take;
-                }
+                    let pre_rot = (k / n1 * n1) % slots;
+                    let vec = out.entry(k as u32).or_insert_with(|| vec![0.0; slots]);
+                    for m in 0..take {
+                        vec[(r0 + m * step + pre_rot) % slots] += w;
+                    }
+                });
             },
         );
         out

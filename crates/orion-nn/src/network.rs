@@ -100,8 +100,8 @@ impl Network {
             dilation,
             groups,
         };
-        let ho = p.out_size(h, weight.shape()[2]);
-        let wo = p.out_size(w, weight.shape()[3]);
+        let ho = p.out_size(name, h, weight.shape()[2]);
+        let wo = p.out_size(name, w, weight.shape()[3]);
         self.push(
             name,
             Layer::Conv2d {
@@ -211,8 +211,12 @@ impl Network {
         padding: usize,
     ) -> NodeId {
         let (c, h, w) = self.shape(prev);
-        let ho = (h + 2 * padding - k) / stride + 1;
-        let wo = (w + 2 * padding - k) / stride + 1;
+        let p = Conv2dParams {
+            stride,
+            padding,
+            ..Default::default()
+        };
+        let (ho, wo) = (p.out_size(name, h, k), p.out_size(name, w, k));
         self.push(
             name,
             Layer::AvgPool2d { k, stride, padding },
@@ -486,6 +490,35 @@ mod tests {
         let input = Tensor::kaiming(&[2, 4, 4], 32, &mut rng);
         let out = net.forward_exact(&input);
         assert_eq!(out.shape(), &[2, 4, 4]);
+    }
+
+    #[test]
+    #[should_panic(
+        expected = "big: a 5-wide window (kernel 5, dilation 1) does not fit a 4-wide input padded by 0"
+    )]
+    fn conv_window_larger_than_its_input_is_refused() {
+        let mut net = Network::new(1, 4, 4);
+        let x = net.input();
+        net.conv2d_with(
+            "big",
+            x,
+            Tensor::zeros(&[1, 1, 5, 5]),
+            vec![0.0],
+            2,
+            0,
+            1,
+            1,
+        );
+    }
+
+    #[test]
+    #[should_panic(
+        expected = "wide: a 5-wide window (kernel 5, dilation 1) does not fit a 4-wide input padded by 0"
+    )]
+    fn pool_window_larger_than_its_input_is_refused() {
+        let mut net = Network::new(1, 4, 4);
+        let x = net.input();
+        net.avg_pool2d_pad("wide", x, 5, 2, 0);
     }
 
     #[test]

@@ -32,10 +32,21 @@ impl Default for Conv2dParams {
 }
 
 impl Conv2dParams {
-    /// Output spatial size for an input extent `n` and kernel extent `k`.
-    pub fn out_size(&self, n: usize, k: usize) -> usize {
+    /// Output spatial size of `layer` (named in the panic message) for an
+    /// input extent `n` and kernel extent `k` — the one output-size formula
+    /// of every convolution and pooling window. Panics when the stride is
+    /// zero or the dilated window is wider than the padded input.
+    pub fn out_size(&self, layer: &str, n: usize, k: usize) -> usize {
+        assert!(self.stride > 0, "{layer}: stride must be nonzero");
         let eff_k = self.dilation * (k - 1) + 1;
-        (n + 2 * self.padding - eff_k) / self.stride + 1
+        let padded = n + 2 * self.padding;
+        assert!(
+            eff_k <= padded,
+            "{layer}: a {eff_k}-wide window (kernel {k}, dilation {}) does not fit a {n}-wide input padded by {}",
+            self.dilation,
+            self.padding
+        );
+        (padded - eff_k) / self.stride + 1
     }
 }
 
@@ -53,8 +64,8 @@ pub fn conv2d(input: &Tensor, weight: &Tensor, bias: &[f64], p: Conv2dParams) ->
     assert_eq!(ci, cig * p.groups, "channel/group mismatch");
     assert_eq!(co % p.groups, 0);
     assert!(bias.is_empty() || bias.len() == co);
-    let ho = p.out_size(h, kh);
-    let wo = p.out_size(w, kw);
+    let ho = p.out_size("conv2d", h, kh);
+    let wo = p.out_size("conv2d", w, kw);
     let co_per_g = co / p.groups;
     let mut out = Tensor::zeros(&[co, ho, wo]);
     for g in 0..p.groups {
@@ -111,8 +122,15 @@ pub fn linear(input: &[f64], weight: &Tensor, bias: &[f64]) -> Vec<f64> {
 /// Reference average pooling (`k × k`, given stride, optional padding).
 pub fn avg_pool2d(input: &Tensor, k: usize, stride: usize, padding: usize) -> Tensor {
     let (c, h, w) = (input.shape()[0], input.shape()[1], input.shape()[2]);
-    let ho = (h + 2 * padding - k) / stride + 1;
-    let wo = (w + 2 * padding - k) / stride + 1;
+    let p = Conv2dParams {
+        stride,
+        padding,
+        ..Default::default()
+    };
+    let (ho, wo) = (
+        p.out_size("avg_pool2d", h, k),
+        p.out_size("avg_pool2d", w, k),
+    );
     let mut out = Tensor::zeros(&[c, ho, wo]);
     let inv = 1.0 / (k * k) as f64;
     for ch in 0..c {

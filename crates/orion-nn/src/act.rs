@@ -10,7 +10,7 @@
 //!   constant also restores the exact-Δ scale invariant.
 
 use crate::layer::Layer;
-use orion_poly::cheb::ChebPoly;
+use orion_poly::cheb::{clenshaw, ChebPoly};
 use orion_poly::sign::CompositeSign;
 use orion_tensor::Tensor;
 use std::collections::HashMap;
@@ -40,14 +40,14 @@ impl CompiledAct {
     /// Cleartext evaluation (the ideal FHE semantics, no noise).
     pub fn eval(&self, x: f64) -> f64 {
         match self {
-            CompiledAct::Poly { range, coeffs } => ChebPoly::new(coeffs.clone()).eval(x / range),
+            CompiledAct::Poly { range, coeffs } => clenshaw(coeffs, x / range),
             CompiledAct::Relu { range, stages } => {
                 let u = x / range;
                 let mut s = u;
                 for st in stages {
                     // no clamping: the homomorphic evaluation extrapolates
                     // the polynomial beyond [-1, 1] the same way
-                    s = ChebPoly::new(st.clone()).eval(s);
+                    s = clenshaw(st, s);
                 }
                 range * u * (s + 1.0) * 0.5
             }

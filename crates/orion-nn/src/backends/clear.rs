@@ -25,7 +25,7 @@
 use crate::backend::{EvalBackend, LinearRef};
 use crate::compile::Compiled;
 use orion_linear::exec::exec_plain;
-use orion_poly::cheb::ChebPoly;
+use orion_poly::cheb::clenshaw;
 use orion_tensor::{conv2d, linear, Conv2dParams, Tensor};
 use std::borrow::Cow;
 
@@ -264,8 +264,7 @@ impl EvalBackend for ClearBackend {
     fn poly_stage(&self, ct: &ClearCiphertext, coeffs: &[f64], level: usize) -> ClearCiphertext {
         // the level the CKKS evaluation exits at
         let exit = orion_poly::eval::stage_ops(coeffs, level).exit_level;
-        let p = ChebPoly::new(coeffs.to_vec());
-        ct.map(exit, |x| p.eval(x))
+        ct.map(exit, |x| clenshaw(coeffs, x))
     }
 
     fn relu_final(

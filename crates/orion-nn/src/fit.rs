@@ -197,9 +197,6 @@ pub fn validate(net: &Network, fitres: &FitResult) {
             "activation node {id} ({}) has no fitted range — call fit() first",
             net.nodes[id].name
         );
-        if let Layer::Square = net.nodes[id].layer {
-            // square needs no range, but having one is harmless
-        }
     }
 }
 

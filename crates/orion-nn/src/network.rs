@@ -512,6 +512,40 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "empty: kernel extent must be nonzero")]
+    fn conv_with_an_empty_kernel_is_refused() {
+        let mut net = Network::new(1, 4, 4);
+        let x = net.input();
+        net.conv2d_with(
+            "empty",
+            x,
+            Tensor::zeros(&[1, 1, 0, 0]),
+            vec![0.0],
+            1,
+            0,
+            1,
+            1,
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "undilated: dilation must be nonzero")]
+    fn conv_with_zero_dilation_is_refused() {
+        let mut net = Network::new(1, 4, 4);
+        let x = net.input();
+        net.conv2d_with(
+            "undilated",
+            x,
+            Tensor::zeros(&[1, 1, 3, 3]),
+            vec![0.0],
+            1,
+            1,
+            0,
+            1,
+        );
+    }
+
+    #[test]
     #[should_panic(
         expected = "wide: a 5-wide window (kernel 5, dilation 1) does not fit a 4-wide input padded by 0"
     )]

@@ -118,14 +118,7 @@ impl ChebPoly {
 
     /// Evaluates via the Clenshaw recurrence (cleartext reference).
     pub fn eval(&self, x: f64) -> f64 {
-        let mut b1 = 0.0;
-        let mut b2 = 0.0;
-        for &c in self.coeffs.iter().skip(1).rev() {
-            let b0 = 2.0 * x * b1 - b2 + c;
-            b2 = b1;
-            b1 = b0;
-        }
-        self.coeffs[0] + x * b1 - b2
+        clenshaw(&self.coeffs, x)
     }
 
     /// Maximum absolute error against `f` over a dense grid of `[-1, 1]`.
@@ -154,6 +147,19 @@ impl ChebPoly {
             *c *= s;
         }
     }
+}
+
+/// Evaluates `Σ_k coeffs[k] · T_k(x)` by the Clenshaw recurrence — the
+/// body of [`ChebPoly::eval`], on borrowed coefficients.
+pub fn clenshaw(coeffs: &[f64], x: f64) -> f64 {
+    let mut b1 = 0.0;
+    let mut b2 = 0.0;
+    for &c in coeffs.iter().skip(1).rev() {
+        let b0 = 2.0 * x * b1 - b2 + c;
+        b2 = b1;
+        b1 = b0;
+    }
+    coeffs[0] + x * b1 - b2
 }
 
 #[cfg(test)]

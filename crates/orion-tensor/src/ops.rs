@@ -5,6 +5,7 @@
 //! `(C_out, C_in/groups, K_h, K_w)`.
 
 use crate::tensor::Tensor;
+use std::ops::Range;
 
 /// Convolution hyper-parameters (PyTorch's `Conv2d` argument set —
 /// paper §4 "supports convolutions with arbitrary parameters").
@@ -34,10 +35,13 @@ impl Default for Conv2dParams {
 impl Conv2dParams {
     /// Output spatial size of `layer` (named in the panic message) for an
     /// input extent `n` and kernel extent `k` — the one output-size formula
-    /// of every convolution and pooling window. Panics when the stride is
-    /// zero or the dilated window is wider than the padded input.
+    /// of every convolution and pooling window. Panics when the stride,
+    /// the dilation or the kernel extent is zero, or the dilated window is
+    /// wider than the padded input.
     pub fn out_size(&self, layer: &str, n: usize, k: usize) -> usize {
         assert!(self.stride > 0, "{layer}: stride must be nonzero");
+        assert!(self.dilation > 0, "{layer}: dilation must be nonzero");
+        assert!(k > 0, "{layer}: kernel extent must be nonzero");
         let eff_k = self.dilation * (k - 1) + 1;
         let padded = n + 2 * self.padding;
         assert!(
@@ -48,11 +52,34 @@ impl Conv2dParams {
         );
         (padded - eff_k) / self.stride + 1
     }
+
+    /// The outputs `lo..hi` along one axis (input extent `n`, output extent
+    /// `n_out`) whose kernel tap `k` reads inside the input, and the input
+    /// coordinate `lo` reads (`0..0` and `0` when no output does).
+    fn valid_taps(&self, n: usize, n_out: usize, k: usize) -> (Range<usize>, usize) {
+        let (off, s) = (k * self.dilation, self.stride);
+        let lo = self.padding.saturating_sub(off).div_ceil(s);
+        let hi = match (n + self.padding).checked_sub(off + 1) {
+            Some(last) => (last / s + 1).min(n_out),
+            None => 0,
+        };
+        if lo >= hi {
+            return (0..0, 0);
+        }
+        (lo..hi, lo * s + off - self.padding)
+    }
 }
 
 /// Reference 2-D convolution. `input` is `(C_in, H, W)`, `weight` is
 /// `(C_out, C_in/groups, K_h, K_w)`, `bias` has `C_out` entries (or is
 /// empty). Returns `(C_out, H_out, W_out)`.
+///
+/// Every output is its bias (or `0.0`) plus its valid taps, added one at a
+/// time in `(ic, ky, kx)` order; a tap that lands in the padding is skipped,
+/// not added as a zero. The loop runs tap-major — each tap is one
+/// multiply-add over a run of an output row, its valid rows and columns
+/// found once per layer — but that order per output is what fixes every
+/// value to the bit.
 pub fn conv2d(input: &Tensor, weight: &Tensor, bias: &[f64], p: Conv2dParams) -> Tensor {
     let (ci, h, w) = (input.shape()[0], input.shape()[1], input.shape()[2]);
     let (co, cig, kh, kw) = (
@@ -67,33 +94,35 @@ pub fn conv2d(input: &Tensor, weight: &Tensor, bias: &[f64], p: Conv2dParams) ->
     let ho = p.out_size("conv2d", h, kh);
     let wo = p.out_size("conv2d", w, kw);
     let co_per_g = co / p.groups;
+    let rows: Vec<_> = (0..kh).map(|ky| p.valid_taps(h, ho, ky)).collect();
+    let cols: Vec<_> = (0..kw).map(|kx| p.valid_taps(w, wo, kx)).collect();
+    let (x, wt) = (input.data(), weight.data());
     let mut out = Tensor::zeros(&[co, ho, wo]);
-    for g in 0..p.groups {
-        for oc in 0..co_per_g {
-            let co_idx = g * co_per_g + oc;
-            for oy in 0..ho {
-                for ox in 0..wo {
-                    let mut acc = if bias.is_empty() { 0.0 } else { bias[co_idx] };
-                    for ic in 0..cig {
-                        let ci_idx = g * cig + ic;
-                        for ky in 0..kh {
-                            let iy =
-                                (oy * p.stride + ky * p.dilation) as isize - p.padding as isize;
-                            if iy < 0 || iy >= h as isize {
-                                continue;
+    for (oc, plane) in out.data_mut().chunks_exact_mut(ho * wo).enumerate() {
+        if !bias.is_empty() {
+            plane.fill(bias[oc]);
+        }
+        let chans = &x[(oc / co_per_g) * cig * h * w..];
+        for ic in 0..cig {
+            let chan = &chans[ic * h * w..(ic + 1) * h * w];
+            for ky in 0..kh {
+                let (oys, iy0) = rows[ky].clone();
+                let taps = &wt[((oc * cig + ic) * kh + ky) * kw..][..kw];
+                for (r, oy) in oys.enumerate() {
+                    let src = &chan[(iy0 + r * p.stride) * w..][..w];
+                    let dst = &mut plane[oy * wo..(oy + 1) * wo];
+                    for (&wv, (oxs, ix0)) in taps.iter().zip(&cols) {
+                        let (dst, src) = (&mut dst[oxs.clone()], &src[*ix0..]);
+                        if p.stride == 1 {
+                            for (o, &v) in dst.iter_mut().zip(src) {
+                                *o += wv * v;
                             }
-                            for kx in 0..kw {
-                                let ix =
-                                    (ox * p.stride + kx * p.dilation) as isize - p.padding as isize;
-                                if ix < 0 || ix >= w as isize {
-                                    continue;
-                                }
-                                let wv = weight.data()[((co_idx * cig + ic) * kh + ky) * kw + kx];
-                                acc += wv * input.at3(ci_idx, iy as usize, ix as usize);
+                        } else {
+                            for (o, &v) in dst.iter_mut().zip(src.iter().step_by(p.stride)) {
+                                *o += wv * v;
                             }
                         }
                     }
-                    out.data_mut()[(co_idx * ho + oy) * wo + ox] = acc;
                 }
             }
         }
@@ -185,6 +214,176 @@ pub fn batch_norm2d(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+
+    /// The output-major convolution `conv2d` replaced, kept verbatim as
+    /// its bit-exactness reference.
+    fn reference_conv2d(input: &Tensor, weight: &Tensor, bias: &[f64], p: Conv2dParams) -> Tensor {
+        let (ci, h, w) = (input.shape()[0], input.shape()[1], input.shape()[2]);
+        let (co, cig, kh, kw) = (
+            weight.shape()[0],
+            weight.shape()[1],
+            weight.shape()[2],
+            weight.shape()[3],
+        );
+        assert_eq!(ci, cig * p.groups, "channel/group mismatch");
+        assert_eq!(co % p.groups, 0);
+        assert!(bias.is_empty() || bias.len() == co);
+        let ho = p.out_size("conv2d", h, kh);
+        let wo = p.out_size("conv2d", w, kw);
+        let co_per_g = co / p.groups;
+        let mut out = Tensor::zeros(&[co, ho, wo]);
+        for g in 0..p.groups {
+            for oc in 0..co_per_g {
+                let co_idx = g * co_per_g + oc;
+                for oy in 0..ho {
+                    for ox in 0..wo {
+                        let mut acc = if bias.is_empty() { 0.0 } else { bias[co_idx] };
+                        for ic in 0..cig {
+                            let ci_idx = g * cig + ic;
+                            for ky in 0..kh {
+                                let iy =
+                                    (oy * p.stride + ky * p.dilation) as isize - p.padding as isize;
+                                if iy < 0 || iy >= h as isize {
+                                    continue;
+                                }
+                                for kx in 0..kw {
+                                    let ix = (ox * p.stride + kx * p.dilation) as isize
+                                        - p.padding as isize;
+                                    if ix < 0 || ix >= w as isize {
+                                        continue;
+                                    }
+                                    let wv =
+                                        weight.data()[((co_idx * cig + ic) * kh + ky) * kw + kx];
+                                    acc += wv * input.at3(ci_idx, iy as usize, ix as usize);
+                                }
+                            }
+                        }
+                        out.data_mut()[(co_idx * ho + oy) * wo + ox] = acc;
+                    }
+                }
+            }
+        }
+        out
+    }
+
+    /// `conv2d` and the reference agree to the bit, shape included.
+    fn assert_bit_identical(input: &Tensor, weight: &Tensor, bias: &[f64], p: Conv2dParams) {
+        let (got, want) = (
+            conv2d(input, weight, bias, p),
+            reference_conv2d(input, weight, bias, p),
+        );
+        assert_eq!(got.shape(), want.shape(), "{p:?}");
+        let bits = |t: &Tensor| t.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&got), bits(&want), "{p:?}");
+    }
+
+    fn random(shape: &[usize], rng: &mut StdRng) -> Tensor {
+        let n = shape.iter().product();
+        Tensor::from_vec(shape, (0..n).map(|_| rng.gen_range(-1.0..1.0)).collect())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// Every output sums its bias and valid taps in the reference's
+        /// order: grouped, strided, padded, dilated, non-square kernels and
+        /// inputs, with and without bias.
+        #[test]
+        fn conv2d_is_bit_identical_to_the_reference(
+            groups in 1usize..=3,
+            cig in 1usize..=2,
+            co_per_g in 1usize..=2,
+            kh in 1usize..=5,
+            kw in 1usize..=5,
+            h in 1usize..=9,
+            w in 1usize..=9,
+            stride in 1usize..=3,
+            padding in 0usize..=2,
+            dilation in 1usize..=2,
+            with_bias in 0u8..2,
+            seed in 0u64..u64::MAX,
+        ) {
+            let p = Conv2dParams { stride, padding, dilation, groups };
+            let fits = |n: usize, k: usize| dilation * (k - 1) < n + 2 * padding;
+            prop_assume!(fits(h, kh) && fits(w, kw));
+            let mut rng = StdRng::seed_from_u64(seed);
+            let co = groups * co_per_g;
+            let input = random(&[groups * cig, h, w], &mut rng);
+            let weight = random(&[co, cig, kh, kw], &mut rng);
+            let bias: Vec<f64> = if with_bias == 1 {
+                (0..co).map(|_| rng.gen_range(-1.0..1.0)).collect()
+            } else {
+                Vec::new()
+            };
+            assert_bit_identical(&input, &weight, &bias, p);
+        }
+    }
+
+    #[test]
+    fn depthwise_stride_two_is_bit_identical() {
+        // mobilenet's downsampling depthwise 3×3: groups = channels,
+        // stride 2, padding 1, on an even and an odd input width
+        let mut rng = StdRng::seed_from_u64(11);
+        let p = Conv2dParams {
+            stride: 2,
+            padding: 1,
+            groups: 8,
+            ..Default::default()
+        };
+        for (h, w) in [(16, 16), (15, 9)] {
+            let input = random(&[8, h, w], &mut rng);
+            let weight = random(&[8, 1, 3, 3], &mut rng);
+            let bias: Vec<f64> = (0..8).map(|_| rng.gen_range(-1.0..1.0)).collect();
+            assert_bit_identical(&input, &weight, &bias, p);
+        }
+    }
+
+    #[test]
+    fn outputs_that_see_only_padding_are_their_bias() {
+        // a 1×1 kernel at stride 1 and padding 2: the two-pixel frame of
+        // the output reads nothing but padding
+        let input = Tensor::from_vec(&[1, 2, 2], vec![1.0, 2.0, 3.0, 4.0]);
+        let weight = Tensor::from_vec(&[2, 1, 1, 1], vec![10.0, 3.0]);
+        let p = Conv2dParams {
+            padding: 2,
+            ..Default::default()
+        };
+        let out = conv2d(&input, &weight, &[0.5, -0.0], p);
+        assert_eq!(out.shape(), &[2, 6, 6]);
+        assert_eq!(out.data()[0], 0.5);
+        assert_eq!(out.data()[2 * 6 + 2], 10.5);
+        // the bias −0.0 survives: nothing, not 3·0.0 = +0.0, is added to it
+        assert_eq!(out.data()[36].to_bits(), (-0.0f64).to_bits());
+        assert_bit_identical(&input, &weight, &[0.5, -0.0], p);
+    }
+
+    #[test]
+    fn negative_zero_sums_keep_their_sign() {
+        // −0.0 + w·(−0.0) stays −0.0 for w > 0, and so does −0.0 +
+        // (−0.0)·0.0; a padded tap added as w·0.0 would flip the first to
+        // +0.0, and one added as a literal +0.0 both
+        let p = Conv2dParams {
+            padding: 1,
+            ..Default::default()
+        };
+        let cases = [(-0.0, 0.5), (0.0, -0.0)];
+        for (x, wv) in cases {
+            let input = Tensor::from_vec(&[1, 3, 4], vec![x; 12]);
+            let weight = Tensor::from_vec(&[1, 1, 3, 3], vec![wv; 9]);
+            let out = conv2d(&input, &weight, &[-0.0], p);
+            assert!(
+                out.data()
+                    .iter()
+                    .all(|v| v.to_bits() == (-0.0f64).to_bits()),
+                "x {x:?} w {wv:?}: {:?}",
+                out.data()
+            );
+            assert_bit_identical(&input, &weight, &[-0.0], p);
+        }
+    }
 
     #[test]
     fn identity_kernel_passes_through() {

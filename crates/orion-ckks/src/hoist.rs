@@ -27,8 +27,8 @@ pub fn decompose_digits(ctx: &Context, c: &RnsPoly) -> Vec<RnsPoly> {
     assert!(!c.has_special());
     let level = c.level();
     let p = ctx.special;
-    // Each digit's basis extension performs `level + 2` NTTs: this is the
-    // key-switch hot loop.
+    // Each digit's basis extension performs one inverse and `level + 1`
+    // forward NTTs: this is the key-switch hot loop.
     let n = ctx.degree();
     let extended_digit = |i: usize| {
         // Bring limb i to coefficient form (arena scratch, lazy NTT).
@@ -43,8 +43,18 @@ pub fn decompose_digits(ctx: &Context, c: &RnsPoly) -> Vec<RnsPoly> {
             table.forward_lazy(&mut l);
             l
         };
+        // Digit i's own limb is c.limbs[i] itself: inverse NTT, reduction
+        // by q_i and forward NTT are the identity on a canonical limb.
         let limbs: Vec<Vec<u64>> = (0..=level)
-            .map(|j| extend(ctx.moduli[j], &ctx.ntt[j]))
+            .map(|j| {
+                if j == i {
+                    let mut l = orion_math::arena::take_u64_raw(n);
+                    l.copy_from_slice(&c.limbs[i]);
+                    l
+                } else {
+                    extend(ctx.moduli[j], &ctx.ntt[j])
+                }
+            })
             .collect();
         let sp = extend(p, &ctx.ntt_special);
         RnsPoly {
@@ -438,6 +448,33 @@ impl ExtAccumulator {
     }
 }
 
+/// [`decompose_digits`] with every limb of every digit taken through
+/// inverse NTT, reduction and forward NTT: the reference the own-limb
+/// copy is held to.
+#[cfg(test)]
+fn decompose_digits_reference(ctx: &Context, c: &RnsPoly) -> Vec<RnsPoly> {
+    let level = c.level();
+    let extended_digit = |i: usize| {
+        let mut digit = c.limbs[i].clone();
+        ctx.ntt[i].inverse_lazy(&mut digit);
+        let k = simd::kernels();
+        let extend = |q: u64, table: &orion_math::NttTable| -> Vec<u64> {
+            let mut l = vec![0u64; digit.len()];
+            (k.mod_reduce)(&mut l, &digit, q);
+            table.forward_lazy(&mut l);
+            l
+        };
+        RnsPoly {
+            limbs: (0..=level)
+                .map(|j| extend(ctx.moduli[j], &ctx.ntt[j]))
+                .collect(),
+            special: Some(extend(ctx.special, &ctx.ntt_special)),
+            form: Form::Eval,
+        }
+    };
+    (0..=level).map(extended_digit).collect()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -743,5 +780,27 @@ mod tests {
             .map(|t| ((t % 3 != 0) as isize, uniform_pt(&mut h, level)))
             .collect();
         assert_matches_reference(&h, &ct, &terms);
+    }
+
+    #[test]
+    fn own_limb_copy_matches_the_all_limb_decomposition() {
+        let medium_2_11 = CkksParams {
+            n: 1 << 11,
+            ..CkksParams::medium()
+        };
+        for params in [CkksParams::tiny(), CkksParams::small(), medium_2_11] {
+            let ctx = Context::new(params);
+            let mut rng = StdRng::seed_from_u64(0xd161);
+            for level in 0..=ctx.max_level() {
+                let c = RnsPoly::sample_uniform(&ctx, level, Form::Eval, false, &mut rng);
+                let got = decompose_digits(&ctx, &c);
+                let want = decompose_digits_reference(&ctx, &c);
+                assert_eq!(got.len(), want.len());
+                for (i, (g, w)) in got.iter().zip(&want).enumerate() {
+                    assert_eq!(g.limbs, w.limbs, "digit {i} at level {level}");
+                    assert_eq!(g.special, w.special, "digit {i} at level {level}");
+                }
+            }
+        }
     }
 }

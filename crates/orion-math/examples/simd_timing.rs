@@ -1,5 +1,6 @@
-//! Quick per-kernel SIMD-vs-scalar timing table (dev aid, not a gate),
-//! then the key-switch inner product `ks_accum` in ns per
+//! Quick per-kernel timing table of every dispatch class (dev aid, not a
+//! gate) at primes near 2⁴⁰ and 2⁵⁹ — both sides of the IFMA class's
+//! `q < 2⁵⁰` gate — then the key-switch inner product `ks_accum` in ns per
 //! digit·coefficient at 2, 5 and 8 digits — on one key set reused (hot in
 //! cache) and cycling through 64 MiB of key sets (larger than L2, as a
 //! session's rotation keys are).
@@ -31,8 +32,28 @@ fn time_ns(mut f: impl FnMut()) -> f64 {
 }
 
 fn main() {
-    let n = 8192;
-    let q = generate_ntt_primes(n, 59, 1, &[])[0];
+    let names: Vec<&str> = simd::variants().iter().map(|k| k.name).collect();
+    println!(
+        "dispatch: {}  variants: {}",
+        simd::dispatch_name(),
+        names.join(", ")
+    );
+    if simd::ifma().is_none() {
+        println!("avx512ifma: absent from variants() (the CPU lacks avx512f/vl/ifma)");
+    }
+    // One prime on each side of the IFMA class's 2⁵⁰ gate (the search for
+    // 59 bits lands just above 2⁵⁹): above the gate the IFMA row repeats
+    // the AVX2 bodies.
+    for bits in [40, 59] {
+        kernel_table(8192, bits);
+    }
+    ks_accum_table();
+}
+
+/// Every elementwise kernel and the NTT pair on every dispatch class, at
+/// ring degree `n` and one `bits`-bit NTT prime, in ns per call.
+fn kernel_table(n: usize, bits: u32) {
+    let q = generate_ntt_primes(n, bits, 1, &[])[0];
     let t = NttTable::new(n, q);
     t.inverse(&mut vec![0u64; n]);
     let mut x = 1u64;
@@ -45,6 +66,10 @@ fn main() {
         })
         .collect();
     let other: Vec<u64> = data.iter().map(|&v| (v * 7 + 13) % q).collect();
+    let wide: Vec<u64> = data
+        .iter()
+        .map(|&v| v.wrapping_mul(0x9e37_79b9_7f4a_7c15))
+        .collect();
     let s = data[17];
     let s_sh = shoup_precompute(s, q);
     let mut buf = data.clone();
@@ -77,8 +102,13 @@ fn main() {
             (k.scalar_mul_assign)(&mut buf, s, s_sh, q);
             black_box(buf[0]);
         });
+        let submul = time_ns(|| {
+            buf.copy_from_slice(&data);
+            (k.sub_mul_assign)(&mut buf, &other, s, s_sh, q);
+            black_box(buf[0]);
+        });
         let mred = time_ns(|| {
-            (k.mod_reduce)(&mut out, &data, q);
+            (k.mod_reduce)(&mut out, &wide, q);
             black_box(out[0]);
         });
         let cred = time_ns(|| {
@@ -86,12 +116,11 @@ fn main() {
             black_box(out[0]);
         });
         println!(
-            "{:>7}: fwd {fwd:9.0}  inv {inv:9.0}  mul {mul:8.0}  mac {mac:8.0}  add {add:8.0}  \
-             smul {smul:8.0}  mred {mred:8.0}  cred {cred:8.0}  (ns)",
+            "{:>10}: fwd {fwd:7.0}  inv {inv:7.0}  mul {mul:6.0}  mac {mac:6.0}  add {add:6.0}  \
+             smul {smul:6.0}  submul {submul:6.0}  mred {mred:6.0}  cred {cred:6.0}  (ns)",
             k.name
         );
     }
-    ks_accum_table();
 }
 
 /// `ks_accum` at the limb shape of `CkksParams::small()` (N = 2¹², a

@@ -16,7 +16,7 @@ use crate::modular::{
     add_mod, inv_mod, mul_mod, mul_mod_shoup, pow_mod, shoup_precompute, sub_mod,
 };
 use crate::primes::primitive_2n_root;
-use crate::simd::{self, InvScale};
+use crate::simd::{self, InvScale, Twiddles, IFMA_Q_BOUND};
 use std::sync::OnceLock;
 
 /// Precomputed twiddle tables for the negacyclic NTT modulo one prime.
@@ -33,8 +33,7 @@ pub struct NttTable {
     /// ψ, a primitive 2N-th root of unity mod q.
     pub psi: u64,
     /// ψ powers in bit-reversed order.
-    psi_brv: Vec<u64>,
-    psi_brv_shoup: Vec<u64>,
+    psi_brv: TwiddleTable,
     /// Inverse-direction tables, built lazily on first inverse transform.
     inv: OnceLock<InvTables>,
 }
@@ -44,9 +43,38 @@ pub struct NttTable {
 /// lazy kernel can fold the scaling into the final butterfly stage.
 #[derive(Clone)]
 struct InvTables {
-    inv_psi_brv: Vec<u64>,
-    inv_psi_brv_shoup: Vec<u64>,
+    inv_psi_brv: TwiddleTable,
     scale: InvScale,
+}
+
+/// One direction's twiddles with their 64-bit Shoup pairs and, for a prime
+/// below [`IFMA_Q_BOUND`], their 52-bit twins (empty otherwise): the
+/// owned form of [`Twiddles`].
+#[derive(Clone)]
+struct TwiddleTable {
+    w: Vec<u64>,
+    shoup: Vec<u64>,
+    shoup52: Vec<u64>,
+}
+
+impl TwiddleTable {
+    fn view(&self) -> Twiddles<'_> {
+        Twiddles {
+            w: &self.w,
+            shoup: &self.shoup,
+            shoup52: &self.shoup52,
+        }
+    }
+}
+
+/// The 52-bit Shoup twin of `w` when `q` is below the IFMA bound, else 0
+/// (no kernel reads it).
+fn shoup52_or_zero(w: u64, q: u64) -> u64 {
+    if q < IFMA_Q_BOUND {
+        simd::shoup52(w, q)
+    } else {
+        0
+    }
 }
 
 fn bit_reverse(x: usize, bits: u32) -> usize {
@@ -54,9 +82,9 @@ fn bit_reverse(x: usize, bits: u32) -> usize {
 }
 
 /// Successive powers of `base` (starting at 1) in bit-reversed order, each
-/// paired with its Shoup constant. The power chain itself runs on Shoup
+/// paired with its Shoup constants. The power chain itself runs on Shoup
 /// multiplication — no `u128 %` in the loop.
-fn powers_brv(base: u64, n: usize, q: u64) -> (Vec<u64>, Vec<u64>) {
+fn powers_brv(base: u64, n: usize, q: u64) -> TwiddleTable {
     let bits = n.trailing_zeros();
     let base_shoup = shoup_precompute(base, q);
     let mut pows = vec![0u64; n];
@@ -65,24 +93,31 @@ fn powers_brv(base: u64, n: usize, q: u64) -> (Vec<u64>, Vec<u64>) {
         *slot = p;
         p = mul_mod_shoup(p, base, base_shoup, q);
     }
-    let brv: Vec<u64> = (0..n).map(|i| pows[bit_reverse(i, bits)]).collect();
-    let brv_shoup = brv.iter().map(|&x| shoup_precompute(x, q)).collect();
-    (brv, brv_shoup)
+    let w: Vec<u64> = (0..n).map(|i| pows[bit_reverse(i, bits)]).collect();
+    let shoup = w.iter().map(|&x| shoup_precompute(x, q)).collect();
+    let shoup52 = if q < IFMA_Q_BOUND {
+        w.iter().map(|&x| simd::shoup52(x, q)).collect()
+    } else {
+        Vec::new()
+    };
+    TwiddleTable { w, shoup, shoup52 }
 }
 
 impl NttTable {
     /// Builds the table for ring degree `n` and prime `q ≡ 1 (mod 2n)`.
+    ///
+    /// # Panics
+    /// Panics unless `n` is a power of two `≥ 2` and `q < 2⁶²`: the lazy
+    /// butterflies hold values up to `4q`, which must not wrap a `u64`.
     pub fn new(n: usize, q: u64) -> Self {
         assert!(n.is_power_of_two() && n >= 2);
-        debug_assert!(q < 1 << 62, "lazy reduction needs 4q < 2^64");
+        assert!(q < 1 << 62, "lazy reduction needs 4q < 2^64");
         let psi = primitive_2n_root(q, n);
-        let (psi_brv, psi_brv_shoup) = powers_brv(psi, n, q);
         Self {
             n,
             q,
             psi,
-            psi_brv,
-            psi_brv_shoup,
+            psi_brv: powers_brv(psi, n, q),
             inv: OnceLock::new(),
         }
     }
@@ -102,19 +137,20 @@ impl NttTable {
         self.inv.get_or_init(|| {
             let (n, q) = (self.n, self.q);
             let inv_psi = inv_mod(self.psi, q);
-            let (inv_psi_brv, inv_psi_brv_shoup) = powers_brv(inv_psi, n, q);
+            let inv_psi_brv = powers_brv(inv_psi, n, q);
             let n_inv = inv_mod(n as u64 % q, q);
             // ψ⁻¹_brv[1]·N⁻¹: the last inverse stage has exactly one
             // twiddle, so N⁻¹ folds into it for free.
-            let s_n_inv = mul_mod(inv_psi_brv[1], n_inv, q);
+            let s_n_inv = mul_mod(inv_psi_brv.w[1], n_inv, q);
             InvTables {
                 inv_psi_brv,
-                inv_psi_brv_shoup,
                 scale: InvScale {
                     n_inv,
                     n_inv_shoup: shoup_precompute(n_inv, q),
+                    n_inv_shoup52: shoup52_or_zero(n_inv, q),
                     s_n_inv,
                     s_n_inv_shoup: shoup_precompute(s_n_inv, q),
+                    s_n_inv_shoup52: shoup52_or_zero(s_n_inv, q),
                 },
             }
         })
@@ -131,8 +167,8 @@ impl NttTable {
             t >>= 1;
             // Per-stage twiddle subslices keep the inner loop free of
             // table-offset arithmetic the compiler can't hoist itself.
-            let tw = &self.psi_brv[m..2 * m];
-            let tw_sh = &self.psi_brv_shoup[m..2 * m];
+            let tw = &self.psi_brv.w[m..2 * m];
+            let tw_sh = &self.psi_brv.shoup[m..2 * m];
             for i in 0..m {
                 let j1 = 2 * i * t;
                 let (s, s_sh) = (tw[i], tw_sh[i]);
@@ -157,8 +193,8 @@ impl NttTable {
         let mut m = n;
         while m > 1 {
             let h = m >> 1;
-            let tw = &it.inv_psi_brv[h..2 * h];
-            let tw_sh = &it.inv_psi_brv_shoup[h..2 * h];
+            let tw = &it.inv_psi_brv.w[h..2 * h];
+            let tw_sh = &it.inv_psi_brv.shoup[h..2 * h];
             let mut j1 = 0;
             for i in 0..h {
                 let (s, s_sh) = (tw[i], tw_sh[i]);
@@ -179,13 +215,12 @@ impl NttTable {
     }
 
     /// In-place forward NTT with Harvey lazy reduction, dispatched to the
-    /// process-wide kernel class (AVX2 or unrolled scalar). Butterflies
-    /// keep values in `[0, 4q)`; the final full-reduction sweep is folded
-    /// into the last butterfly stage. Bit-identical to
-    /// [`NttTable::forward`] on every dispatch class.
+    /// process-wide kernel class (AVX-512 IFMA, AVX2 or unrolled scalar;
+    /// see [`simd`]). Butterflies keep values in `[0, 4q)`; the final
+    /// full-reduction sweep is folded into the last butterfly stage.
+    /// Bit-identical to [`NttTable::forward`] on every dispatch class.
     pub fn forward_lazy(&self, a: &mut [u64]) {
-        debug_assert_eq!(a.len(), self.n);
-        (simd::kernels().ntt_fwd_lazy)(a, &self.psi_brv, &self.psi_brv_shoup, self.q);
+        self.forward_lazy_with(simd::kernels(), a);
     }
 
     /// In-place inverse NTT with lazy reduction, dispatched like
@@ -193,23 +228,21 @@ impl NttTable {
     /// the N⁻¹ scaling is folded into the single-twiddle last stage.
     /// Bit-identical to [`NttTable::inverse`] on every dispatch class.
     pub fn inverse_lazy(&self, a: &mut [u64]) {
-        debug_assert_eq!(a.len(), self.n);
-        let it = self.inv_tables();
-        (simd::kernels().ntt_inv_lazy)(a, &it.inv_psi_brv, &it.inv_psi_brv_shoup, it.scale, self.q);
+        self.inverse_lazy_with(simd::kernels(), a);
     }
 
     /// Like [`NttTable::forward_lazy`] but with an explicit kernel table —
     /// used by equivalence tests and simd-vs-scalar benches.
     pub fn forward_lazy_with(&self, k: &simd::Kernels, a: &mut [u64]) {
         debug_assert_eq!(a.len(), self.n);
-        (k.ntt_fwd_lazy)(a, &self.psi_brv, &self.psi_brv_shoup, self.q);
+        (k.ntt_fwd_lazy)(a, self.psi_brv.view(), self.q);
     }
 
     /// Like [`NttTable::inverse_lazy`] but with an explicit kernel table.
     pub fn inverse_lazy_with(&self, k: &simd::Kernels, a: &mut [u64]) {
         debug_assert_eq!(a.len(), self.n);
         let it = self.inv_tables();
-        (k.ntt_inv_lazy)(a, &it.inv_psi_brv, &it.inv_psi_brv_shoup, it.scale, self.q);
+        (k.ntt_inv_lazy)(a, it.inv_psi_brv.view(), it.scale, self.q);
     }
 
     /// Returns, for each evaluation-domain index `i`, the exponent `e(i)`
@@ -335,6 +368,14 @@ mod tests {
             assert_eq!(strict, lazy, "inverse n={n}");
             assert_eq!(lazy, orig, "roundtrip n={n}");
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "lazy reduction needs 4q < 2^64")]
+    fn modulus_whose_lazy_range_wraps_is_rejected() {
+        // 2⁶² + 2⁵ + 1 is ≡ 1 mod 32: an NTT modulus shape for n = 16
+        // whose [0, 4q) range no longer fits a u64.
+        NttTable::new(16, (1 << 62) + 33);
     }
 
     #[test]

@@ -6,9 +6,12 @@
 
 use crate::modular::is_prime;
 
-/// Generates `count` distinct primes `p ≡ 1 (mod 2n)` with `log2(p)` as
-/// close as possible to `bits`, searching downward then upward from
-/// `2^bits + 1`.
+/// Generates `count` distinct primes `p ≡ 1 (mod 2n)` with `log2(p)` near
+/// `bits`. The search alternates between two cursors, one candidate each
+/// per round: one walks down from the largest candidate at or below
+/// `2^bits`, the other up from the next candidate above it. So a prime
+/// **above** `2^bits` can come back, even first (a `bits = 50` prime may
+/// not sit below `2⁵⁰`), and the list is not sorted.
 ///
 /// Returned primes are distinct from every element of `exclude`.
 ///

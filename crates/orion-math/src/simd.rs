@@ -5,16 +5,26 @@
 //! [`Kernels`] table of function pointers. The table is chosen **once per
 //! process** (the same pattern as the thread pool's width env read):
 //!
-//! * `ORION_SIMD` unset → auto-detect: AVX2 on x86-64 CPUs that have it,
-//!   the portable 4-wide unrolled scalar path everywhere else.
-//! * `ORION_SIMD=force` → require the accelerated path (panics on x86-64
-//!   without AVX2; on other architectures the scalar path *is* the
-//!   accelerated path).
+//! * `ORION_SIMD` unset → auto-detect the best class the CPU has:
+//!   AVX-512 IFMA ([`ifma`]: `avx512f` + `avx512vl` + `avx512ifma`), else
+//!   AVX2 ([`avx2`]), else the portable 4-wide unrolled scalar path.
+//! * `ORION_SIMD=force` → require an accelerated class (the best one
+//!   present; panics only on x86-64 without AVX2; on other architectures
+//!   the scalar path *is* the accelerated path).
 //! * `ORION_SIMD=off` → scalar, for A/B testing and bit-exactness gates.
 //!
-//! Both variants stay reachable in-process via [`scalar`] and [`avx2`] so
-//! proptests can pin bit-exactness and benches can measure the ratio
-//! without re-exec'ing under a different environment.
+//! Every class stays reachable in-process via [`scalar`], [`avx2`] and
+//! [`ifma`] ([`variants`] lists those the host has) so proptests can pin
+//! bit-exactness and benches can measure the ratio without re-exec'ing
+//! under a different environment.
+//!
+//! The IFMA class multiplies on the native 52-bit multiplier
+//! (`vpmadd52lo/hiuq`), so it applies only to limbs whose prime is below
+//! [`IFMA_Q_BOUND`] `= 2⁵⁰`: there the lazy NTT range `[0, 4q)` fits in 52
+//! bits. Each of its kernels branches once per call on `q`; a limb at or
+//! above the bound runs the AVX2 body. Its Shoup constants are the 52-bit
+//! twins `⌊w·2⁵²/q⌋` ([`shoup52`]), which [`crate::NttTable`] precomputes
+//! for every prime below the bound.
 //!
 //! # Lazy-form invariants
 //!
@@ -22,10 +32,15 @@
 //! |---------------------|--------------------|--------------|
 //! | `ntt_fwd_lazy`      | `[0, q)`           | `[0, q)` (internal stages `[0, 4q)`) |
 //! | `ntt_inv_lazy`      | `[0, q)`           | `[0, q)` (internal stages `[0, 2q)`) |
+//! | IFMA `ntt_*_lazy`, `q < 2⁵⁰` | `[0, q)`  | `[0, q)` (internal stages as above; `4q < 2⁵²`, so every multiplier input fits 52 bits) |
 //! | `ks_accum`          | digits, Montgomery-form keys `[0, q)` | `[0, q)` (128-bit register sums `< q·2⁶⁴` per digit chunk, one REDC each) |
 //! | `mac_wide`          | operands `[0, q)`  | 128-bit lanes, unreduced; caller keeps them `< q·2⁶⁴` |
 //! | `fold_wide`         | lanes `< q·2⁶⁴`    | `[0, q)` in `lo`, `hi` zeroed |
 //! | everything else     | `[0, q)`           | `[0, q)`     |
+//!
+//! A transform that fully reduces its output is an exact linear map mod
+//! `q`, so every class returns the same words even where their lazy
+//! intermediates differ by a multiple of `q`.
 //!
 //! The wide lanes are safe at any term count as long as the caller folds
 //! in time ([`wide_fold_bound`]): a lane summing `T` products of residues
@@ -45,15 +60,40 @@
 use crate::modular::{mul_mod_shoup, mul_mod_shoup_lazy, Barrett};
 use std::sync::OnceLock;
 
+/// Primes below this bound run the IFMA class's 52-bit bodies: the lazy
+/// NTT range `[0, 4q)` must fit the multiplier's 52-bit inputs.
+pub const IFMA_Q_BOUND: u64 = 1 << 50;
+
+/// The 52-bit Shoup twin `⌊w·2⁵²/q⌋` of a constant `w < q`, the form the
+/// IFMA class multiplies with (the 64-bit pair is
+/// [`crate::modular::shoup_precompute`]).
+pub fn shoup52(w: u64, q: u64) -> u64 {
+    debug_assert!(w < q);
+    (((w as u128) << 52) / q as u128) as u64
+}
+
+/// One direction's NTT twiddles in the order the butterflies read them,
+/// with their Shoup pairs: `shoup[i] = ⌊w[i]·2⁶⁴/q⌋` and, for `q <
+/// IFMA_Q_BOUND` only, `shoup52[i] = ⌊w[i]·2⁵²/q⌋` (empty otherwise).
+#[derive(Clone, Copy, Debug)]
+pub struct Twiddles<'a> {
+    pub w: &'a [u64],
+    pub shoup: &'a [u64],
+    pub shoup52: &'a [u64],
+}
+
 /// Constants for the folded final stage of the inverse NTT: the plain N⁻¹
 /// scaling and N⁻¹ pre-multiplied into the last-stage twiddle
-/// (`s_n_inv = ψ⁻¹_brv[1]·N⁻¹ mod q`).
+/// (`s_n_inv = ψ⁻¹_brv[1]·N⁻¹ mod q`), each with its 64-bit Shoup pair and
+/// its 52-bit twin (0 when `q ≥ IFMA_Q_BOUND`).
 #[derive(Clone, Copy, Debug)]
 pub struct InvScale {
     pub n_inv: u64,
     pub n_inv_shoup: u64,
+    pub n_inv_shoup52: u64,
     pub s_n_inv: u64,
     pub s_n_inv_shoup: u64,
+    pub s_n_inv_shoup52: u64,
 }
 
 /// One dispatch class: a full table of kernel entry points. All variants
@@ -62,11 +102,11 @@ pub struct Kernels {
     /// Dispatch-class label surfaced in telemetry and bench artifacts.
     pub name: &'static str,
     /// Whole-transform lazy forward NTT, final full-reduction sweep folded
-    /// into the last butterfly stage. `(a, psi_brv, psi_brv_shoup, q)`.
-    pub ntt_fwd_lazy: fn(&mut [u64], &[u64], &[u64], u64),
+    /// into the last butterfly stage. `(a, ψ_brv twiddles, q)`.
+    pub ntt_fwd_lazy: fn(&mut [u64], Twiddles, u64),
     /// Whole-transform lazy inverse NTT, N⁻¹ scaling folded into the last
-    /// stage. `(a, inv_psi_brv, inv_psi_brv_shoup, scale, q)`.
-    pub ntt_inv_lazy: fn(&mut [u64], &[u64], &[u64], InvScale, u64),
+    /// stage. `(a, ψ⁻¹_brv twiddles, scale, q)`.
+    pub ntt_inv_lazy: fn(&mut [u64], Twiddles, InvScale, u64),
     /// `a[i] = (a[i] + b[i]) mod q`
     pub add_assign: fn(&mut [u64], &[u64], u64),
     /// `a[i] = (a[i] - b[i]) mod q`
@@ -137,14 +177,31 @@ pub fn avx2() -> Option<&'static Kernels> {
     None
 }
 
-/// Every dispatch class available on this host, for equivalence tests and
-/// simd-vs-scalar benches.
-pub fn variants() -> Vec<&'static Kernels> {
-    let mut v = vec![scalar()];
-    if let Some(k) = avx2() {
-        v.push(k);
+/// The AVX-512 IFMA table, or `None` when the CPU (or target) lacks any of
+/// `avx512f`, `avx512vl`, `avx512ifma` (or AVX2, whose bodies it runs for
+/// primes at or above [`IFMA_Q_BOUND`]). The returned table is safe to
+/// call: availability has been verified here.
+pub fn ifma() -> Option<&'static Kernels> {
+    #[cfg(target_arch = "x86_64")]
+    {
+        if std::arch::is_x86_feature_detected!("avx2")
+            && std::arch::is_x86_feature_detected!("avx512f")
+            && std::arch::is_x86_feature_detected!("avx512vl")
+            && std::arch::is_x86_feature_detected!("avx512ifma")
+        {
+            return Some(&ifma_impl::IFMA);
+        }
     }
-    v
+    None
+}
+
+/// Every dispatch class available on this host, slowest first, for
+/// equivalence tests and simd-vs-scalar benches.
+pub fn variants() -> Vec<&'static Kernels> {
+    [Some(scalar()), avx2(), ifma()]
+        .into_iter()
+        .flatten()
+        .collect()
 }
 
 /// The process-wide kernel table, chosen once from `ORION_SIMD` + CPU
@@ -157,7 +214,7 @@ pub fn kernels() -> &'static Kernels {
             Ok("off") => scalar(),
             Ok("force") => {
                 if cfg!(target_arch = "x86_64") {
-                    avx2().expect(
+                    ifma().or_else(avx2).expect(
                         "ORION_SIMD=force: this x86-64 CPU does not support AVX2; \
                          unset ORION_SIMD or set ORION_SIMD=off",
                     )
@@ -167,14 +224,15 @@ pub fn kernels() -> &'static Kernels {
                     scalar()
                 }
             }
-            _ => avx2().unwrap_or_else(scalar),
+            _ => ifma().or_else(avx2).unwrap_or_else(scalar),
         };
         orion_telemetry::set_kernel_dispatch(k.name);
         k
     })
 }
 
-/// Label of the process-wide dispatch class (`"avx2"` or `"scalar"`).
+/// Label of the process-wide dispatch class (`"avx512ifma"`, `"avx2"` or
+/// `"scalar"`).
 pub fn dispatch_name() -> &'static str {
     kernels().name
 }
@@ -478,7 +536,8 @@ mod scalar_impl {
         }
     }
 
-    pub(super) fn ntt_fwd_lazy(a: &mut [u64], psi: &[u64], psi_sh: &[u64], q: u64) {
+    pub(super) fn ntt_fwd_lazy(a: &mut [u64], tw: Twiddles, q: u64) {
+        let (psi, psi_sh) = (tw.w, tw.shoup);
         let n = a.len();
         debug_assert!(n.is_power_of_two() && n >= 2);
         debug_assert_eq!(psi.len(), n);
@@ -543,7 +602,8 @@ mod scalar_impl {
         }
     }
 
-    pub(super) fn ntt_inv_lazy(a: &mut [u64], ipsi: &[u64], ipsi_sh: &[u64], sc: InvScale, q: u64) {
+    pub(super) fn ntt_inv_lazy(a: &mut [u64], tw: Twiddles, sc: InvScale, q: u64) {
+        let (ipsi, ipsi_sh) = (tw.w, tw.shoup);
         let n = a.len();
         debug_assert!(n.is_power_of_two() && n >= 2);
         debug_assert_eq!(ipsi.len(), n);
@@ -789,11 +849,12 @@ mod avx2_impl {
     // pointers, which a `#[target_feature]` function cannot coerce to.
 
     /// Declares the safe `fn`-pointer-compatible wrapper for one
-    /// target-feature kernel body.
+    /// target-feature kernel body (visible to the IFMA table, which reuses
+    /// the AVX2 entries).
     macro_rules! wrap_avx2 {
         ($(#[$doc:meta])* $name:ident => $body:ident ( $($arg:ident : $ty:ty),* )) => {
             $(#[$doc])*
-            fn $name($($arg: $ty),*) {
+            pub(super) fn $name($($arg: $ty),*) {
                 // SAFETY: see the module safety note — this table is only
                 // handed out after AVX2 detection.
                 unsafe { $body($($arg),*) }
@@ -807,8 +868,8 @@ mod avx2_impl {
     wrap_avx2!(add_mul => add_mul_avx2(dst: &mut [u64], a: &[u64], b: &[u64], q: u64));
     wrap_avx2!(scalar_mul_assign => scalar_mul_assign_avx2(a: &mut [u64], s: u64, s_sh: u64, q: u64));
     wrap_avx2!(sub_mul_assign => sub_mul_assign_avx2(a: &mut [u64], b: &[u64], s: u64, s_sh: u64, q: u64));
-    wrap_avx2!(ntt_fwd_lazy => ntt_fwd_lazy_avx2(a: &mut [u64], psi: &[u64], psi_sh: &[u64], q: u64));
-    wrap_avx2!(ntt_inv_lazy => ntt_inv_lazy_avx2(a: &mut [u64], ipsi: &[u64], ipsi_sh: &[u64], sc: InvScale, q: u64));
+    wrap_avx2!(ntt_fwd_lazy => ntt_fwd_lazy_avx2(a: &mut [u64], tw: Twiddles, q: u64));
+    wrap_avx2!(ntt_inv_lazy => ntt_inv_lazy_avx2(a: &mut [u64], tw: Twiddles, sc: InvScale, q: u64));
 
     #[target_feature(enable = "avx2")]
     unsafe fn add_assign_avx2(a: &mut [u64], b: &[u64], q: u64) {
@@ -949,13 +1010,14 @@ mod avx2_impl {
     }
 
     #[target_feature(enable = "avx2")]
-    unsafe fn ntt_fwd_lazy_avx2(a: &mut [u64], psi: &[u64], psi_sh: &[u64], q: u64) {
+    unsafe fn ntt_fwd_lazy_avx2(a: &mut [u64], tw: Twiddles, q: u64) {
         let n = a.len();
         debug_assert!(n.is_power_of_two() && n >= 2);
-        debug_assert_eq!(psi.len(), n);
+        debug_assert_eq!(tw.w.len(), n);
         if n < 8 {
-            return super::scalar_impl::ntt_fwd_lazy(a, psi, psi_sh, q);
+            return super::scalar_impl::ntt_fwd_lazy(a, tw, q);
         }
+        let (psi, psi_sh) = (tw.w, tw.shoup);
         let two_q = 2 * q;
         // SAFETY: AVX2 verified by dispatch. Pointer arithmetic stays in
         // bounds: every stage partitions the length-n slice into disjoint
@@ -1092,19 +1154,14 @@ mod avx2_impl {
     }
 
     #[target_feature(enable = "avx2")]
-    unsafe fn ntt_inv_lazy_avx2(
-        a: &mut [u64],
-        ipsi: &[u64],
-        ipsi_sh: &[u64],
-        sc: InvScale,
-        q: u64,
-    ) {
+    unsafe fn ntt_inv_lazy_avx2(a: &mut [u64], tw: Twiddles, sc: InvScale, q: u64) {
         let n = a.len();
         debug_assert!(n.is_power_of_two() && n >= 2);
-        debug_assert_eq!(ipsi.len(), n);
+        debug_assert_eq!(tw.w.len(), n);
         if n < 8 {
-            return super::scalar_impl::ntt_inv_lazy(a, ipsi, ipsi_sh, sc, q);
+            return super::scalar_impl::ntt_inv_lazy(a, tw, sc, q);
         }
+        let (ipsi, ipsi_sh) = (tw.w, tw.shoup);
         let two_q = 2 * q;
         // SAFETY: AVX2 verified by dispatch; same block-partition bounds
         // argument as the forward transform, traversed in reverse order.
@@ -1228,6 +1285,541 @@ mod avx2_impl {
                 _mm256_storeu_si256(vp, mul_shoup(d, sni, sni_sh, qv, sign));
                 j += 4;
             }
+        }
+    }
+}
+
+#[cfg(target_arch = "x86_64")]
+mod ifma_impl {
+    use super::*;
+    use core::arch::x86_64::*;
+
+    pub(super) static IFMA: Kernels = Kernels {
+        name: "avx512ifma",
+        ntt_fwd_lazy,
+        ntt_inv_lazy,
+        add_assign: avx2_impl::add_assign,
+        sub_assign: avx2_impl::sub_assign,
+        neg_assign: avx2_impl::neg_assign,
+        mul_pointwise,
+        // Only a benchmark probe calls `add_mul`: it keeps the AVX2 body.
+        add_mul: avx2_impl::add_mul,
+        scalar_mul_assign,
+        sub_mul_assign,
+        mod_reduce,
+        centered_reduce,
+        ks_accum: scalar_impl::ks_accum,
+        mac_wide: scalar_impl::mac_wide,
+        fold_wide: scalar_impl::fold_wide,
+    };
+
+    const MASK52: u64 = (1 << 52) - 1;
+
+    /// Smallest modulus whose Barrett body takes any `u64` word: it needs
+    /// `x >> (bitlen(q) − 1) < 2⁵²`.
+    const REDUCE_Q_MIN: u64 = 1 << 12;
+
+    /// Broadcast of one `u64` to all eight lanes.
+    #[inline(always)]
+    unsafe fn splat(x: u64) -> __m512i {
+        // SAFETY: register-only broadcast; the caller guarantees AVX-512F
+        // (every helper here is reached only through the `IFMA` table).
+        unsafe { _mm512_set1_epi64(x as i64) }
+    }
+
+    /// Lane-wise `a − m` where `a ≥ m`, else `a`: when `a < m` the wrapped
+    /// difference exceeds `a`, so the unsigned minimum picks the right one.
+    #[inline(always)]
+    unsafe fn csub(a: __m512i, m: __m512i) -> __m512i {
+        // SAFETY: register-only lane arithmetic; caller guarantees AVX-512F.
+        unsafe { _mm512_min_epu64(a, _mm512_sub_epi64(a, m)) }
+    }
+
+    /// Broadcast constants of one modulus `q < IFMA_Q_BOUND`.
+    struct Mod52 {
+        q: __m512i,
+        two_q: __m512i,
+        /// `2⁵² − q`: adding `lo₅₂(h·(2⁵² − q))` subtracts `h·q` mod 2⁵².
+        neg_q: __m512i,
+        mask: __m512i,
+    }
+
+    impl Mod52 {
+        #[inline(always)]
+        unsafe fn new(q: u64) -> Self {
+            debug_assert!(q < IFMA_Q_BOUND);
+            // SAFETY: register-only broadcasts; caller guarantees AVX-512F.
+            unsafe {
+                Self {
+                    q: splat(q),
+                    two_q: splat(2 * q),
+                    neg_q: splat((1 << 52) - q),
+                    mask: splat(MASK52),
+                }
+            }
+        }
+
+        /// Lazy Shoup product on the 52-bit multiplier: `≡ a·w (mod q)`, in
+        /// `[0, 2q)`, for `a < 2⁵²`, `w < q` and `w52 = ⌊w·2⁵²/q⌋`. The
+        /// quotient estimate `h = ⌊a·w52/2⁵²⌋` is at most 1 below
+        /// `⌊a·w/q⌋`, so `a·w − h·q < 2q < 2⁵²` is exact in the low 52 bits.
+        #[inline(always)]
+        unsafe fn mul_shoup_lazy(&self, a: __m512i, w: __m512i, w52: __m512i) -> __m512i {
+            // SAFETY: register-only lane arithmetic; caller guarantees
+            // AVX-512F + IFMA and the input bounds above.
+            unsafe {
+                let zero = _mm512_setzero_si512();
+                let h = _mm512_madd52hi_epu64(zero, a, w52);
+                let lo = _mm512_madd52lo_epu64(zero, a, w);
+                _mm512_and_si512(_mm512_madd52lo_epu64(lo, h, self.neg_q), self.mask)
+            }
+        }
+
+        /// Harvey forward butterfly: `u, v ∈ [0, 4q)` → `u + wv, u − wv`,
+        /// both in `[0, 4q)`.
+        #[inline(always)]
+        unsafe fn fwd(
+            &self,
+            u: __m512i,
+            v: __m512i,
+            w: __m512i,
+            w52: __m512i,
+        ) -> (__m512i, __m512i) {
+            // SAFETY: register-only lane arithmetic; caller guarantees
+            // AVX-512F + IFMA. `v < 4q < 2⁵²` meets the product's bound.
+            unsafe {
+                let u = csub(u, self.two_q);
+                let v = self.mul_shoup_lazy(v, w, w52);
+                (
+                    _mm512_add_epi64(u, v),
+                    _mm512_sub_epi64(_mm512_add_epi64(u, self.two_q), v),
+                )
+            }
+        }
+
+        /// Harvey inverse butterfly: `u, v ∈ [0, 2q)` → `u + v, (u − v)·w`,
+        /// both in `[0, 2q)`.
+        #[inline(always)]
+        unsafe fn inv(
+            &self,
+            u: __m512i,
+            v: __m512i,
+            w: __m512i,
+            w52: __m512i,
+        ) -> (__m512i, __m512i) {
+            // SAFETY: register-only lane arithmetic; caller guarantees
+            // AVX-512F + IFMA. `u + 2q − v < 4q < 2⁵²` meets the product's
+            // bound.
+            unsafe {
+                let s = csub(_mm512_add_epi64(u, v), self.two_q);
+                let d = _mm512_sub_epi64(_mm512_add_epi64(u, self.two_q), v);
+                (s, self.mul_shoup_lazy(d, w, w52))
+            }
+        }
+    }
+
+    /// Barrett reduction by `q < IFMA_Q_BOUND` on the 52-bit multiplier.
+    /// With `s = bitlen(q) − 1` and `μ = ⌊2⁵²⁺ˢ/q⌋ < 2⁵²`, the estimate
+    /// `⌊⌊x/2ˢ⌋·μ/2⁵²⌋` of `⌊x/q⌋` is at most 2 low for any `x` with
+    /// `⌊x/2ˢ⌋ < 2⁵²`, so `x` minus its multiple of `q` is in `[0, 3q)`.
+    struct Barrett52 {
+        m: Mod52,
+        mu: __m512i,
+        shift: __m128i,
+        /// `52 − s`: the left shift that aligns a product's high half.
+        up: __m128i,
+    }
+
+    impl Barrett52 {
+        #[inline(always)]
+        unsafe fn new(q: u64) -> Self {
+            let s = 63 - q.leading_zeros();
+            // SAFETY: register-only broadcasts; caller guarantees AVX-512F
+            // and `q < IFMA_Q_BOUND`.
+            unsafe {
+                Self {
+                    m: Mod52::new(q),
+                    mu: splat(((1u128 << (52 + s)) / q as u128) as u64),
+                    shift: _mm_cvtsi64_si128(s as i64),
+                    up: _mm_cvtsi64_si128(52 - s as i64),
+                }
+            }
+        }
+
+        /// `x mod q` from `x`'s low 52 bits and `⌊x/2ˢ⌋ < 2⁵²`.
+        #[inline(always)]
+        unsafe fn finish(&self, lo: __m512i, xs: __m512i) -> __m512i {
+            // SAFETY: register-only lane arithmetic; caller guarantees
+            // AVX-512F + IFMA. The remainder is `< 3q < 2⁵²`, exact in the
+            // low 52 bits; two conditional subtracts reduce it.
+            unsafe {
+                let est = _mm512_madd52hi_epu64(_mm512_setzero_si512(), xs, self.mu);
+                let r = _mm512_and_si512(_mm512_madd52lo_epu64(lo, est, self.m.neg_q), self.m.mask);
+                csub(csub(r, self.m.two_q), self.m.q)
+            }
+        }
+
+        /// `a·b mod q` for `a, b < q`: the 100-bit product is `hi·2⁵² + lo`.
+        #[inline(always)]
+        unsafe fn mul(&self, a: __m512i, b: __m512i) -> __m512i {
+            // SAFETY: register-only lane arithmetic; caller guarantees
+            // AVX-512F + IFMA and `a, b < q`, so `⌊a·b/2ˢ⌋ < 2⁵¹`.
+            unsafe {
+                let zero = _mm512_setzero_si512();
+                let lo = _mm512_madd52lo_epu64(zero, a, b);
+                let hi = _mm512_madd52hi_epu64(zero, a, b);
+                let xs = _mm512_or_si512(
+                    _mm512_srl_epi64(lo, self.shift),
+                    _mm512_sll_epi64(hi, self.up),
+                );
+                self.finish(lo, xs)
+            }
+        }
+
+        /// `x mod q` for any `u64` word; needs `q ≥ REDUCE_Q_MIN`.
+        #[inline(always)]
+        unsafe fn reduce(&self, x: __m512i) -> __m512i {
+            // SAFETY: register-only lane arithmetic; caller guarantees
+            // AVX-512F + IFMA and `s ≥ 12`, so `x >> s < 2⁵²`.
+            unsafe {
+                self.finish(
+                    _mm512_and_si512(x, self.m.mask),
+                    _mm512_srl_epi64(x, self.shift),
+                )
+            }
+        }
+    }
+
+    /// Calls `f(i, k)` on each 8-lane block starting at word `i` of a
+    /// `len`-word buffer; `k` masks the lanes inside it (all eight, but
+    /// fewer in a last, partial block).
+    #[inline(always)]
+    fn for_blocks(len: usize, mut f: impl FnMut(usize, __mmask8)) {
+        let full = len / 8 * 8;
+        for i in (0..full).step_by(8) {
+            f(i, 0xff);
+        }
+        if full < len {
+            f(full, 0xff >> (8 - (len - full)));
+        }
+    }
+
+    /// Masked load of the block at word `i`; lanes outside `k` read as 0
+    /// and do not touch memory.
+    #[inline(always)]
+    unsafe fn load(s: &[u64], i: usize, k: __mmask8) -> __m512i {
+        // SAFETY: the caller passes a block from `for_blocks(s.len(), ..)`,
+        // so every lane in `k` is inside `s`; masked-off lanes are not
+        // accessed (AVX-512 fault suppression).
+        unsafe { _mm512_maskz_loadu_epi64(k, s.as_ptr().add(i) as *const i64) }
+    }
+
+    /// Masked store of the block at word `i`, the counterpart of [`load`].
+    #[inline(always)]
+    unsafe fn store(s: &mut [u64], i: usize, k: __mmask8, v: __m512i) {
+        // SAFETY: as for `load`: lanes in `k` are inside `s`, the others
+        // are not written.
+        unsafe { _mm512_mask_storeu_epi64(s.as_mut_ptr().add(i) as *mut i64, k, v) }
+    }
+
+    /// Lane `k` of the u (`odd = false`) or v (`odd = true`) register of a
+    /// stage whose blocks are `t` u-words then `t` v-words, as an index
+    /// into the 16 words two registers hold.
+    const fn split_idx(t: usize, odd: bool) -> [i64; 8] {
+        let mut r = [0; 8];
+        let mut k = 0;
+        while k < 8 {
+            r[k] = ((k / t) * 2 * t + k % t + if odd { t } else { 0 }) as i64;
+            k += 1;
+        }
+        r
+    }
+
+    /// The inverse of [`split_idx`]: lane `k` of the low (`hi = false`) or
+    /// high stored register as an index into `u` (`< 8`) or `v` (`≥ 8`).
+    const fn join_idx(t: usize, hi: bool) -> [i64; 8] {
+        let mut r = [0; 8];
+        let mut k = 0;
+        while k < 8 {
+            let s = k + if hi { 8 } else { 0 };
+            let (b, p) = (s / (2 * t), s % (2 * t));
+            r[k] = if p < t { b * t + p } else { 8 + b * t + p - t } as i64;
+            k += 1;
+        }
+        r
+    }
+
+    #[inline(always)]
+    unsafe fn idx(r: [i64; 8]) -> __m512i {
+        // SAFETY: reads the eight words of a local array; caller
+        // guarantees AVX-512F.
+        unsafe { _mm512_loadu_epi64(r.as_ptr()) }
+    }
+
+    /// One NTT stage whose blocks are `T ≤ 4` u-words then `T` v-words:
+    /// 16 words (`8/T` blocks) per step, split into a u and a v register,
+    /// each lane paired with its block's twiddle, and stored back
+    /// interleaved. `w` / `w52` are the stage's `n/2T` twiddles.
+    #[inline(always)]
+    unsafe fn small_stage<const T: usize>(
+        a: &mut [u64],
+        w: &[u64],
+        w52: &[u64],
+        bfly: impl Fn(__m512i, __m512i, __m512i, __m512i) -> (__m512i, __m512i),
+    ) {
+        let n = a.len();
+        assert!(n.is_multiple_of(16) && w.len() * 2 * T == n && w52.len() == w.len());
+        // SAFETY: caller guarantees AVX-512F + IFMA. Step `j` reads and
+        // writes words `[j, j + 16)` of `a` (n is a multiple of 16) and
+        // twiddles `[j/2T, j/2T + 8/T)` of `w` / `w52`, whose length
+        // `n/2T` the assert pins.
+        unsafe {
+            let (su, sv) = (idx(split_idx(T, false)), idx(split_idx(T, true)));
+            let (jl, jh) = (idx(join_idx(T, false)), idx(join_idx(T, true)));
+            let spread = idx(split_idx(T, false).map(|k| k / (2 * T as i64)));
+            let twiddles = |s: &[u64], b: usize| {
+                if T == 1 {
+                    _mm512_loadu_epi64(s.as_ptr().add(b) as *const i64)
+                } else {
+                    let part = _mm512_maskz_loadu_epi64(
+                        0xff >> (8 - 8 / T),
+                        s.as_ptr().add(b) as *const i64,
+                    );
+                    _mm512_permutexvar_epi64(spread, part)
+                }
+            };
+            let ap = a.as_mut_ptr() as *mut i64;
+            for j in (0..n).step_by(16) {
+                let (r0, r1) = (
+                    _mm512_loadu_epi64(ap.add(j)),
+                    _mm512_loadu_epi64(ap.add(j + 8)),
+                );
+                let u = _mm512_permutex2var_epi64(r0, su, r1);
+                let v = _mm512_permutex2var_epi64(r0, sv, r1);
+                let b = j / (2 * T);
+                let (uo, vo) = bfly(u, v, twiddles(w, b), twiddles(w52, b));
+                _mm512_storeu_epi64(ap.add(j), _mm512_permutex2var_epi64(uo, jl, vo));
+                _mm512_storeu_epi64(ap.add(j + 8), _mm512_permutex2var_epi64(uo, jh, vo));
+            }
+        }
+    }
+
+    /// One NTT stage whose blocks are `t ≥ 8` u-words then `t` v-words:
+    /// whole registers, one broadcast twiddle per block.
+    #[inline(always)]
+    unsafe fn span_stage(
+        a: &mut [u64],
+        t: usize,
+        w: &[u64],
+        w52: &[u64],
+        bfly: impl Fn(__m512i, __m512i, __m512i, __m512i) -> (__m512i, __m512i),
+    ) {
+        let n = a.len();
+        assert!(t.is_multiple_of(8) && w.len() * 2 * t == n && w52.len() == w.len());
+        // SAFETY: caller guarantees AVX-512F + IFMA. Block `i` covers words
+        // `[2it, 2it + 2t)`, inside `a` by the assert, in whole registers.
+        unsafe {
+            let ap = a.as_mut_ptr() as *mut i64;
+            for (i, (&wi, &wi52)) in w.iter().zip(w52).enumerate() {
+                let (wv, w52v) = (splat(wi), splat(wi52));
+                let base = ap.add(2 * i * t);
+                for j in (0..t).step_by(8) {
+                    let (up, vp) = (base.add(j), base.add(j + t));
+                    let (u, v) = bfly(_mm512_loadu_epi64(up), _mm512_loadu_epi64(vp), wv, w52v);
+                    _mm512_storeu_epi64(up, u);
+                    _mm512_storeu_epi64(vp, v);
+                }
+            }
+        }
+    }
+
+    // SAFETY note shared by every `*_ifma` target-feature function below:
+    // they are reachable only through the `IFMA` kernel table, which
+    // `super::ifma()` hands out after `is_x86_feature_detected!` has
+    // confirmed AVX2, AVX-512F, AVX-512VL and AVX-512IFMA, so the
+    // intrinsics always run on a CPU that has them. Each wrapper calls its
+    // body only when the modulus meets the body's bound (`q <
+    // IFMA_Q_BOUND`, plus `q ≥ REDUCE_Q_MIN` for the word reductions) and
+    // runs the AVX2 table's entry otherwise.
+
+    /// Declares the safe `fn`-pointer-compatible table entry for one IFMA
+    /// body, gated on `$gate`, with `$fallback` (the AVX2 table's entry)
+    /// for every other call.
+    macro_rules! wrap_ifma {
+        ($name:ident => $body:ident if $gate:expr, else $fallback:path; ($($arg:ident : $ty:ty),*)) => {
+            fn $name($($arg: $ty),*) {
+                if $gate {
+                    // SAFETY: see the module safety note — this table is
+                    // only handed out after IFMA detection, and `$gate`
+                    // holds the body's modulus bound.
+                    unsafe { $body($($arg),*) }
+                } else {
+                    $fallback($($arg),*)
+                }
+            }
+        };
+    }
+
+    wrap_ifma!(ntt_fwd_lazy => ntt_fwd_ifma if q < IFMA_Q_BOUND && a.len() >= 16,
+        else avx2_impl::ntt_fwd_lazy; (a: &mut [u64], tw: Twiddles, q: u64));
+    wrap_ifma!(ntt_inv_lazy => ntt_inv_ifma if q < IFMA_Q_BOUND && a.len() >= 16,
+        else avx2_impl::ntt_inv_lazy; (a: &mut [u64], tw: Twiddles, sc: InvScale, q: u64));
+    wrap_ifma!(mul_pointwise => mul_pointwise_ifma if q < IFMA_Q_BOUND,
+        else scalar_impl::mul_pointwise; (dst: &mut [u64], a: &[u64], b: &[u64], q: u64));
+    wrap_ifma!(scalar_mul_assign => scalar_mul_assign_ifma if q < IFMA_Q_BOUND,
+        else avx2_impl::scalar_mul_assign; (a: &mut [u64], s: u64, s_sh: u64, q: u64));
+    wrap_ifma!(sub_mul_assign => sub_mul_assign_ifma if q < IFMA_Q_BOUND,
+        else avx2_impl::sub_mul_assign; (a: &mut [u64], b: &[u64], s: u64, s_sh: u64, q: u64));
+    wrap_ifma!(mod_reduce => mod_reduce_ifma if (REDUCE_Q_MIN..IFMA_Q_BOUND).contains(&q),
+        else scalar_impl::mod_reduce; (dst: &mut [u64], src: &[u64], q: u64));
+    wrap_ifma!(centered_reduce => centered_reduce_ifma
+        if (REDUCE_Q_MIN..IFMA_Q_BOUND).contains(&dst_q),
+        else scalar_impl::centered_reduce; (dst: &mut [u64], src: &[u64], src_q: u64, dst_q: u64));
+
+    #[target_feature(enable = "avx512f,avx512ifma")]
+    unsafe fn ntt_fwd_ifma(a: &mut [u64], tw: Twiddles, q: u64) {
+        let n = a.len();
+        debug_assert!(n.is_power_of_two() && n >= 16);
+        // SAFETY: AVX-512F + IFMA verified by dispatch, `q < IFMA_Q_BOUND`
+        // by the wrapper; the stage helpers bound their own accesses.
+        unsafe {
+            let c = Mod52::new(q);
+            let bfly = |u, v, w, w52| c.fwd(u, v, w, w52);
+            let (mut t, mut m) = (n, 1);
+            while t >= 16 {
+                t >>= 1;
+                span_stage(a, t, &tw.w[m..2 * m], &tw.shoup52[m..2 * m], bfly);
+                m <<= 1;
+            }
+            small_stage::<4>(a, &tw.w[m..2 * m], &tw.shoup52[m..2 * m], bfly);
+            m <<= 1;
+            small_stage::<2>(a, &tw.w[m..2 * m], &tw.shoup52[m..2 * m], bfly);
+            m <<= 1;
+            // Last stage (t == 1): fold the full reduction into the
+            // butterfly, so outputs land in [0, q) with no extra sweep.
+            small_stage::<1>(a, &tw.w[m..2 * m], &tw.shoup52[m..2 * m], |u, v, w, w52| {
+                let (u, v) = c.fwd(u, v, w, w52);
+                (csub(csub(u, c.two_q), c.q), csub(csub(v, c.two_q), c.q))
+            });
+        }
+    }
+
+    #[target_feature(enable = "avx512f,avx512ifma")]
+    unsafe fn ntt_inv_ifma(a: &mut [u64], tw: Twiddles, sc: InvScale, q: u64) {
+        let n = a.len();
+        debug_assert!(n.is_power_of_two() && n >= 16);
+        // SAFETY: AVX-512F + IFMA verified by dispatch, `q < IFMA_Q_BOUND`
+        // by the wrapper; the stage helpers bound their own accesses, and
+        // the last stage's loop covers `[0, n)` in whole registers.
+        unsafe {
+            let c = Mod52::new(q);
+            let bfly = |u, v, w, w52| c.inv(u, v, w, w52);
+            let mut h = n / 2;
+            small_stage::<1>(a, &tw.w[h..2 * h], &tw.shoup52[h..2 * h], bfly);
+            h >>= 1;
+            small_stage::<2>(a, &tw.w[h..2 * h], &tw.shoup52[h..2 * h], bfly);
+            h >>= 1;
+            small_stage::<4>(a, &tw.w[h..2 * h], &tw.shoup52[h..2 * h], bfly);
+            h >>= 1;
+            let mut t = 8;
+            while h > 1 {
+                span_stage(a, t, &tw.w[h..2 * h], &tw.shoup52[h..2 * h], bfly);
+                t <<= 1;
+                h >>= 1;
+            }
+            // Last stage (one twiddle): fold the N⁻¹ scaling in. The lazy
+            // sums are < 4q < 2⁵², and one conditional subtract turns the
+            // lazy product into the strict one.
+            let (ni, ni52) = (splat(sc.n_inv), splat(sc.n_inv_shoup52));
+            let (sni, sni52) = (splat(sc.s_n_inv), splat(sc.s_n_inv_shoup52));
+            let half = n / 2;
+            let ap = a.as_mut_ptr() as *mut i64;
+            for j in (0..half).step_by(8) {
+                let (up, vp) = (ap.add(j), ap.add(j + half));
+                let (u, v) = (_mm512_loadu_epi64(up), _mm512_loadu_epi64(vp));
+                let s = _mm512_add_epi64(u, v);
+                let d = _mm512_sub_epi64(_mm512_add_epi64(u, c.two_q), v);
+                _mm512_storeu_epi64(up, csub(c.mul_shoup_lazy(s, ni, ni52), c.q));
+                _mm512_storeu_epi64(vp, csub(c.mul_shoup_lazy(d, sni, sni52), c.q));
+            }
+        }
+    }
+
+    #[target_feature(enable = "avx512f,avx512ifma")]
+    unsafe fn mul_pointwise_ifma(dst: &mut [u64], a: &[u64], b: &[u64], q: u64) {
+        assert!(dst.len() == a.len() && a.len() == b.len());
+        // SAFETY: AVX-512F + IFMA verified by dispatch; the blocks cover
+        // the common length of the three slices.
+        unsafe {
+            let br = Barrett52::new(q);
+            for_blocks(dst.len(), |i, k| {
+                let r = br.mul(load(a, i, k), load(b, i, k));
+                store(dst, i, k, r);
+            });
+        }
+    }
+
+    #[target_feature(enable = "avx512f,avx512ifma")]
+    unsafe fn scalar_mul_assign_ifma(a: &mut [u64], s: u64, _s_sh: u64, q: u64) {
+        // SAFETY: AVX-512F + IFMA verified by dispatch; the blocks cover
+        // `a`, whose residues `< q < 2⁵²` meet the product's bound.
+        unsafe {
+            let c = Mod52::new(q);
+            let (sv, s52) = (splat(s), splat(shoup52(s, q)));
+            for_blocks(a.len(), |i, k| {
+                let r = csub(c.mul_shoup_lazy(load(a, i, k), sv, s52), c.q);
+                store(a, i, k, r);
+            });
+        }
+    }
+
+    #[target_feature(enable = "avx512f,avx512ifma")]
+    unsafe fn sub_mul_assign_ifma(a: &mut [u64], b: &[u64], s: u64, _s_sh: u64, q: u64) {
+        assert_eq!(a.len(), b.len());
+        // SAFETY: AVX-512F + IFMA verified by dispatch; the blocks cover
+        // the common length of both slices.
+        unsafe {
+            let c = Mod52::new(q);
+            let (sv, s52) = (splat(s), splat(shoup52(s, q)));
+            for_blocks(a.len(), |i, k| {
+                let d = csub(
+                    _mm512_sub_epi64(_mm512_add_epi64(load(a, i, k), c.q), load(b, i, k)),
+                    c.q,
+                );
+                store(a, i, k, csub(c.mul_shoup_lazy(d, sv, s52), c.q));
+            });
+        }
+    }
+
+    #[target_feature(enable = "avx512f,avx512ifma")]
+    unsafe fn mod_reduce_ifma(dst: &mut [u64], src: &[u64], q: u64) {
+        assert_eq!(dst.len(), src.len());
+        // SAFETY: AVX-512F + IFMA verified by dispatch, `q ≥ REDUCE_Q_MIN`
+        // by the wrapper; the blocks cover the common length.
+        unsafe {
+            let br = Barrett52::new(q);
+            for_blocks(dst.len(), |i, k| {
+                store(dst, i, k, br.reduce(load(src, i, k)))
+            });
+        }
+    }
+
+    #[target_feature(enable = "avx512f,avx512ifma")]
+    unsafe fn centered_reduce_ifma(dst: &mut [u64], src: &[u64], src_q: u64, dst_q: u64) {
+        assert_eq!(dst.len(), src.len());
+        // SAFETY: AVX-512F + IFMA verified by dispatch, `dst_q ≥
+        // REDUCE_Q_MIN` by the wrapper; the blocks cover the common length.
+        unsafe {
+            let br = Barrett52::new(dst_q);
+            // center(x, src_q) ≡ x − src_q·[x > src_q/2] (mod dst_q)
+            let half = splat(src_q >> 1);
+            let delta = splat(src_q % dst_q);
+            for_blocks(dst.len(), |i, k| {
+                let x = load(src, i, k);
+                let off = _mm512_maskz_mov_epi64(_mm512_cmpgt_epu64_mask(x, half), delta);
+                let r = _mm512_sub_epi64(_mm512_add_epi64(br.reduce(x), br.m.q), off);
+                store(dst, i, k, csub(r, br.m.q));
+            });
         }
     }
 }
@@ -1421,7 +2013,15 @@ mod tests {
     #[test]
     fn dispatch_is_cached_and_labeled() {
         let k = kernels();
-        assert!(k.name == "avx2" || k.name == "scalar");
+        assert!(
+            ["avx512ifma", "avx2", "scalar"].contains(&k.name),
+            "{}",
+            k.name
+        );
+        // Unset or forced, dispatch picks the best class the host has.
+        if std::env::var("ORION_SIMD").as_deref() != Ok("off") {
+            assert!(std::ptr::eq(k, *variants().last().unwrap()));
+        }
         // Second call must hand back the identical table.
         assert!(std::ptr::eq(k, kernels()));
         assert_eq!(dispatch_name(), k.name);

@@ -1,8 +1,9 @@
 //! SIMD-vs-scalar bit-exactness properties.
 //!
-//! Every kernel variant reachable on this host (`simd::variants()`) must be
-//! bit-identical to the strict scalar reference for random primes across
-//! the full supported size range (30–62 bits), all transform degrees, and
+//! Every kernel variant reachable on this host (`simd::variants()`: scalar,
+//! AVX2, AVX-512 IFMA) must be bit-identical to the strict scalar reference
+//! for random primes across the full supported size range (30–62 bits,
+//! both sides of the IFMA class's 2⁵⁰ gate), all transform degrees, and
 //! buffer lengths that are not multiples of the vector lane count (tail
 //! handling). These run regardless of `ORION_SIMD`, so the vector paths
 //! are exercised even when dispatch is forced off.
@@ -84,6 +85,140 @@ fn wide_lanes_survive_the_fold_bound_on_extreme_operands() {
                     assert_eq!(wide_sum(k, terms, q), want, "{} q {q} T {t}", k.name);
                 }
             }
+        }
+    }
+}
+
+/// The NTT primes (`≡ 1 mod 2¹⁴`, so they serve every N ≤ 2¹³) on each
+/// side of the IFMA class's gate: the largest below `IFMA_Q_BOUND` and the
+/// smallest above it.
+fn ifma_gate_primes() -> [u64; 2] {
+    let (bound, step) = (simd::IFMA_Q_BOUND, 1u64 << 14);
+    let below = (1..)
+        .map(|k| bound - k * step + 1)
+        .find(|&c| orion_math::modular::is_prime(c))
+        .unwrap();
+    let above = (0..)
+        .map(|k| bound + k * step + 1)
+        .find(|&c| orion_math::modular::is_prime(c))
+        .unwrap();
+    [below, above]
+}
+
+/// All-zero, all-`(bound − 1)` and random buffers of length `len`.
+fn edge_inputs(rng: &mut impl rand::Rng, len: usize, bound: u64) -> [Vec<u64>; 3] {
+    [vec![0; len], vec![bound - 1; len], fill(rng, len, bound)]
+}
+
+#[test]
+fn variants_list_ifma_exactly_when_the_cpu_has_it() {
+    #[cfg(target_arch = "x86_64")]
+    let has = std::arch::is_x86_feature_detected!("avx2")
+        && std::arch::is_x86_feature_detected!("avx512f")
+        && std::arch::is_x86_feature_detected!("avx512vl")
+        && std::arch::is_x86_feature_detected!("avx512ifma");
+    #[cfg(not(target_arch = "x86_64"))]
+    let has = false;
+    let names: Vec<&str> = simd::variants().iter().map(|k| k.name).collect();
+    assert_eq!(names.contains(&"avx512ifma"), has, "{names:?}");
+    assert_eq!(simd::ifma().is_some(), has);
+}
+
+/// The NTT pair on every class is bit-identical to the strict transform on
+/// both sides of the 2⁵⁰ gate, for N = 2³…2¹³ (below 16 the IFMA class
+/// runs the AVX2 body) and inputs all 0, all `q − 1` and random.
+#[test]
+fn ntt_pair_matches_strict_on_both_sides_of_the_ifma_gate() {
+    use rand::{rngs::StdRng, SeedableRng};
+    let mut rng = StdRng::seed_from_u64(0x1f3a);
+    for q in ifma_gate_primes() {
+        for log_n in 3..=13 {
+            let n = 1usize << log_n;
+            let table = NttTable::new(n, q);
+            for input in edge_inputs(&mut rng, n, q) {
+                let mut strict = input.clone();
+                table.forward(&mut strict);
+                for k in simd::variants() {
+                    let mut v = input.clone();
+                    table.forward_lazy_with(k, &mut v);
+                    assert_eq!(v, strict, "forward {} q {q} n {n}", k.name);
+                    table.inverse_lazy_with(k, &mut v);
+                    assert_eq!(v, input, "inverse {} q {q} n {n}", k.name);
+                }
+            }
+        }
+    }
+}
+
+/// Every elementwise kernel with an IFMA body matches the strict reference
+/// on both sides of the 2⁵⁰ gate and on both sides of the word reductions'
+/// 2¹² floor, on all-0, all-`(q − 1)` and random operands (all-`u64::MAX`
+/// words for the reductions), at lengths around the 8-lane width, and
+/// `mod_reduce` on 2¹⁶ random words.
+#[test]
+fn elementwise_kernels_match_reference_at_the_ifma_gates() {
+    use rand::{rngs::StdRng, Rng, SeedableRng};
+    let mut rng = StdRng::seed_from_u64(0x9a7e);
+    let [below, above] = ifma_gate_primes();
+    for q in [below, above, 4093, 4099] {
+        for len in [1usize, 7, 8, 9, 67] {
+            let s = rng.gen_range(0..q);
+            let s_sh = shoup_precompute(s, q);
+            let ops = edge_inputs(&mut rng, len, q);
+            let words = edge_inputs(&mut rng, len, u64::MAX);
+            for k in simd::variants() {
+                for (a, b) in ops.iter().zip(ops.iter().rev()) {
+                    let mut v = vec![0u64; len];
+                    (k.mul_pointwise)(&mut v, a, b, q);
+                    let want: Vec<u64> = a.iter().zip(b).map(|(&x, &y)| mul_mod(x, y, q)).collect();
+                    assert_eq!(v, want, "{} mul q {q} len {len}", k.name);
+                    let mut v = a.clone();
+                    (k.scalar_mul_assign)(&mut v, s, s_sh, q);
+                    let want: Vec<u64> = a.iter().map(|&x| mul_mod(x, s, q)).collect();
+                    assert_eq!(v, want, "{} smul q {q} len {len}", k.name);
+                    let mut v = a.clone();
+                    (k.sub_mul_assign)(&mut v, b, s, s_sh, q);
+                    let want: Vec<u64> = a
+                        .iter()
+                        .zip(b)
+                        .map(|(&x, &y)| mul_mod(sub_mod(x, y, q), s, q))
+                        .collect();
+                    assert_eq!(v, want, "{} submul q {q} len {len}", k.name);
+                }
+                for w in &words {
+                    let mut v = vec![0u64; len];
+                    (k.mod_reduce)(&mut v, w, q);
+                    let want: Vec<u64> = w.iter().map(|&x| x % q).collect();
+                    assert_eq!(v, want, "{} modred q {q} len {len}", k.name);
+                }
+                // Centered base change from the other gate prime into q.
+                let src_q = if q == below { above } else { below };
+                for src in edge_inputs(&mut rng, len, src_q) {
+                    let mut v = vec![0u64; len];
+                    (k.centered_reduce)(&mut v, &src, src_q, q);
+                    let want: Vec<u64> = src
+                        .iter()
+                        .map(|&x| {
+                            let c = if x > src_q / 2 {
+                                x as i128 - src_q as i128
+                            } else {
+                                x as i128
+                            };
+                            reduce_i128(c, q)
+                        })
+                        .collect();
+                    assert_eq!(v, want, "{} centered q {q} len {len}", k.name);
+                }
+            }
+        }
+        // Near 2¹² the Barrett estimate is 2 low on about 1 word in 2000:
+        // enough random words reach that case on every run.
+        let words = fill(&mut rng, 1 << 16, u64::MAX);
+        let want: Vec<u64> = words.iter().map(|&x| x % q).collect();
+        for k in simd::variants() {
+            let mut v = vec![0u64; words.len()];
+            (k.mod_reduce)(&mut v, &words, q);
+            assert_eq!(v, want, "{} modred q {q}, many words", k.name);
         }
     }
 }

@@ -36,10 +36,10 @@ pub mod trace;
 
 pub use hist::{op_histogram, time_class, LogHistogram, OpClass};
 
-/// Dispatch-class label of the kernel layer ("avx2" / "scalar"), set once
-/// by `orion_math::simd` when its dispatch table is chosen. Kept here so
-/// kernel histograms and trace summaries can be labeled with the class
-/// that produced them without a dependency cycle.
+/// Dispatch-class label of the kernel layer ("avx512ifma" / "avx2" /
+/// "scalar"), set once by `orion_math::simd` when its dispatch table is
+/// chosen. Kept here so kernel histograms and trace summaries can be
+/// labeled with the class that produced them without a dependency cycle.
 static KERNEL_DISPATCH: OnceLock<&'static str> = OnceLock::new();
 
 /// Records the kernel dispatch class. First caller wins; later calls with

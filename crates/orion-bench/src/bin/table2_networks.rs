@@ -106,7 +106,7 @@ fn main() {
 fn real_fhe_mnist() {
     use orion::core::{CkksBackend, Orion, Session};
     use orion_ckks::CkksParams;
-    use orion_nn::fit::fit_robust;
+    use orion_nn::fit::fit;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -117,7 +117,7 @@ fn real_fhe_mnist() {
         let mut rng = StdRng::seed_from_u64(5);
         let (net, _) = orion_models::build(name, Act::Square, &mut rng);
         let calib = synthetic_images(1, 28, 28, 2, 6);
-        let fitres = fit_robust(&net, &calib, 2);
+        let fitres = fit(&net, &calib);
         let orion = Orion::for_params(&params);
         let compiled = orion.compile_with_ranges(&net, &fitres);
         let session = Session::new(params, &compiled, 7);

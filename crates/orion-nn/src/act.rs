@@ -1,7 +1,9 @@
 //! Activation compilation: range-aware polynomial fitting (paper §6).
 //!
-//! `fit()` gives every activation an input range `m`; the activation is
-//! then evaluated as `f(m·u)` on the normalized `u = x/m ∈ [-1, 1]`:
+//! `fit()` gives every activation an input range `m` and compiles it with
+//! [`compile_activation`] as soon as `m` is known, so the activations
+//! downstream of it are fitted on its polynomial's outputs. The activation
+//! is evaluated as `f(m·u)` on the normalized `u = x/m ∈ [-1, 1]`:
 //!
 //! * a *scale-down* multiplication (`× 1/m`, one level — the paper's
 //!   "scale-down PMults inserted directly into the computational graph"),

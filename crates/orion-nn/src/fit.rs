@@ -3,10 +3,16 @@
 //! "Orion handles this process automatically through `net.fit()`, which
 //! accepts the entire training dataset as input, calculates per layer
 //! scaling factors, and inserts scale-down multiplications directly into
-//! the computational graph." — we run the exact reference forward pass
-//! over a calibration set and record, for every activation, the largest
-//! absolute input it will see (with a safety margin).
+//! the computational graph." — after batch-norm calibration (its own
+//! exact pass, [`calibrate_batch_norm`]), [`fit`] walks the network once
+//! over the calibration set and records, for every activation, the largest
+//! absolute input it sees under the polynomials fitted upstream of it
+//! (with a safety margin). High-degree Chebyshev extrapolation beyond
+//! `[-1, 1]` is catastrophic (T₆₃ grows like `cosh(63·acosh(u))`), so a
+//! range must bound the polynomial forward pass, not the exact one; the
+//! walk is topological, so one pass reaches that fixed point.
 
+use crate::act::{compile_activation, CompiledActs};
 use crate::layer::Layer;
 use crate::network::Network;
 use orion_tensor::Tensor;
@@ -22,85 +28,66 @@ pub struct FitResult {
 /// Safety margin applied on top of the observed maxima.
 pub const RANGE_MARGIN: f64 = 1.5;
 
-/// Runs the calibration set through the exact network, recording every
-/// activation's input range.
+/// Fits every activation's input range in one node-major pass over the
+/// calibration batch. Nodes are walked in id order (topological); an
+/// activation gets `max |input| × RANGE_MARGIN` over the batch, where its
+/// inputs were computed through the polynomials already fitted upstream,
+/// and is then evaluated through its own polynomial. So every range covers
+/// what its activation sees under the program's semantics, not the exact
+/// network's.
+///
+/// Panics, naming the activation, if any input it observes is not finite:
+/// calibration data comes from outside the program.
 pub fn fit(net: &Network, samples: &[Tensor]) -> FitResult {
     assert!(
         !samples.is_empty(),
         "fit needs at least one calibration sample"
     );
-    let mut maxima: HashMap<usize, f64> = HashMap::new();
-    for s in samples {
-        let outs = net.forward_all_exact(s);
-        for (id, node) in net.nodes.iter().enumerate() {
-            if node.layer.is_activation() {
-                let input = &outs[node.inputs[0]];
-                let m = input.max_abs();
-                let e = maxima.entry(id).or_insert(0.0);
-                *e = e.max(m);
-            }
-        }
-    }
-    FitResult {
-        ranges: maxima
-            .into_iter()
-            .map(|(id, m)| (id, (m * RANGE_MARGIN).max(1e-6)))
-            .collect(),
-    }
-}
-
-/// Poly-aware range estimation: after the initial exact-activation fit,
-/// re-runs the calibration set through the *fitted polynomial* network and
-/// widens any range the polynomial semantics exceed. High-degree Chebyshev
-/// extrapolation beyond `[-1, 1]` is catastrophic (T₆₃ grows like
-/// `cosh(63·acosh(u))`), so ranges must bound the polynomial forward, not
-/// just the exact one — activation approximation errors compound through
-/// deep networks.
-pub fn fit_robust(net: &Network, samples: &[Tensor], iterations: usize) -> FitResult {
-    let mut fitres = fit(net, samples);
-    for _ in 0..iterations {
-        let acts = compile_all_acts(net, &fitres);
-        let mut changed = false;
-        for s in samples {
-            let outs = net.forward_all_poly(s, &acts);
-            for (id, node) in net.nodes.iter().enumerate() {
-                if node.layer.is_activation() {
-                    let observed = outs[node.inputs[0]].max_abs();
-                    let e = fitres.ranges.get_mut(&id).expect("fit covers activations");
-                    // Cap the growth: a downstream explosion (Chebyshev
-                    // extrapolation gone non-linear) must not poison the
-                    // range with astronomically large values — grow
-                    // geometrically and let the next iteration re-measure.
-                    let m = if observed.is_finite() {
-                        (observed * RANGE_MARGIN).min(*e * 8.0)
-                    } else {
-                        *e * 8.0
-                    };
-                    if m > *e {
-                        *e = m;
-                        changed = true;
-                    }
-                }
-            }
-        }
-        if !changed {
-            break;
-        }
-    }
-    fitres
-}
-
-fn compile_all_acts(net: &Network, fitres: &FitResult) -> crate::act::CompiledActs {
-    let mut acts = crate::act::CompiledActs::default();
-    for (id, node) in net.nodes.iter().enumerate() {
+    let mut acts = CompiledActs::default();
+    let mut ranges = HashMap::new();
+    let mut vals: Vec<Vec<Tensor>> = vec![Vec::new(); net.nodes.len()];
+    vals[0] = samples.to_vec();
+    for (id, node) in net.nodes.iter().enumerate().skip(1) {
         if node.layer.is_activation() {
-            acts.map.insert(
-                id,
-                crate::act::compile_activation(&node.layer, fitres.ranges[&id]),
+            let inputs = &vals[node.inputs[0]];
+            assert!(
+                inputs
+                    .iter()
+                    .all(|t| t.data().iter().all(|v| v.is_finite())),
+                "activation {id} ({}) sees a non-finite calibration value",
+                node.name
             );
+            let m = inputs.iter().map(Tensor::max_abs).fold(0.0, f64::max);
+            let range = (m * RANGE_MARGIN).max(1e-6);
+            ranges.insert(id, range);
+            acts.map.insert(id, compile_activation(&node.layer, range));
         }
+        vals[id] = eval_batch(net, id, &vals, Some(&acts));
     }
-    acts
+    FitResult { ranges }
+}
+
+/// [`fit`] under its old name, kept only for the `perf/` name pin
+/// (ROADMAP item 7(b)); `iterations` is ignored.
+pub fn fit_robust(net: &Network, samples: &[Tensor], _iterations: usize) -> FitResult {
+    fit(net, samples)
+}
+
+/// Evaluates node `id` for every sample of the batch, on the cached
+/// `vals[input][sample]`.
+fn eval_batch(
+    net: &Network,
+    id: usize,
+    vals: &[Vec<Tensor>],
+    acts: Option<&CompiledActs>,
+) -> Vec<Tensor> {
+    let inputs = &net.nodes[id].inputs;
+    (0..vals[0].len())
+        .map(|s| {
+            let ins: Vec<&Tensor> = inputs.iter().map(|&i| &vals[i][s]).collect();
+            net.eval_node(id, &ins, acts)
+        })
+        .collect()
 }
 
 /// Calibrates every batch-norm layer's statistics from data, in one
@@ -155,14 +142,8 @@ pub fn calibrate_batch_norm(net: &mut Network, samples: &[Tensor]) {
             }
         }
         // Evaluate this node for every sample using (possibly updated)
-        // parameters, on the cached inputs.
-        let outs: Vec<Tensor> = (0..samples.len())
-            .map(|s| {
-                let ins: Vec<&Tensor> = net.nodes[id].inputs.iter().map(|&i| &vals[i][s]).collect();
-                net.eval_node(id, &ins, None)
-            })
-            .collect();
-        vals[id] = outs;
+        // parameters.
+        vals[id] = eval_batch(net, id, &vals, None);
     }
 }
 
@@ -229,9 +210,69 @@ mod tests {
         // The margin means m strictly exceeds the observed max.
         let observed = samples
             .iter()
-            .map(|s| net.forward_all_exact(s)[1].max_abs())
+            .map(|s| net.eval_node(1, &[s], None).max_abs())
             .fold(0.0, f64::max);
         assert!(m > observed);
+    }
+
+    #[test]
+    fn fit_is_the_polynomial_fixed_point() {
+        // SiLU → ReLU → a residual add feeding a SiLU: every activation
+        // but the first sees inputs computed through fitted polynomials.
+        let mut rng = StdRng::seed_from_u64(11);
+        let mut net = Network::new(1, 6, 6);
+        let x = net.input();
+        let c1 = net.conv2d("c1", x, 2, 3, 1, 1, 1, &mut rng);
+        let a1 = net.silu("a1", c1, 31);
+        let c2 = net.conv2d("c2", a1, 2, 3, 1, 1, 1, &mut rng);
+        let a2 = net.relu("a2", c2, &[15, 15, 27]);
+        let sum = net.add("sum", a2, a1);
+        let a3 = net.silu("a3", sum, 31);
+        net.output(a3);
+        let samples: Vec<Tensor> = (0..3)
+            .map(|_| Tensor::kaiming(&[1, 6, 6], 9, &mut rng))
+            .collect();
+        let f = fit(&net, &samples);
+        assert_eq!(f.ranges.len(), 3);
+
+        let mut acts = CompiledActs::default();
+        for id in activation_nodes(&net) {
+            acts.map
+                .insert(id, compile_activation(&net.nodes[id].layer, f.ranges[&id]));
+        }
+        let mut seen: HashMap<usize, f64> = HashMap::new();
+        for s in &samples {
+            let mut vals = vec![s.clone()];
+            for (id, node) in net.nodes.iter().enumerate().skip(1) {
+                let ins: Vec<&Tensor> = node.inputs.iter().map(|&i| &vals[i]).collect();
+                if node.layer.is_activation() {
+                    let e = seen.entry(id).or_insert(0.0);
+                    *e = e.max(ins[0].max_abs());
+                }
+                let out = net.eval_node(id, &ins, Some(&acts));
+                vals.push(out);
+            }
+        }
+        for (id, m) in seen {
+            let want = (m * RANGE_MARGIN).max(1e-6);
+            assert_eq!(
+                f.ranges[&id].to_bits(),
+                want.to_bits(),
+                "{}: fitted {} vs observed under the fitted polynomials {}",
+                net.nodes[id].name,
+                f.ranges[&id],
+                want
+            );
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "activation 2 (act) sees a non-finite calibration value")]
+    fn fit_refuses_a_nan_calibration_value() {
+        let (net, mut rng) = net_with_act();
+        let mut sample = Tensor::kaiming(&[1, 4, 4], 16, &mut rng).data().to_vec();
+        sample[5] = f64::NAN;
+        fit(&net, &[Tensor::from_vec(&[1, 4, 4], sample)]);
     }
 
     #[test]

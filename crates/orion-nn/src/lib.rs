@@ -7,8 +7,9 @@
 //! *compiled* for FHE:
 //!
 //! 1. batch-norm folding into the preceding convolution,
-//! 2. range estimation over a calibration set (`fit()` — paper §6), which
-//!    fixes the normalization each activation needs to land in `[-1, 1]`,
+//! 2. range estimation over a calibration set (`fit()` — paper §6): one
+//!    topological pass that fixes the normalization each activation needs
+//!    to land in `[-1, 1]` under the polynomials fitted upstream of it,
 //! 3. activation fitting (Chebyshev interpolation; ReLU as the composite
 //!    minimax sign of Lee et al.),
 //! 4. packing: one single-shot multiplexed [`orion_linear::LinearPlan`]

@@ -337,34 +337,13 @@ impl Network {
     }
 
     /// Forward pass using the *fitted polynomial* activations (the ideal
-    /// noise-free FHE output); `ranges[id]` holds each activation's fitted
-    /// input range.
+    /// noise-free FHE output); `acts` holds each activation's compiled
+    /// polynomial.
     pub fn forward_poly(&self, input: &Tensor, acts: &crate::act::CompiledActs) -> Tensor {
         self.forward_impl(input, Some(acts))
     }
 
-    /// Reference forward pass returning every node's output (used by range
-    /// estimation).
-    pub fn forward_all_exact(&self, input: &Tensor) -> Vec<Tensor> {
-        self.forward_nodes(input, None)
-    }
-
-    /// Polynomial-activation forward pass returning every node's output
-    /// (used by the poly-aware range-estimation refinement).
-    pub fn forward_all_poly(&self, input: &Tensor, acts: &crate::act::CompiledActs) -> Vec<Tensor> {
-        self.forward_nodes(input, Some(acts))
-    }
-
     fn forward_impl(&self, input: &Tensor, acts: Option<&crate::act::CompiledActs>) -> Tensor {
-        let mut vals = self.forward_nodes(input, acts);
-        vals.swap_remove(self.output_node())
-    }
-
-    fn forward_nodes(
-        &self,
-        input: &Tensor,
-        acts: Option<&crate::act::CompiledActs>,
-    ) -> Vec<Tensor> {
         let mut vals: Vec<Tensor> = Vec::with_capacity(self.nodes.len());
         vals.push(input.clone());
         for (id, node) in self.nodes.iter().enumerate().skip(1) {
@@ -372,13 +351,13 @@ impl Network {
             let out = self.eval_node(id, &ins, acts);
             vals.push(out);
         }
-        vals
+        vals.swap_remove(self.output_node())
     }
 
     /// Evaluates node `id` on its input values `ins` (in `inputs` order):
     /// activations exactly when `acts` is `None`, else through their fitted
-    /// polynomials. The one cleartext per-node body — the forward passes
-    /// and batch-norm calibration (`crate::fit`) both call it.
+    /// polynomials. The one cleartext per-node body — the forward passes,
+    /// batch-norm calibration and range fitting (`crate::fit`) call it.
     pub(crate) fn eval_node(
         &self,
         id: NodeId,

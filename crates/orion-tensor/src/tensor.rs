@@ -116,7 +116,9 @@ impl Tensor {
         }
     }
 
-    /// Largest absolute value.
+    /// Largest absolute value. NaN elements are skipped (`f64::max` drops
+    /// them), so an all-NaN tensor reads 0; check finiteness first where a
+    /// NaN must not pass unseen.
     pub fn max_abs(&self) -> f64 {
         self.data.iter().fold(0.0, |m, &x| m.max(x.abs()))
     }

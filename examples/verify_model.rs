@@ -34,7 +34,7 @@ use orion::models::{build, Act};
 use orion::nn::backend::encrypt_input;
 use orion::nn::backends::ClearBackend;
 use orion::nn::compile::{compile, CompileOptions};
-use orion::nn::fit::fit_robust;
+use orion::nn::fit::fit;
 use orion::nn::sched::{count_plan, run_plan};
 use orion::nn::verify::{verify_compiled, VerifyConfig, VerifyReport};
 use rand::rngs::StdRng;
@@ -75,7 +75,7 @@ fn main() {
 
     // Compile directly (not through `Orion::compile`, which would panic on
     // an unverifiable program — this tool's job is to *show* the table).
-    let fitres = fit_robust(&net, &calib, 4);
+    let fitres = fit(&net, &calib);
     let compiled = compile(&net, &fitres, &opts);
 
     let cfg = match &ctx {

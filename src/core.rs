@@ -24,7 +24,7 @@ use orion_ckks::{Ciphertext, CkksParams};
 use orion_nn::backend::ProgramRun;
 use orion_nn::backends::ClearCiphertext;
 use orion_nn::compile::{compile, CompileOptions, Compiled};
-use orion_nn::fit::fit_robust;
+use orion_nn::fit::fit;
 use orion_nn::network::Network;
 use orion_tensor::Tensor;
 use std::sync::Arc;
@@ -85,7 +85,7 @@ impl Orion {
     /// coverage, and plan well-formedness. A program the runtime would
     /// reject mid-inference is rejected here instead.
     pub fn compile(&self, net: &Network, calibration: &[Tensor]) -> Compiled {
-        let fitres = fit_robust(net, calibration, 4);
+        let fitres = fit(net, calibration);
         let compiled = compile(net, &fitres, &self.opts);
         certify(&compiled, &orion_nn::VerifyConfig::default());
         compiled

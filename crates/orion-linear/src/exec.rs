@@ -44,6 +44,21 @@ fn add_rotated(out: &mut [f64], v: &[f64], k: usize) {
     }
 }
 
+/// A layer's values zipped with [`LinearPlan::diagonals`], `None`s (all-zero
+/// diagonals) skipped: `((out_block, in_block, k), value)` in plan order.
+/// Asserts there is one value per plan diagonal.
+fn present<'v, T>(
+    plan: &'v LinearPlan,
+    values: &'v [Option<T>],
+) -> impl Iterator<Item = ((u32, u32, u32), &'v T)> {
+    assert_eq!(
+        values.len(),
+        plan.counts.pmults,
+        "one value per plan diagonal"
+    );
+    (plan.diagonals().zip(values)).filter_map(|(at, v)| Some((at, v.as_ref()?)))
+}
+
 /// Executes a plan on cleartext slot blocks — [`exec_bsgs`]'s algebra term
 /// for term: BSGS over each output block's diagonals against the baby-step
 /// rotations, then the giant-step rotations, the sum, and the row fold's
@@ -63,28 +78,23 @@ pub fn exec_plain(
         .map(|(j_blk, i)| ((j_blk, i), rot_plain(&inputs[j_blk as usize], i)))
         .collect();
     let (slots, n1) = (plan.slots, plan.n1);
+    let diags = source.diagonals(plan);
     (0..plan.out_blocks)
         .into_par_iter()
         .map(|i_out| {
             let mut groups: BTreeMap<usize, Vec<f64>> = BTreeMap::new();
-            for (&(i_blk, j_blk), diags) in &plan.blocks {
-                if i_blk as usize != i_out {
-                    continue;
-                }
-                let vals = source.block_diags(plan, i_blk, j_blk);
-                for &k in diags {
-                    let Some(d) = vals.get(&k) else { continue };
-                    let (i, j) = ((k as usize) % n1, (k as usize) / n1);
-                    let rotated = match i {
-                        0 => &inputs[j_blk as usize],
-                        _ => rotations
-                            .get(&(j_blk, i))
-                            .expect("linear consumer needs a rotation missing from the table"),
-                    };
-                    let acc = groups.entry(j).or_insert_with(|| vec![0.0; slots]);
-                    for ((a, &dv), &xv) in acc.iter_mut().zip(d).zip(rotated) {
-                        *a += dv * xv;
-                    }
+            let block = present(plan, &diags).filter(|&((i_blk, _, _), _)| i_blk as usize == i_out);
+            for ((_, j_blk, k), d) in block {
+                let (i, j) = ((k as usize) % n1, (k as usize) / n1);
+                let rotated = match i {
+                    0 => &inputs[j_blk as usize],
+                    _ => rotations
+                        .get(&(j_blk, i))
+                        .expect("linear consumer needs a rotation missing from the table"),
+                };
+                let acc = groups.entry(j).or_insert_with(|| vec![0.0; slots]);
+                for ((a, &dv), &xv) in acc.iter_mut().zip(d).zip(rotated) {
+                    *a += dv * xv;
                 }
             }
             let mut out = vec![0.0; slots];
@@ -182,25 +192,22 @@ pub fn exec_fhe_unhoisted(
     // Rotated inputs computed with full key-switches, cached per (J, i).
     let mut rotated: HashMap<(u32, usize), Ciphertext> = HashMap::new();
     let mut groups: BTreeMap<(u32, usize), Ciphertext> = BTreeMap::new();
-    for (&(i_blk, j_blk), diags) in &plan.blocks {
-        let vals = source.block_diags(plan, i_blk, j_blk);
-        for &k in diags {
-            let Some(d) = vals.get(&k) else { continue };
-            let i = (k as usize) % n1;
-            let j = (k as usize) / n1;
-            // borrow the cached rotation straight from the map — a full
-            // ciphertext clone per diagonal would dwarf the mul_plain
-            let rot = rotated
-                .entry((j_blk, i))
-                .or_insert_with(|| ctx.eval.rotate(&inputs[j_blk as usize], i as isize));
-            // on-the-fly encoding (the ablation's point)
-            let pt = ctx.enc.encode_at_prime_scale(d, level, false);
-            let term = ctx.eval.mul_plain(rot, &pt);
-            groups
-                .entry((i_blk, j))
-                .and_modify(|acc| *acc = ctx.eval.add(acc, &term))
-                .or_insert(term);
-        }
+    let diags = source.diagonals(plan);
+    for ((i_blk, j_blk, k), d) in present(plan, &diags) {
+        let i = (k as usize) % n1;
+        let j = (k as usize) / n1;
+        // borrow the cached rotation straight from the map — a full
+        // ciphertext clone per diagonal would dwarf the mul_plain
+        let rot = rotated
+            .entry((j_blk, i))
+            .or_insert_with(|| ctx.eval.rotate(&inputs[j_blk as usize], i as isize));
+        // on-the-fly encoding (the ablation's point)
+        let pt = ctx.enc.encode_at_prime_scale(d, level, false);
+        let term = ctx.eval.mul_plain(rot, &pt);
+        groups
+            .entry((i_blk, j))
+            .and_modify(|acc| *acc = ctx.eval.add(acc, &term))
+            .or_insert(term);
     }
     let parts = groups
         .into_iter()
@@ -307,19 +314,13 @@ pub fn exec_bsgs(
     let n1 = plan.n1;
     let mut zero_blocks: BTreeSet<u32> = BTreeSet::new();
     let mut groups: BTreeMap<(u32, usize), GroupTerms<'_>> = BTreeMap::new();
-    for (&(i_blk, j_blk), diags) in &plan.blocks {
-        let Some(block) = prepared.diags.get(&(i_blk, j_blk)) else {
-            continue;
-        };
-        for &k in diags {
-            let Some(pt) = block.get(&k) else { continue };
-            let i = (k as usize) % n1;
-            let j = (k as usize) / n1;
-            if i == 0 {
-                zero_blocks.insert(j_blk);
-            }
-            groups.entry((i_blk, j)).or_default().push(((j_blk, i), pt));
+    for ((i_blk, j_blk, k), pt) in present(plan, &prepared.diags) {
+        let i = (k as usize) % n1;
+        let j = (k as usize) / n1;
+        if i == 0 {
+            zero_blocks.insert(j_blk);
         }
+        groups.entry((i_blk, j)).or_default().push(((j_blk, i), pt));
     }
     // Rotation-by-0 views: local clones, no key-switch.
     let identities: HashMap<u32, RotatedExt> = zero_blocks

@@ -19,8 +19,10 @@
 //!   dense layers use the hybrid (row-folded) diagonal embedding — `R`
 //!   diagonals plus `log₂(S/R)` rotate-and-sum steps, `R` chosen with the
 //!   split;
-//! * [`values`] — materializes diagonal plaintext vectors block-by-block
-//!   (only needed by the real-FHE and plan-validation paths);
+//! * [`values`] — materializes a layer's diagonal vectors as one list in
+//!   [`LinearPlan::diagonals`] order, the order prepared plaintexts, the
+//!   executors and the spill file share (only needed by the real-FHE and
+//!   plan-validation paths);
 //! * [`exec`] — executors: `exec_plain` (cleartext slots through the exact
 //!   plan, block-parallel — the packing correctness oracle) and
 //!   `exec_bsgs`, the one real-CKKS body (baby steps hoisted once per
@@ -32,7 +34,8 @@
 //!   independent reference and ablation baseline;
 //! * [`prepared`] — the setup-time weight-encoding cache
 //!   (`PreparedLayer` / `PreparedProgram`, paper §6: weight diagonals as
-//!   offline artifacts), spillable to disk through [`store`];
+//!   offline artifacts), spillable to disk through [`store`], one file per
+//!   layer;
 //! * [`baseline`] — rotation-count baselines: the diagonal method without
 //!   BSGS (Lee et al.-style multiplexed parallel convolutions, Table 3)
 //!   and the naive strided Toeplitz with maximal diagonals (Figure 5a).

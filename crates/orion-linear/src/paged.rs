@@ -139,6 +139,8 @@ impl Resident {
 struct PagedEntry {
     name: String,
     bytes: usize,
+    /// The spilled layer's diagonal count; a reload must match it.
+    diagonals: usize,
 }
 
 /// A prepared program whose layers live in [`DiagStore`] spill files and
@@ -182,6 +184,7 @@ impl PagedProgram {
                 PagedEntry {
                     name,
                     bytes: layer.approx_bytes(),
+                    diagonals: layer.diags.len(),
                 },
             );
         }
@@ -222,6 +225,19 @@ impl PagedProgram {
             resident_bytes: st.bytes as u64,
             resident_layers: st.map.len() as u64,
         }
+    }
+
+    /// Reads `entry`'s layer from disk, refusing a file whose diagonal
+    /// count is not the one spilled: the executors read the list against
+    /// the plan, so a short list would silently drop diagonals.
+    fn load(&self, entry: &PagedEntry) -> Result<PreparedLayer, StoreError> {
+        let layer = PreparedLayer::load(&self.store, &entry.name)?;
+        let (got, spilled) = (layer.diags.len(), entry.diagonals);
+        if got != spilled {
+            let what = format!("{}: {got} diagonals, {spilled} spilled", entry.name);
+            return Err(StoreError::malformed(what));
+        }
+        Ok(layer)
     }
 
     /// Inserts a freshly loaded layer into the resident set (caller holds
@@ -312,7 +328,7 @@ impl LayerSource for PagedProgram {
         let _clear = LoadingGuard { pager: self, step };
         let t0 = orion_telemetry::now_ns();
         let layer = orion_telemetry::time_class(orion_telemetry::OpClass::PageLoad, || {
-            PreparedLayer::load(&self.store, &entry.name).map(Arc::new)
+            self.load(entry).map(Arc::new)
         })?;
         orion_telemetry::instant!(
             "page_fault",
@@ -346,9 +362,8 @@ impl LayerSource for PagedProgram {
         // clears the marker even if the load errors or panics.
         let _clear = LoadingGuard { pager: self, step };
         let t0 = orion_telemetry::now_ns();
-        let load = orion_telemetry::time_class(orion_telemetry::OpClass::PageLoad, || {
-            PreparedLayer::load(&self.store, &entry.name)
-        });
+        let load =
+            orion_telemetry::time_class(orion_telemetry::OpClass::PageLoad, || self.load(entry));
         let Ok(layer) = load else {
             return; // the consuming fetch will retry and surface the error
         };
@@ -378,6 +393,10 @@ mod tests {
     use orion_ckks::encoder::Encoder;
     use orion_ckks::params::{CkksParams, Context};
     use orion_tensor::Tensor;
+
+    fn test_dir(name: &str) -> std::path::PathBuf {
+        std::env::temp_dir().join(format!("{name}_{}", std::process::id()))
+    }
 
     fn sample_program(enc: &Encoder, n_layers: usize) -> PreparedProgram {
         let in_l = TensorLayout::raster(2, 8, 8);
@@ -417,7 +436,7 @@ mod tests {
         let layer_bytes = prog.layer(0).unwrap().approx_bytes();
         assert!(layer_bytes > 0);
 
-        let dir = std::env::temp_dir().join("orion_paged_test");
+        let dir = test_dir("orion_paged_test");
         std::fs::remove_dir_all(&dir).ok();
         let store = DiagStore::open(&dir).unwrap();
         // Budget fits ~1.5 layers: every cross-layer access pattern faults.
@@ -432,13 +451,13 @@ mod tests {
             let want = prog.layer(step).unwrap();
             assert_eq!(got.level, want.level);
             assert_eq!(got.num_plaintexts(), want.num_plaintexts());
-            for (blk, diags) in &want.diags {
-                for (k, pt) in diags {
-                    assert_eq!(
-                        got.diags[blk][k].poly, pt.poly,
-                        "paged layer {step} block {blk:?} diag {k} diverged"
-                    );
-                }
+            assert_eq!(got.diags.len(), want.diags.len());
+            for (at, (a, b)) in got.diags.iter().zip(&want.diags).enumerate() {
+                assert_eq!(
+                    a.as_ref().map(|pt| &pt.poly),
+                    b.as_ref().map(|pt| &pt.poly),
+                    "paged layer {step} diagonal {at} diverged"
+                );
             }
             let stats = paged.stats();
             assert_eq!(stats.faults, want_faults, "after touching {step}");
@@ -455,7 +474,7 @@ mod tests {
         let enc = Encoder::new(ctx);
         let prog = sample_program(&enc, 3);
         let layer_bytes = prog.layer(0).unwrap().approx_bytes();
-        let dir = std::env::temp_dir().join("orion_paged_prefetch_test");
+        let dir = test_dir("orion_paged_prefetch_test");
         std::fs::remove_dir_all(&dir).ok();
         let store = DiagStore::open(&dir).unwrap();
         let paged = PagedProgram::page_out(&prog, store, "m", layer_bytes * 3 / 2).unwrap();
@@ -472,10 +491,9 @@ mod tests {
         );
         // the prefetched copy is bit-identical to the spilled layer
         let want = prog.layer(0).unwrap();
-        for (blk, diags) in &want.diags {
-            for (k, pt) in diags {
-                assert_eq!(a.diags[blk][k].poly, pt.poly);
-            }
+        assert_eq!(a.diags.len(), want.diags.len());
+        for (a, b) in a.diags.iter().zip(&want.diags) {
+            assert_eq!(a.as_ref().map(|pt| &pt.poly), b.as_ref().map(|pt| &pt.poly));
         }
         // prefetching a resident layer is a no-op; a later plain fetch of
         // an unprefetched layer is a blocking fault
@@ -498,12 +516,33 @@ mod tests {
         let ctx = Context::new(CkksParams::tiny());
         let enc = Encoder::new(ctx);
         let prog = sample_program(&enc, 1);
-        let dir = std::env::temp_dir().join("orion_paged_corrupt_test");
+        let dir = test_dir("orion_paged_corrupt_test");
         std::fs::remove_dir_all(&dir).ok();
         let store = DiagStore::open(&dir).unwrap();
         let paged = PagedProgram::page_out(&prog, store, "m", usize::MAX).unwrap();
-        // Truncate the layer's meta file behind the pager's back.
-        std::fs::write(dir.join("m.step0.prep.meta"), b"ORIONPP1").unwrap();
+        // Truncate the layer's file behind the pager's back.
+        std::fs::write(dir.join("m.step0.prep"), b"ORIONPP2").unwrap();
+        match paged.fetch_layer(0) {
+            Err(StoreError::Malformed { .. }) => {}
+            other => panic!("expected Malformed, got {:?}", other.map(|o| o.is_some())),
+        }
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn reloaded_layer_with_a_missing_diagonal_is_refused() {
+        let ctx = Context::new(CkksParams::tiny());
+        let enc = Encoder::new(ctx);
+        let prog = sample_program(&enc, 1);
+        let dir = test_dir("orion_paged_short_test");
+        std::fs::remove_dir_all(&dir).ok();
+        let paged =
+            PagedProgram::page_out(&prog, DiagStore::open(&dir).unwrap(), "m", usize::MAX).unwrap();
+        // A well-formed file for the same layer with its last diagonal cut.
+        let layer = prog.layer(0).unwrap();
+        let short = &layer.diags[..layer.diags.len() - 1];
+        let store = DiagStore::open(&dir).unwrap();
+        (store.save_prepared("m.step0", layer.level, short, layer.bias.as_deref())).unwrap();
         match paged.fetch_layer(0) {
             Err(StoreError::Malformed { .. }) => {}
             other => panic!("expected Malformed, got {:?}", other.map(|o| o.is_some())),

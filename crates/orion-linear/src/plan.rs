@@ -127,16 +127,19 @@ impl LinearPlan {
     /// slot rotation (`k mod n1`); the executor hoists each input block
     /// that appears here once and computes each pair once.
     pub fn baby_rotations(&self) -> BTreeSet<(u32, usize)> {
-        let mut rots = BTreeSet::new();
-        for (&(_, j_blk), diags) in &self.blocks {
-            for &k in diags {
-                let i = (k as usize) % self.n1;
-                if i != 0 {
-                    rots.insert((j_blk, i));
-                }
-            }
-        }
-        rots
+        self.diagonals()
+            .map(|(_, j_blk, k)| (j_blk, k as usize % self.n1))
+            .filter(|&(_, i)| i != 0)
+            .collect()
+    }
+
+    /// Every diagonal as `(out_block, in_block, k)`, in `blocks` order:
+    /// block pairs ascending, then `k` ascending. This is the one order of
+    /// a layer's diagonal values ([`crate::values::DiagSource`]), its
+    /// encoded plaintexts and its spill file; its length is
+    /// `counts.pmults`.
+    pub fn diagonals(&self) -> impl Iterator<Item = (u32, u32, u32)> + '_ {
+        (self.blocks.iter()).flat_map(|(&(i, j), ks)| ks.iter().map(move |&k| (i, j, k)))
     }
 
     /// The fold's rotate-and-sum steps `S/2, S/4, …, R`, in execution
@@ -159,16 +162,13 @@ impl LinearPlan {
     /// generation): baby steps `i`, giant steps `j·n1` and the fold steps.
     pub fn rotation_steps(&self) -> Vec<isize> {
         let mut steps: BTreeSet<isize> = self.fold_steps().map(|s| s as isize).collect();
-        for diags in self.blocks.values() {
-            for &k in diags {
-                let i = (k as usize) % self.n1;
-                let j = (k as usize) / self.n1;
-                if i != 0 {
-                    steps.insert(i as isize);
-                }
-                if j != 0 {
-                    steps.insert((j * self.n1) as isize);
-                }
+        for (_, _, k) in self.diagonals() {
+            let (i, j) = (k as usize % self.n1, k as usize / self.n1);
+            if i != 0 {
+                steps.insert(i as isize);
+            }
+            if j != 0 {
+                steps.insert((j * self.n1) as isize);
             }
         }
         steps.into_iter().collect()

@@ -5,8 +5,9 @@
 //! diagonal plaintexts never change between inferences, so extracting and
 //! FFT-encoding them per request is pure waste. A [`PreparedLayer`] holds
 //! one linear layer's diagonals *already encoded* at its placement-assigned
-//! level (prime scale, extended basis, evaluation form) together with its
-//! bias plaintexts; a [`PreparedProgram`] maps program step ids to shared
+//! level (prime scale, extended basis, evaluation form), one list in
+//! [`LinearPlan::diagonals`] order, together with its bias plaintexts; a
+//! [`PreparedProgram`] maps program step ids to shared
 //! prepared layers so a whole compiled network can be served with **zero
 //! per-inference encodes** (machine-checked through `OpCounter::encodes`).
 //! Slot vectors are the only setup-time artifacts: activation constants
@@ -16,7 +17,8 @@
 //! Layers are `Arc`-shared and immutable after build, so any number of
 //! concurrent inferences can consume one cache; [`PreparedLayer::spill`] /
 //! [`PreparedLayer::load`] integrate with [`crate::store::DiagStore`] so
-//! ImageNet-scale weight sets can live on disk and be loaded per layer.
+//! ImageNet-scale weight sets can live on disk, one file per layer, and be
+//! loaded per layer.
 
 use crate::plan::LinearPlan;
 use crate::store::{DiagStore, StoreError};
@@ -37,24 +39,25 @@ pub(crate) fn plaintext_bytes(pt: &Plaintext) -> usize {
 }
 
 /// One linear layer's setup-time artifacts: every weight-diagonal
-/// plaintext encoded once, keyed by ciphertext-block pair and diagonal.
+/// plaintext encoded once, in plan order.
 pub struct PreparedLayer {
     /// The level the inputs must arrive at (the placement assignment).
     pub level: usize,
-    /// `(out_block, in_block) → diagonal k → encoded plaintext` (prime
-    /// scale, special limb, evaluation form — ready for
-    /// `ExtAccumulator::add_pmult_rotated`).
-    pub diags: HashMap<(u32, u32), HashMap<u32, Plaintext>>,
+    /// One entry per [`LinearPlan::diagonals`] entry, in that order: the
+    /// encoded plaintext (prime scale, special limb, evaluation form —
+    /// ready for `ExtAccumulator::add_pmult_rotated`), or `None` where the
+    /// weights leave the diagonal all zero.
+    pub diags: Vec<Option<Plaintext>>,
     /// Per-output-block bias plaintexts at scale Δ, `level − 1`, periodic
     /// with the plan's row fold.
     pub bias: Option<Vec<Plaintext>>,
 }
 
 impl PreparedLayer {
-    /// Extracts and encodes every diagonal of `plan` once. Extraction fans
-    /// out per block pair and encoding per diagonal on the shared rayon
-    /// pool; the result is bit-identical to what the on-the-fly executor
-    /// would encode per request.
+    /// Extracts and encodes every diagonal of `plan` once: the source's
+    /// list, then one encode per diagonal on the shared rayon pool. The
+    /// result is bit-identical to what the on-the-fly executor would
+    /// encode per request.
     pub fn build(
         enc: &Encoder,
         plan: &LinearPlan,
@@ -63,31 +66,9 @@ impl PreparedLayer {
         level: usize,
     ) -> Self {
         assert!(level >= 1, "a linear layer consumes one level");
-        let block_keys: Vec<(u32, u32)> = plan.blocks.keys().copied().collect();
-        type RawBlock = ((u32, u32), HashMap<u32, Vec<f64>>);
-        let extracted: Vec<RawBlock> = block_keys
-            .par_iter()
-            .map(|&(i, j)| ((i, j), source.block_diags(plan, i, j)))
+        let diags = (source.diagonals(plan).into_par_iter())
+            .map(|d| d.map(|d| enc.encode_at_prime_scale_ws(&d, level)))
             .collect();
-        // Flatten in plan order (deterministic), encode, regroup.
-        let mut meta: Vec<((u32, u32), u32)> = Vec::new();
-        let mut flat: Vec<Vec<f64>> = Vec::new();
-        for ((i, j), mut vals) in extracted {
-            for &k in &plan.blocks[&(i, j)] {
-                if let Some(d) = vals.remove(&k) {
-                    meta.push(((i, j), k));
-                    flat.push(d);
-                }
-            }
-        }
-        let encoded: Vec<Plaintext> = flat
-            .par_iter()
-            .map(|d| enc.encode_at_prime_scale_ws(d, level))
-            .collect();
-        let mut diags: HashMap<(u32, u32), HashMap<u32, Plaintext>> = HashMap::new();
-        for ((blk, k), pt) in meta.into_iter().zip(encoded) {
-            diags.entry(blk).or_default().insert(k, pt);
-        }
         let delta = enc.context().scale();
         let bias = bias.map(|blocks| {
             blocks
@@ -101,47 +82,28 @@ impl PreparedLayer {
     /// Total encoded diagonal plaintexts held (diagnostics / memory
     /// accounting).
     pub fn num_plaintexts(&self) -> usize {
-        self.diags.values().map(|m| m.len()).sum()
+        self.diags.iter().flatten().count()
     }
 
     /// Approximate in-memory footprint of the layer's encoded plaintexts,
     /// the quantity the paging byte budget caps.
     pub fn approx_bytes(&self) -> usize {
-        let diag_bytes: usize = self
-            .diags
-            .values()
-            .flat_map(|m| m.values())
+        let bias = self.bias.iter().flatten();
+        (self.diags.iter().flatten().chain(bias))
             .map(plaintext_bytes)
-            .sum();
-        let bias_bytes: usize = self
-            .bias
-            .iter()
-            .flat_map(|b| b.iter())
-            .map(plaintext_bytes)
-            .sum();
-        diag_bytes + bias_bytes
+            .sum()
     }
 
-    /// Spills the layer to `store` under `name` (one file per ciphertext
-    /// block pair plus one bias/meta file), so large weight sets can
-    /// be dropped from memory and reloaded per layer during inference.
+    /// Spills the layer to `store` under `name` (one file), so large weight
+    /// sets can be dropped from memory and reloaded per layer during
+    /// inference.
     pub fn spill(&self, store: &DiagStore, name: &str) -> Result<(), StoreError> {
-        let mut blocks: Vec<(u32, u32)> = self.diags.keys().copied().collect();
-        blocks.sort_unstable();
-        store.save_prepared_meta(name, self.level, &blocks, self.bias.as_deref())?;
-        for &(i, j) in &blocks {
-            store.save_prepared_block(name, i, j, &self.diags[&(i, j)])?;
-        }
-        Ok(())
+        store.save_prepared(name, self.level, &self.diags, self.bias.as_deref())
     }
 
     /// Loads a layer previously written by [`PreparedLayer::spill`].
     pub fn load(store: &DiagStore, name: &str) -> Result<Self, StoreError> {
-        let (level, blocks, bias) = store.load_prepared_meta(name)?;
-        let mut diags = HashMap::with_capacity(blocks.len());
-        for (i, j) in blocks {
-            diags.insert((i, j), store.load_prepared_block(name, i, j)?);
-        }
+        let (level, diags, bias) = store.load_prepared(name)?;
         Ok(Self { level, diags, bias })
     }
 }
@@ -248,14 +210,13 @@ mod tests {
         let (plan, src) = conv_fixture(&ctx, &weights);
         let prepared = PreparedLayer::build(&enc, &plan, &src, None, 2);
         // all-nonzero weights: every plan diagonal must be cached
-        let plan_diags: usize = plan.blocks.values().map(|d| d.len()).sum();
-        assert_eq!(prepared.num_plaintexts(), plan_diags);
+        assert_eq!(prepared.diags.len(), plan.counts.pmults);
+        assert_eq!(prepared.num_plaintexts(), plan.counts.pmults);
         assert_eq!(prepared.level, 2);
-        for ((i, j), m) in &prepared.diags {
-            for (k, pt) in m {
-                assert!(pt.poly.has_special(), "block ({i},{j}) diag {k} not ws");
-                assert_eq!(pt.scale, ctx.moduli[2] as f64);
-            }
+        for ((i, j, k), pt) in plan.diagonals().zip(&prepared.diags) {
+            let pt = pt.as_ref().unwrap();
+            assert!(pt.poly.has_special(), "block ({i},{j}) diag {k} not ws");
+            assert_eq!(pt.scale, ctx.moduli[2] as f64);
         }
     }
 
@@ -268,14 +229,12 @@ mod tests {
         let weights = conv_weights();
         let (plan, src) = conv_fixture(&ctx, &weights);
         let prepared = PreparedLayer::build(&enc, &plan, &src, None, 2);
-        for (&(i, j), ks) in &plan.blocks {
-            let diags = src.block_diags(&plan, i, j);
-            for k in ks {
-                let single = enc.encode_at_prime_scale_ws(&diags[k], 2);
-                let pt = &prepared.diags[&(i, j)][k];
-                assert_eq!(pt.poly, single.poly, "block ({i},{j}) diag {k}");
-                assert_eq!(pt.scale.to_bits(), single.scale.to_bits());
-            }
+        let diags = src.diagonals(&plan);
+        for (((i, j, k), d), pt) in plan.diagonals().zip(&diags).zip(&prepared.diags) {
+            let single = enc.encode_at_prime_scale_ws(d.as_ref().unwrap(), 2);
+            let pt = pt.as_ref().unwrap();
+            assert_eq!(pt.poly, single.poly, "block ({i},{j}) diag {k}");
+            assert_eq!(pt.scale.to_bits(), single.scale.to_bits());
         }
     }
 }

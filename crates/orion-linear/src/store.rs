@@ -5,14 +5,13 @@
 //! keys and matrix diagonals. Orion provides support to store these large
 //! data structures to disk … loaded dynamically during inference to
 //! minimize the size of transient data." The paper uses HDF5; we use a
-//! small self-describing binary format (`bytes`-based) with one file per
-//! ciphertext-block so blocks can be loaded lazily during inference.
+//! small self-describing little-endian binary format with one file per
+//! prepared layer, loaded whole when the layer is needed.
 
-use bytes::{Buf, BufMut, Bytes, BytesMut};
 use orion_ckks::encrypt::Plaintext;
 use orion_ckks::poly::{Form, RnsPoly};
 
-const PREP_MAGIC: &[u8; 8] = b"ORIONPP1";
+const PREP_MAGIC: &[u8; 8] = b"ORIONPP2";
 
 /// A typed store failure: either the filesystem failed or a file's content
 /// is not what the format says it should be. Load paths return this instead
@@ -31,7 +30,7 @@ pub enum StoreError {
 }
 
 impl StoreError {
-    fn malformed(what: impl Into<String>) -> Self {
+    pub(crate) fn malformed(what: impl Into<String>) -> Self {
         StoreError::Malformed { what: what.into() }
     }
 }
@@ -60,13 +59,17 @@ impl From<std::io::Error> for StoreError {
     }
 }
 
-/// On-disk cache of a prepared layer: one file of *encoded* diagonals
-/// (`k → plaintext`) per `(out_block, in_block)` pair, loadable
-/// independently, plus one metadata file (level, block index, bias
-/// plaintexts) — what the pager (`crate::paged`) spills and faults in.
+/// On-disk cache of prepared layers: one file per layer holding its level,
+/// its *encoded* diagonals in plan order (a present flag, then the
+/// plaintext) and its bias plaintexts — what the pager (`crate::paged`)
+/// spills and faults in.
 pub struct DiagStore {
     dir: std::path::PathBuf,
 }
+
+/// The contents of one layer's file: `(level, diagonals in plan order,
+/// bias)`.
+type PreparedParts = (usize, Vec<Option<Plaintext>>, Option<Vec<Plaintext>>);
 
 impl DiagStore {
     /// Opens (creating if needed) a store rooted at `dir`.
@@ -76,193 +79,167 @@ impl DiagStore {
         Ok(Self { dir })
     }
 
-    fn prepared_block_path(&self, layer: &str, i: u32, j: u32) -> std::path::PathBuf {
-        self.dir.join(format!("{layer}.p{i}_{j}.prep"))
+    fn prepared_path(&self, layer: &str) -> std::path::PathBuf {
+        self.dir.join(format!("{layer}.prep"))
     }
 
-    fn prepared_meta_path(&self, layer: &str) -> std::path::PathBuf {
-        self.dir.join(format!("{layer}.prep.meta"))
-    }
-
-    /// Persists one prepared block's *encoded* diagonals (`k → plaintext`),
-    /// so setup-time encodings survive process restarts and large layers
-    /// can be spilled out of memory (paper §6's on-disk diagonals, but at
-    /// the post-encode stage the serving path actually consumes).
-    pub fn save_prepared_block(
-        &self,
-        layer: &str,
-        i: u32,
-        j: u32,
-        diags: &std::collections::HashMap<u32, Plaintext>,
-    ) -> Result<(), StoreError> {
-        let mut b = BytesMut::new();
-        b.put_u32_le(diags.len() as u32);
-        let mut keys: Vec<&u32> = diags.keys().collect();
-        keys.sort();
-        for &k in keys {
-            b.put_u32_le(k);
-            put_plaintext(&mut b, &diags[&k]);
-        }
-        std::fs::write(self.prepared_block_path(layer, i, j), &b)?;
-        Ok(())
-    }
-
-    /// Loads one prepared block's encoded diagonals.
-    pub fn load_prepared_block(
-        &self,
-        layer: &str,
-        i: u32,
-        j: u32,
-    ) -> Result<std::collections::HashMap<u32, Plaintext>, StoreError> {
-        let buf = std::fs::read(self.prepared_block_path(layer, i, j))?;
-        let mut data = Bytes::from(buf);
-        if data.remaining() < 4 {
-            return Err(StoreError::malformed("prepared block truncated"));
-        }
-        let n = data.get_u32_le() as usize;
-        // capacity from untrusted input: reserve lazily past a sane bound
-        let mut out = std::collections::HashMap::with_capacity(n.min(1 << 16));
-        for _ in 0..n {
-            if data.remaining() < 4 {
-                return Err(StoreError::malformed("prepared block truncated"));
-            }
-            let k = data.get_u32_le();
-            let pt =
-                get_plaintext(&mut data).ok_or_else(|| StoreError::malformed("bad plaintext"))?;
-            out.insert(k, pt);
-        }
-        Ok(out)
-    }
-
-    /// Persists a prepared layer's metadata: level, block index and bias
-    /// plaintexts.
-    pub fn save_prepared_meta(
+    /// Persists a prepared layer — level, *encoded* diagonals (`None` for
+    /// an all-zero one) and bias plaintexts — so setup-time encodings
+    /// survive process restarts and large layers can be spilled out of
+    /// memory (paper §6's on-disk diagonals, but at the post-encode stage
+    /// the serving path actually consumes).
+    pub(crate) fn save_prepared(
         &self,
         layer: &str,
         level: usize,
-        blocks: &[(u32, u32)],
+        diags: &[Option<Plaintext>],
         bias: Option<&[Plaintext]>,
     ) -> Result<(), StoreError> {
-        let mut b = BytesMut::new();
-        b.put_slice(PREP_MAGIC);
-        b.put_u64_le(level as u64);
-        b.put_u32_le(blocks.len() as u32);
-        for &(i, j) in blocks {
-            b.put_u32_le(i);
-            b.put_u32_le(j);
+        let mut b = Vec::new();
+        b.extend_from_slice(PREP_MAGIC);
+        b.extend_from_slice(&(level as u64).to_le_bytes());
+        b.extend_from_slice(&(diags.len() as u32).to_le_bytes());
+        for d in diags {
+            b.push(u8::from(d.is_some()));
+            if let Some(pt) = d {
+                put_plaintext(&mut b, pt);
+            }
         }
         match bias {
-            None => b.put_u32_le(u32::MAX),
+            None => b.extend_from_slice(&u32::MAX.to_le_bytes()),
             Some(pts) => {
-                b.put_u32_le(pts.len() as u32);
+                b.extend_from_slice(&(pts.len() as u32).to_le_bytes());
                 for pt in pts {
                     put_plaintext(&mut b, pt);
                 }
             }
         }
-        std::fs::write(self.prepared_meta_path(layer), &b)?;
+        std::fs::write(self.prepared_path(layer), &b)?;
         Ok(())
     }
 
-    /// Loads prepared-layer metadata written by
-    /// [`DiagStore::save_prepared_meta`]: `(level, block pairs, bias)`.
-    #[allow(clippy::type_complexity)]
-    pub fn load_prepared_meta(
-        &self,
-        layer: &str,
-    ) -> Result<(usize, Vec<(u32, u32)>, Option<Vec<Plaintext>>), StoreError> {
-        let buf = std::fs::read(self.prepared_meta_path(layer))?;
-        let mut data = Bytes::from(buf);
-        if data.remaining() < 8 + 8 + 4 || &data.copy_to_bytes(8)[..] != PREP_MAGIC {
-            return Err(StoreError::malformed("bad prepared meta header"));
+    /// Loads a layer written by [`DiagStore::save_prepared`].
+    pub(crate) fn load_prepared(&self, layer: &str) -> Result<PreparedParts, StoreError> {
+        let buf = std::fs::read(self.prepared_path(layer))?;
+        let mut r = Reader(&buf);
+        let bad = |what: &str| StoreError::malformed(format!("prepared layer: {what}"));
+        if r.take(8) != Some(PREP_MAGIC) {
+            return Err(bad("bad header"));
         }
-        let level = data.get_u64_le() as usize;
-        let n_blocks = data.get_u32_le() as usize;
-        let mut blocks = Vec::with_capacity(n_blocks.min(1 << 16));
-        for _ in 0..n_blocks {
-            if data.remaining() < 8 {
-                return Err(StoreError::malformed("prepared meta truncated"));
-            }
-            blocks.push((data.get_u32_le(), data.get_u32_le()));
-        }
-        if data.remaining() < 4 {
-            return Err(StoreError::malformed("prepared meta truncated"));
-        }
-        let n_bias = data.get_u32_le();
-        let bias = if n_bias == u32::MAX {
-            None
-        } else {
-            let mut pts = Vec::with_capacity((n_bias as usize).min(1 << 16));
-            for _ in 0..n_bias {
-                pts.push(
-                    get_plaintext(&mut data).ok_or_else(|| StoreError::malformed("bad bias"))?,
-                );
-            }
-            Some(pts)
+        let (level, n) = (r.u64(), r.u32());
+        let (Some(level), Some(n)) = (level, n) else {
+            return Err(bad("truncated header"));
         };
-        Ok((level, blocks, bias))
+        // capacity from untrusted input: reserve lazily past a sane bound
+        let mut diags = Vec::with_capacity((n as usize).min(1 << 16));
+        for _ in 0..n {
+            diags.push(match r.u8() {
+                Some(0) => None,
+                Some(1) => Some(get_plaintext(&mut r).ok_or_else(|| bad("bad diagonal"))?),
+                _ => return Err(bad("bad diagonal flag")),
+            });
+        }
+        let bias = match r.u32().ok_or_else(|| bad("truncated bias"))? {
+            u32::MAX => None,
+            n_bias => Some(
+                (0..n_bias)
+                    .map(|_| get_plaintext(&mut r).ok_or_else(|| bad("bad bias")))
+                    .collect::<Result<_, _>>()?,
+            ),
+        };
+        Ok((level as usize, diags, bias))
+    }
+}
+
+/// A bounds-checked little-endian reader over a loaded file: every read
+/// returns `None` instead of running past the end.
+struct Reader<'a>(&'a [u8]);
+
+impl<'a> Reader<'a> {
+    fn take(&mut self, n: usize) -> Option<&'a [u8]> {
+        let head = self.0.get(..n)?;
+        self.0 = &self.0[n..];
+        Some(head)
+    }
+
+    fn remaining(&self) -> usize {
+        self.0.len()
+    }
+
+    fn u8(&mut self) -> Option<u8> {
+        Some(self.take(1)?[0])
+    }
+
+    fn u32(&mut self) -> Option<u32> {
+        Some(u32::from_le_bytes(self.take(4)?.try_into().ok()?))
+    }
+
+    fn u64(&mut self) -> Option<u64> {
+        Some(u64::from_le_bytes(self.take(8)?.try_into().ok()?))
+    }
+
+    /// `n` words, or `None` when fewer than `n` remain (no allocation
+    /// first).
+    fn u64s(&mut self, n: usize) -> Option<Vec<u64>> {
+        let bytes = self.take(n.checked_mul(8)?)?;
+        Some(
+            bytes
+                .chunks_exact(8)
+                .map(|w| u64::from_le_bytes(w.try_into().unwrap()))
+                .collect(),
+        )
     }
 }
 
 /// Serializes an encoded plaintext: scale, form, limb data, special limb.
-fn put_plaintext(b: &mut BytesMut, pt: &Plaintext) {
-    b.put_f64_le(pt.scale);
-    b.put_u8(match pt.poly.form {
+fn put_plaintext(b: &mut Vec<u8>, pt: &Plaintext) {
+    let degree = pt.poly.limbs.first().map(Vec::len).unwrap_or(0);
+    let words = (pt.poly.limbs.len() + usize::from(pt.poly.special.is_some())) * degree;
+    b.reserve(8 + 1 + 4 + 8 + 8 * words + 1);
+    b.extend_from_slice(&pt.scale.to_bits().to_le_bytes());
+    b.push(match pt.poly.form {
         Form::Coeff => 0,
         Form::Eval => 1,
     });
-    b.put_u32_le(pt.poly.limbs.len() as u32);
-    let degree = pt.poly.limbs.first().map(Vec::len).unwrap_or(0);
-    b.put_u64_le(degree as u64);
-    for limb in &pt.poly.limbs {
+    b.extend_from_slice(&(pt.poly.limbs.len() as u32).to_le_bytes());
+    b.extend_from_slice(&(degree as u64).to_le_bytes());
+    let special = pt.poly.special.iter();
+    b.push(u8::from(pt.poly.special.is_some()));
+    for limb in pt.poly.limbs.iter().chain(special) {
         for &x in limb {
-            b.put_u64_le(x);
-        }
-    }
-    match &pt.poly.special {
-        None => b.put_u8(0),
-        Some(sp) => {
-            b.put_u8(1);
-            for &x in sp {
-                b.put_u64_le(x);
-            }
+            b.extend_from_slice(&x.to_le_bytes());
         }
     }
 }
 
 /// Inverse of [`put_plaintext`]; returns `None` on malformed input.
-fn get_plaintext(data: &mut Bytes) -> Option<Plaintext> {
-    if data.remaining() < 8 + 1 + 4 + 8 {
-        return None;
-    }
-    let scale = data.get_f64_le();
-    let form = match data.get_u8() {
+fn get_plaintext(r: &mut Reader<'_>) -> Option<Plaintext> {
+    let scale = f64::from_bits(r.u64()?);
+    let form = match r.u8()? {
         0 => Form::Coeff,
         1 => Form::Eval,
         _ => return None,
     };
-    let n_limbs = data.get_u32_le() as usize;
-    let degree = data.get_u64_le() as usize;
-    // overflow-safe bound: corrupt headers must yield None, not a panic
-    let limb_bytes = n_limbs.checked_mul(degree).and_then(|n| n.checked_mul(8))?;
-    if data.remaining() < limb_bytes {
-        return None;
-    }
-    let limbs: Vec<Vec<u64>> = (0..n_limbs)
-        .map(|_| (0..degree).map(|_| data.get_u64_le()).collect())
-        .collect();
-    if data.remaining() < 1 {
-        return None;
-    }
-    let special = match data.get_u8() {
-        0 => None,
-        1 => {
-            if data.remaining() < 8 * degree {
-                return None;
-            }
-            Some((0..degree).map(|_| data.get_u64_le()).collect())
-        }
+    let n_limbs = r.u32()? as usize;
+    let degree = r.u64()? as usize;
+    let has_special = match r.u8()? {
+        0 => false,
+        1 => true,
         _ => return None,
+    };
+    // overflow-safe bound, checked before anything is allocated: corrupt
+    // headers must yield None, not a panic (no real plaintext has degree 0)
+    let words = (n_limbs + usize::from(has_special)).checked_mul(degree)?;
+    if degree == 0 || r.remaining() / 8 < words {
+        return None;
+    }
+    let limbs = (0..n_limbs)
+        .map(|_| r.u64s(degree))
+        .collect::<Option<_>>()?;
+    let special = if has_special {
+        Some(r.u64s(degree)?)
+    } else {
+        None
     };
     Some(Plaintext {
         poly: RnsPoly {
@@ -277,14 +254,18 @@ fn get_plaintext(data: &mut Bytes) -> Option<Plaintext> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use orion_ckks::encoder::Encoder;
+    use orion_ckks::params::{CkksParams, Context};
+
+    fn test_dir(name: &str) -> std::path::PathBuf {
+        std::env::temp_dir().join(format!("{name}_{}", std::process::id()))
+    }
 
     #[test]
-    fn prepared_block_and_meta_roundtrip() {
-        use orion_ckks::encoder::Encoder;
-        use orion_ckks::params::{CkksParams, Context};
+    fn prepared_layer_roundtrip() {
         let ctx = Context::new(CkksParams::tiny());
         let enc = Encoder::new(ctx.clone());
-        let dir = std::env::temp_dir().join("orion_prepared_store_test");
+        let dir = test_dir("orion_prepared_store_test");
         let store = DiagStore::open(&dir).unwrap();
 
         let mk = |seed: usize| -> Vec<f64> {
@@ -292,48 +273,72 @@ mod tests {
                 .map(|i| ((i + seed) % 5) as f64 * 0.2)
                 .collect()
         };
-        let mut diags = std::collections::HashMap::new();
-        diags.insert(3u32, enc.encode_at_prime_scale_ws(&mk(1), 2));
-        diags.insert(9u32, enc.encode_at_prime_scale_ws(&mk(2), 2));
-        store.save_prepared_block("conv1", 0, 1, &diags).unwrap();
-        let back = store.load_prepared_block("conv1", 0, 1).unwrap();
-        assert_eq!(back.len(), 2);
-        for (k, pt) in &diags {
-            assert_eq!(back[k].poly, pt.poly, "diag {k} plaintext diverged");
-            assert_eq!(back[k].scale, pt.scale);
+        let diags = vec![
+            Some(enc.encode_at_prime_scale_ws(&mk(1), 2)),
+            None,
+            Some(enc.encode_at_prime_scale_ws(&mk(2), 2)),
+        ];
+        let bias = [enc.encode(&mk(3), ctx.scale(), 1, false)];
+        let same = |a: &Plaintext, b: &Plaintext| {
+            assert_eq!(a.poly, b.poly);
+            assert_eq!(a.scale.to_bits(), b.scale.to_bits());
+        };
+        for bias in [Some(&bias[..]), None] {
+            store.save_prepared("conv1", 2, &diags, bias).unwrap();
+            let (level, back, bias_back) = store.load_prepared("conv1").unwrap();
+            assert_eq!(level, 2);
+            assert_eq!(back.len(), diags.len());
+            for (got, want) in back.iter().zip(&diags) {
+                assert_eq!(got.is_some(), want.is_some());
+                if let (Some(got), Some(want)) = (got, want) {
+                    same(got, want);
+                }
+            }
+            assert_eq!(bias_back.is_some(), bias.is_some());
+            for (got, want) in bias_back.iter().flatten().zip(bias.into_iter().flatten()) {
+                same(got, want);
+            }
         }
-
-        let bias = vec![enc.encode(&mk(3), ctx.scale(), 1, false)];
-        store
-            .save_prepared_meta("conv1", 2, &[(0, 1)], Some(&bias))
-            .unwrap();
-        let (level, blocks, bias_back) = store.load_prepared_meta("conv1").unwrap();
-        assert_eq!(level, 2);
-        assert_eq!(blocks, vec![(0, 1)]);
-        assert_eq!(bias_back.unwrap()[0].poly, bias[0].poly);
         std::fs::remove_dir_all(dir).ok();
     }
 
     #[test]
     fn malformed_prepared_files_error_not_panic() {
-        let dir = std::env::temp_dir().join("orion_prepared_malformed_test");
+        let dir = test_dir("orion_prepared_malformed_test");
         let store = DiagStore::open(&dir).unwrap();
-        // empty file: count header missing
-        std::fs::write(store.prepared_block_path("bad", 0, 0), b"").unwrap();
-        assert!(store.load_prepared_block("bad", 0, 0).is_err());
-        // plausible count, absurd plaintext header (overflow-bait sizes)
-        let mut b = BytesMut::new();
-        b.put_u32_le(1); // one diagonal
-        b.put_u32_le(3); // k
-        b.put_f64_le(1.0); // scale
-        b.put_u8(1); // eval form
-        b.put_u32_le(u32::MAX); // n_limbs
-        b.put_u64_le(1 << 61); // degree
-        std::fs::write(store.prepared_block_path("bad", 0, 1), &b).unwrap();
-        assert!(store.load_prepared_block("bad", 0, 1).is_err());
-        // truncated meta
-        std::fs::write(store.prepared_meta_path("bad"), b"ORIONPP1").unwrap();
-        assert!(store.load_prepared_meta("bad").is_err());
+        let header = |n: u32| {
+            let mut b = PREP_MAGIC.to_vec();
+            b.extend_from_slice(&2u64.to_le_bytes()); // level
+            b.extend_from_slice(&n.to_le_bytes()); // diagonal count
+            b
+        };
+        let mut overflow = header(1);
+        overflow.push(1); // present
+        overflow.extend_from_slice(&1.0f64.to_bits().to_le_bytes()); // scale
+        overflow.push(1); // eval form
+        overflow.extend_from_slice(&u32::MAX.to_le_bytes()); // n_limbs
+        overflow.extend_from_slice(&(1u64 << 61).to_le_bytes()); // degree
+        overflow.push(1); // special limb
+        let mut bad_flag = header(1);
+        bad_flag.push(7);
+        let mut bias_past_end = header(0);
+        bias_past_end.extend_from_slice(&(u32::MAX - 1).to_le_bytes());
+        let cases: [(&str, &[u8]); 7] = [
+            ("empty file", b""),
+            ("magic only", PREP_MAGIC),
+            ("wrong magic", b"ORIONPP1\0\0\0\0\0\0\0\0\0\0\0\0"),
+            ("count past the end", &header(3)),
+            ("overflow-bait plaintext header", &overflow),
+            ("bad present flag", &bad_flag),
+            ("bias count past the end", &bias_past_end),
+        ];
+        for (what, bytes) in cases {
+            std::fs::write(store.prepared_path("bad"), bytes).unwrap();
+            match store.load_prepared("bad") {
+                Err(StoreError::Malformed { .. }) => {}
+                other => panic!("{what}: expected Malformed, got {:?}", other.map(|_| ())),
+            }
+        }
         std::fs::remove_dir_all(dir).ok();
     }
 }

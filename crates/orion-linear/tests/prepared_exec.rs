@@ -124,7 +124,7 @@ fn prepared_conv_is_bit_exact_and_survives_disk() {
     let prepared = run_both(&mut h, &plan, &src, Some(&bias_blocks), &packed, 2, "conv");
 
     // spill → load → the reloaded cache is still bit-exact
-    let dir = std::env::temp_dir().join("orion_prepared_exec_test");
+    let dir = std::env::temp_dir().join(format!("orion_prepared_exec_test_{}", std::process::id()));
     let store = DiagStore::open(&dir).unwrap();
     prepared.spill(&store, "conv").unwrap();
     let reloaded = PreparedLayer::load(&store, "conv").unwrap();
@@ -168,7 +168,10 @@ fn prepared_dense_is_bit_exact() {
     assert!(plan.fold < slots, "the dense case must cover a folded plan");
     let prepared = run_both(&mut h, &plan, &src, Some(&bias_blocks), &packed, 1, "dense");
 
-    let dir = std::env::temp_dir().join("orion_prepared_exec_dense_test");
+    let dir = std::env::temp_dir().join(format!(
+        "orion_prepared_exec_dense_test_{}",
+        std::process::id()
+    ));
     let store = DiagStore::open(&dir).unwrap();
     prepared.spill(&store, "dense").unwrap();
     let reloaded = PreparedLayer::load(&store, "dense").unwrap();
@@ -247,7 +250,8 @@ fn untouched_output_block_is_the_zero_plaintext_product() {
         enc: &h.enc,
     };
     let prepared = PreparedLayer::build(&h.enc, &plan, &src, Some(&bias_blocks), level);
-    assert!(prepared.diags.keys().all(|&(i_blk, _)| i_blk == 0));
+    let mut diags = plan.diagonals().zip(&prepared.diags);
+    assert!(diags.all(|((i_blk, _, _), pt)| pt.is_none() || i_blk == 0));
     let out = exec_fhe_prepared(&fctx, &plan, &prepared, std::slice::from_ref(&ct));
 
     let zero = h.enc.encode_at_prime_scale_ws(&vec![0.0; slots], level);

@@ -114,7 +114,8 @@ fn serve_two_models_two_clients_under_memory_cap() {
         let reference = prep.prepare(&compiled);
         let footprint = reference.approx_bytes();
         assert!(footprint > 0);
-        let dir = std::env::temp_dir().join(format!("orion_serve_smoke_m{idx}"));
+        let dir =
+            std::env::temp_dir().join(format!("orion_serve_smoke_m{idx}_{}", std::process::id()));
         std::fs::remove_dir_all(&dir).ok();
         let model = server
             .add_model_paged(
@@ -243,8 +244,10 @@ fn serve_two_models_two_clients_under_memory_cap() {
     println!("{}", server.metrics_json());
     server.shutdown();
     for idx in 0..model_ids.len() {
-        std::fs::remove_dir_all(std::env::temp_dir().join(format!("orion_serve_smoke_m{idx}")))
-            .ok();
+        std::fs::remove_dir_all(
+            std::env::temp_dir().join(format!("orion_serve_smoke_m{idx}_{}", std::process::id())),
+        )
+        .ok();
     }
 }
 
@@ -252,7 +255,7 @@ fn serve_two_models_two_clients_under_memory_cap() {
 fn corrupt_spill_file_fails_one_request_not_the_pool() {
     let mut server = Server::new(one_worker());
     let (compiled, params, shape) = square_model(0x5e_003);
-    let dir = std::env::temp_dir().join("orion_serve_corrupt");
+    let dir = std::env::temp_dir().join(format!("orion_serve_corrupt_{}", std::process::id()));
     std::fs::remove_dir_all(&dir).ok();
     let model = server
         .add_model_paged("fragile", compiled, params, 7, &dir, 1)
@@ -268,15 +271,15 @@ fn corrupt_spill_file_fails_one_request_not_the_pool() {
     let ok = server.infer(client, cts.clone()).expect("healthy serve");
     assert_eq!(ok.counter.encodes, 0);
 
-    // Truncate one layer's spill meta behind the pager's back. Budget 1
+    // Truncate one layer's spill file behind the pager's back. Budget 1
     // byte ⇒ nothing stays resident, so the next request must re-fault it.
     let victim = std::fs::read_dir(&dir)
         .unwrap()
         .filter_map(|e| e.ok())
         .map(|e| e.path())
-        .find(|p| p.extension().is_some_and(|x| x == "meta"))
-        .expect("a spill meta file exists");
-    std::fs::write(&victim, b"ORIONPP1").unwrap();
+        .find(|p| p.extension().is_some_and(|x| x == "prep"))
+        .expect("a spill file exists");
+    std::fs::write(&victim, b"ORIONPP2").unwrap();
     match server.infer(client, cts.clone()) {
         Err(ServeError::Store { .. }) => {}
         other => panic!(
@@ -367,7 +370,7 @@ fn mis_parameterised_model_is_refused_at_registration() {
     let server = Server::new(ServeConfig::default());
     let model = || square_model(0x5e_005).0;
     let params = square_model(0x5e_005).1;
-    let dir = std::env::temp_dir().join("orion_serve_misparam");
+    let dir = std::env::temp_dir().join(format!("orion_serve_misparam_{}", std::process::id()));
     let register = |params: CkksParams, paged: bool| match paged {
         true => server.add_model_paged("m", model(), params, 0, &dir, 1 << 20),
         false => server.add_model("m", model(), params, 0),
@@ -415,7 +418,7 @@ fn a_model_whose_carried_plan_is_out_of_order_is_refused_at_registration() {
     );
 
     let server = Server::new(ServeConfig::default());
-    let dir = std::env::temp_dir().join("orion_serve_swapped_plan");
+    let dir = std::env::temp_dir().join(format!("orion_serve_swapped_plan_{}", std::process::id()));
     for paged in [false, true] {
         let refused = match paged {
             true => server.add_model_paged("m", swapped.clone(), params.clone(), 0, &dir, 1 << 20),

@@ -5,7 +5,7 @@
 //! the same plan, same diagonals, same rotations counts — only hoisting
 //! and plaintext precomputation differ.
 
-use criterion::{criterion_group, criterion_main, Criterion};
+use orion_bench::bench;
 use orion_ckks::keys::KeyGenerator;
 use orion_ckks::params::{CkksParams, Context};
 use orion_ckks::{Encoder, Encryptor, Evaluator};
@@ -18,7 +18,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::sync::Arc;
 
-fn bench_hoisting_ablation(c: &mut Criterion) {
+fn main() {
     let ctx = Context::new(CkksParams::small());
     let slots = ctx.slots();
     let mut rng = StdRng::seed_from_u64(1);
@@ -57,16 +57,11 @@ fn bench_hoisting_ablation(c: &mut Criterion) {
         enc: &enc,
     };
 
-    let mut g = c.benchmark_group("conv_4ch_16x16_fhe");
-    g.sample_size(10);
-    g.bench_function("double_hoisted", |b| {
-        b.iter(|| exec_fhe(&fctx, &plan, &src, None, std::slice::from_ref(&ct)))
+    let input = std::slice::from_ref(&ct);
+    bench("conv_4ch_16x16_fhe/double_hoisted", 10, || {
+        exec_fhe(&fctx, &plan, &src, None, input)
     });
-    g.bench_function("unhoisted_otf_encoding", |b| {
-        b.iter(|| exec_fhe_unhoisted(&fctx, &plan, &src, std::slice::from_ref(&ct)))
+    bench("conv_4ch_16x16_fhe/unhoisted_otf_encoding", 10, || {
+        exec_fhe_unhoisted(&fctx, &plan, &src, input)
     });
-    g.finish();
 }
-
-criterion_group!(benches, bench_hoisting_ablation);
-criterion_main!(benches);

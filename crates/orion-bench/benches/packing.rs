@@ -1,12 +1,15 @@
-//! Criterion benchmarks of the packing engine: plan construction speed
+//! Benchmarks of the packing engine: plan construction speed
 //! (the "compile" cost of Table 5) and plan execution on the cleartext
-//! path, plus the ablation of BSGS and hoisting on the real backend.
+//! path. The hoisting ablation on the real backend is `ablation.rs`.
 
-use criterion::{criterion_group, criterion_main, Criterion};
+use orion_bench::bench;
+use orion_linear::exec::exec_plain;
 use orion_linear::plan::{conv_plan, dense_plan, ConvSpec};
+use orion_linear::values::ConvDiagSource;
 use orion_linear::TensorLayout;
+use orion_tensor::Tensor;
 
-fn bench_plan_building(c: &mut Criterion) {
+fn main() {
     let in_l = TensorLayout::raster(64, 56, 56); // an ImageNet-scale layer
     let spec = ConvSpec {
         co: 64,
@@ -18,8 +21,8 @@ fn bench_plan_building(c: &mut Criterion) {
         dilation: 1,
         groups: 1,
     };
-    c.bench_function("conv_plan_imagenet_layer", |b| {
-        b.iter(|| conv_plan(&in_l, &spec, 1 << 15))
+    bench("conv_plan_imagenet_layer", 10, || {
+        conv_plan(&in_l, &spec, 1 << 15)
     });
     let strided = ConvSpec {
         co: 128,
@@ -31,22 +34,15 @@ fn bench_plan_building(c: &mut Criterion) {
         dilation: 1,
         groups: 1,
     };
-    c.bench_function("conv_plan_strided", |b| {
-        b.iter(|| conv_plan(&in_l, &strided, 1 << 15))
+    bench("conv_plan_strided", 10, || {
+        conv_plan(&in_l, &strided, 1 << 15)
     });
-}
 
-fn bench_dense_plan(c: &mut Criterion) {
-    let in_l = TensorLayout::raster(512, 1, 1);
-    c.bench_function("dense_plan_512x512", |b| {
-        b.iter(|| dense_plan(&in_l, 512, 1 << 12))
+    let dense_in = TensorLayout::raster(512, 1, 1);
+    bench("dense_plan_512x512", 10, || {
+        dense_plan(&dense_in, 512, 1 << 12)
     });
-}
 
-fn bench_exec_plain(c: &mut Criterion) {
-    use orion_linear::exec::exec_plain;
-    use orion_linear::values::ConvDiagSource;
-    use orion_tensor::Tensor;
     let in_l = TensorLayout::raster(8, 16, 16);
     let spec = ConvSpec {
         co: 8,
@@ -68,14 +64,7 @@ fn bench_exec_plain(c: &mut Criterion) {
         weights: &weights,
     };
     let input: Vec<Vec<f64>> = vec![(0..slots).map(|i| (i % 13) as f64 * 0.1).collect()];
-    c.bench_function("exec_plain_conv_8ch_16x16", |b| {
-        b.iter(|| exec_plain(&plan, &src, &input))
+    bench("exec_plain_conv_8ch_16x16", 10, || {
+        exec_plain(&plan, &src, &input)
     });
 }
-
-criterion_group! {
-    name = benches;
-    config = Criterion::default().sample_size(10);
-    targets = bench_plan_building, bench_dense_plan, bench_exec_plain
-}
-criterion_main!(benches);

@@ -1,12 +1,11 @@
-//! Criterion benchmarks of bootstrap placement (Table 5's "Boot. Place."
-//! column): runtime must scale linearly with network depth.
+//! Benchmarks of bootstrap placement (Table 5's "Boot. Place." column):
+//! runtime must scale linearly with network depth.
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use orion_bench::bench;
 use orion_graph::ir::{chain, NodeKind};
 use orion_graph::{place, place_lazy};
 
-fn bench_chain_placement(c: &mut Criterion) {
-    let mut g = c.benchmark_group("placement_chain");
+fn main() {
     for depth in [20usize, 110, 440] {
         let layers: Vec<(NodeKind, usize, f64)> = (0..depth)
             .map(|i| {
@@ -18,19 +17,13 @@ fn bench_chain_placement(c: &mut Criterion) {
             })
             .collect();
         let graph = chain(&layers, 10, 1);
-        g.bench_with_input(BenchmarkId::new("shortest_path", depth), &depth, |b, _| {
-            b.iter(|| place(&graph, 10, 11.0))
-        });
-        g.bench_with_input(BenchmarkId::new("lazy", depth), &depth, |b, _| {
-            b.iter(|| place_lazy(&graph, 10, 11.0))
+        bench(
+            &format!("placement_chain/shortest_path/{depth}"),
+            10,
+            || place(&graph, 10, 11.0),
+        );
+        bench(&format!("placement_chain/lazy/{depth}"), 10, || {
+            place_lazy(&graph, 10, 11.0)
         });
     }
-    g.finish();
 }
-
-criterion_group! {
-    name = benches;
-    config = Criterion::default().sample_size(10);
-    targets = bench_chain_placement
-}
-criterion_main!(benches);

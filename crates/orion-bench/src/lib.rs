@@ -14,10 +14,11 @@
 //! | Table 5 (placement scalability) | `table5_scaling` |
 //! | Figure 8 (YOLO-v1 detection) | `fig8_yolo` |
 //!
-//! The criterion benches in `benches/` cover the paper mechanisms the
-//! repo benchmark (`perf/`) does not measure: packing, placement and the
-//! ablations. Kernel, op and scheduler timings are `perf`'s `math.*`,
-//! `ckks.*` and `sched.*` metrics.
+//! The benches in `benches/` (`cargo bench -p orion-bench`) cover the
+//! paper mechanisms the repo benchmark (`perf/`) does not measure:
+//! packing, placement and the ablations. Each is a plain `main` over
+//! [`bench()`], a `std` timer. Kernel, op and scheduler timings are
+//! `perf`'s `math.*`, `ckks.*` and `sched.*` metrics.
 
 use orion::core::Orion;
 use orion_models::data::synthetic_images;
@@ -27,6 +28,8 @@ use orion_nn::network::Network;
 use orion_tensor::Tensor;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use std::hint::black_box;
+use std::time::Instant;
 
 /// Builds, BN-calibrates, and compiles a zoo model at paper scale.
 /// Returns the network, the compiled program, and the calibration set.
@@ -95,13 +98,38 @@ impl Table {
 
 /// Formats seconds human-readably.
 pub fn fmt_secs(s: f64) -> String {
-    if s < 1.0 {
+    if s < 1e-3 {
+        format!("{:.2}µs", s * 1e6)
+    } else if s < 1.0 {
         format!("{:.2}ms", s * 1e3)
     } else if s < 600.0 {
         format!("{s:.1}s")
     } else {
         format!("{:.2}h", s / 3600.0)
     }
+}
+
+/// Times `f`: one warm-up call, then `samples` timed calls, each result
+/// passed through [`black_box`]. Prints the median and the fastest call
+/// under `name` and returns them, in seconds.
+pub fn bench<R>(name: &str, samples: usize, mut f: impl FnMut() -> R) -> (f64, f64) {
+    black_box(f());
+    let mut secs: Vec<f64> = (0..samples.max(1))
+        .map(|_| {
+            let t0 = Instant::now();
+            black_box(f());
+            t0.elapsed().as_secs_f64()
+        })
+        .collect();
+    secs.sort_by(f64::total_cmp);
+    let (median, fastest) = (secs[secs.len() / 2], secs[0]);
+    println!(
+        "bench {name:<44} median {:>10}  fastest {:>10}  ({} samples)",
+        fmt_secs(median),
+        fmt_secs(fastest),
+        secs.len()
+    );
+    (median, fastest)
 }
 
 #[cfg(test)]
@@ -116,7 +144,16 @@ mod tests {
     }
 
     #[test]
+    fn bench_warms_up_once_then_times_every_sample() {
+        let mut calls = 0;
+        let (median, fastest) = bench("count", 5, || calls += 1);
+        assert_eq!(calls, 1 + 5);
+        assert!(0.0 <= fastest && fastest <= median);
+    }
+
+    #[test]
     fn fmt_secs_ranges() {
+        assert!(fmt_secs(0.000_01).ends_with("µs"));
         assert!(fmt_secs(0.001).ends_with("ms"));
         assert!(fmt_secs(5.0).ends_with('s'));
         assert!(fmt_secs(7200.0).ends_with('h'));

@@ -6,7 +6,11 @@
 //! and exactly the operations the plan walk ([`crate::sched`]) calls —
 //! encrypt / decrypt, the free level drop, `HAdd`, bootstrap, and the
 //! scale-schedule-aware composite steps (linear layer, scale-down,
-//! activation stages). Engines are **`&self`**: keys,
+//! activation stages). A linear layer is handed over as its program step,
+//! `linear_layer(node, step, ..)`: the `Step::Conv` / `Step::Dense` the
+//! compiler built is the one reading of the layer, and engines read its
+//! plan and weights through [`Step::linear_plan`] / [`Step::linear_values`].
+//! Engines are **`&self`**: keys,
 //! encoders, and evaluators are read-only at run time and engines hold no
 //! per-run state — which is what lets one engine value serve any number
 //! of concurrent walks. The
@@ -36,137 +40,8 @@ use crate::compile::{Compiled, Step};
 use crate::sched::run_plan;
 use crate::sim::OpCounter;
 use orion_ckks::precision::precision_bits;
-use orion_linear::values::{BiasValues, ConvDiagSource, DenseDiagSource, DiagSource};
-use orion_linear::{ConvSpec, LinearPlan, TensorLayout};
 use orion_tensor::Tensor;
 use std::borrow::Cow;
-
-/// A borrowed view of one linear layer's parameters (conv or dense),
-/// handed to [`EvalBackend::linear_layer`]. `step` is the program node id,
-/// the key engines use to find the layer's setup-time artifacts in a
-/// `PreparedProgram`.
-pub enum LinearRef<'a> {
-    /// A packed convolution (also pooling / folded batch-norm).
-    Conv {
-        /// Program step id.
-        step: usize,
-        /// The BSGS packing plan.
-        plan: &'a LinearPlan,
-        /// Convolution geometry.
-        spec: &'a ConvSpec,
-        /// Folded weights.
-        weight: &'a Tensor,
-        /// Folded bias.
-        bias: &'a [f64],
-        /// Input layout.
-        in_l: &'a TensorLayout,
-        /// Output layout.
-        out_l: &'a TensorLayout,
-    },
-    /// A packed fully-connected layer.
-    Dense {
-        /// Program step id.
-        step: usize,
-        /// The BSGS packing plan.
-        plan: &'a LinearPlan,
-        /// Weights `(n_out, features)`.
-        weight: &'a Tensor,
-        /// Bias.
-        bias: &'a [f64],
-        /// Input layout (pre-flatten).
-        in_l: &'a TensorLayout,
-        /// Output width.
-        n_out: usize,
-    },
-}
-
-impl<'a> LinearRef<'a> {
-    /// The view of program step `id`, or `None` when it is not a linear
-    /// layer.
-    pub fn of(id: usize, step: &'a Step) -> Option<Self> {
-        match step {
-            Step::Conv {
-                plan,
-                spec,
-                weight,
-                bias,
-                in_l,
-                out_l,
-            } => Some(LinearRef::Conv {
-                step: id,
-                plan,
-                spec,
-                weight,
-                bias,
-                in_l,
-                out_l,
-            }),
-            Step::Dense {
-                plan,
-                weight,
-                bias,
-                in_l,
-                n_out,
-            } => Some(LinearRef::Dense {
-                step: id,
-                plan,
-                weight,
-                bias,
-                in_l,
-                n_out: *n_out,
-            }),
-            _ => None,
-        }
-    }
-
-    /// The layer's packing plan.
-    pub fn plan(&self) -> &'a LinearPlan {
-        match self {
-            LinearRef::Conv { plan, .. } | LinearRef::Dense { plan, .. } => plan,
-        }
-    }
-
-    /// The program step id.
-    pub fn step(&self) -> usize {
-        match self {
-            LinearRef::Conv { step, .. } | LinearRef::Dense { step, .. } => *step,
-        }
-    }
-
-    /// The layer's diagonal source and its bias blocks (one per output
-    /// ciphertext of `slots` slots) — what every engine running the
-    /// rotation algebra, and the setup-time encoder, feed the plan with.
-    pub fn values(&self, slots: usize) -> (Box<dyn DiagSource + Sync + 'a>, Vec<Vec<f64>>) {
-        match *self {
-            LinearRef::Conv {
-                spec,
-                weight,
-                bias,
-                in_l,
-                out_l,
-                ..
-            } => (
-                Box::new(ConvDiagSource {
-                    in_l: *in_l,
-                    out_l: *out_l,
-                    spec: *spec,
-                    weights: weight,
-                }),
-                BiasValues::conv(out_l, bias, slots),
-            ),
-            LinearRef::Dense {
-                weight,
-                bias,
-                in_l,
-                n_out,
-                ..
-            } => (
-                Box::new(DenseDiagSource::new(weight.clone(), in_l)),
-                BiasValues::dense(n_out, bias, slots),
-            ),
-        }
-    }
-}
 
 /// A homomorphic-evaluation engine a compiled program can run on: exactly
 /// the operations the plan walk calls, nothing it does not.
@@ -237,11 +112,18 @@ pub trait EvalBackend {
         let _ = step;
     }
 
-    /// One packed linear layer over all input ciphertexts at `level`;
-    /// returns the output wire one level lower at exactly scale Δ.
+    /// The linear layer `step` (a `Step::Conv` or `Step::Dense`, program
+    /// node `node`) over all input ciphertexts at `level`; returns the
+    /// output wire one level lower at exactly scale Δ. The step is the one
+    /// reading of the layer: its plan is [`Step::linear_plan`], its
+    /// weights [`Step::linear_values`]; `node` is the key of its setup-time
+    /// artifacts in a `PreparedProgram`. The walk calls it only on a
+    /// whole-step unit, which [`Compiled::unit_io`] admits only on a
+    /// linear step.
     fn linear_layer(
         &self,
-        layer: &LinearRef<'_>,
+        node: usize,
+        step: &Step,
         inputs: &[Self::Ciphertext],
         level: usize,
     ) -> Vec<Self::Ciphertext>;

@@ -7,7 +7,8 @@
 //! errorless Chebyshev scale schedule. A request's ciphertexts are
 //! arguments of the walk ([`crate::sched::run_plan`]), never engine state.
 
-use crate::backend::{EvalBackend, LinearRef};
+use crate::backend::EvalBackend;
+use crate::compile::Step;
 use crate::fhe_exec::FheSession;
 use orion_ckks::encrypt::Ciphertext;
 use orion_linear::exec::{exec_bsgs, FheLinearContext};
@@ -148,7 +149,8 @@ impl EvalBackend for CkksBackend<'_> {
 
     fn linear_layer(
         &self,
-        layer: &LinearRef<'_>,
+        node: usize,
+        step: &Step,
         inputs: &[Ciphertext],
         level: usize,
     ) -> Vec<Ciphertext> {
@@ -157,29 +159,27 @@ impl EvalBackend for CkksBackend<'_> {
             eval: &s.eval,
             enc: &s.enc,
         };
+        let plan = step.linear_plan().expect("a linear layer");
         // Serving path: consume the setup-time cache when this step has
         // one, faulting it in from disk if the source pages. A failed
         // fault unwinds with a typed payload (see [`PreparedLayerFault`]).
         let cached = self.prepared.as_ref().and_then(|src| {
-            src.fetch_layer(layer.step()).unwrap_or_else(|error| {
-                std::panic::panic_any(PreparedLayerFault {
-                    step: layer.step(),
-                    error,
-                })
+            src.fetch_layer(node).unwrap_or_else(|error| {
+                std::panic::panic_any(PreparedLayerFault { step: node, error })
             })
         });
         // On the fly: the same layer, encoded now and dropped after use.
         let prepared = cached.unwrap_or_else(|| {
-            let (src, bias) = layer.values(s.ctx.slots());
+            let (src, bias) = step.linear_values(s.ctx.slots()).expect("a linear layer");
             Arc::new(PreparedLayer::build(
                 &s.enc,
-                layer.plan(),
+                plan,
                 &*src,
                 Some(&bias),
                 level,
             ))
         });
-        exec_bsgs(&fctx, layer.plan(), &prepared, inputs)
+        exec_bsgs(&fctx, plan, &prepared, inputs)
     }
 
     fn scale_down(&self, ct: &Ciphertext, factor: f64, level: usize) -> Ciphertext {

@@ -22,9 +22,10 @@
 //! operands at one level, no upward drop, and every depth paid out of a
 //! level that has it.
 
-use crate::backend::{EvalBackend, LinearRef};
-use crate::compile::Compiled;
+use crate::backend::EvalBackend;
+use crate::compile::{Compiled, Step};
 use orion_linear::exec::exec_plain;
+use orion_linear::TensorLayout;
 use orion_poly::cheb::clenshaw;
 use orion_tensor::{conv2d, linear, Conv2dParams, Tensor};
 use std::borrow::Cow;
@@ -115,21 +116,21 @@ impl ClearBackend {
     /// Gather → reference `conv2d` / `linear` → pack.
     fn linear_reference(
         &self,
-        layer: &LinearRef<'_>,
+        step: &Step,
         inputs: &[ClearCiphertext],
         out_level: usize,
     ) -> Vec<ClearCiphertext> {
-        let (LinearRef::Conv { in_l, .. } | LinearRef::Dense { in_l, .. }) = layer;
-        let raster = in_l.unpack(&gather_slots(inputs, in_l.total_slots()));
-        match layer {
-            LinearRef::Conv {
+        let gather = |in_l: &TensorLayout| in_l.unpack(&gather_slots(inputs, in_l.total_slots()));
+        match step {
+            Step::Conv {
                 spec,
                 weight,
                 bias,
+                in_l,
                 out_l,
                 ..
             } => {
-                let x = Tensor::from_vec(&[in_l.c, in_l.h, in_l.w], raster);
+                let x = Tensor::from_vec(&[in_l.c, in_l.h, in_l.w], gather(in_l));
                 let p = Conv2dParams {
                     stride: spec.stride,
                     padding: spec.padding,
@@ -139,21 +140,22 @@ impl ClearBackend {
                 let y = conv2d(&x, weight, bias, p);
                 self.chunk_blocks(&out_l.pack(y.data()), out_level)
             }
-            LinearRef::Dense { weight, bias, .. } => {
-                self.chunk_blocks(&linear(&raster, weight, bias), out_level)
-            }
+            Step::Dense {
+                weight, bias, in_l, ..
+            } => self.chunk_blocks(&linear(&gather(in_l), weight, bias), out_level),
+            _ => panic!("a linear layer"),
         }
     }
 
     /// The executor's rotation algebra on the packed blocks, then the bias.
     fn linear_packed(
         &self,
-        layer: &LinearRef<'_>,
+        step: &Step,
         inputs: &[ClearCiphertext],
         out_level: usize,
     ) -> Vec<ClearCiphertext> {
-        let plan = layer.plan();
-        let (src, bias_blocks) = layer.values(self.slots);
+        let plan = step.linear_plan().expect("a linear layer");
+        let (src, bias_blocks) = step.linear_values(self.slots).expect("a linear layer");
         exec_plain(plan, &*src, &block_slots(inputs))
             .into_iter()
             .enumerate()
@@ -246,14 +248,15 @@ impl EvalBackend for ClearBackend {
 
     fn linear_layer(
         &self,
-        layer: &LinearRef<'_>,
+        _node: usize,
+        step: &Step,
         inputs: &[ClearCiphertext],
         level: usize,
     ) -> Vec<ClearCiphertext> {
         let out_level = below(level, 1);
         match self.linear {
-            Linear::Reference => self.linear_reference(layer, inputs, out_level),
-            Linear::Packed => self.linear_packed(layer, inputs, out_level),
+            Linear::Reference => self.linear_reference(step, inputs, out_level),
+            Linear::Packed => self.linear_packed(step, inputs, out_level),
         }
     }
 

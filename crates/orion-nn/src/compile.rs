@@ -16,13 +16,17 @@ use crate::sim::{CostModel, OpCounter, OpKind};
 use orion_ckks::KeyManifest;
 use orion_graph::{place, Graph, Node, NodeKind, PlacementResult};
 use orion_linear::plan::{conv_plan, dense_plan, ConvSpec, LinearPlan};
+use orion_linear::values::{BiasValues, ConvDiagSource, DenseDiagSource, DiagSource};
 use orion_linear::TensorLayout;
 use orion_poly::eval::{
     fhe_eval_depth, relu_product_ops, square_ops, stage_ops, trimmed_degree, StageOps,
 };
 use orion_tensor::Tensor;
 
-/// One executable program step.
+/// One executable program step. `Conv` and `Dense` are the one reading of
+/// a linear layer: the walk hands engines the step itself
+/// (`EvalBackend::linear_layer(node, step, ..)`), which read its plan and
+/// weights through [`Step::linear_plan`] and [`Step::linear_values`].
 #[derive(Clone, Debug)]
 pub enum Step {
     /// The network input (encrypt here).
@@ -78,6 +82,10 @@ pub enum Step {
     /// Residual addition.
     Add,
 }
+
+/// A linear layer's diagonal source and its bias blocks
+/// ([`Step::linear_values`]).
+pub type LinearValues<'a> = (Box<dyn DiagSource + Sync + 'a>, Vec<Vec<f64>>);
 
 /// What a step placed at level `lv` reads and issues ([`Step::sig`]).
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -166,6 +174,51 @@ impl Step {
             exit_level,
         }
     }
+
+    /// The BSGS packing plan of a linear layer (`Conv`, `Dense`); `None`
+    /// for every other step. What a whole-step plan unit is keyed on.
+    pub fn linear_plan(&self) -> Option<&LinearPlan> {
+        match self {
+            Step::Conv { plan, .. } | Step::Dense { plan, .. } => Some(plan),
+            _ => None,
+        }
+    }
+
+    /// A linear layer's diagonal source and its bias blocks (one per
+    /// output ciphertext of `slots` slots) — what every engine running the
+    /// rotation algebra, and the setup-time encoder, feed the plan with;
+    /// `None` for every other step.
+    pub fn linear_values(&self, slots: usize) -> Option<LinearValues<'_>> {
+        match self {
+            Step::Conv {
+                spec,
+                weight,
+                bias,
+                in_l,
+                out_l,
+                ..
+            } => Some((
+                Box::new(ConvDiagSource {
+                    in_l: *in_l,
+                    out_l: *out_l,
+                    spec: *spec,
+                    weights: weight,
+                }),
+                BiasValues::conv(out_l, bias, slots),
+            )),
+            Step::Dense {
+                weight,
+                bias,
+                in_l,
+                n_out,
+                ..
+            } => Some((
+                Box::new(DenseDiagSource::new(weight.clone(), in_l)),
+                BiasValues::dense(*n_out, bias, slots),
+            )),
+            _ => None,
+        }
+    }
 }
 
 /// A program node.
@@ -190,9 +243,9 @@ impl ProgNode {
     /// What placement minimises, what `count_plan` sums over the built plan
     /// and what [`Compiled::report`] prints.
     pub fn seconds_at(&self, cost: &CostModel, lv: usize) -> f64 {
-        let units = match self.step {
-            Step::Conv { .. } | Step::Dense { .. } => 1,
-            _ => self.n_cts,
+        let units = match self.step.linear_plan() {
+            Some(_) => 1,
+            None => self.n_cts,
         };
         units as f64 * OpCounter::priced(&self.step.sig(lv).ops, cost, lv).seconds
     }
@@ -259,21 +312,16 @@ impl Compiled {
     pub fn planned_rotations(&self) -> usize {
         self.prog
             .iter()
-            .map(|p| match &p.step {
-                Step::Conv { plan, .. } | Step::Dense { plan, .. } => plan.counts.rotations(),
-                _ => 0,
-            })
+            .filter_map(|p| p.step.linear_plan())
+            .map(|plan| plan.counts.rotations())
             .sum()
     }
 
     /// Union of rotation steps needed by every plan (for key generation).
     pub fn rotation_steps(&self) -> Vec<isize> {
-        let mut set = std::collections::BTreeSet::new();
-        for p in &self.prog {
-            if let Step::Conv { plan, .. } | Step::Dense { plan, .. } = &p.step {
-                set.extend(plan.rotation_steps());
-            }
-        }
+        let plans = self.prog.iter().filter_map(|p| p.step.linear_plan());
+        let set: std::collections::BTreeSet<isize> =
+            plans.flat_map(|plan| plan.rotation_steps()).collect();
         set.into_iter().collect()
     }
 

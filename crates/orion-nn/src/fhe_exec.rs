@@ -19,7 +19,7 @@
 //! ([`FheSession::decrypt_output`]) — besides the bootstrap oracle, the
 //! one place a run touches the secret key.
 
-use crate::backend::{decrypt_output, encrypt_input, LinearRef};
+use crate::backend::{decrypt_output, encrypt_input};
 use crate::backends::CkksBackend;
 use crate::compile::Compiled;
 use crate::sched::run_plan;
@@ -128,14 +128,13 @@ pub fn prepare_program(c: &Compiled, enc: &Encoder) -> PreparedProgram {
     assert_eq!(slots, c.opts.slots, "slot-count mismatch");
     let mut prog = PreparedProgram::new();
     for (id, node) in c.prog.iter().enumerate() {
-        let (Some(level), Some(layer)) = (c.placement.levels[id], LinearRef::of(id, &node.step))
-        else {
+        let (Some(level), Some(plan)) = (c.placement.levels[id], node.step.linear_plan()) else {
             continue;
         };
-        let (src, bias_blocks) = layer.values(slots);
+        let (src, bias_blocks) = node.step.linear_values(slots).expect("a linear layer");
         prog.insert(
             id,
-            PreparedLayer::build(enc, layer.plan(), &*src, Some(&bias_blocks), level),
+            PreparedLayer::build(enc, plan, &*src, Some(&bias_blocks), level),
         );
     }
     prog

@@ -36,7 +36,7 @@ pub mod sched;
 pub mod sim;
 pub mod verify;
 
-pub use backend::{run_program, EvalBackend, LinearRef, ProgramRun};
+pub use backend::{run_program, EvalBackend, ProgramRun};
 pub use backends::{CkksBackend, ClearBackend};
 pub use compile::{compile, CompileOptions, Compiled};
 pub use fhe_exec::FheSession;

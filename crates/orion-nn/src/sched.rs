@@ -81,7 +81,7 @@
 //! is wired to the version current at its position. Double bootstraps
 //! (two bootstrapping consumers of one wire) replay exactly.
 
-use crate::backend::{EvalBackend, LinearRef};
+use crate::backend::EvalBackend;
 use crate::compile::{Compiled, Step};
 use crate::sim::{OpCounter, OpKind};
 use rayon::Scope;
@@ -364,7 +364,7 @@ impl Compiled {
                 if matches!(step, Step::Input | Step::Output) {
                     return Err("input and output nodes are not work: they have no unit");
                 }
-                let whole = matches!(step, Step::Conv { .. } | Step::Dense { .. });
+                let whole = step.linear_plan().is_some();
                 if whole != matches!(unit.work, UnitWork::Step { .. }) {
                     return Err("step kind does not fit the unit kind");
                 }
@@ -458,11 +458,10 @@ impl Compiled {
         let read = io.reads[0].and_then(|(_, level)| level);
         match self.plan.units[uid].work {
             UnitWork::Step { node } => {
-                let step = &self.prog[node].step;
-                let (Some(layer), Some(lv)) = (LinearRef::of(node, step), read) else {
+                let (Some(plan), Some(lv)) = (self.prog[node].step.linear_plan(), read) else {
                     return;
                 };
-                for k in layer.plan().rotation_steps() {
+                for k in plan.rotation_steps() {
                     f(KeyUse::Rotation(k), lv);
                 }
             }
@@ -498,10 +497,9 @@ pub fn count_plan<B: EvalBackend>(c: &Compiled, backend: &B) -> OpCounter {
                 // On-the-fly engines also pay one slot-vector encode per
                 // diagonal pmult plus one per output block (bias).
                 if backend.linear_encodes_per_inference(node) {
-                    let layer = LinearRef::of(node, &c.prog[node].step)
-                        .expect("a whole-step unit is a linear layer")
-                        .plan();
-                    ctr.record_encodes((layer.counts.pmults + layer.out_blocks) as u64);
+                    let plan = c.prog[node].step.linear_plan();
+                    let plan = plan.expect("a whole-step unit is a linear layer");
+                    ctr.record_encodes((plan.counts.pmults + plan.out_blocks) as u64);
                 }
             }
             UnitWork::StepCt { .. } | UnitWork::Boot { .. } => {}
@@ -719,12 +717,10 @@ impl<'a, B: EvalBackend + Sync> RunState<'a, B> {
                 self.store(uid, io, vec![out]);
             }
             UnitWork::Step { node } => {
-                let layer = LinearRef::of(node, &c.prog[node].step)
-                    .expect("a whole-step unit is a linear layer");
                 let cts = self.read(uid, io, 0);
                 let out =
                     orion_telemetry::time_class(orion_telemetry::OpClass::LinearLayer, || {
-                        backend.linear_layer(&layer, &cts, lv)
+                        backend.linear_layer(node, &c.prog[node].step, &cts, lv)
                     });
                 self.store(uid, io, out);
             }

@@ -205,7 +205,7 @@ fn lola_on_the_real_engine_counts_its_fold_rotations() {
     let (mut hrot, mut hoisted, mut pmult, mut rescale, mut fold_rots) = (0, 0, 0, 0, 0);
     let mut folds = Vec::new();
     for node in c.prog.iter() {
-        if let Step::Conv { plan, .. } | Step::Dense { plan, .. } = &node.step {
+        if let Some(plan) = node.step.linear_plan() {
             hrot += plan.counts.giant_rots as u64;
             hoisted += plan.counts.baby_rots as u64;
             pmult += plan.counts.pmults as u64;

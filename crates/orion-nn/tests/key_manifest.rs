@@ -8,7 +8,7 @@
 //! `resblock_act` is the opposite shape, a product above every layer.
 
 use orion_ckks::{CkksParams, KeyManifest};
-use orion_nn::compile::{compile, CompileOptions, Compiled, Step};
+use orion_nn::compile::{compile, CompileOptions, Compiled};
 use orion_nn::fhe_exec::FheSession;
 use orion_nn::fit::fixed_ranges;
 use orion_nn::network::Network;
@@ -85,9 +85,7 @@ fn fold_unit_io(c: &Compiled) -> (KeyManifest, usize) {
         let read = io.reads[0].and_then(|(_, level)| level);
         match unit.work {
             UnitWork::Step { node } => {
-                let (Step::Conv { plan: layer, .. } | Step::Dense { plan: layer, .. }) =
-                    &c.prog[node].step
-                else {
+                let Some(layer) = c.prog[node].step.linear_plan() else {
                     panic!("a whole-step unit is a linear layer");
                 };
                 for k in layer.rotation_steps() {

@@ -7,7 +7,7 @@
 
 use orion_ckks::precision::precision_bits;
 use orion_ckks::CkksParams;
-use orion_nn::backend::{run_program, LinearRef};
+use orion_nn::backend::run_program;
 use orion_nn::backends::{CkksBackend, ClearBackend};
 use orion_nn::compile::{compile, CompileOptions, Step};
 use orion_nn::fhe_exec::{run_fhe_prepared_cts, FheSession};
@@ -125,9 +125,8 @@ fn prepared_poly_net_is_bit_identical_and_encodes_only_weights() {
     let weight_encodes: u64 = compiled
         .prog
         .iter()
-        .enumerate()
-        .filter_map(|(id, node)| LinearRef::of(id, &node.step))
-        .map(|layer| (layer.plan().counts.pmults + layer.plan().out_blocks) as u64)
+        .filter_map(|node| node.step.linear_plan())
+        .map(|plan| (plan.counts.pmults + plan.out_blocks) as u64)
         .sum();
 
     let session = FheSession::new(params.clone(), &compiled, 11);

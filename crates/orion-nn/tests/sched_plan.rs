@@ -155,9 +155,7 @@ fn validate_plan(c: &orion_nn::Compiled) {
         let io = c.unit_io(uid).expect("well-formed unit");
         match unit.work {
             UnitWork::Step { node } => {
-                let (Step::Conv { plan: layer, .. } | Step::Dense { plan: layer, .. }) =
-                    &c.prog[node].step
-                else {
+                let Some(layer) = c.prog[node].step.linear_plan() else {
                     panic!("whole-step unit {uid} is no linear layer");
                 };
                 assert_eq!(io.count(OpKind::Hoist), layer.counts.hoists as u64);

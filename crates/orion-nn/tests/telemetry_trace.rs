@@ -13,9 +13,9 @@
 //! on a barrier ([`LevelEngine`]), which also pins that an engine handing
 //! back the wrong level is caught where the ciphertext is written.
 
-use orion_nn::backend::{encrypt_input, EvalBackend, LinearRef};
+use orion_nn::backend::{encrypt_input, EvalBackend};
 use orion_nn::backends::ClearBackend;
-use orion_nn::compile::{compile, CompileOptions, Compiled};
+use orion_nn::compile::{compile, CompileOptions, Compiled, Step};
 use orion_nn::fit::fixed_ranges;
 use orion_nn::network::Network;
 use orion_nn::sched::run_plan;
@@ -173,8 +173,8 @@ impl EvalBackend for LevelEngine<'_> {
     fn bootstrap(&self, _a: &usize) -> usize {
         self.c.opts.l_eff
     }
-    fn linear_layer(&self, l: &LinearRef<'_>, _x: &[usize], level: usize) -> Vec<usize> {
-        vec![level - 1; l.plan().out_blocks]
+    fn linear_layer(&self, _node: usize, step: &Step, _x: &[usize], level: usize) -> Vec<usize> {
+        vec![level - 1; step.linear_plan().expect("a linear layer").out_blocks]
     }
     fn scale_down(&self, _ct: &usize, _factor: f64, level: usize) -> usize {
         level - usize::from(!self.forget_rescale)

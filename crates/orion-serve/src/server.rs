@@ -580,10 +580,9 @@ impl Server {
         let models = self.inner.models.read();
         Value::Obj(vec![
             ("queue_total".to_string(), Value::Num(queue_total as f64)),
-            (
-                "workers".to_string(),
-                Value::Num(self.inner.cfg.workers as f64),
-            ),
+            // the threads serving now: none before `start` or after
+            // `shutdown`, and one for a `workers: 0` configuration
+            ("workers".to_string(), Value::Num(self.threads.len() as f64)),
             (
                 "models".to_string(),
                 Value::Arr(
@@ -813,5 +812,23 @@ mod tests {
         let order = pop_order(&[3, 3, 2, 2, 1, 1, 0, 0]);
         // each model gives up one request per full rotation
         assert_eq!(order, [0, 1, 2, 3, 0, 1, 2, 3], "rotation broken");
+    }
+
+    #[test]
+    fn metrics_report_running_workers() {
+        let workers = |server: &Server| server.metrics().get("workers").and_then(Value::as_f64);
+        let mut server = Server::new(ServeConfig {
+            workers: 0,
+            ..ServeConfig::default()
+        });
+        assert_eq!(workers(&server), Some(0.0), "nothing runs before start");
+        server.start();
+        assert_eq!(
+            workers(&server),
+            Some(1.0),
+            "workers: 0 still serves on one"
+        );
+        server.shutdown();
+        assert_eq!(workers(&server), Some(0.0), "shutdown joined the worker");
     }
 }

@@ -72,7 +72,10 @@ fn main() {
         let ctx = orion_ckks::params::Context::new(params_a.clone());
         prepare_program(&compiled_a, &orion_ckks::Encoder::new(ctx)).approx_bytes()
     };
-    let store_dir = std::env::temp_dir().join("orion_serve_mnist_store");
+    // one directory per process: a concurrent run must not delete this
+    // run's spill files
+    let store_dir =
+        std::env::temp_dir().join(format!("orion_serve_mnist_store_{}", std::process::id()));
     std::fs::remove_dir_all(&store_dir).ok();
     let model_a = server
         .add_model_paged(

@@ -10,7 +10,7 @@ use orion::core::Orion;
 use orion::models::data::synthetic_images;
 use orion::models::{build, Act};
 use orion::nn::backends::ClearBackend;
-use orion::nn::compile::{compile, CompileOptions, Step};
+use orion::nn::compile::{compile, CompileOptions};
 use orion::nn::fit::{calibrate_batch_norm, fixed_ranges};
 use orion::nn::sched::{count_plan, ExecPlan, UnitWork};
 use orion::nn::{Compiled, Network};
@@ -84,7 +84,7 @@ fn placement_digest(c: &Compiled) -> u64 {
 fn plan_digest(c: &Compiled) -> u64 {
     let mut words = Vec::new();
     for node in &c.prog {
-        if let Step::Conv { plan, .. } | Step::Dense { plan, .. } = &node.step {
+        if let Some(plan) = node.step.linear_plan() {
             let k = plan.counts;
             let fields = [
                 plan.n1,

@@ -50,10 +50,7 @@ fn every_linear_layer_has_depth_one() {
     calibrate_batch_norm(&mut net, &calib);
     let compiled = Orion::paper_scale().compile(&net, &calib);
     for (node, prog) in compiled.graph.nodes.iter().zip(&compiled.prog) {
-        if matches!(
-            prog.step,
-            orion::nn::compile::Step::Conv { .. } | orion::nn::compile::Step::Dense { .. }
-        ) {
+        if prog.step.linear_plan().is_some() {
             assert_eq!(node.depth, 1, "{} is not depth-1", prog.name);
         }
     }

@@ -11,16 +11,21 @@
 //!   otherwise), including when a load returns a typed error.
 //! * **Bit-exactness** — every fetched layer is identical to the
 //!   resident original, no matter which thread faulted it in.
+//!
+//! A sequential model test pins the counters themselves: random fetch /
+//! prefetch sequences are checked call by call against a reference LRU.
 
 use orion_ckks::encoder::Encoder;
 use orion_ckks::params::{CkksParams, Context};
 use orion_linear::layout::TensorLayout;
-use orion_linear::paged::{LayerSource, PagedProgram};
+use orion_linear::paged::{LayerSource, PageStats, PagedProgram};
 use orion_linear::plan::{conv_plan, ConvSpec};
 use orion_linear::prepared::{PreparedLayer, PreparedProgram};
 use orion_linear::store::{DiagStore, StoreError};
 use orion_linear::values::ConvDiagSource;
 use orion_tensor::Tensor;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 use std::sync::Arc;
 
 fn sample_program(enc: &Encoder, n_layers: usize) -> PreparedProgram {
@@ -206,4 +211,103 @@ fn erroring_load_wakes_waiters_and_clears_single_flight() {
         Err(StoreError::Malformed { .. })
     ));
     assert_eq!(t.paged.stats().resident_layers, 0);
+}
+
+/// The pager's specification, one call at a time: resident layers in
+/// recency order (least recent first), each with its prefetch credit.
+struct LruModel {
+    budget: usize,
+    layer_bytes: Vec<usize>,
+    order: Vec<(usize, bool)>,
+    stats: PageStats,
+}
+
+impl LruModel {
+    fn fetch(&mut self, step: usize) {
+        if step >= self.layer_bytes.len() {
+            return;
+        }
+        if let Some(at) = self.order.iter().position(|&(s, _)| s == step) {
+            let (_, prefetched) = self.order.remove(at);
+            self.stats.hits += 1;
+            self.stats.prefetch_hits += prefetched as u64;
+            self.order.push((step, false));
+        } else {
+            self.stats.faults += 1;
+            self.admit(step, false);
+        }
+    }
+
+    fn prefetch(&mut self, step: usize) {
+        let known = step < self.layer_bytes.len();
+        if known && !self.order.iter().any(|&(s, _)| s == step) {
+            self.stats.prefetches += 1;
+            self.admit(step, true);
+        }
+    }
+
+    /// Makes `step` most recent, then evicts least-recent-first down to
+    /// the budget, never the layer just admitted.
+    fn admit(&mut self, step: usize, prefetched: bool) {
+        self.order.push((step, prefetched));
+        self.stats.resident_bytes += self.layer_bytes[step] as u64;
+        while self.stats.resident_bytes > self.budget as u64 && self.order.len() > 1 {
+            let (victim, _) = self.order.remove(0);
+            self.stats.resident_bytes -= self.layer_bytes[victim] as u64;
+            self.stats.evictions += 1;
+        }
+        self.stats.resident_layers = self.order.len() as u64;
+    }
+}
+
+/// Random fetch / prefetch sequences over 1–5 layers at budgets of 0.5,
+/// 1.5 and 2.5 layers and unbounded: after every call the pager's full
+/// [`PageStats`] equal the reference LRU's. Steps past the last layer
+/// are unregistered and must change nothing.
+#[test]
+fn sequential_calls_match_a_reference_lru() {
+    const CALLS: usize = 60;
+    let ctx = Context::new(CkksParams::tiny());
+    let enc = Encoder::new(ctx);
+    let mut rng = StdRng::seed_from_u64(42);
+    let mut seen = PageStats::default();
+    for n_layers in 1..=5 {
+        let prog = sample_program(&enc, n_layers);
+        let layer_bytes: Vec<usize> = (0..n_layers)
+            .map(|s| prog.layer(s).unwrap().approx_bytes())
+            .collect();
+        let unit = layer_bytes[0];
+        for budget in [unit / 2, unit * 3 / 2, unit * 5 / 2, usize::MAX] {
+            let t = paged(&format!("model_{n_layers}_{budget}"), &prog, budget);
+            let mut model = LruModel {
+                budget,
+                layer_bytes: layer_bytes.clone(),
+                order: Vec::new(),
+                stats: PageStats::default(),
+            };
+            for call in 0..CALLS {
+                let step = rng.gen_range(0..=n_layers);
+                let prefetch = rng.gen_bool(0.4);
+                if prefetch {
+                    t.paged.prefetch(step);
+                    model.prefetch(step);
+                } else {
+                    let got = t.paged.fetch_layer(step).unwrap();
+                    assert_eq!(got.is_some(), step < n_layers);
+                    model.fetch(step);
+                }
+                assert_eq!(
+                    t.paged.stats(),
+                    model.stats,
+                    "{n_layers} layers, budget {budget}, call {call}: \
+                     {} of step {step}",
+                    if prefetch { "prefetch" } else { "fetch" }
+                );
+            }
+            seen.evictions += model.stats.evictions;
+            seen.prefetch_hits += model.stats.prefetch_hits;
+        }
+    }
+    // the sequences reached eviction and prefetch credit, not only faults
+    assert!(seen.evictions > 0 && seen.prefetch_hits > 0, "{seen:?}");
 }

@@ -141,10 +141,12 @@ impl HoistedDigits {
 
     /// Rotates by `k` using the precomputed digits (one automorphism
     /// permutation + key inner product + ModDown; no per-rotation NTTs
-    /// except inside ModDown).
+    /// except inside ModDown): the reference the tests hold a hoisted
+    /// rotation to against `Evaluator::rotate`.
     ///
     /// Panics on a missing or too-low rotation key, like
     /// [`Self::rotate_ext`].
+    #[cfg(test)]
     pub fn rotate(&self, eval: &Evaluator, k: isize) -> Ciphertext {
         let ctx = eval.context();
         let RotatedExt {
@@ -326,7 +328,7 @@ type WidePair = (WidePoly, WidePoly);
 /// [`ExtAccumulator::finalize`]. This is the double-hoisting inner loop of
 /// the BSGS matvec (paper §3.3, Equation 1).
 ///
-/// Terms are summed as unreduced 128-bit lanes ([`WidePoly`]); both the
+/// Terms are summed as unreduced 128-bit lanes (`WidePoly`); both the
 /// modular reduction and the ModDown are deferred to `finalize`.
 pub struct ExtAccumulator {
     level: usize,
@@ -388,11 +390,14 @@ impl ExtAccumulator {
         acc_a.mac(a, &pt.poly);
     }
 
-    /// Accumulates `pt ⊙ HRot_k(hoisted)`.
+    /// Accumulates `pt ⊙ HRot_k(hoisted)`, one rotation per term: the
+    /// per-term reference the tests hold the shared-rotation path
+    /// ([`HoistedDigits::rotate_ext`] + [`Self::add_pmult_rotated`]) to.
     ///
     /// For `k ≠ 0` the plaintext must carry a special limb (encode with
     /// `with_special = true`); the rotation's key-switch output is consumed
     /// lazily in the extended basis.
+    #[cfg(test)]
     pub fn add_rotated_pmult(
         &mut self,
         eval: &Evaluator,

@@ -16,22 +16,26 @@
 //! from RAM or disk. A corrupt or missing spill file surfaces as a typed
 //! [`StoreError`] the serving layer turns into a per-request error.
 //!
-//! **Wait protocol.** Disk reads run with the state lock *released*, so
-//! loads of different layers (and hits on resident ones) always overlap.
-//! A per-step `loading` marker keeps same-layer loads single-flight:
-//! fetchers of an in-flight layer sleep on a condvar — no poll loop, no
-//! CPU burn — and are woken by a drop-guard that clears the marker on
-//! every exit path, including a load that returns a typed error or
-//! panics, so waiters can never be stranded. On a failed load each woken
-//! waiter retries the load itself and surfaces its own error. Recency is
-//! a monotonic-stamp map (hit = restamp, O(log n); evict = min stamp), so
-//! hot fetches no longer pay an O(n) scan of the recency list.
+//! **State.** One mutex guards one map with at most one `Slot` per
+//! step — `Loading` while its disk read is in flight, or `Resident` with
+//! its layer, last use and prefetch credit — and the [`PageStats`], so a
+//! [`PagedProgram::stats`] snapshot is consistent.
+//!
+//! **Wait protocol.** Disk reads run with the lock *released*, so loads
+//! of different layers and hits overlap. A `Loading` slot keeps
+//! same-layer loads single-flight: a fetch of it sleeps on a condvar (a
+//! prefetch returns) until a drop-guard wakes it on every exit path,
+//! including a load that errors or panics; a woken fetch that finds no
+//! slot retries the load and surfaces its own error.
+//!
+//! **Recency.** A hit sets its slot's `last_use`, O(1); each load evicts
+//! `min_by_key(last_use)` over the other resident slots until the budget
+//! holds — one scan per load, over at most the model's linear layers.
 
 use crate::prepared::{PreparedLayer, PreparedProgram};
 use crate::store::{DiagStore, StoreError};
 use parking_lot::{Condvar, Mutex};
-use std::collections::{BTreeMap, HashMap, HashSet};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::collections::HashMap;
 use std::sync::Arc;
 
 /// Where a program's prepared artifacts come from: fully resident
@@ -95,44 +99,32 @@ pub struct PageStats {
     pub resident_layers: u64,
 }
 
-#[derive(Default)]
-struct Resident {
-    map: HashMap<usize, Arc<PreparedLayer>>,
-    /// Monotonic recency clock, bumped on every touch.
-    clock: u64,
-    /// Step → its last-touch stamp (every resident step has exactly one).
-    stamp: HashMap<usize, u64>,
-    /// Stamp → step, the mirror of `stamp`: the smallest key is the LRU
-    /// victim, so a hit is O(log n) (restamp) instead of the old
-    /// `VecDeque::retain` O(n) scan.
-    by_stamp: BTreeMap<u64, usize>,
-    bytes: usize,
-    /// Steps whose resident copy was loaded by a prefetch and not yet
-    /// touched by a fetch (each prefetch gets credited at most once).
-    prefetched: HashSet<usize>,
-    /// Steps with a disk load in flight — the lock is released during
-    /// the read, and this set keeps same-layer loads single-flight.
-    loading: HashSet<usize>,
+/// A registered step's place in the resident set (absent: on disk only).
+enum Slot {
+    /// Being read from disk; a fetch waits on [`PagedProgram::load_done`].
+    Loading,
+    Resident {
+        layer: Arc<PreparedLayer>,
+        /// The [`State::clock`] at its last fetch or load: the LRU key.
+        last_use: u64,
+        /// Loaded by a prefetch and not yet fetched.
+        prefetched: bool,
+    },
 }
 
-impl Resident {
-    /// Marks `step` most-recently-used.
-    fn touch(&mut self, step: usize) {
-        let now = self.clock;
-        self.clock += 1;
-        if let Some(old) = self.stamp.insert(step, now) {
-            self.by_stamp.remove(&old);
-        }
-        self.by_stamp.insert(now, step);
-    }
+#[derive(Default)]
+struct State {
+    slots: HashMap<usize, Slot>,
+    /// The counters and the resident totals, as [`PagedProgram::stats`]
+    /// returns them.
+    stats: PageStats,
+}
 
-    /// Drops `step` from every recency structure.
-    fn forget(&mut self, step: usize) {
-        self.map.remove(&step);
-        self.prefetched.remove(&step);
-        if let Some(old) = self.stamp.remove(&step) {
-            self.by_stamp.remove(&old);
-        }
+impl State {
+    /// Every hit, fault and prefetch counts one event before it stamps a
+    /// slot, so their sum orders last uses without a clock of its own.
+    fn clock(&self) -> u64 {
+        self.stats.hits + self.stats.faults + self.stats.prefetches
     }
 }
 
@@ -151,16 +143,10 @@ pub struct PagedProgram {
     store: DiagStore,
     budget_bytes: usize,
     entries: HashMap<usize, PagedEntry>,
-    state: Mutex<Resident>,
-    /// Signaled whenever an in-flight load finishes (success, error, or
-    /// panic — see [`LoadingGuard`]); fetchers of a loading layer sleep
-    /// here instead of poll-looping.
+    state: Mutex<State>,
+    /// Signaled whenever a load ends, however it ends (see
+    /// [`LoadingGuard`]); fetches of a `Loading` slot sleep here.
     load_done: Condvar,
-    faults: AtomicU64,
-    evictions: AtomicU64,
-    hits: AtomicU64,
-    prefetches: AtomicU64,
-    prefetch_hits: AtomicU64,
 }
 
 impl PagedProgram {
@@ -192,13 +178,8 @@ impl PagedProgram {
             store,
             budget_bytes,
             entries,
-            state: Mutex::new(Resident::default()),
+            state: Mutex::new(State::default()),
             load_done: Condvar::new(),
-            faults: AtomicU64::new(0),
-            evictions: AtomicU64::new(0),
-            hits: AtomicU64::new(0),
-            prefetches: AtomicU64::new(0),
-            prefetch_hits: AtomicU64::new(0),
         })
     }
 
@@ -215,16 +196,7 @@ impl PagedProgram {
 
     /// Current paging counters.
     pub fn stats(&self) -> PageStats {
-        let st = self.state.lock();
-        PageStats {
-            faults: self.faults.load(Ordering::Relaxed),
-            evictions: self.evictions.load(Ordering::Relaxed),
-            hits: self.hits.load(Ordering::Relaxed),
-            prefetches: self.prefetches.load(Ordering::Relaxed),
-            prefetch_hits: self.prefetch_hits.load(Ordering::Relaxed),
-            resident_bytes: st.bytes as u64,
-            resident_layers: st.map.len() as u64,
-        }
+        self.state.lock().stats
     }
 
     /// Reads `entry`'s layer from disk, refusing a file whose diagonal
@@ -240,49 +212,80 @@ impl PagedProgram {
         Ok(layer)
     }
 
-    /// Inserts a freshly loaded layer into the resident set (caller holds
-    /// the state lock), evicting LRU-first down to the budget. The
-    /// just-inserted layer is never evicted here (an in-flight inference
-    /// holds it anyway), so a single layer larger than the budget stays
-    /// resident until the next load pushes it out.
-    fn admit(&self, st: &mut Resident, step: usize, layer: Arc<PreparedLayer>, bytes: usize) {
-        st.bytes += bytes;
-        let prev = st.map.insert(step, layer);
-        assert!(
-            prev.is_none(),
-            "layer {step} admitted twice (single-flight broken)"
-        );
-        st.touch(step);
-        while st.bytes > self.budget_bytes && st.map.len() > 1 {
-            // the just-admitted layer carries the max stamp, so with more
-            // than one resident the minimum is never it
-            let victim = *st.by_stamp.values().next().expect("len > 1");
-            st.forget(victim);
-            st.bytes -= self.entries[&victim].bytes;
-            orion_telemetry::instant!(
-                "page_evict",
-                step = victim,
-                bytes = self.entries[&victim].bytes
-            );
-            self.evictions.fetch_add(1, Ordering::Relaxed);
+    /// The one load body of [`LayerSource::fetch_layer`] and
+    /// [`LayerSource::prefetch`], on a `Loading` slot: reads the layer
+    /// unlocked, admits it and evicts LRU-first down to the budget — never
+    /// the layer just admitted, which an inference holds anyway.
+    fn load_and_admit(
+        &self,
+        step: usize,
+        entry: &PagedEntry,
+        prefetched: bool,
+    ) -> Result<Arc<PreparedLayer>, StoreError> {
+        let mut guard = LoadingGuard {
+            pager: self,
+            step,
+            admitted: false,
+        };
+        let t0 = orion_telemetry::now_ns();
+        let layer = orion_telemetry::time_class(orion_telemetry::OpClass::PageLoad, || {
+            self.load(entry).map(Arc::new)
+        })?;
+        let kind = match prefetched {
+            true => "page_prefetch",
+            false => "page_fault",
+        };
+        let load_us = (orion_telemetry::now_ns() - t0) / 1_000;
+        orion_telemetry::instant!(kind, step = step, bytes = entry.bytes, load_us = load_us);
+        let mut st = self.state.lock();
+        st.stats.prefetches += u64::from(prefetched);
+        st.stats.faults += u64::from(!prefetched);
+        let last_use = st.clock();
+        let slot = Slot::Resident {
+            layer: layer.clone(),
+            last_use,
+            prefetched,
+        };
+        let was_loading = matches!(st.slots.insert(step, slot), Some(Slot::Loading));
+        guard.admitted = true;
+        assert!(was_loading, "layer {step} admitted twice");
+        st.stats.resident_bytes += entry.bytes as u64;
+        st.stats.resident_layers += 1;
+        while st.stats.resident_bytes > self.budget_bytes as u64 {
+            let lru = st.slots.iter().filter_map(|(&s, slot)| match slot {
+                Slot::Resident { last_use, .. } if s != step => Some((s, *last_use)),
+                _ => None,
+            });
+            let Some((victim, _)) = lru.min_by_key(|&(_, last_use)| last_use) else {
+                break;
+            };
+            st.slots.remove(&victim);
+            let bytes = self.entries[&victim].bytes;
+            st.stats.resident_bytes -= bytes as u64;
+            st.stats.resident_layers -= 1;
+            st.stats.evictions += 1;
+            orion_telemetry::instant!("page_evict", step = victim, bytes = bytes);
         }
+        drop(st);
+        Ok(layer) // `guard` wakes the waiters now, with the layer resident
     }
 }
 
-/// Clears a step's in-flight `loading` marker and wakes every fetcher
-/// sleeping on [`PagedProgram::load_done`] when dropped — including during
-/// an unwind, so a panicking or erroring [`PreparedLayer::load`] can never
-/// strand waiters on a marker nobody will clear.
+/// Wakes every fetcher sleeping on [`PagedProgram::load_done`] when
+/// dropped (unwinding too), first removing the `Loading` slot of a load
+/// that was not admitted. Only the flag tells the cases apart: once
+/// admitted, the layer may be evicted and a new load of the step begun.
 struct LoadingGuard<'a> {
     pager: &'a PagedProgram,
     step: usize,
+    admitted: bool,
 }
 
 impl Drop for LoadingGuard<'_> {
     fn drop(&mut self) {
-        let mut st = self.pager.state.lock();
-        st.loading.remove(&self.step);
-        drop(st);
+        if !self.admitted {
+            self.pager.state.lock().slots.remove(&self.step);
+        }
         self.pager.load_done.notify_all();
     }
 }
@@ -296,87 +299,43 @@ impl LayerSource for PagedProgram {
         let Some(entry) = self.entries.get(&step) else {
             return Ok(None);
         };
-        // Disk loads happen OUTSIDE the lock (an in-flight load of one
-        // layer must not stall hits on — or loads of — other layers); the
-        // `loading` set keeps concurrent loads of the SAME layer
-        // single-flight, so the resident accounting and the byte budget
-        // stay exact.
         let mut st = self.state.lock();
         loop {
-            if let Some(layer) = st.map.get(&step).cloned() {
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                if st.prefetched.remove(&step) {
+            let clock = st.clock() + 1;
+            let State { slots, stats, .. } = &mut *st;
+            match slots.get_mut(&step) {
+                Some(Slot::Resident {
+                    layer,
+                    last_use,
+                    prefetched,
+                }) => {
+                    stats.hits += 1;
                     // a prefetch turned this blocking fault into a hit
-                    self.prefetch_hits.fetch_add(1, Ordering::Relaxed);
+                    stats.prefetch_hits += std::mem::take(prefetched) as u64;
+                    *last_use = clock;
+                    return Ok(Some(layer.clone()));
                 }
-                st.touch(step);
-                return Ok(Some(layer));
+                Some(Slot::Loading) => self.load_done.wait(&mut st),
+                None => break,
             }
-            if !st.loading.contains(&step) {
-                break;
-            }
-            // someone else (a prefetch or another fetch) is reading
-            // this layer from disk — sleep until its LoadingGuard signals
-            // completion, then re-check (the load may have failed, in
-            // which case this fetch retries and surfaces its own error)
-            self.load_done.wait(&mut st);
         }
-        st.loading.insert(step);
+        st.slots.insert(step, Slot::Loading);
         drop(st);
-        // The guard clears `loading` and wakes waiters on EVERY exit path:
-        // admitted, typed load error, or a panic unwinding through us.
-        let _clear = LoadingGuard { pager: self, step };
-        let t0 = orion_telemetry::now_ns();
-        let layer = orion_telemetry::time_class(orion_telemetry::OpClass::PageLoad, || {
-            self.load(entry).map(Arc::new)
-        })?;
-        orion_telemetry::instant!(
-            "page_fault",
-            step = step,
-            bytes = entry.bytes,
-            load_us = (orion_telemetry::now_ns() - t0) / 1_000
-        );
-        self.faults.fetch_add(1, Ordering::Relaxed);
-        let mut st = self.state.lock();
-        self.admit(&mut st, step, layer.clone(), entry.bytes);
-        drop(st);
-        // `_clear` drops here — after the layer is resident — so woken
-        // waiters always find it in the map
-        Ok(Some(layer))
+        self.load_and_admit(step, entry, false).map(Some)
     }
 
     fn prefetch(&self, step: usize) {
         let Some(entry) = self.entries.get(&step) else {
             return;
         };
-        {
-            let mut st = self.state.lock();
-            if st.map.contains_key(&step) || st.loading.contains(&step) {
-                return; // resident or already being read — nothing to do
-            }
-            st.loading.insert(step);
-        }
-        // The read happens with the lock RELEASED: concurrent fetches of
-        // other layers (hits AND loads) proceed; a fetch of THIS layer
-        // sleeps on the condvar and then scores a prefetch hit. The guard
-        // clears the marker even if the load errors or panics.
-        let _clear = LoadingGuard { pager: self, step };
-        let t0 = orion_telemetry::now_ns();
-        let load =
-            orion_telemetry::time_class(orion_telemetry::OpClass::PageLoad, || self.load(entry));
-        let Ok(layer) = load else {
-            return; // the consuming fetch will retry and surface the error
-        };
-        orion_telemetry::instant!(
-            "page_prefetch",
-            step = step,
-            bytes = entry.bytes,
-            load_us = (orion_telemetry::now_ns() - t0) / 1_000
-        );
-        self.prefetches.fetch_add(1, Ordering::Relaxed);
         let mut st = self.state.lock();
-        self.admit(&mut st, step, Arc::new(layer), entry.bytes);
-        st.prefetched.insert(step);
+        if st.slots.contains_key(&step) {
+            return; // resident or already being read
+        }
+        st.slots.insert(step, Slot::Loading);
+        drop(st);
+        // an error is surfaced by the consuming fetch, which retries
+        let _ = self.load_and_admit(step, entry, true);
     }
 
     fn page_stats(&self) -> Option<PageStats> {

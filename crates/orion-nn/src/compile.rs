@@ -184,6 +184,15 @@ impl Step {
         }
     }
 
+    /// The weight tensor of a linear layer (`Conv`, `Dense`); `None` for
+    /// every other step.
+    pub fn linear_weight(&self) -> Option<&Tensor> {
+        match self {
+            Step::Conv { weight, .. } | Step::Dense { weight, .. } => Some(weight),
+            _ => None,
+        }
+    }
+
     /// A linear layer's diagonal source and its bias blocks (one per
     /// output ciphertext of `slots` slots) — what every engine running the
     /// rotation algebra, and the setup-time encoder, feed the plan with;

@@ -59,10 +59,10 @@
 //!
 //! # Adding a pass
 //!
-//! New checks slot into [`Checker`]'s one sweep: a per-unit rule goes in
-//! `walk_unit()`, with a new [`Rule`] variant naming the check — a rule
-//! about what the plan's constructor emits belongs in its proptest
-//! (`sched_plan`), not here. The walk's feasibility check, reads
+//! New checks slot into the private `Checker`'s one sweep: a per-unit
+//! rule goes in `walk_unit()`, with a new [`Rule`] variant naming the
+//! check — a rule about what the plan's constructor emits belongs in
+//! its proptest (`sched_plan`), not here. The walk's feasibility check, reads
 //! and write are generic over the unit's signature — a rule about levels
 //! belongs in `Step::sig` / `Compiled::unit_io`, where the walk sees it
 //! too; `walk_unit` keeps per step kind only the rule an infeasible
@@ -706,11 +706,12 @@ impl<'a> Checker<'a> {
         // The noise transfer.
         let est = self.est.as_ref();
         let ne = |sigma: f64| orion_ckks::NoiseEstimate { sigma };
-        let out_noise = match (&unit.work, step) {
-            (UnitWork::Boot { .. }, _) => {
+        let linear = step.and_then(|s| s.linear_plan().zip(s.linear_weight()));
+        let out_noise = match (&unit.work, linear, step) {
+            (UnitWork::Boot { .. }, ..) => {
                 est.map(|est| (est.fresh().sigma, noise[0].map_or(1.0, |(_, m)| m)))
             }
-            (_, Some(Step::Conv { plan, weight, .. } | Step::Dense { plan, weight, .. })) => {
+            (_, Some((plan, weight)), _) => {
                 est.zip(noise[0]).map(|(est, (sig, mag))| {
                     // Worst case per output: every rotation's key-switch
                     // error lands in the accumulation (RSS), then the
@@ -727,18 +728,18 @@ impl<'a> Checker<'a> {
                     (out.sigma, clamp_mag(mag * w_max))
                 })
             }
-            (_, Some(Step::ScaleDown { factor })) => est.zip(noise[0]).map(|(est, (sig, mag))| {
+            (.., Some(Step::ScaleDown { factor })) => est.zip(noise[0]).map(|(est, (sig, mag))| {
                 let out = est.pmult_rescale(ne(sig), *factor, lv);
                 (out.sigma, clamp_mag(mag * factor.abs()))
             }),
-            (_, Some(Step::PolyStage { .. })) => est.zip(noise[0]).map(|(est, (sig, _))| {
+            (.., Some(Step::PolyStage { .. })) => est.zip(noise[0]).map(|(est, (sig, _))| {
                 let mut ns = ne(sig);
                 for i in 0..io.depth {
                     ns = est.hmult_rescale(ns, ns, 1.0, 1.0, lv - i);
                 }
                 (ns.sigma, 1.0)
             }),
-            (_, Some(Step::ReluFinal { magnitude })) => {
+            (.., Some(Step::ReluFinal { magnitude })) => {
                 est.zip(noise[0].zip(noise[1]))
                     .map(|(est, ((us, _), (ss, _)))| {
                         let prod = est.hmult_rescale(ne(us), ne(ss), 1.0, 1.0, lv);
@@ -746,12 +747,12 @@ impl<'a> Checker<'a> {
                         (out.sigma, clamp_mag(*magnitude))
                     })
             }
-            (_, Some(Step::Square)) => est.zip(noise[0]).map(|(est, (sig, mag))| {
+            (.., Some(Step::Square)) => est.zip(noise[0]).map(|(est, (sig, mag))| {
                 let prod = est.hmult_rescale(ne(sig), ne(sig), mag, mag, lv);
                 let out = est.pmult_rescale(prod, 1.0, lv - 1);
                 (out.sigma, clamp_mag(mag * mag))
             }),
-            (_, Some(Step::Add)) => {
+            (.., Some(Step::Add)) => {
                 est.zip(noise[0].zip(noise[1]))
                     .map(|(est, ((sa, ma), (sb, mb)))| {
                         (est.add(ne(sa), ne(sb)).sigma, clamp_mag(ma + mb))

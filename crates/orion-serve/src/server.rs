@@ -97,11 +97,14 @@ pub enum ServeError {
         /// The configured capacity that was hit.
         capacity: usize,
     },
-    /// A prepared layer could not be faulted in (corrupt/missing spill
-    /// file); only this request failed, the workers keep serving.
+    /// The spill store failed: at registration (the store directory could
+    /// not be opened or a layer not spilled), or when a prepared layer
+    /// could not be faulted in (corrupt/missing spill file) — then only
+    /// that request failed, and the workers keep serving.
     Store {
-        /// The program step whose layer failed to load.
-        step: usize,
+        /// The program step whose layer failed to load; `None` for a
+        /// failure at registration.
+        step: Option<usize>,
         /// The underlying store failure.
         error: StoreError,
     },
@@ -150,8 +153,12 @@ impl std::fmt::Display for ServeError {
             ServeError::QueueFull { capacity } => {
                 write!(f, "admission queue full ({capacity} requests)")
             }
-            ServeError::Store { step, error } => {
-                write!(f, "prepared layer for step {step} unavailable: {error}")
+            ServeError::Store {
+                step: Some(step),
+                error,
+            } => write!(f, "prepared layer for step {step} unavailable: {error}"),
+            ServeError::Store { step: None, error } => {
+                write!(f, "spill store unavailable at registration: {error}")
             }
             ServeError::WorkerPanic(msg) => write!(f, "worker panicked: {msg}"),
             ServeError::BadInput { expected, got } => {
@@ -382,10 +389,8 @@ impl Server {
         certify(name, &compiled, &params)?;
         let enc = Encoder::new(Context::new(params.clone()));
         let prepared = prepare_program(&compiled, &enc);
-        let store = DiagStore::open(store_dir).map_err(|error| ServeError::Store {
-            step: usize::MAX,
-            error,
-        })?;
+        let unavailable = |error| ServeError::Store { step: None, error };
+        let store = DiagStore::open(store_dir).map_err(unavailable)?;
         // Per-registration sequence in the spill prefix: two same-named
         // models sharing a store directory must not overwrite — and then
         // silently serve — each other's encoded weights.
@@ -395,12 +400,7 @@ impl Server {
             .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
         let prefix = format!("{name}.m{seq}");
         let paged =
-            PagedProgram::page_out(&prepared, store, &prefix, budget_bytes).map_err(|error| {
-                ServeError::Store {
-                    step: usize::MAX,
-                    error,
-                }
-            })?;
+            PagedProgram::page_out(&prepared, store, &prefix, budget_bytes).map_err(unavailable)?;
         // `prepared` (the resident copy) drops here: only the pager's
         // resident set occupies memory from now on.
         Ok(self.install_model(name, compiled, params, Arc::new(paged)))
@@ -724,7 +724,7 @@ fn run_request(model_id: usize, req: Request) {
 fn fault_to_error(payload: Box<dyn std::any::Any + Send>) -> ServeError {
     match payload.downcast::<PreparedLayerFault>() {
         Ok(fault) => ServeError::Store {
-            step: fault.step,
+            step: Some(fault.step),
             error: fault.error,
         },
         Err(other) => {

@@ -300,6 +300,26 @@ fn corrupt_spill_file_fails_one_request_not_the_pool() {
     server.shutdown();
 }
 
+/// A store directory that cannot be opened (here an existing regular
+/// file) refuses the registration with a store error that names no step.
+#[test]
+fn an_unopenable_store_dir_is_refused_naming_no_step() {
+    let server = Server::new(one_worker());
+    let (compiled, params, _) = square_model(0x5e_006);
+    let file = std::env::temp_dir().join(format!("orion_serve_store_file_{}", std::process::id()));
+    std::fs::write(&file, b"not a directory").unwrap();
+    let got = server.add_model_paged("m", compiled, params, 0, &file, 1 << 20);
+    std::fs::remove_file(&file).ok();
+    match got {
+        Err(err @ ServeError::Store { step: None, .. }) => {
+            let msg = err.to_string();
+            assert!(!msg.contains("step"), "names a step: {msg}");
+        }
+        Err(other) => panic!("expected a registration store error, got {other}"),
+        Ok(_) => panic!("a regular file was accepted as a store directory"),
+    }
+}
+
 #[test]
 fn wrong_level_request_is_rejected_at_admission() {
     let mut server = Server::new(one_worker());

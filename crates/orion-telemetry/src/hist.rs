@@ -1,10 +1,10 @@
 //! Lock-free log-bucketed histogram (HDR-style) plus the per-op-class
 //! histogram set the kernel layers record into.
 //!
-//! Buckets are logarithmic with [`SUB_BITS`] bits of sub-bucket
-//! resolution per octave: values up to 2·2^[`SUB_BITS`] are exact, and
+//! Buckets are logarithmic with `SUB_BITS` (= 6) bits of sub-bucket
+//! resolution per octave: values up to 2·2^`SUB_BITS` are exact, and
 //! above that the relative quantization error is bounded by
-//! 2^-([`SUB_BITS`]+1) ≈ 0.8%. Recording is one `leading_zeros` plus a
+//! 2^-(`SUB_BITS`+1) ≈ 0.8%. Recording is one `leading_zeros` plus a
 //! handful of relaxed atomic RMWs — safe from any thread, no locks.
 
 use serde::Value;

@@ -311,7 +311,7 @@ impl LayerSource for PagedProgram {
                 }) => {
                     stats.hits += 1;
                     // a prefetch turned this blocking fault into a hit
-                    stats.prefetch_hits += std::mem::take(prefetched) as u64;
+                    stats.prefetch_hits += u64::from(std::mem::take(prefetched));
                     *last_use = clock;
                     return Ok(Some(layer.clone()));
                 }

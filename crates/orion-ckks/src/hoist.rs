@@ -109,7 +109,8 @@ impl HoistedDigits {
 
     /// The rotation by `k ≠ 0` in the extended basis `Q·P`, ModDown
     /// deferred: `(ks_b + P·σ(c0), ks_a)` where `(ks_b, ks_a)` is the
-    /// key-switch inner product of the permuted digits.
+    /// key-switch inner product of the permuted digits `σ(d_i)`. The kernel
+    /// reads the digits through `σ`'s permutation, so none is copied.
     ///
     /// `P·σ(c0)` is 0 in the special limb, so ModDown subtracts the same
     /// lift as without it and then multiplies by `P⁻¹ mod q_j`:
@@ -124,18 +125,10 @@ impl HoistedDigits {
         let g = ctx.galois_element(k);
         let key = eval.keys().try_rotation(g, self.level())?;
         let perm = ctx.galois_permutation(g);
-        let pds: Vec<RnsPoly> = self
-            .digits
-            .iter()
-            .map(|d| d.automorphism_eval(&perm))
-            .collect();
         let mut ks_b = self.c0_p.automorphism_eval(&perm);
         ks_b.special = Some(orion_math::arena::take_u64(ctx.degree()));
         let mut ks_a = RnsPoly::zero(ctx, self.level(), Form::Eval, true);
-        key.accumulate_inner_product(ctx, &pds, &mut ks_b, &mut ks_a);
-        for pd in pds {
-            pd.recycle();
-        }
+        key.accumulate_inner_product(ctx, &self.digits, Some(&perm), &mut ks_b, &mut ks_a);
         Ok((ks_b, ks_a))
     }
 
@@ -226,7 +219,8 @@ impl RotatedExt {
 
 /// One limb of a [`WidePoly`].
 struct WideLimb {
-    /// Low and high words of the per-coefficient 128-bit lanes.
+    /// Low and high words of the per-coefficient wide lanes, in the
+    /// dispatch class's format (`simd::Kernels::mac_wide`).
     lo: Vec<u64>,
     hi: Vec<u64>,
     /// The limb's modulus.
@@ -235,10 +229,11 @@ struct WideLimb {
     terms: u64,
 }
 
-/// `Σ_k x_k ⊙ y_k` over one RNS basis, held as unreduced 128-bit lanes:
-/// each term costs one widening multiply and an add-with-carry per
-/// coefficient, and the Barrett reduction runs once per coefficient in
-/// [`WidePoly::into_poly`] instead of once per term.
+/// `Σ_k x_k ⊙ y_k` over one RNS basis, held as unreduced wide lanes (a
+/// `lo` / `hi` word pair per coefficient): each term costs one widening
+/// multiply and a two-word add per coefficient, and the reduction runs
+/// once per coefficient in [`WidePoly::into_poly`] instead of once per
+/// term.
 struct WidePoly {
     /// Chain limbs `0..=level`, then the special limb if extended.
     limbs: Vec<WideLimb>,
@@ -288,7 +283,7 @@ impl WidePoly {
                     (k.fold_wide)(&mut w.lo, &mut w.hi, w.q);
                     w.terms = 1;
                 }
-                (k.mac_wide)(&mut w.lo, &mut w.hi, a, b);
+                (k.mac_wide)(&mut w.lo, &mut w.hi, a, b, w.q);
                 w.terms += 1;
             }
         });
@@ -328,7 +323,7 @@ type WidePair = (WidePoly, WidePoly);
 /// [`ExtAccumulator::finalize`]. This is the double-hoisting inner loop of
 /// the BSGS matvec (paper §3.3, Equation 1).
 ///
-/// Terms are summed as unreduced 128-bit lanes (`WidePoly`); both the
+/// Terms are summed as unreduced wide lanes (`WidePoly`); both the
 /// modular reduction and the ModDown are deferred to `finalize`.
 pub struct ExtAccumulator {
     level: usize,
@@ -655,7 +650,11 @@ mod tests {
 
     /// The key-switch inner product of rotation `k` alone, without the
     /// `P·σ(c0)` seed, and the permutation it used.
-    fn bare_key_switch(h: &H, hd: &HoistedDigits, k: isize) -> (RnsPoly, RnsPoly, Vec<usize>) {
+    fn bare_key_switch(
+        h: &H,
+        hd: &HoistedDigits,
+        k: isize,
+    ) -> (RnsPoly, RnsPoly, Arc<simd::Permutation>) {
         let g = h.ctx.galois_element(k);
         let perm = h.ctx.galois_permutation(g);
         let pds: Vec<RnsPoly> = hd
@@ -665,7 +664,7 @@ mod tests {
             .collect();
         let key = h.eval.keys().try_rotation(g, hd.level()).unwrap();
         let (ks_b, ks_a) = key.inner_product(&h.ctx, &pds);
-        (ks_b, ks_a, perm.to_vec())
+        (ks_b, ks_a, perm)
     }
 
     /// The accumulation as it was before the wide lanes, strictly: every

@@ -10,9 +10,9 @@
 //! each, limbs `0..=ℓ'` plus the special one — so a key generated at level
 //! `ℓ` serves every level `≤ ℓ` and holds `(ℓ+1)(ℓ+2)` limbs ×2 (`b`, `a`):
 //! quadratic in the level. Every key limb is stored in Montgomery form,
-//! `x·2⁶⁴ mod q_j`, which is what the key-switch kernel `ks_accum` reads:
-//! a 128-bit register sum of `digit × key` products and one Montgomery
-//! reduction per coefficient, with no second table beside the key.
+//! `x·2⁶⁴ mod q_j`, which is what the key-switch kernel `ks_accum_pair`
+//! reads: a register sum of `digit × key` products for both key halves
+//! and one reduction per coefficient, with no second table beside the key.
 //!
 //! A program is static once placed, so the highest level each key is
 //! applied at is a compile-time fact ([`KeyManifest`]); keys are generated
@@ -62,12 +62,14 @@ impl KeySwitchKey {
         self.parts.len() - 1
     }
 
-    /// Fused key-switch inner product: accumulates `Σ_i digits[i] ⊙
+    /// Fused key-switch inner product: accumulates `Σ_i σ(digits[i]) ⊙
     /// parts[i]` (the parts taken out of Montgomery form) into `(acc_b,
-    /// acc_a)` over every limb (special included), summing *all* gadget
-    /// digits of a coefficient in a 128-bit register and reducing once per
-    /// coefficient — the per-digit reduction sweeps of the unfused loop
-    /// disappear. The accumulators must be in evaluation form, `[0, q)`,
+    /// acc_a)` over every limb (special included), where `σ` reads
+    /// coefficient `perm[j]` of a digit for output `j` — a Galois
+    /// automorphism in evaluation form — or is the identity when `perm` is
+    /// `None`. One kernel call per limb walks all gadget digits for both
+    /// halves, reading each digit coefficient once and reducing once per
+    /// coefficient. The accumulators must be in evaluation form, `[0, q)`,
     /// at the digits' level, with special limbs. The digits' level must
     /// not exceed [`Self::level`] — callers look keys up through
     /// [`EvalKeys::try_rotation`] / [`EvalKeys::try_relin`], which check it.
@@ -75,6 +77,7 @@ impl KeySwitchKey {
         &self,
         ctx: &Context,
         digits: &[RnsPoly],
+        perm: Option<&simd::Permutation>,
         acc_b: &mut RnsPoly,
         acc_a: &mut RnsPoly,
     ) {
@@ -88,7 +91,7 @@ impl KeySwitchKey {
             "key-switch accumulators live in the extended basis"
         );
         // The kernel's operand tables, built once per call and sliced per
-        // job: `[limb][digit]`, limb `n_chain` being the special one
+        // limb: `[limb][digit]`, limb `n_chain` being the special one
         // whatever level an operand sits at.
         fn table<'p>(
             polys: impl ExactSizeIterator<Item = &'p RnsPoly> + Clone,
@@ -103,19 +106,21 @@ impl KeySwitchKey {
             }
             rows
         }
+        fn limbs_mut(p: &mut RnsPoly) -> impl Iterator<Item = &mut [u64]> {
+            let special = p.special.as_deref_mut();
+            p.limbs.iter_mut().map(Vec::as_mut_slice).chain(special)
+        }
         let parts = &self.parts[..d];
         let ds = table(digits.iter(), n_chain);
-        let keys = [
-            table(parts.iter().map(|(b, _)| b), n_chain),
-            table(parts.iter().map(|(_, a)| a), n_chain),
-        ];
+        let kb = table(parts.iter().map(|(b, _)| b), n_chain);
+        let ka = table(parts.iter().map(|(_, a)| a), n_chain);
         let k = simd::kernels();
-        // One fused accumulation per (part, limb), each walking all digits.
-        for (acc, key) in [acc_b, acc_a].into_iter().zip(&keys) {
-            acc.for_each_limb_mut(ctx, |q, dst, j| {
-                let row = j * d..(j + 1) * d;
-                (k.ks_accum)(dst, &ds[row.clone()], &key[row], &[], q);
-            });
+        // One pass per limb over all digits, for both halves.
+        let moduli = ctx.moduli[..n_chain].iter().chain([&ctx.special]);
+        let limbs = moduli.zip(limbs_mut(acc_b)).zip(limbs_mut(acc_a));
+        for (j, ((&q, b), a)) in limbs.enumerate() {
+            let row = j * d..(j + 1) * d;
+            (k.ks_accum_pair)(b, a, &ds[row.clone()], &kb[row.clone()], &ka[row], perm, q);
         }
     }
 
@@ -125,7 +130,7 @@ impl KeySwitchKey {
         let level = digits[0].limbs.len() - 1;
         let mut acc_b = RnsPoly::zero(ctx, level, Form::Eval, true);
         let mut acc_a = RnsPoly::zero(ctx, level, Form::Eval, true);
-        self.accumulate_inner_product(ctx, digits, &mut acc_b, &mut acc_a);
+        self.accumulate_inner_product(ctx, digits, None, &mut acc_b, &mut acc_a);
         (acc_b, acc_a)
     }
 }

@@ -3,6 +3,7 @@
 use orion_math::fft::SpecialFft;
 use orion_math::ntt::NttTable;
 use orion_math::primes::generate_ntt_primes;
+use orion_math::simd::Permutation;
 use parking_lot::RwLock;
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -140,7 +141,7 @@ pub struct Context {
     /// Inverse of the exponent map: `exp_index[e] = i` for odd `e`.
     exp_index: Vec<usize>,
     /// Cache of evaluation-domain permutations per Galois element.
-    galois_perm: RwLock<HashMap<usize, Arc<Vec<usize>>>>,
+    galois_perm: RwLock<HashMap<usize, Arc<Permutation>>>,
     /// `q_ℓ⁻¹ mod q_j` for rescaling: `rescale_inv[l][j]`, j < l.
     rescale_inv: Vec<Vec<u64>>,
     /// `p⁻¹ mod q_j` for ModDown.
@@ -227,16 +228,17 @@ impl Context {
 
     /// Evaluation-domain permutation for Galois element `g`: applying the
     /// automorphism `a(X) → a(X^g)` in the evaluation representation sends
-    /// `new[i] = old[perm[i]]`.
-    pub fn galois_permutation(&self, g: usize) -> Arc<Vec<usize>> {
+    /// `new[i] = old[perm[i]]`. Checked once, here, to be a bijection on
+    /// `0..N` ([`Permutation::new`]); cached per `g`.
+    pub fn galois_permutation(&self, g: usize) -> Arc<Permutation> {
         if let Some(p) = self.galois_perm.read().get(&g) {
             return p.clone();
         }
         let m = 2 * self.params.n;
-        let perm: Vec<usize> = (0..self.params.n)
-            .map(|i| self.exp_index[(self.exp_map[i] * g) % m])
+        let perm: Vec<u32> = (0..self.params.n)
+            .map(|i| self.exp_index[(self.exp_map[i] * g) % m] as u32)
             .collect();
-        let arc = Arc::new(perm);
+        let arc = Arc::new(Permutation::new(perm));
         self.galois_perm.write().insert(g, arc.clone());
         arc
     }
@@ -296,7 +298,7 @@ mod tests {
             let g = ctx.galois_element(k);
             let p = ctx.galois_permutation(g);
             let mut seen = vec![false; ctx.degree()];
-            for &i in p.iter() {
+            for i in p.iter().map(|&i| i as usize) {
                 assert!(!seen[i]);
                 seen[i] = true;
             }

@@ -363,12 +363,12 @@ impl RnsPoly {
 
     /// Applies a Galois automorphism in evaluation form via the context's
     /// permutation table: `out[i] = in[perm[i]]` in every limb.
-    pub fn automorphism_eval(&self, perm: &[usize]) -> Self {
+    pub fn automorphism_eval(&self, perm: &simd::Permutation) -> Self {
         assert_eq!(self.form, Form::Eval);
         let apply = |src: &Vec<u64>| -> Vec<u64> {
             let mut out = orion_math::arena::take_u64_raw(src.len());
-            for (o, &j) in out.iter_mut().zip(perm) {
-                *o = src[j];
+            for (o, &j) in out.iter_mut().zip(perm.iter()) {
+                *o = src[j as usize];
             }
             out
         };

@@ -221,15 +221,6 @@ pub fn exec_fhe_unhoisted(
 /// produces — a deterministic pure function of the ciphertext and the
 /// rotation amount.
 struct BabyRotations {
-    /// The digit decompositions behind `rotations`, kept until the table
-    /// drops for an allocator reason, not an algebraic one: freed at the
-    /// end of `build` — before the giant-step stage allocates — they leave
-    /// glibc trimming and re-faulting the heap top every layer
-    /// (`lola_linear` 79 → 90 ms an inference, sys share 2 → 12 %; gone
-    /// with `MALLOC_TRIM_THRESHOLD_` raised, or with the digits freed once
-    /// the layer is done, as here). Held, never read outside the tests.
-    #[allow(dead_code)]
-    hoisted: HashMap<u32, HoistedDigits>,
     rotations: HashMap<(u32, usize), RotatedExt>,
 }
 
@@ -240,7 +231,7 @@ impl BabyRotations {
     /// must be non-zero (rotation by 0 never touches the key-switch — the
     /// layer builds those locally from the ciphertexts it already holds),
     /// so a block whose every diagonal sits on a giant step is never
-    /// decomposed.
+    /// decomposed. The digit decompositions are freed on return.
     fn build(ctx: &FheLinearContext<'_>, inputs: &[Ciphertext], rots: &[(u32, usize)]) -> Self {
         let blocks: Vec<u32> = rots
             .iter()
@@ -264,7 +255,7 @@ impl BabyRotations {
                 ((j_blk, i), hoisted[&j_blk].rotate_ext(ctx.eval, i as isize))
             })
             .collect();
-        Self { hoisted, rotations }
+        Self { rotations }
     }
 
     /// The inner product for `(input block, amount)`.
@@ -923,7 +914,8 @@ mod tests {
             enc: &enc,
         };
         let table = BabyRotations::build(&fhe_ctx, &cts, &rots);
-        assert_eq!(table.hoisted.len(), plan.counts.hoists, "{plan:?}");
+        let hoisted: BTreeSet<u32> = table.rotations.keys().map(|&(j_blk, _)| j_blk).collect();
+        assert_eq!(hoisted.len(), plan.counts.hoists, "{plan:?}");
         assert_eq!(table.rotations.len(), plan.counts.baby_rots, "{plan:?}");
         assert_eq!(table.rotations.is_empty(), plan.counts.hoists == 0);
     }

@@ -1,9 +1,13 @@
 //! Quick per-kernel timing table of every dispatch class (dev aid, not a
 //! gate) at primes near 2⁴⁰ and 2⁵⁹ — both sides of the IFMA class's
-//! `q < 2⁵⁰` gate — then the key-switch inner product `ks_accum` in ns per
-//! digit·coefficient at 2, 5 and 8 digits — on one key set reused (hot in
-//! cache) and cycling through 64 MiB of key sets (larger than L2, as a
-//! session's rotation keys are).
+//! `q < 2⁵⁰` gate — then, at the limb shape of `CkksParams::small()` (N =
+//! 2¹²) and one prime on each side of 2⁵⁰, the key-switch inner product
+//! in ns per digit·coefficient at 2, 5 and 8 digits (`ks_accum`, one key
+//! half, and `ks_accum_pair`, both halves through a Galois permutation)
+//! and the wide lanes (`mac_wide` + `fold_wide`) in ns per
+//! term·coefficient — each on one operand set reused (hot in cache) and
+//! cycling through 64 MiB of operand sets (larger than L2, as a session's
+//! rotation keys and a layer's plaintexts are).
 //!
 //! Run with `cargo run --release -p orion-math --example simd_timing`.
 
@@ -47,7 +51,11 @@ fn main() {
     for bits in [40, 59] {
         kernel_table(8192, bits);
     }
-    ks_accum_table();
+    // The 50-bit search lands just below 2⁵⁰ at N = 2¹², the 51-bit one
+    // above it (lola's special prime is 51 bits).
+    for bits in [50, 51] {
+        key_switch_table(4096, bits);
+    }
 }
 
 /// Every elementwise kernel and the NTT pair on every dispatch class, at
@@ -123,16 +131,13 @@ fn kernel_table(n: usize, bits: u32) {
     }
 }
 
-/// `ks_accum` at the limb shape of `CkksParams::small()` (N = 2¹², a
-/// 50-bit prime), per digit·coefficient. Both dispatch classes share one
-/// body, so it is timed once.
-fn ks_accum_table() {
-    const COLD_BYTES: usize = 64 << 20;
-    let ks_accum = simd::kernels().ks_accum;
-    let n = 4096;
-    let q = generate_ntt_primes(n, 50, 1, &[])[0];
-    let mut x = 7u64;
-    let mut limb = || -> Vec<u64> {
+/// Operand sets cycled through for the "cold" columns.
+const COLD_BYTES: usize = 64 << 20;
+
+/// Residues `< q` from a fixed LCG, `n` at a time.
+fn residues(q: u64, seed: u64) -> impl FnMut(usize) -> Vec<u64> {
+    let mut x = seed;
+    move |n| {
         (0..n)
             .map(|_| {
                 x = x
@@ -141,35 +146,98 @@ fn ks_accum_table() {
                 x % q
             })
             .collect()
-    };
+    }
+}
+
+/// The key-switch kernels and the wide lanes on every class at ring
+/// degree `n` and one `bits`-bit NTT prime, hot and cold.
+fn key_switch_table(n: usize, bits: u32) {
+    let q = generate_ntt_primes(n, bits, 1, &[])[0];
+    let mut limb = residues(q, 7);
+    // Rotation by one slot: the Galois element 5, as an evaluation-domain
+    // permutation `new[i] = old[perm[i]]` (what `Context::galois_permutation`
+    // builds from the same exponent map).
+    let exp_map = NttTable::new(n, q).exponent_map();
+    let mut exp_index = vec![0u32; 2 * n];
+    for (i, &e) in exp_map.iter().enumerate() {
+        exp_index[e] = i as u32;
+    }
+    let perm = simd::Permutation::new(
+        exp_map
+            .iter()
+            .map(|&e| exp_index[e * 5 % (2 * n)])
+            .collect(),
+    );
     println!(
-        "ks_accum, ns per digit·coefficient (n={n}, 50-bit q; \
-         hot = one key set, cold = {} MiB of key sets)",
+        "n={n} q={q} ({} bits): ns per digit·coefficient (pair: both halves) and \
+         per term·coefficient (wide); hot = one operand set, cold = {} MiB of sets",
+        64 - q.leading_zeros(),
         COLD_BYTES >> 20
     );
     for digits in [2usize, 5, 8] {
-        let ds: Vec<Vec<u64>> = (0..digits).map(|_| limb()).collect();
+        let ds: Vec<Vec<u64>> = (0..digits).map(|_| limb(n)).collect();
         let sets = COLD_BYTES / (digits * n * 8);
-        let keys: Vec<Vec<u64>> = (0..sets * digits).map(|_| limb()).collect();
+        let keys: Vec<Vec<u64>> = (0..sets * digits).map(|_| limb(n)).collect();
         let d_refs: Vec<&[u64]> = ds.iter().map(|v| v.as_slice()).collect();
         let k_refs: Vec<&[u64]> = keys.iter().map(|v| v.as_slice()).collect();
-        let mut acc = limb();
+        let set = |s: usize| &k_refs[s % sets * digits..(s % sets + 1) * digits];
+        let (mut acc_b, mut acc_a) = (limb(n), limb(n));
         let per = (digits * n) as f64;
-        let hot = time_ns(|| {
-            ks_accum(&mut acc, &d_refs, &k_refs[..digits], &[], q);
-            black_box(acc[0]);
+        for k in simd::variants() {
+            let one = time_hot_cold(|s| {
+                (k.ks_accum)(&mut acc_b, &d_refs, set(s), &[], q);
+                black_box(acc_b[0]);
+            });
+            let pair = time_hot_cold(|s| {
+                let (kb, ka) = (set(2 * s), set(2 * s + 1));
+                (k.ks_accum_pair)(&mut acc_b, &mut acc_a, &d_refs, kb, ka, Some(&perm), q);
+                black_box(acc_a[0]);
+            });
+            println!(
+                "{digits} digits {:>10}: ks_accum hot {:6.3} cold {:6.3}   \
+                 ks_accum_pair hot {:6.3} cold {:6.3}",
+                k.name,
+                one.0 / per,
+                one.1 / per,
+                pair.0 / per,
+                pair.1 / per,
+            );
+        }
+    }
+    // The wide lanes as a BSGS group uses them: `terms` products summed
+    // into one limb's lanes, then one fold.
+    let terms = 8;
+    let sets = COLD_BYTES / (2 * terms * n * 8);
+    let ops: Vec<Vec<u64>> = (0..2 * terms * sets).map(|_| limb(n)).collect();
+    let (mut lo, mut hi) = (vec![0u64; n], vec![0u64; n]);
+    for k in simd::variants() {
+        let (hot, cold) = time_hot_cold(|s| {
+            let s = s % sets;
+            for t in 0..terms {
+                let (a, b) = (&ops[2 * (s * terms + t)], &ops[2 * (s * terms + t) + 1]);
+                (k.mac_wide)(&mut lo, &mut hi, a, b, q);
+            }
+            (k.fold_wide)(&mut lo, &mut hi, q);
+            black_box(lo[0]);
         });
-        let mut set = 0;
-        let cold = time_ns(|| {
-            set = (set + 1) % sets;
-            let key = &k_refs[set * digits..(set + 1) * digits];
-            ks_accum(&mut acc, &d_refs, key, &[], q);
-            black_box(acc[0]);
-        });
+        let per = (terms * n) as f64;
         println!(
-            "{digits} digits  hot {:6.3}  cold {:6.3}",
+            "{terms} terms  {:>10}: mac_wide + fold_wide hot {:6.3} cold {:6.3}",
+            k.name,
             hot / per,
             cold / per
         );
     }
+}
+
+/// `f(set)` timed on set 0 every call (hot) and on a new set each call
+/// (cold), in ns per call.
+fn time_hot_cold(mut f: impl FnMut(usize)) -> (f64, f64) {
+    let hot = time_ns(|| f(0));
+    let mut set = 0;
+    let cold = time_ns(|| {
+        set += 1;
+        f(set);
+    });
+    (hot, cold)
 }

@@ -33,9 +33,11 @@
 //! | `ntt_fwd_lazy`      | `[0, q)`           | `[0, q)` (internal stages `[0, 4q)`) |
 //! | `ntt_inv_lazy`      | `[0, q)`           | `[0, q)` (internal stages `[0, 2q)`) |
 //! | IFMA `ntt_*_lazy`, `q < 2⁵⁰` | `[0, q)`  | `[0, q)` (internal stages as above; `4q < 2⁵²`, so every multiplier input fits 52 bits) |
-//! | `ks_accum`          | digits, Montgomery-form keys `[0, q)` | `[0, q)` (128-bit register sums `< q·2⁶⁴` per digit chunk, one REDC each) |
-//! | `mac_wide`          | operands `[0, q)`  | 128-bit lanes, unreduced; caller keeps them `< q·2⁶⁴` |
-//! | `fold_wide`         | lanes `< q·2⁶⁴`    | `[0, q)` in `lo`, `hi` zeroed |
+//! | `ks_accum`, `ks_accum_pair` | digits, Montgomery-form keys `[0, q)` | `[0, q)` (128-bit register sums `< q·2⁶⁴` per digit chunk, one REDC each) |
+//! | IFMA `ks_accum*`, `q < 2⁵⁰` | as above | `[0, q)` (52-bit lane sums over at most [`KS52_CHUNK`] `= 15` digits: `lo < 15·2⁵²`, `hi < 15·2⁴⁸`; two Shoup products fold them) |
+//! | `mac_wide`          | operands `[0, q)`  | lanes `hi·2⁶⁴ + lo`, unreduced; caller keeps them `< q·2⁶⁴` |
+//! | IFMA `mac_wide`, `q ∈ [2¹², 2⁵⁰)` | operands `[0, q)` | lanes `hi·2⁵² + lo`, unreduced; `lo < 4095·2⁵²` |
+//! | `fold_wide`         | lanes its own class's `mac_wide` wrote, at most [`wide_fold_bound`] terms | `[0, q)` in `lo`, `hi` zeroed |
 //! | everything else     | `[0, q)`           | `[0, q)`     |
 //!
 //! A transform that fully reduces its output is an exact linear map mod
@@ -48,7 +50,13 @@
 //! product, and `T ≤ ⌊(2⁶⁴−2)/q⌋` gives `T·(q−1)² < (2⁶⁴−2)·q < q·2⁶⁴`,
 //! which is exactly what `Barrett::reduce_u128` needs (and keeps `hi`
 //! below `q < 2⁶²`, so the carry into it cannot overflow). Moduli are
-//! `< 2⁶²`, so the bound is at least 4.
+//! `< 2⁶²`, so the bound is at least 4. The IFMA class keeps the lanes of
+//! a prime in `[2¹², 2⁵⁰)` as `hi·2⁵² + lo` instead, each product's two
+//! 52-bit halves added natively: `lo` gains less than 2⁵² a term, so the
+//! bound is also capped at 4095 terms (`lo < 2⁶⁴`). Its fold reduces `hi +
+//! (lo >> 52)` by Barrett, multiplies by `2⁵² mod q` (Shoup), adds `lo`'s
+//! low 52 bits and reduces again. `mac_wide` and `fold_wide` branch on the
+//! same predicate, so a lane is always read in the format it was written.
 //!
 //! The fused key-switch accumulator is safe at any digit count by the same
 //! bound: it sums at most [`wide_fold_bound`] digits per coefficient in a
@@ -56,6 +64,14 @@
 //! which needs exactly that. Its keys are stored times `2⁶⁴ mod q`
 //! ([`montgomery_radix`], applied by [`to_montgomery`]), so the
 //! REDC's `2⁻⁶⁴` cancels and the result is the canonical `Σ d·k mod q`.
+//! The IFMA body (`q < 2⁵⁰`) sums the low and high 52-bit halves of at
+//! most [`KS52_CHUNK`] products per lane; with `H = hi + (lo >> 52) < 2⁵²`
+//! and `L = lo mod 2⁵²`, `Σ d·k̃·2⁻⁶⁴ ≡ H·2⁻¹² + L·2⁻⁶⁴ (mod q)`: two lazy
+//! Shoup products by those constants and conditional subtracts give the
+//! residue the REDC gives. [`Kernels::ks_accum_pair`] accumulates both key
+//! halves in one pass and may read digit coefficient `perm[i]` for output
+//! `i` through a Galois [`Permutation`], so a hoisted rotation needs no
+//! permuted copy of its digits.
 
 use crate::modular::{mul_mod_shoup, mul_mod_shoup_lazy, Barrett};
 use std::sync::OnceLock;
@@ -63,6 +79,44 @@ use std::sync::OnceLock;
 /// Primes below this bound run the IFMA class's 52-bit bodies: the lazy
 /// NTT range `[0, 4q)` must fit the multiplier's 52-bit inputs.
 pub const IFMA_Q_BOUND: u64 = 1 << 50;
+
+/// Digits the IFMA key-switch body sums per 52-bit lane before it folds:
+/// products of residues below 2⁵⁰ have a high half below 2⁴⁸, so 15 of
+/// them keep `hi + (lo >> 52) < 15·2⁴⁸ + 15 < 2⁵²`, the Shoup product's
+/// input bound.
+pub const KS52_CHUNK: usize = 15;
+
+/// A permutation of `0..n` as `u32` indices, checked once, on
+/// construction, to be a bijection with `n ≤ 2³¹`: every index is below
+/// the length `n` and fits a signed 32-bit gather offset. The key-switch
+/// kernels read `src[perm[i]]` from any `n`-word slice on that invariant
+/// alone.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct Permutation(Box<[u32]>);
+
+impl Permutation {
+    /// Wraps `indices`. Panics unless they are a bijection on
+    /// `0..indices.len()` and that length is at most 2³¹.
+    pub fn new(indices: Vec<u32>) -> Self {
+        let n = indices.len();
+        assert!(n <= 1 << 31, "a permutation indexes at most 2³¹ words");
+        let mut seen = vec![false; n];
+        for &i in &indices {
+            let i = i as usize;
+            assert!(i < n && !seen[i], "not a permutation of 0..{n}");
+            seen[i] = true;
+        }
+        Self(indices.into_boxed_slice())
+    }
+}
+
+impl std::ops::Deref for Permutation {
+    type Target = [u32];
+
+    fn deref(&self) -> &[u32] {
+        &self.0
+    }
+}
 
 /// The 52-bit Shoup twin `⌊w·2⁵²/q⌋` of a constant `w < q`, the form the
 /// IFMA class multiplies with (the 64-bit pair is
@@ -129,28 +183,44 @@ pub struct Kernels {
     pub centered_reduce: fn(&mut [u64], &[u64], u64, u64),
     /// Fused key-switch inner product over Montgomery-form keys
     /// (`k̃ = k·2⁶⁴ mod q`, [`to_montgomery`]): `dst[i] = (dst[i] + Σ_d
-    /// digits[d][i]·k[d][i]) mod q`, the sum held in a 128-bit register
-    /// and reduced once per [`wide_fold_bound`] digits by a Montgomery
-    /// REDC. `(dst, digits, keys, key_shoups, q)`; `dst`, digits and keys
-    /// must be in `[0, q)`; `key_shoups` is not read.
+    /// digits[d][i]·k[d][i]) mod q`. `(dst, digits, keys, key_shoups, q)`;
+    /// `dst`, digits and keys must be in `[0, q)`; `key_shoups` is not
+    /// read. The one-half, unpermuted entry into [`Self::ks_accum_pair`]'s
+    /// body.
     pub ks_accum: KsAccumFn,
-    /// Lazy 128-bit multiply-accumulate: `(hi[i]·2⁶⁴ + lo[i]) += a[i]·b[i]`
-    /// with no reduction. `(lo, hi, a, b)`; at most [`wide_fold_bound`]
-    /// products may be summed between two folds.
+    /// Both halves of a key switch in one pass over the digits: `dst_b[i]
+    /// += Σ_d d[d][σ(i)]·kb[d][i]` and `dst_a[i] += Σ_d d[d][σ(i)]·ka[d][i]`
+    /// mod `q`, where `σ(i) = perm[i]` or `i` when `perm` is `None`. Each
+    /// digit coefficient is read once for both halves. The sums are held
+    /// in 128-bit registers and reduced once per [`wide_fold_bound`] digits
+    /// by a Montgomery REDC, or on the IFMA class (`q < 2⁵⁰`) in 52-bit
+    /// halves folded once per [`KS52_CHUNK`] digits.
+    /// `(dst_b, dst_a, digits, keys_b, keys_a, perm, q)`.
+    pub ks_accum_pair: KsPairFn,
+    /// Lazy multiply-accumulate into wide lanes: `lanes[i] += a[i]·b[i]`
+    /// with no reduction. `(lo, hi, a, b, q)`; at most [`wide_fold_bound`]
+    /// products may be summed between two folds. The lane format is the
+    /// class's own (`hi·2⁶⁴ + lo`, or `hi·2⁵² + lo` on the IFMA class for
+    /// `q ∈ [2¹², 2⁵⁰)`): only the same class's `fold_wide` reads it.
     pub mac_wide: MacWideFn,
-    /// Folds the lanes in place: `lo[i] = (hi[i]·2⁶⁴ + lo[i]) mod q`,
-    /// `hi[i] = 0`. `(lo, hi, q)`; lanes must be `< q·2⁶⁴`.
+    /// Folds the lanes in place: `lo[i] = lanes[i] mod q`, `hi[i] = 0`.
+    /// `(lo, hi, q)`; the lanes must hold at most [`wide_fold_bound`]
+    /// terms.
     pub fold_wide: fn(&mut [u64], &mut [u64], u64),
 }
 
-/// Signature of the lazy 128-bit multiply-accumulate: `(lo, hi, a, b)`.
-pub type MacWideFn = fn(&mut [u64], &mut [u64], &[u64], &[u64]);
+/// Signature of the lazy wide multiply-accumulate: `(lo, hi, a, b, q)`.
+pub type MacWideFn = fn(&mut [u64], &mut [u64], &[u64], &[u64], u64);
+
+/// Terms a lane of the IFMA class's 52-bit wide format may hold: each adds
+/// less than 2⁵² to `lo`, which must stay below 2⁶⁴.
+const WIDE52_TERMS: u64 = 4095;
 
 /// How many products of residues mod `q` (a folded lane counts as one) a
 /// `mac_wide` lane may sum before `fold_wide` must run — see the
 /// lazy-form invariants in the module docs.
 pub fn wide_fold_bound(q: u64) -> u64 {
-    (u64::MAX - 1) / q
+    ((u64::MAX - 1) / q).min(WIDE52_TERMS)
 }
 
 /// Signature of the fused key-switch accumulation kernel:
@@ -158,6 +228,11 @@ pub fn wide_fold_bound(q: u64) -> u64 {
 /// empty; the argument stays because the `perf/` name pin calls the kernel
 /// with five arguments (ROADMAP item 7(b)).
 pub type KsAccumFn = fn(&mut [u64], &[&[u64]], &[&[u64]], &[&[u64]], u64);
+
+/// Signature of the two-half key-switch pass:
+/// `(dst_b, dst_a, digits, keys_b, keys_a, perm, q)`.
+pub type KsPairFn =
+    fn(&mut [u64], &mut [u64], &[&[u64]], &[&[u64]], &[&[u64]], Option<&Permutation>, u64);
 
 /// The portable scalar table (4-wide unrolled loops; NEON-friendly shapes
 /// that LLVM auto-vectorizes on aarch64).
@@ -251,6 +326,7 @@ static SCALAR: Kernels = Kernels {
     mod_reduce: scalar_impl::mod_reduce,
     centered_reduce: scalar_impl::centered_reduce,
     ks_accum: scalar_impl::ks_accum,
+    ks_accum_pair: scalar_impl::ks_accum_pair,
     mac_wide: scalar_impl::mac_wide,
     fold_wide: scalar_impl::fold_wide,
 };
@@ -307,6 +383,30 @@ fn redc(x: u128, q: u64, q_inv: u64) -> u64 {
     } else {
         t
     }
+}
+
+/// Checks the operand shapes of a key-switch pass with `H` key halves and
+/// returns the limb length `n`: every accumulator, digit and key slice is
+/// `n` words, each half has one key per digit, and a permutation permutes
+/// `0..n` — so any `perm[i]` indexes every digit.
+fn ks_shape<const H: usize>(
+    dst: &[&mut [u64]; H],
+    digits: &[&[u64]],
+    keys: &[&[&[u64]]; H],
+    perm: Option<&Permutation>,
+) -> usize {
+    let n = dst[0].len();
+    for (d, k) in dst.iter().zip(keys) {
+        assert_eq!(d.len(), n);
+        assert_eq!(k.len(), digits.len(), "one key per digit");
+    }
+    for s in digits.iter().chain(keys.iter().flat_map(|k| k.iter())) {
+        assert_eq!(s.len(), n);
+    }
+    if let Some(p) = perm {
+        assert_eq!(p.len(), n, "the permutation permutes the limb");
+    }
+    n
 }
 
 mod scalar_impl {
@@ -439,56 +539,98 @@ mod scalar_impl {
         _key_shoups: &[&[u64]],
         q: u64,
     ) {
-        assert_eq!(digits.len(), keys.len());
-        let n = dst.len();
-        for s in digits.iter().chain(keys) {
-            assert_eq!(s.len(), n);
+        ks_pass([dst], digits, [keys], None, q);
+    }
+
+    pub(super) fn ks_accum_pair(
+        dst_b: &mut [u64],
+        dst_a: &mut [u64],
+        digits: &[&[u64]],
+        keys_b: &[&[u64]],
+        keys_a: &[&[u64]],
+        perm: Option<&Permutation>,
+        q: u64,
+    ) {
+        ks_pass([dst_b, dst_a], digits, [keys_b, keys_a], perm, q);
+    }
+
+    /// The key-switch body of this class for `H` key halves, read
+    /// straight or through `perm`.
+    fn ks_pass<const H: usize>(
+        dst: [&mut [u64]; H],
+        digits: &[&[u64]],
+        keys: [&[&[u64]]; H],
+        perm: Option<&Permutation>,
+        q: u64,
+    ) {
+        ks_shape(&dst, digits, &keys, perm);
+        match perm {
+            None => ks_chunks(dst, digits, keys, |d, i| d[i], q),
+            Some(p) => ks_chunks(dst, digits, keys, |d, i| d[p[i] as usize], q),
         }
+    }
+
+    /// [`ks_pass`] with `src(d, i)` reading coefficient `i` of digit `d`:
+    /// digit chunks of at most `wide_fold_bound(q)` products of residues
+    /// sum below `q·2⁶⁴`, what one REDC accepts.
+    #[inline(always)]
+    fn ks_chunks<const H: usize>(
+        mut dst: [&mut [u64]; H],
+        digits: &[&[u64]],
+        keys: [&[&[u64]]; H],
+        src: impl Fn(&[u64], usize) -> u64 + Copy,
+        q: u64,
+    ) {
+        let n = dst[0].len();
         let q_inv = inv_mod_2_64(q);
-        // A chunk of at most `wide_fold_bound(q)` products of residues
-        // sums below q·2⁶⁴: what one REDC accepts.
         let bound = wide_fold_bound(q) as usize;
         let tail = n / 4 * 4;
-        for (ds, ks) in digits.chunks(bound).zip(keys.chunks(bound)) {
-            let mut blocks = dst.chunks_exact_mut(4);
-            for (b, d4) in (&mut blocks).enumerate() {
-                ks_block::<4>(d4, 4 * b, ds, ks, q, q_inv);
+        for c in (0..digits.len()).step_by(bound) {
+            let c = c..digits.len().min(c + bound);
+            let (ds, ks) = (&digits[c.clone()], keys.map(|k| &k[c.clone()]));
+            for at in (0..tail).step_by(4) {
+                ks_block::<4, H>(&mut dst, at, ds, &ks, src, q, q_inv);
             }
-            for (t, x) in blocks.into_remainder().iter_mut().enumerate() {
-                ks_block::<1>(std::slice::from_mut(x), tail + t, ds, ks, q, q_inv);
+            for at in tail..n {
+                ks_block::<1, H>(&mut dst, at, ds, &ks, src, q, q_inv);
             }
         }
     }
 
-    /// One `W`-coefficient block of [`ks_accum`] over one digit chunk: the
-    /// sums live in `u128` registers, one REDC per coefficient maps
-    /// `Σ d·k·2⁶⁴` back to `Σ d·k`, added into `dst` mod `q`.
+    /// One `W`-coefficient block of [`ks_chunks`] over one digit chunk: the
+    /// sums live in `u128` registers, one REDC per coefficient maps `Σ
+    /// d·k·2⁶⁴` back to `Σ d·k`, added into each half's `dst` mod `q`.
     #[inline(always)]
-    fn ks_block<const W: usize>(
-        dst: &mut [u64],
+    fn ks_block<const W: usize, const H: usize>(
+        dst: &mut [&mut [u64]; H],
         at: usize,
         ds: &[&[u64]],
-        ks: &[&[u64]],
+        ks: &[&[&[u64]]; H],
+        src: impl Fn(&[u64], usize) -> u64,
         q: u64,
         q_inv: u64,
     ) {
-        let dst = &mut dst[..W];
-        let mut acc = [0u128; W];
-        for (d, k) in ds.iter().zip(ks) {
-            let (d, k) = (&d[at..at + W], &k[at..at + W]);
-            for t in 0..W {
-                debug_assert!(d[t] < q && k[t] < q, "ks_accum operands must be < q");
-                acc[t] += d[t] as u128 * k[t] as u128;
+        let mut acc = [[0u128; W]; H];
+        for (j, d) in ds.iter().enumerate() {
+            let d: [u64; W] = std::array::from_fn(|t| src(d, at + t));
+            for (acc, ks) in acc.iter_mut().zip(ks) {
+                let k = &ks[j][at..at + W];
+                for t in 0..W {
+                    debug_assert!(d[t] < q && k[t] < q, "ks_accum operands must be < q");
+                    acc[t] += d[t] as u128 * k[t] as u128;
+                }
             }
         }
-        for t in 0..W {
-            let r = redc(acc[t], q, q_inv);
-            let s = dst[t] + r;
-            dst[t] = if s >= q { s - q } else { s };
+        for (dst, acc) in dst.iter_mut().zip(acc) {
+            let dst = &mut dst[at..at + W];
+            for t in 0..W {
+                let s = dst[t] + redc(acc[t], q, q_inv);
+                dst[t] = if s >= q { s - q } else { s };
+            }
         }
     }
 
-    pub(super) fn mac_wide(lo: &mut [u64], hi: &mut [u64], a: &[u64], b: &[u64]) {
+    pub(super) fn mac_wide(lo: &mut [u64], hi: &mut [u64], a: &[u64], b: &[u64], _q: u64) {
         debug_assert!(lo.len() == hi.len() && lo.len() == a.len() && a.len() == b.len());
         for (((l, h), &x), &y) in lo.iter_mut().zip(hi.iter_mut()).zip(a).zip(b) {
             let p = x as u128 * y as u128;
@@ -662,11 +804,12 @@ mod avx2_impl {
         mod_reduce: super::scalar_impl::mod_reduce,
         centered_reduce: super::scalar_impl::centered_reduce,
         // AVX2 has no 64×64→128 multiply: the scalar `mul`/`add`/`adc`
-        // bodies are the fast path on both dispatch classes — for the
-        // key-switch inner product too, whose register-resident 128-bit
-        // sums read 16 B per digit·coefficient where a lazy Shoup lane
-        // needs the key's Shoup twin as well (24 B).
+        // bodies are the fast path here — for the key-switch inner product
+        // too, whose register-resident 128-bit sums read 16 B per
+        // digit·coefficient where a lazy Shoup lane needs the key's Shoup
+        // twin as well (24 B).
         ks_accum: super::scalar_impl::ks_accum,
+        ks_accum_pair: super::scalar_impl::ks_accum_pair,
         mac_wide: super::scalar_impl::mac_wide,
         fold_wide: super::scalar_impl::fold_wide,
     };
@@ -1292,6 +1435,7 @@ mod avx2_impl {
 #[cfg(target_arch = "x86_64")]
 mod ifma_impl {
     use super::*;
+    use crate::modular::pow_mod;
     use core::arch::x86_64::*;
 
     pub(super) static IFMA: Kernels = Kernels {
@@ -1308,9 +1452,10 @@ mod ifma_impl {
         sub_mul_assign,
         mod_reduce,
         centered_reduce,
-        ks_accum: scalar_impl::ks_accum,
-        mac_wide: scalar_impl::mac_wide,
-        fold_wide: scalar_impl::fold_wide,
+        ks_accum,
+        ks_accum_pair,
+        mac_wide,
+        fold_wide,
     };
 
     const MASK52: u64 = (1 << 52) - 1;
@@ -1675,6 +1820,23 @@ mod ifma_impl {
     wrap_ifma!(centered_reduce => centered_reduce_ifma
         if (REDUCE_Q_MIN..IFMA_Q_BOUND).contains(&dst_q),
         else scalar_impl::centered_reduce; (dst: &mut [u64], src: &[u64], src_q: u64, dst_q: u64));
+    wrap_ifma!(ks_accum => ks_accum_ifma if q < IFMA_Q_BOUND,
+        else scalar_impl::ks_accum;
+        (dst: &mut [u64], digits: &[&[u64]], keys: &[&[u64]], key_shoups: &[&[u64]], q: u64));
+    wrap_ifma!(ks_accum_pair => ks_accum_pair_ifma if q < IFMA_Q_BOUND,
+        else scalar_impl::ks_accum_pair;
+        (dst_b: &mut [u64], dst_a: &mut [u64], digits: &[&[u64]], keys_b: &[&[u64]],
+         keys_a: &[&[u64]], perm: Option<&Permutation>, q: u64));
+    wrap_ifma!(mac_wide => mac_wide_ifma if wide52(q),
+        else scalar_impl::mac_wide; (lo: &mut [u64], hi: &mut [u64], a: &[u64], b: &[u64], q: u64));
+    wrap_ifma!(fold_wide => fold_wide_ifma if wide52(q),
+        else scalar_impl::fold_wide; (lo: &mut [u64], hi: &mut [u64], q: u64));
+
+    /// Whether `q`'s wide lanes take the 52-bit format: `mac_wide` and
+    /// `fold_wide` must agree on it, so both branch here.
+    fn wide52(q: u64) -> bool {
+        (REDUCE_Q_MIN..IFMA_Q_BOUND).contains(&q)
+    }
 
     #[target_feature(enable = "avx512f,avx512ifma")]
     unsafe fn ntt_fwd_ifma(a: &mut [u64], tw: Twiddles, q: u64) {
@@ -1819,6 +1981,151 @@ mod ifma_impl {
                 let off = _mm512_maskz_mov_epi64(_mm512_cmpgt_epu64_mask(x, half), delta);
                 let r = _mm512_sub_epi64(_mm512_add_epi64(br.reduce(x), br.m.q), off);
                 store(dst, i, k, csub(r, br.m.q));
+            });
+        }
+    }
+
+    #[target_feature(enable = "avx512f,avx512vl,avx512ifma")]
+    unsafe fn ks_accum_ifma(
+        dst: &mut [u64],
+        digits: &[&[u64]],
+        keys: &[&[u64]],
+        _key_shoups: &[&[u64]],
+        q: u64,
+    ) {
+        // SAFETY: AVX-512F/VL + IFMA verified by dispatch, `q <
+        // IFMA_Q_BOUND` by the wrapper.
+        unsafe { ks_pass([dst], digits, [keys], None, q) }
+    }
+
+    #[target_feature(enable = "avx512f,avx512vl,avx512ifma")]
+    unsafe fn ks_accum_pair_ifma(
+        dst_b: &mut [u64],
+        dst_a: &mut [u64],
+        digits: &[&[u64]],
+        keys_b: &[&[u64]],
+        keys_a: &[&[u64]],
+        perm: Option<&Permutation>,
+        q: u64,
+    ) {
+        // SAFETY: AVX-512F/VL + IFMA verified by dispatch, `q <
+        // IFMA_Q_BOUND` by the wrapper.
+        unsafe { ks_pass([dst_b, dst_a], digits, [keys_b, keys_a], perm, q) }
+    }
+
+    /// The key-switch body for `H` key halves on the 52-bit multiplier:
+    /// per 8-lane block, each chunk of at most [`KS52_CHUNK`] digits sums
+    /// the low and high halves of its products `d·k̃` in `lo` / `hi`, and
+    /// `H = hi + (lo >> 52)`, `L = lo mod 2⁵²` fold as `H·2⁻¹² + L·2⁻⁶⁴`
+    /// — the REDC's `Σ d·k̃·2⁻⁶⁴ mod q` (module docs). A digit coefficient
+    /// is loaded, or gathered through `perm`, once for every half.
+    #[target_feature(enable = "avx512f,avx512vl,avx512ifma")]
+    unsafe fn ks_pass<const H: usize>(
+        mut dst: [&mut [u64]; H],
+        digits: &[&[u64]],
+        keys: [&[&[u64]]; H],
+        perm: Option<&Permutation>,
+        q: u64,
+    ) {
+        let n = ks_shape(&dst, digits, &keys, perm);
+        // 2⁻¹ mod q, for odd q
+        let half = q.div_ceil(2);
+        let (r12, r64) = (pow_mod(half, 12, q), pow_mod(half, 64, q));
+        // Operands are residues `< q < 2⁵⁰`, so each product's high half
+        // is `< 2⁴⁸` and `H < 15·2⁴⁸ + 15 < 2⁵²` meets the Shoup product's
+        // input bound, as does `L < 2⁵²`.
+        // SAFETY: caller guarantees AVX-512F/VL + IFMA and `q <
+        // IFMA_Q_BOUND`. Loads and stores cover blocks of `for_blocks(n,
+        // ..)` in `n`-word slices (`ks_shape`). A gather reads lanes in the
+        // block's mask only, at `perm[i]`: a `Permutation` of length `n`,
+        // so below `n = digits[j].len()` and 2³¹ (a valid `i32` offset).
+        unsafe {
+            let c = Mod52::new(q);
+            let zero = _mm512_setzero_si512();
+            let (w12, w12s) = (splat(r12), splat(shoup52(r12, q)));
+            let (w64, w64s) = (splat(r64), splat(shoup52(r64, q)));
+            for_blocks(n, |i, k| {
+                let idx =
+                    perm.map(|p| _mm256_maskz_loadu_epi32(k, p.as_ptr().add(i) as *const i32));
+                let mut acc = [zero; H];
+                for h in 0..H {
+                    acc[h] = load(dst[h], i, k);
+                }
+                for (ds, c0) in digits.chunks(KS52_CHUNK).zip((0..).step_by(KS52_CHUNK)) {
+                    let (mut lo, mut hi) = ([zero; H], [zero; H]);
+                    for (j, d) in ds.iter().enumerate() {
+                        let d = match idx {
+                            None => load(d, i, k),
+                            Some(ix) => _mm512_mask_i32gather_epi64::<8>(
+                                zero,
+                                k,
+                                ix,
+                                d.as_ptr() as *const i64,
+                            ),
+                        };
+                        for h in 0..H {
+                            let kv = load(keys[h][c0 + j], i, k);
+                            lo[h] = _mm512_madd52lo_epu64(lo[h], d, kv);
+                            hi[h] = _mm512_madd52hi_epu64(hi[h], d, kv);
+                        }
+                    }
+                    for h in 0..H {
+                        let top = _mm512_add_epi64(hi[h], _mm512_srli_epi64::<52>(lo[h]));
+                        let low = _mm512_and_si512(lo[h], c.mask);
+                        let r = _mm512_add_epi64(
+                            c.mul_shoup_lazy(top, w12, w12s),
+                            c.mul_shoup_lazy(low, w64, w64s),
+                        );
+                        let r = csub(csub(r, c.two_q), c.q);
+                        acc[h] = csub(_mm512_add_epi64(acc[h], r), c.q);
+                    }
+                }
+                for (h, v) in acc.into_iter().enumerate() {
+                    store(dst[h], i, k, v);
+                }
+            });
+        }
+    }
+
+    #[target_feature(enable = "avx512f,avx512ifma")]
+    unsafe fn mac_wide_ifma(lo: &mut [u64], hi: &mut [u64], a: &[u64], b: &[u64], _q: u64) {
+        assert!(lo.len() == hi.len() && lo.len() == a.len() && a.len() == b.len());
+        // SAFETY: AVX-512F + IFMA verified by dispatch; the blocks cover
+        // the common length of the four slices, and the operands are
+        // residues `< q < 2⁵⁰`, inside the multiplier's 52-bit inputs.
+        unsafe {
+            for_blocks(lo.len(), |i, k| {
+                let (x, y) = (load(a, i, k), load(b, i, k));
+                store(lo, i, k, _mm512_madd52lo_epu64(load(lo, i, k), x, y));
+                store(hi, i, k, _mm512_madd52hi_epu64(load(hi, i, k), x, y));
+            });
+        }
+    }
+
+    #[target_feature(enable = "avx512f,avx512ifma")]
+    unsafe fn fold_wide_ifma(lo: &mut [u64], hi: &mut [u64], q: u64) {
+        assert_eq!(lo.len(), hi.len());
+        let r52 = ((1u128 << 52) % q as u128) as u64;
+        // SAFETY: AVX-512F + IFMA verified by dispatch, `q ∈ [REDUCE_Q_MIN,
+        // IFMA_Q_BOUND)` by the wrapper; the blocks cover both slices. At
+        // most `WIDE52_TERMS` terms give `hi < 2⁶⁰`, any word `Barrett52::
+        // reduce` takes; its residue `< q` meets the Shoup bound, and the
+        // lazy product plus `lo`'s low 52 bits is `< 2q + 2⁵²`, a word.
+        unsafe {
+            let br = Barrett52::new(q);
+            let (w, w52) = (splat(r52), splat(shoup52(r52, q)));
+            for_blocks(lo.len(), |i, k| {
+                let (l, h) = (load(lo, i, k), load(hi, i, k));
+                debug_assert_eq!(
+                    _mm512_mask_cmpge_epu64_mask(k, h, splat(WIDE52_TERMS << 48)),
+                    0,
+                    "wide lane exceeds {WIDE52_TERMS} terms: fold bound missed"
+                );
+                let top = br.reduce(_mm512_add_epi64(h, _mm512_srli_epi64::<52>(l)));
+                let t = br.m.mul_shoup_lazy(top, w, w52);
+                let r = br.reduce(_mm512_add_epi64(t, _mm512_and_si512(l, br.m.mask)));
+                store(lo, i, k, r);
+                store(hi, i, k, _mm512_setzero_si512());
             });
         }
     }
@@ -1991,6 +2298,18 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "not a permutation")]
+    fn permutation_rejects_a_repeated_index() {
+        Permutation::new(vec![0, 2, 2]);
+    }
+
+    #[test]
+    #[should_panic(expected = "not a permutation")]
+    fn permutation_rejects_an_index_out_of_range() {
+        Permutation::new(vec![0, 3, 1]);
     }
 
     #[test]

@@ -36,7 +36,7 @@ fn wide_sum(k: &simd::Kernels, terms: &[(Vec<u64>, Vec<u64>)], q: u64) -> Vec<u6
             (k.fold_wide)(&mut lo, &mut hi, q);
             summed = 1;
         }
-        (k.mac_wide)(&mut lo, &mut hi, a, b);
+        (k.mac_wide)(&mut lo, &mut hi, a, b, q);
         summed += 1;
     }
     (k.fold_wide)(&mut lo, &mut hi, q);
@@ -61,8 +61,11 @@ fn strict_sum(terms: &[(Vec<u64>, Vec<u64>)], q: u64) -> Vec<u64> {
 
 /// Term counts straddling the fold bound, on the largest operands there
 /// are (every residue `q − 1`, so every product carries into `hi` and the
-/// lanes sit as close to `q·2⁶⁴` as the bound allows) and on random ones,
-/// for the largest prime below 2⁶² (bound 4) and a 61-bit NTT prime.
+/// lanes sit as close to their limit as the bound allows) and on random
+/// ones, for the largest prime below 2⁶² (bound 4) and a 61-bit NTT prime,
+/// and — at the 4095-term cap the IFMA class's 52-bit lanes need — for
+/// the largest NTT prime below 2⁵⁰ and the primes on each side of 2¹²,
+/// where that class's wide lanes start.
 #[test]
 fn wide_lanes_survive_the_fold_bound_on_extreme_operands() {
     use rand::{rngs::StdRng, SeedableRng};
@@ -84,6 +87,16 @@ fn wide_lanes_survive_the_fold_bound_on_extreme_operands() {
                 for k in simd::variants() {
                     assert_eq!(wide_sum(k, terms, q), want, "{} q {q} T {t}", k.name);
                 }
+            }
+        }
+    }
+    for q in [ifma_gate_primes()[0], 4093, 4099] {
+        assert_eq!(simd::wide_fold_bound(q), 4095, "q {q}");
+        for t in [4094, 4095, 4096, 3 * 4095] {
+            let extreme = vec![(vec![q - 1; 37], vec![q - 1; 37]); t];
+            let want = strict_sum(&extreme, q);
+            for k in simd::variants() {
+                assert_eq!(wide_sum(k, &extreme, q), want, "{} q {q} T {t}", k.name);
             }
         }
     }
@@ -400,6 +413,76 @@ proptest! {
             let mut v = acc0.clone();
             (k.ks_accum)(&mut v, &dsl, &ksl, &[], q);
             prop_assert_eq!(&v, &expect, "{} ks_accum, {} digits", k.name, digits);
+        }
+    }
+
+    /// The two-half key-switch pass equals the strict `Σ d[σ(i)]·k[i] mod
+    /// q` for each half, read straight or through a random permutation,
+    /// on every class: for the primes on each side of 2⁵⁰ and of 2¹² and
+    /// random 30–61-bit ones, 1–40 digits (across the IFMA body's 15-digit
+    /// chunks), lengths 1–69 (masked tails), on random and all-`(q − 1)`
+    /// operands. The one-half `ks_accum` matches the `b` half.
+    #[test]
+    fn ks_accum_pair_matches_strict_inner_product(
+        len in 1usize..70,
+        digits in 1usize..41,
+        prime_sel in 0usize..5,
+        permuted in 0u32..2,
+        extreme in 0u32..2,
+        seed in 0u64..1_000_000,
+    ) {
+        use rand::{rngs::StdRng, Rng, SeedableRng};
+        let [below, above] = ifma_gate_primes();
+        let q = [below, above, 4093, 4099, random_prime(16, seed as u32, seed)][prime_sel];
+        let mut rng = StdRng::seed_from_u64(seed ^ 0x9a1f);
+        let operand = |rng: &mut StdRng| match extreme {
+            1 => vec![q - 1; len],
+            _ => fill(rng, len, q),
+        };
+        let acc0 = [operand(&mut rng), operand(&mut rng)];
+        let ds: Vec<Vec<u64>> = (0..digits).map(|_| operand(&mut rng)).collect();
+        let ks: [Vec<Vec<u64>>; 2] =
+            std::array::from_fn(|_| (0..digits).map(|_| operand(&mut rng)).collect());
+        let mut order: Vec<u32> = (0..len as u32).collect();
+        if permuted == 1 {
+            for i in (1..len).rev() {
+                order.swap(i, rng.gen_range(0..=i));
+            }
+        }
+        let perm = simd::Permutation::new(order.clone());
+        let expect: Vec<Vec<u64>> = (0..2)
+            .map(|h| {
+                (0..len)
+                    .map(|i| {
+                        (0..digits).fold(acc0[h][i], |s, d| {
+                            add_mod(s, mul_mod(ds[d][order[i] as usize], ks[h][d][i], q), q)
+                        })
+                    })
+                    .collect()
+            })
+            .collect();
+        // The kernel reads keys in Montgomery form.
+        let mont = ks.clone().map(|half| {
+            half.into_iter()
+                .map(|mut v| {
+                    simd::to_montgomery(&mut v, q);
+                    v
+                })
+                .collect::<Vec<_>>()
+        });
+        let dsl: Vec<&[u64]> = ds.iter().map(|v| v.as_slice()).collect();
+        let [kb, ka] = [0, 1].map(|h| mont[h].iter().map(|v| v.as_slice()).collect::<Vec<_>>());
+        let perm = (permuted == 1).then_some(&perm);
+        for k in simd::variants() {
+            let (mut b, mut a) = (acc0[0].clone(), acc0[1].clone());
+            (k.ks_accum_pair)(&mut b, &mut a, &dsl, &kb, &ka, perm, q);
+            prop_assert_eq!(&b, &expect[0], "{} b half, q {}, {} digits", k.name, q, digits);
+            prop_assert_eq!(&a, &expect[1], "{} a half, q {}, {} digits", k.name, q, digits);
+            if perm.is_none() {
+                let mut v = acc0[0].clone();
+                (k.ks_accum)(&mut v, &dsl, &kb, &[], q);
+                prop_assert_eq!(&v, &expect[0], "{} ks_accum, q {}", k.name, q);
+            }
         }
     }
 }

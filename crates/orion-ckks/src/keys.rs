@@ -68,8 +68,7 @@ impl KeySwitchKey {
     /// coefficient `perm[j]` of a digit for output `j` — a Galois
     /// automorphism in evaluation form — or is the identity when `perm` is
     /// `None`. One kernel call per limb walks all gadget digits for both
-    /// halves, reading each digit coefficient once and reducing once per
-    /// coefficient. The accumulators must be in evaluation form, `[0, q)`,
+    /// halves and reduces once per coefficient (per digit chunk). The accumulators must be in evaluation form, `[0, q)`,
     /// at the digits' level, with special limbs. The digits' level must
     /// not exceed [`Self::level`] — callers look keys up through
     /// [`EvalKeys::try_rotation`] / [`EvalKeys::try_relin`], which check it.
@@ -115,7 +114,7 @@ impl KeySwitchKey {
         let kb = table(parts.iter().map(|(b, _)| b), n_chain);
         let ka = table(parts.iter().map(|(_, a)| a), n_chain);
         let k = simd::kernels();
-        // One pass per limb over all digits, for both halves.
+        // One kernel call per limb over all digits, for both halves.
         let moduli = ctx.moduli[..n_chain].iter().chain([&ctx.special]);
         let limbs = moduli.zip(limbs_mut(acc_b)).zip(limbs_mut(acc_a));
         for (j, ((&q, b), a)) in limbs.enumerate() {

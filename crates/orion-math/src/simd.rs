@@ -1647,29 +1647,35 @@ mod ifma_impl {
         }
     }
 
-    /// The 8-lane blocks `(i, k)` of a `len`-word buffer: block `i` starts
-    /// at word `i` and `k` masks the lanes inside the buffer (all eight,
-    /// but fewer in a last, partial block).
-    #[inline(always)]
-    fn blocks(len: usize) -> impl Iterator<Item = (usize, __mmask8)> {
-        let full = len / 8 * 8;
-        let tail = (full < len).then(|| (full, 0xff >> (8 - (len - full))));
-        (0..full).step_by(8).map(|i| (i, 0xff)).chain(tail)
-    }
-
-    /// Calls `f(i, k)` on each block of [`blocks`]`(len)`.
+    /// Calls `f(i, k)` on each 8-lane block starting at word `i` of a
+    /// `len`-word buffer; `k` masks the lanes inside it (all eight, but
+    /// fewer in a last, partial block).
     #[inline(always)]
     fn for_blocks(len: usize, mut f: impl FnMut(usize, __mmask8)) {
-        for (i, k) in blocks(len) {
-            f(i, k);
+        let full = len / 8 * 8;
+        for i in (0..full).step_by(8) {
+            f(i, 0xff);
         }
+        if full < len {
+            f(full, 0xff >> (8 - (len - full)));
+        }
+    }
+
+    /// The blocks of [`for_blocks`] as an iterator, for a body too large
+    /// to be inlined as a closure (the constant full mask of `for_blocks`
+    /// keeps the short elementwise bodies faster).
+    #[inline(always)]
+    fn blocks(len: usize) -> impl Iterator<Item = (usize, __mmask8)> {
+        (0..len)
+            .step_by(8)
+            .map(move |i| (i, 0xff >> (8 - (len - i).min(8))))
     }
 
     /// Masked load of the block at word `i`; lanes outside `k` read as 0
     /// and do not touch memory.
     #[inline(always)]
     unsafe fn load(s: &[u64], i: usize, k: __mmask8) -> __m512i {
-        // SAFETY: the caller passes a block of `blocks(s.len())`,
+        // SAFETY: the caller passes a block of `for_blocks(s.len(), ..)`,
         // so every lane in `k` is inside `s`; masked-off lanes are not
         // accessed (AVX-512 fault suppression).
         unsafe { _mm512_maskz_loadu_epi64(k, s.as_ptr().add(i) as *const i64) }
@@ -2051,7 +2057,7 @@ mod ifma_impl {
         // is `< 2⁴⁸` and `H < 15·2⁴⁸ + 15 < 2⁵²` meets the Shoup product's
         // input bound, as does `L < 2⁵²`.
         // SAFETY: caller guarantees AVX-512F/VL + IFMA and `q <
-        // IFMA_Q_BOUND`. Loads and stores cover `blocks(n)` of `n`-word
+        // IFMA_Q_BOUND`. Loads and stores cover the blocks of `n`-word
         // slices (`ks_shape`). A gather reads lanes in the mask only, at
         // `perm[i]`: a `Permutation` of length `n`, so below `n =
         // digits[j].len()` and 2³¹ (a valid `i32` offset).

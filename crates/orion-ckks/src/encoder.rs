@@ -7,7 +7,7 @@
 
 use crate::encrypt::Plaintext;
 use crate::params::Context;
-use crate::poly::RnsPoly;
+use crate::poly::{Form, RnsPoly};
 use orion_math::fft::Complex;
 
 /// Encoder/decoder bound to a context.
@@ -74,9 +74,16 @@ impl Encoder {
 
     /// Decodes a plaintext to complex slot values.
     pub fn decode_complex(&self, pt: &Plaintext) -> Vec<Complex> {
-        let mut poly = pt.poly.clone();
-        poly.to_coeff(&self.ctx);
-        let coeffs = poly.lift_centered(&self.ctx);
+        // The lift reads the lowest two limbs only: a coefficient-form
+        // plaintext (what decryption returns) is read in place, an
+        // evaluation-form one has just those limbs copied and transformed.
+        let coeffs = if pt.poly.form == Form::Coeff {
+            pt.poly.lift_centered(&self.ctx)
+        } else {
+            let mut low = pt.poly.chain_to_level(pt.level().min(1));
+            low.to_coeff(&self.ctx);
+            low.lift_centered(&self.ctx)
+        };
         let slots = self.ctx.slots();
         let inv = 1.0 / pt.scale;
         let mut vals: Vec<Complex> = (0..slots)

@@ -126,10 +126,8 @@ impl Encryptor {
                 v.to_eval(ctx);
                 e0.to_eval(ctx);
                 e1.to_eval(ctx);
-                let mut pk_b = pk.b.clone();
-                pk_b.drop_to_level(level);
-                let mut pk_a = pk.a.clone();
-                pk_a.drop_to_level(level);
+                let pk_b = pk.b.chain_to_level(level);
+                let pk_a = pk.a.chain_to_level(level);
                 let mut c0 = v.mul_pointwise(&pk_b, ctx);
                 c0.add_assign(&e0, ctx);
                 c0.add_assign(&m, ctx);
@@ -144,9 +142,7 @@ impl Encryptor {
             (Self::Secret { sk, .. }, EncryptionNoise::Secret { a, mut e }) => {
                 assert_eq!(a.level(), level, "noise sampled at another level");
                 e.to_eval(ctx);
-                let mut s = sk.s.clone();
-                s.special = None;
-                s.drop_to_level(level);
+                let s = sk.s.chain_to_level(level);
                 // c0 = -a·s + e + m, c1 = a
                 let mut c0 = a.mul_pointwise(&s, ctx);
                 c0.neg_assign(ctx);
@@ -195,9 +191,7 @@ impl Decryptor {
 
     /// Decrypts to a plaintext (`m ≈ c0 + c1·s`), in coefficient form.
     pub fn decrypt(&self, ct: &Ciphertext) -> Plaintext {
-        let mut s = self.sk.s.clone();
-        s.special = None;
-        s.drop_to_level(ct.level());
+        let s = self.sk.s.chain_to_level(ct.level());
         let mut m = ct.c1.mul_pointwise(&s, &self.ctx);
         m.add_assign(&ct.c0, &self.ctx);
         m.to_coeff(&self.ctx);

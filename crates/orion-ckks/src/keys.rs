@@ -334,9 +334,7 @@ impl<R: Rng> KeyGenerator<R> {
         let mut e = RnsPoly::sample_gaussian(&self.ctx, max, false, &mut self.rng);
         e.to_eval(&self.ctx);
         // b = -a*s + e
-        let mut s_trunc = self.sk.s.clone();
-        s_trunc.special = None;
-        let mut b = a.mul_pointwise(&s_trunc, &self.ctx);
+        let mut b = a.mul_pointwise(&self.sk.s.chain_to_level(max), &self.ctx);
         b.neg_assign(&self.ctx);
         b.add_assign(&e, &self.ctx);
         PublicKey { b, a }

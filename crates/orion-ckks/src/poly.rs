@@ -6,7 +6,7 @@
 //! evaluation (NTT) representation; see paper §2.4–2.5.
 
 use crate::params::Context;
-use orion_math::modular::{add_mod, neg_mod, reduce_i128, shoup_precompute};
+use orion_math::modular::{add_mod, neg_mod, reduce_i128, shoup_precompute, Barrett};
 use orion_math::ntt::NttTable;
 use orion_math::simd;
 use orion_telemetry::{time_class, OpClass};
@@ -73,20 +73,17 @@ impl RnsPoly {
         self.special.is_some()
     }
 
-    /// Builds a polynomial from signed coefficients (reduced per modulus).
+    /// Builds a polynomial from signed coefficients (reduced per modulus,
+    /// one [`Barrett`] constant per limb).
     pub fn from_signed(ctx: &Context, coeffs: &[i128], level: usize, with_special: bool) -> Self {
         let n = ctx.degree();
         assert_eq!(coeffs.len(), n);
-        let limbs = (0..=level)
-            .map(|j| {
-                let q = ctx.moduli[j];
-                coeffs.iter().map(|&c| reduce_i128(c, q)).collect()
-            })
-            .collect();
-        let special = with_special.then(|| {
-            let p = ctx.special;
-            coeffs.iter().map(|&c| reduce_i128(c, p)).collect()
-        });
+        let reduce = |q: u64| -> Vec<u64> {
+            let br = Barrett::new(q);
+            coeffs.iter().map(|&c| br.reduce_i128(c)).collect()
+        };
+        let limbs = ctx.moduli[..=level].iter().map(|&q| reduce(q)).collect();
+        let special = with_special.then(|| reduce(ctx.special));
         Self {
             limbs,
             special,
@@ -438,27 +435,32 @@ impl RnsPoly {
     /// A copy of `self` at `level`: `clone` + [`RnsPoly::drop_to_level`]
     /// without copying the limbs the drop throws away.
     pub fn dropped_to_level(&self, level: usize) -> Self {
+        Self {
+            special: self.special.clone(),
+            ..self.chain_to_level(level)
+        }
+    }
+
+    /// [`RnsPoly::dropped_to_level`] without the special limb: the chain
+    /// limbs `0..=level` alone, what a client-side op (encryption,
+    /// decryption) reads of the secret key.
+    pub fn chain_to_level(&self, level: usize) -> Self {
         assert!(level <= self.level());
         Self {
             limbs: self.limbs[..=level].to_vec(),
-            special: self.special.clone(),
+            special: None,
             form: self.form,
         }
     }
 
-    /// Centered coefficient reconstruction of limb contents via 1–2 limb
-    /// CRT. Only meaningful in coefficient form; used by decryption and
-    /// tests.
+    /// Centered coefficient reconstruction from the lowest one or two
+    /// limbs ([`orion_math::rns::crt_lift_centered`]). Only meaningful in
+    /// coefficient form; used by decoding and tests.
     pub fn lift_centered(&self, ctx: &Context) -> Vec<i128> {
         assert_eq!(self.form, Form::Coeff);
         let use_limbs = self.limbs.len().min(2);
-        let moduli: Vec<u64> = ctx.moduli[..use_limbs].to_vec();
-        (0..ctx.degree())
-            .map(|k| {
-                let residues: Vec<u64> = (0..use_limbs).map(|j| self.limbs[j][k]).collect();
-                orion_math::rns::crt_reconstruct_centered(&residues, &moduli)
-            })
-            .collect()
+        let limbs: Vec<&[u64]> = self.limbs[..use_limbs].iter().map(Vec::as_slice).collect();
+        orion_math::rns::crt_lift_centered(&limbs, &ctx.moduli[..use_limbs])
     }
 }
 

@@ -150,6 +150,23 @@ impl Barrett {
     pub fn reduce_u64(&self, x: u64) -> u64 {
         self.reduce_u128(x as u128)
     }
+
+    /// Reduces a signed integer into `[0, q)`. Bit-identical to
+    /// [`reduce_i128`]: `|x|` goes through [`Barrett::reduce_u128`] and is
+    /// negated for `x < 0`; only `|x| ≥ q·2⁶⁴` pays the `i128` division.
+    #[inline(always)]
+    pub fn reduce_i128(&self, x: i128) -> u64 {
+        let abs = x.unsigned_abs();
+        if abs >= (self.q as u128) << 64 {
+            return reduce_i128(x, self.q);
+        }
+        let r = self.reduce_u128(abs);
+        if x < 0 {
+            neg_mod(r, self.q)
+        } else {
+            r
+        }
+    }
 }
 
 /// Raises `a` to the power `e` modulo `q` by square-and-multiply.

@@ -2,9 +2,11 @@
 //! level management, and Galois rotations (paper §2.5).
 
 use crate::encrypt::{Ciphertext, Plaintext};
+use crate::hoist::{decompose_digits, key_switch_ext};
 use crate::keys::{EvalKeys, KeySwitchKey};
 use crate::params::Context;
 use crate::poly::RnsPoly;
+use orion_math::simd;
 use std::sync::Arc;
 
 /// True when two scales agree to within relative precision, computed as a
@@ -150,29 +152,29 @@ impl Evaluator {
         }
     }
 
-    /// The core key-switch: given `c` (evaluation form, no special limb) and
-    /// a key for `s' → s`, returns `(B, A)` over the extended basis such
-    /// that after ModDown `B + A·s ≈ c·s'`.
-    ///
-    /// This is the expensive primitive behind `HMult` and `HRot`
-    /// (paper §2.5.2: "many NTTs and RNS basis conversions").
-    pub fn key_switch_raw(&self, c: &RnsPoly, key: &KeySwitchKey) -> (RnsPoly, RnsPoly) {
-        orion_telemetry::time_class(orion_telemetry::OpClass::KeySwitch, || {
-            let ctx = &self.ctx;
-            let digits = crate::hoist::decompose_digits(ctx, c);
-            let (acc_b, acc_a) = key.inner_product(ctx, &digits);
-            for digit in digits {
-                digit.recycle();
-            }
-            (acc_b, acc_a)
-        })
-    }
-
-    /// Full key-switch including the final ModDown.
-    pub fn key_switch(&self, c: &RnsPoly, key: &KeySwitchKey) -> (RnsPoly, RnsPoly) {
-        let (mut b, mut a) = self.key_switch_raw(c, key);
-        b.mod_down_special_assign(&self.ctx);
-        a.mod_down_special_assign(&self.ctx);
+    /// Decomposes `c` (evaluation form, no special limb), runs the one body
+    /// ([`crate::hoist::key_switch_ext`]) and ModDown: `(B, A)` with `B + A·s
+    /// ≈ seed_b + σ(c)·s'` for a key `s' → s`. Timed as one key-switch, the
+    /// expensive primitive behind `HMult` and `HRot` (paper §2.5.2).
+    fn switch_key(
+        &self,
+        c: &RnsPoly,
+        key: &KeySwitchKey,
+        perm: Option<&simd::Permutation>,
+        seed_b: RnsPoly,
+    ) -> (RnsPoly, RnsPoly) {
+        let ctx = &self.ctx;
+        let (mut b, mut a) =
+            orion_telemetry::time_class(orion_telemetry::OpClass::KeySwitch, || {
+                let digits = decompose_digits(ctx, c);
+                let out = key_switch_ext(ctx, &digits, key, perm, seed_b);
+                for digit in digits {
+                    digit.recycle();
+                }
+                out
+            });
+        b.mod_down_special_assign(ctx);
+        a.mod_down_special_assign(ctx);
         (b, a)
     }
 
@@ -189,13 +191,13 @@ impl Evaluator {
             .keys
             .try_relin(a.level())
             .unwrap_or_else(|e| panic!("{e}"));
-        let d0 = a.c0.mul_pointwise(&b.c0, ctx);
+        // P·d0 seeds the b lane, so d0 comes out of the ModDown.
+        let mut d0 = a.c0.mul_pointwise(&b.c0, ctx);
+        d0.mul_scalar_assign(ctx.special as i128, ctx);
         let mut d1 = a.c0.mul_pointwise(&b.c1, ctx);
         d1.add_assign(&a.c1.mul_pointwise(&b.c0, ctx), ctx);
         let d2 = a.c1.mul_pointwise(&b.c1, ctx);
-        let (ks_b, ks_a) = self.key_switch(&d2, relin);
-        let mut c0 = d0;
-        c0.add_assign(&ks_b, ctx);
+        let (c0, ks_a) = self.switch_key(&d2, relin, None, d0);
         let mut c1 = d1;
         c1.add_assign(&ks_a, ctx);
         Ciphertext {
@@ -250,26 +252,27 @@ impl Evaluator {
 
     /// [`Self::rotate`] with a typed error on a missing or too-low rotation
     /// key, for callers that handle key coverage themselves instead of
-    /// relying on pre-flight verification.
+    /// relying on pre-flight verification. A rotation by a multiple of the
+    /// slot count is the identity and needs no key.
     pub fn try_rotate(
         &self,
         ct: &Ciphertext,
         k: isize,
     ) -> Result<Ciphertext, crate::keys::MissingRotationKey> {
-        if k == 0 {
+        let ctx = &self.ctx;
+        let g = ctx.galois_element(k);
+        if g == 1 {
             return Ok(ct.clone());
         }
-        let g = self.ctx.galois_element(k);
         let key = self.keys.try_rotation(g, ct.level())?;
-        let perm = self.ctx.galois_permutation(g);
-        let sc0 = ct.c0.automorphism_eval(&perm);
-        let sc1 = ct.c1.automorphism_eval(&perm);
-        let (ks_b, ks_a) = self.key_switch(&sc1, key);
-        let mut c0 = sc0;
-        c0.add_assign(&ks_b, &self.ctx);
+        let perm = ctx.galois_permutation(g);
+        // σ(P·c0) seeds the b lane, so σ(c0) comes out of the ModDown.
+        let mut seed_b = ct.c0.automorphism_eval(&perm);
+        seed_b.mul_scalar_assign(ctx.special as i128, ctx);
+        let (c0, c1) = self.switch_key(&ct.c1, key, Some(&perm), seed_b);
         Ok(Ciphertext {
             c0,
-            c1: ks_a,
+            c1,
             scale: ct.scale,
         })
     }
@@ -295,7 +298,11 @@ mod tests {
     }
 
     fn setup(rotations: &[isize]) -> Harness {
-        let ctx = Context::new(CkksParams::tiny());
+        setup_with(CkksParams::tiny(), rotations)
+    }
+
+    fn setup_with(params: CkksParams, rotations: &[isize]) -> Harness {
+        let ctx = Context::new(params);
         let mut kg = KeyGenerator::new(ctx.clone(), StdRng::seed_from_u64(21));
         let pk = Arc::new(kg.gen_public_key());
         let keys = Arc::new(kg.gen_eval_keys(rotations));
@@ -384,6 +391,62 @@ mod tests {
         }
     }
 
+    /// FNV-1a over every limb word of `(c0, c1)`.
+    fn fingerprint(ct: &Ciphertext) -> u64 {
+        let words = ct.c0.limbs.iter().chain(&ct.c1.limbs).flatten();
+        words.fold(0xcbf2_9ce4_8422_2325, |h, &w| {
+            (h ^ w).wrapping_mul(0x0000_0100_0000_01b3)
+        })
+    }
+
+    #[test]
+    fn relinearised_products_are_pinned() {
+        // Recorded while relinearisation had its own key-switch body
+        // (`key_switch` over `KeySwitchKey::inner_product`): the shared
+        // body must give the same bits at every level, on 45-bit limbs and
+        // with a 61-bit `q_0` and special prime.
+        let wide = CkksParams {
+            q0_bits: 61,
+            special_bits: 61,
+            ..CkksParams::tiny()
+        };
+        let got = [CkksParams::tiny(), wide].map(|params| {
+            let mut h = setup_with(params, &[]);
+            let a = ramp(&h);
+            let b: Vec<f64> = a.iter().map(|x| 0.75 - x * 0.5).collect();
+            (0..=h.ctx.max_level())
+                .map(|level| {
+                    let mut ct = |v: &[f64]| {
+                        let pt = h.enc.encode(v, h.ctx.scale(), level, false);
+                        h.encryptor.encrypt(&pt, &mut h.rng)
+                    };
+                    let (ca, cb) = (ct(&a), ct(&b));
+                    fingerprint(&h.eval.mul_relin(&ca, &cb))
+                })
+                .collect::<Vec<u64>>()
+        });
+        assert_eq!(
+            got,
+            [
+                [
+                    10626485628368117746,
+                    9676005037276314549,
+                    13439706583584667239,
+                    5245847637012696899,
+                    2387742288805589567
+                ],
+                [
+                    13438872734187381062,
+                    14367376581239519651,
+                    2272364606152320927,
+                    11915014416485999922,
+                    10170384330364810564
+                ]
+            ]
+            .map(Vec::from)
+        );
+    }
+
     #[test]
     fn rotation_shifts_slots_up() {
         let mut h = setup(&[1, 5, -3]);
@@ -403,6 +466,24 @@ mod tests {
                     a[src]
                 );
             }
+        }
+    }
+
+    #[test]
+    fn rotation_by_a_multiple_of_the_slot_count_is_the_identity() {
+        // No rotation keys at all: the identity needs none.
+        let mut h = setup(&[]);
+        let slots = h.ctx.slots() as isize;
+        let ct = h.encryptor.encrypt(
+            &h.enc.encode(&ramp(&h), h.ctx.scale(), 2, false),
+            &mut h.rng,
+        );
+        let hoisted = crate::hoist::HoistedDigits::new(&h.ctx, &ct);
+        for k in [slots, -slots, 3 * slots] {
+            let got = h.eval.try_rotate(&ct, k).expect("identity rotation");
+            assert!(got.c0 == ct.c0 && got.c1 == ct.c1, "k={k}");
+            assert_eq!(got.scale.to_bits(), ct.scale.to_bits());
+            assert!(hoisted.try_rotate_ext(&h.eval, k).is_ok(), "k={k}");
         }
     }
 

@@ -9,7 +9,7 @@
 
 use crate::encrypt::{Ciphertext, Plaintext};
 use crate::eval::Evaluator;
-use crate::keys::MissingRotationKey;
+use crate::keys::{KeySwitchKey, MissingRotationKey};
 use crate::params::Context;
 use crate::poly::{Form, RnsPoly};
 use orion_math::simd;
@@ -66,6 +66,25 @@ pub fn decompose_digits(ctx: &Context, c: &RnsPoly) -> Vec<RnsPoly> {
     (0..=level).map(extended_digit).collect()
 }
 
+/// The one key-switch body: `(b + ks_b, ks_a)` in the extended basis `Q·P`,
+/// ModDown left to the caller, where `(ks_b, ks_a)` is `key`'s inner product
+/// with `digits` read through the Galois permutation `perm` (the identity
+/// when `None`; no digit is copied). `b` seeds the `b` lane in the base
+/// basis: `P·σ(c0)` for a rotation, `P·d0` for relinearisation. `P·y` is 0 in
+/// the special limb, so `ModDown(x + P·y) = ModDown(x) + y` limb for limb.
+pub(crate) fn key_switch_ext(
+    ctx: &Context,
+    digits: &[RnsPoly],
+    key: &KeySwitchKey,
+    perm: Option<&simd::Permutation>,
+    mut b: RnsPoly,
+) -> (RnsPoly, RnsPoly) {
+    b.special = Some(orion_math::arena::take_u64(ctx.degree()));
+    let mut a = RnsPoly::zero(ctx, b.level(), Form::Eval, true);
+    key.accumulate_inner_product(ctx, digits, perm, &mut b, &mut a);
+    (b, a)
+}
+
 /// A ciphertext with its key-switch digit decomposition precomputed, ready
 /// for cheap repeated rotations.
 pub struct HoistedDigits {
@@ -75,7 +94,7 @@ pub struct HoistedDigits {
     c0: RnsPoly,
     /// `P·c0` (base basis): what every non-zero rotation seeds the `b` part
     /// of its key-switch with, so `σ(c0)` rides through the extended basis
-    /// and comes back out of the ModDown exactly (see [`Self::key_switch_ext`]).
+    /// and comes back out of the ModDown exactly (see [`key_switch_ext`]).
     c0_p: RnsPoly,
     /// Original `c1` (needed for the rotation-by-zero fast path).
     c1: RnsPoly,
@@ -107,57 +126,6 @@ impl HoistedDigits {
         self.scale
     }
 
-    /// The rotation by `k ≠ 0` in the extended basis `Q·P`, ModDown
-    /// deferred: `(ks_b + P·σ(c0), ks_a)` where `(ks_b, ks_a)` is the
-    /// key-switch inner product of the permuted digits `σ(d_i)`. The kernel
-    /// reads the digits through `σ`'s permutation, so none is copied.
-    ///
-    /// `P·σ(c0)` is 0 in the special limb, so ModDown subtracts the same
-    /// lift as without it and then multiplies by `P⁻¹ mod q_j`:
-    /// `ModDown(x + P·y) = ModDown(x) + y` limb for limb. Consumers
-    /// therefore never handle `σ(c0)` in the base basis.
-    fn key_switch_ext(
-        &self,
-        eval: &Evaluator,
-        k: isize,
-    ) -> Result<(RnsPoly, RnsPoly), MissingRotationKey> {
-        let ctx = eval.context();
-        let g = ctx.galois_element(k);
-        let key = eval.keys().try_rotation(g, self.level())?;
-        let perm = ctx.galois_permutation(g);
-        let mut ks_b = self.c0_p.automorphism_eval(&perm);
-        ks_b.special = Some(orion_math::arena::take_u64(ctx.degree()));
-        let mut ks_a = RnsPoly::zero(ctx, self.level(), Form::Eval, true);
-        key.accumulate_inner_product(ctx, &self.digits, Some(&perm), &mut ks_b, &mut ks_a);
-        Ok((ks_b, ks_a))
-    }
-
-    /// Rotates by `k` using the precomputed digits (one automorphism
-    /// permutation + key inner product + ModDown; no per-rotation NTTs
-    /// except inside ModDown): the reference the tests hold a hoisted
-    /// rotation to against `Evaluator::rotate`.
-    ///
-    /// Panics on a missing or too-low rotation key, like
-    /// [`Self::rotate_ext`].
-    #[cfg(test)]
-    pub fn rotate(&self, eval: &Evaluator, k: isize) -> Ciphertext {
-        let ctx = eval.context();
-        let RotatedExt {
-            mut b,
-            mut a,
-            scale,
-        } = self.rotate_ext(eval, k);
-        if k != 0 {
-            b.mod_down_special_assign(ctx);
-            a.mod_down_special_assign(ctx);
-        }
-        Ciphertext {
-            c0: b,
-            c1: a,
-            scale,
-        }
-    }
-
     /// Computes the rotation's key-switch inner product once, leaving the
     /// result in the extended basis for reuse across many diagonals.
     ///
@@ -171,16 +139,22 @@ impl HoistedDigits {
     }
 
     /// [`Self::rotate_ext`] with a typed error on a missing or too-low
-    /// rotation key.
+    /// rotation key. A rotation by a multiple of the slot count is the
+    /// identity and needs no key.
     pub fn try_rotate_ext(
         &self,
         eval: &Evaluator,
         k: isize,
     ) -> Result<RotatedExt, MissingRotationKey> {
-        let (b, a) = if k == 0 {
+        let ctx = eval.context();
+        let g = ctx.galois_element(k);
+        let (b, a) = if g == 1 {
             (self.c0.clone(), self.c1.clone())
         } else {
-            self.key_switch_ext(eval, k)?
+            let key = eval.keys().try_rotation(g, self.level())?;
+            let perm = ctx.galois_permutation(g);
+            let seed = self.c0_p.automorphism_eval(&perm);
+            key_switch_ext(ctx, &self.digits, key, Some(&perm), seed)
         };
         Ok(RotatedExt {
             b,
@@ -195,7 +169,7 @@ impl HoistedDigits {
 /// step, then multiplied by many plaintext diagonals.
 pub struct RotatedExt {
     /// Rotation by 0: `c0` itself, base basis. Otherwise the `b` part of
-    /// `HoistedDigits::key_switch_ext`, extended basis.
+    /// [`key_switch_ext`], extended basis.
     b: RnsPoly,
     /// Rotation by 0: `c1` itself. Otherwise the `a` part, extended basis.
     a: RnsPoly,
@@ -515,6 +489,25 @@ mod tests {
         }
     }
 
+    /// A hoisted rotation out of the extended basis: ModDown unless it is
+    /// the identity.
+    fn mod_down(ctx: &Context, rot: RotatedExt) -> Ciphertext {
+        let RotatedExt {
+            mut b,
+            mut a,
+            scale,
+        } = rot;
+        if b.has_special() {
+            b.mod_down_special_assign(ctx);
+            a.mod_down_special_assign(ctx);
+        }
+        Ciphertext {
+            c0: b,
+            c1: a,
+            scale,
+        }
+    }
+
     #[test]
     fn hoisted_rotation_matches_plain_rotation() {
         let mut h = setup(&[1, 7]);
@@ -525,16 +518,11 @@ mod tests {
             .encrypt(&h.enc.encode(&a, h.ctx.scale(), 2, false), &mut h.rng);
         let hd = HoistedDigits::new(&h.ctx, &ct);
         for k in [0isize, 1, 7] {
-            let via_hoist = h.enc.decode(&h.dec.decrypt(&hd.rotate(&h.eval, k)));
-            let via_plain = h.enc.decode(&h.dec.decrypt(&h.eval.rotate(&ct, k)));
-            for i in (0..n).step_by(23) {
-                assert!(
-                    (via_hoist[i] - via_plain[i]).abs() < 1e-2,
-                    "k={k} slot {i}: {} vs {}",
-                    via_hoist[i],
-                    via_plain[i]
-                );
-            }
+            let via_hoist = mod_down(&h.ctx, hd.rotate_ext(&h.eval, k));
+            let via_plain = h.eval.rotate(&ct, k);
+            assert!(via_hoist.c0 == via_plain.c0, "k={k}: c0 differs");
+            assert!(via_hoist.c1 == via_plain.c1, "k={k}: c1 differs");
+            assert_eq!(via_hoist.scale.to_bits(), via_plain.scale.to_bits());
         }
     }
 
@@ -758,8 +746,13 @@ mod tests {
                 ks_a.mod_down_special_assign(&h.ctx);
                 let mut c0 = ct.c0.automorphism_eval(&perm);
                 c0.add_assign(&ks_b, &h.ctx);
-                let got = hd.rotate(&h.eval, k);
-                assert!(got.c0 == c0 && got.c1 == ks_a, "k={k} level {level}");
+                let hoisted = mod_down(&h.ctx, hd.rotate_ext(&h.eval, k));
+                for (name, got) in [("hoisted", hoisted), ("plain", h.eval.rotate(&ct, k))] {
+                    assert!(
+                        got.c0 == c0 && got.c1 == ks_a,
+                        "{name}: k={k} level {level}"
+                    );
+                }
             }
         }
     }

@@ -86,44 +86,39 @@ pub(crate) fn key_switch_ext(
 }
 
 /// A ciphertext with its key-switch digit decomposition precomputed, ready
-/// for cheap repeated rotations.
-pub struct HoistedDigits {
+/// for cheap repeated rotations. It borrows the ciphertext it was built
+/// from: a rotation by a multiple of the slot count is that ciphertext.
+pub struct HoistedDigits<'c> {
     /// Extended, NTT'd digits of `c1`.
     digits: Vec<RnsPoly>,
-    /// Original `c0` (evaluation form).
-    c0: RnsPoly,
     /// `P·c0` (base basis): what every non-zero rotation seeds the `b` part
     /// of its key-switch with, so `σ(c0)` rides through the extended basis
     /// and comes back out of the ModDown exactly (see [`key_switch_ext`]).
     c0_p: RnsPoly,
-    /// Original `c1` (needed for the rotation-by-zero fast path).
-    c1: RnsPoly,
-    /// Ciphertext scale.
-    scale: f64,
+    /// The source ciphertext.
+    ct: &'c Ciphertext,
 }
 
-impl HoistedDigits {
+impl<'c> HoistedDigits<'c> {
     /// Precomputes the decomposition of `ct` (the "hoisted" part).
-    pub fn new(ctx: &Context, ct: &Ciphertext) -> Self {
+    pub fn new(ctx: &Context, ct: &'c Ciphertext) -> Self {
         let mut c0_p = ct.c0.clone();
         c0_p.mul_scalar_assign(ctx.special as i128, ctx);
         Self {
             digits: decompose_digits(ctx, &ct.c1),
-            c0: ct.c0.clone(),
             c0_p,
-            c1: ct.c1.clone(),
-            scale: ct.scale,
+            ct,
         }
     }
 
     /// Ciphertext level.
     pub fn level(&self) -> usize {
-        self.c0.level()
+        self.c0_p.level()
     }
 
     /// Ciphertext scale.
     pub fn scale(&self) -> f64 {
-        self.scale
+        self.ct.scale
     }
 
     /// Computes the rotation's key-switch inner product once, leaving the
@@ -140,7 +135,8 @@ impl HoistedDigits {
 
     /// [`Self::rotate_ext`] with a typed error on a missing or too-low
     /// rotation key. A rotation by a multiple of the slot count is the
-    /// identity and needs no key.
+    /// identity, [`RotatedExt::identity`] of the source ciphertext, and
+    /// needs no key.
     pub fn try_rotate_ext(
         &self,
         eval: &Evaluator,
@@ -148,18 +144,17 @@ impl HoistedDigits {
     ) -> Result<RotatedExt, MissingRotationKey> {
         let ctx = eval.context();
         let g = ctx.galois_element(k);
-        let (b, a) = if g == 1 {
-            (self.c0.clone(), self.c1.clone())
-        } else {
-            let key = eval.keys().try_rotation(g, self.level())?;
-            let perm = ctx.galois_permutation(g);
-            let seed = self.c0_p.automorphism_eval(&perm);
-            key_switch_ext(ctx, &self.digits, key, Some(&perm), seed)
-        };
+        if g == 1 {
+            return Ok(RotatedExt::identity(self.ct));
+        }
+        let key = eval.keys().try_rotation(g, self.level())?;
+        let perm = ctx.galois_permutation(g);
+        let seed = self.c0_p.automorphism_eval(&perm);
+        let (b, a) = key_switch_ext(ctx, &self.digits, key, Some(&perm), seed);
         Ok(RotatedExt {
             b,
             a,
-            scale: self.scale,
+            scale: self.ct.scale,
         })
     }
 }
@@ -188,6 +183,13 @@ impl RotatedExt {
             a: ct.c1.clone(),
             scale: ct.scale,
         }
+    }
+
+    /// Returns both parts' limbs to the thread-local arena, for the next
+    /// rotation to reuse.
+    pub fn recycle(self) {
+        self.b.recycle();
+        self.a.recycle();
     }
 }
 
@@ -263,6 +265,24 @@ impl WidePoly {
         });
     }
 
+    /// `self += other`, exactly: both lanes of each limb fold into
+    /// `[0, q)` and add mod `q` (a folded lane counts one term), and
+    /// `other`'s words go back to the arena.
+    fn merge(&mut self, other: WidePoly) {
+        assert_eq!(self.limbs.len(), other.limbs.len(), "basis mismatch");
+        let k = simd::kernels();
+        time_class(OpClass::Pointwise, || {
+            for (w, mut o) in self.limbs.iter_mut().zip(other.limbs) {
+                (k.fold_wide)(&mut w.lo, &mut w.hi, w.q);
+                (k.fold_wide)(&mut o.lo, &mut o.hi, o.q);
+                (k.add_assign)(&mut w.lo, &o.lo, w.q);
+                w.terms = 1;
+                orion_math::arena::recycle_u64(o.lo);
+                orion_math::arena::recycle_u64(o.hi);
+            }
+        });
+    }
+
     /// The single Barrett reduction per coefficient: folds every lane and
     /// hands the low words over as the limbs of an ordinary polynomial.
     fn into_poly(mut self) -> RnsPoly {
@@ -321,6 +341,18 @@ impl ExtAccumulator {
         }
     }
 
+    /// Sets the accumulator's scale from its first term, and holds every
+    /// later term to it.
+    fn check_scale(&mut self, term_scale: f64) {
+        match self.scale {
+            None => self.scale = Some(term_scale),
+            Some(prev) => assert!(
+                crate::eval::scales_close(prev, term_scale),
+                "accumulator terms must share one scale"
+            ),
+        }
+    }
+
     /// Adds `pt ⊙ (b, a)`, into the extended lanes when the pair carries a
     /// special limb and into the base lanes otherwise.
     fn accumulate(
@@ -331,13 +363,7 @@ impl ExtAccumulator {
         term_scale: f64,
         pt: &Plaintext,
     ) {
-        match self.scale {
-            None => self.scale = Some(term_scale),
-            Some(prev) => assert!(
-                crate::eval::scales_close(prev, term_scale),
-                "accumulator terms must share one scale"
-            ),
-        }
+        self.check_scale(term_scale);
         let extended = b.has_special();
         assert!(
             !extended || pt.poly.has_special(),
@@ -374,16 +400,9 @@ impl ExtAccumulator {
         k: isize,
         pt: &Plaintext,
     ) {
-        let ctx = eval.context();
-        let term_scale = h.scale * pt.scale;
-        if k == 0 {
-            self.accumulate(ctx, &h.c0, &h.c1, term_scale, pt);
-            return;
-        }
         let rot = h.rotate_ext(eval, k);
-        self.accumulate(ctx, &rot.b, &rot.a, term_scale, pt);
-        rot.b.recycle();
-        rot.a.recycle();
+        self.add_pmult_rotated(eval, &rot, pt);
+        rot.recycle();
     }
 
     /// Accumulates `pt ⊙ rot` where `rot` is a precomputed [`RotatedExt`]
@@ -391,6 +410,28 @@ impl ExtAccumulator {
     /// the same rotation step — Bossuat et al. Algorithm 6).
     pub fn add_pmult_rotated(&mut self, eval: &Evaluator, rot: &RotatedExt, pt: &Plaintext) {
         self.accumulate(eval.context(), &rot.b, &rot.a, rot.scale * pt.scale, pt);
+    }
+
+    /// Adds `other`'s terms to this accumulator's, exactly: merging the
+    /// partial sums of any split of a term list, in any order, gives the
+    /// bits of one accumulator fed the whole list. Each basis's lanes fold
+    /// into `[0, q)` and add mod `q`; a basis only `other` holds moves over
+    /// as it is.
+    pub fn merge(&mut self, other: ExtAccumulator) {
+        assert_eq!(self.level, other.level, "accumulator level mismatch");
+        if let Some(s) = other.scale {
+            self.check_scale(s);
+        }
+        for (mine, theirs) in [(&mut self.ext, other.ext), (&mut self.base, other.base)] {
+            match (mine, theirs) {
+                (_, None) => {}
+                (Some((b, a)), Some((ob, oa))) => {
+                    b.merge(ob);
+                    a.merge(oa);
+                }
+                (mine, Some(pair)) => *mine = Some(pair),
+            }
+        }
     }
 
     /// Reduces the lanes, performs the deferred ModDown and returns the
@@ -523,6 +564,21 @@ mod tests {
             assert!(via_hoist.c0 == via_plain.c0, "k={k}: c0 differs");
             assert!(via_hoist.c1 == via_plain.c1, "k={k}: c1 differs");
             assert_eq!(via_hoist.scale.to_bits(), via_plain.scale.to_bits());
+        }
+    }
+
+    #[test]
+    fn a_slot_multiple_rotation_is_the_source_ciphertext() {
+        // No rotation keys at all: the identity reads the borrowed source.
+        let mut h = setup(&[]);
+        let slots = h.ctx.slots() as isize;
+        let ct = fresh_ct(&mut h, 2);
+        let hd = HoistedDigits::new(&h.ctx, &ct);
+        for k in [0, slots, -slots, 3 * slots] {
+            let rot = hd.try_rotate_ext(&h.eval, k).expect("identity rotation");
+            assert!(!rot.b.has_special() && !rot.a.has_special(), "k={k}");
+            assert!(rot.b == ct.c0 && rot.a == ct.c1, "k={k}");
+            assert_eq!(rot.scale.to_bits(), ct.scale.to_bits());
         }
     }
 
@@ -667,13 +723,18 @@ mod tests {
         let mut a_base = RnsPoly::zero(ctx, level, Form::Eval, false);
         for (k, pt) in terms {
             if *k == 0 {
-                strict_mac(ctx, &mut b_base, &hd.c0, &pt.poly);
-                strict_mac(ctx, &mut a_base, &hd.c1, &pt.poly);
+                strict_mac(ctx, &mut b_base, &hd.ct.c0, &pt.poly);
+                strict_mac(ctx, &mut a_base, &hd.ct.c1, &pt.poly);
             } else {
                 let (ks_b, ks_a, perm) = bare_key_switch(h, hd, *k);
                 strict_mac(ctx, &mut b_ext, &ks_b, &pt.poly);
                 strict_mac(ctx, &mut a_ext, &ks_a, &pt.poly);
-                strict_mac(ctx, &mut b_base, &hd.c0.automorphism_eval(&perm), &pt.poly);
+                strict_mac(
+                    ctx,
+                    &mut b_base,
+                    &hd.ct.c0.automorphism_eval(&perm),
+                    &pt.poly,
+                );
             }
         }
         b_ext.mod_down_special_assign(ctx);
@@ -683,7 +744,7 @@ mod tests {
         Ciphertext {
             c0: b_base,
             c1: a_base,
-            scale: hd.scale,
+            scale: hd.scale(),
         }
     }
 
@@ -777,6 +838,57 @@ mod tests {
             .map(|t| ((t % 3 != 0) as isize, uniform_pt(&mut h, level)))
             .collect();
         assert_matches_reference(&h, &ct, &terms);
+    }
+
+    #[test]
+    fn merged_partials_equal_one_accumulator() {
+        // The 61-bit q0 and special prime fold every few terms, so the
+        // middle partial's extended lanes cross the bound on their own.
+        let params = CkksParams {
+            q0_bits: 61,
+            special_bits: 61,
+            max_level: 2,
+            ..CkksParams::tiny()
+        };
+        let mut h = setup_with(params, &[1]);
+        let bound = simd::wide_fold_bound(h.ctx.special.max(h.ctx.moduli[0])) as usize;
+        let level = 2;
+        let ct = fresh_ct(&mut h, level);
+        let hd = HoistedDigits::new(&h.ctx, &ct);
+        let rots = [hd.rotate_ext(&h.eval, 0), hd.rotate_ext(&h.eval, 1)];
+        // identity terms only (base lanes), then extended-only terms past
+        // the bound, then both kinds mixed
+        let (a, b) = (3, 3 + bound + 2);
+        let terms: Vec<(usize, Plaintext)> = (0..b + 2 * bound)
+            .map(|t| {
+                (
+                    usize::from(t >= a && (t < b || t % 2 == 1)),
+                    uniform_pt(&mut h, level),
+                )
+            })
+            .collect();
+        let feed = |range: std::ops::Range<usize>| {
+            let mut acc = ExtAccumulator::new(&h.ctx, level);
+            for (r, pt) in &terms[range] {
+                acc.add_pmult_rotated(&h.eval, &rots[*r], pt);
+            }
+            acc
+        };
+        let want = feed(0..terms.len()).finalize(&h.eval);
+        let splits = || [feed(0..a), feed(a..a), feed(a..b), feed(b..terms.len())];
+        let in_order = splits().into_iter().reduce(|mut acc, part| {
+            acc.merge(part);
+            acc
+        });
+        let reversed = splits().into_iter().rev().reduce(|mut acc, part| {
+            acc.merge(part);
+            acc
+        });
+        for (name, got) in [("in order", in_order), ("reversed", reversed)] {
+            let got = got.expect("four partials").finalize(&h.eval);
+            assert!(got.c0 == want.c0 && got.c1 == want.c1, "{name}");
+            assert_eq!(got.scale.to_bits(), want.scale.to_bits(), "{name}");
+        }
     }
 
     #[test]

@@ -9,7 +9,8 @@
 //! [`exec_bsgs`] is the real thing, and the only copy of it: double-hoisted
 //! BSGS over CKKS ciphertexts (paper Equation (1)). Baby-step rotations
 //! share one digit decomposition per rotating input ciphertext of the
-//! call; giant-step groups accumulate in the extended basis with one
+//! call and stream, one at a time per thread, into the giant-step groups
+//! that read them; the groups accumulate in the extended basis with one
 //! deferred ModDown each. Weights come encoded at prime scale in a
 //! [`PreparedLayer`], so each linear layer consumes exactly one level and
 //! returns the ciphertext scale to precisely Δ. [`exec_fhe_prepared`] is the
@@ -25,7 +26,7 @@ use orion_ckks::encrypt::{Ciphertext, Plaintext};
 use orion_ckks::eval::Evaluator;
 use orion_ckks::hoist::{ExtAccumulator, HoistedDigits, RotatedExt};
 use rayon::prelude::*;
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::{BTreeMap, HashMap};
 
 /// Rotates a cleartext slot vector "up" by `k` (CKKS `HRot` semantics).
 fn rot_plain(v: &[f64], k: usize) -> Vec<f64> {
@@ -215,123 +216,119 @@ pub fn exec_fhe_unhoisted(
     finish_fhe(ctx, plan, inputs, parts, None)
 }
 
-/// The non-zero baby-step rotations of one [`exec_bsgs`] call's input
-/// ciphertexts, computed once for the whole layer. Each entry is the
-/// double-hoisted key-switch inner product [`HoistedDigits::rotate_ext`]
-/// produces — a deterministic pure function of the ciphertext and the
-/// rotation amount.
-struct BabyRotations {
-    rotations: HashMap<(u32, usize), RotatedExt>,
+/// One baby step of a layer, `(input block, i)`, with the terms that read
+/// it: `((output block, giant step), plaintext)` in plan order.
+type BabyStep<'p> = ((u32, usize), Vec<((u32, usize), &'p Plaintext)>);
+
+/// A layer's baby steps in streamed order, `(input block, i)` ascending. A
+/// step whose diagonals are all zero keeps its place, so the non-zero steps
+/// are exactly [`LinearPlan::baby_rotations`].
+fn baby_steps<'p>(plan: &LinearPlan, prepared: &'p PreparedLayer) -> Vec<BabyStep<'p>> {
+    assert_eq!(
+        prepared.diags.len(),
+        plan.counts.pmults,
+        "one value per plan diagonal"
+    );
+    let mut steps: BTreeMap<(u32, usize), Vec<_>> = BTreeMap::new();
+    for ((i_blk, j_blk, k), pt) in plan.diagonals().zip(&prepared.diags) {
+        let (i, j) = ((k as usize) % plan.n1, (k as usize) / plan.n1);
+        let terms = steps.entry((j_blk, i)).or_default();
+        terms.extend(pt.as_ref().map(|pt| ((i_blk, j), pt)));
+    }
+    steps.into_iter().collect()
 }
 
-impl BabyRotations {
-    /// Hoists each input block named in `rots` once and computes every
-    /// listed `(input block, amount)` rotation in the extended basis, in
-    /// parallel on the shared pool (Bossuat et al. Algorithm 6). Amounts
-    /// must be non-zero (rotation by 0 never touches the key-switch — the
-    /// layer builds those locally from the ciphertexts it already holds),
-    /// so a block whose every diagonal sits on a giant step is never
-    /// decomposed. The digit decompositions are freed on return.
-    fn build(ctx: &FheLinearContext<'_>, inputs: &[Ciphertext], rots: &[(u32, usize)]) -> Self {
-        let blocks: Vec<u32> = rots
-            .iter()
-            .map(|&(j_blk, _)| j_blk)
-            .collect::<BTreeSet<_>>()
-            .into_iter()
-            .collect();
-        let hoisted: HashMap<u32, HoistedDigits> = blocks
-            .par_iter()
-            .map(|&j_blk| {
-                (
-                    j_blk,
-                    HoistedDigits::new(ctx.eval.context(), &inputs[j_blk as usize]),
-                )
-            })
-            .collect();
-        let rotations: HashMap<(u32, usize), RotatedExt> = rots
-            .par_iter()
-            .map(|&(j_blk, i)| {
-                assert_ne!(i, 0, "baby-step rotations are non-zero by construction");
-                ((j_blk, i), hoisted[&j_blk].rotate_ext(ctx.eval, i as isize))
-            })
-            .collect();
-        Self { rotations }
-    }
-
-    /// The inner product for `(input block, amount)`.
-    fn get(&self, j_blk: u32, i: usize) -> &RotatedExt {
-        self.rotations
-            .get(&(j_blk, i))
-            .expect("a diagonal needs a rotation missing from the layer's baby steps")
-    }
+/// One [`HoistedDigits`] per input block with a non-zero baby step, built in
+/// parallel (Bossuat et al. Algorithm 6); `None` for a block whose every
+/// diagonal sits on a giant step, which is never decomposed.
+fn hoist<'c>(
+    ctx: &FheLinearContext<'_>,
+    inputs: &'c [Ciphertext],
+    steps: &[BabyStep<'_>],
+) -> Vec<Option<HoistedDigits<'c>>> {
+    (0..inputs.len())
+        .into_par_iter()
+        .map(|j_blk| {
+            let rotates = (steps.iter()).any(|&((b, i), _)| b as usize == j_blk && i != 0);
+            rotates.then(|| HoistedDigits::new(ctx.eval.context(), &inputs[j_blk]))
+        })
+        .collect()
 }
-
-/// One giant-step group's work list: `((input block, baby step), cached
-/// plaintext)` per diagonal, in plan order.
-type GroupTerms<'p> = Vec<((u32, usize), &'p Plaintext)>;
 
 /// Executes a plan homomorphically — THE double-hoisted BSGS body. Inputs
 /// must share the prepared level and scale Δ; outputs are one level lower
 /// at exactly scale Δ (single-shot: even strided convolutions consume one
-/// level — paper §4). Every plaintext comes from `prepared`; the non-zero
-/// baby-step rotations ([`LinearPlan::baby_rotations`]) are hoisted once
-/// per rotating input block. The two expensive stages fan out on the
-/// shared rayon pool:
+/// level — paper §4). Every plaintext comes from `prepared`. The baby steps
+/// stream into the giant-step groups, so no rotation outlives the diagonals
+/// that read it:
 ///
-/// 1. the distinct baby-step `rotate_ext` key-switch inner products, and
-/// 2. the per-giant-step [`ExtAccumulator`] groups (independent per
-///    `(output block, giant step)`), each finishing with its own deferred
-///    ModDown and giant rotation. Modular adds are exact, so per-group
-///    order (plan order) fixes the result bit-for-bit.
+/// 1. one digit decomposition per rotating input block, in parallel;
+/// 2. the baby steps `(input block, i)` in one contiguous chunk per pool
+///    thread: each rotation is computed once, multiplied into the chunk's
+///    partial [`ExtAccumulator`] of every `(output block, giant step)`
+///    group that reads it, and its limbs recycled before the next;
+/// 3. per group, in parallel, the partials merged in chunk order, one
+///    deferred ModDown and the giant rotation.
+///
+/// Group sums are exact modular sums, so neither the MAC order nor the
+/// chunk count changes a bit of the result.
 pub fn exec_bsgs(
     ctx: &FheLinearContext<'_>,
     plan: &LinearPlan,
     prepared: &PreparedLayer,
     inputs: &[Ciphertext],
 ) -> Vec<Ciphertext> {
+    exec_streamed(ctx, plan, prepared, inputs, rayon::current_num_threads())
+}
+
+/// [`exec_bsgs`] with its baby steps split into `chunks` chunks.
+fn exec_streamed(
+    ctx: &FheLinearContext<'_>,
+    plan: &LinearPlan,
+    prepared: &PreparedLayer,
+    inputs: &[Ciphertext],
+    chunks: usize,
+) -> Vec<Ciphertext> {
     assert_eq!(inputs.len(), plan.in_blocks);
     let level = inputs[0].level();
-    assert_eq!(
-        level, prepared.level,
-        "inputs must arrive at the prepared level"
-    );
-    assert_eq!(
-        plan.slots,
-        ctx.eval.context().slots(),
-        "plan/context slot mismatch"
-    );
-    let rots: Vec<(u32, usize)> = plan.baby_rotations().into_iter().collect();
-    let rotations = BabyRotations::build(ctx, inputs, &rots);
-    let n1 = plan.n1;
-    let mut zero_blocks: BTreeSet<u32> = BTreeSet::new();
-    let mut groups: BTreeMap<(u32, usize), GroupTerms<'_>> = BTreeMap::new();
-    for ((i_blk, j_blk, k), pt) in present(plan, &prepared.diags) {
-        let i = (k as usize) % n1;
-        let j = (k as usize) / n1;
-        if i == 0 {
-            zero_blocks.insert(j_blk);
-        }
-        groups.entry((i_blk, j)).or_default().push(((j_blk, i), pt));
-    }
-    // Rotation-by-0 views: local clones, no key-switch.
-    let identities: HashMap<u32, RotatedExt> = zero_blocks
-        .into_iter()
-        .map(|j_blk| (j_blk, RotatedExt::identity(&inputs[j_blk as usize])))
-        .collect();
-    let group_vec: Vec<((u32, usize), GroupTerms<'_>)> = groups.into_iter().collect();
-    let parts: Vec<(u32, Ciphertext)> = group_vec
-        .par_iter()
-        .map(|((i_blk, j), terms)| {
-            let mut acc = ExtAccumulator::new(ctx.eval.context(), level);
-            for &((j_blk, i), pt) in terms {
-                let rot = if i == 0 {
-                    &identities[&j_blk]
-                } else {
-                    rotations.get(j_blk, i)
+    assert_eq!(level, prepared.level, "inputs off the prepared level");
+    assert_eq!(plan.slots, ctx.eval.context().slots(), "slot mismatch");
+    let steps = baby_steps(plan, prepared);
+    let hoisted = hoist(ctx, inputs, &steps);
+    let chunk_len = steps.len().div_ceil(chunks).max(1);
+    let partials: Vec<BTreeMap<(u32, usize), ExtAccumulator>> = (steps.chunks(chunk_len))
+        .collect::<Vec<_>>()
+        .into_par_iter()
+        .map(|chunk| {
+            let mut accs = BTreeMap::new();
+            for &((j_blk, i), ref terms) in chunk {
+                let rot = match (i, &hoisted[j_blk as usize]) {
+                    (0, _) => RotatedExt::identity(&inputs[j_blk as usize]),
+                    (_, h) => (h.as_ref().expect("a rotating block is hoisted"))
+                        .rotate_ext(ctx.eval, i as isize),
                 };
-                acc.add_pmult_rotated(ctx.eval, rot, pt);
+                for &(group, pt) in terms {
+                    (accs.entry(group))
+                        .or_insert_with(|| ExtAccumulator::new(ctx.eval.context(), level))
+                        .add_pmult_rotated(ctx.eval, &rot, pt);
+                }
+                rot.recycle();
             }
-            (*i_blk, giant_rotate(ctx, plan, *j, acc.finalize(ctx.eval)))
+            accs
+        })
+        .collect();
+    drop(hoisted);
+    let mut groups: BTreeMap<(u32, usize), Vec<ExtAccumulator>> = BTreeMap::new();
+    for (group, acc) in partials.into_iter().flatten() {
+        groups.entry(group).or_default().push(acc);
+    }
+    let parts: Vec<(u32, Ciphertext)> = (groups.into_iter().collect::<Vec<_>>())
+        .into_par_iter()
+        .map(|((i_blk, j), partials)| {
+            let mut partials = partials.into_iter();
+            let mut acc = partials.next().expect("a group has a term");
+            partials.for_each(|part| acc.merge(part));
+            (i_blk, giant_rotate(ctx, plan, j, acc.finalize(ctx.eval)))
         })
         .collect();
     finish_fhe(ctx, plan, inputs, parts, Some(prepared))
@@ -897,15 +894,142 @@ mod tests {
         check_unhoisted_matches_hoisted(&plan, &src, &in_l.pack(&input), 26);
     }
 
-    /// What `BabyRotations::build` executes for a layer's hoist
-    /// is what the plan counted: one digit decomposition per input block
-    /// with a non-zero baby step, one hoisted rotation per distinct
-    /// `(block, step)`.
+    /// An FNV-style fold of every limb word and the scale of each output.
+    fn digest(cts: &[Ciphertext]) -> u64 {
+        let words = cts.iter().flat_map(|ct| {
+            let limbs = ct.c0.limbs.iter().chain(&ct.c1.limbs).flatten().copied();
+            limbs.chain([ct.scale.to_bits()])
+        });
+        words.fold(0xcbf2_9ce4_8422_2325, |h, w| {
+            (h ^ w).wrapping_mul(0x0000_0100_0000_01b3)
+        })
+    }
+
+    /// Every diagonal of a plan drawn from one seed, the one at index
+    /// `zero` left all-zero (`None`).
+    struct SeededDiags {
+        seed: u64,
+        zero: usize,
+    }
+
+    impl DiagSource for SeededDiags {
+        fn diagonals(&self, plan: &LinearPlan) -> Vec<Option<Vec<f64>>> {
+            let mut rng = StdRng::seed_from_u64(self.seed);
+            (0..plan.counts.pmults)
+                .map(|d| {
+                    let v: Vec<f64> = (0..plan.slots).map(|_| rng.gen_range(-1.0..1.0)).collect();
+                    (d != self.zero).then_some(v)
+                })
+                .collect()
+        }
+    }
+
+    /// The digests of `exec_fhe` (the pool's width) and of the streamed
+    /// body at one and at three chunks, on `plan` at `CkksParams::tiny()`,
+    /// keys, inputs and encryption all seeded from `seed`.
+    fn bsgs_digests(
+        plan: &LinearPlan,
+        src: &(dyn DiagSource + Sync),
+        bias: Option<&[Vec<f64>]>,
+        seed: u64,
+    ) -> [u64; 3] {
+        let ctx = Context::new(CkksParams::tiny());
+        let mut rng = StdRng::seed_from_u64(seed);
+        let packed: Vec<f64> = (0..plan.in_blocks * plan.slots)
+            .map(|_| rng.gen_range(-1.0..1.0))
+            .collect();
+        let (enc, encryptor, _, eval) = fhe_setup(&ctx, &plan.rotation_steps(), seed + 1);
+        let cts = encrypt_blocks(&ctx, &enc, &encryptor, &packed, plan.in_blocks, 2, &mut rng);
+        let fhe_ctx = FheLinearContext {
+            eval: &eval,
+            enc: &enc,
+        };
+        let prepared = PreparedLayer::build(&enc, plan, src, bias, 2);
+        [
+            digest(&exec_fhe(&fhe_ctx, plan, src, bias, &cts)),
+            digest(&exec_streamed(&fhe_ctx, plan, &prepared, &cts, 1)),
+            digest(&exec_streamed(&fhe_ctx, plan, &prepared, &cts, 3)),
+        ]
+    }
+
+    /// `exec_bsgs`'s output bits, pinned by digest on three plans: a 3×3
+    /// conv spanning two input and two output blocks, a row-folded dense
+    /// layer with bias, and a plan whose input block 0 has only `i = 0`
+    /// diagonals (one diagonal all-zero). The digests were recorded from
+    /// the rotation-major body (every baby step built before any group read
+    /// one); the streamed body reproduces them at every chunk count.
+    #[test]
+    fn fhe_bsgs_output_bits_are_pinned() {
+        let slots = Context::new(CkksParams::tiny()).slots();
+        let mut rng = StdRng::seed_from_u64(41);
+        let in_l = TensorLayout::raster(4, 16, 16);
+        let spec = ConvSpec {
+            co: 4,
+            ci: 4,
+            kh: 3,
+            kw: 3,
+            stride: 1,
+            padding: 1,
+            dilation: 1,
+            groups: 1,
+        };
+        let weights = random_tensor(&[4, 4, 3, 3], &mut rng);
+        let (conv, out_l) = conv_plan(&in_l, &spec, slots);
+        assert!(conv.in_blocks == 2 && conv.out_blocks == 2);
+        let conv_src = ConvDiagSource {
+            in_l,
+            out_l,
+            spec,
+            weights: &weights,
+        };
+
+        let in_l = TensorLayout::raster(16, 4, 4);
+        let (dense, _) = dense_plan(&in_l, 10, slots);
+        assert!(dense.fold < slots, "want a folded plan");
+        let dense_src = DenseDiagSource::new(random_tensor(&[10, 256], &mut rng), &in_l);
+        let bias: Vec<f64> = (0..10).map(|_| rng.gen_range(-1.0..1.0)).collect();
+        let bias = BiasValues::dense(10, &bias, slots);
+
+        let mut b = PlanBuilder::new(slots, 2, 1);
+        b.add_segment(0, 0, 1, slots);
+        b.add_segment(0, slots as i64 + 1, 1, 8);
+        b.add_segment(0, slots as i64 + 3, 1, 8);
+        let identity_block = b.finish();
+        assert_eq!(identity_block.counts.hoists, 1);
+        let seeded = SeededDiags { seed: 43, zero: 1 };
+
+        let cases: [(&str, [u64; 3], u64); 3] = [
+            (
+                "conv",
+                bsgs_digests(&conv, &conv_src, None, 44),
+                0xba04_4b0f_0c7e_d139,
+            ),
+            (
+                "dense",
+                bsgs_digests(&dense, &dense_src, Some(&bias), 45),
+                0x583f_f2a0_9a9a_f8a2,
+            ),
+            (
+                "identity block",
+                bsgs_digests(&identity_block, &seeded, None, 46),
+                0xd186_ac40_6dbe_5aa8,
+            ),
+        ];
+        for (name, got, want) in cases {
+            assert_eq!(
+                got, [want; 3],
+                "{name}: pool width, one chunk, three chunks"
+            );
+        }
+    }
+
+    /// What the streamed body executes for a layer's hoist is what the
+    /// plan counted: one digit decomposition per input block with a
+    /// non-zero baby step, one hoisted rotation per distinct `(block,
+    /// step)`. Every diagonal is a unit, so each one has a plaintext.
     fn check_private_hoist_matches_counts(plan: &LinearPlan) {
         let ctx = Context::new(CkksParams::tiny());
-        let rots: Vec<(u32, usize)> = plan.baby_rotations().into_iter().collect();
-        let steps: Vec<isize> = rots.iter().map(|&(_, i)| i as isize).collect();
-        let (enc, encryptor, _, eval) = fhe_setup(&ctx, &steps, 31);
+        let (enc, encryptor, _, eval) = fhe_setup(&ctx, &[], 31);
         let zeros = vec![0.0; plan.in_blocks * plan.slots];
         let mut rng = StdRng::seed_from_u64(32);
         let cts = encrypt_blocks(&ctx, &enc, &encryptor, &zeros, plan.in_blocks, 1, &mut rng);
@@ -913,11 +1037,22 @@ mod tests {
             eval: &eval,
             enc: &enc,
         };
-        let table = BabyRotations::build(&fhe_ctx, &cts, &rots);
-        let hoisted: BTreeSet<u32> = table.rotations.keys().map(|&(j_blk, _)| j_blk).collect();
-        assert_eq!(hoisted.len(), plan.counts.hoists, "{plan:?}");
-        assert_eq!(table.rotations.len(), plan.counts.baby_rots, "{plan:?}");
-        assert_eq!(table.rotations.is_empty(), plan.counts.hoists == 0);
+        let unit = enc.encode_at_prime_scale_ws(&[1.0], 1);
+        let prepared = PreparedLayer {
+            level: 1,
+            diags: vec![Some(unit); plan.counts.pmults],
+            bias: None,
+        };
+        let steps = baby_steps(plan, &prepared);
+        let hoisted = hoist(&fhe_ctx, &cts, &steps);
+        let rotations = steps.iter().filter(|&&((_, i), _)| i != 0).count();
+        assert_eq!(
+            hoisted.iter().flatten().count(),
+            plan.counts.hoists,
+            "{plan:?}"
+        );
+        assert_eq!(rotations, plan.counts.baby_rots, "{plan:?}");
+        assert_eq!(rotations == 0, plan.counts.hoists == 0);
     }
 
     #[test]

@@ -65,6 +65,6 @@ fn main() {
     };
     let input: Vec<Vec<f64>> = vec![(0..slots).map(|i| (i % 13) as f64 * 0.1).collect()];
     bench("exec_plain_conv_8ch_16x16", 10, || {
-        exec_plain(&plan, &src, &input)
+        exec_plain(&plan, &src, None, &input)
     });
 }

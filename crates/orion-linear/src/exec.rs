@@ -1,10 +1,16 @@
 //! Plan executors.
 //!
-//! [`exec_plain`] runs a plan on cleartext slot vectors using exactly the
-//! executor's rotation algebra (baby steps computed once per call,
-//! pre-rotated diagonals, giant-step group rotations, row fold) — it is
-//! the correctness oracle for the packing math, compared against
-//! reference convolutions in tests.
+//! Every executor walks one schedule of a layer, `baby_steps`: the
+//! diagonals grouped by baby step `(input block, i)`, each step with the
+//! `(output block, giant step)` groups that read its rotation. It is the
+//! only place a layer's diagonals are split into baby steps and giant-step
+//! groups.
+//!
+//! [`exec_plain`] runs the schedule on cleartext slot vectors using exactly
+//! the executor's rotation algebra (each baby-step rotation computed once,
+//! group sums, giant-step rotations, row fold, bias) — it is the
+//! correctness oracle for the packing math, compared against reference
+//! convolutions in tests.
 //!
 //! [`exec_bsgs`] is the real thing, and the only copy of it: double-hoisted
 //! BSGS over CKKS ciphertexts (paper Equation (1)). Baby-step rotations
@@ -15,28 +21,18 @@
 //! [`PreparedLayer`], so each linear layer consumes exactly one level and
 //! returns the ciphertext scale to precisely Δ. [`exec_fhe_prepared`] is the
 //! call with a setup-time cache, [`exec_fhe`] the call that encodes the
-//! layer first; [`exec_fhe_unhoisted`] is the independent reference the
-//! tests hold the body to.
+//! layer first; [`exec_fhe_unhoisted`], one full rotation per step, is the
+//! independent reference the tests hold the body to.
 
 use crate::plan::LinearPlan;
 use crate::prepared::PreparedLayer;
 use crate::values::DiagSource;
 use orion_ckks::encoder::Encoder;
-use orion_ckks::encrypt::{Ciphertext, Plaintext};
+use orion_ckks::encrypt::Ciphertext;
 use orion_ckks::eval::Evaluator;
 use orion_ckks::hoist::{ExtAccumulator, HoistedDigits, RotatedExt};
 use rayon::prelude::*;
-use std::collections::{BTreeMap, HashMap};
-
-/// Rotates a cleartext slot vector "up" by `k` (CKKS `HRot` semantics).
-fn rot_plain(v: &[f64], k: usize) -> Vec<f64> {
-    let n = v.len();
-    let k = k % n;
-    let mut out = Vec::with_capacity(n);
-    out.extend_from_slice(&v[k..]);
-    out.extend_from_slice(&v[..k]);
-    out
-}
+use std::collections::BTreeMap;
 
 /// `out += rot(v, k)` on cleartext slots.
 fn add_rotated(out: &mut [f64], v: &[f64], k: usize) {
@@ -45,70 +41,76 @@ fn add_rotated(out: &mut [f64], v: &[f64], k: usize) {
     }
 }
 
-/// A layer's values zipped with [`LinearPlan::diagonals`], `None`s (all-zero
-/// diagonals) skipped: `((out_block, in_block, k), value)` in plan order.
-/// Asserts there is one value per plan diagonal.
-fn present<'v, T>(
-    plan: &'v LinearPlan,
-    values: &'v [Option<T>],
-) -> impl Iterator<Item = ((u32, u32, u32), &'v T)> {
+/// One baby step of a layer, `(input block, i)`, with the terms that read
+/// it: `((output block, giant step), value)` in plan order.
+type BabyStep<'v, T> = ((u32, usize), Vec<((u32, usize), &'v T)>);
+
+/// A layer's values zipped with [`LinearPlan::diagonals`] and grouped by
+/// baby step, `(input block, i)` ascending — the one schedule every
+/// executor walks. An all-zero diagonal (`None`) is no term, but a step
+/// whose diagonals are all zero keeps its place, so there is one step per
+/// distinct `(input block, k mod n1)` of the plan. A group's terms arrive
+/// in plan order (`blocks` ascending, then `k`). Asserts there is one
+/// value per plan diagonal.
+fn baby_steps<'v, T>(plan: &LinearPlan, values: &'v [Option<T>]) -> Vec<BabyStep<'v, T>> {
     assert_eq!(
         values.len(),
         plan.counts.pmults,
         "one value per plan diagonal"
     );
-    (plan.diagonals().zip(values)).filter_map(|(at, v)| Some((at, v.as_ref()?)))
+    let mut steps: BTreeMap<(u32, usize), Vec<_>> = BTreeMap::new();
+    for ((i_blk, j_blk, k), v) in plan.diagonals().zip(values) {
+        let (i, j) = ((k as usize) % plan.n1, (k as usize) / plan.n1);
+        let terms = steps.entry((j_blk, i)).or_default();
+        terms.extend(v.as_ref().map(|v| ((i_blk, j), v)));
+    }
+    steps.into_iter().collect()
 }
 
 /// Executes a plan on cleartext slot blocks — [`exec_bsgs`]'s algebra term
-/// for term: BSGS over each output block's diagonals against the baby-step
-/// rotations, then the giant-step rotations, the sum, and the row fold's
-/// rotate-and-sum steps. The non-zero baby-step rotations
-/// ([`LinearPlan::baby_rotations`]) are computed once per call, before any
-/// output block reads them. Output blocks fan out over the
-/// shared rayon pool (paper §4.3: "each block performs independent work
-/// and is well-suited for parallel execution across multiple threads").
+/// for term, on its schedule: each baby-step rotation computed once and
+/// multiplied into the sum of every `(output block, giant step)` group
+/// that reads it, then per output block the giant-step rotations of its
+/// groups, the row fold's rotate-and-sum steps and the bias, extended
+/// with the row fold's period as [`PreparedLayer::build`] encodes it.
+/// Sequential: `f64` sums are not associative, so each group sums its
+/// terms in plan order and the output does not depend on the pool.
 pub fn exec_plain(
     plan: &LinearPlan,
-    source: &(dyn DiagSource + Sync),
+    source: &dyn DiagSource,
+    bias: Option<&[Vec<f64>]>,
     inputs: &[Vec<f64>],
 ) -> Vec<Vec<f64>> {
     assert_eq!(inputs.len(), plan.in_blocks);
-    // pre-rotated slot vectors per (input block, amount)
-    let rotations: HashMap<(u32, usize), Vec<f64>> = (plan.baby_rotations().into_iter())
-        .map(|(j_blk, i)| ((j_blk, i), rot_plain(&inputs[j_blk as usize], i)))
-        .collect();
     let (slots, n1) = (plan.slots, plan.n1);
     let diags = source.diagonals(plan);
-    (0..plan.out_blocks)
-        .into_par_iter()
-        .map(|i_out| {
-            let mut groups: BTreeMap<usize, Vec<f64>> = BTreeMap::new();
-            let block = present(plan, &diags).filter(|&((i_blk, _, _), _)| i_blk as usize == i_out);
-            for ((_, j_blk, k), d) in block {
-                let (i, j) = ((k as usize) % n1, (k as usize) / n1);
-                let rotated = match i {
-                    0 => &inputs[j_blk as usize],
-                    _ => rotations
-                        .get(&(j_blk, i))
-                        .expect("linear consumer needs a rotation missing from the table"),
-                };
-                let acc = groups.entry(j).or_insert_with(|| vec![0.0; slots]);
-                for ((a, &dv), &xv) in acc.iter_mut().zip(d).zip(rotated) {
-                    *a += dv * xv;
-                }
+    let mut groups: BTreeMap<(u32, usize), Vec<f64>> = BTreeMap::new();
+    for ((j_blk, i), terms) in baby_steps(plan, &diags) {
+        let mut rot = inputs[j_blk as usize].clone();
+        rot.rotate_left(i);
+        for (group, d) in terms {
+            let acc = groups.entry(group).or_insert_with(|| vec![0.0; slots]);
+            for ((a, &dv), &xv) in acc.iter_mut().zip(d).zip(&rot) {
+                *a += dv * xv;
             }
-            let mut out = vec![0.0; slots];
-            for (j, acc) in groups {
-                add_rotated(&mut out, &acc, (j * n1) % slots);
+        }
+    }
+    let mut out = vec![vec![0.0; slots]; plan.out_blocks];
+    for ((i_blk, j), acc) in groups {
+        add_rotated(&mut out[i_blk as usize], &acc, (j * n1) % slots);
+    }
+    for (i_blk, block) in out.iter_mut().enumerate() {
+        for s in plan.fold_steps() {
+            let partial = block.clone();
+            add_rotated(block, &partial, s);
+        }
+        if let Some(bias) = bias {
+            for (x, v) in block.iter_mut().zip(plan.periodic(&bias[i_blk])) {
+                *x += v;
             }
-            for s in plan.fold_steps() {
-                let partial = out.clone();
-                add_rotated(&mut out, &partial, s);
-            }
-            out
-        })
-        .collect()
+        }
+    }
+    out
 }
 
 /// Handles bundling the CKKS evaluator and encoder for FHE execution.
@@ -176,11 +178,13 @@ fn finish_fhe(
 }
 
 /// Executes a plan homomorphically **without** hoisting or lazy ModDown —
-/// every baby-step rotation pays a full key-switch and diagonals are
-/// encoded on the fly. This is the ablation baseline for the paper's
-/// Table 4 mechanism ("our convolutional runtime is 11.2× faster …
-/// all ciphertext rotations in Orion are performed with double-hoisting"),
-/// and the one ciphertext implementation independent of [`exec_bsgs`].
+/// each baby step of the schedule pays one full key-switch, every term a
+/// plaintext product in the base basis, and diagonals are encoded on the
+/// fly. This is the ablation baseline for the paper's Table 4 mechanism
+/// ("our convolutional runtime is 11.2× faster … all ciphertext rotations
+/// in Orion are performed with double-hoisting"), and, beyond the shared
+/// schedule, the one ciphertext implementation independent of
+/// [`exec_bsgs`].
 pub fn exec_fhe_unhoisted(
     ctx: &FheLinearContext<'_>,
     plan: &LinearPlan,
@@ -189,26 +193,19 @@ pub fn exec_fhe_unhoisted(
 ) -> Vec<Ciphertext> {
     assert_eq!(inputs.len(), plan.in_blocks);
     let level = inputs[0].level();
-    let n1 = plan.n1;
-    // Rotated inputs computed with full key-switches, cached per (J, i).
-    let mut rotated: HashMap<(u32, usize), Ciphertext> = HashMap::new();
     let mut groups: BTreeMap<(u32, usize), Ciphertext> = BTreeMap::new();
     let diags = source.diagonals(plan);
-    for ((i_blk, j_blk, k), d) in present(plan, &diags) {
-        let i = (k as usize) % n1;
-        let j = (k as usize) / n1;
-        // borrow the cached rotation straight from the map — a full
-        // ciphertext clone per diagonal would dwarf the mul_plain
-        let rot = rotated
-            .entry((j_blk, i))
-            .or_insert_with(|| ctx.eval.rotate(&inputs[j_blk as usize], i as isize));
-        // on-the-fly encoding (the ablation's point)
-        let pt = ctx.enc.encode_at_prime_scale(d, level, false);
-        let term = ctx.eval.mul_plain(rot, &pt);
-        groups
-            .entry((i_blk, j))
-            .and_modify(|acc| *acc = ctx.eval.add(acc, &term))
-            .or_insert(term);
+    for ((j_blk, i), terms) in baby_steps(plan, &diags) {
+        // a full key-switch per baby step: no hoist, no deferred ModDown
+        let rot = ctx.eval.rotate(&inputs[j_blk as usize], i as isize);
+        for (group, d) in terms {
+            // on-the-fly encoding (the ablation's point)
+            let pt = ctx.enc.encode_at_prime_scale(d, level, false);
+            let term = ctx.eval.mul_plain(&rot, &pt);
+            (groups.entry(group))
+                .and_modify(|acc| *acc = ctx.eval.add(acc, &term))
+                .or_insert(term);
+        }
     }
     let parts = groups
         .into_iter()
@@ -216,35 +213,13 @@ pub fn exec_fhe_unhoisted(
     finish_fhe(ctx, plan, inputs, parts, None)
 }
 
-/// One baby step of a layer, `(input block, i)`, with the terms that read
-/// it: `((output block, giant step), plaintext)` in plan order.
-type BabyStep<'p> = ((u32, usize), Vec<((u32, usize), &'p Plaintext)>);
-
-/// A layer's baby steps in streamed order, `(input block, i)` ascending. A
-/// step whose diagonals are all zero keeps its place, so the non-zero steps
-/// are exactly [`LinearPlan::baby_rotations`].
-fn baby_steps<'p>(plan: &LinearPlan, prepared: &'p PreparedLayer) -> Vec<BabyStep<'p>> {
-    assert_eq!(
-        prepared.diags.len(),
-        plan.counts.pmults,
-        "one value per plan diagonal"
-    );
-    let mut steps: BTreeMap<(u32, usize), Vec<_>> = BTreeMap::new();
-    for ((i_blk, j_blk, k), pt) in plan.diagonals().zip(&prepared.diags) {
-        let (i, j) = ((k as usize) % plan.n1, (k as usize) / plan.n1);
-        let terms = steps.entry((j_blk, i)).or_default();
-        terms.extend(pt.as_ref().map(|pt| ((i_blk, j), pt)));
-    }
-    steps.into_iter().collect()
-}
-
 /// One [`HoistedDigits`] per input block with a non-zero baby step, built in
 /// parallel (Bossuat et al. Algorithm 6); `None` for a block whose every
 /// diagonal sits on a giant step, which is never decomposed.
-fn hoist<'c>(
+fn hoist<'c, T: Sync>(
     ctx: &FheLinearContext<'_>,
     inputs: &'c [Ciphertext],
-    steps: &[BabyStep<'_>],
+    steps: &[BabyStep<'_, T>],
 ) -> Vec<Option<HoistedDigits<'c>>> {
     (0..inputs.len())
         .into_par_iter()
@@ -293,7 +268,7 @@ fn exec_streamed(
     let level = inputs[0].level();
     assert_eq!(level, prepared.level, "inputs off the prepared level");
     assert_eq!(plan.slots, ctx.eval.context().slots(), "slot mismatch");
-    let steps = baby_steps(plan, prepared);
+    let steps = baby_steps(plan, &prepared.diags);
     let hoisted = hoist(ctx, inputs, &steps);
     let chunk_len = steps.len().div_ceil(chunks).max(1);
     let partials: Vec<BTreeMap<(u32, usize), ExtAccumulator>> = (steps.chunks(chunk_len))
@@ -362,7 +337,7 @@ pub fn exec_fhe_prepared(
 mod tests {
     use super::*;
     use crate::layout::TensorLayout;
-    use crate::plan::{conv_plan, dense_candidates, dense_plan, ConvSpec, PlanBuilder};
+    use crate::plan::{conv_plan, dense_candidates, dense_plan, ConvSpec, PlanBuilder, PlanCounts};
     use crate::values::{BiasValues, ConvDiagSource, DenseDiagSource};
     use orion_ckks::keys::KeyGenerator;
     use orion_ckks::params::{CkksParams, Context};
@@ -371,6 +346,7 @@ mod tests {
     use proptest::prelude::*;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
+    use std::collections::BTreeSet;
 
     fn random_tensor(shape: &[usize], rng: &mut StdRng) -> Tensor {
         let n: usize = shape.iter().product();
@@ -401,7 +377,7 @@ mod tests {
         for (i, &v) in packed.iter().enumerate() {
             blocks[i / slots][i % slots] = v;
         }
-        let out_blocks = exec_plain(&plan, &src, &blocks);
+        let out_blocks = exec_plain(&plan, &src, None, &blocks);
         let mut out_slots = Vec::new();
         for b in &out_blocks {
             out_slots.extend_from_slice(b);
@@ -595,8 +571,8 @@ mod tests {
         for (i, &v) in packed.iter().enumerate() {
             blocks[i / slots][i % slots] = v;
         }
-        let mid = exec_plain(&p1, &src1, &blocks);
-        let out = exec_plain(&p2, &src2, &mid);
+        let mid = exec_plain(&p1, &src1, None, &blocks);
+        let out = exec_plain(&p2, &src2, None, &mid);
         let mut out_slots = Vec::new();
         for b in &out {
             out_slots.extend_from_slice(b);
@@ -639,7 +615,7 @@ mod tests {
         for (i, &v) in packed.iter().enumerate() {
             blocks[i / slots][i % slots] = v;
         }
-        let out = exec_plain(&plan, &src, &blocks);
+        let out = exec_plain(&plan, &src, None, &blocks);
         let expect = linear(&input, &w, &[]);
         for (i, e) in expect.iter().enumerate() {
             assert!(
@@ -655,9 +631,9 @@ mod tests {
 
         /// The hybrid embedding computes the layer under **every**
         /// admissible row fold: `exec_plain` equals the reference on the
-        /// layout slots, and each full output block — bias added the way
-        /// every backend adds it — is the `R`-periodic extension of its
-        /// first `R` slots (zero in rows `n_out..R`).
+        /// layout slots, and each full output block, bias included, is the
+        /// `R`-periodic extension of its first `R` slots (zero in rows
+        /// `n_out..R`).
         #[test]
         fn dense_matches_reference_under_every_fold(
             n_out in 1usize..40,
@@ -684,14 +660,13 @@ mod tests {
             }
             for (_, plan) in dense_candidates(&in_l, n_out, slots) {
                 let fold = plan.fold;
-                let out = exec_plain(&plan, &src, &blocks);
+                let out = exec_plain(&plan, &src, Some(&bias_blocks), &blocks);
                 prop_assert_eq!(out.len(), bias_blocks.len());
-                for (b, (block, bias)) in out.iter().zip(&bias_blocks).enumerate() {
-                    let bias = plan.periodic(bias);
+                for (b, block) in out.iter().enumerate() {
                     for t in 0..slots {
                         let row = b * slots + t % fold;
                         let want = if row < n_out { expect[row] } else { 0.0 };
-                        let got = block[t] + bias[t];
+                        let got = block[t];
                         prop_assert!(
                             (got - want).abs() < 1e-9,
                             "fold {} n1 {} block {} slot {}: {} vs {}", fold, plan.n1, b, t, got, want
@@ -894,15 +869,19 @@ mod tests {
         check_unhoisted_matches_hoisted(&plan, &src, &in_l.pack(&input), 26);
     }
 
-    /// An FNV-style fold of every limb word and the scale of each output.
-    fn digest(cts: &[Ciphertext]) -> u64 {
-        let words = cts.iter().flat_map(|ct| {
-            let limbs = ct.c0.limbs.iter().chain(&ct.c1.limbs).flatten().copied();
-            limbs.chain([ct.scale.to_bits()])
-        });
-        words.fold(0xcbf2_9ce4_8422_2325, |h, w| {
+    /// An FNV-style fold of 64-bit words.
+    fn fnv(words: impl IntoIterator<Item = u64>) -> u64 {
+        (words.into_iter()).fold(0xcbf2_9ce4_8422_2325, |h, w| {
             (h ^ w).wrapping_mul(0x0000_0100_0000_01b3)
         })
+    }
+
+    /// [`fnv`] of every limb word and the scale of each output.
+    fn ct_digest(cts: &[Ciphertext]) -> u64 {
+        fnv(cts.iter().flat_map(|ct| {
+            let limbs = ct.c0.limbs.iter().chain(&ct.c1.limbs).flatten().copied();
+            limbs.chain([ct.scale.to_bits()])
+        }))
     }
 
     /// Every diagonal of a plan drawn from one seed, the one at index
@@ -926,18 +905,21 @@ mod tests {
 
     /// The digests of `exec_fhe` (the pool's width) and of the streamed
     /// body at one and at three chunks, on `plan` at `CkksParams::tiny()`,
-    /// keys, inputs and encryption all seeded from `seed`.
+    /// keys, inputs and encryption all seeded from `seed`; and the digest
+    /// of `exec_plain`'s output bits on the same input slots.
     fn bsgs_digests(
         plan: &LinearPlan,
         src: &(dyn DiagSource + Sync),
         bias: Option<&[Vec<f64>]>,
         seed: u64,
-    ) -> [u64; 3] {
+    ) -> ([u64; 3], u64) {
         let ctx = Context::new(CkksParams::tiny());
         let mut rng = StdRng::seed_from_u64(seed);
         let packed: Vec<f64> = (0..plan.in_blocks * plan.slots)
             .map(|_| rng.gen_range(-1.0..1.0))
             .collect();
+        let blocks: Vec<Vec<f64>> = packed.chunks(plan.slots).map(<[f64]>::to_vec).collect();
+        let plain = exec_plain(plan, src, bias, &blocks);
         let (enc, encryptor, _, eval) = fhe_setup(&ctx, &plan.rotation_steps(), seed + 1);
         let cts = encrypt_blocks(&ctx, &enc, &encryptor, &packed, plan.in_blocks, 2, &mut rng);
         let fhe_ctx = FheLinearContext {
@@ -945,11 +927,12 @@ mod tests {
             enc: &enc,
         };
         let prepared = PreparedLayer::build(&enc, plan, src, bias, 2);
-        [
-            digest(&exec_fhe(&fhe_ctx, plan, src, bias, &cts)),
-            digest(&exec_streamed(&fhe_ctx, plan, &prepared, &cts, 1)),
-            digest(&exec_streamed(&fhe_ctx, plan, &prepared, &cts, 3)),
-        ]
+        let fhe = [
+            ct_digest(&exec_fhe(&fhe_ctx, plan, src, bias, &cts)),
+            ct_digest(&exec_streamed(&fhe_ctx, plan, &prepared, &cts, 1)),
+            ct_digest(&exec_streamed(&fhe_ctx, plan, &prepared, &cts, 3)),
+        ];
+        (fhe, fnv(plain.iter().flatten().map(|x| x.to_bits())))
     }
 
     /// `exec_bsgs`'s output bits, pinned by digest on three plans: a 3×3
@@ -957,7 +940,10 @@ mod tests {
     /// layer with bias, and a plan whose input block 0 has only `i = 0`
     /// diagonals (one diagonal all-zero). The digests were recorded from
     /// the rotation-major body (every baby step built before any group read
-    /// one); the streamed body reproduces them at every chunk count.
+    /// one); the streamed body reproduces them at every chunk count. The
+    /// cleartext oracle's output bits are pinned beside them: recorded from
+    /// the `exec_plain` that pre-rotated its inputs into a table and walked
+    /// each output block's diagonals, bias added by its caller.
     #[test]
     fn fhe_bsgs_output_bits_are_pinned() {
         let slots = Context::new(CkksParams::tiny()).slots();
@@ -998,35 +984,42 @@ mod tests {
         assert_eq!(identity_block.counts.hoists, 1);
         let seeded = SeededDiags { seed: 43, zero: 1 };
 
-        let cases: [(&str, [u64; 3], u64); 3] = [
+        let cases = [
             (
                 "conv",
                 bsgs_digests(&conv, &conv_src, None, 44),
                 0xba04_4b0f_0c7e_d139,
+                0xcb37_3e54_0817_ff13,
             ),
             (
                 "dense",
                 bsgs_digests(&dense, &dense_src, Some(&bias), 45),
                 0x583f_f2a0_9a9a_f8a2,
+                0xc4f3_d02e_a4db_dca5,
             ),
             (
                 "identity block",
                 bsgs_digests(&identity_block, &seeded, None, 46),
                 0xd186_ac40_6dbe_5aa8,
+                0x164a_9829_dd25_c3e1,
             ),
         ];
-        for (name, got, want) in cases {
+        for (name, (fhe, plain), want, want_plain) in cases {
             assert_eq!(
-                got, [want; 3],
+                fhe, [want; 3],
                 "{name}: pool width, one chunk, three chunks"
             );
+            assert_eq!(plain, want_plain, "{name}: exec_plain");
         }
     }
 
-    /// What the streamed body executes for a layer's hoist is what the
-    /// plan counted: one digit decomposition per input block with a
-    /// non-zero baby step, one hoisted rotation per distinct `(block,
-    /// step)`. Every diagonal is a unit, so each one has a plaintext.
+    /// Every count of a plan is what its schedule walks: one plaintext
+    /// product per term, one hoisted rotation per step with `i ≠ 0`, one
+    /// ModDown per group, one giant rotation per group with `j ≠ 0` plus
+    /// each output block's fold steps, one rescale per output block — and
+    /// what the streamed body executes for the layer's hoist, one digit
+    /// decomposition per input block with a non-zero baby step. Every
+    /// diagonal is a term.
     fn check_private_hoist_matches_counts(plan: &LinearPlan) {
         let ctx = Context::new(CkksParams::tiny());
         let (enc, encryptor, _, eval) = fhe_setup(&ctx, &[], 31);
@@ -1037,22 +1030,21 @@ mod tests {
             eval: &eval,
             enc: &enc,
         };
-        let unit = enc.encode_at_prime_scale_ws(&[1.0], 1);
-        let prepared = PreparedLayer {
-            level: 1,
-            diags: vec![Some(unit); plan.counts.pmults],
-            bias: None,
+        let units = vec![Some(()); plan.counts.pmults];
+        let steps = baby_steps(plan, &units);
+        let terms = || steps.iter().flat_map(|(_, terms)| terms);
+        let groups: BTreeSet<(u32, usize)> = terms().map(|&(group, _)| group).collect();
+        let walked = PlanCounts {
+            hoists: hoist(&fhe_ctx, &cts, &steps).iter().flatten().count(),
+            baby_rots: steps.iter().filter(|&&((_, i), _)| i != 0).count(),
+            giant_rots: groups.iter().filter(|&&(_, j)| j != 0).count()
+                + plan.out_blocks * plan.fold_steps().count(),
+            pmults: terms().count(),
+            moddowns: groups.len(),
+            rescales: plan.out_blocks,
         };
-        let steps = baby_steps(plan, &prepared);
-        let hoisted = hoist(&fhe_ctx, &cts, &steps);
-        let rotations = steps.iter().filter(|&&((_, i), _)| i != 0).count();
-        assert_eq!(
-            hoisted.iter().flatten().count(),
-            plan.counts.hoists,
-            "{plan:?}"
-        );
-        assert_eq!(rotations, plan.counts.baby_rots, "{plan:?}");
-        assert_eq!(rotations == 0, plan.counts.hoists == 0);
+        assert_eq!(walked, plan.counts, "{plan:?}");
+        assert_eq!(walked.baby_rots == 0, walked.hoists == 0);
     }
 
     #[test]

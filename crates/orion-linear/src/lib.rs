@@ -23,15 +23,16 @@
 //!   [`LinearPlan::diagonals`] order, the order prepared plaintexts, the
 //!   executors and the spill file share (only needed by the real-FHE and
 //!   plan-validation paths);
-//! * [`exec`] — executors: `exec_plain` (cleartext slots through the exact
-//!   plan, block-parallel — the packing correctness oracle) and
-//!   `exec_bsgs`, the one real-CKKS body (baby steps hoisted once per
-//!   rotating input block and lazy-ModDown giant groups, fanned out on the
-//!   shared rayon pool, every plaintext from a [`prepared`] layer);
-//!   `exec_fhe_prepared` is that body on the serving path's setup-time
-//!   cache (zero per-inference encodes), `exec_fhe` the same body after
-//!   encoding the layer on the fly, and `exec_fhe_unhoisted` the
-//!   independent reference and ablation baseline;
+//! * [`exec`] — executors, all walking one baby-step schedule of the
+//!   plan: `exec_plain` (cleartext slots through the exact plan,
+//!   sequential — the packing correctness oracle) and `exec_bsgs`, the
+//!   one real-CKKS body (baby steps hoisted once per rotating input block
+//!   and lazy-ModDown giant groups, fanned out on the shared rayon pool,
+//!   every plaintext from a [`prepared`] layer); `exec_fhe_prepared` is
+//!   that body on the serving path's setup-time cache (zero per-inference
+//!   encodes), `exec_fhe` the same body after encoding the layer on the
+//!   fly, and `exec_fhe_unhoisted` the unhoisted reference and ablation
+//!   baseline;
 //! * [`prepared`] — the setup-time weight-encoding cache
 //!   (`PreparedLayer` / `PreparedProgram`, paper §6: weight diagonals as
 //!   offline artifacts), spillable to disk through [`store`], one file per

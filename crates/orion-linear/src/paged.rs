@@ -131,8 +131,17 @@ impl State {
 struct PagedEntry {
     name: String,
     bytes: usize,
-    /// The spilled layer's diagonal count; a reload must match it.
-    diagonals: usize,
+    /// The spilled layer's [`shape`]; a reload must match it.
+    shape: Shape,
+}
+
+/// A prepared layer's level, diagonal count and bias block count (`None`:
+/// no bias).
+type Shape = (usize, usize, Option<usize>);
+
+fn shape(layer: &PreparedLayer) -> Shape {
+    let bias = layer.bias.as_ref().map(Vec::len);
+    (layer.level, layer.diags.len(), bias)
 }
 
 /// A prepared program whose layers live in [`DiagStore`] spill files and
@@ -170,7 +179,7 @@ impl PagedProgram {
                 PagedEntry {
                     name,
                     bytes: layer.approx_bytes(),
-                    diagonals: layer.diags.len(),
+                    shape: shape(layer),
                 },
             );
         }
@@ -199,14 +208,19 @@ impl PagedProgram {
         self.state.lock().stats
     }
 
-    /// Reads `entry`'s layer from disk, refusing a file whose diagonal
-    /// count is not the one spilled: the executors read the list against
-    /// the plan, so a short list would silently drop diagonals.
+    /// Reads `entry`'s layer from disk, refusing a file whose level,
+    /// diagonal count or bias blocks are not the ones spilled: the
+    /// executors read the list against the plan, so a short list would
+    /// silently drop diagonals, and a layer that lost its bias would be
+    /// served without one.
     fn load(&self, entry: &PagedEntry) -> Result<PreparedLayer, StoreError> {
         let layer = PreparedLayer::load(&self.store, &entry.name)?;
-        let (got, spilled) = (layer.diags.len(), entry.diagonals);
+        let (got, spilled) = (shape(&layer), entry.shape);
         if got != spilled {
-            let what = format!("{}: {got} diagonals, {spilled} spilled", entry.name);
+            let what = format!(
+                "{}: (level, diagonals, bias blocks) {got:?}, {spilled:?} spilled",
+                entry.name
+            );
             return Err(StoreError::malformed(what));
         }
         Ok(layer)
@@ -505,6 +519,49 @@ mod tests {
         match paged.fetch_layer(0) {
             Err(StoreError::Malformed { .. }) => {}
             other => panic!("expected Malformed, got {:?}", other.map(|o| o.is_some())),
+        }
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn reloaded_layer_at_another_level_or_bias_is_refused() {
+        let ctx = Context::new(CkksParams::tiny());
+        let enc = Encoder::new(ctx.clone());
+        let unbiased = sample_program(&enc, 1);
+        let layer = unbiased.layer(0).unwrap();
+        let bias = vec![enc.encode(&[0.5], ctx.scale(), layer.level - 1, false)];
+        let mut biased = PreparedProgram::new();
+        let with_bias = PreparedLayer {
+            level: layer.level,
+            diags: layer.diags.clone(),
+            bias: Some(bias.clone()),
+        };
+        biased.insert(0, with_bias);
+        let dir = test_dir("orion_paged_shape_test");
+        // (what changed, the program spilled, the level and bias re-saved)
+        let cases = [
+            ("level + 1", &unbiased, layer.level + 1, None),
+            (
+                "a bias it never had",
+                &unbiased,
+                layer.level,
+                Some(&bias[..]),
+            ),
+            ("its bias dropped", &biased, layer.level, None),
+        ];
+        for (what, prog, level, bias) in cases {
+            std::fs::remove_dir_all(&dir).ok();
+            let store = DiagStore::open(&dir).unwrap();
+            let paged = PagedProgram::page_out(prog, store, "m", usize::MAX).unwrap();
+            let store = DiagStore::open(&dir).unwrap();
+            (store.save_prepared("m.step0", level, &layer.diags, bias)).unwrap();
+            match paged.fetch_layer(0) {
+                Err(StoreError::Malformed { .. }) => {}
+                other => panic!(
+                    "{what}: expected Malformed, got {:?}",
+                    other.map(|o| o.is_some())
+                ),
+            }
         }
         std::fs::remove_dir_all(&dir).ok();
     }

@@ -122,17 +122,6 @@ pub struct LinearPlan {
 }
 
 impl LinearPlan {
-    /// The distinct **non-zero** baby-step rotations the executor performs,
-    /// as `(input block, rotation amount)` pairs. The amount is an absolute
-    /// slot rotation (`k mod n1`); the executor hoists each input block
-    /// that appears here once and computes each pair once.
-    pub fn baby_rotations(&self) -> BTreeSet<(u32, usize)> {
-        self.diagonals()
-            .map(|(_, j_blk, k)| (j_blk, k as usize % self.n1))
-            .filter(|&(_, i)| i != 0)
-            .collect()
-    }
-
     /// Every diagonal as `(out_block, in_block, k)`, in `blocks` order:
     /// block pairs ascending, then `k` ascending. This is the one order of
     /// a layer's diagonal values ([`crate::values::DiagSource`]), its

@@ -9,10 +9,11 @@
 //!   reference `orion_tensor::{conv2d, linear}`, pack the result. No
 //!   rotation algebra, so it is fast enough for the paper's
 //!   ImageNet-scale reporting columns (see README, "Substitutions").
-//! * [`ClearBackend::packed`] — the executor's exact rotation algebra
-//!   (`orion_linear::exec_plain`: baby steps, pre-rotated diagonals,
-//!   giant-step group rotations, row fold), which makes the engine the
-//!   end-to-end oracle for the packing math.
+//! * [`ClearBackend::packed`] — the executor's exact rotation algebra on
+//!   the executor's own baby-step schedule (`orion_linear::exec_plain`:
+//!   each baby-step rotation once, giant-step group sums and rotations,
+//!   row fold, bias), which makes the engine the end-to-end oracle for
+//!   the packing math.
 //!
 //! Either runs a program through [`crate::backend::run_program`].
 //!
@@ -147,7 +148,7 @@ impl ClearBackend {
         }
     }
 
-    /// The executor's rotation algebra on the packed blocks, then the bias.
+    /// The executor's rotation algebra on the packed blocks, bias included.
     fn linear_packed(
         &self,
         step: &Step,
@@ -155,21 +156,12 @@ impl ClearBackend {
         out_level: usize,
     ) -> Vec<ClearCiphertext> {
         let plan = step.linear_plan().expect("a linear layer");
-        let (src, bias_blocks) = step.linear_values(self.slots).expect("a linear layer");
-        exec_plain(plan, &*src, &block_slots(inputs))
+        let (src, bias) = step.linear_values(self.slots).expect("a linear layer");
+        exec_plain(plan, &*src, Some(&bias), &block_slots(inputs))
             .into_iter()
-            .enumerate()
-            .map(|(b, mut block)| {
-                if let Some(bias) = bias_blocks.get(b) {
-                    // a folded dense output block is R-periodic, bias too
-                    for (x, v) in block.iter_mut().zip(plan.periodic(bias)) {
-                        *x += v;
-                    }
-                }
-                ClearCiphertext {
-                    slots: block,
-                    level: out_level,
-                }
+            .map(|slots| ClearCiphertext {
+                slots,
+                level: out_level,
             })
             .collect()
     }

@@ -4,7 +4,7 @@
 //! |---|---|---|---|
 //! | [`CkksBackend`] | real RNS-CKKS | double-hoisted BSGS over ciphertexts | encrypted inference |
 //! | [`ClearBackend::reference`] | `f64` slots + level | reference conv/linear | paper-scale modeling |
-//! | [`ClearBackend::packed`] | `f64` slots + level | exact rotation algebra (`exec_plain`) | packing-math oracle |
+//! | [`ClearBackend::packed`] | `f64` slots + level | exact rotation algebra on `exec_bsgs`'s schedule (`exec_plain`) | packing-math oracle |
 //!
 //! Both are `&self` engines driven by the one plan walk
 //! ([`crate::backend::run_program`] over [`crate::sched`]); their op counts

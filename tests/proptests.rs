@@ -70,7 +70,7 @@ proptest! {
         for (i, &v) in packed.iter().enumerate() {
             blocks[i / slots][i % slots] = v;
         }
-        let out_blocks = exec_plain(&plan, &src, &blocks);
+        let out_blocks = exec_plain(&plan, &src, None, &blocks);
         let mut out_slots = Vec::new();
         for b in &out_blocks {
             out_slots.extend_from_slice(b);

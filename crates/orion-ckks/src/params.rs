@@ -2,7 +2,7 @@
 
 use orion_math::fft::SpecialFft;
 use orion_math::ntt::NttTable;
-use orion_math::primes::generate_ntt_primes;
+use orion_math::primes::{generate_ntt_primes, largest_ntt_prime_below};
 use orion_math::simd::Permutation;
 use parking_lot::RwLock;
 use std::collections::HashMap;
@@ -16,11 +16,13 @@ pub struct CkksParams {
     /// `log2` of the scaling factor Δ.
     pub log_scale: u32,
     /// Bit size of the base modulus `q_0` (must exceed `log_scale` by the
-    /// integer-part headroom of the messages).
+    /// integer-part headroom of the messages). `q_0` is the NTT prime
+    /// nearest `2^q0_bits`, and may lie above it.
     pub q0_bits: u32,
     /// Maximum multiplicative level `L` (the chain has `L + 1` primes).
     pub max_level: usize,
-    /// Bit size of the special (key-switching) prime `p`.
+    /// Bit size of the special (key-switching) prime `p`: the largest NTT
+    /// prime below `2^special_bits` that is not in the chain.
     pub special_bits: u32,
     /// Gaussian error standard deviation.
     pub sigma: f64,
@@ -57,14 +59,16 @@ impl CkksParams {
     }
 
     /// Medium demo parameters (N = 2¹³, Δ = 2⁴⁰), used by the examples and
-    /// the real-FHE MNIST runs. Not secure.
+    /// the real-FHE MNIST runs. Not secure. `q_0` and `p` lie below 2⁵⁰,
+    /// so every limb runs the 52-bit kernels, and `q_0` keeps 2¹⁰ of
+    /// headroom over Δ for a message's integer part.
     pub fn medium() -> Self {
         Self {
             n: 1 << 13,
             log_scale: 40,
-            q0_bits: 55,
+            q0_bits: 50,
             max_level: 12,
-            special_bits: 55,
+            special_bits: 50,
             sigma: 3.2,
             boot_levels: 4,
         }
@@ -152,12 +156,14 @@ impl Context {
     /// Builds the full context (prime search + NTT tables + encoder).
     pub fn new(params: CkksParams) -> Arc<Self> {
         let n = params.n;
-        // q0 first, then L scale-sized primes, then the special prime.
+        // q0 first, then L scale-sized primes (each nearest its target, the
+        // scale primes alternating about Δ), then the special prime below
+        // its bound.
         let q0 = generate_ntt_primes(n, params.q0_bits, 1, &[]);
         let mut scale_primes = generate_ntt_primes(n, params.log_scale, params.max_level, &q0);
         let mut moduli = q0;
         moduli.append(&mut scale_primes);
-        let special = generate_ntt_primes(n, params.special_bits, 1, &moduli)[0];
+        let special = largest_ntt_prime_below(n, params.special_bits, &moduli);
         let ntt: Vec<NttTable> = moduli.iter().map(|&q| NttTable::new(n, q)).collect();
         let ntt_special = NttTable::new(n, special);
         let fft = SpecialFft::new(n / 2);
@@ -277,6 +283,50 @@ mod tests {
             assert_eq!((q - 1) % (2 * ctx.degree() as u64), 0);
         }
         assert!(!ctx.moduli.contains(&ctx.special));
+    }
+
+    #[test]
+    fn benchmark_chains_sit_below_the_ifma_bound() {
+        use orion_math::simd::IFMA_Q_BOUND;
+        let medium_at = |n| CkksParams {
+            n,
+            ..CkksParams::medium()
+        };
+        let chains = [
+            CkksParams::small(),
+            medium_at(1 << 11),
+            medium_at(1 << 12),
+            medium_at(1 << 13),
+        ];
+        for params in chains {
+            let n = params.n;
+            let ctx = Context::new(params);
+            for &q in ctx.moduli.iter().chain([&ctx.special]) {
+                assert!(q < IFMA_Q_BOUND, "N = {n}: {q} ≥ 2⁵⁰");
+            }
+            // q₀ is the nearest prime, just below 2⁵⁰; P lies below it
+            assert_eq!(
+                (ctx.moduli[0], ctx.special < ctx.moduli[0]),
+                (1125899906826241, true),
+                "N = {n}"
+            );
+        }
+        let small = Context::new(CkksParams::small());
+        assert_eq!(small.special, 1125899906629633);
+        // `tiny` and the serving chain (`tiny`'s ring and prime sizes at
+        // L = 6) keep q₀ above 2⁴⁵ and P below it: their digests hold.
+        let serve = CkksParams {
+            max_level: 6,
+            boot_levels: 1,
+            ..CkksParams::tiny()
+        };
+        for params in [CkksParams::tiny(), serve] {
+            let ctx = Context::new(params);
+            assert_eq!(
+                (ctx.moduli[0], ctx.special),
+                (35184372103169, 35184372060161)
+            );
+        }
     }
 
     #[test]

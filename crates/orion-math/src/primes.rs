@@ -60,6 +60,31 @@ pub fn generate_ntt_primes(n: usize, bits: u32, count: usize, exclude: &[u64]) -
     found
 }
 
+/// The largest prime `p ≡ 1 (mod 2n)` below `2^bits` that is not in
+/// `exclude`: a `bits`-bit prime, unlike [`generate_ntt_primes`]' nearest
+/// one. The special (key-switching) prime is chosen this way, so that
+/// `bits ≤ 50` keeps it under [`crate::simd::IFMA_Q_BOUND`].
+///
+/// # Panics
+/// Panics if `bits` is outside `20..62` (as [`generate_ntt_primes`]) or
+/// if no such prime lies in `(2^(bits−1), 2^bits)`.
+pub fn largest_ntt_prime_below(n: usize, bits: u32, exclude: &[u64]) -> u64 {
+    assert!(
+        (20..62).contains(&bits),
+        "prime size out of supported range"
+    );
+    assert!(n.is_power_of_two());
+    let step = 2 * n as u64;
+    let target = 1u64 << bits;
+    // The largest candidate ≡ 1 mod 2N below the target.
+    let first = (target - 2) / step * step + 1;
+    (target >> 1..=first)
+        .rev()
+        .step_by(step as usize)
+        .find(|&p| is_prime(p) && !exclude.contains(&p))
+        .unwrap_or_else(|| panic!("no NTT prime below 2^{bits} for n={n}"))
+}
+
 /// Finds a generator of the multiplicative group of `Z_q` (`q` prime).
 pub fn primitive_root(q: u64) -> u64 {
     // Factor q-1 (trial division is fine for our 40-60 bit primes because
@@ -130,6 +155,33 @@ mod tests {
         let second = generate_ntt_primes(1 << 8, 30, 3, &first);
         for p in &second {
             assert!(!first.contains(p));
+        }
+    }
+
+    #[test]
+    fn largest_below_is_the_largest_prime_below_outside_the_exclusions() {
+        for (n, bits) in [
+            (1 << 10, 45),
+            (1 << 11, 50),
+            (1 << 12, 50),
+            (1 << 13, 50),
+            (1 << 10, 61),
+        ] {
+            let step = 2 * n as u64;
+            // nothing excluded, then the chain's nearest primes plus the
+            // first answer: the search must walk past every exclusion
+            let nearest = generate_ntt_primes(n, bits, 2, &[]);
+            let free = largest_ntt_prime_below(n, bits, &[]);
+            let past_free = [nearest.clone(), vec![free]].concat();
+            for excl in [vec![], nearest, past_free] {
+                let p = largest_ntt_prime_below(n, bits, &excl);
+                assert!(is_prime(p) && p % step == 1, "n={n} bits={bits}: {p}");
+                assert!(p >> (bits - 1) == 1, "{p} is not a {bits}-bit prime");
+                assert!(!excl.contains(&p));
+                for c in (p + step..1 << bits).step_by(step as usize) {
+                    assert!(!is_prime(c) || excl.contains(&c), "{c} > {p} qualifies");
+                }
+            }
         }
     }
 

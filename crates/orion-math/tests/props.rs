@@ -139,13 +139,15 @@ fn chain_pair(n: usize, q0_bits: u32, log_scale: u32) -> (u64, u64) {
 }
 
 /// The lowest limb pairs of `tiny` (and the serving set, the same chain),
-/// `small`, `medium`, and `medium` on the ring N = 2¹¹.
+/// `small`, `medium`, `medium` on the ring N = 2¹¹, and `secure_n16`, whose
+/// 60-bit q₀ keeps a lift with a limb above 2⁵⁰ in the set.
 fn preset_pairs() -> Vec<(u64, u64)> {
     vec![
         chain_pair(1 << 10, 45, 30),
         chain_pair(1 << 12, 50, 35),
-        chain_pair(1 << 13, 55, 40),
-        chain_pair(1 << 11, 55, 40),
+        chain_pair(1 << 13, 50, 40),
+        chain_pair(1 << 11, 50, 40),
+        chain_pair(1 << 16, 60, 40),
     ]
 }
 

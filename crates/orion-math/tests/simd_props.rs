@@ -24,6 +24,17 @@ fn fill(rng: &mut impl rand::Rng, len: usize, bound: u64) -> Vec<u64> {
     (0..len).map(|_| rng.gen_range(0..bound)).collect()
 }
 
+/// The centered base change by `i128`: `x mod src_q` lifted to
+/// `(−src_q/2, src_q/2]`, then reduced mod `q`.
+fn centered_lift(x: u64, src_q: u64, q: u64) -> u64 {
+    let c = if x > src_q / 2 {
+        x as i128 - src_q as i128
+    } else {
+        x as i128
+    };
+    reduce_i128(c, q)
+}
+
 /// Sums `terms` through `mac_wide`, folding whenever a lane has reached
 /// `wide_fold_bound(q)` products (a folded lane counts as one) and once at
 /// the end — the discipline the hoisting accumulator follows.
@@ -209,17 +220,7 @@ fn elementwise_kernels_match_reference_at_the_ifma_gates() {
                 for src in edge_inputs(&mut rng, len, src_q) {
                     let mut v = vec![0u64; len];
                     (k.centered_reduce)(&mut v, &src, src_q, q);
-                    let want: Vec<u64> = src
-                        .iter()
-                        .map(|&x| {
-                            let c = if x > src_q / 2 {
-                                x as i128 - src_q as i128
-                            } else {
-                                x as i128
-                            };
-                            reduce_i128(c, q)
-                        })
-                        .collect();
+                    let want: Vec<u64> = src.iter().map(|&x| centered_lift(x, src_q, q)).collect();
                     assert_eq!(v, want, "{} centered q {q} len {len}", k.name);
                 }
             }
@@ -232,6 +233,48 @@ fn elementwise_kernels_match_reference_at_the_ifma_gates() {
             let mut v = vec![0u64; words.len()];
             (k.mod_reduce)(&mut v, &words, q);
             assert_eq!(v, want, "{} modred q {q}, many words", k.name);
+        }
+    }
+}
+
+/// `mod_reduce` and `centered_reduce` between the lola chain's q₀ and its
+/// special prime P < q₀ (`CkksParams::small()`), both IFMA limbs, in both
+/// directions: digit extension reduces q₀'s digit into P (`mod_reduce`,
+/// the source above the target), ModDown lifts P into q₀
+/// (`centered_reduce`). On every class, residues 0, `q − 1`, `q`, `q + 1`,
+/// the centering threshold, `src_q − 1` and random ones.
+#[test]
+fn base_changes_between_the_lola_limbs_match_reference() {
+    use rand::{rngs::StdRng, SeedableRng};
+    let (q0, p) = (1125899906826241, 1125899906629633);
+    assert!(p < q0 && q0 < simd::IFMA_Q_BOUND);
+    let mut rng = StdRng::seed_from_u64(0x10_1a);
+    for (src_q, q) in [(q0, p), (p, q0)] {
+        let mut src: Vec<u64> = vec![0, 1, q - 1, src_q / 2, src_q / 2 + 1, src_q - 1];
+        if src_q > q {
+            src.extend([q, q + 1]);
+        }
+        src.extend(fill(&mut rng, 67, src_q));
+        let reduced: Vec<u64> = src.iter().map(|&x| x % q).collect();
+        let centered: Vec<u64> = src.iter().map(|&x| centered_lift(x, src_q, q)).collect();
+        for k in simd::variants() {
+            for len in [1, 7, 8, 9, src.len()] {
+                let mut v = vec![0u64; len];
+                (k.mod_reduce)(&mut v, &src[..len], q);
+                assert_eq!(
+                    v,
+                    reduced[..len],
+                    "{} modred {src_q} → {q} len {len}",
+                    k.name
+                );
+                (k.centered_reduce)(&mut v, &src[..len], src_q, q);
+                assert_eq!(
+                    v,
+                    centered[..len],
+                    "{} centered {src_q} → {q} len {len}",
+                    k.name
+                );
+            }
         }
     }
 }
@@ -363,13 +406,7 @@ proptest! {
             src[1] = src_q / 2 + 1;
             src[2] = src_q - 1;
         }
-        let expect: Vec<u64> = src
-            .iter()
-            .map(|&x| {
-                let c = if x > src_q / 2 { x as i128 - src_q as i128 } else { x as i128 };
-                reduce_i128(c, dst_q)
-            })
-            .collect();
+        let expect: Vec<u64> = src.iter().map(|&x| centered_lift(x, src_q, dst_q)).collect();
         for k in simd::variants() {
             let mut v = vec![0u64; len];
             (k.centered_reduce)(&mut v, &src, src_q, dst_q);

@@ -5,7 +5,8 @@
 //! baby-step pattern of BSGS matrix–vector products. Double-hoisting
 //! additionally keeps the inner-product accumulation in the extended basis
 //! `Q·p`, performing a single ModDown per giant-step group instead of one
-//! per rotation (Bossuat et al., Algorithm 6).
+//! per rotation (Bossuat et al., Algorithm 6). Every term sits in that one
+//! basis: a rotation by 0 enters as `P·c`, whose ModDown is `c`.
 
 use crate::encrypt::{Ciphertext, Plaintext};
 use crate::eval::Evaluator;
@@ -85,9 +86,16 @@ pub(crate) fn key_switch_ext(
     (b, a)
 }
 
+/// `P·c` in the base basis.
+fn times_special(ctx: &Context, c: &RnsPoly) -> RnsPoly {
+    let mut x = c.clone();
+    x.mul_scalar_assign(ctx.special as i128, ctx);
+    x
+}
+
 /// A ciphertext with its key-switch digit decomposition precomputed, ready
 /// for cheap repeated rotations. It borrows the ciphertext it was built
-/// from: a rotation by a multiple of the slot count is that ciphertext.
+/// from, which a rotation by a multiple of the slot count lifts to `P·c`.
 pub struct HoistedDigits<'c> {
     /// Extended, NTT'd digits of `c1`.
     digits: Vec<RnsPoly>,
@@ -102,11 +110,9 @@ pub struct HoistedDigits<'c> {
 impl<'c> HoistedDigits<'c> {
     /// Precomputes the decomposition of `ct` (the "hoisted" part).
     pub fn new(ctx: &Context, ct: &'c Ciphertext) -> Self {
-        let mut c0_p = ct.c0.clone();
-        c0_p.mul_scalar_assign(ctx.special as i128, ctx);
         Self {
             digits: decompose_digits(ctx, &ct.c1),
-            c0_p,
+            c0_p: times_special(ctx, &ct.c0),
             ct,
         }
     }
@@ -145,7 +151,7 @@ impl<'c> HoistedDigits<'c> {
         let ctx = eval.context();
         let g = ctx.galois_element(k);
         if g == 1 {
-            return Ok(RotatedExt::identity(self.ct));
+            return Ok(RotatedExt::identity(ctx, self.ct));
         }
         let key = eval.keys().try_rotation(g, self.level())?;
         let perm = ctx.galois_permutation(g);
@@ -159,28 +165,33 @@ impl<'c> HoistedDigits<'c> {
     }
 }
 
-/// A rotation of a hoisted ciphertext kept in the extended basis — the
-/// shareable unit of double-hoisting: computed once per distinct rotation
-/// step, then multiplied by many plaintext diagonals.
+/// A rotation of a hoisted ciphertext kept in the extended basis `Q·P` —
+/// the shareable unit of double-hoisting: computed once per distinct
+/// rotation step, then multiplied by many plaintext diagonals. Its ModDown
+/// is the rotated ciphertext.
 pub struct RotatedExt {
-    /// Rotation by 0: `c0` itself, base basis. Otherwise the `b` part of
-    /// [`key_switch_ext`], extended basis.
+    /// The `b` part of [`key_switch_ext`]; `P·c0` for the identity.
     b: RnsPoly,
-    /// Rotation by 0: `c1` itself. Otherwise the `a` part, extended basis.
+    /// The `a` part; `P·c1` for the identity.
     a: RnsPoly,
     /// Source ciphertext scale.
     scale: f64,
 }
 
 impl RotatedExt {
-    /// The rotation-by-0 view of a ciphertext — bit-identical to
-    /// `HoistedDigits::rotate_ext(eval, 0)` but without paying the digit
-    /// decomposition (rotation by 0 never touches the key-switch, so a
-    /// consumer holding the ciphertext itself can build this directly).
-    pub fn identity(ct: &Ciphertext) -> Self {
+    /// The rotation-by-0 view of a ciphertext, `(P·c0, P·c1)` with a zero
+    /// special limb: the shape of every key-switched rotation, whose `b`
+    /// part is seeded with `P·σ(c0)`, without a digit decomposition. Its
+    /// ModDown is `ct` bit for bit, so a consumer holding the ciphertext
+    /// itself can build this directly.
+    pub fn identity(ctx: &Context, ct: &Ciphertext) -> Self {
+        let extend = |c: &RnsPoly| RnsPoly {
+            special: Some(orion_math::arena::take_u64(ctx.degree())),
+            ..times_special(ctx, c)
+        };
         RotatedExt {
-            b: ct.c0.clone(),
-            a: ct.c1.clone(),
+            b: extend(&ct.c0),
+            a: extend(&ct.c1),
             scale: ct.scale,
         }
     }
@@ -205,23 +216,20 @@ struct WideLimb {
     terms: u64,
 }
 
-/// `Σ_k x_k ⊙ y_k` over one RNS basis, held as unreduced wide lanes (a
-/// `lo` / `hi` word pair per coefficient): each term costs one widening
-/// multiply and a two-word add per coefficient, and the reduction runs
-/// once per coefficient in [`WidePoly::into_poly`] instead of once per
+/// `Σ_k x_k ⊙ y_k` over the extended basis `Q·P`, held as unreduced wide
+/// lanes (a `lo` / `hi` word pair per coefficient): each term costs one
+/// widening multiply and a two-word add per coefficient, and the reduction
+/// runs once per coefficient in [`WidePoly::into_poly`] instead of once per
 /// term.
 struct WidePoly {
-    /// Chain limbs `0..=level`, then the special limb if extended.
+    /// Chain limbs `0..=level`, then the special limb.
     limbs: Vec<WideLimb>,
-    n_chain: usize,
 }
 
 impl WidePoly {
-    fn zero(ctx: &Context, level: usize, with_special: bool) -> Self {
+    fn zero(ctx: &Context, level: usize) -> Self {
         let n = ctx.degree();
-        let moduli = ctx.moduli[..=level]
-            .iter()
-            .chain(with_special.then_some(&ctx.special));
+        let moduli = ctx.moduli[..=level].iter().chain([&ctx.special]);
         Self {
             limbs: moduli
                 .map(|&q| WideLimb {
@@ -231,30 +239,27 @@ impl WidePoly {
                     terms: 0,
                 })
                 .collect(),
-            n_chain: level + 1,
         }
     }
 
     /// `self += x ⊙ y` in one sequential pass over each limb. `y` may sit
-    /// at a higher level or carry a special limb `self` lacks; the extra
-    /// limbs are not read.
+    /// at a higher level; its extra chain limbs are not read.
     fn mac(&mut self, x: &RnsPoly, y: &RnsPoly) {
         assert_eq!(x.form, Form::Eval);
         assert_eq!(y.form, Form::Eval);
-        assert_eq!(x.limbs.len(), self.n_chain, "level mismatch");
-        assert!(y.limbs.len() >= self.n_chain, "level mismatch");
-        let n_chain = self.n_chain;
+        let n_chain = self.limbs.len() - 1;
+        assert_eq!(x.limbs.len(), n_chain, "level mismatch");
+        assert!(y.limbs.len() >= n_chain, "level mismatch");
+        assert!(x.has_special(), "extended operand");
+        assert!(
+            y.has_special(),
+            "double-hoisting needs extended-basis plaintexts"
+        );
+        let xs = x.limbs.iter().chain(&x.special);
+        let ys = y.limbs[..n_chain].iter().chain(&y.special);
         let k = simd::kernels();
         time_class(OpClass::Pointwise, || {
-            for (j, w) in self.limbs.iter_mut().enumerate() {
-                let (a, b) = if j < n_chain {
-                    (&x.limbs[j], &y.limbs[j])
-                } else {
-                    (
-                        x.special.as_ref().expect("extended operand"),
-                        y.special.as_ref().expect("extended plaintext"),
-                    )
-                };
+            for ((w, a), b) in self.limbs.iter_mut().zip(xs).zip(ys) {
                 if w.terms == simd::wide_fold_bound(w.q) {
                     (k.fold_wide)(&mut w.lo, &mut w.hi, w.q);
                     w.terms = 1;
@@ -269,7 +274,11 @@ impl WidePoly {
     /// `[0, q)` and add mod `q` (a folded lane counts one term), and
     /// `other`'s words go back to the arena.
     fn merge(&mut self, other: WidePoly) {
-        assert_eq!(self.limbs.len(), other.limbs.len(), "basis mismatch");
+        assert_eq!(
+            self.limbs.len(),
+            other.limbs.len(),
+            "accumulator level mismatch"
+        );
         let k = simd::kernels();
         time_class(OpClass::Pointwise, || {
             for (w, mut o) in self.limbs.iter_mut().zip(other.limbs) {
@@ -284,7 +293,8 @@ impl WidePoly {
     }
 
     /// The single Barrett reduction per coefficient: folds every lane and
-    /// hands the low words over as the limbs of an ordinary polynomial.
+    /// hands the low words over as the limbs of an extended-basis
+    /// polynomial.
     fn into_poly(mut self) -> RnsPoly {
         let k = simd::kernels();
         time_class(OpClass::Pointwise, || {
@@ -300,7 +310,7 @@ impl WidePoly {
                 w.lo
             })
             .collect();
-        let special = (limbs.len() > self.n_chain).then(|| limbs.pop().expect("special limb"));
+        let special = limbs.pop();
         RnsPoly {
             limbs,
             special,
@@ -309,23 +319,17 @@ impl WidePoly {
     }
 }
 
-/// The `(b, a)` lanes of one basis.
-type WidePair = (WidePoly, WidePoly);
-
-/// Lazy-ModDown accumulator: sums `pt_k ⊙ HRot_k(ct)` terms while keeping
-/// the key-switch parts in the extended basis; a single ModDown happens in
-/// [`ExtAccumulator::finalize`]. This is the double-hoisting inner loop of
-/// the BSGS matvec (paper §3.3, Equation 1).
+/// Lazy-ModDown accumulator: sums `pt_k ⊙ HRot_k(ct)` terms in the
+/// extended basis `Q·P` — a rotation by 0 enters as `P·c` — and performs
+/// one ModDown in [`ExtAccumulator::finalize`]. This is the double-hoisting
+/// inner loop of the BSGS matvec (paper §3.3, Equation 1).
 ///
 /// Terms are summed as unreduced wide lanes (`WidePoly`); both the
 /// modular reduction and the ModDown are deferred to `finalize`.
 pub struct ExtAccumulator {
-    level: usize,
-    /// Extended-basis lanes: every non-zero-rotation term (its `σ(c0)`
-    /// rides in the `b` part as `P·σ(c0)`). Allocated by the first one.
-    ext: Option<WidePair>,
-    /// Base-basis lanes: rotation-by-0 terms only. Allocated by the first.
-    base: Option<WidePair>,
+    /// `Σ pt_k ⊙ b_k` and `Σ pt_k ⊙ a_k`.
+    b: WidePoly,
+    a: WidePoly,
     scale: Option<f64>,
 }
 
@@ -334,9 +338,8 @@ impl ExtAccumulator {
     pub fn new(ctx: &Context, level: usize) -> Self {
         assert!(level <= ctx.max_level(), "level above the chain");
         Self {
-            level,
-            ext: None,
-            base: None,
+            b: WidePoly::zero(ctx, level),
+            a: WidePoly::zero(ctx, level),
             scale: None,
         }
     }
@@ -353,45 +356,9 @@ impl ExtAccumulator {
         }
     }
 
-    /// Adds `pt ⊙ (b, a)`, into the extended lanes when the pair carries a
-    /// special limb and into the base lanes otherwise.
-    fn accumulate(
-        &mut self,
-        ctx: &Context,
-        b: &RnsPoly,
-        a: &RnsPoly,
-        term_scale: f64,
-        pt: &Plaintext,
-    ) {
-        self.check_scale(term_scale);
-        let extended = b.has_special();
-        assert!(
-            !extended || pt.poly.has_special(),
-            "double-hoisting needs extended-basis plaintexts"
-        );
-        let level = self.level;
-        let lanes = if extended {
-            &mut self.ext
-        } else {
-            &mut self.base
-        };
-        let (acc_b, acc_a) = lanes.get_or_insert_with(|| {
-            (
-                WidePoly::zero(ctx, level, extended),
-                WidePoly::zero(ctx, level, extended),
-            )
-        });
-        acc_b.mac(b, &pt.poly);
-        acc_a.mac(a, &pt.poly);
-    }
-
     /// Accumulates `pt ⊙ HRot_k(hoisted)`, one rotation per term: the
     /// per-term reference the tests hold the shared-rotation path
     /// ([`HoistedDigits::rotate_ext`] + [`Self::add_pmult_rotated`]) to.
-    ///
-    /// For `k ≠ 0` the plaintext must carry a special limb (encode with
-    /// `with_special = true`); the rotation's key-switch output is consumed
-    /// lazily in the extended basis.
     #[cfg(test)]
     pub fn add_rotated_pmult(
         &mut self,
@@ -407,58 +374,34 @@ impl ExtAccumulator {
 
     /// Accumulates `pt ⊙ rot` where `rot` is a precomputed [`RotatedExt`]
     /// (the key-switch inner product is shared across all diagonals using
-    /// the same rotation step — Bossuat et al. Algorithm 6).
-    pub fn add_pmult_rotated(&mut self, eval: &Evaluator, rot: &RotatedExt, pt: &Plaintext) {
-        self.accumulate(eval.context(), &rot.b, &rot.a, rot.scale * pt.scale, pt);
+    /// the same rotation step — Bossuat et al. Algorithm 6). The plaintext
+    /// must carry a special limb (encode with `with_special = true`).
+    pub fn add_pmult_rotated(&mut self, _eval: &Evaluator, rot: &RotatedExt, pt: &Plaintext) {
+        self.check_scale(rot.scale * pt.scale);
+        self.b.mac(&rot.b, &pt.poly);
+        self.a.mac(&rot.a, &pt.poly);
     }
 
     /// Adds `other`'s terms to this accumulator's, exactly: merging the
     /// partial sums of any split of a term list, in any order, gives the
-    /// bits of one accumulator fed the whole list. Each basis's lanes fold
-    /// into `[0, q)` and add mod `q`; a basis only `other` holds moves over
-    /// as it is.
+    /// bits of one accumulator fed the whole list. The lanes fold into
+    /// `[0, q)` and add mod `q`.
     pub fn merge(&mut self, other: ExtAccumulator) {
-        assert_eq!(self.level, other.level, "accumulator level mismatch");
         if let Some(s) = other.scale {
             self.check_scale(s);
         }
-        for (mine, theirs) in [(&mut self.ext, other.ext), (&mut self.base, other.base)] {
-            match (mine, theirs) {
-                (_, None) => {}
-                (Some((b, a)), Some((ob, oa))) => {
-                    b.merge(ob);
-                    a.merge(oa);
-                }
-                (mine, Some(pair)) => *mine = Some(pair),
-            }
-        }
+        self.b.merge(other.b);
+        self.a.merge(other.a);
     }
 
     /// Reduces the lanes, performs the deferred ModDown and returns the
-    /// accumulated ciphertext. A basis that received no term is skipped
-    /// (its fold, and for the extended one both ModDowns, would produce
-    /// zeros).
+    /// accumulated ciphertext.
     pub fn finalize(self, eval: &Evaluator) -> Ciphertext {
         let ctx = eval.context();
         let scale = self.scale.expect("empty accumulator");
-        let ext = self.ext.map(|(b, a)| {
-            let (mut b, mut a) = (b.into_poly(), a.into_poly());
-            b.mod_down_special_assign(ctx);
-            a.mod_down_special_assign(ctx);
-            (b, a)
-        });
-        let base = self.base.map(|(b, a)| (b.into_poly(), a.into_poly()));
-        let (c0, c1) = match (base, ext) {
-            (Some((mut c0, mut c1)), Some((b, a))) => {
-                c0.add_assign(&b, ctx);
-                c1.add_assign(&a, ctx);
-                b.recycle();
-                a.recycle();
-                (c0, c1)
-            }
-            (Some(pair), None) | (None, Some(pair)) => pair,
-            (None, None) => unreachable!("a scale is set only by a term"),
-        };
+        let (mut c0, mut c1) = (self.b.into_poly(), self.a.into_poly());
+        c0.mod_down_special_assign(ctx);
+        c1.mod_down_special_assign(ctx);
         Ciphertext { c0, c1, scale }
     }
 }
@@ -530,18 +473,15 @@ mod tests {
         }
     }
 
-    /// A hoisted rotation out of the extended basis: ModDown unless it is
-    /// the identity.
+    /// A hoisted rotation out of the extended basis.
     fn mod_down(ctx: &Context, rot: RotatedExt) -> Ciphertext {
         let RotatedExt {
             mut b,
             mut a,
             scale,
         } = rot;
-        if b.has_special() {
-            b.mod_down_special_assign(ctx);
-            a.mod_down_special_assign(ctx);
-        }
+        b.mod_down_special_assign(ctx);
+        a.mod_down_special_assign(ctx);
         Ciphertext {
             c0: b,
             c1: a,
@@ -569,16 +509,17 @@ mod tests {
 
     #[test]
     fn a_slot_multiple_rotation_is_the_source_ciphertext() {
-        // No rotation keys at all: the identity reads the borrowed source.
+        // No rotation keys at all: the identity needs none, and its ModDown
+        // is the source.
         let mut h = setup(&[]);
         let slots = h.ctx.slots() as isize;
         let ct = fresh_ct(&mut h, 2);
         let hd = HoistedDigits::new(&h.ctx, &ct);
         for k in [0, slots, -slots, 3 * slots] {
             let rot = hd.try_rotate_ext(&h.eval, k).expect("identity rotation");
-            assert!(!rot.b.has_special() && !rot.a.has_special(), "k={k}");
-            assert!(rot.b == ct.c0 && rot.a == ct.c1, "k={k}");
-            assert_eq!(rot.scale.to_bits(), ct.scale.to_bits());
+            let got = mod_down(&h.ctx, rot);
+            assert!(got.c0 == ct.c0 && got.c1 == ct.c1, "k={k}");
+            assert_eq!(got.scale.to_bits(), ct.scale.to_bits());
         }
     }
 
@@ -761,7 +702,7 @@ mod tests {
             per_term.add_rotated_pmult(&h.eval, &hd, *k, pt);
             let rot = rotations.entry(*k).or_insert_with(|| {
                 if *k == 0 {
-                    RotatedExt::identity(ct)
+                    RotatedExt::identity(&h.ctx, ct)
                 } else {
                     hd.rotate_ext(&h.eval, *k)
                 }

@@ -278,7 +278,7 @@ fn exec_streamed(
             let mut accs = BTreeMap::new();
             for &((j_blk, i), ref terms) in chunk {
                 let rot = match (i, &hoisted[j_blk as usize]) {
-                    (0, _) => RotatedExt::identity(&inputs[j_blk as usize]),
+                    (0, _) => RotatedExt::identity(ctx.eval.context(), &inputs[j_blk as usize]),
                     (_, h) => (h.as_ref().expect("a rotating block is hoisted"))
                         .rotate_ext(ctx.eval, i as isize),
                 };
@@ -935,12 +935,15 @@ mod tests {
         (fhe, fnv(plain.iter().flatten().map(|x| x.to_bits())))
     }
 
-    /// `exec_bsgs`'s output bits, pinned by digest on three plans: a 3×3
+    /// `exec_bsgs`'s output bits, pinned by digest on four plans: a 3×3
     /// conv spanning two input and two output blocks, a row-folded dense
-    /// layer with bias, and a plan whose input block 0 has only `i = 0`
-    /// diagonals (one diagonal all-zero). The digests were recorded from
-    /// the rotation-major body (every baby step built before any group read
-    /// one); the streamed body reproduces them at every chunk count. The
+    /// layer with bias, a plan whose input block 0 has only `i = 0`
+    /// diagonals (one diagonal all-zero), and a one-block plan with no
+    /// hoist at all. The first three digests were recorded from the
+    /// rotation-major body (every baby step built before any group read
+    /// one), the fourth from the accumulator that summed rotation-by-0
+    /// terms in separate base-basis lanes; the streamed body reproduces
+    /// them at every chunk count. The
     /// cleartext oracle's output bits are pinned beside them: recorded from
     /// the `exec_plain` that pre-rotated its inputs into a table and walked
     /// each output block's diagonals, bias added by its caller.
@@ -984,6 +987,19 @@ mod tests {
         assert_eq!(identity_block.counts.hoists, 1);
         let seeded = SeededDiags { seed: 43, zero: 1 };
 
+        // one input block, diagonal 0 of two output blocks: no hoist, and
+        // each group holds one rotation-by-0 term
+        let mut b = PlanBuilder::new(slots, 1, 2);
+        b.add_segment(0, 0, 1, slots);
+        b.add_segment(slots, -(slots as i64), 1, slots);
+        let unhoisted = b.finish();
+        assert_eq!(unhoisted.counts.hoists, 0);
+        assert!(unhoisted.counts.moddowns > 1, "{:?}", unhoisted.counts);
+        let unhoisted_src = SeededDiags {
+            seed: 47,
+            zero: usize::MAX,
+        };
+
         let cases = [
             (
                 "conv",
@@ -1002,6 +1018,12 @@ mod tests {
                 bsgs_digests(&identity_block, &seeded, None, 46),
                 0xd186_ac40_6dbe_5aa8,
                 0x164a_9829_dd25_c3e1,
+            ),
+            (
+                "no hoist",
+                bsgs_digests(&unhoisted, &unhoisted_src, None, 48),
+                0x0989_a405_be3d_ae79,
+                0x7296_fea7_3ab8_74bb,
             ),
         ];
         for (name, (fhe, plain), want, want_plain) in cases {

@@ -9,8 +9,8 @@
 //! * [`ntt`] — negacyclic Number Theoretic Transform over each RNS prime,
 //! * [`fft`] — complex FFT plus the CKKS *special* FFT used by the
 //!   canonical-embedding encoder,
-//! * [`rns`] — Residue Number System helpers (CRT reconstruction for tests,
-//!   modulus-chain bookkeeping),
+//! * [`rns`] — Residue Number System helpers (the centered CRT lift every
+//!   decode runs, and the reconstruction it is tested against),
 //! * [`simd`] — the kernel dispatch table every hot limb loop runs on,
 //! * [`arena`] — thread-local recycling of limb buffers.
 //!

@@ -13,48 +13,6 @@
 
 use crate::modular::{center, inv_mod, mul_mod_shoup, shoup_precompute, sub_mod, Barrett};
 
-/// A chain of RNS moduli `q_0, …, q_L` with cached pairwise data.
-#[derive(Clone, Debug)]
-pub struct ModulusChain {
-    /// The moduli, index 0 first.
-    pub moduli: Vec<u64>,
-}
-
-impl ModulusChain {
-    /// Creates a chain; all moduli must be distinct primes.
-    pub fn new(moduli: Vec<u64>) -> Self {
-        let mut sorted = moduli.clone();
-        sorted.sort_unstable();
-        sorted.dedup();
-        assert_eq!(sorted.len(), moduli.len(), "RNS moduli must be distinct");
-        Self { moduli }
-    }
-
-    /// Number of limbs.
-    pub fn len(&self) -> usize {
-        self.moduli.len()
-    }
-
-    /// True when the chain is empty.
-    pub fn is_empty(&self) -> bool {
-        self.moduli.is_empty()
-    }
-
-    /// `(Q_ℓ / q_i)⁻¹ mod q_i` for the sub-chain `q_0..=q_ℓ`; the classic
-    /// CRT "hat inverse" used to build key-switching gadget constants.
-    pub fn hat_inv(&self, i: usize, level: usize) -> u64 {
-        let qi = self.moduli[i];
-        let br = Barrett::new(qi);
-        let mut prod = 1u64;
-        for (j, &qj) in self.moduli.iter().enumerate().take(level + 1) {
-            if j != i {
-                prod = br.mul_mod(prod, br.reduce_u64(qj));
-            }
-        }
-        inv_mod(prod, qi)
-    }
-}
-
 /// Reconstructs the centered value of an RNS residue vector over the first
 /// `limbs.len()` moduli of `chain`, as an `i128`.
 ///
@@ -134,8 +92,6 @@ pub fn crt_lift_centered(limbs: &[&[u64]], moduli: &[u64]) -> Vec<i128> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::modular::mul_mod;
-    use crate::primes::generate_ntt_primes;
 
     #[test]
     fn crt_roundtrip_small() {
@@ -147,29 +103,5 @@ mod tests {
                 .collect();
             assert_eq!(crt_reconstruct_centered(&limbs, &moduli), x);
         }
-    }
-
-    #[test]
-    fn hat_inv_property() {
-        let moduli = generate_ntt_primes(64, 40, 4, &[]);
-        let chain = ModulusChain::new(moduli.clone());
-        let level = 3;
-        for i in 0..=level {
-            let hi = chain.hat_inv(i, level);
-            // (Q/qi mod qi) * hat_inv ≡ 1 mod qi
-            let mut prod = 1u64;
-            for j in 0..=level {
-                if j != i {
-                    prod = mul_mod(prod, moduli[j] % moduli[i], moduli[i]);
-                }
-            }
-            assert_eq!(mul_mod(prod, hi, moduli[i]), 1);
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "distinct")]
-    fn duplicate_moduli_rejected() {
-        ModulusChain::new(vec![97, 97]);
     }
 }

@@ -808,9 +808,11 @@ mod avx2_impl {
         // hand-written schoolbook 64×64 emulation (7 32-bit multiplies per
         // lane) measures slower than what LLVM emits for them. Handwritten
         // AVX2 stays where the compiler cannot vectorize — the butterfly
-        // shuffle structure and the read-modify-write MAC.
+        // shuffle structure. `add_mul` has no program caller (the MAC stage
+        // runs on `mac_wide`); only a benchmark probe and the strict test
+        // references call it.
         mul_pointwise: super::scalar_impl::mul_pointwise,
-        add_mul,
+        add_mul: super::scalar_impl::add_mul,
         scalar_mul_assign,
         sub_mul_assign,
         mod_reduce: super::scalar_impl::mod_reduce,
@@ -917,83 +919,6 @@ mod avx2_impl {
         unsafe { csub(mul_shoup_lazy(a, b, b_sh, qv), qv, sign) }
     }
 
-    /// Lane-wise add with carry-out (0/1 per lane, detected by unsigned
-    /// `sum < a`).
-    #[inline(always)]
-    unsafe fn addcarry(a: __m256i, b: __m256i, sign: __m256i) -> (__m256i, __m256i) {
-        // SAFETY: register-only arithmetic; caller guarantees AVX2. The
-        // wrapping add plus biased compare implements the unsigned
-        // `sum < a` carry-out test exactly.
-        unsafe {
-            let s = _mm256_add_epi64(a, b);
-            let c = _mm256_cmpgt_epi64(_mm256_xor_si256(a, sign), _mm256_xor_si256(s, sign));
-            (s, _mm256_srli_epi64(c, 63))
-        }
-    }
-
-    /// Vector Barrett constants for one modulus.
-    struct BarrettVec {
-        qv: __m256i,
-        r_lo: __m256i,
-        r_hi: __m256i,
-        sign: __m256i,
-    }
-
-    impl BarrettVec {
-        #[inline(always)]
-        unsafe fn new(q: u64) -> (Barrett, Self) {
-            let br = Barrett::new(q);
-            let r = u128::MAX / q as u128;
-            // SAFETY: register-only broadcasts of the Barrett constants;
-            // caller guarantees AVX2.
-            unsafe {
-                (
-                    br,
-                    Self {
-                        qv: _mm256_set1_epi64x(q as i64),
-                        r_lo: _mm256_set1_epi64x(r as u64 as i64),
-                        r_hi: _mm256_set1_epi64x((r >> 64) as u64 as i64),
-                        sign: sign_bit(),
-                    },
-                )
-            }
-        }
-
-        /// Reduces the 128-bit lane values `(x_hi, x_lo)` into `[0, q)`;
-        /// mirrors `Barrett::reduce_u128` word for word (same quotient
-        /// estimate, same single conditional subtract → bit-identical).
-        #[inline(always)]
-        unsafe fn reduce(&self, x_lo: __m256i, x_hi: __m256i) -> __m256i {
-            // SAFETY: register-only arithmetic; caller guarantees AVX2 and
-            // lane values `x < q·2⁶⁴` (any product of `< q` operands), so
-            // the scalar proof of `Barrett::reduce_u128` — quotient
-            // estimate off by at most one — carries over lane for lane.
-            unsafe {
-                let carry = mulhi64(x_lo, self.r_lo);
-                let b_lo = mullo64(x_lo, self.r_hi);
-                let b_hi = mulhi64(x_lo, self.r_hi);
-                let (mid, c1) = addcarry(b_lo, carry, self.sign);
-                let b_hi = _mm256_add_epi64(b_hi, c1);
-                let c_lo = mullo64(x_hi, self.r_lo);
-                let c_hi = mulhi64(x_hi, self.r_lo);
-                let (_, c2) = addcarry(mid, c_lo, self.sign);
-                let carry2 = _mm256_add_epi64(c_hi, c2);
-                let est =
-                    _mm256_add_epi64(_mm256_add_epi64(mullo64(x_hi, self.r_hi), b_hi), carry2);
-                let r = _mm256_sub_epi64(x_lo, mullo64(est, self.qv));
-                csub(r, self.qv, self.sign)
-            }
-        }
-
-        /// `a·b mod q` per lane, both operands variable and `< q`.
-        #[inline(always)]
-        unsafe fn mul_mod(&self, a: __m256i, b: __m256i) -> __m256i {
-            // SAFETY: register-only arithmetic; caller guarantees AVX2 and
-            // operands `< q`, meeting `reduce`'s input bound.
-            unsafe { self.reduce(mullo64(a, b), mulhi64(a, b)) }
-        }
-    }
-
     // SAFETY note shared by every `*_avx2` target-feature function below:
     // they are reachable only through the `AVX2` kernel table, which
     // `super::avx2()` hands out after `is_x86_feature_detected!("avx2")`
@@ -1020,7 +945,6 @@ mod avx2_impl {
     wrap_avx2!(add_assign => add_assign_avx2(a: &mut [u64], b: &[u64], q: u64));
     wrap_avx2!(sub_assign => sub_assign_avx2(a: &mut [u64], b: &[u64], q: u64));
     wrap_avx2!(neg_assign => neg_assign_avx2(a: &mut [u64], q: u64));
-    wrap_avx2!(add_mul => add_mul_avx2(dst: &mut [u64], a: &[u64], b: &[u64], q: u64));
     wrap_avx2!(scalar_mul_assign => scalar_mul_assign_avx2(a: &mut [u64], s: u64, s_sh: u64, q: u64));
     wrap_avx2!(sub_mul_assign => sub_mul_assign_avx2(a: &mut [u64], b: &[u64], s: u64, s_sh: u64, q: u64));
     wrap_avx2!(ntt_fwd_lazy => ntt_fwd_lazy_avx2(a: &mut [u64], tw: Twiddles, q: u64));
@@ -1087,34 +1011,6 @@ mod avx2_impl {
             }
             for x in ac.into_remainder() {
                 *x = if *x == 0 { 0 } else { q - *x };
-            }
-        }
-    }
-
-    #[target_feature(enable = "avx2")]
-    unsafe fn add_mul_avx2(dst: &mut [u64], a: &[u64], b: &[u64], q: u64) {
-        debug_assert!(dst.len() == a.len() && a.len() == b.len());
-        // SAFETY: AVX2 verified by dispatch; in-bounds chunk pointers.
-        unsafe {
-            let (br, bv) = BarrettVec::new(q);
-            let mut dc = dst.chunks_exact_mut(4);
-            let mut ac = a.chunks_exact(4);
-            let mut bc = b.chunks_exact(4);
-            for ((d4, a4), b4) in (&mut dc).zip(&mut ac).zip(&mut bc) {
-                let av = _mm256_loadu_si256(a4.as_ptr() as *const __m256i);
-                let xv = _mm256_loadu_si256(b4.as_ptr() as *const __m256i);
-                let dv = _mm256_loadu_si256(d4.as_ptr() as *const __m256i);
-                let s = csub(_mm256_add_epi64(dv, bv.mul_mod(av, xv)), bv.qv, bv.sign);
-                _mm256_storeu_si256(d4.as_mut_ptr() as *mut __m256i, s);
-            }
-            for ((d, &x), &y) in dc
-                .into_remainder()
-                .iter_mut()
-                .zip(ac.remainder())
-                .zip(bc.remainder())
-            {
-                let s = *d + br.mul_mod(x, y);
-                *d = if s >= q { s - q } else { s };
             }
         }
     }
@@ -1458,8 +1354,8 @@ mod ifma_impl {
         sub_assign: avx2_impl::sub_assign,
         neg_assign: avx2_impl::neg_assign,
         mul_pointwise,
-        // Only a benchmark probe calls `add_mul`: it keeps the AVX2 body.
-        add_mul: avx2_impl::add_mul,
+        // Only a benchmark probe and the tests call `add_mul`.
+        add_mul: super::scalar_impl::add_mul,
         scalar_mul_assign,
         sub_mul_assign,
         mod_reduce,

@@ -69,11 +69,6 @@ impl Tensor {
         &mut self.data
     }
 
-    /// Consumes the tensor, returning its data.
-    pub fn into_vec(self) -> Vec<f64> {
-        self.data
-    }
-
     /// Reshapes (element count must be preserved).
     pub fn reshape(mut self, shape: &[usize]) -> Self {
         assert_eq!(shape.iter().product::<usize>(), self.data.len());

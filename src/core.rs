@@ -67,11 +67,6 @@ impl Orion {
         }
     }
 
-    /// Compiler with explicit options.
-    pub fn with_options(opts: CompileOptions) -> Self {
-        Self { opts }
-    }
-
     /// The options in use.
     pub fn options(&self) -> &CompileOptions {
         &self.opts

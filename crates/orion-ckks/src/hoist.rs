@@ -376,6 +376,7 @@ impl ExtAccumulator {
     /// (the key-switch inner product is shared across all diagonals using
     /// the same rotation step — Bossuat et al. Algorithm 6). The plaintext
     /// must carry a special limb (encode with `with_special = true`).
+    /// `_eval` is unread; the `perf/` pin names this signature.
     pub fn add_pmult_rotated(&mut self, _eval: &Evaluator, rot: &RotatedExt, pt: &Plaintext) {
         self.check_scale(rot.scale * pt.scale);
         self.b.mac(&rot.b, &pt.poly);

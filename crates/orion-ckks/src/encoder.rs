@@ -23,8 +23,8 @@ impl Encoder {
 
     /// Encodes a real vector (length ≤ slots; zero-padded) into a plaintext
     /// at `level` with the given `scale`. `with_special` additionally
-    /// carries a special-prime limb so the plaintext can multiply
-    /// extended-basis accumulators (double-hoisting).
+    /// carries the level's `α(level)` special-prime limbs so the plaintext
+    /// can multiply extended-basis accumulators (double-hoisting).
     pub fn encode(
         &self,
         values: &[f64],
@@ -62,7 +62,12 @@ impl Encoder {
             coeffs[j] = (v.re * scale).round() as i128;
             coeffs[j + slots] = (v.im * scale).round() as i128;
         }
-        let mut poly = RnsPoly::from_signed(&self.ctx, &coeffs, level, with_special);
+        let specials = if with_special {
+            self.ctx.alpha(level)
+        } else {
+            0
+        };
+        let mut poly = RnsPoly::from_signed(&self.ctx, &coeffs, level, specials);
         poly.to_eval(&self.ctx);
         Plaintext { poly, scale }
     }
@@ -114,7 +119,12 @@ impl Encoder {
         let n = self.ctx.degree();
         let mut coeffs = orion_math::arena::scratch_i128(n);
         coeffs[0] = (value * scale).round() as i128;
-        let mut poly = RnsPoly::from_signed(&self.ctx, &coeffs, level, with_special);
+        let specials = if with_special {
+            self.ctx.alpha(level)
+        } else {
+            0
+        };
+        let mut poly = RnsPoly::from_signed(&self.ctx, &coeffs, level, specials);
         poly.to_eval(&self.ctx);
         Plaintext { poly, scale }
     }
@@ -133,7 +143,7 @@ impl Encoder {
         self.encode(values, scale, level, with_special)
     }
 
-    /// Errorless weight encoding *with* the special limb, for double-hoisted
+    /// Errorless weight encoding *with* the special limbs, for double-hoisted
     /// accumulation (the plaintext can then multiply extended-basis
     /// key-switch accumulators).
     pub fn encode_at_prime_scale_ws(&self, values: &[f64], level: usize) -> Plaintext {

@@ -93,13 +93,13 @@ impl Encryptor {
         let ctx = self.ctx();
         match self {
             Self::Public { .. } => EncryptionNoise::Public {
-                v: RnsPoly::sample_ternary(ctx, level, false, rng),
-                e0: RnsPoly::sample_gaussian(ctx, level, false, rng),
-                e1: RnsPoly::sample_gaussian(ctx, level, false, rng),
+                v: RnsPoly::sample_ternary(ctx, level, 0, rng),
+                e0: RnsPoly::sample_gaussian(ctx, level, 0, rng),
+                e1: RnsPoly::sample_gaussian(ctx, level, 0, rng),
             },
             Self::Secret { .. } => EncryptionNoise::Secret {
-                a: RnsPoly::sample_uniform(ctx, level, Form::Eval, false, rng),
-                e: RnsPoly::sample_gaussian(ctx, level, false, rng),
+                a: RnsPoly::sample_uniform(ctx, level, Form::Eval, 0, rng),
+                e: RnsPoly::sample_gaussian(ctx, level, 0, rng),
             },
         }
     }
@@ -112,7 +112,7 @@ impl Encryptor {
         let level = pt.level();
         let mut m = pt.poly.clone();
         m.to_eval(ctx);
-        m.special = None;
+        m.special.clear();
         match (self, noise) {
             (
                 Self::Public { pk, .. },

@@ -95,7 +95,7 @@ impl Evaluator {
         Self::assert_scales_match(a.scale, p.scale);
         let mut m = p.poly.clone();
         m.to_eval(&self.ctx);
-        m.special = None;
+        m.special.clear();
         let mut c0 = a.c0.clone();
         c0.add_assign(&m, &self.ctx);
         Ciphertext {
@@ -111,7 +111,7 @@ impl Evaluator {
         assert_eq!(a.level(), p.level(), "PMult level mismatch");
         let mut m = p.poly.clone();
         m.to_eval(&self.ctx);
-        m.special = None;
+        m.special.clear();
         let c0 = a.c0.mul_pointwise(&m, &self.ctx);
         let c1 = a.c1.mul_pointwise(&m, &self.ctx);
         Ciphertext {
@@ -152,22 +152,28 @@ impl Evaluator {
         }
     }
 
-    /// Decomposes `c` (evaluation form, no special limb), runs the one body
-    /// ([`crate::hoist::key_switch_ext`]) and ModDown: `(B, A)` with `B + A·s
-    /// ≈ seed_b + σ(c)·s'` for a key `s' → s`. Timed as one key-switch, the
+    /// Decomposes `c` (evaluation form, no special limb) into digits of
+    /// the α of the key's gadget for its level, runs the one body ([`crate::hoist::key_switch_ext`])
+    /// seeded with `P·seed_b` into the basis `Q·P` (`P` the first `basis`
+    /// special primes, the digits' α when `None`) and ModDown by `P`: `(B, A)` with `B + A·s ≈ seed_b
+    /// + σ(c)·s'` for a key `s' → s`. Timed as one key-switch, the
     /// expensive primitive behind `HMult` and `HRot` (paper §2.5.2).
     fn switch_key(
         &self,
         c: &RnsPoly,
         key: &KeySwitchKey,
         perm: Option<&simd::Permutation>,
-        seed_b: RnsPoly,
+        mut seed_b: RnsPoly,
+        basis: Option<usize>,
     ) -> (RnsPoly, RnsPoly) {
         let ctx = &self.ctx;
+        let alpha = key.alpha_at(ctx, c.level());
+        let basis = basis.unwrap_or(alpha);
         let (mut b, mut a) =
             orion_telemetry::time_class(orion_telemetry::OpClass::KeySwitch, || {
-                let digits = decompose_digits(ctx, c);
-                let out = key_switch_ext(ctx, &digits, key, perm, seed_b);
+                let digits = decompose_digits(ctx, c, alpha);
+                seed_b.mul_special_product_assign(ctx, 0..basis);
+                let out = key_switch_ext(ctx, &digits, key, perm, seed_b, basis);
                 for digit in digits {
                     digit.recycle();
                 }
@@ -191,13 +197,13 @@ impl Evaluator {
             .keys
             .try_relin(a.level())
             .unwrap_or_else(|e| panic!("{e}"));
-        // P·d0 seeds the b lane, so d0 comes out of the ModDown.
-        let mut d0 = a.c0.mul_pointwise(&b.c0, ctx);
-        d0.mul_scalar_assign(ctx.special as i128, ctx);
+        // P·d0 seeds the b lane, so d0 comes out of the ModDown, one
+        // ModDown by the primes of the key's gadget.
+        let d0 = a.c0.mul_pointwise(&b.c0, ctx);
         let mut d1 = a.c0.mul_pointwise(&b.c1, ctx);
         d1.add_assign(&a.c1.mul_pointwise(&b.c0, ctx), ctx);
         let d2 = a.c1.mul_pointwise(&b.c1, ctx);
-        let (c0, ks_a) = self.switch_key(&d2, relin, None, d0);
+        let (c0, ks_a) = self.switch_key(&d2, relin, None, d0, None);
         let mut c1 = d1;
         c1.add_assign(&ks_a, ctx);
         Ciphertext {
@@ -266,10 +272,12 @@ impl Evaluator {
         }
         let key = self.keys.try_rotation(g, ct.level())?;
         let perm = ctx.galois_permutation(g);
-        // σ(P·c0) seeds the b lane, so σ(c0) comes out of the ModDown.
-        let mut seed_b = ct.c0.automorphism_eval(&perm);
-        seed_b.mul_scalar_assign(ctx.special as i128, ctx);
-        let (c0, c1) = self.switch_key(&ct.c1, key, Some(&perm), seed_b);
+        // P·σ(c0) seeds the b lane, so σ(c0) comes out of the ModDown; the
+        // level's basis, as a hoisted rotation's, so the two agree bit for
+        // bit.
+        let seed_b = ct.c0.automorphism_eval(&perm);
+        let basis = Some(ctx.alpha(ct.level()));
+        let (c0, c1) = self.switch_key(&ct.c1, key, Some(&perm), seed_b, basis);
         Ok(Ciphertext {
             c0,
             c1,
@@ -400,8 +408,9 @@ mod tests {
     }
 
     /// `mul_relin` by the strict reference: the tensor product, then
-    /// `d2` through [`KeySwitchKey::inner_product`] and a ModDown of each
-    /// half, added to `(d0, d1)`.
+    /// `d2` through the exact-integer ModUp with the key's α,
+    /// [`KeySwitchKey::inner_product`] and a ModDown of each half by the
+    /// key's special primes, added to `(d0, d1)`.
     fn reference_relin(h: &Harness, a: &Ciphertext, b: &Ciphertext) -> Ciphertext {
         let ctx = &h.ctx;
         let mut d0 = a.c0.mul_pointwise(&b.c0, ctx);
@@ -409,7 +418,9 @@ mod tests {
         d1.add_assign(&a.c1.mul_pointwise(&b.c0, ctx), ctx);
         let d2 = a.c1.mul_pointwise(&b.c1, ctx);
         let key = h.eval.keys.try_relin(a.level()).expect("relin key");
-        let (mut ks_b, mut ks_a) = key.inner_product(ctx, &decompose_digits(ctx, &d2));
+        let alpha = key.alpha_at(ctx, a.level());
+        let digits = crate::hoist::decompose_digits_reference(ctx, &d2, alpha);
+        let (mut ks_b, mut ks_a) = key.inner_product(ctx, &digits);
         ks_b.mod_down_special_assign(ctx);
         ks_a.mod_down_special_assign(ctx);
         d0.add_assign(&ks_b, ctx);
@@ -424,10 +435,11 @@ mod tests {
     #[test]
     fn relinearised_products_are_pinned() {
         // Every level equals the strict reference bit for bit, on 45-bit
-        // limbs and with a 61-bit `q_0` and special prime. The tiny column
-        // was recorded while relinearisation had its own key-switch body;
-        // the 61-bit one when the special prime became the largest below
-        // 2^special_bits.
+        // limbs and with a 61-bit `q_0` and special primes. Both columns
+        // were re-recorded when key switching became hybrid (the top-level
+        // relinearization key has α = 2 on both chains), after the
+        // strict reference — exact-integer ModUp, `inner_product`, ModDown
+        // — matched at every level.
         let wide = CkksParams {
             q0_bits: 61,
             special_bits: 61,
@@ -459,18 +471,18 @@ mod tests {
             got,
             [
                 [
-                    10626485628368117746,
-                    9676005037276314549,
-                    13439706583584667239,
-                    5245847637012696899,
-                    2387742288805589567
+                    333149877716488532,
+                    4424464889895938325,
+                    14802980345321925530,
+                    6121756183314084032,
+                    4891499925700114993
                 ],
                 [
-                    1236967291716153573,
-                    10909168285117725599,
-                    9813702756819135523,
-                    6096695349900708603,
-                    3587246348167646694
+                    14160171150260451799,
+                    2918174364859292955,
+                    7795110128383488085,
+                    5669313512898005892,
+                    9806812555339192884
                 ]
             ]
             .map(Vec::from)

@@ -11,7 +11,8 @@
 //!   embedding (paper §2.2), including *errorless* weight encoding at scale
 //!   `q_j` (paper §6, Figure 7),
 //! * [`keys`] — secret/public/relinearization/rotation keys; key-switching
-//!   keys use per-limb digit decomposition with one special prime,
+//!   keys are hybrid: two digits of α(ℓ) limbs per level over α(ℓ) special
+//!   primes,
 //! * [`encrypt`] — encryption (public or secret key) and decryption,
 //! * [`eval`] — the homomorphic evaluator: `HAdd`, `PAdd`, `PMult`, `HMult`
 //!   (+relinearize), rescaling, level drops, Galois rotations,

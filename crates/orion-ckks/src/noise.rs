@@ -12,12 +12,15 @@
 //! * `HAdd`: variances add,
 //! * `PMult` by a plaintext with max magnitude `w`: error scales by `w`,
 //!   plus the plaintext's own rounding against the ciphertext magnitude,
-//! * key-switching (`HMult`/`HRot`): adds `(ℓ+1)·σ·N/p`-order noise,
+//! * key-switching (`HMult`/`HRot`): adds the hybrid term — `dnum` digits
+//!   each below `α·Q_g`, times key errors of std σ, divided by `P` — plus
+//!   the ModDown's rounding,
 //! * rescale: divides by `q_ℓ` and adds a rounding term.
 //!
 //! [`NoiseEstimator`] is *predictive* — tests validate it against the
 //! noise actually measured on the real backend (within an order of
-//! magnitude, which is what a budget estimator needs).
+//! magnitude, which is what a budget estimator needs; the key-switch term
+//! is held to be an upper bound of what is measured at every level).
 
 use crate::params::Context;
 
@@ -88,20 +91,37 @@ impl<'a> NoiseEstimator<'a> {
     }
 
     /// Noise added by one key-switch (rotation or relinearization) at
-    /// level ℓ: digits are `< q_i`, key errors have std σ, and everything
-    /// is divided by the special prime.
+    /// level ℓ, by a key generated at any level `≥ ℓ` — whose α may be any
+    /// of `α(ℓ)…α(L)`, so the largest of those terms. With digits of α
+    /// limbs, digit `g` (limbs `G`) is the centred fast base conversion of
+    /// `c mod Q_G`, a zero-mean sum of `|G|` terms below `Q_G/2` each (the
+    /// ModUp's conversion error is the multiple of `Q_G` it adds), so its
+    /// variance is below `(|G|·Q_G)²/12`; `Σ_g d_g·e_g` with key errors of
+    /// std σ has coefficient variance `N·σ²·Σ_g (|G|·Q_G)²/12`, divided by
+    /// `P = p_0⋯p_{α−1}`. The ModDown's centred conversion adds up to α
+    /// rounding terms of variance 1/12 to each half, the `a` half's times
+    /// the ternary `s` (`2N/3` of them). Slots see `√N` times a
+    /// coefficient's standard deviation.
     pub fn key_switch(&self, a: NoiseEstimate, level: usize) -> NoiseEstimate {
-        let n = self.ctx.degree() as f64;
-        let delta = self.ctx.scale();
-        let p = self.ctx.special as f64;
-        let max_q = self.ctx.moduli[..=level]
-            .iter()
-            .map(|&q| q as f64)
+        let ctx = self.ctx;
+        let n = ctx.degree() as f64;
+        let sigma = ctx.params.sigma;
+        let coeff_var = |alpha: usize| {
+            let p: f64 = ctx.special[..alpha].iter().map(|&p| p as f64).product();
+            let digits: f64 = (ctx.moduli[..=level].chunks(alpha))
+                .map(|g| {
+                    let bound = g.len() as f64 * g.iter().map(|&q| q as f64).product::<f64>();
+                    bound * bound / 12.0
+                })
+                .sum();
+            let inner = n * sigma * sigma * digits / (p * p);
+            let rounding = alpha as f64 / 12.0 * (1.0 + 2.0 * n / 3.0);
+            inner + rounding
+        };
+        let worst = (ctx.alpha(level)..=ctx.alpha(ctx.max_level()))
+            .map(coeff_var)
             .fold(0.0, f64::max);
-        // Σ_i ĉ_i·e_i has coefficient std ~ √(ℓ+1)·(q/√12)·σ·√N; ModDown
-        // divides by p; slots see another √N.
-        let ks =
-            ((level + 1) as f64).sqrt() * max_q * self.ctx.params.sigma * n / (p * 3.46 * delta);
+        let ks = (n * worst).sqrt() / ctx.scale();
         NoiseEstimate {
             sigma: (a.sigma * a.sigma + ks * ks).sqrt(),
         }
@@ -221,6 +241,51 @@ mod tests {
             within_two_orders(predicted, measured),
             "predicted {predicted:.3e} vs measured {measured:.3e}"
         );
+    }
+
+    /// The slot error a key switch adds, alone: a rotation's decryption
+    /// against the same rotation of the source's decryption (exact in the
+    /// clear), RMS over the slots, at every level of `tiny` and `small`
+    /// with the rotation key and the relinearization key at that level and
+    /// at the top one. The estimate must bound it.
+    #[test]
+    fn measured_key_switch_noise_is_below_the_estimate_at_every_level() {
+        for params in [CkksParams::tiny(), CkksParams::small()] {
+            let ctx = Context::new(params);
+            let est = NoiseEstimator::new(&ctx);
+            let mut kg = KeyGenerator::new(ctx.clone(), StdRng::seed_from_u64(5));
+            let pk = Arc::new(kg.gen_public_key());
+            let sk = kg.secret_key();
+            let (enc, encryptor) = (
+                Encoder::new(ctx.clone()),
+                Encryptor::with_public_key(ctx.clone(), pk),
+            );
+            let dec = Decryptor::new(ctx.clone(), sk);
+            let mut rng = StdRng::seed_from_u64(6);
+            let n = ctx.slots();
+            for level in 0..=ctx.max_level() {
+                for key_level in [level, ctx.max_level()] {
+                    let manifest = crate::keys::KeyManifest::uniform(&[1], key_level);
+                    let eval = crate::eval::Evaluator::new(
+                        ctx.clone(),
+                        Arc::new(kg.gen_eval_keys_at(&manifest)),
+                    );
+                    let vals: Vec<f64> = (0..n).map(|_| rng.gen_range(-1.0..1.0)).collect();
+                    let ct =
+                        encryptor.encrypt(&enc.encode(&vals, ctx.scale(), level, false), &mut rng);
+                    let before = enc.decode(&dec.decrypt(&ct));
+                    let rotated: Vec<f64> = (0..n).map(|i| before[(i + 1) % n]).collect();
+                    let after = enc.decode(&dec.decrypt(&eval.rotate(&ct, 1)));
+                    let measured = measured_sigma(&rotated, &after);
+                    let predicted = est.key_switch(NoiseEstimate { sigma: 0.0 }, level).sigma;
+                    assert!(
+                        measured <= predicted,
+                        "N = {}, level {level}, key level {key_level}: measured {measured:.3e} > estimate {predicted:.3e}",
+                        ctx.degree()
+                    );
+                }
+            }
+        }
     }
 
     #[test]

@@ -1,11 +1,13 @@
 //! CKKS parameter sets and the shared evaluation context.
 
 use orion_math::fft::SpecialFft;
+use orion_math::modular::{inv_mod, mul_mod};
 use orion_math::ntt::NttTable;
 use orion_math::primes::{generate_ntt_primes, largest_ntt_prime_below};
 use orion_math::simd::Permutation;
 use parking_lot::RwLock;
 use std::collections::HashMap;
+use std::ops::Range;
 use std::sync::Arc;
 
 /// User-facing CKKS parameters (paper Table 1).
@@ -21,8 +23,9 @@ pub struct CkksParams {
     pub q0_bits: u32,
     /// Maximum multiplicative level `L` (the chain has `L + 1` primes).
     pub max_level: usize,
-    /// Bit size of the special (key-switching) prime `p`: the largest NTT
-    /// prime below `2^special_bits` that is not in the chain.
+    /// Bit size of the special (key-switching) primes `p_0 > p_1 > …`: the
+    /// largest NTT primes below `2^special_bits` that are not in the
+    /// chain, [`CkksParams::special_primes`] of them.
     pub special_bits: u32,
     /// Gaussian error standard deviation.
     pub sigma: f64,
@@ -101,10 +104,17 @@ impl CkksParams {
         self.max_level - self.boot_levels
     }
 
-    /// Total bit length of `Q·p`, the quantity that (with `N`) determines
-    /// security.
+    /// Number of special primes `α_max = ⌈(L_eff+1)/2⌉`: enough for a
+    /// two-digit key switch at every level up to `L_eff`.
+    pub fn special_primes(&self) -> usize {
+        special_primes(self.effective_level())
+    }
+
+    /// Total bit length of `Q·P` over every chain and special prime, the
+    /// quantity that (with `N`) determines security.
     pub fn log_qp(&self) -> u32 {
-        self.q0_bits + self.log_scale * self.max_level as u32 + self.special_bits
+        let special = self.special_bits * self.special_primes() as u32;
+        self.q0_bits + self.log_scale * self.max_level as u32 + special
     }
 
     /// A coarse security estimate from the homomorphic-encryption-standard
@@ -124,6 +134,48 @@ impl CkksParams {
     }
 }
 
+/// `α_max = ⌈(l_eff+1)/2⌉`, the special primes of a chain whose top level
+/// after bootstrapping is `l_eff`.
+pub fn special_primes(l_eff: usize) -> usize {
+    l_eff / 2 + 1
+}
+
+/// `α(ℓ) = min(⌈(ℓ+1)/2⌉, α_max)`: the chain limbs per key-switch digit
+/// and the special primes `P_ℓ = p_0⋯p_{α−1}` of a key generated at
+/// `level` on a chain with top level `l_eff` after bootstrapping. Every
+/// level up to `l_eff` then has two digits (one at level 0), and levels 0
+/// and 1 switch with one special prime and one digit per limb.
+pub fn digit_alpha(level: usize, l_eff: usize) -> usize {
+    (level / 2 + 1).min(special_primes(l_eff))
+}
+
+/// `⌈(level+1)/α⌉`: digits of a level-`level` polynomial split into groups
+/// of `alpha` consecutive limbs.
+pub fn digit_count(level: usize, alpha: usize) -> usize {
+    (level + 1).div_ceil(alpha)
+}
+
+/// The chain `q_0 … q_L` and the special primes of `params`: q₀ first,
+/// then L scale-sized primes (each nearest its target, the scale primes
+/// alternating about Δ), then the special primes below their bound,
+/// largest first.
+fn primes(params: &CkksParams) -> (Vec<u64>, Vec<u64>) {
+    let n = params.n;
+    let q0 = generate_ntt_primes(n, params.q0_bits, 1, &[]);
+    let mut scale_primes = generate_ntt_primes(n, params.log_scale, params.max_level, &q0);
+    let mut moduli = q0;
+    moduli.append(&mut scale_primes);
+    let mut taken = moduli.clone();
+    let special = (0..params.special_primes())
+        .map(|_| {
+            let p = largest_ntt_prime_below(n, params.special_bits, &taken);
+            taken.push(p);
+            p
+        })
+        .collect();
+    (moduli, special)
+}
+
 /// The shared CKKS context: modulus chain, NTT tables, encoder FFT, and
 /// Galois permutation caches. Cheap to clone (everything is `Arc`ed at the
 /// call sites that need it); typically wrapped in `Arc<Context>`.
@@ -132,12 +184,12 @@ pub struct Context {
     pub params: CkksParams,
     /// Modulus chain `q_0 … q_L` (index = level).
     pub moduli: Vec<u64>,
-    /// The special key-switching prime `p`.
-    pub special: u64,
+    /// The special key-switching primes `p_0 > p_1 > …`, `α_max` of them.
+    pub special: Vec<u64>,
     /// NTT tables, one per chain modulus (same index as `moduli`).
     pub ntt: Vec<NttTable>,
-    /// NTT table for the special prime.
-    pub ntt_special: NttTable,
+    /// NTT tables, one per special prime (same index as `special`).
+    pub special_ntt: Vec<NttTable>,
     /// Encoder FFT tables over `N/2` slots.
     pub fft: SpecialFft,
     /// Evaluation-domain exponent map `e(i)` shared by all primes.
@@ -148,29 +200,22 @@ pub struct Context {
     galois_perm: RwLock<HashMap<usize, Arc<Permutation>>>,
     /// `q_ℓ⁻¹ mod q_j` for rescaling: `rescale_inv[l][j]`, j < l.
     rescale_inv: Vec<Vec<u64>>,
-    /// `p⁻¹ mod q_j` for ModDown.
-    special_inv: Vec<u64>,
+    /// `p_s⁻¹ mod m`, `special_inv[s][m]`, for every modulus `m` of the
+    /// chain and then of the special primes (0 at `p_s` itself).
+    special_inv: Vec<Vec<u64>>,
 }
 
 impl Context {
     /// Builds the full context (prime search + NTT tables + encoder).
     pub fn new(params: CkksParams) -> Arc<Self> {
         let n = params.n;
-        // q0 first, then L scale-sized primes (each nearest its target, the
-        // scale primes alternating about Δ), then the special prime below
-        // its bound.
-        let q0 = generate_ntt_primes(n, params.q0_bits, 1, &[]);
-        let mut scale_primes = generate_ntt_primes(n, params.log_scale, params.max_level, &q0);
-        let mut moduli = q0;
-        moduli.append(&mut scale_primes);
-        let special = largest_ntt_prime_below(n, params.special_bits, &moduli);
+        let (moduli, special) = primes(&params);
         let ntt: Vec<NttTable> = moduli.iter().map(|&q| NttTable::new(n, q)).collect();
-        let ntt_special = NttTable::new(n, special);
+        let special_ntt: Vec<NttTable> = special.iter().map(|&p| NttTable::new(n, p)).collect();
         let fft = SpecialFft::new(n / 2);
         let exp_map = ntt[0].exponent_map();
-        debug_assert_eq!(
-            exp_map,
-            ntt_special.exponent_map(),
+        debug_assert!(
+            special_ntt.iter().all(|t| t.exponent_map() == exp_map),
             "exponent map must be prime-independent"
         );
         let mut exp_index = vec![usize::MAX; 2 * n];
@@ -184,16 +229,20 @@ impl Context {
                     .collect()
             })
             .collect();
-        let special_inv = moduli
+        let special_inv = special
             .iter()
-            .map(|&q| orion_math::modular::inv_mod(special % q, q))
+            .map(|&p| {
+                let all = moduli.iter().chain(&special);
+                all.map(|&q| if q == p { 0 } else { inv_mod(p % q, q) })
+                    .collect()
+            })
             .collect();
         Arc::new(Self {
             params,
             moduli,
             special,
             ntt,
-            ntt_special,
+            special_ntt,
             fft,
             exp_map,
             exp_index,
@@ -254,9 +303,30 @@ impl Context {
         self.rescale_inv[level][j]
     }
 
-    /// `p⁻¹ mod q_j` (ModDown constant).
-    pub fn special_constant(&self, j: usize) -> u64 {
-        self.special_inv[j]
+    /// `α(level)`: the limbs per key-switch digit and the special primes
+    /// of a key generated at `level` ([`digit_alpha`]), and the special
+    /// limbs of an extended-basis polynomial at `level`.
+    pub fn alpha(&self, level: usize) -> usize {
+        digit_alpha(level, self.params.effective_level())
+    }
+
+    /// `Π_{s ∈ primes} p_s mod q`: with `primes = 0..α`, what a base-basis
+    /// value is multiplied by to enter the extended basis `Q·P_α`.
+    pub fn special_product(&self, primes: Range<usize>, q: u64) -> u64 {
+        (self.special[primes].iter()).fold(1 % q, |acc, &p| mul_mod(acc, p % q, q))
+    }
+
+    /// `Π_{s ∈ primes} p_s⁻¹` modulo modulus `m` of the chain then the
+    /// special primes (`m = moduli.len() + s'` for `p_{s'}`, which must not
+    /// be in `primes`): the constant of a ModDown by those primes.
+    pub fn special_product_inv(&self, primes: Range<usize>, m: usize) -> u64 {
+        let all = self.moduli.len();
+        let q = if m < all {
+            self.moduli[m]
+        } else {
+            self.special[m - all]
+        };
+        (self.special_inv[primes].iter()).fold(1 % q, |acc, inv| mul_mod(acc, inv[m], q))
     }
 }
 
@@ -282,7 +352,9 @@ mod tests {
         for &q in &ctx.moduli {
             assert_eq!((q - 1) % (2 * ctx.degree() as u64), 0);
         }
-        assert!(!ctx.moduli.contains(&ctx.special));
+        assert_eq!(ctx.special.len(), 2);
+        assert!(ctx.special.iter().all(|p| !ctx.moduli.contains(p)));
+        assert!(ctx.special.windows(2).all(|w| w[0] > w[1]), "largest first");
     }
 
     #[test]
@@ -301,20 +373,20 @@ mod tests {
         for params in chains {
             let n = params.n;
             let ctx = Context::new(params);
-            for &q in ctx.moduli.iter().chain([&ctx.special]) {
+            for &q in ctx.moduli.iter().chain(&ctx.special) {
                 assert!(q < IFMA_Q_BOUND, "N = {n}: {q} ≥ 2⁵⁰");
             }
             // q₀ is the nearest prime, just below 2⁵⁰; P lies below it
             assert_eq!(
-                (ctx.moduli[0], ctx.special < ctx.moduli[0]),
+                (ctx.moduli[0], ctx.special[0] < ctx.moduli[0]),
                 (1125899906826241, true),
                 "N = {n}"
             );
         }
         let small = Context::new(CkksParams::small());
-        assert_eq!(small.special, 1125899906629633);
+        assert_eq!(small.special[0], 1125899906629633);
         // `tiny` and the serving chain (`tiny`'s ring and prime sizes at
-        // L = 6) keep q₀ above 2⁴⁵ and P below it: their digests hold.
+        // L = 6) keep q₀ above 2⁴⁵ and p₀ below it: their digests hold.
         let serve = CkksParams {
             max_level: 6,
             boot_levels: 1,
@@ -323,7 +395,7 @@ mod tests {
         for params in [CkksParams::tiny(), serve] {
             let ctx = Context::new(params);
             assert_eq!(
-                (ctx.moduli[0], ctx.special),
+                (ctx.moduli[0], ctx.special[0]),
                 (35184372103169, 35184372060161)
             );
         }
@@ -359,5 +431,49 @@ mod tests {
     fn security_table() {
         assert!(CkksParams::secure_n16().is_128_bit_secure());
         assert!(!CkksParams::medium().is_128_bit_secure());
+    }
+
+    #[test]
+    fn log_qp_counts_every_special_prime_and_bounds_the_actual_primes() {
+        // secure_n16: L_eff = 10, so six special primes: 60 + 24·40 + 6·60
+        let secure = CkksParams::secure_n16();
+        assert_eq!(secure.special_primes(), 6);
+        assert_eq!(secure.log_qp(), 1380);
+        assert!(secure.is_128_bit_secure(), "1380 ≤ 1772");
+        // q₀ and the scale primes may lie above their targets: the bit
+        // length of the product of the primes the context takes stays
+        // within log_qp all the same.
+        let (moduli, special) = primes(&secure);
+        assert_eq!(special.len(), 6);
+        let log2: f64 = moduli
+            .iter()
+            .chain(&special)
+            .map(|&q| (q as f64).log2())
+            .sum();
+        let bits = log2.floor() as u32 + 1;
+        assert!(bits <= secure.log_qp(), "{bits} bits > {}", secure.log_qp());
+    }
+
+    #[test]
+    fn every_level_up_to_l_eff_has_two_digits() {
+        for params in [
+            CkksParams::tiny(),
+            CkksParams::small(),
+            CkksParams::medium(),
+            CkksParams::secure_n16(),
+        ] {
+            let l_eff = params.effective_level();
+            for level in 0..=params.max_level {
+                let alpha = digit_alpha(level, l_eff);
+                assert!(alpha <= params.special_primes());
+                let dnum = digit_count(level, alpha);
+                match level {
+                    0 => assert_eq!((alpha, dnum), (1, 1)),
+                    1 => assert_eq!((alpha, dnum), (1, 2)),
+                    l if l <= l_eff => assert_eq!(dnum, 2, "level {l}"),
+                    l => assert!(dnum >= 2, "level {l}"),
+                }
+            }
+        }
     }
 }

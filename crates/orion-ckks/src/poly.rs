@@ -1,12 +1,14 @@
 //! RNS polynomials in `Z_Q[X]/(X^N + 1)`.
 //!
 //! A polynomial at level ℓ is stored as ℓ+1 limbs (one residue vector per
-//! chain modulus), optionally extended by a limb over the special prime
-//! (used inside key-switching). Limbs live either in coefficient or
-//! evaluation (NTT) representation; see paper §2.4–2.5.
+//! chain modulus), optionally extended by limbs over the first α special
+//! primes (the basis `Q·P_α` of key switching). Limbs live either in
+//! coefficient or evaluation (NTT) representation; see paper §2.4–2.5.
 
 use crate::params::Context;
-use orion_math::modular::{add_mod, neg_mod, reduce_i128, shoup_precompute, Barrett};
+use orion_math::modular::{
+    add_mod, inv_mod, mul_mod, neg_mod, reduce_i128, shoup_precompute, Barrett,
+};
 use orion_math::ntt::NttTable;
 use orion_math::simd;
 use orion_telemetry::{time_class, OpClass};
@@ -22,29 +24,74 @@ pub enum Form {
 }
 
 /// An RNS polynomial. `limbs[j]` holds the residues modulo `ctx.moduli[j]`
-/// for `j ≤ level`; `special` (if present) holds residues modulo the
-/// special prime.
+/// for `j ≤ level`; `special[k]` holds the residues modulo
+/// `ctx.special[k]`, for the first `special.len()` special primes.
 #[derive(Clone, Debug, PartialEq)]
 pub struct RnsPoly {
     /// Chain limbs, lowest modulus first. `limbs.len() == level + 1`.
     pub limbs: Vec<Vec<u64>>,
-    /// Optional special-prime limb (key-switching basis extension).
-    pub special: Option<Vec<u64>>,
+    /// Special-prime limbs (key-switching basis extension), `p_0` first;
+    /// empty in the base basis.
+    pub special: Vec<Vec<u64>>,
     /// Current representation of every limb.
     pub form: Form,
 }
 
+/// The fast base conversion out of the limbs over `src` (Halevi–Polyakov–
+/// Shoup; the ModUp and ModDown of hybrid key switching): a value `x` mod
+/// `S = Π s_k`, its limbs first scaled by `(S/s_k)⁻¹ mod s_k`
+/// ([`Self::scale`]), becomes `Σ_k c(v_k)·(S/s_k)` mod any target `q`
+/// through [`simd::Kernels::base_conv`] with the factors [`Self::hat`].
+pub(crate) struct BaseConv<'a> {
+    src: &'a [u64],
+    /// `(S/s_k)⁻¹ mod s_k`.
+    inv: Vec<u64>,
+}
+
+impl<'a> BaseConv<'a> {
+    pub(crate) fn new(src: &'a [u64]) -> Self {
+        let inv = (0..src.len())
+            .map(|k| inv_mod(Self::hat_k(src, k, src[k]), src[k]))
+            .collect();
+        Self { src, inv }
+    }
+
+    /// `S/s_k mod q`.
+    fn hat_k(src: &[u64], k: usize, q: u64) -> u64 {
+        let others = src.iter().enumerate().filter(|&(i, _)| i != k);
+        others.fold(1 % q, |acc, (_, &s)| mul_mod(acc, s % q, q))
+    }
+
+    /// Multiplies limb `k` (coefficient form) by `(S/s_k)⁻¹ mod s_k` in
+    /// place — nothing to do for one limb, whose factor is 1.
+    pub(crate) fn scale(&self, limbs: &mut [impl AsMut<[u64]>]) {
+        if self.src.len() == 1 {
+            return;
+        }
+        let k = simd::kernels();
+        for ((limb, &s), &inv) in limbs.iter_mut().zip(self.src).zip(&self.inv) {
+            (k.scalar_mul_assign)(limb.as_mut(), inv, shoup_precompute(inv, s), s);
+        }
+    }
+
+    /// The factors `S/s_k mod q` of a conversion into `q`.
+    pub(crate) fn hat(&self, q: u64) -> Vec<u64> {
+        (0..self.src.len())
+            .map(|k| Self::hat_k(self.src, k, q))
+            .collect()
+    }
+}
+
 impl RnsPoly {
-    /// The all-zero polynomial at `level` (with a special limb if requested).
+    /// The all-zero polynomial at `level` with `specials` special limbs.
     /// Limb buffers come from the thread-local arena, so accumulator-heavy
     /// loops (key-switching) recycle instead of allocating.
-    pub fn zero(ctx: &Context, level: usize, form: Form, with_special: bool) -> Self {
+    pub fn zero(ctx: &Context, level: usize, form: Form, specials: usize) -> Self {
         let n = ctx.degree();
+        let take = |_| orion_math::arena::take_u64(n);
         Self {
-            limbs: (0..=level)
-                .map(|_| orion_math::arena::take_u64(n))
-                .collect(),
-            special: with_special.then(|| orion_math::arena::take_u64(n)),
+            limbs: (0..=level).map(take).collect(),
+            special: (0..specials).map(take).collect(),
             form,
         }
     }
@@ -55,11 +102,8 @@ impl RnsPoly {
     /// steady state; dropping a polynomial normally is always still
     /// correct, just a missed reuse.
     pub fn recycle(self) {
-        for limb in self.limbs {
+        for limb in self.limbs.into_iter().chain(self.special) {
             orion_math::arena::recycle_u64(limb);
-        }
-        if let Some(s) = self.special {
-            orion_math::arena::recycle_u64(s);
         }
     }
 
@@ -68,49 +112,49 @@ impl RnsPoly {
         self.limbs.len() - 1
     }
 
-    /// Whether the special limb is present.
+    /// Whether any special limb is present.
     pub fn has_special(&self) -> bool {
-        self.special.is_some()
+        !self.special.is_empty()
+    }
+
+    /// Limb `j` counting the chain limbs first, then the special ones.
+    fn limb(&self, j: usize) -> &[u64] {
+        match j.checked_sub(self.limbs.len()) {
+            None => &self.limbs[j],
+            Some(k) => &self.special[k],
+        }
     }
 
     /// Builds a polynomial from signed coefficients (reduced per modulus,
-    /// one [`Barrett`] constant per limb).
-    pub fn from_signed(ctx: &Context, coeffs: &[i128], level: usize, with_special: bool) -> Self {
+    /// one [`Barrett`] constant per limb) at `level`, with `specials`
+    /// special limbs.
+    pub fn from_signed(ctx: &Context, coeffs: &[i128], level: usize, specials: usize) -> Self {
         let n = ctx.degree();
         assert_eq!(coeffs.len(), n);
-        let reduce = |q: u64| -> Vec<u64> {
+        let reduce = |&q: &u64| -> Vec<u64> {
             let br = Barrett::new(q);
             coeffs.iter().map(|&c| br.reduce_i128(c)).collect()
         };
-        let limbs = ctx.moduli[..=level].iter().map(|&q| reduce(q)).collect();
-        let special = with_special.then(|| reduce(ctx.special));
         Self {
-            limbs,
-            special,
+            limbs: ctx.moduli[..=level].iter().map(reduce).collect(),
+            special: ctx.special[..specials].iter().map(reduce).collect(),
             form: Form::Coeff,
         }
     }
 
     /// Samples every limb uniformly (already valid in either form; we tag
-    /// the requested one).
+    /// the requested one), chain limbs first.
     pub fn sample_uniform<R: Rng>(
         ctx: &Context,
         level: usize,
         form: Form,
-        with_special: bool,
+        specials: usize,
         rng: &mut R,
     ) -> Self {
         let n = ctx.degree();
-        let limbs = (0..=level)
-            .map(|j| {
-                let q = ctx.moduli[j];
-                (0..n).map(|_| rng.gen_range(0..q)).collect()
-            })
-            .collect();
-        let special = with_special.then(|| {
-            let p = ctx.special;
-            (0..n).map(|_| rng.gen_range(0..p)).collect()
-        });
+        let mut draw = |&q: &u64| -> Vec<u64> { (0..n).map(|_| rng.gen_range(0..q)).collect() };
+        let limbs = ctx.moduli[..=level].iter().map(&mut draw).collect();
+        let special = ctx.special[..specials].iter().map(&mut draw).collect();
         Self {
             limbs,
             special,
@@ -123,19 +167,19 @@ impl RnsPoly {
     pub fn sample_ternary<R: Rng>(
         ctx: &Context,
         level: usize,
-        with_special: bool,
+        specials: usize,
         rng: &mut R,
     ) -> Self {
         let n = ctx.degree();
         let signed: Vec<i128> = (0..n).map(|_| rng.gen_range(-1i128..=1)).collect();
-        Self::from_signed(ctx, &signed, level, with_special)
+        Self::from_signed(ctx, &signed, level, specials)
     }
 
     /// Samples a rounded-Gaussian error polynomial (σ from the params).
     pub fn sample_gaussian<R: Rng>(
         ctx: &Context,
         level: usize,
-        with_special: bool,
+        specials: usize,
         rng: &mut R,
     ) -> Self {
         let n = ctx.degree();
@@ -149,7 +193,7 @@ impl RnsPoly {
                 (g * sigma).round() as i128
             })
             .collect();
-        Self::from_signed(ctx, &signed, level, with_special)
+        Self::from_signed(ctx, &signed, level, specials)
     }
 
     /// One `(table, limb)` NTT job per limb (special included).
@@ -157,7 +201,7 @@ impl RnsPoly {
         &'a mut self,
         ctx: &'a Context,
     ) -> impl Iterator<Item = (&'a NttTable, &'a mut Vec<u64>)> {
-        let special = self.special.as_mut().map(|s| (&ctx.ntt_special, s));
+        let special = ctx.special_ntt.iter().zip(&mut self.special);
         ctx.ntt.iter().zip(&mut self.limbs).chain(special)
     }
 
@@ -193,14 +237,14 @@ impl RnsPoly {
         assert_eq!(self.form, other.form, "form mismatch");
         assert_eq!(self.limbs.len(), other.limbs.len(), "level mismatch");
         assert_eq!(
-            self.has_special(),
-            other.has_special(),
+            self.special.len(),
+            other.special.len(),
             "special-limb mismatch"
         );
     }
 
     /// Runs `op(modulus, dst_limb, j)` over every chain limb, then the
-    /// special one (with `j = limbs.len()`).
+    /// special ones (with `j = limbs.len() + k` for special limb `k`).
     pub(crate) fn for_each_limb_mut(
         &mut self,
         ctx: &Context,
@@ -210,42 +254,26 @@ impl RnsPoly {
         for (j, limb) in self.limbs.iter_mut().enumerate() {
             op(ctx.moduli[j], limb, j);
         }
-        if let Some(s) = &mut self.special {
-            op(ctx.special, s, n_chain);
+        for (k, limb) in self.special.iter_mut().enumerate() {
+            op(ctx.special[k], limb, n_chain + k);
         }
     }
 
     /// `self += other` (limbwise).
     pub fn add_assign(&mut self, other: &Self, ctx: &Context) {
         self.check_compat(other);
-        let n_chain = self.limbs.len();
         let k = simd::kernels();
         time_class(OpClass::Pointwise, || {
-            self.for_each_limb_mut(ctx, |q, a, j| {
-                let b = if j < n_chain {
-                    &other.limbs[j]
-                } else {
-                    other.special.as_ref().unwrap()
-                };
-                (k.add_assign)(a, b, q);
-            });
+            self.for_each_limb_mut(ctx, |q, a, j| (k.add_assign)(a, other.limb(j), q));
         });
     }
 
     /// `self -= other` (limbwise).
     pub fn sub_assign(&mut self, other: &Self, ctx: &Context) {
         self.check_compat(other);
-        let n_chain = self.limbs.len();
         let k = simd::kernels();
         time_class(OpClass::Pointwise, || {
-            self.for_each_limb_mut(ctx, |q, a, j| {
-                let b = if j < n_chain {
-                    &other.limbs[j]
-                } else {
-                    other.special.as_ref().unwrap()
-                };
-                (k.sub_assign)(a, b, q);
-            });
+            self.for_each_limb_mut(ctx, |q, a, j| (k.sub_assign)(a, other.limb(j), q));
         });
     }
 
@@ -265,32 +293,22 @@ impl RnsPoly {
         self.check_compat(other);
         let k = simd::kernels();
         time_class(OpClass::Pointwise, || {
-            let product = |a: &[u64], b: &[u64], q: u64| -> Vec<u64> {
+            let product = |((a, b), &q): ((&Vec<u64>, &Vec<u64>), &u64)| -> Vec<u64> {
                 let mut out = orion_math::arena::take_u64_raw(a.len());
                 (k.mul_pointwise)(&mut out, a, b, q);
                 out
             };
-            let limbs = self
-                .limbs
-                .iter()
-                .zip(&other.limbs)
-                .zip(&ctx.moduli)
-                .map(|((a, b), &q)| product(a, b, q))
-                .collect();
-            let special = match (&self.special, &other.special) {
-                (Some(a), Some(b)) => Some(product(a, b, ctx.special)),
-                _ => None,
-            };
+            let limbs = self.limbs.iter().zip(&other.limbs).zip(&ctx.moduli);
+            let special = self.special.iter().zip(&other.special).zip(&ctx.special);
             Self {
-                limbs,
-                special,
+                limbs: limbs.map(product).collect(),
+                special: special.map(product).collect(),
                 form: Form::Eval,
             }
         })
     }
 
-    /// Multiplies every limb by a per-limb scalar (`scalars[j]` mod `q_j`,
-    /// last entry for the special limb if present). The per-limb residue is
+    /// Multiplies every limb by `scalar mod q_j`. The per-limb residue is
     /// fixed, so each limb runs on a vectorized Shoup multiply (one
     /// precompute division per limb, amortized over the degree).
     pub fn mul_scalar_assign(&mut self, scalar: i128, ctx: &Context) {
@@ -300,6 +318,20 @@ impl RnsPoly {
                 let s = reduce_i128(scalar, q);
                 let s_sh = shoup_precompute(s, q);
                 (k.scalar_mul_assign)(a, s, s_sh, q);
+            });
+        });
+    }
+
+    /// Multiplies a base-basis polynomial by `Π_{s ∈ primes} p_s`, one
+    /// scalar per limb: with `primes = 0..α`, `P_α·x`, whose ModDown by
+    /// `P_α` is `x` exactly.
+    pub fn mul_special_product_assign(&mut self, ctx: &Context, primes: std::ops::Range<usize>) {
+        assert!(self.special.is_empty(), "P·x is taken in the base basis");
+        let k = simd::kernels();
+        time_class(OpClass::Pointwise, || {
+            self.for_each_limb_mut(ctx, |q, a, _| {
+                let s = ctx.special_product(primes.clone(), q);
+                (k.scalar_mul_assign)(a, s, shoup_precompute(s, q), q);
             });
         });
     }
@@ -343,18 +375,12 @@ impl RnsPoly {
             })
             .collect();
         let mut out = self.clone();
-        for (jq, (src, dst)) in self.limbs.iter().zip(&mut out.limbs).enumerate() {
-            let q = ctx.moduli[jq];
+        out.for_each_limb_mut(ctx, |q, dst, jq| {
+            let src = self.limb(jq);
             for (j, &(t, negate)) in map.iter().enumerate() {
                 dst[t] = if negate { neg_mod(src[j], q) } else { src[j] };
             }
-        }
-        if let (Some(src), Some(dst)) = (&self.special, &mut out.special) {
-            let p = ctx.special;
-            for (j, &(t, negate)) in map.iter().enumerate() {
-                dst[t] = if negate { neg_mod(src[j], p) } else { src[j] };
-            }
-        }
+        });
         out
     }
 
@@ -371,7 +397,7 @@ impl RnsPoly {
         };
         Self {
             limbs: self.limbs.iter().map(apply).collect(),
-            special: self.special.as_ref().map(apply),
+            special: self.special.iter().map(apply).collect(),
             form: Form::Eval,
         }
     }
@@ -380,50 +406,81 @@ impl RnsPoly {
     /// one polynomial; paper §2.5.2). Works in evaluation form.
     pub fn rescale_assign(&mut self, ctx: &Context) {
         assert!(self.level() >= 1, "cannot rescale at level 0");
-        assert!(self.special.is_none(), "ModDown the special limb first");
+        assert!(self.special.is_empty(), "ModDown the special limbs first");
         let l = self.level();
         let top = self.limbs.pop().expect("top limb");
-        self.divide_by_dropped(ctx, top, ctx.moduli[l], &ctx.ntt[l], |j| {
+        self.divide_by_dropped(ctx, vec![top], &ctx.moduli[l..=l], &ctx.ntt[l..=l], |j| {
             ctx.rescale_constant(l, j)
         });
     }
 
-    /// Removes the special limb, dividing the polynomial by `p` with
-    /// rounding (the ModDown step after key-switching).
+    /// Removes the special limbs, dividing the polynomial by their product
+    /// `P_α` with rounding (the ModDown step after key-switching).
     pub fn mod_down_special_assign(&mut self, ctx: &Context) {
-        let sp = self.special.take().expect("no special limb to remove");
-        self.divide_by_dropped(ctx, sp, ctx.special, &ctx.ntt_special, |j| {
-            ctx.special_constant(j)
+        assert!(self.has_special(), "no special limb to remove");
+        self.mod_down_to(ctx, 0);
+    }
+
+    /// Removes the special limbs `keep..`, dividing the polynomial by
+    /// their product with rounding: from `Q·P_α` to `Q·P_keep`.
+    pub fn mod_down_to(&mut self, ctx: &Context, keep: usize) {
+        let alpha = self.special.len();
+        assert!(keep < alpha, "no special limb above {keep} to remove");
+        let dropped = self.special.split_off(keep);
+        let (moduli, ntt) = (&ctx.special[keep..alpha], &ctx.special_ntt[keep..alpha]);
+        // kept limb j is modulus j of the chain, then p_{j − n_chain}
+        let n_chain = self.limbs.len();
+        let shift = ctx.moduli.len() - n_chain;
+        self.divide_by_dropped(ctx, dropped, moduli, ntt, |j| {
+            let m = if j < n_chain { j } else { j + shift };
+            ctx.special_product_inv(keep..alpha, m)
         });
     }
 
-    /// The one divide-and-drop body: `dropped` is a limb already popped off
-    /// `self` (evaluation form, modulus `q`, NTT table `ntt`) and `inv(j)`
-    /// is `q⁻¹ mod q_j`; every kept limb becomes `(limb − [dropped]) · inv`.
+    /// The one divide-and-drop body: `dropped` are limbs already taken off
+    /// `self` (evaluation form, over `moduli` with NTT tables `ntt`, whose
+    /// product is `D`) and `inv(j)` is `D⁻¹` modulo kept limb `j`'s modulus
+    /// (chain limbs, then special ones); every kept limb becomes `(limb −
+    /// [dropped]_D) · inv`, where `[dropped]_D` is the centred fast base
+    /// conversion of the dropped limbs ([`BaseConv`]): `≡ x (mod D)`, so
+    /// the difference divides exactly, and within `|dropped|/2` of the
+    /// rounded quotient (exact rounding for one limb).
     fn divide_by_dropped(
         &mut self,
         ctx: &Context,
-        mut dropped: Vec<u64>,
-        q: u64,
-        ntt: &NttTable,
+        mut dropped: Vec<Vec<u64>>,
+        moduli: &[u64],
+        ntt: &[NttTable],
         inv: impl Fn(usize) -> u64,
     ) {
         assert_eq!(self.form, Form::Eval);
-        // Bring the dropped limb to coefficient form.
-        ntt.inverse_lazy(&mut dropped);
-        // Every kept limb centers-and-reduces the shared dropped limb
-        // directly (no i128 materialization) into one reused buffer, then
-        // folds it in after one forward NTT.
-        let k = simd::kernels();
-        let mut lifted = orion_math::arena::scratch_u64_raw(dropped.len());
-        for (j, limb) in self.limbs.iter_mut().enumerate() {
-            let qj = ctx.moduli[j];
-            let inv = inv(j);
-            (k.centered_reduce)(&mut lifted, &dropped, q, qj);
-            ctx.ntt[j].forward_lazy(&mut lifted);
-            (k.sub_mul_assign)(limb, &lifted, inv, shoup_precompute(inv, qj), qj);
+        // Bring the dropped limbs to coefficient form, pre-scaled for the
+        // conversion.
+        for (limb, table) in dropped.iter_mut().zip(ntt) {
+            table.inverse_lazy(limb);
         }
-        orion_math::arena::recycle_u64(dropped);
+        let conv = BaseConv::new(moduli);
+        conv.scale(&mut dropped);
+        let src: Vec<&[u64]> = dropped.iter().map(Vec::as_slice).collect();
+        // Every kept limb converts the dropped ones directly into one
+        // reused buffer, then folds it in after one forward NTT.
+        let k = simd::kernels();
+        let mut lifted = orion_math::arena::scratch_u64_raw(ctx.degree());
+        let kept = (ctx.moduli.iter().zip(&ctx.ntt).zip(&mut self.limbs)).chain(
+            ctx.special
+                .iter()
+                .zip(&ctx.special_ntt)
+                .zip(&mut self.special),
+        );
+        for (j, ((&q, table), limb)) in kept.enumerate() {
+            let inv = inv(j);
+            (k.base_conv)(&mut lifted, &src, moduli, &conv.hat(q), true, q);
+            table.forward_lazy(&mut lifted);
+            (k.sub_mul_assign)(limb, &lifted, inv, shoup_precompute(inv, q), q);
+        }
+        for limb in dropped {
+            orion_math::arena::recycle_u64(limb);
+        }
     }
 
     /// Drops limbs above `level` (a free level drop — no scaling).
@@ -435,20 +492,23 @@ impl RnsPoly {
     /// A copy of `self` at `level`: `clone` + [`RnsPoly::drop_to_level`]
     /// without copying the limbs the drop throws away.
     pub fn dropped_to_level(&self, level: usize) -> Self {
-        Self {
-            special: self.special.clone(),
-            ..self.chain_to_level(level)
-        }
+        self.restricted(level, self.special.len())
     }
 
-    /// [`RnsPoly::dropped_to_level`] without the special limb: the chain
+    /// [`RnsPoly::dropped_to_level`] without the special limbs: the chain
     /// limbs `0..=level` alone, what a client-side op (encryption,
     /// decryption) reads of the secret key.
     pub fn chain_to_level(&self, level: usize) -> Self {
-        assert!(level <= self.level());
+        self.restricted(level, 0)
+    }
+
+    /// A copy of the chain limbs `0..=level` and the first `specials`
+    /// special limbs: `self` in the basis `Q_level·P_specials`.
+    pub fn restricted(&self, level: usize, specials: usize) -> Self {
+        assert!(level <= self.level() && specials <= self.special.len());
         Self {
             limbs: self.limbs[..=level].to_vec(),
-            special: None,
+            special: self.special[..specials].to_vec(),
             form: self.form,
         }
     }
@@ -479,7 +539,7 @@ mod tests {
     fn ntt_roundtrip_all_limbs() {
         let ctx = ctx();
         let mut rng = StdRng::seed_from_u64(1);
-        let orig = RnsPoly::sample_uniform(&ctx, 3, Form::Coeff, true, &mut rng);
+        let orig = RnsPoly::sample_uniform(&ctx, 3, Form::Coeff, 2, &mut rng);
         let mut p = orig.clone();
         p.to_eval(&ctx);
         assert_ne!(p, orig);
@@ -491,8 +551,8 @@ mod tests {
     fn add_sub_cancel() {
         let ctx = ctx();
         let mut rng = StdRng::seed_from_u64(2);
-        let a = RnsPoly::sample_uniform(&ctx, 2, Form::Eval, false, &mut rng);
-        let b = RnsPoly::sample_uniform(&ctx, 2, Form::Eval, false, &mut rng);
+        let a = RnsPoly::sample_uniform(&ctx, 2, Form::Eval, 0, &mut rng);
+        let b = RnsPoly::sample_uniform(&ctx, 2, Form::Eval, 0, &mut rng);
         let mut c = a.clone();
         c.add_assign(&b, &ctx);
         c.sub_assign(&b, &ctx);
@@ -506,7 +566,7 @@ mod tests {
         let ctx = ctx();
         let mut rng = StdRng::seed_from_u64(3);
         let g = ctx.galois_element(1);
-        let a = RnsPoly::sample_uniform(&ctx, 1, Form::Coeff, false, &mut rng);
+        let a = RnsPoly::sample_uniform(&ctx, 1, Form::Coeff, 0, &mut rng);
         let mut via_coeff = a.automorphism_coeff(g, &ctx);
         via_coeff.to_eval(&ctx);
         let mut ae = a.clone();
@@ -523,7 +583,7 @@ mod tests {
         let ql = ctx.moduli[l] as i128;
         let n = ctx.degree();
         let coeffs: Vec<i128> = (0..n).map(|i| (i as i128 % 17 - 8) * ql).collect();
-        let mut p = RnsPoly::from_signed(&ctx, &coeffs, l, false);
+        let mut p = RnsPoly::from_signed(&ctx, &coeffs, l, 0);
         p.to_eval(&ctx);
         p.rescale_assign(&ctx);
         p.to_coeff(&ctx);
@@ -535,33 +595,42 @@ mod tests {
 
     #[test]
     fn mod_down_special_divides_by_p() {
+        // by p_0, and by P = p_0·p_1
         let ctx = ctx();
-        let p = ctx.special as i128;
-        let n = ctx.degree();
-        let coeffs: Vec<i128> = (0..n).map(|i| ((i as i128 % 11) - 5) * p).collect();
-        let mut poly = RnsPoly::from_signed(&ctx, &coeffs, 1, true);
-        poly.to_eval(&ctx);
-        poly.mod_down_special_assign(&ctx);
-        poly.to_coeff(&ctx);
-        let lifted = poly.lift_centered(&ctx);
-        for (i, &c) in lifted.iter().enumerate() {
-            assert_eq!(c, coeffs[i] / p);
+        for alpha in 1..=ctx.special.len() {
+            let p: i128 = ctx.special[..alpha].iter().map(|&p| p as i128).product();
+            let n = ctx.degree();
+            let coeffs: Vec<i128> = (0..n).map(|i| ((i as i128 % 11) - 5) * p).collect();
+            let mut poly = RnsPoly::from_signed(&ctx, &coeffs, 1, alpha);
+            poly.to_eval(&ctx);
+            poly.mod_down_special_assign(&ctx);
+            poly.to_coeff(&ctx);
+            let lifted = poly.lift_centered(&ctx);
+            for (i, &c) in lifted.iter().enumerate() {
+                assert_eq!(c, coeffs[i] / p, "α = {alpha}");
+            }
         }
     }
 
     #[test]
     fn mod_down_rounds_non_multiples() {
-        // p*k + r maps to k when |r| < p/2.
+        // P·k + r maps to k when |r| < P/2 for one special prime, and to
+        // within the α/2 of the centred conversion for two.
         let ctx = ctx();
-        let p = ctx.special as i128;
-        let n = ctx.degree();
-        let coeffs: Vec<i128> = (0..n).map(|i| 7 * p + (i as i128 % 100) - 50).collect();
-        let mut poly = RnsPoly::from_signed(&ctx, &coeffs, 0, true);
-        poly.to_eval(&ctx);
-        poly.mod_down_special_assign(&ctx);
-        poly.to_coeff(&ctx);
-        for &c in &poly.lift_centered(&ctx) {
-            assert_eq!(c, 7);
+        for alpha in 1..=ctx.special.len() {
+            let p: i128 = ctx.special[..alpha].iter().map(|&p| p as i128).product();
+            let n = ctx.degree();
+            let coeffs: Vec<i128> = (0..n).map(|i| 7 * p + (i as i128 % 100) - 50).collect();
+            let mut poly = RnsPoly::from_signed(&ctx, &coeffs, 0, alpha);
+            poly.to_eval(&ctx);
+            poly.mod_down_special_assign(&ctx);
+            poly.to_coeff(&ctx);
+            for &c in &poly.lift_centered(&ctx) {
+                match alpha {
+                    1 => assert_eq!(c, 7),
+                    _ => assert!((c - 7).abs() <= 1, "α = {alpha}: {c}"),
+                }
+            }
         }
     }
 
@@ -572,7 +641,7 @@ mod tests {
         let n = ctx.degree();
         let mut coeffs = vec![0i128; n];
         coeffs[n / 2] = 1;
-        let mut a = RnsPoly::from_signed(&ctx, &coeffs, 1, false);
+        let mut a = RnsPoly::from_signed(&ctx, &coeffs, 1, 0);
         a.to_eval(&ctx);
         let mut sq = a.mul_pointwise(&a, &ctx);
         sq.to_coeff(&ctx);

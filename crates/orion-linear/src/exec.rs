@@ -939,11 +939,12 @@ mod tests {
     /// conv spanning two input and two output blocks, a row-folded dense
     /// layer with bias, a plan whose input block 0 has only `i = 0`
     /// diagonals (one diagonal all-zero), and a one-block plan with no
-    /// hoist at all. The first three digests were recorded from the
-    /// rotation-major body (every baby step built before any group read
-    /// one), the fourth from the accumulator that summed rotation-by-0
-    /// terms in separate base-basis lanes; the streamed body reproduces
-    /// them at every chunk count. The
+    /// hoist at all. The first three digests were re-recorded when key
+    /// switching became hybrid (two digits of α(2) = 2 limbs on `tiny`),
+    /// with `hoist`'s accumulator held to its strict reference at every
+    /// level; the fourth, which switches no key, was recorded from the
+    /// accumulator that summed rotation-by-0 terms in separate base-basis
+    /// lanes. The streamed body reproduces them at every chunk count. The
     /// cleartext oracle's output bits are pinned beside them: recorded from
     /// the `exec_plain` that pre-rotated its inputs into a table and walked
     /// each output block's diagonals, bias added by its caller.
@@ -1004,19 +1005,19 @@ mod tests {
             (
                 "conv",
                 bsgs_digests(&conv, &conv_src, None, 44),
-                0xba04_4b0f_0c7e_d139,
+                0xe931_12c6_e425_b83b,
                 0xcb37_3e54_0817_ff13,
             ),
             (
                 "dense",
                 bsgs_digests(&dense, &dense_src, Some(&bias), 45),
-                0x583f_f2a0_9a9a_f8a2,
+                0x71c7_0238_d175_ccc3,
                 0xc4f3_d02e_a4db_dca5,
             ),
             (
                 "identity block",
                 bsgs_digests(&identity_block, &seeded, None, 46),
-                0xd186_ac40_6dbe_5aa8,
+                0xccec_a018_7c7c_9d4b,
                 0x164a_9829_dd25_c3e1,
             ),
             (

@@ -135,13 +135,19 @@ struct PagedEntry {
     shape: Shape,
 }
 
-/// A prepared layer's level, diagonal count and bias block count (`None`:
-/// no bias).
-type Shape = (usize, usize, Option<usize>);
+/// A prepared layer's level, diagonal count, bias block count (`None`:
+/// no bias) and the special-limb counts of its diagonals (each distinct
+/// count once: `[α(level)]` for a layer its context encoded).
+type Shape = (usize, usize, Option<usize>, Vec<usize>);
 
 fn shape(layer: &PreparedLayer) -> Shape {
     let bias = layer.bias.as_ref().map(Vec::len);
-    (layer.level, layer.diags.len(), bias)
+    let mut specials: Vec<usize> = (layer.diags.iter().flatten())
+        .map(|pt| pt.poly.special.len())
+        .collect();
+    specials.sort_unstable();
+    specials.dedup();
+    (layer.level, layer.diags.len(), bias, specials)
 }
 
 /// A prepared program whose layers live in [`DiagStore`] spill files and
@@ -209,16 +215,18 @@ impl PagedProgram {
     }
 
     /// Reads `entry`'s layer from disk, refusing a file whose level,
-    /// diagonal count or bias blocks are not the ones spilled: the
-    /// executors read the list against the plan, so a short list would
-    /// silently drop diagonals, and a layer that lost its bias would be
-    /// served without one.
+    /// diagonal count, bias blocks or diagonals' special-limb count are not
+    /// the ones spilled: the executors read the list against the plan, so
+    /// a short list would silently drop diagonals, a layer that lost its
+    /// bias would be served without one, and a diagonal whose special limbs
+    /// are not its level's `α` cannot multiply that level's hoisted
+    /// rotations.
     fn load(&self, entry: &PagedEntry) -> Result<PreparedLayer, StoreError> {
         let layer = PreparedLayer::load(&self.store, &entry.name)?;
-        let (got, spilled) = (shape(&layer), entry.shape);
-        if got != spilled {
+        let (got, spilled) = (shape(&layer), &entry.shape);
+        if got != *spilled {
             let what = format!(
-                "{}: (level, diagonals, bias blocks) {got:?}, {spilled:?} spilled",
+                "{}: (level, diagonals, bias blocks, special limbs) {got:?}, {spilled:?} spilled",
                 entry.name
             );
             return Err(StoreError::malformed(what));
@@ -518,6 +526,32 @@ mod tests {
         (store.save_prepared("m.step0", layer.level, short, layer.bias.as_deref())).unwrap();
         match paged.fetch_layer(0) {
             Err(StoreError::Malformed { .. }) => {}
+            other => panic!("expected Malformed, got {:?}", other.map(|o| o.is_some())),
+        }
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn reloaded_layer_with_another_special_limb_count_is_refused() {
+        // A well-formed file for the same layer whose diagonals carry one
+        // special limb fewer than their level's α: the key-switch basis of
+        // another chain.
+        let ctx = Context::new(CkksParams::tiny());
+        let enc = Encoder::new(ctx.clone());
+        let prog = sample_program(&enc, 1);
+        let layer = prog.layer(0).unwrap();
+        let dir = test_dir("orion_paged_special_test");
+        std::fs::remove_dir_all(&dir).ok();
+        let paged =
+            PagedProgram::page_out(&prog, DiagStore::open(&dir).unwrap(), "m", usize::MAX).unwrap();
+        let mut fewer = layer.diags.clone();
+        for pt in fewer.iter_mut().flatten() {
+            pt.poly.special.pop();
+        }
+        let store = DiagStore::open(&dir).unwrap();
+        (store.save_prepared("m.step0", layer.level, &fewer, layer.bias.as_deref())).unwrap();
+        match paged.fetch_layer(0) {
+            Err(StoreError::Malformed { what }) => assert!(what.contains("special"), "{what}"),
             other => panic!("expected Malformed, got {:?}", other.map(|o| o.is_some())),
         }
         std::fs::remove_dir_all(&dir).ok();

@@ -29,12 +29,12 @@ use rayon::prelude::*;
 use std::collections::HashMap;
 use std::sync::Arc;
 
-/// Approximate heap footprint of one encoded plaintext: every limb plus
-/// the optional special limb, 8 bytes per coefficient. Used by the paging
+/// Approximate heap footprint of one encoded plaintext: every chain and
+/// special limb, 8 bytes per coefficient. Used by the paging
 /// byte budget, so it only needs to be proportional and stable.
 pub(crate) fn plaintext_bytes(pt: &Plaintext) -> usize {
     let degree = pt.poly.limbs.first().map(Vec::len).unwrap_or(0);
-    let limbs = pt.poly.limbs.len() + usize::from(pt.poly.special.is_some());
+    let limbs = pt.poly.limbs.len() + pt.poly.special.len();
     limbs * degree * 8
 }
 

@@ -191,10 +191,11 @@ impl<'a> Reader<'a> {
     }
 }
 
-/// Serializes an encoded plaintext: scale, form, limb data, special limb.
+/// Serializes an encoded plaintext: scale, form, chain limb count, degree,
+/// special limb count, then the chain limbs and the special limbs.
 fn put_plaintext(b: &mut Vec<u8>, pt: &Plaintext) {
     let degree = pt.poly.limbs.first().map(Vec::len).unwrap_or(0);
-    let words = (pt.poly.limbs.len() + usize::from(pt.poly.special.is_some())) * degree;
+    let words = (pt.poly.limbs.len() + pt.poly.special.len()) * degree;
     b.reserve(8 + 1 + 4 + 8 + 8 * words + 1);
     b.extend_from_slice(&pt.scale.to_bits().to_le_bytes());
     b.push(match pt.poly.form {
@@ -203,9 +204,9 @@ fn put_plaintext(b: &mut Vec<u8>, pt: &Plaintext) {
     });
     b.extend_from_slice(&(pt.poly.limbs.len() as u32).to_le_bytes());
     b.extend_from_slice(&(degree as u64).to_le_bytes());
-    let special = pt.poly.special.iter();
-    b.push(u8::from(pt.poly.special.is_some()));
-    for limb in pt.poly.limbs.iter().chain(special) {
+    let specials = u8::try_from(pt.poly.special.len()).expect("at most 255 special limbs");
+    b.push(specials);
+    for limb in pt.poly.limbs.iter().chain(&pt.poly.special) {
         for &x in limb {
             b.extend_from_slice(&x.to_le_bytes());
         }
@@ -222,25 +223,19 @@ fn get_plaintext(r: &mut Reader<'_>) -> Option<Plaintext> {
     };
     let n_limbs = r.u32()? as usize;
     let degree = r.u64()? as usize;
-    let has_special = match r.u8()? {
-        0 => false,
-        1 => true,
-        _ => return None,
-    };
+    let specials = r.u8()? as usize;
     // overflow-safe bound, checked before anything is allocated: corrupt
     // headers must yield None, not a panic (no real plaintext has degree 0)
-    let words = (n_limbs + usize::from(has_special)).checked_mul(degree)?;
+    let words = (n_limbs.checked_add(specials)?).checked_mul(degree)?;
     if degree == 0 || r.remaining() / 8 < words {
         return None;
     }
     let limbs = (0..n_limbs)
         .map(|_| r.u64s(degree))
         .collect::<Option<_>>()?;
-    let special = if has_special {
-        Some(r.u64s(degree)?)
-    } else {
-        None
-    };
+    let special = (0..specials)
+        .map(|_| r.u64s(degree))
+        .collect::<Option<_>>()?;
     Some(Plaintext {
         poly: RnsPoly {
             limbs,
@@ -318,7 +313,7 @@ mod tests {
         overflow.push(1); // eval form
         overflow.extend_from_slice(&u32::MAX.to_le_bytes()); // n_limbs
         overflow.extend_from_slice(&(1u64 << 61).to_le_bytes()); // degree
-        overflow.push(1); // special limb
+        overflow.push(1); // special limb count
         let mut bad_flag = header(1);
         bad_flag.push(7);
         let mut bias_past_end = header(0);

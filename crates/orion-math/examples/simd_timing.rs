@@ -74,10 +74,6 @@ fn kernel_table(n: usize, bits: u32) {
         })
         .collect();
     let other: Vec<u64> = data.iter().map(|&v| (v * 7 + 13) % q).collect();
-    let wide: Vec<u64> = data
-        .iter()
-        .map(|&v| v.wrapping_mul(0x9e37_79b9_7f4a_7c15))
-        .collect();
     let s = data[17];
     let s_sh = shoup_precompute(s, q);
     let mut buf = data.clone();
@@ -115,17 +111,21 @@ fn kernel_table(n: usize, bits: u32) {
             (k.sub_mul_assign)(&mut buf, &other, s, s_sh, q);
             black_box(buf[0]);
         });
-        let mred = time_ns(|| {
-            (k.mod_reduce)(&mut out, &wide, q);
-            black_box(out[0]);
-        });
-        let cred = time_ns(|| {
-            (k.centered_reduce)(&mut out, &data, q, q - 2 * n as u64);
-            black_box(out[0]);
-        });
+        // one source (a rescale's lift) and three (an L4 ModUp digit of
+        // `small`), centred, into a neighbouring prime
+        let dst_q = q - 2 * n as u64;
+        let (src_q, hat) = ([q; 3], [s, other[3], other[5]].map(|h| h % dst_q));
+        let mut conv = |m: usize| {
+            time_ns(|| {
+                let src = [&data[..], &other[..], &buf[..]];
+                (k.base_conv)(&mut out, &src[..m], &src_q[..m], &hat[..m], true, dst_q);
+                black_box(out[0]);
+            })
+        };
+        let (conv1, conv3) = (conv(1), conv(3));
         println!(
             "{:>10}: fwd {fwd:7.0}  inv {inv:7.0}  mul {mul:6.0}  mac {mac:6.0}  add {add:6.0}  \
-             smul {smul:6.0}  submul {submul:6.0}  mred {mred:6.0}  cred {cred:6.0}  (ns)",
+             smul {smul:6.0}  submul {submul:6.0}  conv1 {conv1:6.0}  conv3 {conv3:6.0}  (ns)",
             k.name
         );
     }

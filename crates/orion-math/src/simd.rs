@@ -178,12 +178,17 @@ pub struct Kernels {
     pub scalar_mul_assign: fn(&mut [u64], u64, u64, u64),
     /// `a[i] = (a[i] - b[i])·s mod q` (the rescale fold) with Shoup `s`
     pub sub_mul_assign: fn(&mut [u64], &[u64], u64, u64, u64),
-    /// `dst[i] = src[i] mod q` for arbitrary `u64` inputs
-    pub mod_reduce: fn(&mut [u64], &[u64], u64),
-    /// `dst[i] = center(src[i], src_q) mod dst_q`: the centered base-change
-    /// step of rescale/ModDown, without materializing an `i128` lift.
-    /// `(dst, src, src_q, dst_q)`.
-    pub centered_reduce: fn(&mut [u64], &[u64], u64, u64),
+    /// Fast RNS base conversion into one target modulus: `dst[i] = Σ_k
+    /// c_k(src[k][i])·hat[k] mod q`, where `c_k(v) = v`, or, when
+    /// `centered`, `v − src_q[k]` for `v > src_q[k]/2`. With `src[k]` the
+    /// residues `x_k·(S/s_k)⁻¹ mod s_k` of a value `x` mod `S = Π s_k` and
+    /// `hat[k] = S/s_k mod q`, `dst` is `x + u·S mod q` for a small
+    /// integer `u` (`0 ≤ u < m` plain, `|u| ≤ m/2` centered): the ModUp of
+    /// a key-switch digit, and the lift of the dropped limbs of a ModDown
+    /// or a rescale (one source, centred: the exact rounding).
+    /// `(dst, src, src_q, hat, centered, q)`; `src[k]` in `[0, src_q[k])`,
+    /// `hat[k] < q`.
+    pub base_conv: BaseConvFn,
     /// Fused key-switch inner product over Montgomery-form keys
     /// (`k̃ = k·2⁶⁴ mod q`, [`to_montgomery`]): `dst[i] = (dst[i] + Σ_d
     /// digits[d][i]·k[d][i]) mod q`. `(dst, digits, keys, key_shoups, q)`;
@@ -230,6 +235,10 @@ pub fn wide_fold_bound(q: u64) -> u64 {
 /// empty; the argument stays because the `perf/` name pin calls the kernel
 /// with five arguments (ROADMAP item 7(b)).
 pub type KsAccumFn = fn(&mut [u64], &[&[u64]], &[&[u64]], &[&[u64]], u64);
+
+/// Signature of the base conversion:
+/// `(dst, src, src_q, hat, centered, q)`.
+pub type BaseConvFn = fn(&mut [u64], &[&[u64]], &[u64], &[u64], bool, u64);
 
 /// Signature of the two-half key-switch pass:
 /// `(dst_b, dst_a, digits, keys_b, keys_a, perm, q)`.
@@ -325,8 +334,7 @@ static SCALAR: Kernels = Kernels {
     add_mul: scalar_impl::add_mul,
     scalar_mul_assign: scalar_impl::scalar_mul_assign,
     sub_mul_assign: scalar_impl::sub_mul_assign,
-    mod_reduce: scalar_impl::mod_reduce,
-    centered_reduce: scalar_impl::centered_reduce,
+    base_conv: scalar_impl::base_conv,
     ks_accum: scalar_impl::ks_accum,
     ks_accum_pair: scalar_impl::ks_accum_pair,
     mac_wide: scalar_impl::mac_wide,
@@ -385,6 +393,15 @@ fn redc(x: u128, q: u64, q_inv: u64) -> u64 {
     } else {
         t
     }
+}
+
+/// Checks the operand shapes of a base conversion into an `n`-word `dst`:
+/// at least one source, every source `n` words, one modulus and one
+/// factor per source.
+fn base_conv_shape(n: usize, src: &[&[u64]], src_q: &[u64], hat: &[u64]) {
+    assert!(!src.is_empty(), "base conversion from no limb");
+    assert!(src.len() == src_q.len() && src.len() == hat.len());
+    assert!(src.iter().all(|s| s.len() == n), "limb length mismatch");
 }
 
 /// Checks the operand shapes of a key-switch pass over the key halves
@@ -508,30 +525,30 @@ mod scalar_impl {
         });
     }
 
-    pub(super) fn mod_reduce(dst: &mut [u64], src: &[u64], q: u64) {
-        debug_assert_eq!(dst.len(), src.len());
-        let br = Barrett::new(q);
-        for (d, &x) in dst.iter_mut().zip(src) {
-            *d = br.reduce_u64(x);
-        }
-    }
-
-    pub(super) fn centered_reduce(dst: &mut [u64], src: &[u64], src_q: u64, dst_q: u64) {
-        debug_assert_eq!(dst.len(), src.len());
-        let br = Barrett::new(dst_q);
-        let half = src_q >> 1;
-        // center(x, src_q) ≡ x − src_q·[x > src_q/2] (mod dst_q)
-        let delta = br.reduce_u64(src_q % dst_q);
-        for (d, &x) in dst.iter_mut().zip(src) {
-            let mut r = br.reduce_u64(x);
-            if x > half {
-                r = if r >= delta {
-                    r - delta
-                } else {
-                    r + dst_q - delta
+    pub(super) fn base_conv(
+        dst: &mut [u64],
+        src: &[&[u64]],
+        src_q: &[u64],
+        hat: &[u64],
+        centered: bool,
+        q: u64,
+    ) {
+        base_conv_shape(dst.len(), src, src_q, hat);
+        for (k, ((s, &sq), &h)) in src.iter().zip(src_q).zip(hat).enumerate() {
+            let h_sh = crate::modular::shoup_precompute(h, q);
+            // c(v)·h ≡ v·h − [v > sq/2]·(sq·h) (mod q)
+            let half = if centered { sq >> 1 } else { u64::MAX };
+            let delta = crate::modular::mul_mod(sq % q, h, q);
+            for (d, &v) in dst.iter_mut().zip(*s) {
+                let mut t = mul_mod_shoup(v, h, h_sh, q);
+                if v > half {
+                    t = if t >= delta { t - delta } else { t + q - delta };
+                }
+                *d = match k {
+                    0 => t,
+                    _ => crate::modular::add_mod(*d, t, q),
                 };
             }
-            *d = r;
         }
     }
 
@@ -815,8 +832,7 @@ mod avx2_impl {
         add_mul: super::scalar_impl::add_mul,
         scalar_mul_assign,
         sub_mul_assign,
-        mod_reduce: super::scalar_impl::mod_reduce,
-        centered_reduce: super::scalar_impl::centered_reduce,
+        base_conv: super::scalar_impl::base_conv,
         // AVX2 has no 64×64→128 multiply: the scalar `mul`/`add`/`adc`
         // bodies are the fast path here — for the key-switch inner product
         // too, whose register-resident 128-bit sums read 16 B per
@@ -1358,8 +1374,7 @@ mod ifma_impl {
         add_mul: super::scalar_impl::add_mul,
         scalar_mul_assign,
         sub_mul_assign,
-        mod_reduce,
-        centered_reduce,
+        base_conv,
         ks_accum,
         ks_accum_pair,
         mac_wide,
@@ -1702,7 +1717,8 @@ mod ifma_impl {
     // confirmed AVX2, AVX-512F, AVX-512VL and AVX-512IFMA, so the
     // intrinsics always run on a CPU that has them. Each wrapper calls its
     // body only when the modulus meets the body's bound (`q <
-    // IFMA_Q_BOUND`, plus `q ≥ REDUCE_Q_MIN` for the word reductions) and
+    // IFMA_Q_BOUND`, plus `q ≥ REDUCE_Q_MIN` for the wide-lane fold, and
+    // every source modulus below the bound for the base conversion) and
     // runs the AVX2 table's entry otherwise.
 
     /// Declares the safe `fn`-pointer-compatible table entry for one IFMA
@@ -1733,11 +1749,10 @@ mod ifma_impl {
         else avx2_impl::scalar_mul_assign; (a: &mut [u64], s: u64, s_sh: u64, q: u64));
     wrap_ifma!(sub_mul_assign => sub_mul_assign_ifma if q < IFMA_Q_BOUND,
         else avx2_impl::sub_mul_assign; (a: &mut [u64], b: &[u64], s: u64, s_sh: u64, q: u64));
-    wrap_ifma!(mod_reduce => mod_reduce_ifma if (REDUCE_Q_MIN..IFMA_Q_BOUND).contains(&q),
-        else scalar_impl::mod_reduce; (dst: &mut [u64], src: &[u64], q: u64));
-    wrap_ifma!(centered_reduce => centered_reduce_ifma
-        if (REDUCE_Q_MIN..IFMA_Q_BOUND).contains(&dst_q),
-        else scalar_impl::centered_reduce; (dst: &mut [u64], src: &[u64], src_q: u64, dst_q: u64));
+    wrap_ifma!(base_conv => base_conv_ifma
+        if q < IFMA_Q_BOUND && src_q.iter().all(|&s| s < IFMA_Q_BOUND),
+        else scalar_impl::base_conv;
+        (dst: &mut [u64], src: &[&[u64]], src_q: &[u64], hat: &[u64], centered: bool, q: u64));
     wrap_ifma!(ks_accum => ks_accum_ifma if q < IFMA_Q_BOUND,
         else scalar_impl::ks_accum;
         (dst: &mut [u64], digits: &[&[u64]], keys: &[&[u64]], key_shoups: &[&[u64]], q: u64));
@@ -1872,33 +1887,50 @@ mod ifma_impl {
     }
 
     #[target_feature(enable = "avx512f,avx512ifma")]
-    unsafe fn mod_reduce_ifma(dst: &mut [u64], src: &[u64], q: u64) {
-        assert_eq!(dst.len(), src.len());
-        // SAFETY: AVX-512F + IFMA verified by dispatch, `q ≥ REDUCE_Q_MIN`
-        // by the wrapper; the blocks cover the common length.
+    unsafe fn base_conv_ifma(
+        dst: &mut [u64],
+        src: &[&[u64]],
+        src_q: &[u64],
+        hat: &[u64],
+        centered: bool,
+        q: u64,
+    ) {
+        base_conv_shape(dst.len(), src, src_q, hat);
+        // Per source: the factor, its 52-bit Shoup twin, the centring
+        // threshold and `src_q·hat mod q`, subtracted above it.
+        let consts: Vec<[u64; 4]> = (src_q.iter().zip(hat))
+            .map(|(&sq, &h)| {
+                let half = if centered { sq >> 1 } else { u64::MAX };
+                [
+                    h,
+                    shoup52(h, q),
+                    half,
+                    crate::modular::mul_mod(sq % q, h, q),
+                ]
+            })
+            .collect();
+        // SAFETY: AVX-512F + IFMA verified by dispatch; `q` and every
+        // source modulus are below `IFMA_Q_BOUND` by the wrapper, so each
+        // source word `v < 2⁵⁰` and each factor `h < q` meet the lazy
+        // Shoup product's bounds. The blocks cover `dst`, and every source
+        // has its length (`base_conv_shape`).
         unsafe {
-            let br = Barrett52::new(q);
+            let c = Mod52::new(q);
             for_blocks(dst.len(), |i, k| {
-                store(dst, i, k, br.reduce(load(src, i, k)))
-            });
-        }
-    }
-
-    #[target_feature(enable = "avx512f,avx512ifma")]
-    unsafe fn centered_reduce_ifma(dst: &mut [u64], src: &[u64], src_q: u64, dst_q: u64) {
-        assert_eq!(dst.len(), src.len());
-        // SAFETY: AVX-512F + IFMA verified by dispatch, `dst_q ≥
-        // REDUCE_Q_MIN` by the wrapper; the blocks cover the common length.
-        unsafe {
-            let br = Barrett52::new(dst_q);
-            // center(x, src_q) ≡ x − src_q·[x > src_q/2] (mod dst_q)
-            let half = splat(src_q >> 1);
-            let delta = splat(src_q % dst_q);
-            for_blocks(dst.len(), |i, k| {
-                let x = load(src, i, k);
-                let off = _mm512_maskz_mov_epi64(_mm512_cmpgt_epu64_mask(x, half), delta);
-                let r = _mm512_sub_epi64(_mm512_add_epi64(br.reduce(x), br.m.q), off);
-                store(dst, i, k, csub(r, br.m.q));
+                let mut acc = _mm512_setzero_si512();
+                for (s, &[h, h52, half, delta]) in src.iter().zip(&consts) {
+                    let v = load(s, i, k);
+                    // [0, 2q), then [0, q) less `delta` where `v > half`,
+                    // plus q: (0, 2q) either way
+                    let t = csub(c.mul_shoup_lazy(v, splat(h), splat(h52)), c.q);
+                    let off = _mm512_maskz_mov_epi64(
+                        _mm512_cmpgt_epu64_mask(v, splat(half)),
+                        splat(delta),
+                    );
+                    let t = _mm512_sub_epi64(_mm512_add_epi64(t, c.q), off);
+                    acc = csub(_mm512_add_epi64(acc, t), c.two_q);
+                }
+                store(dst, i, k, csub(acc, c.q));
             });
         }
     }
@@ -2141,38 +2173,6 @@ mod tests {
                     a[i],
                     mul_mod(sub_mod(a0[i], b[i], Q), s, Q),
                     "sub_mul {}",
-                    k.name
-                );
-            }
-
-            let src = rng_seq(6, len, u64::MAX);
-            let mut d = vec![0u64; len];
-            (k.mod_reduce)(&mut d, &src, Q);
-            for i in 0..len {
-                assert_eq!(d[i], src[i] % Q, "mod_reduce {}", k.name);
-            }
-        }
-    }
-
-    #[test]
-    fn centered_reduce_matches_i128_lift() {
-        let src_q = Q;
-        let dst_q = 0x0fff_ffff_ff00_0001u64; // smaller odd modulus
-        for k in variants() {
-            let len = 33;
-            let mut src = rng_seq(7, len, src_q);
-            src[0] = 0;
-            src[1] = src_q - 1;
-            src[2] = src_q / 2;
-            src[3] = src_q / 2 + 1;
-            let mut d = vec![0u64; len];
-            (k.centered_reduce)(&mut d, &src, src_q, dst_q);
-            for i in 0..len {
-                let centered = crate::modular::center(src[i], src_q) as i128;
-                assert_eq!(
-                    d[i],
-                    crate::modular::reduce_i128(centered, dst_q),
-                    "{} i={i}",
                     k.name
                 );
             }

@@ -175,10 +175,10 @@ fn ntt_pair_matches_strict_on_both_sides_of_the_ifma_gate() {
 }
 
 /// Every elementwise kernel with an IFMA body matches the strict reference
-/// on both sides of the 2⁵⁰ gate and on both sides of the word reductions'
-/// 2¹² floor, on all-0, all-`(q − 1)` and random operands (all-`u64::MAX`
-/// words for the reductions), at lengths around the 8-lane width, and
-/// `mod_reduce` on 2¹⁶ random words.
+/// on both sides of the 2⁵⁰ gate and on both sides of the wide fold's
+/// 2¹² floor, on all-0, all-`(q − 1)` and random operands, at lengths
+/// around the 8-lane width, and the one-source base conversion, plain and
+/// centred, from the other gate prime.
 #[test]
 fn elementwise_kernels_match_reference_at_the_ifma_gates() {
     use rand::{rngs::StdRng, Rng, SeedableRng};
@@ -189,7 +189,6 @@ fn elementwise_kernels_match_reference_at_the_ifma_gates() {
             let s = rng.gen_range(0..q);
             let s_sh = shoup_precompute(s, q);
             let ops = edge_inputs(&mut rng, len, q);
-            let words = edge_inputs(&mut rng, len, u64::MAX);
             for k in simd::variants() {
                 for (a, b) in ops.iter().zip(ops.iter().rev()) {
                     let mut v = vec![0u64; len];
@@ -209,40 +208,31 @@ fn elementwise_kernels_match_reference_at_the_ifma_gates() {
                         .collect();
                     assert_eq!(v, want, "{} submul q {q} len {len}", k.name);
                 }
-                for w in &words {
-                    let mut v = vec![0u64; len];
-                    (k.mod_reduce)(&mut v, w, q);
-                    let want: Vec<u64> = w.iter().map(|&x| x % q).collect();
-                    assert_eq!(v, want, "{} modred q {q} len {len}", k.name);
-                }
-                // Centered base change from the other gate prime into q.
+                // One-source base change from the other gate prime into q.
                 let src_q = if q == below { above } else { below };
                 for src in edge_inputs(&mut rng, len, src_q) {
-                    let mut v = vec![0u64; len];
-                    (k.centered_reduce)(&mut v, &src, src_q, q);
-                    let want: Vec<u64> = src.iter().map(|&x| centered_lift(x, src_q, q)).collect();
-                    assert_eq!(v, want, "{} centered q {q} len {len}", k.name);
+                    for centered in [false, true] {
+                        let mut v = vec![0u64; len];
+                        (k.base_conv)(&mut v, &[&src], &[src_q], &[1], centered, q);
+                        let want: Vec<u64> = (src.iter())
+                            .map(|&x| match centered {
+                                true => centered_lift(x, src_q, q),
+                                false => x % q,
+                            })
+                            .collect();
+                        assert_eq!(v, want, "{} conv q {q} len {len}", k.name);
+                    }
                 }
             }
-        }
-        // Near 2¹² the Barrett estimate is 2 low on about 1 word in 2000:
-        // enough random words reach that case on every run.
-        let words = fill(&mut rng, 1 << 16, u64::MAX);
-        let want: Vec<u64> = words.iter().map(|&x| x % q).collect();
-        for k in simd::variants() {
-            let mut v = vec![0u64; words.len()];
-            (k.mod_reduce)(&mut v, &words, q);
-            assert_eq!(v, want, "{} modred q {q}, many words", k.name);
         }
     }
 }
 
-/// `mod_reduce` and `centered_reduce` between the lola chain's q₀ and its
-/// special prime P < q₀ (`CkksParams::small()`), both IFMA limbs, in both
-/// directions: digit extension reduces q₀'s digit into P (`mod_reduce`,
-/// the source above the target), ModDown lifts P into q₀
-/// (`centered_reduce`). On every class, residues 0, `q − 1`, `q`, `q + 1`,
-/// the centering threshold, `src_q − 1` and random ones.
+/// The one-source base conversion between the lola chain's q₀ and its
+/// first special prime P < q₀ (`CkksParams::small()`), both IFMA limbs, in
+/// both directions: a one-limb ModUp extends q₀'s digit into P, a ModDown
+/// lifts P into q₀, each plain and centred. On every class, residues 0,
+/// `q − 1`, the centering threshold, `src_q − 1` and random ones.
 #[test]
 fn base_changes_between_the_lola_limbs_match_reference() {
     use rand::{rngs::StdRng, SeedableRng};
@@ -250,30 +240,22 @@ fn base_changes_between_the_lola_limbs_match_reference() {
     assert!(p < q0 && q0 < simd::IFMA_Q_BOUND);
     let mut rng = StdRng::seed_from_u64(0x10_1a);
     for (src_q, q) in [(q0, p), (p, q0)] {
-        let mut src: Vec<u64> = vec![0, 1, q - 1, src_q / 2, src_q / 2 + 1, src_q - 1];
-        if src_q > q {
-            src.extend([q, q + 1]);
-        }
+        let mut src: Vec<u64> = vec![0, 1, q.min(src_q) - 1, src_q / 2, src_q / 2 + 1, src_q - 1];
         src.extend(fill(&mut rng, 67, src_q));
         let reduced: Vec<u64> = src.iter().map(|&x| x % q).collect();
         let centered: Vec<u64> = src.iter().map(|&x| centered_lift(x, src_q, q)).collect();
         for k in simd::variants() {
             for len in [1, 7, 8, 9, src.len()] {
-                let mut v = vec![0u64; len];
-                (k.mod_reduce)(&mut v, &src[..len], q);
-                assert_eq!(
-                    v,
-                    reduced[..len],
-                    "{} modred {src_q} → {q} len {len}",
-                    k.name
-                );
-                (k.centered_reduce)(&mut v, &src[..len], src_q, q);
-                assert_eq!(
-                    v,
-                    centered[..len],
-                    "{} centered {src_q} → {q} len {len}",
-                    k.name
-                );
+                for (centred, want) in [(false, &reduced), (true, &centered)] {
+                    let mut v = vec![0u64; len];
+                    (k.base_conv)(&mut v, &[&src[..len]], &[src_q], &[1], centred, q);
+                    assert_eq!(
+                        v,
+                        want[..len],
+                        "{} {src_q} → {q} centred {centred} len {len}",
+                        k.name
+                    );
+                }
             }
         }
     }
@@ -324,7 +306,6 @@ proptest! {
         let d = fill(&mut rng, len, q);
         let s = rng.gen_range(0..q);
         let s_sh = shoup_precompute(s, q);
-        let raw = fill(&mut rng, len, u64::MAX);
         for k in simd::variants() {
             let mut v = a.clone();
             (k.add_assign)(&mut v, &b, q);
@@ -361,11 +342,6 @@ proptest! {
             for i in 0..len {
                 prop_assert_eq!(v[i], mul_mod(sub_mod(a[i], b[i], q), s, q), "{} submul[{}]", k.name, i);
             }
-            let mut v = vec![0u64; len];
-            (k.mod_reduce)(&mut v, &raw, q);
-            for i in 0..len {
-                prop_assert_eq!(v[i], raw[i] % q, "{} modred[{}]", k.name, i);
-            }
         }
     }
 
@@ -391,26 +367,64 @@ proptest! {
         }
     }
 
-    /// The centered base-change kernel matches the `i128` centered lift it
-    /// replaced, bit for bit, including values straddling `src_q / 2`.
+    /// The base conversion equals the strict `Σ_k c(v_k)·hat_k mod q` in
+    /// `i128`, plain and centered, from one to six 30–61-bit source primes
+    /// into a 30–61-bit target, on every class: IFMA runs its body when
+    /// every modulus is below 2⁵⁰ and must agree with the scalar one.
+    /// Sources include 0, each centring threshold and `s − 1`.
     #[test]
-    fn centered_reduce_matches_i128_lift(len in 1usize..70, bits_off in 0u32..32, seed in 0u64..1_000_000) {
-        use rand::SeedableRng;
-        let src_q = random_prime(16, bits_off, seed);
-        let dst_q = random_prime(16, (bits_off + 7) % 32, seed ^ 1);
-        let mut rng = rand::rngs::StdRng::seed_from_u64(seed ^ 0xce17);
-        let mut src = fill(&mut rng, len, src_q);
-        // Force boundary coverage around the centering threshold.
-        if len > 2 {
-            src[0] = src_q / 2;
-            src[1] = src_q / 2 + 1;
-            src[2] = src_q - 1;
+    fn base_conv_matches_strict_sum(
+        len in 1usize..70,
+        m in 1usize..7,
+        bits_off in 0u32..32,
+        wide in 0u8..2,
+        seed in 0u64..1_000_000,
+    ) {
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand::rngs::StdRng::seed_from_u64(seed ^ 0xbc0e);
+        // 30–49-bit primes (the IFMA body), or the full range
+        let span = if wide == 1 { 32 } else { 20 };
+        let prime = |rng: &mut rand::rngs::StdRng, exclude: &[u64]| {
+            let bits = 30 + (bits_off + rng.gen_range(0..span)) % span;
+            generate_ntt_primes(16, bits, 1, exclude)[0]
+        };
+        let mut moduli: Vec<u64> = Vec::new();
+        for _ in 0..=m {
+            let p = prime(&mut rng, &moduli);
+            moduli.push(p);
         }
-        let expect: Vec<u64> = src.iter().map(|&x| centered_lift(x, src_q, dst_q)).collect();
-        for k in simd::variants() {
-            let mut v = vec![0u64; len];
-            (k.centered_reduce)(&mut v, &src, src_q, dst_q);
-            prop_assert_eq!(&v, &expect, "{} centered_reduce", k.name);
+        let q = moduli.pop().unwrap();
+        let src: Vec<Vec<u64>> = moduli
+            .iter()
+            .map(|&s| {
+                let mut v = fill(&mut rng, len, s);
+                let edges = [0, s / 2, s / 2 + 1, s - 1];
+                for (x, e) in v.iter_mut().zip(edges) {
+                    *x = e;
+                }
+                v
+            })
+            .collect();
+        let hat: Vec<u64> = moduli.iter().map(|_| rng.gen_range(0..q)).collect();
+        let src_refs: Vec<&[u64]> = src.iter().map(Vec::as_slice).collect();
+        for centered in [false, true] {
+            let want: Vec<u64> = (0..len)
+                .map(|i| {
+                    let terms = src.iter().zip(&moduli).zip(&hat);
+                    terms.fold(0, |acc, ((v, &s), &h)| {
+                        let c = match centered {
+                            true => centered_lift(v[i], s, q),
+                            false => v[i] % q,
+                        };
+                        add_mod(acc, mul_mod(c, h, q), q)
+                    })
+                })
+                .collect();
+            for k in simd::variants() {
+                let mut got = vec![u64::MAX; len];
+                (k.base_conv)(&mut got, &src_refs, &moduli, &hat, centered, q);
+                prop_assert_eq!(&got, &want, "{} centered={}", k.name, centered);
+            }
         }
     }
 

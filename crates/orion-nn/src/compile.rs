@@ -396,7 +396,8 @@ impl Compiled {
         );
         // ring degree 2·slots; the flat figure is a cap of every key at L_eff
         let keys = self.key_manifest();
-        let _ = writeln!(s, "{}", keys.summary(2 * self.opts.slots, self.opts.l_eff));
+        let (n, l_eff) = (2 * self.opts.slots, self.opts.l_eff);
+        let _ = writeln!(s, "{}", keys.summary(n, l_eff, l_eff));
         for (id, p) in self.prog.iter().enumerate() {
             // the step's modeled seconds at its placement level: the
             // *predicted* column of the attribution table

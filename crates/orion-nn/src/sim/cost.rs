@@ -71,6 +71,12 @@ impl CostModel {
 
     /// The hoisted part of a key-switch: digit decomposition + basis
     /// extension of one ciphertext, `(ℓ+1)` INTTs + `(ℓ+1)(ℓ+2)` NTTs.
+    /// This prices the paper's placement model (one digit per limb), not
+    /// the engine's transform count: hybrid key switching runs `ℓ+1`
+    /// INTTs and `dnum(ℓ)·(ℓ+1+α(ℓ)) − (ℓ+1)` NTTs (11 at L4 on `small`).
+    /// The prices stay so that Table 5's bootstrap counts and the plan
+    /// digests do not move; a model fitted to the engine is ROADMAP
+    /// item 23.
     pub fn ks_decompose(&self, level: usize) -> f64 {
         let l1 = (level + 1) as f64;
         (l1 + l1 * (l1 + 1.0)) * self.ntt()

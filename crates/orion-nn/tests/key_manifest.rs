@@ -110,7 +110,7 @@ fn measured_key_bytes(session: &FheSession) -> u64 {
         .chain(keys.rot.values())
         .flat_map(|k| &k.parts)
         .flat_map(|(b, a)| [b, a])
-        .map(|p| ((p.limbs.len() + usize::from(p.has_special())) * n * 8) as u64)
+        .map(|p| ((p.limbs.len() + p.special.len()) * n * 8) as u64)
         .sum()
 }
 
@@ -133,7 +133,7 @@ fn check(net: &Network, params: CkksParams) -> (BTreeMap<usize, usize>, usize, u
     assert!(manifest.relin <= c.opts.l_eff);
 
     // The session holds exactly the manifest, each key at its level.
-    let n = params.n;
+    let (n, params_l_eff) = (params.n, params.effective_level());
     let session = FheSession::new(params, &c, 0x4e75);
     let keys = session.eval.keys();
     assert_eq!(keys.relin.level(), manifest.relin);
@@ -142,10 +142,18 @@ fn check(net: &Network, params: CkksParams) -> (BTreeMap<usize, usize>, usize, u
         let key = &keys.rot[&session.ctx.galois_element(k)];
         assert_eq!(key.level(), level, "rotation by {k}");
     }
-    let bytes = manifest.key_bytes(n);
-    let by_formula: u64 = std::iter::once(manifest.relin)
-        .chain(manifest.rotations.values().copied())
-        .map(|l| (2 * n * 8 * (l + 1) * (l + 2)) as u64)
+    let l_eff = params_l_eff;
+    let bytes = manifest.key_bytes(n, l_eff);
+    // 2·8·N·dnum(ℓ)·(ℓ+1+α(ℓ)), α(ℓ) = min(⌈(ℓ+1)/2⌉, ⌈(L_eff+1)/2⌉),
+    // over every gadget of every key
+    let keys = std::iter::once(None).chain(manifest.rotations.keys().map(|&k| Some(k)));
+    let by_formula: u64 = keys
+        .flat_map(|key| manifest.gadget_levels(key, l_eff))
+        .map(|l| {
+            let alpha = (l + 1).div_ceil(2).min((l_eff + 1).div_ceil(2));
+            let dnum = (l + 1).div_ceil(alpha);
+            (2 * 8 * n * dnum * (l + 1 + alpha)) as u64
+        })
         .sum();
     assert_eq!(bytes, by_formula);
     assert_eq!(bytes, measured_key_bytes(&session));
@@ -163,9 +171,12 @@ fn lola_keys_sit_at_their_plan_levels() {
     let (by_level, product_level, bytes) = check(&net, CkksParams::small());
     assert_eq!(by_level, BTreeMap::from([(1, 30), (4, 60)]));
     assert_eq!(product_level, 3);
-    // 60 keys of 5·6 and 30 of 2·3 limb pairs, the relin key with the 60
-    assert_eq!(bytes, 2 * 4096 * 8 * (61 * 30 + 30 * 6));
-    assert_eq!(bytes, 131_727_360, "the ledger's ckks.eval_key_mb = 131.7");
+    // α(4) = 3: 60 keys of 2·8 and 30 of 2·3 limb pairs, the 8 steps the
+    // L4 conv shares with the L1 fc layers with a 2·3 gadget more, the
+    // relin key 2·8 at 4 and 2·6 at its product's level 3 (5·6 and 2·3
+    // with one limb per digit)
+    assert_eq!(bytes, 2 * 4096 * 8 * (60 * 16 + 8 * 6 + 30 * 6 + 16 + 12));
+    assert_eq!(bytes, 79_691_776, "the ledger's ckks.eval_key_mb = 79.7");
 }
 
 #[test]
@@ -180,8 +191,15 @@ fn resblock_keys_sit_at_their_plan_levels() {
     // the last sign stage runs at 8, above every linear layer
     assert_eq!(by_level, BTreeMap::from([(1, 5), (7, 10)]));
     assert_eq!(product_level, 8);
-    assert_eq!(bytes, 2 * 2048 * 8 * (90 + 10 * 72 + 5 * 6));
-    assert_eq!(bytes, 27_525_120, "the ledger's ckks.eval_key_mb = 27.53");
+    // relin at 8: α = 5, 2·14, and gadgets at 5 (α = 3, 2·9) and 3
+    // (α = 2, 2·6); ten keys at 7: α = 4, 2·12, seven of them with a 2·3
+    // gadget at 1; five at 1: 2·3 (9·10, 8·9 and 2·3 with one limb per
+    // digit)
+    assert_eq!(
+        bytes,
+        2 * 2048 * 8 * (28 + 18 + 12 + 10 * 24 + 7 * 6 + 5 * 6)
+    );
+    assert_eq!(bytes, 12_124_160, "the ledger's ckks.eval_key_mb = 12.1");
 }
 
 #[test]

@@ -110,7 +110,8 @@ fn main() {
     print_report(&report);
     if let Some(ctx) = &ctx {
         let keys = compiled.key_manifest();
-        println!("{}", keys.summary(ctx.degree(), ctx.max_level()));
+        let l_eff = ctx.params.effective_level();
+        println!("{}", keys.summary(ctx.degree(), l_eff, ctx.max_level()));
     }
     if let Some((measured, certified)) = peaks {
         let rel = if measured == certified { "==" } else { "!=" };
